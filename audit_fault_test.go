@@ -37,13 +37,21 @@ type faultServer struct {
 
 func startFaultServer(t *testing.T) *faultServer {
 	t.Helper()
-	fs := &faultServer{eng: core.New(core.Options{})}
+	eng := core.New(core.Options{})
 	for i := 0; i < 40; i++ {
-		if _, err := fs.eng.Apply("seed", []core.Put{{Table: "t", Column: "c",
+		if _, err := eng.Apply("seed", []core.Put{{Table: "t", Column: "c",
 			PK: []byte(fmt.Sprintf("pk%03d", i)), Value: []byte(fmt.Sprintf("value-%03d", i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return serveFaultEngine(t, eng)
+}
+
+// serveFaultEngine serves an already-seeded engine through the mutator
+// and the faulty listener.
+func serveFaultEngine(t *testing.T, eng *core.Engine) *faultServer {
+	t.Helper()
+	fs := &faultServer{eng: eng}
 	fs.inner, _ = wire.Listen()
 	fs.ln = wire.NewFaultListener(fs.inner)
 	fs.srv = wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(fs.eng),

@@ -390,8 +390,14 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verifyNow, verifyA
 func (l shardLink) getVerified(table, column string, pk []byte) ([]byte, bool, error) {
 	tr := l.span("client.get-verified")
 	defer tr.Finish()
+	// Tell the server which index nodes of the key's search path this
+	// verifier already holds, so the proof ships only the rest. The path
+	// pins those nodes: the response is verified against them even if the
+	// cache evicts in between.
+	key := cellstore.CellPrefix(table, column, pk)
+	path := l.v.PathTo(key)
 	req := wire.Request{Op: wire.OpGetVerified, Table: table, Column: column,
-		PK: pk, Shard: l.shard}
+		PK: pk, Shard: l.shard, Have: path.Have()}
 	req.SetTrace(tr)
 	resp, err := l.c.Do(req)
 	if err != nil {
@@ -406,14 +412,18 @@ func (l shardLink) getVerified(table, column string, pk []byte) ([]byte, bool, e
 		}
 		return nil, false, nil // empty database
 	}
-	if err := l.syncAndVerify(tr, resp.Digest, resp.Proof); err != nil {
-		return nil, false, err
-	}
 	// The proof must answer the question that was asked: a valid proof
 	// for some other key would otherwise smuggle in that key's value.
-	if resp.Proof.Point == nil ||
-		!bytes.Equal(resp.Proof.Point.Key, cellstore.CellPrefix(table, column, pk)) {
+	// Checked before verification, so an answer to another question never
+	// reaches the node cache either.
+	if resp.Proof.Point == nil || !bytes.Equal(resp.Proof.Point.Key, key) {
 		return nil, false, fmt.Errorf("%w: proof answers a different key", ErrTampered)
+	}
+	// By the time either closure runs, resp.Digest is the trusted digest
+	// or a proven prefix of it, so one as-of check serves both.
+	verify := func() error { return l.v.VerifyPoint(*resp.Proof, resp.Digest, path) }
+	if err := l.syncAndVerifyWith(tr, resp.Digest, verify, verify); err != nil {
+		return nil, false, err
 	}
 	cells, err := resp.Proof.Cells()
 	if err != nil {

@@ -192,7 +192,7 @@ func main() {
 	if which == "readpath-smoke" {
 		ran = true
 		check(bench.ReadPathSmoke(*thresholds))
-		fmt.Println("readpath smoke: unverified and deferred wire reads within checked-in latency and allocation thresholds")
+		fmt.Println("readpath smoke: unverified, eager and deferred wire reads within checked-in latency, allocation and proof-size thresholds")
 	}
 	if which == "admin-smoke" {
 		ran = true

@@ -13,6 +13,47 @@ func smallConfig() Config {
 	return Config{Sizes: []int{4000, 16000}, Ops: 6000, Batch: 500, Seed: 7}
 }
 
+// shapeRuns is how many times a throughput shape test repeats its sweep.
+const shapeRuns = 3
+
+// bestOf repeats a throughput sweep and keeps, for every series and x,
+// the best (highest) measurement. The shape tests compare throughputs
+// measured inside `go test ./...`, beside every other package's tests on
+// the same cores: a single wall-clock sample is at the mercy of that
+// noise, while the best of three is what the code can do — the quantity
+// the paper's shapes are about.
+func bestOf(t *testing.T, run func() ([]Result, error)) []Result {
+	t.Helper()
+	var best []Result
+	for i := 0; i < shapeRuns; i++ {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best == nil {
+			best = res
+			continue
+		}
+		for r := range res {
+			for s, series := range res[r].Series {
+				for p, pt := range series.Points {
+					if b := &best[r].Series[s].Points[p]; pt.Y > b.Y {
+						b.Y = pt.Y
+					}
+				}
+			}
+		}
+	}
+	return best
+}
+
+func one(run func() (Result, error)) func() ([]Result, error) {
+	return func() ([]Result, error) {
+		res, err := run()
+		return []Result{res}, err
+	}
+}
+
 func TestFig1Shape(t *testing.T) {
 	res, err := Fig1(30)
 	if err != nil {
@@ -38,10 +79,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig6ReadShape(t *testing.T) {
-	res, err := Fig6Read(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestOf(t, one(func() (Result, error) { return Fig6Read(smallConfig()) }))[0]
 	kvs, _ := res.Get("Immutable KVS")
 	spitz, _ := res.Get("Spitz")
 	spitzV, _ := res.Get("Spitz-verify")
@@ -72,10 +110,7 @@ func TestFig6ReadShape(t *testing.T) {
 }
 
 func TestFig6WriteShape(t *testing.T) {
-	res, err := Fig6Write(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestOf(t, one(func() (Result, error) { return Fig6Write(smallConfig()) }))[0]
 	kvs, _ := res.Get("Immutable KVS")
 	spitz, _ := res.Get("Spitz")
 	base, _ := res.Get("Baseline")
@@ -100,10 +135,7 @@ func TestFig6WriteShape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Ops = 400
-	res, err := Fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bestOf(t, one(func() (Result, error) { return Fig7(cfg) }))[0]
 	spitzV, _ := res.Get("Spitz-verify")
 	baseV, _ := res.Get("Baseline-verify")
 	for _, size := range []int{4000, 16000} {
@@ -117,10 +149,11 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	cfg := Config{Sizes: []int{8000}, Ops: 4000, Batch: 500, Seed: 9}
-	readRes, writeRes, err := Fig8(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	both := bestOf(t, func() ([]Result, error) {
+		readRes, writeRes, err := Fig8(cfg)
+		return []Result{readRes, writeRes}, err
+	})
+	readRes, writeRes := both[0], both[1]
 	sv, _ := readRes.Get("Spitz-verify")
 	nv, _ := readRes.Get("Non-intrusive-verify")
 	s, _ := sv.At(8000)

@@ -16,20 +16,25 @@ import (
 // loose — CI hosts vary several-fold — while allocation ceilings are
 // tight: allocations per op are deterministic for a fixed code path, so
 // a codec regression (say, sliding back to reflection-based encoding)
-// trips them even on a fast machine.
+// trips them even on a fast machine. The eager mode is gated on
+// deterministic quantities only: allocations and the proof bytes a warm
+// client receives per read, which a change that re-ships index nodes the
+// client already holds would inflate.
 type ReadPathThresholds struct {
 	UnverifiedNsMax     float64 `json:"unverified_ns_max"`
 	DeferredNsMax       float64 `json:"deferred_ns_max"`
 	UnverifiedAllocsMax float64 `json:"unverified_allocs_max"`
 	DeferredAllocsMax   float64 `json:"deferred_allocs_max"`
+	EagerAllocsMax      float64 `json:"eager_allocs_max"`
+	EagerProofBytesMax  float64 `json:"eager_proof_bytes_max"`
 }
 
-// ReadPathSmoke measures the two production read modes over the wire —
-// unverified gets (the floor) and AuditMode verified reads (deferred
-// batch auditing) — and fails if either exceeds the checked-in
-// thresholds. CI runs it as the bench-regression gate: a transport or
-// codec change that slows the hot path or adds per-op allocations fails
-// the build rather than landing silently.
+// ReadPathSmoke measures the production read modes over the wire —
+// unverified gets (the floor), eager verified reads on a warm client, and
+// AuditMode verified reads (deferred batch auditing) — and fails if any
+// exceeds the checked-in thresholds. CI runs it as the bench-regression
+// gate: a transport or codec change that slows the hot path or adds
+// per-op allocations fails the build rather than landing silently.
 func ReadPathSmoke(thresholdsPath string) error {
 	raw, err := os.ReadFile(thresholdsPath)
 	if err != nil {
@@ -85,6 +90,26 @@ func ReadPathSmoke(thresholdsPath string) error {
 		return err
 	}
 
+	// Eager verified reads on a warm client: every proof checked on
+	// arrival, index nodes the verifier already holds left out of it.
+	for i := 0; i < warmup+keys; i++ {
+		if _, _, err := cl.GetVerified("t", "c", benchKey(i%keys)); err != nil {
+			return err
+		}
+	}
+	warm := cl.Verifier().ProofStats()
+	eagerNs, eagerAllocs, err := timedOps(ops, func(i int) error {
+		_, _, err := cl.GetVerified("t", "c", benchKey(i%keys))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	eager := cl.Verifier().ProofStats()
+	eagerProofBytes := float64(eager.ProofBytes-warm.ProofBytes) / ops
+	eagerShipped := float64(eager.NodesShipped-warm.NodesShipped) / ops
+	eagerElided := float64(eager.NodesElided-warm.NodesElided) / ops
+
 	// Deferred verified reads: optimistic accept + batch audit, flush
 	// inside the timed region so the proof RTTs are paid for.
 	aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 512, MaxDelay: time.Hour})
@@ -113,6 +138,8 @@ func ReadPathSmoke(thresholdsPath string) error {
 	fmt.Printf("readpath smoke (%s):\n", cl.Proto())
 	fmt.Printf("  unverified: %8.0f ns/op  %5.1f allocs/op  (max %.0f ns, %.0f allocs)\n",
 		unvNs, unvAllocs, th.UnverifiedNsMax, th.UnverifiedAllocsMax)
+	fmt.Printf("  eager:      %8.0f ns/op  %5.1f allocs/op  %6.0f proof B/op, %.2f nodes shipped + %.2f elided  (max %.0f allocs, %.0f proof B)\n",
+		eagerNs, eagerAllocs, eagerProofBytes, eagerShipped, eagerElided, th.EagerAllocsMax, th.EagerProofBytesMax)
 	fmt.Printf("  deferred:   %8.0f ns/op  %5.1f allocs/op  (max %.0f ns, %.0f allocs)\n",
 		defNs, defAllocs, th.DeferredNsMax, th.DeferredAllocsMax)
 
@@ -125,6 +152,12 @@ func ReadPathSmoke(thresholdsPath string) error {
 	}
 	if unvAllocs > th.UnverifiedAllocsMax {
 		fails = append(fails, fmt.Sprintf("unverified %.1f allocs/op > %.0f", unvAllocs, th.UnverifiedAllocsMax))
+	}
+	if eagerAllocs > th.EagerAllocsMax {
+		fails = append(fails, fmt.Sprintf("eager %.1f allocs/op > %.0f", eagerAllocs, th.EagerAllocsMax))
+	}
+	if eagerProofBytes > th.EagerProofBytesMax {
+		fails = append(fails, fmt.Sprintf("eager %.0f proof bytes/op > %.0f", eagerProofBytes, th.EagerProofBytesMax))
 	}
 	if defAllocs > th.DeferredAllocsMax {
 		fails = append(fails, fmt.Sprintf("deferred %.1f allocs/op > %.0f", defAllocs, th.DeferredAllocsMax))

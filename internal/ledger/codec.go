@@ -39,18 +39,19 @@ func AppendHeader(dst []byte, h BlockHeader) []byte {
 	return append(dst, h.Encode()...)
 }
 
-const headerWireLen = 8*4 + hashutil.DigestSize*3
+// HeaderWireLen is the size of a block header's canonical encoding.
+const HeaderWireLen = 8*4 + hashutil.DigestSize*3
 
 // ReadHeader decodes a block header.
 func ReadHeader(src []byte) (BlockHeader, []byte, error) {
-	if len(src) < headerWireLen {
+	if len(src) < HeaderWireLen {
 		return BlockHeader{}, nil, binenc.ErrCorrupt
 	}
-	h, err := DecodeHeader(src[:headerWireLen])
+	h, err := DecodeHeader(src[:HeaderWireLen])
 	if err != nil {
 		return BlockHeader{}, nil, binenc.ErrCorrupt
 	}
-	return h, src[headerWireLen:], nil
+	return h, src[HeaderWireLen:], nil
 }
 
 // AppendProof appends p's binary encoding. A leading presence byte

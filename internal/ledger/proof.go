@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spitz/internal/cellstore"
+	"spitz/internal/hashutil"
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
 	"spitz/internal/postree"
@@ -36,6 +37,14 @@ type Proof struct {
 // confirms (1) the block is part of the ledger the digest commits to, and
 // (2) the result is exactly what the block's index contains for the query.
 func (p Proof) Verify(d Digest) error {
+	return p.VerifyPath(d, nil)
+}
+
+// VerifyPath is Verify for a client that may already hold verified index
+// nodes of a point proof's search path (see postree.Path; nil holds
+// nothing). The block is bound to d first, so the walk that consults the
+// held nodes starts from a CellRoot the digest commits to.
+func (p Proof) VerifyPath(d Digest, path *postree.Path) error {
 	if p.Header.Height >= d.Height {
 		return ErrProofInvalid // block not covered by the digest
 	}
@@ -48,7 +57,7 @@ func (p Proof) Verify(d Digest) error {
 	}
 	switch {
 	case p.Point != nil && p.Range == nil:
-		if err := p.Point.Verify(p.Header.CellRoot); err != nil {
+		if err := p.Point.VerifyPath(p.Header.CellRoot, path); err != nil {
 			return ErrProofInvalid
 		}
 	case p.Range != nil && p.Point == nil:
@@ -59,6 +68,20 @@ func (p Proof) Verify(d Digest) error {
 		return ErrProofInvalid // must carry exactly one cell proof
 	}
 	return nil
+}
+
+// Elide returns the proof without the index-node bodies of its point
+// proof that the client says it already holds (have[i] is the digest it
+// holds for depth i of the search path). The receiver is not modified —
+// it may be shared with the proof cache and so with other clients.
+func (p Proof) Elide(have []hashutil.Digest) Proof {
+	if p.Point == nil || len(have) == 0 {
+		return p
+	}
+	pt, n := p.Point.Elide(have)
+	p.Point = &pt
+	mProofNodesElided.Add(uint64(n))
+	return p
 }
 
 // Cells decodes the proven cells (including tombstones, so callers can

@@ -42,6 +42,9 @@ const (
 	// maxStrata bounds tree height (fanout 32 ⇒ 32^16 entries, far beyond
 	// anything addressable).
 	maxStrata = 16
+	// MaxHeight is maxStrata for decoders outside the package: no search
+	// path, and so no list of held-node digests, is longer.
+	MaxHeight = maxStrata
 )
 
 // Entry is a key/value pair stored in the tree. Keys are unique.
@@ -183,6 +186,11 @@ func decodeNode(data []byte) (*node, error) {
 		return nil, errors.New("postree: bad entry count")
 	}
 	rest = rest[k:]
+	// Bodies arrive in proofs from an untrusted server: an entry costs at
+	// least its two length bytes, so bound the count before allocating.
+	if cnt > uint64(len(rest))/2 {
+		return nil, errors.New("postree: entry count beyond node size")
+	}
 	n.entries = make([]Entry, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		kl, k1 := binary.Uvarint(rest)

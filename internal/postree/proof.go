@@ -25,11 +25,19 @@ var (
 // from exactly the nodes the query already visited, so proving costs no
 // extra traversal (contrast with the baseline in internal/baseline, which
 // performs an independent journal lookup per record).
+//
+// A position of Nodes may be elided (empty) when the verifier said it
+// already holds that node: see Path and Elide. The leaf is never elided.
 type PointProof struct {
 	Key   []byte
 	Value []byte // the proven value; nil when Found is false
 	Found bool
-	Nodes [][]byte // node bodies, root first
+	Nodes [][]byte // node bodies, root first; an empty body is an elided index node
+
+	// digests[i] is the content address ProveGet loaded Nodes[i] from. It
+	// never crosses the wire; Elide compares it with what a client says
+	// it holds, so the server neither re-hashes nor decodes to elide.
+	digests []hashutil.Digest
 }
 
 // ProveGet returns the value under key together with its proof. Absence is
@@ -47,9 +55,8 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 			return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 		}
 		p.Nodes = append(p.Nodes, body)
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return bytes.Compare(n.entries[i].Key, key) >= 0
-		})
+		p.digests = append(p.digests, d)
+		i := searchEntries(n.entries, key)
 		if n.level == 0 {
 			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
 				p.Found = true
@@ -64,10 +71,110 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	}
 }
 
+// Elide returns a copy of p without the bodies of the index nodes the
+// client already holds: position i is emptied when have[i] is the digest
+// of Nodes[i]. The leaf is always shipped — it carries the answer and is
+// what the verifier hashes fresh on every read. p itself (which the
+// ledger's proof cache may share between clients) is not modified; the
+// second result is the number of nodes elided.
+func (p PointProof) Elide(have []hashutil.Digest) (PointProof, int) {
+	elided := 0
+	for i := 0; i < len(have) && i < len(p.digests); i++ {
+		body := p.Nodes[i]
+		if have[i] != p.digests[i] || len(body) == 0 || body[0] == 0 {
+			continue // not held, or a leaf (level byte 0)
+		}
+		if elided == 0 {
+			p.Nodes = append([][]byte(nil), p.Nodes...)
+		}
+		p.Nodes[i] = nil
+		elided++
+	}
+	return p, elided
+}
+
+// Node is a decoded index node that a verifier has hashed to its digest
+// under the index-node domain. Only VerifyPath mints Nodes, so holding
+// one means its routing entries are authentic for that digest — which is
+// what lets a client cache them by digest and skip re-fetching them.
+type Node struct {
+	digest hashutil.Digest
+	n      *node
+	size   int
+}
+
+// entryHeaderBytes is the in-memory size of a decoded Entry: two slice
+// headers on a 64-bit host.
+const entryHeaderBytes = 48
+
+// Digest returns the node's content address.
+func (n *Node) Digest() hashutil.Digest { return n.digest }
+
+// Size returns the memory a cache holding the node keeps alive: the
+// serialized body its entries point into, plus the decoded entry
+// headers.
+func (n *Node) Size() int { return n.size }
+
+// Child returns the digest of the child subtree key routes to; ok is
+// false when key is beyond the node's largest key (the node itself then
+// proves absence).
+func (n *Node) Child(key []byte) (d hashutil.Digest, ok bool) {
+	i := searchEntries(n.n.entries, key)
+	if i == len(n.n.entries) {
+		return d, false
+	}
+	return childDigest(n.n.entries[i]), true
+}
+
+// Path is the verifier's side of one point read. Held are the verified
+// index nodes it already has along the key's search path, root first,
+// pinned when the request was built so that a cache eviction cannot race
+// the response; their digests are what it tells the server it holds.
+// VerifyPath fills Shipped with the index nodes that arrived as bodies
+// and hashed to the digest the walk expected; when it returns an error
+// the proof is rejected as a whole and Shipped must be discarded.
+type Path struct {
+	Held    []*Node
+	Shipped []*Node
+}
+
+// Have returns the digests of the held nodes, the hint a server elides
+// against (nil when nothing is held).
+func (pa *Path) Have() []hashutil.Digest {
+	if len(pa.Held) == 0 {
+		return nil
+	}
+	ds := make([]hashutil.Digest, len(pa.Held))
+	for i, n := range pa.Held {
+		ds[i] = n.digest
+	}
+	return ds
+}
+
+func searchEntries(entries []Entry, key []byte) int {
+	return sort.Search(len(entries), func(i int) bool {
+		return bytes.Compare(entries[i].Key, key) >= 0
+	})
+}
+
 // Verify checks the proof against a trusted root digest. On success the
 // caller may trust p.Value/p.Found for p.Key as of the state committed by
-// root.
+// root. Every node must be shipped: it is VerifyPath with nothing held.
 func (p PointProof) Verify(root hashutil.Digest) error {
+	return p.VerifyPath(root, nil)
+}
+
+// VerifyPath is Verify for a verifier that may already hold some of the
+// path's index nodes (path may be nil). The walk starts at the trusted
+// root and follows child digests exactly as for a full proof; each node
+// on the way comes either from a shipped body, which is decoded and must
+// hash to the expected digest, or — at an elided position — from the node
+// the verifier pinned for that depth, which must be the expected digest.
+// An elided position the verifier holds nothing for, or holds a different
+// node for, fails: elision can only ever be answered from the verifier's
+// own verified nodes, never trusted on the server's say-so. The leaf is
+// never held, so it is always hashed fresh.
+func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if root.IsZero() {
 		// Empty tree: every key is absent and the proof must be empty.
 		if p.Found || len(p.Nodes) != 0 {
@@ -80,16 +187,26 @@ func (p PointProof) Verify(root hashutil.Digest) error {
 	}
 	want := root
 	for depth, body := range p.Nodes {
-		n, err := decodeNode(body)
-		if err != nil {
-			return ErrProofInvalid
+		var n *node
+		if len(body) == 0 {
+			if path == nil || depth >= len(path.Held) || path.Held[depth].digest != want {
+				return ErrProofInvalid
+			}
+			n = path.Held[depth].n
+		} else {
+			var err error
+			if n, err = decodeNode(body); err != nil {
+				return ErrProofInvalid
+			}
+			if hashutil.Sum(nodeDomain(n.level), body) != want {
+				return ErrProofInvalid
+			}
+			if n.level > 0 && path != nil {
+				path.Shipped = append(path.Shipped, &Node{digest: want, n: n,
+					size: len(body) + cap(n.entries)*entryHeaderBytes})
+			}
 		}
-		if hashutil.Sum(nodeDomain(n.level), body) != want {
-			return ErrProofInvalid
-		}
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return bytes.Compare(n.entries[i].Key, p.Key) >= 0
-		})
+		i := searchEntries(n.entries, p.Key)
 		if n.level == 0 {
 			if depth != len(p.Nodes)-1 {
 				return ErrProofInvalid // leaf must terminate the path

@@ -1,0 +1,119 @@
+package proof
+
+import (
+	"container/list"
+	"sync"
+
+	"spitz/internal/hashutil"
+	"spitz/internal/obs"
+	"spitz/internal/postree"
+)
+
+// nodeCacheBytes caps the verified index nodes one Verifier keeps,
+// counted as the memory they hold (postree.Node.Size: serialized body
+// plus decoded entries). Index nodes are ~1/32 of a tree, so 2 MiB
+// covers the whole interior of a database of a few hundred thousand rows
+// (about 200 nodes, 444 KB of bodies, at 200k rows) and the hot interior
+// of a larger one.
+const nodeCacheBytes = 2 << 20
+
+// Client-side proof traffic, summed over every Verifier in the process:
+// what point and range proofs cost on the wire and how much of it the
+// node cache saved. Per-Verifier figures are Verifier.ProofStats.
+var (
+	mNodesShipped = obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
+	mNodesElided  = obs.Default.Counter("spitz_client_proof_nodes_elided_total")
+	mProofBytes   = obs.Default.Counter("spitz_client_proof_bytes_total")
+	mCacheEntries = obs.Default.Gauge("spitz_client_nodecache_entries")
+	mCacheBytes   = obs.Default.Gauge("spitz_client_nodecache_bytes")
+)
+
+// nodeCache holds index nodes (level >= 1) of the POS-trees a Verifier
+// has verified point proofs under, keyed by content digest. An entry is
+// a postree.Node, which only proof verification mints, after the body
+// hashed to the digest under the index-node domain — so entries are
+// self-certifying: a digest can only ever map to the one node that
+// hashes to it, whatever server, shard state or ledger height it came
+// from. Nodes are copy-on-write, so the cache needs no invalidation on
+// commit (a write re-ships only the path nodes it changed), only
+// eviction, least recently used first.
+type nodeCache struct {
+	mu    sync.Mutex
+	root  hashutil.Digest // CellRoot of the last point proof verified: where hint walks start
+	m     map[hashutil.Digest]*list.Element
+	lru   list.List // of *postree.Node, most recently used first
+	bytes int
+	small int // when non-zero, a byte cap below nodeCacheBytes (tests only)
+}
+
+func (c *nodeCache) limit() int {
+	if c.small > 0 {
+		return c.small
+	}
+	return nodeCacheBytes
+}
+
+// pathTo pins the cached nodes on the search path from the last verified
+// root towards key, stopping at the first node it does not hold.
+func (c *nodeCache) pathTo(key []byte) *postree.Path {
+	// Room for the index path of any tree of practical height in one
+	// allocation (a billion rows at fanout 32 is six index levels).
+	path := &postree.Path{Held: make([]*postree.Node, 0, 6)}
+	var els [postree.MaxHeight]*list.Element
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.root
+	for len(path.Held) < len(els) {
+		el, ok := c.m[d]
+		if !ok {
+			break
+		}
+		n := el.Value.(*postree.Node)
+		els[len(path.Held)] = el
+		path.Held = append(path.Held, n)
+		if d, ok = n.Child(key); !ok {
+			break
+		}
+	}
+	// Touch leaf-most first, so that a node is never older than its
+	// descendants: evicting a parent before its children would strand
+	// them where no walk from the root can reach.
+	for i := len(path.Held) - 1; i >= 0; i-- {
+		c.lru.MoveToFront(els[i])
+	}
+	return path
+}
+
+// admit records a verified point proof: root becomes the start of the
+// next hint walk and the index nodes the proof shipped are cached.
+func (c *nodeCache) admit(root hashutil.Digest, shipped []*postree.Node) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.root = root
+	if c.m == nil {
+		c.m = make(map[hashutil.Digest]*list.Element)
+	}
+	entries, bytes, limit := len(c.m), c.bytes, c.limit()
+	for i := len(shipped) - 1; i >= 0; i-- { // root last: see pathTo
+		n := shipped[i]
+		if _, ok := c.m[n.Digest()]; ok || n.Size() > limit {
+			continue
+		}
+		c.m[n.Digest()] = c.lru.PushFront(n)
+		c.bytes += n.Size()
+	}
+	for c.bytes > limit {
+		el := c.lru.Back()
+		n := c.lru.Remove(el).(*postree.Node)
+		delete(c.m, n.Digest())
+		c.bytes -= n.Size()
+	}
+	mCacheEntries.Add(int64(len(c.m) - entries))
+	mCacheBytes.Add(int64(c.bytes - bytes))
+}
+
+func (c *nodeCache) size() (entries, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m), c.bytes
+}

@@ -1,0 +1,313 @@
+package proof
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"spitz/internal/cas"
+	"spitz/internal/cellstore"
+	"spitz/internal/hashutil"
+	"spitz/internal/ledger"
+	"spitz/internal/mtree"
+	"spitz/internal/postree"
+)
+
+// cacheLedger is a one-block ledger with enough rows for two index
+// levels, so point proofs have something to elide.
+func cacheLedger(t *testing.T, rows int) *ledger.Ledger {
+	t.Helper()
+	l := ledger.New(cas.NewMemory())
+	cells := make([]cellstore.Cell, rows)
+	for i := range cells {
+		cells[i] = cellstore.Cell{Table: "t", Column: "c", PK: cachePK(i), Version: 1,
+			Value: []byte(fmt.Sprintf("value-%06d@1", i))}
+	}
+	if _, err := l.Commit(1, nil, cells); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func cachePK(i int) []byte { return []byte(fmt.Sprintf("pk%06d", i)) }
+
+// hintedReader is the client's verified point read in miniature — hint,
+// prove, elide, sync the digest, verify against the pinned path — with
+// the ledger called directly in place of the wire.
+type hintedReader struct {
+	l      *ledger.Ledger
+	v      *Verifier
+	mu     sync.Mutex // serializes digest refreshes, as shardLink's does
+	tamper func(p *ledger.Proof)
+}
+
+func (r *hintedReader) read(pk []byte) ([]byte, error) {
+	path := r.v.PathTo(cellstore.CellPrefix("t", "c", pk))
+	_, _, p, d, err := r.l.ProveGetHead("t", "c", pk)
+	if err != nil {
+		return nil, err
+	}
+	p = p.Elide(path.Have())
+	if r.tamper != nil {
+		r.tamper(&p)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch cur := r.v.Digest(); {
+	case cur == (ledger.Digest{}):
+		if err := r.v.Advance(d, mtree.ConsistencyProof{}); err != nil {
+			return nil, err
+		}
+	case cur != d:
+		head, toHead, prefix, err := r.l.ProveConsistencyPair(cur, d)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.v.Advance(head, toHead); err != nil {
+			return nil, err
+		}
+		if err := prefix.Verify(d.Root, head.Root); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+		}
+	}
+	if err := r.v.VerifyPoint(p, d, path); err != nil {
+		return nil, err
+	}
+	cells, err := p.Cells()
+	if err != nil || len(cells) != 1 {
+		return nil, fmt.Errorf("cells: %v %v", cells, err)
+	}
+	return cells[0].Value, nil
+}
+
+// cacheState is everything about a node cache a rejected proof must not
+// change.
+func cacheState(c *nodeCache) (root hashutil.Digest, order []hashutil.Digest, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		order = append(order, el.Value.(*postree.Node).Digest())
+	}
+	return c.root, order, c.bytes
+}
+
+func TestWarmVerifierElidesIndexPath(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: new(Verifier)} // the zero Verifier is usable
+	if have := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(7))).Have(); have != nil {
+		t.Fatalf("a cold verifier hints %d nodes", len(have))
+	}
+	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@1" {
+		t.Fatalf("cold read: %q %v", v, err)
+	}
+	cold := r.v.ProofStats()
+	height := int(cold.NodesShipped)
+	if height < 3 || cold.NodesElided != 0 || cold.CacheEntries != height-1 {
+		t.Fatalf("cold read stats: %+v", cold)
+	}
+	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@1" {
+		t.Fatalf("warm read: %q %v", v, err)
+	}
+	warm := r.v.ProofStats()
+	if warm.NodesElided != int64(height-1) || warm.NodesShipped != int64(height)+1 {
+		t.Fatalf("warm read shipped %d / elided %d nodes, want 1 / %d",
+			warm.NodesShipped-cold.NodesShipped, warm.NodesElided, height-1)
+	}
+	if warmBytes := warm.ProofBytes - cold.ProofBytes; warmBytes >= cold.ProofBytes*3/4 {
+		t.Fatalf("warm proof is %d bytes, cold one %d", warmBytes, cold.ProofBytes)
+	}
+	if warm.CacheEntries != cold.CacheEntries || warm.CacheBytes != cold.CacheBytes {
+		t.Fatalf("a fully elided read changed the cache: %+v -> %+v", cold, warm)
+	}
+	// A key at the far end of the tree shares only the root.
+	if _, err := r.read(cachePK(39999)); err != nil {
+		t.Fatal(err)
+	}
+	far := r.v.ProofStats()
+	if got := far.NodesElided - warm.NodesElided; got != 1 {
+		t.Fatalf("far key: %d nodes elided, want the root only", got)
+	}
+	if far.CacheEntries != warm.CacheEntries+height-2 {
+		t.Fatalf("far key cached %d new nodes, want %d", far.CacheEntries-warm.CacheEntries, height-2)
+	}
+	if verified, _ := r.v.Stats(); verified != 3 {
+		t.Fatalf("verified = %d", verified)
+	}
+	// A path-less check of a full proof still works and caches nothing.
+	_, _, p, d, err := l.ProveGetHead("t", "c", cachePK(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.v.VerifyAsOf(p, d); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
+		t.Fatal("VerifyAsOf admitted nodes to the cache")
+	}
+}
+
+// TestRejectedProofLeavesCacheUnchanged is the cache-poisoning test: a
+// response that fails verification — even one whose upper nodes are
+// genuine and were hashed before the bad byte was reached — changes
+// nothing: not the entries, not their order, not the hint root, not the
+// traffic counters.
+func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	if _, err := r.read(cachePK(7)); err != nil {
+		t.Fatal(err)
+	}
+	before := r.v.ProofStats()
+	root, order, bytes := cacheState(&r.v.nodes)
+
+	tampers := map[string]func(p *ledger.Proof){
+		"leaf byte": func(p *ledger.Proof) {
+			n := p.Point.Nodes
+			leaf := append([]byte(nil), n[len(n)-1]...)
+			leaf[len(leaf)/2] ^= 1
+			p.Point.Nodes = append(append([][]byte(nil), n[:len(n)-1]...), leaf)
+		},
+		"value":  func(p *ledger.Proof) { p.Point.Value = []byte("forged") },
+		"header": func(p *ledger.Proof) { p.Header.CellCount++ },
+		"elided leaf": func(p *ledger.Proof) {
+			n := append([][]byte(nil), p.Point.Nodes...)
+			n[len(n)-1] = nil
+			p.Point.Nodes = n
+		},
+	}
+	// pk 39999 shares only the root with the warm path, so its proof ships
+	// genuine, never-seen index nodes above whatever is corrupted.
+	for name, tamper := range tampers {
+		r.tamper = tamper
+		for _, pk := range [][]byte{cachePK(7), cachePK(39999)} {
+			// PathTo refreshes recency of the held nodes; take the
+			// reference state after the same touch an honest read makes.
+			r.v.PathTo(cellstore.CellPrefix("t", "c", pk))
+			_, order, _ = cacheState(&r.v.nodes)
+			if _, err := r.read(pk); !errors.Is(err, ErrTampered) {
+				t.Fatalf("%s on %s: err = %v", name, pk, err)
+			}
+			gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+			if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
+				t.Fatalf("%s on %s: rejected proof changed the cache (%d -> %d entries)",
+					name, pk, len(order), len(gotOrder))
+			}
+			if st := r.v.ProofStats(); st != before {
+				t.Fatalf("%s on %s: rejected proof moved the stats: %+v -> %+v", name, pk, before, st)
+			}
+		}
+	}
+	r.tamper = nil
+	if v, err := r.read(cachePK(39999)); err != nil || string(v) != "value-039999@1" {
+		t.Fatalf("honest read after the rejected ones: %q %v", v, err)
+	}
+}
+
+func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	if _, err := r.read(cachePK(0)); err != nil {
+		t.Fatal(err)
+	}
+	one := r.v.ProofStats()
+	// Room for the first path and little more.
+	r.v.nodes.small = one.CacheBytes * 2
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		pk := rng.Intn(40000)
+		if v, err := r.read(cachePK(pk)); err != nil || string(v) != fmt.Sprintf("value-%06d@1", pk) {
+			t.Fatalf("read %d under eviction: %q %v", pk, v, err)
+		}
+		if st := r.v.ProofStats(); st.CacheBytes > r.v.nodes.limit() || st.CacheEntries == 0 {
+			t.Fatalf("cache holds %d bytes in %d entries, cap %d", st.CacheBytes, st.CacheEntries, r.v.nodes.limit())
+		}
+	}
+	st := r.v.ProofStats()
+	if st.NodesElided == one.NodesElided {
+		t.Fatal("nothing was ever elided under a small cache")
+	}
+	// The root is touched by every read, so it is never the eviction
+	// victim while anything below it is cached.
+	if held := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(1))).Held; len(held) == 0 {
+		t.Fatal("the root was evicted ahead of its descendants")
+	}
+	// A node larger than the whole cache is not admitted (and evicts
+	// nothing to make room it could never fill).
+	r.v.nodes.small = 1
+	if _, err := r.read(cachePK(12345)); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.v.ProofStats(); st.CacheBytes > 1 {
+		t.Fatalf("cap 1: cache holds %d bytes", st.CacheBytes)
+	}
+}
+
+// TestConcurrentHintedReadsUnderChurn races readers sharing one verifier
+// — and one node cache small enough to evict constantly — against a
+// writer that keeps committing: a hint's nodes are pinned, so an eviction
+// or a commit between request and response never fails an honest read.
+func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
+	const rows = 20000
+	l := cacheLedger(t, rows)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	if _, err := r.read(cachePK(0)); err != nil {
+		t.Fatal(err)
+	}
+	r.v.nodes.small = r.v.ProofStats().CacheBytes * 3 / 2
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(11))
+		for ver := uint64(2); ; ver++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cells := make([]cellstore.Cell, 8)
+			for i := range cells {
+				pk := rng.Intn(rows)
+				cells[i] = cellstore.Cell{Table: "t", Column: "c", PK: cachePK(pk), Version: ver,
+					Value: []byte(fmt.Sprintf("value-%06d@%d", pk, ver))}
+			}
+			if _, err := l.Commit(ver, nil, cells); err != nil {
+				t.Errorf("commit %d: %v", ver, err)
+				return
+			}
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for i := 0; i < 300; i++ {
+				pk := rng.Intn(rows)
+				v, err := r.read(cachePK(pk))
+				if err != nil {
+					t.Errorf("reader %d: read %d: %v", g, pk, err)
+					return
+				}
+				var gotPK, ver int
+				if _, err := fmt.Sscanf(string(v), "value-%06d@%d", &gotPK, &ver); err != nil || gotPK != pk {
+					t.Errorf("reader %d: read %d returned %q", g, pk, v)
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	st := r.v.ProofStats()
+	if st.NodesElided == 0 || st.CacheBytes > r.v.nodes.limit() {
+		t.Fatalf("after churn: %+v (cap %d)", st, r.v.nodes.limit())
+	}
+}

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"sync"
 
+	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
+	"spitz/internal/postree"
 )
 
 // Errors reported by the verifier.
@@ -33,6 +35,9 @@ type Verifier struct {
 
 	verified int64
 	deferred int64
+	traffic  ProofStats // the counter fields only; cache figures are read live
+
+	nodes nodeCache // verified index nodes, so point proofs need not re-ship them
 }
 
 // NewVerifier returns a verifier with no pinned digest; the first Advance
@@ -83,13 +88,64 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 	if !trusted {
 		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
 	}
-	if err := p.Verify(d); err != nil {
+	return v.verify(p, d, nil)
+}
+
+// verify is the one place a point or range proof is checked: against d,
+// resolving elided point-proof nodes from path (nil holds nothing), and —
+// only once the whole proof has verified — counting it and admitting the
+// index nodes it shipped to the node cache. A rejected proof leaves the
+// cache exactly as it was.
+func (v *Verifier) verify(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
+	if err := p.VerifyPath(d, path); err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
+	if path != nil && p.Point != nil {
+		v.nodes.admit(p.Header.CellRoot, path.Shipped)
+	}
+	shipped, elided, bytes := proofTraffic(p)
+	mNodesShipped.Add(uint64(shipped))
+	mNodesElided.Add(uint64(elided))
+	mProofBytes.Add(uint64(bytes))
 	v.mu.Lock()
 	v.verified++
+	v.traffic.NodesShipped += int64(shipped)
+	v.traffic.NodesElided += int64(elided)
+	v.traffic.ProofBytes += int64(bytes)
 	v.mu.Unlock()
 	return nil
+}
+
+// PathTo pins the verified index nodes this verifier already holds on
+// the search path towards key (a POS-tree key, e.g. cellstore.CellPrefix)
+// under the last cell root it verified a point proof against. The
+// caller sends path.Have() with the read and hands the path back to
+// VerifyPoint; the result is never nil, and holds nothing on a cold
+// verifier.
+func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
+
+// VerifyPoint checks a point-read proof whose server was told which
+// path nodes the verifier holds (path, from PathTo) and may have elided
+// them. d is the digest the server produced the proof at: the trusted
+// digest, or an older one the caller has shown to be a prefix of it
+// (exactly VerifyAsOf's contract). Index nodes the proof did ship are
+// cached for later reads once the proof has verified.
+func (v *Verifier) VerifyPoint(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
+	return v.verifyAsOf(p, d, path)
+}
+
+func (v *Verifier) verifyAsOf(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
+	v.mu.Lock()
+	cur := v.digest
+	trusted := v.trusted
+	v.mu.Unlock()
+	if !trusted {
+		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
+	}
+	if d.Height > cur.Height {
+		return fmt.Errorf("%w: digest height %d beyond trusted %d", ErrTampered, d.Height, cur.Height)
+	}
+	return v.verify(p, d, path)
 }
 
 // VerifyAsOf checks a proof against an older digest d that the caller
@@ -101,23 +157,7 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 // is responsible for the prefix check; this method only refuses digests
 // that could not possibly be prefixes (taller than the trusted ledger).
 func (v *Verifier) VerifyAsOf(p ledger.Proof, d ledger.Digest) error {
-	v.mu.Lock()
-	cur := v.digest
-	trusted := v.trusted
-	v.mu.Unlock()
-	if !trusted {
-		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
-	}
-	if d.Height > cur.Height {
-		return fmt.Errorf("%w: digest height %d beyond trusted %d", ErrTampered, d.Height, cur.Height)
-	}
-	if err := p.Verify(d); err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	v.mu.Lock()
-	v.verified++
-	v.mu.Unlock()
-	return nil
+	return v.verifyAsOf(p, d, nil)
 }
 
 // VerifyBatchAsOf checks an aggregated multi-key batch proof against an
@@ -244,4 +284,53 @@ func (v *Verifier) Stats() (verified, deferred int64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.verified, v.deferred
+}
+
+// ProofStats is what the point and range proofs a Verifier checked cost,
+// and what its node cache holds. The same traffic counters are summed
+// over all verifiers in the process's metrics registry
+// (spitz_client_proof_*, spitz_client_nodecache_*).
+type ProofStats struct {
+	NodesShipped int64 // proof nodes that arrived as bodies and were hashed
+	NodesElided  int64 // proof positions answered from the node cache instead
+	ProofBytes   int64 // proof material received: node bodies, key, value, inclusion path, header
+	CacheEntries int   // verified index nodes currently cached
+	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
+}
+
+// ProofStats reports the verifier's proof traffic and cache occupancy.
+func (v *Verifier) ProofStats() ProofStats {
+	v.mu.Lock()
+	st := v.traffic
+	v.mu.Unlock()
+	st.CacheEntries, st.CacheBytes = v.nodes.size()
+	return st
+}
+
+// proofTraffic sizes one verified proof: how many tree nodes came as
+// bodies, how many positions were elided, and the bytes of proof
+// material (headers and digests at their wire size, no framing).
+func proofTraffic(p ledger.Proof) (shipped, elided, bytes int) {
+	bytes = ledger.HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
+	var nodes [][]byte
+	switch {
+	case p.Point != nil:
+		nodes = p.Point.Nodes
+		bytes += len(p.Point.Key) + len(p.Point.Value)
+	case p.Range != nil:
+		nodes = p.Range.Nodes
+		bytes += len(p.Range.Start) + len(p.Range.End)
+		for _, e := range p.Range.Entries {
+			bytes += len(e.Key) + len(e.Value)
+		}
+	}
+	for _, body := range nodes {
+		if len(body) == 0 {
+			elided++
+			continue
+		}
+		shipped++
+		bytes += len(body)
+	}
+	return shipped, elided, bytes
 }

@@ -17,8 +17,10 @@ import (
 
 	"spitz/internal/binenc"
 	"spitz/internal/cellstore"
+	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
+	"spitz/internal/postree"
 )
 
 // opCodes maps each known op to its 1-based wire opcode. Opcode 0 means
@@ -62,6 +64,11 @@ const (
 	// reqDeferred's bit is the value itself — a deferred OpQuery costs
 	// zero payload bytes (like respFound).
 	reqDeferred
+	// reqHave carries the digests of the path nodes an OpGetVerified
+	// client already holds: a uvarint count (at most postree.MaxHeight)
+	// and that many 32-byte digests. Absent — a cold or older client —
+	// the server ships the full proof.
+	reqHave
 )
 
 // AppendRequest appends req's binary encoding.
@@ -117,6 +124,9 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	if req.Deferred {
 		bits |= reqDeferred
 	}
+	if len(req.Have) != 0 {
+		bits |= reqHave
+	}
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&reqTable != 0 {
 		dst = binenc.AppendString(dst, req.Table)
@@ -163,6 +173,12 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	if bits&reqTrace != 0 {
 		dst = binenc.AppendUint64(dst, req.traceID)
 		dst = binenc.AppendUint64(dst, req.parentSpan)
+	}
+	if bits&reqHave != 0 {
+		dst = binenc.AppendUvarint(dst, uint64(len(req.Have)))
+		for i := range req.Have {
+			dst = append(dst, req.Have[i][:]...)
+		}
 	}
 	return dst
 }
@@ -280,6 +296,23 @@ func DecodeRequest(src []byte) (Request, error) {
 		}
 		if req.parentSpan, src, err = binenc.ReadUint64(src); err != nil {
 			return req, err
+		}
+	}
+	if bits&reqHave != 0 {
+		var n uint64
+		if n, src, err = binenc.ReadUvarint(src); err != nil {
+			return req, err
+		}
+		// Bounded before allocation: by the tallest possible tree and by
+		// the bytes actually present. Zero is never encoded (the bit
+		// would be absent), so it is rejected to keep encodings canonical.
+		if n == 0 || n > postree.MaxHeight || n > uint64(len(src))/hashutil.DigestSize {
+			return req, binenc.ErrCorrupt
+		}
+		req.Have = make([]hashutil.Digest, n)
+		for i := range req.Have {
+			copy(req.Have[i][:], src)
+			src = src[hashutil.DigestSize:]
 		}
 	}
 	if len(src) != 0 {

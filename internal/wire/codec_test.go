@@ -218,6 +218,9 @@ func rndRequest(r *rand.Rand) Request {
 	if r.Intn(4) == 0 {
 		req.Snapshot = rndBytes(r, 128)
 	}
+	if r.Intn(3) == 0 {
+		req.Have = rndDigests(r, 5)
+	}
 	return req
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // counterValue reads one per-op counter through the registry snapshot,
@@ -56,16 +57,26 @@ func TestPerOpCountersMatchTraffic(t *testing.T) {
 		}
 	}
 
+	// The server counts an op after its response is on the wire, so the
+	// last op of each kind may not be recorded yet: wait for the count.
+	moved := func(name string, want float64) float64 {
+		got := counterValue(t, name) - before[name]
+		for deadline := time.Now().Add(2 * time.Second); got != want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			got = counterValue(t, name) - before[name]
+		}
+		return got
+	}
 	for name, want := range map[string]float64{
 		putName: puts, getName: gets, getvName: getvs, digestName: digests, errName: 0,
 	} {
-		if got := counterValue(t, name) - before[name]; got != want {
+		if got := moved(name, want); got != want {
 			t.Errorf("%s moved by %g, want %g", name, got, want)
 		}
 	}
 
 	// Latency histograms observed one sample per op.
-	if got := counterValue(t, latCount) - before[latCount]; got != gets {
+	if got := moved(latCount, gets); got != gets {
 		t.Errorf("%s moved by %g, want %d", latCount, got, gets)
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"testing"
+	"time"
 
 	"spitz/internal/core"
 	"spitz/internal/obs"
@@ -15,14 +16,21 @@ func sampleAll(t *testing.T) {
 	t.Cleanup(func() { obs.DefaultTracer.SetSampleEvery(128) })
 }
 
-// findSpan returns the newest recorded span with the given op, if any.
-func findSpan(op string) (obs.TraceSnapshot, bool) {
-	for _, s := range obs.DefaultTracer.Recent() {
-		if s.Op == op {
-			return s, true
+// findSpan returns the newest span with the given op that started at or
+// after since, if any. A server finishes its span after the response is
+// on the wire, so the client can get here first: wait for the span
+// rather than mistake an earlier test's for it.
+func findSpan(op string, since time.Time) (obs.TraceSnapshot, bool) {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, s := range obs.DefaultTracer.Recent() {
+			if s.Op == op && !s.Start.Before(since) {
+				return s, true
+			}
+		}
+		if time.Now().After(deadline) {
+			return obs.TraceSnapshot{}, false
 		}
 	}
-	return obs.TraceSnapshot{}, false
 }
 
 // TestTraceContextOverWire asserts the binary framing carries the
@@ -39,6 +47,7 @@ func TestTraceContextOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	since := time.Now()
 	root := obs.DefaultTracer.Root("client.test-read", "client")
 	traceID, spanID, ok := root.Context()
 	if !ok {
@@ -51,7 +60,7 @@ func TestTraceContextOverWire(t *testing.T) {
 	}
 	root.Finish()
 
-	srvSpan, found := findSpan("get")
+	srvSpan, found := findSpan("get", since)
 	if !found {
 		t.Fatal("server recorded no span for the traced get")
 	}
@@ -86,6 +95,7 @@ func TestTraceDegradesOverGob(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	since := time.Now()
 	root := obs.DefaultTracer.Root("client.gob-read", "client")
 	traceID, _, _ := root.Context()
 	req := Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("pk0001")}
@@ -95,7 +105,7 @@ func TestTraceDegradesOverGob(t *testing.T) {
 	}
 	root.Finish()
 
-	srvSpan, found := findSpan("get")
+	srvSpan, found := findSpan("get", since)
 	if !found {
 		t.Fatal("gob server recorded no span (server-local sampling broken)")
 	}

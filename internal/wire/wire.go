@@ -27,6 +27,7 @@ import (
 
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
+	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
@@ -140,6 +141,15 @@ type Request struct {
 	// height to stream from (OpReplStream) or the follower's height after
 	// applying a block (OpReplAck).
 	Height uint64
+
+	// Have, on OpGetVerified, lists the digests of the verified index
+	// nodes the client already holds along the key's search path, root
+	// first (at most postree.MaxHeight). The server leaves the body of a
+	// proof node out when it is the held digest at that depth; absent, the
+	// proof is complete. It is a hint only: the client verifies by walking
+	// from its trusted root and accepts an elided position solely from
+	// its own verified nodes.
+	Have []hashutil.Digest
 
 	// trace is the live span for this request (nil for the unsampled
 	// majority). It rides the Request value through Handler
@@ -975,7 +985,12 @@ func Dispatch(eng *core.Engine, req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Found: res.Found, Cells: res.Cells, Proof: &res.Proof, Digest: res.Digest}
+		// The row travels once, inside the proof (Point.Value and the
+		// leaf body); clients decode it from there only, so Cells is not
+		// sent. Index nodes the client says it holds are elided here, on
+		// a copy — res.Proof may share its node list with the proof cache.
+		proof := res.Proof.Elide(req.Have)
+		return Response{Found: res.Found, Proof: &proof, Digest: res.Digest}
 	case OpRange:
 		cells, d, err := eng.RangePKAttested(req.Table, req.Column, req.PK, req.PKHi)
 		if err != nil {
