@@ -11,6 +11,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/proof"
 	"spitz/internal/wire"
 )
 
@@ -79,9 +80,10 @@ func warmClient(t *testing.T, fs *faultServer, pk []byte) *spitz.Client {
 }
 
 // TestGetVerifiedSameResultsEverywhere: the embedded DB and the three
-// network clients agree on every verified point read — hits, misses and
-// deleted rows — cold and warm, with OpGetVerified no longer carrying
-// Cells beside the proof.
+// network clients agree on every verified point read — hits, deleted
+// rows, and misses inside a leaf group, at group edges, below the tree's
+// smallest key and above its largest — cold and warm, with OpGetVerified
+// carrying the row in the proof only.
 func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	const rows = 6000
 	deleted := elisionPK(4242)
@@ -181,8 +183,22 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 		{elisionPK(rows - 1), true, elisionValue(rows-1, 0)},
 		{deleted, false, nil},
 		{[]byte("pk00314x"), false, nil},
-		{[]byte("zzzz"), false, nil},
-		{[]byte(""), false, nil},
+		{[]byte("zzzz"), false, nil}, // above the tree's largest key
+		{[]byte(""), false, nil},     // below its smallest
+	}
+	// A run of consecutive rows longer than two leaf groups, and the gap
+	// after each: hits in every position of a group, misses inside groups
+	// and at both sides of group edges (where two groups ship).
+	for i := 3000; i < 3024; i++ {
+		keys = append(keys, struct {
+			pk    []byte
+			found bool
+			value []byte
+		}{elisionPK(i), true, elisionValue(i, 0)}, struct {
+			pk    []byte
+			found bool
+			value []byte
+		}{append(elisionPK(i), '!'), false, nil})
 	}
 	for _, r := range readers {
 		for pass := 0; pass < 3; pass++ { // cold, then warm twice
@@ -219,66 +235,96 @@ func elidedProofSlices(resp *wire.Response) [][]byte {
 	return append(out, resp.Digest.Root[:])
 }
 
+// verifierState is everything a rejected response must leave alone.
+type verifierState struct {
+	digest             spitz.Digest
+	verified, deferred int64
+	proofs             proof.ProofStats
+}
+
+func stateOf(v *spitz.Verifier) verifierState {
+	st := verifierState{digest: v.Digest(), proofs: v.ProofStats()}
+	st.verified, st.deferred = v.Stats()
+	return st
+}
+
 // TestElidedResponseEveryByteTrips flips every byte of a warm client's
-// (elided) response, one at a time, on one long-lived warm client: each
-// flip is ErrTampered, and because a rejected response leaves the node
-// cache untouched the next response is elided exactly as before.
+// response — every index node elided, the leaf pruned to the group (for
+// the miss, the groups) that decide the answer — one at a time, on one
+// long-lived warm client: each flip is ErrTampered, and a rejected
+// response leaves the verifier's digest, counters and node cache exactly
+// as they were, so the next response is elided exactly as before.
 func TestElidedResponseEveryByteTrips(t *testing.T) {
 	es := startElisionServer(t)
-	pk := elisionPK(12345)
-	cl := warmClient(t, es, pk)
-	warm := cl.Verifier().ProofStats()
-
-	var total, index int
-	es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
-		nodes := resp.Proof.Point.Nodes
-		for i, n := range nodes[:len(nodes)-1] {
-			if len(n) != 0 {
-				t.Errorf("index node %d was shipped to a warm client", i)
-			}
-		}
-		index = len(nodes) - 1
-		total = 0
-		for _, s := range elidedProofSlices(resp) {
-			total += len(s)
-		}
-	}))
-	if _, _, err := cl.GetVerified("t", "c", pk); err != nil {
-		t.Fatal(err)
-	}
-	if index < 2 || total == 0 {
-		t.Fatalf("elided read: %d index positions, %d proof bytes", index, total)
-	}
-	step := 1
-	if testing.Short() {
-		step = 13
-	}
-	for off := 0; off < total; off += step {
-		off := off
-		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
-			if len(req.Have) != index {
-				t.Errorf("byte %d: the client hinted %d nodes, want %d (was its cache disturbed?)", off, len(req.Have), index)
-			}
-			detachResponse(t, resp)
-			k := off
-			for _, s := range elidedProofSlices(resp) {
-				if k < len(s) {
-					s[k] ^= 0x01
-					return
+	hit := elisionPK(12345)
+	cl := warmClient(t, es, hit)
+	for _, tc := range []struct {
+		name  string
+		pk    []byte
+		found bool
+		value []byte
+	}{
+		{"hit", hit, true, elisionValue(12345, 0)},
+		{"miss", append(elisionPK(12345), '!'), false, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var total, index, leafBytes int
+			es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+				nodes := resp.Proof.Point.Nodes
+				for i, n := range nodes[:len(nodes)-1] {
+					if len(n) != 0 {
+						t.Errorf("index node %d was shipped to a warm client", i)
+					}
 				}
-				k -= len(s)
+				index, leafBytes = len(nodes)-1, len(nodes[len(nodes)-1])
+				total = 0
+				for _, s := range elidedProofSlices(resp) {
+					total += len(s)
+				}
+			}))
+			if _, found, err := cl.GetVerified("t", "c", tc.pk); err != nil || found != tc.found {
+				t.Fatal(found, err)
 			}
-		}))
-		if _, _, err := cl.GetVerified("t", "c", pk); !errors.Is(err, spitz.ErrTampered) {
-			t.Fatalf("byte %d of an elided response flipped: err = %v", off, err)
-		}
-	}
-	es.setMutate(nil)
-	if got := cl.Verifier().ProofStats(); got.CacheEntries != warm.CacheEntries || got.CacheBytes != warm.CacheBytes {
-		t.Fatalf("rejected responses changed the node cache: %+v -> %+v", warm, got)
-	}
-	if v, found, err := cl.GetVerified("t", "c", pk); err != nil || !found || !bytes.Equal(v, elisionValue(12345, 0)) {
-		t.Fatalf("honest read after the sweep: %q %v %v", v, found, err)
+			if index < 2 || total == 0 {
+				t.Fatalf("elided read: %d index positions, %d proof bytes", index, total)
+			}
+			// The stored leaf holds tens of rows; what ships is a group or two.
+			if leafBytes == 0 || leafBytes > 16*len("pk012345value-012345@0")+20*32 {
+				t.Fatalf("the leaf slot of a point proof is %d bytes: not pruned", leafBytes)
+			}
+			warm := stateOf(cl.Verifier())
+			step := 1
+			if testing.Short() {
+				step = 13
+			}
+			for off := 0; off < total; off += step {
+				off := off
+				es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+					if len(req.Have) != index {
+						t.Errorf("byte %d: the client hinted %d nodes, want %d (was its cache disturbed?)", off, len(req.Have), index)
+					}
+					detachResponse(t, resp)
+					k := off
+					for _, s := range elidedProofSlices(resp) {
+						if k < len(s) {
+							s[k] ^= 0x01
+							return
+						}
+						k -= len(s)
+					}
+				}))
+				if _, _, err := cl.GetVerified("t", "c", tc.pk); !errors.Is(err, spitz.ErrTampered) {
+					t.Fatalf("byte %d of an elided response flipped: err = %v", off, err)
+				}
+			}
+			es.setMutate(nil)
+			if got := stateOf(cl.Verifier()); got != warm {
+				t.Fatalf("rejected responses changed the verifier: %+v -> %+v", warm, got)
+			}
+			if v, found, err := cl.GetVerified("t", "c", tc.pk); err != nil || found != tc.found || !bytes.Equal(v, tc.value) {
+				t.Fatalf("honest read after the sweep: %q %v %v", v, found, err)
+			}
+		})
 	}
 }
 
@@ -407,11 +453,20 @@ func TestClientHintsAcrossCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A write at the far end of the key space: the root changes, the rest
-	// of pk's path does not.
-	apply(elisionRows-1, 1)
-	if n := shippedBy(elisionValue(12345, 0)); n != 2 {
-		t.Fatalf("after a write in a sibling subtree the read shipped %d nodes, want root + leaf", n)
+	// A write at one end of the key space or the other lands under a
+	// different child of the root than pk (which end depends on where the
+	// root happens to split): the root changes, the rest of pk's path does
+	// not.
+	var sibling []int
+	for _, far := range []int{elisionRows - 1, 0} {
+		apply(far, 1)
+		sibling = append(sibling, shippedBy(elisionValue(12345, 0)))
+		if sibling[len(sibling)-1] == 2 {
+			break
+		}
+	}
+	if sibling[len(sibling)-1] != 2 {
+		t.Fatalf("after a write in a sibling subtree the read shipped %v nodes, want root + leaf", sibling)
 	}
 	if n := shippedBy(elisionValue(12345, 0)); n != 1 {
 		t.Fatalf("re-read shipped %d nodes, want the leaf only", n)

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // ErrNotFound is returned by Get when no object has the requested digest.
@@ -59,6 +60,37 @@ func (s Stats) SavingsRatio() float64 {
 	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
 }
 
+// Address returns the digest an object is stored and fetched under. It
+// is the hash of the object under its domain tag — except for a POS-tree
+// leaf, whose address is the hash of its header alone (the header commits
+// to the entries group by group; see internal/posleaf), so that a proof
+// can ship part of a leaf and still hash to the address its parent holds.
+// Put trusts the writer to have built the groups it commits to; bytes
+// that come back from a disk or arrive from a peer are checked with
+// Intact. A body stored under the leaf domain that is not a leaf is
+// addressed like any other object.
+func Address(domain byte, data []byte) hashutil.Digest {
+	if domain == hashutil.DomainPOSLeaf {
+		if l, err := posleaf.Parse(data); err == nil {
+			return l.Digest()
+		}
+	}
+	return hashutil.Sum(domain, data)
+}
+
+// Intact reports whether data is, byte for byte, the object that d
+// addresses: for a leaf, the header hashes to d and every group hashes to
+// its slot in the header.
+func Intact(domain byte, data []byte, d hashutil.Digest) bool {
+	if domain == hashutil.DomainPOSLeaf {
+		if l, err := posleaf.Parse(data); err == nil {
+			got, _, err := l.Verify()
+			return err == nil && got == d
+		}
+	}
+	return hashutil.Sum(domain, data) == d
+}
+
 // Memory is an in-memory Store implementation.
 type Memory struct {
 	mu      sync.RWMutex
@@ -77,7 +109,7 @@ func NewMemory() *Memory {
 
 // Put implements Store.
 func (m *Memory) Put(domain byte, data []byte) hashutil.Digest {
-	d := hashutil.Sum(domain, data)
+	d := Address(domain, data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.LogicalBytes += int64(len(data))

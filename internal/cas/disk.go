@@ -18,9 +18,9 @@ import (
 )
 
 // ErrCorrupt is returned by Disk.Get when an object read from disk fails
-// hash verification: the payload no longer hashes (under its recorded
-// domain tag) to the digest it is stored under. A corrupted object is
-// never served silently.
+// hash verification: the payload is no longer (under its recorded domain
+// tag) the object the digest addresses — see Intact. A corrupted object
+// is never served silently.
 var ErrCorrupt = errors.New("cas: object failed hash verification")
 
 // On-disk layout of one segment file (see internal/durable/FORMAT.md for
@@ -201,8 +201,8 @@ type footerEntry struct {
 // checkpoint primitive `internal/durable` builds incremental commits on.
 // I/O errors adopt the engine's fail-stop discipline: the first error
 // sticks, every later Flush returns it, and no dirty data is ever
-// dropped or evicted unflushed. Reads re-hash the payload under its
-// recorded domain tag and compare against the requested digest, so a
+// dropped or evicted unflushed. Reads re-check the payload against the
+// requested digest under its recorded domain tag (Intact), so a
 // bit-flipped body surfaces as ErrCorrupt, never as a silently wrong
 // answer.
 type Disk struct {
@@ -521,7 +521,7 @@ func syncDir(dir string) error {
 // earlier I/O error is surfaced by Err and by the next Flush (fail-stop),
 // and dirty data is retained in memory regardless.
 func (s *Disk) Put(domain byte, data []byte) hashutil.Digest {
-	d := hashutil.Sum(domain, data)
+	d := Address(domain, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.LogicalBytes += int64(len(data))
@@ -553,7 +553,7 @@ func (s *Disk) Put(domain byte, data []byte) hashutil.Digest {
 
 // Get implements Store: dirty set, then clean cache, then disk. Every
 // disk read is verified by re-hashing the payload under its recorded
-// domain and comparing with d; mismatches return ErrCorrupt.
+// domain against d (Intact); mismatches return ErrCorrupt.
 func (s *Disk) Get(d hashutil.Digest) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -577,7 +577,7 @@ func (s *Disk) Get(d hashutil.Digest) ([]byte, error) {
 		mStoreErrors.Inc()
 		return nil, fmt.Errorf("cas: read %s: %w", d.Short(), err)
 	}
-	if hashutil.Sum(loc.domain, payload) != d {
+	if !Intact(loc.domain, payload, d) {
 		mStoreErrors.Inc()
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, d.Short())
 	}

@@ -10,10 +10,21 @@ import (
 	"testing"
 
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 func testBody(i int) []byte {
 	return bytes.Repeat([]byte(fmt.Sprintf("body-%06d|", i)), 8)
+}
+
+// testLeaf is a well-formed POS-tree leaf body of n entries: addressed by
+// its header, which commits to the entries group by group.
+func testLeaf(i, n int) []byte {
+	w := posleaf.NewWriter(n, n*32)
+	for j := 0; j < n; j++ {
+		w.Entry([]byte(fmt.Sprintf("leaf-%03d-key-%04d", i, j)), []byte(fmt.Sprintf("value-%04d", j)))
+	}
+	return w.Body()
 }
 
 func openTestDisk(t *testing.T, dir string, opts DiskOptions) *Disk {
@@ -160,34 +171,53 @@ func TestDiskTornTailTruncated(t *testing.T) {
 }
 
 func TestDiskBitFlipFailsHashVerification(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestDisk(t, dir, DiskOptions{})
-	good := s.Put(hashutil.DomainPOSLeaf, testBody(1))
-	victim := s.Put(hashutil.DomainPOSLeaf, testBody(2))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, victimBody := range map[string][]byte{
+		"plain object": testBody(2),
+		// A leaf's address is the hash of its header only; the entries are
+		// bound to it through the header's group digests, and Get checks
+		// both.
+		"grouped leaf": testLeaf(2, 21),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTestDisk(t, dir, DiskOptions{})
+			good := s.Put(hashutil.DomainPOSLeaf, testLeaf(1, 9))
+			victim := s.Put(hashutil.DomainPOSLeaf, victimBody)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip one payload byte of the victim record on disk. The record
-	// CRC still covers it, so this models post-scan media corruption.
-	r := openTestDisk(t, dir, DiskOptions{})
-	loc := r.index[victim]
-	var b [1]byte
-	if _, err := r.segs[loc.seg].f.ReadAt(b[:], loc.off+recHeaderSize); err != nil {
-		t.Fatal(err)
+			// Flip each payload byte of the victim record on disk in turn —
+			// header and entries alike. The record CRC is not re-checked on
+			// a read, so this models post-scan media corruption.
+			r := openTestDisk(t, dir, DiskOptions{})
+			defer r.Close()
+			loc := r.index[victim]
+			if int(loc.length) != len(victimBody) {
+				t.Fatalf("indexed length %d, body %d", loc.length, len(victimBody))
+			}
+			f := r.segs[loc.seg].f
+			for off := int64(0); off < int64(loc.length); off++ {
+				at := loc.off + recHeaderSize + off
+				flipped := []byte{victimBody[off] ^ 0x01}
+				if _, err := f.WriteAt(flipped, at); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Get(victim); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("byte %d flipped: Get returned %v, want ErrCorrupt", off, err)
+				}
+				if _, err := f.WriteAt(victimBody[off:off+1], at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := r.Get(victim); err != nil || !bytes.Equal(got, victimBody) {
+				t.Fatalf("restored object: %v", err)
+			}
+			if _, err := r.Get(good); err != nil {
+				t.Fatalf("intact object: %v", err)
+			}
+		})
 	}
-	b[0] ^= 0x01
-	if _, err := r.segs[loc.seg].f.WriteAt(b[:], loc.off+recHeaderSize); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := r.Get(victim); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit-flipped Get: got %v, want ErrCorrupt", err)
-	}
-	if _, err := r.Get(good); err != nil {
-		t.Fatalf("intact object: %v", err)
-	}
-	r.Close()
 }
 
 func TestDiskEvictionUnderPressure(t *testing.T) {
@@ -343,24 +373,28 @@ func TestFaultOverDisk(t *testing.T) {
 	s := openTestDisk(t, dir, DiskOptions{})
 	defer s.Close()
 	f := NewFault(s)
-	d := f.Put(hashutil.DomainPOSLeaf, testBody(7))
+	body := testLeaf(7, 20)
+	d := f.Put(hashutil.DomainPOSLeaf, body)
 	if dom, ok := f.Domain(d); !ok || dom != hashutil.DomainPOSLeaf {
 		t.Fatalf("Fault.Domain = %v, %v", dom, ok)
 	}
-	f.Corrupt(d, 3)
+	// In the header and in the entries: both are visible to verification.
+	for _, off := range []int{3, len(body) - 3} {
+		f.Corrupt(d, off)
+		got, err := f.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Intact(hashutil.DomainPOSLeaf, got, d) {
+			t.Fatalf("corruption injected at byte %d not visible to hash verification", off)
+		}
+		f.Heal()
+	}
 	got, err := f.Get(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashutil.Sum(hashutil.DomainPOSLeaf, got) == d {
-		t.Fatal("injected corruption not visible to hash verification")
-	}
-	f.Heal()
-	got, err = f.Get(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashutil.Sum(hashutil.DomainPOSLeaf, got) != d {
+	if !Intact(hashutil.DomainPOSLeaf, got, d) || Address(hashutil.DomainPOSLeaf, got) != d {
 		t.Fatal("healed object does not verify")
 	}
 	f.Lose(d)

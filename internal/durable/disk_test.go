@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"spitz/internal/cas"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
+	"spitz/internal/ledger"
 	"spitz/internal/wal"
 )
 
@@ -245,6 +248,81 @@ func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 	if got := m2.Engine().Digest(); got != digest {
 		t.Fatalf("digest = %+v, want %+v", got, digest)
 	}
+}
+
+// TestOldFormatsRefusedByName: data written before tree leaves carried
+// group digests hashes to other digests under this build. A disk store
+// with the v1 marker and a memory-store directory whose checkpoint is a
+// version-1 snapshot are each refused with a format-version error — not
+// opened to a different digest, and not reported as corruption — and the
+// refusal leaves the directory as it was.
+func TestOldFormatsRefusedByName(t *testing.T) {
+	t.Run("disk store", func(t *testing.T) {
+		dir := t.TempDir()
+		m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitN(t, m.Engine(), 0, 3)
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		marker := filepath.Join(dir, storeMarkerName)
+		if got, err := os.ReadFile(marker); err != nil || string(got) != "spitz-store-v2\ndisk\n" {
+			t.Fatalf("a new disk store is marked %q, %v", got, err)
+		}
+		v1 := []byte("spitz-store-v1\ndisk\n")
+		if err := os.WriteFile(marker, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []StoreKind{StoreDisk, StoreMemory} {
+			_, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: kind}))
+			if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
+				t.Fatalf("open of a v1 disk store as %v: err = %v, want ErrStoreVersion", kind, err)
+			}
+			if !strings.Contains(err.Error(), "spitz-store-v1") || !strings.Contains(err.Error(), "spitz-store-v2") {
+				t.Fatalf("error does not name both versions: %v", err)
+			}
+		}
+		if got, _ := os.ReadFile(marker); string(got) != string(v1) {
+			t.Fatalf("the refused open rewrote the marker to %q", got)
+		}
+	})
+	t.Run("memory store checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitN(t, m.Engine(), 0, 3)
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, ckptDirName, "*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("checkpoints: %v %v", snaps, err)
+		}
+		raw, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(raw), "SPITZSNAP2") {
+			t.Fatalf("a new checkpoint starts %q", raw[:10])
+		}
+		if err := os.WriteFile(snaps[0], append([]byte("SPITZSNAP1"), raw[10:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if !errors.Is(err, ledger.ErrSnapshotVersion) || errors.Is(err, cas.ErrCorrupt) {
+			t.Fatalf("open over a version-1 checkpoint: err = %v, want ErrSnapshotVersion", err)
+		}
+	})
 }
 
 func TestDiskRefusesMemoryStoreDirectory(t *testing.T) {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,13 +50,21 @@ func ParseStoreKind(s string) (StoreKind, error) {
 	return 0, fmt.Errorf("durable: unknown store kind %q (want mem or disk)", s)
 }
 
+// ErrStoreVersion is returned when a data directory's node store was
+// written in an older on-disk format.
+var ErrStoreVersion = errors.New("durable: unsupported node-store format version")
+
 var errCkptCrashed = fmt.Errorf("durable: simulated checkpoint crash")
 
 const (
 	storeMarkerName = "STORE"
-	storeMarkerBody = "spitz-store-v1\ndisk\n"
-	nodesDirName    = "nodes"
-	vlogName        = "VLOG"
+	// v2: POS-tree leaves carry group digests and are addressed by their
+	// header (internal/posleaf). A v1 store's leaves hash differently, so
+	// it is refused by name instead of being read to other digests.
+	storeMarkerBody   = "spitz-store-v2\ndisk\n"
+	storeMarkerBodyV1 = "spitz-store-v1\ndisk\n"
+	nodesDirName      = "nodes"
+	vlogName          = "VLOG"
 )
 
 // resolveStoreKind decides which backend a directory uses. The STORE
@@ -66,8 +75,12 @@ const (
 func resolveStoreKind(dir string, req StoreKind) (StoreKind, error) {
 	data, err := os.ReadFile(filepath.Join(dir, storeMarkerName))
 	if err == nil {
-		if string(data) == storeMarkerBody {
+		switch string(data) {
+		case storeMarkerBody:
 			return StoreDisk, nil
+		case storeMarkerBodyV1:
+			return 0, fmt.Errorf("%w: %s holds a spitz-store-v1 node store, this build reads spitz-store-v2 (its tree nodes hash differently; reload the data)",
+				ErrStoreVersion, dir)
 		}
 		return 0, fmt.Errorf("durable: unrecognized STORE marker in %s", dir)
 	}

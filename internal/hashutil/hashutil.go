@@ -42,6 +42,7 @@ const (
 	DomainJournal   byte = 0x0e // baseline journal block body
 	DomainPostings  byte = 0x0f // inverted index posting list
 	DomainCluster   byte = 0x10 // cluster digest vector (per-shard digests)
+	DomainPOSGroup  byte = 0x11 // one positional group of a POS-tree leaf's entries (internal/posleaf)
 )
 
 // Zero is the zero digest, used as "absent".

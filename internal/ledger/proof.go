@@ -160,8 +160,14 @@ func (l *Ledger) proveGetLocked(height uint64, table, column string, pk []byte, 
 			cacheStart = time.Now()
 		}
 		if e, ok := l.pcache.get(d, ref); ok {
+			// The cache holds the proof without its pruned leaf, the one
+			// part that is not a reference into the node store; cut it
+			// again from the head tree.
+			pp, err := l.cells.Tree.WithLeaf(e.point)
+			if err != nil {
+				return cellstore.Cell{}, false, Proof{}, d, err
+			}
 			tr.Stage("proof.cache_hit", cacheStart)
-			pp := e.point
 			return e.cell, e.ok, Proof{Header: e.hdr, Inclusion: e.inc, Point: &pp}, d, nil
 		}
 	}
@@ -195,7 +201,7 @@ func (l *Ledger) proveGetLocked(height uint64, table, column string, pk []byte, 
 	tr.Stage("proof.inclusion", incStart)
 	mProofBuild.ObserveSince(buildStart)
 	if head {
-		l.pcache.put(d, ref, cachedRead{cell: cell, ok: ok, point: pointProof, inc: inc, hdr: h})
+		l.pcache.put(d, ref, cachedRead{cell: cell, ok: ok, point: pointProof.WithoutLeaf(), inc: inc, hdr: h})
 	}
 	return cell, ok, Proof{Header: h, Inclusion: inc, Point: &pointProof}, d, nil
 }

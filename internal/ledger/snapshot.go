@@ -12,6 +12,7 @@ import (
 	"spitz/internal/cellstore"
 	"spitz/internal/hashutil"
 	"spitz/internal/mtree"
+	"spitz/internal/posleaf"
 	"spitz/internal/postree"
 )
 
@@ -20,9 +21,22 @@ import (
 // fresh store. Objects are written with their hash domains and re-inserted
 // through the content-addressed Put on load, so a corrupted snapshot
 // cannot smuggle an object under a digest it does not hash to — the
-// restored database is exactly as verifiable as the original.
+// restored database is exactly as verifiable as the original. (A POS-tree
+// leaf is addressed by its header, which commits to its entries group by
+// group; its groups are checked against the header before the Put.)
 
-const snapshotMagic = "SPITZSNAP1"
+// The last character is the stream version. 2: POS-tree leaves carry
+// group digests and hash by their header (internal/posleaf); a version 1
+// stream holds leaves that hash differently, so it is refused by name
+// rather than restored to other digests.
+const (
+	snapshotMagic   = "SPITZSNAP2"
+	snapshotMagicV1 = "SPITZSNAP1"
+)
+
+// ErrSnapshotVersion is returned by LoadSnapshot for a stream written in
+// an older snapshot format.
+var ErrSnapshotVersion = errors.New("ledger: unsupported snapshot format version")
 
 // WriteSnapshot serializes the ledger: block headers, the demoted-version
 // index, transaction bodies, every node of the latest cell-store instance,
@@ -132,7 +146,15 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapshotMagic {
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, errors.New("ledger: not a spitz snapshot")
+	}
+	switch string(magic) {
+	case snapshotMagic:
+	case snapshotMagicV1:
+		return nil, fmt.Errorf("%w: stream is %s, this build reads %s (its tree nodes hash differently; re-export from the source database)",
+			ErrSnapshotVersion, snapshotMagicV1, snapshotMagic)
+	default:
 		return nil, errors.New("ledger: not a spitz snapshot")
 	}
 
@@ -193,7 +215,8 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	}
 
 	// Objects: re-Put under their domains; content addressing recomputes
-	// and thereby verifies every digest.
+	// and thereby verifies every digest. A leaf's address covers its
+	// header only, so its groups are checked against the header first.
 	for {
 		tag, err := br.ReadByte()
 		if err != nil {
@@ -209,6 +232,15 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 		body, err := readBytes(br)
 		if err != nil {
 			return nil, err
+		}
+		if domain == hashutil.DomainPOSLeaf {
+			l, err := posleaf.Parse(body)
+			if err == nil {
+				_, _, err = l.Verify()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("ledger: snapshot tree leaf: %w", err)
+			}
 		}
 		store.Put(domain, body)
 	}

@@ -2,6 +2,9 @@ package ledger
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"spitz/internal/cas"
@@ -155,5 +158,71 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("snapshot encoding not deterministic")
+	}
+}
+
+// TestSnapshotEveryByteFlipIsCaught sweeps the whole stream: a mutated
+// snapshot is refused, or — where the byte is not load-bearing for the
+// head state — restores to the same digest with every row readable and
+// provable. A tree leaf is addressed by its header alone, so its entries
+// are only safe because restore checks each leaf's groups against that
+// header before storing it: a flipped entry byte must not come back as a
+// digest-matching ledger that serves the flipped byte.
+func TestSnapshotEveryByteFlipIsCaught(t *testing.T) {
+	l := New(cas.NewMemory())
+	commitN(t, l, 3)
+	var buf bytes.Buffer
+	if err := l.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	snap, _, _ := l.Latest()
+	accepted := 0
+	for off := range raw {
+		mutated := append([]byte(nil), raw...)
+		mutated[off] ^= 0x20
+		restored, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(mutated))
+		if err != nil || restored.Digest() != l.Digest() {
+			continue // refused, or visibly another ledger
+		}
+		accepted++
+		for b := 0; b < 3; b++ {
+			for i := 0; i < 10; i++ {
+				pk := []byte(fmt.Sprintf("b%d-%04d", b, i))
+				want, _, _ := snap.GetHead("t", "c", pk)
+				got, found, p, err := restored.ProveGetLatest(restored.Height()-1, "t", "c", pk)
+				if err != nil || !found || !bytes.Equal(got.Value, want.Value) {
+					t.Fatalf("byte %d flipped: restored ledger has the same digest but row %s reads %q %v %v, want %q",
+						off, pk, got.Value, found, err, want.Value)
+				}
+				if err := p.Verify(l.Digest()); err != nil {
+					t.Fatalf("byte %d flipped: row %s no longer proves: %v", off, pk, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d single-byte mutations restored (to the same digest and rows)", accepted, len(raw))
+}
+
+// TestSnapshotOldFormatRefusedByName: a version-1 stream holds tree leaves
+// that hash differently; it is refused as an old format, not mistaken for
+// garbage or restored to other digests.
+func TestSnapshotOldFormatRefusedByName(t *testing.T) {
+	l := New(cas.NewMemory())
+	commitN(t, l, 2)
+	var buf bytes.Buffer
+	if err := l.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("SPITZSNAP1"), buf.Bytes()[len(snapshotMagic):]...)
+	_, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(old))
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("version-1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	}
+	if !strings.Contains(err.Error(), "SPITZSNAP1") || !strings.Contains(err.Error(), snapshotMagic) {
+		t.Fatalf("error does not name both versions: %v", err)
+	}
+	if _, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader([]byte("SPITZSNAP9 and so on"))); err == nil || errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("unknown magic: err = %v", err)
 	}
 }

@@ -1,0 +1,231 @@
+// Package posleaf defines how a POS-tree leaf is committed: in fixed
+// positional groups of entries, so that a proof about one key ships one
+// group instead of the whole leaf.
+//
+//	stored := header | entries
+//	header := level u8 (0) | count uvarint | k × group digest [32]byte
+//	entry  := klen uvarint | key | vlen uvarint | value
+//	pruned := header | first uvarint | entries of groups first, first+1, …
+//
+// k is ceil(count/groupSize); group g holds the entries at positions
+// [g·groupSize, (g+1)·groupSize), the last group possibly fewer. A group
+// digest is the hash of that group's entry bytes under DomainPOSGroup;
+// the leaf's digest — what its parent routes to and the address it is
+// stored under — is the hash of the header alone under DomainPOSLeaf.
+// Every byte of a leaf is therefore bound to its digest either directly
+// (the header) or through one slot of the header (a group), and a
+// verifier given the header and some groups can check exactly what it was
+// given. A stored leaf is the case where every group is present.
+//
+// The package sits below both internal/cas, which addresses and re-checks
+// stored leaves with it, and internal/postree, which builds, prunes and
+// verifies them: there is one definition of the layout and one function,
+// Leaf.Verify, that decides whether bytes are bound to a leaf digest.
+package posleaf
+
+import (
+	"encoding/binary"
+	"errors"
+
+	"spitz/internal/hashutil"
+)
+
+// groupSize is the number of entries committed under one group digest.
+// Measured on the point-read-mem shape (137-byte entries, size-biased
+// leaf of 63): 8 ships ~1.4 KB of leaf per read and stores 32 B per 8
+// entries (+2.9 %); 4 ships ~1.1 KB but stores twice the digests (+5.8 %,
+// visible in resident memory and bytes flushed) and hashes more blocks on
+// the write path. See EXPERIMENTS.md "PR 16".
+const groupSize = 8
+
+// ErrMalformed means bytes do not parse as a leaf, or a group does not
+// hash to its slot in the header.
+var ErrMalformed = errors.New("posleaf: malformed leaf")
+
+func groupsOf(count int) int { return (count + groupSize - 1) / groupSize }
+
+// AppendEntry appends one entry in the framing leaves and index nodes
+// share.
+func AppendEntry(dst, key, value []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	return append(dst, value...)
+}
+
+// ReadEntry splits the first entry off src. The returned slices alias
+// src.
+func ReadEntry(src []byte) (key, value, rest []byte, err error) {
+	kl, n := binary.Uvarint(src)
+	if n <= 0 || uint64(len(src)-n) < kl {
+		return nil, nil, nil, ErrMalformed
+	}
+	key, src = src[n:n+int(kl)], src[n+int(kl):]
+	vl, n := binary.Uvarint(src)
+	if n <= 0 || uint64(len(src)-n) < vl {
+		return nil, nil, nil, ErrMalformed
+	}
+	return key, src[n : n+int(vl)], src[n+int(vl):], nil
+}
+
+// Writer assembles the stored body of a leaf, hashing each group as it
+// fills. The zero Writer is not usable; see NewWriter.
+type Writer struct {
+	buf        []byte
+	count      int
+	n          int // entries written
+	groupStart int // offset in buf of the open group's first entry
+	slot       int // offset in buf of the open group's digest
+}
+
+// NewWriter starts a leaf of count entries whose encoded entries will
+// take about entryBytes.
+func NewWriter(count, entryBytes int) Writer {
+	var tmp [1 + binary.MaxVarintLen64]byte // tmp[0] is the level: 0
+	fixed := binary.AppendUvarint(tmp[:1], uint64(count))
+	hdr := len(fixed) + groupsOf(count)*hashutil.DigestSize
+	buf := make([]byte, hdr, hdr+entryBytes)
+	copy(buf, fixed)
+	return Writer{buf: buf, count: count, groupStart: hdr, slot: len(fixed)}
+}
+
+// Entry appends the next entry.
+func (w *Writer) Entry(key, value []byte) {
+	w.buf = AppendEntry(w.buf, key, value)
+	w.n++
+	if w.n%groupSize == 0 || w.n == w.count {
+		d := hashutil.Sum(hashutil.DomainPOSGroup, w.buf[w.groupStart:])
+		copy(w.buf[w.slot:], d[:])
+		w.slot += hashutil.DigestSize
+		w.groupStart = len(w.buf)
+	}
+}
+
+// Body returns the finished body. It panics if fewer or more entries
+// were written than NewWriter was told: the header already commits to the
+// count.
+func (w *Writer) Body() []byte {
+	if w.n != w.count {
+		panic("posleaf: Writer given a different number of entries than it was sized for")
+	}
+	return w.buf
+}
+
+// Leaf is a parsed leaf body: its header and a contiguous run of its
+// groups — all of them for a stored leaf, the ones a proof needs for a
+// pruned one.
+type Leaf struct {
+	Count   int    // entries in the whole leaf
+	First   int    // position in the leaf of the first entry present
+	Entries []byte // the encoded entries of the groups present
+	header  []byte
+	pruned  bool
+}
+
+// Parse splits a stored leaf body. Nothing is hashed and the entries are
+// not walked: use Verify on bytes from an untrusted source.
+func Parse(body []byte) (Leaf, error) {
+	l, rest, err := parseHeader(body)
+	l.Entries = rest
+	return l, err
+}
+
+// ParsePruned splits the pruned form a point proof carries.
+func ParsePruned(body []byte) (Leaf, error) {
+	l, rest, err := parseHeader(body)
+	if err != nil {
+		return Leaf{}, err
+	}
+	// The first group present must be one the leaf has (an empty leaf has
+	// none and starts at 0).
+	first, n := binary.Uvarint(rest)
+	if n <= 0 || first >= uint64(max(groupsOf(l.Count), 1)) {
+		return Leaf{}, ErrMalformed
+	}
+	l.First, l.Entries, l.pruned = int(first)*groupSize, rest[n:], true
+	return l, nil
+}
+
+// parseHeader bounds count, and with it the digest table, against the
+// bytes present before anything is sized by them: the table alone costs
+// more than two bytes per entry, and so does an entry.
+func parseHeader(body []byte) (Leaf, []byte, error) {
+	if len(body) < 2 || body[0] != 0 {
+		return Leaf{}, nil, ErrMalformed
+	}
+	cnt, n := binary.Uvarint(body[1:])
+	if n <= 0 || cnt > uint64(len(body))/2 {
+		return Leaf{}, nil, ErrMalformed
+	}
+	hdr := 1 + n + groupsOf(int(cnt))*hashutil.DigestSize
+	if hdr > len(body) {
+		return Leaf{}, nil, ErrMalformed
+	}
+	return Leaf{Count: int(cnt), header: body[:hdr]}, body[hdr:], nil
+}
+
+// Digest returns the leaf's digest: the hash of its header.
+func (l Leaf) Digest() hashutil.Digest {
+	return hashutil.Sum(hashutil.DomainPOSLeaf, l.header)
+}
+
+// Verify checks that the groups present are the ones the header commits
+// to — each a whole group, in order from First, hashing to its slot, no
+// byte left over, and for a stored leaf none missing — and returns the
+// leaf's digest and how many entries are present. After it, every byte
+// that was parsed is bound to that digest; the caller compares it with
+// the digest it expected. This is the only place leaf bytes are checked:
+// a stored leaf re-read from disk, a leaf in a range proof, a batch proof
+// or a snapshot stream, and the pruned leaf of a point proof all pass
+// through it, all but the last with every group present.
+func (l Leaf) Verify() (d hashutil.Digest, present int, err error) {
+	slots := l.header[len(l.header)-groupsOf(l.Count)*hashutil.DigestSize:]
+	pos, rest := l.First, l.Entries
+	for len(rest) > 0 {
+		if pos >= l.Count {
+			return d, 0, ErrMalformed // more entries than the header counts
+		}
+		slot := slots[pos/groupSize*hashutil.DigestSize:][:hashutil.DigestSize]
+		group := rest
+		for end := min(pos+groupSize, l.Count); pos < end; pos++ {
+			if _, _, rest, err = ReadEntry(rest); err != nil {
+				return d, 0, err
+			}
+		}
+		group = group[:len(group)-len(rest)]
+		if hashutil.Sum(hashutil.DomainPOSGroup, group) != hashutil.Digest(slot) {
+			return d, 0, ErrMalformed
+		}
+	}
+	if !l.pruned && pos != l.Count {
+		return d, 0, ErrMalformed // a stored leaf holds every group
+	}
+	return l.Digest(), pos - l.First, nil
+}
+
+// Prune returns the pruned form of a stored leaf body that keeps the
+// groups holding the entries at positions lo through hi. Nothing is
+// hashed: the header is copied and the groups are sliced out of body.
+func Prune(body []byte, lo, hi int) ([]byte, error) {
+	l, err := Parse(body)
+	if err != nil || lo < 0 || hi < lo || hi >= l.Count {
+		return nil, ErrMalformed
+	}
+	first := lo / groupSize
+	from, to := first*groupSize, min((hi/groupSize+1)*groupSize, l.Count)
+	rest := l.Entries
+	start := 0
+	for pos := 0; pos < to; pos++ {
+		if pos == from {
+			start = len(l.Entries) - len(rest)
+		}
+		if _, _, rest, err = ReadEntry(rest); err != nil {
+			return nil, err
+		}
+	}
+	groups := l.Entries[start : len(l.Entries)-len(rest)]
+	out := make([]byte, 0, len(l.header)+1+len(groups))
+	out = append(out, l.header...)
+	out = binary.AppendUvarint(out, uint64(first))
+	return append(out, groups...), nil
+}

@@ -103,11 +103,10 @@ func (p BatchProof) Verify(root hashutil.Digest) error {
 	// verifies hash linkage from the root.
 	idx := make(map[hashutil.Digest]*batchNode, len(p.Nodes))
 	for _, body := range p.Nodes {
-		n, err := decodeNode(body)
+		n, d, err := openNode(body, false)
 		if err != nil {
 			return ErrProofInvalid
 		}
-		d := hashutil.Sum(nodeDomain(n.level), body)
 		if _, dup := idx[d]; dup {
 			return ErrProofInvalid // duplicates would mask an unused node
 		}

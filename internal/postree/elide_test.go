@@ -2,10 +2,13 @@ package postree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
+	"spitz/internal/cas"
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // Proof elision: a verifier that already holds verified index nodes of a
@@ -48,30 +51,56 @@ func elideTree(t *testing.T) (*Tree, []Entry, []byte) {
 	return tr, entries, key
 }
 
-// blindVerify is the verifier this package must not be: it takes the
-// prover's word for every elided position — no held node is consulted,
-// linkage checking simply resumes at the next shipped body — and for the
-// answer when the leaf itself is elided. Shipped bodies are still hashed
-// and linked exactly as Verify does.
-func blindVerify(p PointProof, root hashutil.Digest) error {
+// trust names what blindVerify takes the prover's word for.
+type trust int
+
+const (
+	// Elided positions: no held node is consulted, linkage checking simply
+	// resumes at the next shipped body, and an elided leaf's answer stands.
+	trustElided trust = 1 << iota
+	// The pruned leaf's header: not hashed against the pointer above it.
+	trustHeader
+	// The shipped groups: not hashed against their slots in the header.
+	trustGroups
+	// The first shipped group's index: not checked against the header's
+	// table (a group beyond it has no slot and so nothing to hash against).
+	trustIndex
+	// The groups that were not shipped: an absence stands without both
+	// neighbours of the gap in hand.
+	trustGap
+)
+
+// blindVerify is the verifier this package must not be: VerifyPath with
+// the checks named in tr left out. Every forgery table below shows its
+// forgery accepted by blindVerify with exactly one check missing, and
+// rejected by it with none missing — so the case really is caught by that
+// check — before asserting that the real verifier rejects it.
+func blindVerify(t *testing.T, p PointProof, root hashutil.Digest, tr trust) error {
 	want, known := root, true
 	for depth, body := range p.Nodes {
 		if len(body) == 0 {
+			if tr&trustElided == 0 {
+				return ErrProofInvalid
+			}
 			known = false
 			continue
 		}
-		n, err := decodeNode(body)
-		if err != nil {
-			return ErrProofInvalid
-		}
-		if known && hashutil.Sum(nodeDomain(n.level), body) != want {
+		var n *node
+		if body[0] != 0 {
+			var d hashutil.Digest
+			var err error
+			if n, d, err = openNode(body, true); err != nil || (known && d != want) {
+				return ErrProofInvalid
+			}
+		} else if n = blindLeaf(t, body, want, known, tr); n == nil {
 			return ErrProofInvalid
 		}
 		i := searchEntries(n.entries, p.Key)
 		if n.level == 0 {
 			found := i < len(n.entries) && bytes.Equal(n.entries[i].Key, p.Key)
 			if depth != len(p.Nodes)-1 || found != p.Found ||
-				(found && !bytes.Equal(n.entries[i].Value, p.Value)) {
+				(found && !bytes.Equal(n.entries[i].Value, p.Value)) ||
+				(!found && tr&trustGap == 0 && !n.bracketsGap(i)) {
 				return ErrProofInvalid
 			}
 			return nil
@@ -85,6 +114,89 @@ func blindVerify(p PointProof, root hashutil.Digest) error {
 		want, known = childDigest(n.entries[i]), true
 	}
 	return nil
+}
+
+// groupLen reads the number of entries per leaf group off a pruned leaf
+// (the constant itself is posleaf's own business).
+func groupLen(t *testing.T) int {
+	t.Helper()
+	big := &node{entries: testEntries(100, 3)}
+	pruned, err := posleaf.Prune(big.encode(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := openNode(pruned, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(n.entries)
+}
+
+// splitPruned cuts a pruned leaf body into header, first-group index and
+// the shipped entry bytes, without judging any of them.
+func splitPruned(body []byte) (header []byte, first int, entries []byte, ok bool) {
+	l, err := posleaf.Parse(body)
+	if err != nil {
+		return nil, 0, nil, false
+	}
+	f, k := binary.Uvarint(l.Entries)
+	if k <= 0 {
+		return nil, 0, nil, false
+	}
+	return body[:len(body)-len(l.Entries)], int(f), l.Entries[k:], true
+}
+
+// joinPruned is the inverse of splitPruned.
+func joinPruned(header []byte, first int, entries []byte) []byte {
+	out := append([]byte(nil), header...)
+	out = binary.AppendUvarint(out, uint64(first))
+	return append(out, entries...)
+}
+
+// blindLeaf decodes a pruned leaf with the checks in tr left out; nil
+// means rejected.
+func blindLeaf(t *testing.T, body []byte, want hashutil.Digest, known bool, tr trust) *node {
+	header, first, rest, ok := splitPruned(body)
+	if !ok {
+		return nil
+	}
+	if known && tr&trustHeader == 0 && hashutil.Sum(hashutil.DomainPOSLeaf, header) != want {
+		return nil
+	}
+	g := groupLen(t)
+	cnt, _ := binary.Uvarint(header[1:])
+	count := int(cnt)
+	groups := (count + g - 1) / g
+	slots := header[len(header)-groups*hashutil.DigestSize:]
+	if tr&trustIndex == 0 && first >= max(groups, 1) {
+		return nil
+	}
+	n := &node{first: first * g, count: count}
+	for grp := first; len(rest) > 0; grp++ {
+		if tr&trustIndex == 0 && grp >= groups {
+			return nil
+		}
+		size := g
+		if grp == groups-1 {
+			size = count - grp*g
+		}
+		start := rest
+		for j := 0; j < size; j++ {
+			var e Entry
+			var err error
+			if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
+				return nil
+			}
+			n.entries = append(n.entries, e)
+		}
+		if tr&trustGroups == 0 && grp < groups {
+			slot := slots[grp*hashutil.DigestSize:][:hashutil.DigestSize]
+			if hashutil.Sum(hashutil.DomainPOSGroup, start[:len(start)-len(rest)]) != hashutil.Digest(slot) {
+				return nil
+			}
+		}
+	}
+	return n
 }
 
 func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
@@ -190,10 +302,10 @@ func TestElidedAbsenceProof(t *testing.T) {
 // forgeLeaf rewrites the proof's last two nodes so that the leaf carries
 // value for p.Key and its parent points at the rewritten leaf — what a
 // lying server would ship below a position it hopes is not checked.
-func forgeLeaf(t *testing.T, p PointProof, value []byte) PointProof {
+func forgeLeaf(t *testing.T, tr *Tree, p PointProof, value []byte) PointProof {
 	t.Helper()
 	last := len(p.Nodes) - 1
-	leaf, err := decodeNode(p.Nodes[last])
+	_, leaf, err := tr.loadProofNode(p.digests[last])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +314,18 @@ func forgeLeaf(t *testing.T, p PointProof, value []byte) PointProof {
 		t.Fatal(err)
 	}
 	forgedLeaf := &node{level: 0, entries: append([]Entry(nil), leaf.entries...)}
-	forgedLeaf.entries[searchEntries(leaf.entries, p.Key)].Value = value
+	at := searchEntries(leaf.entries, p.Key)
+	forgedLeaf.entries[at].Value = value
 	leafBody := forgedLeaf.encode()
 	forgedParent := &node{level: parent.level, entries: append([]Entry(nil), parent.entries...)}
 	i := searchEntries(parent.entries, p.Key)
 	forgedParent.entries[i] = makeIndexEntry(parent.entries[i].Key,
-		hashutil.Sum(hashutil.DomainPOSLeaf, leafBody), childCount(parent.entries[i]))
+		cas.Address(hashutil.DomainPOSLeaf, leafBody), childCount(parent.entries[i]))
 	p.Nodes = append([][]byte(nil), p.Nodes...)
-	p.Nodes[last-1], p.Nodes[last] = forgedParent.encode(), leafBody
+	p.Nodes[last-1] = forgedParent.encode()
+	if p.Nodes[last], err = posleaf.Prune(leafBody, at, at); err != nil {
+		t.Fatal(err)
+	}
 	p.Value = value
 	return p
 }
@@ -241,7 +357,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(p.Nodes[len(p.Nodes)-1], full.Nodes[height-1]) {
+		if p.digests[len(p.digests)-1] != full.digests[height-1] {
 			other = e.Key
 			break
 		}
@@ -277,7 +393,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			root: tr.Root(),
 			held: func() *Path { return new(Path) },
 			proof: func() PointProof {
-				return empty(forgeLeaf(t, full, forged), index[:height-2]...)
+				return empty(forgeLeaf(t, tr, full, forged), index[:height-2]...)
 			},
 		},
 		{
@@ -315,6 +431,16 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			proof: func() PointProof {
 				p := empty(otherProof, index...)
 				p.Key, p.Value, p.Found = key, nil, false
+				// That leaf pruned as for an honest search for key: the
+				// gap key would sit in, both sides in hand.
+				body, n, err := tr.loadProofNode(otherProof.digests[height-1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := searchEntries(n.entries, key)
+				if p.Nodes[height-1], err = posleaf.Prune(body, max(i-1, 0), min(i, len(n.entries)-1)); err != nil {
+					t.Fatal(err)
+				}
 				return p
 			},
 		},
@@ -322,8 +448,11 @@ func TestElisionStructuredForgeries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.proof()
-			if err := blindVerify(p, tc.root); err != nil {
+			if err := blindVerify(t, p, tc.root, trustElided); err != nil {
 				t.Fatalf("forgery does not even fool a blind verifier (%v): the case proves nothing", err)
+			}
+			if err := blindVerify(t, p, tc.root, 0); err == nil {
+				t.Fatal("forgery passes the reference verifier with no check left out")
 			}
 			if err := p.VerifyPath(tc.root, tc.held()); err == nil {
 				t.Fatal("forged elided proof verified")
@@ -338,21 +467,34 @@ func TestElisionStructuredForgeries(t *testing.T) {
 func TestVerifyBindsLevelToHashDomain(t *testing.T) {
 	leaf := &node{level: 0, entries: []Entry{{Key: []byte("k"), Value: []byte("v")}}}
 	leafBody := leaf.encode()
-	build := func(domain byte) (hashutil.Digest, PointProof) {
-		parent := &node{level: 1, entries: []Entry{
-			makeIndexEntry([]byte("k"), hashutil.Sum(domain, leafBody), 1)}}
+	header, _, _, ok := splitPruned(leafBody)
+	if !ok {
+		t.Fatal("leaf body does not split")
+	}
+	pruned, err := posleaf.Prune(leafBody, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(pointer hashutil.Digest) (hashutil.Digest, PointProof) {
+		parent := &node{level: 1, entries: []Entry{makeIndexEntry([]byte("k"), pointer, 1)}}
 		parentBody := parent.encode()
 		return hashutil.Sum(hashutil.DomainPOSIndex, parentBody), PointProof{
 			Key: []byte("k"), Value: []byte("v"), Found: true,
-			Nodes: [][]byte{parentBody, leafBody}}
+			Nodes: [][]byte{parentBody, pruned}}
 	}
-	root, p := build(hashutil.DomainPOSLeaf)
+	root, p := build(hashutil.Sum(hashutil.DomainPOSLeaf, header))
 	if err := p.Verify(root); err != nil {
 		t.Fatalf("control proof: %v", err)
 	}
-	root, p = build(hashutil.DomainPOSIndex)
-	if err := p.Verify(root); err == nil {
-		t.Fatal("leaf linked through a digest computed under the index domain")
+	for name, pointer := range map[string]hashutil.Digest{
+		"the header under the index domain":    hashutil.Sum(hashutil.DomainPOSIndex, header),
+		"the header under the group domain":    hashutil.Sum(hashutil.DomainPOSGroup, header),
+		"the whole body under the leaf domain": hashutil.Sum(hashutil.DomainPOSLeaf, leafBody),
+	} {
+		root, p = build(pointer)
+		if err := p.Verify(root); err == nil {
+			t.Fatalf("leaf linked through a digest of %s", name)
+		}
 	}
 	// And an index body relabelled as a leaf (or the reverse) changes
 	// both its bytes and its domain: it cannot stand in for the original.
@@ -449,7 +591,15 @@ func TestHintsAcrossCommits(t *testing.T) {
 	// A write under a different child of the root: only the root changes
 	// on key's path.
 	far := entries[len(entries)-1].Key
-	if a, _ := path.Held[0].Child(key); func() bool { b, _ := path.Held[0].Child(far); return a == b }() {
+	sameChild := func(k []byte) bool {
+		a, _ := path.Held[0].Child(key)
+		b, _ := path.Held[0].Child(k)
+		return a == b
+	}
+	if sameChild(far) {
+		far = entries[0].Key
+	}
+	if sameChild(far) {
 		t.Fatal("test keys share a subtree below the root")
 	}
 	sibling, err := tr.Put(far, []byte("changed elsewhere"))
@@ -481,4 +631,269 @@ func TestHintsAcrossCommits(t *testing.T) {
 		}
 	}
 	check("root split", grown, func(n int) bool { return n < height-1 }, honest)
+}
+
+// ---------------------------------------------------------------------------
+// Pruned leaves: a point proof ships the leaf's header and only the group
+// of entries that decides the answer.
+
+// groupedLeaf returns a tree, one of its leaves with at least three full
+// groups (stored body and decoded entries), and the leaf after it.
+func groupedLeaf(t *testing.T) (tr *Tree, body []byte, leaf *node, nextBody []byte, next *node) {
+	t.Helper()
+	tr, entries, _ := elideTree(t)
+	g := groupLen(t)
+	var prev hashutil.Digest
+	for _, e := range entries {
+		p, err := tr.ProveGet(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := p.digests[len(p.digests)-1]
+		if d == prev {
+			continue
+		}
+		prev = d
+		b, n, err := tr.loadProofNode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaf != nil && len(n.entries) >= g {
+			return tr, body, leaf, b, n
+		}
+		body, leaf = nil, nil
+		if len(n.entries) > 3*g {
+			body, leaf = b, n
+		}
+	}
+	t.Fatal("no leaf with three full groups followed by another leaf")
+	return
+}
+
+// between returns a key that sorts directly after e's.
+func between(e Entry) []byte { return append(append([]byte(nil), e.Key...), 0) }
+
+func TestPointProofShipsOneGroup(t *testing.T) {
+	tr, body, leaf, _, _ := groupedLeaf(t)
+	g := groupLen(t)
+	shipped := func(key []byte, found bool) *node {
+		t.Helper()
+		p, err := tr.ProveGet(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Found != found {
+			t.Fatalf("%q: found=%v", key, p.Found)
+		}
+		if err := p.Verify(tr.Root()); err != nil {
+			t.Fatalf("%q: %v", key, err)
+		}
+		last := p.Nodes[len(p.Nodes)-1]
+		if len(last) >= len(body) {
+			t.Fatalf("%q: leaf slot is %d bytes, the stored leaf %d", key, len(last), len(body))
+		}
+		n, d, err := openNode(last, true)
+		if err != nil || d != p.digests[len(p.digests)-1] {
+			t.Fatalf("%q: pruned leaf does not open to the leaf's digest: %v", key, err)
+		}
+		if n.count != len(leaf.entries) {
+			t.Fatalf("%q: pruned leaf counts %d entries, the leaf has %d", key, n.count, len(leaf.entries))
+		}
+		return n
+	}
+	// A hit anywhere in a group ships exactly that group.
+	for _, i := range []int{0, g - 1, g, g + 3, 2*g - 1, len(leaf.entries) - 1} {
+		n := shipped(leaf.entries[i].Key, true)
+		if n.first != i/g*g || len(n.entries) != min(g, len(leaf.entries)-n.first) {
+			t.Fatalf("hit at %d shipped entries [%d,%d)", i, n.first, n.first+len(n.entries))
+		}
+	}
+	// A miss inside a group ships that group; at a group edge, both sides.
+	if n := shipped(between(leaf.entries[g+2]), false); n.first != g || len(n.entries) != g {
+		t.Fatalf("miss inside group 1 shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	}
+	if n := shipped(between(leaf.entries[2*g-1]), false); n.first != g || len(n.entries) != 2*g {
+		t.Fatalf("miss at the edge of groups 1 and 2 shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	}
+	// Before the leaf's first entry (the key routes here because it is past
+	// the previous leaf's last): the first group alone.
+	below := append([]byte(nil), leaf.entries[0].Key...)
+	below[len(below)-1]--
+	if n := shipped(below, false); n.first != 0 || len(n.entries) != g {
+		t.Fatalf("miss below the leaf's first key shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	}
+	// A single-leaf tree: past its last entry, the last group alone.
+	small := mustBulk(t, leaf.entries[:g+2])
+	if small.level != 0 {
+		t.Skip("the small tree is not a single leaf")
+	}
+	p, err := small.ProveGet([]byte("zzzz"))
+	if err != nil || p.Found {
+		t.Fatal(err, p.Found)
+	}
+	if err := p.Verify(small.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, _ := openNode(p.Nodes[0], true); n.first != g || len(n.entries) != 2 {
+		t.Fatalf("miss above a root leaf shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	}
+}
+
+// TestPrunedLeafStructuredForgeries: each forgery is accepted by the
+// reference verifier with one named check left out, rejected by it with
+// none left out, and rejected by VerifyPath — cold, and warm with every
+// index node elided.
+func TestPrunedLeafStructuredForgeries(t *testing.T) {
+	tr, body, leaf, nextBody, _ := groupedLeaf(t)
+	g := groupLen(t)
+	groups := (len(leaf.entries) + g - 1) / g
+	key := leaf.entries[g+1].Key       // present, inside group 1
+	edge := between(leaf.entries[g-1]) // absent, between groups 0 and 1
+	forgedValue := []byte("forged value")
+
+	prune := func(b []byte, lo, hi int) []byte {
+		t.Helper()
+		out, err := posleaf.Prune(b, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	header, _, _, _ := splitPruned(body)
+	_, _, group0, _ := splitPruned(prune(body, 0, 0))
+	_, _, group2, _ := splitPruned(prune(body, 2*g, 2*g))
+	_, _, nextGroup0, _ := splitPruned(prune(nextBody, 0, 0))
+	// Group 1 re-encoded with key's value replaced.
+	var forgedGroup []byte
+	for _, e := range leaf.entries[g : 2*g] {
+		if bytes.Equal(e.Key, key) {
+			e.Value = forgedValue
+		}
+		forgedGroup = posleaf.AppendEntry(forgedGroup, e.Key, e.Value)
+	}
+	// recount rewrites the header for another count, keeping the first
+	// slots of the table and appending extra ones.
+	recount := func(count int, extra ...hashutil.Digest) []byte {
+		cnt, k := binary.Uvarint(header[1:])
+		oldGroups := (int(cnt) + g - 1) / g
+		slots := header[1+k:][:min(oldGroups, (count+g-1)/g)*hashutil.DigestSize]
+		out := binary.AppendUvarint([]byte{0}, uint64(count))
+		out = append(out, slots...)
+		for _, d := range extra {
+			out = append(out, d[:]...)
+		}
+		return out
+	}
+
+	hit, err := tr.ProveGet(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := tr.ProveGet(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := func(p PointProof, k []byte, leafBody []byte) PointProof {
+		p.Nodes = append(append([][]byte(nil), p.Nodes[:len(p.Nodes)-1]...), leafBody)
+		p.Key, p.Value, p.Found = k, nil, false
+		return p
+	}
+	present := func(leafBody []byte) PointProof {
+		p := hit
+		p.Nodes = append(append([][]byte(nil), p.Nodes[:len(p.Nodes)-1]...), leafBody)
+		p.Value = forgedValue
+		return p
+	}
+
+	cases := []struct {
+		name  string
+		skips trust
+		proof PointProof
+	}{
+		// key is in group 1; group 0, whose entries all sort before it, is
+		// shipped (under its own slot, hashing correctly) as if the search
+		// had ended there.
+		{"ships a neighbouring group and claims absence", trustGap,
+			absent(hit, key, prune(body, 0, 0))},
+		// Group 2, whose entries all sort after key, is shipped as group 0:
+		// "key sorts before the leaf's first entry".
+		{"ships an authentic group under another group's slot", trustGroups,
+			absent(hit, key, joinPruned(header, 0, group2))},
+		// edge sorts between groups 0 and 1: each side alone says nothing
+		// about the other.
+		{"claims absence at a group edge with only the left side shipped", trustGap,
+			absent(miss, edge, prune(body, g-1, g-1))},
+		{"claims absence at a group edge with only the right side shipped", trustGap,
+			absent(miss, edge, prune(body, g, g))},
+		// The next leaf's first group — every key past this leaf — under
+		// this leaf's header, as this leaf's group 0.
+		{"ships a group from another leaf with the same index", trustGroups,
+			absent(hit, key, joinPruned(header, 0, nextGroup0))},
+		// The header says the leaf ends where group 0 does, so edge sorts
+		// past the leaf's last entry.
+		{"truncates count", trustHeader,
+			absent(miss, edge, joinPruned(recount(g), 0, group0))},
+		// The header gains a group, whose slot is the forged group's own
+		// digest.
+		{"extends count", trustHeader,
+			present(joinPruned(recount((groups+1)*g, hashutil.Sum(hashutil.DomainPOSGroup, forgedGroup)), groups, forgedGroup))},
+		// A forged group labelled with an index the header has no slot for.
+		{"ships a group whose index is out of range", trustIndex,
+			present(joinPruned(header, groups, forgedGroup))},
+		// And the plain one: the right index, forged bytes.
+		{"ships a forged group under the right slot", trustGroups,
+			present(joinPruned(header, 1, forgedGroup))},
+	}
+	for _, honest := range []PointProof{hit, miss} {
+		if err := blindVerify(t, honest, tr.Root(), 0); err != nil {
+			t.Fatalf("the reference verifier rejects an honest proof: %v", err)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := blindVerify(t, tc.proof, tr.Root(), tc.skips); err != nil {
+				t.Fatalf("forgery does not even fool a verifier that skips the check (%v): the case proves nothing", err)
+			}
+			if err := blindVerify(t, tc.proof, tr.Root(), 0); err == nil {
+				t.Fatal("forgery passes the reference verifier with no check left out")
+			}
+			if err := tc.proof.Verify(tr.Root()); err == nil {
+				t.Fatal("forged pruned leaf verified")
+			}
+			path := warmPath(t, tr, tc.proof.Key)
+			elided, n := tc.proof.Elide(path.Have())
+			if n != len(hit.Nodes)-1 {
+				t.Fatalf("elided %d index nodes of %d", n, len(hit.Nodes)-1)
+			}
+			if err := elided.VerifyPath(tr.Root(), path); err == nil {
+				t.Fatal("forged pruned leaf verified on a warm path")
+			}
+		})
+	}
+}
+
+// TestPrunedLeafEveryFieldTrips flips each byte of a cold proof's pruned
+// leaf for a hit, a miss inside a group and a miss at a group edge.
+func TestPrunedLeafEveryFieldTrips(t *testing.T) {
+	tr, _, leaf, _, _ := groupedLeaf(t)
+	g := groupLen(t)
+	for _, key := range [][]byte{leaf.entries[g+1].Key, between(leaf.entries[g+1]), between(leaf.entries[g-1])} {
+		p, err := tr.ProveGet(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Verify(tr.Root()); err != nil {
+			t.Fatal(err)
+		}
+		last := len(p.Nodes) - 1
+		for off := range p.Nodes[last] {
+			q := p
+			q.Nodes = append([][]byte(nil), p.Nodes...)
+			q.Nodes[last] = append([]byte(nil), p.Nodes[last]...)
+			q.Nodes[last][off] ^= 0x01
+			if err := q.Verify(tr.Root()); err == nil {
+				t.Fatalf("%q: leaf byte %d flipped: proof still verified", key, off)
+			}
+		}
+	}
 }

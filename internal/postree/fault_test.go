@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spitz/internal/cas"
-	"spitz/internal/hashutil"
 )
 
 // Failure injection: storage faults must surface as errors or verification
@@ -57,8 +56,7 @@ func TestScanFailsOnLostLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf := p.Nodes[len(p.Nodes)-1]
-	leafDigest := hashutil.Sum(hashutil.DomainPOSLeaf, leaf)
+	leafDigest := p.digests[len(p.digests)-1]
 	fault.Lose(leafDigest)
 	err = tr.Scan(nil, nil, func(Entry) bool { return true })
 	if err == nil {

@@ -31,6 +31,8 @@ import (
 
 	"spitz/internal/cas"
 	"spitz/internal/hashutil"
+	"spitz/internal/obs"
+	"spitz/internal/posleaf"
 )
 
 const (
@@ -136,9 +138,16 @@ func (t *Tree) Store() cas.Store { return t.store }
 // hold data entries; index nodes at level L hold routing entries whose Key
 // is the largest key in the child subtree and whose Value is the 32-byte
 // child digest followed by the 8-byte big-endian subtree entry count.
+//
+// A leaf decoded from the pruned form a point proof carries holds only
+// the entries of the groups that were shipped: first is the position in
+// the leaf of entries[0] and count the leaf's true entry count (0 and
+// len(entries) for a leaf decoded whole; neither is set on other nodes).
 type node struct {
 	level   int
 	entries []Entry
+	first   int
+	count   int
 }
 
 func childDigest(e Entry) hashutil.Digest {
@@ -158,63 +167,120 @@ func makeIndexEntry(sep []byte, d hashutil.Digest, count uint64) Entry {
 	return Entry{Key: sep, Value: v}
 }
 
+// encode serializes the node: an index node as level | count | entries,
+// hashed whole; a leaf in the grouped layout of internal/posleaf, whose
+// header carries a digest per group of entries.
 func (n *node) encode() []byte {
-	size := 1 + binary.MaxVarintLen64
+	size := 0
 	for _, e := range n.entries {
 		size += 2*binary.MaxVarintLen64 + len(e.Key) + len(e.Value)
 	}
-	buf := make([]byte, 0, size)
+	if n.level == 0 {
+		w := posleaf.NewWriter(len(n.entries), size)
+		for _, e := range n.entries {
+			w.Entry(e.Key, e.Value)
+		}
+		return w.Body()
+	}
+	buf := make([]byte, 0, 1+binary.MaxVarintLen64+size)
 	buf = append(buf, byte(n.level))
 	buf = binary.AppendUvarint(buf, uint64(len(n.entries)))
 	for _, e := range n.entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Value)))
-		buf = append(buf, e.Value...)
+		buf = posleaf.AppendEntry(buf, e.Key, e.Value)
 	}
 	return buf
 }
 
+// decodeNode decodes a node body from the tree's own store. Nothing is
+// hashed: bodies that arrive in proofs go through openNode.
 func decodeNode(data []byte) (*node, error) {
 	if len(data) < 2 {
 		return nil, errors.New("postree: node too short")
 	}
+	if data[0] == 0 {
+		l, err := posleaf.Parse(data)
+		if err != nil {
+			return nil, err
+		}
+		return decodeLeaf(l, l.Count)
+	}
 	n := &node{level: int(data[0])}
-	rest := data[1:]
-	cnt, k := binary.Uvarint(rest)
+	cnt, k := binary.Uvarint(data[1:])
 	if k <= 0 {
 		return nil, errors.New("postree: bad entry count")
 	}
-	rest = rest[k:]
+	rest := data[1+k:]
 	// Bodies arrive in proofs from an untrusted server: an entry costs at
 	// least its two length bytes, so bound the count before allocating.
 	if cnt > uint64(len(rest))/2 {
 		return nil, errors.New("postree: entry count beyond node size")
 	}
-	n.entries = make([]Entry, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		kl, k1 := binary.Uvarint(rest)
-		if k1 <= 0 || uint64(len(rest)-k1) < kl {
-			return nil, errors.New("postree: bad key length")
+	n.entries = make([]Entry, cnt)
+	for i := range n.entries {
+		var err error
+		e := &n.entries[i]
+		if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
+			return nil, errors.New("postree: bad entry length")
 		}
-		key := rest[k1 : k1+int(kl)]
-		rest = rest[k1+int(kl):]
-		vl, k2 := binary.Uvarint(rest)
-		if k2 <= 0 || uint64(len(rest)-k2) < vl {
-			return nil, errors.New("postree: bad value length")
-		}
-		val := rest[k2 : k2+int(vl)]
-		rest = rest[k2+int(vl):]
-		e := Entry{Key: key, Value: val}
-		if n.level > 0 && len(val) != hashutil.DigestSize+8 {
+		if len(e.Value) != hashutil.DigestSize+8 {
 			return nil, errors.New("postree: bad index entry value size")
 		}
-		n.entries = append(n.entries, e)
 	}
 	if len(rest) != 0 {
 		return nil, errors.New("postree: trailing bytes in node")
 	}
 	return n, nil
+}
+
+// decodeLeaf decodes the present entries of a parsed leaf: all l.Count of
+// them for a stored body (bounded by its length in posleaf.Parse), or as
+// many as Verify walked.
+func decodeLeaf(l posleaf.Leaf, present int) (*node, error) {
+	n := &node{entries: make([]Entry, present), first: l.First, count: l.Count}
+	rest := l.Entries
+	for i := range n.entries {
+		var err error
+		e := &n.entries[i]
+		if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, errors.New("postree: trailing bytes in node")
+	}
+	return n, nil
+}
+
+// openNode decodes a node body that arrived in a proof and returns the
+// digest its bytes are bound to, which the caller compares with the digest
+// it expected: an index node hashes whole under the index domain; a leaf
+// is its header's hash, after every group present has been hashed against
+// its slot in that header (posleaf.Leaf.Verify — the same check a stored
+// leaf gets when it is read back from disk). pruned selects the leaf form
+// a point proof carries, where only some groups are present; range and
+// batch proofs carry stored bodies, all groups present.
+func openNode(body []byte, pruned bool) (*node, hashutil.Digest, error) {
+	if len(body) == 0 || body[0] != 0 {
+		n, err := decodeNode(body)
+		if err != nil {
+			return nil, hashutil.Digest{}, err
+		}
+		return n, hashutil.Sum(hashutil.DomainPOSIndex, body), nil
+	}
+	parse := posleaf.Parse
+	if pruned {
+		parse = posleaf.ParsePruned
+	}
+	l, err := parse(body)
+	if err != nil {
+		return nil, hashutil.Digest{}, err
+	}
+	d, present, err := l.Verify()
+	if err != nil {
+		return nil, hashutil.Digest{}, err
+	}
+	n, err := decodeLeaf(l, present)
+	return n, d, err
 }
 
 func nodeDomain(level int) byte {
@@ -249,29 +315,56 @@ func loadNode(store cas.Store, d hashutil.Digest) (*node, error) {
 // ---------------------------------------------------------------------------
 // Content-defined node boundaries
 
+// mBoundaryHashes counts isBoundary evaluations — one SHA-256 each. A
+// single-key update costs one per edited entry plus one per node it
+// rewrites, not one per entry of those nodes (see run).
+var mBoundaryHashes = obs.Default.Counter("spitz_postree_boundary_hashes_total")
+
 // isBoundary reports whether an entry terminates a node. It depends only on
 // the entry's content, which is what makes the tree structurally invariant.
 func isBoundary(e Entry) bool {
+	mBoundaryHashes.Inc()
 	h := hashutil.SumParts(hashutil.DomainPostings, e.Key, e.Value)
 	pat := binary.BigEndian.Uint32(h[:4])
 	const mask = 1<<patternBits - 1
 	return pat&mask == mask
 }
 
+// run is a sorted stretch of entries of one stratum on its way to being
+// cut into nodes. inner[i] records that entries[i] was an entry other
+// than the last of a stored node: a node ends at its first boundary, so
+// such an entry is not one, and chunking does not hash it again to find
+// out. Only entries an edit created and each source node's last entry are
+// tested. A nil inner marks nothing (a bulk load: every entry is new).
+type run struct {
+	entries []Entry
+	inner   []bool
+}
+
+func (r *run) add(e Entry, inner bool) {
+	r.entries = append(r.entries, e)
+	r.inner = append(r.inner, inner)
+}
+
 // chunkEntries cuts a sorted entry run into complete nodes (each ending at
 // a boundary entry or at maxFanout) and an open tail of entries after the
 // last boundary. The stored nodes' routing entries are returned.
-func (t *Tree) chunkEntries(entries []Entry, level int) (complete []Entry, tail []Entry) {
+func (t *Tree) chunkEntries(r run, level int) (complete []Entry, tail run) {
 	start := 0
-	for i, e := range entries {
-		if isBoundary(e) || i-start+1 >= maxFanout {
-			nd := &node{level: level, entries: entries[start : i+1]}
+	for i, e := range r.entries {
+		known := r.inner != nil && r.inner[i]
+		if (!known && isBoundary(e)) || i-start+1 >= maxFanout {
+			nd := &node{level: level, entries: r.entries[start : i+1]}
 			d, cnt := t.storeNode(nd)
 			complete = append(complete, makeIndexEntry(e.Key, d, cnt))
 			start = i + 1
 		}
 	}
-	return complete, entries[start:]
+	tail.entries = r.entries[start:]
+	if r.inner != nil {
+		tail.inner = r.inner[start:]
+	}
+	return complete, tail
 }
 
 // ---------------------------------------------------------------------------
@@ -301,11 +394,11 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 		if level >= maxStrata {
 			return nil, errors.New("postree: tree too tall")
 		}
-		complete, tail := t.chunkEntries(entries, level)
-		if len(tail) > 0 {
-			nd := &node{level: level, entries: tail}
+		complete, tail := t.chunkEntries(run{entries: entries}, level)
+		if last := len(tail.entries) - 1; last >= 0 {
+			nd := &node{level: level, entries: tail.entries}
 			d, cnt := t.storeNode(nd)
-			complete = append(complete, makeIndexEntry(tail[len(tail)-1].Key, d, cnt))
+			complete = append(complete, makeIndexEntry(tail.entries[last].Key, d, cnt))
 		}
 		if len(complete) == 1 {
 			return &Tree{store: t.store, cache: t.cache, root: childDigest(complete[0]), level: level, count: count}, nil
@@ -448,7 +541,7 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 		return BulkLoad(t.store, entries)
 	}
 
-	carry := make([][]Entry, maxStrata)
+	carry := make([]run, maxStrata)
 	complete, err := t.processNode(t.root, t.level, carry, dedup, onReplace)
 	if err != nil {
 		return nil, err
@@ -456,16 +549,17 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 	// Flush open tails bottom-up: the tail at stratum s becomes the final
 	// node at level s, whose routing entry joins the tail above it.
 	for s := 0; s <= t.level; s++ {
-		if len(carry[s]) == 0 {
+		tail := carry[s].entries
+		if len(tail) == 0 {
 			continue
 		}
-		nd := &node{level: s, entries: carry[s]}
+		nd := &node{level: s, entries: tail}
 		d, cnt := t.storeNode(nd)
-		e := makeIndexEntry(carry[s][len(carry[s])-1].Key, d, cnt)
+		e := makeIndexEntry(tail[len(tail)-1].Key, d, cnt)
 		if s == t.level {
 			complete = append(complete, e)
 		} else {
-			carry[s+1] = append(carry[s+1], e)
+			carry[s+1].add(e, false)
 		}
 	}
 	newCount := 0
@@ -504,7 +598,7 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 // carry[level] (prepending it to its own content) and may leave new open
 // tails behind for the caller. The returned entries route to the complete
 // replacement nodes at this node's level.
-func (t *Tree) processNode(d hashutil.Digest, level int, carry [][]Entry, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
+func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
 	n, err := t.loadNodeCached(d)
 	if err != nil {
 		return nil, err
@@ -519,22 +613,29 @@ func (t *Tree) processNode(d hashutil.Digest, level int, carry [][]Entry, edits 
 		return complete, nil
 	}
 
-	content := append([]Entry{}, carry[level]...)
-	carry[level] = nil
+	// The carry's tail was sliced out of the run it came from: copy, so
+	// appending cannot write into that run's backing arrays.
+	content := run{
+		entries: append(make([]Entry, 0, len(carry[level].entries)+len(n.entries)), carry[level].entries...),
+		inner:   append(make([]bool, 0, len(carry[level].entries)+len(n.entries)), carry[level].inner...),
+	}
+	carry[level] = run{}
 	remaining := edits
 	for i, ce := range n.entries {
 		last := i == len(n.entries)-1
 		var childEdits []Edit
 		childEdits, remaining = splitEdits(remaining, ce.Key, last)
 		if len(childEdits) == 0 && lowerEmpty(carry, level) {
-			content = append(content, ce)
+			content.add(ce, !last)
 			continue
 		}
 		sub, err := t.processNode(childDigest(ce), level-1, carry, childEdits, onReplace)
 		if err != nil {
 			return nil, err
 		}
-		content = append(content, sub...)
+		for _, e := range sub {
+			content.add(e, false)
+		}
 	}
 	complete, tail := t.chunkEntries(content, level)
 	carry[level] = tail
@@ -543,9 +644,9 @@ func (t *Tree) processNode(d hashutil.Digest, level int, carry [][]Entry, edits 
 
 // lowerEmpty reports whether all carries strictly below the given stratum
 // are empty (carry[s] for s < level corresponds to content of descendants).
-func lowerEmpty(carry [][]Entry, level int) bool {
+func lowerEmpty(carry []run, level int) bool {
 	for s := 0; s < level; s++ {
-		if len(carry[s]) > 0 {
+		if len(carry[s].entries) > 0 {
 			return false
 		}
 	}
@@ -564,40 +665,43 @@ func splitEdits(edits []Edit, sep []byte, last bool) (child, rest []Edit) {
 	return edits[:i], edits[i:]
 }
 
-// mergeEdits merges a sorted prefix, sorted base entries and sorted edits
-// into a single sorted entry run, applying upserts and deletes. onReplace
-// (optional) observes overwritten and deleted entries.
-func mergeEdits(prefix, base []Entry, edits []Edit, onReplace func(key, oldValue []byte)) []Entry {
-	out := make([]Entry, 0, len(prefix)+len(base)+len(edits))
-	out = append(out, prefix...)
+// mergeEdits merges a sorted prefix, the entries of a stored leaf and
+// sorted edits into a single sorted run, applying upserts and deletes.
+// onReplace (optional) observes overwritten and deleted entries.
+func mergeEdits(prefix run, base []Entry, edits []Edit, onReplace func(key, oldValue []byte)) run {
+	size := len(prefix.entries) + len(base) + len(edits)
+	out := run{
+		entries: append(make([]Entry, 0, size), prefix.entries...),
+		inner:   append(make([]bool, 0, size), prefix.inner...),
+	}
+	upsert := func(e Edit) {
+		if !e.Delete {
+			out.add(Entry{Key: e.Key, Value: e.Value}, false)
+		}
+	}
+	keep := func(bi int) { out.add(base[bi], bi < len(base)-1) }
 	bi, ei := 0, 0
 	for bi < len(base) || ei < len(edits) {
 		switch {
 		case bi == len(base):
-			if !edits[ei].Delete {
-				out = append(out, Entry{Key: edits[ei].Key, Value: edits[ei].Value})
-			}
+			upsert(edits[ei])
 			ei++
 		case ei == len(edits):
-			out = append(out, base[bi])
+			keep(bi)
 			bi++
 		default:
 			switch bytes.Compare(base[bi].Key, edits[ei].Key) {
 			case -1:
-				out = append(out, base[bi])
+				keep(bi)
 				bi++
 			case 1:
-				if !edits[ei].Delete {
-					out = append(out, Entry{Key: edits[ei].Key, Value: edits[ei].Value})
-				}
+				upsert(edits[ei])
 				ei++
 			default: // same key: edit wins
 				if onReplace != nil {
 					onReplace(base[bi].Key, base[bi].Value)
 				}
-				if !edits[ei].Delete {
-					out = append(out, Entry{Key: edits[ei].Key, Value: edits[ei].Value})
-				}
+				upsert(edits[ei])
 				bi++
 				ei++
 			}

@@ -375,3 +375,60 @@ func TestQuickOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestApplyHashesOnlyWhatChanged: rewriting a node re-tests for a boundary
+// only the entries an edit created and the node's last entry — the others
+// were interior entries of a stored node, so they are known not to be
+// boundaries. The number of boundary hashes per Apply is bounded by the
+// edits plus the nodes written, not by the entries in those nodes.
+func TestApplyHashesOnlyWhatChanged(t *testing.T) {
+	entries := testEntries(40000, 17)
+	store := cas.NewCounting(cas.NewMemory())
+	tr, err := BulkLoad(store, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	apply := func(name string, edits []Edit) {
+		t.Helper()
+		puts0, _ := store.Ops()
+		hashes0 := mBoundaryHashes.Value()
+		next, err := tr.Apply(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		puts1, _ := store.Ops()
+		hashes, puts := int64(mBoundaryHashes.Value()-hashes0), puts1-puts0
+		t.Logf("%s: %d edits wrote %d nodes with %d boundary hashes", name, len(edits), puts, hashes)
+		// Per node written: the routing entry it adds to its parent, and
+		// the last entry of the node (and of a neighbour merged into it).
+		if limit := int64(len(edits)) + 3*puts; hashes > limit {
+			t.Fatalf("%s: %d boundary hashes for %d edits and %d nodes written, want at most %d",
+				name, hashes, len(edits), puts, limit)
+		}
+		tr = next
+	}
+	for i := 0; i < 20; i++ {
+		e := entries[rng.Intn(len(entries))]
+		apply("update", []Edit{{Key: e.Key, Value: []byte(fmt.Sprintf("updated-%d", i))}})
+		apply("insert", []Edit{{Key: []byte(fmt.Sprintf("key-%08d-new%d", rng.Intn(400000), i)), Value: []byte("inserted")}})
+		apply("delete", []Edit{{Key: entries[rng.Intn(len(entries))].Key, Delete: true}})
+	}
+	batch := make([]Edit, 200)
+	for i := range batch {
+		batch[i] = Edit{Key: entries[rng.Intn(len(entries))].Key, Value: []byte(fmt.Sprintf("batch-%d", i))}
+	}
+	apply("batch", batch)
+	// The tree the shortcut built is the tree a bulk load of the same
+	// content builds.
+	var want []Entry
+	if err := tr.Scan(nil, nil, func(e Entry) bool {
+		want = append(want, Entry{Key: append([]byte(nil), e.Key...), Value: append([]byte(nil), e.Value...)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := mustBulk(t, want); fresh.Root() != tr.Root() {
+		t.Fatalf("incremental root %s != bulk-load root %s", tr.Root().Short(), fresh.Root().Short())
+	}
+}

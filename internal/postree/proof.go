@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // Proof-related errors.
@@ -18,8 +19,10 @@ var (
 
 // PointProof proves the presence (Value != nil treated together with Found)
 // or absence of Key under a tree root. It consists of the serialized bodies
-// of the nodes on the root-to-leaf search path; the verifier re-hashes each
-// body, checks parent/child digest linkage and reruns the search.
+// of the index nodes on the root-to-leaf search path and, last, the leaf
+// pruned to the group of entries that decides the answer (see ProveGet);
+// the verifier re-hashes each body, checks parent/child digest linkage and
+// reruns the search.
 //
 // This is Spitz's "unified index" property in code: the proof is assembled
 // from exactly the nodes the query already visited, so proving costs no
@@ -38,11 +41,22 @@ type PointProof struct {
 	// never crosses the wire; Elide compares it with what a client says
 	// it holds, so the server neither re-hashes nor decodes to elide.
 	digests []hashutil.Digest
+	// keepLo..keepHi are the entry positions the leaf slot was pruned to
+	// keep: with the leaf's digest, enough to cut the slot again (WithLeaf).
+	keepLo, keepHi int
 }
 
 // ProveGet returns the value under key together with its proof. Absence is
 // also proven (Found=false with the search-path nodes demonstrating no such
 // key exists).
+//
+// The leaf slot is the stored leaf cut down to what decides a search that
+// ended at position i of its entries: the header, which commits to every
+// group, and the group holding entry i for a hit; for a miss the groups
+// holding the entries on either side of the gap, i-1 and i — one group, or
+// two when the gap is a group edge, and only the one that exists when the
+// key sorts before the leaf's first entry or after its last. Nothing is
+// hashed to build it: the groups are sliced out of the stored body.
 func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	p := PointProof{Key: key}
 	if t.root.IsZero() {
@@ -54,7 +68,6 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 		if err != nil {
 			return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 		}
-		p.Nodes = append(p.Nodes, body)
 		p.digests = append(p.digests, d)
 		i := searchEntries(n.entries, key)
 		if n.level == 0 {
@@ -62,13 +75,53 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 				p.Found = true
 				p.Value = n.entries[i].Value
 			}
+			p.keepLo, p.keepHi = i, i
+			if !p.Found {
+				p.keepLo, p.keepHi = max(i-1, 0), min(i, len(n.entries)-1)
+			}
+			if body, err = posleaf.Prune(body, p.keepLo, p.keepHi); err != nil {
+				return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+			}
+			p.Nodes = append(p.Nodes, body)
 			return p, nil
 		}
+		p.Nodes = append(p.Nodes, body)
 		if i == len(n.entries) {
 			return p, nil // key beyond max: path proves absence
 		}
 		d = childDigest(n.entries[i])
 	}
+}
+
+// WithoutLeaf returns p with its leaf slot emptied, for a cache that
+// holds many proofs: the index-node slots are references into the node
+// store, but a pruned leaf is assembled (header here, group there), so
+// each one is a private copy of a kilobyte or two. Tree.WithLeaf cuts it
+// again when the proof is served.
+func (p PointProof) WithoutLeaf() PointProof {
+	if last := len(p.Nodes) - 1; last >= 0 && len(p.Nodes[last]) > 0 && p.Nodes[last][0] == 0 {
+		p.Nodes = append(append([][]byte(nil), p.Nodes[:last]...), nil)
+	}
+	return p
+}
+
+// WithLeaf restores the leaf slot of a proof ProveGet built on this
+// tree's store and WithoutLeaf emptied; any other proof is returned as it
+// is.
+func (t *Tree) WithLeaf(p PointProof) (PointProof, error) {
+	last := len(p.Nodes) - 1
+	if last < 0 || len(p.Nodes[last]) != 0 {
+		return p, nil
+	}
+	body, err := t.store.Get(p.digests[last])
+	if err == nil {
+		body, err = posleaf.Prune(body, p.keepLo, p.keepHi)
+	}
+	if err != nil {
+		return PointProof{}, fmt.Errorf("postree: restore leaf: %w", err)
+	}
+	p.Nodes = append(append([][]byte(nil), p.Nodes[:last]...), body)
+	return p, nil
 }
 
 // Elide returns a copy of p without the bodies of the index nodes the
@@ -131,11 +184,15 @@ func (n *Node) Child(key []byte) (d hashutil.Digest, ok bool) {
 // pinned when the request was built so that a cache eviction cannot race
 // the response; their digests are what it tells the server it holds.
 // VerifyPath fills Shipped with the index nodes that arrived as bodies
-// and hashed to the digest the walk expected; when it returns an error
-// the proof is rejected as a whole and Shipped must be discarded.
+// and hashed to the digest the walk expected, and Superseded with the
+// held nodes a different body arrived in place of — the tree under this
+// root has another node at that point of the key's path, so nothing
+// reaches the held one any more. When VerifyPath returns an error the
+// proof is rejected as a whole and both must be discarded.
 type Path struct {
-	Held    []*Node
-	Shipped []*Node
+	Held       []*Node
+	Shipped    []*Node
+	Superseded []*Node
 }
 
 // Have returns the digests of the held nodes, the hint a server elides
@@ -173,7 +230,12 @@ func (p PointProof) Verify(root hashutil.Digest) error {
 // An elided position the verifier holds nothing for, or holds a different
 // node for, fails: elision can only ever be answered from the verifier's
 // own verified nodes, never trusted on the server's say-so. The leaf is
-// never held, so it is always hashed fresh.
+// never held, so it is always hashed fresh: its header against the digest
+// its parent routes to, and each group that was shipped against its slot
+// in that header. Nothing about the groups that were not shipped is
+// trusted: the answer is read off shipped entries only, and an absence
+// needs both neighbours of the gap in hand (or the leaf's own edge, which
+// the header's count fixes).
 func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if root.IsZero() {
 		// Empty tree: every key is absent and the proof must be empty.
@@ -195,11 +257,12 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 			n = path.Held[depth].n
 		} else {
 			var err error
-			if n, err = decodeNode(body); err != nil {
+			var d hashutil.Digest
+			if n, d, err = openNode(body, true); err != nil || d != want {
 				return ErrProofInvalid
 			}
-			if hashutil.Sum(nodeDomain(n.level), body) != want {
-				return ErrProofInvalid
+			if path != nil && depth < len(path.Held) && path.Held[depth].digest != want {
+				path.Superseded = append(path.Superseded, path.Held[depth])
 			}
 			if n.level > 0 && path != nil {
 				path.Shipped = append(path.Shipped, &Node{digest: want, n: n,
@@ -218,6 +281,9 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 			if found && !bytes.Equal(n.entries[i].Value, p.Value) {
 				return ErrProofInvalid
 			}
+			if !found && !n.bracketsGap(i) {
+				return ErrProofInvalid
+			}
 			return nil
 		}
 		if i == len(n.entries) {
@@ -230,6 +296,17 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 		want = childDigest(n.entries[i])
 	}
 	return ErrProofInvalid // path ended at an index node
+}
+
+// bracketsGap reports whether a search that found no key and ended at
+// index i of the entries present saw both sides of the gap it ended in:
+// the entry before and the entry after, each either present or beyond the
+// leaf's edge. A pruned leaf that ends at a group edge short of that says
+// nothing about what the next group holds.
+func (n *node) bracketsGap(i int) bool {
+	before := i > 0 || n.first == 0
+	after := i < len(n.entries) || n.first+len(n.entries) == n.count
+	return before && after
 }
 
 // RangeProof proves that Entries is exactly the set of entries in
@@ -331,11 +408,8 @@ func (v *rangeVerifier) walk(want hashutil.Digest) error {
 	}
 	body := v.proof.Nodes[v.next]
 	v.next++
-	n, err := decodeNode(body)
-	if err != nil {
-		return ErrProofInvalid
-	}
-	if hashutil.Sum(nodeDomain(n.level), body) != want {
+	n, d, err := openNode(body, false)
+	if err != nil || d != want {
 		return ErrProofInvalid
 	}
 	if n.level == 0 {

@@ -285,3 +285,48 @@ func TestProofAgainstDigestType(t *testing.T) {
 		t.Fatal("nonempty tree has zero root")
 	}
 }
+
+// TestWithLeafRestoresTheProof: a proof held without its leaf slot (the
+// ledger's proof cache) is cut again to exactly the bytes ProveGet built.
+func TestWithLeafRestoresTheProof(t *testing.T) {
+	entries := testEntries(3000, 41)
+	tr := mustBulk(t, entries)
+	absent := append(append([]byte(nil), entries[500].Key...), 'x')
+	for _, key := range [][]byte{entries[0].Key, entries[1234].Key, absent, []byte("a"), []byte("zzzz")} {
+		p, err := tr.ProveGet(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := p.WithoutLeaf()
+		last := len(p.Nodes) - 1
+		if leaf := p.Nodes[last][0] == 0; leaf != (len(held.Nodes[last]) == 0) {
+			t.Fatalf("%q: leaf=%v, slot emptied=%v", key, leaf, len(held.Nodes[last]) == 0)
+		}
+		if len(p.Nodes[last]) == 0 {
+			t.Fatalf("%q: WithoutLeaf emptied the proof it was called on", key)
+		}
+		got, err := tr.WithLeaf(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Nodes) != len(p.Nodes) {
+			t.Fatalf("%q: %d nodes, want %d", key, len(got.Nodes), len(p.Nodes))
+		}
+		for i := range p.Nodes {
+			if !bytes.Equal(got.Nodes[i], p.Nodes[i]) {
+				t.Fatalf("%q: node %d differs after restore", key, i)
+			}
+		}
+		if err := got.Verify(tr.Root()); err != nil {
+			t.Fatalf("%q: restored proof: %v", key, err)
+		}
+		if err := held.Verify(tr.Root()); err == nil && p.Nodes[last][0] == 0 {
+			t.Fatalf("%q: a proof without its leaf verified", key)
+		}
+	}
+	// The empty tree's proof has no slot to empty.
+	p, _ := Empty(cas.NewMemory()).ProveGet([]byte("k"))
+	if q, err := tr.WithLeaf(p.WithoutLeaf()); err != nil || len(q.Nodes) != 0 {
+		t.Fatal(err, len(q.Nodes))
+	}
+}

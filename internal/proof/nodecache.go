@@ -85,8 +85,10 @@ func (c *nodeCache) pathTo(key []byte) *postree.Path {
 }
 
 // admit records a verified point proof: root becomes the start of the
-// next hint walk and the index nodes the proof shipped are cached.
-func (c *nodeCache) admit(root hashutil.Digest, shipped []*postree.Node) {
+// next hint walk, the held nodes the proof superseded are dropped — no
+// walk from the new root reaches them, so they would only age out of the
+// LRU while holding memory — and the index nodes it shipped are cached.
+func (c *nodeCache) admit(root hashutil.Digest, shipped, superseded []*postree.Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.root = root
@@ -94,6 +96,13 @@ func (c *nodeCache) admit(root hashutil.Digest, shipped []*postree.Node) {
 		c.m = make(map[hashutil.Digest]*list.Element)
 	}
 	entries, bytes, limit := len(c.m), c.bytes, c.limit()
+	// Drops first: when the tree gained a level a superseded node can be
+	// among the shipped ones, one depth down, and is then kept.
+	for _, n := range superseded {
+		if el, ok := c.m[n.Digest()]; ok {
+			c.drop(el)
+		}
+	}
 	for i := len(shipped) - 1; i >= 0; i-- { // root last: see pathTo
 		n := shipped[i]
 		if _, ok := c.m[n.Digest()]; ok || n.Size() > limit {
@@ -103,13 +112,16 @@ func (c *nodeCache) admit(root hashutil.Digest, shipped []*postree.Node) {
 		c.bytes += n.Size()
 	}
 	for c.bytes > limit {
-		el := c.lru.Back()
-		n := c.lru.Remove(el).(*postree.Node)
-		delete(c.m, n.Digest())
-		c.bytes -= n.Size()
+		c.drop(c.lru.Back())
 	}
 	mCacheEntries.Add(int64(len(c.m) - entries))
 	mCacheBytes.Add(int64(c.bytes - bytes))
+}
+
+func (c *nodeCache) drop(el *list.Element) {
+	n := c.lru.Remove(el).(*postree.Node)
+	delete(c.m, n.Digest())
+	c.bytes -= n.Size()
 }
 
 func (c *nodeCache) size() (entries, bytes int) {

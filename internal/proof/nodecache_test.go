@@ -203,6 +203,101 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	if v, err := r.read(cachePK(39999)); err != nil || string(v) != "value-039999@1" {
 		t.Fatalf("honest read after the rejected ones: %q %v", v, err)
 	}
+
+	// The same after a commit that rewrote pk 7's whole path: the honest
+	// response now supersedes every held node on it, and VerifyPath has
+	// marked them so before it reaches the bad byte — but nothing is
+	// dropped for a proof that did not verify.
+	commitRow(t, l, 7, 2)
+	before = r.v.ProofStats()
+	root, _, bytes = cacheState(&r.v.nodes)
+	for name, tamper := range tampers {
+		r.tamper = tamper
+		r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(7)))
+		_, order, _ = cacheState(&r.v.nodes)
+		if _, err := r.read(cachePK(7)); !errors.Is(err, ErrTampered) {
+			t.Fatalf("%s after a commit: err = %v", name, err)
+		}
+		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
+			t.Fatalf("%s after a commit: rejected proof changed the cache (%d -> %d entries)",
+				name, len(order), len(gotOrder))
+		}
+		if st := r.v.ProofStats(); st != before {
+			t.Fatalf("%s after a commit: rejected proof moved the stats: %+v -> %+v", name, before, st)
+		}
+	}
+	r.tamper = nil
+	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@2" {
+		t.Fatalf("honest read after the commit: %q %v", v, err)
+	}
+}
+
+// commitRow commits a new version of one row.
+func commitRow(t *testing.T, l *ledger.Ledger, pk int, ver uint64) {
+	t.Helper()
+	cell := cellstore.Cell{Table: "t", Column: "c", PK: cachePK(pk), Version: ver,
+		Value: []byte(fmt.Sprintf("value-%06d@%d", pk, ver))}
+	if _, err := l.Commit(ver, nil, []cellstore.Cell{cell}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSupersededNodesAreDropped: when a proof ships a node where the
+// verifier held a different one, the held node is no longer part of the
+// tree under the new root — no hint walk reaches it — so it leaves the
+// cache with that proof instead of aging out of the LRU. The cache of a
+// client re-reading a key under write churn stays one path large.
+func TestSupersededNodesAreDropped(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	if _, err := r.read(cachePK(7)); err != nil {
+		t.Fatal(err)
+	}
+	one := r.v.ProofStats()
+	_, held, _ := cacheState(&r.v.nodes)
+	for ver := uint64(2); ver < 12; ver++ {
+		// A write to the key itself replaces its whole path...
+		commitRow(t, l, 7, ver)
+		if v, err := r.read(cachePK(7)); err != nil || string(v) != fmt.Sprintf("value-000007@%d", ver) {
+			t.Fatalf("read at version %d: %q %v", ver, v, err)
+		}
+		st := r.v.ProofStats()
+		if st.CacheEntries != one.CacheEntries {
+			t.Fatalf("version %d: cache holds %d nodes, want the one path (%d)", ver, st.CacheEntries, one.CacheEntries)
+		}
+		_, now, _ := cacheState(&r.v.nodes)
+		for _, d := range now {
+			for _, old := range held {
+				if d == old {
+					t.Fatalf("version %d: superseded node %s is still cached", ver, d.Short())
+				}
+			}
+		}
+		held = now
+		// ...and a re-read is fully elided from what replaced it.
+		if _, err := r.read(cachePK(7)); err != nil {
+			t.Fatal(err)
+		}
+		if again := r.v.ProofStats(); again.NodesElided-st.NodesElided != int64(one.CacheEntries) || again.CacheEntries != one.CacheEntries {
+			t.Fatalf("version %d: re-read elided %d nodes, cache %d", ver, again.NodesElided-st.NodesElided, again.CacheEntries)
+		}
+	}
+	// A write under another child of the root supersedes the root only.
+	for i, far := range []int{39999, 20000} {
+		before := r.v.ProofStats()
+		commitRow(t, l, far, 100+uint64(i))
+		if _, err := r.read(cachePK(7)); err != nil {
+			t.Fatal(err)
+		}
+		st := r.v.ProofStats()
+		if st.CacheEntries != one.CacheEntries {
+			t.Fatalf("after a write to row %d the cache holds %d nodes, want %d", far, st.CacheEntries, one.CacheEntries)
+		}
+		if shipped := st.NodesShipped - before.NodesShipped; shipped < 2 || shipped > int64(one.CacheEntries) {
+			t.Fatalf("after a write to row %d the read shipped %d nodes", far, shipped)
+		}
+	}
 }
 
 func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {

@@ -101,7 +101,7 @@ func (v *Verifier) verify(p ledger.Proof, d ledger.Digest, path *postree.Path) e
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	if path != nil && p.Point != nil {
-		v.nodes.admit(p.Header.CellRoot, path.Shipped)
+		v.nodes.admit(p.Header.CellRoot, path.Shipped, path.Superseded)
 	}
 	shipped, elided, bytes := proofTraffic(p)
 	mNodesShipped.Add(uint64(shipped))

@@ -12,6 +12,7 @@ import (
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
+	"spitz/internal/posleaf"
 	"spitz/internal/postree"
 )
 
@@ -132,8 +133,11 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 
 	// The leaf's digest at the leaf's depth, a hint at the wrong depth and
 	// an over-long hint are all harmless.
-	leaf := nodes[len(nodes)-1]
-	hinted.Have = append(path.Have(), hashutil.Sum(hashutil.DomainPOSLeaf, leaf))
+	leaf, err := posleaf.ParsePruned(nodes[len(nodes)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinted.Have = append(path.Have(), leaf.Digest())
 	if r := Dispatch(eng, hinted); len(r.Proof.Point.Nodes[len(nodes)-1]) == 0 {
 		t.Fatal("leaf elided on request")
 	}
@@ -211,6 +215,43 @@ func TestDecodeRequestHaveBounds(t *testing.T) {
 	}
 }
 
+// prunedShape names what the pruned leaf of a verified point read ships.
+func prunedShape(t testing.TB, resp Response) string {
+	t.Helper()
+	nodes := resp.Proof.Point.Nodes
+	leaf, err := posleaf.ParsePruned(nodes[len(nodes)-1])
+	if err != nil {
+		return "no leaf" // beyond the largest key: an index node answers
+	}
+	_, present, err := leaf.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _, _ := posleaf.ReadEntry(leaf.Entries)
+	switch {
+	case resp.Found:
+		return "hit"
+	case leaf.First == 0 && bytes.Compare(resp.Proof.Point.Key, first) < 0:
+		return "miss below the leaf's first key"
+	case present%2 == 0 && twoGroups(leaf, present):
+		return "miss at a group edge"
+	}
+	return "miss inside a group"
+}
+
+// twoGroups reports whether the present entries span two full groups: the
+// first half alone hashes to the slot after which the second half starts.
+func twoGroups(leaf posleaf.Leaf, present int) bool {
+	rest := leaf.Entries
+	for i := 0; i < present/2; i++ {
+		_, _, rest, _ = posleaf.ReadEntry(rest)
+	}
+	half := leaf
+	half.Entries = leaf.Entries[:len(leaf.Entries)-len(rest)]
+	_, n, err := half.Verify()
+	return err == nil && n == present/2
+}
+
 // FuzzElidedRead feeds arbitrary bytes to the two decoders an elided read
 // crosses — the request with its hint field, the response with a point
 // proof whose positions may be empty — and then to verification against
@@ -226,6 +267,34 @@ func FuzzElidedRead(f *testing.F) {
 	f.Add(AppendRequest(nil, &req))
 	f.Add(AppendResponse(nil, &cold))
 	f.Add(AppendResponse(nil, &warm))
+	// Pruned leaves in each of their shapes, cold and warm: a hit, a miss
+	// inside a group, a miss at a group edge (two groups shipped), a miss
+	// below a leaf's first key, and the two ends of the tree. Rows are
+	// walked until one response of each shape has been seen.
+	seen := map[string]bool{}
+	shapes := [][]byte{[]byte(""), []byte("zzzz")}
+	for i := 3200; i < 3500; i++ {
+		row := []byte(fmt.Sprintf("pk%05d", i))
+		shapes = append(shapes, row, append(row, '!'))
+	}
+	for _, pk := range shapes {
+		r := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
+		resp := Dispatch(eng, r)
+		shape := prunedShape(f, resp)
+		if seen[shape] {
+			continue
+		}
+		seen[shape] = true
+		f.Add(AppendResponse(nil, &resp))
+		r.Have = heldPath(f, resp).Have()
+		resp = Dispatch(eng, r)
+		f.Add(AppendResponse(nil, &resp))
+	}
+	for _, shape := range []string{"hit", "miss inside a group", "miss at a group edge", "miss below the leaf's first key"} {
+		if !seen[shape] {
+			f.Fatalf("no seed for a %s (have %v)", shape, seen)
+		}
+	}
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		rr := rndRequest(r)
