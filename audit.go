@@ -1,7 +1,6 @@
 package spitz
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -523,8 +522,11 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cur := l.v.Digest()
-	req := wire.Request{Op: wire.OpProveBatch,
-		OldDigest: cur, OldDigest2: &at, Audits: queries, Shard: l.shard}
+	// As for an eager read: say which index nodes on the receipts' paths
+	// this verifier already holds, so the proof ships only the rest.
+	path := l.v.PathFor(queries)
+	req := wire.Request{Op: wire.OpProveBatch, OldDigest: cur, OldDigest2: &at,
+		Audits: queries, Shard: l.shard, Have: path.Have()}
 	leg := l.span("audit.prove-batch")
 	req.SetTrace(leg)
 	resp, err := l.syncConn().Do(req)
@@ -568,13 +570,17 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 		return fmt.Errorf("%w: audit proof is for block %d, receipts were read at block %d",
 			ErrTampered, resp.BatchProof.Header.Height, at.Height-1)
 	}
-	if err := l.v.VerifyBatchNow(*resp.BatchProof, len(rs)); err != nil {
+	// And it must prove the receipts' queries, not some others: a valid
+	// proof of a narrower range would silently omit rows. Checked before
+	// verification, so an answer to another question never reaches the
+	// verifier's counters or its node cache.
+	if !resp.BatchProof.Answers(queries) {
+		return fmt.Errorf("%w: audit proof answers different queries than the receipts'", ErrTampered)
+	}
+	if err := l.v.VerifyBatch(*resp.BatchProof, resp.Digest, len(rs), path); err != nil {
 		return err
 	}
-	if err := matchReceipts(rs, qidx, queries, resp.BatchProof); err != nil {
-		return err
-	}
-	return nil
+	return matchReceipts(rs, qidx, queries, resp.BatchProof)
 }
 
 // auditQueryKey canonicalizes a query for deduplication. Segment
@@ -596,30 +602,23 @@ type auditAnswer struct {
 	hash  hashutil.Digest
 }
 
-// matchReceipts compares each receipt against the (already verified)
-// aggregated proof. The proof binds the values to the ledger; this step
-// binds them to what the client was actually told at read time. Every
-// receipt is checked — two reads of one key inside a horizon must both
-// match the single proven value, so a server that answered them
-// differently is caught even though the proof entry is shared.
+// matchReceipts compares each receipt against the aggregated proof, which
+// has been checked to answer exactly queries (BatchProof.Answers) and
+// verified. The proof binds the values to the ledger; this step binds
+// them to what the client was actually told at read time. Every receipt
+// is checked — two reads of one key inside a horizon must both match the
+// single proven value, so a server that answered them differently is
+// caught even though the proof entry is shared.
 func matchReceipts(rs []auditReceipt, qidx []int, queries []ledger.BatchQuery, bp *ledger.BatchProof) error {
 	answers := make([]auditAnswer, len(queries))
 	pi, ri := 0, 0
 	for qi, q := range queries {
 		if q.Range {
-			if ri >= len(bp.Ranges) {
-				return fmt.Errorf("%w: audit proof omitted a range", ErrTampered)
-			}
-			rp := bp.Ranges[ri]
-			ri++
-			wantStart, wantEnd := cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi)
-			if !bytes.Equal(rp.Start, wantStart) || !bytes.Equal(rp.End, wantEnd) {
-				return fmt.Errorf("%w: audit proof covers a different range", ErrTampered)
-			}
-			cells, err := cellstore.DecodeEntries(rp.Entries)
+			cells, err := cellstore.DecodeEntries(bp.Ranges[ri].Entries)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrTampered, err)
 			}
+			ri++
 			live := cells[:0]
 			for _, c := range cells {
 				if !c.Tombstone {
@@ -628,13 +627,6 @@ func matchReceipts(rs []auditReceipt, qidx []int, queries []ledger.BatchQuery, b
 			}
 			answers[qi] = auditAnswer{found: len(live) > 0, hash: auditCellsHash(live)}
 			continue
-		}
-		if bp.Points == nil || pi >= len(bp.Points.Keys) {
-			return fmt.Errorf("%w: audit proof omitted a key", ErrTampered)
-		}
-		ref := cellstore.CellPrefix(q.Table, q.Column, q.PK)
-		if !bytes.Equal(bp.Points.Keys[pi], ref) {
-			return fmt.Errorf("%w: audit proof proves a different key", ErrTampered)
 		}
 		var value []byte
 		live := false
@@ -650,12 +642,6 @@ func matchReceipts(rs []auditReceipt, qidx []int, queries []ledger.BatchQuery, b
 		}
 		pi++
 		answers[qi] = auditAnswer{found: live, hash: auditValueHash(value)}
-	}
-	if bp.Points != nil && pi != len(bp.Points.Keys) {
-		return fmt.Errorf("%w: audit proof carries extra keys", ErrTampered)
-	}
-	if ri != len(bp.Ranges) {
-		return fmt.Errorf("%w: audit proof carries extra ranges", ErrTampered)
 	}
 	for i, r := range rs {
 		a := answers[qidx[i]]

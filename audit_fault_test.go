@@ -12,6 +12,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/posleaf"
 	"spitz/internal/wire"
 )
 
@@ -106,6 +107,29 @@ func auditReads(t *testing.T, cl *spitz.Client) *spitz.Auditor {
 		t.Fatalf("range read: %d %v", len(cells), err)
 	}
 	return aud
+}
+
+// cutLeafRows returns a range proof's nodes with the last leaf reduced
+// to its header and first-group index, no group after them: the rows it
+// held silently gone, every byte that remains authentic. (Rows cannot be
+// dropped from the response any other way: they travel only inside the
+// leaves.)
+func cutLeafRows(t testing.TB, nodes [][]byte) [][]byte {
+	t.Helper()
+	out := append([][]byte(nil), nodes...)
+	for i := len(out) - 1; i >= 0; i-- {
+		if len(out[i]) == 0 || out[i][0] != 0 {
+			continue
+		}
+		leaf, err := posleaf.ParsePruned(out[i])
+		if err != nil || len(leaf.Entries) == 0 {
+			t.Errorf("leaf %d has no rows to cut: %v", i, err)
+		}
+		out[i] = out[i][:len(out[i])-len(leaf.Entries)]
+		return out
+	}
+	t.Error("range proof ships no leaf")
+	return out
 }
 
 // detachResponse deep-copies a response via a gob round trip before the
@@ -261,9 +285,9 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 			rp.Entries = nil
 			rp.Nodes = rp.Nodes[:1]
 		}},
-		{"drop a range entry", func(r *wire.Response) {
+		{"cut the rows out of the range's leaf", func(r *wire.Response) {
 			rp := &r.BatchProof.Ranges[0]
-			rp.Entries = rp.Entries[:len(rp.Entries)-1]
+			rp.Nodes = cutLeafRows(t, rp.Nodes)
 		}},
 		{"omit the prefix proof", func(r *wire.Response) { r.Consistency2 = nil }},
 		{"omit the batch proof", func(r *wire.Response) { r.BatchProof = nil }},

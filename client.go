@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"spitz/internal/cellstore"
+	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/server"
 	"spitz/internal/wire"
@@ -276,19 +277,12 @@ func (l shardLink) checkLag(d, cur Digest) error {
 	return nil
 }
 
-// syncAndVerify advances the link's trusted digest as needed and checks
-// p, which the server produced against digest d.
-func (l shardLink) syncAndVerify(tr *obs.Trace, d Digest, p *Proof) error {
-	return l.syncAndVerifyWith(tr, d,
-		func() error { return l.v.VerifyNow(*p) },
-		func() error { return l.v.VerifyAsOf(*p, d) })
-}
-
 // syncAndVerifyWith is the digest-advance flow every proof-carrying read
-// shares; the closures perform the final proof check against the current
-// trusted digest (verifyNow) or against d once d is proven a prefix of
-// it (verifyAsOf) — a point/range Proof and an aggregated BatchProof
-// differ only there. The whole flow runs under the link's mutex so
+// shares; verify performs the final proof check against d, which by the
+// time it runs is the trusted digest or a proven prefix of it — a
+// point/range Proof and an aggregated BatchProof differ only there
+// (Verifier.VerifyPoint, Verifier.VerifyBatch). The whole flow runs under
+// the link's mutex so
 // concurrent verified reads cannot interleave digest refreshes and
 // report tampering the honest server never committed.
 //
@@ -300,19 +294,19 @@ func (l shardLink) syncAndVerify(tr *obs.Trace, d Digest, p *Proof) error {
 // genuine prefix of the same history); with both verified, the proof is
 // checked against d itself. This converges in one round trip under any
 // write churn, where refetch-until-current would livelock.
-func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verifyNow, verifyAsOf func() error) error {
+func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verify func() error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cur := l.v.Digest()
 	if cur == d {
-		return verifyNow()
+		return verify()
 	}
 	if cur.Height == 0 && cur.Root.IsZero() {
 		if l.syncC == nil {
 			if err := l.v.Advance(d, ConsistencyProof{}); err != nil {
 				return err
 			}
-			return verifyNow()
+			return verify()
 		}
 		// Trust bootstraps from the digest authority, never from the
 		// replica being read: pin the primary's digest (trust on first
@@ -331,7 +325,7 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verifyNow, verifyA
 		}
 		cur = l.v.Digest()
 		if cur == d {
-			return verifyNow()
+			return verify()
 		}
 	}
 	// The prefix-proof leg: against the digest authority (the primary of
@@ -364,7 +358,7 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verifyNow, verifyA
 		return err
 	}
 	if l.v.Digest() == d {
-		return verifyNow()
+		return verify()
 	}
 	// Trust is now ahead of d: require the second proof to show d is a
 	// prefix of the same (now trusted) state, then verify against d.
@@ -384,7 +378,7 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verifyNow, verifyA
 	if err := l.checkLag(d, resp.Digest); err != nil {
 		return err
 	}
-	return verifyAsOf()
+	return verify()
 }
 
 func (l shardLink) getVerified(table, column string, pk []byte) ([]byte, bool, error) {
@@ -419,10 +413,8 @@ func (l shardLink) getVerified(table, column string, pk []byte) ([]byte, bool, e
 	if resp.Proof.Point == nil || !bytes.Equal(resp.Proof.Point.Key, key) {
 		return nil, false, fmt.Errorf("%w: proof answers a different key", ErrTampered)
 	}
-	// By the time either closure runs, resp.Digest is the trusted digest
-	// or a proven prefix of it, so one as-of check serves both.
 	verify := func() error { return l.v.VerifyPoint(*resp.Proof, resp.Digest, path) }
-	if err := l.syncAndVerifyWith(tr, resp.Digest, verify, verify); err != nil {
+	if err := l.syncAndVerifyWith(tr, resp.Digest, verify); err != nil {
 		return nil, false, err
 	}
 	cells, err := resp.Proof.Cells()
@@ -451,8 +443,11 @@ func (l shardLink) checkEmptyReplica(d Digest) error {
 func (l shardLink) rangeVerified(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
 	tr := l.span("client.range-verified")
 	defer tr.Finish()
+	// As in getVerified: hint the index nodes held where the scan will
+	// walk, pinned until the response has been verified against them.
+	path := l.v.PathFor([]ledger.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}})
 	req := wire.Request{Op: wire.OpRangeVer, Table: table, Column: column,
-		PK: pkLo, PKHi: pkHi, Shard: l.shard}
+		PK: pkLo, PKHi: pkHi, Shard: l.shard, Have: path.Have()}
 	req.SetTrace(tr)
 	resp, err := l.c.Do(req)
 	if err != nil {
@@ -462,21 +457,24 @@ func (l shardLink) rangeVerified(table, column string, pkLo, pkHi []byte) ([]Cel
 		return nil, err
 	}
 	if resp.Proof == nil {
-		if len(resp.Cells) > 0 {
+		if resp.Found || len(resp.Cells) > 0 {
 			return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
 		}
 		return nil, nil
 	}
-	if err := l.syncAndVerify(tr, resp.Digest, resp.Proof); err != nil {
-		return nil, err
-	}
 	// The proof must cover exactly the requested range: a valid proof of
-	// a narrower range would otherwise silently omit rows.
+	// a narrower range would otherwise silently omit rows. Checked before
+	// verification, like getVerified's key.
 	wantStart, wantEnd := cellstore.RefRange(table, column, pkLo, pkHi)
 	if resp.Proof.Range == nil ||
 		!bytes.Equal(resp.Proof.Range.Start, wantStart) || !bytes.Equal(resp.Proof.Range.End, wantEnd) {
 		return nil, fmt.Errorf("%w: proof covers a different range", ErrTampered)
 	}
+	verify := func() error { return l.v.VerifyPoint(*resp.Proof, resp.Digest, path) }
+	if err := l.syncAndVerifyWith(tr, resp.Digest, verify); err != nil {
+		return nil, err
+	}
+	// The rows are the ones verification read off the proven leaves.
 	cells, err := resp.Proof.Cells()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTampered, err)

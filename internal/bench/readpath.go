@@ -19,21 +19,25 @@ import (
 // trips them even on a fast machine. The eager mode is gated on
 // deterministic quantities only: allocations and the proof bytes a warm
 // client receives per read, which a change that re-ships index nodes the
-// client already holds would inflate.
+// client already holds would inflate. The proof bytes of the other two
+// proof shapes are gated the same way: per 50-row verified range read,
+// and per deferred read at its audit flush.
 type ReadPathThresholds struct {
-	UnverifiedNsMax     float64 `json:"unverified_ns_max"`
-	DeferredNsMax       float64 `json:"deferred_ns_max"`
-	UnverifiedAllocsMax float64 `json:"unverified_allocs_max"`
-	DeferredAllocsMax   float64 `json:"deferred_allocs_max"`
-	EagerAllocsMax      float64 `json:"eager_allocs_max"`
-	EagerProofBytesMax  float64 `json:"eager_proof_bytes_max"`
+	UnverifiedNsMax       float64 `json:"unverified_ns_max"`
+	DeferredNsMax         float64 `json:"deferred_ns_max"`
+	UnverifiedAllocsMax   float64 `json:"unverified_allocs_max"`
+	DeferredAllocsMax     float64 `json:"deferred_allocs_max"`
+	EagerAllocsMax        float64 `json:"eager_allocs_max"`
+	EagerProofBytesMax    float64 `json:"eager_proof_bytes_max"`
+	RangeProofBytesMax    float64 `json:"range_proof_bytes_max"`
+	DeferredProofBytesMax float64 `json:"deferred_proof_bytes_max"`
 }
 
 // ReadPathSmoke measures the production read modes over the wire —
-// unverified gets (the floor), eager verified reads on a warm client, and
-// AuditMode verified reads (deferred batch auditing) — and fails if any
-// exceeds the checked-in thresholds. CI runs it as the bench-regression
-// gate: a transport or codec change that slows the hot path or adds
+// unverified gets (the floor), eager verified point and range reads on a
+// warm client, and AuditMode verified reads (deferred batch auditing) —
+// and fails if any exceeds the checked-in thresholds. CI runs it as the
+// bench-regression gate: a transport or codec change that slows the hot path or adds
 // per-op allocations fails the build rather than landing silently.
 func ReadPathSmoke(thresholdsPath string) error {
 	raw, err := os.ReadFile(thresholdsPath)
@@ -110,6 +114,33 @@ func ReadPathSmoke(thresholdsPath string) error {
 	eagerShipped := float64(eager.NodesShipped-warm.NodesShipped) / ops
 	eagerElided := float64(eager.NodesElided-warm.NodesElided) / ops
 
+	// Eager verified range reads of 50 rows on the same warm client: two
+	// pruned edge leaves, whatever lies between them whole, no index node.
+	const rangeRows, rangeOps = 50, 400
+	rangeRead := func(i int) error {
+		lo := i * 37 % (keys - rangeRows)
+		cells, err := cl.RangePKVerified("t", "c", benchKey(lo), benchKey(lo+rangeRows))
+		if err == nil && len(cells) != rangeRows {
+			err = fmt.Errorf("readpath smoke: range read returned %d rows, want %d", len(cells), rangeRows)
+		}
+		return err
+	}
+	for i := 0; i < rangeOps/4; i++ {
+		if err := rangeRead(i); err != nil {
+			return err
+		}
+	}
+	rangeWarm := cl.Verifier().ProofStats()
+	for i := 0; i < rangeOps; i++ {
+		if err := rangeRead(i); err != nil {
+			return err
+		}
+	}
+	ranged := cl.Verifier().ProofStats()
+	rangeProofBytes := float64(ranged.ProofBytes-rangeWarm.ProofBytes) / rangeOps
+	rangeShipped := float64(ranged.NodesShipped-rangeWarm.NodesShipped) / rangeOps
+	rangeElided := float64(ranged.NodesElided-rangeWarm.NodesElided) / rangeOps
+
 	// Deferred verified reads: optimistic accept + batch audit, flush
 	// inside the timed region so the proof RTTs are paid for.
 	aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 512, MaxDelay: time.Hour})
@@ -135,13 +166,37 @@ func ReadPathSmoke(thresholdsPath string) error {
 		return err
 	}
 
+	// What an audit flush costs per read when the receipts are spread over
+	// the table, as a real horizon's are — the timed loop above walks the
+	// keys in order, so its 512-receipt flushes cover whole leaves: 16
+	// reads 61 keys apart per flush, each proven by one group of its own
+	// leaf, no index node.
+	const auditReads, auditFlushes = 16, 64
+	defWarm := cl.Verifier().ProofStats()
+	for f := 0; f < auditFlushes; f++ {
+		for i := 0; i < auditReads; i++ {
+			if _, _, err := cl.GetVerified("t", "c", benchKey((f*7+i*61)%keys)); err != nil {
+				return err
+			}
+		}
+		if err := aud.Flush(); err != nil {
+			return err
+		}
+	}
+	deferred := cl.Verifier().ProofStats()
+	defProofBytes := float64(deferred.ProofBytes-defWarm.ProofBytes) / (auditReads * auditFlushes)
+	defShipped := float64(deferred.NodesShipped-defWarm.NodesShipped) / (auditReads * auditFlushes)
+	defElided := float64(deferred.NodesElided-defWarm.NodesElided) / (auditReads * auditFlushes)
+
 	fmt.Printf("readpath smoke (%s):\n", cl.Proto())
 	fmt.Printf("  unverified: %8.0f ns/op  %5.1f allocs/op  (max %.0f ns, %.0f allocs)\n",
 		unvNs, unvAllocs, th.UnverifiedNsMax, th.UnverifiedAllocsMax)
 	fmt.Printf("  eager:      %8.0f ns/op  %5.1f allocs/op  %6.0f proof B/op, %.2f nodes shipped + %.2f elided  (max %.0f allocs, %.0f proof B)\n",
 		eagerNs, eagerAllocs, eagerProofBytes, eagerShipped, eagerElided, th.EagerAllocsMax, th.EagerProofBytesMax)
-	fmt.Printf("  deferred:   %8.0f ns/op  %5.1f allocs/op  (max %.0f ns, %.0f allocs)\n",
-		defNs, defAllocs, th.DeferredNsMax, th.DeferredAllocsMax)
+	fmt.Printf("  range:      %41.0f proof B/op, %.2f nodes shipped + %.2f elided  (max %.0f proof B)\n",
+		rangeProofBytes, rangeShipped, rangeElided, th.RangeProofBytesMax)
+	fmt.Printf("  deferred:   %8.0f ns/op  %5.1f allocs/op  %6.0f proof B/read, %.2f nodes shipped + %.2f elided at a 16-read audit flush  (max %.0f ns, %.0f allocs, %.0f proof B)\n",
+		defNs, defAllocs, defProofBytes, defShipped, defElided, th.DeferredNsMax, th.DeferredAllocsMax, th.DeferredProofBytesMax)
 
 	var fails []string
 	if unvNs > th.UnverifiedNsMax {
@@ -161,6 +216,12 @@ func ReadPathSmoke(thresholdsPath string) error {
 	}
 	if defAllocs > th.DeferredAllocsMax {
 		fails = append(fails, fmt.Sprintf("deferred %.1f allocs/op > %.0f", defAllocs, th.DeferredAllocsMax))
+	}
+	if rangeProofBytes > th.RangeProofBytesMax {
+		fails = append(fails, fmt.Sprintf("range %.0f proof bytes/op > %.0f", rangeProofBytes, th.RangeProofBytesMax))
+	}
+	if defProofBytes > th.DeferredProofBytesMax {
+		fails = append(fails, fmt.Sprintf("deferred %.0f proof bytes/op > %.0f", defProofBytes, th.DeferredProofBytesMax))
 	}
 	if len(fails) > 0 {
 		return fmt.Errorf("readpath smoke: regression past thresholds: %v", fails)

@@ -1,9 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"fmt"
 
 	"spitz/internal/cellstore"
+	"spitz/internal/hashutil"
 	"spitz/internal/mtree"
 	"spitz/internal/postree"
 )
@@ -35,6 +37,33 @@ type BatchProof struct {
 	Ranges []postree.RangeProof
 }
 
+// Answers reports whether the proof is, sub-proof by sub-proof, a proof
+// of exactly these queries: one point entry per point query carrying that
+// query's tree key, one range proof per range query carrying that query's
+// bounds, each kind in request order, nothing missing and nothing extra.
+// Clients check it before they verify, so a valid proof of some other
+// question — another key's value, a narrower range that silently omits
+// rows — is turned away without touching the verifier.
+func (p BatchProof) Answers(queries []BatchQuery) bool {
+	pi, ri := 0, 0
+	for _, q := range queries {
+		if q.Range {
+			start, end := cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi)
+			if ri >= len(p.Ranges) || !bytes.Equal(p.Ranges[ri].Start, start) || !bytes.Equal(p.Ranges[ri].End, end) {
+				return false
+			}
+			ri++
+			continue
+		}
+		if p.Points == nil || pi >= len(p.Points.Keys) ||
+			!bytes.Equal(p.Points.Keys[pi], cellstore.CellPrefix(q.Table, q.Column, q.PK)) {
+			return false
+		}
+		pi++
+	}
+	return ri == len(p.Ranges) && (p.Points == nil || pi == len(p.Points.Keys))
+}
+
 // Verify checks the batch proof against a client-saved ledger digest,
 // exactly as Proof.Verify does for a single read: the block must be part
 // of the ledger the digest commits to, and every aggregated cell proof
@@ -42,27 +71,52 @@ type BatchProof struct {
 // — a single corrupt shared node rejects the whole batch, so no covered
 // receipt can be silently accepted.
 func (p BatchProof) Verify(d Digest) error {
-	if p.Header.Height >= d.Height {
-		return ErrProofInvalid // block not covered by the digest
-	}
-	if p.Inclusion.TreeSize != int(d.Height) || p.Inclusion.Index != int(p.Header.Height) {
-		return ErrProofInvalid
-	}
-	leaf := mtree.LeafHash(p.Header.Encode())
-	if err := p.Inclusion.Verify(d.Root, leaf); err != nil {
-		return ErrProofInvalid
+	return p.VerifyPath(d, nil)
+}
+
+// VerifyPath is Verify for a client that may already hold verified index
+// nodes on the batch's search paths and scans (see Proof.VerifyPath). The
+// sub-proofs share the one path: what any of them reaches is reached.
+func (p BatchProof) VerifyPath(d Digest, path *postree.Path) error {
+	if err := verifyBlock(p.Header, p.Inclusion, d); err != nil {
+		return err
 	}
 	if p.Points != nil {
-		if err := p.Points.Verify(p.Header.CellRoot); err != nil {
+		if err := p.Points.VerifyPath(p.Header.CellRoot, path); err != nil {
 			return ErrProofInvalid
 		}
 	}
 	for i := range p.Ranges {
-		if err := p.Ranges[i].Verify(p.Header.CellRoot); err != nil {
+		if err := p.Ranges[i].VerifyPath(p.Header.CellRoot, path); err != nil {
 			return ErrProofInvalid
 		}
 	}
 	return nil
+}
+
+// Elide is Proof.Elide for a batch proof: every sub-proof loses the
+// bodies of the index nodes the client holds, every range proof its rows.
+// The receiver and the sub-proofs it points to are not modified.
+func (p BatchProof) Elide(have []hashutil.Digest) BatchProof {
+	held := postree.NewHeldSet(have)
+	n := 0
+	if p.Points != nil {
+		if bp, k := p.Points.Elide(held); k > 0 {
+			elided := bp // allocated only when there is something to replace
+			p.Points, n = &elided, k
+		}
+	}
+	if len(p.Ranges) > 0 {
+		ranges := make([]postree.RangeProof, len(p.Ranges))
+		for i := range p.Ranges {
+			var k int
+			ranges[i], k = p.Ranges[i].WithoutEntries().Elide(held)
+			n += k
+		}
+		p.Ranges = ranges
+	}
+	mProofNodesElided.Add(uint64(n))
+	return p
 }
 
 // BatchRes is everything a ProveBatch round trip returns, captured under

@@ -16,8 +16,9 @@ var (
 	mProofCacheHits  = obs.Default.Counter("spitz_proofcache_hits_total")
 	mProofCacheMiss  = obs.Default.Counter("spitz_proofcache_misses_total")
 	mProofCacheInval = obs.Default.Counter("spitz_proofcache_invalidations_total")
-	// mProofNodesElided counts index-node bodies left out of point proofs
-	// because the client already held them (Proof.Elide).
+	// mProofNodesElided counts index-node bodies left out of point, range
+	// and batch proofs because the client already held them (Proof.Elide,
+	// BatchProof.Elide).
 	mProofNodesElided = obs.Default.Counter("spitz_proof_nodes_elided_total")
 )
 

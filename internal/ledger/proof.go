@@ -41,19 +41,13 @@ func (p Proof) Verify(d Digest) error {
 }
 
 // VerifyPath is Verify for a client that may already hold verified index
-// nodes of a point proof's search path (see postree.Path; nil holds
-// nothing). The block is bound to d first, so the walk that consults the
-// held nodes starts from a CellRoot the digest commits to.
+// nodes of the point proof's search path or the range proof's scan (see
+// postree.Path; nil holds nothing). The block is bound to d first, so the
+// walk that consults the pinned nodes starts from a CellRoot the digest
+// commits to. A range proof's Entries are filled from the verified leaves.
 func (p Proof) VerifyPath(d Digest, path *postree.Path) error {
-	if p.Header.Height >= d.Height {
-		return ErrProofInvalid // block not covered by the digest
-	}
-	if p.Inclusion.TreeSize != int(d.Height) || p.Inclusion.Index != int(p.Header.Height) {
-		return ErrProofInvalid
-	}
-	leaf := mtree.LeafHash(p.Header.Encode())
-	if err := p.Inclusion.Verify(d.Root, leaf); err != nil {
-		return ErrProofInvalid
+	if err := verifyBlock(p.Header, p.Inclusion, d); err != nil {
+		return err
 	}
 	switch {
 	case p.Point != nil && p.Range == nil:
@@ -61,7 +55,7 @@ func (p Proof) VerifyPath(d Digest, path *postree.Path) error {
 			return ErrProofInvalid
 		}
 	case p.Range != nil && p.Point == nil:
-		if err := p.Range.Verify(p.Header.CellRoot); err != nil {
+		if err := p.Range.VerifyPath(p.Header.CellRoot, path); err != nil {
 			return ErrProofInvalid
 		}
 	default:
@@ -70,16 +64,38 @@ func (p Proof) VerifyPath(d Digest, path *postree.Path) error {
 	return nil
 }
 
-// Elide returns the proof without the index-node bodies of its point
-// proof that the client says it already holds (have[i] is the digest it
-// holds for depth i of the search path). The receiver is not modified —
-// it may be shared with the proof cache and so with other clients.
-func (p Proof) Elide(have []hashutil.Digest) Proof {
-	if p.Point == nil || len(have) == 0 {
-		return p
+// verifyBlock checks that the block h is part of the ledger d commits to.
+func verifyBlock(h BlockHeader, inc mtree.InclusionProof, d Digest) error {
+	if h.Height >= d.Height {
+		return ErrProofInvalid // block not covered by the digest
 	}
-	pt, n := p.Point.Elide(have)
-	p.Point = &pt
+	if inc.TreeSize != int(d.Height) || inc.Index != int(h.Height) {
+		return ErrProofInvalid
+	}
+	if err := inc.Verify(d.Root, mtree.LeafHash(h.Encode())); err != nil {
+		return ErrProofInvalid
+	}
+	return nil
+}
+
+// Elide returns the proof as it travels to a client that says it holds
+// the index nodes with digests have (none: a cold or hint-less client):
+// without the bodies of exactly those nodes, and without a range proof's
+// rows, which the client reads off the leaves it verifies. The receiver
+// is not modified — it may be shared with the proof cache and so with
+// other clients.
+func (p Proof) Elide(have []hashutil.Digest) Proof {
+	n := 0
+	switch {
+	case p.Point != nil:
+		if pt, k := p.Point.Elide(postree.NewHeldSet(have)); k > 0 {
+			elided := pt // allocated only when there is something to replace
+			p.Point, n = &elided, k
+		}
+	case p.Range != nil:
+		rp, k := p.Range.WithoutEntries().Elide(postree.NewHeldSet(have))
+		p.Range, n = &rp, k
+	}
 	mProofNodesElided.Add(uint64(n))
 	return p
 }

@@ -1,6 +1,6 @@
 // Package posleaf defines how a POS-tree leaf is committed: in fixed
-// positional groups of entries, so that a proof about one key ships one
-// group instead of the whole leaf.
+// positional groups of entries, so that a proof ships the groups that
+// decide its answer instead of the whole leaf.
 //
 //	stored := header | entries
 //	header := level u8 (0) | count uvarint | k × group digest [32]byte
@@ -130,7 +130,7 @@ func Parse(body []byte) (Leaf, error) {
 	return l, err
 }
 
-// ParsePruned splits the pruned form a point proof carries.
+// ParsePruned splits the pruned form every proof carries its leaves in.
 func ParsePruned(body []byte) (Leaf, error) {
 	l, rest, err := parseHeader(body)
 	if err != nil {
@@ -175,9 +175,9 @@ func (l Leaf) Digest() hashutil.Digest {
 // leaf's digest and how many entries are present. After it, every byte
 // that was parsed is bound to that digest; the caller compares it with
 // the digest it expected. This is the only place leaf bytes are checked:
-// a stored leaf re-read from disk, a leaf in a range proof, a batch proof
-// or a snapshot stream, and the pruned leaf of a point proof all pass
-// through it, all but the last with every group present.
+// a stored leaf re-read from disk or from a snapshot stream, with every
+// group present, and the pruned leaves of point, batch and range proofs
+// all pass through it.
 func (l Leaf) Verify() (d hashutil.Digest, present int, err error) {
 	slots := l.header[len(l.header)-groupsOf(l.Count)*hashutil.DigestSize:]
 	pos, rest := l.First, l.Entries
@@ -206,6 +206,9 @@ func (l Leaf) Verify() (d hashutil.Digest, present int, err error) {
 // Prune returns the pruned form of a stored leaf body that keeps the
 // groups holding the entries at positions lo through hi. Nothing is
 // hashed: the header is copied and the groups are sliced out of body.
+// Entries are walked only to find where the kept run starts and, unless
+// it runs to the leaf's end, where it stops — a leaf kept whole (the
+// interior of a range) is not walked at all.
 func Prune(body []byte, lo, hi int) ([]byte, error) {
 	l, err := Parse(body)
 	if err != nil || lo < 0 || hi < lo || hi >= l.Count {
@@ -218,6 +221,10 @@ func Prune(body []byte, lo, hi int) ([]byte, error) {
 	for pos := 0; pos < to; pos++ {
 		if pos == from {
 			start = len(l.Entries) - len(rest)
+			if to == l.Count {
+				rest = nil
+				break
+			}
 		}
 		if _, _, rest, err = ReadEntry(rest); err != nil {
 			return nil, err

@@ -3,18 +3,20 @@ package postree
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // BatchProof proves the presence or absence of several keys under one tree
 // root with a single shared node set: the bodies of every node on any
-// key's search path, deduplicated by content digest. N point reads at the
-// same root share the root node and every common path prefix, so the
-// proof (and its verification) costs far less than N independent
-// PointProofs — this is the multi-key aggregation Spitz's deferred
-// verification batches receipts into (one multi-proof per digest).
+// key's search path, each once. N point reads at the same root share the
+// root node and every common path prefix, so the proof (and its
+// verification) costs far less than N independent PointProofs — this is
+// the multi-key aggregation Spitz's deferred verification batches receipts
+// into (one multi-proof per digest). A leaf is cut, as in a PointProof, to
+// what decides the keys that land in it: the contiguous run of groups from
+// the first one any of them needs to the last.
 //
 // Keys[i], Values[i] and Found[i] describe the i-th proven read; Values[i]
 // is nil when Found[i] is false.
@@ -22,7 +24,9 @@ type BatchProof struct {
 	Keys   [][]byte
 	Values [][]byte
 	Found  []bool
-	Nodes  [][]byte // deduplicated bodies of every visited node
+	Nodes  [][]byte // bodies of every visited node, each once
+
+	digests []hashutil.Digest // digests[i] addresses Nodes[i]; see PointProof
 }
 
 // ProveGetBatch proves a batch of point reads in one pass, deduplicating
@@ -37,7 +41,10 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 	if t.root.IsZero() {
 		return p, nil
 	}
-	seen := make(map[hashutil.Digest]struct{}, 8)
+	// at[d] is where node d sits in p.Nodes; keep[at[d]] the entry
+	// positions a visited leaf must keep (unused for index nodes).
+	at := make(map[hashutil.Digest]int, 8)
+	var keep [][2]int
 	for ki, key := range keys {
 		d := t.root
 		for {
@@ -45,18 +52,22 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 			if err != nil {
 				return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
 			}
-			if _, ok := seen[d]; !ok {
-				seen[d] = struct{}{}
+			slot, seen := at[d]
+			if !seen {
+				slot = len(p.Nodes)
+				at[d] = slot
 				p.Nodes = append(p.Nodes, body)
+				p.digests = append(p.digests, d)
+				keep = append(keep, [2]int{len(n.entries), -1})
 			}
-			i := sort.Search(len(n.entries), func(i int) bool {
-				return bytes.Compare(n.entries[i].Key, key) >= 0
-			})
+			i := searchEntries(n.entries, key)
 			if n.level == 0 {
 				if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
 					p.Found[ki] = true
 					p.Values[ki] = n.entries[i].Value
 				}
+				lo, hi := pointSpan(n.entries, key, i)
+				keep[slot] = [2]int{min(keep[slot][0], lo), max(keep[slot][1], hi)}
 				break
 			}
 			if i == len(n.entries) {
@@ -65,21 +76,43 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 			d = childDigest(n.entries[i])
 		}
 	}
+	for slot, body := range p.Nodes {
+		if body[0] != 0 {
+			continue
+		}
+		pruned, err := posleaf.Prune(body, keep[slot][0], keep[slot][1])
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
+		}
+		p.Nodes[slot] = pruned
+	}
 	return p, nil
 }
 
-// batchNode is one decoded proof node during batch verification.
-type batchNode struct {
-	n    *node
-	used bool
+// Elide is PointProof.Elide for a batch proof.
+func (p BatchProof) Elide(have HeldSet) (BatchProof, int) {
+	nodes, n := elide(p.Nodes, p.digests, have)
+	if n > 0 {
+		p.Nodes, p.digests = nodes, nil
+	}
+	return p, n
 }
 
 // Verify checks the batch proof against a trusted root digest. On success
 // the caller may trust every (Keys[i], Values[i], Found[i]) triple as of
 // the state committed by root. Verification is all-or-nothing: a corrupt
 // shared node fails every read whose path crosses it — and because the
-// proof is rejected as a whole, every covered read is rejected.
+// proof is rejected as a whole, every covered read is rejected. Every
+// node must be shipped: it is VerifyPath with nothing pinned.
 func (p BatchProof) Verify(root hashutil.Digest) error {
+	return p.VerifyPath(root, nil)
+}
+
+// VerifyPath is Verify for a verifier that may hold some of the index
+// nodes on the keys' search paths: each key's search is rerun from the
+// root through the same resolver a PointProof uses (see
+// PointProof.VerifyPath), over one shared set of shipped bodies.
+func (p BatchProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if len(p.Values) != len(p.Keys) || len(p.Found) != len(p.Keys) {
 		return ErrProofInvalid
 	}
@@ -95,74 +128,19 @@ func (p BatchProof) Verify(root hashutil.Digest) error {
 		}
 		return nil
 	}
-	if len(p.Keys) > 0 && len(p.Nodes) == 0 {
-		return ErrProofInvalid
+	var small smallProof
+	r, err := open(p.Nodes, path, &small)
+	if err != nil {
+		return err
 	}
-	// Index the node bodies by their content digest. The digest is
-	// recomputed from the body, so a child lookup by digest transitively
-	// verifies hash linkage from the root.
-	idx := make(map[hashutil.Digest]*batchNode, len(p.Nodes))
-	for _, body := range p.Nodes {
-		n, d, err := openNode(body, false)
+	for i, key := range p.Keys {
+		value, found, err := r.get(root, key)
 		if err != nil {
-			return ErrProofInvalid
-		}
-		if _, dup := idx[d]; dup {
-			return ErrProofInvalid // duplicates would mask an unused node
-		}
-		idx[d] = &batchNode{n: n}
-	}
-	for ki, key := range p.Keys {
-		if err := p.verifyKey(root, idx, ki, key); err != nil {
 			return err
 		}
-	}
-	for _, bn := range idx {
-		if !bn.used {
-			return ErrProofInvalid // extra unvisited nodes smuggled in
+		if found != p.Found[i] || !bytes.Equal(value, p.Values[i]) {
+			return ErrProofInvalid
 		}
 	}
-	return nil
-}
-
-// verifyKey replays one key's search using only the proof's node set.
-func (p BatchProof) verifyKey(root hashutil.Digest, idx map[hashutil.Digest]*batchNode, ki int, key []byte) error {
-	want := root
-	level := -1 // unknown until the root node is decoded
-	for {
-		bn, ok := idx[want]
-		if !ok {
-			return ErrProofInvalid // path node missing from the proof
-		}
-		bn.used = true
-		n := bn.n
-		if level >= 0 && n.level != level {
-			return ErrProofInvalid // levels must strictly descend
-		}
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return bytes.Compare(n.entries[i].Key, key) >= 0
-		})
-		if n.level == 0 {
-			found := i < len(n.entries) && bytes.Equal(n.entries[i].Key, key)
-			if found != p.Found[ki] {
-				return ErrProofInvalid
-			}
-			if found && !bytes.Equal(n.entries[i].Value, p.Values[ki]) {
-				return ErrProofInvalid
-			}
-			if !found && p.Values[ki] != nil {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		if i == len(n.entries) {
-			// Absence proven by the index node: key exceeds its max key.
-			if p.Found[ki] || p.Values[ki] != nil {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		want = childDigest(n.entries[i])
-		level = n.level - 1
-	}
+	return r.finish()
 }

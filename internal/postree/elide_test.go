@@ -11,28 +11,51 @@ import (
 	"spitz/internal/posleaf"
 )
 
-// Proof elision: a verifier that already holds verified index nodes of a
-// key's search path tells the prover, which leaves their bodies out. The
-// tests below pin the two halves of the soundness argument — an elided
-// position is only ever answered from the verifier's own nodes, checked
-// against the digest the walk from the trusted root expects, and the leaf
-// is always hashed fresh — and show, forgery by forgery, that a verifier
-// which instead takes the prover's word for elided positions is fooled.
+// Proof elision: a verifier that already holds verified index nodes where
+// a read will walk tells the prover, which leaves their bodies out. The
+// tests below pin the two halves of the soundness argument — a node that
+// was left out is only ever taken from the verifier's own pinned nodes, by
+// the digest the walk from the trusted root wants, and the leaf is always
+// hashed fresh — and show, forgery by forgery, that a verifier which
+// instead takes the prover's word is fooled. This file covers the point
+// shape and the reference verifier; shapes_test.go the batch and range
+// shapes, through the same reference.
 
-// warmPath verifies a full proof for key and returns a path holding every
-// index node it shipped — the state of a verifier that has read key once.
-func warmPath(t *testing.T, tr *Tree, key []byte) *Path {
+// pin returns a fresh path holding nodes: what a verifier pins before it
+// sends one request. A Path serves one verification.
+func pin(nodes ...*Node) *Path {
+	pa := NewPath(len(nodes))
+	for _, n := range nodes {
+		pa.Pin(n)
+	}
+	return pa
+}
+
+// shippedBy runs a cold verification and returns the index nodes it
+// verified — the state of a verifier that has made that read once.
+func shippedBy(t *testing.T, verify func(*Path) error) []*Node {
+	t.Helper()
+	got := new(Path)
+	if err := verify(got); err != nil {
+		t.Fatalf("warm-up proof: %v", err)
+	}
+	return got.Shipped
+}
+
+// warmNodes are the index nodes on key's search path.
+func warmNodes(t *testing.T, tr *Tree, key []byte) []*Node {
 	t.Helper()
 	p, err := tr.ProveGet(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := new(Path)
-	if err := p.VerifyPath(tr.Root(), got); err != nil {
-		t.Fatalf("warm-up proof: %v", err)
-	}
-	return &Path{Held: got.Shipped}
+	return shippedBy(t, func(pa *Path) error { return p.VerifyPath(tr.Root(), pa) })
 }
+
+// warmPath pins them.
+func warmPath(t *testing.T, tr *Tree, key []byte) *Path { return pin(warmNodes(t, tr, key)...) }
+
+func held(pa *Path) HeldSet { return NewHeldSet(pa.Have()) }
 
 // elideTree returns a tree tall enough to have at least two index levels
 // and a key in it.
@@ -51,69 +74,174 @@ func elideTree(t *testing.T) (*Tree, []Entry, []byte) {
 	return tr, entries, key
 }
 
-// trust names what blindVerify takes the prover's word for.
+// trust names what the blind verifier takes the prover's word for.
 type trust int
 
 const (
-	// Elided positions: no held node is consulted, linkage checking simply
-	// resumes at the next shipped body, and an elided leaf's answer stands.
+	// Nodes that were left out: when the node the walk wants is neither
+	// shipped nor pinned, the next shipped body nobody has asked for yet
+	// is taken in its place ("the ones in between were elided"), and when
+	// none is left the prover's claim simply stands.
 	trustElided trust = 1 << iota
-	// The pruned leaf's header: not hashed against the pointer above it.
+	// A pruned leaf's header: not hashed against the pointer above it.
 	trustHeader
 	// The shipped groups: not hashed against their slots in the header.
 	trustGroups
 	// The first shipped group's index: not checked against the header's
 	// table (a group beyond it has no slot and so nothing to hash against).
 	trustIndex
-	// The groups that were not shipped: an absence stands without both
-	// neighbours of the gap in hand.
+	// The groups that were not shipped: a point absence stands without
+	// both neighbours of the gap in hand, and a range leaf without the
+	// entry (or leaf edge) on the far side of each end of its run.
 	trustGap
+	// Bodies the walk never asked for, a second copy of one it did
+	// included: ignored.
+	trustExtra
 )
 
-// blindVerify is the verifier this package must not be: VerifyPath with
-// the checks named in tr left out. Every forgery table below shows its
-// forgery accepted by blindVerify with exactly one check missing, and
+// blind is the verifier this package must not be: the resolver and its
+// walks with the checks named in skip left out. Every forgery table shows
+// its forgery accepted by blind with exactly one check missing, and
 // rejected by it with none missing — so the case really is caught by that
 // check — before asserting that the real verifier rejects it.
-func blindVerify(t *testing.T, p PointProof, root hashutil.Digest, tr trust) error {
-	want, known := root, true
-	for depth, body := range p.Nodes {
+type blind struct {
+	t      *testing.T
+	skip   trust
+	bodies [][]byte
+	used   []bool
+	pinned []*Node
+}
+
+func newBlind(t *testing.T, bodies [][]byte, pinned []*Node, skip trust) *blind {
+	return &blind{t: t, skip: skip, bodies: bodies, used: make([]bool, len(bodies)), pinned: pinned}
+}
+
+func (b *blind) open(i int) *node {
+	b.used[i] = true
+	body := b.bodies[i]
+	if body[0] == 0 {
+		return blindLeaf(b.t, body, b.skip)
+	}
+	n, err := decodeNode(body)
+	if err != nil {
+		return nil
+	}
+	return n
+}
+
+// node resolves want. claim is true when nothing could be resolved and
+// the prover's word is taken for the whole subtree.
+func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
+	for i, body := range b.bodies {
 		if len(body) == 0 {
-			if tr&trustElided == 0 {
-				return ErrProofInvalid
-			}
-			known = false
 			continue
 		}
-		var n *node
-		if body[0] != 0 {
-			var d hashutil.Digest
-			var err error
-			if n, d, err = openNode(body, true); err != nil || (known && d != want) {
-				return ErrProofInvalid
+		bound := hashutil.Sum(hashutil.DomainPOSIndex, body)
+		if body[0] == 0 {
+			header, _, _, ok := splitPruned(body)
+			if !ok {
+				continue
 			}
-		} else if n = blindLeaf(t, body, want, known, tr); n == nil {
+			bound = hashutil.Sum(hashutil.DomainPOSLeaf, header)
+		}
+		if bound == want {
+			return b.open(i), false
+		}
+	}
+	for _, p := range b.pinned {
+		if p.digest == want {
+			return p.n, false
+		}
+	}
+	for i, body := range b.bodies {
+		if b.used[i] || len(body) == 0 {
+			continue
+		}
+		if b.skip&trustElided != 0 || (body[0] == 0 && b.skip&trustHeader != 0) {
+			return b.open(i), false
+		}
+		return nil, false
+	}
+	return nil, b.skip&trustElided != 0
+}
+
+func (b *blind) finish() error {
+	if b.skip&trustExtra != 0 {
+		return nil
+	}
+	seen := map[string]bool{}
+	for i, body := range b.bodies {
+		if !b.used[i] || seen[string(body)] {
 			return ErrProofInvalid
 		}
-		i := searchEntries(n.entries, p.Key)
-		if n.level == 0 {
-			found := i < len(n.entries) && bytes.Equal(n.entries[i].Key, p.Key)
-			if depth != len(p.Nodes)-1 || found != p.Found ||
-				(found && !bytes.Equal(n.entries[i].Value, p.Value)) ||
-				(!found && tr&trustGap == 0 && !n.bracketsGap(i)) {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		if i == len(n.entries) {
-			if p.Found || depth != len(p.Nodes)-1 {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		want, known = childDigest(n.entries[i]), true
+		seen[string(body)] = true
 	}
 	return nil
+}
+
+func (b *blind) get(root hashutil.Digest, key []byte) (value []byte, found, claim bool, err error) {
+	want := root
+	for {
+		n, claim := b.node(want)
+		if claim {
+			return nil, false, true, nil
+		}
+		if n == nil {
+			return nil, false, false, ErrProofInvalid
+		}
+		i := searchEntries(n.entries, key)
+		if n.level == 0 {
+			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
+				return n.entries[i].Value, true, false, nil
+			}
+			if b.skip&trustGap == 0 && !n.brackets(i, i) {
+				return nil, false, false, ErrProofInvalid
+			}
+			return nil, false, false, nil
+		}
+		if i == len(n.entries) {
+			return nil, false, false, nil
+		}
+		want = childDigest(n.entries[i])
+	}
+}
+
+func (b *blind) scan(want hashutil.Digest, start, end []byte, out *[]Entry) error {
+	n, claim := b.node(want)
+	if claim {
+		return nil
+	}
+	if n == nil {
+		return ErrProofInvalid
+	}
+	if n.level == 0 {
+		lo, hi := leafSpan(n.entries, start, end)
+		if b.skip&trustGap == 0 && !n.brackets(lo, hi) {
+			return ErrProofInvalid
+		}
+		*out = append(*out, n.entries[lo:hi]...)
+		return nil
+	}
+	from, to := childSpan(n.entries, start, end)
+	for _, e := range n.entries[from:to] {
+		if err := b.scan(childDigest(e), start, end, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blindVerify is blind for a point proof.
+func blindVerify(t *testing.T, p PointProof, root hashutil.Digest, pinned []*Node, skip trust) error {
+	b := newBlind(t, p.Nodes, pinned, skip)
+	value, found, claim, err := b.get(root, p.Key)
+	if err != nil {
+		return err
+	}
+	if !claim && (found != p.Found || !bytes.Equal(value, p.Value)) {
+		return ErrProofInvalid
+	}
+	return b.finish()
 }
 
 // groupLen reads the number of entries per leaf group off a pruned leaf
@@ -125,7 +253,7 @@ func groupLen(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := openNode(pruned, true)
+	n, _, err := openNode(pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +282,11 @@ func joinPruned(header []byte, first int, entries []byte) []byte {
 }
 
 // blindLeaf decodes a pruned leaf with the checks in tr left out; nil
-// means rejected.
-func blindLeaf(t *testing.T, body []byte, want hashutil.Digest, known bool, tr trust) *node {
+// means rejected. (Whether the header is the one the walk wanted is the
+// caller's business.)
+func blindLeaf(t *testing.T, body []byte, tr trust) *node {
 	header, first, rest, ok := splitPruned(body)
 	if !ok {
-		return nil
-	}
-	if known && tr&trustHeader == 0 && hashutil.Sum(hashutil.DomainPOSLeaf, header) != want {
 		return nil
 	}
 	g := groupLen(t)
@@ -205,28 +331,33 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := warmPath(t, tr, key)
-	if len(path.Held) != len(full.Nodes)-1 {
-		t.Fatalf("warm path holds %d nodes of a %d-node proof", len(path.Held), len(full.Nodes))
+	warm := warmNodes(t, tr, key)
+	if len(warm) != len(full.Nodes)-1 {
+		t.Fatalf("warm verifier holds %d nodes of a %d-node proof", len(warm), len(full.Nodes))
 	}
 
 	// No hint: nothing elided, the very same node list.
-	same, n := full.Elide(nil)
+	same, n := full.Elide(HeldSet{})
 	if n != 0 || &same.Nodes[0] != &full.Nodes[0] {
 		t.Fatalf("hint-less Elide changed the proof (%d elided)", n)
 	}
 
-	// A hint that also names the leaf's digest at the leaf's depth: the
-	// leaf must be shipped regardless.
-	have := append(path.Have(), full.digests[len(full.digests)-1])
-	elided, n := full.Elide(have)
+	// A hint that also names the leaf's digest, in any order: the leaf
+	// must be shipped regardless, and nothing but the leaf.
+	path := pin(warm...)
+	have := append([]hashutil.Digest{full.digests[len(full.digests)-1]}, path.Have()...)
+	for i, j := 1, len(have)-1; i < j; i, j = i+1, j-1 {
+		have[i], have[j] = have[j], have[i]
+	}
+	elided, n := full.Elide(NewHeldSet(have))
 	if n != len(full.Nodes)-1 {
 		t.Fatalf("elided %d nodes, want every index node (%d)", n, len(full.Nodes)-1)
 	}
-	for i, body := range elided.Nodes {
-		if leaf := i == len(elided.Nodes)-1; (len(body) == 0) == leaf {
-			t.Fatalf("node %d: elided=%v, leaf=%v", i, len(body) == 0, leaf)
-		}
+	if len(elided.Nodes) != 1 || elided.Nodes[0][0] != 0 {
+		t.Fatalf("a fully hinted proof ships %d nodes, want the leaf alone", len(elided.Nodes))
+	}
+	if len(full.Nodes) != n+1 {
+		t.Fatal("Elide shortened the proof it was called on")
 	}
 	for i, body := range full.Nodes {
 		if len(body) == 0 {
@@ -236,23 +367,24 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	if err := elided.VerifyPath(tr.Root(), path); err != nil {
 		t.Fatalf("elided proof against the warm path: %v", err)
 	}
-	if len(path.Shipped) != 0 {
-		t.Fatalf("fully elided proof reported %d shipped index nodes", len(path.Shipped))
+	if len(path.Shipped) != 0 || path.Elided() != n || len(path.Superseded()) != 0 {
+		t.Fatalf("fully elided proof: %d shipped, %d elided, %d superseded",
+			len(path.Shipped), path.Elided(), len(path.Superseded()))
 	}
-	// Without the held nodes the same bytes prove nothing.
+	// Without the pinned nodes the same bytes prove nothing.
 	if err := elided.Verify(tr.Root()); err == nil {
-		t.Fatal("elided proof verified with nothing held")
+		t.Fatal("elided proof verified with nothing pinned")
 	}
-	if err := elided.VerifyPath(tr.Root(), &Path{}); err == nil {
+	if err := elided.VerifyPath(tr.Root(), new(Path)); err == nil {
 		t.Fatal("elided proof verified against an empty path")
 	}
 
 	// A partial hint (root only) elides only the root.
-	partial, n := full.Elide(path.Have()[:1])
-	if n != 1 || len(partial.Nodes[0]) != 0 || len(partial.Nodes[1]) == 0 {
+	partial, n := full.Elide(NewHeldSet(path.Have()[:1]))
+	if n != 1 || len(partial.Nodes) != len(full.Nodes)-1 || !bytes.Equal(partial.Nodes[0], full.Nodes[1]) {
 		t.Fatalf("root-only hint elided %d nodes", n)
 	}
-	got := &Path{Held: path.Held[:1]}
+	got := pin(warm[0])
 	if err := partial.VerifyPath(tr.Root(), got); err != nil {
 		t.Fatalf("partially elided proof: %v", err)
 	}
@@ -270,8 +402,18 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	for i := range wrong {
 		wrong[i] = hashutil.Sum(hashutil.DomainValue, []byte{byte(i)})
 	}
-	if _, n := full.Elide(wrong); n != 0 {
+	if _, n := full.Elide(NewHeldSet(wrong)); n != 0 {
 		t.Fatalf("elided %d nodes against digests the proof does not contain", n)
+	}
+
+	// The bodies are a set: their order carries no meaning.
+	shuffled := full
+	shuffled.Nodes = append([][]byte(nil), full.Nodes...)
+	for i, j := 0, len(shuffled.Nodes)-1; i < j; i, j = i+1, j-1 {
+		shuffled.Nodes[i], shuffled.Nodes[j] = shuffled.Nodes[j], shuffled.Nodes[i]
+	}
+	if err := shuffled.Verify(tr.Root()); err != nil {
+		t.Fatalf("proof with its nodes reversed: %v", err)
 	}
 }
 
@@ -286,7 +428,7 @@ func TestElidedAbsenceProof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elided, n := full.Elide(path.Have())
+		elided, n := full.Elide(held(path))
 		if n == 0 {
 			t.Fatalf("absence proof for %q: nothing elided", k)
 		}
@@ -299,35 +441,58 @@ func TestElidedAbsenceProof(t *testing.T) {
 	}
 }
 
-// forgeLeaf rewrites the proof's last two nodes so that the leaf carries
-// value for p.Key and its parent points at the rewritten leaf — what a
-// lying server would ship below a position it hopes is not checked.
-func forgeLeaf(t *testing.T, tr *Tree, p PointProof, value []byte) PointProof {
+// forgePath rewrites the last two nodes of a path-shaped node list (root
+// first, leaf last; digests address them) so that the leaf carries value
+// for key and its parent points at the rewritten leaf — what a lying
+// server would ship below a node it hopes is not checked.
+func forgePath(t *testing.T, tr *Tree, nodes [][]byte, digests []hashutil.Digest, key, value []byte) [][]byte {
 	t.Helper()
-	last := len(p.Nodes) - 1
-	_, leaf, err := tr.loadProofNode(p.digests[last])
+	last := len(nodes) - 1
+	_, leaf, err := tr.loadProofNode(digests[last])
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := decodeNode(p.Nodes[last-1])
+	parent, err := decodeNode(nodes[last-1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	forgedLeaf := &node{level: 0, entries: append([]Entry(nil), leaf.entries...)}
-	at := searchEntries(leaf.entries, p.Key)
+	at := searchEntries(leaf.entries, key)
 	forgedLeaf.entries[at].Value = value
 	leafBody := forgedLeaf.encode()
 	forgedParent := &node{level: parent.level, entries: append([]Entry(nil), parent.entries...)}
-	i := searchEntries(parent.entries, p.Key)
+	i := searchEntries(parent.entries, key)
 	forgedParent.entries[i] = makeIndexEntry(parent.entries[i].Key,
 		cas.Address(hashutil.DomainPOSLeaf, leafBody), childCount(parent.entries[i]))
-	p.Nodes = append([][]byte(nil), p.Nodes...)
-	p.Nodes[last-1] = forgedParent.encode()
-	if p.Nodes[last], err = posleaf.Prune(leafBody, at, at); err != nil {
+	nodes = append([][]byte(nil), nodes...)
+	nodes[last-1] = forgedParent.encode()
+	if nodes[last], err = posleaf.Prune(leafBody, at, at); err != nil {
 		t.Fatal(err)
 	}
+	return nodes
+}
+
+// forgeLeaf is forgePath for a point proof.
+func forgeLeaf(t *testing.T, tr *Tree, p PointProof, value []byte) PointProof {
+	t.Helper()
+	p.Nodes = forgePath(t, tr, p.Nodes, p.digests, p.Key, value)
 	p.Value = value
 	return p
+}
+
+// without returns nodes with the given positions left out.
+func without(nodes [][]byte, positions ...int) [][]byte {
+	var out [][]byte
+	for i, body := range nodes {
+		drop := false
+		for _, p := range positions {
+			drop = drop || p == i
+		}
+		if !drop {
+			out = append(out, body)
+		}
+	}
+	return out
 }
 
 func TestElisionStructuredForgeries(t *testing.T) {
@@ -367,43 +532,42 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	empty := func(p PointProof, positions ...int) PointProof {
-		p.Nodes = append([][]byte(nil), p.Nodes...)
-		for _, i := range positions {
-			p.Nodes[i] = nil
-		}
+	drop := func(p PointProof, positions ...int) PointProof {
+		p.Nodes = without(p.Nodes, positions...)
 		return p
 	}
 	index := make([]int, height-1) // every index position
 	for i := range index {
 		index[i] = i
 	}
+	cold := func() []*Node { return nil }
+	warm := func() []*Node { return warmNodes(t, tr, key) }
 
 	cases := []struct {
-		name  string
-		root  hashutil.Digest
-		held  func() *Path
-		proof func() PointProof
+		name   string
+		root   hashutil.Digest
+		pinned func() []*Node
+		proof  func() PointProof
 	}{
 		{
-			// The client is cold and hinted nothing; the server elides the
-			// top of the path anyway and ships a forged subtree below the
-			// gap.
-			name: "elides a node the client did not hint",
-			root: tr.Root(),
-			held: func() *Path { return new(Path) },
+			// The client is cold and hinted nothing; the server leaves the
+			// top of the path out anyway and ships a forged subtree below
+			// the gap.
+			name:   "elides a node the client did not hint",
+			root:   tr.Root(),
+			pinned: cold,
 			proof: func() PointProof {
-				return empty(forgeLeaf(t, tr, full, forged), index[:height-2]...)
+				return drop(forgeLeaf(t, tr, full, forged), index[:height-2]...)
 			},
 		},
 		{
-			// Everything is elided, the leaf included: the answer is the
+			// Everything is left out, the leaf included: the answer is the
 			// server's bare claim.
-			name: "elides the leaf",
-			root: tr.Root(),
-			held: func() *Path { return warmPath(t, tr, key) },
+			name:   "elides the leaf",
+			root:   tr.Root(),
+			pinned: warm,
 			proof: func() PointProof {
-				p := empty(full, append(index, height-1)...)
+				p := drop(full, append(index, height-1)...)
 				p.Value = forged
 				return p
 			},
@@ -411,13 +575,14 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		{
 			// After a commit the true path is all new nodes. The server
 			// ships the new root honestly but claims the levels below are
-			// still the ones the client holds, then serves the old leaf:
-			// a stale value dressed as current.
-			name: "elides at the wrong depth",
-			root: next.Root(),
-			held: func() *Path { return warmPath(t, tr, key) },
+			// still ones the client holds, then serves the old leaf: a
+			// stale value dressed as current. The client does hold nodes —
+			// the old path — just not the ones the new root routes to.
+			name:   "elides a hinted node and routes through a different pinned node",
+			root:   next.Root(),
+			pinned: warm,
 			proof: func() PointProof {
-				p := empty(full, index[1:]...)
+				p := drop(full, index[1:]...)
 				p.Nodes[0] = fresh.Nodes[0]
 				return p
 			},
@@ -425,11 +590,11 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		{
 			// The hints were for key; the server answers with another
 			// key's leaf, in which key is (truthfully) absent.
-			name: "answers hints for key A with a path for key B",
-			root: tr.Root(),
-			held: func() *Path { return warmPath(t, tr, key) },
+			name:   "answers hints for key A with a path for key B",
+			root:   tr.Root(),
+			pinned: warm,
 			proof: func() PointProof {
-				p := empty(otherProof, index...)
+				p := drop(otherProof, index...)
 				p.Key, p.Value, p.Found = key, nil, false
 				// That leaf pruned as for an honest search for key: the
 				// gap key would sit in, both sides in hand.
@@ -438,7 +603,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 					t.Fatal(err)
 				}
 				i := searchEntries(n.entries, key)
-				if p.Nodes[height-1], err = posleaf.Prune(body, max(i-1, 0), min(i, len(n.entries)-1)); err != nil {
+				if p.Nodes[0], err = posleaf.Prune(body, max(i-1, 0), min(i, len(n.entries)-1)); err != nil {
 					t.Fatal(err)
 				}
 				return p
@@ -448,13 +613,13 @@ func TestElisionStructuredForgeries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.proof()
-			if err := blindVerify(t, p, tc.root, trustElided); err != nil {
+			if err := blindVerify(t, p, tc.root, tc.pinned(), trustElided); err != nil {
 				t.Fatalf("forgery does not even fool a blind verifier (%v): the case proves nothing", err)
 			}
-			if err := blindVerify(t, p, tc.root, 0); err == nil {
+			if err := blindVerify(t, p, tc.root, tc.pinned(), 0); err == nil {
 				t.Fatal("forgery passes the reference verifier with no check left out")
 			}
-			if err := p.VerifyPath(tc.root, tc.held()); err == nil {
+			if err := p.VerifyPath(tc.root, pin(tc.pinned()...)); err == nil {
 				t.Fatal("forged elided proof verified")
 			}
 		})
@@ -520,8 +685,8 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := warmPath(t, tr, key)
-	elided, _ := full.Elide(path.Have())
+	warm := warmNodes(t, tr, key)
+	elided, _ := full.Elide(held(pin(warm...)))
 	leaf := len(elided.Nodes) - 1
 	fields := []struct {
 		name string
@@ -538,15 +703,18 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 			field := f.get(&q)
 			*field = append([]byte(nil), *field...)
 			(*field)[off] ^= 0x01
-			if err := q.VerifyPath(tr.Root(), path); err == nil {
+			if err := q.VerifyPath(tr.Root(), pin(warm...)); err == nil {
 				t.Fatalf("%s byte %d flipped: elided proof still verified", f.name, off)
 			}
 		}
 	}
 	q := elided
 	q.Found = false
-	if err := q.VerifyPath(tr.Root(), path); err == nil {
+	if err := q.VerifyPath(tr.Root(), pin(warm...)); err == nil {
 		t.Fatal("forged absence verified on an elided proof")
+	}
+	if err := elided.VerifyPath(tr.Root(), pin(warm...)); err != nil {
+		t.Fatalf("the proof the sweep started from: %v", err)
 	}
 }
 
@@ -555,8 +723,9 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 // without any invalidation.
 func TestHintsAcrossCommits(t *testing.T) {
 	tr, entries, key := elideTree(t)
-	path := warmPath(t, tr, key)
-	height := len(path.Held) + 1
+	warm := warmNodes(t, tr, key)
+	have := held(pin(warm...))
+	height := len(warm) + 1
 
 	check := func(name string, next *Tree, wantElided func(n int) bool, wantValue []byte) {
 		t.Helper()
@@ -564,22 +733,27 @@ func TestHintsAcrossCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elided, n := full.Elide(path.Have())
+		elided, n := full.Elide(have)
 		if !wantElided(n) {
 			t.Fatalf("%s: %d of %d nodes elided", name, n, len(full.Nodes))
 		}
-		got := &Path{Held: path.Held}
+		got := pin(warm...)
 		if err := elided.VerifyPath(next.Root(), got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !elided.Found || !bytes.Equal(elided.Value, wantValue) {
 			t.Fatalf("%s: proved %q", name, elided.Value)
 		}
-		if len(got.Shipped)+n+1 != len(full.Nodes) {
-			t.Fatalf("%s: %d shipped + %d elided + leaf != %d nodes", name, len(got.Shipped), n, len(full.Nodes))
+		if len(got.Shipped)+n+1 != len(full.Nodes) || got.Elided() != n {
+			t.Fatalf("%s: %d shipped + %d elided (%d resolved from pins) + leaf != %d nodes",
+				name, len(got.Shipped), n, got.Elided(), len(full.Nodes))
+		}
+		// What the walk never reached is what the write replaced.
+		if len(got.Superseded()) != len(warm)-n {
+			t.Fatalf("%s: %d of %d pinned nodes superseded, %d elided", name, len(got.Superseded()), len(warm), n)
 		}
 		// Against the state the hints came from, the new proof is stale.
-		if err := elided.VerifyPath(tr.Root(), &Path{Held: path.Held}); err == nil && next.Root() != tr.Root() {
+		if err := elided.VerifyPath(tr.Root(), pin(warm...)); err == nil && next.Root() != tr.Root() {
 			t.Fatalf("%s: proof of the new state verified against the old root", name)
 		}
 	}
@@ -592,8 +766,8 @@ func TestHintsAcrossCommits(t *testing.T) {
 	// on key's path.
 	far := entries[len(entries)-1].Key
 	sameChild := func(k []byte) bool {
-		a, _ := path.Held[0].Child(key)
-		b, _ := path.Held[0].Child(k)
+		a, _ := warm[0].Child(key)
+		b, _ := warm[0].Child(k)
 		return a == b
 	}
 	if sameChild(far) {
@@ -615,8 +789,9 @@ func TestHintsAcrossCommits(t *testing.T) {
 	}
 	check("same leaf", same, func(n int) bool { return n == 0 }, []byte("rewritten"))
 
-	// Grow the tree until it gains a level: every depth shifts, so hints
-	// taken by depth under the old root simply stop matching.
+	// Grow the tree until it gains a level: every depth shifts, which a
+	// set of digests does not care about — a node that survived is elided
+	// wherever it now sits, and the read is correct either way.
 	grown := tr
 	for i := 0; grown.level == tr.level; i++ {
 		edits := make([]Edit, 20000)
@@ -630,7 +805,7 @@ func TestHintsAcrossCommits(t *testing.T) {
 			t.Fatal("tree did not gain a level")
 		}
 	}
-	check("root split", grown, func(n int) bool { return n < height-1 }, honest)
+	check("root split", grown, func(n int) bool { return n <= height-1 }, honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -692,7 +867,7 @@ func TestPointProofShipsOneGroup(t *testing.T) {
 		if len(last) >= len(body) {
 			t.Fatalf("%q: leaf slot is %d bytes, the stored leaf %d", key, len(last), len(body))
 		}
-		n, d, err := openNode(last, true)
+		n, d, err := openNode(last)
 		if err != nil || d != p.digests[len(p.digests)-1] {
 			t.Fatalf("%q: pruned leaf does not open to the leaf's digest: %v", key, err)
 		}
@@ -734,7 +909,7 @@ func TestPointProofShipsOneGroup(t *testing.T) {
 	if err := p.Verify(small.Root()); err != nil {
 		t.Fatal(err)
 	}
-	if n, _, _ := openNode(p.Nodes[0], true); n.first != g || len(n.entries) != 2 {
+	if n, _, _ := openNode(p.Nodes[0]); n.first != g || len(n.entries) != 2 {
 		t.Fatalf("miss above a root leaf shipped entries [%d,%d)", n.first, n.first+len(n.entries))
 	}
 }
@@ -845,23 +1020,23 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 			present(joinPruned(header, 1, forgedGroup))},
 	}
 	for _, honest := range []PointProof{hit, miss} {
-		if err := blindVerify(t, honest, tr.Root(), 0); err != nil {
+		if err := blindVerify(t, honest, tr.Root(), nil, 0); err != nil {
 			t.Fatalf("the reference verifier rejects an honest proof: %v", err)
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := blindVerify(t, tc.proof, tr.Root(), tc.skips); err != nil {
+			if err := blindVerify(t, tc.proof, tr.Root(), nil, tc.skips); err != nil {
 				t.Fatalf("forgery does not even fool a verifier that skips the check (%v): the case proves nothing", err)
 			}
-			if err := blindVerify(t, tc.proof, tr.Root(), 0); err == nil {
+			if err := blindVerify(t, tc.proof, tr.Root(), nil, 0); err == nil {
 				t.Fatal("forgery passes the reference verifier with no check left out")
 			}
 			if err := tc.proof.Verify(tr.Root()); err == nil {
 				t.Fatal("forged pruned leaf verified")
 			}
 			path := warmPath(t, tr, tc.proof.Key)
-			elided, n := tc.proof.Elide(path.Have())
+			elided, n := tc.proof.Elide(held(path))
 			if n != len(hit.Nodes)-1 {
 				t.Fatalf("elided %d index nodes of %d", n, len(hit.Nodes)-1)
 			}

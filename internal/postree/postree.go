@@ -44,9 +44,15 @@ const (
 	// maxStrata bounds tree height (fanout 32 ⇒ 32^16 entries, far beyond
 	// anything addressable).
 	maxStrata = 16
-	// MaxHeight is maxStrata for decoders outside the package: no search
-	// path, and so no list of held-node digests, is longer.
+	// MaxHeight is maxStrata for code outside the package: no search path
+	// is longer.
 	MaxHeight = maxStrata
+	// MaxHave bounds the hint of one read — the digests of the nodes its
+	// verifier pinned, Path.Have — for the client that builds it and the
+	// decoder that receives it alike: a thousand digests name more index
+	// nodes than a batch of a few hundred keys walks through, and cost a
+	// request 32 KiB.
+	MaxHave = 1024
 )
 
 // Entry is a key/value pair stored in the tree. Keys are unique.
@@ -139,9 +145,9 @@ func (t *Tree) Store() cas.Store { return t.store }
 // is the largest key in the child subtree and whose Value is the 32-byte
 // child digest followed by the 8-byte big-endian subtree entry count.
 //
-// A leaf decoded from the pruned form a point proof carries holds only
-// the entries of the groups that were shipped: first is the position in
-// the leaf of entries[0] and count the leaf's true entry count (0 and
+// A leaf decoded from the pruned form a proof carries holds only the
+// entries of the groups that were shipped: first is the position in the
+// leaf of entries[0] and count the leaf's true entry count (0 and
 // len(entries) for a leaf decoded whole; neither is set on other nodes).
 type node struct {
 	level   int
@@ -256,10 +262,9 @@ func decodeLeaf(l posleaf.Leaf, present int) (*node, error) {
 // it expected: an index node hashes whole under the index domain; a leaf
 // is its header's hash, after every group present has been hashed against
 // its slot in that header (posleaf.Leaf.Verify — the same check a stored
-// leaf gets when it is read back from disk). pruned selects the leaf form
-// a point proof carries, where only some groups are present; range and
-// batch proofs carry stored bodies, all groups present.
-func openNode(body []byte, pruned bool) (*node, hashutil.Digest, error) {
+// leaf gets when it is read back from disk). Proofs of every shape carry
+// leaves in the pruned form, where only some groups need be present.
+func openNode(body []byte) (*node, hashutil.Digest, error) {
 	if len(body) == 0 || body[0] != 0 {
 		n, err := decodeNode(body)
 		if err != nil {
@@ -267,11 +272,7 @@ func openNode(body []byte, pruned bool) (*node, hashutil.Digest, error) {
 		}
 		return n, hashutil.Sum(hashutil.DomainPOSIndex, body), nil
 	}
-	parse := posleaf.Parse
-	if pruned {
-		parse = posleaf.ParsePruned
-	}
-	l, err := parse(body)
+	l, err := posleaf.ParsePruned(body)
 	if err != nil {
 		return nil, hashutil.Digest{}, err
 	}

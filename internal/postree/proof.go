@@ -19,9 +19,9 @@ var (
 
 // PointProof proves the presence (Value != nil treated together with Found)
 // or absence of Key under a tree root. It consists of the serialized bodies
-// of the index nodes on the root-to-leaf search path and, last, the leaf
-// pruned to the group of entries that decides the answer (see ProveGet);
-// the verifier re-hashes each body, checks parent/child digest linkage and
+// of the index nodes on the root-to-leaf search path and the leaf, pruned
+// to the group of entries that decides the answer (see ProveGet); the
+// verifier re-hashes each body, follows child digests from the root and
 // reruns the search.
 //
 // This is Spitz's "unified index" property in code: the proof is assembled
@@ -29,13 +29,14 @@ var (
 // extra traversal (contrast with the baseline in internal/baseline, which
 // performs an independent journal lookup per record).
 //
-// A position of Nodes may be elided (empty) when the verifier said it
-// already holds that node: see Path and Elide. The leaf is never elided.
+// Nodes is a set: the verifier finds each node it wants by the digest the
+// body hashes to, so the bodies of index nodes the verifier said it holds
+// are simply left out (see Path and Elide). The leaf is never left out.
 type PointProof struct {
 	Key   []byte
 	Value []byte // the proven value; nil when Found is false
 	Found bool
-	Nodes [][]byte // node bodies, root first; an empty body is an elided index node
+	Nodes [][]byte // node bodies; ProveGet lists them root first
 
 	// digests[i] is the content address ProveGet loaded Nodes[i] from. It
 	// never crosses the wire; Elide compares it with what a client says
@@ -75,10 +76,7 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 				p.Found = true
 				p.Value = n.entries[i].Value
 			}
-			p.keepLo, p.keepHi = i, i
-			if !p.Found {
-				p.keepLo, p.keepHi = max(i-1, 0), min(i, len(n.entries)-1)
-			}
+			p.keepLo, p.keepHi = pointSpan(n.entries, key, i)
 			if body, err = posleaf.Prune(body, p.keepLo, p.keepHi); err != nil {
 				return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 			}
@@ -91,6 +89,16 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 		}
 		d = childDigest(n.entries[i])
 	}
+}
+
+// pointSpan returns the entry positions of a leaf that decide a search for
+// key that ended at position i: the entry itself for a hit, both sides of
+// the gap (as far as the leaf has them) for a miss.
+func pointSpan(entries []Entry, key []byte, i int) (lo, hi int) {
+	if i < len(entries) && bytes.Equal(entries[i].Key, key) {
+		return i, i
+	}
+	return max(i-1, 0), min(i, len(entries)-1)
 }
 
 // WithoutLeaf returns p with its leaf slot emptied, for a cache that
@@ -124,32 +132,118 @@ func (t *Tree) WithLeaf(p PointProof) (PointProof, error) {
 	return p, nil
 }
 
-// Elide returns a copy of p without the bodies of the index nodes the
-// client already holds: position i is emptied when have[i] is the digest
-// of Nodes[i]. The leaf is always shipped — it carries the answer and is
-// what the verifier hashes fresh on every read. p itself (which the
-// ledger's proof cache may share between clients) is not modified; the
-// second result is the number of nodes elided.
-func (p PointProof) Elide(have []hashutil.Digest) (PointProof, int) {
-	elided := 0
-	for i := 0; i < len(have) && i < len(p.digests); i++ {
-		body := p.Nodes[i]
-		if have[i] != p.digests[i] || len(body) == 0 || body[0] == 0 {
-			continue // not held, or a leaf (level byte 0)
+// ---------------------------------------------------------------------------
+// Elision: what the verifier holds is not shipped
+
+// scanLimit is the size up to which a set of digests is searched by
+// scanning it; larger sets are indexed by a map. A point read's path is
+// the small case and never allocates one.
+const scanLimit = 8
+
+// digestSet is a list of distinct node digests that can be asked where a
+// digest sits in it. It is the one lookup structure of proof elision: the
+// hint a server elides against, the nodes a verifier pinned and the
+// bodies a proof shipped are each one of these (the latter two beside a
+// parallel slice of what the digest names).
+type digestSet struct {
+	list  []hashutil.Digest
+	index map[hashutil.Digest]int // position in list, kept once past scanLimit
+}
+
+// find returns d's position, or -1.
+func (s digestSet) find(d hashutil.Digest) int {
+	if s.index != nil {
+		if i, ok := s.index[d]; ok {
+			return i
 		}
-		if elided == 0 {
-			p.Nodes = append([][]byte(nil), p.Nodes...)
-		}
-		p.Nodes[i] = nil
-		elided++
+		return -1
 	}
-	return p, elided
+	for i := range s.list {
+		if s.list[i] == d {
+			return i
+		}
+	}
+	return -1
+}
+
+// add returns the set with d, which must not be in it, appended.
+func (s digestSet) add(d hashutil.Digest) digestSet {
+	s.list = append(s.list, d)
+	if s.index != nil {
+		s.index[d] = len(s.list) - 1
+	} else if len(s.list) > scanLimit {
+		s.index = make(map[hashutil.Digest]int, 4*len(s.list))
+		for i, d := range s.list {
+			s.index[d] = i
+		}
+	}
+	return s
+}
+
+// HeldSet is the set of node digests a verifier says it already holds —
+// the hint a proof is elided against. The zero HeldSet is empty.
+type HeldSet struct{ set digestSet }
+
+// NewHeldSet builds the set from a hint as it arrived; ds is not copied
+// (a digest repeated in it is harmless).
+func NewHeldSet(ds []hashutil.Digest) HeldSet {
+	h := HeldSet{digestSet{list: ds}}
+	if len(ds) > scanLimit {
+		h.set.index = make(map[hashutil.Digest]int, len(ds))
+		for i, d := range ds {
+			h.set.index[d] = i
+		}
+	}
+	return h
+}
+
+// elide is the one elision rule, for every proof shape: a node's body is
+// left out iff it is an index node whose digest the verifier said it
+// holds. Leaves always ship — they carry the answer and are what the
+// verifier hashes fresh on every read. digests[i] must be the digest of
+// nodes[i] (a proof that was decoded rather than built has none and is
+// returned as it is); nodes itself is not modified.
+func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) ([][]byte, int) {
+	if len(have.set.list) == 0 || len(digests) != len(nodes) {
+		return nodes, 0
+	}
+	var out [][]byte
+	elided := 0
+	for i, body := range nodes {
+		if len(body) > 0 && body[0] != 0 && have.set.find(digests[i]) >= 0 {
+			if elided == 0 {
+				out = append(make([][]byte, 0, len(nodes)-1), nodes[:i]...)
+			}
+			elided++
+		} else if elided > 0 {
+			out = append(out, body)
+		}
+	}
+	if elided == 0 {
+		return nodes, 0
+	}
+	return out, elided
+}
+
+// Elide returns a copy of p without the bodies of the index nodes the
+// client already holds. p itself (which the ledger's proof cache may share
+// between clients) is not modified; the second result is the number of
+// nodes elided.
+func (p PointProof) Elide(have HeldSet) (PointProof, int) {
+	nodes, n := elide(p.Nodes, p.digests, have)
+	if n > 0 {
+		p.Nodes, p.digests = nodes, nil
+	}
+	return p, n
 }
 
 // Node is a decoded index node that a verifier has hashed to its digest
-// under the index-node domain. Only VerifyPath mints Nodes, so holding
-// one means its routing entries are authentic for that digest — which is
-// what lets a client cache them by digest and skip re-fetching them.
+// under the index-node domain. Only proof verification mints Nodes, so
+// holding one means its routing entries are authentic for that digest —
+// which is what lets a client cache them by digest and skip re-fetching
+// them. A digest can only ever name the one node that hashes to it under
+// that domain, whatever tree, height or position it was met at: that is
+// why a set of digests is as safe a hint as a list of positions.
 type Node struct {
 	digest hashutil.Digest
 	n      *node
@@ -179,33 +273,107 @@ func (n *Node) Child(key []byte) (d hashutil.Digest, ok bool) {
 	return childDigest(n.n.entries[i]), true
 }
 
-// Path is the verifier's side of one point read. Held are the verified
-// index nodes it already has along the key's search path, root first,
-// pinned when the request was built so that a cache eviction cannot race
-// the response; their digests are what it tells the server it holds.
-// VerifyPath fills Shipped with the index nodes that arrived as bodies
-// and hashed to the digest the walk expected, and Superseded with the
-// held nodes a different body arrived in place of — the tree under this
-// root has another node at that point of the key's path, so nothing
-// reaches the held one any more. When VerifyPath returns an error the
-// proof is rejected as a whole and both must be discarded.
-type Path struct {
-	Held       []*Node
-	Shipped    []*Node
-	Superseded []*Node
+// Children calls fn with the digest of every child subtree a scan of
+// [start, end) descends into, in key order (a nil end is unbounded).
+func (n *Node) Children(start, end []byte, fn func(hashutil.Digest)) {
+	from, to := childSpan(n.n.entries, start, end)
+	for _, e := range n.n.entries[from:to] {
+		fn(childDigest(e))
+	}
 }
 
-// Have returns the digests of the held nodes, the hint a server elides
-// against (nil when nothing is held).
+// Path is the verifier's side of one read of any shape: the verified
+// index nodes it pinned before sending the request — so that a cache
+// eviction cannot race the response — whose digests are what it tells the
+// server it holds. It is a set keyed by digest: a point read pins the
+// handful of nodes on one search path (scanned, never indexed), a batch
+// or range read the nodes on all of them.
+//
+// Verification marks the pinned nodes the walk from the trusted root
+// reached and fills Shipped with the index nodes that arrived as bodies
+// and hashed to a digest the walk wanted. A pinned node the walk never
+// reached is superseded: under this root the paths it was pinned for run
+// through other nodes. A Path serves one response — the sub-proofs of a
+// batch share it and accumulate into it — and when verification returns
+// an error the proof is rejected as a whole and the path's results must
+// be discarded.
+type Path struct {
+	set     digestSet // the pinned nodes' digests
+	held    []pinned  // held[i] is the node set.list[i] names
+	Shipped []*Node
+
+	// Room for one search path's pins inside the Path itself, so a point
+	// read allocates the Path and nothing else.
+	small struct {
+		digests [pathRoom]hashutil.Digest
+		held    [pathRoom]pinned
+	}
+}
+
+// pathRoom is the index path of any tree of practical height: a billion
+// rows at fanout 32 is six index levels.
+const pathRoom = 6
+
+type pinned struct {
+	n       *Node
+	reached bool
+}
+
+// NewPath returns an empty path with room for n pinned nodes.
+func NewPath(n int) *Path {
+	pa := new(Path)
+	if n <= pathRoom {
+		pa.set.list, pa.held = pa.small.digests[:0], pa.small.held[:0]
+	} else {
+		pa.set.list, pa.held = make([]hashutil.Digest, 0, n), make([]pinned, 0, n)
+	}
+	return pa
+}
+
+// Pin adds a verified node to the set and reports whether it was new.
+func (pa *Path) Pin(n *Node) bool {
+	if pa.set.find(n.digest) >= 0 {
+		return false
+	}
+	pa.set = pa.set.add(n.digest)
+	pa.held = append(pa.held, pinned{n: n})
+	return true
+}
+
+// Len returns the number of pinned nodes.
+func (pa *Path) Len() int { return len(pa.held) }
+
+// Have returns the digests of the pinned nodes, the hint a server elides
+// against (nil when nothing is pinned). The slice is the path's own: it
+// must not be modified.
 func (pa *Path) Have() []hashutil.Digest {
-	if len(pa.Held) == 0 {
+	if len(pa.held) == 0 {
 		return nil
 	}
-	ds := make([]hashutil.Digest, len(pa.Held))
-	for i, n := range pa.Held {
-		ds[i] = n.digest
+	return pa.set.list
+}
+
+// Elided returns how many pinned nodes verification resolved a wanted
+// digest from — the bodies the server did not have to ship.
+func (pa *Path) Elided() int {
+	n := 0
+	for i := range pa.held {
+		if pa.held[i].reached {
+			n++
+		}
 	}
-	return ds
+	return n
+}
+
+// Superseded returns the pinned nodes verification never reached.
+func (pa *Path) Superseded() []*Node {
+	var out []*Node
+	for i := range pa.held {
+		if !pa.held[i].reached {
+			out = append(out, pa.held[i].n)
+		}
+	}
+	return out
 }
 
 func searchEntries(entries []Entry, key []byte) int {
@@ -214,28 +382,205 @@ func searchEntries(entries []Entry, key []byte) int {
 	})
 }
 
+// ---------------------------------------------------------------------------
+// The resolver: shipped or pinned
+
+// resolver is the one place verification of any proof shape gets its
+// nodes from. Every body the proof shipped is opened once — decoded and
+// hashed to the digest its bytes are bound to, leaves through
+// posleaf.Leaf.Verify — and from then on the walk from the trusted root
+// asks for nodes by digest: it is handed a shipped body that hashed to
+// that digest, or failing that a node the verifier pinned before it sent
+// the request, or nothing. Nothing is ever taken from the server's say-so,
+// and the order bodies arrived in carries no meaning. finish rejects a
+// proof that shipped a body the walk never asked for.
+type resolver struct {
+	path    *Path
+	set     digestSet     // the digests the shipped bodies hashed to
+	shipped []shippedNode // shipped[i] is what set.list[i] names
+	used    int
+}
+
+type shippedNode struct {
+	n    *node
+	size int
+	used bool
+}
+
+// smallProof is room for a proof of no more than scanLimit bodies — a
+// point proof always — on the verifying function's stack.
+type smallProof struct {
+	digests [scanLimit]hashutil.Digest
+	nodes   [scanLimit]shippedNode
+}
+
+// open decodes and hashes the shipped bodies, into small when they fit,
+// and returns the resolver over them. A body that does not decode (an
+// empty one included), or two that hash to one digest — which would let
+// an unasked-for node hide behind an asked-for one — reject the proof.
+func open(bodies [][]byte, path *Path, small *smallProof) (resolver, error) {
+	r := resolver{path: path, set: digestSet{list: small.digests[:0]}, shipped: small.nodes[:0]}
+	if len(bodies) > scanLimit {
+		r.set = digestSet{list: make([]hashutil.Digest, 0, len(bodies)), index: make(map[hashutil.Digest]int, len(bodies))}
+		r.shipped = make([]shippedNode, 0, len(bodies))
+	}
+	for _, body := range bodies {
+		n, d, err := openNode(body)
+		if err != nil || r.set.find(d) >= 0 {
+			return resolver{}, ErrProofInvalid
+		}
+		r.set = r.set.add(d)
+		r.shipped = append(r.shipped, shippedNode{n: n, size: len(body) + cap(n.entries)*entryHeaderBytes})
+	}
+	return r, nil
+}
+
+// node returns the node with digest want, which must sit at level (-1:
+// the root, whose level is not known beforehand): levels strictly
+// descend, so a walk cannot be led in circles.
+func (r *resolver) node(want hashutil.Digest, level int) (*node, error) {
+	var n *node
+	if i := r.set.find(want); i >= 0 {
+		s := &r.shipped[i]
+		if !s.used {
+			s.used = true
+			r.used++
+		}
+		n = s.n
+	} else if r.path != nil {
+		if i := r.path.set.find(want); i >= 0 {
+			r.path.held[i].reached = true
+			n = r.path.held[i].n.n
+		}
+	}
+	if n == nil || (level >= 0 && n.level != level) {
+		return nil, ErrProofInvalid
+	}
+	return n, nil
+}
+
+// finish closes a verification that succeeded so far: every shipped body
+// must have been asked for, and the index nodes among them are handed to
+// the path as verified Nodes.
+func (r *resolver) finish() error {
+	if r.used != len(r.shipped) {
+		return ErrProofInvalid // extra unvisited nodes smuggled in
+	}
+	if r.path != nil {
+		for i := range r.shipped {
+			if s := &r.shipped[i]; s.n.level > 0 {
+				r.path.Shipped = append(r.path.Shipped, &Node{digest: r.set.list[i], n: s.n, size: s.size})
+			}
+		}
+	}
+	return nil
+}
+
+// get reruns the search for key from root. The answer is read off shipped
+// entries only: nothing about the groups of a leaf that were not shipped
+// is trusted, so an absence needs both neighbours of the gap in hand (or
+// the leaf's own edge, which the header's count fixes).
+func (r *resolver) get(root hashutil.Digest, key []byte) (value []byte, found bool, err error) {
+	want, level := root, -1
+	for {
+		n, err := r.node(want, level)
+		if err != nil {
+			return nil, false, err
+		}
+		i := searchEntries(n.entries, key)
+		if n.level == 0 {
+			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
+				return n.entries[i].Value, true, nil
+			}
+			if !n.brackets(i, i) {
+				return nil, false, ErrProofInvalid
+			}
+			return nil, false, nil
+		}
+		if i == len(n.entries) {
+			return nil, false, nil // absence proven by the index node: key exceeds its max key
+		}
+		want, level = childDigest(n.entries[i]), n.level-1
+	}
+}
+
+// scan reruns the scan of [start, end) below want and appends the entries
+// in range to out. Every leaf it reaches must show where the range's
+// entries in that leaf begin and end — see brackets — so a proven range
+// is proven complete: interior leaves arrive whole, edge leaves with the
+// entry on the far side of each cut.
+func (r *resolver) scan(want hashutil.Digest, level int, start, end []byte, out *[]Entry) error {
+	n, err := r.node(want, level)
+	if err != nil {
+		return err
+	}
+	if n.level == 0 {
+		a, b := leafSpan(n.entries, start, end)
+		if !n.brackets(a, b) {
+			return ErrProofInvalid
+		}
+		*out = append(*out, n.entries[a:b]...)
+		return nil
+	}
+	from, to := childSpan(n.entries, start, end)
+	for _, e := range n.entries[from:to] {
+		if err := r.scan(childDigest(e), n.level-1, start, end, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// brackets reports whether the entries present of a (possibly pruned)
+// leaf show both ends of the run [a, b) of them a search or scan picked
+// out: the entry before position a and the entry at position b must each
+// be present, or beyond the leaf's own edge. The groups present are
+// contiguous, so between two present entries nothing is hidden; but a
+// pruned leaf that ends at a group edge says nothing about what the next
+// group holds. For a point miss a == b: the gap the key would sit in.
+func (n *node) brackets(a, b int) bool {
+	before := a > 0 || n.first == 0
+	after := b < len(n.entries) || n.first+len(n.entries) == n.count
+	return before && after
+}
+
+// leafSpan returns the positions [a, b) of the entries with keys in
+// [start, end); a nil end is unbounded.
+func leafSpan(entries []Entry, start, end []byte) (a, b int) {
+	a = searchEntries(entries, start)
+	if end == nil {
+		return a, len(entries)
+	}
+	return a, a + searchEntries(entries[a:], end)
+}
+
+// childSpan returns the positions [from, to) of the routing entries whose
+// subtrees may hold keys in [start, end): a child's entry carries its
+// largest key, so the first child of interest is the first whose key is
+// at or past start, and the last the first whose key is at or past end.
+func childSpan(entries []Entry, start, end []byte) (from, to int) {
+	from, to = searchEntries(entries, start), len(entries)
+	if end != nil {
+		to = min(searchEntries(entries, end)+1, len(entries))
+	}
+	return from, max(from, to)
+}
+
 // Verify checks the proof against a trusted root digest. On success the
 // caller may trust p.Value/p.Found for p.Key as of the state committed by
-// root. Every node must be shipped: it is VerifyPath with nothing held.
+// root. Every node must be shipped: it is VerifyPath with nothing pinned.
 func (p PointProof) Verify(root hashutil.Digest) error {
 	return p.VerifyPath(root, nil)
 }
 
 // VerifyPath is Verify for a verifier that may already hold some of the
 // path's index nodes (path may be nil). The walk starts at the trusted
-// root and follows child digests exactly as for a full proof; each node
-// on the way comes either from a shipped body, which is decoded and must
-// hash to the expected digest, or — at an elided position — from the node
-// the verifier pinned for that depth, which must be the expected digest.
-// An elided position the verifier holds nothing for, or holds a different
-// node for, fails: elision can only ever be answered from the verifier's
-// own verified nodes, never trusted on the server's say-so. The leaf is
-// never held, so it is always hashed fresh: its header against the digest
-// its parent routes to, and each group that was shipped against its slot
-// in that header. Nothing about the groups that were not shipped is
-// trusted: the answer is read off shipped entries only, and an absence
-// needs both neighbours of the gap in hand (or the leaf's own edge, which
-// the header's count fixes).
+// root and follows child digests exactly as for a full proof; the
+// resolver hands it each node from a shipped body, which must hash to the
+// wanted digest, or from the verifier's own pinned nodes — never on the
+// server's say-so. The leaf is never pinned, so it is always hashed fresh:
+// its header against the digest its parent routes to, and each group that
+// was shipped against its slot in that header.
 func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if root.IsZero() {
 		// Empty tree: every key is absent and the proof must be empty.
@@ -244,80 +589,39 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 		}
 		return nil
 	}
-	if len(p.Nodes) == 0 {
+	var small smallProof
+	r, err := open(p.Nodes, path, &small)
+	if err != nil {
+		return err
+	}
+	value, found, err := r.get(root, p.Key)
+	if err != nil {
+		return err
+	}
+	if found != p.Found || !bytes.Equal(value, p.Value) {
 		return ErrProofInvalid
 	}
-	want := root
-	for depth, body := range p.Nodes {
-		var n *node
-		if len(body) == 0 {
-			if path == nil || depth >= len(path.Held) || path.Held[depth].digest != want {
-				return ErrProofInvalid
-			}
-			n = path.Held[depth].n
-		} else {
-			var err error
-			var d hashutil.Digest
-			if n, d, err = openNode(body, true); err != nil || d != want {
-				return ErrProofInvalid
-			}
-			if path != nil && depth < len(path.Held) && path.Held[depth].digest != want {
-				path.Superseded = append(path.Superseded, path.Held[depth])
-			}
-			if n.level > 0 && path != nil {
-				path.Shipped = append(path.Shipped, &Node{digest: want, n: n,
-					size: len(body) + cap(n.entries)*entryHeaderBytes})
-			}
-		}
-		i := searchEntries(n.entries, p.Key)
-		if n.level == 0 {
-			if depth != len(p.Nodes)-1 {
-				return ErrProofInvalid // leaf must terminate the path
-			}
-			found := i < len(n.entries) && bytes.Equal(n.entries[i].Key, p.Key)
-			if found != p.Found {
-				return ErrProofInvalid
-			}
-			if found && !bytes.Equal(n.entries[i].Value, p.Value) {
-				return ErrProofInvalid
-			}
-			if !found && !n.bracketsGap(i) {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		if i == len(n.entries) {
-			// Absence proven by the index node: key exceeds max key.
-			if p.Found || depth != len(p.Nodes)-1 {
-				return ErrProofInvalid
-			}
-			return nil
-		}
-		want = childDigest(n.entries[i])
-	}
-	return ErrProofInvalid // path ended at an index node
-}
-
-// bracketsGap reports whether a search that found no key and ended at
-// index i of the entries present saw both sides of the gap it ended in:
-// the entry before and the entry after, each either present or beyond the
-// leaf's edge. A pruned leaf that ends at a group edge short of that says
-// nothing about what the next group holds.
-func (n *node) bracketsGap(i int) bool {
-	before := i > 0 || n.first == 0
-	after := i < len(n.entries) || n.first+len(n.entries) == n.count
-	return before && after
+	return r.finish()
 }
 
 // RangeProof proves that Entries is exactly the set of entries in
-// [Start, End) under a root. It carries the bodies of every node the range
+// [Start, End) under a root. It carries the bodies of the nodes the range
 // scan visited; shared path prefixes are included once, which is why
 // verified range queries in Spitz amortize so much better than per-record
-// proofs (Figure 7).
+// proofs (Figure 7). Interior leaves are all answer and travel with every
+// group; the leaves at the two edges of the range are pruned to the groups
+// holding in-range entries plus the one neighbouring entry on each side
+// that shows nothing was cut off.
+//
+// ProveScan fills Entries; Verify fills it again from the verified
+// leaves, ignoring whatever it held, so the rows need not travel beside
+// the leaves that contain them (WithoutEntries).
 type RangeProof struct {
 	Start, End []byte
 	Entries    []Entry
-	Nodes      [][]byte // bodies of all visited nodes, in preorder
+	Nodes      [][]byte // bodies of the visited nodes; ProveScan lists them in preorder
+
+	digests []hashutil.Digest // digests[i] addresses Nodes[i]; see PointProof
 }
 
 // ProveScan scans [start, end) and returns the result set with its proof.
@@ -337,26 +641,21 @@ func (t *Tree) proveScanNode(d hashutil.Digest, p *RangeProof) error {
 	if err != nil {
 		return fmt.Errorf("postree: prove scan: %w", err)
 	}
-	p.Nodes = append(p.Nodes, body)
+	p.digests = append(p.digests, d)
 	if n.level == 0 {
-		for _, e := range n.entries {
-			if bytes.Compare(e.Key, p.Start) < 0 {
-				continue
-			}
-			if p.End != nil && bytes.Compare(e.Key, p.End) >= 0 {
-				break
-			}
-			p.Entries = append(p.Entries, e)
+		a, b := leafSpan(n.entries, p.Start, p.End)
+		p.Entries = append(p.Entries, n.entries[a:b]...)
+		// The in-range entries and one neighbour on each side, as far as
+		// the leaf has them: what brackets demands of this leaf.
+		if body, err = posleaf.Prune(body, max(a-1, 0), min(b, len(n.entries)-1)); err != nil {
+			return fmt.Errorf("postree: prove scan: %w", err)
 		}
+		p.Nodes = append(p.Nodes, body)
 		return nil
 	}
-	for i, e := range n.entries {
-		if bytes.Compare(e.Key, p.Start) < 0 {
-			continue // child's max key below range
-		}
-		if i > 0 && p.End != nil && bytes.Compare(n.entries[i-1].Key, p.End) >= 0 {
-			break // child's min key at/above exclusive end
-		}
+	p.Nodes = append(p.Nodes, body)
+	from, to := childSpan(n.entries, p.Start, p.End)
+	for _, e := range n.entries[from:to] {
 		if err := t.proveScanNode(childDigest(e), p); err != nil {
 			return err
 		}
@@ -364,76 +663,53 @@ func (t *Tree) proveScanNode(d hashutil.Digest, p *RangeProof) error {
 	return nil
 }
 
-// Verify checks the range proof against a trusted root. On success the
-// caller may trust that p.Entries is the complete, untampered result of
-// scanning [p.Start, p.End).
-func (p RangeProof) Verify(root hashutil.Digest) error {
+// Elide is PointProof.Elide for a range proof.
+func (p RangeProof) Elide(have HeldSet) (RangeProof, int) {
+	nodes, n := elide(p.Nodes, p.digests, have)
+	if n > 0 {
+		p.Nodes, p.digests = nodes, nil
+	}
+	return p, n
+}
+
+// WithoutEntries returns the proof as it travels: the verifier reads the
+// rows off the leaves it verifies, so shipping them a second time would
+// only add bytes it must not trust.
+func (p RangeProof) WithoutEntries() RangeProof {
+	p.Entries = nil
+	return p
+}
+
+// Verify checks the range proof against a trusted root and sets p.Entries
+// to the complete, untampered result of scanning [p.Start, p.End), read
+// off the verified leaves. Every node must be shipped.
+func (p *RangeProof) Verify(root hashutil.Digest) error {
+	return p.VerifyPath(root, nil)
+}
+
+// VerifyPath is Verify for a verifier that may hold some of the scan's
+// index nodes (see PointProof.VerifyPath). On an error p.Entries is left
+// empty.
+func (p *RangeProof) VerifyPath(root hashutil.Digest, path *Path) error {
+	p.Entries = nil
 	if root.IsZero() {
-		if len(p.Entries) != 0 || len(p.Nodes) != 0 {
+		if len(p.Nodes) != 0 {
 			return ErrProofInvalid
 		}
 		return nil
 	}
-	if len(p.Nodes) == 0 {
-		return ErrProofInvalid
-	}
-	v := &rangeVerifier{proof: p}
-	if err := v.walk(root); err != nil {
+	var small smallProof
+	r, err := open(p.Nodes, path, &small)
+	if err != nil {
 		return err
 	}
-	if v.next != len(p.Nodes) {
-		return ErrProofInvalid // extra unvisited nodes smuggled in
+	var entries []Entry
+	if err := r.scan(root, -1, p.Start, p.End, &entries); err != nil {
+		return err
 	}
-	if len(v.collected) != len(p.Entries) {
-		return ErrProofInvalid
+	if err := r.finish(); err != nil {
+		return err
 	}
-	for i, e := range v.collected {
-		if !bytes.Equal(e.Key, p.Entries[i].Key) || !bytes.Equal(e.Value, p.Entries[i].Value) {
-			return ErrProofInvalid
-		}
-	}
-	return nil
-}
-
-// rangeVerifier replays the scan using only the node bodies in the proof.
-type rangeVerifier struct {
-	proof     RangeProof
-	next      int
-	collected []Entry
-}
-
-func (v *rangeVerifier) walk(want hashutil.Digest) error {
-	if v.next >= len(v.proof.Nodes) {
-		return ErrProofInvalid
-	}
-	body := v.proof.Nodes[v.next]
-	v.next++
-	n, d, err := openNode(body, false)
-	if err != nil || d != want {
-		return ErrProofInvalid
-	}
-	if n.level == 0 {
-		for _, e := range n.entries {
-			if bytes.Compare(e.Key, v.proof.Start) < 0 {
-				continue
-			}
-			if v.proof.End != nil && bytes.Compare(e.Key, v.proof.End) >= 0 {
-				break
-			}
-			v.collected = append(v.collected, e)
-		}
-		return nil
-	}
-	for i, e := range n.entries {
-		if bytes.Compare(e.Key, v.proof.Start) < 0 {
-			continue
-		}
-		if i > 0 && v.proof.End != nil && bytes.Compare(n.entries[i-1].Key, v.proof.End) >= 0 {
-			break
-		}
-		if err := v.walk(childDigest(e)); err != nil {
-			return err
-		}
-	}
+	p.Entries = entries
 	return nil
 }

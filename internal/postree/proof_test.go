@@ -186,31 +186,44 @@ func TestRangeProofEmptyTree(t *testing.T) {
 	}
 }
 
-func TestRangeProofDetectsOmission(t *testing.T) {
+// TestRangeProofEntriesComeFromTheLeaves: whatever Entries a proof
+// arrives with — one omitted, one injected, all stripped, as the wire
+// sends it — Verify replaces them with the rows read off the verified
+// leaves, so a forged list is never trusted and never returned.
+func TestRangeProofEntriesComeFromTheLeaves(t *testing.T) {
 	entries := testEntries(3000, 30)
 	tr := mustBulk(t, entries)
-	p, err := tr.ProveScan(entries[100].Key, entries[160].Key)
+	honest, err := tr.ProveScan(entries[100].Key, entries[160].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop one result entry: completeness violation must be detected.
-	p.Entries = append(p.Entries[:10:10], p.Entries[11:]...)
-	if err := p.Verify(tr.Root()); err == nil {
-		t.Fatal("range proof with omitted entry verified")
+	want := entries[100:160]
+	forged := Entry{Key: append([]byte(nil), want[0].Key...), Value: []byte("fake")}
+	for name, es := range map[string][]Entry{
+		"omitted":  append(append([]Entry(nil), honest.Entries[:10]...), honest.Entries[11:]...),
+		"injected": append([]Entry{forged}, honest.Entries...),
+		"replaced": {forged},
+		"stripped": honest.WithoutEntries().Entries,
+	} {
+		p := honest
+		p.Entries = es
+		if err := p.Verify(tr.Root()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(p.Entries) != len(want) {
+			t.Fatalf("%s: verified proof yields %d entries, want %d", name, len(p.Entries), len(want))
+		}
+		for i, e := range p.Entries {
+			if !bytes.Equal(e.Key, want[i].Key) || !bytes.Equal(e.Value, want[i].Value) {
+				t.Fatalf("%s: entry %d is %q=%q", name, i, e.Key, e.Value)
+			}
+		}
 	}
-}
-
-func TestRangeProofDetectsInjection(t *testing.T) {
-	entries := testEntries(3000, 31)
-	tr := mustBulk(t, entries)
-	p, err := tr.ProveScan(entries[100].Key, entries[160].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := Entry{Key: append([]byte(nil), p.Entries[0].Key...), Value: []byte("fake")}
-	p.Entries = append([]Entry{forged}, p.Entries...)
-	if err := p.Verify(tr.Root()); err == nil {
-		t.Fatal("range proof with injected entry verified")
+	// A proof that fails yields no rows at all.
+	p := honest
+	p.Nodes = p.Nodes[:len(p.Nodes)-1]
+	if err := p.Verify(tr.Root()); err == nil || p.Entries != nil {
+		t.Fatalf("rejected proof: err=%v, %d entries left in place", err, len(p.Entries))
 	}
 }
 

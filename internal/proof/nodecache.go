@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"sync"
 
+	"spitz/internal/cellstore"
 	"spitz/internal/hashutil"
+	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/postree"
 )
@@ -18,7 +20,7 @@ import (
 const nodeCacheBytes = 2 << 20
 
 // Client-side proof traffic, summed over every Verifier in the process:
-// what point and range proofs cost on the wire and how much of it the
+// what point, range and batch proofs cost on the wire and how much of it the
 // node cache saved. Per-Verifier figures are Verifier.ProofStats.
 var (
 	mNodesShipped = obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
@@ -29,7 +31,7 @@ var (
 )
 
 // nodeCache holds index nodes (level >= 1) of the POS-trees a Verifier
-// has verified point proofs under, keyed by content digest. An entry is
+// has verified proofs under, keyed by content digest. An entry is
 // a postree.Node, which only proof verification mints, after the body
 // hashed to the digest under the index-node domain — so entries are
 // self-certifying: a digest can only ever map to the one node that
@@ -39,7 +41,7 @@ var (
 // eviction, least recently used first.
 type nodeCache struct {
 	mu    sync.Mutex
-	root  hashutil.Digest // CellRoot of the last point proof verified: where hint walks start
+	root  hashutil.Digest // CellRoot of the last proof verified: where hint walks start
 	m     map[hashutil.Digest]*list.Element
 	lru   list.List // of *postree.Node, most recently used first
 	bytes int
@@ -56,36 +58,86 @@ func (c *nodeCache) limit() int {
 // pathTo pins the cached nodes on the search path from the last verified
 // root towards key, stopping at the first node it does not hold.
 func (c *nodeCache) pathTo(key []byte) *postree.Path {
-	// Room for the index path of any tree of practical height in one
-	// allocation (a billion rows at fanout 32 is six index levels).
-	path := &postree.Path{Held: make([]*postree.Node, 0, 6)}
+	path := postree.NewPath(0) // a search path's pins fit inside the Path
 	var els [postree.MaxHeight]*list.Element
+	n := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d := c.root
-	for len(path.Held) < len(els) {
+	for n < len(els) {
 		el, ok := c.m[d]
 		if !ok {
 			break
 		}
-		n := el.Value.(*postree.Node)
-		els[len(path.Held)] = el
-		path.Held = append(path.Held, n)
-		if d, ok = n.Child(key); !ok {
+		node := el.Value.(*postree.Node)
+		els[n] = el
+		n++
+		path.Pin(node)
+		if d, ok = node.Child(key); !ok {
 			break
 		}
 	}
 	// Touch leaf-most first, so that a node is never older than its
 	// descendants: evicting a parent before its children would strand
 	// them where no walk from the root can reach.
-	for i := len(path.Held) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		c.lru.MoveToFront(els[i])
 	}
 	return path
 }
 
-// admit records a verified point proof: root becomes the start of the
-// next hint walk, the held nodes the proof superseded are dropped — no
+// pathFor is pathTo for a batch of reads: it walks the cached part of
+// the tree under the last verified root along every point query's search
+// path and through every range query's scan, pinning each node once (and
+// no more than postree.MaxHave of them: the hint has to fit a request).
+func (c *nodeCache) pathFor(queries []ledger.BatchQuery) *postree.Path {
+	path := postree.NewPath(2 * len(queries))
+	var els []*list.Element
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// pin returns the cached node with digest d, pinned; nil ends a walk.
+	pin := func(d hashutil.Digest) *postree.Node {
+		el, ok := c.m[d]
+		if !ok || path.Len() >= postree.MaxHave {
+			return nil
+		}
+		node := el.Value.(*postree.Node)
+		if path.Pin(node) {
+			els = append(els, el)
+		}
+		return node
+	}
+	var scan func(d hashutil.Digest, start, end []byte)
+	scan = func(d hashutil.Digest, start, end []byte) {
+		if node := pin(d); node != nil {
+			node.Children(start, end, func(child hashutil.Digest) { scan(child, start, end) })
+		}
+	}
+	for _, q := range queries {
+		if q.Range {
+			start, end := cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi)
+			scan(c.root, start, end)
+			continue
+		}
+		key := cellstore.CellPrefix(q.Table, q.Column, q.PK)
+		for node := pin(c.root); node != nil; {
+			d, ok := node.Child(key)
+			if !ok {
+				break
+			}
+			node = pin(d)
+		}
+	}
+	// Every node was pinned after its ancestors: touching in reverse keeps
+	// a node no older than its descendants (see pathTo).
+	for i := len(els) - 1; i >= 0; i-- {
+		c.lru.MoveToFront(els[i])
+	}
+	return path
+}
+
+// admit records a verified proof: root becomes the start of the next
+// hint walk, the pinned nodes the proof superseded are dropped — no
 // walk from the new root reaches them, so they would only age out of the
 // LRU while holding memory — and the index nodes it shipped are cached.
 func (c *nodeCache) admit(root hashutil.Digest, shipped, superseded []*postree.Node) {

@@ -171,7 +171,10 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 		},
 		"value":  func(p *ledger.Proof) { p.Point.Value = []byte("forged") },
 		"header": func(p *ledger.Proof) { p.Header.CellCount++ },
-		"elided leaf": func(p *ledger.Proof) {
+		"no leaf": func(p *ledger.Proof) {
+			p.Point.Nodes = p.Point.Nodes[:len(p.Point.Nodes)-1]
+		},
+		"emptied leaf": func(p *ledger.Proof) {
 			n := append([][]byte(nil), p.Point.Nodes...)
 			n[len(n)-1] = nil
 			p.Point.Nodes = n
@@ -205,8 +208,8 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	}
 
 	// The same after a commit that rewrote pk 7's whole path: the honest
-	// response now supersedes every held node on it, and VerifyPath has
-	// marked them so before it reaches the bad byte — but nothing is
+	// response now supersedes every pinned node on it, and the walk has
+	// passed them by before it reaches the bad byte — but nothing is
 	// dropped for a proof that did not verify.
 	commitRow(t, l, 7, 2)
 	before = r.v.ProofStats()
@@ -325,7 +328,7 @@ func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	// The root is touched by every read, so it is never the eviction
 	// victim while anything below it is cached.
-	if held := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(1))).Held; len(held) == 0 {
+	if r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(1))).Len() == 0 {
 		t.Fatal("the root was evicted ahead of its descendants")
 	}
 	// A node larger than the whole cache is not admitted (and evicts
@@ -404,5 +407,205 @@ func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
 	st := r.v.ProofStats()
 	if st.NodesElided == 0 || st.CacheBytes > r.v.nodes.limit() {
 		t.Fatalf("after churn: %+v (cap %d)", st, r.v.nodes.limit())
+	}
+}
+
+// readBatch is an audit flush (or a verified query) in miniature: pin
+// what is held where the queries will walk, prove the batch at the head,
+// cut the proof down as the wire boundary does, and verify against the
+// pinned set.
+func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *ledger.BatchProof)) (ledger.BatchProof, error) {
+	path := r.v.PathFor(queries)
+	d := r.l.Digest()
+	res, err := r.l.ProveBatch(r.v.Digest(), d, queries)
+	if err != nil {
+		return ledger.BatchProof{}, err
+	}
+	p := res.Proof.Elide(path.Have())
+	if tamper != nil {
+		tamper(&p)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.v.Advance(res.Digest, res.ConsTrusted); err != nil {
+		return ledger.BatchProof{}, err
+	}
+	return p, r.v.VerifyBatch(p, res.Digest, len(queries), path)
+}
+
+func batchQueries() []ledger.BatchQuery {
+	return []ledger.BatchQuery{
+		{Table: "t", Column: "c", PK: cachePK(7)},
+		{Table: "t", Column: "c", PK: cachePK(20000), PKHi: cachePK(20120), Range: true},
+		{Table: "t", Column: "c", PK: cachePK(39999)},
+		{Table: "t", Column: "c", PK: []byte("pk020000!")},
+		{Table: "t", Column: "c", PK: cachePK(31000), PKHi: cachePK(31003), Range: true},
+	}
+}
+
+// TestWarmVerifierElidesBatchAndRangeProofs: the batch and range shapes
+// go through the verifier the way point proofs do — hinted, counted,
+// admitted — and a second flush of the same reads is sent leaves only.
+func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	qs := batchQueries()
+	if r.v.PathFor(qs).Len() != 0 {
+		t.Fatal("a cold verifier pins nodes")
+	}
+	p, err := r.readBatch(qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Ranges) != 2 || len(p.Ranges[0].Entries) != 120 || len(p.Ranges[1].Entries) != 3 {
+		t.Fatalf("rows read off the verified leaves: %d ranges", len(p.Ranges))
+	}
+	cold := r.v.ProofStats()
+	if cold.NodesShipped == 0 || cold.NodesElided != 0 || cold.ProofBytes == 0 || cold.CacheEntries == 0 {
+		t.Fatalf("a batch proof is invisible to ProofStats: %+v", cold)
+	}
+	if verified, _ := r.v.Stats(); verified != int64(len(qs)) {
+		t.Fatalf("verified = %d, want %d", verified, len(qs))
+	}
+	index := 0 // index-node bodies the cold proof shipped, repeats across sub-proofs included
+	count := func(nodes [][]byte) {
+		for _, body := range nodes {
+			if body[0] != 0 {
+				index++
+			}
+		}
+	}
+	full, err := l.ProveBatch(r.v.Digest(), l.Digest(), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count(full.Proof.Points.Nodes)
+	for i := range full.Proof.Ranges {
+		count(full.Proof.Ranges[i].Nodes)
+	}
+
+	warmProof, err := r.readBatch(qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := r.v.ProofStats()
+	for _, nodes := range [][][]byte{warmProof.Points.Nodes, warmProof.Ranges[0].Nodes, warmProof.Ranges[1].Nodes} {
+		for _, body := range nodes {
+			if body[0] != 0 {
+				t.Fatal("an index node was shipped to a verifier that holds it")
+			}
+		}
+	}
+	if warm.NodesElided != int64(cold.CacheEntries) {
+		t.Fatalf("warm flush resolved %d nodes from the cache, which holds %d", warm.NodesElided, cold.CacheEntries)
+	}
+	if shipped := warm.NodesShipped - cold.NodesShipped; shipped != cold.NodesShipped-int64(index) {
+		t.Fatalf("warm flush shipped %d nodes, want the cold flush's %d minus its %d index nodes", shipped, cold.NodesShipped, index)
+	}
+	if warmBytes := warm.ProofBytes - cold.ProofBytes; warmBytes >= cold.ProofBytes*3/4 {
+		t.Fatalf("warm proof is %d bytes, cold one %d", warmBytes, cold.ProofBytes)
+	}
+	if warm.CacheEntries != cold.CacheEntries || warm.CacheBytes != cold.CacheBytes {
+		t.Fatalf("a fully elided flush changed the cache: %+v -> %+v", cold, warm)
+	}
+	// The point path reads the same cache.
+	if _, err := r.read(cachePK(20050)); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.v.ProofStats(); st.NodesShipped-warm.NodesShipped != 1 {
+		t.Fatalf("a point read inside the warmed range shipped %d nodes, want the leaf", st.NodesShipped-warm.NodesShipped)
+	}
+
+	// One commit under the first range: what it replaced is shipped again
+	// and dropped from the cache, nothing else.
+	commitRow(t, l, 20060, 2)
+	before := r.v.ProofStats()
+	if p, err = r.readBatch(qs, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := r.v.ProofStats()
+	if after.CacheEntries != before.CacheEntries {
+		t.Fatalf("cache went from %d to %d nodes over one commit", before.CacheEntries, after.CacheEntries)
+	}
+	found := false
+	for _, e := range p.Ranges[0].Entries {
+		_, v, _, _ := cellstore.DecodeVersion(e.Value)
+		found = found || string(v) == "value-020060@2"
+	}
+	if !found {
+		t.Fatal("the range read off the leaves is stale")
+	}
+}
+
+// TestRejectedBatchLeavesVerifierUnchanged: as for point proofs, a batch
+// that fails anywhere — after genuine new nodes have been hashed, after
+// pinned ones have been passed by — moves nothing.
+func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	qs := batchQueries()
+	if _, err := r.readBatch(qs[:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	commitRow(t, l, 20060, 2) // the next proof supersedes pinned nodes and ships new ones
+	if _, err := r.read(cachePK(3)); err != nil {
+		t.Fatal(err) // moves the digest honestly, so only the proof is at stake below
+	}
+	before := r.v.ProofStats()
+	verified, deferred := r.v.Stats()
+	digest := r.v.Digest()
+	lastLeaf := func(nodes [][]byte) [][]byte {
+		out := append([][]byte(nil), nodes...)
+		leaf := append([]byte(nil), out[len(out)-1]...)
+		leaf[len(leaf)-1] ^= 1
+		out[len(out)-1] = leaf
+		return out
+	}
+	tampers := map[string]func(p *ledger.BatchProof){
+		"point leaf byte": func(p *ledger.BatchProof) {
+			pts := *p.Points
+			pts.Nodes = lastLeaf(pts.Nodes)
+			p.Points = &pts
+		},
+		"last range's leaf byte": func(p *ledger.BatchProof) {
+			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
+			p.Ranges[len(p.Ranges)-1].Nodes = lastLeaf(p.Ranges[len(p.Ranges)-1].Nodes)
+		},
+		"a value": func(p *ledger.BatchProof) {
+			pts := *p.Points
+			pts.Values = append([][]byte(nil), pts.Values...)
+			pts.Values[0] = []byte("forged")
+			p.Points = &pts
+		},
+		"narrower range": func(p *ledger.BatchProof) {
+			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
+			p.Ranges[0].End = cellstore.CellPrefix("t", "c", cachePK(20050))
+		},
+		"an extra node": func(p *ledger.BatchProof) {
+			pts := *p.Points
+			pts.Nodes = append(append([][]byte(nil), pts.Nodes...), p.Ranges[0].Nodes[len(p.Ranges[0].Nodes)-1])
+			p.Points = &pts
+		},
+		"header": func(p *ledger.BatchProof) { p.Header.CellCount++ },
+	}
+	for name, tamper := range tampers {
+		r.v.PathFor(qs) // the recency touch an honest flush makes too
+		root, order, bytes := cacheState(&r.v.nodes)
+		if _, err := r.readBatch(qs, tamper); !errors.Is(err, ErrTampered) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
+			t.Fatalf("%s: rejected batch changed the cache (%d -> %d entries)", name, len(order), len(gotOrder))
+		}
+		if st := r.v.ProofStats(); st != before {
+			t.Fatalf("%s: rejected batch moved the stats: %+v -> %+v", name, before, st)
+		}
+		if v, d := r.v.Stats(); v != verified || d != deferred || r.v.Digest() != digest {
+			t.Fatalf("%s: rejected batch moved the verifier", name)
+		}
+	}
+	if _, err := r.readBatch(qs, nil); err != nil {
+		t.Fatalf("honest flush after the rejected ones: %v", err)
 	}
 }

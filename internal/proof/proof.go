@@ -37,7 +37,7 @@ type Verifier struct {
 	deferred int64
 	traffic  ProofStats // the counter fields only; cache figures are read live
 
-	nodes nodeCache // verified index nodes, so point proofs need not re-ship them
+	nodes nodeCache // verified index nodes, so proofs need not re-ship them
 }
 
 // NewVerifier returns a verifier with no pinned digest; the first Advance
@@ -92,49 +92,100 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 }
 
 // verify is the one place a point or range proof is checked: against d,
-// resolving elided point-proof nodes from path (nil holds nothing), and —
+// resolving nodes the server left out from path (nil pins nothing), and —
 // only once the whole proof has verified — counting it and admitting the
 // index nodes it shipped to the node cache. A rejected proof leaves the
-// cache exactly as it was.
+// verifier exactly as it was.
 func (v *Verifier) verify(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
 	if err := p.VerifyPath(d, path); err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
-	if path != nil && p.Point != nil {
-		v.nodes.admit(p.Header.CellRoot, path.Shipped, path.Superseded)
+	bytes := blockBytes(p.Inclusion)
+	var nodes [][]byte
+	switch {
+	case p.Point != nil:
+		nodes = p.Point.Nodes
+		bytes += len(p.Point.Key) + len(p.Point.Value)
+	case p.Range != nil:
+		nodes = p.Range.Nodes
+		bytes += len(p.Range.Start) + len(p.Range.End)
 	}
-	shipped, elided, bytes := proofTraffic(p)
+	v.accept(p.Header.CellRoot, path, 1, len(nodes), bytes+bodyBytes(nodes))
+	return nil
+}
+
+// accept records a proof that verified: reads counted, its traffic —
+// nodes that arrived as bodies, pinned nodes the walk used instead, bytes
+// of proof material (headers and digests at their wire size, no framing)
+// — added to the counters, the index nodes it shipped admitted to the
+// cache and the pinned ones it superseded dropped.
+func (v *Verifier) accept(root hashutil.Digest, path *postree.Path, reads, shipped, bytes int) {
+	elided := 0
+	if path != nil {
+		elided = path.Elided()
+		v.nodes.admit(root, path.Shipped, path.Superseded())
+	}
 	mNodesShipped.Add(uint64(shipped))
 	mNodesElided.Add(uint64(elided))
 	mProofBytes.Add(uint64(bytes))
 	v.mu.Lock()
-	v.verified++
+	v.verified += int64(reads)
 	v.traffic.NodesShipped += int64(shipped)
 	v.traffic.NodesElided += int64(elided)
 	v.traffic.ProofBytes += int64(bytes)
 	v.mu.Unlock()
-	return nil
+}
+
+// blockBytes is the block binding every proof carries: header and
+// inclusion path.
+func blockBytes(inc mtree.InclusionProof) int {
+	return ledger.HeaderWireLen + len(inc.Path)*hashutil.DigestSize
+}
+
+func bodyBytes(nodes [][]byte) int {
+	n := 0
+	for _, body := range nodes {
+		n += len(body)
+	}
+	return n
 }
 
 // PathTo pins the verified index nodes this verifier already holds on
 // the search path towards key (a POS-tree key, e.g. cellstore.CellPrefix)
-// under the last cell root it verified a point proof against. The
-// caller sends path.Have() with the read and hands the path back to
-// VerifyPoint; the result is never nil, and holds nothing on a cold
-// verifier.
+// under the last cell root it verified a proof against. The caller sends
+// path.Have() with the read and hands the path back to VerifyPoint; the
+// result is never nil, and holds nothing on a cold verifier.
 func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
 
-// VerifyPoint checks a point-read proof whose server was told which
-// path nodes the verifier holds (path, from PathTo) and may have elided
-// them. d is the digest the server produced the proof at: the trusted
-// digest, or an older one the caller has shown to be a prefix of it
-// (exactly VerifyAsOf's contract). Index nodes the proof did ship are
-// cached for later reads once the proof has verified.
+// PathFor is PathTo for a batch of reads — the receipts of an audit
+// flush, the obligations of a query plan, one range scan: it pins the
+// held nodes on every point query's search path and in every range
+// query's scan. The path goes back to VerifyBatch (or, for a single range
+// read answered with a ledger.Proof, VerifyPoint).
+func (v *Verifier) PathFor(queries []ledger.BatchQuery) *postree.Path {
+	return v.nodes.pathFor(queries)
+}
+
+// VerifyPoint checks a point- or range-read proof whose server was told
+// which nodes the verifier holds (path, from PathTo or PathFor) and may
+// have left them out. d is the digest the server produced the proof at:
+// the trusted digest, or an older one the caller has shown to be a prefix
+// of it (exactly VerifyAsOf's contract). Index nodes the proof did ship
+// are cached for later reads once the proof has verified.
 func (v *Verifier) VerifyPoint(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
 	return v.verifyAsOf(p, d, path)
 }
 
 func (v *Verifier) verifyAsOf(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
+	if err := v.coveredBy(d); err != nil {
+		return err
+	}
+	return v.verify(p, d, path)
+}
+
+// coveredBy refuses digests that could not possibly be prefixes of the
+// trusted ledger: any digest before trust is pinned, and taller ones after.
+func (v *Verifier) coveredBy(d ledger.Digest) error {
 	v.mu.Lock()
 	cur := v.digest
 	trusted := v.trusted
@@ -145,7 +196,7 @@ func (v *Verifier) verifyAsOf(p ledger.Proof, d ledger.Digest, path *postree.Pat
 	if d.Height > cur.Height {
 		return fmt.Errorf("%w: digest height %d beyond trusted %d", ErrTampered, d.Height, cur.Height)
 	}
-	return v.verify(p, d, path)
+	return nil
 }
 
 // VerifyAsOf checks a proof against an older digest d that the caller
@@ -160,31 +211,34 @@ func (v *Verifier) VerifyAsOf(p ledger.Proof, d ledger.Digest) error {
 	return v.verifyAsOf(p, d, nil)
 }
 
-// VerifyBatchAsOf checks an aggregated multi-key batch proof against an
-// older digest d that the caller has shown — via a verified consistency
-// proof — to be a prefix of the trusted ledger, counting every covered
-// read as verified. This is the batch analogue of VerifyAsOf: query
-// responses are proven at the digest the server executed at, which under
-// write churn can trail the client's already-advanced trust. The caller
-// is responsible for the prefix check; this method only refuses digests
-// that could not possibly be prefixes (taller than the trusted ledger).
-func (v *Verifier) VerifyBatchAsOf(p ledger.BatchProof, d ledger.Digest, reads int) error {
-	v.mu.Lock()
-	cur := v.digest
-	trusted := v.trusted
-	v.mu.Unlock()
-	if !trusted {
-		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
+// VerifyBatch checks an aggregated batch proof — the server half of a
+// deferred-audit flush or of a verified query — the way VerifyPoint
+// checks a single read: against d, the trusted digest or an older one
+// the caller has shown to be a prefix of it (query responses are proven
+// at the digest the server executed at, which under write churn can trail
+// the client's already-advanced trust), resolving the nodes the server
+// left out from path (from PathFor; nil pins nothing). On success every
+// covered read counts as verified, the proof's traffic is counted like a
+// point proof's, and the index nodes it shipped are cached.
+func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, path *postree.Path) error {
+	if err := v.coveredBy(d); err != nil {
+		return err
 	}
-	if d.Height > cur.Height {
-		return fmt.Errorf("%w: digest height %d beyond trusted %d", ErrTampered, d.Height, cur.Height)
-	}
-	if err := p.Verify(d); err != nil {
+	if err := p.VerifyPath(d, path); err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
-	v.mu.Lock()
-	v.verified += int64(reads)
-	v.mu.Unlock()
+	shipped := 0
+	bytes := blockBytes(p.Inclusion)
+	if p.Points != nil {
+		shipped += len(p.Points.Nodes)
+		bytes += bodyBytes(p.Points.Keys) + bodyBytes(p.Points.Values) + bodyBytes(p.Points.Nodes)
+	}
+	for i := range p.Ranges {
+		r := &p.Ranges[i]
+		shipped += len(r.Nodes)
+		bytes += len(r.Start) + len(r.End) + bodyBytes(r.Nodes)
+	}
+	v.accept(p.Header.CellRoot, path, reads, shipped, bytes)
 	return nil
 }
 
@@ -208,26 +262,6 @@ func (v *Verifier) VerifyBlock(header ledger.BlockHeader, inc mtree.InclusionPro
 	}
 	v.mu.Lock()
 	v.verified++
-	v.mu.Unlock()
-	return nil
-}
-
-// VerifyBatchNow checks an aggregated multi-key batch proof against the
-// trusted digest (the server half of a deferred-audit flush), counting
-// every covered read as verified.
-func (v *Verifier) VerifyBatchNow(p ledger.BatchProof, reads int) error {
-	v.mu.Lock()
-	d := v.digest
-	trusted := v.trusted
-	v.mu.Unlock()
-	if !trusted {
-		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
-	}
-	if err := p.Verify(d); err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	v.mu.Lock()
-	v.verified += int64(reads)
 	v.mu.Unlock()
 	return nil
 }
@@ -286,14 +320,14 @@ func (v *Verifier) Stats() (verified, deferred int64) {
 	return v.verified, v.deferred
 }
 
-// ProofStats is what the point and range proofs a Verifier checked cost,
-// and what its node cache holds. The same traffic counters are summed
+// ProofStats is what the point, range and batch proofs a Verifier checked
+// cost, and what its node cache holds. The same traffic counters are summed
 // over all verifiers in the process's metrics registry
 // (spitz_client_proof_*, spitz_client_nodecache_*).
 type ProofStats struct {
 	NodesShipped int64 // proof nodes that arrived as bodies and were hashed
-	NodesElided  int64 // proof positions answered from the node cache instead
-	ProofBytes   int64 // proof material received: node bodies, key, value, inclusion path, header
+	NodesElided  int64 // nodes the server left out and the node cache answered instead
+	ProofBytes   int64 // proof material received: node bodies, keys, values, bounds, inclusion path, header
 	CacheEntries int   // verified index nodes currently cached
 	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
 }
@@ -305,32 +339,4 @@ func (v *Verifier) ProofStats() ProofStats {
 	v.mu.Unlock()
 	st.CacheEntries, st.CacheBytes = v.nodes.size()
 	return st
-}
-
-// proofTraffic sizes one verified proof: how many tree nodes came as
-// bodies, how many positions were elided, and the bytes of proof
-// material (headers and digests at their wire size, no framing).
-func proofTraffic(p ledger.Proof) (shipped, elided, bytes int) {
-	bytes = ledger.HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
-	var nodes [][]byte
-	switch {
-	case p.Point != nil:
-		nodes = p.Point.Nodes
-		bytes += len(p.Point.Key) + len(p.Point.Value)
-	case p.Range != nil:
-		nodes = p.Range.Nodes
-		bytes += len(p.Range.Start) + len(p.Range.End)
-		for _, e := range p.Range.Entries {
-			bytes += len(e.Key) + len(e.Value)
-		}
-	}
-	for _, body := range nodes {
-		if len(body) == 0 {
-			elided++
-			continue
-		}
-		shipped++
-		bytes += len(body)
-	}
-	return shipped, elided, bytes
 }

@@ -341,73 +341,39 @@ func (pl Plan) finish(rows map[string]*Row) (Result, error) {
 
 // ResultFromProof rebuilds the query result exclusively from a verified
 // batch proof — the response's unproven cells only seeded the obligation
-// derivation. Any mismatch between the proof and the obligations is an
-// error the caller reports as tampering.
+// derivation. The proof must discharge exactly the plan's obligations
+// (BatchProof.Answers: a valid proof of a narrower range would silently
+// omit rows, one for another key smuggle in that key's value); any
+// mismatch is an error the caller reports as tampering.
 func (pl Plan) ResultFromProof(cells []cellstore.Cell, bp *ledger.BatchProof) (Result, error) {
-	cols := pl.proofColumns(cells)
-	if pl.Kind == PlanRange {
-		if bp.Points != nil && len(bp.Points.Keys) > 0 {
-			return Result{}, errors.New("proof carries unexpected point entries")
+	queries := pl.Queries(cells)
+	if !bp.Answers(queries) {
+		return Result{}, fmt.Errorf("proof does not answer the plan's %d obligations", len(queries))
+	}
+	var proven []cellstore.Cell
+	for i := range bp.Ranges {
+		cs, err := cellstore.DecodeEntries(bp.Ranges[i].Entries)
+		if err != nil {
+			return Result{}, err
 		}
-		if len(bp.Ranges) != len(cols) {
-			return Result{}, fmt.Errorf("proof has %d range entries, want %d", len(bp.Ranges), len(cols))
+		proven = append(proven, cs...)
+	}
+	pi := 0
+	for _, q := range queries {
+		if q.Range {
+			continue
 		}
-		lo, hiEx := pl.rangeBounds()
-		var proven []cellstore.Cell
-		for i, col := range cols {
-			rp := bp.Ranges[i]
-			// Bind each range proof to the asked interval: a valid proof of
-			// a narrower range would silently omit rows.
-			wantStart, wantEnd := cellstore.RefRange(pl.Sel.Table, col, lo, hiEx)
-			if !bytes.Equal(rp.Start, wantStart) || !bytes.Equal(rp.End, wantEnd) {
-				return Result{}, fmt.Errorf("proof covers a different range for column %s", col)
-			}
-			cs, err := cellstore.DecodeEntries(rp.Entries)
+		if bp.Points.Found[pi] {
+			ver, v, tomb, err := cellstore.DecodeVersion(bp.Points.Values[pi])
 			if err != nil {
 				return Result{}, err
 			}
-			proven = append(proven, cs...)
-		}
-		return pl.ResultFromCells(proven)
-	}
-
-	pks := pl.proofPKs(cells)
-	want := len(pks) * len(cols)
-	if len(bp.Ranges) != 0 {
-		return Result{}, errors.New("proof carries unexpected range entries")
-	}
-	if bp.Points == nil || len(bp.Points.Keys) != want {
-		return Result{}, fmt.Errorf("proof covers %d keys, want %d", pointCount(bp), want)
-	}
-	var proven []cellstore.Cell
-	i := 0
-	for _, pk := range pks {
-		for _, col := range cols {
-			// Bind each point proof to the asked key: a valid proof for
-			// some other key would smuggle in that key's value.
-			ref := cellstore.CellPrefix(pl.Sel.Table, col, pk)
-			if !bytes.Equal(bp.Points.Keys[i], ref) {
-				return Result{}, fmt.Errorf("proof proves a different key for %s/%s", col, pk)
+			if !tomb {
+				proven = append(proven, cellstore.Cell{Table: q.Table,
+					Column: q.Column, PK: q.PK, Version: ver, Value: v})
 			}
-			if bp.Points.Found[i] {
-				ver, v, tomb, err := cellstore.DecodeVersion(bp.Points.Values[i])
-				if err != nil {
-					return Result{}, err
-				}
-				if !tomb {
-					proven = append(proven, cellstore.Cell{Table: pl.Sel.Table,
-						Column: col, PK: pk, Version: ver, Value: v})
-				}
-			}
-			i++
 		}
+		pi++
 	}
 	return pl.ResultFromCells(proven)
-}
-
-func pointCount(bp *ledger.BatchProof) int {
-	if bp.Points == nil {
-		return 0
-	}
-	return len(bp.Points.Keys)
 }

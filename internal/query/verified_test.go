@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spitz/internal/core"
+	"spitz/internal/postree"
 )
 
 func verifiedEngine(t *testing.T) *core.Engine {
@@ -135,20 +136,30 @@ func TestVerifiedTamperedProofRejected(t *testing.T) {
 	eng := verifiedEngine(t)
 	pl, res := execVerified(t, eng,
 		"SELECT stock FROM inv WHERE pk BETWEEN 'item-a' AND 'item-z'")
-	// Corrupt one proven entry value: verification against the digest must
-	// fail before any result is rebuilt.
 	if len(res.Proof.Ranges) == 0 || len(res.Proof.Ranges[0].Entries) == 0 {
 		t.Fatal("proof has no range entries to corrupt")
 	}
-	res.Proof.Ranges[0].Entries[0].Value[0] ^= 0xff
-	if err := res.Proof.Verify(res.Digest); err == nil {
-		t.Fatal("tampered proof verified")
+	// Corrupt one byte of a proven leaf: verification against the digest
+	// must fail before any result is rebuilt, and leave no rows behind.
+	rp := &res.Proof.Ranges[0]
+	honest := rp.Nodes[len(rp.Nodes)-1]
+	forged := append([]byte(nil), honest...)
+	forged[len(forged)-1] ^= 0xff
+	rp.Nodes[len(rp.Nodes)-1] = forged
+	if err := res.Proof.Verify(res.Digest); err == nil || rp.Entries != nil {
+		t.Fatalf("tampered proof verified (%d rows)", len(rp.Entries))
 	}
-	res.Proof.Ranges[0].Entries[0].Value[0] ^= 0xff
+	rp.Nodes[len(rp.Nodes)-1] = honest
+	// Rows claimed beside the leaves carry no weight: verification
+	// replaces them with what the leaves hold.
+	rp.Entries = []postree.Entry{{Key: []byte("forged"), Value: []byte("row")}}
 	if err := res.Proof.Verify(res.Digest); err != nil {
 		t.Fatalf("restored proof rejected: %v", err)
 	}
-	_ = pl
+	out, err := pl.ResultFromProof(res.Cells, res.Proof)
+	if err != nil || len(out.Rows) != len(res.Proof.Ranges[0].Entries) || len(out.Rows) < 2 {
+		t.Fatalf("result after a forged row list: %d rows, %v", len(out.Rows), err)
+	}
 }
 
 func TestVerifiedDeferredSkipsProof(t *testing.T) {

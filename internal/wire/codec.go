@@ -64,8 +64,8 @@ const (
 	// reqDeferred's bit is the value itself — a deferred OpQuery costs
 	// zero payload bytes (like respFound).
 	reqDeferred
-	// reqHave carries the digests of the path nodes an OpGetVerified
-	// client already holds: a uvarint count (at most postree.MaxHeight)
+	// reqHave carries the digests of the index nodes the client of a
+	// proof-carrying read already holds: a uvarint count (at most postree.MaxHave)
 	// and that many 32-byte digests. Absent — a cold or older client —
 	// the server ships the full proof.
 	reqHave
@@ -303,10 +303,10 @@ func DecodeRequest(src []byte) (Request, error) {
 		if n, src, err = binenc.ReadUvarint(src); err != nil {
 			return req, err
 		}
-		// Bounded before allocation: by the tallest possible tree and by
-		// the bytes actually present. Zero is never encoded (the bit
-		// would be absent), so it is rejected to keep encodings canonical.
-		if n == 0 || n > postree.MaxHeight || n > uint64(len(src))/hashutil.DigestSize {
+		// Bounded before allocation: by postree.MaxHave and by the bytes actually
+		// present. Zero is never encoded (the bit would be absent), so it
+		// is rejected to keep encodings canonical.
+		if n == 0 || n > postree.MaxHave || n > uint64(len(src))/hashutil.DigestSize {
 			return req, binenc.ErrCorrupt
 		}
 		req.Have = make([]hashutil.Digest, n)

@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"spitz/internal/binenc"
+	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/posleaf"
 	"spitz/internal/postree"
+	"spitz/internal/query"
 )
 
 // elideEngine returns an engine whose tree has index levels (so proofs
@@ -34,19 +36,37 @@ func elideEngine(t testing.TB) (*core.Engine, []byte) {
 	return eng, []byte("pk03210")
 }
 
-// heldPath verifies resp's full proof and returns a path holding every
-// index node it shipped.
-func heldPath(t testing.TB, resp Response) *postree.Path {
+// heldNodes verifies resp's full proof (point, range or batch) and
+// returns every index node it shipped.
+func heldNodes(t testing.TB, resp Response) []*postree.Node {
 	t.Helper()
 	got := new(postree.Path)
-	if err := resp.Proof.VerifyPath(resp.Digest, got); err != nil {
+	var err error
+	if resp.Proof != nil {
+		err = resp.Proof.VerifyPath(resp.Digest, got)
+	} else {
+		err = resp.BatchProof.VerifyPath(resp.Digest, got)
+	}
+	if err != nil {
 		t.Fatalf("full proof: %v", err)
 	}
 	if len(got.Shipped) == 0 {
 		t.Fatal("tree has no index level: nothing to elide")
 	}
-	return &postree.Path{Held: got.Shipped}
+	return got.Shipped
 }
+
+// pin returns a fresh path holding nodes; a path serves one verification.
+func pin(nodes []*postree.Node) *postree.Path {
+	pa := postree.NewPath(len(nodes))
+	for _, n := range nodes {
+		pa.Pin(n)
+	}
+	return pa
+}
+
+// heldPath pins what heldNodes returns.
+func heldPath(t testing.TB, resp Response) *postree.Path { return pin(heldNodes(t, resp)) }
 
 // TestGetVerifiedResponseShape pins what Dispatch answers OpGetVerified
 // with: the proof and Found, no Cells (the row travels in the proof
@@ -90,28 +110,24 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
 	cold := Dispatch(eng, req)
 	coldBytes := AppendResponse(nil, &cold)
-	path := heldPath(t, cold)
+	held := heldNodes(t, cold)
 
 	elidedBefore := obs.Default.Counter("spitz_proof_nodes_elided_total").Value()
 	hinted := req
-	hinted.Have = path.Have()
+	hinted.Have = pin(held).Have()
 	warm := Dispatch(eng, hinted)
 	if warm.Err != "" || warm.Digest != cold.Digest {
 		t.Fatalf("hinted read: %+v", warm)
 	}
 	nodes := warm.Proof.Point.Nodes
-	if len(nodes) != len(cold.Proof.Point.Nodes) {
-		t.Fatalf("elided proof has %d positions, full proof %d", len(nodes), len(cold.Proof.Point.Nodes))
+	if len(nodes) != 1 || len(nodes[0]) == 0 || nodes[0][0] != 0 {
+		t.Fatalf("a fully hinted read ships %d nodes, want the leaf alone", len(nodes))
 	}
-	for i, body := range nodes {
-		if leaf := i == len(nodes)-1; (len(body) == 0) == leaf {
-			t.Fatalf("position %d: elided=%v leaf=%v", i, len(body) == 0, leaf)
-		}
+	index := len(cold.Proof.Point.Nodes) - 1
+	if got := obs.Default.Counter("spitz_proof_nodes_elided_total").Value() - elidedBefore; got != uint64(index) {
+		t.Fatalf("spitz_proof_nodes_elided_total moved by %d, want %d", got, index)
 	}
-	if got := obs.Default.Counter("spitz_proof_nodes_elided_total").Value() - elidedBefore; got != uint64(len(nodes)-1) {
-		t.Fatalf("spitz_proof_nodes_elided_total moved by %d, want %d", got, len(nodes)-1)
-	}
-	if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
+	if err := warm.Proof.VerifyPath(warm.Digest, pin(held)); err != nil {
 		t.Fatalf("elided proof: %v", err)
 	}
 	if err := warm.Proof.Verify(warm.Digest); !errors.Is(err, ledger.ErrProofInvalid) {
@@ -131,24 +147,198 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 		t.Fatal("a cold client's proof changed after a warm client's elided read")
 	}
 
-	// The leaf's digest at the leaf's depth, a hint at the wrong depth and
-	// an over-long hint are all harmless.
-	leaf, err := posleaf.ParsePruned(nodes[len(nodes)-1])
+	// The hint is a set: the leaf's digest in it is harmless, its order
+	// and anything else in it irrelevant.
+	leaf, err := posleaf.ParsePruned(nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	hinted.Have = append(path.Have(), leaf.Digest())
-	if r := Dispatch(eng, hinted); len(r.Proof.Point.Nodes[len(nodes)-1]) == 0 {
-		t.Fatal("leaf elided on request")
+	hinted.Have = append([]hashutil.Digest{leaf.Digest(), {}}, hinted.Have...)
+	for i, j := 2, len(hinted.Have)-1; i < j; i, j = i+1, j-1 {
+		hinted.Have[i], hinted.Have[j] = hinted.Have[j], hinted.Have[i]
 	}
-	hinted.Have = append([]hashutil.Digest{{}}, path.Have()...)
-	if r := Dispatch(eng, hinted); !bytes.Equal(AppendResponse(nil, &r), coldBytes) {
-		t.Fatal("depth-shifted hint elided something")
+	if r := Dispatch(eng, hinted); !bytes.Equal(AppendResponse(nil, &r), warmBytes) {
+		t.Fatal("a reordered hint naming the leaf as well changed the response")
 	}
 }
 
-// TestElisionOverBothFramings: the hint and the elided proof survive
-// binary/v2 and gob alike.
+// multiRow is one proof-carrying multi-row read: how to ask for it and
+// how to read the rows back off the verified response.
+type multiRow struct {
+	name string
+	req  Request
+	rows func(t testing.TB, resp Response) []string // values, in proof order
+	want []string
+}
+
+func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
+	var want []string
+	for i := 3190; i < 3260; i++ {
+		want = append(want, fmt.Sprintf("value-%05d", i))
+	}
+	rangeRows := func(t testing.TB, resp Response) []string {
+		if resp.Cells != nil {
+			t.Fatalf("%d cells travel beside the proof", len(resp.Cells))
+		}
+		cells, err := resp.Proof.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range cells {
+			out = append(out, string(c.Value))
+		}
+		return out
+	}
+	at := eng.Digest()
+	audits := []ledger.BatchQuery{
+		{Table: "t", Column: "c", PK: []byte("pk03210")},
+		{Table: "t", Column: "c", PK: []byte("pk03190"), PKHi: []byte("pk03260"), Range: true},
+		{Table: "t", Column: "c", PK: []byte("pk00007")},
+		{Table: "t", Column: "c", PK: []byte("pk03210!")},
+	}
+	batchRows := func(t testing.TB, resp Response) []string {
+		bp := resp.BatchProof
+		var out []string
+		if bp.Points != nil {
+			for i := range bp.Points.Keys {
+				if bp.Points.Found[i] {
+					_, v, _, err := cellstore.DecodeVersion(bp.Points.Values[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, string(v))
+				}
+			}
+		}
+		for i := range bp.Ranges {
+			cells, err := cellstore.DecodeEntries(bp.Ranges[i].Entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cells {
+				out = append(out, string(c.Value))
+			}
+		}
+		return out
+	}
+	return []multiRow{
+		{"range", Request{Op: OpRangeVer, Table: "t", Column: "c", PK: []byte("pk03190"), PKHi: []byte("pk03260")},
+			rangeRows, want},
+		{"prove-batch", Request{Op: OpProveBatch, OldDigest: at, OldDigest2: &at, Audits: audits},
+			batchRows, append([]string{"value-03210", "value-00007"}, want...)},
+		{"query", Request{Op: OpQuery, Statement: "SELECT c FROM t WHERE pk BETWEEN 'pk03190' AND 'pk03259'"},
+			batchRows, want},
+	}
+}
+
+func verifyMultiRow(resp Response, path *postree.Path) error {
+	if resp.Proof != nil {
+		return resp.Proof.VerifyPath(resp.Digest, path)
+	}
+	return resp.BatchProof.VerifyPath(resp.Digest, path)
+}
+
+func proofNodes(resp Response) (nodes [][]byte, entries int) {
+	if resp.Proof != nil {
+		return resp.Proof.Range.Nodes, len(resp.Proof.Range.Entries)
+	}
+	if bp := resp.BatchProof; bp.Points != nil {
+		nodes = append(nodes, bp.Points.Nodes...)
+	}
+	for i := range resp.BatchProof.Ranges {
+		nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)
+		entries += len(resp.BatchProof.Ranges[i].Entries)
+	}
+	return nodes, entries
+}
+
+// TestDispatchMultiRowProofs: the range, batch and query reads follow
+// the point read's rule. Without a hint the proof is complete — it
+// verifies with nothing held — but its leaves are pruned and its rows
+// travel once, inside them; with a hint no held index node travels
+// either; and neither response touches what the engine hands anyone else.
+func TestDispatchMultiRowProofs(t *testing.T) {
+	eng, _ := elideEngine(t)
+	for _, m := range multiRowReads(t, eng) {
+		t.Run(m.name, func(t *testing.T) {
+			cold := Dispatch(eng, m.req)
+			if cold.Err != "" {
+				t.Fatal(cold.Err)
+			}
+			coldBytes := AppendResponse(nil, &cold)
+			nodes, entries := proofNodes(cold)
+			if entries != 0 {
+				t.Fatalf("%d rows travel beside the leaves that hold them", entries)
+			}
+			// The edge leaves of a 70-row range hold rows outside it, and
+			// the points' leaves ~30 rows each: whole, the leaves alone
+			// would outweigh this.
+			leafBytes := 0
+			for _, body := range nodes {
+				if body[0] == 0 {
+					leafBytes += len(body)
+				}
+			}
+			if perRow := leafBytes / len(m.want); perRow > 60 {
+				t.Fatalf("%d leaf bytes for %d rows: leaves are not pruned", leafBytes, len(m.want))
+			}
+			held := heldNodes(t, cold) // verifies with nothing held, fills the rows
+			if got := m.rows(t, cold); fmt.Sprint(got) != fmt.Sprint(m.want) {
+				t.Fatalf("rows off the cold proof: %v", got)
+			}
+
+			elidedBefore := obs.Default.Counter("spitz_proof_nodes_elided_total").Value()
+			hinted := m.req
+			hinted.Have = pin(held).Have()
+			warm := Dispatch(eng, hinted)
+			if warm.Err != "" || warm.Digest != cold.Digest {
+				t.Fatalf("hinted read: %+v", warm)
+			}
+			warmNodes, _ := proofNodes(warm)
+			for _, body := range warmNodes {
+				if body[0] != 0 {
+					t.Fatal("an index node travelled to a client that holds it")
+				}
+			}
+			indexBytes := 0
+			for _, body := range nodes {
+				if body[0] != 0 {
+					indexBytes += len(body)
+				}
+			}
+			if warmBytes := AppendResponse(nil, &warm); len(coldBytes)-len(warmBytes) < indexBytes {
+				t.Fatalf("elided response is %d bytes, full one %d with %d bytes of index nodes",
+					len(warmBytes), len(coldBytes), indexBytes)
+			}
+			if got := obs.Default.Counter("spitz_proof_nodes_elided_total").Value() - elidedBefore; got != uint64(len(nodes)-len(warmNodes)) {
+				t.Fatalf("spitz_proof_nodes_elided_total moved by %d, want %d", got, len(nodes)-len(warmNodes))
+			}
+			if err := verifyMultiRow(warm, nil); !errors.Is(err, ledger.ErrProofInvalid) {
+				t.Fatalf("elided proof verified with nothing held: %v", err)
+			}
+			if err := verifyMultiRow(warm, pin(held)); err != nil {
+				t.Fatalf("elided proof: %v", err)
+			}
+			if got := m.rows(t, warm); fmt.Sprint(got) != fmt.Sprint(m.want) {
+				t.Fatalf("rows off the warm proof: %v", got)
+			}
+			// The engine's own answer is still fully populated, and the
+			// next cold client's response byte-identical.
+			again := Dispatch(eng, m.req)
+			if !bytes.Equal(AppendResponse(nil, &again), coldBytes) {
+				t.Fatal("a cold client's proof changed after a warm client's elided read")
+			}
+		})
+	}
+	res, err := eng.RangePKVerified("t", "c", []byte("pk03190"), []byte("pk03260"))
+	if err != nil || len(res.Proof.Range.Entries) != 70 || len(res.Cells) != 70 {
+		t.Fatalf("the engine's range result lost its rows: %d entries, %d cells, %v", len(res.Proof.Range.Entries), len(res.Cells), err)
+	}
+}
+
+// TestElisionOverBothFramings: the hint and the elided proof, of every
+// shape, survive binary/v2 and gob alike.
 func TestElisionOverBothFramings(t *testing.T) {
 	eng, pk := elideEngine(t)
 	srv := NewServer(eng)
@@ -171,11 +361,8 @@ func TestElisionOverBothFramings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := warm.Proof.Point.Nodes
-		for i, body := range nodes {
-			if leaf := i == len(nodes)-1; (len(body) == 0) == leaf {
-				t.Fatalf("%s position %d: elided=%v leaf=%v", cl.Proto(), i, len(body) == 0, leaf)
-			}
+		if nodes := warm.Proof.Point.Nodes; len(nodes) != 1 || nodes[0][0] != 0 {
+			t.Fatalf("%s: a fully hinted read ships %d nodes, want the leaf alone", cl.Proto(), len(nodes))
 		}
 		if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
 			t.Fatalf("%s: elided proof: %v", cl.Proto(), err)
@@ -184,31 +371,62 @@ func TestElisionOverBothFramings(t *testing.T) {
 		if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-03210" {
 			t.Fatalf("%s: %v %v", cl.Proto(), cells, err)
 		}
+		for _, m := range multiRowReads(t, eng) {
+			cold, err := cl.Do(m.req)
+			if err != nil {
+				t.Fatal(m.name, err)
+			}
+			held := heldNodes(t, cold)
+			hinted := m.req
+			hinted.Have = pin(held).Have()
+			warm, err := cl.Do(hinted)
+			if err != nil {
+				t.Fatal(m.name, err)
+			}
+			nodes, _ := proofNodes(warm)
+			for _, body := range nodes {
+				if body[0] != 0 {
+					t.Fatalf("%s %s: an index node travelled to a client that holds it", cl.Proto(), m.name)
+				}
+			}
+			if err := verifyMultiRow(warm, pin(held)); err != nil {
+				t.Fatalf("%s %s: elided proof: %v", cl.Proto(), m.name, err)
+			}
+			if got := m.rows(t, warm); fmt.Sprint(got) != fmt.Sprint(m.want) {
+				t.Fatalf("%s %s: rows %v", cl.Proto(), m.name, got)
+			}
+		}
 		cl.Close()
 	}
 }
 
-// TestDecodeRequestHaveBounds: the hint's length is checked against the
-// tallest possible tree and the bytes present before anything is
-// allocated.
+// TestDecodeRequestHaveBounds: the hint's length is checked against
+// postree.MaxHave and the bytes present before anything is allocated.
 func TestDecodeRequestHaveBounds(t *testing.T) {
-	ok := Request{Op: OpGetVerified, PK: []byte("k"), Have: make([]hashutil.Digest, postree.MaxHeight)}
-	enc := AppendRequest(nil, &ok)
-	if dec, err := DecodeRequest(enc); err != nil || len(dec.Have) != postree.MaxHeight {
+	ok := Request{Op: OpProveBatch, PK: []byte("k"), Have: make([]hashutil.Digest, postree.MaxHave)}
+	if dec, err := DecodeRequest(AppendRequest(nil, &ok)); err != nil || len(dec.Have) != postree.MaxHave {
 		t.Fatalf("maximal hint: %v", err)
 	}
-	// Locate the count (it precedes the digests, which end the payload).
-	at := len(enc) - postree.MaxHeight*hashutil.DigestSize - 1
-	if enc[at] != postree.MaxHeight {
+	// A one-digest hint: the count is the byte before the digest, which
+	// ends the payload.
+	one := Request{Op: OpGetVerified, PK: []byte("k"), Have: make([]hashutil.Digest, 1)}
+	enc := AppendRequest(nil, &one)
+	at := len(enc) - hashutil.DigestSize - 1
+	if enc[at] != 1 {
 		t.Fatalf("count byte not where expected: %d", enc[at])
 	}
-	for _, count := range []uint64{0, postree.MaxHeight + 1, 1 << 40} {
+	for _, count := range []uint64{0, 2, postree.MaxHave + 1, 1 << 40} {
 		bad := append([]byte(nil), enc[:at]...)
 		bad = binenc.AppendUvarint(bad, count)
 		bad = append(bad, enc[at+1:]...)
 		if _, err := DecodeRequest(bad); !errors.Is(err, binenc.ErrCorrupt) {
 			t.Fatalf("hint count %d: err = %v", count, err)
 		}
+	}
+	// Over the bound with the bytes to back it.
+	over := Request{Op: OpProveBatch, Have: make([]hashutil.Digest, postree.MaxHave+1)}
+	if _, err := DecodeRequest(AppendRequest(nil, &over)); !errors.Is(err, binenc.ErrCorrupt) {
+		t.Fatalf("hint of MaxHave+1 digests: err = %v", err)
 	}
 	if _, err := DecodeRequest(enc[:len(enc)-1]); !errors.Is(err, binenc.ErrCorrupt) {
 		t.Fatalf("truncated hint: err = %v", err)
@@ -253,16 +471,16 @@ func twoGroups(leaf posleaf.Leaf, present int) bool {
 }
 
 // FuzzElidedRead feeds arbitrary bytes to the two decoders an elided read
-// crosses — the request with its hint field, the response with a point
-// proof whose positions may be empty — and then to verification against
-// an arbitrary held path: malformed input must error, never panic or
-// allocate past what the input could hold.
+// crosses — the request with its hint field, the response with a point,
+// range or batch proof any of whose nodes may be missing — and then to
+// verification against an arbitrary pinned set: malformed input must
+// error, never panic or allocate past what the input could hold.
 func FuzzElidedRead(f *testing.F) {
 	eng, pk := elideEngine(f)
 	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
 	cold := Dispatch(eng, req)
-	path := heldPath(f, cold)
-	req.Have = path.Have()
+	held := heldNodes(f, cold)
+	req.Have = pin(held).Have()
 	warm := Dispatch(eng, req)
 	f.Add(AppendRequest(nil, &req))
 	f.Add(AppendResponse(nil, &cold))
@@ -295,36 +513,73 @@ func FuzzElidedRead(f *testing.F) {
 			f.Fatalf("no seed for a %s (have %v)", shape, seen)
 		}
 	}
+	// The multi-row reads, cold and warm: pruned edge leaves, whole
+	// interior ones, stripped rows, a batch with points and a range.
+	for _, m := range multiRowReads(f, eng) {
+		resp := Dispatch(eng, m.req)
+		f.Add(AppendRequest(nil, &m.req))
+		f.Add(AppendResponse(nil, &resp))
+		nodes := heldNodes(f, resp)
+		held = append(held, nodes...)
+		hinted := m.req
+		hinted.Have = pin(nodes).Have()
+		resp = Dispatch(eng, hinted)
+		f.Add(AppendRequest(nil, &hinted))
+		f.Add(AppendResponse(nil, &resp))
+	}
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		rr := rndRequest(r)
-		rr.Have = rndDigests(r, postree.MaxHeight+1)
+		rr.Have = rndDigests(r, 2*postree.MaxHeight)
 		f.Add(AppendRequest(nil, &rr))
-		resp := Response{Found: true, Proof: rndProof(r), Digest: rndLedgerDigest(r)}
+		resp := Response{Found: true, Proof: rndProof(r), BatchProof: rndBatchProof(r), Digest: rndLedgerDigest(r)}
 		f.Add(AppendResponse(nil, &resp))
 	}
+	root := cold.Proof.Header.CellRoot
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeRequest(data); err == nil {
-			if len(req.Have) > postree.MaxHeight {
+			if len(req.Have) > postree.MaxHave {
 				t.Fatalf("decoded a %d-digest hint", len(req.Have))
 			}
 			if again, err := DecodeRequest(AppendRequest(nil, &req)); err != nil || len(again.Have) != len(req.Have) {
 				t.Fatalf("hint unstable across re-encode: %v", err)
 			}
-			if req.Op == OpGetVerified {
-				Dispatch(eng, req) // any hint is safe to serve
+			// Any hint is safe to serve, on every read that takes one.
+			switch req.Op {
+			case OpGetVerified, OpRangeVer, OpProveBatch:
+				Dispatch(eng, req)
+			case OpQuery:
+				if !query.Mutates(req.Statement) {
+					Dispatch(eng, req)
+				}
 			}
 		}
 		resp, err := DecodeResponse(data)
-		if err != nil || resp.Proof == nil {
+		if err != nil {
 			return
 		}
-		// Whatever decoded — elided positions anywhere, leaf included —
-		// verification decides, with and without held nodes.
-		_ = resp.Proof.Verify(resp.Digest)
-		_ = resp.Proof.VerifyPath(resp.Digest, &postree.Path{Held: path.Held})
-		if resp.Proof.Point != nil {
-			_ = resp.Proof.Point.VerifyPath(cold.Proof.Header.CellRoot, &postree.Path{Held: path.Held})
+		// Whatever decoded — nodes missing anywhere, leaves included, rows
+		// claimed beside them — verification decides, with and without
+		// pinned nodes.
+		if p := resp.Proof; p != nil {
+			_ = p.Verify(resp.Digest)
+			_ = p.VerifyPath(resp.Digest, pin(held))
+			if p.Point != nil {
+				_ = p.Point.VerifyPath(root, pin(held))
+			}
+			if p.Range != nil {
+				_ = p.Range.VerifyPath(root, pin(held))
+			}
+		}
+		if p := resp.BatchProof; p != nil {
+			_ = p.Verify(resp.Digest)
+			_ = p.VerifyPath(resp.Digest, pin(held))
+			if p.Points != nil {
+				_ = p.Points.VerifyPath(root, pin(held))
+			}
+			for i := range p.Ranges {
+				_ = p.Ranges[i].VerifyPath(root, pin(held))
+			}
 		}
 	})
 }

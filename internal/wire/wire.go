@@ -142,13 +142,14 @@ type Request struct {
 	// applying a block (OpReplAck).
 	Height uint64
 
-	// Have, on OpGetVerified, lists the digests of the verified index
-	// nodes the client already holds along the key's search path, root
-	// first (at most postree.MaxHeight). The server leaves the body of a
-	// proof node out when it is the held digest at that depth; absent, the
-	// proof is complete. It is a hint only: the client verifies by walking
-	// from its trusted root and accepts an elided position solely from
-	// its own verified nodes.
+	// Have, on the proof-carrying reads (OpGetVerified, OpRangeVer,
+	// OpProveBatch, OpQuery), is the set of digests of the verified index
+	// nodes the client already holds where the read will walk (at most
+	// postree.MaxHave). The server leaves a node's body out of the proof iff it
+	// is an index node whose digest is in the set; absent, the proof is
+	// complete. It is a hint only: the client verifies by walking from
+	// its trusted root and takes a node that was left out solely from its
+	// own verified nodes.
 	Have []hashutil.Digest
 
 	// trace is the live span for this request (nil for the unsampled
@@ -955,7 +956,25 @@ func (s *Server) restore(req Request) Response {
 
 // Dispatch executes one request against an engine. It is shared by the
 // network server and by in-process processor nodes (internal/server).
+//
+// It is also the one place a proof is cut down to what its client lacks:
+// it travels without the index nodes named in req.Have and without the
+// rows of range proofs, which the client reads off the verified leaves.
+// The proof structs dispatch returns are this call's own; the node lists
+// and sub-proofs inside them may be shared with the engine's proof cache
+// and other callers, and Elide replaces rather than edits those.
 func Dispatch(eng *core.Engine, req Request) Response {
+	resp := dispatch(eng, req)
+	if resp.Proof != nil {
+		*resp.Proof = resp.Proof.Elide(req.Have)
+	}
+	if resp.BatchProof != nil {
+		*resp.BatchProof = resp.BatchProof.Elide(req.Have)
+	}
+	return resp
+}
+
+func dispatch(eng *core.Engine, req Request) Response {
 	switch req.Op {
 	case OpPut:
 		puts := make([]core.Put, len(req.Puts))
@@ -987,9 +1006,8 @@ func Dispatch(eng *core.Engine, req Request) Response {
 		}
 		// The row travels once, inside the proof (Point.Value and the
 		// leaf body); clients decode it from there only, so Cells is not
-		// sent. Index nodes the client says it holds are elided here, on
-		// a copy — res.Proof may share its node list with the proof cache.
-		proof := res.Proof.Elide(req.Have)
+		// sent (and only the proof, not the whole result, outlives the call).
+		proof := res.Proof
 		return Response{Found: res.Found, Proof: &proof, Digest: res.Digest}
 	case OpRange:
 		cells, d, err := eng.RangePKAttested(req.Table, req.Column, req.PK, req.PKHi)
@@ -1002,7 +1020,8 @@ func Dispatch(eng *core.Engine, req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Found: res.Found, Cells: res.Cells, Proof: &res.Proof, Digest: res.Digest}
+		// As for OpGetVerified: the rows travel once, inside the leaves.
+		return Response{Found: res.Found, Proof: &res.Proof, Digest: res.Digest}
 	case OpLookupEq:
 		cells, err := eng.LookupEqual(req.Table, req.Column, req.Value)
 		if err != nil {

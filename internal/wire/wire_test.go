@@ -86,11 +86,15 @@ func TestRangeOverWire(t *testing.T) {
 	}
 	resp, err = cl.Do(Request{Op: OpRangeVer, Table: "t", Column: "c",
 		PK: []byte("pk0100"), PKHi: []byte("pk0120")})
-	if err != nil || len(resp.Cells) != 20 || resp.Proof == nil {
+	if err != nil || !resp.Found || resp.Proof == nil {
 		t.Fatal("verified range failed")
 	}
 	if err := resp.Proof.Verify(resp.Digest); err != nil {
 		t.Fatalf("range proof over wire: %v", err)
+	}
+	// The rows are read off the verified leaves; none travel beside them.
+	if cells, err := resp.Proof.Cells(); err != nil || len(cells) != 20 || len(resp.Cells) != 0 {
+		t.Fatalf("verified range = %d proven cells, %d loose cells, %v", len(cells), len(resp.Cells), err)
 	}
 }
 

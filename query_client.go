@@ -205,7 +205,11 @@ func mergeQueryResults(pl query.Plan, parts []QueryResult, err error) (QueryResu
 func (l shardLink) queryVerified(statement string, pl query.Plan) (QueryResult, error) {
 	tr := l.span("client.query-verified")
 	defer tr.Finish()
-	req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard}
+	// A range or point plan's obligations follow from the statement alone,
+	// so the index nodes held on their way can be hinted; a lookup plan
+	// learns its keys from the answer and derives none here.
+	path := l.v.PathFor(pl.Queries(nil))
+	req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard, Have: path.Have()}
 	req.SetTrace(tr)
 	resp, err := l.c.Do(req)
 	if err != nil {
@@ -217,8 +221,16 @@ func (l shardLink) queryVerified(statement string, pl query.Plan) (QueryResult, 
 	if resp.BatchProof == nil {
 		return l.acceptProofless(pl, resp)
 	}
-	if err := l.syncAndVerifyBatch(tr, resp.Digest, resp.BatchProof,
-		len(pl.Queries(resp.Cells))); err != nil {
+	// The proof must discharge the plan's obligations and no others: a
+	// valid proof of a narrower range would silently omit rows, one for
+	// another key smuggle in that key's value. Checked before
+	// verification, as in getVerified.
+	queries := pl.Queries(resp.Cells)
+	if !resp.BatchProof.Answers(queries) {
+		return QueryResult{}, fmt.Errorf("%w: proof answers different queries than the statement's", ErrTampered)
+	}
+	verify := func() error { return l.v.VerifyBatch(*resp.BatchProof, resp.Digest, len(queries), path) }
+	if err := l.syncAndVerifyWith(tr, resp.Digest, verify); err != nil {
 		return QueryResult{}, err
 	}
 	out, err := pl.ResultFromProof(resp.Cells, resp.BatchProof)
@@ -249,15 +261,6 @@ func (l shardLink) acceptProofless(pl query.Plan, resp wire.Response) (QueryResu
 		return QueryResult{}, fmt.Errorf("%w: server omitted proof", ErrTampered)
 	}
 	return pl.ResultFromCells(resp.Cells)
-}
-
-// syncAndVerifyBatch is syncAndVerify for aggregated batch proofs: the
-// same digest-advance flow, ending in a batch check against the current
-// trusted digest or against d once d is proven a prefix of it.
-func (l shardLink) syncAndVerifyBatch(tr *obs.Trace, d Digest, p *ledger.BatchProof, reads int) error {
-	return l.syncAndVerifyWith(tr, d,
-		func() error { return l.v.VerifyBatchNow(*p, reads) },
-		func() error { return l.v.VerifyBatchAsOf(*p, d, reads) })
 }
 
 // queryOptimistic is AuditMode's SELECT: the statement executes

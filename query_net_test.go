@@ -409,9 +409,9 @@ func TestQueryStructuredForgeries(t *testing.T) {
 			rp.Entries = nil
 			rp.Nodes = rp.Nodes[:1]
 		}},
-		{"drop a proven entry", rangeStmt, func(r *wire.Response) {
+		{"cut the rows out of the range's leaf", rangeStmt, func(r *wire.Response) {
 			rp := &r.BatchProof.Ranges[0]
-			rp.Entries = rp.Entries[:len(rp.Entries)-1]
+			rp.Nodes = cutLeafRows(t, rp.Nodes)
 		}},
 		{"smuggle an unproven row", "SELECT stock FROM inv WHERE status = 'hold'", func(r *wire.Response) {
 			forged := r.Cells[0]
