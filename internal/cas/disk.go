@@ -210,7 +210,13 @@ type Disk struct {
 	cacheMax  int64
 	spillMax  int64
 	segMax    int64
-	crashSync func() // test hook: called between spill writes and fsync
+	crashSync func() // test hook: called between Flush's writes and its fsync, outside mu
+
+	// flushMu serializes Flush and Close. Flush holds it — and not mu —
+	// across the active segment's fsync, so Get and Put keep running while
+	// a checkpoint waits for the disk; Close takes it so the file being
+	// fsynced cannot be closed underneath. Always acquired before mu.
+	flushMu sync.Mutex
 
 	mu       sync.Mutex
 	segs     []*segment
@@ -706,6 +712,10 @@ func (s *Disk) writeDirtyLocked() error {
 		if _, err := act.f.WriteAt(s.wbuf, act.size); err != nil {
 			return fail(fmt.Errorf("cas: append segment: %w", err))
 		}
+		// Spills pile up between checkpoints; get the disk going on them
+		// now, so that Flush's fsync — and every WAL fsync queued behind
+		// it in the device — waits for the tail, not for all of them.
+		startWriteback(act.f, act.size, int64(len(s.wbuf)))
 		act.size += int64(len(s.wbuf))
 		s.wbuf = s.wbuf[:0]
 		return nil
@@ -795,25 +805,39 @@ func (s *Disk) sealActiveLocked() error {
 }
 
 // Flush writes the dirty set to the active segment and fsyncs it: after
-// Flush returns nil, every object ever Put is durable. This is the
-// persistence point an incremental checkpoint builds on — only bytes
+// Flush returns nil, every object Put before the call is durable. This is
+// the persistence point an incremental checkpoint builds on — only bytes
 // dirtied since the previous Flush are written, not the whole store.
+//
+// The writes happen under mu, the fsync does not: a Put or spill racing
+// the fsync appends behind the flushed records (durable or not, never in
+// their place), and a spill that fills the segment seals it, which fsyncs
+// it too. Segments rotated away before the fsync were sealed the same way.
 func (s *Disk) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	return s.flush()
 }
 
-func (s *Disk) flushLocked() error {
-	if err := s.writeDirtyLocked(); err != nil {
+// flush is Flush for a caller that holds flushMu.
+func (s *Disk) flush() error {
+	s.mu.Lock()
+	err := s.writeDirtyLocked()
+	act := s.segs[len(s.segs)-1]
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	if s.crashSync != nil {
 		s.crashSync()
 	}
-	act := s.segs[len(s.segs)-1]
-	if err := act.f.Sync(); err != nil {
-		s.err = fmt.Errorf("cas: flush: %w", err)
+	err = act.f.Sync()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		if s.err == nil {
+			s.err = fmt.Errorf("cas: flush: %w", err)
+		}
 		mStoreErrors.Inc()
 		return s.err
 	}
@@ -825,13 +849,18 @@ func (s *Disk) flushLocked() error {
 // Close flushes and closes every segment file. The store must not be
 // used afterwards.
 func (s *Disk) Close() error {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
+		return s.Err()
+	}
+	ferr := s.flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return s.err
-	}
-	s.closed = true
-	ferr := s.flushLocked()
 	if ferr == nil {
 		// Seal the active segment so the next open indexes it from its
 		// footer instead of scanning record bodies — a clean close makes

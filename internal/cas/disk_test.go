@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"spitz/internal/hashutil"
 	"spitz/internal/posleaf"
@@ -280,6 +281,123 @@ func TestDiskSpillKeepsDataReadable(t *testing.T) {
 		}
 		if want := fmt.Sprintf("spill-%04d", i); string(got[:len(want)]) != want {
 			t.Fatalf("Get(%d) after spill: wrong body", i)
+		}
+	}
+}
+
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlushLeavesPutAndSpillRunning: Flush fsyncs outside the store lock,
+// so the apply stage's Gets and Puts do not wait out a checkpoint's disk
+// sync. The crashSync hook fires exactly where that fsync is about to
+// start. From there the test Puts enough to spill and to rotate segments
+// (under the old locking that deadlocks), then photographs the directory:
+// a crash before the fsync returned. Whatever such a crash leaves of the
+// unsealed tail — any prefix of it — reopens to every object Put before
+// the Flush, and each racing object whole or not at all.
+func TestFlushLeavesPutAndSpillRunning(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{CacheBytes: 1, SegmentBytes: 256 << 10})
+	body := make([]byte, 8<<10)
+	put := func(tag string, n int) []hashutil.Digest {
+		var ds []hashutil.Digest
+		for i := 0; i < n; i++ {
+			copy(body, fmt.Sprintf("%s-%04d", tag, i))
+			ds = append(ds, s.Put(hashutil.DomainValue, body))
+		}
+		return ds
+	}
+	before := put("before", 50) // 400 KiB: below the spill threshold, dirty until the Flush
+	var during []hashutil.Digest
+	crashDir := t.TempDir()
+	s.crashSync = func() {
+		raced := make(chan struct{})
+		go func() {
+			defer close(raced)
+			during = put("during", 100) // 800 KiB: spills, fills and seals segments
+			for _, d := range []hashutil.Digest{before[0], during[0], during[99]} {
+				if _, err := s.Get(d); err != nil {
+					t.Errorf("Get racing the flush: %v", err)
+				}
+			}
+		}()
+		select {
+		case <-raced:
+		case <-time.After(10 * time.Second):
+			t.Error("Put and Get wait for Flush's fsync")
+		}
+		copyDir(t, dir, crashDir)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.crashSync = nil
+	if t.Failed() {
+		return
+	}
+	if cs := s.CacheStats(); cs.Spills == 0 || cs.Flushes != 1 {
+		t.Fatalf("the race did not spill during the one flush: %+v", cs)
+	}
+
+	segs, _ := listSegments(crashDir)
+	tail := filepath.Join(crashDir, segs[len(segs)-1])
+	fi, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 || fi.Size() <= segHeaderSize {
+		t.Fatalf("crash image has %d segments, tail of %d bytes: the race did not rotate", len(segs), fi.Size())
+	}
+	for _, size := range []int64{fi.Size(), fi.Size() - 1, fi.Size() / 2, segHeaderSize + recHeaderSize + 1, segHeaderSize, 3} {
+		img := t.TempDir()
+		copyDir(t, crashDir, img)
+		if err := os.Truncate(filepath.Join(img, filepath.Base(tail)), size); err != nil {
+			t.Fatal(err)
+		}
+		r := openTestDisk(t, img, DiskOptions{})
+		for i, d := range before {
+			if got, err := r.Get(d); err != nil || !bytes.HasPrefix(got, []byte(fmt.Sprintf("before-%04d", i))) {
+				t.Fatalf("tail cut to %d: object %d Put before the Flush: %v", size, i, err)
+			}
+		}
+		for i, d := range during {
+			got, err := r.Get(d)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err != nil || !bytes.HasPrefix(got, []byte(fmt.Sprintf("during-%04d", i))) {
+				t.Fatalf("tail cut to %d: racing object %d came back damaged: %v", size, i, err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The live store lost nothing, and a clean close keeps the rest.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTestDisk(t, dir, DiskOptions{})
+	defer r.Close()
+	for _, d := range append(before, during...) {
+		if _, err := r.Get(d); err != nil {
+			t.Fatalf("after close and reopen: %v", err)
 		}
 	}
 }

@@ -197,14 +197,13 @@ func TestFixedVersionCommitBelowPipelineRejected(t *testing.T) {
 	}
 }
 
-// TestBatchSizeCap: more queued commits than MaxBatchTxns split into
-// several blocks, in order.
-func TestBatchSizeCap(t *testing.T) {
-	e := New(Options{MaxBatchTxns: 3})
+// enqueueAsync queues n single-cell commits without leading any of them
+// and returns their waits, in enqueue order.
+func enqueueAsync(t *testing.T, e *Engine, n int) []func() error {
+	t.Helper()
 	as := e.TxnStore().(txn.AsyncStore)
-	const n = 8
 	waits := make([]func() error, n)
-	for i := 0; i < n; i++ {
+	for i := range waits {
 		key := mustRef(t, "t", "c", fmt.Sprintf("pk%d", i))
 		_, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("v")}})
 		if err != nil {
@@ -212,17 +211,41 @@ func TestBatchSizeCap(t *testing.T) {
 		}
 		waits[i] = wait
 	}
-	for _, wait := range waits {
-		if err := wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h := e.Ledger().Height(); h != 3 { // 3 + 3 + 2
-		t.Fatalf("height = %d, want 3 blocks for 8 txns with cap 3", h)
-	}
-	st := e.BatchStats()
-	if st.Blocks != 3 || st.Txns != n || st.MaxTxns != 3 {
-		t.Fatalf("batch stats = %+v", st)
+	return waits
+}
+
+// TestBatchSizeCap: more queued commits than MaxBatchTxns split into
+// several blocks, in order — with no sink, and with a sink that holds
+// every durability wait: two blocks reach it with nothing durable (only a
+// leader that hands over before it waits gets that far), the third once
+// the first is.
+func TestBatchSizeCap(t *testing.T) {
+	for _, gated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gated=%v", gated), func(t *testing.T) {
+			e := New(Options{MaxBatchTxns: 3})
+			var sink *gatedSink
+			if gated {
+				sink = newGatedSink()
+				e.SetCommitSink(sink)
+			}
+			const n = 8
+			errs := goAll(enqueueAsync(t, e, n))
+			if gated {
+				sink.expectPipelined(t, errs, 3) // 3 + 3 + 2
+			}
+			for i := 0; i < n; i++ {
+				if err := recvErr(t, errs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if h := e.Ledger().Height(); h != 3 {
+				t.Fatalf("height = %d, want 3 blocks for 8 txns with cap 3", h)
+			}
+			st := e.BatchStats()
+			if st.Blocks != 3 || st.Txns != n || st.MaxTxns != 3 {
+				t.Fatalf("batch stats = %+v", st)
+			}
+		})
 	}
 }
 
@@ -316,35 +339,66 @@ func TestCommitBatchReorderingOverPipeline(t *testing.T) {
 // commits, the first leader commits only its own block and must hand
 // leadership to the next queued request's waiter rather than draining
 // the whole queue (leader starvation) or stalling it (lost leadership).
+// Behind a sink that holds every wait, leadership must keep travelling
+// down the queue with committers parked on blocks that are not durable
+// yet: each request leads exactly once, so the sink sees heights 0..n-1,
+// each once and in order.
 func TestLeadershipHandoff(t *testing.T) {
-	e := New(Options{MaxBatchTxns: 1})
-	as := e.TxnStore().(txn.AsyncStore)
-	const n = 4
-	waits := make([]func() error, n)
-	for i := 0; i < n; i++ {
-		key := mustRef(t, "t", "c", fmt.Sprintf("k%d", i))
-		_, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("v")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits[i] = wait
-	}
-	errs := make(chan error, n)
-	for _, wait := range waits {
-		wait := wait
-		go func() { errs <- wait() }()
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatal(err)
+	for _, gated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gated=%v", gated), func(t *testing.T) {
+			e := New(Options{MaxBatchTxns: 1})
+			var sink *gatedSink
+			if gated {
+				sink = newGatedSink()
+				e.SetCommitSink(sink)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("commit stalled: leadership lost during handoff")
-		}
+			const n = 4
+			errs := goAll(enqueueAsync(t, e, n))
+			if gated {
+				sink.expectPipelined(t, errs, n)
+			}
+			for i := 0; i < n; i++ {
+				if err := recvErr(t, errs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if h := e.Ledger().Height(); h != n {
+				t.Fatalf("height = %d, want %d single-txn blocks", h, n)
+			}
+			if gated {
+				sink.expectNoAppend(t)
+			}
+		})
 	}
-	if h := e.Ledger().Height(); h != n {
-		t.Fatalf("height = %d, want %d single-txn blocks", h, n)
+}
+
+// TestPipelineOverlapsApplyWithDurabilityWait: block N+1 is folded,
+// applied and appended to the sink while block N's durability wait is
+// still pending, and neither committer returns before its own wait is
+// released. No clock decides anything: the sink's waits block on channels
+// the test owns.
+func TestPipelineOverlapsApplyWithDurabilityWait(t *testing.T) {
+	e := New(Options{})
+	sink := newGatedSink()
+	e.SetCommitSink(sink)
+	a := goApply(e, 0)
+	sink.expectAppend(t, 0)
+	b := goApply(e, 1) // a's committer is inside its wait; b must lead block 1 itself
+	sink.expectAppend(t, 1)
+	expectPending(t, a)
+	expectPending(t, b)
+	// Visible before durable, as ever: the blocks are in the ledger.
+	if h := e.Ledger().Height(); h != 2 {
+		t.Fatalf("height = %d with both waits pending, want 2", h)
 	}
+	sink.release(0, nil)
+	if err := recvErr(t, a); err != nil {
+		t.Fatal(err)
+	}
+	expectPending(t, b) // block 0 being durable acknowledges nobody in block 1
+	sink.release(1, nil)
+	if err := recvErr(t, b); err != nil {
+		t.Fatal(err)
+	}
+	sink.expectNoAppend(t)
 }

@@ -28,6 +28,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spitz/internal/btree"
@@ -45,8 +46,9 @@ import (
 
 // Group-commit pipeline metrics. Queue wait is enqueue-to-batch-cut;
 // ledger time is the POS-tree apply + commitment append per block; the
-// durable wait is the leader-side fsync hold (the WAL layer times the
-// fsync itself).
+// durable wait is one block's shared wait, timed by whichever committer
+// resolves it (the WAL layer times the fsync itself); in-flight blocks
+// are appended to the sink but not yet durable.
 var (
 	mCommitBlocks    = obs.Default.Counter("spitz_commit_blocks_total")
 	mCommitTxns      = obs.Default.Counter("spitz_commit_txns_total")
@@ -55,6 +57,7 @@ var (
 	mCommitBatchTxns = obs.Default.Histogram("spitz_commit_batch_txns")
 	mCommitLedger    = obs.Default.Histogram("spitz_commit_ledger_ns")
 	mCommitDurWait   = obs.Default.Histogram("spitz_commit_durable_wait_ns")
+	mCommitInflight  = obs.Default.Gauge("spitz_commit_inflight_blocks")
 )
 
 // Put is one cell write in a batch.
@@ -148,11 +151,19 @@ type Engine struct {
 
 	// sink, when set, receives every committed block before the commit is
 	// acknowledged (write-ahead logging). sinkErr is sticky: once an
-	// append fails, the failed block exists in memory but not in the log,
-	// so any further commit would leave a permanent gap in the log —
-	// the engine refuses writes instead. Both guarded by mu.
-	sink    CommitSink
-	sinkErr error
+	// append or a durability wait fails, the failed block exists in memory
+	// but not in the log, so any further commit would leave a permanent gap
+	// in the log — the engine refuses writes instead. sinkErrAt is the
+	// height of that block: no block at or above it is acknowledged, even
+	// one whose own wait succeeds. All guarded by mu.
+	sink      CommitSink
+	sinkErr   error
+	sinkErrAt uint64
+	// lastWait is the shared durability wait of the last block appended to
+	// the sink (guarded by mu), olderWait that of the one before it, which
+	// the leader reads without the lock (see lead).
+	lastWait  *func() error
+	olderWait atomic.Pointer[func() error]
 }
 
 // pendingCell is one enqueued-but-uncommitted write, visible to
@@ -210,7 +221,8 @@ type CommitRecord struct {
 // with the engine lock held, immediately after the ledger commit, so sinks
 // observe blocks in exactly ledger order; it must not block on I/O
 // completion. The returned wait function is invoked after the lock is
-// released and blocks until the record is durable — that separation is
+// released and blocks until the record is durable. Later blocks are
+// appended while earlier waits are still pending — that separation is
 // what lets a write-ahead log group many concurrent commits under one
 // fsync. core deliberately knows nothing about the sink's implementation
 // (internal/durable provides one) so the dependency points outward only.
@@ -413,8 +425,19 @@ func (e *Engine) waitCommit(req *commitReq) (ledger.BlockHeader, error) {
 // Leadership therefore either passes to a queued request (whose waiter
 // is guaranteed to pick it up in waitCommit) or is released with an
 // empty queue, so every enqueued request is guaranteed a leader.
+//
+// The loop is the pipeline's apply stage: committers wait for their own
+// block in waitCommit, after the handover, so the next block is built
+// while this one's fsync is in flight and a block costs the slower stage,
+// not the sum. Two stages hold two blocks: before cutting a third the
+// leader waits, leadership held, for the older to be durable. Behind a
+// slow disk that wait is what lets followers queue up and blocks grow;
+// behind a slow apply it is over before it is asked for.
 func (e *Engine) lead(own *commitReq) {
 	for {
+		if older := e.olderWait.Load(); older != nil {
+			_ = (*older)() // a failure has poisoned the engine: the cut below sees it
+		}
 		if d := e.maxBatchDelay; d > 0 {
 			// Give followers a moment to accumulate, unless a full batch
 			// is already waiting.
@@ -458,16 +481,6 @@ func (e *Engine) lead(own *commitReq) {
 		}
 		for _, r := range batch {
 			close(r.done)
-		}
-		// Hold leadership across the batch's durability wait: the next
-		// batch accumulates while this one's fsync is in flight, which is
-		// what makes blocks grow under load (classic group commit). The
-		// error is ignored here — every waiter surfaces it through its
-		// own durWait call.
-		if w := batch[0].durWait; w != nil {
-			durStart := time.Now()
-			_ = w()
-			mCommitDurWait.ObserveSince(durStart)
 		}
 		select {
 		case <-own.done:
@@ -520,7 +533,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 		// these requests' pending writes may already be queued behind us —
 		// their reads would be of writes that never committed. Fail stop.
 		err = fmt.Errorf("core: batch commit: %w", err)
-		e.sinkErr = err
+		e.sinkErr, e.sinkErrAt = err, e.ledger.Height()
 		for _, r := range batch {
 			r.err = err
 		}
@@ -562,25 +575,30 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 			// The block is in the in-memory ledger but not in the log. A
 			// later logged block would leave a gap recovery cannot bridge,
 			// so poison the commit path: this engine is read-only now.
-			e.sinkErr = err
+			e.sinkErr, e.sinkErrAt = err, h.Height
 			werr := fmt.Errorf("core: commit not durable: %w", err)
 			for _, r := range batch {
 				r.err = werr
 			}
 			return
 		}
-		// The whole batch shares one durability wait (one WAL frame, one
-		// fsync); wrap it so any number of waiters resolve it once.
+		// The whole batch shares one durability wait (one WAL frame, at
+		// most one fsync); wrap it so any number of waiters resolve it once.
+		mCommitInflight.Add(1)
 		var once sync.Once
 		var werr error
 		shared := func() error {
 			once.Do(func() {
-				if err := wait(); err != nil {
-					werr = fmt.Errorf("core: commit not durable: %w", err)
-				}
+				start := time.Now()
+				err := wait()
+				mCommitDurWait.ObserveSince(start)
+				mCommitInflight.Add(-1)
+				werr = e.settleDurable(h.Height, err)
 			})
 			return werr
 		}
+		e.olderWait.Store(e.lastWait)
+		e.lastWait = &shared
 		for _, r := range batch {
 			r.durWait = shared
 		}
@@ -588,6 +606,26 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	for _, r := range batch {
 		r.hdr = h
 	}
+}
+
+// settleDurable turns the outcome of block height's durability wait into
+// what its committers are told. A failed wait poisons the engine at once
+// (the next Append may already have happened), and a block at or above a
+// failed one is refused even when its own wait succeeded: recovery stops
+// at the first missing block.
+func (e *Engine) settleDurable(height uint64, err error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err != nil && e.sinkErr == nil {
+		e.sinkErr, e.sinkErrAt = err, height
+	}
+	if err == nil && e.sinkErr != nil && height >= e.sinkErrAt {
+		err = e.sinkErr
+	}
+	if err != nil {
+		return fmt.Errorf("core: commit not durable: %w", err)
+	}
+	return nil
 }
 
 // clearPendingLocked removes a finished batch's entries from the pending

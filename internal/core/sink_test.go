@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"spitz/internal/cellstore"
 )
@@ -22,6 +24,127 @@ func (s *failingSink) Append(rec CommitRecord) (func() error, error) {
 	}
 	s.seen = append(s.seen, rec)
 	return func() error { return nil }, nil
+}
+
+// gatedSink accepts every append and holds each block's durability wait
+// until the test releases that height, with the outcome the test chooses.
+type gatedSink struct {
+	appended chan uint64 // heights, in Append order
+	mu       sync.Mutex
+	gates    map[uint64]chan error
+}
+
+func newGatedSink() *gatedSink {
+	// Buffered beyond any test's block count, so Append — called under
+	// the engine lock — never blocks on the test reading it.
+	return &gatedSink{appended: make(chan uint64, 64), gates: make(map[uint64]chan error)}
+}
+
+func (s *gatedSink) gate(height uint64) chan error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g, ok := s.gates[height]
+	if !ok {
+		g = make(chan error, 1) // the engine resolves a block's wait once
+		s.gates[height] = g
+	}
+	return g
+}
+
+func (s *gatedSink) Append(rec CommitRecord) (func() error, error) {
+	g := s.gate(rec.Height)
+	s.appended <- rec.Height
+	return func() error { return <-g }, nil
+}
+
+func (s *gatedSink) release(height uint64, err error) { s.gate(height) <- err }
+
+// testStall bounds how long a test waits for something that must happen;
+// it only ever turns a hang into a failure.
+const testStall = 10 * time.Second
+
+func (s *gatedSink) expectAppend(t *testing.T, height uint64) {
+	t.Helper()
+	select {
+	case got := <-s.appended:
+		if got != height {
+			t.Fatalf("sink was appended block %d, want %d", got, height)
+		}
+	case <-time.After(testStall):
+		t.Fatalf("block %d never reached the sink: the apply stage is stuck behind a durability wait", height)
+	}
+}
+
+func (s *gatedSink) expectNoAppend(t *testing.T) {
+	t.Helper()
+	select {
+	case got := <-s.appended:
+		t.Fatalf("sink was appended an unexpected block %d", got)
+	default:
+	}
+}
+
+// expectPipelined walks blocks 0..n-1 through the sink the way the
+// two-stage pipeline must deliver them: block h+1 arrives while block h's
+// wait is still held, block h+2 only once block h has been released, and
+// nobody returns before its own block is.
+func (s *gatedSink) expectPipelined(t *testing.T, errs chan error, n uint64) {
+	t.Helper()
+	s.expectAppend(t, 0)
+	for h := uint64(0); h < n; h++ {
+		if h+1 < n {
+			s.expectAppend(t, h+1)
+		}
+		// The leader of block h+2 is parked on block h's wait (or has not
+		// got that far): it cannot have appended, whichever it is.
+		s.expectNoAppend(t)
+		if h == 0 {
+			expectPending(t, errs)
+		}
+		s.release(h, nil)
+	}
+}
+
+// goApply commits one cell on its own goroutine, as a client would.
+func goApply(e *Engine, pk byte) chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Apply("s", []Put{{Table: "t", Column: "c", PK: []byte{pk}, Value: []byte{1}}})
+		done <- err
+	}()
+	return done
+}
+
+// goAll runs every wait on its own goroutine, as concurrent committers do.
+func goAll(waits []func() error) chan error {
+	errs := make(chan error, len(waits))
+	for _, wait := range waits {
+		wait := wait
+		go func() { errs <- wait() }()
+	}
+	return errs
+}
+
+func recvErr(t *testing.T, errs chan error) error {
+	t.Helper()
+	select {
+	case err := <-errs:
+		return err
+	case <-time.After(testStall):
+		t.Fatal("commit stalled")
+		return nil
+	}
+}
+
+// expectPending asserts that no committer has returned. Their waits are
+// blocked on gates the test has not released, so this cannot race.
+func expectPending(t *testing.T, errs chan error) {
+	t.Helper()
+	select {
+	case err := <-errs:
+		t.Fatalf("a committer returned (%v) before its durability wait was released", err)
+	default:
+	}
 }
 
 func TestCommitSinkReceivesBlocksInOrder(t *testing.T) {
@@ -76,6 +199,39 @@ func TestSinkFailurePoisonsEngine(t *testing.T) {
 		t.Fatal("transaction committed after durability failure")
 	}
 	// Reads still work.
+	if _, err := e.Get("t", "c", []byte{0}); err != nil {
+		t.Fatalf("read refused on poisoned engine: %v", err)
+	}
+}
+
+// TestFailedDurabilityWaitPoisonsEngine: fail-stop must not depend on the
+// sink refusing the next append (a WAL does, through its sticky error;
+// this sink accepts everything). Block 0's wait fails after block 1 was
+// appended behind it: neither block is acknowledged — recovery would stop
+// at the gap — and the engine is read-only from that moment, so block 2
+// never reaches the sink.
+func TestFailedDurabilityWaitPoisonsEngine(t *testing.T) {
+	e := New(Options{})
+	sink := newGatedSink()
+	e.SetCommitSink(sink)
+	a := goApply(e, 0)
+	sink.expectAppend(t, 0)
+	b := goApply(e, 1)
+	sink.expectAppend(t, 1)
+
+	sink.release(0, errSinkBoom)
+	if err := recvErr(t, a); !errors.Is(err, errSinkBoom) {
+		t.Fatalf("block 0's committer got %v, want the wait's error", err)
+	}
+	sink.release(1, nil)
+	if err := recvErr(t, b); !errors.Is(err, errSinkBoom) {
+		t.Fatalf("block 1 was acknowledged (%v) above a block that is not durable", err)
+	}
+	err := recvErr(t, goApply(e, 2))
+	if err == nil || !strings.Contains(err.Error(), "read-only") || !errors.Is(err, errSinkBoom) {
+		t.Fatalf("engine accepted a commit after a failed durability wait: %v", err)
+	}
+	sink.expectNoAppend(t)
 	if _, err := e.Get("t", "c", []byte{0}); err != nil {
 		t.Fatalf("read refused on poisoned engine: %v", err)
 	}

@@ -220,6 +220,91 @@ func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
 	}
 }
 
+// TestDiskCheckpointFlushRacesCommits: the node store's Flush fsyncs
+// outside its lock, so commits — and the spills they force through a
+// 1 MiB cache — keep landing in the segment a checkpoint is flushing. A
+// crash after any stage of that checkpoint, or none, recovers to the old
+// root or the new one, never between, and the WAL replay on top of it
+// reproduces the exact digest with every acknowledged commit.
+func TestDiskCheckpointFlushRacesCommits(t *testing.T) {
+	for _, stage := range []string{"vlog", "flush", "none"} {
+		t.Run("crash-after-"+stage, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := diskOpts(Options{Sync: wal.SyncAlways, NodeCacheMB: 1})
+			m, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commitN(t, m.Engine(), 0, 5)
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			m.ckptCrash = func(s string) bool { return s == stage }
+
+			const warm = 30 // commits before the checkpoint starts: enough to have spilled
+			stop, racing, done := make(chan struct{}), make(chan struct{}), make(chan int, 1)
+			go func() {
+				big := make([]byte, 2048)
+				for n := 5; ; n++ {
+					select {
+					case <-stop:
+						done <- n
+						return
+					default:
+					}
+					_, err := m.Engine().Apply(fmt.Sprintf("stmt-%d", n), []core.Put{
+						{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("k%03d", n)), Value: []byte(fmt.Sprintf("v%d", n))},
+						{Table: "t", Column: "d", PK: []byte("shared"), Value: []byte(fmt.Sprintf("d%d", n))},
+						{Table: "t", Column: "big", PK: []byte(fmt.Sprintf("k%03d", n)), Value: big},
+					})
+					if err != nil {
+						t.Errorf("apply %d: %v", n, err)
+						done <- n
+						return
+					}
+					if n == 5+warm {
+						close(racing)
+					}
+				}
+			}()
+			<-racing
+			err = m.Checkpoint()
+			close(stop)
+			n := <-done
+			if t.Failed() {
+				return
+			}
+			if stage == "none" && err != nil || stage != "none" && !errors.Is(err, errCkptCrashed) {
+				t.Fatalf("checkpoint = %v", err)
+			}
+			if cs := m.NodeStore().CacheStats(); cs.Spills == 0 {
+				t.Fatalf("the racing commits never spilled: %+v", cs)
+			}
+			digest := m.Engine().Digest()
+
+			// Crash: m is dropped without Close.
+			m2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer m2.Close()
+			switch h := m2.CheckpointHeight(); {
+			case stage != "none" && h != 5:
+				t.Fatalf("checkpoint height = %d after a crashed checkpoint, want the previous root at 5", h)
+			case stage == "none" && (h < 5+warm || h > uint64(n)):
+				t.Fatalf("checkpoint height = %d, want the new root in [%d, %d]", h, 5+warm, n)
+			}
+			if got := m2.Engine().Digest(); got != digest {
+				t.Fatalf("digest = %+v, want %+v", got, digest)
+			}
+			checkN(t, m2.Engine(), n)
+			if err := m2.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))

@@ -126,11 +126,12 @@ type Digest struct {
 // Ledger is the block sequence plus the commitment tree and the live cell
 // store snapshot. Safe for concurrent use; commits are serialized.
 type Ledger struct {
-	mu      sync.RWMutex
-	store   cas.Store
-	headers []BlockHeader
-	commit  mtree.Tree
-	cells   cellstore.Store
+	commitMu sync.Mutex // serializes Commit; taken before mu
+	mu       sync.RWMutex
+	store    cas.Store
+	headers  []BlockHeader
+	commit   mtree.Tree
+	cells    cellstore.Store
 
 	// versions indexes demoted (superseded) cell versions by reference:
 	// the auditor "keeps track of data changes" (Section 5). Ascending by
@@ -229,12 +230,22 @@ func (l *Ledger) Latest() (cellstore.Store, BlockHeader, bool) {
 // block. Group commit batches several transactions (each with its own
 // commit timestamp) into one block this way. It returns the new header.
 func (l *Ledger) Commit(version uint64, txns []TxnSummary, cells []cellstore.Cell) (BlockHeader, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	// commitMu makes this the only writer; mu is held to read the head and
+	// again to publish the block, not across the tree apply in between —
+	// the expensive part, which builds new nodes beside a snapshot readers
+	// keep using. A digest or proof request, or the acknowledgement of the
+	// previous block, therefore never waits out the next block's apply.
+	l.commitMu.Lock()
+	defer l.commitMu.Unlock()
+	l.mu.RLock()
+	cur, height := l.cells, uint64(len(l.headers))
 	var prevVersion uint64
-	if len(l.headers) > 0 {
-		prevVersion = l.headers[len(l.headers)-1].Version
+	var parent hashutil.Digest
+	if height > 0 {
+		prevVersion = l.headers[height-1].Version
+		parent = l.headers[height-1].Hash()
 	}
+	l.mu.RUnlock()
 	if version <= prevVersion {
 		return BlockHeader{}, fmt.Errorf("ledger: version %d not above head version %d", version, prevVersion)
 	}
@@ -244,31 +255,30 @@ func (l *Ledger) Commit(version uint64, txns []TxnSummary, cells []cellstore.Cel
 				i, cells[i].Version, prevVersion, version)
 		}
 	}
-	next, demoted, err := l.cells.Apply(cells)
+	next, demoted, err := cur.Apply(cells)
 	if err != nil {
 		return BlockHeader{}, err
 	}
-	for _, d := range demoted {
-		l.insertVersionLocked(d.Ref, versionRef{version: d.Version, object: d.Object})
-	}
-	body := encodeBody(txns)
-	bodyHash := l.store.Put(hashutil.DomainStmt, body)
-	var parent hashutil.Digest
-	if len(l.headers) > 0 {
-		parent = l.headers[len(l.headers)-1].Hash()
-	}
 	h := BlockHeader{
-		Height:    uint64(len(l.headers)),
+		Height:    height,
 		Parent:    parent,
 		Version:   version,
 		CellRoot:  next.Tree.Root(),
 		CellCount: uint64(next.Tree.Count()),
 		TxnCount:  uint64(len(txns)),
-		BodyHash:  bodyHash,
+		BodyHash:  l.store.Put(hashutil.DomainStmt, encodeBody(txns)),
 	}
-	l.store.Put(hashutil.DomainBlock, h.Encode())
+	enc := h.Encode()
+	l.store.Put(hashutil.DomainBlock, enc)
+	leaf := mtree.LeafHash(enc)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, d := range demoted {
+		l.insertVersionLocked(d.Ref, versionRef{version: d.Version, object: d.Object})
+	}
 	l.headers = append(l.headers, h)
-	l.commit.Append(mtree.LeafHash(h.Encode()))
+	l.commit.Append(leaf)
 	l.cells = next
 	// The head moved: every memoized proof was built for the previous
 	// digest. Invalidation happens under the write lock, so no concurrent

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"spitz/internal/cas"
 	"spitz/internal/cellstore"
@@ -390,5 +391,83 @@ func TestInclusionMatchesMtreeSemantics(t *testing.T) {
 	}
 	if err := proof.Inclusion.Verify(d.Root, mtree.LeafHash(h.Encode())); err != nil {
 		t.Fatalf("manual inclusion check: %v", err)
+	}
+}
+
+// gatedStore parks every Put of a tree node on a channel once armed, so
+// a test can hold a Commit inside its tree apply.
+type gatedStore struct {
+	cas.Store
+	parked chan struct{} // one send per parked Put
+	gate   chan struct{} // closed to let them through
+}
+
+func (s *gatedStore) Put(domain byte, data []byte) hashutil.Digest {
+	if s.gate != nil && (domain == hashutil.DomainPOSLeaf || domain == hashutil.DomainPOSIndex) {
+		select {
+		case s.parked <- struct{}{}:
+		default:
+		}
+		<-s.gate
+	}
+	return s.Store.Put(domain, data)
+}
+
+// TestCommitApplyDoesNotBlockReaders: the tree apply of block N+1 runs
+// outside the ledger's lock. While it is in progress the ledger still
+// answers — the digest, a verified read and a consistency proof are those
+// of block N — which is what lets the commit pipeline acknowledge block N
+// while block N+1 is being built. The block appears all at once when the
+// apply is let through.
+func TestCommitApplyDoesNotBlockReaders(t *testing.T) {
+	store := &gatedStore{Store: cas.NewMemory(), parked: make(chan struct{}, 1)}
+	l := New(store)
+	commitN(t, l, 3)
+	before := l.Digest()
+
+	store.gate = make(chan struct{})
+	committed := make(chan error, 1)
+	go func() {
+		_, err := l.Commit(4, []TxnSummary{{ID: 4, Statement: "held"}}, cellsFor(4, 10, "held"))
+		committed <- err
+	}()
+	<-store.parked // the commit is inside its apply
+
+	answered := make(chan error, 1)
+	go func() {
+		if d := l.Digest(); d != before {
+			answered <- fmt.Errorf("digest moved to %+v with the block still being built", d)
+			return
+		}
+		cell, ok, p, d, err := l.ProveGetHead("t", "c", []byte("b2-0003"))
+		if err != nil || !ok || d != before || string(cell.Value) != "v3-3" {
+			answered <- fmt.Errorf("read during the apply: %q ok=%v at %+v: %v", cell.Value, ok, d, err)
+			return
+		}
+		if err := p.Verify(d); err != nil {
+			answered <- err
+			return
+		}
+		_, _, err = l.ProveConsistency(Digest{})
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("readers wait for the next block's tree apply")
+	}
+
+	close(store.gate)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if d := l.Digest(); d.Height != before.Height+1 {
+		t.Fatalf("height = %d after the held commit, want %d", d.Height, before.Height+1)
+	}
+	if _, err := l.ConsistencyProof(before); err != nil {
+		t.Fatal(err)
 	}
 }

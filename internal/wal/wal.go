@@ -33,13 +33,15 @@ import (
 // WAL metrics, aggregated over every open log in the process. Append
 // time covers frame encode + buffered write under the log lock; fsync
 // time is the device sync a group-commit leader pays (followers ride it
-// for free — fsyncs_total counts actual device syncs, not waiters).
+// for free — fsyncs_total counts actual device syncs, not waiters);
+// fsync_records is how many records each of those syncs made durable.
 var (
 	mWalAppends     = obs.Default.Counter("spitz_wal_appends_total")
 	mWalAppendBytes = obs.Default.Counter("spitz_wal_append_bytes_total")
 	mWalAppendNs    = obs.Default.Histogram("spitz_wal_append_ns")
 	mWalFsyncs      = obs.Default.Counter("spitz_wal_fsyncs_total")
 	mWalFsyncNs     = obs.Default.Histogram("spitz_wal_fsync_ns")
+	mWalFsyncRecs   = obs.Default.Histogram("spitz_wal_fsync_records")
 	mWalRotations   = obs.Default.Counter("spitz_wal_rotations_total")
 )
 
@@ -101,6 +103,7 @@ const (
 	defaultSegment    = 64 << 20
 	defaultInterval   = 50 * time.Millisecond
 	maxRecordSize     = 1 << 30
+	maxKeptFrame      = 1 << 20 // largest frame buffer kept between appends
 	segmentNameFormat = "%020d.wal"
 )
 
@@ -151,6 +154,7 @@ type Log struct {
 	synced   uint64    // highest sequence number known durable
 	syncErr  error     // sticky fatal sync error
 	closed   bool
+	frame    []byte // AppendAsync's frame buffer, reused across appends
 
 	// syncMu elects the group-commit leader: held across each fsync so
 	// exactly one is in flight, and always acquired before mu.
@@ -347,15 +351,16 @@ func (l *Log) AppendAsync(payload []byte) (uint64, func() error, error) {
 		}
 	}
 	seq := l.nextSeq
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], frameCRC(uint32(len(payload)), payload))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.syncErr = err
-		l.mu.Unlock()
-		return 0, nil, err
+	// Header and payload go down in one write: one syscall under the lock,
+	// and a crash cannot leave a header with no payload bytes behind it.
+	l.frame = binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
+	l.frame = binary.LittleEndian.AppendUint32(l.frame, frameCRC(uint32(len(payload)), payload))
+	l.frame = append(l.frame, payload...)
+	_, err := l.f.Write(l.frame)
+	if cap(l.frame) > maxKeptFrame {
+		l.frame = nil // one huge record must not pin its size for good
 	}
-	if _, err := l.f.Write(payload); err != nil {
+	if err != nil {
 		l.syncErr = err
 		l.mu.Unlock()
 		return 0, nil, err
@@ -384,8 +389,17 @@ func (l *Log) AppendAsync(payload []byte) (uint64, func() error, error) {
 }
 
 // syncTo makes every record up to seq durable, electing one fsync leader
-// for all concurrent waiters (group commit).
+// for all concurrent waiters (group commit). The commit pipeline appends
+// the next records while a sync is in flight, so one leader's fsync
+// routinely covers several of them: a waiter whose record an earlier sync
+// already covered returns without queueing behind the sync in flight.
 func (l *Log) syncTo(seq uint64) error {
+	l.mu.Lock()
+	err, settled := l.syncErr, l.syncErr != nil || l.synced >= seq
+	l.mu.Unlock()
+	if settled {
+		return err
+	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -395,19 +409,20 @@ func (l *Log) syncTo(seq uint64) error {
 	}
 	if l.synced >= seq {
 		l.mu.Unlock()
-		return nil // a previous leader's fsync covered this record
+		return nil // the previous leader's fsync covered this record
 	}
 	target := l.appended
 	f := l.f
 	l.mu.Unlock()
 	fsyncStart := time.Now()
-	err := f.Sync()
+	err = f.Sync()
 	mWalFsyncs.Inc()
 	mWalFsyncNs.ObserveSince(fsyncStart)
 	l.mu.Lock()
 	if err != nil {
 		l.syncErr = err
 	} else if target > l.synced {
+		mWalFsyncRecs.Observe(target - l.synced)
 		l.synced = target
 		l.broadcastLocked()
 	}

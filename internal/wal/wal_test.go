@@ -284,6 +284,43 @@ func TestConcurrentGroupCommit(t *testing.T) {
 	}
 }
 
+// TestPipelinedAppendsShareOneFsync: the commit pipeline appends records
+// while an earlier wait is still pending. The first wait to run syncs
+// everything appended so far in one fsync, says how many records that was,
+// and the waits it covered return without another one — whatever order
+// they are called in.
+func TestPipelinedAppendsShareOneFsync(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var waits []func() error
+	for i := 0; i < 3; i++ {
+		_, wait, err := l.AppendAsync([]byte(fmt.Sprintf("rec-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, wait)
+	}
+	fsyncs, recs := mWalFsyncs.Value(), mWalFsyncRecs.Snapshot()
+	for _, i := range []int{1, 2, 0} {
+		if err := waits[i](); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mWalFsyncs.Value() - fsyncs; got != 1 {
+		t.Fatalf("%d fsyncs for three records appended before the first wait, want 1", got)
+	}
+	after := mWalFsyncRecs.Snapshot()
+	if n, sum := after.Count-recs.Count, after.Sum-recs.Sum; n != 1 || sum != 3 {
+		t.Fatalf("spitz_wal_fsync_records observed %d fsyncs covering %d records, want 1 covering 3", n, sum)
+	}
+	if info := l.Info(); info.SyncedSeq != 3 {
+		t.Fatalf("synced seq = %d, want 3", info.SyncedSeq)
+	}
+}
+
 func TestSyncPolicies(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		t.Run(p.String(), func(t *testing.T) {
