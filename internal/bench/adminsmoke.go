@@ -277,9 +277,11 @@ func AdminSmoke(dir string) error {
 		// WAL
 		`spitz_wal_appends_total`,
 		`spitz_wal_fsyncs_total`,
-		// proof + node caches
+		// proof + node caches, and what node encoding hashed
 		`spitz_proofcache_hits_total`,
 		`spitz_nodecache_hits_total`,
+		`spitz_nodecache_bytes`,
+		`spitz_postree_hashed_bytes_total`,
 		// replication, both sides
 		`spitz_repl_frames_sent_total`,
 		`spitz_replica_blocks_applied_total`,
@@ -305,7 +307,8 @@ func AdminSmoke(dir string) error {
 	// the healthy value, so only presence is asserted). spitz_alerts_firing
 	// is exported (value 0 — nothing is wrong yet).
 	for _, prefix := range []string{"spitz_follower_lag_blocks", "spitz_audit_pending",
-		"spitz_wire_frames_inflight", "spitz_wire_pipeline_depth", "spitz_alerts_firing"} {
+		"spitz_wire_frames_inflight", "spitz_wire_pipeline_depth", "spitz_alerts_firing",
+		"spitz_nodecache_retired_bytes"} {
 		if !hasSeries(vals, prefix) {
 			return fmt.Errorf("admin smoke: /metrics missing %s*", prefix)
 		}

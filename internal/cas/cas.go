@@ -11,6 +11,7 @@
 package cas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,8 +27,15 @@ var ErrNotFound = errors.New("cas: object not found")
 // be safe for concurrent use.
 type Store interface {
 	// Put stores data under the given domain, returning its digest. Putting
-	// identical content is idempotent and does not grow the store.
+	// identical content is idempotent and does not grow the store. The
+	// store keeps a copy: the caller may reuse or modify data afterwards.
 	Put(domain byte, data []byte) hashutil.Digest
+	// PutOwned is Put for a buffer the caller gives up: the store keeps
+	// data itself, not a copy, so the caller — and anything its memory
+	// aliases — must never modify it again (reading it stays fine). The
+	// writer of a freshly encoded body uses it; a caller whose bytes alias
+	// memory it does not own uses Put.
+	PutOwned(domain byte, data []byte) hashutil.Digest
 	// Get returns the object with the given digest, or ErrNotFound. The
 	// returned slice must not be modified.
 	Get(d hashutil.Digest) ([]byte, error)
@@ -109,6 +117,17 @@ func NewMemory() *Memory {
 
 // Put implements Store.
 func (m *Memory) Put(domain byte, data []byte) hashutil.Digest {
+	return m.put(domain, data, false)
+}
+
+// PutOwned implements Store.
+func (m *Memory) PutOwned(domain byte, data []byte) hashutil.Digest {
+	return m.put(domain, data, true)
+}
+
+// put stores data — itself when owned, else a copy, made only once the
+// object is known to be new.
+func (m *Memory) put(domain byte, data []byte, owned bool) hashutil.Digest {
 	d := Address(domain, data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -117,9 +136,10 @@ func (m *Memory) Put(domain byte, data []byte) hashutil.Digest {
 		m.stats.DedupHits++
 		return d
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.objects[d] = cp
+	if !owned {
+		data = bytes.Clone(data)
+	}
+	m.objects[d] = data
 	m.domains[d] = domain
 	m.stats.Objects++
 	m.stats.PhysicalBytes += int64(len(data))
@@ -209,11 +229,21 @@ func (c *Counting) domLocked(domain byte) *DomainBytes {
 
 // Put implements Store.
 func (c *Counting) Put(domain byte, data []byte) hashutil.Digest {
+	c.countPut(domain, len(data))
+	return c.Inner.Put(domain, data)
+}
+
+// PutOwned implements Store: counted like Put, and the buffer is handed on.
+func (c *Counting) PutOwned(domain byte, data []byte) hashutil.Digest {
+	c.countPut(domain, len(data))
+	return c.Inner.PutOwned(domain, data)
+}
+
+func (c *Counting) countPut(domain byte, n int) {
 	c.mu.Lock()
 	c.puts++
-	c.domLocked(domain).Written += int64(len(data))
+	c.domLocked(domain).Written += int64(n)
 	c.mu.Unlock()
-	return c.Inner.Put(domain, data)
 }
 
 // Get implements Store. When the inner store implements DomainResolver,

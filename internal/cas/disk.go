@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/binary"
 	"errors"
@@ -527,6 +528,18 @@ func syncDir(dir string) error {
 // earlier I/O error is surfaced by Err and by the next Flush (fail-stop),
 // and dirty data is retained in memory regardless.
 func (s *Disk) Put(domain byte, data []byte) hashutil.Digest {
+	return s.put(domain, data, false)
+}
+
+// PutOwned implements Store: the buffer itself joins the dirty set and,
+// once written, the clean cache.
+func (s *Disk) PutOwned(domain byte, data []byte) hashutil.Digest {
+	return s.put(domain, data, true)
+}
+
+// put buffers data — itself when owned, else a copy, made only once the
+// object is known to be new.
+func (s *Disk) put(domain byte, data []byte, owned bool) hashutil.Digest {
 	d := Address(domain, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -540,13 +553,14 @@ func (s *Disk) Put(domain byte, data []byte) hashutil.Digest {
 		s.stats.DedupHits++
 		return d
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.dirty[d] = dirtyObj{domain: domain, body: cp}
+	if !owned {
+		data = bytes.Clone(data)
+	}
+	s.dirty[d] = dirtyObj{domain: domain, body: data}
 	s.dirtySeq = append(s.dirtySeq, d)
-	s.addDirtyBytes(int64(len(cp)))
+	s.addDirtyBytes(int64(len(data)))
 	s.stats.Objects++
-	s.stats.PhysicalBytes += int64(len(cp))
+	s.stats.PhysicalBytes += int64(len(data))
 	if s.dirtyB > s.spillMax && s.err == nil {
 		if err := s.writeDirtyLocked(); err == nil {
 			s.cstats.Spills++

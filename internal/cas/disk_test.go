@@ -520,3 +520,95 @@ func TestFaultOverDisk(t *testing.T) {
 		t.Fatalf("lost object: got %v, want ErrNotFound", err)
 	}
 }
+
+// ownedStores are the stores and wrappers a tree's PutOwned can reach.
+func ownedStores(t *testing.T) map[string]Store {
+	disk := func() *Disk {
+		s := openTestDisk(t, t.TempDir(), DiskOptions{})
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	return map[string]Store{
+		"memory":           NewMemory(),
+		"disk":             disk(),
+		"counting(memory)": NewCounting(NewMemory()),
+		"fault(disk)":      NewFault(disk()),
+		"counting(fault)":  NewCounting(NewFault(NewMemory())),
+	}
+}
+
+// TestPutOwnedKeepsTheBuffer: PutOwned stores the caller's buffer itself
+// — through Counting and Fault too, which still count it — under the
+// address Put gives the same content.
+func TestPutOwnedKeepsTheBuffer(t *testing.T) {
+	for name, s := range ownedStores(t) {
+		t.Run(name, func(t *testing.T) {
+			buf := testLeaf(20, 30)
+			d := s.PutOwned(hashutil.DomainPOSLeaf, buf)
+			if want := Address(hashutil.DomainPOSLeaf, buf); d != want {
+				t.Fatalf("PutOwned stored under %s, want %s", d.Short(), want.Short())
+			}
+			got, err := s.Get(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != &buf[0] || len(got) != len(buf) {
+				t.Fatal("PutOwned stored a copy of the buffer it was given")
+			}
+			if d2 := s.Put(hashutil.DomainPOSLeaf, append([]byte(nil), buf...)); d2 != d {
+				t.Fatalf("Put of the same content stored under %s, PutOwned under %s", d2.Short(), d.Short())
+			}
+			if st := s.Stats(); st.Objects != 1 || st.DedupHits != 1 || st.LogicalBytes != 2*int64(len(buf)) {
+				t.Fatalf("stats after an owned and a plain put of one object: %+v", st)
+			}
+			if c, ok := s.(*Counting); ok {
+				puts, _ := c.Ops()
+				per, _ := c.PerDomain()
+				if puts != 2 || per[hashutil.DomainPOSLeaf].Written != 2*int64(len(buf)) {
+					t.Fatalf("Counting saw %d puts, %d leaf bytes; want 2 and %d", puts, per[hashutil.DomainPOSLeaf].Written, 2*len(buf))
+				}
+			}
+		})
+	}
+}
+
+// TestPutOwnedIsTheOnlyPutThatAliases: a buffer handed to Put stays the
+// caller's — scribbling on it afterwards never changes the stored object,
+// in the write-back set or once flushed — and an owned buffer survives the
+// disk store's flush and reopen like any other.
+func TestPutOwnedIsTheOnlyPutThatAliases(t *testing.T) {
+	for name, s := range ownedStores(t) {
+		t.Run(name, func(t *testing.T) {
+			buf := testLeaf(20, 30)
+			want := append([]byte(nil), buf...)
+			d := s.Put(hashutil.DomainPOSLeaf, buf)
+			for i := range buf {
+				buf[i] ^= 0xA5
+			}
+			got, err := s.Get(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !Intact(hashutil.DomainPOSLeaf, got, d) {
+				t.Fatal("modifying a buffer after Put changed the stored object")
+			}
+		})
+	}
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{})
+	plain, owned := testLeaf(9, 40), testLeaf(31, 40)
+	wantPlain := append([]byte(nil), plain...)
+	dp := s.Put(hashutil.DomainPOSLeaf, plain)
+	do := s.PutOwned(hashutil.DomainPOSLeaf, owned)
+	plain[len(plain)-1] ^= 0xFF
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTestDisk(t, dir, DiskOptions{})
+	defer s.Close()
+	for d, want := range map[hashutil.Digest][]byte{dp: wantPlain, do: owned} {
+		if got, err := s.Get(d); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("object %s after reopen: %v", d.Short(), err)
+		}
+	}
+}

@@ -56,6 +56,11 @@ func (f *Fault) Put(domain byte, data []byte) hashutil.Digest {
 	return f.Inner.Put(domain, data)
 }
 
+// PutOwned implements Store.
+func (f *Fault) PutOwned(domain byte, data []byte) hashutil.Digest {
+	return f.Inner.PutOwned(domain, data)
+}
+
 // Get implements Store, applying injected faults.
 func (f *Fault) Get(d hashutil.Digest) ([]byte, error) {
 	f.mu.Lock()

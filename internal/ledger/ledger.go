@@ -200,17 +200,15 @@ func (l *Ledger) Header(height uint64) (BlockHeader, error) {
 }
 
 // Snapshot returns a read view of the cell store as of the given block.
-// This is the "historical index instance" stored in each block.
+// This is the "historical index instance" stored in each block. It is the
+// live store for the head and a tree sharing the live tree's node cache
+// otherwise (snapshotLocked), never a private cold one: verified SELECTs
+// and as-of reads take a snapshot per call.
 func (l *Ledger) Snapshot(height uint64) (cellstore.Store, error) {
-	h, err := l.Header(height)
-	if err != nil {
-		return cellstore.Store{}, err
-	}
-	tree, err := postree.Load(l.store, h.CellRoot)
-	if err != nil {
-		return cellstore.Store{}, err
-	}
-	return cellstore.Store{Tree: tree}, nil
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	_, snap, err := l.snapshotLocked(height)
+	return snap, err
 }
 
 // Latest returns the current cell store snapshot and its block header.

@@ -403,6 +403,17 @@ type gatedStore struct {
 }
 
 func (s *gatedStore) Put(domain byte, data []byte) hashutil.Digest {
+	s.park(domain)
+	return s.Store.Put(domain, data)
+}
+
+// PutOwned is how the tree stores the nodes it encodes.
+func (s *gatedStore) PutOwned(domain byte, data []byte) hashutil.Digest {
+	s.park(domain)
+	return s.Store.PutOwned(domain, data)
+}
+
+func (s *gatedStore) park(domain byte) {
 	if s.gate != nil && (domain == hashutil.DomainPOSLeaf || domain == hashutil.DomainPOSIndex) {
 		select {
 		case s.parked <- struct{}{}:
@@ -410,7 +421,6 @@ func (s *gatedStore) Put(domain byte, data []byte) hashutil.Digest {
 		}
 		<-s.gate
 	}
-	return s.Store.Put(domain, data)
 }
 
 // TestCommitApplyDoesNotBlockReaders: the tree apply of block N+1 runs

@@ -181,22 +181,24 @@ func TestRulesEmitter(t *testing.T) {
 	}
 }
 
-// TestRulesConcurrentEvaluate races periodic evaluation against registry
-// writes and state reads; run under -race this is the data-race check
-// for the rules engine.
+// TestRulesConcurrentEvaluate races evaluation against registry writes
+// and state reads; run under -race this is the data-race check for the
+// rules engine. Nothing here waits on the clock: the evaluations are
+// driven from this goroutine, at injected instants, over snapshots taken
+// from the registry while four writers mutate it; that the audit counter
+// grew between two of them is this goroutine's own doing, so the delta
+// rule must have fired by the end however the writers were scheduled.
 func TestRulesConcurrentEvaluate(t *testing.T) {
 	reg := New()
 	ctr := reg.Counter("spitz_audit_failures_total")
 	hist := reg.Histogram("lat_ns")
-	r := NewRules(reg, StandardRules(StandardRuleOptions{}), time.Millisecond)
-	r.Start()
-	defer r.Close()
+	r := NewRules(reg, StandardRules(StandardRuleOptions{}), time.Hour)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	spin := func(f func(i int)) {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -204,26 +206,53 @@ func TestRulesConcurrentEvaluate(t *testing.T) {
 					return
 				default:
 				}
-				ctr.Inc()
-				hist.Observe(uint64(i))
-				reg.Gauge(fmt.Sprintf("g_%d", g)).Set(int64(i))
+				f(i)
 			}
-		}(g)
+		}()
 	}
-	deadline := time.After(50 * time.Millisecond)
-	for {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			if h := r.Health(); h != HealthCritical {
-				t.Errorf("health = %q after audit failures, want critical", h)
-			}
-			return
-		default:
-			r.States()
-			r.Health()
+	for g := 0; g < 4; g++ {
+		g := g
+		spin(func(i int) {
+			ctr.Inc()
+			hist.Observe(uint64(i))
+			reg.Gauge(fmt.Sprintf("g_%d", g)).Set(int64(i))
+		})
+	}
+	spin(func(int) {
+		r.States()
+		r.Health()
+	})
+	now := time.Unix(1000, 0)
+	for i := 0; i < 200; i++ {
+		ctr.Inc()
+		snap := make(Snapshot)
+		for _, m := range reg.Flat() {
+			snap[m.Name] = m.Value
 		}
+		r.EvaluateAt(now.Add(time.Duration(i)*time.Second), snap)
+	}
+	close(stop)
+	wg.Wait()
+	if h := r.Health(); h != HealthCritical {
+		t.Errorf("health = %q after audit failures, want critical", h)
+	}
+}
+
+// TestRulesStartClose: the periodic loop starts once, evaluates beside a
+// reader, and Close — called twice — returns with the loop gone. What an
+// evaluation does is TestRulesConcurrentEvaluate's business; nothing here
+// depends on how many ticks the loop got.
+func TestRulesStartClose(t *testing.T) {
+	r := NewRules(New(), StandardRules(StandardRuleOptions{}), time.Millisecond)
+	r.Start()
+	r.Start()
+	r.States()
+	r.Close()
+	r.Close()
+	select {
+	case <-r.done:
+	default:
+		t.Fatal("evaluation loop still running after Close")
 	}
 }
 

@@ -26,6 +26,7 @@ package posleaf
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"spitz/internal/hashutil"
 )
@@ -53,6 +54,16 @@ func AppendEntry(dst, key, value []byte) []byte {
 	return append(dst, value...)
 }
 
+// EntrySize is the number of bytes AppendEntry appends for key and value.
+func EntrySize(key, value []byte) int {
+	return UvarintLen(len(key)) + len(key) + UvarintLen(len(value)) + len(value)
+}
+
+// UvarintLen is the number of bytes the uvarint of n takes: what precedes
+// a key or a value of length n in an entry, or a node's entries as their
+// count.
+func UvarintLen(n int) int { return (bits.Len(uint(n)|1) + 6) / 7 }
+
 // ReadEntry splits the first entry off src. The returned slices alias
 // src.
 func ReadEntry(src []byte) (key, value, rest []byte, err error) {
@@ -69,24 +80,28 @@ func ReadEntry(src []byte) (key, value, rest []byte, err error) {
 }
 
 // Writer assembles the stored body of a leaf, hashing each group as it
-// fills. The zero Writer is not usable; see NewWriter.
+// fills — or, for groups that another stored leaf already holds byte for
+// byte, taking them over with their digests (Copy). The zero Writer is not
+// usable; see NewWriter.
 type Writer struct {
 	buf        []byte
 	count      int
 	n          int // entries written
 	groupStart int // offset in buf of the open group's first entry
 	slot       int // offset in buf of the open group's digest
+	hashed     int // bytes hashed so far, header included
 }
 
 // NewWriter starts a leaf of count entries whose encoded entries will
-// take about entryBytes.
+// take entryBytes (the sum of their EntrySize; the body is allocated once,
+// at its final size).
 func NewWriter(count, entryBytes int) Writer {
 	var tmp [1 + binary.MaxVarintLen64]byte // tmp[0] is the level: 0
 	fixed := binary.AppendUvarint(tmp[:1], uint64(count))
 	hdr := len(fixed) + groupsOf(count)*hashutil.DigestSize
 	buf := make([]byte, hdr, hdr+entryBytes)
 	copy(buf, fixed)
-	return Writer{buf: buf, count: count, groupStart: hdr, slot: len(fixed)}
+	return Writer{buf: buf, count: count, groupStart: hdr, slot: len(fixed), hashed: hdr}
 }
 
 // Entry appends the next entry.
@@ -97,9 +112,47 @@ func (w *Writer) Entry(key, value []byte) {
 		d := hashutil.Sum(hashutil.DomainPOSGroup, w.buf[w.groupStart:])
 		copy(w.buf[w.slot:], d[:])
 		w.slot += hashutil.DigestSize
+		w.hashed += len(w.buf) - w.groupStart
 		w.groupStart = len(w.buf)
 	}
 }
+
+// Copy is for a caller that knows the next n entries of this leaf are
+// entries pos … pos+n-1 of the stored leaf s, unchanged. It appends as
+// many of them as it can take as whole groups — their bytes and their
+// digests copied from s, nothing framed and nothing hashed — and returns
+// how many that was; the caller writes the rest with Entry. A group can be
+// taken only where both leaves cut it the same way: this leaf and pos at a
+// group edge, and the group either full or the short last one of both
+// leaves. So an overwrite that keeps a leaf's entry count re-hashes one
+// group, and an insert the groups from its position on.
+func (w *Writer) Copy(s *Source, pos, n int) int {
+	if s == nil || w.n%groupSize != 0 || pos%groupSize != 0 || pos+n > s.leaf.Count || w.n+n > w.count {
+		return 0
+	}
+	take := n - n%groupSize
+	if take != n && pos+n == s.leaf.Count && w.n+n == w.count {
+		take = n
+	}
+	if take == 0 {
+		return 0
+	}
+	first, end := pos/groupSize, groupsOf(pos+take)
+	from := 0
+	if first > 0 {
+		from = s.ends[first-1]
+	}
+	w.buf = append(w.buf, s.leaf.Entries[from:s.ends[end-1]]...)
+	w.slot += copy(w.buf[w.slot:], s.leaf.slots()[first*hashutil.DigestSize:end*hashutil.DigestSize])
+	w.n += take
+	w.groupStart = len(w.buf)
+	return take
+}
+
+// Hashed returns how many bytes committing to the leaf cost to hash so
+// far: the header, which is hashed for the leaf's digest, and the groups
+// written entry by entry. Copied groups cost nothing.
+func (w *Writer) Hashed() int { return w.hashed }
 
 // Body returns the finished body. It panics if fewer or more entries
 // were written than NewWriter was told: the header already commits to the
@@ -164,6 +217,41 @@ func parseHeader(body []byte) (Leaf, []byte, error) {
 	return Leaf{Count: int(cnt), header: body[:hdr]}, body[hdr:], nil
 }
 
+// slots returns the header's table of group digests.
+func (l Leaf) slots() []byte {
+	return l.header[len(l.header)-groupsOf(l.Count)*hashutil.DigestSize:]
+}
+
+// Source is a stored leaf whose groups a Writer can take over (Copy).
+type Source struct {
+	leaf Leaf
+	ends []int // ends[g]: offset in leaf.Entries one past group g
+}
+
+// Source locates the groups of a stored leaf, walking its entries once.
+// It returns nil — nothing to copy from — for a pruned leaf and for bytes
+// that do not walk as the entries the header counts.
+func (l Leaf) Source() *Source {
+	if l.pruned {
+		return nil
+	}
+	ends := make([]int, 0, groupsOf(l.Count))
+	rest := l.Entries
+	for pos := 1; pos <= l.Count; pos++ {
+		var err error
+		if _, _, rest, err = ReadEntry(rest); err != nil {
+			return nil
+		}
+		if pos%groupSize == 0 || pos == l.Count {
+			ends = append(ends, len(l.Entries)-len(rest))
+		}
+	}
+	if len(rest) != 0 {
+		return nil
+	}
+	return &Source{leaf: l, ends: ends}
+}
+
 // Digest returns the leaf's digest: the hash of its header.
 func (l Leaf) Digest() hashutil.Digest {
 	return hashutil.Sum(hashutil.DomainPOSLeaf, l.header)
@@ -179,7 +267,7 @@ func (l Leaf) Digest() hashutil.Digest {
 // group present, and the pruned leaves of point, batch and range proofs
 // all pass through it.
 func (l Leaf) Verify() (d hashutil.Digest, present int, err error) {
-	slots := l.header[len(l.header)-groupsOf(l.Count)*hashutil.DigestSize:]
+	slots := l.slots()
 	pos, rest := l.First, l.Entries
 	for len(rest) > 0 {
 		if pos >= l.Count {

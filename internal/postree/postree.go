@@ -81,7 +81,7 @@ type Tree struct {
 
 // Empty returns an empty tree backed by store.
 func Empty(store cas.Store) *Tree {
-	return &Tree{store: store, cache: newNodeCache(defaultCacheSize)}
+	return &Tree{store: store, cache: newNodeCache()}
 }
 
 // Load reopens a tree from its root digest. An all-zero digest loads the
@@ -102,7 +102,7 @@ func Load(store cas.Store, root hashutil.Digest) (*Tree, error) {
 			count += int(childCount(e))
 		}
 	}
-	return &Tree{store: store, cache: newNodeCache(defaultCacheSize), root: root, level: n.level, count: count}, nil
+	return &Tree{store: store, cache: newNodeCache(), root: root, level: n.level, count: count}, nil
 }
 
 // At reopens the (usually historical) snapshot rooted at root, sharing
@@ -173,28 +173,68 @@ func makeIndexEntry(sep []byte, d hashutil.Digest, count uint64) Entry {
 	return Entry{Key: sep, Value: v}
 }
 
-// encode serializes the node: an index node as level | count | entries,
-// hashed whole; a leaf in the grouped layout of internal/posleaf, whose
-// header carries a digest per group of entries.
-func (n *node) encode() []byte {
+// mHashedBytes counts the bytes SHA-256 is fed to commit to the nodes
+// encode builds: an index node's whole body; a leaf's header and the
+// groups written entry by entry. It falls short of the bytes written by
+// the groups encode copied, digest and all, from the leaf being rewritten.
+var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
+
+// encode serializes a run as one node of the given level: an index node
+// as level | count | entries, hashed whole; a leaf in the grouped layout of
+// internal/posleaf, whose header carries a digest per group of entries.
+// Where r.kept says a stretch of a leaf's entries is a stored leaf's,
+// unchanged, the writer takes the groups both leaves cut alike out of
+// that leaf's body, already hashed. The body is allocated once, at its
+// exact size: the store keeps it.
+func encode(level int, r run) []byte {
 	size := 0
-	for _, e := range n.entries {
-		size += 2*binary.MaxVarintLen64 + len(e.Key) + len(e.Value)
+	for _, e := range r.entries {
+		size += posleaf.EntrySize(e.Key, e.Value)
 	}
-	if n.level == 0 {
-		w := posleaf.NewWriter(len(n.entries), size)
-		for _, e := range n.entries {
-			w.Entry(e.Key, e.Value)
+	if level == 0 {
+		w := posleaf.NewWriter(len(r.entries), size)
+		at := cursor{spans: r.kept}
+		for i := 0; i < len(r.entries); {
+			if sp, ok := at.span(i); ok {
+				if took := w.Copy(sp.src.groups, sp.pos+i-sp.at, sp.at+sp.n-i); took > 0 {
+					i += took
+					continue
+				}
+			}
+			w.Entry(r.entries[i].Key, r.entries[i].Value)
+			i++
 		}
+		mHashedBytes.Add(uint64(w.Hashed()))
 		return w.Body()
 	}
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+size)
-	buf = append(buf, byte(n.level))
-	buf = binary.AppendUvarint(buf, uint64(len(n.entries)))
-	for _, e := range n.entries {
+	buf := make([]byte, 0, 1+posleaf.UvarintLen(len(r.entries))+size)
+	buf = append(buf, byte(level))
+	buf = binary.AppendUvarint(buf, uint64(len(r.entries)))
+	for _, e := range r.entries {
 		buf = posleaf.AppendEntry(buf, e.Key, e.Value)
 	}
+	mHashedBytes.Add(uint64(len(buf)))
 	return buf
+}
+
+// rehomed returns the index node of the given entries, just encoded as
+// body, the way the cache keeps it: with entries that point into body and
+// nowhere else. The entries it was encoded from alias whatever they were
+// merged from — the bodies of the nodes this one replaces,
+// makeIndexEntry's values, keys of leaves — and a cached node holding on to
+// those would pin a chain of superseded bodies the cache does not account
+// for. The lengths are known, so nothing is parsed.
+func rehomed(level int, entries []Entry, body []byte) *node {
+	out := &node{level: level, entries: make([]Entry, len(entries))}
+	off := 1 + posleaf.UvarintLen(len(entries))
+	for i, e := range entries {
+		off += posleaf.UvarintLen(len(e.Key))
+		out.entries[i].Key = body[off : off+len(e.Key)]
+		off += len(e.Key) + posleaf.UvarintLen(len(e.Value))
+		out.entries[i].Value = body[off : off+len(e.Value)]
+		off += len(e.Value)
+	}
+	return out
 }
 
 // decodeNode decodes a node body from the tree's own store. Nothing is
@@ -291,16 +331,20 @@ func nodeDomain(level int) byte {
 	return hashutil.DomainPOSIndex
 }
 
-func (t *Tree) storeNode(n *node) (hashutil.Digest, uint64) {
-	body := n.encode()
-	d := t.store.Put(nodeDomain(n.level), body)
+// storeNode stores a run as one node of the given level: it encodes it,
+// hands the body to the store — the one copy of it there is — and admits
+// an index node to the cache, so that the apply of the next block, and
+// the proofs until then, find decoded what this one wrote.
+func (t *Tree) storeNode(level int, r run) (hashutil.Digest, uint64) {
+	body := encode(level, r)
+	d := t.store.PutOwned(nodeDomain(level), body)
+	if level == 0 {
+		return d, uint64(len(r.entries))
+	}
+	t.cache.put(d, rehomed(level, r.entries, body), body)
 	var cnt uint64
-	if n.level == 0 {
-		cnt = uint64(len(n.entries))
-	} else {
-		for _, e := range n.entries {
-			cnt += childCount(e)
-		}
+	for _, e := range r.entries {
+		cnt += childCount(e)
 	}
 	return d, cnt
 }
@@ -332,19 +376,86 @@ func isBoundary(e Entry) bool {
 }
 
 // run is a sorted stretch of entries of one stratum on its way to being
-// cut into nodes. inner[i] records that entries[i] was an entry other
-// than the last of a stored node: a node ends at its first boundary, so
-// such an entry is not one, and chunking does not hash it again to find
-// out. Only entries an edit created and each source node's last entry are
-// tested. A nil inner marks nothing (a bulk load: every entry is new).
+// cut into nodes. kept records which stretches of it are entries of stored
+// nodes, unchanged and in order; everything else an edit created. Two
+// things are read off it. An entry other than the last of a stored node is
+// not a boundary — a node ends at its first — so chunking does not hash it
+// again to find out: only entries an edit created and each source node's
+// last entry are tested. And a leaf is encoded by copying the groups it
+// keeps from the leaf it rewrites. No spans mark nothing (a bulk load:
+// every entry is new).
 type run struct {
 	entries []Entry
-	inner   []bool
+	kept    []span // ascending by at, disjoint
 }
 
-func (r *run) add(e Entry, inner bool) {
-	r.entries = append(r.entries, e)
-	r.inner = append(r.inner, inner)
+// span says that n entries of a run, from index at, are the entries of
+// the stored node src from position pos.
+type span struct {
+	at, n int
+	src   *stored
+	pos   int
+}
+
+// stored is a node an apply is rewriting, as the source of spans: the
+// decoded node and, for a leaf, where its groups lie in its body
+// (nil for an index node, and then nothing is copied).
+type stored struct {
+	n      *node
+	groups *posleaf.Source
+}
+
+// inner reports whether the run's entry i, which the span covers, is an
+// entry other than the last of its source node.
+func (s span) inner(i int) bool { return s.pos+i-s.at < len(s.src.n.entries)-1 }
+
+// cursor finds the span covering each index of a run visited in
+// ascending order.
+type cursor struct {
+	spans []span
+	k     int
+}
+
+func (c *cursor) span(i int) (span, bool) {
+	for c.k < len(c.spans) && c.spans[c.k].at+c.spans[c.k].n <= i {
+		c.k++
+	}
+	if c.k < len(c.spans) && c.spans[c.k].at <= i {
+		return c.spans[c.k], true
+	}
+	return span{}, false
+}
+
+// add appends an entry an edit created.
+func (r *run) add(e Entry) { r.entries = append(r.entries, e) }
+
+// keep appends entries lo … hi-1 of the stored node src, unchanged. The
+// run must own its kept slice (see window): a span that continues the last
+// one grows it in place.
+func (r *run) keep(src *stored, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	at := len(r.entries)
+	r.entries = append(r.entries, src.n.entries[lo:hi]...)
+	if k := len(r.kept) - 1; k >= 0 && r.kept[k].src == src && r.kept[k].pos+r.kept[k].n == lo && r.kept[k].at+r.kept[k].n == at {
+		r.kept[k].n += hi - lo
+		return
+	}
+	r.kept = append(r.kept, span{at: at, n: hi - lo, src: src, pos: lo})
+}
+
+// window returns entries lo … hi-1 of r as a run of their own: the spans
+// cut to the window, counted from its start, in a slice nothing shares.
+func (r run) window(lo, hi int) run {
+	w := run{entries: r.entries[lo:hi]}
+	for _, s := range r.kept {
+		from, to := max(s.at, lo), min(s.at+s.n, hi)
+		if from < to {
+			w.kept = append(w.kept, span{at: from - lo, n: to - from, src: s.src, pos: s.pos + from - s.at})
+		}
+	}
+	return w
 }
 
 // chunkEntries cuts a sorted entry run into complete nodes (each ending at
@@ -352,20 +463,16 @@ func (r *run) add(e Entry, inner bool) {
 // last boundary. The stored nodes' routing entries are returned.
 func (t *Tree) chunkEntries(r run, level int) (complete []Entry, tail run) {
 	start := 0
+	at := cursor{spans: r.kept}
 	for i, e := range r.entries {
-		known := r.inner != nil && r.inner[i]
-		if (!known && isBoundary(e)) || i-start+1 >= maxFanout {
-			nd := &node{level: level, entries: r.entries[start : i+1]}
-			d, cnt := t.storeNode(nd)
+		sp, kept := at.span(i)
+		if (!(kept && sp.inner(i)) && isBoundary(e)) || i-start+1 >= maxFanout {
+			d, cnt := t.storeNode(level, r.window(start, i+1))
 			complete = append(complete, makeIndexEntry(e.Key, d, cnt))
 			start = i + 1
 		}
 	}
-	tail.entries = r.entries[start:]
-	if r.inner != nil {
-		tail.inner = r.inner[start:]
-	}
-	return complete, tail
+	return complete, r.window(start, len(r.entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -397,8 +504,7 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 		}
 		complete, tail := t.chunkEntries(run{entries: entries}, level)
 		if last := len(tail.entries) - 1; last >= 0 {
-			nd := &node{level: level, entries: tail.entries}
-			d, cnt := t.storeNode(nd)
+			d, cnt := t.storeNode(level, tail)
 			complete = append(complete, makeIndexEntry(tail.entries[last].Key, d, cnt))
 		}
 		if len(complete) == 1 {
@@ -539,7 +645,10 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 				entries = append(entries, Entry{Key: e.Key, Value: e.Value})
 			}
 		}
-		return BulkLoad(t.store, entries)
+		if len(entries) == 0 {
+			return t, nil
+		}
+		return t.buildUp(entries, 0, len(entries))
 	}
 
 	carry := make([]run, maxStrata)
@@ -554,13 +663,12 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 		if len(tail) == 0 {
 			continue
 		}
-		nd := &node{level: s, entries: tail}
-		d, cnt := t.storeNode(nd)
+		d, cnt := t.storeNode(s, carry[s])
 		e := makeIndexEntry(tail[len(tail)-1].Key, d, cnt)
 		if s == t.level {
 			complete = append(complete, e)
 		} else {
-			carry[s+1].add(e, false)
+			carry[s+1].add(e)
 		}
 	}
 	newCount := 0
@@ -569,7 +677,7 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 	}
 	switch len(complete) {
 	case 0:
-		return Empty(t.store), nil
+		return &Tree{store: t.store, cache: t.cache}, nil
 	case 1:
 		return t.canonicalize(childDigest(complete[0]), newCount)
 	default:
@@ -589,6 +697,7 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 		if n.level == 0 || len(n.entries) > 1 {
 			return &Tree{store: t.store, cache: t.cache, root: root, level: n.level, count: count}, nil
 		}
+		t.cache.retire(root) // unwrapped: no part of the tree returned
 		root = childDigest(n.entries[0])
 	}
 }
@@ -600,25 +709,30 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 // tails behind for the caller. The returned entries route to the complete
 // replacement nodes at this node's level.
 func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
-	n, err := t.loadNodeCached(d)
+	body, n, err := t.loadProofNode(d)
 	if err != nil {
 		return nil, err
 	}
 	if n.level != level {
 		return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
 	}
+	src := &stored{n: n}
 	if level == 0 {
-		merged := mergeEdits(carry[0], n.entries, edits, onReplace)
+		// Locate the leaf's groups, for the leaves that keep some of them.
+		if l, err := posleaf.Parse(body); err == nil {
+			src.groups = l.Source()
+		}
+		merged := mergeEdits(carry[0], src, edits, onReplace)
 		complete, tail := t.chunkEntries(merged, 0)
 		carry[0] = tail
 		return complete, nil
 	}
 
 	// The carry's tail was sliced out of the run it came from: copy, so
-	// appending cannot write into that run's backing arrays.
+	// appending cannot write into that run's backing array.
 	content := run{
 		entries: append(make([]Entry, 0, len(carry[level].entries)+len(n.entries)), carry[level].entries...),
-		inner:   append(make([]bool, 0, len(carry[level].entries)+len(n.entries)), carry[level].inner...),
+		kept:    carry[level].kept,
 	}
 	carry[level] = run{}
 	remaining := edits
@@ -627,19 +741,20 @@ func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Ed
 		var childEdits []Edit
 		childEdits, remaining = splitEdits(remaining, ce.Key, last)
 		if len(childEdits) == 0 && lowerEmpty(carry, level) {
-			content.add(ce, !last)
+			content.keep(src, i, i+1)
 			continue
 		}
 		sub, err := t.processNode(childDigest(ce), level-1, carry, childEdits, onReplace)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range sub {
-			content.add(e, false)
-		}
+		content.entries = append(content.entries, sub...)
 	}
 	complete, tail := t.chunkEntries(content, level)
 	carry[level] = tail
+	// This node is history now: keep it for the readers a few blocks
+	// behind, out of the way of what the head needs.
+	t.cache.retire(d)
 	return complete, nil
 }
 
@@ -669,45 +784,29 @@ func splitEdits(edits []Edit, sep []byte, last bool) (child, rest []Edit) {
 // mergeEdits merges a sorted prefix, the entries of a stored leaf and
 // sorted edits into a single sorted run, applying upserts and deletes.
 // onReplace (optional) observes overwritten and deleted entries.
-func mergeEdits(prefix run, base []Entry, edits []Edit, onReplace func(key, oldValue []byte)) run {
-	size := len(prefix.entries) + len(base) + len(edits)
+func mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue []byte)) run {
+	base := leaf.n.entries
 	out := run{
-		entries: append(make([]Entry, 0, size), prefix.entries...),
-		inner:   append(make([]bool, 0, size), prefix.inner...),
+		entries: append(make([]Entry, 0, len(prefix.entries)+len(base)+len(edits)), prefix.entries...),
+		kept:    prefix.kept,
 	}
-	upsert := func(e Edit) {
-		if !e.Delete {
-			out.add(Entry{Key: e.Key, Value: e.Value}, false)
-		}
-	}
-	keep := func(bi int) { out.add(base[bi], bi < len(base)-1) }
-	bi, ei := 0, 0
-	for bi < len(base) || ei < len(edits) {
-		switch {
-		case bi == len(base):
-			upsert(edits[ei])
-			ei++
-		case ei == len(edits):
-			keep(bi)
-			bi++
-		default:
-			switch bytes.Compare(base[bi].Key, edits[ei].Key) {
-			case -1:
-				keep(bi)
-				bi++
-			case 1:
-				upsert(edits[ei])
-				ei++
-			default: // same key: edit wins
-				if onReplace != nil {
-					onReplace(base[bi].Key, base[bi].Value)
-				}
-				upsert(edits[ei])
-				bi++
-				ei++
+	bi := 0
+	for _, e := range edits {
+		// The leaf's entries below the edit's key are kept as they are.
+		next := bi + searchEntries(base[bi:], e.Key)
+		out.keep(leaf, bi, next)
+		bi = next
+		if bi < len(base) && bytes.Equal(base[bi].Key, e.Key) { // same key: edit wins
+			if onReplace != nil {
+				onReplace(base[bi].Key, base[bi].Value)
 			}
+			bi++
+		}
+		if !e.Delete {
+			out.add(Entry{Key: e.Key, Value: e.Value})
 		}
 	}
+	out.keep(leaf, bi, len(base))
 	return out
 }
 

@@ -430,7 +430,7 @@ func open(bodies [][]byte, path *Path, small *smallProof) (resolver, error) {
 			return resolver{}, ErrProofInvalid
 		}
 		r.set = r.set.add(d)
-		r.shipped = append(r.shipped, shippedNode{n: n, size: len(body) + cap(n.entries)*entryHeaderBytes})
+		r.shipped = append(r.shipped, shippedNode{n: n, size: nodeSize(n, body)})
 	}
 	return r, nil
 }
