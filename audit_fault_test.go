@@ -1,8 +1,6 @@
 package spitz_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -132,20 +130,16 @@ func cutLeafRows(t testing.TB, nodes [][]byte) [][]byte {
 	return out
 }
 
-// detachResponse deep-copies a response via a gob round trip before the
-// mutator flips bytes in it: served proof nodes alias the server's
+// detachResponse deep-copies a response through the wire codec before
+// the mutator flips bytes in it: served proof nodes alias the server's
 // content-addressed store (that sharing is the point of the proof
 // cache), so in-place flips would corrupt the server itself instead of
 // simulating corruption on the wire.
 func detachResponse(t testing.TB, resp *wire.Response) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		t.Fatalf("detach encode: %v", err)
-	}
-	var out wire.Response
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("detach decode: %v", err)
+	out, err := wire.DecodeResponse(wire.AppendResponse(nil, resp))
+	if err != nil {
+		t.Fatalf("detach: %v", err)
 	}
 	*resp = out
 }
@@ -474,7 +468,8 @@ func TestFaultTransportDelayDropFlip(t *testing.T) {
 			t.Fatalf("honest probe: %q %v %v", wantValue, wantFound, err)
 		}
 		// The response stream is a few hundred bytes; sweep a prefix that
-		// covers the gob type section and the whole first response.
+		// covers the hello reply, the frame header and the whole first
+		// response.
 		for off := int64(0); off < 700; off += 3 {
 			v, ok, err := probe(off)
 			if err == nil && ok && v != wantValue {

@@ -12,18 +12,19 @@ import (
 	"testing"
 
 	"spitz"
-	"spitz/internal/baseline"
+	"spitz/internal/bench/baseline"
+	"spitz/internal/bench/chunk"
+	"spitz/internal/bench/kvs"
+	"spitz/internal/bench/mbt"
+	"spitz/internal/bench/mpt"
+	"spitz/internal/bench/nonintrusive"
+	"spitz/internal/bench/workload"
 	"spitz/internal/cas"
-	"spitz/internal/kvs"
-	"spitz/internal/mbt"
-	"spitz/internal/mpt"
-	"spitz/internal/nonintrusive"
 	"spitz/internal/postree"
 	"spitz/internal/proof"
 	"spitz/internal/txn"
 	"spitz/internal/txn/hlc"
 	"spitz/internal/txn/tso"
-	"spitz/internal/workload"
 )
 
 const benchSize = 50_000
@@ -95,7 +96,7 @@ func puts(batch []workload.KeyValue) []spitz.Put {
 func BenchmarkFig1StorageDedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		store := cas.NewMemory()
-		blobs := cas.NewBlobStore(store)
+		blobs := chunk.NewBlobStore(store)
 		pages := workload.WikiPages(10, 16*1024, 1)
 		rng := rand.New(rand.NewSource(2))
 		bodies := make([][]byte, len(pages))

@@ -181,8 +181,8 @@ func (cl *Client) Stats() (ServerStats, error) {
 }
 
 // Proto reports the wire framing this client negotiated with the
-// server (wire.ProtoBinary or wire.ProtoGob) — empty if the connection
-// failed before negotiation finished.
+// server (wire.ProtoBinary) — empty if the connection failed before
+// negotiation finished.
 func (cl *Client) Proto() string { return cl.c.Proto() }
 
 // Digest fetches the server's current ledger digest (unverified; use

@@ -77,10 +77,6 @@ type ClusterDB struct {
 	// srcs are the per-shard replication sources (nil for memory-only
 	// clusters, which have no write-ahead log to ship).
 	srcs []*repl.Source
-
-	// LegacyGobWire, when set before Serve, disables the binary/v2 wire
-	// negotiation so this server speaks only the legacy gob framing.
-	LegacyGobWire bool
 }
 
 // IsClusterDir reports whether dir holds a sharded cluster's data
@@ -239,7 +235,6 @@ func (db *ClusterDB) Engine(i int) *core.Engine { return db.c.Engine(i) }
 func (db *ClusterDB) Serve(ln net.Listener) error {
 	srv := wire.NewHandlerServer(db.c)
 	srv.Node = "primary"
-	srv.LegacyGobOnly = db.LegacyGobWire
 	srv.Stats = db.wireStats
 	srv.Repl = func(shard int) (wire.ReplStreamer, error) {
 		if db.srcs == nil {

@@ -58,7 +58,7 @@ import (
 	"os"
 
 	"spitz/internal/bench"
-	"spitz/internal/workload"
+	"spitz/internal/bench/workload"
 )
 
 func main() {

@@ -96,7 +96,6 @@ func main() {
 	ckptBlocks := flag.Uint64("checkpoint-every-blocks", 4096, "checkpoint after this many commits")
 	storeKind := flag.String("store", "mem", "node-store backend for -data-dir: mem or disk")
 	nodeCacheMB := flag.Int("node-cache-mb", 64, "disk store node-cache budget in MiB (per shard)")
-	legacyGob := flag.Bool("legacy-gob", false, "serve only the legacy gob wire framing (disable binary/v2 negotiation)")
 	flag.Parse()
 
 	opts := spitz.Options{
@@ -116,7 +115,7 @@ func main() {
 		if *dataDir != "" {
 			log.Fatalf("spitz-server: -replicate-from and -data-dir are mutually exclusive (a replica's state comes from its primary)")
 		}
-		serveReplica(*replicateFrom, *addr, *adminAddr, *inverted, *legacyGob)
+		serveReplica(*replicateFrom, *addr, *adminAddr, *inverted)
 		return
 	}
 	shardsSet := false
@@ -137,7 +136,7 @@ func main() {
 	}
 	if *shards != 1 {
 		serveCluster(*shards, *dataDir, opts, *syncMode, *syncEvery, *ckptInterval, *ckptBlocks,
-			store, *nodeCacheMB, *addr, *adminAddr, *legacyGob)
+			store, *nodeCacheMB, *addr, *adminAddr)
 		return
 	}
 	var db *spitz.DB
@@ -161,10 +160,6 @@ func main() {
 		}
 		log.Printf("spitz-server: durable database in %s (sync=%s, store=%s, %s mode), recovered %d blocks",
 			*dataDir, policy, db.StoreKind(), *mode, db.Height())
-	}
-	db.LegacyGobWire = *legacyGob
-	if *legacyGob {
-		log.Printf("spitz-server: binary/v2 wire negotiation disabled (-legacy-gob)")
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -224,7 +219,7 @@ func startAdmin(adminAddr string, stats func() spitz.ServerStats, health func() 
 
 // serveReplica runs this server as a read-only replica: stream the
 // primary's log (all shards), verified-replay every block, serve reads.
-func serveReplica(primary, addr, adminAddr string, inverted, legacyGob bool) {
+func serveReplica(primary, addr, adminAddr string, inverted bool) {
 	rep, err := spitz.DialReplica("tcp", primary, spitz.ReplicaOptions{
 		MaintainInverted: inverted,
 		Logf:             log.Printf,
@@ -232,7 +227,6 @@ func serveReplica(primary, addr, adminAddr string, inverted, legacyGob bool) {
 	if err != nil {
 		log.Fatalf("spitz-server: replica of %s: %v", primary, err)
 	}
-	rep.LegacyGobWire = legacyGob
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("spitz-server: listen: %v", err)
@@ -263,7 +257,7 @@ func serveReplica(primary, addr, adminAddr string, inverted, legacyGob bool) {
 // listener, with optional per-shard durability under dataDir/shard-NNN.
 func serveCluster(shards int, dataDir string, opts spitz.Options, syncMode string,
 	syncEvery, ckptInterval time.Duration, ckptBlocks uint64,
-	store spitz.StoreKind, nodeCacheMB int, addr, adminAddr string, legacyGob bool) {
+	store spitz.StoreKind, nodeCacheMB int, addr, adminAddr string) {
 	copts := spitz.ClusterOptions{
 		Shards:           shards,
 		Mode:             opts.Mode,
@@ -287,7 +281,6 @@ func serveCluster(shards int, dataDir string, opts spitz.Options, syncMode strin
 	if err != nil {
 		log.Fatalf("spitz-server: open cluster: %v", err)
 	}
-	db.LegacyGobWire = legacyGob
 	if dataDir == "" {
 		log.Printf("spitz-server: serving %d-shard in-memory cluster (no -data-dir; state is lost on exit)", db.Shards())
 	} else {

@@ -6,16 +6,16 @@ import (
 	"sync"
 	"time"
 
+	"spitz/internal/bench/mbt"
+	"spitz/internal/bench/mpt"
+	"spitz/internal/bench/workload"
 	"spitz/internal/cas"
 	"spitz/internal/core"
-	"spitz/internal/mbt"
-	"spitz/internal/mpt"
 	"spitz/internal/postree"
 	"spitz/internal/proof"
 	"spitz/internal/txn"
 	"spitz/internal/txn/hlc"
 	"spitz/internal/txn/tso"
-	"spitz/internal/workload"
 )
 
 // ---------------------------------------------------------------------------

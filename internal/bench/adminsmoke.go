@@ -123,9 +123,7 @@ func AdminSmoke(dir string) error {
 	}
 
 	// Transport coverage: a compression-negotiated client pulls a large
-	// compressible value (moves the compressed-vs-raw byte counters), and
-	// a legacy gob client performs one read (moves the gob negotiation
-	// counter) — CI sees both framings serve side by side.
+	// compressible value (moves the compressed-vs-raw byte counters).
 	big := []byte(strings.Repeat("admin-smoke-compressible ", 256)) // ~6 KB
 	if _, err := sc.Apply("admin-smoke-big", []spitz.Put{{Table: "t", Column: "big",
 		PK: benchKey(0), Value: big}}); err != nil {
@@ -143,15 +141,6 @@ func AdminSmoke(dir string) error {
 		return fmt.Errorf("compressed read: got %d bytes, want %d", len(resp.Value), len(big))
 	}
 	cc.Close()
-	gc, err := wire.ConnectOptions(ln, wire.ClientOptions{ForceGob: true})
-	if err != nil {
-		return err
-	}
-	if _, err := gc.Do(wire.Request{Op: wire.OpGet, Table: "t", Column: "c", PK: benchKey(0)}); err != nil {
-		gc.Close()
-		return fmt.Errorf("gob read: %w", err)
-	}
-	gc.Close()
 
 	// A replica mirroring every shard, served over its own listener so
 	// clients can read from it.
@@ -262,10 +251,9 @@ func AdminSmoke(dir string) error {
 		`spitz_wire_ops_total{op="get-verified"}`,
 		`spitz_wire_ops_total{op="put"}`,
 		`spitz_wire_written_bytes_total`,
-		// transport: both framings negotiated, frames flowing, and the
+		// transport: the framing negotiated, frames flowing, and the
 		// compressed transfer shrank its payload
 		`spitz_wire_negotiations_total{proto="binary"}`,
-		`spitz_wire_negotiations_total{proto="gob"}`,
 		`spitz_wire_frames_read_total`,
 		`spitz_wire_frames_written_total`,
 		`spitz_wire_compress_raw_bytes_total`,

@@ -1,10 +1,10 @@
-package cas
+package chunk
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"spitz/internal/chunk"
+	"spitz/internal/cas"
 	"spitz/internal/hashutil"
 )
 
@@ -13,14 +13,14 @@ import (
 // region share almost all of their chunks, so the marginal cost of a new
 // version is proportional to the size of the edit, not of the document.
 type BlobStore struct {
-	store   Store
-	chunker *chunk.Chunker
+	store   cas.Store
+	chunker *Chunker
 }
 
 // NewBlobStore returns a BlobStore writing into store with default
 // chunking parameters.
-func NewBlobStore(store Store) *BlobStore {
-	return &BlobStore{store: store, chunker: chunk.New(chunk.Options{})}
+func NewBlobStore(store cas.Store) *BlobStore {
+	return &BlobStore{store: store, chunker: New(Options{})}
 }
 
 // PutBlob chunks value and stores each chunk plus a manifest listing the
@@ -43,10 +43,10 @@ func (b *BlobStore) PutBlob(value []byte) hashutil.Digest {
 func (b *BlobStore) GetBlob(d hashutil.Digest) ([]byte, error) {
 	manifest, err := b.store.Get(d)
 	if err != nil {
-		return nil, fmt.Errorf("cas: blob manifest: %w", err)
+		return nil, fmt.Errorf("chunk: blob manifest: %w", err)
 	}
 	if len(manifest) < 8 || (len(manifest)-8)%hashutil.DigestSize != 0 {
-		return nil, fmt.Errorf("cas: malformed blob manifest %s", d.Short())
+		return nil, fmt.Errorf("chunk: malformed blob manifest %s", d.Short())
 	}
 	total := binary.BigEndian.Uint64(manifest[:8])
 	out := make([]byte, 0, total)
@@ -55,12 +55,12 @@ func (b *BlobStore) GetBlob(d hashutil.Digest) ([]byte, error) {
 		copy(cd[:], manifest[off:off+hashutil.DigestSize])
 		data, err := b.store.Get(cd)
 		if err != nil {
-			return nil, fmt.Errorf("cas: blob chunk %s: %w", cd.Short(), err)
+			return nil, fmt.Errorf("chunk: blob chunk %s: %w", cd.Short(), err)
 		}
 		out = append(out, data...)
 	}
 	if uint64(len(out)) != total {
-		return nil, fmt.Errorf("cas: blob %s length %d, manifest says %d", d.Short(), len(out), total)
+		return nil, fmt.Errorf("chunk: blob %s length %d, manifest says %d", d.Short(), len(out), total)
 	}
 	return out, nil
 }

@@ -7,8 +7,9 @@ import (
 	"sort"
 	"time"
 
+	"spitz/internal/bench/chunk"
+	"spitz/internal/bench/workload"
 	"spitz/internal/cas"
-	"spitz/internal/workload"
 )
 
 // Config controls an experiment sweep.
@@ -78,7 +79,7 @@ func Fig1(maxVersions int) (Result, error) {
 	}
 	const pages, pageSize = 10, 16 * 1024
 	store := cas.NewMemory()
-	blobs := cas.NewBlobStore(store)
+	blobs := chunk.NewBlobStore(store)
 	ps := workload.WikiPages(pages, pageSize, 1)
 	rng := rand.New(rand.NewSource(2))
 

@@ -21,8 +21,8 @@ import (
 	"net"
 	"sync"
 
+	"spitz/internal/bench/kvs"
 	"spitz/internal/core"
-	"spitz/internal/kvs"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/proof"

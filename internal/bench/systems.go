@@ -6,14 +6,14 @@ import (
 	"fmt"
 	"runtime"
 
-	"spitz/internal/baseline"
+	"spitz/internal/bench/baseline"
+	"spitz/internal/bench/kvs"
+	"spitz/internal/bench/nonintrusive"
+	"spitz/internal/bench/workload"
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
-	"spitz/internal/kvs"
 	"spitz/internal/ledger"
-	"spitz/internal/nonintrusive"
 	"spitz/internal/proof"
-	"spitz/internal/workload"
 )
 
 // system is one database under test. All five Figure 6 systems implement

@@ -12,7 +12,7 @@ import (
 )
 
 // mProofBuild times full (uncached) head proof constructions: POS-tree
-// walk + point proof + block inclusion, excluding lock wait and gob.
+// walk + point proof + block inclusion, excluding lock wait and encoding.
 var mProofBuild = obs.Default.Histogram("spitz_proof_build_ns")
 
 // ErrProofInvalid is returned when a ledger proof fails verification.

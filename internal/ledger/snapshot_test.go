@@ -131,7 +131,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSnapshotMissingObjectDetected(t *testing.T) {
+func TestSnapshotTruncatedStreamDetected(t *testing.T) {
 	// Truncate the object stream: the loader must notice the missing
 	// bodies rather than build a ledger with dangling references.
 	l := New(cas.NewMemory())

@@ -26,8 +26,8 @@ var (
 //
 // This is Spitz's "unified index" property in code: the proof is assembled
 // from exactly the nodes the query already visited, so proving costs no
-// extra traversal (contrast with the baseline in internal/baseline, which
-// performs an independent journal lookup per record).
+// extra traversal (contrast with internal/bench/baseline, which performs
+// an independent journal lookup per record).
 //
 // Nodes is a set: the verifier finds each node it wants by the digest the
 // body hashes to, so the bodies of index nodes the verifier said it holds

@@ -1,3 +1,7 @@
+// Package server implements Spitz's control layer (Section 5, Figure 5):
+// a Cluster shards data across processor nodes, each owning its own
+// durable engine and ledger, with two-phase commit for cross-shard
+// transactions (Section 5.2).
 package server
 
 import (

@@ -337,66 +337,64 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 	}
 }
 
-// TestElisionOverBothFramings: the hint and the elided proof, of every
-// shape, survive binary/v2 and gob alike.
-func TestElisionOverBothFramings(t *testing.T) {
+// TestElisionOverTheWire: the hint and the elided proof, of every
+// shape, survive the framing.
+func TestElisionOverTheWire(t *testing.T) {
 	eng, pk := elideEngine(t)
 	srv := NewServer(eng)
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	for _, opts := range []ClientOptions{{}, {ForceGob: true}} {
-		cl, err := ConnectOptions(ln, opts)
+	cl, err := Connect(ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
+	cold, err := cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := heldPath(t, cold)
+	req.Have = path.Have()
+	warm, err := cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := warm.Proof.Point.Nodes; len(nodes) != 1 || nodes[0][0] != 0 {
+		t.Fatalf("a fully hinted read ships %d nodes, want the leaf alone", len(nodes))
+	}
+	if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
+		t.Fatalf("elided proof: %v", err)
+	}
+	cells, err := warm.Proof.Cells()
+	if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-03210" {
+		t.Fatalf("%v %v", cells, err)
+	}
+	for _, m := range multiRowReads(t, eng) {
+		cold, err := cl.Do(m.req)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatal(m.name, err)
 		}
-		req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
-		cold, err := cl.Do(req)
+		held := heldNodes(t, cold)
+		hinted := m.req
+		hinted.Have = pin(held).Have()
+		warm, err := cl.Do(hinted)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatal(m.name, err)
 		}
-		path := heldPath(t, cold)
-		req.Have = path.Have()
-		warm, err := cl.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nodes := warm.Proof.Point.Nodes; len(nodes) != 1 || nodes[0][0] != 0 {
-			t.Fatalf("%s: a fully hinted read ships %d nodes, want the leaf alone", cl.Proto(), len(nodes))
-		}
-		if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
-			t.Fatalf("%s: elided proof: %v", cl.Proto(), err)
-		}
-		cells, err := warm.Proof.Cells()
-		if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-03210" {
-			t.Fatalf("%s: %v %v", cl.Proto(), cells, err)
-		}
-		for _, m := range multiRowReads(t, eng) {
-			cold, err := cl.Do(m.req)
-			if err != nil {
-				t.Fatal(m.name, err)
-			}
-			held := heldNodes(t, cold)
-			hinted := m.req
-			hinted.Have = pin(held).Have()
-			warm, err := cl.Do(hinted)
-			if err != nil {
-				t.Fatal(m.name, err)
-			}
-			nodes, _ := proofNodes(warm)
-			for _, body := range nodes {
-				if body[0] != 0 {
-					t.Fatalf("%s %s: an index node travelled to a client that holds it", cl.Proto(), m.name)
-				}
-			}
-			if err := verifyMultiRow(warm, pin(held)); err != nil {
-				t.Fatalf("%s %s: elided proof: %v", cl.Proto(), m.name, err)
-			}
-			if got := m.rows(t, warm); fmt.Sprint(got) != fmt.Sprint(m.want) {
-				t.Fatalf("%s %s: rows %v", cl.Proto(), m.name, got)
+		nodes, _ := proofNodes(warm)
+		for _, body := range nodes {
+			if body[0] != 0 {
+				t.Fatalf("%s: an index node travelled to a client that holds it", m.name)
 			}
 		}
-		cl.Close()
+		if err := verifyMultiRow(warm, pin(held)); err != nil {
+			t.Fatalf("%s: elided proof: %v", m.name, err)
+		}
+		if got := m.rows(t, warm); fmt.Sprint(got) != fmt.Sprint(m.want) {
+			t.Fatalf("%s: rows %v", m.name, got)
+		}
 	}
 }
 

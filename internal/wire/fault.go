@@ -33,8 +33,8 @@ type Faults struct {
 
 	// FrameMode, when not FrameNone, injects a fault into the FrameIndex-th
 	// binary frame the server writes (0-based). Frames are recognized by
-	// their header CRC, so the handshake reply and raw gob traffic are
-	// never miscounted as frames.
+	// their header CRC, so the handshake reply is never miscounted as a
+	// frame.
 	FrameMode  FrameMode
 	FrameIndex int
 }

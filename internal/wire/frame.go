@@ -2,15 +2,13 @@ package wire
 
 // Binary framing for protocol v2.
 //
-// Connect-time negotiation: the client opens with a 6-byte hello —
-// magic 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The leading
-// 0x00 can never begin a gob stream (gob's first uvarint is a message
-// length, and a zero-length message is invalid), so the server
-// distinguishes new clients from legacy gob clients by peeking one
-// byte. The server answers with the same magic, the version it chose,
-// and the intersection of the offered flags. A legacy server fails to
-// gob-decode the hello and drops the connection; Dial/Connect then
-// redial and speak gob (see listen.go).
+// Connect-time handshake: the client opens with a 6-byte hello — magic
+// 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The server
+// answers with the same magic, the version it speaks, and the
+// intersection of the offered flags. Either side drops a peer whose
+// version byte is not its own (the server after replying, so the peer
+// learns what it met); a server drops a connection that opens with
+// anything but the hello without replying.
 //
 // Frame layout, both directions, after the handshake:
 //
@@ -41,12 +39,8 @@ import (
 	"spitz/internal/obs"
 )
 
-// ProtoGob and ProtoBinary name the negotiated protocols in Stats and
-// metrics.
-const (
-	ProtoGob    = "gob/v1"
-	ProtoBinary = "binary/v2"
-)
+// ProtoBinary names the framing in Stats and Client.Proto.
+const ProtoBinary = "binary/v2"
 
 const (
 	helloMagic0 = 0x00
@@ -86,7 +80,6 @@ var errBadFrame = errors.New("wire: corrupt frame header")
 
 var (
 	mNegotiatedBinary = obs.Default.Counter(`spitz_wire_negotiations_total{proto="binary"}`)
-	mNegotiatedGob    = obs.Default.Counter(`spitz_wire_negotiations_total{proto="gob"}`)
 	mNegotiateFailed  = obs.Default.Counter(`spitz_wire_negotiations_total{proto="failed"}`)
 
 	mFramesRead    = obs.Default.Counter("spitz_wire_frames_read_total")

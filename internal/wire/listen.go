@@ -79,9 +79,8 @@ func (pipeAddr) Network() string { return "pipe" }
 func (pipeAddr) String() string  { return "pipe" }
 
 // Connect returns a client for a listener created by Listen, regardless of
-// transport. It negotiates the binary framing eagerly and falls back to
-// the legacy gob framing (on a fresh connection) when the server does
-// not answer the handshake.
+// transport. The handshake runs eagerly; a server that does not answer
+// it is an error.
 func Connect(ln net.Listener) (*Client, error) {
 	return ConnectOptions(ln, ClientOptions{})
 }
@@ -96,19 +95,5 @@ func ConnectOptions(ln net.Listener, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := NewClientOptions(conn, opts)
-	if opts.ForceGob {
-		return c, nil
-	}
-	if err := c.Handshake(); err != nil {
-		// A legacy server dropped the connection on our hello; redial
-		// and speak its protocol.
-		conn.Close()
-		conn2, err2 := pl.DialPipe()
-		if err2 != nil {
-			return nil, err
-		}
-		return NewGobClient(conn2), nil
-	}
-	return c, nil
+	return handshaken(conn, opts)
 }

@@ -1,0 +1,192 @@
+// Package wire implements the client/server protocol for Spitz services.
+//
+// There is one framing (binary/v2, agreed at connect time — see
+// frame.go): a length-prefixed compact binary encoding with tagged
+// frames, so many requests can be in flight on one connection and large
+// payloads can ship compressed. A peer that does not open with the
+// hello, or announces another framing version, is dropped.
+package wire
+
+import (
+	"spitz/internal/cellstore"
+	"spitz/internal/core"
+	"spitz/internal/hashutil"
+	"spitz/internal/ledger"
+	"spitz/internal/mtree"
+	"spitz/internal/obs"
+)
+
+// Op identifies a request type.
+type Op string
+
+// Supported operations.
+const (
+	OpPut         Op = "put"          // batched cell writes
+	OpGet         Op = "get"          // unverified point read
+	OpGetVerified Op = "get-verified" // point read + proof
+	OpRange       Op = "range"        // unverified pk range scan
+	OpRangeVer    Op = "range-verified"
+	OpLookupEq    Op = "lookup-eq" // inverted-index equality lookup
+	OpHistory     Op = "history"
+	OpDigest      Op = "digest"
+	OpConsistency Op = "consistency"
+	OpProveBatch  Op = "prove-batch" // aggregated proof for a batch of audit receipts
+	OpSnapshot    Op = "snapshot"    // stream a full engine snapshot to the client
+	OpRestore     Op = "restore"     // replace the served state from a snapshot
+	OpQuery       Op = "query"       // execute a statement; SELECTs carry proofs
+
+	// Sharded deployments (a Cluster served behind one listener).
+	OpShardMap      Op = "shard-map"      // discover the shard count and routing scheme
+	OpClusterDigest Op = "cluster-digest" // per-shard digest vector + combined root
+
+	// Observability and replication.
+	OpStats      Op = "stats"       // WAL span, follower lag, batching counters
+	OpReplStream Op = "repl-stream" // subscribe to the committed-block stream
+	OpReplAck    Op = "repl-ack"    // follower -> primary progress report (stream only)
+)
+
+// Put is one write in a request.
+type Put struct {
+	Table     string
+	Column    string
+	PK        []byte
+	Value     []byte
+	Tombstone bool
+}
+
+// Request is the client -> server message.
+type Request struct {
+	Op        Op
+	Table     string
+	Column    string
+	PK        []byte
+	PKHi      []byte
+	Value     []byte // OpLookupEq: the value to look up
+	Puts      []Put
+	Statement string
+	OldDigest ledger.Digest
+	// OldDigest2, when non-nil on OpConsistency, requests a second
+	// consistency proof captured atomically with the first — used by
+	// clients to verify a proof whose digest their trust already moved
+	// past (Response.Consistency2). On OpProveBatch it is required: the
+	// digest the audited reads were accepted at (the batch is proven at
+	// its head block, and Consistency2 shows it prefixes the ledger).
+	OldDigest2 *ledger.Digest
+	// Audits is the OpProveBatch receipt batch: the point and range reads
+	// to prove at OldDigest2's head block.
+	Audits   []ledger.BatchQuery
+	Snapshot []byte // OpRestore: the snapshot stream to load
+
+	// Deferred asks an OpQuery SELECT to skip the eager proof round: the
+	// response carries attested cells and the execution digest, and the
+	// client (AuditMode) enqueues receipts it proves later in one
+	// OpProveBatch flush.
+	Deferred bool
+
+	// Shard targets one shard of a sharded deployment: 0 routes by
+	// primary key (or addresses the whole cluster), i > 0 addresses shard
+	// i-1 directly. Single-engine servers ignore it, so shard-aware
+	// clients interoperate with both.
+	Shard int
+
+	// Height carries the ledger height of replication requests: the
+	// height to stream from (OpReplStream) or the follower's height after
+	// applying a block (OpReplAck).
+	Height uint64
+
+	// Have, on the proof-carrying reads (OpGetVerified, OpRangeVer,
+	// OpProveBatch, OpQuery), is the set of digests of the verified index
+	// nodes the client already holds where the read will walk (at most
+	// postree.MaxHave). The server leaves a node's body out of the proof iff it
+	// is an index node whose digest is in the set; absent, the proof is
+	// complete. It is a hint only: the client verifies by walking from
+	// its trusted root and takes a node that was left out solely from its
+	// own verified nodes.
+	Have []hashutil.Digest
+
+	// trace is the live span for this request (nil for the unsampled
+	// majority). It rides the Request value through Handler
+	// implementations into Dispatch, which threads it down the
+	// engine/ledger proof stages. The pointer itself never crosses the
+	// wire; traceID/parentSpan below are its wire form.
+	trace *obs.Trace
+
+	// traceID/parentSpan carry the distributed trace context. SetTrace
+	// fills them from the attached span, the binary codec serializes
+	// them (a presence-bitmap field — zero bytes when absent), and the
+	// serving side's execute continues the trace as a child span.
+	traceID    uint64
+	parentSpan uint64
+}
+
+// SetTrace attaches a live span to a request. The span pointer rides
+// in-process hops (a cluster routing to its shard engines passes the
+// same Request value); for wire hops the span's trace ID and span ID
+// are captured alongside so the binary codec propagates the context and
+// the remote server continues the trace.
+func (r *Request) SetTrace(tr *obs.Trace) {
+	r.trace = tr
+	r.traceID, r.parentSpan, _ = tr.Context()
+}
+
+// TraceContext returns the distributed trace context this request
+// carries (zero values when untraced).
+func (r *Request) TraceContext() (traceID, parentSpan uint64) {
+	return r.traceID, r.parentSpan
+}
+
+// Trace returns the live span attached to this request (nil for the
+// unsampled majority). Handlers that fan out use it to open child
+// spans for each leg.
+func (r *Request) Trace() *obs.Trace { return r.trace }
+
+// Response is the server -> client message.
+type Response struct {
+	Err          string
+	Found        bool
+	Value        []byte
+	Cells        []cellstore.Cell
+	Proof        *ledger.Proof
+	BatchProof   *ledger.BatchProof // OpProveBatch: the aggregated proof
+	Digest       ledger.Digest
+	Consistency  *mtree.ConsistencyProof
+	Consistency2 *mtree.ConsistencyProof // OpConsistency/OpProveBatch with OldDigest2
+	Header       ledger.BlockHeader
+
+	// Sharded deployments.
+	ShardCount int                   // OpShardMap: number of shards behind this listener
+	Shard      int                   // 1-based shard that served a routed request (0 = unsharded)
+	Cluster    *ledger.ClusterDigest // OpClusterDigest
+
+	// Replication stream messages (OpReplStream). Found distinguishes a
+	// snapshot hand-off (Value = snapshot stream, Height = its block
+	// count) from a block frame (Value = WAL frame, Height = the block's
+	// index).
+	Height uint64
+
+	// Stats is the OpStats payload.
+	Stats *Stats
+
+	// RowsAffected reports how many rows an OpQuery mutation touched.
+	RowsAffected int
+}
+
+// Handler executes one protocol request. core.Engine-backed servers use
+// Dispatch; sharded deployments implement Handler to route requests
+// across shards behind one listener.
+type Handler interface {
+	Handle(req Request) Response
+}
+
+// HandlerFunc adapts a function to Handler (as http.HandlerFunc does).
+type HandlerFunc func(Request) Response
+
+// Handle implements Handler.
+func (f HandlerFunc) Handle(req Request) Response { return f(req) }
+
+// EngineHandler returns a Handler dispatching to one engine — the
+// building block for wrapping a served engine (e.g. with a fault
+// injector in tamper-detection tests).
+func EngineHandler(eng *core.Engine) Handler {
+	return HandlerFunc(func(req Request) Response { return Dispatch(eng, req) })
+}

@@ -1,0 +1,558 @@
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"spitz/internal/core"
+	"spitz/internal/ledger"
+	"spitz/internal/obs"
+)
+
+// knownOps lists every request type for per-op metric preallocation.
+var knownOps = []Op{OpPut, OpGet, OpGetVerified, OpRange, OpRangeVer,
+	OpLookupEq, OpHistory, OpDigest, OpConsistency, OpProveBatch,
+	OpSnapshot, OpRestore, OpShardMap, OpClusterDigest, OpStats, OpQuery}
+
+// Per-op server metrics, preallocated so the request loop does one
+// read-only map lookup plus atomic adds — no locks on the hot path.
+var (
+	mOpCount   = make(map[Op]*obs.Counter, len(knownOps))
+	mOpErrs    = make(map[Op]*obs.Counter, len(knownOps))
+	mOpLatency = make(map[Op]*obs.Histogram, len(knownOps))
+
+	mOpCountOther   = obs.Default.Counter(`spitz_wire_ops_total{op="other"}`)
+	mOpErrsOther    = obs.Default.Counter(`spitz_wire_op_errors_total{op="other"}`)
+	mOpLatencyOther = obs.Default.Histogram(`spitz_wire_op_latency_ns{op="other"}`)
+
+	mConnsTotal   = obs.Default.Counter("spitz_wire_conns_total")
+	mConnsOpen    = obs.Default.Gauge("spitz_wire_conns_open")
+	mBytesRead    = obs.Default.Counter("spitz_wire_read_bytes_total")
+	mBytesWritten = obs.Default.Counter("spitz_wire_written_bytes_total")
+)
+
+func init() {
+	for _, op := range knownOps {
+		label := `{op="` + string(op) + `"}`
+		mOpCount[op] = obs.Default.Counter("spitz_wire_ops_total" + label)
+		mOpErrs[op] = obs.Default.Counter("spitz_wire_op_errors_total" + label)
+		mOpLatency[op] = obs.Default.Histogram("spitz_wire_op_latency_ns" + label)
+	}
+}
+
+// Server serves a core.Engine — or any Handler — over a listener.
+type Server struct {
+	// Restore, when non-nil, enables OpRestore: it loads a snapshot
+	// stream into a fresh engine which then replaces the served one. nil
+	// (the default) rejects restore requests.
+	Restore func(snapshot []byte) (*core.Engine, error)
+
+	// Repl, when non-nil, serves replication streams (OpReplStream): it
+	// returns the replication source for a wire shard id (0 or 1 both
+	// address a single-engine server; i > 0 addresses shard i-1 of a
+	// cluster). Set before Serve.
+	Repl func(shard int) (ReplStreamer, error)
+
+	// Stats, when non-nil, answers OpStats with deployment-wide counters
+	// (WAL span, attached followers); without it OpStats falls back to
+	// the handler or the engine's basic counters. Set before Serve.
+	Stats func() Stats
+
+	// Node labels this server's spans in stitched distributed traces
+	// ("shard-0", "replica"). Empty means "server". Set before Serve.
+	Node string
+
+	mu      sync.Mutex
+	engine  *core.Engine
+	handler Handler // when set, requests go here instead of Dispatch(engine, ·)
+	closed  bool
+	ln      net.Listener
+	stopc   chan struct{}         // closed when the server stops (aborts streams)
+	conns   map[net.Conn]struct{} // live connections, closed on shutdown
+}
+
+// NewServer returns a server over eng.
+func NewServer(eng *core.Engine) *Server {
+	return &Server{engine: eng, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+}
+
+// NewHandlerServer returns a server whose requests are executed by h
+// (e.g. a sharded cluster served behind one listener).
+func NewHandlerServer(h Handler) *Server {
+	return &Server{handler: h, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+}
+
+// Engine returns the currently served engine (it changes on OpRestore).
+func (s *Server) Engine() *core.Engine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine
+}
+
+// SetEngine atomically swaps the served engine. In-flight requests finish
+// against the previous one.
+func (s *Server) SetEngine(eng *core.Engine) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.engine = eng
+}
+
+// Serve accepts connections until the listener is closed; on return the
+// server is fully stopped — live connections (including replication
+// streams) are closed, so a stopped server never keeps serving stale
+// state in the background. Each connection multiplexes many in-flight
+// requests.
+func (s *Server) Serve(ln net.Listener) error {
+	s.mu.Lock()
+	s.ln = ln
+	s.mu.Unlock()
+	defer s.shutdown()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			s.mu.Lock()
+			closed := s.closed
+			s.mu.Unlock()
+			if closed {
+				return nil
+			}
+			return err
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		go s.handle(conn)
+	}
+}
+
+// Close stops the server.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	ln := s.ln
+	s.mu.Unlock()
+	if ln != nil {
+		return ln.Close()
+	}
+	return nil
+}
+
+// shutdown aborts in-flight streams and closes every live connection.
+func (s *Server) shutdown() {
+	s.mu.Lock()
+	s.closed = true
+	select {
+	case <-s.stopc:
+	default:
+		close(s.stopc)
+	}
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// countingConn feeds connection I/O into the wire byte counters.
+type countingConn struct {
+	net.Conn
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		mBytesRead.Add(uint64(n))
+	}
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if n > 0 {
+		mBytesWritten.Add(uint64(n))
+	}
+	return n, err
+}
+
+// handle serves one connection: answer the hello, then demultiplex
+// tagged request frames. Replication streams share the connection with
+// queries — block frames go out under the stream's tag and OpReplAck
+// frames route back to the feed by the same tag.
+func (s *Server) handle(conn net.Conn) {
+	mConnsTotal.Inc()
+	mConnsOpen.Add(1)
+	defer func() {
+		mConnsOpen.Add(-1)
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	cc := countingConn{conn}
+	br := bufio.NewReaderSize(cc, 1<<16)
+	var hello [6]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
+		if err != io.EOF { // a peer that left before sending a byte negotiated nothing
+			mNegotiateFailed.Inc()
+		}
+		return
+	}
+	version, flags, err := parseHello(hello[:])
+	if err != nil {
+		// Not a hello: nothing this peer sent is decoded as a frame.
+		mNegotiateFailed.Inc()
+		return
+	}
+	flags &= flagCompress // intersect with the flags this build supports
+	reply := helloBytes(protoVersion, flags)
+	if _, err := cc.Write(reply[:]); err != nil {
+		return
+	}
+	if version != protoVersion {
+		// The reply tells the peer which framing this build speaks; its
+		// frames cannot be parsed, so the connection ends here.
+		mNegotiateFailed.Inc()
+		return
+	}
+	mNegotiatedBinary.Inc()
+	fw := &frameWriter{w: cc, compressOK: flags&flagCompress != 0}
+
+	var (
+		wg        sync.WaitGroup
+		streamsMu sync.Mutex
+		streams   = map[uint32]ReplFeed{}
+		connDone  = make(chan struct{})
+	)
+	defer func() {
+		close(connDone)
+		wg.Wait()
+	}()
+
+	buf := getBuf()
+	defer putBuf(buf)
+	for {
+		tag, payload, err := readFrame(br, buf)
+		if err != nil {
+			return // closed, or a frame header failed its CRC
+		}
+		req, err := DecodeRequest(payload)
+		if err != nil {
+			// The stream itself is still framed correctly, but the
+			// payload is not trustworthy; report and drop the conn.
+			fw.writeFrame(tag, AppendResponse(nil, &Response{Err: "wire: corrupt request payload"}))
+			return
+		}
+		switch req.Op {
+		case OpReplAck:
+			// One-way progress report for the stream with this tag.
+			streamsMu.Lock()
+			feed := streams[tag]
+			streamsMu.Unlock()
+			if feed != nil {
+				feed.Ack(req.Height)
+			}
+		case OpReplStream:
+			wg.Add(1)
+			go func(req Request, tag uint32) {
+				defer wg.Done()
+				feed, errMsg := s.attachRepl(conn, req)
+				if feed == nil {
+					fw.writeFrame(tag, AppendResponse(nil, &Response{Err: errMsg}))
+					return
+				}
+				streamsMu.Lock()
+				streams[tag] = feed
+				streamsMu.Unlock()
+				s.pumpRepl(fw, tag, feed, connDone)
+				streamsMu.Lock()
+				delete(streams, tag)
+				streamsMu.Unlock()
+			}(req, tag)
+		default:
+			mFramesInflight.Add(1)
+			if br.Buffered() == 0 {
+				// Nothing else is waiting: execute inline and save the
+				// goroutine hand-off — the common serial-client case.
+				err := s.answer(fw, tag, req)
+				mFramesInflight.Add(-1)
+				if err != nil {
+					return
+				}
+			} else {
+				// The client is pipelining; let requests overlap.
+				wg.Add(1)
+				go func(req Request, tag uint32) {
+					defer wg.Done()
+					defer mFramesInflight.Add(-1)
+					s.answer(fw, tag, req)
+				}(req, tag)
+			}
+		}
+	}
+}
+
+// nodeName returns the span label for this server's side of a trace.
+func (s *Server) nodeName() string {
+	if s.Node != "" {
+		return s.Node
+	}
+	return "server"
+}
+
+// execute runs one request through the server's handler chain and
+// returns the response with the trace and start time still open, so the
+// caller can attribute the encode cost before finishing.
+func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
+	start := time.Now()
+	var tr *obs.Trace
+	if req.traceID != 0 {
+		// The client sampled this request and sent its trace context:
+		// continue the distributed trace rather than re-rolling the
+		// sampler, so every leg of a sampled fan-out is captured.
+		tr = obs.DefaultTracer.Continue(string(req.Op), s.nodeName(), req.traceID, req.parentSpan)
+	} else {
+		tr = obs.DefaultTracer.Root(string(req.Op), s.nodeName())
+	}
+	req.SetTrace(tr)
+	var resp Response
+	s.mu.Lock()
+	h := s.handler
+	s.mu.Unlock()
+	switch {
+	case req.Op == OpStats && s.Stats != nil:
+		st := s.Stats()
+		st.Metrics = RegistryMetrics()
+		resp = Response{Stats: &st}
+	case req.Op == OpRestore && h == nil:
+		resp = s.restore(req)
+	case h != nil:
+		resp = h.Handle(req)
+	default:
+		resp = Dispatch(s.Engine(), req)
+	}
+	if resp.Stats != nil {
+		resp.Stats.Protocol = ProtoBinary
+	}
+	tr.Stage("wire.handle", start)
+	return resp, tr, start
+}
+
+// answer executes one request and writes its tagged response.
+func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
+	resp, tr, start := s.execute(req)
+	var encStart time.Time
+	if tr.Sampled() {
+		encStart = time.Now()
+	}
+	out := getBuf()
+	out.b = AppendResponse(out.b[:0], &resp)
+	respBytes := len(out.b)
+	err := fw.writeFrame(tag, out.b)
+	putBuf(out)
+	tr.Stage("wire.encode", encStart)
+	tr.Finish()
+	recordOp(&req, start, resp.Err != "", respBytes)
+	return err
+}
+
+// recordOp updates the per-op serve metrics for one completed request
+// and, independently of the trace sampler, captures over-threshold
+// requests to the slow-op ring so tail events survive 1-in-N sampling.
+// respBytes is the encoded response size.
+func recordOp(req *Request, start time.Time, failed bool, respBytes int) {
+	count, errs, lat := mOpCountOther, mOpErrsOther, mOpLatencyOther
+	if c, ok := mOpCount[req.Op]; ok {
+		count, errs, lat = c, mOpErrs[req.Op], mOpLatency[req.Op]
+	}
+	count.Inc()
+	if failed {
+		errs.Inc()
+	}
+	elapsed := time.Since(start)
+	lat.Observe(uint64(elapsed))
+	if obs.DefaultSlowLog.Slow(string(req.Op), elapsed) {
+		obs.DefaultSlowLog.Record(obs.SlowOp{
+			Op:      string(req.Op),
+			Start:   start,
+			Latency: elapsed,
+			Shard:   req.Shard,
+			KeyHash: keyHash(req.PK),
+			Bytes:   respBytes,
+			Err:     failed,
+		})
+	}
+}
+
+// keyHash is FNV-1a over the request's primary key — enough to group
+// slow ops by key without putting raw keys on an ops endpoint.
+func keyHash(pk []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range pk {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// restore handles OpRestore: load the snapshot into a fresh engine and
+// swap it in. In-flight requests finish against the old engine.
+func (s *Server) restore(req Request) Response {
+	if s.Restore == nil {
+		return Response{Err: "wire: this server does not accept restores"}
+	}
+	eng, err := s.Restore(req.Snapshot)
+	if err != nil {
+		return Response{Err: fmt.Sprintf("wire: restore: %v", err)}
+	}
+	s.mu.Lock()
+	s.engine = eng
+	s.mu.Unlock()
+	return Response{Digest: eng.Digest()}
+}
+
+// Dispatch executes one request against an engine. It is shared by the
+// network server and by in-process processor nodes (internal/server).
+//
+// It is also the one place a proof is cut down to what its client lacks:
+// it travels without the index nodes named in req.Have and without the
+// rows of range proofs, which the client reads off the verified leaves.
+// The proof structs dispatch returns are this call's own; the node lists
+// and sub-proofs inside them may be shared with the engine's proof cache
+// and other callers, and Elide replaces rather than edits those.
+func Dispatch(eng *core.Engine, req Request) Response {
+	resp := dispatch(eng, req)
+	if resp.Proof != nil {
+		*resp.Proof = resp.Proof.Elide(req.Have)
+	}
+	if resp.BatchProof != nil {
+		*resp.BatchProof = resp.BatchProof.Elide(req.Have)
+	}
+	return resp
+}
+
+func dispatch(eng *core.Engine, req Request) Response {
+	switch req.Op {
+	case OpPut:
+		puts := make([]core.Put, len(req.Puts))
+		for i, p := range req.Puts {
+			puts[i] = core.Put{Table: p.Table, Column: p.Column, PK: p.PK,
+				Value: p.Value, Tombstone: p.Tombstone}
+		}
+		h, err := eng.Apply(req.Statement, puts)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Header: h, Digest: eng.Digest()}
+	case OpGet:
+		// Value and digest are captured atomically so an AuditMode client
+		// can enqueue a receipt whose digest truly covers the value it
+		// read; plain clients simply ignore the digest.
+		cell, ok, d, err := eng.GetAttested(req.Table, req.Column, req.PK)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		if !ok || cell.Tombstone {
+			return Response{Digest: d}
+		}
+		return Response{Found: true, Value: cell.Value, Digest: d}
+	case OpGetVerified:
+		res, err := eng.GetVerifiedTraced(req.Table, req.Column, req.PK, req.trace)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		// The row travels once, inside the proof (Point.Value and the
+		// leaf body); clients decode it from there only, so Cells is not
+		// sent (and only the proof, not the whole result, outlives the call).
+		proof := res.Proof
+		return Response{Found: res.Found, Proof: &proof, Digest: res.Digest}
+	case OpRange:
+		cells, d, err := eng.RangePKAttested(req.Table, req.Column, req.PK, req.PKHi)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Found: len(cells) > 0, Cells: cells, Digest: d}
+	case OpRangeVer:
+		res, err := eng.RangePKVerified(req.Table, req.Column, req.PK, req.PKHi)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		// As for OpGetVerified: the rows travel once, inside the leaves.
+		return Response{Found: res.Found, Proof: &res.Proof, Digest: res.Digest}
+	case OpLookupEq:
+		cells, err := eng.LookupEqual(req.Table, req.Column, req.Value)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Found: len(cells) > 0, Cells: cells}
+	case OpHistory:
+		cells, err := eng.History(req.Table, req.Column, req.PK)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Found: len(cells) > 0, Cells: cells}
+	case OpDigest:
+		return Response{Digest: eng.Digest()}
+	case OpShardMap:
+		// A bare engine is a one-shard deployment; shard-aware clients
+		// route everything to shard 0.
+		return Response{ShardCount: 1}
+	case OpClusterDigest:
+		d := ledger.NewClusterDigest([]ledger.Digest{eng.Digest()})
+		return Response{Cluster: &d}
+	case OpStats:
+		st := EngineStats(eng)
+		st.Metrics = RegistryMetrics()
+		return Response{Stats: &st}
+	case OpConsistency:
+		// Digest and proof must be captured atomically: sampled separately
+		// they can straddle a concurrently committed block, and the client
+		// would see a spurious verification failure.
+		if req.OldDigest2 != nil {
+			d, cons, cons2, err := eng.ConsistencyUpdatePair(req.OldDigest, *req.OldDigest2)
+			if err != nil {
+				return Response{Err: err.Error()}
+			}
+			return Response{Consistency: &cons, Consistency2: &cons2, Digest: d}
+		}
+		d, cons, err := eng.ConsistencyUpdate(req.OldDigest)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Consistency: &cons, Digest: d}
+	case OpProveBatch:
+		if req.OldDigest2 == nil {
+			return Response{Err: "wire: prove-batch requires the receipt digest (OldDigest2)"}
+		}
+		res, err := eng.ProveBatch(req.OldDigest, *req.OldDigest2, req.Audits)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Digest: res.Digest, Consistency: &res.ConsTrusted,
+			Consistency2: &res.ConsAt, BatchProof: &res.Proof}
+	case OpSnapshot:
+		var buf bytes.Buffer
+		if err := eng.WriteSnapshot(&buf); err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Found: true, Value: buf.Bytes(), Digest: eng.Digest()}
+	case OpRestore:
+		return Response{Err: "wire: restore requires a server, not a bare engine"}
+	case OpQuery:
+		return dispatchQuery(eng, req)
+	default:
+		return Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"spitz/internal/core"
 	"spitz/internal/obs"
 )
 
@@ -33,16 +32,13 @@ func findSpan(op string, since time.Time) (obs.TraceSnapshot, bool) {
 	}
 }
 
-// TestTraceContextOverWire asserts the binary framing carries the
-// client's trace context: the server-side span continues the client's
-// trace ID with the client span as parent, instead of minting a fresh
-// server-local trace.
+// TestTraceContextOverWire asserts the framing carries the client's
+// trace context: the server-side span continues the client's trace ID
+// with the client span as parent, instead of minting a fresh
+// server-local trace — which is what a request without context gets.
 func TestTraceContextOverWire(t *testing.T) {
 	sampleAll(t)
 	cl, _ := startServer(t)
-	if cl.Proto() != ProtoBinary {
-		t.Skipf("transport negotiated %q; trace context needs the binary framing", cl.Proto())
-	}
 	if _, err := cl.Do(Request{Op: OpPut, Statement: "seed", Puts: putBatch(4)}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,47 +69,19 @@ func TestTraceContextOverWire(t *testing.T) {
 	if srvSpan.Node != "server" {
 		t.Errorf("server span node = %q, want the default \"server\"", srvSpan.Node)
 	}
-}
 
-// TestTraceDegradesOverGob asserts the legacy gob framing degrades to
-// server-local sampling instead of breaking: the server span exists but
-// carries its own trace ID (gob never sees the unexported context).
-func TestTraceDegradesOverGob(t *testing.T) {
-	sampleAll(t)
-	eng := core.New(core.Options{})
-	srv := NewServer(eng)
-	srv.LegacyGobOnly = true
-	ln, _ := Listen()
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	cl, err := Connect(ln)
-	if err != nil {
+	// A request that carries no context is sampled server-locally: its
+	// span is a fresh root, not a child of anything the client did.
+	since = time.Now()
+	if _, err := cl.Do(Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("pk0002")}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.Do(Request{Op: OpPut, Statement: "seed", Puts: putBatch(4)}); err != nil {
-		t.Fatal(err)
-	}
-
-	since := time.Now()
-	root := obs.DefaultTracer.Root("client.gob-read", "client")
-	traceID, _, _ := root.Context()
-	req := Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("pk0001")}
-	req.SetTrace(root)
-	if _, err := cl.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	root.Finish()
-
-	srvSpan, found := findSpan("get", since)
+	local, found := findSpan("get", since)
 	if !found {
-		t.Fatal("gob server recorded no span (server-local sampling broken)")
+		t.Fatal("server recorded no span for the untraced get")
 	}
-	if srvSpan.TraceID == traceID {
-		t.Error("gob framing carried the trace context; expected server-local degradation")
-	}
-	if srvSpan.ParentID != 0 {
-		t.Errorf("gob server span has parent %x, want a fresh root", srvSpan.ParentID)
+	if local.TraceID == traceID || local.ParentID != 0 {
+		t.Errorf("untraced get's span is trace %x parent %x, want a fresh root", local.TraceID, local.ParentID)
 	}
 }
 

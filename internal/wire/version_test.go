@@ -1,17 +1,24 @@
 package wire
 
-// Mixed-version and transport-level tests for the v2 binary framing:
-// negotiation in both directions (new client ↔ legacy server, legacy
-// client ↔ new server), payload compression, and request multiplexing
-// over a shared connection.
+// Handshake and transport-level tests for the v2 binary framing: the
+// hello's version check on both sides, peers that never say hello,
+// payload compression, and request multiplexing over a shared
+// connection.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"spitz/internal/obs"
 )
 
 // echoHandler answers OpGet with a value derived from the key, so a
@@ -29,10 +36,9 @@ func echoHandler() Handler {
 	})
 }
 
-func startEchoServer(t *testing.T, legacy bool) net.Listener {
+func startEchoServer(t *testing.T) net.Listener {
 	t.Helper()
 	srv := NewHandlerServer(echoHandler())
-	srv.LegacyGobOnly = legacy
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
@@ -51,7 +57,7 @@ func checkEcho(t *testing.T, cl *Client, key string) {
 }
 
 func TestNegotiateBinary(t *testing.T) {
-	ln := startEchoServer(t, false)
+	ln := startEchoServer(t)
 	cl, err := Connect(ln)
 	if err != nil {
 		t.Fatal(err)
@@ -70,41 +76,196 @@ func TestNegotiateBinary(t *testing.T) {
 	}
 }
 
-// TestGobClientAgainstNewServer: a legacy client (no handshake, raw gob)
-// must be served by a current server on the same listener.
-func TestGobClientAgainstNewServer(t *testing.T) {
-	ln := startEchoServer(t, false)
-	cl, err := ConnectOptions(ln, ClientOptions{ForceGob: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if p := cl.Proto(); p != ProtoGob {
-		t.Fatalf("forced gob client negotiated %q", p)
-	}
-	checkEcho(t, cl, "legacy")
-	resp, err := cl.Do(Request{Op: OpStats})
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats: %v %+v", err, resp)
-	}
-	if resp.Stats.Protocol != ProtoGob {
-		t.Fatalf("server reported protocol %q, want %q", resp.Stats.Protocol, ProtoGob)
+// waitCounter waits for an obs counter to move by delta from base: the
+// server counts a dropped connection on its own goroutine.
+func waitCounter(t *testing.T, c *obs.Counter, base, delta uint64, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); c.Value()-base != delta; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: counter moved by %d, want %d", what, c.Value()-base, delta)
+		}
 	}
 }
 
-// TestBinaryClientAgainstLegacyServer: a current client dialing a server
-// that only speaks gob must fall back transparently.
-func TestBinaryClientAgainstLegacyServer(t *testing.T) {
-	ln := startEchoServer(t, true)
-	cl, err := Connect(ln)
+// rawPeer serves a request-counting handler on a pipe and returns a raw
+// connection to it, with a deadline so that a server which keeps a peer
+// it should drop fails the test instead of hanging it.
+func rawPeer(t *testing.T) (conn net.Conn, served *int) {
+	t.Helper()
+	served = new(int)
+	srv := NewHandlerServer(HandlerFunc(func(Request) Response { *served++; return Response{} }))
+	pl := NewPipeListener()
+	go srv.Serve(pl)
+	t.Cleanup(func() { srv.Close() })
+	conn, err := pl.DialPipe()
 	if err != nil {
-		t.Fatalf("fallback connect: %v", err)
+		t.Fatal(err)
 	}
-	defer cl.Close()
-	if p := cl.Proto(); p != ProtoGob {
-		t.Fatalf("fallback negotiated %q, want %q", p, ProtoGob)
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	return conn, served
+}
+
+// helloStub is a listener that reads each peer's hello, writes reply (if
+// any) and hangs up — a peer of another framing version, or one that
+// never answers. accepted counts them, each before it is hung up on.
+func helloStub(t *testing.T, ln net.Listener, reply []byte) (accepted *atomic.Int64) {
+	t.Helper()
+	accepted = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hello [6]byte
+			io.ReadFull(conn, hello[:])
+			if len(reply) > 0 {
+				conn.Write(reply)
+			}
+			accepted.Add(1)
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return accepted
+}
+
+// TestHelloVersionChecked: both sides read the hello's version byte and
+// refuse a peer that announces any framing version but their own.
+func TestHelloVersionChecked(t *testing.T) {
+	for _, version := range []byte{0, 1, protoVersion, 3, 0xff} {
+		ok := version == protoVersion
+		t.Run(fmt.Sprintf("server-meets-v%d-client", version), func(t *testing.T) {
+			conn, served := rawPeer(t)
+			failed, frames := mNegotiateFailed.Value(), mFramesRead.Value()
+			hello := helloBytes(version, 0)
+			if _, err := conn.Write(hello[:]); err != nil {
+				t.Fatal(err)
+			}
+			// Either way the server says which framing it speaks.
+			var reply [6]byte
+			want := helloBytes(protoVersion, 0)
+			if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
+				t.Fatalf("server reply % x (%v), want % x", reply, err, want)
+			}
+			fw := &frameWriter{w: conn}
+			if ok {
+				if err := fw.writeFrame(1, AppendRequest(nil, &Request{Op: OpGet})); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := readFrame(bufio.NewReader(conn), new(frameBuf)); err != nil || *served != 1 {
+					t.Fatalf("a v%d peer was not served: %v (%d requests)", version, err, *served)
+				}
+				return
+			}
+			// ...then hangs up without reading a frame.
+			if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("connection to a v%d peer stayed open (read %d, %v)", version, n, err)
+			}
+			waitCounter(t, mNegotiateFailed, failed, 1, "failed negotiations")
+			if *served != 0 || mFramesRead.Value() != frames {
+				t.Fatalf("server decoded a frame from a v%d peer", version)
+			}
+		})
+		t.Run(fmt.Sprintf("client-meets-v%d-server", version), func(t *testing.T) {
+			pl := NewPipeListener()
+			reply := helloBytes(version, 0)
+			helloStub(t, pl, reply[:])
+			cl, err := Connect(pl)
+			if ok {
+				if err != nil || cl.Proto() != ProtoBinary {
+					t.Fatalf("handshake with a v%d server: %v", version, err)
+				}
+				cl.Close()
+				return
+			}
+			want := fmt.Sprintf("server speaks framing v%d, this build speaks v%d", version, protoVersion)
+			if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("handshake with a v%d server: %v, want ErrTransport wrapping %q", version, err, want)
+			}
+		})
 	}
-	checkEcho(t, cl, "fallback")
+}
+
+// legacyRequest opens the stream a pre-v2 client sent (recorded from
+// such a build): a self-describing type section, no hello.
+var legacyRequest = []byte{0xff, 0xc6, 0x7f, 0x03, 0x01, 0x01, 0x07, 'R', 'e', 'q', 'u', 'e', 's', 't',
+	0x01, 0xff, 0x80, 0x00, 0x01, 0x10, 0x01, 0x02, 'O', 'p', 0x01, 0x0c, 0x00, 0x01, 0x05, 'T', 'a', 'b', 'l', 'e'}
+
+// TestNonHelloPeerDropped: a peer that opens with anything but the hello
+// is dropped and counted, is sent nothing, and nothing it sent is decoded
+// as a frame — even bytes that would parse as one.
+func TestNonHelloPeerDropped(t *testing.T) {
+	framed := new(bytes.Buffer)
+	(&frameWriter{w: framed}).writeFrame(1, AppendRequest(nil, &Request{Op: OpGet}))
+	openings := map[string][]byte{
+		"pre-v2 request":   legacyRequest,
+		"random bytes":     {0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a, 0x7c, 0x15, 0xf3, 0x9c, 0xc0, 0x60},
+		"http":             []byte("GET / HTTP/1.1\r\n\r\n"),
+		"magic then junk":  {helloMagic0, helloMagic1, helloMagic2, 'X', protoVersion, 0},
+		"frame, no hello":  framed.Bytes(),
+		"short: one byte":  {0x42},
+		"short: cut hello": {helloMagic0, helloMagic1, helloMagic2},
+	}
+	for name, opening := range openings {
+		t.Run(name, func(t *testing.T) {
+			conn, served := rawPeer(t)
+			failed, frames := mNegotiateFailed.Value(), mFramesRead.Value()
+			if _, err := conn.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			if len(opening) < 6 {
+				conn.Close() // the server is still waiting for the rest of a hello
+			} else if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("server answered a non-hello peer (read %d, %v)", n, err)
+			}
+			waitCounter(t, mNegotiateFailed, failed, 1, "failed negotiations")
+			if *served != 0 || mFramesRead.Value() != frames {
+				t.Fatal("server decoded a frame from a peer that never said hello")
+			}
+		})
+	}
+}
+
+// TestHandshakeFailureIsFinal: Dial and Connect against a listener that
+// never answers the hello return the handshake error; they do not come
+// back on a second connection speaking something else.
+func TestHandshakeFailureIsFinal(t *testing.T) {
+	check := func(t *testing.T, ln net.Listener, connect func() (*Client, error), raw func() (net.Conn, error)) {
+		accepted := helloStub(t, ln, nil)
+		cl, err := connect()
+		if cl != nil || !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "handshake") {
+			t.Fatalf("got client %v, error %v; want no client and the handshake's ErrTransport", cl, err)
+		}
+		// Connections are accepted in order: once the stub has hung up on
+		// this marker it has counted everything connect opened.
+		marker, err := raw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer marker.Close()
+		marker.Write(make([]byte, 6))
+		if _, err := marker.Read(make([]byte, 1)); err == nil {
+			t.Fatal("stub answered the marker")
+		}
+		if n := accepted.Load(); n != 2 {
+			t.Fatalf("listener saw %d connections, want the handshake's one and the marker", n)
+		}
+	}
+	t.Run("connect", func(t *testing.T) {
+		pl := NewPipeListener()
+		check(t, pl, func() (*Client, error) { return Connect(pl) }, pl.DialPipe)
+	})
+	t.Run("dial", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skip("no loopback networking:", err)
+		}
+		addr := ln.Addr().String()
+		check(t, ln, func() (*Client, error) { return Dial("tcp", addr) },
+			func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	})
 }
 
 // TestCompressionRoundTrip: with compression negotiated, a large
@@ -173,7 +334,7 @@ func TestCompressionOffByDefault(t *testing.T) {
 // TestMultiplexedRequests: many goroutines share one connection; every
 // response must route back to its own request.
 func TestMultiplexedRequests(t *testing.T) {
-	ln := startEchoServer(t, false)
+	ln := startEchoServer(t)
 	cl, err := Connect(ln)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +373,7 @@ func TestMultiplexedRequests(t *testing.T) {
 // TestDoAfterClose: a closed client must fail with ErrTransport, and
 // outstanding waiters must be released rather than hang.
 func TestDoAfterClose(t *testing.T) {
-	ln := startEchoServer(t, false)
+	ln := startEchoServer(t)
 	cl, err := Connect(ln)
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +388,9 @@ func TestDoAfterClose(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Framing benchmarks: the same echo round trip over both protocols.
+// Framing benchmarks: an echo round trip at two payload sizes.
 
-func benchRoundTrip(b *testing.B, opts ClientOptions, payload int) {
+func benchRoundTrip(b *testing.B, payload int) {
 	val := bytes.Repeat([]byte("x"), payload)
 	srv := NewHandlerServer(HandlerFunc(func(req Request) Response {
 		return Response{Found: true, Value: val}
@@ -237,7 +398,7 @@ func benchRoundTrip(b *testing.B, opts ClientOptions, payload int) {
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	defer srv.Close()
-	cl, err := ConnectOptions(ln, opts)
+	cl, err := Connect(ln)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,12 +413,8 @@ func benchRoundTrip(b *testing.B, opts ClientOptions, payload int) {
 	}
 }
 
-func BenchmarkRoundTripBinary(b *testing.B)    { benchRoundTrip(b, ClientOptions{}, 64) }
-func BenchmarkRoundTripGob(b *testing.B)       { benchRoundTrip(b, ClientOptions{ForceGob: true}, 64) }
-func BenchmarkRoundTripBinary64K(b *testing.B) { benchRoundTrip(b, ClientOptions{}, 64<<10) }
-func BenchmarkRoundTripGob64K(b *testing.B) {
-	benchRoundTrip(b, ClientOptions{ForceGob: true}, 64<<10)
-}
+func BenchmarkRoundTripBinary(b *testing.B)    { benchRoundTrip(b, 64) }
+func BenchmarkRoundTripBinary64K(b *testing.B) { benchRoundTrip(b, 64<<10) }
 
 func BenchmarkEncodeRequest(b *testing.B) {
 	req := Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("bench-key")}

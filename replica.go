@@ -35,10 +35,6 @@ type ReplicaOptions struct {
 // anchors trust at the primary) all work against it, reads only.
 type Replica struct {
 	set *repl.Set
-
-	// LegacyGobWire, when set before Serve, disables the binary/v2 wire
-	// negotiation so this server speaks only the legacy gob framing.
-	LegacyGobWire bool
 }
 
 // DialReplica starts a replica of the Spitz server at addr.
@@ -120,7 +116,6 @@ func (r *Replica) WaitForHeight(i int, height uint64, timeout time.Duration) err
 func (r *Replica) Serve(ln net.Listener) error {
 	srv := wire.NewHandlerServer(r.set)
 	srv.Node = "replica"
-	srv.LegacyGobOnly = r.LegacyGobWire
 	srv.Stats = r.set.WireStats
 	return srv.Serve(ln)
 }

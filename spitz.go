@@ -230,12 +230,6 @@ type DB struct {
 	src  *repl.Source // replication source over dur's WAL; nil in memory
 	opts Options
 	srvs []*wire.Server // live Serve instances, kept in step on engine swaps
-
-	// LegacyGobWire, when set before Serve, disables the binary/v2 wire
-	// negotiation so this server speaks only the legacy gob framing —
-	// an operator escape hatch (spitz-server -legacy-gob) for rolling
-	// back a fleet mid-upgrade.
-	LegacyGobWire bool
 }
 
 // engine returns the current engine (swappable via ResetFromSnapshot).
@@ -437,7 +431,6 @@ func (db *DB) Serve(ln net.Listener) error {
 	db.mu.Lock()
 	srv := wire.NewServer(db.eng)
 	srv.Node = "primary"
-	srv.LegacyGobOnly = db.LegacyGobWire
 	if db.dur == nil {
 		srv.Restore = func(snapshot []byte) (*core.Engine, error) {
 			return db.resetFromSnapshot(bytes.NewReader(snapshot))
