@@ -328,7 +328,30 @@ func printStats(st spitz.ServerStats) {
 			fmt.Println()
 		}
 	}
+	printProofTraffic(st.Metrics)
 	printNodeStore(st.Metrics)
+}
+
+// printProofTraffic summarizes what the server's proofs were cut by for
+// clients that hinted what they hold, and — where the serving process
+// also verifies, as a replica's link to its primary does — what its own
+// verifiers received. A half with no traffic yet prints nothing.
+func printProofTraffic(metrics []spitz.Metric) {
+	vals := map[string]float64{}
+	for _, m := range metrics {
+		if strings.HasPrefix(m.Name, "spitz_proof_") || strings.HasPrefix(m.Name, "spitz_client_proof_") {
+			vals[m.Name] = m.Value
+		}
+	}
+	if e, p := vals["spitz_proof_nodes_elided_total"], vals["spitz_proof_nodes_patched_total"]; e+p > 0 {
+		fmt.Printf("proofs served: index nodes elided=%.0f patched=%.0f (%.1fKiB saved by patches)\n",
+			e, p, vals["spitz_proof_patch_bytes_saved_total"]/(1<<10))
+	}
+	if s := vals["spitz_client_proof_nodes_shipped_total"]; s > 0 {
+		fmt.Printf("proofs verified: nodes shipped=%.0f (patched=%.0f) elided=%.0f bytes=%.1fKiB\n",
+			s, vals["spitz_client_proof_nodes_patched_total"],
+			vals["spitz_client_proof_nodes_elided_total"], vals["spitz_client_proof_bytes_total"]/(1<<10))
+	}
 }
 
 // printNodeStore summarizes the disk node store from the stats payload's

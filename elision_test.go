@@ -13,6 +13,7 @@ import (
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 	"spitz/internal/postree"
 	"spitz/internal/proof"
 	"spitz/internal/wire"
@@ -89,6 +90,7 @@ type sameResultsTopologies struct {
 	rows    int
 	deleted int
 	db      *spitz.DB
+	cdb     *spitz.ClusterDB
 	cl      *spitz.Client
 	rc      *spitz.ReplicatedClient
 	sc      *spitz.ShardedClient
@@ -151,6 +153,7 @@ func openSameResultsTopologies(t *testing.T) *sameResultsTopologies {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cdb.Close() })
+	tp.cdb = cdb
 	load(func(stmt string, puts []spitz.Put) (spitz.BlockHeader, error) {
 		_, err := cdb.Apply(stmt, puts)
 		return spitz.BlockHeader{}, err
@@ -240,12 +243,37 @@ func (tp *sameResultsTopologies) embedded() verifiedReader {
 // the minimum, past the maximum, empty, over a deleted row) and SQL
 // (range rows, COUNT, SUM, index lookups, point selects)
 // — cold and warm, eagerly and in AuditMode, with the rows travelling
-// inside the proof only.
+// inside the proof only, and with commits landing between the reads, so
+// that a warm client's answers arrive elided here and patched there.
 func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	tp := openSameResultsTopologies(t)
 	rows := tp.rows
 	deleted := elisionPK(tp.deleted)
 	eager := append([]verifiedReader{tp.embedded()}, tp.readers(tp.cl, tp.rc, tp.sc)...)
+
+	// churn commits a new version of some row with the value it already
+	// has, mostly among the rows the table reads: every answer stays what
+	// the model says while the tree under it — the root, the paths of the
+	// rows being read — keeps changing.
+	rng := rand.New(rand.NewSource(28))
+	churn := func() {
+		t.Helper()
+		i := 2980 + rng.Intn(100)
+		if rng.Intn(3) == 0 {
+			i = rng.Intn(rows)
+		}
+		if i == tp.deleted {
+			i++
+		}
+		puts := []spitz.Put{{Table: "t", Column: "c", PK: elisionPK(i), Value: elisionValue(i, 0)},
+			{Table: "t", Column: "g", PK: elisionPK(i), Value: sameResultsGroup(i)}}
+		if _, err := tp.db.Apply("churn", puts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tp.cdb.Apply("churn", puts); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	keys := []struct {
 		pk    []byte
@@ -386,23 +414,29 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	for _, r := range eager {
 		for pass := 0; pass < 3; pass++ { // cold, then warm twice
 			for _, k := range keys {
+				churn()
 				v, found, err := r.get(k.pk)
 				if err != nil || found != k.found || !bytes.Equal(v, k.value) {
 					t.Fatalf("%s pass %d key %q: %q %v %v, want %q %v", r.name, pass, k.pk, v, found, err, k.value, k.found)
 				}
 			}
-			for _, sp := range spans {
+			for i, sp := range spans {
+				if i%3 == 0 {
+					churn()
+				}
 				checkRange(r, pass, sp)
 			}
 			for _, tc := range sql {
+				churn()
 				checkSQL(r, pass, tc)
 			}
 		}
 	}
-	// The network clients did get elided proofs on the warm passes.
+	// The network clients did get elided proofs on the warm passes, and
+	// patched ones where a commit had moved a node they held.
 	for name, v := range map[string]*spitz.Verifier{"client": tp.cl.Verifier(), "replicated": tp.rc.Verifier()} {
-		if st := v.ProofStats(); st.NodesElided == 0 || st.CacheEntries == 0 {
-			t.Fatalf("%s verifier never saw an elided proof: %+v", name, st)
+		if st := v.ProofStats(); st.NodesElided == 0 || st.NodesPatched == 0 || st.CacheEntries == 0 {
+			t.Fatalf("%s verifier never saw an elided and a patched proof: %+v", name, st)
 		}
 	}
 
@@ -419,13 +453,19 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	}
 	for i, r := range tp.readers(cl, rc, sc) {
 		for pass := 0; pass < 2; pass++ {
-			for _, k := range keys {
+			for j, k := range keys {
+				if j%8 == 0 {
+					churn()
+				}
 				v, found, err := r.get(k.pk)
 				if err != nil || found != k.found || !bytes.Equal(v, k.value) {
 					t.Fatalf("audit %s pass %d key %q: %q %v %v", r.name, pass, k.pk, v, found, err)
 				}
 			}
-			for _, sp := range spans {
+			for j, sp := range spans {
+				if j%32 == 0 {
+					churn()
+				}
 				checkRange(r, pass, sp)
 			}
 			for _, tc := range sql {
@@ -642,6 +682,145 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPatchForgeriesOverTheWire: a client that holds the current root and,
+// below it on pk's path, nodes one commit old is answered with patches
+// against those. Whatever a lying server does with a patched slot, the read
+// is ErrTampered and the verifier — digest, counters, node cache — is as it
+// was; the honest response then verifies, patches and all.
+func TestPatchForgeriesOverTheWire(t *testing.T) {
+	es := startElisionServer(t)
+	pk, farPK := elisionPK(12345), elisionPK(elisionRows-1)
+	const marker = 0xFF
+	patchAt := func(resp *wire.Response) int {
+		for i, slot := range resp.Proof.Point.Nodes {
+			if slot[0] == marker {
+				return i
+			}
+		}
+		t.Error("the response carries no patch")
+		return 0
+	}
+	var oldLeaf []byte           // pk's leaf as the warm-up read shipped it
+	var unhinted hashutil.Digest // a node the client holds off pk's path
+	gen := 0
+	staleClient := func() *spitz.Client {
+		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+			n := resp.Proof.Point.Nodes
+			oldLeaf = append([]byte(nil), n[len(n)-1]...)
+		}))
+		cl := warmClient(t, es, pk)
+		gen++
+		if _, err := es.eng.Apply("update", []core.Put{{Table: "t", Column: "c", PK: elisionPK(12346), Value: elisionValue(12346, gen)}}); err != nil {
+			t.Fatal(err)
+		}
+		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+			n := resp.Proof.Point.Nodes
+			unhinted = hashutil.Sum(hashutil.DomainPOSIndex, n[len(n)-2])
+		}))
+		if _, found, err := cl.GetVerified("t", "c", farPK); err != nil || !found {
+			t.Fatalf("far read: %v %v", found, err)
+		}
+		es.setMutate(nil)
+		return cl
+	}
+	emptyPatch := func(base hashutil.Digest) []byte { return append([]byte{marker}, base[:]...) }
+	forgeries := map[string]func(req wire.Request, resp *wire.Response){
+		"flips a byte of a patch": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			slot := resp.Proof.Point.Nodes[patchAt(resp)]
+			slot[len(slot)-1] ^= 1
+		},
+		"patches against a node the client holds but did not hint": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			copy(resp.Proof.Point.Nodes[patchAt(resp)][1:], unhinted[:])
+		},
+		"carries an edit past the base's last entry": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			i := patchAt(resp)
+			resp.Proof.Point.Nodes[i] = append(resp.Proof.Point.Nodes[i], 0xFE, 0x7F) // delete entry 4095
+		},
+		"smuggles a second patch in beside the nodes asked for": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			n := resp.Proof.Point.Nodes
+			resp.Proof.Point.Nodes = append(n, n[patchAt(resp)][:1+hashutil.DigestSize])
+		},
+		"passes the old leaf off as the new one, as a patch against itself": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			leaf, err := posleaf.ParsePruned(oldLeaf)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n := resp.Proof.Point.Nodes
+			n[len(n)-1] = emptyPatch(leaf.Digest())
+			resp.Proof.Point.Nodes = append(n, oldLeaf)
+		},
+	}
+	for name, forge := range forgeries {
+		t.Run(name, func(t *testing.T) {
+			cl := staleClient()
+			if len(cl.Verifier().PathTo(cellstore.CellPrefix("t", "c", pk)).Have()) < 2 {
+				t.Fatal("the client offers no stale node below the root")
+			}
+			before := stateOf(cl.Verifier())
+			es.setMutate(onVerifiedGet(forge))
+			_, _, err := cl.GetVerified("t", "c", pk)
+			es.setMutate(nil)
+			if !errors.Is(err, spitz.ErrTampered) {
+				t.Fatalf("err = %v, want ErrTampered", err)
+			}
+			if after := stateOf(cl.Verifier()); after != before {
+				t.Fatalf("rejected forgery moved verifier state: %+v -> %+v", before, after)
+			}
+			if v, found, err := cl.GetVerified("t", "c", pk); err != nil || !found || !bytes.Equal(v, elisionValue(12345, 0)) {
+				t.Fatalf("honest read after the forgery: %q %v %v", v, found, err)
+			}
+			if after := cl.Verifier().ProofStats(); after.NodesPatched == before.proofs.NodesPatched {
+				t.Fatal("the honest response carried no patch")
+			}
+		})
+	}
+	// A client that hinted nothing is owed whole bodies: a patch in its
+	// response — here the root as an empty patch against itself — has no
+	// base it could stand on.
+	t.Run("patches in a hint-less response", func(t *testing.T) {
+		cl := es.client(t)
+		defer cl.Close()
+		if err := cl.SyncDigest(); err != nil {
+			t.Fatal(err)
+		}
+		before := stateOf(cl.Verifier())
+		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+			if len(req.Have) != 0 {
+				t.Errorf("a cold client hinted %d nodes", len(req.Have))
+			}
+			detachResponse(t, resp)
+			n := resp.Proof.Point.Nodes
+			n[0] = emptyPatch(hashutil.Sum(hashutil.DomainPOSIndex, n[0]))
+		}))
+		_, _, err := cl.GetVerified("t", "c", pk)
+		es.setMutate(nil)
+		if !errors.Is(err, spitz.ErrTampered) {
+			t.Fatalf("err = %v, want ErrTampered", err)
+		}
+		if after := stateOf(cl.Verifier()); after != before {
+			t.Fatalf("rejected forgery moved verifier state: %+v -> %+v", before, after)
+		}
+		// And honestly, hint-less means patch-less.
+		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+			for _, slot := range resp.Proof.Point.Nodes {
+				if slot[0] == marker {
+					t.Error("a hint-less request was answered with a patch")
+				}
+			}
+		}))
+		if _, found, err := cl.GetVerified("t", "c", pk); err != nil || !found {
+			t.Fatalf("honest cold read: %v %v", found, err)
+		}
+		es.setMutate(nil)
+	})
 }
 
 // multiRowProofSlices enumerates every byte slice of a range, query or

@@ -29,6 +29,7 @@ type ReadPathThresholds struct {
 	DeferredAllocsMax     float64 `json:"deferred_allocs_max"`
 	EagerAllocsMax        float64 `json:"eager_allocs_max"`
 	EagerProofBytesMax    float64 `json:"eager_proof_bytes_max"`
+	EagerChurnBytesMax    float64 `json:"eager_churn_proof_bytes_max"`
 	RangeProofBytesMax    float64 `json:"range_proof_bytes_max"`
 	DeferredProofBytesMax float64 `json:"deferred_proof_bytes_max"`
 }
@@ -188,6 +189,39 @@ func ReadPathSmoke(thresholdsPath string) error {
 	defShipped := float64(deferred.NodesShipped-defWarm.NodesShipped) / (auditReads * auditFlushes)
 	defElided := float64(deferred.NodesElided-defWarm.NodesElided) / (auditReads * auditFlushes)
 
+	// Eager point reads again, with one commit landing before each — last,
+	// and on a warm client of its own, because the commits reshape the tree
+	// under the figures above. The root this client holds is one version
+	// old at every read, and travels as a patch against it — an entry or
+	// two — instead of whole.
+	wc2, err := wire.Connect(ln)
+	if err != nil {
+		return err
+	}
+	churnCl := spitz.NewClient(wc2)
+	defer churnCl.Close()
+	for i := 0; i < keys; i++ {
+		if _, _, err := churnCl.GetVerified("t", "c", benchKey(i)); err != nil {
+			return err
+		}
+	}
+	const churnOps = 1000
+	churnWarm := churnCl.Verifier().ProofStats()
+	for i := 0; i < churnOps; i++ {
+		j := i * 13 % keys
+		if _, err := churnCl.Apply("readpath-churn", []spitz.Put{{Table: "t", Column: "c",
+			PK: benchKey(j), Value: []byte(fmt.Sprintf("value-%08d", j))}}); err != nil {
+			return err
+		}
+		if _, _, err := churnCl.GetVerified("t", "c", benchKey(i*7%keys)); err != nil {
+			return err
+		}
+	}
+	churned := churnCl.Verifier().ProofStats()
+	churnProofBytes := float64(churned.ProofBytes-churnWarm.ProofBytes) / churnOps
+	churnShipped := float64(churned.NodesShipped-churnWarm.NodesShipped) / churnOps
+	churnPatched := float64(churned.NodesPatched-churnWarm.NodesPatched) / churnOps
+
 	fmt.Printf("readpath smoke (%s):\n", cl.Proto())
 	fmt.Printf("  unverified: %8.0f ns/op  %5.1f allocs/op  (max %.0f ns, %.0f allocs)\n",
 		unvNs, unvAllocs, th.UnverifiedNsMax, th.UnverifiedAllocsMax)
@@ -197,6 +231,9 @@ func ReadPathSmoke(thresholdsPath string) error {
 		rangeProofBytes, rangeShipped, rangeElided, th.RangeProofBytesMax)
 	fmt.Printf("  deferred:   %8.0f ns/op  %5.1f allocs/op  %6.0f proof B/read, %.2f nodes shipped + %.2f elided at a 16-read audit flush  (max %.0f ns, %.0f allocs, %.0f proof B)\n",
 		defNs, defAllocs, defProofBytes, defShipped, defElided, th.DeferredNsMax, th.DeferredAllocsMax, th.DeferredProofBytesMax)
+
+	fmt.Printf("  churn:      %41.0f proof B/op, %.2f nodes shipped, %.2f of them patched, one commit before each eager read  (max %.0f proof B)\n",
+		churnProofBytes, churnShipped, churnPatched, th.EagerChurnBytesMax)
 
 	var fails []string
 	if unvNs > th.UnverifiedNsMax {
@@ -213,6 +250,9 @@ func ReadPathSmoke(thresholdsPath string) error {
 	}
 	if eagerProofBytes > th.EagerProofBytesMax {
 		fails = append(fails, fmt.Sprintf("eager %.0f proof bytes/op > %.0f", eagerProofBytes, th.EagerProofBytesMax))
+	}
+	if churnProofBytes > th.EagerChurnBytesMax {
+		fails = append(fails, fmt.Sprintf("eager under churn %.0f proof bytes/op > %.0f", churnProofBytes, th.EagerChurnBytesMax))
 	}
 	if defAllocs > th.DeferredAllocsMax {
 		fails = append(fails, fmt.Sprintf("deferred %.1f allocs/op > %.0f", defAllocs, th.DeferredAllocsMax))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"spitz/internal/cellstore"
-	"spitz/internal/hashutil"
 	"spitz/internal/mtree"
 	"spitz/internal/postree"
 )
@@ -97,25 +96,22 @@ func (p BatchProof) VerifyPath(d Digest, path *postree.Path) error {
 // Elide is Proof.Elide for a batch proof: every sub-proof loses the
 // bodies of the index nodes the client holds, every range proof its rows.
 // The receiver and the sub-proofs it points to are not modified.
-func (p BatchProof) Elide(have []hashutil.Digest) BatchProof {
-	held := postree.NewHeldSet(have)
+func (p BatchProof) Elide(have postree.HeldSet) BatchProof {
 	n := 0
-	if p.Points != nil {
-		if bp, k := p.Points.Elide(held); k > 0 {
-			elided := bp // allocated only when there is something to replace
-			p.Points, n = &elided, k
-		}
+	if p.Points != nil && have.Len() > 0 {
+		bp, k := p.Points.Elide(have)
+		p.Points, n = &bp, k
 	}
 	if len(p.Ranges) > 0 {
 		ranges := make([]postree.RangeProof, len(p.Ranges))
 		for i := range p.Ranges {
 			var k int
-			ranges[i], k = p.Ranges[i].WithoutEntries().Elide(held)
+			ranges[i], k = p.Ranges[i].WithoutEntries().Elide(have)
 			n += k
 		}
 		p.Ranges = ranges
 	}
-	mProofNodesElided.Add(uint64(n))
+	countCut(n, have)
 	return p
 }
 

@@ -20,6 +20,11 @@ var (
 	// and batch proofs because the client already held them (Proof.Elide,
 	// BatchProof.Elide).
 	mProofNodesElided = obs.Default.Counter("spitz_proof_nodes_elided_total")
+	// mProofNodesPatched counts index nodes that travelled as a patch
+	// against a version the client held, mProofPatchSaved the bytes those
+	// patches were smaller than the bodies they stand for.
+	mProofNodesPatched = obs.Default.Counter("spitz_proof_nodes_patched_total")
+	mProofPatchSaved   = obs.Default.Counter("spitz_proof_patch_bytes_saved_total")
 )
 
 // proofCacheSize bounds the number of memoized head proofs. Entries are

@@ -78,26 +78,48 @@ func verifyBlock(h BlockHeader, inc mtree.InclusionProof, d Digest) error {
 	return nil
 }
 
+// Held is the hint of a request this ledger answers, ready to cut proofs
+// against (Proof.Elide, BatchProof.Elide): the digests of the index nodes
+// the client says it holds, with the cell tree's node cache behind them
+// for the nodes it holds an older version of.
+func (l *Ledger) Held(have []hashutil.Digest) postree.HeldSet {
+	if len(have) == 0 {
+		return postree.HeldSet{}
+	}
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.cells.Tree.Held(have)
+}
+
 // Elide returns the proof as it travels to a client that says it holds
-// the index nodes with digests have (none: a cold or hint-less client):
-// without the bodies of exactly those nodes, and without a range proof's
+// the index nodes in have (none: a cold or hint-less client): without the
+// bodies of exactly those nodes, with a patch in place of the body of a
+// node the client holds another version of, and without a range proof's
 // rows, which the client reads off the leaves it verifies. The receiver
 // is not modified — it may be shared with the proof cache and so with
 // other clients.
-func (p Proof) Elide(have []hashutil.Digest) Proof {
+func (p Proof) Elide(have postree.HeldSet) Proof {
 	n := 0
 	switch {
-	case p.Point != nil:
-		if pt, k := p.Point.Elide(postree.NewHeldSet(have)); k > 0 {
-			elided := pt // allocated only when there is something to replace
-			p.Point, n = &elided, k
-		}
+	case p.Point != nil && have.Len() > 0:
+		pt, k := p.Point.Elide(have)
+		p.Point, n = &pt, k
 	case p.Range != nil:
-		rp, k := p.Range.WithoutEntries().Elide(postree.NewHeldSet(have))
+		rp, k := p.Range.WithoutEntries().Elide(have)
 		p.Range, n = &rp, k
 	}
-	mProofNodesElided.Add(uint64(n))
+	countCut(n, have)
 	return p
+}
+
+// countCut adds what one response's proofs were cut by to the server's
+// counters: n bodies left out, and whatever have patched.
+func countCut(n int, have postree.HeldSet) {
+	mProofNodesElided.Add(uint64(n))
+	if nodes, saved := have.Patched(); nodes > 0 {
+		mProofNodesPatched.Add(uint64(nodes))
+		mProofPatchSaved.Add(uint64(saved))
+	}
 }
 
 // Cells decodes the proven cells (including tombstones, so callers can

@@ -24,6 +24,7 @@
 package posleaf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/bits"
@@ -250,6 +251,29 @@ func (l Leaf) Source() *Source {
 		return nil
 	}
 	return &Source{leaf: l, ends: ends}
+}
+
+// Find searches a stored leaf body for key where it lies: the entries are
+// walked in order up to the first whose key is not below key, nothing is
+// decoded into a slice and nothing is hashed. The value aliases body.
+func Find(body, key []byte) (value []byte, found bool, err error) {
+	l, err := Parse(body)
+	if err != nil {
+		return nil, false, err
+	}
+	rest := l.Entries
+	for i := 0; i < l.Count; i++ {
+		var k, v []byte
+		if k, v, rest, err = ReadEntry(rest); err != nil {
+			return nil, false, err
+		}
+		if c := bytes.Compare(k, key); c == 0 {
+			return v, true, nil
+		} else if c > 0 {
+			break
+		}
+	}
+	return nil, false, nil
 }
 
 // Digest returns the leaf's digest: the hash of its header.

@@ -251,3 +251,37 @@ func FuzzLeaf(f *testing.F) {
 		}
 	})
 }
+
+// TestFindSearchesInPlace: Find agrees with the decoded entries on every
+// key a leaf holds and on keys before, between and after them, allocates
+// nothing, and turns bytes that do not walk as a leaf into an error.
+func TestFindSearchesInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, groupSize, 5*groupSize + 3, 200} {
+		body, keys, values := testLeaf(n)
+		for i, k := range keys {
+			if v, ok, err := Find(body, k); err != nil || !ok || !bytes.Equal(v, values[i]) {
+				t.Fatalf("n=%d: Find(%q) = %q %v %v", n, k, v, ok, err)
+			}
+			if v, ok, err := Find(body, append(append([]byte(nil), k...), '!')); err != nil || ok || v != nil {
+				t.Fatalf("n=%d: Find just past %q = %q %v %v", n, k, v, ok, err)
+			}
+		}
+		for _, k := range [][]byte{nil, []byte("a"), []byte("zzzz")} {
+			if v, ok, err := Find(body, k); err != nil || ok || v != nil {
+				t.Fatalf("n=%d: Find(%q) = %q %v %v", n, k, v, ok, err)
+			}
+		}
+	}
+	body, keys, _ := testLeaf(200)
+	if allocs := testing.AllocsPerRun(100, func() { Find(body, keys[137]) }); allocs != 0 {
+		t.Fatalf("Find allocates %v times", allocs)
+	}
+	// Cut inside the entries before the key's own: the walk fails, it does
+	// not read past the end.
+	if _, _, err := Find(body[:len(body)/2], keys[199]); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Find in a truncated body: %v", err)
+	}
+	if _, _, err := Find([]byte{1, 2, 3}, keys[0]); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Find in an index node's body: %v", err)
+	}
+}

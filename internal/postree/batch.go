@@ -92,7 +92,7 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 // Elide is PointProof.Elide for a batch proof.
 func (p BatchProof) Elide(have HeldSet) (BatchProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
-	if n > 0 {
+	if nodes != nil {
 		p.Nodes, p.digests = nodes, nil
 	}
 	return p, n

@@ -97,6 +97,13 @@ const (
 	// Bodies the walk never asked for, a second copy of one it did
 	// included: ignored.
 	trustExtra
+	// Patched slots: when the node the walk wants is neither shipped nor
+	// pinned, the next patch nobody has asked for yet is taken in its
+	// place — rebuilt from whatever node its base digest names, pinned for
+	// this request or not, index node or leaf, held or shipped beside it,
+	// with edits that do not fit the base passed over — without hashing
+	// what it rebuilds to.
+	trustPatch
 )
 
 // blind is the verifier this package must not be: the resolver and its
@@ -110,6 +117,7 @@ type blind struct {
 	bodies [][]byte
 	used   []bool
 	pinned []*Node
+	known  []*Node // what the verifier's cache holds beside the pinned nodes
 }
 
 func newBlind(t *testing.T, bodies [][]byte, pinned []*Node, skip trust) *blind {
@@ -121,6 +129,9 @@ func (b *blind) open(i int) *node {
 	body := b.bodies[i]
 	if body[0] == 0 {
 		return blindLeaf(b.t, body, b.skip)
+	}
+	if body[0] == patchMarker {
+		return b.patched(i, false)
 	}
 	n, err := decodeNode(body)
 	if err != nil {
@@ -144,6 +155,13 @@ func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
 			}
 			bound = hashutil.Sum(hashutil.DomainPOSLeaf, header)
 		}
+		if body[0] == patchMarker {
+			n := b.patched(i, false)
+			if n == nil {
+				continue
+			}
+			bound = hashutil.Sum(hashutil.DomainPOSIndex, n.encode())
+		}
 		if bound == want {
 			return b.open(i), false
 		}
@@ -157,12 +175,122 @@ func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
 		if b.used[i] || len(body) == 0 {
 			continue
 		}
+		if body[0] == patchMarker {
+			if b.skip&trustPatch == 0 {
+				return nil, false
+			}
+			b.used[i] = true
+			return b.patched(i, true), false
+		}
 		if b.skip&trustElided != 0 || (body[0] == 0 && b.skip&trustHeader != 0) {
 			return b.open(i), false
 		}
 		return nil, false
 	}
 	return nil, b.skip&trustElided != 0
+}
+
+// patched rebuilds the node the patched slot i stands for; nil means
+// rejected. Strictly, the base is an index node pinned for this request and
+// every edit fits it. Leniently (trustPatch) the base is any node the slot's
+// digest finds — pinned, otherwise held, or shipped in this proof, leaves
+// included — and edits that do not fit are passed over.
+func (b *blind) patched(i int, lenient bool) *node {
+	slot := b.bodies[i]
+	if len(slot) < 1+hashutil.DigestSize {
+		return nil
+	}
+	var d hashutil.Digest
+	copy(d[:], slot[1:])
+	var base *node
+	for _, p := range b.pinned {
+		if p.digest == d && p.n.level > 0 {
+			base = p.n
+		}
+	}
+	if base == nil && lenient {
+		for _, p := range b.known {
+			if p.digest == d {
+				base = p.n
+			}
+		}
+		for j, body := range b.bodies {
+			if base != nil || len(body) == 0 || body[0] == patchMarker {
+				continue
+			}
+			if n, got, err := openNode(body); err == nil && got == d {
+				base, b.used[j] = n, true
+			}
+		}
+	}
+	if base == nil {
+		return nil
+	}
+	entries, ok := blindEdits(slot[1+hashutil.DigestSize:], base.entries, lenient)
+	if !ok {
+		return nil
+	}
+	return &node{level: base.level, entries: entries, first: base.first, count: base.count}
+}
+
+// blindEdits is the reference reading of a patch's edits, position by
+// position of the base: the entries inserted before it, then the entry
+// itself — as it is, with a new value, or not at all. Strictly, the edits
+// must come in that order, each at a position the base has, one set or
+// delete per entry; leniently, an edit that does not fit is dropped.
+func blindEdits(edits []byte, base []Entry, lenient bool) ([]Entry, bool) {
+	inserts := make([][]Entry, len(base)+1)
+	replaced := make(map[int]*Entry) // nil: deleted
+	lastAt, lastWasInsert := 0, true
+	for len(edits) > 0 {
+		tag, k := binary.Uvarint(edits)
+		if k <= 0 {
+			return nil, false
+		}
+		edits = edits[k:]
+		kind := int(tag & 3)
+		var e Entry
+		if kind != patchDelete {
+			var err error
+			if e.Key, e.Value, edits, err = posleaf.ReadEntry(edits); err != nil {
+				return nil, false
+			}
+		}
+		_, again := replaced[int(tag>>2)]
+		fits := tag>>2 <= uint64(len(base)) && kind <= patchDelete &&
+			(kind == patchInsert || (tag>>2 < uint64(len(base)) && !again)) &&
+			(kind != patchSet || len(e.Key) == 0)
+		inOrder := fits && (int(tag>>2) > lastAt || (int(tag>>2) == lastAt && lastWasInsert))
+		if !fits || (!inOrder && !lenient) {
+			if lenient {
+				continue
+			}
+			return nil, false
+		}
+		at := int(tag >> 2)
+		switch kind {
+		case patchInsert:
+			inserts[at] = append(inserts[at], e)
+		case patchSet:
+			replaced[at] = &Entry{Key: base[at].Key, Value: e.Value}
+		case patchDelete:
+			replaced[at] = nil
+		}
+		lastAt, lastWasInsert = at, kind == patchInsert
+	}
+	var out []Entry
+	for at := 0; at <= len(base); at++ {
+		out = append(out, inserts[at]...)
+		if at == len(base) {
+			break
+		}
+		if e, ok := replaced[at]; !ok {
+			out = append(out, base[at])
+		} else if e != nil {
+			out = append(out, *e)
+		}
+	}
+	return out, true
 }
 
 func (b *blind) finish() error {
@@ -766,8 +894,8 @@ func TestHintsAcrossCommits(t *testing.T) {
 	// on key's path.
 	far := entries[len(entries)-1].Key
 	sameChild := func(k []byte) bool {
-		a, _ := warm[0].Child(key)
-		b, _ := warm[0].Child(k)
+		a, _, _ := warm[0].Child(key)
+		b, _, _ := warm[0].Child(k)
 		return a == b
 	}
 	if sameChild(far) {

@@ -187,10 +187,7 @@ var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
 // that leaf's body, already hashed. The body is allocated once, at its
 // exact size: the store keeps it.
 func encode(level int, r run) []byte {
-	size := 0
-	for _, e := range r.entries {
-		size += posleaf.EntrySize(e.Key, e.Value)
-	}
+	size := entryBytes(r.entries)
 	if level == 0 {
 		w := posleaf.NewWriter(len(r.entries), size)
 		at := cursor{spans: r.kept}
@@ -207,13 +204,29 @@ func encode(level int, r run) []byte {
 		mHashedBytes.Add(uint64(w.Hashed()))
 		return w.Body()
 	}
-	buf := make([]byte, 0, 1+posleaf.UvarintLen(len(r.entries))+size)
+	buf := encodeIndex(level, r.entries, size)
+	mHashedBytes.Add(uint64(len(buf)))
+	return buf
+}
+
+// entryBytes is what the entries take encoded.
+func entryBytes(entries []Entry) int {
+	size := 0
+	for _, e := range entries {
+		size += posleaf.EntrySize(e.Key, e.Value)
+	}
+	return size
+}
+
+// encodeIndex returns the body of an index node, level | count | entries,
+// allocated at its exact size; size is entryBytes(entries).
+func encodeIndex(level int, entries []Entry, size int) []byte {
+	buf := make([]byte, 0, 1+posleaf.UvarintLen(len(entries))+size)
 	buf = append(buf, byte(level))
-	buf = binary.AppendUvarint(buf, uint64(len(r.entries)))
-	for _, e := range r.entries {
+	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
 		buf = posleaf.AppendEntry(buf, e.Key, e.Value)
 	}
-	mHashedBytes.Add(uint64(len(buf)))
 	return buf
 }
 
@@ -518,34 +531,34 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 // ---------------------------------------------------------------------------
 // Reads
 
-// Get returns the value stored under key, or (nil, false) if absent.
+// Get returns the value stored under key, or (nil, false) if absent. The
+// index levels come decoded from the node cache; the leaf, which is never
+// cached decoded, is searched in its stored body (posleaf.Find) rather than
+// decoded whole for the sake of one entry.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if t.root.IsZero() {
 		return nil, false, nil
 	}
 	d := t.root
-	for {
+	for level := t.level; level > 0; level-- {
 		n, err := t.loadNodeCached(d)
 		if err != nil {
 			return nil, false, err
 		}
-		if n.level == 0 {
-			i := sort.Search(len(n.entries), func(i int) bool {
-				return bytes.Compare(n.entries[i].Key, key) >= 0
-			})
-			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
-				return n.entries[i].Value, true, nil
-			}
-			return nil, false, nil
+		if n.level != level {
+			return nil, false, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
 		}
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return bytes.Compare(n.entries[i].Key, key) >= 0
-		})
+		i := searchEntries(n.entries, key)
 		if i == len(n.entries) {
 			return nil, false, nil // beyond the largest key
 		}
 		d = childDigest(n.entries[i])
 	}
+	body, err := t.store.Get(d)
+	if err != nil {
+		return nil, false, fmt.Errorf("postree: load node: %w", err)
+	}
+	return posleaf.Find(body, key)
 }
 
 // Scan calls fn for every entry with start <= key < end, in key order. A

@@ -181,13 +181,18 @@ func (s digestSet) add(d hashutil.Digest) digestSet {
 }
 
 // HeldSet is the set of node digests a verifier says it already holds —
-// the hint a proof is elided against. The zero HeldSet is empty.
-type HeldSet struct{ set digestSet }
+// the hint a proof is cut against: a held index node is left out, and one
+// that is not held travels as a patch against a held node at its position
+// when the set can find one (see Tree.Held). The zero HeldSet is empty.
+type HeldSet struct {
+	set   digestSet
+	bases *bases // nil: the digests alone, nothing to patch against
+}
 
 // NewHeldSet builds the set from a hint as it arrived; ds is not copied
 // (a digest repeated in it is harmless).
 func NewHeldSet(ds []hashutil.Digest) HeldSet {
-	h := HeldSet{digestSet{list: ds}}
+	h := HeldSet{set: digestSet{list: ds}}
 	if len(ds) > scanLimit {
 		h.set.index = make(map[hashutil.Digest]int, len(ds))
 		for i, d := range ds {
@@ -197,30 +202,48 @@ func NewHeldSet(ds []hashutil.Digest) HeldSet {
 	return h
 }
 
-// elide is the one elision rule, for every proof shape: a node's body is
-// left out iff it is an index node whose digest the verifier said it
-// holds. Leaves always ship — they carry the answer and are what the
+// Len returns the number of digests in the hint.
+func (h HeldSet) Len() int { return len(h.set.list) }
+
+// Patched reports what the proofs cut against the set so far carry as
+// patches: how many index nodes, and how many bytes fewer than their
+// bodies.
+func (h HeldSet) Patched() (nodes, saved int) {
+	if h.bases == nil {
+		return 0, 0
+	}
+	return h.bases.patched, h.bases.saved
+}
+
+// elide is the one rule for what travels, for every proof shape: an index
+// node's body is left out if the verifier said it holds it, and replaced by
+// a patch if the verifier holds another version of that node and the patch
+// is smaller. Leaves always ship — they carry the answer and are what the
 // verifier hashes fresh on every read. digests[i] must be the digest of
 // nodes[i] (a proof that was decoded rather than built has none and is
-// returned as it is); nodes itself is not modified.
-func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) ([][]byte, int) {
+// returned as it is); nodes itself is not modified. The result is the list
+// as it travels — nil when that is nodes, unchanged — and the number of
+// bodies left out.
+func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) (out [][]byte, elided int) {
 	if len(have.set.list) == 0 || len(digests) != len(nodes) {
-		return nodes, 0
+		return nil, 0
 	}
-	var out [][]byte
-	elided := 0
 	for i, body := range nodes {
-		if len(body) > 0 && body[0] != 0 && have.set.find(digests[i]) >= 0 {
-			if elided == 0 {
-				out = append(make([][]byte, 0, len(nodes)-1), nodes[:i]...)
+		keep, cut := body, false
+		if len(body) > 0 && body[0] != 0 {
+			if have.set.find(digests[i]) >= 0 {
+				keep, cut = nil, true
+				elided++
+			} else if patch := have.bases.patch(digests[i], body); patch != nil {
+				keep, cut = patch, true
 			}
-			elided++
-		} else if elided > 0 {
-			out = append(out, body)
 		}
-	}
-	if elided == 0 {
-		return nodes, 0
+		if cut && out == nil {
+			out = append(make([][]byte, 0, len(nodes)), nodes[:i]...)
+		}
+		if out != nil && keep != nil {
+			out = append(out, keep)
+		}
 	}
 	return out, elided
 }
@@ -231,7 +254,7 @@ func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) ([][]byte, i
 // nodes elided.
 func (p PointProof) Elide(have HeldSet) (PointProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
-	if n > 0 {
+	if nodes != nil {
 		p.Nodes, p.digests = nodes, nil
 	}
 	return p, n
@@ -262,23 +285,32 @@ func (n *Node) Digest() hashutil.Digest { return n.digest }
 // headers.
 func (n *Node) Size() int { return n.size }
 
-// Child returns the digest of the child subtree key routes to; ok is
+// Position returns where the node sits: what a cache files it under to
+// find it again as the older version of a node it lacks.
+func (n *Node) Position() Position { return n.n.position() }
+
+// Level returns the node's level: 1 directly above the leaves.
+func (n *Node) Level() int { return n.n.level }
+
+// Child returns the digest of the child subtree key routes to and that
+// child's last key — with the level below this node's, its Position; ok is
 // false when key is beyond the node's largest key (the node itself then
 // proves absence).
-func (n *Node) Child(key []byte) (d hashutil.Digest, ok bool) {
+func (n *Node) Child(key []byte) (d hashutil.Digest, last []byte, ok bool) {
 	i := searchEntries(n.n.entries, key)
 	if i == len(n.n.entries) {
-		return d, false
+		return d, nil, false
 	}
-	return childDigest(n.n.entries[i]), true
+	return childDigest(n.n.entries[i]), n.n.entries[i].Key, true
 }
 
-// Children calls fn with the digest of every child subtree a scan of
-// [start, end) descends into, in key order (a nil end is unbounded).
-func (n *Node) Children(start, end []byte, fn func(hashutil.Digest)) {
+// Children calls fn with the digest and last key of every child subtree a
+// scan of [start, end) descends into, in key order (a nil end is
+// unbounded).
+func (n *Node) Children(start, end []byte, fn func(d hashutil.Digest, last []byte)) {
 	from, to := childSpan(n.n.entries, start, end)
 	for _, e := range n.n.entries[from:to] {
-		fn(childDigest(e))
+		fn(childDigest(e), e.Key)
 	}
 }
 
@@ -290,8 +322,9 @@ func (n *Node) Children(start, end []byte, fn func(hashutil.Digest)) {
 // or range read the nodes on all of them.
 //
 // Verification marks the pinned nodes the walk from the trusted root
-// reached and fills Shipped with the index nodes that arrived as bodies
-// and hashed to a digest the walk wanted. A pinned node the walk never
+// reached and fills Shipped with the index nodes that arrived as bodies,
+// or as patches against pinned nodes (Patched counts those), and hashed
+// to a digest the walk wanted. A pinned node the walk never
 // reached is superseded: under this root the paths it was pinned for run
 // through other nodes. A Path serves one response — the sub-proofs of a
 // batch share it and accumulate into it — and when verification returns
@@ -301,6 +334,7 @@ type Path struct {
 	set     digestSet // the pinned nodes' digests
 	held    []pinned  // held[i] is the node set.list[i] names
 	Shipped []*Node
+	Patched int
 
 	// Room for one search path's pins inside the Path itself, so a point
 	// read allocates the Path and nothing else.
@@ -386,19 +420,22 @@ func searchEntries(entries []Entry, key []byte) int {
 // The resolver: shipped or pinned
 
 // resolver is the one place verification of any proof shape gets its
-// nodes from. Every body the proof shipped is opened once — decoded and
-// hashed to the digest its bytes are bound to, leaves through
-// posleaf.Leaf.Verify — and from then on the walk from the trusted root
-// asks for nodes by digest: it is handed a shipped body that hashed to
-// that digest, or failing that a node the verifier pinned before it sent
-// the request, or nothing. Nothing is ever taken from the server's say-so,
-// and the order bodies arrived in carries no meaning. finish rejects a
-// proof that shipped a body the walk never asked for.
+// nodes from. Every slot the proof shipped is opened once — a body decoded,
+// a patched slot rebuilt into the node and body it stands for from the
+// pinned node it names (see patchMarker), either hashed to the digest its
+// bytes are bound to, leaves through posleaf.Leaf.Verify — and from then on
+// the walk from the trusted root asks for nodes by digest: it is handed a
+// shipped body that hashed to that digest, or failing that a node the
+// verifier pinned before it sent the request, or nothing. Nothing is ever
+// taken from the server's say-so, and the order bodies arrived in carries
+// no meaning. finish rejects a proof that shipped a body the walk never
+// asked for.
 type resolver struct {
 	path    *Path
 	set     digestSet     // the digests the shipped bodies hashed to
 	shipped []shippedNode // shipped[i] is what set.list[i] names
 	used    int
+	patched int
 }
 
 type shippedNode struct {
@@ -416,8 +453,9 @@ type smallProof struct {
 
 // open decodes and hashes the shipped bodies, into small when they fit,
 // and returns the resolver over them. A body that does not decode (an
-// empty one included), or two that hash to one digest — which would let
-// an unasked-for node hide behind an asked-for one — reject the proof.
+// empty one included), a patch that does not apply to a node path pinned,
+// or two bodies that hash to one digest — which would let an unasked-for
+// node hide behind an asked-for one — reject the proof.
 func open(bodies [][]byte, path *Path, small *smallProof) (resolver, error) {
 	r := resolver{path: path, set: digestSet{list: small.digests[:0]}, shipped: small.nodes[:0]}
 	if len(bodies) > scanLimit {
@@ -425,7 +463,17 @@ func open(bodies [][]byte, path *Path, small *smallProof) (resolver, error) {
 		r.shipped = make([]shippedNode, 0, len(bodies))
 	}
 	for _, body := range bodies {
-		n, d, err := openNode(body)
+		var n *node
+		var d hashutil.Digest
+		var err error
+		if len(body) > 0 && body[0] == patchMarker {
+			if n, body, err = rebuild(body, path); err == nil {
+				d = hashutil.Sum(hashutil.DomainPOSIndex, body)
+				r.patched++
+			}
+		} else {
+			n, d, err = openNode(body)
+		}
 		if err != nil || r.set.find(d) >= 0 {
 			return resolver{}, ErrProofInvalid
 		}
@@ -472,6 +520,7 @@ func (r *resolver) finish() error {
 				r.path.Shipped = append(r.path.Shipped, &Node{digest: r.set.list[i], n: s.n, size: s.size})
 			}
 		}
+		r.path.Patched += r.patched
 	}
 	return nil
 }
@@ -666,7 +715,7 @@ func (t *Tree) proveScanNode(d hashutil.Digest, p *RangeProof) error {
 // Elide is PointProof.Elide for a range proof.
 func (p RangeProof) Elide(have HeldSet) (RangeProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
-	if n > 0 {
+	if nodes != nil {
 		p.Nodes, p.digests = nodes, nil
 	}
 	return p, n

@@ -24,6 +24,7 @@ const nodeCacheBytes = 2 << 20
 // node cache saved. Per-Verifier figures are Verifier.ProofStats.
 var (
 	mNodesShipped = obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
+	mNodesPatched = obs.Default.Counter("spitz_client_proof_nodes_patched_total")
 	mNodesElided  = obs.Default.Counter("spitz_client_proof_nodes_elided_total")
 	mProofBytes   = obs.Default.Counter("spitz_client_proof_bytes_total")
 	mCacheEntries = obs.Default.Gauge("spitz_client_nodecache_entries")
@@ -39,11 +40,19 @@ var (
 // from. Nodes are copy-on-write, so the cache needs no invalidation on
 // commit (a write re-ships only the path nodes it changed), only
 // eviction, least recently used first.
+//
+// The newest node admitted at each postree.Position is also found by that
+// position: where a hint walk is routed to a child the cache lacks, it
+// pins the version of that child it does hold, and the server ships the
+// current one as a patch against it. A stale node offered this way costs
+// the request its digest and nothing else — the response is verified from
+// the trusted root whatever was offered.
 type nodeCache struct {
 	mu    sync.Mutex
 	root  hashutil.Digest // CellRoot of the last proof verified: where hint walks start
 	m     map[hashutil.Digest]*list.Element
-	lru   list.List // of *postree.Node, most recently used first
+	at    map[postree.Position]*list.Element // the newest cached node at each position
+	lru   list.List                          // of *postree.Node, most recently used first
 	bytes int
 	small int // when non-zero, a byte cap below nodeCacheBytes (tests only)
 }
@@ -55,27 +64,35 @@ func (c *nodeCache) limit() int {
 	return nodeCacheBytes
 }
 
+// find returns the cached node with digest d or, when the cache lacks it,
+// the newest one it holds at the position d's parent — a node at level
+// above, routing to d by the key last — says d sits at. Callers hold mu.
+func (c *nodeCache) find(d hashutil.Digest, above int, last []byte) *list.Element {
+	if el, ok := c.m[d]; ok {
+		return el
+	}
+	return c.at[postree.Position{Level: above - 1, Last: string(last)}]
+}
+
 // pathTo pins the cached nodes on the search path from the last verified
-// root towards key, stopping at the first node it does not hold.
+// root towards key — at each step the child the node above names, or the
+// version of it the cache holds — stopping where it holds neither.
 func (c *nodeCache) pathTo(key []byte) *postree.Path {
 	path := postree.NewPath(0) // a search path's pins fit inside the Path
 	var els [postree.MaxHeight]*list.Element
 	n := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.root
-	for n < len(els) {
-		el, ok := c.m[d]
-		if !ok {
-			break
-		}
+	for el := c.m[c.root]; el != nil && n < len(els); {
 		node := el.Value.(*postree.Node)
 		els[n] = el
 		n++
 		path.Pin(node)
-		if d, ok = node.Child(key); !ok {
+		d, last, ok := node.Child(key)
+		if !ok {
 			break
 		}
+		el = c.find(d, node.Level(), last)
 	}
 	// Touch leaf-most first, so that a node is never older than its
 	// descendants: evicting a parent before its children would strand
@@ -95,10 +112,9 @@ func (c *nodeCache) pathFor(queries []ledger.BatchQuery) *postree.Path {
 	var els []*list.Element
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// pin returns the cached node with digest d, pinned; nil ends a walk.
-	pin := func(d hashutil.Digest) *postree.Node {
-		el, ok := c.m[d]
-		if !ok || path.Len() >= postree.MaxHave {
+	// pin pins the node in el; nil, or a full hint, ends a walk.
+	pin := func(el *list.Element) *postree.Node {
+		if el == nil || path.Len() >= postree.MaxHave {
 			return nil
 		}
 		node := el.Value.(*postree.Node)
@@ -107,25 +123,27 @@ func (c *nodeCache) pathFor(queries []ledger.BatchQuery) *postree.Path {
 		}
 		return node
 	}
-	var scan func(d hashutil.Digest, start, end []byte)
-	scan = func(d hashutil.Digest, start, end []byte) {
-		if node := pin(d); node != nil {
-			node.Children(start, end, func(child hashutil.Digest) { scan(child, start, end) })
+	var scan func(node *postree.Node, start, end []byte)
+	scan = func(node *postree.Node, start, end []byte) {
+		if node != nil {
+			node.Children(start, end, func(d hashutil.Digest, last []byte) {
+				scan(pin(c.find(d, node.Level(), last)), start, end)
+			})
 		}
 	}
 	for _, q := range queries {
 		if q.Range {
 			start, end := cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi)
-			scan(c.root, start, end)
+			scan(pin(c.m[c.root]), start, end)
 			continue
 		}
 		key := cellstore.CellPrefix(q.Table, q.Column, q.PK)
-		for node := pin(c.root); node != nil; {
-			d, ok := node.Child(key)
+		for node := pin(c.m[c.root]); node != nil; {
+			d, last, ok := node.Child(key)
 			if !ok {
 				break
 			}
-			node = pin(d)
+			node = pin(c.find(d, node.Level(), last))
 		}
 	}
 	// Every node was pinned after its ancestors: touching in reverse keeps
@@ -146,6 +164,7 @@ func (c *nodeCache) admit(root hashutil.Digest, shipped, superseded []*postree.N
 	c.root = root
 	if c.m == nil {
 		c.m = make(map[hashutil.Digest]*list.Element)
+		c.at = make(map[postree.Position]*list.Element)
 	}
 	entries, bytes, limit := len(c.m), c.bytes, c.limit()
 	// Drops first: when the tree gained a level a superseded node can be
@@ -160,7 +179,8 @@ func (c *nodeCache) admit(root hashutil.Digest, shipped, superseded []*postree.N
 		if _, ok := c.m[n.Digest()]; ok || n.Size() > limit {
 			continue
 		}
-		c.m[n.Digest()] = c.lru.PushFront(n)
+		el := c.lru.PushFront(n)
+		c.m[n.Digest()], c.at[n.Position()] = el, el
 		c.bytes += n.Size()
 	}
 	for c.bytes > limit {
@@ -173,6 +193,9 @@ func (c *nodeCache) admit(root hashutil.Digest, shipped, superseded []*postree.N
 func (c *nodeCache) drop(el *list.Element) {
 	n := c.lru.Remove(el).(*postree.Node)
 	delete(c.m, n.Digest())
+	if pos := n.Position(); c.at[pos] == el {
+		delete(c.at, pos)
+	}
 	c.bytes -= n.Size()
 }
 

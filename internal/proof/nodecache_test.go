@@ -49,7 +49,7 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p = p.Elide(path.Have())
+	p = p.Elide(r.l.Held(path.Have()))
 	if r.tamper != nil {
 		r.tamper(&p)
 	}
@@ -421,7 +421,7 @@ func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *led
 	if err != nil {
 		return ledger.BatchProof{}, err
 	}
-	p := res.Proof.Elide(path.Have())
+	p := res.Proof.Elide(r.l.Held(path.Have()))
 	if tamper != nil {
 		tamper(&p)
 	}
@@ -607,5 +607,144 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 	}
 	if _, err := r.readBatch(qs, nil); err != nil {
 		t.Fatalf("honest flush after the rejected ones: %v", err)
+	}
+}
+
+// staleBelowRoot leaves r's verifier holding the current root and, below
+// it on pk 7's path, a node one commit old: it reads pk 7, a neighbouring
+// row is committed (pk 7's path is rewritten), and a read at the far end of
+// the tree brings in the new root without touching that path.
+func staleBelowRoot(t *testing.T, l *ledger.Ledger, r *hintedReader) {
+	t.Helper()
+	if _, err := r.read(cachePK(7)); err != nil {
+		t.Fatal(err)
+	}
+	commitRow(t, l, 8, 2)
+	if _, err := r.read(cachePK(39999)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleNodeIsOfferedByPosition: where the cached root routes to a node
+// the cache lacks, the hint walk offers the version of that node it does
+// hold — found by position — and goes on below it; the server answers with
+// a patch against it; the verified patch takes its place in the cache.
+func TestStaleNodeIsOfferedByPosition(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	staleBelowRoot(t, l, r)
+	key := cellstore.CellPrefix("t", "c", cachePK(7))
+	_, before, _ := cacheState(&r.v.nodes)
+	path := r.v.PathTo(key)
+	if path.Len() < 2 {
+		t.Fatalf("the hint walk pinned %d nodes: it stopped at the child the root names and the cache lacks", path.Len())
+	}
+	stale := path.Have()[path.Len()-1]
+	st := r.v.ProofStats()
+	if st.NodesPatched == 0 {
+		t.Fatal("the far read was not sent the new root as a patch against the old one")
+	}
+	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@1" {
+		t.Fatalf("read through a stale pin: %q %v", v, err)
+	}
+	got := r.v.ProofStats()
+	if got.NodesPatched-st.NodesPatched != int64(path.Len()-1) || got.NodesElided-st.NodesElided != 1 ||
+		got.NodesShipped-st.NodesShipped != int64(path.Len()) {
+		t.Fatalf("read through a stale pin: %+v -> %+v, want the root elided, every node below it patched, and the leaf", st, got)
+	}
+	if bytes := got.ProofBytes - st.ProofBytes; bytes > 1200 {
+		t.Fatalf("a read that patched %d nodes took %d proof bytes", path.Len()-1, bytes)
+	}
+	_, after, _ := cacheState(&r.v.nodes)
+	if len(after) != len(before) {
+		t.Fatalf("cache went from %d to %d nodes: a patched node replaces its base", len(before), len(after))
+	}
+	for _, d := range after {
+		if d == stale {
+			t.Fatal("the stale node is still cached beside the node patched from it")
+		}
+	}
+	// What was patched in is held like any shipped node: a re-read is
+	// elided down to the leaf.
+	if _, err := r.read(cachePK(7)); err != nil {
+		t.Fatal(err)
+	}
+	if again := r.v.ProofStats(); again.NodesShipped-got.NodesShipped != 1 || again.NodesPatched != got.NodesPatched {
+		t.Fatalf("re-read after a patch: %+v -> %+v", got, again)
+	}
+}
+
+// TestRejectedPatchedProofLeavesVerifierUnchanged: a response that carries
+// a patch and fails — a flipped byte in it, a base the verifier holds but
+// did not pin for this request, an edit that does not fit the base, a
+// second patch nobody asked for — is ErrTampered and changes nothing: not
+// the cache, not its order, not the hint root, not the counters.
+func TestRejectedPatchedProofLeavesVerifierUnchanged(t *testing.T) {
+	l := cacheLedger(t, 40000)
+	r := &hintedReader{l: l, v: NewVerifier()}
+	staleBelowRoot(t, l, r)
+	key := cellstore.CellPrefix("t", "c", cachePK(7))
+	// A node the cache holds that pk 7's path does not pin.
+	var unpinned hashutil.Digest
+	far := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(39999))).Have()
+	unpinned = far[len(far)-1]
+	patchAt := func(p *ledger.Proof) int {
+		for i, slot := range p.Point.Nodes {
+			if slot[0] == 0xFF {
+				return i
+			}
+		}
+		t.Fatal("the response carries no patch")
+		return 0
+	}
+	rewrite := func(p *ledger.Proof, i int, slot []byte) {
+		p.Point.Nodes = append([][]byte(nil), p.Point.Nodes...)
+		p.Point.Nodes[i] = slot
+	}
+	tampers := map[string]func(p *ledger.Proof){
+		"a flipped byte in the patch": func(p *ledger.Proof) {
+			i := patchAt(p)
+			slot := append([]byte(nil), p.Point.Nodes[i]...)
+			slot[len(slot)-1] ^= 1
+			rewrite(p, i, slot)
+		},
+		"a base the request did not hint": func(p *ledger.Proof) {
+			i := patchAt(p)
+			slot := append([]byte(nil), p.Point.Nodes[i]...)
+			copy(slot[1:], unpinned[:])
+			rewrite(p, i, slot)
+		},
+		"an edit past the base": func(p *ledger.Proof) {
+			i := patchAt(p)
+			rewrite(p, i, append(append([]byte(nil), p.Point.Nodes[i]...), 0xFE, 0x7F)) // delete at entry 4095
+		},
+		"a second patch nobody asked for": func(p *ledger.Proof) {
+			i := patchAt(p)
+			p.Point.Nodes = append(append([][]byte(nil), p.Point.Nodes...), p.Point.Nodes[i][:1+hashutil.DigestSize])
+		},
+	}
+	r.v.PathTo(key) // the touch an honest read makes
+	before := r.v.ProofStats()
+	digest := r.v.Digest()
+	root, order, bytes := cacheState(&r.v.nodes)
+	for name, tamper := range tampers {
+		r.tamper = tamper
+		if _, err := r.read(cachePK(7)); !errors.Is(err, ErrTampered) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
+			t.Fatalf("%s: rejected proof changed the cache (%d -> %d entries)", name, len(order), len(gotOrder))
+		}
+		if st := r.v.ProofStats(); st != before || r.v.Digest() != digest {
+			t.Fatalf("%s: rejected proof moved the verifier: %+v -> %+v", name, before, st)
+		}
+	}
+	r.tamper = nil
+	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@1" {
+		t.Fatalf("honest read after the rejected ones: %q %v", v, err)
+	}
+	if st := r.v.ProofStats(); st.NodesPatched == before.NodesPatched {
+		t.Fatal("the honest read was not patched")
 	}
 }

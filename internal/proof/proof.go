@@ -115,22 +115,25 @@ func (v *Verifier) verify(p ledger.Proof, d ledger.Digest, path *postree.Path) e
 }
 
 // accept records a proof that verified: reads counted, its traffic —
-// nodes that arrived as bodies, pinned nodes the walk used instead, bytes
-// of proof material (headers and digests at their wire size, no framing)
-// — added to the counters, the index nodes it shipped admitted to the
-// cache and the pinned ones it superseded dropped.
+// node slots that arrived, how many of them as patches, pinned nodes the
+// walk used instead, bytes of proof material as it arrived (headers and
+// digests at their wire size, no framing) — added to the counters, the
+// index nodes it shipped admitted to the cache and the pinned ones it
+// superseded dropped.
 func (v *Verifier) accept(root hashutil.Digest, path *postree.Path, reads, shipped, bytes int) {
-	elided := 0
+	elided, patched := 0, 0
 	if path != nil {
-		elided = path.Elided()
+		elided, patched = path.Elided(), path.Patched
 		v.nodes.admit(root, path.Shipped, path.Superseded())
 	}
 	mNodesShipped.Add(uint64(shipped))
+	mNodesPatched.Add(uint64(patched))
 	mNodesElided.Add(uint64(elided))
 	mProofBytes.Add(uint64(bytes))
 	v.mu.Lock()
 	v.verified += int64(reads)
 	v.traffic.NodesShipped += int64(shipped)
+	v.traffic.NodesPatched += int64(patched)
 	v.traffic.NodesElided += int64(elided)
 	v.traffic.ProofBytes += int64(bytes)
 	v.mu.Unlock()
@@ -152,9 +155,11 @@ func bodyBytes(nodes [][]byte) int {
 
 // PathTo pins the verified index nodes this verifier already holds on
 // the search path towards key (a POS-tree key, e.g. cellstore.CellPrefix)
-// under the last cell root it verified a proof against. The caller sends
-// path.Have() with the read and hands the path back to VerifyPoint; the
-// result is never nil, and holds nothing on a cold verifier.
+// under the last cell root it verified a proof against — where it lacks
+// the node the path runs through, the older version of that node it holds,
+// for the server to patch against. The caller sends path.Have() with the
+// read and hands the path back to VerifyPoint; the result is never nil,
+// and holds nothing on a cold verifier.
 func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
 
 // PathFor is PathTo for a batch of reads — the receipts of an audit
@@ -325,9 +330,10 @@ func (v *Verifier) Stats() (verified, deferred int64) {
 // over all verifiers in the process's metrics registry
 // (spitz_client_proof_*, spitz_client_nodecache_*).
 type ProofStats struct {
-	NodesShipped int64 // proof nodes that arrived as bodies and were hashed
+	NodesShipped int64 // proof nodes that arrived, as bodies or as patches, and were hashed
+	NodesPatched int64 // of those, index nodes that arrived as a patch against a cached version
 	NodesElided  int64 // nodes the server left out and the node cache answered instead
-	ProofBytes   int64 // proof material received: node bodies, keys, values, bounds, inclusion path, header
+	ProofBytes   int64 // proof material received: node bodies and patches, keys, values, bounds, inclusion path, header
 	CacheEntries int   // verified index nodes currently cached
 	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
 }

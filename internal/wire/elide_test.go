@@ -581,3 +581,211 @@ func FuzzElidedRead(f *testing.F) {
 		}
 	})
 }
+
+// patchMarker opens a node slot that carries an index node as a patch
+// against a version the client holds (see internal/postree/patch.go).
+const patchMarker = 0xFF
+
+// churnEngine commits a new value for a neighbour of every row the reads
+// of this file touch, so their paths — roots included — are rewritten.
+func churnEngine(t testing.TB, eng *core.Engine, gen int) {
+	t.Helper()
+	var puts []core.Put
+	for _, i := range []int{7, 3195, 3211} {
+		puts = append(puts, core.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("pk%05d", i)),
+			Value: []byte(fmt.Sprintf("value-%05d@%d", i, gen))})
+	}
+	if _, err := eng.Apply("churn", puts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDispatchPatchesStaleNodes: after a commit, a client that names the
+// nodes it held before is sent the rewritten ones as patches against
+// exactly those — for every proof shape — and the response verifies
+// against its pins to the rows of the new state; the server counts nodes
+// and bytes saved; and a client that names nothing gets, byte for byte, the
+// whole proof it always got.
+func TestDispatchPatchesStaleNodes(t *testing.T) {
+	eng, pk := elideEngine(t)
+	point := multiRow{name: "point", req: Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}}
+	for _, m := range append([]multiRow{point}, multiRowReads(t, eng)...) {
+		t.Run(m.name, func(t *testing.T) {
+			before := Dispatch(eng, m.req)
+			if before.Err != "" {
+				t.Fatal(before.Err)
+			}
+			held := heldNodes(t, before)
+			churnEngine(t, eng, 1)
+			if m.req.Op == OpProveBatch {
+				at := eng.Digest() // prove at the new head
+				m.req.OldDigest, m.req.OldDigest2 = at, &at
+			}
+			cold := Dispatch(eng, m.req)
+			coldBytes := AppendResponse(nil, &cold)
+			coldNodes, _ := proofNodes(pointAsRange(cold))
+			for _, slot := range coldNodes {
+				if slot[0] == patchMarker {
+					t.Fatal("a hint-less request was answered with a patch")
+				}
+			}
+			if err := verifyMultiRow(cold, nil); err != nil {
+				t.Fatalf("whole proof: %v", err)
+			}
+
+			nodesBefore := obs.Default.Counter("spitz_proof_nodes_patched_total").Value()
+			savedBefore := obs.Default.Counter("spitz_proof_patch_bytes_saved_total").Value()
+			hinted := m.req
+			hinted.Have = pin(held).Have()
+			warm := Dispatch(eng, hinted)
+			if warm.Err != "" || warm.Digest != cold.Digest {
+				t.Fatalf("hinted read: %+v", warm)
+			}
+			named := map[hashutil.Digest]bool{}
+			for _, d := range hinted.Have {
+				named[d] = true
+			}
+			patched := 0
+			warmNodes, _ := proofNodes(pointAsRange(warm))
+			for _, slot := range warmNodes {
+				if slot[0] != patchMarker {
+					continue
+				}
+				patched++
+				if !named[hashutil.Digest(slot[1:1+hashutil.DigestSize])] {
+					t.Fatal("a patch's base is not among the digests the request named")
+				}
+			}
+			if patched == 0 {
+				t.Fatal("no node of a path the commit rewrote travelled as a patch")
+			}
+			warmBytes := AppendResponse(nil, &warm)
+			if got := obs.Default.Counter("spitz_proof_nodes_patched_total").Value() - nodesBefore; got != uint64(patched) {
+				t.Fatalf("spitz_proof_nodes_patched_total moved by %d, want %d", got, patched)
+			}
+			saved := obs.Default.Counter("spitz_proof_patch_bytes_saved_total").Value() - savedBefore
+			if saved == 0 || int(saved) > len(coldBytes)-len(warmBytes) {
+				t.Fatalf("spitz_proof_patch_bytes_saved_total moved by %d; the response shrank by %d", saved, len(coldBytes)-len(warmBytes))
+			}
+			if err := verifyMultiRow(warm, nil); !errors.Is(err, ledger.ErrProofInvalid) {
+				t.Fatalf("patched proof verified with nothing held: %v", err)
+			}
+			path := pin(held)
+			if err := verifyMultiRow(warm, path); err != nil {
+				t.Fatalf("patched proof: %v", err)
+			}
+			if path.Patched != patched {
+				t.Fatalf("verification counted %d patched nodes, %d travelled", path.Patched, patched)
+			}
+			if err := verifyMultiRow(cold, nil); err != nil {
+				t.Fatal(err)
+			}
+			if m.rows != nil {
+				if got, want := m.rows(t, warm), m.rows(t, cold); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("rows off the patched proof: %v, off the whole one: %v", got, want)
+				}
+			}
+			// The next hint-less client is still answered in full.
+			again := Dispatch(eng, m.req)
+			if !bytes.Equal(AppendResponse(nil, &again), coldBytes) {
+				t.Fatal("a cold client's proof changed after a warm client's patched read")
+			}
+		})
+	}
+}
+
+// pointAsRange lets proofNodes read a point proof's node list.
+func pointAsRange(resp Response) Response {
+	if resp.Proof != nil && resp.Proof.Point != nil {
+		p := *resp.Proof
+		p.Range = &postree.RangeProof{Nodes: p.Point.Nodes}
+		resp.Proof = &p
+	}
+	return resp
+}
+
+// FuzzPatchedRead is FuzzElidedRead for responses that carry patches: the
+// seeds are the patched answers, of every proof shape, to a client one
+// commit behind. Whatever decodes is verified against the nodes that
+// client pinned; and the input is also read as the edits of a patch
+// against each pinned node in turn, so the fuzzer reaches the edit reader
+// without first having to grow a response around it. Malformed input must
+// error — never panic, and never allocate past what the pinned base and
+// the input's own length account for.
+func FuzzPatchedRead(f *testing.F) {
+	eng, pk := elideEngine(f)
+	point := multiRow{name: "point", req: Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}}
+	reads := append([]multiRow{point}, multiRowReads(f, eng)...)
+	var held []*postree.Node
+	for _, m := range reads {
+		held = append(held, heldNodes(f, Dispatch(eng, m.req))...)
+	}
+	churnEngine(f, eng, 1)
+	var root hashutil.Digest
+	for _, m := range reads {
+		if m.req.Op == OpProveBatch {
+			at := eng.Digest()
+			m.req.OldDigest, m.req.OldDigest2 = at, &at
+		}
+		m.req.Have = pin(held).Have()
+		resp := Dispatch(eng, m.req)
+		if err := verifyMultiRow(resp, pin(held)); err != nil {
+			f.Fatalf("%s: patched seed: %v", m.name, err)
+		}
+		f.Add(AppendRequest(nil, &m.req))
+		f.Add(AppendResponse(nil, &resp))
+		nodes, _ := proofNodes(pointAsRange(resp))
+		for _, slot := range nodes {
+			if slot[0] == patchMarker {
+				f.Add(slot[1+hashutil.DigestSize:]) // the edits alone
+			}
+		}
+		if resp.Proof != nil {
+			root = resp.Proof.Header.CellRoot
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x02})                                     // delete the first entry
+	f.Add([]byte{0x01, 0x01, 'k', 0x01, 'v'})               // insert before it
+	f.Add([]byte{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // a position past any base
+	f.Add([]byte{0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 'k'})  // a key length past the input
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, err := DecodeRequest(data); err == nil {
+			switch req.Op {
+			case OpGetVerified, OpRangeVer, OpProveBatch:
+				Dispatch(eng, req)
+			}
+		}
+		if resp, err := DecodeResponse(data); err == nil {
+			if p := resp.Proof; p != nil {
+				_ = p.VerifyPath(resp.Digest, pin(held))
+				if p.Point != nil {
+					_ = p.Point.VerifyPath(root, pin(held))
+					_ = p.Point.Verify(root)
+				}
+				if p.Range != nil {
+					_ = p.Range.VerifyPath(root, pin(held))
+				}
+			}
+			if p := resp.BatchProof; p != nil {
+				_ = p.VerifyPath(resp.Digest, pin(held))
+				if p.Points != nil {
+					_ = p.Points.VerifyPath(root, pin(held))
+				}
+				for i := range p.Ranges {
+					_ = p.Ranges[i].VerifyPath(root, pin(held))
+				}
+			}
+		}
+		for _, base := range held {
+			d := base.Digest()
+			slot := append(append([]byte{patchMarker}, d[:]...), data...)
+			p := postree.PointProof{Key: pk, Nodes: [][]byte{slot}}
+			if err := p.VerifyPath(root, pin(held)); err == nil && len(data) > 0 {
+				// A lone patched slot verifies only as the root itself,
+				// proving pk beyond its largest key — which pk is not.
+				t.Fatalf("a lone patched slot verified as a proof of %q", pk)
+			}
+		}
+	})
+}

@@ -4,25 +4,37 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-// counterValue reads one per-op counter through the registry snapshot,
-// the same way /metrics and OpStats serve it.
-func counterValue(t *testing.T, name string) float64 {
-	t.Helper()
-	for _, m := range RegistryMetrics() {
-		if m.Name == name {
-			return m.Value
-		}
-	}
-	return 0
-}
+	"spitz/internal/core"
+	"spitz/internal/obs"
+)
 
 // TestPerOpCountersMatchTraffic issues a known mix of operations and
 // asserts the wire server's per-op counters moved by exactly that much.
-// The registry is process-global, so the test works in deltas.
+// The server counts into a registry of the test's own: the process-wide
+// one also takes the last op of whatever server an earlier test left
+// winding down (an op is counted after its response is on the wire), so a
+// delta read off it is exact only when nothing else in the process serves.
 func TestPerOpCountersMatchTraffic(t *testing.T) {
-	cl, _ := startServer(t)
+	reg := obs.New()
+	srv := NewServer(core.New(core.Options{}))
+	srv.ops = newOpMetrics(reg)
+	ln, _ := Listen()
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Connect(ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	counterValue := func(name string) float64 {
+		for _, m := range reg.Flat() {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		return 0
+	}
 
 	putName := `spitz_wire_ops_total{op="put"}`
 	getName := `spitz_wire_ops_total{op="get"}`
@@ -30,10 +42,6 @@ func TestPerOpCountersMatchTraffic(t *testing.T) {
 	digestName := `spitz_wire_ops_total{op="digest"}`
 	errName := `spitz_wire_op_errors_total{op="get-verified"}`
 	latCount := `spitz_wire_op_latency_ns_count{op="get"}`
-	before := map[string]float64{}
-	for _, n := range []string{putName, getName, getvName, digestName, errName, latCount} {
-		before[n] = counterValue(t, n)
-	}
 
 	const puts, gets, getvs, digests = 3, 7, 5, 2
 	for i := 0; i < puts; i++ {
@@ -60,10 +68,10 @@ func TestPerOpCountersMatchTraffic(t *testing.T) {
 	// The server counts an op after its response is on the wire, so the
 	// last op of each kind may not be recorded yet: wait for the count.
 	moved := func(name string, want float64) float64 {
-		got := counterValue(t, name) - before[name]
+		got := counterValue(name)
 		for deadline := time.Now().Add(2 * time.Second); got != want && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
-			got = counterValue(t, name) - before[name]
+			got = counterValue(name)
 		}
 		return got
 	}

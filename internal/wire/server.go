@@ -19,31 +19,45 @@ var knownOps = []Op{OpPut, OpGet, OpGetVerified, OpRange, OpRangeVer,
 	OpLookupEq, OpHistory, OpDigest, OpConsistency, OpProveBatch,
 	OpSnapshot, OpRestore, OpShardMap, OpClusterDigest, OpStats, OpQuery}
 
-// Per-op server metrics, preallocated so the request loop does one
-// read-only map lookup plus atomic adds — no locks on the hot path.
-var (
-	mOpCount   = make(map[Op]*obs.Counter, len(knownOps))
-	mOpErrs    = make(map[Op]*obs.Counter, len(knownOps))
-	mOpLatency = make(map[Op]*obs.Histogram, len(knownOps))
+// opSeries are the serve metrics of one op.
+type opSeries struct {
+	count, errs *obs.Counter
+	latency     *obs.Histogram
+}
 
-	mOpCountOther   = obs.Default.Counter(`spitz_wire_ops_total{op="other"}`)
-	mOpErrsOther    = obs.Default.Counter(`spitz_wire_op_errors_total{op="other"}`)
-	mOpLatencyOther = obs.Default.Histogram(`spitz_wire_op_latency_ns{op="other"}`)
+// opMetrics are the per-op serve metrics of one registry, preallocated so
+// the request loop does one read-only map lookup plus atomic adds — no
+// locks on the hot path.
+type opMetrics struct {
+	byOp  map[Op]opSeries
+	other opSeries // what an op outside knownOps is counted under
+}
+
+func newOpMetrics(reg *obs.Registry) *opMetrics {
+	series := func(op string) opSeries {
+		label := `{op="` + op + `"}`
+		return opSeries{
+			count:   reg.Counter("spitz_wire_ops_total" + label),
+			errs:    reg.Counter("spitz_wire_op_errors_total" + label),
+			latency: reg.Histogram("spitz_wire_op_latency_ns" + label),
+		}
+	}
+	m := &opMetrics{byOp: make(map[Op]opSeries, len(knownOps)), other: series("other")}
+	for _, op := range knownOps {
+		m.byOp[op] = series(string(op))
+	}
+	return m
+}
+
+// Every server of the process counts into the process-wide registry.
+var (
+	defaultOpMetrics = newOpMetrics(obs.Default)
 
 	mConnsTotal   = obs.Default.Counter("spitz_wire_conns_total")
 	mConnsOpen    = obs.Default.Gauge("spitz_wire_conns_open")
 	mBytesRead    = obs.Default.Counter("spitz_wire_read_bytes_total")
 	mBytesWritten = obs.Default.Counter("spitz_wire_written_bytes_total")
 )
-
-func init() {
-	for _, op := range knownOps {
-		label := `{op="` + string(op) + `"}`
-		mOpCount[op] = obs.Default.Counter("spitz_wire_ops_total" + label)
-		mOpErrs[op] = obs.Default.Counter("spitz_wire_op_errors_total" + label)
-		mOpLatency[op] = obs.Default.Histogram("spitz_wire_op_latency_ns" + label)
-	}
-}
 
 // Server serves a core.Engine — or any Handler — over a listener.
 type Server struct {
@@ -67,6 +81,8 @@ type Server struct {
 	// ("shard-0", "replica"). Empty means "server". Set before Serve.
 	Node string
 
+	ops *opMetrics // where requests are counted: defaultOpMetrics outside tests
+
 	mu      sync.Mutex
 	engine  *core.Engine
 	handler Handler // when set, requests go here instead of Dispatch(engine, ·)
@@ -78,13 +94,13 @@ type Server struct {
 
 // NewServer returns a server over eng.
 func NewServer(eng *core.Engine) *Server {
-	return &Server{engine: eng, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	return &Server{ops: defaultOpMetrics, engine: eng, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 }
 
 // NewHandlerServer returns a server whose requests are executed by h
 // (e.g. a sharded cluster served behind one listener).
 func NewHandlerServer(h Handler) *Server {
-	return &Server{handler: h, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	return &Server{ops: defaultOpMetrics, handler: h, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 }
 
 // Engine returns the currently served engine (it changes on OpRestore).
@@ -364,25 +380,25 @@ func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
 	putBuf(out)
 	tr.Stage("wire.encode", encStart)
 	tr.Finish()
-	recordOp(&req, start, resp.Err != "", respBytes)
+	s.ops.record(&req, start, resp.Err != "", respBytes)
 	return err
 }
 
-// recordOp updates the per-op serve metrics for one completed request
+// record updates the per-op serve metrics for one completed request
 // and, independently of the trace sampler, captures over-threshold
 // requests to the slow-op ring so tail events survive 1-in-N sampling.
 // respBytes is the encoded response size.
-func recordOp(req *Request, start time.Time, failed bool, respBytes int) {
-	count, errs, lat := mOpCountOther, mOpErrsOther, mOpLatencyOther
-	if c, ok := mOpCount[req.Op]; ok {
-		count, errs, lat = c, mOpErrs[req.Op], mOpLatency[req.Op]
+func (m *opMetrics) record(req *Request, start time.Time, failed bool, respBytes int) {
+	series, ok := m.byOp[req.Op]
+	if !ok {
+		series = m.other
 	}
-	count.Inc()
+	series.count.Inc()
 	if failed {
-		errs.Inc()
+		series.errs.Inc()
 	}
 	elapsed := time.Since(start)
-	lat.Observe(uint64(elapsed))
+	series.latency.Observe(uint64(elapsed))
 	if obs.DefaultSlowLog.Slow(string(req.Op), elapsed) {
 		obs.DefaultSlowLog.Record(obs.SlowOp{
 			Op:      string(req.Op),
@@ -427,18 +443,19 @@ func (s *Server) restore(req Request) Response {
 // network server and by in-process processor nodes (internal/server).
 //
 // It is also the one place a proof is cut down to what its client lacks:
-// it travels without the index nodes named in req.Have and without the
-// rows of range proofs, which the client reads off the verified leaves.
+// it travels without the index nodes named in req.Have, with a patch in
+// place of an index node req.Have names another version of, and without
+// the rows of range proofs, which the client reads off the verified leaves.
 // The proof structs dispatch returns are this call's own; the node lists
 // and sub-proofs inside them may be shared with the engine's proof cache
 // and other callers, and Elide replaces rather than edits those.
 func Dispatch(eng *core.Engine, req Request) Response {
 	resp := dispatch(eng, req)
 	if resp.Proof != nil {
-		*resp.Proof = resp.Proof.Elide(req.Have)
+		*resp.Proof = resp.Proof.Elide(eng.Ledger().Held(req.Have))
 	}
 	if resp.BatchProof != nil {
-		*resp.BatchProof = resp.BatchProof.Elide(req.Have)
+		*resp.BatchProof = resp.BatchProof.Elide(eng.Ledger().Held(req.Have))
 	}
 	return resp
 }
