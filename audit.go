@@ -29,9 +29,8 @@ var (
 	mAuditRTT       = obs.Default.Histogram("spitz_audit_rtt_ns")
 )
 
-// AuditMode configures deferred verification (Client.StartAudit,
-// ShardedClient.StartAudit, ReplicatedClient.StartAudit): verified reads
-// are accepted optimistically — the server does no proof work on the hot
+// AuditMode configures deferred verification (Client.StartAudit): verified
+// reads are accepted optimistically — the server does no proof work on the hot
 // path and the client does no verification — and a background auditor
 // batch-verifies the accumulated receipts, one aggregated multi-proof
 // round trip per digest. Tampering is therefore detected within the
@@ -65,48 +64,11 @@ func (m AuditMode) withDefaults() AuditMode {
 	return m
 }
 
-// auditHolder is the per-client AuditMode attachment point, embedded by
-// Client, ShardedClient and ReplicatedClient so the start-once guard,
-// the accessor and the close ordering live in exactly one place.
-type auditHolder struct {
-	audMu sync.Mutex
-	aud   *Auditor
-}
-
-// startAudit attaches an auditor (once) whose flushes resolve links
-// through the owner-provided function.
-func (h *auditHolder) startAudit(mode AuditMode, link func(shard int) shardLink) (*Auditor, error) {
-	h.audMu.Lock()
-	defer h.audMu.Unlock()
-	if h.aud != nil {
-		return nil, errors.New("spitz: audit already started")
-	}
-	h.aud = newAuditor(mode, link)
-	return h.aud, nil
-}
-
-// auditor returns the active auditor, or nil in eager mode.
-func (h *auditHolder) auditor() *Auditor {
-	h.audMu.Lock()
-	defer h.audMu.Unlock()
-	return h.aud
-}
-
-// closeAudit closes the auditor if one is attached and returns its
-// final-flush error. Owners call it first in Close, before tearing down
-// connections, and surface the error only when nothing else failed.
-func (h *auditHolder) closeAudit() error {
-	if a := h.auditor(); a != nil {
-		return a.Close()
-	}
-	return nil
-}
-
 // auditReceipt is one optimistically accepted read awaiting its batch
 // proof: what was asked, what the server answered (as a hash), and the
 // digest the answer claimed to be read at.
 type auditReceipt struct {
-	shard  int // client-side shard index (0 for unsharded clients)
+	shard  int // client-side shard index
 	digest Digest
 	query  ledger.BatchQuery
 	found  bool
@@ -130,7 +92,7 @@ type AuditStats struct {
 // a server already caught lying.
 type Auditor struct {
 	mode AuditMode
-	link func(shard int) shardLink
+	cl   *Client // flushes audit each shard against its primary
 
 	errs chan error
 
@@ -148,10 +110,10 @@ type Auditor struct {
 	flushMu sync.Mutex // serializes background, Flush and Close flushes
 }
 
-func newAuditor(mode AuditMode, link func(shard int) shardLink) *Auditor {
+func newAuditor(mode AuditMode, cl *Client) *Auditor {
 	a := &Auditor{
 		mode: mode.withDefaults(),
-		link: link,
+		cl:   cl,
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -329,9 +291,7 @@ func (a *Auditor) flush() error {
 	for _, k := range order {
 		rs := groups[k]
 		rttStart := time.Now()
-		l := a.link(k.shard)
-		l.tr = tr
-		err := l.auditBatch(k.digest, rs)
+		err := a.cl.primaryLink(k.shard, tr).auditBatch(k.digest, rs)
 		mAuditRTT.ObserveSince(rttStart)
 		mAuditBatchSize.Observe(uint64(len(rs)))
 		if err == nil {
@@ -385,7 +345,7 @@ func auditCellsHash(cells []Cell) hashutil.Digest {
 
 // getOptimistic is AuditMode's point read: an attested (proof-free) read
 // whose digest-bound receipt is enqueued for batch audit.
-func (l shardLink) getOptimistic(a *Auditor, shard int, table, column string, pk []byte) ([]byte, bool, error) {
+func (l shardLink) getOptimistic(a *Auditor, table, column string, pk []byte) ([]byte, bool, error) {
 	if err := a.poisoned(); err != nil {
 		return nil, false, err
 	}
@@ -419,7 +379,7 @@ func (l shardLink) getOptimistic(a *Auditor, shard int, table, column string, pk
 	}
 	l.v.NoteDeferred(1)
 	if !a.add(auditReceipt{
-		shard:  shard,
+		shard:  l.index,
 		digest: resp.Digest,
 		query:  ledger.BatchQuery{Table: table, Column: column, PK: pk},
 		found:  resp.Found,
@@ -444,7 +404,7 @@ func (l shardLink) checkEmptyClaim() error {
 
 // rangeOptimistic is AuditMode's range scan: the attested result set is
 // returned immediately and its receipt audited in batch.
-func (l shardLink) rangeOptimistic(a *Auditor, shard int, table, column string, pkLo, pkHi []byte) ([]Cell, error) {
+func (l shardLink) rangeOptimistic(a *Auditor, table, column string, pkLo, pkHi []byte) ([]Cell, error) {
 	if err := a.poisoned(); err != nil {
 		return nil, err
 	}
@@ -471,7 +431,7 @@ func (l shardLink) rangeOptimistic(a *Auditor, shard int, table, column string, 
 	}
 	l.v.NoteDeferred(1)
 	if !a.add(auditReceipt{
-		shard:  shard,
+		shard:  l.index,
 		digest: resp.Digest,
 		query:  ledger.BatchQuery{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true},
 		found:  len(resp.Cells) > 0,

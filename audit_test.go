@@ -152,114 +152,6 @@ func TestAuditHorizonAutoFlush(t *testing.T) {
 	}
 }
 
-// TestAuditShardedClient runs AuditMode against a served cluster: point
-// reads route to owning shards, range scans fan out, and receipts are
-// audited per shard against that shard's own digest.
-func TestAuditShardedClient(t *testing.T) {
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	var puts []spitz.Put
-	for i := 0; i < 64; i++ {
-		puts = append(puts, spitz.Put{Table: "t", Column: "c",
-			PK: []byte(fmt.Sprintf("pk%03d", i)), Value: []byte(fmt.Sprintf("v%03d", i))})
-	}
-	if _, err := db.Apply("seed", puts); err != nil {
-		t.Fatal(err)
-	}
-	ln, dial := serveCluster(t, db)
-	defer ln.Close()
-	sc, err := spitz.NewShardedClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-
-	aud, err := sc.StartAudit(spitz.AuditMode{MaxPending: 1024, MaxDelay: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		pk := []byte(fmt.Sprintf("pk%03d", i))
-		v, found, err := sc.GetVerified("t", "c", pk)
-		if err != nil || !found || string(v) != fmt.Sprintf("v%03d", i) {
-			t.Fatalf("read %d: %q %v %v", i, v, found, err)
-		}
-	}
-	cells, err := sc.RangePKVerified("t", "c", []byte("pk010"), []byte("pk020"))
-	if err != nil || len(cells) != 10 {
-		t.Fatalf("range: %d cells, %v", len(cells), err)
-	}
-	if err := aud.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	st := aud.Stats()
-	// 64 point receipts + 4 per-shard range receipts, across ≥4 digests.
-	if st.Receipts != 68 || st.Audited != 68 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestAuditReplicatedClient runs AuditMode over replica-served reads:
-// data comes from the follower, audits anchor at the primary, and every
-// receipt verifies.
-func TestAuditReplicatedClient(t *testing.T) {
-	dir := t.TempDir()
-	db, err := spitz.OpenDir(dir, spitz.Options{Sync: spitz.SyncNever, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	auditSeed(t, db, 30)
-	ln, _ := wire.Listen()
-	defer ln.Close()
-	go db.Serve(ln)
-	dialPrimary := func() (*wire.Client, error) { return wire.Connect(ln) }
-
-	rep, err := spitz.NewReplica(dialPrimary, spitz.ReplicaOptions{ReconnectDelay: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	if err := rep.WaitForHeight(0, db.Height(), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	rln, _ := wire.Listen()
-	defer rln.Close()
-	go rep.Serve(rln)
-
-	rc, err := spitz.NewReplicatedClient(dialPrimary,
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	aud, err := rc.StartAudit(spitz.AuditMode{MaxPending: 1024, MaxDelay: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		pk := []byte(fmt.Sprintf("pk%04d", i))
-		v, found, err := rc.GetVerified("t", "c", pk)
-		if err != nil || !found || string(v) != fmt.Sprintf("v%04d", i) {
-			t.Fatalf("read %d: %q %v %v", i, v, found, err)
-		}
-	}
-	cells, err := rc.RangePKVerified("t", "c", []byte("pk0005"), []byte("pk0015"))
-	if err != nil || len(cells) != 10 {
-		t.Fatalf("range: %d cells, %v", len(cells), err)
-	}
-	if err := aud.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if st := aud.Stats(); st.Audited != st.Receipts || st.Receipts != 21 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 // TestAuditCloseFlushesOrFails pins Close semantics: with the server
 // alive, Close performs the final flush; with the server gone, the
 // unverified receipts surface as an error — never a silent pass.

@@ -227,9 +227,10 @@ func (db *ClusterDB) ClusterStats() ClusterStats { return db.c.Stats() }
 func (db *ClusterDB) Engine(i int) *core.Engine { return db.c.Engine(i) }
 
 // Serve exposes the whole cluster over one listener using the Spitz wire
-// protocol; it blocks until the listener closes. Connect with
-// DialSharded (shard-aware, verified reads) or a plain Dial client
-// (unverified operations, server-side routing). Durable clusters also
+// protocol; it blocks until the listener closes. Connect with Dial: the
+// client learns the shard map and verifies per shard (a connection that
+// names no shard still gets unverified operations, routed server-side).
+// Durable clusters also
 // serve per-shard replication streams, so each shard can have followers
 // (DialReplica mirrors the whole cluster, shard by shard).
 func (db *ClusterDB) Serve(ln net.Listener) error {

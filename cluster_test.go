@@ -10,14 +10,31 @@ import (
 	"spitz/internal/wire"
 )
 
+type dialFunc = func() (*wire.Client, error)
+
+func dialer(ln net.Listener) dialFunc {
+	return func() (*wire.Client, error) { return wire.Connect(ln) }
+}
+
 // serveCluster serves db behind one listener and returns a dial function
-// for shard-aware clients.
-func serveCluster(t *testing.T, db *spitz.ClusterDB) (net.Listener, func() (*wire.Client, error)) {
+// for it.
+func serveCluster(t *testing.T, db *spitz.ClusterDB) (net.Listener, dialFunc) {
 	t.Helper()
 	ln, transport := wire.Listen()
 	t.Logf("transport: %s", transport)
 	go db.Serve(ln)
-	return ln, func() (*wire.Client, error) { return wire.Connect(ln) }
+	return ln, dialer(ln)
+}
+
+// connect builds the client for a topology; it is closed with the test.
+func connect(t testing.TB, primary dialFunc, replicas ...dialFunc) *spitz.Client {
+	t.Helper()
+	cl, err := spitz.Connect(spitz.Topology{Primary: primary, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func TestOpenClusterBasics(t *testing.T) {
@@ -81,7 +98,7 @@ func TestOpenClusterBasics(t *testing.T) {
 	}
 }
 
-func TestShardedClientVerifiedReads(t *testing.T) {
+func TestClusterVerifiedReads(t *testing.T) {
 	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 3, MaintainInverted: true})
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +106,7 @@ func TestShardedClientVerifiedReads(t *testing.T) {
 	defer db.Close()
 	_, dial := serveCluster(t, db)
 
-	sc, err := spitz.NewShardedClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := connect(t, dial)
 	if sc.Shards() != 3 {
 		t.Fatalf("client sees %d shards", sc.Shards())
 	}
@@ -163,7 +176,7 @@ func TestShardedClientVerifiedReads(t *testing.T) {
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("history: %d, %v", len(hist), err)
 	}
-	if err := sc.SyncDigests(); err != nil {
+	if err := sc.SyncDigest(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +196,7 @@ func TestShardedClientVerifiedReads(t *testing.T) {
 // TestOpenClusterCrashRecovery is the acceptance test for the sharded
 // durable deployment: a 4-shard durable cluster served over one listener
 // is killed without shutdown; on reopen every shard's replayed digest
-// must equal its pre-crash ClusterDigest entry, and a ShardedClient
+// must equal its pre-crash ClusterDigest entry, and a client's
 // verified read must check its proof against the correct shard digest.
 func TestOpenClusterCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -193,10 +206,7 @@ func TestOpenClusterCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln, dial := serveCluster(t, db)
-	sc, err := spitz.NewShardedClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := connect(t, dial)
 
 	// Write through the served listener so the whole path is exercised.
 	const n = 40
@@ -244,11 +254,7 @@ func TestOpenClusterCrashRecovery(t *testing.T) {
 	// Serve the recovered cluster and read back verified, over the wire.
 	ln2, dial2 := serveCluster(t, db2)
 	defer ln2.Close()
-	sc2, err := spitz.NewShardedClient(dial2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc2.Close()
+	sc2 := connect(t, dial2)
 	for i := 0; i < n; i++ {
 		pk := []byte(fmt.Sprintf("pk%04d", i))
 		v, found, err := sc2.GetVerified("t", "c", pk)
@@ -336,54 +342,18 @@ func TestLayoutGuards(t *testing.T) {
 	}
 }
 
-func TestShardedClientAgainstSingleEngineServer(t *testing.T) {
-	// A shard-aware client degrades gracefully against an unsharded
-	// server: one-shard map, everything routes to it, proofs verify.
-	db := spitz.Open(spitz.Options{})
-	defer db.Close()
-	ln, _ := wire.Listen()
-	go db.Serve(ln)
-	defer ln.Close()
-
-	sc, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(ln) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if sc.Shards() != 1 {
-		t.Fatalf("shards = %d", sc.Shards())
-	}
-	if _, err := sc.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: []byte("k"), Value: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-	v, found, err := sc.GetVerified("t", "c", []byte("k"))
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("verified read: %q %v %v", v, found, err)
-	}
-	if _, found, err := sc.GetVerified("t", "c", []byte("absent")); err != nil || found {
-		t.Fatalf("verified absence: found=%v %v", found, err)
-	}
-	if _, err := spitz.DialSharded("tcp", "256.0.0.1:1"); err == nil {
-		t.Fatal("dial to nowhere succeeded")
-	}
-}
-
-// TestShardedClientConcurrentVerifiedReads: verified reads racing
+// TestClusterConcurrentVerifiedReads: verified reads racing
 // concurrent commits must never report tampering on an honest server —
 // digest refreshes serialize per shard and stale-proof responses are
 // refetched, not misreported.
-func TestShardedClientConcurrentVerifiedReads(t *testing.T) {
+func TestClusterConcurrentVerifiedReads(t *testing.T) {
 	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	_, dial := serveCluster(t, db)
-	sc, err := spitz.NewShardedClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := connect(t, dial)
 
 	const keys = 8
 	for i := 0; i < keys; i++ {

@@ -16,7 +16,7 @@
 // concurrent committers, against the 1-shard baseline.
 //
 // The replica experiment measures log-shipping read scale-out: verified
-// point-read throughput through spitz.DialReplicated-style clients
+// point-read throughput through 1 × R spitz.Connect clients
 // against a served primary with 0 (baseline), 1 and 2 attached read
 // replicas. replica-smoke runs the availability workload (primary + two
 // followers under write load, one follower killed and replaced, verified

@@ -26,8 +26,10 @@
 //	spitz-cli -addr HOST:PORT snapshot FILE   (save a checkpoint)
 //	spitz-cli -addr HOST:PORT restore  FILE   (load a checkpoint)
 //
-// digest works against single-engine servers, sharded clusters and
-// replicas alike: it prints (and saves) one digest per shard. check
+// Every subcommand works against single-engine servers, sharded clusters
+// and replicas alike: one client, dialled once, learns the shard map and
+// verifies each shard's proofs against that shard's digest. digest
+// prints (and saves) one digest per shard. check
 // fetches a consistency proof per shard and verifies the saved digest is
 // a prefix of the server's current ledger — the operator-facing form of
 // the proof a replicated client runs before trusting a replica.
@@ -68,13 +70,6 @@ func main() {
 	case "slow":
 		slowCmd(args[1:])
 		return
-	// query dials shard-aware, so it is handled before the plain client
-	// below: SELECTs verify per-shard proofs against single servers and
-	// clusters alike.
-	case "query":
-		need(args, 2)
-		queryCmd(*addr, strings.Join(args[1:], " "))
-		return
 	}
 
 	cl, err := spitz.Dial("tcp", *addr)
@@ -103,7 +98,8 @@ func main() {
 			fmt.Println("(verified: absent)")
 			return
 		}
-		fmt.Printf("%s\t(verified against digest height %d)\n", v, cl.Verifier().Digest().Height)
+		fmt.Printf("%s\t(verified against digest height %d)\n", v,
+			cl.ShardVerifier(cl.ShardFor([]byte(args[3]))).Digest().Height)
 	case "range":
 		need(args, 5)
 		cells, err := cl.RangePKVerified(args[1], args[2], []byte(args[3]), []byte(args[4]))
@@ -123,9 +119,11 @@ func main() {
 				fmt.Printf("v%d\t%s\n", c.Version, c.Value)
 			}
 		}
+	case "query":
+		need(args, 2)
+		queryCmd(cl, strings.Join(args[1:], " "))
 	case "digest":
-		cl.Close()
-		digestCmd(*addr, args[1:])
+		digestCmd(cl, args[1:])
 	case "stats":
 		st, err := cl.Stats()
 		check(err)
@@ -152,17 +150,12 @@ func main() {
 	}
 }
 
-// queryCmd executes one statement over a shard-aware client. SELECT
-// results are verified before printing: the client re-derives the proof
-// obligations from the statement and checks each shard's batch proof
-// against that shard's trusted digest. Mutations report rows affected
-// and the commit position; HISTORY prints version rows (unverified).
-func queryCmd(addr, statement string) {
-	sc, err := spitz.DialSharded("tcp", addr)
-	if err != nil {
-		log.Fatalf("spitz-cli: %v", err)
-	}
-	defer sc.Close()
+// queryCmd executes one statement. SELECT results are verified before
+// printing: the client re-derives the proof obligations from the
+// statement and checks each shard's batch proof against that shard's
+// trusted digest. Mutations report rows affected and the commit
+// position; HISTORY prints version rows (unverified).
+func queryCmd(sc *spitz.Client, statement string) {
 	res, err := sc.Query(statement)
 	check(err)
 	switch {
@@ -193,14 +186,8 @@ func queryCmd(addr, statement string) {
 	}
 }
 
-// digestCmd implements the digest subcommands over a shard-aware client,
-// so one code path covers single-engine servers, clusters and replicas.
-func digestCmd(addr string, args []string) {
-	sc, err := spitz.DialSharded("tcp", addr)
-	if err != nil {
-		log.Fatalf("spitz-cli: %v", err)
-	}
-	defer sc.Close()
+// digestCmd implements the digest subcommands, one digest per shard.
+func digestCmd(sc *spitz.Client, args []string) {
 	current := func() []spitz.Digest {
 		ds := make([]spitz.Digest, sc.Shards())
 		for i := range ds {
@@ -280,7 +267,7 @@ func readDigestFile(path string) ([]spitz.Digest, error) {
 	return out, sc.Err()
 }
 
-func printDigests(sc *spitz.ShardedClient, ds []spitz.Digest) {
+func printDigests(sc *spitz.Client, ds []spitz.Digest) {
 	for i, d := range ds {
 		if len(ds) == 1 {
 			fmt.Printf("height=%d root=%s\n", d.Height, d.Root)

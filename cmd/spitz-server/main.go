@@ -39,7 +39,7 @@
 // -shards N > 1 serves a sharded cluster behind this one listener: the
 // key space partitions across N full engines (each durable under
 // DIR/shard-NNN with -data-dir), cross-shard writes commit with 2PC, and
-// shard-aware clients (spitz.DialSharded) route point operations to
+// clients (spitz.Dial reads the shard map) route point operations to
 // owning shards and verify proofs against per-shard digests. Reopening
 // an existing sharded data directory adopts its recorded shard count;
 // pass a conflicting -shards and the server refuses rather than
@@ -58,10 +58,10 @@
 // primary is detected at apply time — and serves verified reads, scans,
 // history and consistency proofs against its own digest. Replicas are
 // strictly read-only and reconnect automatically; the primary must run
-// with -data-dir (replication ships the log). Clients bound to the
-// primary's digest connect with spitz.DialReplicated.
+// with -data-dir (replication ships the log).
 //
-// Connect with cmd/spitz-cli or the spitz.Dial client API.
+// Connect with cmd/spitz-cli or spitz.Dial(network, primary, replicas...):
+// reads go to the replicas, trust advances only against the primary.
 package main
 
 import (

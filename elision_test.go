@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -83,105 +84,130 @@ func warmClient(t *testing.T, fs *faultServer, pk []byte) *spitz.Client {
 	return cl
 }
 
-// sameResultsTopologies is the embedded DB and the three network clients
-// over the same rows: table t, a value column c (row 4242 deleted) and a
-// 97-valued numeric group column g, inverted index on everywhere.
+// sameResultsTopologies is the embedded DB and one client per topology
+// descriptor over the same rows: table t, a value column c (row 4242
+// deleted) and a 97-valued numeric group column g, inverted index on
+// everywhere.
 type sameResultsTopologies struct {
 	rows    int
 	deleted int
-	db      *spitz.DB
-	cdb     *spitz.ClusterDB
-	cl      *spitz.Client
-	rc      *spitz.ReplicatedClient
-	sc      *spitz.ShardedClient
-	// fresh returns new, cold network clients on the same servers (the
-	// AuditMode pass needs clients of its own).
-	fresh func() (*spitz.Client, *spitz.ReplicatedClient, *spitz.ShardedClient)
+	db      *spitz.DB // the single-engine primary (1 × 0, 1 × 2, embedded)
+	// apply commits to every primary.
+	apply func(stmt string, puts []spitz.Put)
+	// fresh returns new, cold clients, one per name in sameResultsNames
+	// (the AuditMode pass needs clients of its own).
+	fresh func() []*spitz.Client
 }
 
+// The descriptors the table runs over, shards × replicas.
+var sameResultsNames = []string{"1x0", "1x2", "4x0", "2x1"}
+
 func sameResultsGroup(i int) []byte { return []byte(fmt.Sprint(i % 97)) }
+
+// serveReplicaOf starts a replica of the deployment behind primary,
+// caught up to heights (one per shard), and serves it.
+func serveReplicaOf(t *testing.T, primary dialFunc, heights ...uint64) (*spitz.Replica, net.Listener) {
+	t.Helper()
+	rep, err := spitz.NewReplica(primary, spitz.ReplicaOptions{MaintainInverted: true, ReconnectDelay: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	for i, h := range heights {
+		if err := rep.WaitForHeight(i, h, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rln, _ := wire.Listen()
+	go rep.Serve(rln)
+	t.Cleanup(func() { rln.Close() })
+	return rep, rln
+}
+
+// openReplicatedCluster is a durable cluster and one replica set
+// mirroring every shard of it, each behind a listener: the N × 1 topology.
+func openReplicatedCluster(t *testing.T, shards int) (cdb *spitz.ClusterDB, rep *spitz.Replica, ln, rln net.Listener) {
+	t.Helper()
+	cdb, err := spitz.OpenCluster(t.TempDir(), spitz.ClusterOptions{Shards: shards, MaintainInverted: true,
+		Sync: spitz.SyncNever, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cdb.Close() })
+	ln, dial := serveCluster(t, cdb)
+	t.Cleanup(func() { ln.Close() })
+	rep, rln = serveReplicaOf(t, dial)
+	return cdb, rep, ln, rln
+}
+
+// waitClusterReplica waits until rep holds everything cdb has committed.
+func waitClusterReplica(t *testing.T, cdb *spitz.ClusterDB, rep *spitz.Replica) {
+	t.Helper()
+	for i, d := range cdb.ClusterDigest().Shards {
+		if err := rep.WaitForHeight(i, d.Height, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func openSameResultsTopologies(t *testing.T) *sameResultsTopologies {
 	t.Helper()
 	tp := &sameResultsTopologies{rows: 6000, deleted: 4242}
-	load := func(apply func(string, []spitz.Put) (spitz.BlockHeader, error)) {
-		for base := 0; base < tp.rows; base += 2000 {
-			puts := make([]spitz.Put, 0, 4000)
-			for i := base; i < base+2000; i++ {
-				puts = append(puts,
-					spitz.Put{Table: "t", Column: "c", PK: elisionPK(i), Value: elisionValue(i, 0)},
-					spitz.Put{Table: "t", Column: "g", PK: elisionPK(i), Value: sameResultsGroup(i)})
-			}
-			if _, err := apply("seed", puts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := apply("delete", []spitz.Put{
-			{Table: "t", Column: "c", PK: elisionPK(tp.deleted), Tombstone: true},
-			{Table: "t", Column: "g", PK: elisionPK(tp.deleted), Tombstone: true}}); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// A durable primary: replicas follow its log.
+	// A durable single-engine primary: replicas follow its log.
 	db, err := spitz.OpenDir(t.TempDir(), spitz.Options{MaintainInverted: true, Sync: spitz.SyncNever, CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
 	tp.db = db
-	load(db.Apply)
 	ln, _ := wire.Listen()
 	go db.Serve(ln)
 	t.Cleanup(func() { ln.Close() })
-	dialPrimary := func() (*wire.Client, error) { return wire.Connect(ln) }
-
-	rep, err := spitz.NewReplica(dialPrimary, spitz.ReplicaOptions{MaintainInverted: true, ReconnectDelay: 10 * time.Millisecond})
+	cdb4, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rep.Close() })
-	rln, _ := wire.Listen()
-	go rep.Serve(rln)
-	t.Cleanup(func() { rln.Close() })
-	if err := rep.WaitForHeight(0, db.Height(), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { cdb4.Close() })
+	_, dial4 := serveCluster(t, cdb4)
+	cdb2, rep, ln2, rln2 := openReplicatedCluster(t, 2)
 
-	cdb, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 3, MaintainInverted: true})
-	if err != nil {
-		t.Fatal(err)
+	tp.apply = func(stmt string, puts []spitz.Put) {
+		t.Helper()
+		_, err := db.Apply(stmt, puts)
+		for _, cdb := range []*spitz.ClusterDB{cdb4, cdb2} {
+			if err == nil {
+				_, err = cdb.Apply(stmt, puts)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Cleanup(func() { cdb.Close() })
-	tp.cdb = cdb
-	load(func(stmt string, puts []spitz.Put) (spitz.BlockHeader, error) {
-		_, err := cdb.Apply(stmt, puts)
-		return spitz.BlockHeader{}, err
-	})
-	_, dialCluster := serveCluster(t, cdb)
+	for base := 0; base < tp.rows; base += 2000 {
+		puts := make([]spitz.Put, 0, 4000)
+		for i := base; i < base+2000; i++ {
+			puts = append(puts,
+				spitz.Put{Table: "t", Column: "c", PK: elisionPK(i), Value: elisionValue(i, 0)},
+				spitz.Put{Table: "t", Column: "g", PK: elisionPK(i), Value: sameResultsGroup(i)})
+		}
+		tp.apply("seed", puts)
+	}
+	tp.apply("delete", []spitz.Put{
+		{Table: "t", Column: "c", PK: elisionPK(tp.deleted), Tombstone: true},
+		{Table: "t", Column: "g", PK: elisionPK(tp.deleted), Tombstone: true}})
 
-	tp.fresh = func() (*spitz.Client, *spitz.ReplicatedClient, *spitz.ShardedClient) {
-		wc, err := dialPrimary()
-		if err != nil {
-			t.Fatal(err)
+	_, r1 := serveReplicaOf(t, dialer(ln), db.Height())
+	_, r2 := serveReplicaOf(t, dialer(ln), db.Height())
+	waitClusterReplica(t, cdb2, rep)
+	tp.fresh = func() []*spitz.Client {
+		return []*spitz.Client{
+			connect(t, dialer(ln)),
+			connect(t, dialer(ln), dialer(r1), dialer(r2)),
+			connect(t, dial4),
+			connect(t, dialer(ln2), dialer(rln2)),
 		}
-		cl := spitz.NewClient(wc)
-		t.Cleanup(func() { cl.Close() })
-		rc, err := spitz.NewReplicatedClient(dialPrimary,
-			[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-			spitz.ReplicatedOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rc.Close() })
-		sc, err := spitz.NewShardedClient(dialCluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sc.Close() })
-		return cl, rc, sc
 	}
-	tp.cl, tp.rc, tp.sc = tp.fresh()
 	return tp
 }
 
@@ -193,15 +219,13 @@ type verifiedReader struct {
 	query   func(stmt string) (spitz.QueryResult, error)
 }
 
-func (tp *sameResultsTopologies) readers(cl *spitz.Client, rc *spitz.ReplicatedClient, sc *spitz.ShardedClient) []verifiedReader {
-	return []verifiedReader{
-		{"client", func(pk []byte) ([]byte, bool, error) { return cl.GetVerified("t", "c", pk) },
-			func(lo, hi []byte) ([]spitz.Cell, error) { return cl.RangePKVerified("t", "c", lo, hi) }, cl.Query},
-		{"replicated", func(pk []byte) ([]byte, bool, error) { return rc.GetVerified("t", "c", pk) },
-			func(lo, hi []byte) ([]spitz.Cell, error) { return rc.RangePKVerified("t", "c", lo, hi) }, rc.Query},
-		{"sharded", func(pk []byte) ([]byte, bool, error) { return sc.GetVerified("t", "c", pk) },
-			func(lo, hi []byte) ([]spitz.Cell, error) { return sc.RangePKVerified("t", "c", lo, hi) }, sc.Query},
+func sameResultsReaders(clients []*spitz.Client) (out []verifiedReader) {
+	for i, cl := range clients {
+		out = append(out, verifiedReader{sameResultsNames[i],
+			func(pk []byte) ([]byte, bool, error) { return cl.GetVerified("t", "c", pk) },
+			func(lo, hi []byte) ([]spitz.Cell, error) { return cl.RangePKVerified("t", "c", lo, hi) }, cl.Query})
 	}
+	return out
 }
 
 // embedded reads the DB in process, verifying each proof against a fresh
@@ -235,8 +259,9 @@ func (tp *sameResultsTopologies) embedded() verifiedReader {
 		tp.db.Exec}
 }
 
-// TestGetVerifiedSameResultsEverywhere: the embedded DB and the three
-// network clients agree with a model of the rows on every verified read
+// TestGetVerifiedSameResultsEverywhere: the embedded DB and the client
+// over every topology descriptor — 1 × 0, 1 × 2, 4 × 0, 2 × 1 (shards ×
+// replicas) — agree with a model of the rows on every verified read
 // — point reads (hits, deleted rows, misses inside a leaf group, at group
 // edges, below the tree's smallest key and above its largest), pk ranges
 // (starting and ending at every alignment to group and leaf edges, below
@@ -249,7 +274,8 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	tp := openSameResultsTopologies(t)
 	rows := tp.rows
 	deleted := elisionPK(tp.deleted)
-	eager := append([]verifiedReader{tp.embedded()}, tp.readers(tp.cl, tp.rc, tp.sc)...)
+	clients := tp.fresh()
+	eager := append([]verifiedReader{tp.embedded()}, sameResultsReaders(clients)...)
 
 	// churn commits a new version of some row with the value it already
 	// has, mostly among the rows the table reads: every answer stays what
@@ -265,14 +291,8 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 		if i == tp.deleted {
 			i++
 		}
-		puts := []spitz.Put{{Table: "t", Column: "c", PK: elisionPK(i), Value: elisionValue(i, 0)},
-			{Table: "t", Column: "g", PK: elisionPK(i), Value: sameResultsGroup(i)}}
-		if _, err := tp.db.Apply("churn", puts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tp.cdb.Apply("churn", puts); err != nil {
-			t.Fatal(err)
-		}
+		tp.apply("churn", []spitz.Put{{Table: "t", Column: "c", PK: elisionPK(i), Value: elisionValue(i, 0)},
+			{Table: "t", Column: "g", PK: elisionPK(i), Value: sameResultsGroup(i)}})
 	}
 
 	keys := []struct {
@@ -434,24 +454,24 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 	}
 	// The network clients did get elided proofs on the warm passes, and
 	// patched ones where a commit had moved a node they held.
-	for name, v := range map[string]*spitz.Verifier{"client": tp.cl.Verifier(), "replicated": tp.rc.Verifier()} {
-		if st := v.ProofStats(); st.NodesElided == 0 || st.NodesPatched == 0 || st.CacheEntries == 0 {
-			t.Fatalf("%s verifier never saw an elided and a patched proof: %+v", name, st)
+	for i, cl := range clients[:2] {
+		if st := cl.Verifier().ProofStats(); st.NodesElided == 0 || st.NodesPatched == 0 || st.CacheEntries == 0 {
+			t.Fatalf("%s verifier never saw an elided and a patched proof: %+v", sameResultsNames[i], st)
 		}
 	}
 
 	// The same table in AuditMode, on clients of their own: every read is
 	// answered at once and proven at the flush, cold and then warm.
-	cl, rc, sc := tp.fresh()
+	clients = tp.fresh()
 	var auditors []*spitz.Auditor
-	for _, start := range []func(spitz.AuditMode) (*spitz.Auditor, error){cl.StartAudit, rc.StartAudit, sc.StartAudit} {
-		aud, err := start(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
+	for _, cl := range clients {
+		aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
 		auditors = append(auditors, aud)
 	}
-	for i, r := range tp.readers(cl, rc, sc) {
+	for i, r := range sameResultsReaders(clients) {
 		for pass := 0; pass < 2; pass++ {
 			for j, k := range keys {
 				if j%8 == 0 {
@@ -466,7 +486,13 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 				if j%32 == 0 {
 					churn()
 				}
+				before := auditors[i].Stats().Receipts
 				checkRange(r, pass, sp)
+				// A range read leaves one receipt per shard, each audited
+				// against that shard's own digest.
+				if got := auditors[i].Stats().Receipts - before; got != uint64(clients[i].Shards()) {
+					t.Fatalf("audit %s range [%d,%d): %d receipts over %d shards", r.name, sp.lo, sp.hi, got, clients[i].Shards())
+				}
 			}
 			for _, tc := range sql {
 				checkSQL(r, pass, tc)
@@ -479,9 +505,9 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 			t.Fatalf("audit %s: audited %d of %d receipts", r.name, st.Audited, st.Receipts)
 		}
 	}
-	for name, v := range map[string]*spitz.Verifier{"client": cl.Verifier(), "replicated": rc.Verifier()} {
-		if st := v.ProofStats(); st.NodesElided == 0 || st.ProofBytes == 0 {
-			t.Fatalf("audit %s: the flushes are invisible to ProofStats: %+v", name, st)
+	for i, cl := range clients[:2] {
+		if st := cl.Verifier().ProofStats(); st.NodesElided == 0 || st.ProofBytes == 0 {
+			t.Fatalf("audit %s: the flushes are invisible to ProofStats: %+v", sameResultsNames[i], st)
 		}
 	}
 }
@@ -1366,11 +1392,7 @@ func TestClientHintsAsOfAnOlderReplicaDigest(t *testing.T) {
 	}
 	caughtUp(reps[0])
 	caughtUp(reps[1])
-	rc, err := spitz.NewReplicatedClient(dialPrimary, dials, spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := connect(t, dialPrimary, dials...)
 
 	const lo, hi = 12330, 12371
 	// readAll makes one read of each shape and returns the generation of
@@ -1560,7 +1582,7 @@ func TestWarmClientOnPointReadShape(t *testing.T) {
 // data shape (50k rows, a numeric `bal` and a 1000-valued `grp` column,
 // inverted index on) behind a primary and a replica, and measures — from
 // the client's own ProofStats, no clock involved — what one warm
-// ReplicatedClient in AuditMode receives per flush when writes land
+// 1 × 1 client in AuditMode receives per flush when writes land
 // between flushes: the audit of one index-lookup SELECT (100 keys), of 22
 // plain gets, and of one 50-row range read. Ceilings are the measured
 // figures plus 15 %; the same flushes cost 509 KB, 129 KB and 12.5 KB
@@ -1600,13 +1622,7 @@ func TestWarmClientOnReplicaQueryShape(t *testing.T) {
 	rln, _ := wire.Listen()
 	go rep.Serve(rln)
 	defer rln.Close()
-	rc, err := spitz.NewReplicatedClient(dialPrimary,
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := connect(t, dialPrimary, dialer(rln))
 	aud, err := rc.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func main() {
 	addr := ln.Addr().String()
 	fmt.Printf("hospital group serving %d-shard cluster on %s\n", db.Shards(), addr)
 
-	sc, err := spitz.DialSharded("tcp", addr)
+	sc, err := spitz.Dial("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,7 +78,8 @@ func AdminSmoke(dir string) error {
 	base := "http://" + aln.Addr().String()
 
 	// Write load across all shards.
-	sc, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(ln) })
+	dial := func() (*wire.Client, error) { return wire.Connect(ln) }
+	sc, err := spitz.Connect(spitz.Topology{Primary: dial})
 	if err != nil {
 		return err
 	}
@@ -104,7 +105,7 @@ func AdminSmoke(dir string) error {
 	}
 
 	// AuditMode reads: optimistic accept, one batch-proof RTT per digest.
-	ac, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(ln) })
+	ac, err := spitz.Connect(spitz.Topology{Primary: dial})
 	if err != nil {
 		return err
 	}
@@ -144,8 +145,7 @@ func AdminSmoke(dir string) error {
 
 	// A replica mirroring every shard, served over its own listener so
 	// clients can read from it.
-	rep, err := spitz.NewReplica(func() (*wire.Client, error) { return wire.Connect(ln) },
-		spitz.ReplicaOptions{ReconnectDelay: 10 * time.Millisecond})
+	rep, err := spitz.NewReplica(dial, spitz.ReplicaOptions{ReconnectDelay: 10 * time.Millisecond})
 	if err != nil {
 		return err
 	}
@@ -166,19 +166,17 @@ func AdminSmoke(dir string) error {
 	defer rln.Close()
 	go rep.Serve(rln)
 
-	// The cross-node trace: a sharded client reads from the replica with
-	// trust anchored at the primary. The first read pins per-shard trust
-	// at the primary's digest; the writes after it force the next read
-	// to prove the served digest a prefix of the pinned one — the
-	// primary-side prefix-proof leg the stitched assertion wants.
-	rsc, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(rln) })
+	// The cross-node trace: an N × 1 client reads from the replica while
+	// trust advances only against the primary. Connecting pins per-shard
+	// trust at the primary's digest; the writes after the first read force
+	// the next one to prove the served digest a prefix of the pinned one —
+	// the primary-side prefix-proof leg the stitched assertion wants.
+	rsc, err := spitz.Connect(spitz.Topology{Primary: dial,
+		Replicas: []func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }}})
 	if err != nil {
 		return fmt.Errorf("replica-read client: %w", err)
 	}
 	defer rsc.Close()
-	if err := rsc.AnchorTrust(func() (*wire.Client, error) { return wire.Connect(ln) }, 0); err != nil {
-		return err
-	}
 	if _, err := rsc.RangePKVerified("t", "c", benchKey(0), benchKey(keys-1)); err != nil {
 		return fmt.Errorf("anchored pin read: %w", err)
 	}
@@ -191,8 +189,9 @@ func AdminSmoke(dir string) error {
 	if err := waitReplica(); err != nil {
 		return err
 	}
-	// One cross-shard write (2PC legs under the client's trace ID), then
-	// the anchored fan-out read — both fetched from /tracez before later
+	// One cross-shard write through the replicated client (2PC legs under
+	// the client's trace ID, whatever the topology), then the anchored
+	// fan-out read — both fetched from /tracez before later
 	// traffic can rotate them out of the ring.
 	var batch []spitz.Put
 	for i := 0; len(batch) < shards && i < 64*shards; i++ {
@@ -204,7 +203,7 @@ func AdminSmoke(dir string) error {
 	if len(batch) < 2 {
 		return fmt.Errorf("admin smoke: found no cross-shard batch")
 	}
-	if _, err := sc.Apply("admin-smoke-2pc", batch); err != nil {
+	if _, err := rsc.Apply("admin-smoke-2pc", batch); err != nil {
 		return fmt.Errorf("2pc write: %w", err)
 	}
 	if _, err := rsc.RangePKVerified("t", "c", benchKey(0), benchKey(keys-1)); err != nil {

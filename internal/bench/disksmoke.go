@@ -168,10 +168,9 @@ func diskSmokeReplica(dir string) error {
 	defer rln.Close()
 	go rep.Serve(rln)
 
-	rc, err := spitz.NewReplicatedClient(
-		func() (*wire.Client, error) { return wire.Connect(ln) },
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-		spitz.ReplicatedOptions{})
+	rc, err := spitz.Connect(spitz.Topology{
+		Primary:  func() (*wire.Client, error) { return wire.Connect(ln) },
+		Replicas: []func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }}})
 	if err != nil {
 		return err
 	}

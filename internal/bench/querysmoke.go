@@ -14,7 +14,7 @@ import (
 
 // QuerySmoke is the verified-query workload CI runs: a 4-shard
 // in-memory cluster served over the wire protocol, driven entirely
-// through ShardedClient.Query — INSERT/UPDATE/DELETE statements commit
+// through Client.Query — INSERT/UPDATE/DELETE statements commit
 // through the coordinator, then, under concurrent write churn that
 // keeps the shard digests advancing, range scans with boolean
 // predicates, COUNT/SUM aggregates and inverted-index lookups fan out
@@ -36,7 +36,7 @@ func QuerySmoke() error {
 	ln, _ := wire.Listen()
 	go db.Serve(ln)
 	defer ln.Close()
-	sc, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(ln) })
+	sc, err := spitz.Connect(spitz.Topology{Primary: func() (*wire.Client, error) { return wire.Connect(ln) }})
 	if err != nil {
 		return err
 	}

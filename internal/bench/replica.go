@@ -103,7 +103,7 @@ func benchKey(i int) []byte { return []byte(fmt.Sprintf("pk%06d", i)) }
 // Replica measures verified-read throughput against a primary with a
 // growing set of read replicas: `readers` concurrent clients issue
 // verified point reads over uniformly random keys through
-// spitz.NewReplicatedClient — so every read runs the full trust pipeline
+// spitz.Connect — so every read runs the full trust pipeline
 // (replica proof + primary prefix proof when the digests diverge) — for
 // 0 (primary-only baseline), 1 and 2 replicas. The scaling claim is that
 // follower read throughput grows beyond the single-node baseline because
@@ -151,13 +151,13 @@ func replicaRun(farm *replicaFarm, replicas, readers, ops, keys int) (float64, e
 	if per < 1 {
 		per = 1
 	}
-	clients := make([]*spitz.ReplicatedClient, readers)
+	clients := make([]*spitz.Client, readers)
 	for i := range clients {
 		// One client (and therefore one connection set) per reader keeps
 		// the measurement about server capacity, not client-side
 		// connection serialization; every connection is dialled here,
 		// before the timed loop below.
-		rc, err := spitz.NewReplicatedClient(farm.dialPrimary(), farm.dialReplicas(replicas), spitz.ReplicatedOptions{})
+		rc, err := spitz.Connect(spitz.Topology{Primary: farm.dialPrimary(), Replicas: farm.dialReplicas(replicas)})
 		if err != nil {
 			return 0, err
 		}
@@ -237,7 +237,7 @@ func ReplicaSmoke(baseDir string) error {
 		}
 	}()
 
-	readPhase := func(rc *spitz.ReplicatedClient, phase string, n int) error {
+	readPhase := func(rc *spitz.Client, phase string, n int) error {
 		for i := 0; i < n; i++ {
 			key := benchKey(i % 100)
 			if _, found, err := rc.GetVerified("t", "c", key); err != nil {
@@ -249,7 +249,7 @@ func ReplicaSmoke(baseDir string) error {
 		return nil
 	}
 
-	rc, err := spitz.NewReplicatedClient(farm.dialPrimary(), farm.dialReplicas(-1), spitz.ReplicatedOptions{})
+	rc, err := spitz.Connect(spitz.Topology{Primary: farm.dialPrimary(), Replicas: farm.dialReplicas(-1)})
 	if err != nil {
 		return err
 	}
@@ -283,7 +283,7 @@ func ReplicaSmoke(baseDir string) error {
 	go rep.Serve(rln)
 	farm.replicas[0] = rep
 	farm.rlns[0] = rln
-	rc2, err := spitz.NewReplicatedClient(farm.dialPrimary(), farm.dialReplicas(-1), spitz.ReplicatedOptions{})
+	rc2, err := spitz.Connect(spitz.Topology{Primary: farm.dialPrimary(), Replicas: farm.dialReplicas(-1)})
 	if err != nil {
 		return err
 	}

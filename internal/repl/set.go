@@ -13,9 +13,9 @@ import (
 
 // Set mirrors every shard of a primary deployment: one Replica per wire
 // shard, served behind one listener with the same routing surface as the
-// primary cluster — shard-aware clients (spitz.DialSharded) work against
-// a replica set exactly as against the primary, reads only. A one-shard
-// Set serves a single-engine primary's replica.
+// primary cluster — a client (spitz.Dial) works against a replica set
+// exactly as against the primary, reads only. A one-shard Set serves a
+// single-engine primary's replica.
 type Set struct {
 	replicas []*Replica
 }
@@ -164,7 +164,7 @@ func (s *Set) Handle(req wire.Request) wire.Response {
 		return wire.Response{Err: "wire: verified range scans across a cluster must target one shard at a time (set Shard)"}
 	case wire.OpDigest, wire.OpConsistency, wire.OpProveBatch:
 		return wire.Response{Err: "wire: digests and audit proofs are per-shard in a replica set; set Shard, use " +
-			string(wire.OpClusterDigest) + ", or connect with a sharded client (DialSharded)"}
+			string(wire.OpClusterDigest) + ", or connect with spitz.Dial, which addresses each shard"}
 	case wire.OpSnapshot:
 		return wire.Response{Err: "wire: snapshots are per-shard in a replica set; set Shard"}
 	default:

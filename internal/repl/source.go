@@ -21,7 +21,7 @@
 // accepts a replica-served proof only after proving — against the
 // primary's digest, with the ordinary consistency-proof machinery — that
 // the replica's digest is a prefix of the primary's history (see
-// spitz.DialReplicated). Replication therefore adds read capacity
+// spitz.Client). Replication therefore adds read capacity
 // without adding any trusted machines.
 package repl
 

@@ -729,7 +729,7 @@ func (c *Cluster) Handle(req wire.Request) wire.Response {
 		return wire.Response{Err: "wire: verified range scans across a cluster must target one shard at a time (set Shard)"}
 	case wire.OpDigest, wire.OpConsistency, wire.OpProveBatch:
 		return wire.Response{Err: "wire: digests and audit proofs are per-shard in a cluster; set Shard, use " +
-			string(wire.OpClusterDigest) + ", or connect with a sharded client (DialSharded) for ongoing verified reads"}
+			string(wire.OpClusterDigest) + ", or connect with spitz.Dial, which addresses each shard, for ongoing verified reads"}
 	case wire.OpSnapshot:
 		return wire.Response{Err: "wire: snapshots are per-shard in a cluster; set Shard"}
 	default:

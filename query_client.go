@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
@@ -12,10 +11,10 @@ import (
 	"spitz/internal/wire"
 )
 
-// Query parses and executes one statement against the server.
+// Query parses and executes one statement against the deployment.
 //
-// SELECT runs verified: the server executes the statement against a
-// single ledger snapshot and returns the scan cells together with one
+// SELECT runs verified: the serving shard executes the statement against
+// a single ledger snapshot and returns the scan cells together with one
 // aggregated batch proof. The client re-derives the plan's canonical
 // proof obligations from the statement it sent — one range proof per
 // covered column for pk-interval scans (the row set is proven COMPLETE),
@@ -26,9 +25,17 @@ import (
 // AuditMode the result is accepted optimistically and the obligations
 // are audited in batch (see AuditMode).
 //
-// INSERT, UPDATE and DELETE execute on the server and report
-// RowsAffected plus the committed block height; HISTORY returns version
-// rows (unverified, like Client.History).
+// Routing follows the read router: a point SELECT and HISTORY go to the
+// owning shard (its replicas first); range, lookup and aggregate SELECTs
+// scatter across every shard — each shard's slice of the result is
+// proven against that shard's own trusted digest — and merge: rows
+// interleave in pk order, COUNT and SUM partials add up (the shards
+// partition the key space, so per-shard aggregates are disjoint).
+//
+// INSERT, UPDATE and DELETE execute on the primary (a sharded server
+// routes them by what they do and commits cross-shard batches with
+// two-phase commit) and report RowsAffected plus the commit position;
+// HISTORY returns version rows (unverified, like Client.History).
 func (cl *Client) Query(statement string) (QueryResult, error) {
 	stmt, err := query.Parse(statement)
 	if err != nil {
@@ -40,134 +47,27 @@ func (cl *Client) Query(statement string) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		if a := cl.auditor(); a != nil {
-			return cl.link().queryOptimistic(a, 0, statement, pl)
-		}
-		return cl.link().queryVerified(statement, pl)
-	case query.History:
-		return cl.link().queryHistory(statement, s)
-	default:
-		return cl.link().queryMutate(statement)
-	}
-}
-
-// Query executes one statement against the cluster. Mutations route
-// through the coordinator (cross-shard batches commit with two-phase
-// commit); point SELECTs and HISTORY go to the owning shard; range,
-// lookup and aggregate SELECTs fan out across every shard — each
-// shard's slice of the result is proven against that shard's own
-// trusted digest — and merge: rows interleave in pk order, COUNT and
-// SUM partials add up (the shards partition the key space, so per-shard
-// aggregates are disjoint). See Client.Query for the verification
-// model.
-func (sc *ShardedClient) Query(statement string) (QueryResult, error) {
-	stmt, err := query.Parse(statement)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	switch s := stmt.(type) {
-	case query.Select:
-		pl, err := query.PlanOf(s)
-		if err != nil {
-			return QueryResult{}, err
+		aud := cl.auditor()
+		sel := func(l shardLink) (QueryResult, error) {
+			if aud != nil {
+				return l.queryOptimistic(aud, statement, pl)
+			}
+			return l.queryVerified(statement, pl)
 		}
 		if pl.Kind == query.PlanPoint {
-			si := sc.ShardFor([]byte(s.PK))
-			if a := sc.auditor(); a != nil {
-				return sc.link(si).queryOptimistic(a, si, statement, pl)
-			}
-			return sc.link(si).queryVerified(statement, pl)
+			return read(cl, cl.ShardFor([]byte(s.PK)), nil, sel)
 		}
-		return sc.queryFanOut(statement, pl)
+		parts, err := scatter(cl, "client.query-verified", func(i int, tr *obs.Trace) (QueryResult, error) {
+			return read(cl, i, tr, sel)
+		})
+		return mergeQueryResults(pl, parts, err)
 	case query.History:
-		return sc.linkFor([]byte(s.PK)).queryHistory(statement, s)
+		return read(cl, cl.ShardFor([]byte(s.PK)), nil, func(l shardLink) (QueryResult, error) {
+			return l.queryHistory(statement, s)
+		})
 	default:
-		// Any connection reaches the coordinator, which routes the
-		// mutation by what it does, not by a client-chosen shard.
-		return sc.link(0).queryMutate(statement)
+		return cl.primaryLink(0, nil).queryMutate(statement)
 	}
-}
-
-// Query executes one statement with the replicated client's routing:
-// SELECT and HISTORY are served by a replica (with primary-anchored
-// trust, failing over like GetVerified); mutations go to the primary.
-func (rc *ReplicatedClient) Query(statement string) (QueryResult, error) {
-	stmt, err := query.Parse(statement)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	switch s := stmt.(type) {
-	case query.Select:
-		pl, err := query.PlanOf(s)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		aud := rc.auditor()
-		var out QueryResult
-		err = rc.doRead(func(l shardLink) error {
-			var err error
-			if aud != nil {
-				out, err = l.queryOptimistic(aud, 0, statement, pl)
-			} else {
-				out, err = l.queryVerified(statement, pl)
-			}
-			return err
-		})
-		return out, err
-	case query.History:
-		var out QueryResult
-		err = rc.doRead(func(l shardLink) error {
-			var err error
-			out, err = l.queryHistory(statement, s)
-			return err
-		})
-		return out, err
-	default:
-		return rc.primaryLink().queryMutate(statement)
-	}
-}
-
-// queryFanOut scatters a range, lookup or aggregate SELECT across every
-// shard and merges the per-shard verified results.
-func (sc *ShardedClient) queryFanOut(statement string, pl query.Plan) (QueryResult, error) {
-	var parts []QueryResult
-	var err error
-	if a := sc.auditor(); a != nil {
-		parts, err = sc.queryAll(func(i int, l shardLink) (QueryResult, error) {
-			return l.queryOptimistic(a, i, statement, pl)
-		})
-	} else {
-		// One root span owns the scatter; each shard's verified read
-		// becomes a child leg under a single trace ID.
-		tr := obs.DefaultTracer.Root("client.query-verified", "client")
-		defer tr.Finish()
-		parts, err = sc.queryAll(func(i int, l shardLink) (QueryResult, error) {
-			l.tr = tr
-			return l.queryVerified(statement, pl)
-		})
-	}
-	return mergeQueryResults(pl, parts, err)
-}
-
-// queryAll runs fn for every shard concurrently.
-func (sc *ShardedClient) queryAll(fn func(i int, l shardLink) (QueryResult, error)) ([]QueryResult, error) {
-	parts := make([]QueryResult, len(sc.conns))
-	errs := make([]error, len(sc.conns))
-	var wg sync.WaitGroup
-	for i := range sc.conns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = fn(i, sc.link(i))
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
 }
 
 // mergeQueryResults folds per-shard results into one: aggregate partials
@@ -175,6 +75,9 @@ func (sc *ShardedClient) queryAll(fn func(i int, l shardLink) (QueryResult, erro
 func mergeQueryResults(pl query.Plan, parts []QueryResult, err error) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
 	if pl.Sel.Agg != "" {
 		var n uint64
@@ -270,7 +173,7 @@ func (l shardLink) acceptProofless(pl query.Plan, resp wire.Response) (QueryResu
 // ranges and keys the plan demands, with the same range binding as the
 // eager path, so a row omitted from a pk-interval scan still fails its
 // audit.
-func (l shardLink) queryOptimistic(a *Auditor, shard int, statement string, pl query.Plan) (QueryResult, error) {
+func (l shardLink) queryOptimistic(a *Auditor, statement string, pl query.Plan) (QueryResult, error) {
 	if err := a.poisoned(); err != nil {
 		return QueryResult{}, err
 	}
@@ -300,7 +203,7 @@ func (l shardLink) queryOptimistic(a *Auditor, shard int, statement string, pl q
 	if queries := pl.Queries(resp.Cells); len(queries) > 0 {
 		l.v.NoteDeferred(len(queries))
 		for _, q := range queries {
-			if !a.add(queryReceipt(shard, resp.Digest, q, resp.Cells)) {
+			if !a.add(queryReceipt(l.index, resp.Digest, q, resp.Cells)) {
 				return QueryResult{}, errAuditClosed
 			}
 		}

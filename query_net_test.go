@@ -61,167 +61,135 @@ func seedInventoryQueries(t *testing.T, q interface {
 	}
 }
 
-// TestClientQueryEndToEnd drives the full statement surface over a real
-// connection: mutations, verified range/point/lookup/aggregate SELECTs
-// and HISTORY, all through Client.Query.
-func TestClientQueryEndToEnd(t *testing.T) {
-	_, cl := serveQueryDB(t)
-	seedInventoryQueries(t, cl)
+// TestQueryEndToEnd drives the full statement surface through
+// Client.Query over a real connection to each shape of deployment: a
+// single server, a 4-shard cluster (mutations commit with 2PC through
+// the coordinator, point queries route to owning shards, scans and
+// aggregates fan out and merge per-shard verified results), and a 2-shard
+// cluster read through a replica set (mutations go to the primary).
+func TestQueryEndToEnd(t *testing.T) {
+	none := func() {}
+	topologies := []struct {
+		name string
+		// open returns the client and settle, which waits until replicas
+		// hold every committed write.
+		open func(t *testing.T) (cl *spitz.Client, settle func())
+	}{
+		{"1x0", func(t *testing.T) (*spitz.Client, func()) {
+			db := spitz.Open(spitz.Options{MaintainInverted: true})
+			ln, _ := wire.Listen()
+			go db.Serve(ln)
+			t.Cleanup(func() { ln.Close() })
+			return connect(t, dialer(ln)), none
+		}},
+		{"4x0", func(t *testing.T) (*spitz.Client, func()) {
+			db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			ln, dial := serveCluster(t, db)
+			t.Cleanup(func() { ln.Close() })
+			return connect(t, dial), none
+		}},
+		{"2x1", func(t *testing.T) (*spitz.Client, func()) {
+			cdb, rep, ln, rln := openReplicatedCluster(t, 2)
+			return connect(t, dialer(ln), dialer(rln)), func() { waitClusterReplica(t, cdb, rep) }
+		}},
+	}
+	for _, tp := range topologies {
+		t.Run(tp.name, func(t *testing.T) {
+			cl, settle := tp.open(t)
+			var wantSum uint64
+			for i := 0; i < 20; i++ {
+				status := "live"
+				if i%3 == 0 {
+					status = "hold"
+				} else {
+					wantSum += uint64(i)
+				}
+				stmt := fmt.Sprintf("INSERT INTO inv (pk, stock, status) VALUES ('it%02d', '%d', '%s')", i, i, status)
+				if res := mustQuery(t, cl, stmt); res.RowsAffected != 1 {
+					t.Fatalf("%s: %+v", stmt, res)
+				}
+			}
+			settle()
 
-	// Range scan with a boolean predicate: complete, proven, filtered.
-	res := mustQuery(t, cl, "SELECT stock FROM inv WHERE pk BETWEEN 'item-a' AND 'item-z' AND status = 'live'")
-	if len(res.Rows) != 3 {
-		t.Fatalf("range rows = %d, want 3", len(res.Rows))
-	}
-	if string(res.Rows[0].PK) != "item-a" || string(res.Rows[0].Columns["stock"]) != "10" {
-		t.Fatalf("row 0 = %s %q", res.Rows[0].PK, res.Rows[0].Columns["stock"])
-	}
-	if string(res.Rows[2].PK) != "item-z" {
-		t.Fatalf("rows not in pk order: %s", res.Rows[2].PK)
-	}
+			// A range scan is complete, proven, and in pk order across shards.
+			res := mustQuery(t, cl, "SELECT stock FROM inv WHERE pk BETWEEN 'it00' AND 'it19'")
+			if len(res.Rows) != 20 {
+				t.Fatalf("range rows = %d", len(res.Rows))
+			}
+			for i, r := range res.Rows {
+				if want := fmt.Sprintf("it%02d", i); string(r.PK) != want || string(r.Columns["stock"]) != fmt.Sprint(i) {
+					t.Fatalf("row %d: %s=%q, want %s", i, r.PK, r.Columns["stock"], want)
+				}
+			}
 
-	// Point SELECT.
-	res = mustQuery(t, cl, "SELECT stock FROM inv WHERE pk = 'item-b'")
-	if len(res.Rows) != 1 || string(res.Rows[0].Columns["stock"]) != "20" {
-		t.Fatalf("point select: %+v", res.Rows)
-	}
+			// The same scan filtered by a boolean predicate over proven cells.
+			res = mustQuery(t, cl, "SELECT stock FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'hold'")
+			if len(res.Rows) != 7 || string(res.Rows[0].PK) != "it00" || string(res.Rows[6].PK) != "it18" {
+				t.Fatalf("filtered range: %+v", res.Rows)
+			}
 
-	// Lookup through the inverted index (predicate only).
-	res = mustQuery(t, cl, "SELECT stock FROM inv WHERE status = 'hold'")
-	if len(res.Rows) != 1 || string(res.Rows[0].PK) != "item-b" {
-		t.Fatalf("lookup select: %+v", res.Rows)
-	}
+			// Verified aggregates with a boolean predicate, re-folded
+			// client-side from proven cells; disjoint per-shard partials add.
+			res = mustQuery(t, cl, "SELECT SUM(stock) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'live'")
+			if !res.HasAgg || res.AggValue != wantSum {
+				t.Fatalf("SUM = %d, want %d", res.AggValue, wantSum)
+			}
+			res = mustQuery(t, cl, "SELECT COUNT(stock) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'hold'")
+			if !res.HasAgg || res.AggValue != 7 {
+				t.Fatalf("COUNT = %d, want 7", res.AggValue)
+			}
 
-	// Verified aggregates, re-folded client-side from proven cells.
-	res = mustQuery(t, cl, "SELECT COUNT(stock) FROM inv WHERE pk BETWEEN 'item-a' AND 'item-z'")
-	if !res.HasAgg || res.AggValue != 4 {
-		t.Fatalf("COUNT = %d (hasAgg %v)", res.AggValue, res.HasAgg)
-	}
-	res = mustQuery(t, cl, "SELECT SUM(stock) FROM inv WHERE pk BETWEEN 'item-a' AND 'item-z' AND status = 'live'")
-	if !res.HasAgg || res.AggValue != 139 {
-		t.Fatalf("SUM = %d (hasAgg %v)", res.AggValue, res.HasAgg)
-	}
+			// Lookup through the inverted index (predicate only), and a
+			// point query routed to the owning shard.
+			res = mustQuery(t, cl, "SELECT stock FROM inv WHERE status = 'hold'")
+			if len(res.Rows) != 7 {
+				t.Fatalf("lookup rows = %d", len(res.Rows))
+			}
+			res = mustQuery(t, cl, "SELECT stock FROM inv WHERE pk = 'it07'")
+			if len(res.Rows) != 1 || string(res.Rows[0].Columns["stock"]) != "7" {
+				t.Fatalf("point: %+v", res.Rows)
+			}
 
-	// UPDATE of a live row commits; of an absent row affects nothing.
-	if res := mustQuery(t, cl, "UPDATE inv SET stock = '11' WHERE pk = 'item-a'"); res.RowsAffected != 1 || res.Block == 0 {
-		t.Fatalf("update: %+v", res)
-	}
-	if res := mustQuery(t, cl, "UPDATE inv SET stock = '1' WHERE pk = 'item-x'"); res.RowsAffected != 0 {
-		t.Fatalf("absent update affected %d rows", res.RowsAffected)
-	}
-	res = mustQuery(t, cl, "SELECT stock FROM inv WHERE pk = 'item-a'")
-	if string(res.Rows[0].Columns["stock"]) != "11" {
-		t.Fatalf("update not visible: %q", res.Rows[0].Columns["stock"])
-	}
+			// UPDATE of a live row commits; of an absent row affects nothing.
+			// DELETE drops the row from index lookups and scans alike.
+			if res := mustQuery(t, cl, "UPDATE inv SET status = 'live' WHERE pk = 'it00'"); res.RowsAffected != 1 || res.Block == 0 {
+				t.Fatalf("update: %+v", res)
+			}
+			if res := mustQuery(t, cl, "UPDATE inv SET stock = '1' WHERE pk = 'it99'"); res.RowsAffected != 0 {
+				t.Fatalf("absent update affected %d rows", res.RowsAffected)
+			}
+			if res := mustQuery(t, cl, "DELETE FROM inv WHERE pk = 'it03'"); res.RowsAffected != 1 {
+				t.Fatalf("delete: %+v", res)
+			}
+			settle()
+			res = mustQuery(t, cl, "SELECT COUNT(status) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'hold'")
+			if res.AggValue != 5 {
+				t.Fatalf("COUNT after update+delete = %d, want 5", res.AggValue)
+			}
+			if res := mustQuery(t, cl, "SELECT stock FROM inv WHERE status = 'hold'"); len(res.Rows) != 5 {
+				t.Fatalf("index still surfaces updated or deleted rows: %+v", res.Rows)
+			}
 
-	// DELETE drops the row from verified lookups (tombstones filtered in
-	// the index) and from range scans.
-	if res := mustQuery(t, cl, "DELETE FROM inv WHERE pk = 'item-b'"); res.RowsAffected != 1 {
-		t.Fatalf("delete: %+v", res)
-	}
-	if res := mustQuery(t, cl, "SELECT stock FROM inv WHERE status = 'hold'"); len(res.Rows) != 0 {
-		t.Fatalf("deleted row still surfaced by index: %+v", res.Rows)
-	}
-	if res := mustQuery(t, cl, "SELECT COUNT(stock) FROM inv WHERE pk BETWEEN 'item-a' AND 'item-z'"); res.AggValue != 3 {
-		t.Fatalf("COUNT after delete = %d", res.AggValue)
-	}
+			// HISTORY routes by pk: two versions, newest first.
+			res = mustQuery(t, cl, "HISTORY inv.status WHERE pk = 'it00'")
+			if len(res.Rows) != 2 || string(res.Rows[0].Columns["status"]) != "live" {
+				t.Fatalf("history: %+v", res.Rows)
+			}
+			if len(res.Rows[0].Columns["@version"]) == 0 {
+				t.Fatal("history rows carry no @version")
+			}
 
-	// HISTORY: item-a's stock has two versions, newest first.
-	res = mustQuery(t, cl, "HISTORY inv.stock WHERE pk = 'item-a'")
-	if len(res.Rows) != 2 || string(res.Rows[0].Columns["stock"]) != "11" {
-		t.Fatalf("history: %+v", res.Rows)
-	}
-	if len(res.Rows[0].Columns["@version"]) == 0 {
-		t.Fatal("history rows carry no @version")
-	}
-
-	// Trust advanced along the way: the verifier holds a pinned digest.
-	if cl.Verifier().Digest().Height == 0 {
-		t.Fatal("verifier never advanced")
-	}
-}
-
-// TestShardedClientQuery runs the same surface against a 4-shard
-// cluster over one listener: mutations 2PC through the coordinator,
-// point queries route to owning shards, scans and aggregates fan out
-// and merge per-shard verified results.
-func TestShardedClientQuery(t *testing.T) {
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ln, dial := serveCluster(t, db)
-	defer ln.Close()
-	sc, err := spitz.NewShardedClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-
-	var wantSum uint64
-	for i := 0; i < 20; i++ {
-		status := "live"
-		if i%3 == 0 {
-			status = "hold"
-		} else {
-			wantSum += uint64(i)
-		}
-		stmt := fmt.Sprintf("INSERT INTO inv (pk, stock, status) VALUES ('it%02d', '%d', '%s')", i, i, status)
-		if res := mustQuery(t, sc, stmt); res.RowsAffected != 1 {
-			t.Fatalf("%s: %+v", stmt, res)
-		}
-	}
-
-	// Fan-out range scan merges into pk order across shards.
-	res := mustQuery(t, sc, "SELECT stock FROM inv WHERE pk BETWEEN 'it00' AND 'it19'")
-	if len(res.Rows) != 20 {
-		t.Fatalf("fan-out rows = %d", len(res.Rows))
-	}
-	for i, r := range res.Rows {
-		if want := fmt.Sprintf("it%02d", i); string(r.PK) != want {
-			t.Fatalf("row %d: pk %s, want %s", i, r.PK, want)
-		}
-	}
-
-	// Aggregates add disjoint per-shard partials.
-	res = mustQuery(t, sc, "SELECT SUM(stock) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'live'")
-	if !res.HasAgg || res.AggValue != wantSum {
-		t.Fatalf("sharded SUM = %d, want %d", res.AggValue, wantSum)
-	}
-	res = mustQuery(t, sc, "SELECT COUNT(stock) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'hold'")
-	if res.AggValue != 7 {
-		t.Fatalf("sharded COUNT = %d, want 7", res.AggValue)
-	}
-
-	// Index lookups fan out too.
-	res = mustQuery(t, sc, "SELECT stock FROM inv WHERE status = 'hold'")
-	if len(res.Rows) != 7 {
-		t.Fatalf("sharded lookup rows = %d", len(res.Rows))
-	}
-
-	// Point query routes to the owning shard.
-	res = mustQuery(t, sc, "SELECT stock FROM inv WHERE pk = 'it07'")
-	if len(res.Rows) != 1 || string(res.Rows[0].Columns["stock"]) != "7" {
-		t.Fatalf("sharded point: %+v", res.Rows)
-	}
-
-	// Mutations through the coordinator, visible to verified reads.
-	if res := mustQuery(t, sc, "UPDATE inv SET status = 'live' WHERE pk = 'it00'"); res.RowsAffected != 1 {
-		t.Fatalf("sharded update: %+v", res)
-	}
-	if res := mustQuery(t, sc, "DELETE FROM inv WHERE pk = 'it03'"); res.RowsAffected != 1 {
-		t.Fatalf("sharded delete: %+v", res)
-	}
-	res = mustQuery(t, sc, "SELECT COUNT(status) FROM inv WHERE pk BETWEEN 'it00' AND 'it19' AND status = 'hold'")
-	if res.AggValue != 5 {
-		t.Fatalf("COUNT after update+delete = %d, want 5", res.AggValue)
-	}
-
-	// HISTORY routes by pk.
-	res = mustQuery(t, sc, "HISTORY inv.status WHERE pk = 'it00'")
-	if len(res.Rows) != 2 {
-		t.Fatalf("sharded history rows = %d", len(res.Rows))
+			// Trust advanced along the way, on every shard.
+			for i := 0; i < cl.Shards(); i++ {
+				if cl.ShardVerifier(i).Digest().Height == 0 {
+					t.Fatalf("shard %d verifier never advanced", i)
+				}
+			}
+		})
 	}
 }
 

@@ -31,8 +31,8 @@ type ReplicaOptions struct {
 // from its current height whenever either side restarts.
 //
 // Serve exposes it over the wire protocol with the same routing surface
-// as the primary: plain clients, DialSharded, and DialReplicated (which
-// anchors trust at the primary) all work against it, reads only.
+// as the primary, reads only: name its listener in Topology.Replicas (the
+// client then anchors trust at the primary), or connect to it alone.
 type Replica struct {
 	set *repl.Set
 }

@@ -89,15 +89,7 @@ func TestReplicationCrashRecoveryAcceptance(t *testing.T) {
 	waitReplicaHeight(t, rep1, db.Height())
 	waitReplicaHeight(t, rep2, db.Height())
 
-	dialReplicas := []func() (*wire.Client, error){
-		func() (*wire.Client, error) { return wire.Connect(r1ln) },
-		func() (*wire.Client, error) { return wire.Connect(r2ln) },
-	}
-	rc, err := spitz.NewReplicatedClient(sw.dial, dialReplicas, spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := connect(t, sw.dial, dialer(r1ln), dialer(r2ln))
 
 	// Mid-write-load verified reads: each one is served by a follower and
 	// proven — against the primary — to be a prefix of its history.
@@ -213,11 +205,7 @@ func TestReplicationCrashRecoveryAcceptance(t *testing.T) {
 	// Post-outage verified reads through a client whose trust is anchored
 	// at the restarted primary: follower-served proofs still verify, via
 	// the primary's prefix proof over the follower digest.
-	rc2, err := spitz.NewReplicatedClient(sw.dial, dialReplicas, spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc2.Close()
+	rc2 := connect(t, sw.dial, dialer(r1ln), dialer(r2ln))
 	for i := 0; i < 20; i++ {
 		v, found, err := rc2.GetVerified("t", "c", []byte(fmt.Sprintf("pk%04d", i)))
 		if err != nil || !found {
@@ -242,11 +230,11 @@ func TestReplicationCrashRecoveryAcceptance(t *testing.T) {
 	}
 }
 
-// TestDialReplicatedTamperAndStaleness: a replica cannot serve a forged
+// TestReplicaTamperAndStaleness: a replica cannot serve a forged
 // digest (its digest must prove to be a prefix of the primary's), and
 // MaxLag bounds how stale a verifiably honest replica result may be —
 // stale reads fall back to the primary instead of failing.
-func TestDialReplicatedTamperAndStaleness(t *testing.T) {
+func TestReplicaTamperAndStaleness(t *testing.T) {
 	dir := t.TempDir()
 	db, err := spitz.OpenDir(dir, spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1})
 	if err != nil {
@@ -262,7 +250,7 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	ln, _ := wire.Listen()
 	go db.Serve(ln)
 	defer ln.Close()
-	dialPrimary := func() (*wire.Client, error) { return wire.Connect(ln) }
+	dialPrimary := dialer(ln)
 
 	rep, err := spitz.NewReplica(dialPrimary, spitz.ReplicaOptions{ReconnectDelay: 10 * time.Millisecond})
 	if err != nil {
@@ -289,13 +277,7 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	go fake.Serve(fln)
 	defer fln.Close()
 
-	rcForged, err := spitz.NewReplicatedClient(dialPrimary,
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(fln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcForged.Close()
+	rcForged := connect(t, dialPrimary, dialer(fln))
 	if _, _, err := rcForged.GetVerified("t", "c", []byte("pk03")); !errors.Is(err, spitz.ErrTampered) {
 		t.Fatalf("forged replica read: err = %v, want ErrTampered", err)
 	}
@@ -311,14 +293,7 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	defer empty.Close()
 	go empty.Serve(eln)
 	defer eln.Close()
-	rcEmpty, err := spitz.NewReplicatedClient(
-		func() (*wire.Client, error) { return wire.Connect(eln) },
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(fln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcEmpty.Close()
+	rcEmpty := connect(t, dialer(eln), dialer(fln))
 	if _, _, err := rcEmpty.GetVerified("t", "c", []byte("pk03")); !errors.Is(err, spitz.ErrTampered) {
 		t.Fatalf("forged replica read against empty primary: err = %v, want ErrTampered", err)
 	}
@@ -340,9 +315,7 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	if db.Height() <= frozen+2 {
 		t.Fatalf("primary %d not far enough past frozen replica %d", db.Height(), frozen)
 	}
-	rcLag, err := spitz.NewReplicatedClient(dialPrimary,
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-		spitz.ReplicatedOptions{MaxLag: 2})
+	rcLag, err := spitz.Connect(spitz.Topology{Primary: dialPrimary, Replicas: []dialFunc{dialer(rln)}, MaxLag: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,13 +329,7 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	}
 
 	// Without the bound the same read is served (verifiably) stale.
-	rcAny, err := spitz.NewReplicatedClient(dialPrimary,
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(rln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcAny.Close()
+	rcAny := connect(t, dialPrimary, dialer(rln))
 	v, found, err = rcAny.GetVerified("t", "c", []byte("pk03"))
 	if err != nil || !found {
 		t.Fatalf("unbounded read: found=%v err=%v", found, err)
@@ -372,11 +339,11 @@ func TestDialReplicatedTamperAndStaleness(t *testing.T) {
 	}
 }
 
-// TestDialReplicatedBootstrappingReplica: a verified read served by an
+// TestBootstrappingReplica: a verified read served by an
 // honest replica that has not caught up yet (height 0, e.g. mid
 // snapshot transfer) silently falls back to the primary — it is neither
 // a tamper alarm nor a failed read.
-func TestDialReplicatedBootstrappingReplica(t *testing.T) {
+func TestBootstrappingReplica(t *testing.T) {
 	dir := t.TempDir()
 	db, err := spitz.OpenDir(dir, spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1})
 	if err != nil {
@@ -401,14 +368,7 @@ func TestDialReplicatedBootstrappingReplica(t *testing.T) {
 	go srv.Serve(sln)
 	defer sln.Close()
 
-	rc, err := spitz.NewReplicatedClient(
-		func() (*wire.Client, error) { return wire.Connect(ln) },
-		[]func() (*wire.Client, error){func() (*wire.Client, error) { return wire.Connect(sln) }},
-		spitz.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := connect(t, dialer(ln), dialer(sln))
 	v, found, err := rc.GetVerified("t", "c", []byte("pk"))
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("read through bootstrapping replica: %q found=%v err=%v (want primary fallback)", v, found, err)
@@ -420,7 +380,7 @@ func TestDialReplicatedBootstrappingReplica(t *testing.T) {
 
 // TestClusterReplication: every shard of a durable cluster can have
 // followers; a Replica mirrors the whole cluster shard by shard, a
-// DialSharded client reads from it with per-shard proofs, and the
+// client reads from it with per-shard proofs, and the
 // cluster digests match exactly.
 func TestClusterReplication(t *testing.T) {
 	dir := t.TempDir()
@@ -462,16 +422,12 @@ func TestClusterReplication(t *testing.T) {
 		t.Fatalf("replica combined root %s, want %s", got.Root, want.Root)
 	}
 
-	// A shard-aware client reads from the replica set with per-shard
-	// verified proofs.
+	// A client pointed at the replica set alone reads from it with
+	// per-shard verified proofs.
 	rln, _ := wire.Listen()
 	go rep.Serve(rln)
 	defer rln.Close()
-	sc, err := spitz.NewShardedClient(func() (*wire.Client, error) { return wire.Connect(rln) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := connect(t, dialer(rln))
 	if sc.Shards() != 3 {
 		t.Fatalf("replica set reports %d shards", sc.Shards())
 	}
@@ -559,5 +515,142 @@ func TestStatsObservability(t *testing.T) {
 	sh := resp.Stats.Shards[0]
 	if sh.Height != 7 || sh.WAL == nil || sh.WAL.DurableHeight != 7 || len(sh.Followers) != 1 {
 		t.Fatalf("wire stats payload: %+v", sh)
+	}
+}
+
+// TestTwoByOneFailoverAndTamper drives the read router on a 2-shard
+// cluster with one replica set: a forged replica is caught, a replica
+// beyond MaxLag is passed over for the shard's primary without being
+// blamed, reads outlive the replica listener, and a primary outage is
+// reported as such — never pinned on the replica that served the data.
+func TestTwoByOneFailoverAndTamper(t *testing.T) {
+	cdb, rep, ln, rln := openReplicatedCluster(t, 2)
+	const keys = 16
+	pk := func(i int) []byte { return []byte(fmt.Sprintf("pk%02d", i)) }
+	write := func(cdb *spitz.ClusterDB, value string) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if _, err := cdb.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: pk(i), Value: []byte(value)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// readAll reads every key (both shards) and returns the one value
+	// they must all share.
+	readAll := func(cl *spitz.Client) string {
+		t.Helper()
+		var first string
+		for i := 0; i < keys; i++ {
+			v, found, err := cl.GetVerified("t", "c", pk(i))
+			if err != nil || !found {
+				t.Fatalf("verified read %d: found=%v err=%v", i, found, err)
+			}
+			if i == 0 {
+				first = string(v)
+			} else if string(v) != first {
+				t.Fatalf("read %d returned %q, others %q", i, v, first)
+			}
+		}
+		return first
+	}
+	write(cdb, "old")
+	waitClusterReplica(t, cdb, rep)
+
+	// A "replica set" that is an unrelated cluster cannot prove its
+	// digests prefixes of the primary's, on either shard.
+	fake, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close()
+	write(fake, "FORGED")
+	fln, dialFake := serveCluster(t, fake)
+	defer fln.Close()
+	forged := connect(t, dialer(ln), dialFake)
+	for i := 0; i < keys; i++ {
+		if _, _, err := forged.GetVerified("t", "c", pk(i)); !errors.Is(err, spitz.ErrTampered) {
+			t.Fatalf("forged replica read %d: err = %v, want ErrTampered", i, err)
+		}
+	}
+
+	// The same replica set behind a second listener, so one client can
+	// lose its replica while another keeps it.
+	rln2, _ := wire.Listen()
+	go rep.Serve(rln2)
+	defer rln2.Close()
+	losing := connect(t, dialer(ln), dialer(rln))
+	keeping := connect(t, dialer(ln), dialer(rln2))
+	bounded, err := spitz.Connect(spitz.Topology{Primary: dialer(ln), Replicas: []dialFunc{dialer(rln2)}, MaxLag: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bounded.Close()
+	if got := readAll(losing); got != "old" {
+		t.Fatalf("caught-up replica read %q", got)
+	}
+
+	// Freeze the replica (it stops following, keeps serving) and write
+	// past it on both shards.
+	rep.Close()
+	write(cdb, "new")
+	if got := readAll(bounded); got != "old" {
+		t.Fatalf("before learning of the new head the bounded client read %q", got)
+	}
+	if err := bounded.SyncDigest(); err != nil { // staleness is measured from the trusted digest
+		t.Fatal(err)
+	}
+	if got := readAll(bounded); got != "new" {
+		t.Fatalf("MaxLag 2 served %q, want the primaries' value", got)
+	}
+	if err := keeping.SyncDigest(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(keeping); got != "old" {
+		t.Fatalf("unbounded read returned %q, want the frozen replica's (verifiably stale) value", got)
+	}
+	if bounded.Replicas() != 1 || keeping.Replicas() != 1 {
+		t.Fatalf("a stale replica was marked down (%d, %d healthy)", bounded.Replicas(), keeping.Replicas())
+	}
+
+	// The replica listener goes away mid-run: reads continue from the
+	// shard primaries.
+	rln.Close()
+	for i, deadline := 0, time.Now().Add(10*time.Second); i < keys; {
+		v, found, err := losing.GetVerified("t", "c", pk(i))
+		if err != nil || !found {
+			t.Fatalf("read %d after losing the replica: found=%v err=%v", i, found, err)
+		}
+		// Until its connections are torn down the frozen replica still
+		// answers (verifiably stale); after that only a primary can.
+		if string(v) == "new" {
+			i++
+		} else if time.Now().After(deadline) {
+			t.Fatal("replica connections outlived their listener")
+		}
+	}
+	if losing.Replicas() != 0 {
+		t.Fatalf("dead replica still counted healthy (%d)", losing.Replicas())
+	}
+
+	// A primary outage: the replica serves, but its digest can no longer
+	// be proven a prefix of the trusted one. That is the primary's
+	// failure, so the replica stays in rotation.
+	ln.Close()
+	for i, deadline := 0, time.Now().Add(10*time.Second); i < keeping.Shards(); {
+		// The server tears its connections down after the listener.
+		if _, err := keeping.ShardDigest(i); err != nil {
+			i++
+		} else if time.Now().After(deadline) {
+			t.Fatal("primary connections outlived the listener")
+		}
+	}
+	for i := 0; i < keys; i++ {
+		_, _, err := keeping.GetVerified("t", "c", pk(i))
+		if err == nil || !strings.Contains(err.Error(), "digest authority unreachable") || errors.Is(err, spitz.ErrTampered) {
+			t.Fatalf("read %d during primary outage: err = %v, want the digest authority reported unreachable", i, err)
+		}
+	}
+	if keeping.Replicas() != 1 {
+		t.Fatalf("primary outage marked the replica down (%d healthy)", keeping.Replicas())
 	}
 }

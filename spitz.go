@@ -144,10 +144,6 @@ var (
 	ErrConflict = txn.ErrConflict
 	// ErrTampered is returned by Verifier methods when verification fails.
 	ErrTampered = proof.ErrTampered
-	// ErrStale is returned by a ReplicatedClient when a replica-served
-	// result is verifiably honest but further behind the trusted digest
-	// than ReplicatedOptions.MaxLag allows.
-	ErrStale = errors.New("spitz: result verifiably stale beyond the configured bound")
 )
 
 // Options configures Open and OpenDir.

@@ -172,11 +172,17 @@ func TestNetworkClient(t *testing.T) {
 	go db.Serve(ln)
 	defer ln.Close()
 
+	if _, err := spitz.Dial("tcp", "256.0.0.1:1"); err == nil {
+		t.Fatal("dial to nowhere succeeded")
+	}
 	cl, err := spitz.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	if cl.Shards() != 1 {
+		t.Fatalf("a single-engine server reported %d shards", cl.Shards())
+	}
 
 	v, err := cl.Get("t", "c", []byte("pk0007"))
 	if err != nil || string(v) != "v0007" {
