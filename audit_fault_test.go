@@ -1,6 +1,7 @@
 package spitz_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -108,7 +109,7 @@ func auditReads(t *testing.T, cl *spitz.Client) *spitz.Auditor {
 }
 
 // cutLeafRows returns a range proof's nodes with the last leaf reduced
-// to its header and first-group index, no group after them: the rows it
+// to its count, position and siblings, no entry between them: the rows it
 // held silently gone, every byte that remains authentic. (Rows cannot be
 // dropped from the response any other way: they travel only inside the
 // leaves.)
@@ -123,7 +124,8 @@ func cutLeafRows(t testing.TB, nodes [][]byte) [][]byte {
 		if err != nil || len(leaf.Entries) == 0 {
 			t.Errorf("leaf %d has no rows to cut: %v", i, err)
 		}
-		out[i] = out[i][:len(out[i])-len(leaf.Entries)]
+		at := bytes.Index(out[i], leaf.Entries)
+		out[i] = append(append([]byte(nil), out[i][:at]...), out[i][at+len(leaf.Entries):]...)
 		return out
 	}
 	t.Error("range proof ships no leaf")
@@ -132,9 +134,8 @@ func cutLeafRows(t testing.TB, nodes [][]byte) [][]byte {
 
 // detachResponse deep-copies a response through the wire codec before
 // the mutator flips bytes in it: served proof nodes alias the server's
-// content-addressed store (that sharing is the point of the proof
-// cache), so in-place flips would corrupt the server itself instead of
-// simulating corruption on the wire.
+// content-addressed store, so in-place flips would corrupt the server
+// itself instead of simulating corruption on the wire.
 func detachResponse(t testing.TB, resp *wire.Response) {
 	t.Helper()
 	out, err := wire.DecodeResponse(wire.AppendResponse(nil, resp))
@@ -268,9 +269,11 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 				}
 			}
 		}},
+		// Values do not travel, so answers cannot be swapped under their
+		// keys; what a server can swap is which query each answer is for.
 		{"swap two point answers", func(r *wire.Response) {
 			p := r.BatchProof.Points
-			p.Values[0], p.Values[1] = p.Values[1], p.Values[0]
+			p.Keys[0], p.Keys[1] = p.Keys[1], p.Keys[0]
 		}},
 		{"drop the range proof", func(r *wire.Response) { r.BatchProof.Ranges = nil }},
 		{"narrow the proven range", func(r *wire.Response) {

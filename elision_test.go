@@ -657,6 +657,13 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 			other.Found = false
 			*resp = other
 		},
+		// The value does not travel beside the proof: the client reads it off
+		// the shipped run, and this run — the next row's — does not hold pk.
+		"claims the key found over a run that lacks it": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			n, next := resp.Proof.Point.Nodes, full(elisionPK(12346)).Proof.Point.Nodes
+			n[len(n)-1] = next[len(next)-1]
+		},
 		"answers another key outright": func(req wire.Request, resp *wire.Response) {
 			*resp = full(otherPK)
 		},
@@ -1685,13 +1692,14 @@ func TestWarmClientOnReplicaQueryShape(t *testing.T) {
 			flush(reads[kind])
 		}
 	}
-	// Measured 66,244 / 20,104 / 7,026 proof bytes per flush, with 64.4 /
-	// 15.2 / 0.6 index nodes answered from the cache: a lookup's 100 keys
-	// sit in 100 leaves under ~80 index nodes, of which one write replaces
-	// three; a lone range read after a write meets a new root, usually a
-	// new level-2 node, and a level-1 node it may never have seen.
-	ceilings := map[string]int64{"lookup": 76200, "gets": 23100, "range": 8100}
-	minElided := map[string]int64{"lookup": 55, "gets": 12, "range": 0}
+	// Measured 27,095 / 6,338 / 2,615 proof bytes per flush, with 54.7 /
+	// 14.8 / 1.2 index nodes answered from the cache: a lookup's 100 keys
+	// sit in 100 leaves — an entry and its hash path each — under ~70 index
+	// nodes, of which one write replaces three, shipped as patches; a lone
+	// range read after a write meets a new root, usually a new level-2
+	// node, and a level-1 node it may never have seen.
+	ceilings := map[string]int64{"lookup": 31200, "gets": 7300, "range": 3050}
+	minElided := map[string]int64{"lookup": 46, "gets": 12, "range": 0}
 	for _, kind := range kinds {
 		const flushes = 10
 		var sum proof.ProofStats

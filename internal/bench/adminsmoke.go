@@ -19,9 +19,9 @@ import (
 // AdminSmoke is the observability workload CI runs: a durable 4-shard
 // cluster served over the wire protocol with the ops endpoint (health
 // rules included) attached, a read replica mirroring and serving it,
-// and a mixed workload (cross-shard 2PC writes, eager verified reads
-// with proof-cache reuse, AuditMode reads batch-verified, replica reads
-// anchored to the primary). It then holds the live endpoint to the
+// and a mixed workload (cross-shard 2PC writes, eager verified reads,
+// AuditMode reads batch-verified, replica reads anchored to the
+// primary). It then holds the live endpoint to the
 // acceptance bar:
 //
 //   - /metrics reports plausible nonzero series from every layer;
@@ -92,8 +92,7 @@ func AdminSmoke(dir string) error {
 		}
 	}
 
-	// Eager verified reads; the repeats against an unchanged digest are
-	// the proof-cache hits the scrape asserts.
+	// Eager verified reads, repeated against an unchanged digest.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 50; i++ {
 			if _, found, err := sc.GetVerified("t", "c", benchKey(i)); err != nil {
@@ -264,8 +263,7 @@ func AdminSmoke(dir string) error {
 		// WAL
 		`spitz_wal_appends_total`,
 		`spitz_wal_fsyncs_total`,
-		// proof + node caches, and what node encoding hashed
-		`spitz_proofcache_hits_total`,
+		// node cache, and what node encoding hashed
 		`spitz_nodecache_hits_total`,
 		`spitz_nodecache_bytes`,
 		`spitz_postree_hashed_bytes_total`,

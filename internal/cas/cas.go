@@ -70,12 +70,12 @@ func (s Stats) SavingsRatio() float64 {
 
 // Address returns the digest an object is stored and fetched under. It
 // is the hash of the object under its domain tag — except for a POS-tree
-// leaf, whose address is the hash of its header alone (the header commits
-// to the entries group by group; see internal/posleaf), so that a proof
-// can ship part of a leaf and still hash to the address its parent holds.
-// Put trusts the writer to have built the groups it commits to; bytes
-// that come back from a disk or arrive from a peer are checked with
-// Intact. A body stored under the leaf domain that is not a leaf is
+// leaf, whose address is its entry count and the root of a hash tree over
+// its entries (see internal/posleaf), so that a proof can ship a few
+// entries of a leaf and still hash to the address its parent holds. Put
+// trusts the writer to have built the table of group roots the address is
+// computed from; bytes that come back from a disk or arrive from a peer
+// are checked with Intact. A body stored under the leaf domain that is not a leaf is
 // addressed like any other object.
 func Address(domain byte, data []byte) hashutil.Digest {
 	if domain == hashutil.DomainPOSLeaf {
@@ -87,12 +87,12 @@ func Address(domain byte, data []byte) hashutil.Digest {
 }
 
 // Intact reports whether data is, byte for byte, the object that d
-// addresses: for a leaf, the header hashes to d and every group hashes to
-// its slot in the header.
+// addresses: for a leaf, the table hashes up to d and every group's entries
+// hash to its root in the table.
 func Intact(domain byte, data []byte, d hashutil.Digest) bool {
 	if domain == hashutil.DomainPOSLeaf {
 		if l, err := posleaf.Parse(data); err == nil {
-			got, _, err := l.Verify()
+			got, err := l.Verify()
 			return err == nil && got == d
 		}
 	}

@@ -337,8 +337,9 @@ func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 
 // TestOldFormatsRefusedByName: data written before tree leaves carried
 // group digests hashes to other digests under this build. A disk store
-// with the v1 marker and a memory-store directory whose checkpoint is a
-// version-1 snapshot are each refused with a format-version error — not
+// with the v1 or v2 marker and a memory-store directory whose checkpoint is
+// a version-1 or version-2 snapshot are each refused with a format-version
+// error naming the version found and the one this build reads — not
 // opened to a different digest, and not reported as corruption — and the
 // refusal leaves the directory as it was.
 func TestOldFormatsRefusedByName(t *testing.T) {
@@ -356,24 +357,26 @@ func TestOldFormatsRefusedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 		marker := filepath.Join(dir, storeMarkerName)
-		if got, err := os.ReadFile(marker); err != nil || string(got) != "spitz-store-v2\ndisk\n" {
+		if got, err := os.ReadFile(marker); err != nil || string(got) != "spitz-store-v3\ndisk\n" {
 			t.Fatalf("a new disk store is marked %q, %v", got, err)
 		}
-		v1 := []byte("spitz-store-v1\ndisk\n")
-		if err := os.WriteFile(marker, v1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range []StoreKind{StoreDisk, StoreMemory} {
-			_, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: kind}))
-			if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
-				t.Fatalf("open of a v1 disk store as %v: err = %v, want ErrStoreVersion", kind, err)
+		for _, version := range []string{"spitz-store-v1", "spitz-store-v2"} {
+			old := []byte(version + "\ndisk\n")
+			if err := os.WriteFile(marker, old, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), "spitz-store-v1") || !strings.Contains(err.Error(), "spitz-store-v2") {
-				t.Fatalf("error does not name both versions: %v", err)
+			for _, kind := range []StoreKind{StoreDisk, StoreMemory} {
+				_, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: kind}))
+				if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
+					t.Fatalf("open of a %s disk store as %v: err = %v, want ErrStoreVersion", version, kind, err)
+				}
+				if !strings.Contains(err.Error(), "holds a "+version) || !strings.Contains(err.Error(), "reads spitz-store-v3") {
+					t.Fatalf("error does not name both versions: %v", err)
+				}
 			}
-		}
-		if got, _ := os.ReadFile(marker); string(got) != string(v1) {
-			t.Fatalf("the refused open rewrote the marker to %q", got)
+			if got, _ := os.ReadFile(marker); string(got) != string(old) {
+				t.Fatalf("the refused open rewrote the marker to %q", got)
+			}
 		}
 	})
 	t.Run("memory store checkpoint", func(t *testing.T) {
@@ -397,15 +400,17 @@ func TestOldFormatsRefusedByName(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(string(raw), "SPITZSNAP2") {
+		if !strings.HasPrefix(string(raw), "SPITZSNAP3") {
 			t.Fatalf("a new checkpoint starts %q", raw[:10])
 		}
-		if err := os.WriteFile(snaps[0], append([]byte("SPITZSNAP1"), raw[10:]...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
-		if !errors.Is(err, ledger.ErrSnapshotVersion) || errors.Is(err, cas.ErrCorrupt) {
-			t.Fatalf("open over a version-1 checkpoint: err = %v, want ErrSnapshotVersion", err)
+		for _, magic := range []string{"SPITZSNAP1", "SPITZSNAP2"} {
+			if err := os.WriteFile(snaps[0], append([]byte(magic), raw[10:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+			if !errors.Is(err, ledger.ErrSnapshotVersion) || errors.Is(err, cas.ErrCorrupt) || !strings.Contains(err.Error(), magic) {
+				t.Fatalf("open over a %s checkpoint: err = %v, want ErrSnapshotVersion", magic, err)
+			}
 		}
 	})
 }

@@ -58,14 +58,20 @@ var errCkptCrashed = fmt.Errorf("durable: simulated checkpoint crash")
 
 const (
 	storeMarkerName = "STORE"
-	// v2: POS-tree leaves carry group digests and are addressed by their
-	// header (internal/posleaf). A v1 store's leaves hash differently, so
-	// it is refused by name instead of being read to other digests.
-	storeMarkerBody   = "spitz-store-v2\ndisk\n"
-	storeMarkerBodyV1 = "spitz-store-v1\ndisk\n"
-	nodesDirName      = "nodes"
-	vlogName          = "VLOG"
+	// v3: a POS-tree leaf is addressed by its count and the root of a
+	// binary hash tree over its entries (internal/posleaf). A v1 store's
+	// leaves hash whole and a v2 store's by a flat table of group digests,
+	// so either is refused by name instead of being read to other digests.
+	storeMarkerBody = "spitz-store-v3\ndisk\n"
+	nodesDirName    = "nodes"
+	vlogName        = "VLOG"
 )
+
+// olderStoreMarkers are the STORE bodies of the formats this build refuses.
+var olderStoreMarkers = map[string]string{
+	"spitz-store-v1\ndisk\n": "spitz-store-v1",
+	"spitz-store-v2\ndisk\n": "spitz-store-v2",
+}
 
 // resolveStoreKind decides which backend a directory uses. The STORE
 // marker (written once at creation) is authoritative: a disk-store
@@ -75,12 +81,12 @@ const (
 func resolveStoreKind(dir string, req StoreKind) (StoreKind, error) {
 	data, err := os.ReadFile(filepath.Join(dir, storeMarkerName))
 	if err == nil {
-		switch string(data) {
-		case storeMarkerBody:
+		if string(data) == storeMarkerBody {
 			return StoreDisk, nil
-		case storeMarkerBodyV1:
-			return 0, fmt.Errorf("%w: %s holds a spitz-store-v1 node store, this build reads spitz-store-v2 (its tree nodes hash differently; reload the data)",
-				ErrStoreVersion, dir)
+		}
+		if old, ok := olderStoreMarkers[string(data)]; ok {
+			return 0, fmt.Errorf("%w: %s holds a %s node store, this build reads spitz-store-v3 (its tree leaves hash differently; reload the data)",
+				ErrStoreVersion, dir, old)
 		}
 		return 0, fmt.Errorf("durable: unrecognized STORE marker in %s", dir)
 	}

@@ -42,7 +42,8 @@ const (
 	DomainJournal   byte = 0x0e // baseline journal block body
 	DomainPostings  byte = 0x0f // inverted index posting list
 	DomainCluster   byte = 0x10 // cluster digest vector (per-shard digests)
-	DomainPOSGroup  byte = 0x11 // one positional group of a POS-tree leaf's entries (internal/posleaf)
+	DomainPOSEntry  byte = 0x11 // one entry of a POS-tree leaf (internal/posleaf)
+	DomainPOSInner  byte = 0x12 // interior node of the hash tree over a POS-tree leaf's entries
 )
 
 // Zero is the zero digest, used as "absent".
@@ -99,13 +100,33 @@ func SumParts(domain byte, parts ...[]byte) Digest {
 
 // SumPair hashes two child digests into a parent digest (Merkle interior).
 func SumPair(domain byte, left, right Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{domain})
-	h.Write(left[:])
-	h.Write(right[:])
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var buf [1 + 2*DigestSize]byte
+	buf[0] = domain
+	copy(buf[1:], left[:])
+	copy(buf[1+DigestSize:], right[:])
+	return sha256.Sum256(buf[:])
+}
+
+// Hasher is Sum for code that hashes many small inputs in a row: the tag
+// and the input are laid out in one buffer and hashed in one call, so
+// nothing is allocated per input — and nothing at all while the inputs fit
+// the buffer a Hasher carries. The zero Hasher is ready to use; it is not
+// safe for concurrent use.
+type Hasher struct {
+	small [256]byte
+	large []byte // grown for, and reused by, inputs small has no room for
+}
+
+// Sum is the package's Sum.
+func (h *Hasher) Sum(domain byte, data []byte) Digest {
+	buf := h.small[:0]
+	if len(data) >= len(h.small) {
+		if cap(h.large) <= len(data) {
+			h.large = make([]byte, 0, 2*len(data))
+		}
+		buf = h.large[:0]
+	}
+	return sha256.Sum256(append(append(buf, domain), data...))
 }
 
 // Compare orders digests lexicographically; it returns -1, 0 or 1.

@@ -132,3 +132,28 @@ func TestQuickCompare(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHasherEqualsSum: a reused Hasher returns what Sum returns, whatever
+// it hashed before, and neither it nor SumPair allocates per input.
+func TestHasherEqualsSum(t *testing.T) {
+	var h Hasher
+	for _, data := range [][]byte{nil, []byte("x"), make([]byte, 2000), []byte("x")} {
+		if h.Sum(DomainPOSEntry, data) != Sum(DomainPOSEntry, data) {
+			t.Fatalf("Hasher.Sum differs from Sum on %d bytes", len(data))
+		}
+	}
+	a, b := Sum(DomainValue, []byte("a")), Sum(DomainValue, []byte("b"))
+	want := Sum(DomainPOSInner, append(append([]byte(nil), a[:]...), b[:]...))
+	if SumPair(DomainPOSInner, a, b) != want {
+		t.Fatal("SumPair is not the hash of tag, left, right")
+	}
+	data, large := make([]byte, 137), make([]byte, 2000)
+	if n := testing.AllocsPerRun(100, func() {
+		var fresh Hasher
+		fresh.Sum(DomainPOSEntry, data)
+		h.Sum(DomainPOSEntry, large)
+		SumPair(DomainPOSInner, a, b)
+	}); n != 0 {
+		t.Fatalf("%v allocations for a small input on a fresh Hasher, a large one on a used Hasher and a pair", n)
+	}
+}

@@ -138,10 +138,6 @@ type Ledger struct {
 	// version; used for historical point lookups between block snapshots.
 	versions map[string][]versionRef
 
-	// pcache memoizes head point proofs for the current digest; Commit
-	// invalidates it (see proofCache).
-	pcache proofCache
-
 	// demoLog/demoTail retain demoted-version entries for the durable
 	// layer's VLOG (see EnableDemotionLog); disabled by default so purely
 	// in-memory ledgers don't accumulate an unbounded tail.
@@ -278,10 +274,6 @@ func (l *Ledger) Commit(version uint64, txns []TxnSummary, cells []cellstore.Cel
 	l.headers = append(l.headers, h)
 	l.commit.Append(leaf)
 	l.cells = next
-	// The head moved: every memoized proof was built for the previous
-	// digest. Invalidation happens under the write lock, so no concurrent
-	// prover can serve a stale entry against the new digest.
-	l.pcache.invalidate()
 	return h, nil
 }
 

@@ -11,8 +11,8 @@ import (
 	"spitz/internal/postree"
 )
 
-// mProofBuild times full (uncached) head proof constructions: POS-tree
-// walk + point proof + block inclusion, excluding lock wait and encoding.
+// mProofBuild times head proof constructions: POS-tree walk + point proof
+// + block inclusion, excluding lock wait and encoding.
 var mProofBuild = obs.Default.Histogram("spitz_proof_build_ns")
 
 // ErrProofInvalid is returned when a ledger proof fails verification.
@@ -96,8 +96,7 @@ func (l *Ledger) Held(have []hashutil.Digest) postree.HeldSet {
 // bodies of exactly those nodes, with a patch in place of the body of a
 // node the client holds another version of, and without a range proof's
 // rows, which the client reads off the leaves it verifies. The receiver
-// is not modified — it may be shared with the proof cache and so with
-// other clients.
+// is not modified.
 func (p Proof) Elide(have postree.HeldSet) Proof {
 	n := 0
 	switch {
@@ -111,6 +110,17 @@ func (p Proof) Elide(have postree.HeldSet) Proof {
 	countCut(n, have)
 	return p
 }
+
+var (
+	// mProofNodesElided counts index-node bodies left out of point, range
+	// and batch proofs because the client already held them.
+	mProofNodesElided = obs.Default.Counter("spitz_proof_nodes_elided_total")
+	// mProofNodesPatched counts index nodes that travelled as a patch
+	// against a version the client held, mProofPatchSaved the bytes those
+	// patches were smaller than the bodies they stand for.
+	mProofNodesPatched = obs.Default.Counter("spitz_proof_nodes_patched_total")
+	mProofPatchSaved   = obs.Default.Counter("spitz_proof_patch_bytes_saved_total")
+)
 
 // countCut adds what one response's proofs were cut by to the server's
 // counters: n bodies left out, and whatever have patched.
@@ -186,39 +196,12 @@ func (l *Ledger) ProveGetHeadTraced(table, column string, pk []byte, tr *obs.Tra
 
 func (l *Ledger) proveGetLocked(height uint64, table, column string, pk []byte, tr *obs.Trace) (cellstore.Cell, bool, Proof, Digest, error) {
 	d := l.digestLocked()
-	head := d.Height > 0 && height == d.Height-1
-	var ref string
-	if head {
-		// Head reads memoize the complete proof per (digest, cell): the
-		// digest was captured inside this read-locked section, so a hit
-		// is guaranteed to have been built for exactly this head.
-		ref = string(cellstore.CellPrefix(table, column, pk))
-		var cacheStart time.Time
-		if tr.Sampled() {
-			cacheStart = time.Now()
-		}
-		if e, ok := l.pcache.get(d, ref); ok {
-			// The cache holds the proof without its pruned leaf, the one
-			// part that is not a reference into the node store; cut it
-			// again from the head tree.
-			pp, err := l.cells.Tree.WithLeaf(e.point)
-			if err != nil {
-				return cellstore.Cell{}, false, Proof{}, d, err
-			}
-			tr.Stage("proof.cache_hit", cacheStart)
-			return e.cell, e.ok, Proof{Header: e.hdr, Inclusion: e.inc, Point: &pp}, d, nil
-		}
-	}
 	buildStart := time.Now()
-	var snapStart time.Time
-	if tr.Sampled() {
-		snapStart = buildStart
-	}
 	h, snap, err := l.snapshotLocked(height)
 	if err != nil {
 		return cellstore.Cell{}, false, Proof{}, d, err
 	}
-	tr.Stage("ledger.snapshot", snapStart)
+	tr.Stage("ledger.snapshot", buildStart)
 	var pointStart time.Time
 	if tr.Sampled() {
 		pointStart = time.Now()
@@ -238,9 +221,6 @@ func (l *Ledger) proveGetLocked(height uint64, table, column string, pk []byte, 
 	}
 	tr.Stage("proof.inclusion", incStart)
 	mProofBuild.ObserveSince(buildStart)
-	if head {
-		l.pcache.put(d, ref, cachedRead{cell: cell, ok: ok, point: pointProof.WithoutLeaf(), inc: inc, hdr: h})
-	}
 	return cell, ok, Proof{Header: h, Inclusion: inc, Point: &pointProof}, d, nil
 }
 

@@ -22,17 +22,18 @@ import (
 // through the content-addressed Put on load, so a corrupted snapshot
 // cannot smuggle an object under a digest it does not hash to — the
 // restored database is exactly as verifiable as the original. (A POS-tree
-// leaf is addressed by its header, which commits to its entries group by
-// group; its groups are checked against the header before the Put.)
+// leaf is addressed by what its table of group roots hashes up to; its
+// entries are checked against the table before the Put.)
 
-// The last character is the stream version. 2: POS-tree leaves carry
-// group digests and hash by their header (internal/posleaf); a version 1
-// stream holds leaves that hash differently, so it is refused by name
-// rather than restored to other digests.
-const (
-	snapshotMagic   = "SPITZSNAP2"
-	snapshotMagicV1 = "SPITZSNAP1"
-)
+// The last character is the stream version. 3: a POS-tree leaf hashes by
+// its count and the root of a binary hash tree over its entries
+// (internal/posleaf); a version 1 or 2 stream holds leaves that hash
+// differently, so it is refused by name rather than restored to other
+// digests.
+const snapshotMagic = "SPITZSNAP3"
+
+// olderSnapshotMagics are the formats this build refuses.
+var olderSnapshotMagics = map[string]bool{"SPITZSNAP1": true, "SPITZSNAP2": true}
 
 // ErrSnapshotVersion is returned by LoadSnapshot for a stream written in
 // an older snapshot format.
@@ -149,11 +150,11 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, errors.New("ledger: not a spitz snapshot")
 	}
-	switch string(magic) {
-	case snapshotMagic:
-	case snapshotMagicV1:
-		return nil, fmt.Errorf("%w: stream is %s, this build reads %s (its tree nodes hash differently; re-export from the source database)",
-			ErrSnapshotVersion, snapshotMagicV1, snapshotMagic)
+	switch {
+	case string(magic) == snapshotMagic:
+	case olderSnapshotMagics[string(magic)]:
+		return nil, fmt.Errorf("%w: stream is %s, this build reads %s (its tree leaves hash differently; re-export from the source database)",
+			ErrSnapshotVersion, magic, snapshotMagic)
 	default:
 		return nil, errors.New("ledger: not a spitz snapshot")
 	}
@@ -215,8 +216,9 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	}
 
 	// Objects: re-Put under their domains; content addressing recomputes
-	// and thereby verifies every digest. A leaf's address covers its
-	// header only, so its groups are checked against the header first.
+	// and thereby verifies every digest. A leaf's address is computed from
+	// its table of group roots, so its entries are checked against the
+	// table first.
 	for {
 		tag, err := br.ReadByte()
 		if err != nil {
@@ -236,7 +238,7 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 		if domain == hashutil.DomainPOSLeaf {
 			l, err := posleaf.Parse(body)
 			if err == nil {
-				_, _, err = l.Verify()
+				_, err = l.Verify()
 			}
 			if err != nil {
 				return nil, fmt.Errorf("ledger: snapshot tree leaf: %w", err)

@@ -204,9 +204,9 @@ func TestSnapshotEveryByteFlipIsCaught(t *testing.T) {
 	t.Logf("%d of %d single-byte mutations restored (to the same digest and rows)", accepted, len(raw))
 }
 
-// TestSnapshotOldFormatRefusedByName: a version-1 stream holds tree leaves
-// that hash differently; it is refused as an old format, not mistaken for
-// garbage or restored to other digests.
+// TestSnapshotOldFormatRefusedByName: a version-1 or version-2 stream holds
+// tree leaves that hash differently; it is refused as an old format, not
+// mistaken for garbage or restored to other digests.
 func TestSnapshotOldFormatRefusedByName(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 2)
@@ -214,13 +214,15 @@ func TestSnapshotOldFormatRefusedByName(t *testing.T) {
 	if err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("SPITZSNAP1"), buf.Bytes()[len(snapshotMagic):]...)
-	_, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(old))
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("version-1 snapshot: err = %v, want ErrSnapshotVersion", err)
-	}
-	if !strings.Contains(err.Error(), "SPITZSNAP1") || !strings.Contains(err.Error(), snapshotMagic) {
-		t.Fatalf("error does not name both versions: %v", err)
+	for _, magic := range []string{"SPITZSNAP1", "SPITZSNAP2"} {
+		old := append([]byte(magic), buf.Bytes()[len(snapshotMagic):]...)
+		_, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(old))
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("%s snapshot: err = %v, want ErrSnapshotVersion", magic, err)
+		}
+		if !strings.Contains(err.Error(), "stream is "+magic) || !strings.Contains(err.Error(), "reads "+snapshotMagic) {
+			t.Fatalf("error does not name both versions: %v", err)
+		}
 	}
 	if _, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader([]byte("SPITZSNAP9 and so on"))); err == nil || errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("unknown magic: err = %v", err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"spitz/internal/hashutil"
 )
 
 // edited is the content of a leaf made from a stored one: from[i] is the
@@ -71,8 +73,8 @@ func checkRewrite(t testing.TB, src []byte, e edited) (hashed, plainHashed int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present, err := out.Verify(); err != nil || present != len(e.keys) {
-		t.Fatalf("rewritten leaf does not verify: %v (%d of %d entries)", err, present, len(e.keys))
+	if _, err := out.Verify(); err != nil || out.N != len(e.keys) {
+		t.Fatalf("rewritten leaf does not verify: %v (%d of %d entries)", err, out.N, len(e.keys))
 	}
 	if got.Hashed() > want.Hashed() {
 		t.Fatalf("rewrite hashed %d bytes, more than the %d of writing from scratch", got.Hashed(), want.Hashed())
@@ -83,13 +85,17 @@ func checkRewrite(t testing.TB, src []byte, e edited) (hashed, plainHashed int) 
 func TestLeafRewriteCopiesUnchangedGroups(t *testing.T) {
 	const n = 5*groupSize + 3
 	src, keys, values := testLeaf(n)
-	l, _ := Parse(src)
-	header := len(src) - len(l.Entries)
-	groupBytes := func(g int) (b int) {
+	// What a writer cannot avoid hashing: the nodes above the table and the
+	// digest's input, which the store hashes to address the leaf.
+	const node = 2 * hashutil.DigestSize
+	above := (groupsOf(n)-1)*node + 1 + uvarintLen(n) + hashutil.DigestSize
+	// groupCost is what group g of the source costs to hash: its entries and
+	// the nodes over them.
+	groupCost := func(g int) (b int) {
 		for i := g * groupSize; i < min((g+1)*groupSize, n); i++ {
 			b += EntrySize(keys[i], values[i])
 		}
-		return b
+		return b + (min((g+1)*groupSize, n)-g*groupSize-1)*node
 	}
 	keep := func(e *edited, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -100,8 +106,8 @@ func TestLeafRewriteCopiesUnchangedGroups(t *testing.T) {
 	t.Run("unchanged", func(t *testing.T) {
 		var e edited
 		keep(&e, 0, n)
-		if hashed, _ := checkRewrite(t, src, e); hashed != header {
-			t.Fatalf("hashed %d bytes, want the header's %d", hashed, header)
+		if hashed, _ := checkRewrite(t, src, e); hashed != above {
+			t.Fatalf("hashed %d bytes, want the %d above the table", hashed, above)
 		}
 	})
 	t.Run("overwrite keeps the count", func(t *testing.T) {
@@ -111,9 +117,9 @@ func TestLeafRewriteCopiesUnchangedGroups(t *testing.T) {
 			e.add(keys[at], []byte("a new value of another length"), -1)
 			keep(&e, at+1, n)
 			hashed, _ := checkRewrite(t, src, e)
-			want := header + groupBytes(at/groupSize) + len("a new value of another length") - len(values[at])
+			want := above + groupCost(at/groupSize) + len("a new value of another length") - len(values[at])
 			if hashed != want {
-				t.Fatalf("overwrite at %d hashed %d bytes, want header + one group = %d", at, hashed, want)
+				t.Fatalf("overwrite at %d hashed %d bytes, want one group and what is above the table = %d", at, hashed, want)
 			}
 		}
 	})
@@ -124,7 +130,7 @@ func TestLeafRewriteCopiesUnchangedGroups(t *testing.T) {
 		e.add([]byte("key-0017+"), []byte("inserted"), -1)
 		keep(&e, at, n)
 		hashed, plain := checkRewrite(t, src, e)
-		if want := plain - groupBytes(0) - groupBytes(1); hashed != want {
+		if want := plain - groupCost(0) - groupCost(1); hashed != want {
 			t.Fatalf("hashed %d bytes, want all but the two groups before the insert = %d", hashed, want)
 		}
 	})
@@ -159,8 +165,12 @@ func TestLeafRewriteCopiesUnchangedGroups(t *testing.T) {
 		}
 		keep(&e, 0, n)
 		hashed, plain := checkRewrite(t, src, e)
-		if want := plain - len(l.Entries); hashed != want {
-			t.Fatalf("hashed %d bytes, want %d: all but the source's entries", hashed, want)
+		want := plain
+		for g := 0; g < groupsOf(n); g++ {
+			want -= groupCost(g)
+		}
+		if hashed != want {
+			t.Fatalf("hashed %d bytes, want %d: all but the source's groups", hashed, want)
 		}
 	})
 }

@@ -15,7 +15,7 @@ import (
 // verification) costs far less than N independent PointProofs — this is
 // the multi-key aggregation Spitz's deferred verification batches receipts
 // into (one multi-proof per digest). A leaf is cut, as in a PointProof, to
-// what decides the keys that land in it: the contiguous run of groups from
+// what decides the keys that land in it: the contiguous run of entries from
 // the first one any of them needs to the last.
 //
 // Keys[i], Values[i] and Found[i] describe the i-th proven read; Values[i]
@@ -66,7 +66,7 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 					p.Found[ki] = true
 					p.Values[ki] = n.entries[i].Value
 				}
-				lo, hi := pointSpan(n.entries, key, i)
+				lo, hi := pointSpan(len(n.entries), i, p.Found[ki])
 				keep[slot] = [2]int{min(keep[slot][0], lo), max(keep[slot][1], hi)}
 				break
 			}

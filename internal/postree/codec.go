@@ -1,85 +1,90 @@
 package postree
 
 // Compact binary encoding of the POS-tree proof types for the wire
-// protocol's binary framing. Node bodies and values travel verbatim —
-// they are the hashed material, so the codec must not canonicalize or
-// re-order anything inside them. nil-ness of values and range bounds is
-// semantic (absent value, unbounded end) and is preserved exactly.
+// protocol's binary framing. Node bodies travel verbatim — they are the
+// hashed material, so the codec must not canonicalize or re-order anything
+// inside them. nil-ness of range bounds is semantic (unbounded end) and is
+// preserved exactly.
+//
+// What a proof proves travels once, inside the leaves that prove it: a
+// range proof's rows and a point or batch proof's values are not encoded.
+// Verification sets the rows from the leaves it verified; the decoder
+// points the values at the entries of the shipped leaves, and verification
+// compares them with what the verified walk arrives at, so a decoded proof
+// is the struct the prover held or it does not verify.
 
-import "spitz/internal/binenc"
+import (
+	"bytes"
+
+	"spitz/internal/binenc"
+	"spitz/internal/posleaf"
+)
 
 // AppendPointProof appends p's binary encoding.
 func AppendPointProof(dst []byte, p PointProof) []byte {
 	dst = binenc.AppendBytes(dst, p.Key)
-	dst = binenc.AppendBytes(dst, p.Value)
 	dst = binenc.AppendBool(dst, p.Found)
 	return binenc.AppendByteSlices(dst, p.Nodes)
 }
 
-// ReadPointProof decodes a point proof.
+// ReadPointProof decodes a point proof. Value is the value of Key's entry
+// in the shipped leaf when the proof claims one, nil when it claims none or
+// no shipped entry has the key.
 func ReadPointProof(src []byte) (PointProof, []byte, error) {
 	var p PointProof
 	var err error
 	if p.Key, src, err = binenc.ReadBytes(src); err != nil {
 		return p, nil, err
 	}
-	if p.Value, src, err = binenc.ReadBytes(src); err != nil {
-		return p, nil, err
-	}
 	if p.Found, src, err = binenc.ReadBool(src); err != nil {
 		return p, nil, err
 	}
-	p.Nodes, src, err = binenc.ReadByteSlices(src)
-	return p, src, err
+	if p.Nodes, src, err = binenc.ReadByteSlices(src); err != nil {
+		return p, nil, err
+	}
+	if p.Found {
+		var room [2]posleaf.Leaf
+		p.Value = shippedValue(shippedLeaves(p.Nodes, room[:0]), p.Key)
+	}
+	return p, src, nil
 }
 
-// AppendEntries appends a nil-preserving entry list.
-func AppendEntries(dst []byte, es []Entry) []byte {
-	if es == nil {
-		return append(dst, 0)
+// shippedLeaves appends to leaves every slot of nodes that parses as a
+// pruned leaf, as it reads: nothing is hashed.
+func shippedLeaves(nodes [][]byte, leaves []posleaf.Leaf) []posleaf.Leaf {
+	for _, body := range nodes {
+		if len(body) > 0 && body[0] == 0 {
+			if l, err := posleaf.ParsePruned(body); err == nil {
+				leaves = append(leaves, l)
+			}
+		}
 	}
-	dst = binenc.AppendUvarint(dst, uint64(len(es))+1)
-	for _, e := range es {
-		dst = binenc.AppendBytes(dst, e.Key)
-		dst = binenc.AppendBytes(dst, e.Value)
-	}
-	return dst
+	return leaves
 }
 
-// ReadEntries decodes an entry list.
-func ReadEntries(src []byte) ([]Entry, []byte, error) {
-	n, rest, err := binenc.ReadUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	cnt, err := binenc.Count(n-1, rest, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Entry, cnt)
-	for i := range out {
-		if out[i].Key, rest, err = binenc.ReadBytes(rest); err != nil {
-			return nil, nil, err
-		}
-		if out[i].Value, rest, err = binenc.ReadBytes(rest); err != nil {
-			return nil, nil, err
+// shippedValue returns the value of key's entry in the first leaf whose
+// run has one, nil when none does.
+func shippedValue(leaves []posleaf.Leaf, key []byte) []byte {
+	for _, l := range leaves {
+		for rest, c := l.Entries, -1; c < 0 && len(rest) > 0; {
+			var k, v []byte
+			k, v, rest, _ = posleaf.ReadEntry(rest) // ParsePruned walked them
+			if c = bytes.Compare(k, key); c == 0 {
+				return v
+			}
 		}
 	}
-	return out, rest, nil
+	return nil
 }
 
 // AppendRangeProof appends p's binary encoding.
 func AppendRangeProof(dst []byte, p RangeProof) []byte {
 	dst = binenc.AppendBytes(dst, p.Start)
 	dst = binenc.AppendBytes(dst, p.End)
-	dst = AppendEntries(dst, p.Entries)
 	return binenc.AppendByteSlices(dst, p.Nodes)
 }
 
-// ReadRangeProof decodes a range proof.
+// ReadRangeProof decodes a range proof; Entries is Verify's to fill.
 func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
 	var p RangeProof
 	var err error
@@ -89,9 +94,6 @@ func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
 	if p.End, src, err = binenc.ReadBytes(src); err != nil {
 		return p, nil, err
 	}
-	if p.Entries, src, err = ReadEntries(src); err != nil {
-		return p, nil, err
-	}
 	p.Nodes, src, err = binenc.ReadByteSlices(src)
 	return p, src, err
 }
@@ -99,24 +101,30 @@ func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
 // AppendBatchProof appends p's binary encoding.
 func AppendBatchProof(dst []byte, p BatchProof) []byte {
 	dst = binenc.AppendByteSlices(dst, p.Keys)
-	dst = binenc.AppendByteSlices(dst, p.Values)
 	dst = binenc.AppendBools(dst, p.Found)
 	return binenc.AppendByteSlices(dst, p.Nodes)
 }
 
-// ReadBatchProof decodes a batch proof.
+// ReadBatchProof decodes a batch proof. Values[i] is filled as a point
+// proof's Value is.
 func ReadBatchProof(src []byte) (BatchProof, []byte, error) {
 	var p BatchProof
 	var err error
 	if p.Keys, src, err = binenc.ReadByteSlices(src); err != nil {
 		return p, nil, err
 	}
-	if p.Values, src, err = binenc.ReadByteSlices(src); err != nil {
-		return p, nil, err
-	}
 	if p.Found, src, err = binenc.ReadBools(src); err != nil {
 		return p, nil, err
 	}
-	p.Nodes, src, err = binenc.ReadByteSlices(src)
-	return p, src, err
+	if p.Nodes, src, err = binenc.ReadByteSlices(src); err != nil {
+		return p, nil, err
+	}
+	leaves := shippedLeaves(p.Nodes, nil)
+	p.Values = make([][]byte, len(p.Keys))
+	for i, key := range p.Keys {
+		if i < len(p.Found) && p.Found[i] {
+			p.Values[i] = shippedValue(leaves, key)
+		}
+	}
+	return p, src, nil
 }

@@ -83,14 +83,12 @@ const (
 	// is taken in its place ("the ones in between were elided"), and when
 	// none is left the prover's claim simply stands.
 	trustElided trust = 1 << iota
-	// A pruned leaf's header: not hashed against the pointer above it.
-	trustHeader
-	// The shipped groups: not hashed against their slots in the header.
-	trustGroups
-	// The first shipped group's index: not checked against the header's
-	// table (a group beyond it has no slot and so nothing to hash against).
-	trustIndex
-	// The groups that were not shipped: a point absence stands without
+	// A pruned leaf's bytes: its digest is not recomputed from the run and
+	// the siblings and held against the pointer above it, and the run is
+	// not held to the leaf's count — a leaf slot is the leaf the walk
+	// wants, at the position and of the size it says.
+	trustLeaf
+	// The entries that were not shipped: a point absence stands without
 	// both neighbours of the gap in hand, and a range leaf without the
 	// entry (or leaf edge) on the far side of each end of its run.
 	trustGap
@@ -149,11 +147,13 @@ func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
 		}
 		bound := hashutil.Sum(hashutil.DomainPOSIndex, body)
 		if body[0] == 0 {
-			header, _, _, ok := splitPruned(body)
+			p, ok := splitPruned(body)
 			if !ok {
 				continue
 			}
-			bound = hashutil.Sum(hashutil.DomainPOSLeaf, header)
+			if bound, ok = p.digest(); !ok {
+				continue
+			}
 		}
 		if body[0] == patchMarker {
 			n := b.patched(i, false)
@@ -182,7 +182,7 @@ func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
 			b.used[i] = true
 			return b.patched(i, true), false
 		}
-		if b.skip&trustElided != 0 || (body[0] == 0 && b.skip&trustHeader != 0) {
+		if b.skip&trustElided != 0 || (body[0] == 0 && b.skip&trustLeaf != 0) {
 			return b.open(i), false
 		}
 		return nil, false
@@ -372,83 +372,131 @@ func blindVerify(t *testing.T, p PointProof, root hashutil.Digest, pinned []*Nod
 	return b.finish()
 }
 
-// groupLen reads the number of entries per leaf group off a pruned leaf
-// (the constant itself is posleaf's own business).
+// groupLen reads the number of entries under one stored group root off
+// stored leaves (the constant itself is posleaf's own business): positions
+// at and beside its multiples are where a prune has hashing to do on one
+// side and none on the other.
 func groupLen(t *testing.T) int {
 	t.Helper()
-	big := &node{entries: testEntries(100, 3)}
-	pruned, err := posleaf.Prune(big.encode(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	for n := 1; n < 100; n++ {
+		leaf := &node{entries: testEntries(n, 3)}
+		if len(leaf.encode())-1-posleaf.UvarintLen(n)-entryBytes(leaf.entries) > hashutil.DigestSize {
+			return n - 1
+		}
 	}
-	n, _, err := openNode(pruned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(n.entries)
+	t.Fatal("no leaf of under 100 entries stores two group roots")
+	return 0
 }
 
-// splitPruned cuts a pruned leaf body into header, first-group index and
-// the shipped entry bytes, without judging any of them.
-func splitPruned(body []byte) (header []byte, first int, entries []byte, ok bool) {
-	l, err := posleaf.Parse(body)
-	if err != nil {
-		return nil, 0, nil, false
-	}
-	f, k := binary.Uvarint(l.Entries)
-	if k <= 0 {
-		return nil, 0, nil, false
-	}
-	return body[:len(body)-len(l.Entries)], int(f), l.Entries[k:], true
+// prunedLeaf is a pruned leaf body cut into its fields, none of them
+// judged: what the forgeries rearrange and the reference verifier reads.
+type prunedLeaf struct {
+	count, first, n uint64
+	entries         []byte // the n entries
+	siblings        []byte
 }
 
-// joinPruned is the inverse of splitPruned.
-func joinPruned(header []byte, first int, entries []byte) []byte {
-	out := append([]byte(nil), header...)
-	out = binary.AppendUvarint(out, uint64(first))
-	return append(out, entries...)
+func splitPruned(body []byte) (p prunedLeaf, ok bool) {
+	if len(body) == 0 || body[0] != 0 {
+		return p, false
+	}
+	rest := body[1:]
+	for _, f := range []*uint64{&p.count, &p.first, &p.n} {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return p, false
+		}
+		*f, rest = v, rest[k:]
+	}
+	run := rest
+	for i := uint64(0); i < p.n; i++ {
+		var err error
+		if _, _, rest, err = posleaf.ReadEntry(rest); err != nil {
+			return p, false
+		}
+	}
+	p.entries, p.siblings = run[:len(run)-len(rest)], rest
+	return p, true
+}
+
+// join is the inverse of splitPruned.
+func (p prunedLeaf) join() []byte {
+	out := binary.AppendUvarint([]byte{0}, p.count)
+	out = binary.AppendUvarint(out, p.first)
+	out = binary.AppendUvarint(out, p.n)
+	return append(append(out, p.entries...), p.siblings...)
+}
+
+// mustSplit is splitPruned of a body the test built.
+func mustSplit(t *testing.T, body []byte) prunedLeaf {
+	t.Helper()
+	p, ok := splitPruned(body)
+	if !ok {
+		t.Fatal("pruned leaf does not split")
+	}
+	return p
+}
+
+// digest is the reference reading of the commitment: the run must lie in
+// the leaf and hold an entry unless the leaf has none; the tree over count
+// positions is walked top down, a subtree with nothing of the run in it
+// taking the next sibling, a position of the run hashing the next entry;
+// and every sibling must have been taken. ok is false for a slot that is
+// not that.
+func (p prunedLeaf) digest() (d hashutil.Digest, ok bool) {
+	if p.count > 1<<31-1 || p.n > p.count || p.first > p.count-p.n || (p.n == 0 && p.count > 0) || len(p.siblings)%hashutil.DigestSize != 0 {
+		return d, false
+	}
+	entries, siblings := p.entries, p.siblings
+	var root func(lo, hi uint64) hashutil.Digest
+	root = func(lo, hi uint64) (d hashutil.Digest) {
+		switch {
+		case hi <= p.first || p.first+p.n <= lo:
+			if len(siblings) == 0 {
+				ok = false
+				return d
+			}
+			d, siblings = hashutil.Digest(siblings), siblings[hashutil.DigestSize:]
+			return d
+		case hi-lo == 1:
+			_, _, rest, _ := posleaf.ReadEntry(entries)
+			d, entries = hashutil.Sum(hashutil.DomainPOSEntry, entries[:len(entries)-len(rest)]), rest
+			return d
+		}
+		k := uint64(1)
+		for 2*k < hi-lo {
+			k *= 2
+		}
+		l, r := root(lo, lo+k), root(lo+k, hi)
+		return hashutil.Sum(hashutil.DomainPOSInner, append(l[:], r[:]...))
+	}
+	ok = true
+	var top hashutil.Digest
+	if p.count > 0 {
+		top = root(0, p.count)
+	}
+	if !ok || len(siblings) != 0 {
+		return d, false
+	}
+	return hashutil.Sum(hashutil.DomainPOSLeaf, append(binary.AppendUvarint([]byte{0}, p.count), top[:]...)), true
 }
 
 // blindLeaf decodes a pruned leaf with the checks in tr left out; nil
-// means rejected. (Whether the header is the one the walk wanted is the
+// means rejected. (Whether its digest is the one the walk wanted is the
 // caller's business.)
 func blindLeaf(t *testing.T, body []byte, tr trust) *node {
-	header, first, rest, ok := splitPruned(body)
+	p, ok := splitPruned(body)
 	if !ok {
 		return nil
 	}
-	g := groupLen(t)
-	cnt, _ := binary.Uvarint(header[1:])
-	count := int(cnt)
-	groups := (count + g - 1) / g
-	slots := header[len(header)-groups*hashutil.DigestSize:]
-	if tr&trustIndex == 0 && first >= max(groups, 1) {
+	if _, ok := p.digest(); !ok && tr&trustLeaf == 0 {
 		return nil
 	}
-	n := &node{first: first * g, count: count}
-	for grp := first; len(rest) > 0; grp++ {
-		if tr&trustIndex == 0 && grp >= groups {
-			return nil
-		}
-		size := g
-		if grp == groups-1 {
-			size = count - grp*g
-		}
-		start := rest
-		for j := 0; j < size; j++ {
-			var e Entry
-			var err error
-			if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
-				return nil
-			}
-			n.entries = append(n.entries, e)
-		}
-		if tr&trustGroups == 0 && grp < groups {
-			slot := slots[grp*hashutil.DigestSize:][:hashutil.DigestSize]
-			if hashutil.Sum(hashutil.DomainPOSGroup, start[:len(start)-len(rest)]) != hashutil.Digest(slot) {
-				return nil
-			}
-		}
+	n := &node{first: int(p.first), count: int(p.count)}
+	for rest := p.entries; len(rest) > 0; {
+		var e Entry
+		e.Key, e.Value, rest, _ = posleaf.ReadEntry(rest)
+		n.entries = append(n.entries, e)
 	}
 	return n
 }
@@ -594,7 +642,9 @@ func forgePath(t *testing.T, tr *Tree, nodes [][]byte, digests []hashutil.Digest
 		cas.Address(hashutil.DomainPOSLeaf, leafBody), childCount(parent.entries[i]))
 	nodes = append([][]byte(nil), nodes...)
 	nodes[last-1] = forgedParent.encode()
-	if nodes[last], err = posleaf.Prune(leafBody, at, at); err != nil {
+	// The forged entry and its neighbours: what a point read of key, or a
+	// scan of the two entries from it, is decided by.
+	if nodes[last], err = posleaf.Prune(leafBody, max(at-1, 0), min(at+2, len(leaf.entries)-1)); err != nil {
 		t.Fatal(err)
 	}
 	return nodes
@@ -760,14 +810,13 @@ func TestElisionStructuredForgeries(t *testing.T) {
 func TestVerifyBindsLevelToHashDomain(t *testing.T) {
 	leaf := &node{level: 0, entries: []Entry{{Key: []byte("k"), Value: []byte("v")}}}
 	leafBody := leaf.encode()
-	header, _, _, ok := splitPruned(leafBody)
-	if !ok {
-		t.Fatal("leaf body does not split")
-	}
 	pruned, err := posleaf.Prune(leafBody, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// What a leaf of this one entry hashes to, step by step.
+	entryHash := hashutil.Sum(hashutil.DomainPOSEntry, posleaf.AppendEntry(nil, []byte("k"), []byte("v")))
+	bound := append([]byte{0, 1}, entryHash[:]...) // level | count | root
 	build := func(pointer hashutil.Digest) (hashutil.Digest, PointProof) {
 		parent := &node{level: 1, entries: []Entry{makeIndexEntry([]byte("k"), pointer, 1)}}
 		parentBody := parent.encode()
@@ -775,14 +824,18 @@ func TestVerifyBindsLevelToHashDomain(t *testing.T) {
 			Key: []byte("k"), Value: []byte("v"), Found: true,
 			Nodes: [][]byte{parentBody, pruned}}
 	}
-	root, p := build(hashutil.Sum(hashutil.DomainPOSLeaf, header))
+	root, p := build(hashutil.Sum(hashutil.DomainPOSLeaf, bound))
 	if err := p.Verify(root); err != nil {
 		t.Fatalf("control proof: %v", err)
 	}
 	for name, pointer := range map[string]hashutil.Digest{
-		"the header under the index domain":    hashutil.Sum(hashutil.DomainPOSIndex, header),
-		"the header under the group domain":    hashutil.Sum(hashutil.DomainPOSGroup, header),
-		"the whole body under the leaf domain": hashutil.Sum(hashutil.DomainPOSLeaf, leafBody),
+		"count and root under the index domain":   hashutil.Sum(hashutil.DomainPOSIndex, bound),
+		"count and root under the entry domain":   hashutil.Sum(hashutil.DomainPOSEntry, bound),
+		"count and root under the inner domain":   hashutil.Sum(hashutil.DomainPOSInner, bound),
+		"the root alone, without the count":       entryHash,
+		"the whole body under the leaf domain":    hashutil.Sum(hashutil.DomainPOSLeaf, leafBody),
+		"the pruned slot under the leaf domain":   hashutil.Sum(hashutil.DomainPOSLeaf, pruned),
+		"the entry's bytes under the leaf domain": hashutil.Sum(hashutil.DomainPOSLeaf, posleaf.AppendEntry(nil, []byte("k"), []byte("v"))),
 	} {
 		root, p = build(pointer)
 		if err := p.Verify(root); err == nil {
@@ -937,8 +990,8 @@ func TestHintsAcrossCommits(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Pruned leaves: a point proof ships the leaf's header and only the group
-// of entries that decides the answer.
+// Pruned leaves: a point proof ships the entries that decide the answer
+// and the hash path that binds them to the leaf's digest.
 
 // groupedLeaf returns a tree, one of its leaves with at least three full
 // groups (stored body and decoded entries), and the leaf after it.
@@ -976,7 +1029,7 @@ func groupedLeaf(t *testing.T) (tr *Tree, body []byte, leaf *node, nextBody []by
 // between returns a key that sorts directly after e's.
 func between(e Entry) []byte { return append(append([]byte(nil), e.Key...), 0) }
 
-func TestPointProofShipsOneGroup(t *testing.T) {
+func TestPointProofShipsTheDecidingEntries(t *testing.T) {
 	tr, body, leaf, _, _ := groupedLeaf(t)
 	g := groupLen(t)
 	shipped := func(key []byte, found bool) *node {
@@ -992,40 +1045,41 @@ func TestPointProofShipsOneGroup(t *testing.T) {
 			t.Fatalf("%q: %v", key, err)
 		}
 		last := p.Nodes[len(p.Nodes)-1]
-		if len(last) >= len(body) {
+		if len(last) >= len(body)/2 {
 			t.Fatalf("%q: leaf slot is %d bytes, the stored leaf %d", key, len(last), len(body))
 		}
 		n, d, err := openNode(last)
 		if err != nil || d != p.digests[len(p.digests)-1] {
 			t.Fatalf("%q: pruned leaf does not open to the leaf's digest: %v", key, err)
 		}
+		if ref, ok := mustSplit(t, last).digest(); !ok || ref != d {
+			t.Fatalf("%q: the reference reading of the slot disagrees", key)
+		}
 		if n.count != len(leaf.entries) {
 			t.Fatalf("%q: pruned leaf counts %d entries, the leaf has %d", key, n.count, len(leaf.entries))
 		}
 		return n
 	}
-	// A hit anywhere in a group ships exactly that group.
+	// A hit ships exactly its entry, wherever in a group it sits.
 	for _, i := range []int{0, g - 1, g, g + 3, 2*g - 1, len(leaf.entries) - 1} {
-		n := shipped(leaf.entries[i].Key, true)
-		if n.first != i/g*g || len(n.entries) != min(g, len(leaf.entries)-n.first) {
+		if n := shipped(leaf.entries[i].Key, true); n.first != i || len(n.entries) != 1 {
 			t.Fatalf("hit at %d shipped entries [%d,%d)", i, n.first, n.first+len(n.entries))
 		}
 	}
-	// A miss inside a group ships that group; at a group edge, both sides.
-	if n := shipped(between(leaf.entries[g+2]), false); n.first != g || len(n.entries) != g {
-		t.Fatalf("miss inside group 1 shipped entries [%d,%d)", n.first, n.first+len(n.entries))
-	}
-	if n := shipped(between(leaf.entries[2*g-1]), false); n.first != g || len(n.entries) != 2*g {
-		t.Fatalf("miss at the edge of groups 1 and 2 shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	// A miss ships both sides of the gap, inside a group or across an edge.
+	for _, i := range []int{g + 2, 2*g - 1} {
+		if n := shipped(between(leaf.entries[i]), false); n.first != i || len(n.entries) != 2 {
+			t.Fatalf("miss after entry %d shipped entries [%d,%d)", i, n.first, n.first+len(n.entries))
+		}
 	}
 	// Before the leaf's first entry (the key routes here because it is past
-	// the previous leaf's last): the first group alone.
+	// the previous leaf's last): the first entry alone.
 	below := append([]byte(nil), leaf.entries[0].Key...)
 	below[len(below)-1]--
-	if n := shipped(below, false); n.first != 0 || len(n.entries) != g {
+	if n := shipped(below, false); n.first != 0 || len(n.entries) != 1 {
 		t.Fatalf("miss below the leaf's first key shipped entries [%d,%d)", n.first, n.first+len(n.entries))
 	}
-	// A single-leaf tree: past its last entry, the last group alone.
+	// A single-leaf tree: past its last entry, the last entry alone.
 	small := mustBulk(t, leaf.entries[:g+2])
 	if small.level != 0 {
 		t.Skip("the small tree is not a single leaf")
@@ -1037,7 +1091,7 @@ func TestPointProofShipsOneGroup(t *testing.T) {
 	if err := p.Verify(small.Root()); err != nil {
 		t.Fatal(err)
 	}
-	if n, _, _ := openNode(p.Nodes[0]); n.first != g || len(n.entries) != 2 {
+	if n, _, _ := openNode(p.Nodes[0]); n.first != g+1 || len(n.entries) != 1 {
 		t.Fatalf("miss above a root leaf shipped entries [%d,%d)", n.first, n.first+len(n.entries))
 	}
 }
@@ -1049,9 +1103,9 @@ func TestPointProofShipsOneGroup(t *testing.T) {
 func TestPrunedLeafStructuredForgeries(t *testing.T) {
 	tr, body, leaf, nextBody, _ := groupedLeaf(t)
 	g := groupLen(t)
-	groups := (len(leaf.entries) + g - 1) / g
-	key := leaf.entries[g+1].Key       // present, inside group 1
-	edge := between(leaf.entries[g-1]) // absent, between groups 0 and 1
+	at := g + 1
+	key := leaf.entries[at].Key        // present
+	edge := between(leaf.entries[g-1]) // absent, between entries g-1 and g
 	forgedValue := []byte("forged value")
 
 	prune := func(b []byte, lo, hi int) []byte {
@@ -1062,30 +1116,12 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 		}
 		return out
 	}
-	header, _, _, _ := splitPruned(body)
-	_, _, group0, _ := splitPruned(prune(body, 0, 0))
-	_, _, group2, _ := splitPruned(prune(body, 2*g, 2*g))
-	_, _, nextGroup0, _ := splitPruned(prune(nextBody, 0, 0))
-	// Group 1 re-encoded with key's value replaced.
-	var forgedGroup []byte
-	for _, e := range leaf.entries[g : 2*g] {
-		if bytes.Equal(e.Key, key) {
-			e.Value = forgedValue
-		}
-		forgedGroup = posleaf.AppendEntry(forgedGroup, e.Key, e.Value)
-	}
-	// recount rewrites the header for another count, keeping the first
-	// slots of the table and appending extra ones.
-	recount := func(count int, extra ...hashutil.Digest) []byte {
-		cnt, k := binary.Uvarint(header[1:])
-		oldGroups := (int(cnt) + g - 1) / g
-		slots := header[1+k:][:min(oldGroups, (count+g-1)/g)*hashutil.DigestSize]
-		out := binary.AppendUvarint([]byte{0}, uint64(count))
-		out = append(out, slots...)
-		for _, d := range extra {
-			out = append(out, d[:]...)
-		}
-		return out
+	// The honest slot for key, with its entry's value replaced.
+	forgedEntry := posleaf.AppendEntry(nil, key, forgedValue)
+	edit := func(f func(p *prunedLeaf)) []byte {
+		p := mustSplit(t, prune(body, at, at))
+		f(&p)
+		return p.join()
 	}
 
 	hit, err := tr.ProveGet(key)
@@ -1113,39 +1149,56 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 		skips trust
 		proof PointProof
 	}{
-		// key is in group 1; group 0, whose entries all sort before it, is
-		// shipped (under its own slot, hashing correctly) as if the search
-		// had ended there.
-		{"ships a neighbouring group and claims absence", trustGap,
-			absent(hit, key, prune(body, 0, 0))},
-		// Group 2, whose entries all sort after key, is shipped as group 0:
-		// "key sorts before the leaf's first entry".
-		{"ships an authentic group under another group's slot", trustGroups,
-			absent(hit, key, joinPruned(header, 0, group2))},
-		// edge sorts between groups 0 and 1: each side alone says nothing
-		// about the other.
-		{"claims absence at a group edge with only the left side shipped", trustGap,
+		// The entry before key's, shipped honestly, as if the search had
+		// ended there.
+		{"ships a neighbouring entry and claims absence", trustGap,
+			absent(hit, key, prune(body, at-1, at-1))},
+		// The entry after key's, relabelled as the leaf's first: "key sorts
+		// before the leaf's first entry".
+		{"ships an authentic entry at another position", trustLeaf,
+			absent(hit, key, edit(func(p *prunedLeaf) {
+				*p = mustSplit(t, prune(body, at+1, at+1))
+				p.first = 0
+			}))},
+		// edge sorts between entries g-1 and g: each side alone says
+		// nothing about the other.
+		{"claims absence with only the left side of the gap shipped", trustGap,
 			absent(miss, edge, prune(body, g-1, g-1))},
-		{"claims absence at a group edge with only the right side shipped", trustGap,
+		{"claims absence with only the right side of the gap shipped", trustGap,
 			absent(miss, edge, prune(body, g, g))},
-		// The next leaf's first group — every key past this leaf — under
-		// this leaf's header, as this leaf's group 0.
-		{"ships a group from another leaf with the same index", trustGroups,
-			absent(hit, key, joinPruned(header, 0, nextGroup0))},
-		// The header says the leaf ends where group 0 does, so edge sorts
-		// past the leaf's last entry.
-		{"truncates count", trustHeader,
-			absent(miss, edge, joinPruned(recount(g), 0, group0))},
-		// The header gains a group, whose slot is the forged group's own
-		// digest.
-		{"extends count", trustHeader,
-			present(joinPruned(recount((groups+1)*g, hashutil.Sum(hashutil.DomainPOSGroup, forgedGroup)), groups, forgedGroup))},
-		// A forged group labelled with an index the header has no slot for.
-		{"ships a group whose index is out of range", trustIndex,
-			present(joinPruned(header, groups, forgedGroup))},
-		// And the plain one: the right index, forged bytes.
-		{"ships a forged group under the right slot", trustGroups,
-			present(joinPruned(header, 1, forgedGroup))},
+		// The next leaf's first entry — past every key of this leaf — in
+		// this leaf's place, as its first.
+		{"ships an entry of another leaf", trustLeaf,
+			absent(hit, key, prune(nextBody, 0, 0))},
+		// The leaf is said to end where entry g-1 does, so edge sorts past
+		// its last entry.
+		{"truncates count", trustLeaf,
+			absent(miss, edge, edit(func(p *prunedLeaf) {
+				*p = mustSplit(t, prune(body, g-1, g-1))
+				p.count = uint64(g)
+			}))},
+		// The leaf is said to hold one entry more, the forged one.
+		{"extends count", trustLeaf,
+			present(edit(func(p *prunedLeaf) {
+				p.count, p.first, p.entries = p.count+1, p.count, forgedEntry
+			}))},
+		// A forged entry at a position the leaf does not have.
+		{"ships an entry whose position is out of range", trustLeaf,
+			present(edit(func(p *prunedLeaf) { p.first, p.entries = p.count, forgedEntry }))},
+		// And the plain one: the right position, the right siblings, forged
+		// bytes.
+		{"ships a forged entry at the right position", trustLeaf,
+			present(edit(func(p *prunedLeaf) { p.entries = forgedEntry }))},
+		// The siblings say nothing the verifier can use on their own, but a
+		// slot short of one — or long by one — is not a leaf.
+		{"drops a sibling", trustLeaf,
+			present(edit(func(p *prunedLeaf) {
+				p.entries, p.siblings = forgedEntry, p.siblings[hashutil.DigestSize:]
+			}))},
+		{"adds a sibling", trustLeaf,
+			present(edit(func(p *prunedLeaf) {
+				p.entries, p.siblings = forgedEntry, append(p.siblings[:len(p.siblings):len(p.siblings)], p.siblings[:hashutil.DigestSize]...)
+			}))},
 	}
 	for _, honest := range []PointProof{hit, miss} {
 		if err := blindVerify(t, honest, tr.Root(), nil, 0); err != nil {
@@ -1176,7 +1229,7 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 }
 
 // TestPrunedLeafEveryFieldTrips flips each byte of a cold proof's pruned
-// leaf for a hit, a miss inside a group and a miss at a group edge.
+// leaf for a hit, a miss inside a group and a miss across a group edge.
 func TestPrunedLeafEveryFieldTrips(t *testing.T) {
 	tr, _, leaf, _, _ := groupedLeaf(t)
 	g := groupLen(t)

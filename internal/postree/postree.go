@@ -146,9 +146,9 @@ func (t *Tree) Store() cas.Store { return t.store }
 // child digest followed by the 8-byte big-endian subtree entry count.
 //
 // A leaf decoded from the pruned form a proof carries holds only the
-// entries of the groups that were shipped: first is the position in the
-// leaf of entries[0] and count the leaf's true entry count (0 and
-// len(entries) for a leaf decoded whole; neither is set on other nodes).
+// run of entries that was shipped: first is the position in the leaf of
+// entries[0] and count the leaf's true entry count (0 and len(entries) for
+// a leaf decoded whole; neither is set on other nodes).
 type node struct {
 	level   int
 	entries []Entry
@@ -174,14 +174,15 @@ func makeIndexEntry(sep []byte, d hashutil.Digest, count uint64) Entry {
 }
 
 // mHashedBytes counts the bytes SHA-256 is fed to commit to the nodes
-// encode builds: an index node's whole body; a leaf's header and the
-// groups written entry by entry. It falls short of the bytes written by
-// the groups encode copied, digest and all, from the leaf being rewritten.
+// encode builds: an index node's whole body; for a leaf the entries written
+// one by one, the nodes of the hash tree over them and the digest's input
+// (posleaf.Writer.Hashed). It falls short of the bytes written by the
+// groups encode copied, root and all, from the leaf being rewritten.
 var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
 
 // encode serializes a run as one node of the given level: an index node
-// as level | count | entries, hashed whole; a leaf in the grouped layout of
-// internal/posleaf, whose header carries a digest per group of entries.
+// as level | count | entries, hashed whole; a leaf in the layout of
+// internal/posleaf, which keeps a root per group of entries.
 // Where r.kept says a stretch of a leaf's entries is a stored leaf's,
 // unchanged, the writer takes the groups both leaves cut alike out of
 // that leaf's body, already hashed. The body is allocated once, at its
@@ -261,7 +262,7 @@ func decodeNode(data []byte) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return decodeLeaf(l, l.Count)
+		return decodeLeaf(l)
 	}
 	n := &node{level: int(data[0])}
 	cnt, k := binary.Uvarint(data[1:])
@@ -291,11 +292,10 @@ func decodeNode(data []byte) (*node, error) {
 	return n, nil
 }
 
-// decodeLeaf decodes the present entries of a parsed leaf: all l.Count of
-// them for a stored body (bounded by its length in posleaf.Parse), or as
-// many as Verify walked.
-func decodeLeaf(l posleaf.Leaf, present int) (*node, error) {
-	n := &node{entries: make([]Entry, present), first: l.First, count: l.Count}
+// decodeLeaf decodes the entries present of a parsed leaf, whose number
+// posleaf bounded by the bytes they take.
+func decodeLeaf(l posleaf.Leaf) (*node, error) {
+	n := &node{entries: make([]Entry, l.N), first: l.First, count: l.Count}
 	rest := l.Entries
 	for i := range n.entries {
 		var err error
@@ -312,11 +312,11 @@ func decodeLeaf(l posleaf.Leaf, present int) (*node, error) {
 
 // openNode decodes a node body that arrived in a proof and returns the
 // digest its bytes are bound to, which the caller compares with the digest
-// it expected: an index node hashes whole under the index domain; a leaf
-// is its header's hash, after every group present has been hashed against
-// its slot in that header (posleaf.Leaf.Verify — the same check a stored
-// leaf gets when it is read back from disk). Proofs of every shape carry
-// leaves in the pruned form, where only some groups need be present.
+// it expected: an index node hashes whole under the index domain; a leaf's
+// digest is recomputed from the entries present and the siblings beside
+// them (posleaf.Leaf.Verify — the same function a stored leaf passes when
+// it is read back from disk). Proofs of every shape carry leaves in the
+// pruned form, where only a run of the entries need be present.
 func openNode(body []byte) (*node, hashutil.Digest, error) {
 	if len(body) == 0 || body[0] != 0 {
 		n, err := decodeNode(body)
@@ -329,11 +329,11 @@ func openNode(body []byte) (*node, hashutil.Digest, error) {
 	if err != nil {
 		return nil, hashutil.Digest{}, err
 	}
-	d, present, err := l.Verify()
+	d, err := l.Verify()
 	if err != nil {
 		return nil, hashutil.Digest{}, err
 	}
-	n, err := decodeLeaf(l, present)
+	n, err := decodeLeaf(l)
 	return n, d, err
 }
 
@@ -539,26 +539,45 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if t.root.IsZero() {
 		return nil, false, nil
 	}
+	body, err := t.leafFor(key, nil)
+	if body == nil || err != nil {
+		return nil, false, err
+	}
+	_, value, found, err := posleaf.Find(body, key)
+	return value, found, err
+}
+
+// leafFor descends the index levels of a non-empty tree and returns the
+// stored body of the leaf key routes to, nil when key is beyond the largest
+// key. The index nodes it passes are appended to p, when there is one, and
+// so is the leaf's digest (its slot is the caller's to cut and append).
+func (t *Tree) leafFor(key []byte, p *PointProof) ([]byte, error) {
 	d := t.root
 	for level := t.level; level > 0; level-- {
-		n, err := t.loadNodeCached(d)
+		body, n, err := t.loadProofNode(d)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if n.level != level {
-			return nil, false, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
+			return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
+		}
+		if p != nil {
+			p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
 		}
 		i := searchEntries(n.entries, key)
 		if i == len(n.entries) {
-			return nil, false, nil // beyond the largest key
+			return nil, nil
 		}
 		d = childDigest(n.entries[i])
 	}
+	if p != nil {
+		p.digests = append(p.digests, d)
+	}
 	body, err := t.store.Get(d)
 	if err != nil {
-		return nil, false, fmt.Errorf("postree: load node: %w", err)
+		return nil, fmt.Errorf("postree: load node: %w", err)
 	}
-	return posleaf.Find(body, key)
+	return body, nil
 }
 
 // Scan calls fn for every entry with start <= key < end, in key order. A

@@ -20,9 +20,9 @@ var (
 // PointProof proves the presence (Value != nil treated together with Found)
 // or absence of Key under a tree root. It consists of the serialized bodies
 // of the index nodes on the root-to-leaf search path and the leaf, pruned
-// to the group of entries that decides the answer (see ProveGet); the
-// verifier re-hashes each body, follows child digests from the root and
-// reruns the search.
+// to the entries that decide the answer (see ProveGet); the verifier
+// re-hashes each body, follows child digests from the root and reruns the
+// search.
 //
 // This is Spitz's "unified index" property in code: the proof is assembled
 // from exactly the nodes the query already visited, so proving costs no
@@ -42,9 +42,6 @@ type PointProof struct {
 	// never crosses the wire; Elide compares it with what a client says
 	// it holds, so the server neither re-hashes nor decodes to elide.
 	digests []hashutil.Digest
-	// keepLo..keepHi are the entry positions the leaf slot was pruned to
-	// keep: with the leaf's digest, enough to cut the slot again (WithLeaf).
-	keepLo, keepHi int
 }
 
 // ProveGet returns the value under key together with its proof. Absence is
@@ -52,84 +49,52 @@ type PointProof struct {
 // key exists).
 //
 // The leaf slot is the stored leaf cut down to what decides a search that
-// ended at position i of its entries: the header, which commits to every
-// group, and the group holding entry i for a hit; for a miss the groups
-// holding the entries on either side of the gap, i-1 and i — one group, or
-// two when the gap is a group edge, and only the one that exists when the
-// key sorts before the leaf's first entry or after its last. Nothing is
-// hashed to build it: the groups are sliced out of the stored body.
+// ended at position i of its entries: entry i for a hit; for a miss the
+// entries on either side of the gap, i-1 and i — only the one that exists
+// when the key sorts before the leaf's first entry or after its last —
+// beside the hash path that binds them to the leaf's digest (posleaf.Prune).
+//
+// The index levels come decoded from the node cache; the leaf, as in Get,
+// is searched — and then cut — in its stored body rather than decoded whole
+// for the sake of one entry.
 func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	p := PointProof{Key: key}
 	if t.root.IsZero() {
 		return p, nil // proof against the zero root: trivially empty tree
 	}
-	d := t.root
-	for {
-		body, n, err := t.loadProofNode(d)
-		if err != nil {
-			return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
-		}
-		p.digests = append(p.digests, d)
-		i := searchEntries(n.entries, key)
-		if n.level == 0 {
-			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
-				p.Found = true
-				p.Value = n.entries[i].Value
-			}
-			p.keepLo, p.keepHi = pointSpan(n.entries, key, i)
-			if body, err = posleaf.Prune(body, p.keepLo, p.keepHi); err != nil {
-				return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
-			}
-			p.Nodes = append(p.Nodes, body)
-			return p, nil
-		}
-		p.Nodes = append(p.Nodes, body)
-		if i == len(n.entries) {
-			return p, nil // key beyond max: path proves absence
-		}
-		d = childDigest(n.entries[i])
+	p.Nodes, p.digests = make([][]byte, 0, t.level+1), make([]hashutil.Digest, 0, t.level+1)
+	body, err := t.leafFor(key, &p)
+	if err != nil {
+		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
+	if body == nil {
+		return p, nil // key beyond max: the path proves absence
+	}
+	l, err := posleaf.Parse(body)
+	if err != nil {
+		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+	}
+	i, value, found, err := posleaf.Find(body, key)
+	if err != nil {
+		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+	}
+	p.Value, p.Found = value, found
+	lo, hi := pointSpan(l.Count, i, found)
+	if body, err = posleaf.Prune(body, lo, hi); err != nil {
+		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+	}
+	p.Nodes = append(p.Nodes, body)
+	return p, nil
 }
 
-// pointSpan returns the entry positions of a leaf that decide a search for
-// key that ended at position i: the entry itself for a hit, both sides of
-// the gap (as far as the leaf has them) for a miss.
-func pointSpan(entries []Entry, key []byte, i int) (lo, hi int) {
-	if i < len(entries) && bytes.Equal(entries[i].Key, key) {
+// pointSpan returns the entry positions of a leaf of count entries that
+// decide a search that ended at position i: the entry itself for a hit,
+// both sides of the gap (as far as the leaf has them) for a miss.
+func pointSpan(count, i int, found bool) (lo, hi int) {
+	if found {
 		return i, i
 	}
-	return max(i-1, 0), min(i, len(entries)-1)
-}
-
-// WithoutLeaf returns p with its leaf slot emptied, for a cache that
-// holds many proofs: the index-node slots are references into the node
-// store, but a pruned leaf is assembled (header here, group there), so
-// each one is a private copy of a kilobyte or two. Tree.WithLeaf cuts it
-// again when the proof is served.
-func (p PointProof) WithoutLeaf() PointProof {
-	if last := len(p.Nodes) - 1; last >= 0 && len(p.Nodes[last]) > 0 && p.Nodes[last][0] == 0 {
-		p.Nodes = append(append([][]byte(nil), p.Nodes[:last]...), nil)
-	}
-	return p
-}
-
-// WithLeaf restores the leaf slot of a proof ProveGet built on this
-// tree's store and WithoutLeaf emptied; any other proof is returned as it
-// is.
-func (t *Tree) WithLeaf(p PointProof) (PointProof, error) {
-	last := len(p.Nodes) - 1
-	if last < 0 || len(p.Nodes[last]) != 0 {
-		return p, nil
-	}
-	body, err := t.store.Get(p.digests[last])
-	if err == nil {
-		body, err = posleaf.Prune(body, p.keepLo, p.keepHi)
-	}
-	if err != nil {
-		return PointProof{}, fmt.Errorf("postree: restore leaf: %w", err)
-	}
-	p.Nodes = append(append([][]byte(nil), p.Nodes[:last]...), body)
-	return p, nil
+	return max(i-1, 0), min(i, count-1)
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +214,8 @@ func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) (out [][]byt
 }
 
 // Elide returns a copy of p without the bodies of the index nodes the
-// client already holds. p itself (which the ledger's proof cache may share
-// between clients) is not modified; the second result is the number of
-// nodes elided.
+// client already holds. p itself is not modified; the second result is the
+// number of nodes elided.
 func (p PointProof) Elide(have HeldSet) (PointProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
 	if nodes != nil {
@@ -526,9 +490,9 @@ func (r *resolver) finish() error {
 }
 
 // get reruns the search for key from root. The answer is read off shipped
-// entries only: nothing about the groups of a leaf that were not shipped
+// entries only: nothing about the entries of a leaf that were not shipped
 // is trusted, so an absence needs both neighbours of the gap in hand (or
-// the leaf's own edge, which the header's count fixes).
+// the leaf's own edge, which the count in its digest fixes).
 func (r *resolver) get(root hashutil.Digest, key []byte) (value []byte, found bool, err error) {
 	want, level := root, -1
 	for {
@@ -583,10 +547,10 @@ func (r *resolver) scan(want hashutil.Digest, level int, start, end []byte, out 
 // brackets reports whether the entries present of a (possibly pruned)
 // leaf show both ends of the run [a, b) of them a search or scan picked
 // out: the entry before position a and the entry at position b must each
-// be present, or beyond the leaf's own edge. The groups present are
-// contiguous, so between two present entries nothing is hidden; but a
-// pruned leaf that ends at a group edge says nothing about what the next
-// group holds. For a point miss a == b: the gap the key would sit in.
+// be present, or beyond the leaf's own edge. The entries present are a
+// contiguous run, so between two of them nothing is hidden; but where the
+// run stops short of the leaf's edge it says nothing about what the next
+// entry holds. For a point miss a == b: the gap the key would sit in.
 func (n *node) brackets(a, b int) bool {
 	before := a > 0 || n.first == 0
 	after := b < len(n.entries) || n.first+len(n.entries) == n.count
@@ -628,8 +592,8 @@ func (p PointProof) Verify(root hashutil.Digest) error {
 // resolver hands it each node from a shipped body, which must hash to the
 // wanted digest, or from the verifier's own pinned nodes — never on the
 // server's say-so. The leaf is never pinned, so it is always hashed fresh:
-// its header against the digest its parent routes to, and each group that
-// was shipped against its slot in that header.
+// the entries shipped and their siblings up to the digest its parent
+// routes to.
 func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if root.IsZero() {
 		// Empty tree: every key is absent and the proof must be empty.
@@ -658,13 +622,13 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 // scan visited; shared path prefixes are included once, which is why
 // verified range queries in Spitz amortize so much better than per-record
 // proofs (Figure 7). Interior leaves are all answer and travel with every
-// group; the leaves at the two edges of the range are pruned to the groups
-// holding in-range entries plus the one neighbouring entry on each side
+// entry and no sibling; the leaves at the two edges of the range are pruned
+// to their in-range entries plus the one neighbouring entry on each side
 // that shows nothing was cut off.
 //
 // ProveScan fills Entries; Verify fills it again from the verified
-// leaves, ignoring whatever it held, so the rows need not travel beside
-// the leaves that contain them (WithoutEntries).
+// leaves, ignoring whatever it held, so the rows do not travel beside the
+// leaves that contain them: the codec leaves them out.
 type RangeProof struct {
 	Start, End []byte
 	Entries    []Entry

@@ -2,6 +2,7 @@ package postree
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"spitz/internal/cas"
@@ -299,47 +300,80 @@ func TestProofAgainstDigestType(t *testing.T) {
 	}
 }
 
-// TestWithLeafRestoresTheProof: a proof held without its leaf slot (the
-// ledger's proof cache) is cut again to exactly the bytes ProveGet built.
-func TestWithLeafRestoresTheProof(t *testing.T) {
+// TestValuesTravelOnce: a point or batch proof's values are not encoded;
+// the decoder reads them off the shipped leaves, so a decoded proof equals
+// the one that was built and verifies, absences come back nil, and a proof
+// that claims a key found in a run that lacks it decodes to no value and is
+// rejected.
+func TestValuesTravelOnce(t *testing.T) {
 	entries := testEntries(3000, 41)
 	tr := mustBulk(t, entries)
 	absent := append(append([]byte(nil), entries[500].Key...), 'x')
-	for _, key := range [][]byte{entries[0].Key, entries[1234].Key, absent, []byte("a"), []byte("zzzz")} {
+	keys := [][]byte{entries[0].Key, entries[1234].Key, absent, []byte("a"), []byte("zzzz"), entries[1234].Key, entries[2999].Key}
+	for _, key := range keys {
 		p, err := tr.ProveGet(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := p.WithoutLeaf()
-		last := len(p.Nodes) - 1
-		if leaf := p.Nodes[last][0] == 0; leaf != (len(held.Nodes[last]) == 0) {
-			t.Fatalf("%q: leaf=%v, slot emptied=%v", key, leaf, len(held.Nodes[last]) == 0)
+		wire := AppendPointProof(nil, p)
+		if p.Found && bytes.Count(wire, p.Value) != 1 {
+			t.Fatalf("%q: the value is in the encoding %d times", key, bytes.Count(wire, p.Value))
 		}
-		if len(p.Nodes[last]) == 0 {
-			t.Fatalf("%q: WithoutLeaf emptied the proof it was called on", key)
+		got, rest, err := ReadPointProof(wire)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%q: %v, %d bytes left", key, err, len(rest))
 		}
-		got, err := tr.WithLeaf(held)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Nodes) != len(p.Nodes) {
-			t.Fatalf("%q: %d nodes, want %d", key, len(got.Nodes), len(p.Nodes))
-		}
-		for i := range p.Nodes {
-			if !bytes.Equal(got.Nodes[i], p.Nodes[i]) {
-				t.Fatalf("%q: node %d differs after restore", key, i)
-			}
+		if got.Found != p.Found || !bytes.Equal(got.Value, p.Value) || (got.Value == nil) != (p.Value == nil) {
+			t.Fatalf("%q: decoded found=%v value=%q, built found=%v value=%q", key, got.Found, got.Value, p.Found, p.Value)
 		}
 		if err := got.Verify(tr.Root()); err != nil {
-			t.Fatalf("%q: restored proof: %v", key, err)
-		}
-		if err := held.Verify(tr.Root()); err == nil && p.Nodes[last][0] == 0 {
-			t.Fatalf("%q: a proof without its leaf verified", key)
+			t.Fatalf("%q: decoded proof: %v", key, err)
 		}
 	}
-	// The empty tree's proof has no slot to empty.
-	p, _ := Empty(cas.NewMemory()).ProveGet([]byte("k"))
-	if q, err := tr.WithLeaf(p.WithoutLeaf()); err != nil || len(q.Nodes) != 0 {
-		t.Fatal(err, len(q.Nodes))
+	bp, err := tr.ProveGetBatch(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rest, err := ReadBatchProof(AppendBatchProof(nil, bp))
+	if err != nil || len(rest) != 0 {
+		t.Fatal(err, len(rest))
+	}
+	for i := range keys {
+		if got.Found[i] != bp.Found[i] || !bytes.Equal(got.Values[i], bp.Values[i]) || (got.Values[i] == nil) != (bp.Values[i] == nil) {
+			t.Fatalf("batch key %d: decoded found=%v value=%q, built found=%v value=%q", i, got.Found[i], got.Values[i], bp.Found[i], bp.Values[i])
+		}
+	}
+	if err := got.Verify(tr.Root()); err != nil {
+		t.Fatalf("decoded batch proof: %v", err)
+	}
+
+	// Found claimed for a key the shipped run does not hold: an honest
+	// absence proof with the flag set.
+	miss, err := tr.ProveGet(absent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss.Found = true
+	forged, _, err := ReadPointProof(AppendPointProof(nil, miss))
+	if err != nil || !forged.Found || forged.Value != nil {
+		t.Fatalf("decoded found=%v value=%q: %v", forged.Found, forged.Value, err)
+	}
+	if err := forged.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("a proof that claims a key found in a run without it: %v", err)
+	}
+	bp.Found = append([]bool(nil), bp.Found...)
+	bp.Found[2] = true
+	forgedBatch, _, err := ReadBatchProof(AppendBatchProof(nil, bp))
+	if err != nil || forgedBatch.Values[2] != nil {
+		t.Fatal(err, forgedBatch.Values[2])
+	}
+	if err := forgedBatch.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("a batch proof that claims a key found in a run without it: %v", err)
+	}
+	// Fewer flags than keys: nothing is indexed out of range, and the proof
+	// is rejected for it.
+	bp.Found = bp.Found[:3]
+	if short, _, err := ReadBatchProof(AppendBatchProof(nil, bp)); err != nil || short.Verify(tr.Root()) == nil {
+		t.Fatalf("a batch proof with %d flags for %d keys: %v", len(short.Found), len(short.Keys), err)
 	}
 }

@@ -126,18 +126,18 @@ func mustPrune(t *testing.T, body []byte, lo, hi int) []byte {
 }
 
 // TestBatchProofShipsOneRunPerLeaf: each visited leaf is in the proof
-// once, cut to the contiguous run of groups its keys need.
+// once, cut to the contiguous run of entries its keys need.
 func TestBatchProofShipsOneRunPerLeaf(t *testing.T) {
 	tr, entries, _ := elideTree(t)
 	g := groupLen(t)
 	ls := threeLeaves(t, tr, entries)
 	a, c := ls[0], ls[2]
 	keys := [][]byte{
-		a.n.entries[g+1].Key,            // hit, group 1 of a
-		between(a.n.entries[3*g-1]),     // miss at the edge of groups 2 and 3 of a
+		a.n.entries[g+1].Key,            // hit, entry g+1 of a
+		between(a.n.entries[3*g-1]),     // miss between entries 3g-1 and 3g of a
 		a.n.entries[g+1].Key,            // the same hit again
-		c.n.entries[0].Key,              // hit, group 0 of c
-		between(c.n.entries[g+2]),       // miss inside group 1 of c
+		c.n.entries[0].Key,              // hit, entry 0 of c
+		between(c.n.entries[g+2]),       // miss between entries g+2 and g+3 of c
 		entries[len(entries)-1].Key,     // some far leaf
 		append([]byte("zzzz"), 0xff, 0), // beyond the largest key: no leaf at all
 	}
@@ -156,11 +156,11 @@ func TestBatchProofShipsOneRunPerLeaf(t *testing.T) {
 		}
 		seen[d] = true
 	}
-	if _, n := leafOf(t, p.Nodes, a.digest); n.first != g || len(n.entries) != 3*g {
-		t.Fatalf("leaf a ships entries [%d,%d), want groups 1 through 3", n.first, n.first+len(n.entries))
+	if _, n := leafOf(t, p.Nodes, a.digest); n.first != g+1 || len(n.entries) != 2*g {
+		t.Fatalf("leaf a ships entries [%d,%d), want [%d,%d]", n.first, n.first+len(n.entries), g+1, 3*g)
 	}
-	if _, n := leafOf(t, p.Nodes, c.digest); n.first != 0 || len(n.entries) != 2*g {
-		t.Fatalf("leaf c ships entries [%d,%d), want groups 0 and 1", n.first, n.first+len(n.entries))
+	if _, n := leafOf(t, p.Nodes, c.digest); n.first != 0 || len(n.entries) != g+4 {
+		t.Fatalf("leaf c ships entries [%d,%d), want [0,%d]", n.first, n.first+len(n.entries), g+3)
 	}
 	for i, want := range []bool{true, false, true, true, false, true, false} {
 		if p.Found[i] != want {
@@ -183,7 +183,7 @@ func TestBatchProofShipsOneRunPerLeaf(t *testing.T) {
 }
 
 // TestRangeProofPrunesEdgeLeaves: interior leaves travel whole, the two
-// edge leaves cut to their in-range groups plus one neighbouring entry
+// edge leaves cut to their in-range entries plus one neighbouring entry
 // each side, and the rows always equal a plain scan — for ranges that
 // start or end inside a group, on a group edge, on a leaf edge, below the
 // tree's smallest key, past its largest, and for empty ones.
@@ -194,7 +194,7 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 	a, c := ls[0], ls[2]
 	last := func(l leafInfo) int { return len(l.n.entries) - 1 }
 
-	type span struct{ first, n int } // entries present of a leaf; n < 0: whole
+	type span struct{ first, n int } // entries present of a leaf; n < 0: to its end
 	whole := span{0, -1}
 	cases := []struct {
 		name       string
@@ -202,23 +202,23 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 		a, b, c    *span
 	}{
 		{"inside groups", a.n.entries[g+2].Key, c.n.entries[g+2].Key,
-			&span{g, len(a.n.entries) - g}, &whole, &span{0, 2 * g}},
+			&span{g + 1, -1}, &whole, &span{0, g + 3}},
 		{"from a group's first entry to a group's last", a.n.entries[2*g].Key, c.n.entries[2*g].Key,
-			// The neighbour before entry 2g is in group 1; the entry at the
-			// cut, 2g of c, is itself the right neighbour and opens group 2.
-			&span{g, len(a.n.entries) - g}, &whole, &span{0, 3 * g}},
+			// The neighbour before entry 2g is the last of group 1; the entry
+			// at the cut, 2g of c, is itself the right neighbour.
+			&span{2*g - 1, -1}, &whole, &span{0, 2*g + 1}},
 		{"from just past a group's last entry", between(a.n.entries[2*g-1]), between(c.n.entries[2*g-1]),
-			&span{g, len(a.n.entries) - g}, &whole, &span{0, 3 * g}},
+			&span{2*g - 1, -1}, &whole, &span{0, 2*g + 1}},
 		// The leaf's own first entry opens the run and its own last entry
 		// closes it: no neighbouring leaf is needed.
 		{"leaf edge to leaf edge", a.n.entries[0].Key, c.n.entries[last(c)].Key,
 			&whole, &whole, &whole},
 		{"one leaf's interior", a.n.entries[g+1].Key, a.n.entries[g+3].Key,
-			&span{g, g}, nil, nil},
+			&span{g, 4}, nil, nil},
 		{"empty, inside a group", between(a.n.entries[g+1]), between(a.n.entries[g+1]),
-			&span{g, g}, nil, nil},
+			&span{g + 1, 2}, nil, nil},
 		{"a gap at a group edge", between(a.n.entries[g-1]), a.n.entries[g].Key,
-			&span{0, 2 * g}, nil, nil},
+			&span{g - 1, 2}, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -445,8 +445,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		p.Found[i], p.Values[i] = false, nil
 		return p
 	}
-	header, _, _, _ := splitPruned(a.body)
-	_, _, bGroup0, _ := splitPruned(mustPrune(t, b.body, 0, 0))
+	bFirst := mustSplit(t, mustPrune(t, b.body, 0, 0)) // leaf b's first entry and its siblings
 
 	// One commit later: keyA rewritten, so its whole path is new.
 	next, err := tr.Put(keyA, []byte("the new value"))
@@ -478,9 +477,9 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		proof  func() BatchProof
 	}
 	batchCases := []batchCase{
-		{"answers key A from key B's group of the same leaf", trustGap, tr.Root(), cold, func() BatchProof {
+		{"answers key A from key B's entry of the same leaf", trustGap, tr.Root(), cold, func() BatchProof {
 			p := claimAbsent(batch(tr, keyA, keyB), 0)
-			p.Nodes = withLeaf(p.Nodes, a, mustPrune(t, a.body, 2*g, 2*g))
+			p.Nodes = withLeaf(p.Nodes, a, mustPrune(t, a.body, 2*g+1, 2*g+1))
 			return p
 		}},
 		{"claims a key absent with only the right side of the gap shipped", trustGap, tr.Root(), cold, func() BatchProof {
@@ -493,11 +492,13 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 			p.Nodes = withLeaf(p.Nodes, a, mustPrune(t, a.body, 0, g-1))
 			return p
 		}},
-		{"ships a group of another leaf at the same index", trustGroups, tr.Root(), cold, func() BatchProof {
-			// Leaf b's group 0 — every key past leaf a — as a's group 0:
-			// "keyA sorts before the leaf's first entry".
+		{"ships an entry of another leaf at the same position", trustLeaf, tr.Root(), cold, func() BatchProof {
+			// Leaf b's first entry — past every key of leaf a — as a's
+			// first: "keyA sorts before the leaf's first entry".
 			p := claimAbsent(batch(tr, keyA), 0)
-			p.Nodes = withLeaf(p.Nodes, a, joinPruned(header, 0, bGroup0))
+			forged := bFirst
+			forged.count = uint64(len(a.n.entries))
+			p.Nodes = withLeaf(p.Nodes, a, forged.join())
 			return p
 		}},
 		{"elides a node that was not hinted", trustElided, tr.Root(), cold, func() BatchProof {
@@ -542,8 +543,8 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 	}
 
 	// The range under attack: from inside group 1 of a, over all of b, to
-	// inside group 1 of c. Honestly: a from group 1 on, b whole, c's
-	// groups 0 and 1.
+	// inside group 1 of c. Honestly: a from entry g+1 on, b whole, c's
+	// entries 0 through g+1.
 	start, end := a.n.entries[g+2].Key, c.n.entries[g+1].Key
 	honest := scan(tr, start, end)
 	want, err := blindRange(t, honest, tr.Root(), nil, 0)
@@ -560,7 +561,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		proof  func() RangeProof
 	}
 	rangeCases := []rangeCase{
-		{"drops the group holding in-range entries from the left edge leaf", trustGap, tr.Root(), cold, func() RangeProof {
+		{"drops in-range entries from the left edge leaf", trustGap, tr.Root(), cold, func() RangeProof {
 			p := honest
 			p.Nodes = withLeaf(p.Nodes, a, mustPrune(t, a.body, 2*g, lastA)) // rows g+2..2g-1 gone
 			return p
@@ -572,24 +573,26 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		}},
 		{"ships the right edge leaf without its bracketing neighbour and omits the row next to it", trustGap, tr.Root(), cold, func() RangeProof {
 			// Row g of c is in range, its neighbour g+1 closes the run;
-			// both sit in group 1, which is not shipped.
+			// neither is shipped.
 			p := honest
 			p.Nodes = withLeaf(p.Nodes, c, mustPrune(t, c.body, 0, g-1))
 			return p
 		}},
-		{"ships exactly the in-range groups when the range ends on a group edge", trustGap, tr.Root(), cold, func() RangeProof {
-			// Nothing is omitted — but nothing shows that: the next group
-			// might have started with rows below end.
+		{"ships exactly the in-range entries and not the neighbour that closes the run", trustGap, tr.Root(), cold, func() RangeProof {
+			// Nothing is omitted — but nothing shows that: the next entry
+			// might have been a row below end.
 			p := scan(tr, start, c.n.entries[g].Key)
 			p.Nodes = withLeaf(p.Nodes, c, mustPrune(t, c.body, 0, g-1))
 			return p
 		}},
-		{"ships a group of another leaf at the same index", trustGroups, tr.Root(), cold, func() RangeProof {
-			// Leaf c under its own header, group 0 replaced by b's.
+		{"ships an entry of another leaf at the same position", trustLeaf, tr.Root(), cold, func() RangeProof {
+			// Leaf c's honest slot, its first entry replaced by b's.
 			p := honest
-			hc, _, _, _ := splitPruned(c.body)
-			_, _, c1, _ := splitPruned(mustPrune(t, c.body, g, g))
-			p.Nodes = withLeaf(p.Nodes, c, joinPruned(hc, 0, append(append([]byte(nil), bGroup0...), c1...)))
+			i, _ := leafOf(t, p.Nodes, c.digest)
+			forged := mustSplit(t, p.Nodes[i])
+			_, _, rest, _ := posleaf.ReadEntry(forged.entries)
+			forged.entries = append(append([]byte(nil), bFirst.entries...), rest...)
+			p.Nodes = withLeaf(p.Nodes, c, forged.join())
 			return p
 		}},
 		{"elides a node that was not hinted", trustElided, tr.Root(), cold, func() RangeProof {
@@ -623,7 +626,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("forgery does not even fool a verifier that skips the check (%v): the case proves nothing", err)
 			}
-			if tc.skips == trustGap && tc.name != "ships exactly the in-range groups when the range ends on a group edge" && len(rows) >= len(want) {
+			if tc.skips == trustGap && tc.name != "ships exactly the in-range entries and not the neighbour that closes the run" && len(rows) >= len(want) {
 				t.Fatalf("the forgery omits nothing: %d rows of %d", len(rows), len(want))
 			}
 			if _, err := blindRange(t, p, tc.root, tc.pinned(), 0); err == nil {

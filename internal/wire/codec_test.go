@@ -10,6 +10,7 @@ import (
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
+	"spitz/internal/posleaf"
 	"spitz/internal/postree"
 )
 
@@ -88,28 +89,31 @@ func rndNodes(r *rand.Rand) [][]byte {
 	return ns
 }
 
+// rndFound returns a value some key is found with and a one-entry leaf
+// slot holding it under that key: a proven value travels only inside the
+// leaf that proves it, so that is where the decoder must find it again.
+func rndFound(r *rand.Rand, key []byte) (value, leaf []byte) {
+	value = append([]byte{}, rndBytes(r, 32)...)
+	return value, posleaf.AppendEntry([]byte{0, 1, 0, 1}, key, value) // level | count | first | n
+}
+
 func rndPointProof(r *rand.Rand) postree.PointProof {
-	return postree.PointProof{
-		Key:   rndBytes(r, 16),
-		Value: rndBytes(r, 32),
-		Found: r.Intn(2) == 0,
-		Nodes: rndNodes(r),
+	p := postree.PointProof{Key: rndBytes(r, 16), Found: r.Intn(2) == 0, Nodes: rndNodes(r)}
+	if p.Found {
+		var leaf []byte
+		p.Value, leaf = rndFound(r, p.Key)
+		p.Nodes = append(p.Nodes, leaf)
 	}
+	return p
 }
 
 func rndRangeProof(r *rand.Rand) postree.RangeProof {
-	p := postree.RangeProof{
+	// No Entries: rows travel only inside the leaves, and Verify fills them.
+	return postree.RangeProof{
 		Start: rndBytes(r, 16),
 		End:   rndBytes(r, 16),
 		Nodes: rndNodes(r),
 	}
-	if r.Intn(3) != 0 {
-		p.Entries = make([]postree.Entry, r.Intn(4))
-		for i := range p.Entries {
-			p.Entries[i] = postree.Entry{Key: rndBytes(r, 16), Value: rndBytes(r, 32)}
-		}
-	}
-	return p
 }
 
 func rndBatchPoints(r *rand.Rand) postree.BatchProof {
@@ -121,9 +125,12 @@ func rndBatchPoints(r *rand.Rand) postree.BatchProof {
 		Nodes:  rndNodes(r),
 	}
 	for i := 0; i < n; i++ {
-		p.Keys[i] = rndBytes(r, 16)
-		p.Values[i] = rndBytes(r, 32)
-		p.Found[i] = r.Intn(2) == 0
+		p.Keys[i] = append(rndBytes(r, 16), byte(i)) // distinct
+		if p.Found[i] = r.Intn(2) == 0; p.Found[i] {
+			var leaf []byte
+			p.Values[i], leaf = rndFound(r, p.Keys[i])
+			p.Nodes = append(p.Nodes, leaf)
+		}
 	}
 	return p
 }

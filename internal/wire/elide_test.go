@@ -104,7 +104,7 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 // TestDispatchElidesHeldNodes: a hinted request gets the same proof
 // without the held bodies; the leaf always ships; a cold client asking
 // for the same key at the same digest right after still gets the full
-// proof (elision never writes into the server's proof cache).
+// proof (elision never writes into what the server holds).
 func TestDispatchElidesHeldNodes(t *testing.T) {
 	eng, pk := elideEngine(t)
 	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
@@ -138,7 +138,7 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 		t.Fatalf("elided response is %d bytes, full one %d", len(warmBytes), len(coldBytes))
 	}
 
-	// The cold client, same key, same digest, served from the proof cache.
+	// The cold client, same key, same digest.
 	again := Dispatch(eng, req)
 	if again.Digest != cold.Digest {
 		t.Fatal("digest moved")
@@ -439,8 +439,7 @@ func prunedShape(t testing.TB, resp Response) string {
 	if err != nil {
 		return "no leaf" // beyond the largest key: an index node answers
 	}
-	_, present, err := leaf.Verify()
-	if err != nil {
+	if _, err := leaf.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	first, _, _, _ := posleaf.ReadEntry(leaf.Entries)
@@ -449,23 +448,10 @@ func prunedShape(t testing.TB, resp Response) string {
 		return "hit"
 	case leaf.First == 0 && bytes.Compare(resp.Proof.Point.Key, first) < 0:
 		return "miss below the leaf's first key"
-	case present%2 == 0 && twoGroups(leaf, present):
-		return "miss at a group edge"
+	case leaf.N == 2:
+		return "miss between two entries"
 	}
-	return "miss inside a group"
-}
-
-// twoGroups reports whether the present entries span two full groups: the
-// first half alone hashes to the slot after which the second half starts.
-func twoGroups(leaf posleaf.Leaf, present int) bool {
-	rest := leaf.Entries
-	for i := 0; i < present/2; i++ {
-		_, _, rest, _ = posleaf.ReadEntry(rest)
-	}
-	half := leaf
-	half.Entries = leaf.Entries[:len(leaf.Entries)-len(rest)]
-	_, n, err := half.Verify()
-	return err == nil && n == present/2
+	return "miss past the leaf's last key"
 }
 
 // FuzzElidedRead feeds arbitrary bytes to the two decoders an elided read
@@ -483,10 +469,10 @@ func FuzzElidedRead(f *testing.F) {
 	f.Add(AppendRequest(nil, &req))
 	f.Add(AppendResponse(nil, &cold))
 	f.Add(AppendResponse(nil, &warm))
-	// Pruned leaves in each of their shapes, cold and warm: a hit, a miss
-	// inside a group, a miss at a group edge (two groups shipped), a miss
-	// below a leaf's first key, and the two ends of the tree. Rows are
-	// walked until one response of each shape has been seen.
+	// Pruned leaves in each of their shapes, cold and warm: a hit (one
+	// entry), a miss between two entries, a miss below a leaf's first key,
+	// and the two ends of the tree. Rows are walked until one response of
+	// each shape has been seen.
 	seen := map[string]bool{}
 	shapes := [][]byte{[]byte(""), []byte("zzzz")}
 	for i := 3200; i < 3500; i++ {
@@ -506,7 +492,7 @@ func FuzzElidedRead(f *testing.F) {
 		resp = Dispatch(eng, r)
 		f.Add(AppendResponse(nil, &resp))
 	}
-	for _, shape := range []string{"hit", "miss inside a group", "miss at a group edge", "miss below the leaf's first key"} {
+	for _, shape := range []string{"hit", "miss between two entries", "miss below the leaf's first key"} {
 		if !seen[shape] {
 			f.Fatalf("no seed for a %s (have %v)", shape, seen)
 		}

@@ -1,6 +1,6 @@
 package wire
 
-// Binary framing for protocol v2.
+// Binary framing for protocol v3.
 //
 // Connect-time handshake: the client opens with a 6-byte hello — magic
 // 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The server
@@ -40,7 +40,7 @@ import (
 )
 
 // ProtoBinary names the framing in Stats and Client.Proto.
-const ProtoBinary = "binary/v2"
+const ProtoBinary = "binary/v3"
 
 const (
 	helloMagic0 = 0x00
@@ -48,8 +48,10 @@ const (
 	helloMagic2 = 'P'
 	helloMagic3 = 'Z'
 
-	// protoVersion is the framing version this build speaks.
-	protoVersion = 2
+	// protoVersion is the framing version this build speaks. 3: leaves in
+	// proofs travel as a run of entries and a hash path (internal/posleaf),
+	// and point and batch proofs no longer carry their values beside them.
+	protoVersion = 3
 
 	// flagCompress in the hello offers flate compression of large
 	// payloads; in a frame header it marks the payload compressed.

@@ -1,6 +1,6 @@
 // Package wire implements the client/server protocol for Spitz services.
 //
-// There is one framing (binary/v2, agreed at connect time — see
+// There is one framing (binary/v3, agreed at connect time — see
 // frame.go): a length-prefixed compact binary encoding with tagged
 // frames, so many requests can be in flight on one connection and large
 // payloads can ship compressed. A peer that does not open with the

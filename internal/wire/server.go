@@ -447,8 +447,8 @@ func (s *Server) restore(req Request) Response {
 // place of an index node req.Have names another version of, and without
 // the rows of range proofs, which the client reads off the verified leaves.
 // The proof structs dispatch returns are this call's own; the node lists
-// and sub-proofs inside them may be shared with the engine's proof cache
-// and other callers, and Elide replaces rather than edits those.
+// and sub-proofs inside them may be shared with other callers, and Elide
+// replaces rather than edits those.
 func Dispatch(eng *core.Engine, req Request) Response {
 	resp := dispatch(eng, req)
 	if resp.Proof != nil {
@@ -490,9 +490,9 @@ func dispatch(eng *core.Engine, req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		// The row travels once, inside the proof (Point.Value and the
-		// leaf body); clients decode it from there only, so Cells is not
-		// sent (and only the proof, not the whole result, outlives the call).
+		// The row travels once, inside the proof's leaf; clients decode it
+		// from there only, so Cells is not sent (and only the proof, not
+		// the whole result, outlives the call).
 		proof := res.Proof
 		return Response{Found: res.Found, Proof: &proof, Digest: res.Digest}
 	case OpRange:

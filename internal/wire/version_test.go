@@ -1,6 +1,6 @@
 package wire
 
-// Handshake and transport-level tests for the v2 binary framing: the
+// Handshake and transport-level tests for the v3 binary framing: the
 // hello's version check on both sides, peers that never say hello,
 // payload compression, and request multiplexing over a shared
 // connection.
@@ -134,7 +134,7 @@ func helloStub(t *testing.T, ln net.Listener, reply []byte) (accepted *atomic.In
 // TestHelloVersionChecked: both sides read the hello's version byte and
 // refuse a peer that announces any framing version but their own.
 func TestHelloVersionChecked(t *testing.T) {
-	for _, version := range []byte{0, 1, protoVersion, 3, 0xff} {
+	for _, version := range []byte{0, 1, 2, protoVersion, 4, 0xff} {
 		ok := version == protoVersion
 		t.Run(fmt.Sprintf("server-meets-v%d-client", version), func(t *testing.T) {
 			conn, served := rawPeer(t)
