@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"spitz/internal/obs"
-	"spitz/internal/server"
 	"spitz/internal/wire"
 )
 
@@ -229,7 +228,7 @@ func (cl *Client) ShardFor(pk []byte) int {
 	if len(cl.shards) == 1 {
 		return 0
 	}
-	return server.ShardIndex(pk, len(cl.shards))
+	return wire.ShardIndex(pk, len(cl.shards))
 }
 
 // ShardVerifier exposes shard i's proof verifier (for inspecting the
@@ -367,7 +366,7 @@ func (cl *Client) scatterCells(op string, fn func(l shardLink) ([]Cell, error)) 
 	if len(parts) == 1 {
 		return parts[0], nil
 	}
-	return server.MergeCellsByPK(parts), nil
+	return wire.MergeCellsByPK(parts), nil
 }
 
 // ---------------------------------------------------------------------------

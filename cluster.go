@@ -1,8 +1,6 @@
 package spitz
 
 import (
-	"errors"
-	"fmt"
 	"net"
 	"time"
 
@@ -67,8 +65,8 @@ type ClusterOptions struct {
 // commit. Timestamps come from a hybrid logical clock, so no central
 // oracle sits on the commit path.
 //
-// Reads that name a primary key route to the owning shard; range scans,
-// value lookups and history merge parallel per-shard scans. Verified
+// Reads that name a primary key (history included) route to the owning
+// shard; range scans and value lookups merge parallel per-shard scans. Verified
 // reads return the owning shard's proof together with the shard index,
 // to be checked against that shard's entry in the ClusterDigest.
 // Safe for concurrent use.
@@ -228,52 +226,27 @@ func (db *ClusterDB) Engine(i int) *core.Engine { return db.c.Engine(i) }
 
 // Serve exposes the whole cluster over one listener using the Spitz wire
 // protocol; it blocks until the listener closes. Connect with Dial: the
-// client learns the shard map and verifies per shard (a connection that
-// names no shard still gets unverified operations, routed server-side).
-// Durable clusters also
-// serve per-shard replication streams, so each shard can have followers
-// (DialReplica mirrors the whole cluster, shard by shard).
-func (db *ClusterDB) Serve(ln net.Listener) error {
-	srv := wire.NewHandlerServer(db.c)
-	srv.Node = "primary"
-	srv.Stats = db.wireStats
-	srv.Repl = func(shard int) (wire.ReplStreamer, error) {
-		if db.srcs == nil {
-			return nil, errors.New("spitz: a memory-only cluster has no write-ahead log to replicate; open it with a data directory")
-		}
-		if shard == 0 {
-			if len(db.srcs) == 1 {
-				return db.srcs[0], nil
-			}
-			return nil, fmt.Errorf("spitz: replication streams are per-shard in a %d-shard cluster; set the shard", len(db.srcs))
-		}
-		if shard > len(db.srcs) {
-			return nil, fmt.Errorf("spitz: shard %d beyond cluster of %d", shard-1, len(db.srcs))
-		}
-		return db.srcs[shard-1], nil
-	}
-	return srv.Serve(ln)
-}
+// client learns the shard map and verifies per shard. Durable clusters
+// also serve per-shard replication streams, so each shard can have
+// followers (DialReplica mirrors the whole cluster, shard by shard).
+func (db *ClusterDB) Serve(ln net.Listener) error { return serve(ln, db.router(), "primary") }
 
-// wireStats converts ClusterStats (plus WAL and follower accounting)
-// into the wire observability payload.
-func (db *ClusterDB) wireStats() wire.Stats {
-	st := db.c.Stats()
-	out := wire.Stats{Shards: make([]wire.ShardStats, len(st.Shards))}
-	for i, s := range st.Shards {
-		sh := wire.ShardStats{Height: s.Height, Blocks: s.Batch.Blocks, Txns: s.Batch.Txns}
+// router is the cluster as one listener serves it: N fixed shard engines
+// written through the 2PC coordinator.
+func (db *ClusterDB) router() *wire.Router {
+	d := &wire.Router{Shards: make([]wire.Shard, db.c.Shards()), Write: db.c.Write}
+	for i := range d.Shards {
+		eng := db.c.Engine(i)
+		d.Shards[i].Engine = func() *core.Engine { return eng }
 		if db.srcs != nil {
-			ws := db.srcs[i].WALStats()
-			sh.WAL = &ws
-			sh.Followers = db.srcs[i].Followers()
+			d.Shards[i].Source = db.srcs[i]
 		}
-		out.Shards[i] = sh
 	}
-	return out
+	return d
 }
 
 // ServerStats returns the observability payload this cluster serves to
 // OpStats clients: per-shard heights, WAL spans and attached followers.
 // Use it to publish instance gauges on an admin endpoint
 // (wire.PublishStats).
-func (db *ClusterDB) ServerStats() ServerStats { return db.wireStats() }
+func (db *ClusterDB) ServerStats() ServerStats { return db.router().Stats() }

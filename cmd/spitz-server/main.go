@@ -10,6 +10,7 @@
 //	             [-sync-every 50ms] [-checkpoint-interval 1m]
 //	             [-checkpoint-every-blocks 4096]
 //	             [-store mem|disk] [-node-cache-mb 64]
+//	             [-replicate-from HOST:PORT]
 //
 // -admin-addr serves the operations endpoint over HTTP: /metrics
 // (Prometheus text exposition of every internal counter, gauge and
@@ -60,6 +61,12 @@
 // strictly read-only and reconnect automatically; the primary must run
 // with -data-dir (replication ships the log).
 //
+// Whichever of the three it opens — a single engine, a cluster, or a
+// replica of either — the server takes the same serve path: one listener
+// in front of one shard router (a single engine is a one-shard
+// deployment, a replica one with no writer), one ops endpoint, and a
+// clean shutdown on SIGINT/SIGTERM.
+//
 // Connect with cmd/spitz-cli or spitz.Dial(network, primary, replicas...):
 // reads go to the replicas, trust advances only against the primary.
 package main
@@ -67,6 +74,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -111,67 +119,58 @@ func main() {
 	default:
 		log.Fatalf("spitz-server: unknown -mode %q (want occ or to)", *mode)
 	}
+
+	// The open step: replica, cluster or single engine, as the flags say.
+	var n node
 	if *replicateFrom != "" {
 		if *dataDir != "" {
 			log.Fatalf("spitz-server: -replicate-from and -data-dir are mutually exclusive (a replica's state comes from its primary)")
 		}
-		serveReplica(*replicateFrom, *addr, *adminAddr, *inverted)
-		return
-	}
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
-	if !shardsSet && *dataDir != "" && spitz.IsClusterDir(*dataDir) {
-		// An existing sharded data directory is served as a cluster even
-		// without -shards: defaulting to a single engine would silently
-		// ignore every shard's data.
-		*shards = 0 // adopt the recorded shard count
-	}
-	store, err := spitz.ParseStoreKind(*storeKind)
-	if err != nil {
-		log.Fatalf("spitz-server: %v", err)
-	}
-	if *shards != 1 {
-		serveCluster(*shards, *dataDir, opts, *syncMode, *syncEvery, *ckptInterval, *ckptBlocks,
-			store, *nodeCacheMB, *addr, *adminAddr)
-		return
-	}
-	var db *spitz.DB
-	if *dataDir == "" {
-		db = spitz.Open(opts)
-		log.Printf("spitz-server: serving in-memory database, %s mode (no -data-dir; state is lost on exit)", *mode)
+		n = openReplica(*replicateFrom, *inverted)
 	} else {
-		policy, err := wal.ParsePolicy(*syncMode)
+		store, err := spitz.ParseStoreKind(*storeKind)
 		if err != nil {
 			log.Fatalf("spitz-server: %v", err)
 		}
-		opts.Sync = policy
-		opts.SyncEvery = *syncEvery
-		opts.CheckpointInterval = *ckptInterval
-		opts.CheckpointEveryBlocks = *ckptBlocks
-		opts.Store = store
-		opts.NodeCacheMB = *nodeCacheMB
-		db, err = spitz.OpenDir(*dataDir, opts)
-		if err != nil {
-			log.Fatalf("spitz-server: open %s: %v", *dataDir, err)
+		if *dataDir != "" {
+			if opts.Sync, err = wal.ParsePolicy(*syncMode); err != nil {
+				log.Fatalf("spitz-server: %v", err)
+			}
+			opts.SyncEvery = *syncEvery
+			opts.CheckpointInterval = *ckptInterval
+			opts.CheckpointEveryBlocks = *ckptBlocks
+			opts.Store = store
+			opts.NodeCacheMB = *nodeCacheMB
 		}
-		log.Printf("spitz-server: durable database in %s (sync=%s, store=%s, %s mode), recovered %d blocks",
-			*dataDir, policy, db.StoreKind(), *mode, db.Height())
+		shardsSet := false
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				shardsSet = true
+			}
+		})
+		if !shardsSet && *dataDir != "" && spitz.IsClusterDir(*dataDir) {
+			// An existing sharded data directory is served as a cluster even
+			// without -shards: defaulting to a single engine would silently
+			// ignore every shard's data.
+			*shards = 0 // adopt the recorded shard count
+		}
+		if *shards != 1 {
+			n = openCluster(*shards, *dataDir, opts)
+		} else {
+			n = openSingle(*dataDir, opts, *mode)
+		}
 	}
 
+	// The one serve tail.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("spitz-server: listen: %v", err)
 	}
 	log.Printf("spitz-server: serving verifiable database on %s", ln.Addr())
-	log.Printf("spitz-server: ledger digest height=%d root=%s",
-		db.Digest().Height, db.Digest().Root.Short())
-	startAdmin(*adminAddr, db.ServerStats, func() any { return db.ServerStats() })
+	log.Printf("spitz-server: %s", n.digest())
+	startAdmin(*adminAddr, n.stats, n.health)
 
-	// A signal closes the listener so Serve returns, then Close flushes
+	// A signal closes the listener so Serve returns, then close flushes
 	// the WAL — acknowledged commits are never lost to a clean shutdown.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -181,13 +180,101 @@ func main() {
 		ln.Close()
 	}()
 
-	err = db.Serve(ln)
-	if cerr := db.Close(); cerr != nil {
+	err = n.serve(ln)
+	if cerr := n.close(); cerr != nil {
 		log.Printf("spitz-server: close: %v", cerr)
 	}
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		log.Fatalf("spitz-server: %v", err)
 	}
+}
+
+// node is what the open step hands the serve tail.
+type node struct {
+	serve  func(net.Listener) error
+	stats  func() spitz.ServerStats // instance gauges for the ops endpoint
+	health func() any               // the /healthz detail payload
+	digest func() string            // logged once the listener is up
+	close  func() error
+}
+
+// openSingle opens one engine, in memory or durable under dataDir.
+func openSingle(dataDir string, opts spitz.Options, mode string) node {
+	var db *spitz.DB
+	if dataDir == "" {
+		db = spitz.Open(opts)
+		log.Printf("spitz-server: serving in-memory database, %s mode (no -data-dir; state is lost on exit)", mode)
+	} else {
+		var err error
+		if db, err = spitz.OpenDir(dataDir, opts); err != nil {
+			log.Fatalf("spitz-server: open %s: %v", dataDir, err)
+		}
+		log.Printf("spitz-server: durable database in %s (sync=%s, store=%s, %s mode), recovered %d blocks",
+			dataDir, opts.Sync, db.StoreKind(), mode, db.Height())
+	}
+	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
+		digest: func() string {
+			d := db.Digest()
+			return fmt.Sprintf("ledger digest height=%d root=%s", d.Height, d.Root.Short())
+		},
+		close: db.Close}
+}
+
+// openCluster opens N engines behind one listener, each durable under
+// dataDir/shard-NNN when dataDir is set.
+func openCluster(shards int, dataDir string, opts spitz.Options) node {
+	db, err := spitz.OpenCluster(dataDir, spitz.ClusterOptions{
+		Shards:                shards,
+		Mode:                  opts.Mode,
+		MaintainInverted:      opts.MaintainInverted,
+		MaxBatchTxns:          opts.MaxBatchTxns,
+		MaxBatchDelay:         opts.MaxBatchDelay,
+		Sync:                  opts.Sync,
+		SyncEvery:             opts.SyncEvery,
+		CheckpointInterval:    opts.CheckpointInterval,
+		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
+		Store:                 opts.Store,
+		NodeCacheMB:           opts.NodeCacheMB,
+	})
+	if err != nil {
+		log.Fatalf("spitz-server: open cluster: %v", err)
+	}
+	if dataDir == "" {
+		log.Printf("spitz-server: serving %d-shard in-memory cluster (no -data-dir; state is lost on exit)", db.Shards())
+	} else {
+		st := db.ClusterStats()
+		heights := make([]uint64, len(st.Shards))
+		for i, s := range st.Shards {
+			heights[i] = s.Height
+		}
+		log.Printf("spitz-server: durable %d-shard cluster in %s, recovered shard heights %v", db.Shards(), dataDir, heights)
+	}
+	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
+		digest: func() string { return "combined root " + db.ClusterDigest().Root.Short() },
+		close:  db.Close}
+}
+
+// openReplica follows the primary at addr: stream its log (every shard),
+// verified-replay every block, serve reads.
+func openReplica(primary string, inverted bool) node {
+	rep, err := spitz.DialReplica("tcp", primary, spitz.ReplicaOptions{
+		MaintainInverted: inverted,
+		Logf:             log.Printf,
+	})
+	if err != nil {
+		log.Fatalf("spitz-server: replica of %s: %v", primary, err)
+	}
+	log.Printf("spitz-server: read replica of %s (%d shard(s))", primary, rep.Shards())
+	return node{serve: rep.Serve, stats: rep.ServerStats, health: func() any { return rep.Status() },
+		digest: func() string { return "combined root " + rep.ClusterDigest().Root.Short() },
+		close: func() error {
+			rep.Close()
+			for i, st := range rep.Status() {
+				log.Printf("spitz-server: replica shard %d stopped at height %d (%d blocks applied, %d snapshot loads)",
+					i, st.Height, st.AppliedBlocks, st.SnapshotLoads)
+			}
+			return nil
+		}}
 }
 
 // startAdmin serves the ops HTTP endpoint on adminAddr (no-op when
@@ -204,9 +291,7 @@ func startAdmin(adminAddr string, stats func() spitz.ServerStats, health func() 
 	if err != nil {
 		log.Fatalf("spitz-server: admin listen: %v", err)
 	}
-	if stats != nil {
-		wire.PublishStats(obs.Default, stats)
-	}
+	wire.PublishStats(obs.Default, stats)
 	rules := obs.NewRules(obs.Default, obs.StandardRules(obs.StandardRuleOptions{}), 0)
 	rules.Start()
 	log.Printf("spitz-server: ops endpoint on http://%s/metrics", ln.Addr())
@@ -215,104 +300,4 @@ func startAdmin(adminAddr string, stats func() spitz.ServerStats, health func() 
 			log.Printf("spitz-server: admin: %v", err)
 		}
 	}()
-}
-
-// serveReplica runs this server as a read-only replica: stream the
-// primary's log (all shards), verified-replay every block, serve reads.
-func serveReplica(primary, addr, adminAddr string, inverted bool) {
-	rep, err := spitz.DialReplica("tcp", primary, spitz.ReplicaOptions{
-		MaintainInverted: inverted,
-		Logf:             log.Printf,
-	})
-	if err != nil {
-		log.Fatalf("spitz-server: replica of %s: %v", primary, err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("spitz-server: listen: %v", err)
-	}
-	log.Printf("spitz-server: serving read replica of %s (%d shard(s)) on %s", primary, rep.Shards(), ln.Addr())
-	startAdmin(adminAddr, rep.ServerStats, func() any { return rep.Status() })
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		log.Printf("spitz-server: %v: shutting down", s)
-		ln.Close()
-	}()
-
-	err = rep.Serve(ln)
-	rep.Close()
-	for i, st := range rep.Status() {
-		log.Printf("spitz-server: replica shard %d stopped at height %d (%d blocks applied, %d snapshot loads)",
-			i, st.Height, st.AppliedBlocks, st.SnapshotLoads)
-	}
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		log.Fatalf("spitz-server: %v", err)
-	}
-}
-
-// serveCluster runs the sharded deployment: N engines behind one
-// listener, with optional per-shard durability under dataDir/shard-NNN.
-func serveCluster(shards int, dataDir string, opts spitz.Options, syncMode string,
-	syncEvery, ckptInterval time.Duration, ckptBlocks uint64,
-	store spitz.StoreKind, nodeCacheMB int, addr, adminAddr string) {
-	copts := spitz.ClusterOptions{
-		Shards:           shards,
-		Mode:             opts.Mode,
-		MaintainInverted: opts.MaintainInverted,
-		MaxBatchTxns:     opts.MaxBatchTxns,
-		MaxBatchDelay:    opts.MaxBatchDelay,
-	}
-	if dataDir != "" {
-		policy, err := wal.ParsePolicy(syncMode)
-		if err != nil {
-			log.Fatalf("spitz-server: %v", err)
-		}
-		copts.Sync = policy
-		copts.SyncEvery = syncEvery
-		copts.CheckpointInterval = ckptInterval
-		copts.CheckpointEveryBlocks = ckptBlocks
-		copts.Store = store
-		copts.NodeCacheMB = nodeCacheMB
-	}
-	db, err := spitz.OpenCluster(dataDir, copts)
-	if err != nil {
-		log.Fatalf("spitz-server: open cluster: %v", err)
-	}
-	if dataDir == "" {
-		log.Printf("spitz-server: serving %d-shard in-memory cluster (no -data-dir; state is lost on exit)", db.Shards())
-	} else {
-		st := db.ClusterStats()
-		heights := make([]uint64, len(st.Shards))
-		for i, s := range st.Shards {
-			heights[i] = s.Height
-		}
-		log.Printf("spitz-server: durable %d-shard cluster in %s, recovered shard heights %v", db.Shards(), dataDir, heights)
-	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("spitz-server: listen: %v", err)
-	}
-	d := db.ClusterDigest()
-	log.Printf("spitz-server: serving sharded verifiable database on %s, combined root %s", ln.Addr(), d.Root.Short())
-	startAdmin(adminAddr, db.ServerStats, func() any { return db.ServerStats() })
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		log.Printf("spitz-server: %v: shutting down", s)
-		ln.Close()
-	}()
-
-	err = db.Serve(ln)
-	if cerr := db.Close(); cerr != nil {
-		log.Printf("spitz-server: close: %v", cerr)
-	}
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		log.Fatalf("spitz-server: %v", err)
-	}
 }

@@ -155,7 +155,8 @@ func TestOpenDirCheckpointAndReopen(t *testing.T) {
 
 // TestSnapshotRestorePreservesEverything is the satellite coverage for
 // WriteSnapshot -> Restore: digest, history and inverted lookups must
-// survive under both concurrency modes.
+// survive under both concurrency modes, and so must the options a later
+// ResetFromSnapshot rebuilds the engine with.
 func TestSnapshotRestorePreservesEverything(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -225,6 +226,24 @@ func TestSnapshotRestorePreservesEverything(t *testing.T) {
 			}
 			if cells2, _ := restored.LookupEqual("t", "c", []byte("unique")); len(cells2) != 1 {
 				t.Fatalf("LookupEqual(unique) = %d cells, want 1", len(cells2))
+			}
+
+			// A restored database keeps its options: resetting it from a
+			// later snapshot rebuilds the engine with the inverted index.
+			if _, err := db.Apply("later", []spitz.Put{
+				{Table: "t", Column: "c", PK: []byte{7}, Value: []byte("later")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			buf.Reset()
+			if err := db.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.ResetFromSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if cells, err := restored.LookupEqual("t", "c", []byte("later")); err != nil || len(cells) != 1 {
+				t.Fatalf("LookupEqual after ResetFromSnapshot = %d cells, %v; want 1", len(cells), err)
 			}
 		})
 	}

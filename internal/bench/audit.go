@@ -34,7 +34,7 @@ func VerifyAuditSmoke() error {
 
 	// Phase 1: honest server, audited reads under write churn.
 	honestLn, _ := wire.Listen()
-	honest := wire.NewServer(eng)
+	honest := wire.NewHandlerServer(wire.EngineHandler(eng))
 	go honest.Serve(honestLn)
 	defer honest.Close()
 

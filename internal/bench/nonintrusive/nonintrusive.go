@@ -174,7 +174,7 @@ func Deploy() (*System, error) {
 
 	// Ledger database service: a Spitz engine in auditor-only duty.
 	eng := core.New(core.Options{})
-	ledgerSrv := wire.NewServer(eng)
+	ledgerSrv := wire.NewHandlerServer(wire.EngineHandler(eng))
 	ledgerLn, _ := wire.Listen()
 	go ledgerSrv.Serve(ledgerLn)
 	ledgerCl, err := wire.Connect(ledgerLn)

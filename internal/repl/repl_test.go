@@ -32,13 +32,9 @@ func startPrimary(t *testing.T, dir string, opts durable.Options) *primary {
 		t.Fatal(err)
 	}
 	src := repl.NewSource(m)
-	srv := wire.NewServer(m.Engine())
-	srv.Repl = func(shard int) (wire.ReplStreamer, error) {
-		if shard > 1 {
-			return nil, fmt.Errorf("no shard %d", shard-1)
-		}
-		return src, nil
-	}
+	d := &wire.Router{Shards: []wire.Shard{{Engine: m.Engine, Source: src}}}
+	srv := wire.NewHandlerServer(d)
+	srv.Repl = d.Repl
 	ln, _ := wire.Listen()
 	go srv.Serve(ln)
 	return &primary{m: m, src: src, srv: srv, ln: ln}
@@ -164,7 +160,8 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 	}
 }
 
-// TestReplicaReadOnly: every mutation is refused at the wire surface.
+// TestReplicaReadOnly: a replica served as a deployment's shard refuses
+// every mutation and passes reads through.
 func TestReplicaReadOnly(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), durable.Options{CheckpointInterval: -1})
 	defer p.stop()
@@ -172,17 +169,18 @@ func TestReplicaReadOnly(t *testing.T) {
 	r := repl.New(func() (*wire.Client, error) { return wire.Connect(p.ln) }, repl.Options{ReconnectDelay: 5 * time.Millisecond})
 	defer r.Close()
 	waitHeight(t, r, 1)
+	h := &wire.Router{Shards: []wire.Shard{r.Shard()}}
 
-	resp := r.Handle(wire.Request{Op: wire.OpPut, Puts: []wire.Put{{Table: "t", Column: "c", PK: []byte("x"), Value: []byte("y")}}})
+	resp := h.Handle(wire.Request{Op: wire.OpPut, Puts: []wire.Put{{Table: "t", Column: "c", PK: []byte("x"), Value: []byte("y")}}})
 	if !strings.Contains(resp.Err, "read-only") {
 		t.Fatalf("replica accepted a write: %+v", resp)
 	}
-	resp = r.Handle(wire.Request{Op: wire.OpRestore})
+	resp = h.Handle(wire.Request{Op: wire.OpRestore})
 	if !strings.Contains(resp.Err, "read-only") {
 		t.Fatalf("replica accepted a restore: %+v", resp)
 	}
 	// Reads pass through.
-	resp = r.Handle(wire.Request{Op: wire.OpGet, Table: "t", Column: "c", PK: []byte("pk0000")})
+	resp = h.Handle(wire.Request{Op: wire.OpGet, Table: "t", Column: "c", PK: []byte("pk0000")})
 	if resp.Err != "" || !resp.Found || string(resp.Value) != "v0000" {
 		t.Fatalf("replica read: %+v", resp)
 	}

@@ -11,7 +11,6 @@ import (
 	"spitz/internal/durable"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
-	"spitz/internal/query"
 	"spitz/internal/wire"
 )
 
@@ -75,8 +74,8 @@ type Status struct {
 // Replica mirrors one primary engine by streaming its WAL. It maintains
 // its own full ledger and POS-tree, serves the complete read surface
 // (point, range, history, consistency proofs) against its own digest,
-// and is strictly read-only — it implements wire.Handler and rejects
-// every mutation. Safe for concurrent use.
+// and is strictly read-only: served as a Shard of a Router with no
+// writer, every mutation is refused. Safe for concurrent use.
 type Replica struct {
 	dial func() (*wire.Client, error)
 	opts Options
@@ -350,46 +349,19 @@ func (r *Replica) noteError(err error) {
 	r.logf("repl: %v", err)
 }
 
-// wireStats summarizes the replica for OpStats.
-func (r *Replica) wireStats() wire.ShardStats {
-	eng := r.Engine()
-	b := eng.BatchStats()
-	st := r.Status()
-	return wire.ShardStats{
-		Height: st.Height,
-		Blocks: b.Blocks,
-		Txns:   b.Txns,
-		Replica: &wire.ReplicaStats{
+// Shard describes the replica as one shard of a served deployment: its
+// current engine (replaced when it adopts a snapshot) and its replication
+// state.
+func (r *Replica) Shard() wire.Shard {
+	return wire.Shard{Engine: r.Engine, Replica: func() wire.ReplicaStats {
+		st := r.Status()
+		return wire.ReplicaStats{
 			Height:        st.Height,
 			Connected:     st.Connected,
 			LastError:     st.LastError,
 			AppliedBlocks: st.AppliedBlocks,
 			AppliedBytes:  st.AppliedBytes,
 			SnapshotLoads: st.SnapshotLoads,
-		},
-	}
-}
-
-// Handle implements wire.Handler: a replica serves the full read surface
-// against its own ledger and refuses every mutation.
-func (r *Replica) Handle(req wire.Request) wire.Response {
-	switch req.Op {
-	case wire.OpPut, wire.OpRestore:
-		return wire.Response{Err: "repl: replica is read-only; write to the primary"}
-	case wire.OpQuery:
-		// SELECT and HISTORY serve from the mirrored ledger; INSERT,
-		// UPDATE and DELETE are refused like any other mutation.
-		if query.Mutates(req.Statement) {
-			return wire.Response{Err: "repl: replica is read-only; write to the primary"}
 		}
-	case wire.OpShardMap:
-		return wire.Response{ShardCount: 1}
-	case wire.OpStats:
-		st := wire.Stats{Shards: []wire.ShardStats{r.wireStats()}}
-		return wire.Response{Stats: &st}
-	}
-	return wire.Dispatch(r.Engine(), req)
+	}}
 }
-
-// Compile-time interface check.
-var _ wire.Handler = (*Replica)(nil)

@@ -7,12 +7,10 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"spitz/internal/cellstore"
@@ -164,7 +162,7 @@ func Open(opts Options) (*Cluster, error) {
 			sh.eng = m.Engine()
 		}
 		sh.part = twopc.NewShardParticipant(sh.eng.TxnStore())
-		c.coord.Register(shardName(i), sh.part)
+		c.coord.Register(wire.ShardName(i), sh.part)
 		c.shards = append(c.shards, sh)
 	}
 	if opts.Dir != "" {
@@ -176,7 +174,6 @@ func Open(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-func shardName(i int) string    { return fmt.Sprintf("shard-%d", i) }
 func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 func readClusterManifest(dir string) (shards int, ok bool, err error) {
@@ -215,17 +212,9 @@ func writeClusterManifest(dir string, shards int) error {
 	return wal.SyncDir(dir)
 }
 
-// ShardIndex routes a primary key to its shard by FNV-1a hash. Clients
-// and servers must agree on this function; it is the cluster's shard
-// map.
-func ShardIndex(pk []byte, shards int) int {
-	h := fnv.New32a()
-	h.Write(pk)
-	return int(h.Sum32() % uint32(shards))
-}
-
-// ShardFor routes a primary key to its shard index.
-func (c *Cluster) ShardFor(pk []byte) int { return ShardIndex(pk, len(c.shards)) }
+// ShardFor routes a primary key to its shard index (wire.ShardIndex, the
+// shard map clients share).
+func (c *Cluster) ShardFor(pk []byte) int { return wire.ShardIndex(pk, len(c.shards)) }
 
 // Shards returns the number of shards.
 func (c *Cluster) Shards() int { return len(c.shards) }
@@ -295,7 +284,7 @@ func (c *Cluster) applyTraced(tr *obs.Trace, statement string, puts []core.Put) 
 	reqs := make([]twopc.Request, 0, len(byShard))
 	for _, si := range sortedShards(byShard) {
 		reqs = append(reqs, twopc.Request{
-			Shard:     shardName(si),
+			Shard:     wire.ShardName(si),
 			Statement: statement,
 			Writes:    byShard[si],
 		})
@@ -340,20 +329,10 @@ func (c *Cluster) GetVerified(table, column string, pk []byte) (int, core.Verifi
 	return si, res, err
 }
 
-// History returns every version of a cell, newest first. The scan
-// fans out and merges so the result is correct even for keys written
-// before a (hypothetical) reshard; with stable routing only the owning
-// shard contributes.
+// History returns every version of a cell from its owning shard, newest
+// first.
 func (c *Cluster) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
-	parts, err := c.scatter(nil, "history", func(eng *core.Engine) ([]cellstore.Cell, error) {
-		return eng.History(table, column, pk)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := flatten(parts)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Version > out[j].Version })
-	return out, nil
+	return c.shards[c.ShardFor(pk)].eng.History(table, column, pk)
 }
 
 // RangePK scans the latest live cells of one column with primary keys in
@@ -364,13 +343,9 @@ func (c *Cluster) RangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.
 }
 
 func (c *Cluster) rangePKTraced(tr *obs.Trace, table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error) {
-	parts, err := c.scatter(tr, "scatter.range", func(eng *core.Engine) ([]cellstore.Cell, error) {
-		return eng.RangePK(table, column, pkLo, pkHi)
+	return wire.ScatterCells(tr, "scatter.range", len(c.shards), func(i int) ([]cellstore.Cell, error) {
+		return c.shards[i].eng.RangePK(table, column, pkLo, pkHi)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeCellsByPK(parts), nil
 }
 
 // Columns returns the union of every shard's observed columns for a
@@ -399,69 +374,9 @@ func (c *Cluster) LookupEqual(table, column string, value []byte) ([]cellstore.C
 }
 
 func (c *Cluster) lookupEqualTraced(tr *obs.Trace, table, column string, value []byte) ([]cellstore.Cell, error) {
-	parts, err := c.scatter(tr, "scatter.lookup-eq", func(eng *core.Engine) ([]cellstore.Cell, error) {
-		return eng.LookupEqual(table, column, value)
+	return wire.ScatterCells(tr, "scatter.lookup-eq", len(c.shards), func(i int) ([]cellstore.Cell, error) {
+		return c.shards[i].eng.LookupEqual(table, column, value)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeCellsByPK(parts), nil
-}
-
-// scatter runs fn against every shard engine concurrently and collects
-// the per-shard results in shard order. When the originating request is
-// traced, each shard's leg records a child span named op.
-func (c *Cluster) scatter(tr *obs.Trace, op string, fn func(*core.Engine) ([]cellstore.Cell, error)) ([][]cellstore.Cell, error) {
-	parts := make([][]cellstore.Cell, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			leg := tr.ChildAt(op, shardName(i))
-			parts[i], errs[i] = fn(c.shards[i].eng)
-			leg.Finish()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
-}
-
-func flatten(parts [][]cellstore.Cell) []cellstore.Cell {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]cellstore.Cell, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// MergeCellsByPK merges per-shard result lists into one list ordered by
-// (table, column, pk) — each shard's list is already ordered, and shards
-// hold disjoint keys. The sharded client reuses it so client-side
-// fan-out merges define the same scan order as server-side ones.
-func MergeCellsByPK(parts [][]cellstore.Cell) []cellstore.Cell {
-	out := flatten(parts)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return string(a.PK) < string(b.PK)
-	})
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -603,7 +518,7 @@ func (t *Txn) requests(statement string) []twopc.Request {
 	reqs := make([]twopc.Request, 0, len(touched))
 	for _, si := range sortedShards(touched) {
 		reqs = append(reqs, twopc.Request{
-			Shard:     shardName(si),
+			Shard:     wire.ShardName(si),
 			Statement: statement,
 			Reads:     t.reads[si],
 			Writes:    t.writes[si],
@@ -666,22 +581,14 @@ func (c *Cluster) Stats() Stats {
 // ---------------------------------------------------------------------------
 // Wire protocol
 
-// Handle implements wire.Handler: one listener serves the whole cluster.
-// Requests with Shard > 0 address shard Shard-1 directly (how sharded
-// clients keep proofs checkable against per-shard digests); requests
-// with Shard = 0 are routed by primary key, scattered across shards, or
-// answered at the cluster level, so unsharded clients still work.
-func (c *Cluster) Handle(req wire.Request) wire.Response {
+// Write is the served cluster's writer (wire.Router.Write): OpPut and
+// INSERT/UPDATE/DELETE group their writes by key ownership and commit
+// through the 2PC coordinator whatever the request's Shard says — a
+// client-chosen shard must not bypass routing — with the request's trace
+// threaded into the per-shard prepare and commit legs.
+func (c *Cluster) Write(req wire.Request) wire.Response {
 	switch req.Op {
-	case wire.OpShardMap:
-		return wire.Response{ShardCount: len(c.shards)}
-	case wire.OpClusterDigest:
-		d := c.Digest()
-		return wire.Response{Cluster: &d}
 	case wire.OpPut:
-		// Writes always route through the cluster write path — grouping
-		// by key ownership and respecting 2PC locks — regardless of the
-		// Shard field: a client-chosen shard must not bypass routing.
 		puts := make([]core.Put, len(req.Puts))
 		for i, p := range req.Puts {
 			puts[i] = core.Put{Table: p.Table, Column: p.Column, PK: p.PK,
@@ -692,98 +599,14 @@ func (c *Cluster) Handle(req wire.Request) wire.Response {
 			return wire.Response{Err: err.Error()}
 		}
 		return wire.Response{Found: true, Header: ledger.BlockHeader{Version: version}}
-	case wire.OpRestore:
-		return wire.Response{Err: "wire: a cluster's state is owned by its shards; restore is not supported"}
 	case wire.OpQuery:
-		// Intercepted before shard addressing: a statement's routing is
-		// decided by what it does, not by a client-chosen shard.
-		return c.handleQuery(req)
-	}
-	if req.Shard > 0 {
-		if req.Shard > len(c.shards) {
-			return wire.Response{Err: fmt.Sprintf("wire: shard %d beyond cluster of %d", req.Shard-1, len(c.shards))}
-		}
-		resp := c.dispatchShard(req.Shard-1, req)
-		resp.Shard = req.Shard
-		return resp
-	}
-	switch req.Op {
-	case wire.OpGet, wire.OpGetVerified, wire.OpHistory:
-		si := c.ShardFor(req.PK)
-		resp := c.dispatchShard(si, req)
-		resp.Shard = si + 1
-		return resp
-	case wire.OpRange:
-		cells, err := c.rangePKTraced(req.Trace(), req.Table, req.Column, req.PK, req.PKHi)
-		if err != nil {
-			return wire.Response{Err: err.Error()}
-		}
-		return wire.Response{Found: len(cells) > 0, Cells: cells}
-	case wire.OpLookupEq:
-		cells, err := c.lookupEqualTraced(req.Trace(), req.Table, req.Column, req.Value)
-		if err != nil {
-			return wire.Response{Err: err.Error()}
-		}
-		return wire.Response{Found: len(cells) > 0, Cells: cells}
-	case wire.OpRangeVer:
-		return wire.Response{Err: "wire: verified range scans across a cluster must target one shard at a time (set Shard)"}
-	case wire.OpDigest, wire.OpConsistency, wire.OpProveBatch:
-		return wire.Response{Err: "wire: digests and audit proofs are per-shard in a cluster; set Shard, use " +
-			string(wire.OpClusterDigest) + ", or connect with spitz.Dial, which addresses each shard, for ongoing verified reads"}
-	case wire.OpSnapshot:
-		return wire.Response{Err: "wire: snapshots are per-shard in a cluster; set Shard"}
-	default:
-		return wire.Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
-	}
-}
-
-// handleQuery serves OpQuery at the cluster level. Mutations always
-// route through the cluster write path — grouping writes by key
-// ownership and committing with 2PC across the touched shards — no
-// matter what Shard says. Point SELECTs and HISTORY route to the owning
-// shard, so a SELECT's proof stays checkable against that shard's
-// digest. Range, lookup and aggregate SELECTs must target one shard at
-// a time (set Shard); sharded clients fan them out and merge the
-// per-shard verified results, which is the only way a proof per shard
-// can exist — there is no cluster-wide authenticated structure to prove
-// a cross-shard scan against.
-func (c *Cluster) handleQuery(req wire.Request) wire.Response {
-	stmt, err := query.Parse(req.Statement)
-	if err != nil {
-		return wire.Response{Err: err.Error()}
-	}
-	switch s := stmt.(type) {
-	case query.Insert, query.Update, query.Delete:
-		out, err := query.ExecParsed(clusterStore{c: c, tr: req.Trace()}, req.Statement, stmt)
+		out, err := query.ExecStore(clusterStore{c: c, tr: req.Trace()}, req.Statement)
 		if err != nil {
 			return wire.Response{Err: err.Error()}
 		}
 		return wire.Response{RowsAffected: out.RowsAffected, Height: out.Block}
-	case query.History:
-		cells, err := c.History(s.Table, s.Column, []byte(s.PK))
-		if err != nil {
-			return wire.Response{Err: err.Error()}
-		}
-		return wire.Response{Found: len(cells) > 0, Cells: cells}
-	case query.Select:
-		if req.Shard > 0 {
-			if req.Shard > len(c.shards) {
-				return wire.Response{Err: fmt.Sprintf("wire: shard %d beyond cluster of %d", req.Shard-1, len(c.shards))}
-			}
-			resp := c.dispatchShard(req.Shard-1, req)
-			resp.Shard = req.Shard
-			return resp
-		}
-		if s.HasPK {
-			si := c.ShardFor([]byte(s.PK))
-			resp := c.dispatchShard(si, req)
-			resp.Shard = si + 1
-			return resp
-		}
-		return wire.Response{Err: "wire: range, lookup and aggregate queries are proven per shard; " +
-			"set Shard, or connect with a sharded client which fans out and merges verified results"}
 	}
-	return wire.Response{Err: "wire: unhandled statement"}
+	return wire.Response{Err: "wire: a cluster's state is owned by its shards; restore is not supported"}
 }
 
 // Exec parses and executes one statement against the whole cluster, in
@@ -823,18 +646,3 @@ func (s clusterStore) RangePK(table, column string, pkLo, pkHi []byte) ([]cellst
 func (s clusterStore) LookupEqual(table, column string, value []byte) ([]cellstore.Cell, error) {
 	return s.c.lookupEqualTraced(s.tr, table, column, value)
 }
-
-// dispatchShard routes a request to one shard's engine. A traced
-// request gets a child span labelled with the owning shard, so the
-// engine's proof/ledger stages land on a per-shard span in the stitched
-// timeline rather than on the cluster-level server span.
-func (c *Cluster) dispatchShard(si int, req wire.Request) wire.Response {
-	leg := req.Trace().ChildAt("shard.dispatch", shardName(si))
-	req.SetTrace(leg)
-	resp := wire.Dispatch(c.shards[si].eng, req)
-	leg.Finish()
-	return resp
-}
-
-// Compile-time interface check.
-var _ wire.Handler = (*Cluster)(nil)

@@ -341,7 +341,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 // shape, survive the framing.
 func TestElisionOverTheWire(t *testing.T) {
 	eng, pk := elideEngine(t)
-	srv := NewServer(eng)
+	srv := NewHandlerServer(EngineHandler(eng))
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })

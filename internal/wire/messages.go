@@ -9,7 +9,6 @@ package wire
 
 import (
 	"spitz/internal/cellstore"
-	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
@@ -83,10 +82,9 @@ type Request struct {
 	// OpProveBatch flush.
 	Deferred bool
 
-	// Shard targets one shard of a sharded deployment: 0 routes by
-	// primary key (or addresses the whole cluster), i > 0 addresses shard
-	// i-1 directly. Single-engine servers ignore it, so shard-aware
-	// clients interoperate with both.
+	// Shard targets one shard of a deployment: i > 0 addresses shard
+	// i-1, 0 addresses a one-shard deployment's shard or lets a wider one
+	// route by primary key (see Router).
 	Shard int
 
 	// Height carries the ledger height of replication requests: the
@@ -120,7 +118,7 @@ type Request struct {
 }
 
 // SetTrace attaches a live span to a request. The span pointer rides
-// in-process hops (a cluster routing to its shard engines passes the
+// in-process hops (a Router handing it to a shard engine passes the
 // same Request value); for wire hops the span's trace ID and span ID
 // are captured alongside so the binary codec propagates the context and
 // the remote server continues the trace.
@@ -155,7 +153,7 @@ type Response struct {
 
 	// Sharded deployments.
 	ShardCount int                   // OpShardMap: number of shards behind this listener
-	Shard      int                   // 1-based shard that served a routed request (0 = unsharded)
+	Shard      int                   // unset by this build; decoded so binary/v3 peers interoperate
 	Cluster    *ledger.ClusterDigest // OpClusterDigest
 
 	// Replication stream messages (OpReplStream). Found distinguishes a
@@ -171,9 +169,8 @@ type Response struct {
 	RowsAffected int
 }
 
-// Handler executes one protocol request. core.Engine-backed servers use
-// Dispatch; sharded deployments implement Handler to route requests
-// across shards behind one listener.
+// Handler executes one protocol request. Every served deployment is a
+// Router; tests wrap one (MutateHandler) or stand in for it (HandlerFunc).
 type Handler interface {
 	Handle(req Request) Response
 }
@@ -183,10 +180,3 @@ type HandlerFunc func(Request) Response
 
 // Handle implements Handler.
 func (f HandlerFunc) Handle(req Request) Response { return f(req) }
-
-// EngineHandler returns a Handler dispatching to one engine — the
-// building block for wrapping a served engine (e.g. with a fault
-// injector in tamper-detection tests).
-func EngineHandler(eng *core.Engine) Handler {
-	return HandlerFunc(func(req Request) Response { return Dispatch(eng, req) })
-}

@@ -17,7 +17,7 @@ import (
 // delta read off it is exact only when nothing else in the process serves.
 func TestPerOpCountersMatchTraffic(t *testing.T) {
 	reg := obs.New()
-	srv := NewServer(core.New(core.Options{}))
+	srv := NewHandlerServer(EngineHandler(core.New(core.Options{})))
 	srv.ops = newOpMetrics(reg)
 	ln, _ := Listen()
 	go srv.Serve(ln)

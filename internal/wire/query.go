@@ -5,7 +5,7 @@ import (
 	"spitz/internal/query"
 )
 
-// dispatchQuery executes one OpQuery statement against an engine.
+// dispatchQuery executes one parsed OpQuery statement against an engine.
 //
 // SELECT responds with the raw scan cells, the digest the proof verifies
 // against, and the aggregated batch proof for the plan's canonical
@@ -18,11 +18,7 @@ import (
 // HISTORY responds with the version cells (the OpHistory shape);
 // mutations respond with RowsAffected, the committed block height and
 // the new digest.
-func dispatchQuery(eng *core.Engine, req Request) Response {
-	stmt, err := query.Parse(req.Statement)
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
+func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response {
 	switch s := stmt.(type) {
 	case query.Select:
 		res, err := query.ExecVerifiedSelect(eng, s, req.Deferred)

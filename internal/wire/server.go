@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"spitz/internal/core"
-	"spitz/internal/ledger"
 	"spitz/internal/obs"
+	"spitz/internal/query"
 )
 
 // knownOps lists every request type for per-op metric preallocation.
@@ -59,63 +59,31 @@ var (
 	mBytesWritten = obs.Default.Counter("spitz_wire_written_bytes_total")
 )
 
-// Server serves a core.Engine — or any Handler — over a listener.
+// Server serves a Handler over a listener.
 type Server struct {
-	// Restore, when non-nil, enables OpRestore: it loads a snapshot
-	// stream into a fresh engine which then replaces the served one. nil
-	// (the default) rejects restore requests.
-	Restore func(snapshot []byte) (*core.Engine, error)
-
 	// Repl, when non-nil, serves replication streams (OpReplStream): it
-	// returns the replication source for a wire shard id (0 or 1 both
-	// address a single-engine server; i > 0 addresses shard i-1 of a
-	// cluster). Set before Serve.
+	// returns the replication source for a wire shard id (Router.Repl).
+	// Set before Serve.
 	Repl func(shard int) (ReplStreamer, error)
 
-	// Stats, when non-nil, answers OpStats with deployment-wide counters
-	// (WAL span, attached followers); without it OpStats falls back to
-	// the handler or the engine's basic counters. Set before Serve.
-	Stats func() Stats
-
 	// Node labels this server's spans in stitched distributed traces
-	// ("shard-0", "replica"). Empty means "server". Set before Serve.
+	// ("primary", "replica"). Empty means "server". Set before Serve.
 	Node string
 
-	ops *opMetrics // where requests are counted: defaultOpMetrics outside tests
+	ops     *opMetrics // where requests are counted: defaultOpMetrics outside tests
+	handler Handler
 
-	mu      sync.Mutex
-	engine  *core.Engine
-	handler Handler // when set, requests go here instead of Dispatch(engine, ·)
-	closed  bool
-	ln      net.Listener
-	stopc   chan struct{}         // closed when the server stops (aborts streams)
-	conns   map[net.Conn]struct{} // live connections, closed on shutdown
+	mu     sync.Mutex
+	closed bool
+	ln     net.Listener
+	stopc  chan struct{}         // closed when the server stops (aborts streams)
+	conns  map[net.Conn]struct{} // live connections, closed on shutdown
 }
 
-// NewServer returns a server over eng.
-func NewServer(eng *core.Engine) *Server {
-	return &Server{ops: defaultOpMetrics, engine: eng, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-}
-
-// NewHandlerServer returns a server whose requests are executed by h
-// (e.g. a sharded cluster served behind one listener).
+// NewHandlerServer returns a server whose requests are executed by h (a
+// Router, or a test's wrapper of one).
 func NewHandlerServer(h Handler) *Server {
 	return &Server{ops: defaultOpMetrics, handler: h, stopc: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-}
-
-// Engine returns the currently served engine (it changes on OpRestore).
-func (s *Server) Engine() *core.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine
-}
-
-// SetEngine atomically swaps the served engine. In-flight requests finish
-// against the previous one.
-func (s *Server) SetEngine(eng *core.Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.engine = eng
 }
 
 // Serve accepts connections until the listener is closed; on return the
@@ -343,22 +311,7 @@ func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
 		tr = obs.DefaultTracer.Root(string(req.Op), s.nodeName())
 	}
 	req.SetTrace(tr)
-	var resp Response
-	s.mu.Lock()
-	h := s.handler
-	s.mu.Unlock()
-	switch {
-	case req.Op == OpStats && s.Stats != nil:
-		st := s.Stats()
-		st.Metrics = RegistryMetrics()
-		resp = Response{Stats: &st}
-	case req.Op == OpRestore && h == nil:
-		resp = s.restore(req)
-	case h != nil:
-		resp = h.Handle(req)
-	default:
-		resp = Dispatch(s.Engine(), req)
-	}
+	resp := s.handler.Handle(req)
 	if resp.Stats != nil {
 		resp.Stats.Protocol = ProtoBinary
 	}
@@ -423,34 +376,20 @@ func keyHash(pk []byte) uint64 {
 	return h
 }
 
-// restore handles OpRestore: load the snapshot into a fresh engine and
-// swap it in. In-flight requests finish against the old engine.
-func (s *Server) restore(req Request) Response {
-	if s.Restore == nil {
-		return Response{Err: "wire: this server does not accept restores"}
-	}
-	eng, err := s.Restore(req.Snapshot)
-	if err != nil {
-		return Response{Err: fmt.Sprintf("wire: restore: %v", err)}
-	}
-	s.mu.Lock()
-	s.engine = eng
-	s.mu.Unlock()
-	return Response{Digest: eng.Digest()}
+// Dispatch executes one request against an engine: what a Router runs on
+// the shard it routed a request to.
+func Dispatch(eng *core.Engine, req Request) Response {
+	return elide(eng, req, dispatch(eng, req))
 }
 
-// Dispatch executes one request against an engine. It is shared by the
-// network server and by in-process processor nodes (internal/server).
-//
-// It is also the one place a proof is cut down to what its client lacks:
+// elide is the one place a proof is cut down to what its client lacks:
 // it travels without the index nodes named in req.Have, with a patch in
 // place of an index node req.Have names another version of, and without
 // the rows of range proofs, which the client reads off the verified leaves.
 // The proof structs dispatch returns are this call's own; the node lists
 // and sub-proofs inside them may be shared with other callers, and Elide
 // replaces rather than edits those.
-func Dispatch(eng *core.Engine, req Request) Response {
-	resp := dispatch(eng, req)
+func elide(eng *core.Engine, req Request, resp Response) Response {
 	if resp.Proof != nil {
 		*resp.Proof = resp.Proof.Elide(eng.Ledger().Held(req.Have))
 	}
@@ -522,17 +461,6 @@ func dispatch(eng *core.Engine, req Request) Response {
 		return Response{Found: len(cells) > 0, Cells: cells}
 	case OpDigest:
 		return Response{Digest: eng.Digest()}
-	case OpShardMap:
-		// A bare engine is a one-shard deployment; shard-aware clients
-		// route everything to shard 0.
-		return Response{ShardCount: 1}
-	case OpClusterDigest:
-		d := ledger.NewClusterDigest([]ledger.Digest{eng.Digest()})
-		return Response{Cluster: &d}
-	case OpStats:
-		st := EngineStats(eng)
-		st.Metrics = RegistryMetrics()
-		return Response{Stats: &st}
 	case OpConsistency:
 		// Digest and proof must be captured atomically: sampled separately
 		// they can straddle a concurrently committed block, and the client
@@ -568,7 +496,11 @@ func dispatch(eng *core.Engine, req Request) Response {
 	case OpRestore:
 		return Response{Err: "wire: restore requires a server, not a bare engine"}
 	case OpQuery:
-		return dispatchQuery(eng, req)
+		stmt, err := query.Parse(req.Statement)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return dispatchQuery(eng, req, stmt)
 	default:
 		return Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
 	}

@@ -5,7 +5,6 @@ package wire
 import (
 	"fmt"
 
-	"spitz/internal/core"
 	"spitz/internal/obs"
 )
 
@@ -129,15 +128,4 @@ type ReplicaStats struct {
 	AppliedBlocks uint64
 	AppliedBytes  uint64
 	SnapshotLoads uint64
-}
-
-// EngineStats summarizes one bare engine for OpStats; servers with a
-// wider view (durability, followers) install a Stats hook instead.
-func EngineStats(eng *core.Engine) Stats {
-	b := eng.BatchStats()
-	return Stats{Shards: []ShardStats{{
-		Height: eng.Ledger().Height(),
-		Blocks: b.Blocks,
-		Txns:   b.Txns,
-	}}}
 }

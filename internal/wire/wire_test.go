@@ -12,7 +12,7 @@ import (
 func startServer(t *testing.T) (*Client, *core.Engine) {
 	t.Helper()
 	eng := core.New(core.Options{})
-	srv := NewServer(eng)
+	srv := NewHandlerServer(EngineHandler(eng))
 	ln, transport := Listen()
 	t.Logf("transport: %s", transport)
 	go srv.Serve(ln)
@@ -128,7 +128,7 @@ func TestUnknownOp(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	eng := core.New(core.Options{})
-	srv := NewServer(eng)
+	srv := NewHandlerServer(EngineHandler(eng))
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	defer srv.Close()
@@ -167,7 +167,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestPipeListenerDirectly(t *testing.T) {
 	pl := NewPipeListener()
 	eng := core.New(core.Options{})
-	srv := NewServer(eng)
+	srv := NewHandlerServer(EngineHandler(eng))
 	go srv.Serve(pl)
 	defer srv.Close()
 	conn, err := pl.DialPipe()
@@ -231,7 +231,7 @@ func TestPipeListenerDialCloseRace(t *testing.T) {
 // TestLookupEqualOverWire covers the inverted-index lookup op.
 func TestLookupEqualOverWire(t *testing.T) {
 	eng := core.New(core.Options{MaintainInverted: true})
-	srv := NewServer(eng)
+	srv := NewHandlerServer(EngineHandler(eng))
 	ln, _ := Listen()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })

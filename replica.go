@@ -86,7 +86,7 @@ func (r *Replica) Digest(i int) Digest { return r.set.Replica(i).Digest() }
 
 // ClusterDigest returns the replica's per-shard digest vector under one
 // combined root (one entry for single-engine primaries).
-func (r *Replica) ClusterDigest() ClusterDigest { return r.set.ClusterDigest() }
+func (r *Replica) ClusterDigest() ClusterDigest { return r.set.Router().ClusterDigest() }
 
 // Engine exposes shard i's engine for local (in-process) reads.
 func (r *Replica) Engine(i int) *core.Engine { return r.set.Replica(i).Engine() }
@@ -113,14 +113,9 @@ func (r *Replica) WaitForHeight(i int, height uint64, timeout time.Duration) err
 // Serve exposes the replica over a listener using the Spitz wire
 // protocol; it blocks until the listener closes. All mutations are
 // refused; reads follow the primary's routing rules.
-func (r *Replica) Serve(ln net.Listener) error {
-	srv := wire.NewHandlerServer(r.set)
-	srv.Node = "replica"
-	srv.Stats = r.set.WireStats
-	return srv.Serve(ln)
-}
+func (r *Replica) Serve(ln net.Listener) error { return serve(ln, r.set.Router(), "replica") }
 
 // ServerStats returns the observability payload this replica serves to
 // OpStats clients: per-shard replica heights and apply progress. Use it
 // to publish instance gauges on an admin endpoint (wire.PublishStats).
-func (r *Replica) ServerStats() ServerStats { return r.set.WireStats() }
+func (r *Replica) ServerStats() ServerStats { return r.set.Router().Stats() }

@@ -225,7 +225,6 @@ type DB struct {
 	dur  *durable.Manager
 	src  *repl.Source // replication source over dur's WAL; nil in memory
 	opts Options
-	srvs []*wire.Server // live Serve instances, kept in step on engine swaps
 }
 
 // engine returns the current engine (swappable via ResetFromSnapshot).
@@ -238,13 +237,19 @@ func (db *DB) engine() *core.Engine {
 // Open creates an in-memory verifiable database. State is lost when the
 // process exits; use OpenDir for a durable database.
 func Open(opts Options) *DB {
-	return &DB{eng: core.New(core.Options{
+	return &DB{eng: core.New(opts.memoryEngine()), opts: opts}
+}
+
+// memoryEngine is the in-memory engine configuration opts describe —
+// the one mapping Open, Restore and ResetFromSnapshot share.
+func (opts Options) memoryEngine() core.Options {
+	return core.Options{
 		Store:            cas.NewMemory(),
 		Mode:             opts.Mode,
 		MaintainInverted: opts.MaintainInverted,
 		MaxBatchTxns:     opts.MaxBatchTxns,
 		MaxBatchDelay:    opts.MaxBatchDelay,
-	}), opts: opts}
+	}
 }
 
 // OpenDir opens (creating if needed) a durable verifiable database in
@@ -420,63 +425,41 @@ func (db *DB) Block(height uint64) (BlockHeader, error) {
 // operation (Client.Restore / spitz-cli restore), which replaces the
 // served state from an operator-supplied snapshot; durable databases
 // reject it, because their state must come from their own data directory.
-func (db *DB) Serve(ln net.Listener) error {
-	// Engine read and server registration share one critical section, so
-	// a concurrent ResetFromSnapshot can never slip between them and
-	// leave this listener serving the discarded engine.
-	db.mu.Lock()
-	srv := wire.NewServer(db.eng)
-	srv.Node = "primary"
-	if db.dur == nil {
-		srv.Restore = func(snapshot []byte) (*core.Engine, error) {
-			return db.resetFromSnapshot(bytes.NewReader(snapshot))
-		}
+func (db *DB) Serve(ln net.Listener) error { return serve(ln, db.router(), "primary") }
+
+// router is the database as one listener serves it: one shard, read at
+// its current engine on every request (so a restore takes effect on the
+// next one), written through its own Dispatch with restores in front.
+func (db *DB) router() *wire.Router {
+	sh := wire.Shard{Engine: db.engine}
+	if db.src != nil {
+		sh.Source = db.src
 	}
-	srv.Stats = db.wireStats
-	srv.Repl = func(shard int) (wire.ReplStreamer, error) {
-		if shard > 1 {
-			return nil, fmt.Errorf("spitz: shard %d beyond single-engine server", shard-1)
+	return &wire.Router{Shards: []wire.Shard{sh}, Write: func(req wire.Request) wire.Response {
+		if req.Op != wire.OpRestore {
+			return wire.Dispatch(db.engine(), req)
 		}
-		if db.src == nil {
-			return nil, errors.New("spitz: an in-memory server has no write-ahead log to replicate; open it with OpenDir")
+		eng, err := db.resetFromSnapshot(bytes.NewReader(req.Snapshot))
+		if err != nil {
+			return wire.Response{Err: fmt.Sprintf("wire: restore: %v", err)}
 		}
-		return db.src, nil
-	}
-	db.srvs = append(db.srvs, srv)
-	db.mu.Unlock()
-	defer func() {
-		db.mu.Lock()
-		for i, s := range db.srvs {
-			if s == srv {
-				db.srvs = append(db.srvs[:i], db.srvs[i+1:]...)
-				break
-			}
-		}
-		db.mu.Unlock()
-	}()
-	return srv.Serve(ln)
+		return wire.Response{Digest: eng.Digest()}
+	}}
 }
 
-// wireStats converts Stats into the wire observability payload.
-func (db *DB) wireStats() wire.Stats {
-	st := db.Stats()
-	sh := wire.ShardStats{
-		Height:    st.Height,
-		Blocks:    st.Batch.Blocks,
-		Txns:      st.Batch.Txns,
-		Followers: st.Followers,
-	}
-	if db.src != nil {
-		w := db.src.WALStats()
-		sh.WAL = &w
-	}
-	return wire.Stats{Shards: []wire.ShardStats{sh}}
+// serve runs one wire server over a deployment until ln closes; node
+// labels its spans in stitched traces ("primary", "replica").
+func serve(ln net.Listener, d *wire.Router, node string) error {
+	srv := wire.NewHandlerServer(d)
+	srv.Node = node
+	srv.Repl = d.Repl
+	return srv.Serve(ln)
 }
 
 // ServerStats returns the observability payload this database serves to
 // OpStats clients: shard heights, WAL span, attached followers. Use it
 // to publish instance gauges on an admin endpoint (wire.PublishStats).
-func (db *DB) ServerStats() ServerStats { return db.wireStats() }
+func (db *DB) ServerStats() ServerStats { return db.router().Stats() }
 
 // ResetFromSnapshot replaces this in-memory database's entire state with
 // the contents of a snapshot stream (WriteSnapshot's output), validating
@@ -492,23 +475,13 @@ func (db *DB) resetFromSnapshot(r io.Reader) (*core.Engine, error) {
 	if db.dur != nil {
 		return nil, errors.New("spitz: cannot restore a snapshot into a durable database; recover from its data directory instead")
 	}
-	eng, err := core.Restore(core.Options{
-		Store:            cas.NewMemory(),
-		Mode:             db.opts.Mode,
-		MaintainInverted: db.opts.MaintainInverted,
-	}, r)
+	eng, err := core.Restore(db.opts.memoryEngine(), r)
 	if err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
 	db.eng = eng
-	srvs := append([]*wire.Server(nil), db.srvs...)
 	db.mu.Unlock()
-	// Running servers must follow the swap, or network clients would keep
-	// reading and committing into the discarded engine.
-	for _, s := range srvs {
-		s.SetEngine(eng)
-	}
 	return eng, nil
 }
 
@@ -558,13 +531,9 @@ func (db *DB) WriteSnapshot(w io.Writer) error { return db.engine().WriteSnapsho
 // and the block chain revalidated, so tampered snapshots are rejected;
 // clients' saved digests keep verifying against the restored database.
 func Restore(opts Options, r io.Reader) (*DB, error) {
-	eng, err := core.Restore(core.Options{
-		Store:            cas.NewMemory(),
-		Mode:             opts.Mode,
-		MaintainInverted: opts.MaintainInverted,
-	}, r)
+	eng, err := core.Restore(opts.memoryEngine(), r)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng}, nil
+	return &DB{eng: eng, opts: opts}, nil
 }
