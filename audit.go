@@ -1,6 +1,7 @@
 package spitz
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -340,116 +341,36 @@ func auditCellsHash(cells []Cell) hashutil.Digest {
 	return h.Sum()
 }
 
-// ---------------------------------------------------------------------------
-// Optimistic read paths (shardLink)
-
-// getOptimistic is AuditMode's point read: an attested (proof-free) read
-// whose digest-bound receipt is enqueued for batch audit.
-func (l shardLink) getOptimistic(a *Auditor, table, column string, pk []byte) ([]byte, bool, error) {
-	if err := a.poisoned(); err != nil {
-		return nil, false, err
-	}
-	tr := l.span("client.get-optimistic")
-	defer tr.Finish()
-	req := wire.Request{Op: wire.OpGet, Table: table, Column: column,
-		PK: pk, Shard: l.shard}
-	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := l.checkEmptyReplica(resp.Digest); err != nil {
-		return nil, false, err
-	}
-	if resp.Digest.Height == 0 {
-		if err := l.checkEmptyClaim(); err != nil {
-			return nil, false, err
+// queryReceipt shapes one proof obligation and the cells that answer it
+// into an audit receipt, and reports how many of the cells the receipt
+// commits to: a range obligation commits its column's full result slice
+// (scan order), a point obligation one value (or its absence) — the last
+// of its cells, as a query result reads them. The optimistic flow shapes
+// what the server said this way, the flush what the proof says, and the
+// two are compared.
+func queryReceipt(shard int, d Digest, q ledger.BatchQuery, cells []Cell) (auditReceipt, int) {
+	rc := auditReceipt{shard: shard, digest: d, query: q}
+	if q.Range {
+		var colCells []Cell
+		for _, c := range cells {
+			if c.Table == q.Table && c.Column == q.Column {
+				colCells = append(colCells, c)
+			}
 		}
-		// True bootstrap: an empty ledger with no trust pinned yet —
-		// the same (documented) gap as the eager path, which also
-		// accepts an unproven not-found from an empty database.
-		return nil, false, nil
-	}
-	if err := l.checkOptimisticLag(resp.Digest); err != nil {
-		return nil, false, err
+		rc.found, rc.hash = len(colCells) > 0, auditCellsHash(colCells)
+		return rc, len(colCells)
 	}
 	var value []byte
-	if resp.Found {
-		value = resp.Value
-	}
-	l.v.NoteDeferred(1)
-	if !a.add(auditReceipt{
-		shard:  l.index,
-		digest: resp.Digest,
-		query:  ledger.BatchQuery{Table: table, Column: column, PK: pk},
-		found:  resp.Found,
-		hash:   auditValueHash(value),
-	}) {
-		return nil, false, errAuditClosed
-	}
-	return value, resp.Found, nil
-}
-
-// checkEmptyClaim rejects a claimed-empty ledger once the client
-// already trusts a non-empty one: without it, a lying server could make
-// any key or range appear absent with no receipt ever enqueued — an
-// absence the audit would never examine.
-func (l shardLink) checkEmptyClaim() error {
-	if cur := l.v.Digest(); cur.Height > 0 {
-		return fmt.Errorf("%w: server claims an empty ledger but trusted height is %d",
-			ErrTampered, cur.Height)
-	}
-	return nil
-}
-
-// rangeOptimistic is AuditMode's range scan: the attested result set is
-// returned immediately and its receipt audited in batch.
-func (l shardLink) rangeOptimistic(a *Auditor, table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	if err := a.poisoned(); err != nil {
-		return nil, err
-	}
-	tr := l.span("client.range-optimistic")
-	defer tr.Finish()
-	req := wire.Request{Op: wire.OpRange, Table: table, Column: column,
-		PK: pkLo, PKHi: pkHi, Shard: l.shard}
-	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.checkEmptyReplica(resp.Digest); err != nil {
-		return nil, err
-	}
-	if resp.Digest.Height == 0 {
-		if err := l.checkEmptyClaim(); err != nil {
-			return nil, err
+	for _, c := range cells {
+		if c.Table == q.Table && c.Column == q.Column && bytes.Equal(c.PK, q.PK) {
+			value, rc.found = c.Value, true
 		}
-		return nil, nil
 	}
-	if err := l.checkOptimisticLag(resp.Digest); err != nil {
-		return nil, err
+	rc.hash = auditValueHash(value)
+	if rc.found {
+		return rc, 1
 	}
-	l.v.NoteDeferred(1)
-	if !a.add(auditReceipt{
-		shard:  l.index,
-		digest: resp.Digest,
-		query:  ledger.BatchQuery{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true},
-		found:  len(resp.Cells) > 0,
-		hash:   auditCellsHash(resp.Cells),
-	}) {
-		return nil, errAuditClosed
-	}
-	return resp.Cells, nil
-}
-
-// checkOptimisticLag applies the link's staleness bound using only local
-// state (the trusted digest), keeping the fast path free of round trips.
-func (l shardLink) checkOptimisticLag(d Digest) error {
-	if l.maxLag == 0 {
-		return nil
-	}
-	cur := l.v.Digest()
-	return l.checkLag(d, cur)
+	return rc, 0
 }
 
 // ---------------------------------------------------------------------------
@@ -457,11 +378,11 @@ func (l shardLink) checkOptimisticLag(d Digest) error {
 
 // auditBatch verifies one digest group of receipts with a single
 // ProveBatch round trip against the link's digest authority: trust is
-// advanced to the authority's current digest, the receipts' digest is
-// proven a prefix of that same history, the aggregated proof is checked
-// against the trusted digest, and finally every receipt is compared
-// against the proven state. Nothing in the group counts as verified
-// unless all of it passes.
+// advanced to the authority's current digest and the receipts' digest
+// proven a prefix of that same history (adopt), then the aggregated proof
+// is bound, verified and read (check), and finally every receipt is
+// compared against the proven state. Nothing in the group counts as
+// verified unless all of it passes.
 func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	// Receipts for the same query at the same digest need only one proof
 	// entry: dedup before the round trip (hot keys repeat inside a
@@ -481,11 +402,10 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur := l.v.Digest()
 	// As for an eager read: say which index nodes on the receipts' paths
 	// this verifier already holds, so the proof ships only the rest.
 	path := l.v.PathFor(queries)
-	req := wire.Request{Op: wire.OpProveBatch, OldDigest: cur, OldDigest2: &at,
+	req := wire.Request{Op: wire.OpProveBatch, OldDigest: l.v.Digest(), OldDigest2: &at,
 		Audits: queries, Shard: l.shard, Have: path.Have()}
 	leg := l.span("audit.prove-batch")
 	req.SetTrace(leg)
@@ -503,22 +423,10 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 		// That is an integrity failure, not an operational one.
 		return fmt.Errorf("%w: audit refused: %v", ErrTampered, err)
 	}
-	if resp.Consistency == nil || resp.Consistency2 == nil || resp.BatchProof == nil {
-		return fmt.Errorf("%w: server omitted audit proof", ErrTampered)
-	}
-	if err := l.v.Advance(resp.Digest, *resp.Consistency); err != nil {
+	// A server that invented a digest at read time is caught here, before
+	// any value comparison.
+	if err := l.adopt(resp, at); err != nil {
 		return err
-	}
-	// The digest the reads were accepted at must be a genuine prefix of
-	// the (now trusted) history — a server that invented a digest at read
-	// time is caught here before any value comparison.
-	cons2 := *resp.Consistency2
-	if cons2.OldSize != int(at.Height) || cons2.NewSize != int(resp.Digest.Height) {
-		return fmt.Errorf("%w: prefix proof sizes %d/%d do not match digests %d/%d",
-			ErrTampered, cons2.OldSize, cons2.NewSize, at.Height, resp.Digest.Height)
-	}
-	if err := cons2.Verify(at.Root, resp.Digest.Root); err != nil {
-		return fmt.Errorf("%w: receipts' digest is not a prefix of the ledger: %v", ErrTampered, err)
 	}
 	// The proof must be anchored at the block the receipts were read at
 	// (the head block of digest `at`). Without this, a server that lied
@@ -526,21 +434,30 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	// the receipts against that *later* block — self-consistent
 	// inclusion, honest prefix proof, matching values — and the lie
 	// would survive the audit.
-	if resp.BatchProof.Header.Height != at.Height-1 {
+	if bp := resp.BatchProof; bp != nil && bp.Header.Height != at.Height-1 {
 		return fmt.Errorf("%w: audit proof is for block %d, receipts were read at block %d",
-			ErrTampered, resp.BatchProof.Header.Height, at.Height-1)
+			ErrTampered, bp.Header.Height, at.Height-1)
 	}
-	// And it must prove the receipts' queries, not some others: a valid
-	// proof of a narrower range would silently omit rows. Checked before
-	// verification, so an answer to another question never reaches the
-	// verifier's counters or its node cache.
-	if !resp.BatchProof.Answers(queries) {
-		return fmt.Errorf("%w: audit proof answers different queries than the receipts'", ErrTampered)
-	}
-	if err := l.v.VerifyBatch(*resp.BatchProof, resp.Digest, len(rs), path); err != nil {
+	live, err := l.check(resp.BatchProof, resp.Digest, queries, len(rs), path)
+	if err != nil {
 		return err
 	}
-	return matchReceipts(rs, qidx, queries, resp.BatchProof)
+	// The proof binds the answers to the ledger; this binds them to what
+	// the client was told at read time. Every receipt is checked — two
+	// reads of one key inside a horizon must both match the single proven
+	// value, so a server that answered them differently is caught even
+	// though the proof entry is shared.
+	proven := make([]auditReceipt, len(queries))
+	for j, q := range queries {
+		proven[j], _ = queryReceipt(l.index, at, q, live[j])
+	}
+	for i, r := range rs {
+		if p := proven[qidx[i]]; p.found != r.found || p.hash != r.hash {
+			return fmt.Errorf("%w: read of %s.%s does not match its audited receipt",
+				ErrTampered, r.query.Table, r.query.Column)
+		}
+	}
+	return nil
 }
 
 // auditQueryKey canonicalizes a query for deduplication. Segment
@@ -554,61 +471,4 @@ func auditQueryKey(q ledger.BatchQuery) string {
 		return "r" + k + "open" // nil bound: scan to the end of the column
 	}
 	return "r" + k + "hi" + string(q.PKHi)
-}
-
-// auditAnswer is the proven outcome of one unique query.
-type auditAnswer struct {
-	found bool
-	hash  hashutil.Digest
-}
-
-// matchReceipts compares each receipt against the aggregated proof, which
-// has been checked to answer exactly queries (BatchProof.Answers) and
-// verified. The proof binds the values to the ledger; this step binds
-// them to what the client was actually told at read time. Every receipt
-// is checked — two reads of one key inside a horizon must both match the
-// single proven value, so a server that answered them differently is
-// caught even though the proof entry is shared.
-func matchReceipts(rs []auditReceipt, qidx []int, queries []ledger.BatchQuery, bp *ledger.BatchProof) error {
-	answers := make([]auditAnswer, len(queries))
-	pi, ri := 0, 0
-	for qi, q := range queries {
-		if q.Range {
-			cells, err := cellstore.DecodeEntries(bp.Ranges[ri].Entries)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrTampered, err)
-			}
-			ri++
-			live := cells[:0]
-			for _, c := range cells {
-				if !c.Tombstone {
-					live = append(live, c)
-				}
-			}
-			answers[qi] = auditAnswer{found: len(live) > 0, hash: auditCellsHash(live)}
-			continue
-		}
-		var value []byte
-		live := false
-		if bp.Points.Found[pi] {
-			_, v, tomb, err := cellstore.DecodeVersion(bp.Points.Values[pi])
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrTampered, err)
-			}
-			if !tomb {
-				live = true
-				value = v
-			}
-		}
-		pi++
-		answers[qi] = auditAnswer{found: live, hash: auditValueHash(value)}
-	}
-	for i, r := range rs {
-		a := answers[qidx[i]]
-		if a.found != r.found || a.hash != r.hash {
-			return fmt.Errorf("%w: read of %s.%s does not match its audited receipt",
-				ErrTampered, r.query.Table, r.query.Column)
-		}
-	}
-	return nil
 }

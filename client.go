@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spitz/internal/obs"
+	"spitz/internal/proof"
 	"spitz/internal/wire"
 )
 
@@ -62,7 +63,7 @@ type shard struct {
 	id      int          // wire shard id: index+1, or 0 on a connection adopted without a shard map (NewClient)
 	primary *wire.Client // writes, the digest authority, and the read fallback
 	v       *Verifier
-	syncMu  sync.Mutex // serializes digest refreshes (see shardLink.syncDigest)
+	syncMu  sync.Mutex // serializes digest refreshes (see shardLink.syncAndVerifyWith)
 
 	mu       sync.Mutex // guards the replicas' down flags and rr
 	replicas []*replicaConn
@@ -417,17 +418,12 @@ func (cl *Client) Get(table, column string, pk []byte) ([]byte, error) {
 // optimistically and verified in batch before the receipt horizon;
 // tampering then surfaces on the audit channel.
 func (cl *Client) GetVerified(table, column string, pk []byte) ([]byte, bool, error) {
-	aud := cl.auditor()
-	var found bool
-	value, err := read(cl, cl.ShardFor(pk), nil, func(l shardLink) (v []byte, err error) {
-		if aud != nil {
-			v, found, err = l.getOptimistic(aud, table, column, pk)
-		} else {
-			v, found, err = l.getVerified(table, column, pk)
-		}
-		return v, err
-	})
-	return value, found, err
+	r := pointRead(cl.auditor(), table, column, pk)
+	cells, err := read(cl, cl.ShardFor(pk), nil, r.run)
+	if err != nil || len(cells) == 0 {
+		return nil, false, err
+	}
+	return cells[0].Value, true, nil
 }
 
 // RangePKVerified scans a primary-key range across every shard
@@ -435,13 +431,8 @@ func (cl *Client) GetVerified(table, column string, pk []byte) ([]byte, bool, er
 // digest before merging (optimistically under AuditMode, with one receipt
 // per shard; see GetVerified).
 func (cl *Client) RangePKVerified(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	aud := cl.auditor()
-	return cl.scatterCells("client.range-verified", func(l shardLink) ([]Cell, error) {
-		if aud != nil {
-			return l.rangeOptimistic(aud, table, column, pkLo, pkHi)
-		}
-		return l.rangeVerified(table, column, pkLo, pkHi)
-	})
+	r := rangeRead(cl.auditor(), table, column, pkLo, pkHi)
+	return cl.scatterCells("client.range-verified", r.run)
 }
 
 // cellsOp is an unverified read that returns cells.
@@ -552,16 +543,8 @@ func (cl *Client) VerifyShardPrefix(i int, old Digest) (Digest, error) {
 	if err != nil {
 		return Digest{}, err
 	}
-	if resp.Consistency == nil {
-		return Digest{}, errors.New("spitz: server omitted consistency proof")
-	}
-	cons := *resp.Consistency
-	if cons.OldSize != int(old.Height) || cons.NewSize != int(resp.Digest.Height) {
-		return Digest{}, fmt.Errorf("%w: consistency proof sizes %d/%d do not match digests %d/%d",
-			ErrTampered, cons.OldSize, cons.NewSize, old.Height, resp.Digest.Height)
-	}
-	if err := cons.Verify(old.Root, resp.Digest.Root); err != nil {
-		return Digest{}, fmt.Errorf("%w: %v", ErrTampered, err)
+	if err := proof.CheckPrefix(old, resp.Digest, resp.Consistency); err != nil {
+		return Digest{}, err
 	}
 	return resp.Digest, nil
 }
@@ -588,12 +571,13 @@ func (cl *Client) ClusterDigest() (ClusterDigest, error) {
 
 // SyncDigest advances every shard's trusted digest to its primary's
 // current one, verifying a per-shard consistency proof so a rewritten
-// history on any shard is rejected.
+// history on any shard is rejected. It is a verified read's digest
+// advance with nothing to verify after it.
 func (cl *Client) SyncDigest() error {
 	_, err := scatter(cl, "client.sync-digest", func(i int, _ *obs.Trace) (struct{}, error) {
 		d, err := cl.ShardDigest(i)
 		if err == nil {
-			err = cl.primaryLink(i, nil).syncDigest(d)
+			err = cl.primaryLink(i, nil).syncAndVerifyWith(nil, d, func() error { return nil })
 		}
 		if err != nil && len(cl.shards) > 1 {
 			err = fmt.Errorf("spitz: shard %d digest sync: %w", i, err)

@@ -510,6 +510,44 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 			t.Fatalf("audit %s: the flushes are invisible to ProofStats: %+v", sameResultsNames[i], st)
 		}
 	}
+
+	// And 1 × 0 over an empty database, eagerly and in AuditMode: every
+	// read — the same keys, ranges and statements — is the empty answer.
+	empty := spitz.Open(spitz.Options{MaintainInverted: true})
+	t.Cleanup(func() { empty.Close() })
+	eln, _ := wire.Listen()
+	go empty.Serve(eln)
+	t.Cleanup(func() { eln.Close() })
+	for _, audit := range []bool{false, true} {
+		cl := connect(t, dialer(eln))
+		var aud *spitz.Auditor
+		if audit {
+			var err error
+			if aud, err = cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range keys {
+			if v, found, err := cl.GetVerified("t", "c", k.pk); err != nil || found || v != nil {
+				t.Fatalf("empty 1x0 (audit %v) key %q: %q %v %v", audit, k.pk, v, found, err)
+			}
+		}
+		for _, sp := range spans {
+			if cells, err := cl.RangePKVerified("t", "c", bound(sp.lo), bound(sp.hi)); err != nil || len(cells) != 0 {
+				t.Fatalf("empty 1x0 (audit %v) range [%d,%d): %d cells, %v", audit, sp.lo, sp.hi, len(cells), err)
+			}
+		}
+		for _, tc := range sql {
+			if res, err := cl.Query(tc.stmt); err != nil || len(res.Rows) != 0 || res.AggValue != 0 {
+				t.Fatalf("empty 1x0 (audit %v) %q: %+v, %v", audit, tc.stmt, res, err)
+			}
+		}
+		if aud != nil {
+			if err := aud.Flush(); err != nil {
+				t.Fatalf("empty 1x0 audit flush: %v", err)
+			}
+		}
+	}
 }
 
 // elidedProofSlices enumerates every byte slice of an elided read's

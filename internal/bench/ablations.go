@@ -11,6 +11,7 @@ import (
 	"spitz/internal/bench/workload"
 	"spitz/internal/cas"
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 	"spitz/internal/postree"
 	"spitz/internal/proof"
 	"spitz/internal/txn"
@@ -214,6 +215,25 @@ func siriMetrics(name string, records []workload.KeyValue, reads [][]byte,
 // ---------------------------------------------------------------------------
 // Ablation: online vs deferred verification
 
+// deferredQueue is the figure's deferred verification: proofs held back
+// and checked together at a batch boundary. (The product's deferred mode
+// is spitz.Auditor, which proves a whole batch with one aggregated proof.)
+type deferredQueue []ledger.Proof
+
+// flush checks every queued proof against v's trusted digest and empties
+// the queue. It returns how many verified; on a failure, the index of the
+// proof that failed.
+func (q *deferredQueue) flush(v *proof.Verifier) (int, error) {
+	batch := *q
+	*q = batch[:0]
+	for i, p := range batch {
+		if err := v.VerifyNow(p); err != nil {
+			return i, fmt.Errorf("deferred proof %d: %w", i, err)
+		}
+	}
+	return len(batch), nil
+}
+
 // AblationDeferred compares online verification (every proof checked as it
 // arrives) against deferred batches (Section 3.2 / 5.3), sweeping the
 // batch size.
@@ -253,25 +273,17 @@ func AblationDeferred(n int, batchSizes []int) (Result, error) {
 			return res, err
 		}
 		start := time.Now()
-		pending := 0
+		var q deferredQueue
 		for i, key := range reads {
 			r, err := eng.GetVerified(benchTable, benchColumn, key)
 			if err != nil {
 				return res, err
 			}
-			if bs <= 1 {
-				if err := v.VerifyNow(r.Proof); err != nil {
+			q = append(q, r.Proof)
+			if len(q) >= bs || i == len(reads)-1 {
+				if _, err := q.flush(v); err != nil {
 					return res, err
 				}
-				continue
-			}
-			v.Defer(r.Proof)
-			pending++
-			if pending == bs || i == len(reads)-1 {
-				if _, err := v.Flush(); err != nil {
-					return res, err
-				}
-				pending = 0
 			}
 		}
 		ops := float64(len(reads)) / time.Since(start).Seconds()

@@ -133,7 +133,10 @@ func DecodeKey(data []byte) (Key, error) {
 // key) reference. It doubles as the cell reference used by the transaction
 // layer (DecodeRef inverts it).
 func CellPrefix(table, column string, pk []byte) []byte {
-	out := appendSegment(nil, []byte(table))
+	// Room for the segments and their terminators: one allocation unless
+	// a segment holds 0x00 bytes to escape.
+	out := make([]byte, 0, len(table)+len(column)+len(pk)+6)
+	out = appendSegment(out, []byte(table))
 	out = appendSegment(out, []byte(column))
 	return appendSegment(out, pk)
 }

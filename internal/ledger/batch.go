@@ -63,6 +63,49 @@ func (p BatchProof) Answers(queries []BatchQuery) bool {
 	return ri == len(p.Ranges) && (p.Points == nil || pi == len(p.Points.Keys))
 }
 
+// Live reads the answers off a proof of exactly these queries (Answers)
+// that has verified: for each query, in order, the live cells it proves —
+// a point query's cell or none, a range query's rows in key order —
+// with tombstones left out. It is the one place proven cells are decoded.
+func (p BatchProof) Live(queries []BatchQuery) ([][]cellstore.Cell, error) {
+	out := make([][]cellstore.Cell, len(queries))
+	var points []cellstore.Cell // every point query's cell, in one array
+	if p.Points != nil {
+		points = make([]cellstore.Cell, 0, len(p.Points.Keys))
+	}
+	pi, ri := 0, 0
+	for i, q := range queries {
+		if q.Range {
+			cells, err := cellstore.DecodeEntries(p.Ranges[ri].Entries)
+			if err != nil {
+				return nil, err
+			}
+			ri++
+			live := cells[:0]
+			for _, c := range cells {
+				if !c.Tombstone {
+					live = append(live, c)
+				}
+			}
+			out[i] = live
+			continue
+		}
+		if p.Points.Found[pi] {
+			ver, value, tomb, err := cellstore.DecodeVersion(p.Points.Values[pi])
+			if err != nil {
+				return nil, err
+			}
+			if !tomb {
+				points = append(points, cellstore.Cell{Table: q.Table, Column: q.Column, PK: q.PK, Version: ver, Value: value})
+				n := len(points)
+				out[i] = points[n-1 : n : n]
+			}
+		}
+		pi++
+	}
+	return out, nil
+}
+
 // Verify checks the batch proof against a client-saved ledger digest,
 // exactly as Proof.Verify does for a single read: the block must be part
 // of the ledger the digest commits to, and every aggregated cell proof

@@ -31,6 +31,38 @@ type Proof struct {
 	Inclusion mtree.InclusionProof
 	Point     *postree.PointProof
 	Range     *postree.RangeProof
+
+	// one is where Batch builds its view, so building it allocates
+	// nothing. It never travels.
+	one struct {
+		points     postree.BatchProof
+		key, value [1][]byte
+		found      [1]bool
+		ranges     [1]postree.RangeProof
+	}
+}
+
+// Batch views the proof as the BatchProof of its one query, so a point or
+// range read is bound (BatchProof.Answers), verified and read
+// (BatchProof.Live) exactly as a batch is. The view shares the sub-proof's
+// bodies and lives in p: it allocates nothing, and verifying it fills the
+// view's range rows, not p.Range's. A proof with neither or both cell
+// proofs has no such view, as it has no valid one (see VerifyPath).
+func (p *Proof) Batch() (BatchProof, error) {
+	b := BatchProof{Header: p.Header, Inclusion: p.Inclusion}
+	switch {
+	case p.Point != nil && p.Range == nil:
+		one := &p.one
+		one.key[0], one.value[0], one.found[0] = p.Point.Key, p.Point.Value, p.Point.Found
+		one.points = postree.BatchProof{Keys: one.key[:], Values: one.value[:], Found: one.found[:], Nodes: p.Point.Nodes}
+		b.Points = &one.points
+	case p.Range != nil && p.Point == nil:
+		p.one.ranges[0] = *p.Range
+		b.Ranges = p.one.ranges[:]
+	default:
+		return BatchProof{}, ErrProofInvalid
+	}
+	return b, nil
 }
 
 // Verify checks the proof against a client-saved ledger digest. It

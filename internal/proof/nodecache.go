@@ -107,7 +107,12 @@ func (c *nodeCache) pathTo(key []byte) *postree.Path {
 // the tree under the last verified root along every point query's search
 // path and through every range query's scan, pinning each node once (and
 // no more than postree.MaxHave of them: the hint has to fit a request).
+// One point query is pathTo's walk.
 func (c *nodeCache) pathFor(queries []ledger.BatchQuery) *postree.Path {
+	if len(queries) == 1 && !queries[0].Range {
+		q := queries[0]
+		return c.pathTo(cellstore.CellPrefix(q.Table, q.Column, q.PK))
+	}
 	path := postree.NewPath(2 * len(queries))
 	var els []*list.Element
 	c.mu.Lock()

@@ -72,7 +72,11 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 		}
 	}
-	if err := r.v.VerifyPoint(p, d, path); err != nil {
+	b, err := p.Batch()
+	if err != nil {
+		return nil, err
+	}
+	if err := r.v.VerifyBatch(b, d, 1, path); err != nil {
 		return nil, err
 	}
 	cells, err := p.Cells()
@@ -140,11 +144,15 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.v.VerifyAsOf(p, d); err != nil {
+	b, err := p.Batch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.v.VerifyBatch(b, d, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
-		t.Fatal("VerifyAsOf admitted nodes to the cache")
+		t.Fatal("a path-less check admitted nodes to the cache")
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package proof implements the client side of Spitz verification
 // (Section 5.3): clients keep the latest ledger digest locally,
-// recalculate digests from received proofs, and compare. Two timing modes
-// are supported, mirroring Section 3.2's "Online verification vs Deferred
-// verification": online verifies every proof as it arrives; deferred
-// queues proofs and verifies them in batch, "which means the transactions
-// are verified asynchronously in batch" for higher throughput.
+// recalculate digests from received proofs, and compare. Every proof —
+// one read's or a batch's — is checked as a ledger.BatchProof
+// (VerifyBatch); when it is checked, per read or in batch (Section 3.2's
+// online vs deferred verification), is the caller's choice.
 package proof
 
 import (
@@ -31,7 +30,6 @@ type Verifier struct {
 	mu      sync.Mutex
 	digest  ledger.Digest
 	trusted bool // false until the first digest is pinned
-	pending []ledger.Proof
 
 	verified int64
 	deferred int64
@@ -67,50 +65,44 @@ func (v *Verifier) Advance(next ledger.Digest, cons mtree.ConsistencyProof) erro
 	if next.Height < v.digest.Height {
 		return fmt.Errorf("%w: digest went backwards (%d -> %d)", ErrTampered, v.digest.Height, next.Height)
 	}
-	if cons.OldSize != int(v.digest.Height) || cons.NewSize != int(next.Height) {
-		return fmt.Errorf("%w: consistency proof sizes %d/%d do not match digests %d/%d",
-			ErrTampered, cons.OldSize, cons.NewSize, v.digest.Height, next.Height)
-	}
-	if err := cons.Verify(v.digest.Root, next.Root); err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
+	if err := CheckPrefix(v.digest, next, &cons); err != nil {
+		return err
 	}
 	v.digest = next
 	return nil
 }
 
-// VerifyNow checks a proof immediately against the trusted digest (online
-// verification).
-func (v *Verifier) VerifyNow(p ledger.Proof) error {
-	v.mu.Lock()
-	d := v.digest
-	trusted := v.trusted
-	v.mu.Unlock()
-	if !trusted {
-		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
+// CheckPrefix is the one consistency check: cons must be a proof between
+// exactly old's and next's heights that old's ledger is a prefix of next's.
+// A proof the server left out (nil) fails like a wrong one.
+func CheckPrefix(old, next ledger.Digest, cons *mtree.ConsistencyProof) error {
+	if cons == nil {
+		return fmt.Errorf("%w: server omitted consistency proof", ErrTampered)
 	}
-	return v.verify(p, d, nil)
+	if cons.OldSize != int(old.Height) || cons.NewSize != int(next.Height) {
+		return fmt.Errorf("%w: consistency proof sizes %d/%d do not match digests %d/%d",
+			ErrTampered, cons.OldSize, cons.NewSize, old.Height, next.Height)
+	}
+	if err := cons.Verify(old.Root, next.Root); err != nil {
+		return fmt.Errorf("%w: digest %d is not a prefix of digest %d: %v", ErrTampered, old.Height, next.Height, err)
+	}
+	return nil
 }
 
-// verify is the one place a point or range proof is checked: against d,
-// resolving nodes the server left out from path (nil pins nothing), and —
-// only once the whole proof has verified — counting it and admitting the
-// index nodes it shipped to the node cache. A rejected proof leaves the
-// verifier exactly as it was.
-func (v *Verifier) verify(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
-	if err := p.VerifyPath(d, path); err != nil {
+// VerifyNow checks a point or range proof against the trusted digest: the
+// proof viewed as a one-query batch (ledger.Proof.Batch) through
+// VerifyBatch. Its range rows are then p.Range's, for Proof.Cells.
+func (v *Verifier) VerifyNow(p ledger.Proof) error {
+	b, err := p.Batch()
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
-	bytes := blockBytes(p.Inclusion)
-	var nodes [][]byte
-	switch {
-	case p.Point != nil:
-		nodes = p.Point.Nodes
-		bytes += len(p.Point.Key) + len(p.Point.Value)
-	case p.Range != nil:
-		nodes = p.Range.Nodes
-		bytes += len(p.Range.Start) + len(p.Range.End)
+	if err := v.VerifyBatch(b, v.Digest(), 1, nil); err != nil {
+		return err
 	}
-	v.accept(p.Header.CellRoot, path, 1, len(nodes), bytes+bodyBytes(nodes))
+	if p.Range != nil {
+		p.Range.Entries = b.Ranges[0].Entries
+	}
 	return nil
 }
 
@@ -158,34 +150,16 @@ func bodyBytes(nodes [][]byte) int {
 // under the last cell root it verified a proof against — where it lacks
 // the node the path runs through, the older version of that node it holds,
 // for the server to patch against. The caller sends path.Have() with the
-// read and hands the path back to VerifyPoint; the result is never nil,
+// read and hands the path back to VerifyBatch; the result is never nil,
 // and holds nothing on a cold verifier.
 func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
 
-// PathFor is PathTo for a batch of reads — the receipts of an audit
-// flush, the obligations of a query plan, one range scan: it pins the
-// held nodes on every point query's search path and in every range
-// query's scan. The path goes back to VerifyBatch (or, for a single range
-// read answered with a ledger.Proof, VerifyPoint).
+// PathFor is PathTo for the queries of one read — a point read's key, a
+// range scan, a query plan's obligations, an audit flush's receipts: it
+// pins the held nodes on every point query's search path and in every
+// range query's scan.
 func (v *Verifier) PathFor(queries []ledger.BatchQuery) *postree.Path {
 	return v.nodes.pathFor(queries)
-}
-
-// VerifyPoint checks a point- or range-read proof whose server was told
-// which nodes the verifier holds (path, from PathTo or PathFor) and may
-// have left them out. d is the digest the server produced the proof at:
-// the trusted digest, or an older one the caller has shown to be a prefix
-// of it (exactly VerifyAsOf's contract). Index nodes the proof did ship
-// are cached for later reads once the proof has verified.
-func (v *Verifier) VerifyPoint(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
-	return v.verifyAsOf(p, d, path)
-}
-
-func (v *Verifier) verifyAsOf(p ledger.Proof, d ledger.Digest, path *postree.Path) error {
-	if err := v.coveredBy(d); err != nil {
-		return err
-	}
-	return v.verify(p, d, path)
 }
 
 // coveredBy refuses digests that could not possibly be prefixes of the
@@ -204,27 +178,16 @@ func (v *Verifier) coveredBy(d ledger.Digest) error {
 	return nil
 }
 
-// VerifyAsOf checks a proof against an older digest d that the caller
-// has shown — via a verified consistency proof — to be a prefix of the
-// trusted ledger. Under write churn, a query response's proof can be
-// for a digest the client's trust has already moved past; proving the
-// prefix relation and verifying against d keeps the stale-but-honest
-// result usable instead of forcing an endless refetch race. The caller
-// is responsible for the prefix check; this method only refuses digests
-// that could not possibly be prefixes (taller than the trusted ledger).
-func (v *Verifier) VerifyAsOf(p ledger.Proof, d ledger.Digest) error {
-	return v.verifyAsOf(p, d, nil)
-}
-
-// VerifyBatch checks an aggregated batch proof — the server half of a
-// deferred-audit flush or of a verified query — the way VerifyPoint
-// checks a single read: against d, the trusted digest or an older one
-// the caller has shown to be a prefix of it (query responses are proven
-// at the digest the server executed at, which under write churn can trail
+// VerifyBatch is the one place a proof is checked — a deferred-audit
+// flush's, a verified query's, or one point or range read's viewed as a
+// batch (ledger.Proof.Batch): against d, the trusted digest or an older
+// one the caller has shown to be a prefix of it (a response is proven at
+// the digest the server served it at, which under write churn can trail
 // the client's already-advanced trust), resolving the nodes the server
-// left out from path (from PathFor; nil pins nothing). On success every
-// covered read counts as verified, the proof's traffic is counted like a
-// point proof's, and the index nodes it shipped are cached.
+// left out from path (from PathFor; nil pins nothing). Only once the
+// whole proof has verified are the reads counted, its traffic counted,
+// the index nodes it shipped cached and the pinned ones it superseded
+// dropped: a rejected proof leaves the verifier exactly as it was.
 func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, path *postree.Path) error {
 	if err := v.coveredBy(d); err != nil {
 		return err
@@ -277,45 +240,6 @@ func (v *Verifier) NoteDeferred(n int) {
 	v.mu.Lock()
 	v.deferred += int64(n)
 	v.mu.Unlock()
-}
-
-// Defer queues a proof for later batch verification.
-func (v *Verifier) Defer(p ledger.Proof) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.pending = append(v.pending, p)
-	v.deferred++
-}
-
-// Pending returns the number of queued proofs.
-func (v *Verifier) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.pending)
-}
-
-// Flush verifies every queued proof against the trusted digest and clears
-// the queue. It returns the number verified; on the first failure it stops
-// and reports which proof failed.
-func (v *Verifier) Flush() (int, error) {
-	v.mu.Lock()
-	batch := v.pending
-	v.pending = nil
-	d := v.digest
-	trusted := v.trusted
-	v.mu.Unlock()
-	if !trusted && len(batch) > 0 {
-		return 0, fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
-	}
-	for i, p := range batch {
-		if err := p.Verify(d); err != nil {
-			return i, fmt.Errorf("%w: deferred proof %d: %v", ErrTampered, i, err)
-		}
-	}
-	v.mu.Lock()
-	v.verified += int64(len(batch))
-	v.mu.Unlock()
-	return len(batch), nil
 }
 
 // Stats reports how many proofs were verified and deferred in total.

@@ -125,69 +125,3 @@ func TestVerifyNowDetectsTampering(t *testing.T) {
 		t.Fatal("tampered proof accepted")
 	}
 }
-
-func TestDeferredBatch(t *testing.T) {
-	l := testLedger(t, 6)
-	v := NewVerifier()
-	v.Advance(l.Digest(), mtree.ConsistencyProof{})
-	for i := 0; i < 5; i++ {
-		_, _, p, err := l.ProveGetLatest(5, "t", "c", []byte(fmt.Sprintf("k%03d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Defer(p)
-	}
-	if v.Pending() != 5 {
-		t.Fatalf("Pending = %d", v.Pending())
-	}
-	n, err := v.Flush()
-	if err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if n != 5 || v.Pending() != 0 {
-		t.Fatalf("Flush verified %d, pending %d", n, v.Pending())
-	}
-	verified, deferred := v.Stats()
-	if verified != 5 || deferred != 5 {
-		t.Fatalf("stats = %d/%d", verified, deferred)
-	}
-}
-
-func TestDeferredBatchDetectsTampering(t *testing.T) {
-	l := testLedger(t, 4)
-	v := NewVerifier()
-	v.Advance(l.Digest(), mtree.ConsistencyProof{})
-	good1, _, p1, _ := l.ProveGetLatest(3, "t", "c", []byte("k000"))
-	_ = good1
-	_, _, bad, _ := l.ProveGetLatest(3, "t", "c", []byte("k001"))
-	bad.Header.CellCount++
-	_, _, p3, _ := l.ProveGetLatest(3, "t", "c", []byte("k002"))
-	v.Defer(p1)
-	v.Defer(bad)
-	v.Defer(p3)
-	idx, err := v.Flush()
-	if !errors.Is(err, ErrTampered) {
-		t.Fatal("tampered deferred proof accepted")
-	}
-	if idx != 1 {
-		t.Fatalf("failure index = %d, want 1", idx)
-	}
-}
-
-func TestFlushEmptyQueue(t *testing.T) {
-	v := NewVerifier()
-	n, err := v.Flush()
-	if err != nil || n != 0 {
-		t.Fatalf("empty flush = %d, %v", n, err)
-	}
-}
-
-func TestDeferWithoutDigestFailsAtFlush(t *testing.T) {
-	l := testLedger(t, 2)
-	_, _, p, _ := l.ProveGetLatest(1, "t", "c", []byte("k000"))
-	v := NewVerifier()
-	v.Defer(p)
-	if _, err := v.Flush(); !errors.Is(err, ErrTampered) {
-		t.Fatal("flush without digest succeeded")
-	}
-}

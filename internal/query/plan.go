@@ -350,30 +350,13 @@ func (pl Plan) ResultFromProof(cells []cellstore.Cell, bp *ledger.BatchProof) (R
 	if !bp.Answers(queries) {
 		return Result{}, fmt.Errorf("proof does not answer the plan's %d obligations", len(queries))
 	}
-	var proven []cellstore.Cell
-	for i := range bp.Ranges {
-		cs, err := cellstore.DecodeEntries(bp.Ranges[i].Entries)
-		if err != nil {
-			return Result{}, err
-		}
-		proven = append(proven, cs...)
+	live, err := bp.Live(queries)
+	if err != nil {
+		return Result{}, err
 	}
-	pi := 0
-	for _, q := range queries {
-		if q.Range {
-			continue
-		}
-		if bp.Points.Found[pi] {
-			ver, v, tomb, err := cellstore.DecodeVersion(bp.Points.Values[pi])
-			if err != nil {
-				return Result{}, err
-			}
-			if !tomb {
-				proven = append(proven, cellstore.Cell{Table: q.Table,
-					Column: q.Column, PK: q.PK, Version: ver, Value: v})
-			}
-		}
-		pi++
+	var proven []cellstore.Cell
+	for _, cs := range live {
+		proven = append(proven, cs...)
 	}
 	return pl.ResultFromCells(proven)
 }

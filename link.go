@@ -1,14 +1,15 @@
 package spitz
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
+	"spitz/internal/postree"
+	"spitz/internal/proof"
+	"spitz/internal/query"
 	"spitz/internal/wire"
 )
 
@@ -20,7 +21,7 @@ import (
 type shardLink struct {
 	c     *wire.Client
 	v     *Verifier
-	mu    *sync.Mutex // serializes syncDigest's check-fetch-advance
+	mu    *sync.Mutex // serializes the digest advance and the check that follows it
 	shard int         // wire shard id: 0 unsharded, i+1 for shard i
 	index int         // client-side shard index (audit receipts carry it)
 
@@ -80,14 +81,227 @@ func (l shardLink) checkLag(d, cur Digest) error {
 	return nil
 }
 
-// syncAndVerifyWith is the digest-advance flow every proof-carrying read
-// shares; verify performs the final proof check against d, which by the
-// time it runs is the trusted digest or a proven prefix of it — a
-// point/range Proof and an aggregated BatchProof differ only there
-// (Verifier.VerifyPoint, Verifier.VerifyBatch). The whole flow runs under
-// the link's mutex so
-// concurrent verified reads cannot interleave digest refreshes and
-// report tampering the honest server never committed.
+// ---------------------------------------------------------------------------
+// One verified read, two flows
+
+// verifiedRead is one verified read as both read flows run it — a point
+// read, a pk range scan or a SELECT: the request that asks it and the
+// proof obligations its answer must discharge. What the caller makes of
+// the answer (a value, rows, a query result) is its own business; how the
+// answer is proven is decided here once.
+type verifiedRead struct {
+	aud      *Auditor     // non-nil: AuditMode, so the optimistic flow
+	req      wire.Request // as the eager flow sends it
+	attested wire.Op      // the op the optimistic flow sends instead: the same question, no proof
+	spans    [2]string    // the eager and the optimistic flow's span
+
+	one  [1]ledger.BatchQuery // a point or range read's one obligation
+	plan *query.Plan          // a SELECT's plan: its obligations follow from the cells served
+}
+
+func pointRead(aud *Auditor, table, column string, pk []byte) verifiedRead {
+	return verifiedRead{aud: aud, attested: wire.OpGet,
+		req:   wire.Request{Op: wire.OpGetVerified, Table: table, Column: column, PK: pk},
+		spans: [2]string{"client.get-verified", "client.get-optimistic"},
+		one:   [1]ledger.BatchQuery{{Table: table, Column: column, PK: pk}}}
+}
+
+func rangeRead(aud *Auditor, table, column string, pkLo, pkHi []byte) verifiedRead {
+	return verifiedRead{aud: aud, attested: wire.OpRange,
+		req:   wire.Request{Op: wire.OpRangeVer, Table: table, Column: column, PK: pkLo, PKHi: pkHi},
+		spans: [2]string{"client.range-verified", "client.range-optimistic"},
+		one:   [1]ledger.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}}}
+}
+
+// selectRead is a SELECT: the statement executes server-side against one
+// ledger snapshot. The plan was derived client-side from the statement
+// the client itself sent, so which ranges and keys must be proven is not
+// the server's to choose; the cells it returns only seed the obligations
+// of lookup plans and `SELECT *`.
+func selectRead(aud *Auditor, statement string, pl *query.Plan) verifiedRead {
+	return verifiedRead{aud: aud, attested: wire.OpQuery,
+		req:   wire.Request{Op: wire.OpQuery, Statement: statement},
+		spans: [2]string{"client.query-verified", "client.query-optimistic"},
+		plan:  pl}
+}
+
+// queries returns the read's proof obligations, given the cells the
+// server returned (nil before the response: what can be hinted).
+func (r *verifiedRead) queries(cells []Cell) []ledger.BatchQuery {
+	if r.plan != nil {
+		return r.plan.Queries(cells)
+	}
+	return r.one[:]
+}
+
+// run runs the read on one link and returns the live cells that answer
+// it: proven before they are returned, or — in AuditMode — accepted now
+// and proven at the auditor's next flush. It is the one place the two
+// modes part.
+func (r *verifiedRead) run(l shardLink) ([]Cell, error) {
+	if r.aud != nil {
+		return l.optimistic(r)
+	}
+	return l.verified(r)
+}
+
+// received is what both flows check of a response first. A replica with
+// no history yet is stale, not lying: the read fails over to the primary.
+// And an empty ledger (height 0) is an answer — the empty one — only when
+// it claims nothing and the client trusts no non-empty ledger: otherwise
+// any key or range could be made to look absent with nothing ever proven
+// or audited. empty reports that the answer is that empty one.
+func (l shardLink) received(resp wire.Response) (empty bool, err error) {
+	if resp.Digest.Height > 0 {
+		return false, nil
+	}
+	if l.syncC != nil {
+		return true, fmt.Errorf("%w: replica has no history yet (still bootstrapping)", errStale)
+	}
+	if resp.Found || len(resp.Cells) > 0 {
+		return true, fmt.Errorf("%w: rows claimed against an empty ledger", ErrTampered)
+	}
+	if cur := l.v.Digest(); cur.Height > 0 {
+		return true, fmt.Errorf("%w: server claims an empty ledger but trusted height is %d",
+			ErrTampered, cur.Height)
+	}
+	return true, nil
+}
+
+// verified is the eager flow. The request names the index nodes this
+// verifier holds on the read's way, so the proof ships only the rest; the
+// path pins those nodes, so the response is verified against them even
+// if the cache evicts in between. A point or range read's proof is viewed
+// as the batch of its one query (ledger.Proof.Batch), so every answer is
+// bound, verified and read by check. A response may go without a proof
+// only when the plan derives no obligation from it — a lookup with no
+// candidate rows, a `SELECT *` that surfaced no column — or it is the
+// empty ledger's (received).
+func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
+	tr := l.span(r.spans[0])
+	defer tr.Finish()
+	path := l.v.PathFor(r.queries(nil))
+	req := r.req
+	req.Shard, req.Have = l.shard, path.Have()
+	req.SetTrace(tr)
+	resp, err := l.c.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if empty, err := l.received(resp); empty || err != nil {
+		return nil, err
+	}
+	queries := r.queries(resp.Cells)
+	bp := resp.BatchProof
+	if resp.Proof != nil {
+		view, err := resp.Proof.Batch()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+		}
+		bp = &view
+	}
+	if bp == nil && len(queries) == 0 {
+		return nil, nil
+	}
+	var live [][]Cell
+	if err := l.syncAndVerifyWith(tr, resp.Digest, func() (err error) {
+		live, err = l.check(bp, resp.Digest, queries, len(queries), path)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if len(live) == 1 {
+		return live[0], nil
+	}
+	var cells []Cell
+	for _, cs := range live {
+		cells = append(cells, cs...)
+	}
+	return cells, nil
+}
+
+// optimistic is AuditMode's flow: the server does no proof work
+// (wire.OpGet, wire.OpRange, or a SELECT marked Deferred), the answer is
+// accepted at once, and one receipt per proof obligation — the same
+// obligations the eager flow proves, so a row omitted from a pk range
+// still fails its audit — is enqueued for the auditor's next flush.
+func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
+	if err := r.aud.poisoned(); err != nil {
+		return nil, err
+	}
+	tr := l.span(r.spans[1])
+	defer tr.Finish()
+	req := r.req
+	req.Op, req.Deferred, req.Shard = r.attested, r.plan != nil, l.shard
+	req.SetTrace(tr)
+	resp, err := l.c.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if empty, err := l.received(resp); empty || err != nil {
+		return nil, err
+	}
+	// The staleness bound, from local state only (the trusted digest): the
+	// fast path makes no round trip.
+	if err := l.checkLag(resp.Digest, l.v.Digest()); err != nil {
+		return nil, err
+	}
+	cells := resp.Cells
+	if req.Op == wire.OpGet && resp.Found {
+		cells = []Cell{{Table: req.Table, Column: req.Column, PK: req.PK, Value: resp.Value}}
+	}
+	queries := r.queries(cells)
+	l.v.NoteDeferred(len(queries))
+	committed := 0
+	for _, q := range queries {
+		rc, n := queryReceipt(l.index, resp.Digest, q, cells)
+		if !r.aud.add(rc) {
+			return nil, errAuditClosed
+		}
+		committed += n
+	}
+	// Every cell of the answer must be one a receipt commits to: any
+	// other would reach the caller and never be audited.
+	if committed != len(cells) {
+		return nil, fmt.Errorf("%w: %d cells of the answer are in no receipt", ErrTampered, len(cells)-committed)
+	}
+	return cells, nil
+}
+
+// check binds, verifies and reads one proof — every proof a read rests
+// on, eager or audited, passes through here. The proof must answer
+// exactly the queries: checked before verification, so an answer to
+// another question — another key's value, a narrower range that silently
+// omits rows — never reaches the verifier's counters or its node cache.
+// It is verified against d, which the caller has made the trusted digest
+// or a proven prefix of it, and the answers are read off it: each
+// query's proven live cells.
+func (l shardLink) check(bp *ledger.BatchProof, d Digest, queries []ledger.BatchQuery, reads int, path *postree.Path) ([][]Cell, error) {
+	if bp == nil {
+		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
+	}
+	if !bp.Answers(queries) {
+		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
+	}
+	if err := l.v.VerifyBatch(*bp, d, reads, path); err != nil {
+		return nil, err
+	}
+	live, err := bp.Live(queries)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+	}
+	return live, nil
+}
+
+// ---------------------------------------------------------------------------
+// Advancing trust
+
+// syncAndVerifyWith is the digest advance every proof-carrying read
+// shares, followed by verify: on return from the advance the trusted
+// digest is d, or d has been proven a prefix of it. The whole flow runs
+// under the link's mutex so concurrent verified reads cannot interleave
+// digest refreshes and report tampering the honest server never
+// committed.
 //
 // When the trusted digest has already moved past d (a concurrent read
 // synced a newer state), the proof cannot verify against the trusted
@@ -126,8 +340,7 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verify func() erro
 		if err := l.v.Advance(dresp.Digest, ConsistencyProof{}); err != nil {
 			return err
 		}
-		cur = l.v.Digest()
-		if cur == d {
+		if cur = l.v.Digest(); cur == d {
 			return verify()
 		}
 	}
@@ -154,167 +367,34 @@ func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verify func() erro
 		}
 		return err
 	}
-	if resp.Consistency == nil || resp.Consistency2 == nil {
-		return errors.New("spitz: server omitted consistency proof")
-	}
-	if err := l.v.Advance(resp.Digest, *resp.Consistency); err != nil {
-		return err
-	}
-	if l.v.Digest() == d {
-		return verify()
-	}
-	// Trust is now ahead of d: require the second proof to show d is a
-	// prefix of the same (now trusted) state, then verify against d.
-	// For a replica-served result this is exactly the replication trust
-	// argument: the proof came from the replica's digest d, and the
-	// digest authority (syncConn — the primary) has just proven d to be
-	// a prefix of the trusted history, so a tampering replica is caught
-	// here and a lagging one is served as verifiably stale data.
-	cons2 := *resp.Consistency2
-	if cons2.OldSize != int(d.Height) || cons2.NewSize != int(resp.Digest.Height) {
-		return fmt.Errorf("%w: prefix proof sizes %d/%d do not match digests %d/%d",
-			ErrTampered, cons2.OldSize, cons2.NewSize, d.Height, resp.Digest.Height)
-	}
-	if err := cons2.Verify(d.Root, resp.Digest.Root); err != nil {
-		return fmt.Errorf("%w: response digest is not a prefix of the ledger: %v", ErrTampered, err)
-	}
-	if err := l.checkLag(d, resp.Digest); err != nil {
+	if err := l.adopt(resp, d); err != nil {
 		return err
 	}
 	return verify()
 }
 
-func (l shardLink) getVerified(table, column string, pk []byte) ([]byte, bool, error) {
-	tr := l.span("client.get-verified")
-	defer tr.Finish()
-	// Tell the server which index nodes of the key's search path this
-	// verifier already holds, so the proof ships only the rest. The path
-	// pins those nodes: the response is verified against them even if the
-	// cache evicts in between.
-	key := cellstore.CellPrefix(table, column, pk)
-	path := l.v.PathTo(key)
-	req := wire.Request{Op: wire.OpGetVerified, Table: table, Column: column,
-		PK: pk, Shard: l.shard, Have: path.Have()}
-	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return nil, false, err
+// adopt is the one place trust follows a server's consistency proofs:
+// resp carries the server's digest, a proof from the trusted digest to it
+// and one from d — the digest a result was served at, or the receipts of
+// an audit were read at — to it. Trust advances to the server's digest,
+// and d must be it or a prefix of it. For a replica-served result this is
+// exactly the replication trust argument: the proof came from the
+// replica's digest d, and the digest authority has just proven d a
+// prefix of the trusted history, so a tampering replica is caught here
+// and a lagging one is served as verifiably stale data. Callers hold
+// l.mu.
+func (l shardLink) adopt(resp wire.Response, d Digest) error {
+	if resp.Consistency == nil || resp.Consistency2 == nil {
+		return fmt.Errorf("%w: server omitted consistency proof", ErrTampered)
 	}
-	if err := l.checkEmptyReplica(resp.Digest); err != nil {
-		return nil, false, err
-	}
-	if resp.Proof == nil {
-		if resp.Found {
-			return nil, false, fmt.Errorf("%w: server omitted proof", ErrTampered)
-		}
-		return nil, false, nil // empty database
-	}
-	// The proof must answer the question that was asked: a valid proof
-	// for some other key would otherwise smuggle in that key's value.
-	// Checked before verification, so an answer to another question never
-	// reaches the node cache either.
-	if resp.Proof.Point == nil || !bytes.Equal(resp.Proof.Point.Key, key) {
-		return nil, false, fmt.Errorf("%w: proof answers a different key", ErrTampered)
-	}
-	verify := func() error { return l.v.VerifyPoint(*resp.Proof, resp.Digest, path) }
-	if err := l.syncAndVerifyWith(tr, resp.Digest, verify); err != nil {
-		return nil, false, err
-	}
-	cells, err := resp.Proof.Cells()
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if len(cells) == 0 || cells[0].Tombstone {
-		if resp.Found {
-			return nil, false, fmt.Errorf("%w: result contradicts proof", ErrTampered)
-		}
-		return nil, false, nil
-	}
-	return cells[0].Value, true, nil
-}
-
-// checkEmptyReplica flags a replica that has no history yet — a fresh
-// follower mid-bootstrap. That is the extreme form of staleness, not
-// tampering: callers fail over to the primary instead of alarming.
-func (l shardLink) checkEmptyReplica(d Digest) error {
-	if l.syncC != nil && d.Height == 0 {
-		return fmt.Errorf("%w: replica has no history yet (still bootstrapping)", errStale)
-	}
-	return nil
-}
-
-func (l shardLink) rangeVerified(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	tr := l.span("client.range-verified")
-	defer tr.Finish()
-	// As in getVerified: hint the index nodes held where the scan will
-	// walk, pinned until the response has been verified against them.
-	path := l.v.PathFor([]ledger.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}})
-	req := wire.Request{Op: wire.OpRangeVer, Table: table, Column: column,
-		PK: pkLo, PKHi: pkHi, Shard: l.shard, Have: path.Have()}
-	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.checkEmptyReplica(resp.Digest); err != nil {
-		return nil, err
-	}
-	if resp.Proof == nil {
-		if resp.Found || len(resp.Cells) > 0 {
-			return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
-		}
-		return nil, nil
-	}
-	// The proof must cover exactly the requested range: a valid proof of
-	// a narrower range would otherwise silently omit rows. Checked before
-	// verification, like getVerified's key.
-	wantStart, wantEnd := cellstore.RefRange(table, column, pkLo, pkHi)
-	if resp.Proof.Range == nil ||
-		!bytes.Equal(resp.Proof.Range.Start, wantStart) || !bytes.Equal(resp.Proof.Range.End, wantEnd) {
-		return nil, fmt.Errorf("%w: proof covers a different range", ErrTampered)
-	}
-	verify := func() error { return l.v.VerifyPoint(*resp.Proof, resp.Digest, path) }
-	if err := l.syncAndVerifyWith(tr, resp.Digest, verify); err != nil {
-		return nil, err
-	}
-	// The rows are the ones verification read off the proven leaves.
-	cells, err := resp.Proof.Cells()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	live := cells[:0]
-	for _, c := range cells {
-		if !c.Tombstone {
-			live = append(live, c)
-		}
-	}
-	return live, nil
-}
-
-// syncDigest advances the link's trusted digest to d, fetching and
-// verifying a consistency proof from the link's shard when trust was
-// already pinned. The whole check-fetch-advance runs under the link's
-// mutex: two concurrent verified reads would otherwise both fetch a
-// proof for the same stale digest, and the loser's Advance would report
-// tampering the honest server never committed.
-func (l shardLink) syncDigest(d Digest) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cur := l.v.Digest()
-	if cur == d || d.Height < cur.Height {
-		// Already there — or a response raced an even newer refresh; the
-		// proof check against the newer trusted digest still stands.
-		return nil
-	}
-	if cur.Height == 0 && cur.Root.IsZero() {
-		return l.v.Advance(d, ConsistencyProof{})
-	}
-	resp, err := l.syncConn().Do(wire.Request{Op: wire.OpConsistency, OldDigest: cur, Shard: l.shard})
-	if err != nil {
+	if err := l.v.Advance(resp.Digest, *resp.Consistency); err != nil {
 		return err
 	}
-	if resp.Consistency == nil {
-		return errors.New("spitz: server omitted consistency proof")
+	if resp.Digest == d {
+		return nil
 	}
-	return l.v.Advance(resp.Digest, *resp.Consistency)
+	if err := proof.CheckPrefix(d, resp.Digest, resp.Consistency2); err != nil {
+		return err
+	}
+	return l.checkLag(d, resp.Digest)
 }
