@@ -377,10 +377,10 @@ func queryReceipt(shard int, d Digest, q ledger.BatchQuery, cells []Cell) (audit
 // The audit round trip
 
 // auditBatch verifies one digest group of receipts with a single
-// ProveBatch round trip against the link's digest authority: trust is
-// advanced to the authority's current digest and the receipts' digest
-// proven a prefix of that same history (adopt), then the aggregated proof
-// is bound, verified and read (check), and finally every receipt is
+// ProveBatch round trip against the link's digest authority: the
+// receipts' digest is proven a prefix of the authority's current one, the
+// aggregated proof is bound, verified and read (check), and only then is
+// trust advanced to that digest (adopt); finally every receipt is
 // compared against the proven state. Nothing in the group counts as
 // verified unless all of it passes.
 func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
@@ -404,28 +404,10 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	defer l.mu.Unlock()
 	// As for an eager read: say which index nodes on the receipts' paths
 	// this verifier already holds, so the proof ships only the rest.
-	path := l.v.PathFor(queries)
-	req := wire.Request{Op: wire.OpProveBatch, OldDigest: l.v.Digest(), OldDigest2: &at,
-		Audits: queries, Shard: l.shard, Have: path.Have()}
-	leg := l.span("audit.prove-batch")
-	req.SetTrace(leg)
-	resp, err := l.syncConn().Do(req)
-	leg.Finish()
+	pin := l.v.PinFor(queries)
+	resp, err := l.ask(l.span("audit.prove-batch"), wire.Request{Op: wire.OpProveBatch,
+		OldDigest: pin.Trusted, OldDigest2: &at, Audits: queries, Shard: l.shard, Have: pin.Have()})
 	if err != nil {
-		if errors.Is(err, wire.ErrTransport) {
-			if l.syncC != nil {
-				return fmt.Errorf("%w: %v", errPrimarySync, err)
-			}
-			return err
-		}
-		// The server itself refused to prove reads it (or its replica)
-		// served — e.g. the receipts' digest is taller than its history.
-		// That is an integrity failure, not an operational one.
-		return fmt.Errorf("%w: audit refused: %v", ErrTampered, err)
-	}
-	// A server that invented a digest at read time is caught here, before
-	// any value comparison.
-	if err := l.adopt(resp, at); err != nil {
 		return err
 	}
 	// The proof must be anchored at the block the receipts were read at
@@ -438,8 +420,11 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 		return fmt.Errorf("%w: audit proof is for block %d, receipts were read at block %d",
 			ErrTampered, bp.Header.Height, at.Height-1)
 	}
-	live, err := l.check(resp.BatchProof, resp.Digest, queries, len(rs), path)
-	if err != nil {
+	var live [][]Cell // a digest invented at read time fails adopt first
+	if err := l.adopt(resp, at, func() (err error) {
+		live, err = l.check(resp.BatchProof, resp.Digest, queries, len(rs), pin)
+		return err
+	}); err != nil {
 		return err
 	}
 	// The proof binds the answers to the ledger; this binds them to what

@@ -528,7 +528,8 @@ func TestFaultLieNowCommitLater(t *testing.T) {
 		if req.Op != wire.OpProveBatch || req.OldDigest2 == nil {
 			return
 		}
-		cur, cons2, err := fs.eng.ConsistencyUpdate(*req.OldDigest2)
+		cur := fs.eng.Digest()
+		cons2, err := fs.eng.ConsistencyProof(req.OldDigest2.Height, cur.Height)
 		if err != nil {
 			t.Errorf("malicious cons2: %v", err)
 			return

@@ -530,23 +530,26 @@ func (cl *Client) ShardDigest(i int) (Digest, error) {
 
 // VerifyShardPrefix proves that old is a prefix of shard i's current
 // ledger: it fetches the current digest together with a consistency
-// proof over old (captured atomically) and checks the proof. It returns
-// the current digest without touching the client's trusted digests —
-// the operator-facing form of the replication trust check (spitz-cli
-// digest check).
+// proof over old and checks the proof. It returns the current digest
+// without touching the client's trusted digests — the operator-facing
+// form of the replication trust check (spitz-cli digest check).
 func (cl *Client) VerifyShardPrefix(i int, old Digest) (Digest, error) {
-	if old.Height == 0 && old.Root.IsZero() {
-		return cl.ShardDigest(i) // the empty ledger is a prefix of everything
+	d, cons, err := cl.prefixOf(i, old)
+	if err == nil {
+		err = proof.CheckPrefix(old, d, cons)
 	}
-	s := cl.shards[i]
-	resp, err := s.primary.Do(wire.Request{Op: wire.OpConsistency, OldDigest: old, Shard: s.id})
 	if err != nil {
 		return Digest{}, err
 	}
-	if err := proof.CheckPrefix(old, resp.Digest, resp.Consistency); err != nil {
-		return Digest{}, err
-	}
-	return resp.Digest, nil
+	return d, nil
+}
+
+// prefixOf fetches shard i's current digest with the primary's proof
+// that old is a prefix of it: one OpConsistency round trip.
+func (cl *Client) prefixOf(i int, old Digest) (Digest, *ConsistencyProof, error) {
+	s := cl.shards[i]
+	resp, err := s.primary.Do(wire.Request{Op: wire.OpConsistency, OldDigest: old, Shard: s.id})
+	return resp.Digest, resp.Consistency, err
 }
 
 // ClusterDigest fetches the cluster digest — every shard's ledger digest
@@ -570,15 +573,18 @@ func (cl *Client) ClusterDigest() (ClusterDigest, error) {
 }
 
 // SyncDigest advances every shard's trusted digest to its primary's
-// current one, verifying a per-shard consistency proof so a rewritten
-// history on any shard is rejected. It is a verified read's digest
-// advance with nothing to verify after it.
+// current one — VerifyShardPrefix's one round trip, from the trusted
+// digest — so a rewritten history on any shard is rejected; a shard that
+// trusts nothing yet takes the primary's digest on first use.
 func (cl *Client) SyncDigest() error {
 	_, err := scatter(cl, "client.sync-digest", func(i int, _ *obs.Trace) (struct{}, error) {
-		d, err := cl.ShardDigest(i)
+		s := cl.shards[i]
+		s.syncMu.Lock()
+		d, cons, err := cl.prefixOf(i, s.v.Digest())
 		if err == nil {
-			err = cl.primaryLink(i, nil).syncAndVerifyWith(nil, d, func() error { return nil })
+			err = s.v.AdvanceWith(d, cons, nil)
 		}
+		s.syncMu.Unlock()
 		if err != nil && len(cl.shards) > 1 {
 			err = fmt.Errorf("spitz: shard %d digest sync: %w", i, err)
 		}

@@ -203,19 +203,6 @@ func (db *ClusterDB) Begin() *ClusterTxn { return db.c.Begin() }
 // root — what a verifying client saves.
 func (db *ClusterDB) ClusterDigest() ClusterDigest { return db.c.Digest() }
 
-// ConsistencyUpdate returns the current cluster digest with one
-// consistency proof per shard showing that shard's ledger extends the
-// corresponding entry of old.
-func (db *ClusterDB) ConsistencyUpdate(old ClusterDigest) (ClusterDigest, []ConsistencyProof, error) {
-	next, proofs, err := db.c.ConsistencyUpdate(old)
-	if err != nil {
-		return ClusterDigest{}, nil, err
-	}
-	out := make([]ConsistencyProof, len(proofs))
-	copy(out, proofs)
-	return next, out, nil
-}
-
 // ClusterStats returns per-shard ledger heights and batching behaviour
 // plus the 2PC coordinator's commit/abort counters.
 func (db *ClusterDB) ClusterStats() ClusterStats { return db.c.Stats() }

@@ -551,27 +551,41 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 }
 
 // elidedProofSlices enumerates every byte slice of an elided read's
-// response a tamperer could flip.
+// response a tamperer could flip: the block binding's only where it
+// travels.
 func elidedProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
 	out = append(out, resp.Proof.Point.Nodes...)
 	out = append(out, resp.Proof.Point.Value, resp.Proof.Point.Key)
-	for i := range resp.Proof.Inclusion.Path {
-		out = append(out, resp.Proof.Inclusion.Path[i][:])
-	}
-	out = append(out, resp.Proof.Header.CellRoot[:], resp.Proof.Header.Parent[:], resp.Proof.Header.BodyHash[:])
+	out = bindingSlices(out, &resp.Proof.Header, resp.Proof.Inclusion.Path, resp.Proof.Unbound)
 	return append(out, resp.Digest.Root[:])
+}
+
+// bindingSlices appends the flippable slices of a proof's block binding,
+// if it travelled.
+func bindingSlices(out [][]byte, h *spitz.BlockHeader, path []hashutil.Digest, unbound bool) [][]byte {
+	if unbound {
+		return out
+	}
+	for i := range path {
+		out = append(out, path[i][:])
+	}
+	return append(out, h.CellRoot[:], h.Parent[:], h.BodyHash[:])
 }
 
 // verifierState is everything a rejected response must leave alone.
 type verifierState struct {
 	digest             spitz.Digest
+	head               spitz.BlockHeader // the held header of the digest's head block
+	held               bool
 	verified, deferred int64
 	proofs             proof.ProofStats
 }
 
 func stateOf(v *spitz.Verifier) verifierState {
 	st := verifierState{digest: v.Digest(), proofs: v.ProofStats()}
+	pin := v.PinFor(nil)
+	st.head, st.held = pin.Head, pin.Held
 	st.verified, st.deferred = v.Stats()
 	return st
 }
@@ -898,16 +912,10 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 // audit response's proof a tamperer could flip.
 func multiRowProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
-	block := func(h *spitz.BlockHeader, path []hashutil.Digest) {
-		for i := range path {
-			out = append(out, path[i][:])
-		}
-		out = append(out, h.CellRoot[:], h.Parent[:], h.BodyHash[:])
-	}
 	if p := resp.Proof; p != nil {
 		out = append(out, p.Range.Nodes...)
 		out = append(out, p.Range.Start, p.Range.End)
-		block(&p.Header, p.Inclusion.Path)
+		out = bindingSlices(out, &p.Header, p.Inclusion.Path, p.Unbound)
 	}
 	if p := resp.BatchProof; p != nil {
 		if p.Points != nil {
@@ -923,7 +931,7 @@ func multiRowProofSlices(resp *wire.Response) [][]byte {
 			out = append(out, p.Ranges[i].Nodes...)
 			out = append(out, p.Ranges[i].Start, p.Ranges[i].End)
 		}
-		block(&p.Header, p.Inclusion.Path)
+		out = bindingSlices(out, &p.Header, p.Inclusion.Path, p.Unbound)
 	}
 	if resp.Consistency2 != nil {
 		for i := range resp.Consistency2.Path {

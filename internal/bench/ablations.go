@@ -265,11 +265,12 @@ func AblationDeferred(n int, batchSizes []int) (Result, error) {
 	series := Series{Name: "Spitz-verify"}
 	for _, bs := range batchSizes {
 		v := proof.NewVerifier()
-		cons, err := eng.ConsistencyProof(v.Digest())
+		d := eng.Digest()
+		cons, err := eng.ConsistencyProof(0, d.Height)
 		if err != nil {
 			return res, err
 		}
-		if err := v.Advance(eng.Digest(), cons); err != nil {
+		if err := v.Advance(d, cons); err != nil {
 			return res, err
 		}
 		start := time.Now()

@@ -299,7 +299,7 @@ func (p Proof) Verify(d Digest, rec Record) error {
 func (db *DB) ConsistencyProof(old Digest) (mtree.ConsistencyProof, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.journal.ConsistencyProof(old.Size)
+	return db.journal.ConsistencyProof(old.Size, db.journal.Size())
 }
 
 // Blocks returns the number of sealed journal blocks.

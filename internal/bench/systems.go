@@ -205,7 +205,7 @@ func (s *spitzSystem) syncDigest() error {
 	if cur == next {
 		return nil
 	}
-	cons, err := s.eng.ConsistencyProof(cur)
+	cons, err := s.eng.ConsistencyProof(cur.Height, next.Height)
 	if err != nil {
 		return err
 	}

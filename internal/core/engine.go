@@ -280,24 +280,10 @@ func (e *Engine) Store() cas.Store { return e.store }
 // Digest returns the current ledger digest a client should save.
 func (e *Engine) Digest() ledger.Digest { return e.ledger.Digest() }
 
-// ConsistencyProof proves the current digest extends old.
-func (e *Engine) ConsistencyProof(old ledger.Digest) (mtree.ConsistencyProof, error) {
-	return e.ledger.ConsistencyProof(old)
-}
-
-// ConsistencyUpdate returns the current digest with the proof that it
-// extends old, captured atomically — the form a client refreshing its
-// pinned digest under concurrent commits needs (Digest followed by
-// ConsistencyProof can straddle a new block).
-func (e *Engine) ConsistencyUpdate(old ledger.Digest) (ledger.Digest, mtree.ConsistencyProof, error) {
-	return e.ledger.ProveConsistency(old)
-}
-
-// ConsistencyUpdatePair returns the current digest with consistency
-// proofs for two older digests, captured atomically (see
-// ledger.ProveConsistencyPair).
-func (e *Engine) ConsistencyUpdatePair(a, b ledger.Digest) (ledger.Digest, mtree.ConsistencyProof, mtree.ConsistencyProof, error) {
-	return e.ledger.ProveConsistencyPair(a, b)
+// ConsistencyProof proves the ledger of height from is a prefix of the
+// ledger of height to (ledger.Ledger.ConsistencyProof).
+func (e *Engine) ConsistencyProof(from, to uint64) (mtree.ConsistencyProof, error) {
+	return e.ledger.ConsistencyProof(from, to)
 }
 
 // ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ func TestGetVerifiedEndToEnd(t *testing.T) {
 
 func mustCons(t *testing.T, e *Engine, v *proof.Verifier) mtree.ConsistencyProof {
 	t.Helper()
-	c, err := e.ConsistencyProof(v.Digest())
+	c, err := e.ConsistencyProof(v.Digest().Height, e.Digest().Height)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDigestAdvancesAndConsistency(t *testing.T) {
 	if d2.Height != d1.Height+1 {
 		t.Fatalf("heights %d -> %d", d1.Height, d2.Height)
 	}
-	cons, err := e.ConsistencyProof(d1)
+	cons, err := e.ConsistencyProof(d1.Height, d2.Height)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestDiskStoreRoundTripReopen(t *testing.T) {
 	// The reopened engine keeps committing, and history chains on.
 	commitN(t, m2.Engine(), 10, 12)
 	checkN(t, m2.Engine(), 12)
-	if _, err := m2.Engine().ConsistencyProof(digest); err != nil {
+	if _, err := m2.Engine().ConsistencyProof(digest.Height, m2.Engine().Digest().Height); err != nil {
 		t.Fatalf("consistency proof across reopen: %v", err)
 	}
 }

@@ -512,7 +512,7 @@ func TestVerifiedReadsAfterRecovery(t *testing.T) {
 	// A consistency proof from the pre-crash digest must still verify —
 	// recovery preserved, not rewrote, history.
 	commitN(t, m2.Engine(), 5, 7)
-	if _, err := m2.Engine().ConsistencyProof(old); err != nil {
+	if _, err := m2.Engine().ConsistencyProof(old.Height, m2.Engine().Digest().Height); err != nil {
 		t.Fatalf("consistency proof across recovery: %v", err)
 	}
 }

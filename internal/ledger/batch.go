@@ -33,7 +33,8 @@ type BatchProof struct {
 	Points *postree.BatchProof
 	// Ranges covers every range query, in request order among range
 	// queries.
-	Ranges []postree.RangeProof
+	Ranges  []postree.RangeProof
+	Unbound bool // travelling without its block binding (Proof.Unbound)
 }
 
 // Answers reports whether the proof is, sub-proof by sub-proof, a proof
@@ -123,6 +124,13 @@ func (p BatchProof) VerifyPath(d Digest, path *postree.Path) error {
 	if err := verifyBlock(p.Header, p.Inclusion, d); err != nil {
 		return err
 	}
+	return p.VerifyCells(path)
+}
+
+// VerifyCells checks the cell proofs alone, against p.Header's cell root,
+// which the caller has bound to its trusted digest: VerifyPath, or a
+// verifier supplying the header it checked before to an Unbound proof.
+func (p BatchProof) VerifyCells(path *postree.Path) error {
 	if p.Points != nil {
 		if err := p.Points.VerifyPath(p.Header.CellRoot, path); err != nil {
 			return ErrProofInvalid
@@ -158,6 +166,12 @@ func (p BatchProof) Elide(have postree.HeldSet) BatchProof {
 	return p
 }
 
+// Unbind is Proof.Unbind for a batch proof.
+func (p BatchProof) Unbind() BatchProof {
+	p.Header, p.Inclusion, p.Unbound = BlockHeader{}, mtree.InclusionProof{}, true
+	return p
+}
+
 // BatchRes is everything a ProveBatch round trip returns, captured under
 // one lock acquisition: the current digest, consistency proofs advancing
 // the client's trusted digest and showing the receipts' digest is a
@@ -188,10 +202,10 @@ func (l *Ledger) ProveBatch(trusted, at Digest, queries []BatchQuery) (BatchRes,
 			at.Height, res.Digest.Height)
 	}
 	var err error
-	if res.ConsTrusted, err = l.commit.ConsistencyProof(int(trusted.Height)); err != nil {
+	if res.ConsTrusted, err = l.commit.ConsistencyProof(int(trusted.Height), len(l.headers)); err != nil {
 		return BatchRes{}, err
 	}
-	if res.ConsAt, err = l.commit.ConsistencyProof(int(at.Height)); err != nil {
+	if res.ConsAt, err = l.commit.ConsistencyProof(int(at.Height), len(l.headers)); err != nil {
 		return BatchRes{}, err
 	}
 	height := at.Height - 1

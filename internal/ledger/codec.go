@@ -54,12 +54,14 @@ func ReadHeader(src []byte) (BlockHeader, []byte, error) {
 	return h, src[HeaderWireLen:], nil
 }
 
-// AppendProof appends p's binary encoding. A leading presence byte
-// records which of the optional cell proofs is attached (bit0 Point,
-// bit1 Range).
+// AppendProof appends p's binary encoding: its block binding (unless it
+// travels without one — its carrier flags that, not these bytes), then a
+// presence byte recording which of the optional cell proofs is attached
+// (bit0 Point, bit1 Range).
 func AppendProof(dst []byte, p *Proof) []byte {
-	dst = AppendHeader(dst, p.Header)
-	dst = mtree.AppendInclusionProof(dst, p.Inclusion)
+	if !p.Unbound {
+		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
+	}
 	var present byte
 	if p.Point != nil {
 		present |= 1
@@ -77,15 +79,21 @@ func AppendProof(dst []byte, p *Proof) []byte {
 	return dst
 }
 
-// ReadProof decodes a proof.
-func ReadProof(src []byte) (*Proof, []byte, error) {
-	p := new(Proof)
+// ReadProof decodes a proof that travelled with its block binding.
+func ReadProof(src []byte) (*Proof, []byte, error) { return ReadProofAs(src, false) }
+
+// ReadProofAs decodes a proof; unbound says it travelled without its
+// block binding.
+func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
+	p := &Proof{Unbound: unbound}
 	var err error
-	if p.Header, src, err = ReadHeader(src); err != nil {
-		return nil, nil, err
-	}
-	if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
-		return nil, nil, err
+	if !unbound {
+		if p.Header, src, err = ReadHeader(src); err != nil {
+			return nil, nil, err
+		}
+		if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
+			return nil, nil, err
+		}
 	}
 	if len(src) < 1 || src[0] > 3 {
 		return nil, nil, binenc.ErrCorrupt
@@ -111,8 +119,9 @@ func ReadProof(src []byte) (*Proof, []byte, error) {
 
 // AppendBatchProof appends p's binary encoding.
 func AppendBatchProof(dst []byte, p *BatchProof) []byte {
-	dst = AppendHeader(dst, p.Header)
-	dst = mtree.AppendInclusionProof(dst, p.Inclusion)
+	if !p.Unbound {
+		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
+	}
 	if p.Points != nil {
 		dst = append(dst, 1)
 		dst = postree.AppendBatchProof(dst, *p.Points)
@@ -129,15 +138,17 @@ func AppendBatchProof(dst []byte, p *BatchProof) []byte {
 	return dst
 }
 
-// ReadBatchProof decodes a batch proof.
-func ReadBatchProof(src []byte) (*BatchProof, []byte, error) {
-	p := new(BatchProof)
+// ReadBatchProofAs is ReadProofAs for a batch proof.
+func ReadBatchProofAs(src []byte, unbound bool) (*BatchProof, []byte, error) {
+	p := &BatchProof{Unbound: unbound}
 	var err error
-	if p.Header, src, err = ReadHeader(src); err != nil {
-		return nil, nil, err
-	}
-	if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
-		return nil, nil, err
+	if !unbound {
+		if p.Header, src, err = ReadHeader(src); err != nil {
+			return nil, nil, err
+		}
+		if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
+			return nil, nil, err
+		}
 	}
 	var hasPoints bool
 	if hasPoints, src, err = binenc.ReadBool(src); err != nil {

@@ -321,49 +321,14 @@ func decodeBody(data []byte) ([]TxnSummary, error) {
 	return out, nil
 }
 
-// ConsistencyProof proves that the ledger at the client's saved digest is
-// a prefix of the current ledger (no history rewrite). Clients call this
-// when refreshing their digest.
-func (l *Ledger) ConsistencyProof(old Digest) (mtree.ConsistencyProof, error) {
+// ConsistencyProof proves that the ledger of height from is a prefix of
+// the ledger of height to, the current one or any before it (no history
+// rewrite). A proof up to a height never changes as blocks are appended,
+// so callers take it up to a digest they already hold, under no lock.
+func (l *Ledger) ConsistencyProof(from, to uint64) (mtree.ConsistencyProof, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.commit.ConsistencyProof(int(old.Height))
-}
-
-// ProveConsistency returns the current digest together with the proof
-// that it extends old, captured under one lock acquisition — under
-// concurrent commits, a digest and a consistency proof sampled in two
-// separate calls may straddle a new block and fail to match.
-func (l *Ledger) ProveConsistency(old Digest) (Digest, mtree.ConsistencyProof, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	cons, err := l.commit.ConsistencyProof(int(old.Height))
-	if err != nil {
-		return Digest{}, mtree.ConsistencyProof{}, err
-	}
-	return l.digestLocked(), cons, nil
-}
-
-// ProveConsistencyPair returns the current digest together with
-// consistency proofs for two older digests, all captured under one lock
-// acquisition. Clients use it when a query proof arrived for a digest
-// their trust has already moved past: one proof advances the trusted
-// digest to the current state, the other shows the proof's digest is a
-// genuine prefix of that same state — so the stale-but-honest proof can
-// still be verified instead of being refetched forever under write
-// churn.
-func (l *Ledger) ProveConsistencyPair(a, b Digest) (Digest, mtree.ConsistencyProof, mtree.ConsistencyProof, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	consA, err := l.commit.ConsistencyProof(int(a.Height))
-	if err != nil {
-		return Digest{}, mtree.ConsistencyProof{}, mtree.ConsistencyProof{}, err
-	}
-	consB, err := l.commit.ConsistencyProof(int(b.Height))
-	if err != nil {
-		return Digest{}, mtree.ConsistencyProof{}, mtree.ConsistencyProof{}, err
-	}
-	return l.digestLocked(), consA, consB, nil
+	return l.commit.ConsistencyProof(int(from), int(to))
 }
 
 // blockInclusion builds the inclusion proof for the block at height under

@@ -308,7 +308,7 @@ func TestConsistencyAcrossGrowth(t *testing.T) {
 	commitN2()
 	commitN2()
 	cur := l.Digest()
-	cons, err := l.ConsistencyProof(old)
+	cons, err := l.ConsistencyProof(old.Height, cur.Height)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestCommitApplyDoesNotBlockReaders(t *testing.T) {
 			answered <- err
 			return
 		}
-		_, _, err = l.ProveConsistency(Digest{})
+		_, err = l.ConsistencyProof(0, d.Height)
 		answered <- err
 	}()
 	select {
@@ -477,7 +477,7 @@ func TestCommitApplyDoesNotBlockReaders(t *testing.T) {
 	if d := l.Digest(); d.Height != before.Height+1 {
 		t.Fatalf("height = %d after the held commit, want %d", d.Height, before.Height+1)
 	}
-	if _, err := l.ConsistencyProof(before); err != nil {
+	if _, err := l.ConsistencyProof(before.Height, l.Height()); err != nil {
 		t.Fatal(err)
 	}
 }

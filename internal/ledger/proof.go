@@ -31,6 +31,9 @@ type Proof struct {
 	Inclusion mtree.InclusionProof
 	Point     *postree.PointProof
 	Range     *postree.RangeProof
+	// Unbound marks a proof travelling without its block binding (Unbind):
+	// only a verifier holding that block's header can check it.
+	Unbound bool
 
 	// one is where Batch builds its view, so building it allocates
 	// nothing. It never travels.
@@ -49,7 +52,7 @@ type Proof struct {
 // view's range rows, not p.Range's. A proof with neither or both cell
 // proofs has no such view, as it has no valid one (see VerifyPath).
 func (p *Proof) Batch() (BatchProof, error) {
-	b := BatchProof{Header: p.Header, Inclusion: p.Inclusion}
+	b := BatchProof{Header: p.Header, Inclusion: p.Inclusion, Unbound: p.Unbound}
 	switch {
 	case p.Point != nil && p.Range == nil:
 		one := &p.one
@@ -73,27 +76,18 @@ func (p Proof) Verify(d Digest) error {
 }
 
 // VerifyPath is Verify for a client that may already hold verified index
-// nodes of the point proof's search path or the range proof's scan (see
-// postree.Path; nil holds nothing). The block is bound to d first, so the
-// walk that consults the pinned nodes starts from a CellRoot the digest
-// commits to. A range proof's Entries are filled from the verified leaves.
+// nodes of the proof's search path or scan (postree.Path; nil holds
+// nothing), through its batch view. A range proof's Entries are filled
+// from the verified leaves.
 func (p Proof) VerifyPath(d Digest, path *postree.Path) error {
-	if err := verifyBlock(p.Header, p.Inclusion, d); err != nil {
-		return err
+	b, err := p.Batch()
+	if err == nil {
+		err = b.VerifyPath(d, path)
 	}
-	switch {
-	case p.Point != nil && p.Range == nil:
-		if err := p.Point.VerifyPath(p.Header.CellRoot, path); err != nil {
-			return ErrProofInvalid
-		}
-	case p.Range != nil && p.Point == nil:
-		if err := p.Range.VerifyPath(p.Header.CellRoot, path); err != nil {
-			return ErrProofInvalid
-		}
-	default:
-		return ErrProofInvalid // must carry exactly one cell proof
+	if err == nil && p.Range != nil {
+		p.Range.Entries = b.Ranges[0].Entries
 	}
-	return nil
+	return err
 }
 
 // verifyBlock checks that the block h is part of the ledger d commits to.
@@ -140,6 +134,13 @@ func (p Proof) Elide(have postree.HeldSet) Proof {
 		p.Range, n = &rp, k
 	}
 	countCut(n, have)
+	return p
+}
+
+// Unbind returns the proof as it travels to a client holding the verified
+// header of its block: without that header and its inclusion path.
+func (p Proof) Unbind() Proof {
+	p.Header, p.Inclusion, p.Unbound = BlockHeader{}, mtree.InclusionProof{}, true
 	return p
 }
 

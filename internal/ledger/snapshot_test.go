@@ -69,7 +69,7 @@ func TestSnapshotThenContinueCommitting(t *testing.T) {
 	if _, err := restored.Commit(500, nil, cellsFor(500, 3, "post")); err != nil {
 		t.Fatalf("commit after restore: %v", err)
 	}
-	cons, err := restored.ConsistencyProof(old)
+	cons, err := restored.ConsistencyProof(old.Height, restored.Height())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,10 @@ func LeafHash(payload []byte) hashutil.Digest {
 	return hashutil.Sum(hashutil.DomainLeaf, payload)
 }
 
-// mth returns the Merkle tree hash of leaves [a, b). The range must either
-// be a perfect aligned subtree or a right-edge range; both are materialized
-// in levels by construction.
+// mth returns the Merkle tree hash of leaves [a, b): read from levels when
+// the range is an aligned perfect subtree or the tree's right edge, both
+// materialized by construction, and by the RFC 6962 recursion otherwise —
+// the right edge of a prefix, for proofs up to an older size.
 func (t *Tree) mth(a, b int) hashutil.Digest {
 	n := b - a
 	if n == 1 {
@@ -114,9 +115,6 @@ func (t *Tree) mth(a, b int) hashutil.Digest {
 			return t.levels[l][a>>l]
 		}
 	}
-	// Fall back to the recursive definition (only reachable for interior
-	// non-aligned ranges, which RFC 6962 recursion never produces, but keep
-	// it for safety).
 	k := largestPowerOfTwoBelow(n)
 	return hashutil.SumPair(hashutil.DomainInner, t.mth(a, a+k), t.mth(a+k, b))
 }
@@ -220,17 +218,18 @@ type ConsistencyProof struct {
 	Path    []hashutil.Digest
 }
 
-// ConsistencyProof returns a proof that the first oldSize leaves of the
-// current tree produce the root a client saved earlier.
-func (t *Tree) ConsistencyProof(oldSize int) (ConsistencyProof, error) {
-	n := t.Size()
-	if oldSize < 0 || oldSize > n {
-		return ConsistencyProof{}, fmt.Errorf("mtree: consistency old size %d out of range [0,%d]", oldSize, n)
+// ConsistencyProof proves the first oldSize leaves a prefix of the first
+// newSize — the whole tree or any prefix of it, the same proof whenever
+// it is taken.
+func (t *Tree) ConsistencyProof(oldSize, newSize int) (ConsistencyProof, error) {
+	if oldSize < 0 || oldSize > newSize || newSize > t.Size() {
+		return ConsistencyProof{}, fmt.Errorf("mtree: consistency sizes %d -> %d out of range [0,%d]", oldSize, newSize, t.Size())
 	}
-	if oldSize == 0 || oldSize == n {
-		return ConsistencyProof{OldSize: oldSize, NewSize: n}, nil
+	p := ConsistencyProof{OldSize: oldSize, NewSize: newSize}
+	if oldSize > 0 && oldSize < newSize {
+		p.Path = t.subproof(oldSize, 0, newSize, true)
 	}
-	return ConsistencyProof{OldSize: oldSize, NewSize: n, Path: t.subproof(oldSize, 0, n, true)}, nil
+	return p, nil
 }
 
 func (t *Tree) subproof(m, a, b int, complete bool) []hashutil.Digest {
@@ -297,10 +296,6 @@ func replayConsistency(m, a, b int, complete bool, seed hashutil.Digest, path []
 		o, nw, err := replayConsistency(m, a, a+k, complete, seed, rest)
 		if err != nil {
 			return oldH, newH, err
-		}
-		if m == k {
-			// Old tree is exactly the left subtree: old root unchanged.
-			return o, hashutil.SumPair(hashutil.DomainInner, nw, sib), nil
 		}
 		return o, hashutil.SumPair(hashutil.DomainInner, nw, sib), nil
 	}

@@ -2,6 +2,7 @@ package mtree
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -166,14 +167,23 @@ func TestConsistencyProofAllPairs(t *testing.T) {
 		tr.Append(l)
 		roots[i+1] = tr.Root()
 	}
+	// Every pair, the newer size the whole tree or any prefix of it: a
+	// proof up to a size is taken from the grown tree, and must equal the
+	// one the tree of that size gave.
 	full := buildTree(leaves)
-	for old := 0; old <= maxN; old++ {
-		p, err := full.ConsistencyProof(old)
-		if err != nil {
-			t.Fatalf("old=%d: %v", old, err)
-		}
-		if err := p.Verify(roots[old], roots[maxN]); err != nil {
-			t.Fatalf("old=%d: verify: %v", old, err)
+	for n := 0; n <= maxN; n++ {
+		at := buildTree(leaves[:n])
+		for old := 0; old <= n; old++ {
+			p, err := full.ConsistencyProof(old, n)
+			if err != nil {
+				t.Fatalf("%d -> %d: %v", old, n, err)
+			}
+			if err := p.Verify(roots[old], roots[n]); err != nil {
+				t.Fatalf("%d -> %d: verify: %v", old, n, err)
+			}
+			if q, _ := at.ConsistencyProof(old, n); !reflect.DeepEqual(p, q) {
+				t.Fatalf("%d -> %d: the grown tree's proof differs from the tree of size %d's", old, n, n)
+			}
 		}
 	}
 }
@@ -182,7 +192,7 @@ func TestConsistencyProofRejectsForgedOldRoot(t *testing.T) {
 	leaves := leavesN(20)
 	tr := buildTree(leaves)
 	prefix := buildTree(leaves[:12])
-	p, err := tr.ConsistencyProof(12)
+	p, err := tr.ConsistencyProof(12, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +205,7 @@ func TestConsistencyProofRejectsForgedOldRoot(t *testing.T) {
 
 func TestConsistencyProofSameSize(t *testing.T) {
 	tr := buildTree(leavesN(9))
-	p, err := tr.ConsistencyProof(9)
+	p, err := tr.ConsistencyProof(9, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +221,10 @@ func TestConsistencyProofSameSize(t *testing.T) {
 
 func TestConsistencyProofOutOfRange(t *testing.T) {
 	tr := buildTree(leavesN(4))
-	if _, err := tr.ConsistencyProof(5); err == nil {
-		t.Error("ConsistencyProof beyond size succeeded")
-	}
-	if _, err := tr.ConsistencyProof(-1); err == nil {
-		t.Error("ConsistencyProof(-1) succeeded")
+	for _, c := range [][2]int{{5, 5}, {2, 5}, {-1, 4}, {3, 2}} {
+		if _, err := tr.ConsistencyProof(c[0], c[1]); err == nil {
+			t.Errorf("ConsistencyProof(%d, %d) on a tree of 4 succeeded", c[0], c[1])
+		}
 	}
 }
 
@@ -257,7 +266,7 @@ func TestQuickConsistency(t *testing.T) {
 			oldRoot = hashutil.Sum(hashutil.DomainLeaf, nil)
 		}
 		tr := buildTree(leaves)
-		p, err := tr.ConsistencyProof(old)
+		p, err := tr.ConsistencyProof(old, n)
 		if err != nil {
 			return false
 		}

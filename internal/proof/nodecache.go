@@ -23,12 +23,13 @@ const nodeCacheBytes = 2 << 20
 // what point, range and batch proofs cost on the wire and how much of it the
 // node cache saved. Per-Verifier figures are Verifier.ProofStats.
 var (
-	mNodesShipped = obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
-	mNodesPatched = obs.Default.Counter("spitz_client_proof_nodes_patched_total")
-	mNodesElided  = obs.Default.Counter("spitz_client_proof_nodes_elided_total")
-	mProofBytes   = obs.Default.Counter("spitz_client_proof_bytes_total")
-	mCacheEntries = obs.Default.Gauge("spitz_client_nodecache_entries")
-	mCacheBytes   = obs.Default.Gauge("spitz_client_nodecache_bytes")
+	mNodesShipped   = obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
+	mNodesPatched   = obs.Default.Counter("spitz_client_proof_nodes_patched_total")
+	mNodesElided    = obs.Default.Counter("spitz_client_proof_nodes_elided_total")
+	mProofBytes     = obs.Default.Counter("spitz_client_proof_bytes_total")
+	mBindingsElided = obs.Default.Counter("spitz_client_bindings_elided_total") // proofs without their block binding
+	mCacheEntries   = obs.Default.Gauge("spitz_client_nodecache_entries")
+	mCacheBytes     = obs.Default.Gauge("spitz_client_nodecache_bytes")
 )
 
 // nodeCache holds index nodes (level >= 1) of the POS-trees a Verifier

@@ -61,7 +61,12 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 			return nil, err
 		}
 	case cur != d:
-		head, toHead, prefix, err := r.l.ProveConsistencyPair(cur, d)
+		head := r.l.Digest()
+		toHead, err := r.l.ConsistencyProof(cur.Height, head.Height)
+		if err != nil {
+			return nil, err
+		}
+		prefix, err := r.l.ConsistencyProof(d.Height, head.Height)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +81,7 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.v.VerifyBatch(b, d, 1, path); err != nil {
+	if err := r.v.VerifyBatch(b, d, 1, &Pin{Path: path}); err != nil {
 		return nil, err
 	}
 	cells, err := p.Cells()
@@ -148,7 +153,7 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.v.VerifyBatch(b, d, 1, nil); err != nil {
+	if err := r.v.VerifyBatch(b, d, 1, &Pin{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
@@ -433,7 +438,7 @@ func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
 // cut the proof down as the wire boundary does, and verify against the
 // pinned set.
 func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *ledger.BatchProof)) (ledger.BatchProof, error) {
-	path := r.v.PathFor(queries)
+	path := r.v.PinFor(queries)
 	d := r.l.Digest()
 	res, err := r.l.ProveBatch(r.v.Digest(), d, queries)
 	if err != nil {
@@ -468,7 +473,7 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 	l := cacheLedger(t, 40000)
 	r := &hintedReader{l: l, v: NewVerifier()}
 	qs := batchQueries()
-	if r.v.PathFor(qs).Len() != 0 {
+	if r.v.PinFor(qs).Len() != 0 {
 		t.Fatal("a cold verifier pins nodes")
 	}
 	p, err := r.readBatch(qs, nil)
@@ -607,7 +612,7 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 		"header": func(p *ledger.BatchProof) { p.Header.CellCount++ },
 	}
 	for name, tamper := range tampers {
-		r.v.PathFor(qs) // the recency touch an honest flush makes too
+		r.v.PinFor(qs) // the recency touch an honest flush makes too
 		root, order, bytes := cacheState(&r.v.nodes)
 		if _, err := r.readBatch(qs, tamper); !errors.Is(err, ErrTampered) {
 			t.Fatalf("%s: err = %v", name, err)

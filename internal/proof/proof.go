@@ -29,7 +29,12 @@ var (
 type Verifier struct {
 	mu      sync.Mutex
 	digest  ledger.Digest
-	trusted bool // false until the first digest is pinned
+	trusted bool           // false until the first digest is pinned
+	next    *ledger.Digest // while AdvanceWith's check runs: where trust goes if it passes
+	// head is the verified header of headAt's head block: while headAt is
+	// trusted, a read's proof may leave that block's binding out (Pin).
+	head   ledger.BlockHeader
+	headAt ledger.Digest
 
 	verified int64
 	deferred int64
@@ -55,20 +60,38 @@ func (v *Verifier) Digest() ledger.Digest {
 // show the old digest's ledger is a prefix of the new one; otherwise the
 // server rewrote history and ErrTampered is returned.
 func (v *Verifier) Advance(next ledger.Digest, cons mtree.ConsistencyProof) error {
+	return v.AdvanceWith(next, &cons, nil)
+}
+
+// AdvanceWith is Advance for an answer proven at next or a prefix of it:
+// cons is checked (any digest extends no trust, or the empty ledger's),
+// then check (nil: none, and the lock is held throughout) verifies it
+// through VerifyBatch, which admits digests up to next meanwhile, and
+// only then, if trust has not moved since, does it move to next. Callers
+// serialize advances that check (a client does, per shard).
+func (v *Verifier) AdvanceWith(next ledger.Digest, cons *mtree.ConsistencyProof, check func() error) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.trusted {
-		v.digest = next
-		v.trusted = true
-		return nil
+	base := v.digest
+	if v.trusted && base.Height > 0 { // a digest that went backwards has no proof either
+		if err := CheckPrefix(base, next, cons); err != nil {
+			return err
+		}
 	}
-	if next.Height < v.digest.Height {
-		return fmt.Errorf("%w: digest went backwards (%d -> %d)", ErrTampered, v.digest.Height, next.Height)
+	if check != nil {
+		v.next = &next
+		v.mu.Unlock()
+		err := check()
+		v.mu.Lock()
+		v.next = nil
+		if err != nil {
+			return err
+		}
+		if v.digest != base { // cons says nothing about the new trust
+			return errors.New("proof: the trusted digest moved while this advance was checked")
+		}
 	}
-	if err := CheckPrefix(v.digest, next, &cons); err != nil {
-		return err
-	}
-	v.digest = next
+	v.digest, v.trusted = next, true
 	return nil
 }
 
@@ -97,7 +120,7 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
-	if err := v.VerifyBatch(b, v.Digest(), 1, nil); err != nil {
+	if err := v.VerifyBatch(b, v.Digest(), 1, &Pin{}); err != nil {
 		return err
 	}
 	if p.Range != nil {
@@ -106,35 +129,35 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 	return nil
 }
 
-// accept records a proof that verified: reads counted, its traffic —
-// node slots that arrived, how many of them as patches, pinned nodes the
-// walk used instead, bytes of proof material as it arrived (headers and
-// digests at their wire size, no framing) — added to the counters, the
-// index nodes it shipped admitted to the cache and the pinned ones it
-// superseded dropped.
-func (v *Verifier) accept(root hashutil.Digest, path *postree.Path, reads, shipped, bytes int) {
+// accept records a proof p that verified against d: reads counted, its
+// traffic — node slots that arrived, how many of them as patches, pinned
+// nodes the walk used instead, bytes of proof material as it arrived
+// (headers and digests at their wire size, no framing) — added to the
+// counters, the index nodes it shipped admitted to the cache and the
+// pinned ones it superseded dropped, a header it bound to d's head kept.
+func (v *Verifier) accept(p *ledger.BatchProof, d ledger.Digest, path *postree.Path, reads, shipped, bytes int) {
 	elided, patched := 0, 0
 	if path != nil {
 		elided, patched = path.Elided(), path.Patched
-		v.nodes.admit(root, path.Shipped, path.Superseded())
+		v.nodes.admit(p.Header.CellRoot, path.Shipped, path.Superseded())
 	}
 	mNodesShipped.Add(uint64(shipped))
 	mNodesPatched.Add(uint64(patched))
 	mNodesElided.Add(uint64(elided))
 	mProofBytes.Add(uint64(bytes))
+	if p.Unbound {
+		mBindingsElided.Inc()
+	}
 	v.mu.Lock()
+	if !p.Unbound && p.Header.Height+1 == d.Height {
+		v.head, v.headAt = p.Header, d
+	}
 	v.verified += int64(reads)
 	v.traffic.NodesShipped += int64(shipped)
 	v.traffic.NodesPatched += int64(patched)
 	v.traffic.NodesElided += int64(elided)
 	v.traffic.ProofBytes += int64(bytes)
 	v.mu.Unlock()
-}
-
-// blockBytes is the block binding every proof carries: header and
-// inclusion path.
-func blockBytes(inc mtree.InclusionProof) int {
-	return ledger.HeaderWireLen + len(inc.Path)*hashutil.DigestSize
 }
 
 func bodyBytes(nodes [][]byte) int {
@@ -150,24 +173,45 @@ func bodyBytes(nodes [][]byte) int {
 // under the last cell root it verified a proof against — where it lacks
 // the node the path runs through, the older version of that node it holds,
 // for the server to patch against. The caller sends path.Have() with the
-// read and hands the path back to VerifyBatch; the result is never nil,
-// and holds nothing on a cold verifier.
+// read; the result is never nil, and holds nothing on a cold verifier.
 func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
 
-// PathFor is PathTo for the queries of one read — a point read's key, a
-// range scan, a query plan's obligations, an audit flush's receipts: it
-// pins the held nodes on every point query's search path and in every
-// range query's scan.
-func (v *Verifier) PathFor(queries []ledger.BatchQuery) *postree.Path {
-	return v.nodes.pathFor(queries)
+// Pin is what one read's request says the verifier holds, kept as it was
+// until the response is verified: the verified index nodes on the read's
+// way (Path), and the trusted digest with, when Held, the verified header
+// of its head block, so that a proof at that block may travel without
+// its binding.
+type Pin struct {
+	*postree.Path
+	Trusted ledger.Digest
+	Head    ledger.BlockHeader
+	Held    bool
+}
+
+// PinFor pins what the verifier holds for the queries of one read — a
+// point read's key, a range scan, a query plan's obligations, an audit
+// flush's receipts — for the caller to hand back to VerifyBatch: the held
+// nodes on every point query's search path and in every range query's
+// scan, the trusted digest and its head block's header.
+func (v *Verifier) PinFor(queries []ledger.BatchQuery) *Pin {
+	pin := &Pin{Path: v.nodes.pathFor(queries)}
+	v.mu.Lock()
+	if pin.Trusted = v.digest; v.digest.Height > 0 && v.headAt == v.digest {
+		pin.Head, pin.Held = v.head, true
+	}
+	v.mu.Unlock()
+	return pin
 }
 
 // coveredBy refuses digests that could not possibly be prefixes of the
-// trusted ledger: any digest before trust is pinned, and taller ones after.
+// trusted ledger, or the one an advance is checking: any digest before
+// trust is pinned, and taller ones after.
 func (v *Verifier) coveredBy(d ledger.Digest) error {
 	v.mu.Lock()
-	cur := v.digest
-	trusted := v.trusted
+	cur, trusted := v.digest, v.trusted
+	if v.next != nil {
+		cur, trusted = *v.next, true
+	}
 	v.mu.Unlock()
 	if !trusted {
 		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
@@ -183,20 +227,34 @@ func (v *Verifier) coveredBy(d ledger.Digest) error {
 // batch (ledger.Proof.Batch): against d, the trusted digest or an older
 // one the caller has shown to be a prefix of it (a response is proven at
 // the digest the server served it at, which under write churn can trail
-// the client's already-advanced trust), resolving the nodes the server
-// left out from path (from PathFor; nil pins nothing). Only once the
-// whole proof has verified are the reads counted, its traffic counted,
-// the index nodes it shipped cached and the pinned ones it superseded
-// dropped: a rejected proof leaves the verifier exactly as it was.
-func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, path *postree.Path) error {
+// the client's already-advanced trust), resolving what the server left
+// out from pin (from PinFor; &Pin{} pins nothing): index nodes, and the
+// block binding, for exactly the digest whose header the pin holds. Only
+// once the whole proof has verified are the reads counted, its traffic
+// counted, the index nodes it shipped cached and the pinned ones it
+// superseded dropped: a rejected proof leaves the verifier as it was.
+func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, pin *Pin) error {
 	if err := v.coveredBy(d); err != nil {
 		return err
 	}
-	if err := p.VerifyPath(d, path); err != nil {
+	path := pin.Path
+	var err error
+	switch {
+	case !p.Unbound:
+		err = p.VerifyPath(d, path)
+	case !pin.Held || d != pin.Trusted:
+		return fmt.Errorf("%w: a proof at digest %d left its block binding out, and the verifier holds no header for that digest", ErrTampered, d.Height)
+	default:
+		p.Header = pin.Head
+		err = p.VerifyCells(path)
+	}
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
-	shipped := 0
-	bytes := blockBytes(p.Inclusion)
+	shipped, bytes := 0, 0
+	if !p.Unbound { // the binding counts only where it travelled
+		bytes = ledger.HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
+	}
 	if p.Points != nil {
 		shipped += len(p.Points.Nodes)
 		bytes += bodyBytes(p.Points.Keys) + bodyBytes(p.Points.Values) + bodyBytes(p.Points.Nodes)
@@ -206,7 +264,7 @@ func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, 
 		shipped += len(r.Nodes)
 		bytes += len(r.Start) + len(r.End) + bodyBytes(r.Nodes)
 	}
-	v.accept(p.Header.CellRoot, path, reads, shipped, bytes)
+	v.accept(&p, d, path, reads, shipped, bytes)
 	return nil
 }
 
@@ -257,7 +315,7 @@ type ProofStats struct {
 	NodesShipped int64 // proof nodes that arrived, as bodies or as patches, and were hashed
 	NodesPatched int64 // of those, index nodes that arrived as a patch against a cached version
 	NodesElided  int64 // nodes the server left out and the node cache answered instead
-	ProofBytes   int64 // proof material received: node bodies and patches, keys, values, bounds, inclusion path, header
+	ProofBytes   int64 // proof material received: node bodies and patches, keys, values, bounds, and the header and inclusion path where they travelled
 	CacheEntries int   // verified index nodes currently cached
 	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
 }

@@ -46,7 +46,7 @@ func TestAdvanceWithConsistency(t *testing.T) {
 	}
 	// Grow the ledger and advance with a proper consistency proof.
 	l.Commit(100, nil, []cellstore.Cell{{Table: "t", Column: "c", PK: []byte("x"), Version: 100, Value: []byte("v")}})
-	cons, err := l.ConsistencyProof(old)
+	cons, err := l.ConsistencyProof(old.Height, l.Height())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAdvanceRejectsForkedHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cons, _ := l2.ConsistencyProof(ledger.Digest{Height: 3})
+	cons, _ := l2.ConsistencyProof(3, l2.Height())
 	if err := v.Advance(l2.Digest(), cons); !errors.Is(err, ErrTampered) {
 		t.Fatalf("fork accepted: %v", err)
 	}
@@ -86,6 +86,49 @@ func TestAdvanceRejectsRollback(t *testing.T) {
 	short := testLedger(t, 2)
 	if err := v.Advance(short.Digest(), mtree.ConsistencyProof{}); !errors.Is(err, ErrTampered) {
 		t.Fatal("rollback accepted")
+	}
+}
+
+// TestAdvanceWithRefusesMovedTrust: an Advance that lands while
+// AdvanceWith's check runs moves trust under it. The consistency proof
+// AdvanceWith checked proves nothing from the new trust, so it must not
+// commit: trust stays where Advance put it, and never moves back.
+func TestAdvanceWithRefusesMovedTrust(t *testing.T) {
+	l := testLedger(t, 3)
+	v := NewVerifier()
+	base := l.Digest()
+	if err := v.Advance(base, mtree.ConsistencyProof{}); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(version uint64) ledger.Digest {
+		if _, err := l.Commit(version, nil, []cellstore.Cell{{Table: "t", Column: "c",
+			PK: []byte(fmt.Sprintf("x%d", version)), Version: version, Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+		return l.Digest()
+	}
+	mid, head := commit(100), commit(101)
+	toMid, _ := l.ConsistencyProof(base.Height, mid.Height)
+	toHead, _ := l.ConsistencyProof(base.Height, head.Height)
+	err := v.AdvanceWith(mid, &toMid, func() error { return v.Advance(head, toHead) })
+	if err == nil || errors.Is(err, ErrTampered) {
+		t.Fatalf("AdvanceWith over moved trust: %v, want a refusal that is not tampering", err)
+	}
+	if v.Digest() != head {
+		t.Fatalf("trust at height %d, want the concurrent Advance's %d", v.Digest().Height, head.Height)
+	}
+}
+
+// TestAdvanceFromTheEmptyLedger: trust pinned to the empty ledger is
+// extended by every ledger, with or without a proof.
+func TestAdvanceFromTheEmptyLedger(t *testing.T) {
+	v := NewVerifier()
+	if err := v.Advance(testLedger(t, 0).Digest(), mtree.ConsistencyProof{}); err != nil {
+		t.Fatal(err)
+	}
+	l := testLedger(t, 2)
+	if err := v.AdvanceWith(l.Digest(), nil, nil); err != nil || v.Digest() != l.Digest() {
+		t.Fatalf("advance from the empty ledger: %v, trust at height %d", err, v.Digest().Height)
 	}
 }
 

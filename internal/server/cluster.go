@@ -17,7 +17,6 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/durable"
 	"spitz/internal/ledger"
-	"spitz/internal/mtree"
 	"spitz/internal/obs"
 	"spitz/internal/query"
 	"spitz/internal/twopc"
@@ -392,28 +391,6 @@ func (c *Cluster) Digest() ledger.ClusterDigest {
 		shards[i] = c.shards[i].eng.Digest()
 	}
 	return ledger.NewClusterDigest(shards)
-}
-
-// ConsistencyUpdate returns the current cluster digest together with one
-// consistency proof per shard showing that shard's ledger extends the
-// corresponding entry of old — history was appended to on every shard,
-// never rewritten. Each (digest, proof) pair is captured atomically per
-// shard.
-func (c *Cluster) ConsistencyUpdate(old ledger.ClusterDigest) (ledger.ClusterDigest, []mtree.ConsistencyProof, error) {
-	if len(old.Shards) != len(c.shards) {
-		return ledger.ClusterDigest{}, nil, fmt.Errorf("server: old digest has %d shards, cluster has %d",
-			len(old.Shards), len(c.shards))
-	}
-	shards := make([]ledger.Digest, len(c.shards))
-	proofs := make([]mtree.ConsistencyProof, len(c.shards))
-	for i := range c.shards {
-		d, p, err := c.shards[i].eng.ConsistencyUpdate(old.Shards[i])
-		if err != nil {
-			return ledger.ClusterDigest{}, nil, fmt.Errorf("server: shard %d consistency: %w", i, err)
-		}
-		shards[i], proofs[i] = d, p
-	}
-	return ledger.NewClusterDigest(shards), proofs, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ const (
 	// and that many 32-byte digests. Absent — a cold or older client —
 	// the server ships the full proof.
 	reqHave
+	reqHeadHeld // the bit is the value (Request.HeadHeld)
 )
 
 // AppendRequest appends req's binary encoding.
@@ -126,6 +127,9 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	}
 	if len(req.Have) != 0 {
 		bits |= reqHave
+	}
+	if req.HeadHeld {
+		bits |= reqHeadHeld
 	}
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&reqTable != 0 {
@@ -209,7 +213,7 @@ func DecodeRequest(src []byte) (Request, error) {
 	if err != nil {
 		return req, err
 	}
-	req.Deferred = bits&reqDeferred != 0
+	req.Deferred, req.HeadHeld = bits&reqDeferred != 0, bits&reqHeadHeld != 0
 	if bits&reqTable != 0 {
 		if req.Table, src, err = binenc.ReadString(src); err != nil {
 			return req, err
@@ -366,6 +370,9 @@ const (
 	respHeight
 	respStats
 	respRowsAffected
+	// The bit is the value: Proof, BatchProof travels without its binding.
+	respUnbound
+	respBatchUnbound
 )
 
 // AppendResponse appends resp's binary encoding.
@@ -418,6 +425,12 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	}
 	if resp.RowsAffected != 0 {
 		bits |= respRowsAffected
+	}
+	if resp.Proof != nil && resp.Proof.Unbound {
+		bits |= respUnbound
+	}
+	if resp.BatchProof != nil && resp.BatchProof.Unbound {
+		bits |= respBatchUnbound
 	}
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&respErr != 0 {
@@ -493,12 +506,12 @@ func DecodeResponse(src []byte) (Response, error) {
 		}
 	}
 	if bits&respProof != 0 {
-		if resp.Proof, src, err = ledger.ReadProof(src); err != nil {
+		if resp.Proof, src, err = ledger.ReadProofAs(src, bits&respUnbound != 0); err != nil {
 			return resp, err
 		}
 	}
 	if bits&respBatchProof != 0 {
-		if resp.BatchProof, src, err = ledger.ReadBatchProof(src); err != nil {
+		if resp.BatchProof, src, err = ledger.ReadBatchProofAs(src, bits&respBatchUnbound != 0); err != nil {
 			return resp, err
 		}
 	}

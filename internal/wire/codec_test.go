@@ -183,14 +183,15 @@ var allOps = append(append([]Op{}, knownOps...), OpReplStream, OpReplAck, Op("fu
 
 func rndRequest(r *rand.Rand) Request {
 	req := Request{
-		Op:     allOps[r.Intn(len(allOps))],
-		Table:  rndString(r, 12),
-		Column: rndString(r, 12),
-		PK:     rndBytes(r, 16),
-		PKHi:   rndBytes(r, 16),
-		Value:  rndBytes(r, 32),
-		Shard:  r.Intn(4),
-		Height: uint64(r.Intn(1 << 30)),
+		Op:       allOps[r.Intn(len(allOps))],
+		Table:    rndString(r, 12),
+		Column:   rndString(r, 12),
+		PK:       rndBytes(r, 16),
+		PKHi:     rndBytes(r, 16),
+		Value:    rndBytes(r, 32),
+		Shard:    r.Intn(4),
+		Height:   uint64(r.Intn(1 << 30)),
+		HeadHeld: r.Intn(2) == 0,
 	}
 	if r.Intn(2) == 0 {
 		req.Statement = rndString(r, 20)
@@ -254,6 +255,12 @@ func rndResponse(r *rand.Rand) Response {
 	}
 	if r.Intn(3) == 0 {
 		resp.BatchProof = rndBatchProof(r)
+	}
+	if resp.Proof != nil && r.Intn(3) == 0 { // the binding left out, of each proof on its own
+		*resp.Proof = resp.Proof.Unbind()
+	}
+	if resp.BatchProof != nil && r.Intn(3) == 0 {
+		*resp.BatchProof = resp.BatchProof.Unbind()
 	}
 	if r.Intn(2) == 0 {
 		resp.Digest = rndLedgerDigest(r)

@@ -87,10 +87,14 @@ type Request struct {
 	// route by primary key (see Router).
 	Shard int
 
-	// Height carries the ledger height of replication requests: the
-	// height to stream from (OpReplStream) or the follower's height after
-	// applying a block (OpReplAck).
-	Height uint64
+	// Height carries a ledger height: on the eager proof-carrying reads
+	// (OpGetVerified, OpRangeVer, a SELECT's OpQuery) the client's trusted
+	// height — the response then carries the consistency proof from it if
+	// the head moved, or no block binding if it did not and HeadHeld says
+	// the client holds its head block's header (ledger.Proof.Unbound); on
+	// OpReplStream the height to stream from, on OpReplAck the follower's.
+	Height   uint64
+	HeadHeld bool
 
 	// Have, on the proof-carrying reads (OpGetVerified, OpRangeVer,
 	// OpProveBatch, OpQuery), is the set of digests of the verified index
@@ -147,7 +151,7 @@ type Response struct {
 	Proof        *ledger.Proof
 	BatchProof   *ledger.BatchProof // OpProveBatch: the aggregated proof
 	Digest       ledger.Digest
-	Consistency  *mtree.ConsistencyProof
+	Consistency  *mtree.ConsistencyProof // also on an eager read: Request.Height → Digest
 	Consistency2 *mtree.ConsistencyProof // OpConsistency/OpProveBatch with OldDigest2
 	Header       ledger.BlockHeader
 

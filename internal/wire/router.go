@@ -162,7 +162,7 @@ func (r *Router) query(si int, req Request) Response {
 		}
 	}
 	return r.on(si, req, func(eng *core.Engine, req Request) Response {
-		return elide(eng, req, dispatchQuery(eng, req, stmt))
+		return fit(eng, req, dispatchQuery(eng, req, stmt))
 	})
 }
 

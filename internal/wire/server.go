@@ -379,22 +379,42 @@ func keyHash(pk []byte) uint64 {
 // Dispatch executes one request against an engine: what a Router runs on
 // the shard it routed a request to.
 func Dispatch(eng *core.Engine, req Request) Response {
-	return elide(eng, req, dispatch(eng, req))
+	return fit(eng, req, dispatch(eng, req))
 }
 
-// elide is the one place a proof is cut down to what its client lacks:
-// it travels without the index nodes named in req.Have, with a patch in
-// place of an index node req.Have names another version of, and without
-// the rows of range proofs, which the client reads off the verified leaves.
-// The proof structs dispatch returns are this call's own; the node lists
-// and sub-proofs inside them may be shared with other callers, and Elide
-// replaces rather than edits those.
-func elide(eng *core.Engine, req Request, resp Response) Response {
-	if resp.Proof != nil {
-		*resp.Proof = resp.Proof.Elide(eng.Ledger().Held(req.Have))
+// fit is the one place a response is cut down to what its client lacks:
+// a proof loses the index nodes req.Have names, or takes a patch against
+// the version it names, and range proofs their rows, which the client
+// reads off the verified leaves. An eager read naming the trusted height
+// (req.Height) gets what changed since: the consistency proof from it if
+// the head moved, else no block binding if the client holds that head's
+// header (req.HeadHeld). dispatch's proof structs are this call's own;
+// node lists and sub-proofs inside may be shared, and Elide replaces
+// rather than edits those.
+func fit(eng *core.Engine, req Request, resp Response) Response {
+	p, bp := resp.Proof, resp.BatchProof
+	if p != nil {
+		*p = p.Elide(eng.Ledger().Held(req.Have))
 	}
-	if resp.BatchProof != nil {
-		*resp.BatchProof = resp.BatchProof.Elide(eng.Ledger().Held(req.Have))
+	if bp != nil {
+		*bp = bp.Elide(eng.Ledger().Held(req.Have))
+	}
+	switch d := resp.Digest; {
+	case req.Height == 0 || req.Op == OpProveBatch || p == nil && bp == nil:
+	case d.Height > req.Height:
+		cons, err := eng.ConsistencyProof(req.Height, d.Height)
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		resp.Consistency = &cons
+	case d.Height == req.Height && req.HeadHeld:
+		// A SELECT's proof can be bound to a later digest than its block.
+		if p != nil && p.Header.Height+1 == d.Height {
+			*p = p.Unbind()
+		}
+		if bp != nil && bp.Header.Height+1 == d.Height {
+			*bp = bp.Unbind()
+		}
 	}
 	return resp
 }
@@ -462,21 +482,20 @@ func dispatch(eng *core.Engine, req Request) Response {
 	case OpDigest:
 		return Response{Digest: eng.Digest()}
 	case OpConsistency:
-		// Digest and proof must be captured atomically: sampled separately
-		// they can straddle a concurrently committed block, and the client
-		// would see a spurious verification failure.
-		if req.OldDigest2 != nil {
-			d, cons, cons2, err := eng.ConsistencyUpdatePair(req.OldDigest, *req.OldDigest2)
-			if err != nil {
-				return Response{Err: err.Error()}
-			}
-			return Response{Consistency: &cons, Consistency2: &cons2, Digest: d}
-		}
-		d, cons, err := eng.ConsistencyUpdate(req.OldDigest)
+		d := eng.Digest() // first: a commit before the proofs cannot split them
+		cons, err := eng.ConsistencyProof(req.OldDigest.Height, d.Height)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Consistency: &cons, Digest: d}
+		resp := Response{Consistency: &cons, Digest: d}
+		if req.OldDigest2 != nil {
+			cons2, err := eng.ConsistencyProof(req.OldDigest2.Height, d.Height)
+			if err != nil {
+				return Response{Err: err.Error()}
+			}
+			resp.Consistency2 = &cons2
+		}
+		return resp
 	case OpProveBatch:
 		if req.OldDigest2 == nil {
 			return Response{Err: "wire: prove-batch requires the receipt digest (OldDigest2)"}

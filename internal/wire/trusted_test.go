@@ -1,0 +1,107 @@
+package wire
+
+import (
+	"bytes"
+	"testing"
+
+	"spitz/internal/core"
+	"spitz/internal/ledger"
+)
+
+// TestDispatchAnswersOnlyWhatChanged: an eager read that names the
+// client's trusted height (Request.Height) is answered with what changed
+// since and nothing else — the consistency proof from that height when
+// the head moved, the proof without its block binding when it did not and
+// the client holds that block's header (Request.HeadHeld) — for every
+// eager proof-carrying op. A request that names neither gets, byte for
+// byte, what it got before either field existed: the elided proof and
+// nothing beside it; and so does one that names the head's height but
+// holds no header.
+func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
+	eng, pk := elideEngine(t)
+	before := eng.Digest()
+	if _, err := eng.Apply("later", []core.Put{{Table: "t", Column: "c", PK: []byte("pk09999"), Value: []byte("later")}}); err != nil {
+		t.Fatal(err)
+	}
+	head := eng.Digest()
+	for _, req := range []Request{
+		{Op: OpGetVerified, Table: "t", Column: "c", PK: pk},
+		{Op: OpRangeVer, Table: "t", Column: "c", PK: []byte("pk03200"), PKHi: []byte("pk03220")},
+		{Op: OpQuery, Statement: "SELECT c FROM t WHERE pk BETWEEN 'pk03200' AND 'pk03219'"},
+	} {
+		t.Run(string(req.Op), func(t *testing.T) {
+			ask := func(height uint64, held bool) (Response, []byte) {
+				r := req
+				r.Height, r.HeadHeld = height, held
+				resp := Dispatch(eng, r)
+				if resp.Err != "" || resp.Digest != head {
+					t.Fatalf("height %d, held %v: %+v", height, held, resp)
+				}
+				return resp, AppendResponse(nil, &resp)
+			}
+			// As elision alone leaves the response: what it always was.
+			old := dispatch(eng, req)
+			if old.Proof != nil {
+				*old.Proof = old.Proof.Elide(eng.Ledger().Held(nil))
+			}
+			if old.BatchProof != nil {
+				*old.BatchProof = old.BatchProof.Elide(eng.Ledger().Held(nil))
+			}
+			want := AppendResponse(nil, &old)
+			if _, got := ask(0, false); !bytes.Equal(got, want) {
+				t.Fatalf("a request naming no height: %d bytes, want the %d it always got", len(got), len(want))
+			}
+			if _, got := ask(0, true); !bytes.Equal(got, want) {
+				t.Fatalf("a header held at no height: %d bytes, want %d", len(got), len(want))
+			}
+			if _, got := ask(head.Height, false); !bytes.Equal(got, want) {
+				t.Fatalf("the head's height, no header held: %d bytes, want %d", len(got), len(want))
+			}
+
+			// The head did not move, and the client holds its header.
+			resp, got := ask(head.Height, true)
+			bound, unbound := binding(resp)
+			if !unbound || bound.Header != (ledger.BlockHeader{}) || resp.Consistency != nil {
+				t.Fatalf("at the trusted height with its header held: unbound %v, header %+v, consistency %v",
+					unbound, bound.Header, resp.Consistency)
+			}
+			if len(got) > len(want)-ledger.HeaderWireLen {
+				t.Fatalf("a response without its binding is %d bytes, the bound one %d", len(got), len(want))
+			}
+			if dec, err := DecodeResponse(got); err != nil || !bytes.Equal(AppendResponse(nil, &dec), got) {
+				t.Fatalf("the unbound response does not round-trip: %v", err)
+			}
+
+			// The head moved past the trusted height: the consistency proof
+			// from it rides along, and the binding with it.
+			for _, held := range []bool{false, true} {
+				resp, _ := ask(before.Height, held)
+				if _, unbound := binding(resp); unbound || resp.Consistency == nil {
+					t.Fatalf("head moved (held %v): unbound %v, consistency %v", held, unbound, resp.Consistency)
+				}
+				if c := resp.Consistency; c.OldSize != int(before.Height) || c.NewSize != int(head.Height) || c.Verify(before.Root, head.Root) != nil {
+					t.Fatalf("head moved: consistency %d -> %d does not prove %d a prefix of %d", c.OldSize, c.NewSize, before.Height, head.Height)
+				}
+			}
+		})
+	}
+
+	// An audit flush carries the heights it proves between itself: a
+	// Height beside them changes nothing.
+	flush := Request{Op: OpProveBatch, OldDigest: before, OldDigest2: &head,
+		Audits: []ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}}}
+	plain := Dispatch(eng, flush)
+	flush.Height, flush.HeadHeld = before.Height, true
+	if named := Dispatch(eng, flush); !bytes.Equal(AppendResponse(nil, &named), AppendResponse(nil, &plain)) {
+		t.Fatal("a prove-batch response changed with a Height beside it")
+	}
+}
+
+// binding returns the block binding of resp's proof and whether it
+// travels without it.
+func binding(resp Response) (ledger.BatchProof, bool) {
+	if resp.Proof != nil {
+		return ledger.BatchProof{Header: resp.Proof.Header, Inclusion: resp.Proof.Inclusion}, resp.Proof.Unbound
+	}
+	return ledger.BatchProof{Header: resp.BatchProof.Header, Inclusion: resp.BatchProof.Inclusion}, resp.BatchProof.Unbound
+}

@@ -7,7 +7,6 @@ import (
 
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
-	"spitz/internal/postree"
 	"spitz/internal/proof"
 	"spitz/internal/query"
 	"spitz/internal/wire"
@@ -61,14 +60,6 @@ var (
 	// or a replica with no history yet: the read is retried on the primary.
 	errStale = errors.New("spitz: result verifiably stale beyond the configured bound")
 )
-
-// syncConn returns the connection trust advances against.
-func (l shardLink) syncConn() *wire.Client {
-	if l.syncC != nil {
-		return l.syncC
-	}
-	return l.c
-}
 
 // checkLag enforces the link's staleness bound: d is the digest the
 // result was served at, cur the trusted digest it was proven a prefix
@@ -168,21 +159,24 @@ func (l shardLink) received(resp wire.Response) (empty bool, err error) {
 	return true, nil
 }
 
-// verified is the eager flow. The request names the index nodes this
-// verifier holds on the read's way, so the proof ships only the rest; the
-// path pins those nodes, so the response is verified against them even
-// if the cache evicts in between. A point or range read's proof is viewed
-// as the batch of its one query (ledger.Proof.Batch), so every answer is
-// bound, verified and read by check. A response may go without a proof
-// only when the plan derives no obligation from it — a lookup with no
-// candidate rows, a `SELECT *` that surfaced no column — or it is the
-// empty ledger's (received).
+// verified is the eager flow. The request names what the verifier holds
+// — index nodes on the read's way and, on a direct link, the trusted
+// height and whether it holds its head block's header — so the response
+// carries only the rest; the pin keeps what it named for the check. A
+// point or range read's proof is viewed as the batch of its one query
+// (ledger.Proof.Batch), so every answer is bound, verified and read by
+// check. A response may go without a proof only when the plan derives no
+// obligation from it — a lookup with no candidate rows, a `SELECT *` that
+// surfaced no column — or it is the empty ledger's (received).
 func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	tr := l.span(r.spans[0])
 	defer tr.Finish()
-	path := l.v.PathFor(r.queries(nil))
+	pin := l.v.PinFor(r.queries(nil))
 	req := r.req
-	req.Shard, req.Have = l.shard, path.Have()
+	req.Shard, req.Have = l.shard, pin.Have()
+	if l.syncC == nil { // a replica's consistency proof could not advance trust anyway
+		req.Height, req.HeadHeld = pin.Trusted.Height, pin.Held
+	}
 	req.SetTrace(tr)
 	resp, err := l.c.Do(req)
 	if err != nil {
@@ -204,8 +198,8 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 		return nil, nil
 	}
 	var live [][]Cell
-	if err := l.syncAndVerifyWith(tr, resp.Digest, func() (err error) {
-		live, err = l.check(bp, resp.Digest, queries, len(queries), path)
+	if err := l.syncAndVerifyWith(tr, pin.Trusted, resp, func() (err error) {
+		live, err = l.check(bp, resp.Digest, queries, len(queries), pin)
 		return err
 	}); err != nil {
 		return nil, err
@@ -276,14 +270,14 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 // It is verified against d, which the caller has made the trusted digest
 // or a proven prefix of it, and the answers are read off it: each
 // query's proven live cells.
-func (l shardLink) check(bp *ledger.BatchProof, d Digest, queries []ledger.BatchQuery, reads int, path *postree.Path) ([][]Cell, error) {
+func (l shardLink) check(bp *ledger.BatchProof, d Digest, queries []ledger.BatchQuery, reads int, pin *proof.Pin) ([][]Cell, error) {
 	if bp == nil {
 		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
 	}
 	if !bp.Answers(queries) {
 		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
 	}
-	if err := l.v.VerifyBatch(*bp, d, reads, path); err != nil {
+	if err := l.v.VerifyBatch(*bp, d, reads, pin); err != nil {
 		return nil, err
 	}
 	live, err := bp.Live(queries)
@@ -296,105 +290,97 @@ func (l shardLink) check(bp *ledger.BatchProof, d Digest, queries []ledger.Batch
 // ---------------------------------------------------------------------------
 // Advancing trust
 
-// syncAndVerifyWith is the digest advance every proof-carrying read
-// shares, followed by verify: on return from the advance the trusted
-// digest is d, or d has been proven a prefix of it. The whole flow runs
-// under the link's mutex so concurrent verified reads cannot interleave
-// digest refreshes and report tampering the honest server never
-// committed.
+// How trust advances: on a read's own response, or on a round trip to the
+// digest authority (a prefix-proof leg, an audit flush).
+var (
+	mTrustViaResponse = obs.Default.Counter(`spitz_client_trust_advances_total{via="response"}`)
+	mTrustViaLeg      = obs.Default.Counter(`spitz_client_trust_advances_total{via="leg"}`)
+)
+
+// syncAndVerifyWith is the digest advance every eager read shares, around
+// its verify: on success the answer has verified against d, the digest
+// resp was served at, and d is the trusted digest or a proven prefix of
+// it. Trust moves only after that, under the link's mutex, so concurrent
+// reads cannot interleave advances into a false tamper report.
 //
-// When the trusted digest has already moved past d (a concurrent read
-// synced a newer state), the proof cannot verify against the trusted
-// digest — but it is still an honest statement about an older ledger
-// state. One atomic server call returns two consistency proofs: trusted
-// digest → current (advancing trust) and d → current (showing d is a
-// genuine prefix of the same history); with both verified, the proof is
-// checked against d itself. This converges in one round trip under any
-// write churn, where refetch-until-current would livelock.
-func (l shardLink) syncAndVerifyWith(tr *obs.Trace, d Digest, verify func() error) error {
+// named is the trusted digest the request named. While trust is still
+// named and d is past it, the response carries the consistency proof from
+// named to d; trust in the empty ledger takes d on first use. Otherwise —
+// a replica served the read, trust moved past d, or an older server sent
+// no proof — the prefix-proof leg asks the digest authority for both
+// proofs in one round trip (adopt).
+func (l shardLink) syncAndVerifyWith(tr *obs.Trace, named Digest, resp wire.Response, verify func() error) error {
+	d := resp.Digest
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cur := l.v.Digest()
-	if cur == d {
+	switch {
+	case cur == d:
 		return verify()
-	}
-	if cur.Height == 0 && cur.Root.IsZero() {
-		if l.syncC == nil {
-			if err := l.v.Advance(d, ConsistencyProof{}); err != nil {
-				return err
-			}
-			return verify()
-		}
-		// Trust bootstraps from the digest authority, never from the
-		// replica being read: pin the primary's digest (trust on first
-		// use, exactly as a direct client would) and fall through to
-		// prove d is a prefix of it.
-		dreq := wire.Request{Op: wire.OpDigest, Shard: l.shard}
-		pin := tr.Child("client.trust-pin")
-		dreq.SetTrace(pin)
-		dresp, err := l.syncC.Do(dreq)
-		pin.Finish()
-		if err != nil {
-			return fmt.Errorf("%w: %v", errPrimarySync, err)
-		}
-		if err := l.v.Advance(dresp.Digest, ConsistencyProof{}); err != nil {
+	case l.syncC != nil: // a replica cannot advance trust: it could present a fork
+	case cur.Height == 0:
+		return l.v.AdvanceWith(d, nil, verify)
+	case named == cur && d.Height > cur.Height && resp.Consistency != nil:
+		if err := l.v.AdvanceWith(d, resp.Consistency, verify); err != nil {
 			return err
 		}
-		if cur = l.v.Digest(); cur == d {
-			return verify()
-		}
-	}
-	// The prefix-proof leg: against the digest authority (the primary of
-	// a replicated deployment) when the link carries one, the serving
-	// connection otherwise. Its span is a child of the read's root, so a
-	// replica-served read shows both legs under one trace ID.
-	creq := wire.Request{Op: wire.OpConsistency, OldDigest: cur, OldDigest2: &d,
-		Shard: l.shard}
-	leg := tr.Child("client.prefix-proof")
-	creq.SetTrace(leg)
-	resp, err := l.syncConn().Do(creq)
-	leg.Finish()
-	if err != nil {
-		if l.syncC != nil {
-			if errors.Is(err, wire.ErrTransport) {
-				return fmt.Errorf("%w: %v", errPrimarySync, err)
-			}
-			// The digest authority itself refused to produce a prefix
-			// proof over the replica's digest (e.g. the replica claims a
-			// taller ledger than the primary has): the replica's chain is
-			// not part of the primary's history.
-			return fmt.Errorf("%w: %v", ErrTampered, err)
-		}
-		return err
-	}
-	if err := l.adopt(resp, d); err != nil {
-		return err
-	}
-	return verify()
-}
-
-// adopt is the one place trust follows a server's consistency proofs:
-// resp carries the server's digest, a proof from the trusted digest to it
-// and one from d — the digest a result was served at, or the receipts of
-// an audit were read at — to it. Trust advances to the server's digest,
-// and d must be it or a prefix of it. For a replica-served result this is
-// exactly the replication trust argument: the proof came from the
-// replica's digest d, and the digest authority has just proven d a
-// prefix of the trusted history, so a tampering replica is caught here
-// and a lagging one is served as verifiably stale data. Callers hold
-// l.mu.
-func (l shardLink) adopt(resp wire.Response, d Digest) error {
-	if resp.Consistency == nil || resp.Consistency2 == nil {
-		return fmt.Errorf("%w: server omitted consistency proof", ErrTampered)
-	}
-	if err := l.v.Advance(resp.Digest, *resp.Consistency); err != nil {
-		return err
-	}
-	if resp.Digest == d {
+		mTrustViaResponse.Inc()
 		return nil
 	}
+	// Its span is a child of the read's root, so a replica-served read
+	// shows both legs under one trace ID.
+	cresp, err := l.ask(tr.Child("client.prefix-proof"),
+		wire.Request{Op: wire.OpConsistency, OldDigest: cur, OldDigest2: &d, Shard: l.shard})
+	if err != nil {
+		return err
+	}
+	return l.adopt(cresp, d, verify)
+}
+
+// ask sends req to the digest authority, traced under leg. Its failing
+// behind a replica is errPrimarySync (the replica is not at fault); its
+// refusing to prove what was served is ErrTampered.
+func (l shardLink) ask(leg *obs.Trace, req wire.Request) (wire.Response, error) {
+	c := l.c
+	if l.syncC != nil {
+		c = l.syncC
+	}
+	req.SetTrace(leg)
+	resp, err := c.Do(req)
+	leg.Finish()
+	switch {
+	case err == nil:
+		return resp, nil
+	case !errors.Is(err, wire.ErrTransport):
+		return resp, fmt.Errorf("%w: %v", ErrTampered, err)
+	case l.syncC != nil:
+		return resp, fmt.Errorf("%w: %v", errPrimarySync, err)
+	}
+	return resp, err
+}
+
+// adopt is the one place trust follows a digest authority's round trip:
+// resp carries its digest, a proof from the trusted digest to it and one
+// from d — the digest a result was served at, or an audit's receipts were
+// read at. d must be that digest or a prefix of it; then verify checks
+// the answer against d, and only then does trust advance. For a replica's
+// result this is the replication trust argument: a tampering replica is
+// caught here, a lagging one served as verifiably stale data, and trust
+// taken on first use is the authority's, never the replica's. Callers
+// hold l.mu.
+func (l shardLink) adopt(resp wire.Response, d Digest, verify func() error) error {
 	if err := proof.CheckPrefix(d, resp.Digest, resp.Consistency2); err != nil {
 		return err
 	}
-	return l.checkLag(d, resp.Digest)
+	if err := l.checkLag(d, resp.Digest); err != nil {
+		return err
+	}
+	cur := l.v.Digest()
+	if err := l.v.AdvanceWith(resp.Digest, resp.Consistency, verify); err != nil {
+		return err
+	}
+	if resp.Digest != cur {
+		mTrustViaLeg.Inc()
+	}
+	return nil
 }

@@ -61,10 +61,12 @@ func (cl *Client) Query(statement string) (QueryResult, error) {
 		return mergeQueryResults(pl, parts, err)
 	case query.History:
 		return read(cl, cl.ShardFor([]byte(s.PK)), nil, func(l shardLink) (QueryResult, error) {
-			return l.queryHistory(statement, s)
+			resp, err := l.queryExec("client.query-history", statement)
+			return QueryResult{Rows: query.HistoryRows(s.Column, resp.Cells)}, err
 		})
 	default:
-		return cl.primaryLink(0, nil).queryMutate(statement)
+		resp, err := cl.primaryLink(0, nil).queryExec("client.query-exec", statement)
+		return QueryResult{RowsAffected: resp.RowsAffected, Block: resp.Height}, err
 	}
 }
 
@@ -95,31 +97,15 @@ func mergeQueryResults(pl query.Plan, parts []QueryResult, err error) (QueryResu
 // ---------------------------------------------------------------------------
 // Per-link query flows
 
-// queryMutate runs a mutation statement over the wire. The commit is
-// unverified at this point — it lands in the ledger, where any later
-// verified read (or audit) proves it.
-func (l shardLink) queryMutate(statement string) (QueryResult, error) {
-	tr := l.span("client.query-exec")
+// queryExec runs a statement whose answer is not proven over the wire,
+// under a span named op: a mutation — unverified at this point, it lands
+// in the ledger, where any later verified read (or audit) proves it — or
+// HISTORY (unverified, matching Client.History). A response with an
+// error carries neither rows nor counts.
+func (l shardLink) queryExec(op, statement string) (wire.Response, error) {
+	tr := l.span(op)
 	defer tr.Finish()
 	req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard}
 	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return QueryResult{RowsAffected: resp.RowsAffected, Block: resp.Height}, nil
-}
-
-// queryHistory fetches a cell's version history shaped into HISTORY
-// rows (unverified, matching Client.History).
-func (l shardLink) queryHistory(statement string, h query.History) (QueryResult, error) {
-	tr := l.span("client.query-history")
-	defer tr.Finish()
-	req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard}
-	req.SetTrace(tr)
-	resp, err := l.c.Do(req)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return QueryResult{Rows: query.HistoryRows(h.Column, resp.Cells)}, nil
+	return l.c.Do(req)
 }

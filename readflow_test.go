@@ -2,6 +2,7 @@ package spitz_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/obs"
 	"spitz/internal/wire"
 )
 
@@ -66,29 +68,82 @@ var readShapes = []readShape{
 
 // TestEveryReadShapeRejectsTheSameForgeries runs every read shape, eagerly
 // and in AuditMode, against the same forgeries — each must be ErrTampered,
-// at the read or at the audit flush — and against an honest empty server,
-// whose empty answer must be accepted. The forged response is the read's
-// own, or the proof round trip behind it: the consistency proof of an
-// eager read, the batch proof of an audit flush.
+// at the read or at the audit flush, and an eager read must leave the
+// verifier as it found it — and against an honest empty server, whose
+// empty answer must be accepted. The forged response is the read's own,
+// or the proof round trip behind it: the prefix proof of a replica-served
+// read, the batch proof of an audit flush. A direct eager read names its
+// trusted height, so the response carries what changed since — the
+// consistency proof when the head moved, no block binding when it did
+// not and the client holds that block's header — and so do the forgeries.
 func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
+	// Another shard's ledger, one block taller than the fault server's
+	// will be after its commit: a consistency proof of exactly the sizes a
+	// forger needs, valid, and about the wrong history.
+	other := core.New(core.Options{})
+	for i := 0; i < 42; i++ {
+		if _, err := other.Apply("other", []core.Put{{Table: "t", Column: "c",
+			PK: []byte(fmt.Sprintf("pk%03d", i)), Value: []byte("other")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	otherCons, err := other.ConsistencyProof(40, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbind := func(resp *wire.Response) {
+		if resp.Proof != nil {
+			p := resp.Proof.Unbind()
+			resp.Proof = &p
+		}
+		if resp.BatchProof != nil {
+			bp := resp.BatchProof.Unbind()
+			resp.BatchProof = &bp
+		}
+	}
 	forgeries := []struct {
 		name string
 		// The op whose responses are forged in each mode; zero: the read's.
 		eagerOn, auditOn wire.Op
-		commit           bool // land a block first, so the read needs a prefix proof
-		mut              func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response)
+		commit           bool // land a block first: the head moves past the client's trust
+		warm             bool // read once first: the client holds its head block's header
+		replica          bool // read through a replica link
+		eagerOnly        bool // a forgery of what only an eager read is sent
+		// legToo forges the prefix-proof leg's response too: what a read's
+		// response leaves out, the client asks for there.
+		legToo bool
+		mut    func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response)
 	}{
-		{"claim an empty ledger after trust", "", "", false,
-			func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { *resp = wire.Response{} }},
-		{"omit the proof", "", wire.OpProveBatch, false,
-			func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+		{name: "claim an empty ledger after trust",
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { *resp = wire.Response{} }},
+		{name: "omit the proof", auditOn: wire.OpProveBatch,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
 				resp.Proof, resp.BatchProof, resp.Found, resp.Cells = nil, nil, false, nil
 			}},
-		{"omit the prefix proof", wire.OpConsistency, wire.OpProveBatch, true,
-			func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency2 = nil }},
-		{"answer another key or range", "", "", false,
-			func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
+		{name: "omit the prefix proof", eagerOn: wire.OpConsistency, auditOn: wire.OpProveBatch, commit: true, replica: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency2 = nil }},
+		{name: "answer another key or range",
+			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
 				*resp = wire.Dispatch(fs.eng, sh.other(req))
+			}},
+		{name: "omit the consistency proof the head moved by", commit: true, eagerOnly: true, legToo: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency = nil }},
+		{name: "give the consistency proof the wrong sizes", commit: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				if resp.Consistency != nil {
+					cons := *resp.Consistency
+					cons.OldSize--
+					resp.Consistency = &cons
+				}
+			}},
+		{name: "prove consistency of another shard's ledger", commit: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency = &otherCons }},
+		{name: "leave the binding out for a client that holds no header", eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { unbind(resp) }},
+		{name: "leave the binding out at the trusted height of another root", warm: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				unbind(resp)
+				resp.Digest.Root[0] ^= 1
 			}},
 	}
 	for _, sh := range readShapes {
@@ -98,29 +153,43 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 				mode, op = "audit", sh.attested
 			}
 			// read runs the shape in the mode on a client whose trust is
-			// pinned before the forger sets to work; an audited read is
-			// flushed before it counts.
-			read := func(t *testing.T, fs *faultServer, forge func()) (string, error) {
+			// pinned before the forger sets to work — warmed by an honest
+			// read first when warm is set; an audited read is flushed
+			// before it counts. An eager read's verifier state is returned
+			// from before the forged read and after it.
+			read := func(t *testing.T, fs *faultServer, warm, replica bool, forge func()) (got string, before, after verifierState, err error) {
 				cl := fs.client(t)
+				if replica {
+					cl = connect(t, dialer(fs.inner), dialer(fs.inner))
+				}
 				t.Cleanup(func() { cl.Close() })
 				if err := cl.SyncDigest(); err != nil {
 					t.Fatalf("pin trust: %v", err)
 				}
+				if warm {
+					if _, err := sh.read(cl); err != nil {
+						t.Fatalf("warm-up read: %v", err)
+					}
+				}
 				forge()
 				if !audit {
-					return sh.read(cl)
+					before = stateOf(cl.Verifier())
+					got, err = sh.read(cl)
+					return got, before, stateOf(cl.Verifier()), err
 				}
 				aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sh.read(cl)
-				if err == nil {
+				if got, err = sh.read(cl); err == nil {
 					err = aud.Flush()
 				}
-				return got, err
+				return got, before, before, err
 			}
 			for _, fg := range forgeries {
+				if audit && fg.eagerOnly {
+					continue
+				}
 				t.Run(sh.name+"/"+mode+"/"+fg.name, func(t *testing.T) {
 					fs := startFaultServer(t)
 					on := fg.eagerOn
@@ -131,7 +200,7 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 						on = op
 					}
 					var forged atomic.Int32
-					got, err := read(t, fs, func() {
+					got, before, after, err := read(t, fs, fg.warm, fg.replica, func() {
 						if fg.commit {
 							if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c",
 								PK: []byte("pk039"), Value: []byte("later")}}); err != nil {
@@ -139,7 +208,7 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 							}
 						}
 						fs.setMutate(func(req wire.Request, resp *wire.Response) {
-							if req.Op == on && resp.Err == "" {
+							if (req.Op == on || fg.legToo && req.Op == wire.OpConsistency) && resp.Err == "" {
 								forged.Add(1)
 								fg.mut(fs, sh, req, resp)
 							}
@@ -151,10 +220,13 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 					if !errors.Is(err, spitz.ErrTampered) {
 						t.Fatalf("answered %q, %v; want ErrTampered", got, err)
 					}
+					if after != before {
+						t.Fatalf("the rejected response moved the verifier: %+v -> %+v", before, after)
+					}
 				})
 			}
 			t.Run(sh.name+"/"+mode+"/honest empty server", func(t *testing.T) {
-				got, err := read(t, serveFaultEngine(t, core.New(core.Options{})), func() {})
+				got, _, _, err := read(t, serveFaultEngine(t, core.New(core.Options{})), false, false, func() {})
 				if err != nil || got != "" {
 					t.Fatalf("empty server: %q, %v; want the empty answer", got, err)
 				}
@@ -165,40 +237,65 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 
 // FuzzVerifiedRead delivers, in place of the honest response to each
 // eager read shape, whatever the fuzzer makes of its encoding — decoded,
-// it reaches a client whose trust is pinned to the honest digest. The
-// client must return the honest answer or an error: never other data,
-// never fewer rows.
+// it reaches a client in one of the three states an honest response is
+// shaped by: trust pinned to the head (a bound proof), pinned one block
+// behind it (a bound proof and the consistency proof from there), or at
+// the head holding its head block's header (a proof without its
+// binding). The client must return the honest answer or an error: never
+// other data, never fewer rows.
 func FuzzVerifiedRead(f *testing.F) {
 	fs := startFaultServer(f)
-	honest := make([]string, len(readShapes))
-	for i, sh := range readShapes {
-		var seed []byte
-		fs.setMutate(func(req wire.Request, resp *wire.Response) {
-			if req.Op == sh.eager {
-				seed = wire.AppendResponse(nil, resp)
-			}
-		})
-		cl := fs.client(f)
+	behind := fs.eng.Digest()
+	if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c",
+		PK: []byte("pk039"), Value: []byte("later")}}); err != nil {
+		f.Fatal(err)
+	}
+	client := func(t testing.TB, sh readShape, form int) *spitz.Client {
+		cl := fs.client(t)
 		var err error
-		honest[i], err = sh.read(cl)
-		cl.Close()
-		if err != nil || honest[i] == "" || seed == nil {
-			f.Fatalf("%s: honest read %q, %v", sh.name, honest[i], err)
+		switch form {
+		case 0:
+			err = cl.SyncDigest()
+		case 1:
+			err = cl.Verifier().Advance(behind, spitz.ConsistencyProof{})
+		case 2:
+			_, err = sh.read(cl)
 		}
-		f.Add(uint8(i), seed)
+		if err != nil {
+			t.Fatalf("%s: client in form %d: %v", sh.name, form, err)
+		}
+		return cl
+	}
+	const forms = 3
+	honest := make([]string, len(readShapes))
+	for form := 0; form < forms; form++ {
+		for i, sh := range readShapes {
+			var seed []byte
+			fs.setMutate(func(req wire.Request, resp *wire.Response) {
+				if req.Op == sh.eager {
+					seed = wire.AppendResponse(nil, resp)
+				}
+			})
+			cl := client(f, sh, form)
+			var err error
+			honest[i], err = sh.read(cl)
+			cl.Close()
+			if err != nil || honest[i] == "" || seed == nil {
+				f.Fatalf("%s, form %d: honest read %q, %v", sh.name, form, honest[i], err)
+			}
+			f.Add(uint8(form*len(readShapes)+i), seed)
+		}
 	}
 	fs.setMutate(nil)
 	f.Fuzz(func(t *testing.T, shape uint8, data []byte) {
-		sh := readShapes[int(shape)%len(readShapes)]
+		i, form := int(shape)%len(readShapes), int(shape)/len(readShapes)%forms
+		sh := readShapes[i]
 		resp, err := wire.DecodeResponse(data)
 		if err != nil {
 			return
 		}
-		cl := fs.client(t)
+		cl := client(t, sh, form)
 		defer cl.Close()
-		if err := cl.SyncDigest(); err != nil {
-			t.Fatalf("pin trust: %v", err)
-		}
 		fs.setMutate(func(req wire.Request, r *wire.Response) {
 			if req.Op == sh.eager {
 				*r = resp
@@ -206,10 +303,196 @@ func FuzzVerifiedRead(f *testing.F) {
 		})
 		defer fs.setMutate(nil)
 		got, err := sh.read(cl)
-		if want := honest[int(shape)%len(readShapes)]; err == nil && got != want {
-			t.Fatalf("%s: answered %q, the honest answer is %q", sh.name, got, want)
+		if err == nil && got != honest[i] {
+			t.Fatalf("%s: answered %q, the honest answer is %q", sh.name, got, honest[i])
 		}
 	})
+}
+
+// readAfterCommits runs one shape's eager read on cl after each of
+// rounds commits to fs's engine, and reads twice more with no commit in
+// between: every answer must be a cold client's, and trust must end at
+// the engine's head.
+func readAfterCommits(t *testing.T, fs *faultServer, cl *spitz.Client, sh readShape, rounds int) {
+	t.Helper()
+	check := func(step string) {
+		t.Helper()
+		cold := fs.client(t)
+		want, err := sh.read(cold)
+		cold.Close()
+		if err != nil {
+			t.Fatalf("%s: cold read: %v", step, err)
+		}
+		if got, err := sh.read(cl); err != nil || got != want {
+			t.Fatalf("%s: %q, %v; want %q", step, got, err, want)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		var puts []core.Put
+		for i := 0; i < 40; i++ {
+			puts = append(puts, core.Put{Table: "t", Column: "c",
+				PK: []byte(fmt.Sprintf("pk%03d", i)), Value: []byte(fmt.Sprintf("round%d-%03d", r, i))})
+		}
+		if _, err := fs.eng.Apply("round", puts); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after commit %d", r+1))
+	}
+	check("a warm read")
+	check("another warm read")
+	if d := cl.Verifier().Digest(); d != fs.eng.Digest() {
+		t.Fatalf("trust at height %d, the server's head is %d", d.Height, fs.eng.Digest().Height)
+	}
+}
+
+// TestTrustPinnedToTheEmptyLedger: a client whose digest sync found an
+// empty server trusts the empty ledger, which every ledger extends. The
+// reads after the server's first commits must verify — the first takes
+// the head on first use, later ones advance on their own responses.
+func TestTrustPinnedToTheEmptyLedger(t *testing.T) {
+	for _, sh := range readShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			fs := serveFaultEngine(t, core.New(core.Options{}))
+			cl := fs.client(t)
+			defer cl.Close()
+			if err := cl.SyncDigest(); err != nil {
+				t.Fatal(err)
+			}
+			readAfterCommits(t, fs, cl, sh, 2)
+		})
+	}
+}
+
+// TestServerThatIgnoresTrustedHeight: a binary/v3 server built before
+// reads named the client's trusted height answers as if they did not — a
+// bound proof, and no consistency proof when its head moved. Its client
+// must still verify every read: what the response left out is asked for
+// on the prefix-proof leg.
+func TestServerThatIgnoresTrustedHeight(t *testing.T) {
+	for _, sh := range readShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			fs := startFaultServer(t)
+			fs.setMutate(func(req wire.Request, resp *wire.Response) {
+				if req.Op == sh.eager && (req.Height != 0 || req.HeadHeld) {
+					req.Height, req.HeadHeld = 0, false
+					*resp = wire.Dispatch(fs.eng, req)
+				}
+			})
+			cl := fs.client(t)
+			defer cl.Close()
+			if _, err := sh.read(cl); err != nil {
+				t.Fatal(err)
+			}
+			readAfterCommits(t, fs, cl, sh, 2)
+		})
+	}
+}
+
+// TestRejectedChurnedReadLeavesVerifierUnchanged: a read after a commit
+// whose response proves the head's move honestly but forges the cell
+// proof is rejected, and leaves the verifier exactly as it was — its
+// digest not one block further on the strength of a response it refused,
+// its held header, counters and node cache untouched.
+func TestRejectedChurnedReadLeavesVerifierUnchanged(t *testing.T) {
+	fs := startFaultServer(t)
+	cl := fs.client(t)
+	defer cl.Close()
+	if _, _, err := cl.GetVerified("t", "c", []byte("pk001")); err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(cl.Verifier())
+	if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c",
+		PK: []byte("pk039"), Value: []byte("later")}}); err != nil {
+		t.Fatal(err)
+	}
+	fs.setMutate(func(req wire.Request, resp *wire.Response) {
+		if req.Op == wire.OpGetVerified && resp.Proof != nil {
+			detachResponse(t, resp)
+			leaf := resp.Proof.Point.Nodes[len(resp.Proof.Point.Nodes)-1]
+			leaf[len(leaf)-1] ^= 0x01
+		}
+	})
+	if _, _, err := cl.GetVerified("t", "c", []byte("pk001")); !errors.Is(err, spitz.ErrTampered) {
+		t.Fatalf("forged cell proof after a commit: err = %v, want ErrTampered", err)
+	}
+	if after := stateOf(cl.Verifier()); after != before {
+		t.Fatalf("the rejected response moved the verifier: %+v -> %+v", before, after)
+	}
+}
+
+// TestTrustCountersFollowTheResponse: the client's side of trust is on
+// /metrics. A warm read with no commit since is answered at the trusted
+// digest, its proof without the block binding; a read after a commit
+// advances trust on its own response, with no round trip for it; a
+// replica-served read at a digest older than the primary's advances it
+// on the prefix-proof leg, never on the replica's word.
+func TestTrustCountersFollowTheResponse(t *testing.T) {
+	delta := func(name string) func() uint64 {
+		c := obs.Default.Counter(name)
+		base := c.Value()
+		return func() uint64 { return c.Value() - base }
+	}
+	elided := delta("spitz_client_bindings_elided_total")
+	viaResponse := delta(`spitz_client_trust_advances_total{via="response"}`)
+	viaLeg := delta(`spitz_client_trust_advances_total{via="leg"}`)
+	legs := delta(`spitz_wire_ops_total{op="consistency"}`)
+	expect := func(step string, e, r, l, trips uint64) {
+		t.Helper()
+		if elided() != e || viaResponse() != r || viaLeg() != l || legs() != trips {
+			t.Fatalf("%s: bindings elided %d, advances via response %d and via leg %d, consistency round trips %d; want %d, %d, %d, %d",
+				step, elided(), viaResponse(), viaLeg(), legs(), e, r, l, trips)
+		}
+	}
+
+	fs := startFaultServer(t)
+	cl := fs.client(t)
+	defer cl.Close()
+	if _, _, err := cl.GetVerified("t", "c", []byte("pk001")); err != nil {
+		t.Fatal(err)
+	}
+	expect("a first read", 0, 0, 0, 0)
+	if _, _, err := cl.GetVerified("t", "c", []byte("pk002")); err != nil {
+		t.Fatal(err)
+	}
+	expect("a warm read, no commit since", 1, 0, 0, 0)
+	if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c",
+		PK: []byte("pk039"), Value: []byte("later")}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := cl.GetVerified("t", "c", []byte("pk039")); err != nil || string(v) != "later" {
+		t.Fatalf("read after the commit: %q, %v", v, err)
+	}
+	expect("a read after a commit", 1, 1, 0, 0)
+
+	// A replica frozen behind its primary, which then commits past the
+	// digest the client pinned at connect time.
+	db, err := spitz.OpenDir(t.TempDir(), spitz.Options{Sync: spitz.SyncNever, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	commit := func() {
+		t.Helper()
+		if _, err := db.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: []byte("pk"), Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit()
+	ln, _ := wire.Listen()
+	go db.Serve(ln)
+	defer ln.Close()
+	rep, rln := serveReplicaOf(t, dialer(ln), db.Height())
+	rep.Close() // stops following; keeps serving
+	commit()
+	rcl := connect(t, dialer(ln), dialer(rln))
+	commit()
+	if _, found, err := rcl.GetVerified("t", "c", []byte("pk")); err != nil || !found {
+		t.Fatalf("replica-served read: %v, %v", found, err)
+	}
+	expect("a replica-served read at an older digest", 1, 1, 1, 1)
+	if d := rcl.Verifier().Digest(); d != db.Digest() {
+		t.Fatalf("trust at %d after the leg, the primary is at %d", d.Height, db.Height())
+	}
 }
 
 // TestAuditedAnswerIsWhatItsReceiptsCommit: in AuditMode the cells a

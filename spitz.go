@@ -380,16 +380,20 @@ func (db *DB) Digest() Digest { return db.engine().Digest() }
 // ConsistencyProof proves that the current ledger extends the one
 // committed by old — history was appended to, never rewritten.
 func (db *DB) ConsistencyProof(old Digest) (ConsistencyProof, error) {
-	return db.engine().ConsistencyProof(old)
+	_, cons, err := db.ConsistencyUpdate(old)
+	return cons, err
 }
 
 // ConsistencyUpdate returns the current digest together with the proof
-// that it extends old, captured atomically. Clients refreshing a pinned
-// digest while commits are in flight should use this instead of calling
-// Digest and ConsistencyProof separately, which can straddle a new block
-// and fail to match.
+// that it extends old. Clients refreshing a pinned digest while commits
+// are in flight should use this instead of calling Digest and
+// ConsistencyProof separately, which can straddle a new block and fail
+// to match.
 func (db *DB) ConsistencyUpdate(old Digest) (Digest, ConsistencyProof, error) {
-	return db.engine().ConsistencyUpdate(old)
+	eng := db.engine()
+	d := eng.Digest()
+	cons, err := eng.ConsistencyProof(old.Height, d.Height)
+	return d, cons, err
 }
 
 // Height returns the number of committed ledger blocks.
