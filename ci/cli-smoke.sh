@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # spitz-cli against every serving configuration of spitz-server: a single
-# in-memory engine (1×0), `-shards 2`, and a `-replicate-from` replica of
-# a durable `-shards 2 -data-dir` primary. Every subcommand dials the one
-# client, which learns the shard map, and every server is the one shard
-# router — so the same read expectations hold on all three, and the
-# replica refuses writes.
+# in-memory engine (1×0), a durable single engine killed with -9 and
+# restarted on its `-data-dir`, `-shards 2`, and a `-replicate-from`
+# replica of a durable `-shards 2 -data-dir` primary. Every subcommand
+# dials the one client, which learns the shard map, and every server is
+# the one shard router — so the same read expectations hold on all of
+# them, and the replica refuses writes.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 tmp=$(mktemp -d)
@@ -56,6 +57,16 @@ start single -inverted
 writes "$addr"
 reads "$addr"
 
+start durable -inverted -data-dir "$tmp/durable"
+writes "$addr"
+expect "$addr" '^saved ' digest save "$tmp/durable.digest"
+{ kill -9 "${pids[-1]}" && wait "${pids[-1]}"; } 2>/dev/null || true
+start durable-restarted -inverted -data-dir "$tmp/durable"
+grep -q 'recovered 8 blocks' "$tmp/durable-restarted.log" ||
+	fail "restart did not recover 8 blocks:" "$(cat "$tmp/durable-restarted.log")"
+expect "$addr" 'OK — saved height 8 is a verified prefix' digest check "$tmp/durable.digest"
+reads "$addr"
+
 start sharded -shards 2 -inverted
 writes "$addr"
 reads "$addr"
@@ -73,4 +84,4 @@ done
 reads "$addr"
 expect "$addr" '^shard 1: replica: connected' stats
 refuse "$addr" 'read-only' put t c pk8 value-8
-echo "cli smoke: put/get/getv/range/hist/query/stats/digest served by a single engine, a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"
+echo "cli smoke: put/get/getv/range/hist/query/stats/digest served by a single engine, a durable single engine after kill -9 and restart (saved digest a verified prefix), a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"

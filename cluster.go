@@ -50,10 +50,8 @@ type ClusterOptions struct {
 	CheckpointInterval    time.Duration
 	CheckpointEveryBlocks uint64
 	WALSegmentSize        int64
-	// Store selects each shard's node-store backend (see Options.Store);
 	// NodeCacheMB bounds each shard's node cache, so a cluster's total
 	// budget is Shards × NodeCacheMB.
-	Store       StoreKind
 	NodeCacheMB int
 }
 
@@ -101,7 +99,6 @@ func OpenCluster(dir string, opts ClusterOptions) (*ClusterDB, error) {
 		SegmentSize:           opts.WALSegmentSize,
 		CheckpointInterval:    opts.CheckpointInterval,
 		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		Store:                 opts.Store,
 		NodeCacheMB:           opts.NodeCacheMB,
 	})
 	if err != nil {

@@ -32,8 +32,8 @@
 // cross-shard 2PC write, each under one trace ID), /slowz for a tripped
 // threshold, and the health rules driven through an injected
 // replication stall (degraded, then recovered) and a tamper probe
-// (critical, sticky). disk-smoke runs the disk-native node store workload: sharded
-// and replicated deployments on -store disk with the minimum 1 MiB
+// (critical, sticky). disk-smoke runs the durable workload: sharded
+// and replicated deployments on data directories with the minimum 1 MiB
 // node-cache budget, exercising checkpoint + clean reopen and a kill
 // without close, every read proof-verified and both reopens required to
 // recover the exact pre-shutdown cluster root. query-smoke runs the
@@ -213,7 +213,7 @@ func main() {
 		check(err)
 		defer os.RemoveAll(dir)
 		check(bench.DiskSmoke(dir))
-		fmt.Println("disk smoke: sharded + replicated workloads on -store disk (1MiB node cache); checkpoint, clean reopen and kill/reopen all kept digest continuity with every read proof-verified")
+		fmt.Println("durable smoke: sharded + replicated workloads on data directories (1MiB node cache); checkpoint, clean reopen and kill/reopen all kept digest continuity with every read proof-verified")
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)

@@ -8,8 +8,7 @@
 //	             [-shards N] [-max-batch-txns 128] [-max-batch-delay 0s]
 //	             [-data-dir DIR] [-sync always|interval|never]
 //	             [-sync-every 50ms] [-checkpoint-interval 1m]
-//	             [-checkpoint-every-blocks 4096]
-//	             [-store mem|disk] [-node-cache-mb 64]
+//	             [-checkpoint-every-blocks 4096] [-node-cache-mb 64]
 //	             [-replicate-from HOST:PORT]
 //
 // -admin-addr serves the operations endpoint over HTTP: /metrics
@@ -27,15 +26,14 @@
 // acknowledged and the server recovers the full verifiable history after
 // a crash or restart. -sync trades durability for throughput: "always"
 // fsyncs every commit (group commit), "interval" fsyncs on a timer,
-// "never" leaves persistence to the OS.
-//
-// -store selects the node-store backend for durable databases: "mem"
-// (default) keeps the authenticated index in RAM and checkpoints stream
-// full snapshots; "disk" keeps it in append-only segment files behind a
-// write-back cache bounded by -node-cache-mb (per shard), checkpoints
-// incrementally, and restarts by root hash — recovery cost is
-// O(log height), not O(state). The choice is recorded in the data
-// directory on creation and is authoritative on later opens.
+// "never" leaves persistence to the OS. The authenticated index lives in
+// append-only node-store segment files under DIR behind a write-back
+// cache bounded by -node-cache-mb (per shard); checkpoints flush only
+// what changed, and a restart addresses the state by its root hash —
+// recovery cost is O(height) header reads plus the WAL tail, not
+// O(state). A directory written by an older build in a format this one
+// does not read (an older node store, or a memory-store database) is
+// refused by name and left untouched.
 //
 // -shards N > 1 serves a sharded cluster behind this one listener: the
 // key space partitions across N full engines (each durable under
@@ -102,8 +100,7 @@ func main() {
 	syncEvery := flag.Duration("sync-every", 50*time.Millisecond, "fsync period under -sync interval")
 	ckptInterval := flag.Duration("checkpoint-interval", time.Minute, "background checkpoint period")
 	ckptBlocks := flag.Uint64("checkpoint-every-blocks", 4096, "checkpoint after this many commits")
-	storeKind := flag.String("store", "mem", "node-store backend for -data-dir: mem or disk")
-	nodeCacheMB := flag.Int("node-cache-mb", 64, "disk store node-cache budget in MiB (per shard)")
+	nodeCacheMB := flag.Int("node-cache-mb", 64, "node-store cache budget in MiB for -data-dir (per shard)")
 	flag.Parse()
 
 	opts := spitz.Options{
@@ -128,18 +125,14 @@ func main() {
 		}
 		n = openReplica(*replicateFrom, *inverted)
 	} else {
-		store, err := spitz.ParseStoreKind(*storeKind)
-		if err != nil {
-			log.Fatalf("spitz-server: %v", err)
-		}
 		if *dataDir != "" {
+			var err error
 			if opts.Sync, err = wal.ParsePolicy(*syncMode); err != nil {
 				log.Fatalf("spitz-server: %v", err)
 			}
 			opts.SyncEvery = *syncEvery
 			opts.CheckpointInterval = *ckptInterval
 			opts.CheckpointEveryBlocks = *ckptBlocks
-			opts.Store = store
 			opts.NodeCacheMB = *nodeCacheMB
 		}
 		shardsSet := false
@@ -209,8 +202,8 @@ func openSingle(dataDir string, opts spitz.Options, mode string) node {
 		if db, err = spitz.OpenDir(dataDir, opts); err != nil {
 			log.Fatalf("spitz-server: open %s: %v", dataDir, err)
 		}
-		log.Printf("spitz-server: durable database in %s (sync=%s, store=%s, %s mode), recovered %d blocks",
-			dataDir, opts.Sync, db.StoreKind(), mode, db.Height())
+		log.Printf("spitz-server: durable database in %s (sync=%s, %s mode), recovered %d blocks",
+			dataDir, opts.Sync, mode, db.Height())
 	}
 	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
 		digest: func() string {
@@ -233,7 +226,6 @@ func openCluster(shards int, dataDir string, opts spitz.Options) node {
 		SyncEvery:             opts.SyncEvery,
 		CheckpointInterval:    opts.CheckpointInterval,
 		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		Store:                 opts.Store,
 		NodeCacheMB:           opts.NodeCacheMB,
 	})
 	if err != nil {

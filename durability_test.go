@@ -372,15 +372,14 @@ func TestOpenDirTransactionsAndSQL(t *testing.T) {
 	}
 }
 
-// TestOpenDirDiskStore is the disk-backed acceptance path: commit,
+// TestOpenDirDiskStore is the durable acceptance path: commit,
 // checkpoint, clean close, reopen — the recovered digest must match and
 // the first verified read must prove against it without the engine
-// having replayed the WAL or loaded a snapshot (the disk store opens by
+// having replayed the WAL or loaded a snapshot (the node store opens by
 // root hash).
 func TestOpenDirDiskStore(t *testing.T) {
 	dir := t.TempDir()
-	opts := spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1,
-		Store: spitz.StoreDisk, NodeCacheMB: 4}
+	opts := spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1, NodeCacheMB: 4}
 	db, err := spitz.OpenDir(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -429,12 +428,12 @@ func TestOpenDirDiskStore(t *testing.T) {
 	}
 }
 
-// TestOpenClusterDiskStore runs every shard on the disk store and
+// TestOpenClusterDiskStore runs every shard on a small node cache and
 // requires each shard's digest to survive checkpoint + reopen.
 func TestOpenClusterDiskStore(t *testing.T) {
 	dir := t.TempDir()
 	opts := spitz.ClusterOptions{Shards: 3, Sync: spitz.SyncAlways,
-		CheckpointInterval: -1, Store: spitz.StoreDisk, NodeCacheMB: 2}
+		CheckpointInterval: -1, NodeCacheMB: 2}
 	db, err := spitz.OpenCluster(dir, opts)
 	if err != nil {
 		t.Fatal(err)

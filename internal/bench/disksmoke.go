@@ -9,10 +9,9 @@ import (
 	"spitz/internal/wire"
 )
 
-// DiskSmoke is the disk-native node store workload CI runs: a sharded
-// cluster and a replicated primary, both on `-store disk` with the
-// minimum 1 MiB node-cache budget so nearly every proof path faults in
-// from segment files. It exercises write churn with demotions, verified
+// DiskSmoke is the durable workload CI runs: a sharded cluster and a
+// replicated primary, both with the minimum 1 MiB node-cache budget so
+// nearly every proof path faults in from node-store segment files. It exercises write churn with demotions, verified
 // reads, an incremental checkpoint, a clean close, a kill without close,
 // and requires digest continuity — the exact pre-shutdown cluster root —
 // across both reopen paths, with every read proof-verified throughout.
@@ -32,7 +31,6 @@ func diskSmokeCluster(dir string) error {
 		Shards:             2,
 		Sync:               spitz.SyncAlways,
 		CheckpointInterval: -1,
-		Store:              spitz.StoreDisk,
 		NodeCacheMB:        1,
 	}
 	db, err := spitz.OpenCluster(dir, copts)
@@ -138,7 +136,6 @@ func diskSmokeReplica(dir string) error {
 	db, err := spitz.OpenDir(dir, spitz.Options{
 		Sync:               spitz.SyncAlways,
 		CheckpointInterval: -1, // keep the whole log so the replica bootstraps from it
-		Store:              spitz.StoreDisk,
 		NodeCacheMB:        1,
 	})
 	if err != nil {

@@ -1,9 +1,13 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,26 +17,14 @@ import (
 	"spitz/internal/cas"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
-	"spitz/internal/ledger"
 	"spitz/internal/wal"
 )
 
-func diskOpts(o Options) Options {
-	o.Store = StoreDisk
-	if o.NodeCacheMB == 0 {
-		o.NodeCacheMB = 8
-	}
-	return noAutoCkpt(o)
-}
-
 func TestDiskStoreRoundTripReopen(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.StoreKind() != StoreDisk || m.NodeStore() == nil {
-		t.Fatalf("store kind = %v, node store = %v", m.StoreKind(), m.NodeStore())
 	}
 	commitN(t, m.Engine(), 0, 10)
 	digest := m.Engine().Digest()
@@ -43,7 +35,7 @@ func TestDiskStoreRoundTripReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -78,7 +70,7 @@ func TestDiskStoreRoundTripReopen(t *testing.T) {
 
 func TestDiskCrashWithoutCloseReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +79,7 @@ func TestDiskCrashWithoutCloseReplaysWAL(t *testing.T) {
 	// Crash: no Checkpoint, no Close. Nothing reached the node store —
 	// recovery must come entirely from the WAL.
 
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -102,7 +94,7 @@ func TestDiskCrashWithoutCloseReplaysWAL(t *testing.T) {
 
 func TestDiskCheckpointThenCrashReplaysTail(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +106,7 @@ func TestDiskCheckpointThenCrashReplaysTail(t *testing.T) {
 	digest := m.Engine().Digest()
 	// Crash without Close: blocks 6..9 exist only in the WAL.
 
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -133,7 +125,7 @@ func TestDiskCheckpointThenCrashReplaysTail(t *testing.T) {
 
 func TestDiskHistorySurvivesCheckpointReopen(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +150,7 @@ func TestDiskHistorySurvivesCheckpointReopen(t *testing.T) {
 
 	// Demoted versions for gen0..gen2 came back through the VLOG (gen3's
 	// demotion rides the WAL tail); both sources overlap and dedup.
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +171,7 @@ func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
 	for _, stage := range []string{"vlog", "flush"} {
 		t.Run("crash-after-"+stage, func(t *testing.T) {
 			dir := t.TempDir()
-			m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+			m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +189,7 @@ func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
 			// unnamed nodes and duplicate VLOG entries are orphans the
 			// replay deduplicates.
 
-			m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+			m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
@@ -230,7 +222,7 @@ func TestDiskCheckpointFlushRacesCommits(t *testing.T) {
 	for _, stage := range []string{"vlog", "flush", "none"} {
 		t.Run("crash-after-"+stage, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := diskOpts(Options{Sync: wal.SyncAlways, NodeCacheMB: 1})
+			opts := noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 1})
 			m, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -305,9 +297,13 @@ func TestDiskCheckpointFlushRacesCommits(t *testing.T) {
 	}
 }
 
+// TestDiskStoreMarkerIsAuthoritative: every new data directory is the
+// node store, whatever the deprecated Store option says — marked, with
+// no checkpoints/ tree — and the marker, not the option, decides how it
+// reopens.
 func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,67 +315,33 @@ func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got, err := os.ReadFile(filepath.Join(dir, storeMarkerName)); err != nil || string(got) != storeMarkerBody {
+		t.Fatalf("a new data directory is marked %q, %v", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Fatalf("a new data directory holds checkpoints/ (stat err %v)", err)
+	}
 
-	// Asking for the memory store on a disk-store directory still opens
-	// disk: the marker, not the flag, decides.
-	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: StoreMemory}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: StoreDisk}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if m2.StoreKind() != StoreDisk {
-		t.Fatalf("store kind = %v, want disk", m2.StoreKind())
-	}
 	if got := m2.Engine().Digest(); got != digest {
 		t.Fatalf("digest = %+v, want %+v", got, digest)
 	}
 }
 
-// TestOldFormatsRefusedByName: data written before tree leaves carried
-// group digests hashes to other digests under this build. A disk store
-// with the v1 or v2 marker and a memory-store directory whose checkpoint is
-// a version-1 or version-2 snapshot are each refused with a format-version
-// error naming the version found and the one this build reads — not
-// opened to a different digest, and not reported as corruption — and the
-// refusal leaves the directory as it was.
+// TestOldFormatsRefusedByName: data this build does not read is refused
+// with a format-version error that names what it found — not opened to a
+// different digest or to an empty database, and not reported as
+// corruption — and the refusal leaves the directory as it was. A node
+// store with the v1 or v2 marker holds leaves that hash to other digests;
+// a memory-store directory (a MANIFEST, checkpoints/ or a non-empty wal/
+// without a marker) holds its state in a snapshot this build no longer
+// checkpoints to or recovers from.
 func TestOldFormatsRefusedByName(t *testing.T) {
 	t.Run("disk store", func(t *testing.T) {
-		dir := t.TempDir()
-		m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		commitN(t, m.Engine(), 0, 3)
-		if err := m.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		marker := filepath.Join(dir, storeMarkerName)
-		if got, err := os.ReadFile(marker); err != nil || string(got) != "spitz-store-v3\ndisk\n" {
-			t.Fatalf("a new disk store is marked %q, %v", got, err)
-		}
-		for _, version := range []string{"spitz-store-v1", "spitz-store-v2"} {
-			old := []byte(version + "\ndisk\n")
-			if err := os.WriteFile(marker, old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			for _, kind := range []StoreKind{StoreDisk, StoreMemory} {
-				_, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Store: kind}))
-				if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
-					t.Fatalf("open of a %s disk store as %v: err = %v, want ErrStoreVersion", version, kind, err)
-				}
-				if !strings.Contains(err.Error(), "holds a "+version) || !strings.Contains(err.Error(), "reads spitz-store-v3") {
-					t.Fatalf("error does not name both versions: %v", err)
-				}
-			}
-			if got, _ := os.ReadFile(marker); string(got) != string(old) {
-				t.Fatalf("the refused open rewrote the marker to %q", got)
-			}
-		}
-	})
-	t.Run("memory store checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 		if err != nil {
@@ -392,50 +354,124 @@ func TestOldFormatsRefusedByName(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		snaps, err := filepath.Glob(filepath.Join(dir, ckptDirName, "*.snap"))
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("checkpoints: %v %v", snaps, err)
-		}
-		raw, err := os.ReadFile(snaps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(raw), "SPITZSNAP3") {
-			t.Fatalf("a new checkpoint starts %q", raw[:10])
-		}
-		for _, magic := range []string{"SPITZSNAP1", "SPITZSNAP2"} {
-			if err := os.WriteFile(snaps[0], append([]byte(magic), raw[10:]...), 0o644); err != nil {
+		marker := filepath.Join(dir, storeMarkerName)
+		for _, version := range []string{"spitz-store-v1", "spitz-store-v2"} {
+			if err := os.WriteFile(marker, []byte(version+"\ndisk\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err = Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
-			if !errors.Is(err, ledger.ErrSnapshotVersion) || errors.Is(err, cas.ErrCorrupt) || !strings.Contains(err.Error(), magic) {
-				t.Fatalf("open over a %s checkpoint: err = %v, want ErrSnapshotVersion", magic, err)
+			before := dirContents(t, dir)
+			_, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+			if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
+				t.Fatalf("open of a %s disk store: err = %v, want ErrStoreVersion", version, err)
 			}
+			if !strings.Contains(err.Error(), "holds a "+version) || !strings.Contains(err.Error(), "reads spitz-store-v3") {
+				t.Fatalf("error does not name both versions: %v", err)
+			}
+			if !maps.Equal(dirContents(t, dir), before) {
+				t.Fatalf("the refused open of a %s disk store changed the directory", version)
+			}
+		}
+	})
+	t.Run("memory store", func(t *testing.T) {
+		for _, row := range []struct {
+			name                string
+			manifest, ckpt, wal bool
+		}{
+			{"checkpoint and wal", true, true, true},
+			{"wal only", false, false, true},
+			{"checkpoints only", false, true, false},
+			{"manifest only", true, false, false},
+		} {
+			t.Run(row.name, func(t *testing.T) {
+				dir := t.TempDir()
+				writeMemoryStoreLayout(t, dir, row.manifest, row.ckpt, row.wal)
+				before := dirContents(t, dir)
+				m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+				if err == nil {
+					m.Close()
+					t.Fatalf("a memory-store directory opened at height %d; want a refusal", m.Engine().Ledger().Height())
+				}
+				if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) ||
+					!strings.Contains(err.Error(), "memory-store database") || !strings.Contains(err.Error(), "no longer opens") {
+					t.Fatalf("err = %v, want ErrStoreVersion naming a memory-store database", err)
+				}
+				if !maps.Equal(dirContents(t, dir), before) {
+					t.Fatal("the refused open changed the directory")
+				}
+			})
 		}
 	})
 }
 
-func TestDiskRefusesMemoryStoreDirectory(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+// writeMemoryStoreLayout lays out what a build with the memory store left
+// in a data directory after three blocks: a MANIFEST naming a snapshot
+// checkpoint, the checkpoint under checkpoints/, and the WAL.
+func writeMemoryStoreLayout(t *testing.T, dir string, manifest, ckpt, walRecs bool) {
+	t.Helper()
+	src := core.New(core.Options{})
+	sink := &captureSink{}
+	src.SetCommitSink(sink)
+	commitN(t, src, 0, 3)
+	const snap = "ckpt-0000000000000003.snap"
+	if manifest {
+		body := "spitz-manifest-v1\ncheckpoint " + snap + "\nheight 3\n"
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ckpt {
+		var buf bytes.Buffer
+		if err := src.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoints", snap), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if walRecs {
+		log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range sink.seen {
+			if _, err := log.Append(EncodeRecord(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirContents maps every path under dir to its bytes (directories to "/").
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[path] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitN(t, m.Engine(), 0, 3)
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways})); err == nil {
-		t.Fatal("disk open of a memory-store directory succeeded; want refusal")
-	}
+	return out
 }
 
 func TestDiskCorruptHeaderChainDetected(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +485,7 @@ func TestDiskCorruptHeaderChainDetected(t *testing.T) {
 
 	flipBlockHeaderByte(t, filepath.Join(dir, nodesDirName))
 
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err == nil {
 		m2.Close()
 		t.Fatal("open served a bit-flipped header chain; want verification failure")
@@ -504,7 +540,7 @@ func flipBlockHeaderByte(t *testing.T, nodesDir string) {
 
 func TestDiskTinyCacheServesFullKeyspace(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways, NodeCacheMB: 64}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +562,7 @@ func TestDiskTinyCacheServesFullKeyspace(t *testing.T) {
 
 	// Reopen with the minimum cache budget: every proof path faults in
 	// from the segment files and still verifies.
-	m2, err := Open(dir, diskOpts(Options{Sync: wal.SyncAlways, NodeCacheMB: 1}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,4 +580,145 @@ func TestDiskTinyCacheServesFullKeyspace(t *testing.T) {
 	if cs.Misses == 0 {
 		t.Fatalf("expected cache misses under a 1MB budget, stats %+v", cs)
 	}
+}
+
+// TestVLogDamage: a crash mid-append can tear only the VLOG's final
+// frame, so only the final frame is truncated. Damage before it — a
+// flipped byte in the first of two frames, or a frame whose CRC holds but
+// whose entry count no frame could carry — fails the open and leaves the
+// file as it was, instead of silently dropping demoted versions.
+func TestVLogDamage(t *testing.T) {
+	build := func(t *testing.T) (vlogPath string, data []byte, frame1End int) {
+		t.Helper()
+		dir := t.TempDir()
+		m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two checkpoints with demotions: gen0-1 in frame 1, gen2-4 in frame 2.
+		for gen := 0; gen < 6; gen++ {
+			if _, err := m.Engine().Apply("upd", []core.Put{
+				{Table: "t", Column: "c", PK: []byte("k"), Value: []byte(fmt.Sprintf("gen%d", gen))},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if gen == 2 || gen == 5 {
+				if err := m.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		vlogPath = filepath.Join(dir, vlogName)
+		if data, err = os.ReadFile(vlogPath); err != nil {
+			t.Fatal(err)
+		}
+		frame1End = 8 + int(binary.LittleEndian.Uint32(data))
+		if frame1End >= len(data) {
+			t.Fatalf("VLOG holds one frame of %d bytes; want two", len(data))
+		}
+		return vlogPath, data, frame1End
+	}
+	refused := func(t *testing.T, vlogPath string, damaged []byte) {
+		t.Helper()
+		if err := os.WriteFile(vlogPath, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(filepath.Dir(vlogPath), noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if err == nil {
+			hist, _ := m.Engine().History("t", "c", []byte("k"))
+			m.Close()
+			t.Fatalf("a damaged VLOG opened with %d versions of k; want an error", len(hist))
+		}
+		if got, _ := os.ReadFile(vlogPath); !bytes.Equal(got, damaged) {
+			t.Fatalf("the refused open rewrote the VLOG (%d bytes, was %d)", len(got), len(damaged))
+		}
+	}
+
+	t.Run("flip in frame 1 of 2", func(t *testing.T) {
+		vlogPath, data, frame1End := build(t)
+		data[frame1End-1] ^= 0x01
+		refused(t, vlogPath, data)
+	})
+	t.Run("entry count no frame holds", func(t *testing.T) {
+		vlogPath, data, _ := build(t)
+		payload := binary.AppendUvarint(nil, 1<<50)
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, vlogCRCTable))
+		refused(t, vlogPath, append(data, append(frame, payload...)...))
+	})
+	t.Run("torn final frame", func(t *testing.T) {
+		vlogPath, data, frame1End := build(t)
+		if err := os.WriteFile(vlogPath, data[:len(data)-3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(filepath.Dir(vlogPath), noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if err != nil {
+			t.Fatalf("open over a torn final VLOG frame: %v", err)
+		}
+		m.Close()
+		if got, _ := os.ReadFile(vlogPath); !bytes.Equal(got, data[:frame1End]) {
+			t.Fatalf("torn VLOG is %d bytes after open, want frame 1's %d", len(got), frame1End)
+		}
+	})
+}
+
+// TestManifestFieldsMustParse: a MANIFEST field that is missing or does
+// not parse fails the open instead of reading as zero — a height of 0
+// would reopen an empty ledger, a maxtxn of 0 would reuse transaction IDs.
+func TestManifestFieldsMustParse(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, m.Engine(), 0, 3)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct{ key, line string }{
+		{"height", "height x"},
+		{"height", "height -1"},
+		{"maxtxn", "maxtxn x"},
+		{"maxtxn", ""},
+		{"head", "head x"},
+		{"height", "height"},
+	} {
+		var lines []string
+		for _, line := range strings.Split(strings.TrimSpace(string(good)), "\n") {
+			if strings.HasPrefix(line, row.key+" ") {
+				line = row.line
+			}
+			if line != "" {
+				lines = append(lines, line)
+			}
+		}
+		body := strings.Join(lines, "\n") + "\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways})); err == nil {
+			m.Close()
+			t.Fatalf("opened over a manifest reading %q", body)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	checkN(t, m2.Engine(), 3)
 }

@@ -1,36 +1,39 @@
 // Package durable is the persistence layer of Spitz: it pairs the
-// in-memory verifiable engine (internal/core) with a write-ahead log
-// (internal/wal) and periodic snapshot checkpoints so that the
-// tamper-evident history survives a process crash.
+// verifiable engine (internal/core) with a write-ahead log (internal/wal)
+// and a disk-native, content-addressed node store (internal/cas) so that
+// the tamper-evident history survives a process crash.
 //
 // A Manager owns one data directory:
 //
-//	<dir>/MANIFEST      points at the newest durable checkpoint
-//	<dir>/wal/          segmented write-ahead log of committed blocks
-//	<dir>/checkpoints/  full engine snapshots (Engine.WriteSnapshot)
+//	<dir>/STORE     node-store format marker, written once at creation
+//	<dir>/MANIFEST  root pointer: the newest checkpointed head header
+//	<dir>/VLOG      demoted-version index
+//	<dir>/wal/      segmented write-ahead log of committed blocks
+//	<dir>/nodes/    append-only node-store segment files
 //
 // Every committed block is framed into the WAL — statement, writes and
 // the block hash — before the commit is acknowledged (the Manager is the
-// engine's core.CommitSink). Checkpoints stream the engine snapshot to
-// disk in the background and then prune WAL segments the snapshot made
-// redundant. On open, the newest checkpoint is restored and the WAL tail
-// replayed on top; each replayed block must reproduce its logged hash, so
-// recovery is verified end to end — a tampered log or snapshot is
-// rejected, never silently loaded. See FORMAT.md for the on-disk format.
+// engine's core.CommitSink). A checkpoint flushes the nodes written since
+// the previous one, repoints the MANIFEST at the new head and prunes WAL
+// segments it made redundant. On open, the header chain is walked back
+// from the MANIFEST's head, the cell tree is addressed by its root hash,
+// and the WAL tail is replayed on top; each replayed block must reproduce
+// its logged hash, so recovery is verified end to end — a tampered log or
+// store is rejected, never silently loaded. See FORMAT.md for the on-disk
+// format.
 package durable
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spitz/internal/cas"
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 	"spitz/internal/wal"
@@ -75,29 +78,23 @@ type Options struct {
 	CheckpointInterval    time.Duration
 	CheckpointEveryBlocks uint64
 
-	// Store selects the node-store backend (see StoreKind). The choice is
-	// recorded in the data directory on creation and is authoritative from
-	// then on: a disk-store database always reopens as disk.
-	Store StoreKind
-	// NodeCacheMB bounds the disk store's in-memory body cache (clean
+	// NodeCacheMB bounds the node store's in-memory body cache (clean
 	// bodies plus the dirty write-back set), in MiB. Zero means the 64 MiB
-	// default. Ignored for StoreMemory.
+	// default.
 	NodeCacheMB int
-}
 
-const (
-	manifestName   = "MANIFEST"
-	manifestMagic  = "spitz-manifest-v1"
-	walDirName     = "wal"
-	ckptDirName    = "checkpoints"
-	ckptNameFormat = "ckpt-%016d.snap"
-)
+	// Deprecated: every data directory is the disk-native node store, so
+	// Store is ignored; the field stays for the frozen benchmark module.
+	Store StoreKind
+}
 
 // ClusterMarkerName is the file a sharded cluster (internal/server)
 // writes at the top of its data directory. durable refuses to open such
 // a directory as a single-engine database; the name lives here so the
 // cluster layer and every layout guard agree on one spelling.
 const ClusterMarkerName = "CLUSTER"
+
+var errCkptCrashed = fmt.Errorf("durable: simulated checkpoint crash")
 
 // Manager ties an engine to its data directory. Obtain the engine with
 // Engine(); all reads and commits go through it as usual — the Manager
@@ -107,14 +104,11 @@ type Manager struct {
 	opts Options
 	eng  *core.Engine
 	log  *wal.Log
-
-	// Disk-store state (nil/zero for StoreMemory): the node store whose
-	// Flush is the incremental-checkpoint primitive, and the VLOG holding
-	// the persisted demoted-version index.
-	storeKind StoreKind
+	// nodes is the node store whose Flush is the checkpoint primitive;
+	// vlog persists the demoted-version index beside it.
 	nodes     *cas.Disk
 	vlog      *vlog
-	ckptCrash func(stage string) bool // test hook: true aborts checkpointDisk after stage
+	ckptCrash func(stage string) bool // test hook: true aborts Checkpoint after stage
 
 	// seqOff maps ledger heights to WAL sequence numbers: every record is
 	// exactly one block, appended in ledger order, so seq(h) = h + seqOff
@@ -135,10 +129,13 @@ type Manager struct {
 }
 
 // Open opens (creating if needed) the database in dir and recovers it:
-// restore the newest checkpoint, replay the WAL tail with per-block hash
-// verification, and resume logging. A torn final WAL record — the
-// signature of a crash mid-append — is truncated; any other damage is a
-// hard error.
+// open the node store, walk the header chain back from the MANIFEST's
+// head, load the VLOG version index, address the cell tree at its root,
+// and replay the WAL tail with per-block hash verification. No state is
+// scanned — the first verified read faults in only its O(log n) proof
+// path. A torn final WAL record — the signature of a crash mid-append —
+// is truncated; any other damage is a hard error, and a directory in a
+// format this build does not read is refused untouched.
 func Open(dir string, opts Options) (*Manager, error) {
 	if opts.CheckpointInterval == 0 && opts.CheckpointEveryBlocks == 0 {
 		opts.CheckpointInterval = time.Minute
@@ -158,36 +155,50 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kind, err := resolveStoreKind(dir, opts.Store)
+	if err := checkLayout(dir); err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
+		return nil, err
+	}
+	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	if kind == StoreDisk {
-		return openDisk(dir, opts)
-	}
-	for _, d := range []string{dir, filepath.Join(dir, walDirName), filepath.Join(dir, ckptDirName)} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	ckptName, _, haveCkpt, err := readManifest(dir)
+	nodes, err := cas.OpenDisk(filepath.Join(dir, nodesDirName), cas.DiskOptions{
+		CacheBytes: int64(opts.NodeCacheMB) << 20,
+	})
 	if err != nil {
 		return nil, err
 	}
+	fail := func(err error) (*Manager, error) {
+		nodes.Close()
+		return nil, err
+	}
+
 	log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{
 		Policy:      opts.Sync,
 		Interval:    opts.SyncInterval,
 		SegmentSize: opts.SegmentSize,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-
-	// Decode the whole WAL tail up front: its length is bounded by the
+	failLog := func(err error) (*Manager, error) {
+		log.Close()
+		return fail(err)
+	}
+	// Decode the WAL tail up front: its length is bounded by the
 	// checkpoint cadence, and knowing the records before building the
 	// engine keeps recovery a single forward pass.
 	var recs []core.CommitRecord
 	if err := log.Replay(func(seq uint64, payload []byte) error {
+		// Records the manifest already covers replay as no-ops; peeking
+		// the height skips their body decode entirely, keeping a clean
+		// restart's WAL cost proportional to the tail, not the log.
+		if h, err := DecodeRecordHeight(payload); err == nil && h < man.height {
+			return nil
+		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
@@ -195,8 +206,16 @@ func Open(dir string, opts Options) (*Manager, error) {
 		recs = append(recs, rec)
 		return nil
 	}); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("durable: %w", err)
+		return failLog(fmt.Errorf("durable: %w", err))
+	}
+
+	vl, demos, err := openVLog(filepath.Join(dir, vlogName))
+	if err != nil {
+		return failLog(err)
+	}
+	failAll := func(err error) (*Manager, error) {
+		vl.Close()
+		return failLog(err)
 	}
 
 	var orc TimestampSource = opts.Timestamps
@@ -204,28 +223,31 @@ func Open(dir string, opts Options) (*Manager, error) {
 		orc = tso.New(0)
 	}
 	copts := core.Options{
+		Store:            nodes,
 		Mode:             opts.Mode,
 		MaintainInverted: opts.MaintainInverted,
 		Timestamps:       orc,
 		MaxBatchTxns:     opts.MaxBatchTxns,
 		MaxBatchDelay:    opts.MaxBatchDelay,
+		LazyIndex:        true,
 	}
 	var eng *core.Engine
-	if haveCkpt {
-		path := filepath.Join(dir, ckptDirName, ckptName)
-		f, err := os.Open(path)
+	if man.height > 0 {
+		headers, err := walkHeaders(nodes, man.head, man.height)
 		if err != nil {
-			log.Close()
-			return nil, fmt.Errorf("durable: manifest names missing checkpoint: %w", err)
+			return failAll(err)
 		}
-		eng, err = core.Restore(copts, bufio.NewReader(f))
-		f.Close()
+		l, err := ledger.Reopen(nodes, headers, demos)
 		if err != nil {
-			log.Close()
-			return nil, fmt.Errorf("durable: restore checkpoint %s: %w", ckptName, err)
+			return failAll(err)
+		}
+		eng, err = core.NewWithLedger(copts, l, man.maxTxn)
+		if err != nil {
+			return failAll(err)
 		}
 	} else {
 		eng = core.New(copts)
+		eng.Ledger().EnableDemotionLog()
 	}
 	if h, ok := eng.Ledger().Head(); ok {
 		orc.Advance(h.Version)
@@ -233,25 +255,21 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 	height, replayed, err := replayTail(eng, orc, recs)
 	if err != nil {
-		log.Close()
-		return nil, err
+		return failAll(err)
 	}
 
 	m := &Manager{
-		dir:      dir,
-		opts:     opts,
-		eng:      eng,
-		log:      log,
-		seqOff:   log.NextSeq() - height,
-		closing:  make(chan struct{}),
-		loopDone: make(chan struct{}),
-		ckptPoke: make(chan struct{}, 1),
-	}
-	if haveCkpt {
-		// The checkpoint may cover more blocks than its manifest height
-		// (commits racing the snapshot); what matters is it covers at
-		// least everything below the restored height minus the replay.
-		m.ckptHeight = height - uint64(replayed)
+		dir:        dir,
+		opts:       opts,
+		eng:        eng,
+		log:        log,
+		nodes:      nodes,
+		vlog:       vl,
+		seqOff:     log.NextSeq() - height,
+		ckptHeight: man.height,
+		closing:    make(chan struct{}),
+		loopDone:   make(chan struct{}),
+		ckptPoke:   make(chan struct{}, 1),
 	}
 	m.sinceCkpt.Store(uint64(replayed))
 	eng.SetCommitSink(m)
@@ -299,6 +317,10 @@ func (m *Manager) Dir() string { return m.dir }
 // engine.
 func (m *Manager) Log() *wal.Log { return m.log }
 
+// NodeStore returns the disk-backed node store. Benchmarks and tests read
+// its cache statistics.
+func (m *Manager) NodeStore() *cas.Disk { return m.nodes }
+
 // SeqForHeight returns the WAL sequence number of the block at height h.
 func (m *Manager) SeqForHeight(h uint64) uint64 { return h + m.seqOff }
 
@@ -307,7 +329,7 @@ func (m *Manager) HeightForSeq(s uint64) uint64 { return s - m.seqOff }
 
 // WALStats summarizes the write-ahead log for observability: how much of
 // the ledger is durable and what span of it the retained log still holds
-// (everything older lives only in checkpoints).
+// (everything older lives only in the node store).
 type WALStats struct {
 	// DurableHeight is the number of leading ledger blocks known durable
 	// (fsynced) in the log.
@@ -385,162 +407,72 @@ func (m *Manager) checkpointLoop() {
 }
 
 // Checkpoint makes everything committed so far recoverable without the
-// WAL tail, then prunes WAL segments that became redundant. For
-// StoreMemory it streams a full engine snapshot and repoints the
-// MANIFEST at it; for StoreDisk it is incremental — flush dirty nodes,
-// persist new demotions, record the head root (see checkpointDisk).
-// Safe to call at any time, concurrently with commits.
+// WAL tail, then prunes WAL segments that became redundant. It is
+// incremental: append new demotions to the VLOG, flush dirty nodes (only
+// bytes written since the last flush), and atomically repoint the
+// MANIFEST at the new head. The sequencing makes a crash at any point
+// recover to either the old root or the new one, never between. Safe to
+// call at any time, concurrently with commits.
 func (m *Manager) Checkpoint() error {
-	if m.storeKind == StoreDisk {
-		return m.checkpointDisk()
-	}
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
+	if err := m.nodes.Err(); err != nil {
+		return fmt.Errorf("durable: node store failed: %w", err)
+	}
 	height := m.eng.Ledger().Height()
 	if height == 0 || height == m.ckptHeight {
 		return nil
 	}
-	// Sample the WAL position before the snapshot: every record below
-	// keepSeq was committed before the snapshot began and is therefore
-	// covered by it. Records at or above keepSeq may or may not be —
-	// recovery skips duplicates by height, so keeping them is safe.
+	// Sample the WAL position first: every record below keepSeq is
+	// covered by a head at or above height. Records at or above it may or
+	// may not be — recovery skips duplicates by height, so keeping them
+	// is safe.
 	keepSeq := m.log.NextSeq()
-
-	ckptDir := filepath.Join(m.dir, ckptDirName)
-	name := fmt.Sprintf(ckptNameFormat, height)
-	tmp := filepath.Join(ckptDir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	head, err := m.eng.Ledger().Header(height - 1)
 	if err != nil {
 		return err
 	}
-	if err := m.eng.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: checkpoint snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	maxTxn := m.eng.NextTxnID()
+	// Demotions sampled after height may belong to later blocks; replay
+	// after a crash re-demotes them and the version index deduplicates.
+	demos := m.eng.Ledger().PendingDemotions()
+	if err := m.vlog.append(demos); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if m.ckptCrash != nil && m.ckptCrash("vlog") {
+		return errCkptCrashed
+	}
+	if err := m.nodes.Flush(); err != nil {
+		return fmt.Errorf("durable: flush node store: %w", err)
+	}
+	if m.ckptCrash != nil && m.ckptCrash("flush") {
+		return errCkptCrashed
+	}
+	if err := writeManifest(m.dir, manifest{height: height, head: head.Hash(), maxTxn: maxTxn}); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(ckptDir, name)); err != nil {
-		return err
-	}
-	if err := wal.SyncDir(ckptDir); err != nil {
-		return err
-	}
-	if err := writeManifest(m.dir, name, height); err != nil {
-		return err
-	}
+	m.eng.Ledger().ClearDemotions(len(demos))
 	m.ckptHeight = height
 	m.sinceCkpt.Store(0)
-
-	// The MANIFEST now points at the new checkpoint; everything older is
-	// garbage. Failures below cost only disk space, not correctness.
-	entries, err := os.ReadDir(ckptDir)
-	if err == nil {
-		for _, e := range entries {
-			if e.Name() != name && !e.IsDir() {
-				os.Remove(filepath.Join(ckptDir, e.Name()))
-			}
-		}
-	}
 	return m.log.PruneTo(keepSeq)
 }
 
-// Close flushes and closes the WAL and stops background checkpointing.
-// The engine remains readable but further commits will fail; callers
-// should quiesce writers first.
+// Close flushes and closes the WAL and the node store and stops
+// background checkpointing. The engine remains readable but further
+// commits will fail; callers should quiesce writers first.
 func (m *Manager) Close() error {
 	m.closeOnce.Do(func() {
 		close(m.closing)
 		<-m.loopDone
-		m.closeErr = m.log.Close()
-		if m.vlog != nil {
-			if err := m.vlog.Close(); err != nil && m.closeErr == nil {
-				m.closeErr = err
-			}
-		}
-		if m.nodes != nil {
-			// Close flushes the write-back set; data not yet named by the
-			// MANIFEST is still recovered from the WAL on reopen.
-			if err := m.nodes.Close(); err != nil && m.closeErr == nil {
+		// Closing the node store flushes the write-back set; data not yet
+		// named by the MANIFEST is still recovered from the WAL on reopen.
+		for _, closeFn := range []func() error{m.log.Close, m.vlog.Close, m.nodes.Close} {
+			if err := closeFn(); err != nil && m.closeErr == nil {
 				m.closeErr = err
 			}
 		}
 	})
 	return m.closeErr
-}
-
-// readManifest parses <dir>/MANIFEST. ok is false when none exists yet.
-func readManifest(dir string) (ckptName string, height uint64, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return "", 0, false, nil
-	}
-	if err != nil {
-		return "", 0, false, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 1 || lines[0] != manifestMagic {
-		return "", 0, false, fmt.Errorf("durable: bad manifest magic in %s", dir)
-	}
-	for _, line := range lines[1:] {
-		var key, val string
-		if n, _ := fmt.Sscanf(line, "%s %s", &key, &val); n != 2 {
-			continue
-		}
-		switch key {
-		case "checkpoint":
-			ckptName = val
-		case "height":
-			fmt.Sscanf(val, "%d", &height)
-		}
-	}
-	if ckptName == "" {
-		return "", 0, false, fmt.Errorf("durable: manifest in %s names no checkpoint", dir)
-	}
-	if strings.ContainsAny(ckptName, "/\\") {
-		return "", 0, false, fmt.Errorf("durable: manifest checkpoint name %q escapes directory", ckptName)
-	}
-	return ckptName, height, true, nil
-}
-
-// writeManifest atomically replaces <dir>/MANIFEST (tmp + rename + dir
-// fsync), so a crash leaves either the old or the new manifest, never a
-// torn one.
-func writeManifest(dir, ckptName string, height uint64) error {
-	return writeManifestBody(dir, fmt.Sprintf("%s\ncheckpoint %s\nheight %d\n", manifestMagic, ckptName, height))
-}
-
-func writeManifestBody(dir, body string) error {
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(body); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return wal.SyncDir(dir)
 }
 
 // Compile-time interface check.

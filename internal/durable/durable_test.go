@@ -18,7 +18,7 @@ import (
 )
 
 // noAutoCkpt disables background checkpointing so tests control exactly
-// when snapshots happen.
+// when checkpoints happen.
 func noAutoCkpt(o Options) Options {
 	o.CheckpointInterval = -1
 	return o
@@ -243,6 +243,10 @@ func TestCheckpointPrunesWAL(t *testing.T) {
 	checkN(t, m2.Engine(), 30)
 }
 
+// TestCheckpointReplacesPredecessor: a checkpoint is one root pointer,
+// not a file per checkpoint — the MANIFEST names the newest head and
+// nothing of its predecessor (no temp file, no checkpoints/ tree) is
+// left beside it.
 func TestCheckpointReplacesPredecessor(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
@@ -258,15 +262,21 @@ func TestCheckpointReplacesPredecessor(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, ckptDirName))
+	man, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("%d checkpoint files on disk, want 1", len(entries))
+	head, err := m.Engine().Ledger().Header(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entries[0].Name() != fmt.Sprintf(ckptNameFormat, 6) {
-		t.Fatalf("surviving checkpoint = %s", entries[0].Name())
+	if man.height != 6 || man.head != head.Hash() {
+		t.Fatalf("manifest names height %d head %s, want 6 %s", man.height, man.head.Short(), head.Hash().Short())
+	}
+	for _, stray := range []string{manifestName + ".tmp", "checkpoints"} {
+		if _, err := os.Stat(filepath.Join(dir, stray)); !os.IsNotExist(err) {
+			t.Fatalf("%s beside the manifest (stat err %v)", stray, err)
+		}
 	}
 }
 
@@ -662,6 +672,13 @@ func TestLegacyV1WALReplays(t *testing.T) {
 
 	// Write them as v1 frames into a fresh data directory's WAL.
 	dir := t.TempDir()
+	fresh, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
 	log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)

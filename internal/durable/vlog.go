@@ -21,8 +21,10 @@ import (
 //	payload := count uvarint | entry*
 //	entry   := refLen uvarint | ref | version uvarint | object [32]byte
 //
-// Recovery reads every frame; a torn final frame (crash mid-append) is
-// truncated, any other damage is a hard error. Entries may duplicate
+// Recovery reads every frame. Only the final frame — one whose header is
+// short or whose claimed extent reaches the end of the file — can be torn
+// by a crash mid-append, and it is truncated; damage in any frame before
+// it is a hard error that leaves the file as it was. Entries may duplicate
 // demotions that the WAL tail will replay — the ledger's version index
 // deduplicates on insert — so the append-then-manifest ordering is safe
 // under a crash at any point.
@@ -31,7 +33,12 @@ type vlog struct {
 	f    *os.File
 }
 
-const maxVLogFrame = 1 << 28
+const (
+	maxVLogFrame = 1 << 28
+	// minVLogEntry is the smallest entry: an empty ref (one length byte),
+	// a one-byte version and the object digest.
+	minVLogEntry = 2 + hashutil.DigestSize
+)
 
 var vlogCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -47,12 +54,15 @@ func openVLog(path string) (*vlog, []ledger.VersionEntry, error) {
 	for pos+8 <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[pos:]))
 		crc := binary.LittleEndian.Uint32(data[pos+4:])
-		if n > maxVLogFrame || pos+8+n > len(data) {
+		if pos+8+n > len(data) {
 			break // torn tail
 		}
 		payload := data[pos+8 : pos+8+n]
-		if crc32.Checksum(payload, vlogCRCTable) != crc {
-			break // torn tail
+		if n > maxVLogFrame || crc32.Checksum(payload, vlogCRCTable) != crc {
+			if pos+8+n == len(data) {
+				break // torn tail
+			}
+			return nil, nil, fmt.Errorf("durable: vlog frame at %d of %d bytes is damaged and not the final frame", pos, len(data))
 		}
 		dec, err := decodeVLogFrame(payload)
 		if err != nil {
@@ -81,6 +91,11 @@ func decodeVLogFrame(payload []byte) ([]ledger.VersionEntry, error) {
 		return nil, fmt.Errorf("bad entry count")
 	}
 	rest := payload[k:]
+	// The count is read from disk: bound it by what the frame can hold
+	// before allocating for it.
+	if count > uint64(len(rest)/minVLogEntry) {
+		return nil, fmt.Errorf("entry count %d exceeds what %d bytes hold", count, len(rest))
+	}
 	out := make([]ledger.VersionEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		refLen, k1 := binary.Uvarint(rest)

@@ -53,9 +53,8 @@ type Options struct {
 	SegmentSize           int64
 	CheckpointInterval    time.Duration
 	CheckpointEveryBlocks uint64
-	// Store and NodeCacheMB select and bound each shard's node-store
-	// backend (see durable.Options); the cache budget applies per shard.
-	Store       durable.StoreKind
+	// NodeCacheMB bounds each shard's node-store cache (see
+	// durable.Options).
 	NodeCacheMB int
 }
 
@@ -91,9 +90,9 @@ func IsClusterDir(dir string) bool {
 }
 
 // Open creates or reopens a cluster. For durable clusters every shard
-// recovers independently: newest checkpoint restored, WAL tail replayed
-// with per-block hash verification, and the shared clock advanced past
-// every replayed version.
+// recovers independently: state addressed at its checkpointed root, WAL
+// tail replayed with per-block hash verification, and the shared clock
+// advanced past every replayed version.
 func Open(opts Options) (*Cluster, error) {
 	if opts.Dir != "" {
 		recorded, have, err := readClusterManifest(opts.Dir)
@@ -150,7 +149,6 @@ func Open(opts Options) (*Cluster, error) {
 				SegmentSize:           opts.SegmentSize,
 				CheckpointInterval:    opts.CheckpointInterval,
 				CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-				Store:                 opts.Store,
 				NodeCacheMB:           opts.NodeCacheMB,
 			})
 			if err != nil {

@@ -4,10 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"spitz/internal/core"
+	"spitz/internal/durable"
 	"spitz/internal/twopc"
 	"spitz/internal/txn"
 	"spitz/internal/wal"
@@ -339,6 +344,57 @@ func TestClusterShardCountMismatchRejected(t *testing.T) {
 	c.Close()
 	if _, err := Open(Options{Shards: 4, Dir: dir}); err == nil {
 		t.Fatal("reopening a 2-shard cluster as 4 shards must fail")
+	}
+}
+
+// TestClusterRefusesMemoryStoreShards: a cluster whose shard directories
+// hold memory-store databases (a MANIFEST naming a snapshot checkpoint,
+// checkpoints/ and a WAL, no STORE marker) is refused by name, like a
+// single-engine one, and the refusal leaves every file as it was.
+func TestClusterRefusesMemoryStoreShards(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		clusterManifest: clusterMagic + "\nshards 2\n",
+	}
+	for i := 0; i < 2; i++ {
+		shard := shardDirName(i)
+		files[filepath.Join(shard, "MANIFEST")] = "spitz-manifest-v1\ncheckpoint ckpt-0000000000000001.snap\nheight 1\n"
+		files[filepath.Join(shard, "checkpoints", "ckpt-0000000000000001.snap")] = "SPITZSNAP3"
+		files[filepath.Join(shard, "wal", "00000000000000000001.wal")] = "\x00"
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(Options{Dir: dir, CheckpointInterval: -1})
+	if err == nil {
+		c.Close()
+		t.Fatal("a cluster of memory-store shards opened; want a refusal")
+	}
+	if !errors.Is(err, durable.ErrStoreVersion) || !strings.Contains(err.Error(), "memory-store database") {
+		t.Fatalf("err = %v, want ErrStoreVersion naming a memory-store database", err)
+	}
+	n := 0
+	if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if got, err := os.ReadFile(path); err != nil || string(got) != files[rel] {
+			t.Errorf("%s after the refused open: %q, %v (want %q)", rel, got, err, files[rel])
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(files) {
+		t.Fatalf("%d files after the refused open, want %d", n, len(files))
 	}
 }
 

@@ -179,44 +179,21 @@ type Options struct {
 	// WALSegmentSize caps write-ahead log segment files (default 64 MiB).
 	WALSegmentSize int64
 
-	// Store selects the node-store backend: StoreMemory (the default)
-	// keeps the CAS in RAM and checkpoints stream full snapshots;
-	// StoreDisk backs it with segment files behind a bounded write-back
-	// cache, checkpoints incrementally, and reopens by root hash — a
-	// restart pays O(height) header reads instead of loading all state.
-	// The choice is recorded in the data directory on creation and is
-	// authoritative on later opens.
-	Store StoreKind
-	// NodeCacheMB bounds the disk store's node cache in MiB (default 64,
-	// minimum 1). Ignored for StoreMemory.
+	// NodeCacheMB bounds the node store's cache in MiB (default 64,
+	// minimum 1).
 	NodeCacheMB int
+
+	// Deprecated: every data directory is the disk-native node store, so
+	// Store is ignored; the field stays for the frozen benchmark module.
+	Store StoreKind
 }
 
-// StoreKind selects the node-store backend for Options.Store.
+// Deprecated: there is one node store; the name stays for the frozen
+// benchmark module.
 type StoreKind = durable.StoreKind
 
-// Node-store backends.
-const (
-	// StoreMemory keeps all nodes in RAM (the default).
-	StoreMemory = durable.StoreMemory
-	// StoreDisk keeps nodes in append-only segment files behind a
-	// bounded write-back cache.
-	StoreDisk = durable.StoreDisk
-)
-
-// ParseStoreKind parses the command-line spellings "mem" and "disk".
-func ParseStoreKind(s string) (StoreKind, error) { return durable.ParseStoreKind(s) }
-
-// StoreKind reports the node-store backend this database resolved to.
-// It can differ from Options.Store: a directory's STORE marker is
-// authoritative, so a disk-store database reopens as disk no matter
-// what the caller asked for.
-func (db *DB) StoreKind() StoreKind {
-	if db.dur == nil {
-		return StoreMemory
-	}
-	return db.dur.StoreKind()
-}
+// Deprecated: see StoreKind.
+const StoreDisk = durable.StoreDisk
 
 // DB is an embedded Spitz database. Safe for concurrent use.
 type DB struct {
@@ -253,11 +230,13 @@ func (opts Options) memoryEngine() core.Options {
 }
 
 // OpenDir opens (creating if needed) a durable verifiable database in
-// dir. Every commit is written ahead to a log before it is acknowledged,
-// checkpoints stream snapshots in the background, and a crash recovers on
-// the next OpenDir: the newest checkpoint is restored and the log tail
-// replayed with per-block hash verification, so clients' saved digests
-// keep verifying across the restart. Call Close when done.
+// dir. State lives in a disk-native node store behind a bounded cache.
+// Every commit is written ahead to a log before it is acknowledged,
+// checkpoints flush new nodes and record the head's root in the
+// background, and a crash recovers on the next OpenDir: the state is
+// addressed by the checkpointed root and the log tail replayed with
+// per-block hash verification, so clients' saved digests keep verifying
+// across the restart. Call Close when done.
 func OpenDir(dir string, opts Options) (*DB, error) {
 	m, err := durable.Open(dir, durable.Options{
 		Mode:                  opts.Mode,
@@ -269,7 +248,6 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 		SegmentSize:           opts.WALSegmentSize,
 		CheckpointInterval:    opts.CheckpointInterval,
 		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		Store:                 opts.Store,
 		NodeCacheMB:           opts.NodeCacheMB,
 	})
 	if err != nil {
@@ -288,7 +266,7 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Checkpoint forces a durable snapshot now instead of waiting for the
+// Checkpoint forces a checkpoint now instead of waiting for the
 // background cadence, shrinking both recovery time and the write-ahead
 // log. It is a no-op for in-memory databases.
 func (db *DB) Checkpoint() error {
