@@ -368,9 +368,15 @@ func printNodeStore(metrics []spitz.Metric) {
 	if hits+misses > 0 {
 		rate = 100 * hits / (hits + misses)
 	}
-	fmt.Printf("node store: cached=%.1fMiB dirty=%.1fMiB hits=%.0f misses=%.0f (%.1f%% hit) evictions=%.0f flushes=%.0f spills=%.0f read=%.1fMiB written=%.1fMiB\n",
+	// A cold leaf has its groups hashed as reads use them, not whole.
+	leafMisses, groups := vals["leaf_misses_total"], vals["leaf_groups_checked_total"]
+	perMiss := 0.0
+	if leafMisses > 0 {
+		perMiss = groups / leafMisses
+	}
+	fmt.Printf("node store: cached=%.1fMiB dirty=%.1fMiB hits=%.0f misses=%.0f (%.1f%% hit) leaf-misses=%.0f groups-checked=%.0f (%.2f/miss) evictions=%.0f flushes=%.0f spills=%.0f read=%.1fMiB written=%.1fMiB\n",
 		vals["cache_bytes"]/(1<<20), vals["dirty_bytes"]/(1<<20),
-		hits, misses, rate,
+		hits, misses, rate, leafMisses, groups, perMiss,
 		vals["cache_evictions_total"], vals["flushes_total"], vals["spills_total"],
 		readB/(1<<20), writtenB/(1<<20))
 }

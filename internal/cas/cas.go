@@ -43,6 +43,12 @@ type Store interface {
 	Has(d hashutil.Digest) bool
 	// Stats returns storage accounting for the store.
 	Stats() Stats
+	// CheckGroups checks the groups of the stored POS-tree leaf d, whose
+	// body Get returned, that hold its entries lo through hi. Get binds a
+	// leaf's table to d; no entry is returned, shipped or hashed into a new
+	// commitment before its group is checked. What the store vouches for is
+	// not hashed; a mismatch is ErrCorrupt.
+	CheckGroups(d hashutil.Digest, body []byte, lo, hi int) error
 }
 
 // Stats describes the physical utilization of a Store.
@@ -74,9 +80,9 @@ func (s Stats) SavingsRatio() float64 {
 // its entries (see internal/posleaf), so that a proof can ship a few
 // entries of a leaf and still hash to the address its parent holds. Put
 // trusts the writer to have built the table of group roots the address is
-// computed from; bytes that come back from a disk or arrive from a peer
-// are checked with Intact. A body stored under the leaf domain that is not a leaf is
-// addressed like any other object.
+// computed from; a leaf's groups are checked where they are used
+// (Store.CheckGroups). A body stored under the leaf domain that is not a
+// leaf is addressed like any other object.
 func Address(domain byte, data []byte) hashutil.Digest {
 	if domain == hashutil.DomainPOSLeaf {
 		if l, err := posleaf.Parse(data); err == nil {
@@ -86,17 +92,29 @@ func Address(domain byte, data []byte) hashutil.Digest {
 	return hashutil.Sum(domain, data)
 }
 
-// Intact reports whether data is, byte for byte, the object that d
-// addresses: for a leaf, the table hashes up to d and every group's entries
-// hash to its root in the table.
-func Intact(domain byte, data []byte, d hashutil.Digest) bool {
-	if domain == hashutil.DomainPOSLeaf {
-		if l, err := posleaf.Parse(data); err == nil {
-			got, err := l.Verify()
-			return err == nil && got == d
-		}
+// CopyTracker is implemented by stores that hold leaf bodies they do not
+// vouch for whole (Disk, Fault). A leaf written with groups copied by root
+// (posleaf.Writer.Copy) is vouched for in those groups no more than its
+// source: a damaged group propagates under its genuine root and fails the
+// first check of it in the new leaf.
+type CopyTracker interface {
+	// CopiedGroups says that leaf d, just stored as body, took its n
+	// entries from position at group by group from those of src (whose body
+	// Get returned as srcBody) from position pos.
+	CopiedGroups(d hashutil.Digest, body []byte, at int, src hashutil.Digest, srcBody []byte, pos, n int)
+}
+
+// checkGroups hashes groups [from, to) of the stored leaf body d addresses
+// against its table.
+func checkGroups(d hashutil.Digest, body []byte, from, to int) error {
+	l, err := posleaf.Parse(body)
+	if err == nil {
+		err = l.CheckGroups(from, to)
 	}
-	return hashutil.Sum(domain, data) == d
+	if err != nil {
+		return fmt.Errorf("%w: %s groups %d–%d", ErrCorrupt, d.Short(), from, to-1)
+	}
+	return nil
 }
 
 // Memory is an in-memory Store implementation.
@@ -179,6 +197,10 @@ func (m *Memory) Stats() Stats {
 	defer m.mu.RUnlock()
 	return m.stats
 }
+
+// CheckGroups implements Store: a memory store holds only bodies written
+// by this process or verified whole.
+func (m *Memory) CheckGroups(hashutil.Digest, []byte, int, int) error { return nil }
 
 // Delete removes an object. It exists for garbage collection of unpinned
 // versions; tamper evidence is unaffected because digests of retained
@@ -275,6 +297,18 @@ func (c *Counting) Has(d hashutil.Digest) bool { return c.Inner.Has(d) }
 
 // Stats implements Store.
 func (c *Counting) Stats() Stats { return c.Inner.Stats() }
+
+// CheckGroups implements Store by delegation.
+func (c *Counting) CheckGroups(d hashutil.Digest, body []byte, lo, hi int) error {
+	return c.Inner.CheckGroups(d, body, lo, hi)
+}
+
+// CopiedGroups implements CopyTracker by delegation.
+func (c *Counting) CopiedGroups(d hashutil.Digest, body []byte, at int, src hashutil.Digest, srcBody []byte, pos, n int) {
+	if t, ok := c.Inner.(CopyTracker); ok {
+		t.CopiedGroups(d, body, at, src, srcBody, pos, n)
+	}
+}
 
 // Domain implements DomainResolver by delegation.
 func (c *Counting) Domain(d hashutil.Digest) (byte, bool) {

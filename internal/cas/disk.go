@@ -16,12 +16,13 @@ import (
 
 	"spitz/internal/hashutil"
 	"spitz/internal/obs"
+	"spitz/internal/posleaf"
 )
 
-// ErrCorrupt is returned by Disk.Get when an object read from disk fails
-// hash verification: the payload is no longer (under its recorded domain
-// tag) the object the digest addresses — see Intact. A corrupted object
-// is never served silently.
+// ErrCorrupt is returned by Disk.Get when a record read from disk fails its
+// CRC, its header or its address, and by CheckGroups when a leaf group does
+// not hash to its root in the leaf's table. A corrupted object is never
+// served silently.
 var ErrCorrupt = errors.New("cas: object failed hash verification")
 
 // On-disk layout of one segment file (see internal/durable/FORMAT.md for
@@ -56,18 +57,21 @@ var diskCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Node-store counters, aggregated across every Disk store in the process
 // (a sharded deployment runs one store per shard). Hits and misses are
-// body-cache outcomes for Get; a miss costs one disk read plus a hash
-// verification. Flushes count Flush calls (checkpoints); spills count
+// body-cache outcomes for Get; a miss costs one disk read plus a CRC and
+// an address check. Groups checked per leaf miss is what a cold leaf costs
+// in hashing. Flushes count Flush calls (checkpoints); spills count
 // write-backs forced by the dirty set outgrowing its share of the budget.
 var (
-	mStoreHits       = obs.Default.Counter("spitz_nodestore_cache_hits_total")
-	mStoreMisses     = obs.Default.Counter("spitz_nodestore_cache_misses_total")
-	mStoreEvicts     = obs.Default.Counter("spitz_nodestore_cache_evictions_total")
-	mStoreFlushes    = obs.Default.Counter("spitz_nodestore_flushes_total")
-	mStoreSpills     = obs.Default.Counter("spitz_nodestore_spills_total")
-	mStoreFlushedObj = obs.Default.Counter("spitz_nodestore_flushed_objects_total")
-	mStoreCacheBytes = obs.Default.Gauge("spitz_nodestore_cache_bytes")
-	mStoreDirtyBytes = obs.Default.Gauge("spitz_nodestore_dirty_bytes")
+	mStoreHits          = obs.Default.Counter("spitz_nodestore_cache_hits_total")
+	mStoreMisses        = obs.Default.Counter("spitz_nodestore_cache_misses_total")
+	mStoreLeafMisses    = obs.Default.Counter("spitz_nodestore_leaf_misses_total")
+	mStoreGroupsChecked = obs.Default.Counter("spitz_nodestore_leaf_groups_checked_total")
+	mStoreEvicts        = obs.Default.Counter("spitz_nodestore_cache_evictions_total")
+	mStoreFlushes       = obs.Default.Counter("spitz_nodestore_flushes_total")
+	mStoreSpills        = obs.Default.Counter("spitz_nodestore_spills_total")
+	mStoreFlushedObj    = obs.Default.Counter("spitz_nodestore_flushed_objects_total")
+	mStoreCacheBytes    = obs.Default.Gauge("spitz_nodestore_cache_bytes")
+	mStoreDirtyBytes    = obs.Default.Gauge("spitz_nodestore_dirty_bytes")
 	// Errors counts I/O and verification failures: sticky write-path
 	// errors (which fail-stop the store), failed segment reads and
 	// hash-verification misses. Health rules alarm on any increase.
@@ -166,17 +170,17 @@ type objLoc struct {
 	domain byte
 }
 
-// dirtyObj is a written-but-not-yet-persisted object.
-type dirtyObj struct {
-	domain byte
-	body   []byte
-}
-
-// cleanEntry is a cached body of a persisted object.
-type cleanEntry struct {
-	d      hashutil.Digest
-	domain byte
-	body   []byte
+// entry is a body the store holds in memory: dirty (written, not yet
+// persisted) or clean (cached). unchecked marks the groups of a leaf no
+// reader has checked yet: all of one read back from a segment, and of one
+// this process wrote, those copied unchecked from such a leaf
+// (CopiedGroups). Groups past its end, and a body with none, are vouched
+// for. The entry moves from the dirty set to the clean cache whole.
+type entry struct {
+	d         hashutil.Digest
+	domain    byte
+	body      []byte
+	unchecked []bool
 }
 
 type segment struct {
@@ -202,10 +206,12 @@ type footerEntry struct {
 // checkpoint primitive `internal/durable` builds incremental commits on.
 // I/O errors adopt the engine's fail-stop discipline: the first error
 // sticks, every later Flush returns it, and no dirty data is ever
-// dropped or evicted unflushed. Reads re-check the payload against the
-// requested digest under its recorded domain tag (Intact), so a
-// bit-flipped body surfaces as ErrCorrupt, never as a silently wrong
-// answer.
+// dropped or evicted unflushed. A read checks the record's CRC and header
+// and the payload against the digest's address — for a POS-tree leaf that
+// binds only its table, and CheckGroups hashes each group when a reader
+// first uses it. So a bit-flipped body surfaces as ErrCorrupt, never as a
+// silently wrong answer, and a flip the CRC misses (a rewritten record)
+// fails the first read of its group.
 type Disk struct {
 	dir       string
 	cacheMax  int64
@@ -222,10 +228,10 @@ type Disk struct {
 	mu       sync.Mutex
 	segs     []*segment
 	index    map[hashutil.Digest]objLoc
-	dirty    map[hashutil.Digest]dirtyObj
+	dirty    map[hashutil.Digest]*entry
 	dirtySeq []hashutil.Digest // insertion order, for deterministic flush
 	clean    map[hashutil.Digest]*list.Element
-	lru      *list.List // front = most recent; values are *cleanEntry
+	lru      *list.List // front = most recent; values are *entry
 	stats    Stats
 	cstats   DiskCacheStats
 	dirtyB   int64
@@ -237,11 +243,12 @@ type Disk struct {
 
 // DiskCacheStats reports body-cache effectiveness for one Disk store.
 type DiskCacheStats struct {
-	Hits, Misses, Evictions int64
-	Flushes, Spills         int64
-	FlushedObjects          int64
-	CleanBytes, DirtyBytes  int64
-	CacheBudget             int64
+	Hits, Misses, Evictions   int64
+	LeafMisses, GroupsChecked int64
+	Flushes, Spills           int64
+	FlushedObjects            int64
+	CleanBytes, DirtyBytes    int64
+	CacheBudget               int64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 1 when there were no lookups.
@@ -275,7 +282,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		spillMax: opts.CacheBytes / 2,
 		segMax:   opts.SegmentBytes,
 		index:    make(map[hashutil.Digest]objLoc),
-		dirty:    make(map[hashutil.Digest]dirtyObj),
+		dirty:    make(map[hashutil.Digest]*entry),
 		clean:    make(map[hashutil.Digest]*list.Element),
 		lru:      list.New(),
 	}
@@ -415,15 +422,13 @@ func (s *Disk) loadFooter(seg *segment, segIdx int) (bool, error) {
 		e := blk[i*footerEntrySize:]
 		var d hashutil.Digest
 		copy(d[:], e[:hashutil.DigestSize])
-		loc := objLoc{
-			seg:    segIdx,
-			domain: e[hashutil.DigestSize],
-			off:    int64(binary.BigEndian.Uint64(e[hashutil.DigestSize+1:])),
-			length: int32(binary.BigEndian.Uint32(e[hashutil.DigestSize+9:])),
-		}
-		if loc.off < segHeaderSize || loc.off+recHeaderSize+int64(loc.length) > seg.size {
+		off := int64(binary.BigEndian.Uint64(e[hashutil.DigestSize+1:]))
+		n := int64(binary.BigEndian.Uint32(e[hashutil.DigestSize+9:]))
+		// Bounded before anything is sized by it: Get allocates the length.
+		if n > maxObjectBytes || off < segHeaderSize || off > seg.size || off+recHeaderSize+n > seg.size {
 			return false, fmt.Errorf("cas: segment %s: index entry out of bounds", seg.path)
 		}
+		loc := objLoc{seg: segIdx, domain: e[hashutil.DigestSize], off: off, length: int32(n)}
 		if _, dup := s.index[d]; !dup {
 			s.index[d] = loc
 		}
@@ -556,7 +561,7 @@ func (s *Disk) put(domain byte, data []byte, owned bool) hashutil.Digest {
 	if !owned {
 		data = bytes.Clone(data)
 	}
-	s.dirty[d] = dirtyObj{domain: domain, body: data}
+	s.dirty[d] = &entry{d: d, domain: domain, body: data}
 	s.dirtySeq = append(s.dirtySeq, d)
 	s.addDirtyBytes(int64(len(data)))
 	s.stats.Objects++
@@ -571,9 +576,10 @@ func (s *Disk) put(domain byte, data []byte, owned bool) hashutil.Digest {
 	return d
 }
 
-// Get implements Store: dirty set, then clean cache, then disk. Every
-// disk read is verified by re-hashing the payload under its recorded
-// domain against d (Intact); mismatches return ErrCorrupt.
+// Get implements Store: dirty set, then clean cache, then disk. A disk
+// read takes the whole record in one read and checks its CRC, a header
+// naming d, the indexed length and domain, and the payload against d's
+// address (for a leaf, its table); a mismatch is ErrCorrupt.
 func (s *Disk) Get(d hashutil.Digest) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -584,7 +590,7 @@ func (s *Disk) Get(d hashutil.Digest) ([]byte, error) {
 	if el, ok := s.clean[d]; ok {
 		s.hit()
 		s.lru.MoveToFront(el)
-		return el.Value.(*cleanEntry).body, nil
+		return el.Value.(*entry).body, nil
 	}
 	loc, ok := s.index[d]
 	if !ok {
@@ -592,19 +598,117 @@ func (s *Disk) Get(d hashutil.Digest) ([]byte, error) {
 	}
 	s.cstats.Misses++
 	mStoreMisses.Inc()
-	payload := make([]byte, loc.length)
-	if _, err := s.segs[loc.seg].f.ReadAt(payload, loc.off+recHeaderSize); err != nil {
+	if loc.domain == hashutil.DomainPOSLeaf {
+		s.cstats.LeafMisses++
+		mStoreLeafMisses.Inc()
+	}
+	rec := make([]byte, recHeaderSize+int(loc.length))
+	if _, err := s.segs[loc.seg].f.ReadAt(rec, loc.off); err != nil {
 		mStoreErrors.Inc()
 		return nil, fmt.Errorf("cas: read %s: %w", d.Short(), err)
 	}
-	if !Intact(loc.domain, payload, d) {
+	hdr, payload := rec[:recHeaderSize], rec[recHeaderSize:]
+	crc := crc32.Checksum(hdr[:recHeaderSize-4], diskCRCTable)
+	if crc32.Update(crc, diskCRCTable, payload) != binary.BigEndian.Uint32(hdr[recHeaderSize-4:]) ||
+		binary.BigEndian.Uint32(hdr[0:4]) != uint32(loc.length) || hdr[4] != loc.domain ||
+		hashutil.Digest(hdr[5:]) != d || Address(loc.domain, payload) != d {
 		mStoreErrors.Inc()
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, d.Short())
 	}
+	e := &entry{d: d, domain: loc.domain, body: payload}
+	if loc.domain == hashutil.DomainPOSLeaf {
+		if l, err := posleaf.Parse(payload); err == nil {
+			_, k := posleaf.Groups(0, l.Count-1)
+			e.unchecked = make([]bool, k)
+			for g := range e.unchecked {
+				e.unchecked[g] = true
+			}
+		}
+	}
 	domainCounter(&domReadCounters, "read", loc.domain).Add(uint64(len(payload)))
-	s.putCleanLocked(d, loc.domain, payload)
+	s.putCleanLocked(e)
 	s.evictLocked()
 	return payload, nil
+}
+
+// CheckGroups implements Store. Of a body the store holds, only unchecked
+// groups are hashed (see entry), once; a body it no longer holds —
+// evicted since Get returned it, or a copy — is hashed every time.
+func (s *Disk) CheckGroups(d hashutil.Digest, body []byte, lo, hi int) error {
+	from, to := posleaf.Groups(lo, hi)
+	s.mu.Lock()
+	e := s.heldLocked(d, body)
+	if e != nil {
+		to = min(to, len(e.unchecked))
+		for from < to && !e.unchecked[from] {
+			from++
+		}
+		for to > from && !e.unchecked[to-1] {
+			to--
+		}
+	}
+	s.mu.Unlock()
+	if from >= to {
+		return nil
+	}
+	err := checkGroups(d, body, from, to)
+	mStoreGroupsChecked.Add(uint64(to - from))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cstats.GroupsChecked += int64(to - from)
+	if err != nil {
+		mStoreErrors.Inc()
+		return err
+	}
+	if e != nil {
+		for g := from; g < to; g++ {
+			e.unchecked[g] = false
+		}
+	}
+	return nil
+}
+
+// CopiedGroups implements CopyTracker: groups copied from unchecked groups
+// of src, or from a body the store no longer holds, are unchecked in d.
+func (s *Disk) CopiedGroups(d hashutil.Digest, body []byte, at int, src hashutil.Digest, srcBody []byte, pos, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.heldLocked(d, body)
+	if e == nil {
+		return // the store kept another body under d, vouched for or not on its own
+	}
+	se := s.heldLocked(src, srcBody)
+	from, to := posleaf.Groups(pos, pos+n-1)
+	first, _ := posleaf.Groups(at, at)
+	for g := from; g < to; g++ {
+		if se != nil && (g >= len(se.unchecked) || !se.unchecked[g]) {
+			continue
+		}
+		dg := first + g - from
+		if len(e.unchecked) <= dg {
+			e.unchecked = append(e.unchecked, make([]bool, dg+1-len(e.unchecked))...)
+		}
+		e.unchecked[dg] = true
+	}
+}
+
+// heldLocked returns the entry that holds body, which Get returned for d,
+// or nil when the store no longer holds that very body.
+func (s *Disk) heldLocked(d hashutil.Digest, body []byte) *entry {
+	if e := s.dirty[d]; e != nil && sameBytes(e.body, body) {
+		return e
+	}
+	if el, ok := s.clean[d]; ok {
+		if e := el.Value.(*entry); sameBytes(e.body, body) {
+			return e
+		}
+	}
+	return nil
+}
+
+// sameBytes reports whether a and b are one slice, not equal copies.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (s *Disk) hit() {
@@ -662,13 +766,12 @@ func (s *Disk) Err() error {
 	return s.err
 }
 
-func (s *Disk) putCleanLocked(d hashutil.Digest, domain byte, body []byte) {
-	if _, ok := s.clean[d]; ok {
+func (s *Disk) putCleanLocked(e *entry) {
+	if _, ok := s.clean[e.d]; ok {
 		return
 	}
-	el := s.lru.PushFront(&cleanEntry{d: d, domain: domain, body: body})
-	s.clean[d] = el
-	s.addCleanBytes(int64(len(body)))
+	s.clean[e.d] = s.lru.PushFront(e)
+	s.addCleanBytes(int64(len(e.body)))
 }
 
 // evictLocked drops least-recently-used clean bodies until the cache fits
@@ -680,7 +783,7 @@ func (s *Disk) evictLocked() {
 		if el == nil {
 			return
 		}
-		e := el.Value.(*cleanEntry)
+		e := el.Value.(*entry)
 		s.lru.Remove(el)
 		delete(s.clean, e.d)
 		s.addCleanBytes(-int64(len(e.body)))
@@ -747,7 +850,7 @@ func (s *Disk) writeDirtyLocked() error {
 		s.index[d] = objLoc{seg: len(s.segs) - 1, off: off, length: int32(len(o.body)), domain: o.domain}
 		delete(s.dirty, d)
 		s.addDirtyBytes(-int64(len(o.body)))
-		s.putCleanLocked(d, o.domain, o.body)
+		s.putCleanLocked(o)
 		written += int64(len(o.body))
 		flushed++
 		if off+recHeaderSize+int64(len(o.body)) >= s.segMax {

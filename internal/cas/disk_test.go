@@ -2,8 +2,10 @@ package cas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -171,12 +173,45 @@ func TestDiskTornTailTruncated(t *testing.T) {
 	}
 }
 
+// intact reports whether data is, byte for byte, the object d addresses:
+// for a leaf, its table hashes up to d and every group checks against it.
+func intact(domain byte, data []byte, d hashutil.Digest) bool {
+	if domain == hashutil.DomainPOSLeaf {
+		if l, err := posleaf.Parse(data); err == nil {
+			got, err := l.Verify()
+			return err == nil && got == d
+		}
+	}
+	return hashutil.Sum(domain, data) == d
+}
+
+// rewriteRecord applies flip to the payload of d's record on disk and,
+// when fixCRC is set, rewrites the record's CRC to match, as a writer that
+// damaged the bytes before framing them would leave it.
+func rewriteRecord(t *testing.T, s *Disk, d hashutil.Digest, fixCRC bool, flip func(payload []byte)) {
+	t.Helper()
+	loc := s.index[d]
+	f := s.segs[loc.seg].f
+	rec := make([]byte, recHeaderSize+int(loc.length))
+	if _, err := f.ReadAt(rec, loc.off); err != nil {
+		t.Fatal(err)
+	}
+	flip(rec[recHeaderSize:])
+	if fixCRC {
+		crc := crc32.Checksum(rec[:recHeaderSize-4], diskCRCTable)
+		binary.BigEndian.PutUint32(rec[recHeaderSize-4:], crc32.Update(crc, diskCRCTable, rec[recHeaderSize:]))
+	}
+	if _, err := f.WriteAt(rec, loc.off); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDiskBitFlipFailsHashVerification(t *testing.T) {
 	for name, victimBody := range map[string][]byte{
 		"plain object": testBody(2),
 		// A leaf's address is the hash of its header only; the entries are
-		// bound to it through the header's group digests, and Get checks
-		// both.
+		// bound to it through the header's group digests, which Get checks,
+		// and each group where it is used.
 		"grouped leaf": testLeaf(2, 21),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -189,8 +224,8 @@ func TestDiskBitFlipFailsHashVerification(t *testing.T) {
 			}
 
 			// Flip each payload byte of the victim record on disk in turn —
-			// header and entries alike. The record CRC is not re-checked on
-			// a read, so this models post-scan media corruption.
+			// header and entries alike. Get checks the record CRC, so this
+			// models media corruption after the open's scan.
 			r := openTestDisk(t, dir, DiskOptions{})
 			defer r.Close()
 			loc := r.index[victim]
@@ -218,6 +253,283 @@ func TestDiskBitFlipFailsHashVerification(t *testing.T) {
 				t.Fatalf("intact object: %v", err)
 			}
 		})
+	}
+
+	// A leaf of three groups (8, 8 and 5 entries), one byte flipped: with
+	// the CRC intact Get refuses the record; with the CRC rewritten to match
+	// the flip, Get binds the table — so a flip there still fails it — and a
+	// flipped group fails the first check that uses it, and no other.
+	leaf := testLeaf(3, 21)
+	l, err := posleaf.Parse(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valueByte := func(pos int) int { // the last byte of entry pos
+		rest := l.Entries
+		for i := 0; i <= pos; i++ {
+			_, _, rest, _ = posleaf.ReadEntry(rest)
+		}
+		return len(leaf) - len(rest) - 1
+	}
+	tableByte := len(leaf) - len(l.Entries) - 2*hashutil.DigestSize + 5 // in group 1's root
+	for _, row := range []struct {
+		name        string
+		at          int
+		first, then [2]int // entries lo, hi a reader uses: first must pass, then must fail
+	}{
+		{"used group", valueByte(3), [2]int{0, -1}, [2]int{3, 3}},
+		{"unused group then used", valueByte(17), [2]int{0, 15}, [2]int{16, 20}},
+		{"table", tableByte, [2]int{}, [2]int{}},
+	} {
+		for _, fixCRC := range []bool{false, true} {
+			name := row.name + "/crc intact"
+			if fixCRC {
+				name = row.name + "/crc recomputed"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				s := openTestDisk(t, dir, DiskOptions{})
+				d := s.Put(hashutil.DomainPOSLeaf, leaf)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r := openTestDisk(t, dir, DiskOptions{})
+				defer r.Close()
+				rewriteRecord(t, r, d, fixCRC, func(p []byte) { p[row.at] ^= 0x01 })
+				body, err := r.Get(d)
+				if !fixCRC || row.name == "table" {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("Get returned %v, want ErrCorrupt", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("Get of a record whose table is intact: %v", err)
+				}
+				if err := r.CheckGroups(d, body, row.first[0], row.first[1]); err != nil {
+					t.Fatalf("groups away from the flip: %v", err)
+				}
+				for i := 0; i < 2; i++ { // a failed check is not remembered as passed
+					if err := r.CheckGroups(d, body, row.then[0], row.then[1]); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("check %d of the flipped group returned %v, want ErrCorrupt", i, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDiskGroupChecksOncePerReadLeaf: a leaf this process wrote is never
+// hashed again, dirty or flushed; one read back from a segment has each
+// group hashed once, however often it is used, while it stays cached; and
+// once it has been evicted, the body a caller still holds is hashed on
+// every use.
+func TestDiskGroupChecksOncePerReadLeaf(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{})
+	leaf := testLeaf(4, 30) // four groups
+	d := s.Put(hashutil.DomainPOSLeaf, leaf)
+	groups := func(s *Disk) int64 { return s.CacheStats().GroupsChecked }
+	check := func(s *Disk, body []byte, lo, hi int) {
+		t.Helper()
+		if err := s.CheckGroups(d, body, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, _ := s.Get(d)
+	check(s, body, 0, 29)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body, _ = s.Get(d)
+	check(s, body, 0, 29)
+	if n := groups(s); n != 0 {
+		t.Fatalf("%d groups hashed of a leaf this process wrote", n)
+	}
+	// A copy of the body is not the body the store holds.
+	check(s, append([]byte(nil), body...), 8, 8)
+	if n := groups(s); n != 1 {
+		t.Fatalf("%d groups hashed of a copy, want 1", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openTestDisk(t, dir, DiskOptions{CacheBytes: 1})
+	defer r.Close()
+	body, err := r.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, body, 3, 3)
+	check(r, body, 0, 7)
+	check(r, body, 7, 9)
+	if n, cs := groups(r), r.CacheStats(); n != 2 || cs.LeafMisses != 1 {
+		t.Fatalf("%d groups hashed over %d leaf misses, want groups 0 and 1 once each over one miss", n, cs.LeafMisses)
+	}
+	check(r, body, 0, 29)
+	if n := groups(r); n != 4 {
+		t.Fatalf("%d groups hashed, want each of the four once", n)
+	}
+	// Push the body out of the 1 MiB cache: what the caller holds is
+	// hashed again, the store no longer knows it.
+	filler := make([]byte, 64<<10)
+	for i := 0; i < 32; i++ {
+		copy(filler, fmt.Sprintf("filler-%02d", i))
+		r.Put(hashutil.DomainValue, filler)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	_, cached := r.clean[d]
+	r.mu.Unlock()
+	if cached {
+		t.Fatal("the leaf is still cached")
+	}
+	check(r, body, 0, 0)
+	check(r, body, 0, 0)
+	if n := groups(r); n != 6 {
+		t.Fatalf("%d groups hashed, want 6: an evicted body is hashed on every use", n)
+	}
+}
+
+// TestDiskGroupCheckCopiedGroups: a leaf this process writes with groups
+// copied by root from a leaf read back from a segment vouches for them no
+// more than the source did — flushed or not: a group the source had
+// checked is not hashed again, one it had not is hashed at its first use
+// in the new leaf, and the groups the writer framed itself never are.
+func TestDiskGroupCheckCopiedGroups(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{})
+	sd := s.Put(hashutil.DomainPOSLeaf, testLeaf(5, 32)) // four groups
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTestDisk(t, dir, DiskOptions{})
+	defer r.Close()
+	srcBody, err := r.Get(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckGroups(sd, srcBody, 8, 8); err != nil { // group 1
+		t.Fatal(err)
+	}
+	l, _ := posleaf.Parse(srcBody)
+	w := posleaf.NewWriter(32, 32*32)
+	for i := 0; i < 8; i++ {
+		w.Entry([]byte(fmt.Sprintf("leaf-005-key-%04d", i)), []byte("rewritten"))
+	}
+	if took := w.Copy(l.Source(), 8, 24); took != 24 {
+		t.Fatalf("copied %d entries", took)
+	}
+	body := w.Body()
+	d := r.PutOwned(hashutil.DomainPOSLeaf, body)
+	// A spill or a checkpoint can move the new body to the clean cache
+	// before the writer reports its copies.
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.CopiedGroups(d, body, 8, sd, srcBody, 8, 24)
+	got, err := r.Get(d)
+	if err != nil || !sameBytes(got, body) {
+		t.Fatalf("the written leaf is not the cached body: %v", err)
+	}
+	before := r.CacheStats().GroupsChecked
+	if err := r.CheckGroups(d, got, 0, 15); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.CacheStats().GroupsChecked - before; n != 0 {
+		t.Fatalf("%d groups hashed: a framed group and one copied from a checked group", n)
+	}
+	if err := r.CheckGroups(d, got, 0, 31); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.CacheStats().GroupsChecked - before; n != 2 {
+		t.Fatalf("%d groups hashed, want the two copied unchecked", n)
+	}
+}
+
+// TestDiskGroupCheckRace runs group checks of read-back leaves against
+// Gets, Puts and the evictions they cause: the record of what was checked
+// lives beside the cached body, under the store's lock.
+func TestDiskGroupCheckRace(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{})
+	var digests []hashutil.Digest
+	for i := 0; i < 64; i++ {
+		digests = append(digests, s.Put(hashutil.DomainPOSLeaf, testLeaf(i, 40)))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTestDisk(t, dir, DiskOptions{CacheBytes: 1})
+	defer r.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				d := digests[(i*7+w)%len(digests)]
+				body, err := r.Get(d)
+				if err == nil {
+					err = r.CheckGroups(d, body, i%40, (i*3)%40)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if w == 0 && i%10 == 0 {
+					r.Put(hashutil.DomainValue, bytes.Repeat([]byte{byte(i)}, 200<<10))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskFooterLengthBounded: a sealed segment's index entry whose length
+// reads negative as an int32 — the footer CRC recomputed over it — is
+// refused at open, not allocated at the first Get.
+func TestDiskFooterLengthBounded(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestDisk(t, dir, DiskOptions{})
+	d := s.Put(hashutil.DomainValue, testBody(1))
+	s.Put(hashutil.DomainValue, testBody(2))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	path := filepath.Join(dir, segs[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := data[len(data)-footerTrailerSize:]
+	if string(tr[12:]) != idxMagic {
+		t.Fatal("segment not sealed")
+	}
+	idxLen := int(binary.BigEndian.Uint32(tr[4:8]))
+	blk := data[len(data)-footerTrailerSize-idxLen : len(data)-footerTrailerSize]
+	binary.BigEndian.PutUint32(blk[hashutil.DigestSize+9:], 0xFFFFFFF0)
+	binary.BigEndian.PutUint32(tr[8:12], crc32.Checksum(blk, diskCRCTable))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDisk(dir, DiskOptions{})
+	if err == nil {
+		defer r.Close()
+		r.Get(d)
+		t.Fatal("a footer entry of length 0xFFFFFFF0 opened")
 	}
 }
 
@@ -496,15 +808,20 @@ func TestFaultOverDisk(t *testing.T) {
 	if dom, ok := f.Domain(d); !ok || dom != hashutil.DomainPOSLeaf {
 		t.Fatalf("Fault.Domain = %v, %v", dom, ok)
 	}
-	// In the header and in the entries: both are visible to verification.
+	// In the header and in the entries: both are visible to verification,
+	// and a corrupted body is checked, never trusted, whatever the inner
+	// store knows of the digest.
 	for _, off := range []int{3, len(body) - 3} {
 		f.Corrupt(d, off)
 		got, err := f.Get(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Intact(hashutil.DomainPOSLeaf, got, d) {
+		if intact(hashutil.DomainPOSLeaf, got, d) {
 			t.Fatalf("corruption injected at byte %d not visible to hash verification", off)
+		}
+		if err := f.CheckGroups(d, got, 0, 19); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corruption injected at byte %d: group check returned %v, want ErrCorrupt", off, err)
 		}
 		f.Heal()
 	}
@@ -512,8 +829,11 @@ func TestFaultOverDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Intact(hashutil.DomainPOSLeaf, got, d) || Address(hashutil.DomainPOSLeaf, got) != d {
+	if !intact(hashutil.DomainPOSLeaf, got, d) || Address(hashutil.DomainPOSLeaf, got) != d {
 		t.Fatal("healed object does not verify")
+	}
+	if err := f.CheckGroups(d, got, 0, 19); err != nil {
+		t.Fatalf("healed object: %v", err)
 	}
 	f.Lose(d)
 	if _, err := f.Get(d); !errors.Is(err, ErrNotFound) {
@@ -589,7 +909,7 @@ func TestPutOwnedIsTheOnlyPutThatAliases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) || !Intact(hashutil.DomainPOSLeaf, got, d) {
+			if !bytes.Equal(got, want) || !intact(hashutil.DomainPOSLeaf, got, d) {
 				t.Fatal("modifying a buffer after Put changed the stored object")
 			}
 		})

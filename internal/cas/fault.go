@@ -1,9 +1,11 @@
 package cas
 
 import (
+	"fmt"
 	"sync"
 
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // Fault wraps a Store and injects failures: lost objects (Get errors) and
@@ -16,7 +18,8 @@ type Fault struct {
 
 	mu        sync.Mutex
 	lost      map[hashutil.Digest]bool
-	corrupted map[hashutil.Digest]int // byte offset to flip
+	corrupted map[hashutil.Digest]int  // byte offset to flip
+	copied    map[hashutil.Digest]bool // written with groups copied from a corrupted body
 }
 
 // NewFault wraps inner.
@@ -25,6 +28,7 @@ func NewFault(inner Store) *Fault {
 		Inner:     inner,
 		lost:      make(map[hashutil.Digest]bool),
 		corrupted: make(map[hashutil.Digest]int),
+		copied:    make(map[hashutil.Digest]bool),
 	}
 }
 
@@ -49,6 +53,7 @@ func (f *Fault) Heal() {
 	defer f.mu.Unlock()
 	f.lost = make(map[hashutil.Digest]bool)
 	f.corrupted = make(map[hashutil.Digest]int)
+	f.copied = make(map[hashutil.Digest]bool)
 }
 
 // Put implements Store.
@@ -97,6 +102,37 @@ func (f *Fault) Has(d hashutil.Digest) bool {
 
 // Stats implements Store.
 func (f *Fault) Stats() Stats { return f.Inner.Stats() }
+
+// CheckGroups implements Store. A body the wrapper corrupted, or copied
+// groups from, is never trusted: its table is checked against d and its
+// groups hashed. Any other body is the inner store's to judge.
+func (f *Fault) CheckGroups(d hashutil.Digest, body []byte, lo, hi int) error {
+	f.mu.Lock()
+	_, corrupt := f.corrupted[d]
+	corrupt = corrupt || f.copied[d]
+	f.mu.Unlock()
+	if !corrupt {
+		return f.Inner.CheckGroups(d, body, lo, hi)
+	}
+	if Address(hashutil.DomainPOSLeaf, body) != d {
+		return fmt.Errorf("%w: %s", ErrCorrupt, d.Short())
+	}
+	from, to := posleaf.Groups(lo, hi)
+	return checkGroups(d, body, from, to)
+}
+
+// CopiedGroups implements CopyTracker: a leaf that copied groups from a
+// corrupted body is distrusted like it; the inner store is told too.
+func (f *Fault) CopiedGroups(d hashutil.Digest, body []byte, at int, src hashutil.Digest, srcBody []byte, pos, n int) {
+	f.mu.Lock()
+	if _, corrupt := f.corrupted[src]; corrupt || f.copied[src] {
+		f.copied[d] = true
+	}
+	f.mu.Unlock()
+	if t, ok := f.Inner.(CopyTracker); ok {
+		t.CopiedGroups(d, body, at, src, srcBody, pos, n)
+	}
+}
 
 // Domain implements DomainResolver by delegation.
 func (f *Fault) Domain(d hashutil.Digest) (byte, bool) {

@@ -7,9 +7,9 @@
 //
 // The write path follows Section 5.1: (1) collect the transaction,
 // (2) the auditor updates the ledger, which records the changes and
-// returns a proof, (3) the processor traverses the B+-tree index and
-// performs the writes to the cell store, (4) results and proof return to
-// the user. In this engine steps 2 and 3 are one atomic ledger commit —
+// returns a proof, (3) the processor traverses the B+-tree index (here the
+// authenticated tree) and writes the cell store, (4) results and proof
+// return to the user. Steps 2 and 3 are one atomic ledger commit here —
 // that fusion is exactly the "unified index" design the paper credits for
 // Spitz's performance.
 //
@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spitz/internal/btree"
 	"spitz/internal/cas"
 	"spitz/internal/cellstore"
 	"spitz/internal/hashutil"
@@ -39,7 +38,6 @@ import (
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
-	"spitz/internal/postree"
 	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 )
@@ -81,13 +79,11 @@ type Options struct {
 	// MaintainInverted keeps the inverted index updated on every commit,
 	// enabling value lookups (LookupEqual etc.) at some write cost.
 	MaintainInverted bool
-	// LazyIndex skips the O(state) routing/schema rebuild scan when the
-	// engine is constructed over recovered state (NewWithLedger): point
-	// reads then resolve directly against the authenticated cell tree,
-	// and the schema map fills from new commits plus one deferred scan on
-	// first Columns call. Ignored (an eager scan still runs) when
-	// MaintainInverted is set, because inverted lookups have no per-key
-	// fallback path.
+	// LazyIndex skips the O(state) schema rebuild scan when the engine is
+	// constructed over recovered state (NewWithLedger): the schema map
+	// fills from new commits plus one deferred scan on first Columns call.
+	// Ignored (an eager scan still runs) when MaintainInverted is set,
+	// because inverted lookups have no per-key fallback path.
 	LazyIndex bool
 
 	// MaxBatchTxns caps how many transactions the group-commit leader
@@ -114,18 +110,13 @@ type Engine struct {
 	maxBatchTxns  int
 	maxBatchDelay time.Duration
 
-	// routing is the B+-tree query index of Section 5 ("Index"): it maps a
-	// cell reference to the location of its latest version in the cell
-	// store, so point reads go straight to the exact universal key.
-	mu      sync.RWMutex
-	routing *btree.Tree[routeEntry]
+	mu sync.RWMutex
 	// schema records the columns observed per table, supporting SELECT *
 	// and whole-row deletes in the query layer.
 	schema map[string]map[string]struct{}
 	// lazy marks an engine opened without the eager index rebuild: the
-	// routing index only covers post-open commits, so reads must not treat
-	// a routing miss as absence. schemaScanned flips once the deferred
-	// schema discovery scan has run (see ensureSchema).
+	// schema only covers post-open commits until schemaScanned flips, once
+	// the deferred schema discovery scan has run (see ensureSchema).
 	lazy          bool
 	schemaScanned bool
 
@@ -238,30 +229,36 @@ func (e *Engine) SetCommitSink(s CommitSink) {
 	e.sink = s
 }
 
-type routeEntry struct {
-	version uint64
-}
-
 // New creates an engine.
 func New(opts Options) *Engine {
 	if opts.Store == nil {
 		opts.Store = cas.NewMemory()
 	}
+	return build(opts, ledger.New(opts.Store))
+}
+
+// build assembles an engine around the ledger l: new commit versions
+// continue above its head's.
+func build(opts Options, l *ledger.Ledger) *Engine {
+	var headVersion uint64
+	if h, ok := l.Head(); ok {
+		headVersion = h.Version
+	}
 	if opts.Timestamps == nil {
-		opts.Timestamps = tso.New(0)
+		opts.Timestamps = tso.New(headVersion)
 	}
 	if opts.MaxBatchTxns <= 0 {
 		opts.MaxBatchTxns = defaultMaxBatchTxns
 	}
 	e := &Engine{
 		store:         opts.Store,
-		ledger:        ledger.New(opts.Store),
+		ledger:        l,
 		ts:            opts.Timestamps,
 		maxBatchTxns:  opts.MaxBatchTxns,
 		maxBatchDelay: opts.MaxBatchDelay,
-		routing:       btree.New[routeEntry](),
 		schema:        make(map[string]map[string]struct{}),
 		pending:       make(map[string][]pendingCell),
+		lastVersion:   headVersion,
 	}
 	if opts.MaintainInverted {
 		e.inv = inverted.New()
@@ -699,13 +696,11 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 	return h, nil
 }
 
-// indexCellsLocked refreshes the routing index (and inverted index) after
-// a commit. Caller holds e.mu. Versions are monotonic across commits, so
-// within one batch only a same-ref duplicate could route backwards; Put's
-// last-wins behaviour combined with the pipeline's version ordering keeps
-// the routing entry at the newest version. The inverted index removes
-// superseded postings itself on Add; resolvePostings re-checks versions at
-// query time as a safety net.
+// indexCellsLocked refreshes the schema (and the inverted index) after a
+// commit. Caller holds e.mu. The inverted index ignores a version at or
+// below the one it holds for the cell and removes superseded postings
+// itself on Add; resolvePostings re-checks versions at query time as a
+// safety net.
 func (e *Engine) indexCellsLocked(cells []cellstore.Cell) {
 	for i := range cells {
 		c := &cells[i]
@@ -715,12 +710,6 @@ func (e *Engine) indexCellsLocked(cells []cellstore.Cell) {
 			e.schema[c.Table] = cols
 		}
 		cols[c.Column] = struct{}{}
-		ref := cellstore.CellPrefix(c.Table, c.Column, c.PK)
-		prev, had := e.routing.Get(ref)
-		if had && prev.version >= c.Version {
-			continue // already routing to a newer version
-		}
-		e.routing.Put(ref, routeEntry{version: c.Version})
 		if e.inv != nil {
 			e.inv.Add(*c)
 		}
@@ -749,36 +738,21 @@ func (e *Engine) Columns(table string) []string {
 var ErrNotFound = errors.New("core: not found")
 
 // Get returns the latest live value of a cell. The read follows Section
-// 5.1: the B+-tree routing index confirms the cell exists and routes to
-// the cell store, which serves the head version. No proof is generated
-// (see GetVerified).
+// 5.1, where a B+-tree routes a cell reference to the cell store: here the
+// routing index is the authenticated tree itself, whose lookup of the
+// exact universal key serves the head version. No proof is generated (see
+// GetVerified).
 func (e *Engine) Get(table, column string, pk []byte) ([]byte, error) {
-	ref := cellstore.CellPrefix(table, column, pk)
-	e.mu.RLock()
-	lazy := e.lazy
-	routed := false
-	if !lazy {
-		_, routed = e.routing.Get(ref)
-	}
-	e.mu.RUnlock()
-	if !lazy && !routed {
-		return nil, ErrNotFound
-	}
 	cells, _, live := e.ledger.Latest()
 	if !live {
 		return nil, ErrNotFound
 	}
-	raw, found, err := cells.Tree.Get(ref)
+	raw, found, err := cells.Tree.Get(cellstore.CellPrefix(table, column, pk))
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		if lazy {
-			// A lazily opened engine has no complete routing index; the
-			// authenticated tree itself is the source of truth for absence.
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("core: routing index stale for %s.%s", table, column)
+		return nil, ErrNotFound
 	}
 	_, value, tomb, err := cellstore.DecodeVersion(raw)
 	if err != nil {
@@ -1121,8 +1095,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return e.ledger.WriteSnapshot(w)
 }
 
-// Restore reconstructs an engine from a snapshot stream. The routing and
-// schema indexes rebuild from the restored cell store, and new commit
+// Restore reconstructs an engine from a snapshot stream. The schema (and
+// the inverted index) rebuild from the restored cell store, and new commit
 // versions continue above the restored head.
 func Restore(opts Options, r io.Reader) (*Engine, error) {
 	if opts.Store == nil {
@@ -1132,31 +1106,7 @@ func Restore(opts Options, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var headVersion uint64
-	if h, ok := l.Head(); ok {
-		headVersion = h.Version
-	}
-	if opts.Timestamps == nil {
-		opts.Timestamps = tso.New(headVersion)
-	}
-	if opts.MaxBatchTxns <= 0 {
-		opts.MaxBatchTxns = defaultMaxBatchTxns
-	}
-	e := &Engine{
-		store:         opts.Store,
-		ledger:        l,
-		ts:            opts.Timestamps,
-		maxBatchTxns:  opts.MaxBatchTxns,
-		maxBatchDelay: opts.MaxBatchDelay,
-		routing:       btree.New[routeEntry](),
-		schema:        make(map[string]map[string]struct{}),
-		pending:       make(map[string][]pendingCell),
-		lastVersion:   headVersion,
-	}
-	if opts.MaintainInverted {
-		e.inv = inverted.New()
-	}
-	e.mgr = txn.NewManager(engineStore{e}, opts.Timestamps, opts.Mode)
+	e := build(opts, l)
 
 	// Resume transaction IDs above every ID recorded in the restored
 	// ledger, so post-restore commits never reuse an ID already bound
@@ -1173,26 +1123,8 @@ func Restore(opts Options, r io.Reader) (*Engine, error) {
 		}
 	}
 
-	// Rebuild the in-memory indexes from the restored head instance.
-	cells, _, ok := l.Latest()
-	if ok {
-		err := cells.Tree.Scan(nil, nil, func(entry postree.Entry) bool {
-			table, column, pk, err := cellstore.DecodeRef(entry.Key)
-			if err != nil {
-				return false
-			}
-			ver, value, tomb, err := cellstore.DecodeVersion(entry.Value)
-			if err != nil {
-				return false
-			}
-			e.indexCellsLocked([]cellstore.Cell{{Table: table, Column: column,
-				PK: append([]byte(nil), pk...), Version: ver,
-				Value: append([]byte(nil), value...), Tombstone: tomb}})
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+	if err := e.rebuildIndexes(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }

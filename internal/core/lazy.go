@@ -3,13 +3,9 @@ package core
 import (
 	"errors"
 
-	"spitz/internal/btree"
 	"spitz/internal/cellstore"
-	"spitz/internal/inverted"
 	"spitz/internal/ledger"
 	"spitz/internal/postree"
-	"spitz/internal/txn"
-	"spitz/internal/txn/tso"
 )
 
 // NewWithLedger builds an engine around an already-reconstructed ledger
@@ -18,39 +14,15 @@ import (
 // checkpoint manifest); WAL tail replay via ReplayBlock advances it
 // further. With Options.LazyIndex set, construction does no O(state)
 // work — the first verified read after a restart touches only the
-// O(log n) path it proves — otherwise the routing/schema/inverted
-// indexes rebuild eagerly from the head instance, as Restore does.
+// O(log n) path it proves — otherwise the schema and inverted index
+// rebuild eagerly from the head instance, as Restore does.
 func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, error) {
 	if opts.Store == nil {
 		return nil, errors.New("core: NewWithLedger requires the ledger's store")
 	}
-	var headVersion uint64
-	if h, ok := l.Head(); ok {
-		headVersion = h.Version
-	}
-	if opts.Timestamps == nil {
-		opts.Timestamps = tso.New(headVersion)
-	}
-	if opts.MaxBatchTxns <= 0 {
-		opts.MaxBatchTxns = defaultMaxBatchTxns
-	}
-	e := &Engine{
-		store:         opts.Store,
-		ledger:        l,
-		ts:            opts.Timestamps,
-		maxBatchTxns:  opts.MaxBatchTxns,
-		maxBatchDelay: opts.MaxBatchDelay,
-		routing:       btree.New[routeEntry](),
-		schema:        make(map[string]map[string]struct{}),
-		pending:       make(map[string][]pendingCell),
-		lastVersion:   headVersion,
-		nextTxnID:     nextTxnID,
-		lazy:          opts.LazyIndex && !opts.MaintainInverted,
-	}
-	if opts.MaintainInverted {
-		e.inv = inverted.New()
-	}
-	e.mgr = txn.NewManager(engineStore{e}, opts.Timestamps, opts.Mode)
+	e := build(opts, l)
+	e.nextTxnID = nextTxnID
+	e.lazy = opts.LazyIndex && !opts.MaintainInverted
 	if !e.lazy {
 		if err := e.rebuildIndexes(); err != nil {
 			return nil, err
@@ -59,8 +31,8 @@ func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, e
 	return e, nil
 }
 
-// rebuildIndexes repopulates routing/schema/inverted from the head cell
-// instance — the eager-open cost LazyIndex avoids.
+// rebuildIndexes repopulates the schema and inverted index from the head
+// cell instance — the eager-open cost LazyIndex avoids.
 func (e *Engine) rebuildIndexes() error {
 	cells, _, ok := e.ledger.Latest()
 	if !ok {

@@ -31,10 +31,11 @@
 // expected. Index nodes keep their whole-body hash; the digest's level byte
 // is what lets them adopt this commitment.
 //
-// The package sits below both internal/cas, which addresses and re-checks
-// stored leaves with it, and internal/postree, which builds, prunes and
-// verifies them: there is one definition of the layout and one function,
-// Leaf.Verify, that decides whether bytes are bound to a leaf digest.
+// The package sits below both internal/cas, which addresses stored leaves
+// with it and checks their groups where they are used, and
+// internal/postree, which builds, prunes and verifies them: there is one
+// definition of the layout, and Leaf.CheckGroups and Leaf.Verify are what
+// decide whether bytes are bound to a leaf digest.
 package posleaf
 
 import (
@@ -66,6 +67,15 @@ const maxCount = math.MaxInt32
 var ErrMalformed = errors.New("posleaf: malformed leaf")
 
 func groupsOf(count int) int { return (count + groupSize - 1) / groupSize }
+
+// Groups returns the groups [from, to) of a leaf that hold its entries at
+// positions lo through hi: none when hi < lo.
+func Groups(lo, hi int) (from, to int) {
+	if hi < lo {
+		return 0, 0
+	}
+	return lo / groupSize, hi/groupSize + 1
+}
 
 // split is where a subtree over n > 1 positions divides: after the largest
 // power of two below n.
@@ -333,7 +343,9 @@ func (l Leaf) Source() *Source {
 // walked in order up to the first whose key is not below key, nothing is
 // decoded into a slice and nothing is hashed. pos is that entry's position
 // — the leaf's count when every key is below key — and value, which
-// aliases body, its value when its key is key.
+// aliases body, its value when its key is key. Over bytes from a store the
+// caller checks the groups of entries pos-1 and pos (pos for a hit): two
+// genuine neighbours in a sorted leaf place the key, whatever else it holds.
 func Find(body, key []byte) (pos int, value []byte, found bool, err error) {
 	l, err := Parse(body)
 	if err != nil {
@@ -365,25 +377,64 @@ func (l Leaf) Digest() hashutil.Digest {
 	return leafDigest(l.Count, rootOf(l.digests))
 }
 
+// CheckGroups checks groups [from, to) of a stored leaf (to cut to its
+// groups): each group's entries must hash to its root in the table, and the
+// last group must end the body. Entries before from are walked, not hashed.
+// With Digest binding the table, a reader that checks the groups it uses
+// holds what the digest addresses in every byte it uses.
+func (l Leaf) CheckGroups(from, to int) error {
+	k := groupsOf(l.Count)
+	to = min(to, k)
+	if l.pruned || from < 0 {
+		return ErrMalformed
+	}
+	var h hashutil.Hasher
+	var group [groupSize * hashutil.DigestSize]byte
+	rest := l.Entries
+	for g := 0; g < to; g++ {
+		n := min(groupSize, l.Count-g*groupSize)
+		for i := 0; i < n; i++ {
+			start := rest
+			var err error
+			if _, _, rest, err = ReadEntry(start); err != nil {
+				return err
+			}
+			if g >= from {
+				e := h.Sum(hashutil.DomainPOSEntry, start[:len(start)-len(rest)])
+				copy(group[i*hashutil.DigestSize:], e[:])
+			}
+		}
+		if g >= from && rootOf(group[:n*hashutil.DigestSize]) != hashutil.Digest(l.digests[g*hashutil.DigestSize:]) {
+			return ErrMalformed
+		}
+	}
+	if to == k && len(rest) != 0 {
+		return ErrMalformed
+	}
+	return nil
+}
+
 // Verify recomputes the leaf's digest from what is present and returns it;
 // the caller compares it with the digest it expected, and after that every
 // byte that was parsed is bound to that digest. For a stored leaf every
 // entry must be there, each group hashing to its root in the table, no byte
-// left over. For a pruned leaf the root is rebuilt from the run's entries
-// and the siblings, each consumed where the walk of the tree that count
-// describes meets a subtree outside the run: one sibling too few or too
-// many, or an entry, is an error, and anything else that is not the leaf's
-// own — an entry, a sibling, count, first — gives another digest. This is
-// the only place leaf bytes are checked: a stored leaf re-read from disk or
-// from a snapshot stream and the pruned leaves of point, batch and range
-// proofs all pass through it.
+// left over: every group checks. For a pruned leaf the root is rebuilt from
+// the run's entries and the siblings, each consumed where the walk of the
+// tree that count describes meets a subtree outside the run: one sibling
+// too few or too many, or an entry, is an error, and anything else that is
+// not the leaf's own — an entry, a sibling, count, first — gives another
+// digest. A stored leaf restored from a snapshot stream and the pruned
+// leaves of point, batch and range proofs all pass through it.
 func (l Leaf) Verify() (hashutil.Digest, error) {
+	if !l.pruned {
+		if err := l.CheckGroups(0, groupsOf(l.Count)); err != nil {
+			return hashutil.Digest{}, err
+		}
+		return l.Digest(), nil
+	}
 	w := walk{first: l.First, end: l.First + l.N, entries: l.Entries, digests: l.digests}
 	var root hashutil.Digest
-	switch {
-	case !l.pruned:
-		root = w.stored(l.Count)
-	case l.Count > 0:
+	if l.Count > 0 {
 		root = w.root(0, l.Count)
 	}
 	if w.bad || len(w.entries) != 0 || len(w.digests) != 0 {
@@ -440,32 +491,14 @@ func (w *walk) root(lo, hi int) hashutil.Digest {
 	return hashutil.SumPair(hashutil.DomainPOSInner, left, w.root(mid, hi))
 }
 
-// stored returns the root of a stored leaf of count entries, each group
-// checked against its root in the table.
-func (w *walk) stored(count int) hashutil.Digest {
-	table := w.digests
-	var group [groupSize * hashutil.DigestSize]byte
-	for pos := 0; pos < count && !w.bad; {
-		n := min(groupSize, count-pos)
-		for i := 0; i < n; i++ {
-			e := w.entry()
-			copy(group[i*hashutil.DigestSize:], e[:])
-		}
-		if rootOf(group[:n*hashutil.DigestSize]) != w.digest() {
-			w.bad = true
-		}
-		pos += n
-	}
-	return rootOf(table)
-}
-
 // Prune returns the pruned form of a stored leaf body that keeps the
 // entries at positions lo through hi. The run is sliced out of body and
 // the siblings above group level are built from the table; what is hashed
 // is the entries that share a group with an end of the run and are not in
 // it — seven for a point read, none where the run ends at group edges. The
 // entries are walked only as far as that takes: a leaf kept whole (the
-// interior of a range) is not walked at all.
+// interior of a range) is not walked at all. Over bytes from a store, the
+// caller checks the groups of entries lo through hi first.
 func Prune(body []byte, lo, hi int) ([]byte, error) {
 	l, err := Parse(body)
 	if err != nil || lo < 0 || hi < lo || hi >= l.Count {

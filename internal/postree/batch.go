@@ -16,7 +16,8 @@ import (
 // the multi-key aggregation Spitz's deferred verification batches receipts
 // into (one multi-proof per digest). A leaf is cut, as in a PointProof, to
 // what decides the keys that land in it: the contiguous run of entries from
-// the first one any of them needs to the last.
+// the first one any of them needs to the last, whose groups are checked
+// before any of it is answered or shipped.
 //
 // Keys[i], Values[i] and Found[i] describe the i-th proven read; Values[i]
 // is nil when Found[i] is false.
@@ -79,6 +80,9 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 	for slot, body := range p.Nodes {
 		if body[0] != 0 {
 			continue
+		}
+		if err := t.store.CheckGroups(p.digests[slot], body, keep[slot][0], keep[slot][1]); err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
 		}
 		pruned, err := posleaf.Prune(body, keep[slot][0], keep[slot][1])
 		if err != nil {

@@ -1,9 +1,12 @@
 package postree
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"spitz/internal/cas"
+	"spitz/internal/hashutil"
 )
 
 // Failure injection: storage faults must surface as errors or verification
@@ -96,5 +99,130 @@ func TestCorruptProofNeverVerifies(t *testing.T) {
 		if string(p2.Nodes[0]) != string(p.Nodes[0]) {
 			t.Fatal("corrupted proof verified against the honest root")
 		}
+	}
+}
+
+// coldLeaf is a tree over a store whose copy of one leaf has a byte of its
+// second group flipped and which does not vouch for that copy: its groups
+// are checked where they are used. The flip is in the value of entry 9, so
+// the leaf's table, and with it the leaf's digest, is genuine.
+type coldLeaf struct {
+	tr, clean *Tree
+	fault     *cas.Fault
+	leaf      hashutil.Digest
+	keys      [][]byte // the leaf's keys, in order
+}
+
+func newColdLeaf(t *testing.T) *coldLeaf {
+	t.Helper()
+	entries := testEntries(3000, 91)
+	fault := cas.NewFault(cas.NewMemory())
+	tr, err := BulkLoad(fault, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := BulkLoad(cas.NewMemory(), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		p, err := tr.ProveGet(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := p.digests[len(p.digests)-1]
+		body, err := fault.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := decodeNode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.entries) < 24 {
+			continue // three groups at least: the damaged one is neither first nor last
+		}
+		c := &coldLeaf{tr: tr, clean: clean, fault: fault, leaf: d}
+		for _, le := range n.entries {
+			c.keys = append(c.keys, append([]byte(nil), le.Key...))
+		}
+		// The last byte of entry 9 is the last byte of its value.
+		end := bytes.Index(body, n.entries[9].Value) + len(n.entries[9].Value)
+		fault.Corrupt(d, end-1)
+		return c
+	}
+	t.Fatal("no leaf of three groups")
+	return nil
+}
+
+func (c *coldLeaf) after(i int) []byte { return append(append([]byte(nil), c.keys[i]...), 0) }
+
+// TestGroupCheckedWhereUsed: a read, a proof, a scan, a commit and a
+// snapshot walk that use the damaged group fail with ErrCorrupt before any
+// of its bytes are returned, shipped or hashed into a new node; the same
+// operations away from it succeed; and a commit that copies the group by
+// its root commits the genuine root, the damage travelling with the group
+// into the new leaf, where the first read of it fails.
+func TestGroupCheckedWhereUsed(t *testing.T) {
+	c := newColdLeaf(t)
+	tr := c.tr
+	corrupt := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, cas.ErrCorrupt) {
+			t.Fatalf("%s through the damaged group: %v, want ErrCorrupt", what, err)
+		}
+	}
+	fine := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s away from the damaged group: %v", what, err)
+		}
+	}
+	_, _, err := tr.Get(c.keys[9])
+	corrupt("Get", err)
+	_, _, err = tr.Get(c.after(7)) // a miss between entries 7 and 8: group 1 bounds it
+	corrupt("Get of a miss", err)
+	if _, found, err := tr.Get(c.after(3)); err != nil || found {
+		t.Fatalf("miss away from the damaged group: %v %v", found, err)
+	}
+	want, _, _ := c.clean.Get(c.keys[2])
+	if v, found, err := tr.Get(c.keys[2]); err != nil || !found || !bytes.Equal(v, want) {
+		t.Fatalf("Get away from the damaged group: %v %v", found, err)
+	}
+
+	_, err = tr.ProveGet(c.keys[9])
+	corrupt("ProveGet", err)
+	p, err := tr.ProveGet(c.keys[2])
+	fine("ProveGet", err)
+	fine("PointProof.Verify", p.Verify(tr.Root()))
+	_, err = tr.ProveScan(c.keys[5], c.keys[11])
+	corrupt("ProveScan", err)
+	rp, err := tr.ProveScan(c.keys[1], c.keys[6])
+	fine("ProveScan", err)
+	fine("RangeProof.Verify", rp.Verify(tr.Root()))
+	_, err = tr.ProveGetBatch([][]byte{c.keys[2], c.keys[12]})
+	corrupt("ProveGetBatch", err)
+	bp, err := tr.ProveGetBatch([][]byte{c.keys[2], c.keys[3]})
+	fine("ProveGetBatch", err)
+	fine("BatchProof.Verify", bp.Verify(tr.Root()))
+	corrupt("Scan", tr.Scan(c.keys[12], c.keys[14], func(Entry) bool { return true }))
+	fine("Scan", tr.Scan(c.keys[1], c.keys[6], func(Entry) bool { return true }))
+	corrupt("WalkNodes", tr.WalkNodes(func(int, []byte) bool { return true }))
+
+	_, err = tr.Put(c.keys[9], []byte("overwrite"))
+	corrupt("an overwrite that re-frames the group", err)
+	next, err := tr.Put(c.keys[2], []byte("overwrite"))
+	fine("an overwrite in another group", err)
+	ref, err := c.clean.Put(c.keys[2], []byte("overwrite"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Root() != ref.Root() {
+		t.Fatal("a commit that copied the damaged group by its root committed another root")
+	}
+	_, _, err = next.Get(c.keys[9])
+	corrupt("Get in the leaf the group was copied into", err)
+	if v, found, err := next.Get(c.keys[2]); err != nil || !found || string(v) != "overwrite" {
+		t.Fatalf("the overwritten entry: %q %v %v", v, found, err)
 	}
 }

@@ -185,29 +185,44 @@ var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
 // internal/posleaf, which keeps a root per group of entries.
 // Where r.kept says a stretch of a leaf's entries is a stored leaf's,
 // unchanged, the writer takes the groups both leaves cut alike out of
-// that leaf's body, already hashed. The body is allocated once, at its
-// exact size: the store keeps it.
-func encode(level int, r run) []byte {
+// that leaf's body, already hashed — checked or not: a damaged group keeps
+// its genuine root and fails the first read that uses it, which is why the
+// stretches copied are returned, for the store to know (cas.CopyTracker).
+// An entry of a stored leaf that is framed and hashed anew is checked
+// first. The body is allocated once, at its exact size: the store keeps it.
+func (t *Tree) encode(level int, r run) ([]byte, []copied, error) {
 	size := entryBytes(r.entries)
 	if level == 0 {
 		w := posleaf.NewWriter(len(r.entries), size)
 		at := cursor{spans: r.kept}
+		var copies []copied
 		for i := 0; i < len(r.entries); {
 			if sp, ok := at.span(i); ok {
 				if took := w.Copy(sp.src.groups, sp.pos+i-sp.at, sp.at+sp.n-i); took > 0 {
+					copies = append(copies, copied{at: i, pos: sp.pos + i - sp.at, n: took, src: sp.src})
 					i += took
 					continue
+				}
+				if err := t.checkKept(sp, i); err != nil {
+					return nil, nil, err
 				}
 			}
 			w.Entry(r.entries[i].Key, r.entries[i].Value)
 			i++
 		}
 		mHashedBytes.Add(uint64(w.Hashed()))
-		return w.Body()
+		return w.Body(), copies, nil
 	}
 	buf := encodeIndex(level, r.entries, size)
 	mHashedBytes.Add(uint64(len(buf)))
-	return buf
+	return buf, nil, nil
+}
+
+// copied is a stretch of a leaf that encode took over by its groups from
+// the stored leaf src: n entries from position at, src's from pos.
+type copied struct {
+	at, pos, n int
+	src        *stored
 }
 
 // entryBytes is what the entries take encoded.
@@ -348,18 +363,26 @@ func nodeDomain(level int) byte {
 // hands the body to the store — the one copy of it there is — and admits
 // an index node to the cache, so that the apply of the next block, and
 // the proofs until then, find decoded what this one wrote.
-func (t *Tree) storeNode(level int, r run) (hashutil.Digest, uint64) {
-	body := encode(level, r)
+func (t *Tree) storeNode(level int, r run) (hashutil.Digest, uint64, error) {
+	body, copies, err := t.encode(level, r)
+	if err != nil {
+		return hashutil.Digest{}, 0, err
+	}
 	d := t.store.PutOwned(nodeDomain(level), body)
 	if level == 0 {
-		return d, uint64(len(r.entries))
+		if ct, ok := t.store.(cas.CopyTracker); ok {
+			for _, c := range copies {
+				ct.CopiedGroups(d, body, c.at, c.src.d, c.src.body, c.pos, c.n)
+			}
+		}
+		return d, uint64(len(r.entries)), nil
 	}
 	t.cache.put(d, rehomed(level, r.entries, body), body)
 	var cnt uint64
 	for _, e := range r.entries {
 		cnt += childCount(e)
 	}
-	return d, cnt
+	return d, cnt, nil
 }
 
 func loadNode(store cas.Store, d hashutil.Digest) (*node, error) {
@@ -411,16 +434,32 @@ type span struct {
 }
 
 // stored is a node an apply is rewriting, as the source of spans: the
-// decoded node and, for a leaf, where its groups lie in its body
-// (nil for an index node, and then nothing is copied).
+// decoded node; last, its last key, from its parent's routing entry, when
+// the tree's shape says that entry is a boundary (nil: it must be tested);
+// and for a leaf, its digest, the body the store returned and where its
+// groups lie in it (body and groups nil for an index node, which was
+// hashed whole: nothing is checked or copied).
 type stored struct {
 	n      *node
+	last   []byte
+	d      hashutil.Digest
+	body   []byte
 	groups *posleaf.Source
 }
 
 // inner reports whether the run's entry i, which the span covers, is an
 // entry other than the last of its source node.
 func (s span) inner(i int) bool { return s.pos+i-s.at < len(s.src.n.entries)-1 }
+
+// checkKept checks the group of the stored leaf that holds the run's entry
+// i, which sp covers: an entry the apply reads rather than copies.
+func (t *Tree) checkKept(sp span, i int) error {
+	if sp.src.body == nil {
+		return nil
+	}
+	q := sp.pos + i - sp.at
+	return t.store.CheckGroups(sp.src.d, sp.src.body, q, q)
+}
 
 // cursor finds the span covering each index of a run visited in
 // ascending order.
@@ -473,19 +512,37 @@ func (r run) window(lo, hi int) run {
 
 // chunkEntries cuts a sorted entry run into complete nodes (each ending at
 // a boundary entry or at maxFanout) and an open tail of entries after the
-// last boundary. The stored nodes' routing entries are returned.
-func (t *Tree) chunkEntries(r run, level int) (complete []Entry, tail run) {
+// last boundary. The stored nodes' routing entries are returned. A stored
+// node's last entry ends a node where the tree's shape says it did
+// (stored.last), and nothing of it is read; any other stored leaf's entry
+// that can end a node — tested as a boundary, or cut at by maxFanout — is
+// checked first: the tree's shape and a routing key are read off it.
+func (t *Tree) chunkEntries(r run, level int) (complete []Entry, tail run, err error) {
 	start := 0
 	at := cursor{spans: r.kept}
 	for i, e := range r.entries {
 		sp, kept := at.span(i)
-		if (!(kept && sp.inner(i)) && isBoundary(e)) || i-start+1 >= maxFanout {
-			d, cnt := t.storeNode(level, r.window(start, i+1))
-			complete = append(complete, makeIndexEntry(e.Key, d, cnt))
+		test, full := !(kept && sp.inner(i)), i-start+1 >= maxFanout
+		shaped := kept && test && sp.src.last != nil
+		if kept && !shaped && (test || full) {
+			if err := t.checkKept(sp, i); err != nil {
+				return nil, run{}, err
+			}
+		}
+		if shaped || (test && isBoundary(e)) || full {
+			d, cnt, err := t.storeNode(level, r.window(start, i+1))
+			if err != nil {
+				return nil, run{}, err
+			}
+			sep := e.Key
+			if shaped {
+				sep = sp.src.last
+			}
+			complete = append(complete, makeIndexEntry(sep, d, cnt))
 			start = i + 1
 		}
 	}
-	return complete, r.window(start, len(r.entries))
+	return complete, r.window(start, len(r.entries)), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -515,9 +572,15 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 		if level >= maxStrata {
 			return nil, errors.New("postree: tree too tall")
 		}
-		complete, tail := t.chunkEntries(run{entries: entries}, level)
+		complete, tail, err := t.chunkEntries(run{entries: entries}, level)
+		if err != nil {
+			return nil, err
+		}
 		if last := len(tail.entries) - 1; last >= 0 {
-			d, cnt := t.storeNode(level, tail)
+			d, cnt, err := t.storeNode(level, tail)
+			if err != nil {
+				return nil, err
+			}
 			complete = append(complete, makeIndexEntry(tail.entries[last].Key, d, cnt))
 		}
 		if len(complete) == 1 {
@@ -534,39 +597,41 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 // Get returns the value stored under key, or (nil, false) if absent. The
 // index levels come decoded from the node cache; the leaf, which is never
 // cached decoded, is searched in its stored body (posleaf.Find) rather than
-// decoded whole for the sake of one entry.
+// decoded whole for the sake of one entry, and the store checks the groups
+// of the entries that decide the answer (cas.Store.CheckGroups).
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if t.root.IsZero() {
 		return nil, false, nil
 	}
-	body, err := t.leafFor(key, nil)
+	d, body, err := t.leafFor(key, nil)
 	if body == nil || err != nil {
 		return nil, false, err
 	}
-	_, value, found, err := posleaf.Find(body, key)
+	_, _, value, found, err := t.find(d, body, key)
 	return value, found, err
 }
 
 // leafFor descends the index levels of a non-empty tree and returns the
-// stored body of the leaf key routes to, nil when key is beyond the largest
-// key. The index nodes it passes are appended to p, when there is one, and
-// so is the leaf's digest (its slot is the caller's to cut and append).
-func (t *Tree) leafFor(key []byte, p *PointProof) ([]byte, error) {
+// digest and stored body of the leaf key routes to, a nil body when key is
+// beyond the largest key. The index nodes it passes are appended to p,
+// when there is one, and so is the leaf's digest (its slot is the caller's
+// to cut and append).
+func (t *Tree) leafFor(key []byte, p *PointProof) (hashutil.Digest, []byte, error) {
 	d := t.root
 	for level := t.level; level > 0; level-- {
 		body, n, err := t.loadProofNode(d)
 		if err != nil {
-			return nil, err
+			return d, nil, err
 		}
 		if n.level != level {
-			return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
+			return d, nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
 		}
 		if p != nil {
 			p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
 		}
 		i := searchEntries(n.entries, key)
 		if i == len(n.entries) {
-			return nil, nil
+			return d, nil, nil
 		}
 		d = childDigest(n.entries[i])
 	}
@@ -575,15 +640,43 @@ func (t *Tree) leafFor(key []byte, p *PointProof) ([]byte, error) {
 	}
 	body, err := t.store.Get(d)
 	if err != nil {
-		return nil, fmt.Errorf("postree: load node: %w", err)
+		return d, nil, fmt.Errorf("postree: load node: %w", err)
 	}
-	return body, nil
+	return d, body, nil
+}
+
+// find searches the stored leaf d, body, for key (posleaf.Find) and checks
+// the groups of the entries that decide the answer, lo through hi: the
+// entry itself for a hit, both sides of the gap for a miss.
+func (t *Tree) find(d hashutil.Digest, body, key []byte) (lo, hi int, value []byte, found bool, err error) {
+	l, err := posleaf.Parse(body)
+	if err != nil {
+		return 0, 0, nil, false, err
+	}
+	i, value, found, err := posleaf.Find(body, key)
+	if err != nil {
+		return 0, 0, nil, false, err
+	}
+	lo, hi = pointSpan(l.Count, i, found)
+	if err := t.store.CheckGroups(d, body, lo, hi); err != nil {
+		return 0, 0, nil, false, err
+	}
+	return lo, hi, value, found, nil
+}
+
+// checkRun checks the groups of the stored leaf d, body, decoded as n, that
+// hold the run [a, b) of its entries a scan picked out and the entry on
+// either side of it, as far as the leaf has them: what the run is and
+// where it begins and ends.
+func (t *Tree) checkRun(d hashutil.Digest, body []byte, n *node, a, b int) error {
+	return t.store.CheckGroups(d, body, max(a-1, 0), min(b, len(n.entries)-1))
 }
 
 // Scan calls fn for every entry with start <= key < end, in key order. A
 // nil end means "to the last key". fn returning false stops the scan early.
 // The Entry passed to fn references node storage and must not be retained
-// without copying.
+// without copying. A leaf's entries in range, and the one either side that
+// bounds them, are checked before fn sees any of them.
 func (t *Tree) Scan(start, end []byte, fn func(Entry) bool) error {
 	if t.root.IsZero() {
 		return nil
@@ -593,24 +686,21 @@ func (t *Tree) Scan(start, end []byte, fn func(Entry) bool) error {
 }
 
 func (t *Tree) scanNode(d hashutil.Digest, start, end []byte, fn func(Entry) bool) (bool, error) {
-	n, err := t.loadNodeCached(d)
+	body, n, err := t.loadProofNode(d)
 	if err != nil {
 		return false, err
 	}
 	if n.level == 0 {
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return bytes.Compare(n.entries[i].Key, start) >= 0
-		})
-		for ; i < len(n.entries); i++ {
-			e := n.entries[i]
-			if end != nil && bytes.Compare(e.Key, end) >= 0 {
-				return false, nil
-			}
+		a, b := leafSpan(n.entries, start, end)
+		if err := t.checkRun(d, body, n, a, b); err != nil {
+			return false, err
+		}
+		for _, e := range n.entries[a:b] {
 			if !fn(e) {
 				return false, nil
 			}
 		}
-		return true, nil
+		return b == len(n.entries), nil // an entry at or past end stops the scan
 	}
 	i := sort.Search(len(n.entries), func(i int) bool {
 		return bytes.Compare(n.entries[i].Key, start) >= 0
@@ -684,7 +774,7 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 	}
 
 	carry := make([]run, maxStrata)
-	complete, err := t.processNode(t.root, t.level, carry, dedup, onReplace)
+	complete, err := t.processNode(t.root, nil, t.level, carry, dedup, onReplace)
 	if err != nil {
 		return nil, err
 	}
@@ -695,7 +785,10 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 		if len(tail) == 0 {
 			continue
 		}
-		d, cnt := t.storeNode(s, carry[s])
+		d, cnt, err := t.storeNode(s, carry[s])
+		if err != nil {
+			return nil, err
+		}
 		e := makeIndexEntry(tail[len(tail)-1].Key, d, cnt)
 		if s == t.level {
 			complete = append(complete, e)
@@ -735,12 +828,13 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 }
 
 // processNode rewrites the subtree rooted at d (a node at the given level)
-// to incorporate edits. carry[s] holds entries at stratum s produced to the
-// left that have not yet been grouped into a node; this call consumes
-// carry[level] (prepending it to its own content) and may leave new open
-// tails behind for the caller. The returned entries route to the complete
-// replacement nodes at this node's level.
-func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
+// to incorporate edits; key is the key d's parent routes to it by, nil
+// for the rightmost node of its level. carry[s] holds entries at stratum s
+// produced to the left that have not yet been grouped into a node; this
+// call consumes carry[level] (prepending it to its own content) and may
+// leave new open tails behind for the caller. The returned entries route
+// to the complete replacement nodes at this node's level.
+func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
 	body, n, err := t.loadProofNode(d)
 	if err != nil {
 		return nil, err
@@ -749,15 +843,24 @@ func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Ed
 		return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
 	}
 	src := &stored{n: n}
+	// A stored node ends where the chunker cut it: at a boundary entry,
+	// unless maxFanout cut it or it is the rightmost of its level.
+	if key != nil && len(n.entries) < maxFanout {
+		src.last = key
+	}
 	if level == 0 {
+		src.d, src.body = d, body
 		// Locate the leaf's groups, for the leaves that keep some of them.
 		if l, err := posleaf.Parse(body); err == nil {
 			src.groups = l.Source()
 		}
-		merged := mergeEdits(carry[0], src, edits, onReplace)
-		complete, tail := t.chunkEntries(merged, 0)
+		merged, err := t.mergeEdits(carry[0], src, edits, onReplace)
+		if err != nil {
+			return nil, err
+		}
+		complete, tail, err := t.chunkEntries(merged, 0)
 		carry[0] = tail
-		return complete, nil
+		return complete, err
 	}
 
 	// The carry's tail was sliced out of the run it came from: copy, so
@@ -776,13 +879,20 @@ func (t *Tree) processNode(d hashutil.Digest, level int, carry []run, edits []Ed
 			content.keep(src, i, i+1)
 			continue
 		}
-		sub, err := t.processNode(childDigest(ce), level-1, carry, childEdits, onReplace)
+		childKey := ce.Key
+		if key == nil && last {
+			childKey = nil
+		}
+		sub, err := t.processNode(childDigest(ce), childKey, level-1, carry, childEdits, onReplace)
 		if err != nil {
 			return nil, err
 		}
 		content.entries = append(content.entries, sub...)
 	}
-	complete, tail := t.chunkEntries(content, level)
+	complete, tail, err := t.chunkEntries(content, level)
+	if err != nil {
+		return nil, err
+	}
 	carry[level] = tail
 	// This node is history now: keep it for the readers a few blocks
 	// behind, out of the way of what the head needs.
@@ -815,8 +925,11 @@ func splitEdits(edits []Edit, sep []byte, last bool) (child, rest []Edit) {
 
 // mergeEdits merges a sorted prefix, the entries of a stored leaf and
 // sorted edits into a single sorted run, applying upserts and deletes.
-// onReplace (optional) observes overwritten and deleted entries.
-func mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue []byte)) run {
+// onReplace (optional) observes overwritten and deleted entries. The
+// groups of the entries that place each edit — the entry it replaces, or
+// the two either side of where it goes — are checked before they are
+// trusted.
+func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue []byte)) (run, error) {
 	base := leaf.n.entries
 	out := run{
 		entries: append(make([]Entry, 0, len(prefix.entries)+len(base)+len(edits)), prefix.entries...),
@@ -826,9 +939,14 @@ func mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldV
 	for _, e := range edits {
 		// The leaf's entries below the edit's key are kept as they are.
 		next := bi + searchEntries(base[bi:], e.Key)
+		same := next < len(base) && bytes.Equal(base[next].Key, e.Key)
+		lo, hi := pointSpan(len(base), next, same)
+		if err := t.store.CheckGroups(leaf.d, leaf.body, lo, hi); err != nil {
+			return run{}, err
+		}
 		out.keep(leaf, bi, next)
 		bi = next
-		if bi < len(base) && bytes.Equal(base[bi].Key, e.Key) { // same key: edit wins
+		if same { // same key: edit wins
 			if onReplace != nil {
 				onReplace(base[bi].Key, base[bi].Value)
 			}
@@ -839,7 +957,7 @@ func mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldV
 		}
 	}
 	out.keep(leaf, bi, len(base))
-	return out
+	return out, nil
 }
 
 // LiveBytes returns the total size of the distinct nodes reachable from
@@ -847,42 +965,18 @@ func mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldV
 // the store's physical size, which also holds superseded copy-on-write
 // nodes awaiting garbage collection.
 func (t *Tree) LiveBytes() (int64, error) {
-	if t.root.IsZero() {
-		return 0, nil
-	}
-	seen := make(map[hashutil.Digest]bool)
-	var walk func(d hashutil.Digest) (int64, error)
-	walk = func(d hashutil.Digest) (int64, error) {
-		if seen[d] {
-			return 0, nil
-		}
-		seen[d] = true
-		body, err := t.store.Get(d)
-		if err != nil {
-			return 0, err
-		}
-		total := int64(len(body))
-		n, err := decodeNode(body)
-		if err != nil {
-			return 0, err
-		}
-		if n.level > 0 {
-			for _, e := range n.entries {
-				sub, err := walk(childDigest(e))
-				if err != nil {
-					return 0, err
-				}
-				total += sub
-			}
-		}
-		return total, nil
-	}
-	return walk(t.root)
+	var total int64
+	err := t.WalkNodes(func(_ int, body []byte) bool {
+		total += int64(len(body))
+		return true
+	})
+	return total, err
 }
 
 // WalkNodes visits every distinct node reachable from the root, top-down,
-// passing each node's level and serialized body. fn returning false stops
-// the walk. Snapshot export uses it to enumerate an instance's live set.
+// passing each node's level and serialized body, every group of a leaf
+// checked first. fn returning false stops the walk. Snapshot export uses it
+// to enumerate an instance's live set.
 func (t *Tree) WalkNodes(fn func(level int, body []byte) bool) error {
 	if t.root.IsZero() {
 		return nil
@@ -901,6 +995,11 @@ func (t *Tree) WalkNodes(fn func(level int, body []byte) bool) error {
 		n, err := decodeNode(body)
 		if err != nil {
 			return false, err
+		}
+		if n.level == 0 {
+			if err := t.store.CheckGroups(d, body, 0, len(n.entries)-1); err != nil {
+				return false, err
+			}
 		}
 		if !fn(n.level, body) {
 			return false, nil

@@ -56,30 +56,26 @@ type PointProof struct {
 //
 // The index levels come decoded from the node cache; the leaf, as in Get,
 // is searched — and then cut — in its stored body rather than decoded whole
-// for the sake of one entry.
+// for the sake of one entry, and only the groups the cut ships entries from
+// or hashes siblings in are checked.
 func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	p := PointProof{Key: key}
 	if t.root.IsZero() {
 		return p, nil // proof against the zero root: trivially empty tree
 	}
 	p.Nodes, p.digests = make([][]byte, 0, t.level+1), make([]hashutil.Digest, 0, t.level+1)
-	body, err := t.leafFor(key, &p)
+	d, body, err := t.leafFor(key, &p)
 	if err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
 	if body == nil {
 		return p, nil // key beyond max: the path proves absence
 	}
-	l, err := posleaf.Parse(body)
-	if err != nil {
-		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
-	}
-	i, value, found, err := posleaf.Find(body, key)
+	lo, hi, value, found, err := t.find(d, body, key)
 	if err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
 	p.Value, p.Found = value, found
-	lo, hi := pointSpan(l.Count, i, found)
 	if body, err = posleaf.Prune(body, lo, hi); err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
@@ -657,6 +653,9 @@ func (t *Tree) proveScanNode(d hashutil.Digest, p *RangeProof) error {
 	p.digests = append(p.digests, d)
 	if n.level == 0 {
 		a, b := leafSpan(n.entries, p.Start, p.End)
+		if err := t.checkRun(d, body, n, a, b); err != nil {
+			return fmt.Errorf("postree: prove scan: %w", err)
+		}
 		p.Entries = append(p.Entries, n.entries[a:b]...)
 		// The in-range entries and one neighbour on each side, as far as
 		// the leaf has them: what brackets demands of this leaf.
