@@ -19,6 +19,7 @@ import (
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/posleaf"
+	"spitz/internal/query"
 	"spitz/internal/wal"
 	"spitz/internal/wire"
 )
@@ -204,5 +205,92 @@ func TestColdLeafCheckedWhereUsed(t *testing.T) {
 	// A failed commit leaves the engine read-only (fail-stop): last.
 	if err := rewrite(pks[9]); !errors.Is(err, cas.ErrCorrupt) {
 		t.Fatalf("a commit that re-frames the damaged group: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDamagedColumnBoundaryFails: the cell that opens column b of a table
+// with columns a, b and c has a value byte flipped in its cold leaf, the
+// record's CRC rewritten. Reading the table's columns, a DELETE of one row
+// and a SELECT * — local and verified — each fail with ErrCorrupt and
+// commit nothing: none of them runs on a column set cut short at the
+// damage.
+func TestDamagedColumnBoundaryFails(t *testing.T) {
+	dir := t.TempDir()
+	opts := durable.Options{Sync: wal.SyncNever, CheckpointInterval: -1, NodeCacheMB: 1}
+	m, err := durable.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var puts []core.Put
+	for i := 0; i < 200; i++ {
+		pk := []byte(fmt.Sprintf("pk%04d", i))
+		for _, col := range []string{"a", "b", "c"} {
+			puts = append(puts, core.Put{Table: "t", Column: col, PK: pk, Value: []byte(col + string(pk))})
+		}
+	}
+	if _, err := m.Engine().Apply("seed", puts); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	first := cellstore.CellPrefix("t", "b", []byte("pk0000"))
+	cells, _, _ := m.Engine().Ledger().Latest()
+	var leaf hashutil.Digest
+	off := -1
+	if err := cells.Tree.WalkNodes(func(level int, body []byte) bool {
+		l, err := posleaf.Parse(body)
+		if level != 0 || err != nil {
+			return true
+		}
+		for i, rest := 0, l.Entries; i < l.Count; i++ {
+			var key []byte
+			if key, _, rest, err = posleaf.ReadEntry(rest); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(key, first) {
+				leaf, off = cas.Address(hashutil.DomainPOSLeaf, body), len(body)-len(rest)-1
+				return false
+			}
+		}
+		return true
+	}); err != nil || off < 0 {
+		t.Fatalf("no leaf holds b's first cell: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteNodeRecord(t, filepath.Join(dir, "nodes"), leaf, off)
+	if m, err = durable.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	eng := m.Engine()
+	height := eng.Ledger().Height()
+
+	if cols, err := eng.Columns("t"); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("Columns over the damaged boundary = %v, %v; want ErrCorrupt", cols, err)
+	}
+	if res, err := query.Exec(eng, "DELETE FROM t WHERE pk = 'pk0001'"); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("DELETE = %d rows, %v; want ErrCorrupt", res.RowsAffected, err)
+	}
+	const star = "SELECT * FROM t WHERE pk = 'pk0001'"
+	if res, err := query.Exec(eng, star); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("SELECT * = %v, %v; want ErrCorrupt", res.Rows, err)
+	}
+	stmt, err := query.Parse(star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := query.ExecVerifiedSelect(eng, stmt.(query.Select), false); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("verified SELECT * = %d cells, %v; want ErrCorrupt", len(res.Cells), err)
+	}
+	if h := eng.Ledger().Height(); h != height {
+		t.Fatalf("height %d after the failed statements, want %d", h, height)
+	}
+	for _, col := range []string{"a", "c"} { // b shares the damaged group
+		if _, err := eng.Get("t", col, []byte("pk0001")); err != nil {
+			t.Fatalf("pk0001.%s after the failed DELETE: %v", col, err)
+		}
 	}
 }

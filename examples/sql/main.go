@@ -106,7 +106,10 @@ func main() {
 	fmt.Printf("nested field as a cell: contact.email = %s\n",
 		res.Rows[0].Columns["contact.email"])
 
-	cols := db.Columns("suppliers")
+	cols, err := db.Columns("suppliers")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("supplier columns discovered from writes: %v\n", cols)
 
 	// And a DELETE tombstones every column of the row — history remains.

@@ -19,6 +19,7 @@
 package cellstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -363,6 +364,31 @@ func (s Store) RangePK(table, column string, pkLo, pkHi []byte, asOf uint64) ([]
 		return true
 	})
 	return out, err
+}
+
+// Columns returns, sorted, the columns some cell of table has a key for in
+// this snapshot: the tree's keys are the schema. A tombstone keeps its key,
+// so a column whose cells are all deleted is still listed. The walk seeks
+// once per column, from a column's first key straight past its last
+// (PrefixEnd), so a column costs one descent, not a scan of its cells.
+func (s Store) Columns(table string) ([]string, error) {
+	prefix := appendSegment(nil, []byte(table))
+	var out []string
+	for from := prefix; ; {
+		e, ok, err := s.Tree.Seek(from)
+		if err != nil {
+			return nil, err
+		}
+		if !ok || !bytes.HasPrefix(e.Key, prefix) {
+			return out, nil
+		}
+		col, rest, err := readSegment(e.Key[len(prefix):])
+		if err != nil {
+			return nil, fmt.Errorf("cellstore: ref column: %w", err)
+		}
+		out = append(out, string(col))
+		from = PrefixEnd(e.Key[:len(e.Key)-len(rest)]) // past ColumnPrefix(table, col)
+	}
 }
 
 // RefRange returns the tree-key bounds of a pk range scan over one

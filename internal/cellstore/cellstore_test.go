@@ -3,6 +3,8 @@ package cellstore
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -396,4 +398,53 @@ func mustLoad(t *testing.T, s Store, d Demoted) Cell {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestColumnsSeekPastEachColumn: Columns lists, for each table, exactly the
+// columns a scan of every key finds — across table and column names that
+// extend one another or hold zero bytes, and a column of tombstones — and
+// reads one path per column, not the column's leaves.
+func TestColumnsSeekPastEachColumn(t *testing.T) {
+	counting := cas.NewCounting(cas.NewMemory())
+	tables := []string{"", "t", "t\x00", "t\x00a", "tt", "u"}
+	columns := []string{"", "a", "a\x00", "a\x00b", "ab", "b\xff", "dead"}
+	var cells []Cell
+	for i, table := range tables {
+		for j, col := range columns {
+			if (i+j)%3 == 0 {
+				continue // each table its own column set
+			}
+			for k := 0; k < 300; k++ {
+				cells = append(cells, Cell{Table: table, Column: col, PK: []byte(fmt.Sprintf("pk%04d", k)),
+					Version: 1, Value: []byte("v"), Tombstone: col == "dead"})
+			}
+		}
+	}
+	s, _ := mustApply(t, Store{Tree: postree.Empty(counting)}, cells)
+	want := map[string][]string{}
+	if err := s.Tree.Scan(nil, nil, func(e postree.Entry) bool {
+		table, col, _, err := DecodeRef(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want[table]; len(w) == 0 || w[len(w)-1] != col {
+			want[table] = append(w, col)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range append(tables, "absent", "t\x00\x00") {
+		_, before := counting.Ops()
+		got, err := s.Columns(table)
+		_, after := counting.Ops()
+		if err != nil || !reflect.DeepEqual(got, want[table]) || !sort.StringsAreSorted(got) {
+			t.Fatalf("Columns(%q) = %q, %v; want %q", table, got, err, want[table])
+		}
+		// A seek per column and one past the last: a leaf each, plus
+		// whatever index nodes the tree's cache does not hold.
+		if reads := after - before; reads > int64(4*(len(got)+1)) {
+			t.Fatalf("Columns(%q) read %d nodes for %d columns", table, reads, len(got))
+		}
+	}
 }

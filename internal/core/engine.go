@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +37,7 @@ import (
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
+	"spitz/internal/postree"
 	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 )
@@ -79,12 +79,6 @@ type Options struct {
 	// MaintainInverted keeps the inverted index updated on every commit,
 	// enabling value lookups (LookupEqual etc.) at some write cost.
 	MaintainInverted bool
-	// LazyIndex skips the O(state) schema rebuild scan when the engine is
-	// constructed over recovered state (NewWithLedger): the schema map
-	// fills from new commits plus one deferred scan on first Columns call.
-	// Ignored (an eager scan still runs) when MaintainInverted is set,
-	// because inverted lookups have no per-key fallback path.
-	LazyIndex bool
 
 	// MaxBatchTxns caps how many transactions the group-commit leader
 	// folds into one ledger block (default 128).
@@ -110,16 +104,7 @@ type Engine struct {
 	maxBatchTxns  int
 	maxBatchDelay time.Duration
 
-	mu sync.RWMutex
-	// schema records the columns observed per table, supporting SELECT *
-	// and whole-row deletes in the query layer.
-	schema map[string]map[string]struct{}
-	// lazy marks an engine opened without the eager index rebuild: the
-	// schema only covers post-open commits until schemaScanned flips, once
-	// the deferred schema discovery scan has run (see ensureSchema).
-	lazy          bool
-	schemaScanned bool
-
+	mu        sync.RWMutex
 	nextTxnID uint64
 
 	// Group-commit pipeline state, guarded by mu. queue holds commits
@@ -256,7 +241,6 @@ func build(opts Options, l *ledger.Ledger) *Engine {
 		ts:            opts.Timestamps,
 		maxBatchTxns:  opts.MaxBatchTxns,
 		maxBatchDelay: opts.MaxBatchDelay,
-		schema:        make(map[string]map[string]struct{}),
 		pending:       make(map[string][]pendingCell),
 		lastVersion:   headVersion,
 	}
@@ -265,6 +249,48 @@ func build(opts Options, l *ledger.Ledger) *Engine {
 	}
 	e.mgr = txn.NewManager(engineStore{e}, opts.Timestamps, opts.Mode)
 	return e
+}
+
+// NewWithLedger builds an engine around a recovered ledger (ledger.Reopen,
+// ledger.LoadSnapshot). nextTxnID is the recovered transaction-ID floor;
+// WAL tail replay via ReplayBlock advances it further. The engine keeps no
+// index of the cells beside the tree but the optional inverted one, so the
+// open scans the head only to rebuild that, with MaintainInverted set, and
+// otherwise does no O(state) work.
+func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, error) {
+	if opts.Store == nil {
+		return nil, errors.New("core: NewWithLedger requires the ledger's store")
+	}
+	e := build(opts, l)
+	e.nextTxnID = nextTxnID
+	if e.inv == nil {
+		return e, nil
+	}
+	cells, _, ok := l.Latest()
+	if !ok {
+		return e, nil
+	}
+	var bad error
+	err := cells.Tree.Scan(nil, nil, func(entry postree.Entry) bool {
+		c, err := cellstore.DecodeEntries([]postree.Entry{entry})
+		if bad = err; err == nil {
+			e.inv.Add(c[0]) // copies what it keeps
+		}
+		return err == nil
+	})
+	if err = errors.Join(err, bad); err != nil {
+		return nil, fmt.Errorf("core: rebuild inverted index: %w", err)
+	}
+	return e, nil
+}
+
+// NextTxnID returns the next transaction ID the engine would assign. The
+// durable layer persists it at checkpoint so recovered engines never
+// reuse an ID already bound into the audit history.
+func (e *Engine) NextTxnID() uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.nextTxnID
 }
 
 // Ledger exposes the underlying ledger (the auditor's counterpart) for
@@ -696,38 +722,28 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 	return h, nil
 }
 
-// indexCellsLocked refreshes the schema (and the inverted index) after a
-// commit. Caller holds e.mu. The inverted index ignores a version at or
-// below the one it holds for the cell and removes superseded postings
-// itself on Add; resolvePostings re-checks versions at query time as a
-// safety net.
+// indexCellsLocked adds a commit's cells to the inverted index, when it is
+// on. Caller holds e.mu, so cells arrive in commit order. The index ignores
+// a version at or below the one it holds for the cell and removes
+// superseded postings itself on Add; resolvePostings re-checks versions at
+// query time as a safety net.
 func (e *Engine) indexCellsLocked(cells []cellstore.Cell) {
+	if e.inv == nil {
+		return
+	}
 	for i := range cells {
-		c := &cells[i]
-		cols, ok := e.schema[c.Table]
-		if !ok {
-			cols = make(map[string]struct{})
-			e.schema[c.Table] = cols
-		}
-		cols[c.Column] = struct{}{}
-		if e.inv != nil {
-			e.inv.Add(*c)
-		}
+		e.inv.Add(cells[i])
 	}
 }
 
-// Columns returns the sorted set of columns ever written to a table.
-func (e *Engine) Columns(table string) []string {
-	e.ensureSchema()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	cols := e.schema[table]
-	out := make([]string, 0, len(cols))
-	for c := range cols {
-		out = append(out, c)
+// Columns returns the sorted set of columns ever written to a table: the
+// columns the head tree's keys name (cellstore.Store.Columns).
+func (e *Engine) Columns(table string) ([]string, error) {
+	cells, _, ok := e.ledger.Latest()
+	if !ok {
+		return nil, nil
 	}
-	sort.Strings(out)
-	return out
+	return cells.Columns(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -1095,9 +1111,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return e.ledger.WriteSnapshot(w)
 }
 
-// Restore reconstructs an engine from a snapshot stream. The schema (and
-// the inverted index) rebuild from the restored cell store, and new commit
-// versions continue above the restored head.
+// Restore reconstructs an engine from a snapshot stream (NewWithLedger over
+// the loaded ledger); new commit versions continue above the restored head.
 func Restore(opts Options, r io.Reader) (*Engine, error) {
 	if opts.Store == nil {
 		opts.Store = cas.NewMemory()
@@ -1106,25 +1121,18 @@ func Restore(opts Options, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := build(opts, l)
-
 	// Resume transaction IDs above every ID recorded in the restored
 	// ledger, so post-restore commits never reuse an ID already bound
 	// into the audit history.
+	var next uint64
 	for height := uint64(0); height < l.Height(); height++ {
 		body, err := l.Body(height)
 		if err != nil {
 			return nil, fmt.Errorf("core: restore block %d body: %w", height, err)
 		}
 		for _, t := range body {
-			if t.ID >= e.nextTxnID {
-				e.nextTxnID = t.ID + 1
-			}
+			next = max(next, t.ID+1)
 		}
 	}
-
-	if err := e.rebuildIndexes(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return NewWithLedger(opts, l, next)
 }

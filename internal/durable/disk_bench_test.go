@@ -40,25 +40,35 @@ func buildBenchDB(b *testing.B, dir string, opts Options, nKeys, valSize, batch 
 // BenchmarkColdRestart measures restart-to-first-verified-read: open a
 // checkpointed database and serve one proof-carrying read. The node store
 // opens by root hash: O(height) header reads plus the one O(log n) proof
-// path it actually serves, whatever the database's size.
+// path it actually serves, whatever the database's size. With the inverted
+// index on, the open also rebuilds that index from every head cell — the
+// one scan an open still does. node-reads/op counts the node-store misses
+// of one open and read: the scan is every node of the head tree.
 func BenchmarkColdRestart(b *testing.B) {
 	const nKeys, valSize, batch = 20000, 256, 200
-	opts := noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 16})
-	dir := b.TempDir()
-	buildBenchDB(b, dir, opts, nKeys, valSize, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := Open(dir, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Engine().GetVerified("t", "c", []byte("key-00004242"))
-		if err != nil || !res.Found {
-			b.Fatalf("first verified read: found=%v err=%v", res.Found, err)
-		}
-		b.StopTimer()
-		m.Close()
-		b.StartTimer()
+	for _, inverted := range []bool{false, true} {
+		b.Run(fmt.Sprintf("MaintainInverted=%v", inverted), func(b *testing.B) {
+			opts := noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 16, MaintainInverted: inverted})
+			dir := b.TempDir()
+			buildBenchDB(b, dir, opts, nKeys, valSize, batch)
+			var reads int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := Open(dir, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := m.Engine().GetVerified("t", "c", []byte("key-00004242"))
+				if err != nil || !res.Found {
+					b.Fatalf("first verified read: found=%v err=%v", res.Found, err)
+				}
+				b.StopTimer()
+				reads += m.NodeStore().CacheStats().Misses
+				m.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(reads)/float64(b.N), "node-reads/op")
+		})
 	}
 }
 

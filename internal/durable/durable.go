@@ -229,7 +229,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		Timestamps:       orc,
 		MaxBatchTxns:     opts.MaxBatchTxns,
 		MaxBatchDelay:    opts.MaxBatchDelay,
-		LazyIndex:        true,
 	}
 	var eng *core.Engine
 	if man.height > 0 {

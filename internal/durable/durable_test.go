@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,9 +101,8 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeRecordV1 reproduces the legacy single-transaction record layout
-// (see FORMAT.md) so the tests can exercise the v1 decode path with
-// bytes identical to what pre-group-commit builds wrote.
+// encodeRecordV1 reproduces the untagged single-transaction record layout
+// of builds before group commit, byte for byte.
 func encodeRecordV1(rec core.CommitRecord) []byte {
 	tx := rec.Txns[0]
 	var buf []byte
@@ -119,15 +119,71 @@ func encodeRecordV1(rec core.CommitRecord) []byte {
 			buf = binary.AppendUvarint(buf, uint64(len(field)))
 			buf = append(buf, field...)
 		}
-		var flags byte
-		if c.Tombstone {
-			flags |= 1
-		}
-		buf = append(buf, flags)
+		buf = append(buf, 0)
 	}
 	return buf
 }
 
+// capturedRecords commits n serial transactions on a plain engine and
+// returns the commit records it emitted, one transaction per block.
+func capturedRecords(t *testing.T, n int) []core.CommitRecord {
+	t.Helper()
+	src := core.New(core.Options{})
+	sink := &captureSink{}
+	src.SetCommitSink(sink)
+	commitN(t, src, 0, n)
+	return sink.seen
+}
+
+// requireDecodeRefused checks that both record decoders refuse frame with
+// an error containing want.
+func requireDecodeRefused(t *testing.T, frame []byte, want string) {
+	t.Helper()
+	for _, err := range []error{
+		func() error { _, err := DecodeRecord(frame); return err }(),
+		func() error { _, err := DecodeRecordHeight(frame); return err }(),
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("decode: %v, want %q", err, want)
+		}
+	}
+}
+
+// requireOpenRefused writes frames into a fresh data directory's WAL and
+// checks that reopening it fails with an error containing want.
+func requireOpenRefused(t *testing.T, frames [][]byte, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	fresh, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range frames {
+		if _, err := log.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways})); err == nil || !strings.Contains(err.Error(), want) {
+		if m != nil {
+			m.Close()
+		}
+		t.Fatalf("open: %v, want %q", err, want)
+	}
+}
+
+// TestRecordCodecDecodesLegacyV1: the untagged v1 record of builds before
+// group commit is no longer decoded; both decoders name the format instead
+// of parsing the frame as a block.
 func TestRecordCodecDecodesLegacyV1(t *testing.T) {
 	rec := core.CommitRecord{Height: 9, Version: 21, Txns: []core.TxnCommit{{
 		ID: 4, Version: 21, Statement: "UPDATE t",
@@ -137,20 +193,30 @@ func TestRecordCodecDecodesLegacyV1(t *testing.T) {
 		},
 	}}}
 	rec.BlockHash[5] = 0x77
-	got, err := DecodeRecord(encodeRecordV1(rec))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
+	requireDecodeRefused(t, encodeRecordV1(rec), "unsupported record format v1")
+}
+
+// TestLegacyV1WALReplays: a WAL holding v1 frames is not replayed; the open
+// fails with an error that names the format.
+func TestLegacyV1WALReplays(t *testing.T) {
+	var frames [][]byte
+	for _, rec := range capturedRecords(t, 5) {
+		if len(rec.Txns) != 1 {
+			t.Fatalf("serial commit produced %d txns in one block", len(rec.Txns))
+		}
+		frames = append(frames, encodeRecordV1(rec))
 	}
-	if got.Height != rec.Height || got.Version != rec.Version || got.BlockHash != rec.BlockHash ||
-		len(got.Txns) != 1 {
-		t.Fatalf("v1 round trip mismatch: %+v", got)
-	}
-	tx, want := got.Txns[0], rec.Txns[0]
-	if tx.ID != want.ID || tx.Version != want.Version || tx.Statement != want.Statement ||
-		len(tx.Cells) != 2 || !bytes.Equal(tx.Cells[0].Value, []byte("v")) ||
-		!tx.Cells[1].Tombstone || tx.Cells[0].Version != 21 {
-		t.Fatalf("v1 txn mismatch: %+v vs %+v", tx, want)
-	}
+	requireOpenRefused(t, frames, "unsupported record format v1")
+}
+
+// TestRecordFormatRefusedByName: a WAL frame whose tag names a format this
+// build does not know fails both decoders and the open by name; it is never
+// parsed as a block.
+func TestRecordFormatRefusedByName(t *testing.T) {
+	v3 := EncodeRecord(capturedRecords(t, 1)[0])
+	v3[0]++ // the format number sits in the tag's low bits, its first byte
+	requireDecodeRefused(t, v3, "unsupported record format v3")
+	requireOpenRefused(t, [][]byte{v3}, "unsupported record format v3")
 }
 
 func TestRecoveryWithoutCheckpoint(t *testing.T) {
@@ -656,67 +722,4 @@ func TestMultiTxnBlockRecovery(t *testing.T) {
 	if last[0].ID < uint64(n) {
 		t.Fatalf("txn id %d reused after multi-txn recovery", last[0].ID)
 	}
-}
-
-// TestLegacyV1WALReplays: a WAL written by the pre-group-commit format
-// (one transaction per record, no format tag) must still recover, and
-// new commits appended to the same log afterwards (in the v2 format)
-// must coexist with it.
-func TestLegacyV1WALReplays(t *testing.T) {
-	// Build reference commits on a plain engine, capturing the records.
-	src := core.New(core.Options{})
-	sink := &captureSink{}
-	src.SetCommitSink(sink)
-	commitN(t, src, 0, 5)
-	digest := src.Digest()
-
-	// Write them as v1 frames into a fresh data directory's WAL.
-	dir := t.TempDir()
-	fresh, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range sink.seen {
-		if len(rec.Txns) != 1 {
-			t.Fatalf("serial commit produced %d txns in one block", len(rec.Txns))
-		}
-		if _, err := log.Append(encodeRecordV1(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
-	if err != nil {
-		t.Fatalf("recovery from v1 log: %v", err)
-	}
-	if got := m.Engine().Digest(); got != digest {
-		t.Fatalf("digest from v1 log = %+v, want %+v", got, digest)
-	}
-	checkN(t, m.Engine(), 5)
-
-	// Append new commits — written in the v2 format — and recover the
-	// now mixed-format log.
-	commitN(t, m.Engine(), 5, 8)
-	digest = m.Engine().Digest()
-	// Crash without Close.
-
-	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
-	if err != nil {
-		t.Fatalf("recovery from mixed-format log: %v", err)
-	}
-	defer m2.Close()
-	if got := m2.Engine().Digest(); got != digest {
-		t.Fatalf("digest from mixed log = %+v, want %+v", got, digest)
-	}
-	checkN(t, m2.Engine(), 8)
 }

@@ -13,12 +13,11 @@ import (
 // WAL record codec. One record is one committed block — enough to
 // re-execute the commit deterministically on recovery (see FORMAT.md).
 //
-// Two record formats exist on disk. v1 (written before group commit)
-// carries exactly one transaction and starts directly with the block
-// height. v2 carries any number of transactions and starts with a format
-// tag: a uvarint with bit 62 set, a value no v1 height can reach (it
-// would require 2^62 blocks). The decoder dispatches on the first
-// uvarint, so logs written by older versions keep replaying.
+// A record starts with a format tag: a uvarint with bit 62 set and the
+// format number in the low bits. The untagged v1 records of builds before
+// group commit began with the block height, a value far below the tag; no
+// directory this build opens can hold one, and a v1 frame is refused by
+// name, never parsed.
 //
 // v2 layout:
 //
@@ -34,20 +33,10 @@ import (
 //	  ncells    uvarint
 //	  ncells ×: table || column || pk || value (each uvarint length ||
 //	            bytes), then one flags byte (bit 0: tombstone)
-//
-// v1 layout (decode only):
-//
-//	height    uvarint
-//	txnID     uvarint
-//	version   uvarint
-//	statement uvarint length || bytes
-//	blockHash 32 bytes
-//	ncells    uvarint
-//	ncells ×: table || column || pk || value, then one flags byte
 
 const (
 	// formatTagBase marks a versioned record; the low bits carry the
-	// format number. Chosen so that no plausible v1 height collides.
+	// format number.
 	formatTagBase  = uint64(1) << 62
 	recordFormatV2 = 2
 )
@@ -94,23 +83,19 @@ func EncodeRecord(rec core.CommitRecord) []byte {
 	return buf
 }
 
-// DecodeRecord parses a WAL record of either on-disk format (v1 or v2).
-// Recovery and replica replay share it, so a follower can apply any
-// frame its primary could.
-func DecodeRecord(p []byte) (core.CommitRecord, error) {
-	first, rest, err := takeUvarint(p)
+// recordBody checks a record's format tag and returns what follows it.
+func recordBody(p []byte) ([]byte, error) {
+	tag, rest, err := takeUvarint(p)
 	if err != nil {
-		return core.CommitRecord{}, fmt.Errorf("durable: record prefix: %w", err)
+		return nil, fmt.Errorf("durable: record prefix: %w", err)
 	}
-	if first < formatTagBase {
-		// Legacy single-transaction record: the first uvarint is the
-		// block height itself.
-		return decodeRecordV1(first, rest)
+	if tag < formatTagBase {
+		return nil, errors.New("durable: unsupported record format v1 (untagged, written before group commit); this build reads v2")
 	}
-	if format := first &^ formatTagBase; format != recordFormatV2 {
-		return core.CommitRecord{}, fmt.Errorf("durable: unsupported record format %d", format)
+	if format := tag &^ formatTagBase; format != recordFormatV2 {
+		return nil, fmt.Errorf("durable: unsupported record format v%d; this build reads v2", format)
 	}
-	return decodeRecordV2(rest)
+	return rest, nil
 }
 
 // DecodeRecordHeight peeks a record's block height without decoding its
@@ -118,26 +103,25 @@ func DecodeRecord(p []byte) (core.CommitRecord, error) {
 // with large checkpointed tails this is the difference between O(1) and
 // O(state) per skipped record.
 func DecodeRecordHeight(p []byte) (uint64, error) {
-	first, rest, err := takeUvarint(p)
+	p, err := recordBody(p)
 	if err != nil {
-		return 0, fmt.Errorf("durable: record prefix: %w", err)
+		return 0, err
 	}
-	if first < formatTagBase {
-		return first, nil // legacy v1: the first uvarint is the height
-	}
-	if format := first &^ formatTagBase; format != recordFormatV2 {
-		return 0, fmt.Errorf("durable: unsupported record format %d", format)
-	}
-	height, _, err := takeUvarint(rest)
+	height, _, err := takeUvarint(p)
 	if err != nil {
 		return 0, fmt.Errorf("durable: record height: %w", err)
 	}
 	return height, nil
 }
 
-func decodeRecordV2(p []byte) (core.CommitRecord, error) {
+// DecodeRecord parses a WAL record. Recovery and replica replay share it,
+// so a follower can apply any frame its primary could.
+func DecodeRecord(p []byte) (core.CommitRecord, error) {
 	var rec core.CommitRecord
-	var err error
+	p, err := recordBody(p)
+	if err != nil {
+		return rec, err
+	}
 	if rec.Height, p, err = takeUvarint(p); err != nil {
 		return rec, fmt.Errorf("durable: record height: %w", err)
 	}
@@ -177,38 +161,6 @@ func decodeRecordV2(p []byte) (core.CommitRecord, error) {
 		if tx.Cells, p, err = decodeCells(p, tx.Version); err != nil {
 			return rec, fmt.Errorf("durable: txn %d: %w", t, err)
 		}
-	}
-	if len(p) != 0 {
-		return rec, errors.New("durable: trailing record bytes")
-	}
-	return rec, nil
-}
-
-// decodeRecordV1 parses the remainder of a legacy record, the height
-// having already been consumed by the dispatcher.
-func decodeRecordV1(height uint64, p []byte) (core.CommitRecord, error) {
-	rec := core.CommitRecord{Height: height, Txns: make([]core.TxnCommit, 1)}
-	tx := &rec.Txns[0]
-	var err error
-	if tx.ID, p, err = takeUvarint(p); err != nil {
-		return rec, fmt.Errorf("durable: record txn id: %w", err)
-	}
-	if tx.Version, p, err = takeUvarint(p); err != nil {
-		return rec, fmt.Errorf("durable: record version: %w", err)
-	}
-	rec.Version = tx.Version
-	stmt, p, err := takeBytes(p)
-	if err != nil {
-		return rec, fmt.Errorf("durable: record statement: %w", err)
-	}
-	tx.Statement = string(stmt)
-	if len(p) < hashutil.DigestSize {
-		return rec, errors.New("durable: record truncated at block hash")
-	}
-	copy(rec.BlockHash[:], p)
-	p = p[hashutil.DigestSize:]
-	if tx.Cells, p, err = decodeCells(p, tx.Version); err != nil {
-		return rec, err
 	}
 	if len(p) != 0 {
 		return rec, errors.New("durable: trailing record bytes")

@@ -342,28 +342,26 @@ func (l Leaf) Source() *Source {
 // Find searches a stored leaf body for key where it lies: the entries are
 // walked in order up to the first whose key is not below key, nothing is
 // decoded into a slice and nothing is hashed. pos is that entry's position
-// — the leaf's count when every key is below key — and value, which
-// aliases body, its value when its key is key. Over bytes from a store the
-// caller checks the groups of entries pos-1 and pos (pos for a hit): two
-// genuine neighbours in a sorted leaf place the key, whatever else it holds.
-func Find(body, key []byte) (pos int, value []byte, found bool, err error) {
+// — the leaf's count when every key is below key — and k and v, which
+// alias body, its key and value (nil at the count). Over bytes from a
+// store the caller checks the groups of entries pos-1 and pos (pos for a
+// hit): two genuine neighbours in a sorted leaf place the key, whatever
+// else it holds.
+func Find(body, key []byte) (pos int, k, v []byte, err error) {
 	l, err := Parse(body)
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, nil, err
 	}
 	rest := l.Entries
 	for ; pos < l.Count; pos++ {
-		var k, v []byte
 		if k, v, rest, err = ReadEntry(rest); err != nil {
-			return 0, nil, false, err
+			return 0, nil, nil, err
 		}
-		if c := bytes.Compare(k, key); c == 0 {
-			return pos, v, true, nil
-		} else if c > 0 {
-			break
+		if bytes.Compare(k, key) >= 0 {
+			return pos, k, v, nil
 		}
 	}
-	return pos, nil, false, nil
+	return pos, nil, nil, nil
 }
 
 // Digest returns the digest a stored leaf's table commits it to, checking

@@ -637,18 +637,24 @@ func FuzzLeaf(f *testing.F) {
 func TestFindSearchesInPlace(t *testing.T) {
 	for _, n := range []int{0, 1, groupSize, 5*groupSize + 3, 200} {
 		body, keys, values := testLeaf(n)
-		for i, k := range keys {
-			if pos, v, ok, err := Find(body, k); err != nil || !ok || pos != i || !bytes.Equal(v, values[i]) {
-				t.Fatalf("n=%d: Find(%q) = %d %q %v %v", n, k, pos, v, ok, err)
+		// at is the entry Find must stop at: position want, none at n.
+		at := func(key string, want int) {
+			t.Helper()
+			var wk, wv []byte
+			if want < n {
+				wk, wv = keys[want], values[want]
 			}
-			if pos, v, ok, err := Find(body, append(append([]byte(nil), k...), '!')); err != nil || ok || v != nil || pos != i+1 {
-				t.Fatalf("n=%d: Find just past %q = %d %q %v %v", n, k, pos, v, ok, err)
+			if pos, k, v, err := Find(body, []byte(key)); err != nil || pos != want ||
+				!bytes.Equal(k, wk) || !bytes.Equal(v, wv) || (k == nil) != (wk == nil) {
+				t.Fatalf("n=%d: Find(%q) = %d %q %q %v, want %d", n, key, pos, k, v, err, want)
 			}
 		}
+		for i, k := range keys {
+			at(string(k), i)
+			at(string(k)+"!", i+1)
+		}
 		for k, want := range map[string]int{"": 0, "a": 0, "zzzz": n} {
-			if pos, v, ok, err := Find(body, []byte(k)); err != nil || ok || v != nil || pos != want {
-				t.Fatalf("n=%d: Find(%q) = %d %q %v %v", n, k, pos, v, ok, err)
-			}
+			at(k, want)
 		}
 	}
 	body, keys, _ := testLeaf(200)

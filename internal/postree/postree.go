@@ -594,21 +594,33 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 // ---------------------------------------------------------------------------
 // Reads
 
-// Get returns the value stored under key, or (nil, false) if absent. The
-// index levels come decoded from the node cache; the leaf, which is never
-// cached decoded, is searched in its stored body (posleaf.Find) rather than
-// decoded whole for the sake of one entry, and the store checks the groups
-// of the entries that decide the answer (cas.Store.CheckGroups).
+// Get returns the value stored under key, or (nil, false) if absent: a Seek
+// that lands on key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+	e, ok, err := t.Seek(key)
+	if !ok || !bytes.Equal(e.Key, key) {
+		return nil, false, err
+	}
+	return e.Value, true, nil
+}
+
+// Seek returns the first entry whose key is at or past key, and false when
+// every key is below it. The index levels come decoded from the node cache;
+// the leaf, which is never cached decoded, is searched in its stored body
+// (posleaf.Find) rather than decoded whole for the sake of one entry, and
+// the store checks only the groups of the entries that place the answer
+// (cas.Store.CheckGroups): the entry, and for a key the tree does not
+// hold, the one before it. The Entry aliases node storage.
+func (t *Tree) Seek(key []byte) (Entry, bool, error) {
 	if t.root.IsZero() {
-		return nil, false, nil
+		return Entry{}, false, nil
 	}
 	d, body, err := t.leafFor(key, nil)
 	if body == nil || err != nil {
-		return nil, false, err
+		return Entry{}, false, err
 	}
-	_, _, value, found, err := t.find(d, body, key)
-	return value, found, err
+	_, _, e, _, err := t.find(d, body, key)
+	return e, e.Key != nil, err
 }
 
 // leafFor descends the index levels of a non-empty tree and returns the
@@ -647,21 +659,23 @@ func (t *Tree) leafFor(key []byte, p *PointProof) (hashutil.Digest, []byte, erro
 
 // find searches the stored leaf d, body, for key (posleaf.Find) and checks
 // the groups of the entries that decide the answer, lo through hi: the
-// entry itself for a hit, both sides of the gap for a miss.
-func (t *Tree) find(d hashutil.Digest, body, key []byte) (lo, hi int, value []byte, found bool, err error) {
+// entry itself for a hit, both sides of the gap for a miss. e is the first
+// entry at or past key, zero when the leaf has none; found reports a hit.
+func (t *Tree) find(d hashutil.Digest, body, key []byte) (lo, hi int, e Entry, found bool, err error) {
 	l, err := posleaf.Parse(body)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, 0, Entry{}, false, err
 	}
-	i, value, found, err := posleaf.Find(body, key)
+	i, k, v, err := posleaf.Find(body, key)
 	if err != nil {
-		return 0, 0, nil, false, err
+		return 0, 0, Entry{}, false, err
 	}
+	found = k != nil && bytes.Equal(k, key)
 	lo, hi = pointSpan(l.Count, i, found)
 	if err := t.store.CheckGroups(d, body, lo, hi); err != nil {
-		return 0, 0, nil, false, err
+		return 0, 0, Entry{}, false, err
 	}
-	return lo, hi, value, found, nil
+	return lo, hi, Entry{Key: k, Value: v}, found, nil
 }
 
 // checkRun checks the groups of the stored leaf d, body, decoded as n, that

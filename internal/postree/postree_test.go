@@ -74,6 +74,32 @@ func TestBulkLoadAndGet(t *testing.T) {
 	}
 }
 
+// TestSeekFindsTheNextKey: Seek returns the entry itself for every key the
+// tree holds, the next one for a key between two, and nothing past the
+// last.
+func TestSeekFindsTheNextKey(t *testing.T) {
+	entries := testEntries(3000, 4)
+	tr := mustBulk(t, entries)
+	seek := func(key []byte, want int) {
+		t.Helper()
+		e, ok, err := tr.Seek(key)
+		if err != nil || ok != (want < len(entries)) {
+			t.Fatalf("Seek(%q): ok=%v err=%v, want entry %d", key, ok, err, want)
+		}
+		if ok && (!bytes.Equal(e.Key, entries[want].Key) || !bytes.Equal(e.Value, entries[want].Value)) {
+			t.Fatalf("Seek(%q) = %q, want %q", key, e.Key, entries[want].Key)
+		}
+	}
+	seek(nil, 0)
+	for i, e := range entries {
+		seek(e.Key, i)
+		seek(append(append([]byte(nil), e.Key...), 0), i+1)
+	}
+	if _, ok, err := Empty(cas.NewMemory()).Seek(nil); ok || err != nil {
+		t.Fatalf("Seek on an empty tree: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
 	bad := []Entry{{Key: []byte("b")}, {Key: []byte("a")}}
 	if _, err := BulkLoad(cas.NewMemory(), bad); err == nil {

@@ -71,11 +71,13 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	if body == nil {
 		return p, nil // key beyond max: the path proves absence
 	}
-	lo, hi, value, found, err := t.find(d, body, key)
+	lo, hi, e, found, err := t.find(d, body, key)
 	if err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
-	p.Value, p.Found = value, found
+	if p.Found = found; found {
+		p.Value = e.Value
+	}
 	if body, err = posleaf.Prune(body, lo, hi); err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}

@@ -67,7 +67,10 @@ func flatten(prefix string, v any, out map[string][]byte) {
 // GetDocument reassembles the latest version of a document from its cells.
 // found is false when no field of the document exists.
 func GetDocument(eng *core.Engine, table string, pk []byte) ([]byte, bool, error) {
-	cols := eng.Columns(table)
+	cols, err := eng.Columns(table)
+	if err != nil {
+		return nil, false, err
+	}
 	tree := map[string]any{}
 	found := false
 	for _, col := range cols {

@@ -36,7 +36,7 @@ type Result struct {
 type Store interface {
 	Apply(statement string, puts []core.Put) (uint64, error)
 	Get(table, column string, pk []byte) ([]byte, error)
-	Columns(table string) []string
+	Columns(table string) ([]string, error)
 	History(table, column string, pk []byte) ([]cellstore.Cell, error)
 	RangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error)
 	LookupEqual(table, column string, value []byte) ([]cellstore.Cell, error)
@@ -58,7 +58,7 @@ func (s EngineStore) Get(table, column string, pk []byte) ([]byte, error) {
 	return s.Eng.Get(table, column, pk)
 }
 
-func (s EngineStore) Columns(table string) []string { return s.Eng.Columns(table) }
+func (s EngineStore) Columns(table string) ([]string, error) { return s.Eng.Columns(table) }
 
 func (s EngineStore) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
 	return s.Eng.History(table, column, pk)
@@ -141,7 +141,7 @@ func execInsert(st Store, raw string, s Insert) (Result, error) {
 // storeReader adapts a Store to the cellReader collection interface.
 type storeReader struct{ st Store }
 
-func (r storeReader) columns(table string) []string { return r.st.Columns(table) }
+func (r storeReader) columns(table string) ([]string, error) { return r.st.Columns(table) }
 
 func (r storeReader) getHead(table, column string, pk []byte) (cellstore.Cell, bool, error) {
 	v, err := r.st.Get(table, column, pk)
@@ -179,8 +179,12 @@ func execUpdate(st Store, raw string, s Update) (Result, error) {
 	// UPDATE only touches rows that exist — a row exists when any of its
 	// columns holds a live value. Updating an absent row affects nothing
 	// and commits nothing.
+	cols, err := st.Columns(s.Table)
+	if err != nil {
+		return Result{}, err
+	}
 	exists := false
-	for _, col := range st.Columns(s.Table) {
+	for _, col := range cols {
 		if _, err := st.Get(s.Table, col, pk); errors.Is(err, core.ErrNotFound) {
 			continue
 		} else if err != nil {
@@ -204,7 +208,10 @@ func execUpdate(st Store, raw string, s Update) (Result, error) {
 }
 
 func execDelete(st Store, raw string, s Delete) (Result, error) {
-	cols := st.Columns(s.Table)
+	cols, err := st.Columns(s.Table)
+	if err != nil {
+		return Result{}, err
+	}
 	if len(cols) == 0 {
 		return Result{}, fmt.Errorf("query: unknown table %q", s.Table)
 	}

@@ -1,0 +1,16 @@
+package query
+
+import (
+	"spitz/internal/cellstore"
+	"spitz/internal/core"
+)
+
+// SelectAt runs a verified SELECT's read phase against the snapshot of the
+// block at height, as ExecVerifiedSelect does at the head.
+func SelectAt(eng *core.Engine, s Select, height uint64) ([]cellstore.Cell, error) {
+	pl, err := PlanOf(s)
+	if err != nil {
+		return nil, err
+	}
+	return collectAt(eng, pl, height)
+}

@@ -142,17 +142,22 @@ func (pl Plan) Queries(cells []cellstore.Cell) []ledger.BatchQuery {
 // Store (local execution, cluster fan-out) or an immutable ledger
 // snapshot (verified server-side execution).
 type cellReader interface {
-	columns(table string) []string
+	columns(table string) ([]string, error)
 	getHead(table, column string, pk []byte) (cellstore.Cell, bool, error)
 	rangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error)
 	lookupEqual(table, column string, value []byte) ([]cellstore.Cell, error)
 }
 
 // scanColumns is the column set the executor reads: proofColumns for
-// explicit selections, the full schema plus predicate columns for `*`.
-func (pl Plan) scanColumns(schema []string) []string {
+// explicit selections, the table's columns plus predicate columns for `*`
+// — the one statement shape that reads the schema.
+func (pl Plan) scanColumns(r cellReader) ([]string, error) {
 	if pl.Sel.Agg != "" || len(pl.Sel.Columns) > 0 {
-		return pl.proofColumns(nil)
+		return pl.proofColumns(nil), nil
+	}
+	schema, err := r.columns(pl.Sel.Table)
+	if err != nil {
+		return nil, err
 	}
 	set := map[string]struct{}{}
 	for _, c := range schema {
@@ -166,7 +171,7 @@ func (pl Plan) scanColumns(schema []string) []string {
 		out = append(out, c)
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // collectCells executes the plan's read phase and returns the raw scan
@@ -175,7 +180,10 @@ func (pl Plan) scanColumns(schema []string) []string {
 // ResultFromCells — identically on every path.
 func collectCells(r cellReader, pl Plan) ([]cellstore.Cell, error) {
 	s := pl.Sel
-	cols := pl.scanColumns(r.columns(s.Table))
+	cols, err := pl.scanColumns(r)
+	if err != nil {
+		return nil, err
+	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("query: unknown table %q", s.Table)
 	}

@@ -21,8 +21,9 @@ type VerifiedSelect struct {
 }
 
 // snapReader reads from an immutable ledger snapshot, so a verified
-// SELECT observes one consistent state even while commits land. The
-// inverted index (head state) only locates candidates; every cell that
+// SELECT observes one consistent state even while commits land: a
+// `SELECT *` takes its columns from the keys of the snapshot it proves.
+// The inverted index (head state) only locates candidates; every cell that
 // matters is re-read at the snapshot.
 type snapReader struct {
 	eng  *core.Engine
@@ -30,7 +31,7 @@ type snapReader struct {
 	ver  uint64
 }
 
-func (r snapReader) columns(table string) []string { return r.eng.Columns(table) }
+func (r snapReader) columns(table string) ([]string, error) { return r.snap.Columns(table) }
 
 func (r snapReader) getHead(table, column string, pk []byte) (cellstore.Cell, bool, error) {
 	return r.snap.GetLatest(table, column, pk, r.ver)
@@ -69,16 +70,7 @@ func ExecVerifiedSelect(eng *core.Engine, s Select, deferred bool) (VerifiedSele
 	if d.Height == 0 {
 		return VerifiedSelect{Digest: d}, nil
 	}
-	height := d.Height - 1
-	snap, err := eng.Ledger().Snapshot(height)
-	if err != nil {
-		return VerifiedSelect{}, err
-	}
-	h, err := eng.Ledger().Header(height)
-	if err != nil {
-		return VerifiedSelect{}, err
-	}
-	cells, err := collectCells(snapReader{eng: eng, snap: snap, ver: h.Version}, pl)
+	cells, err := collectAt(eng, pl, d.Height-1)
 	if err != nil {
 		return VerifiedSelect{}, err
 	}
@@ -98,4 +90,18 @@ func ExecVerifiedSelect(eng *core.Engine, s Select, deferred bool) (VerifiedSele
 	res.Digest = pb.Digest
 	res.Proof = &pb.Proof
 	return res, nil
+}
+
+// collectAt runs the plan's read phase against the immutable snapshot of
+// the block at height.
+func collectAt(eng *core.Engine, pl Plan, height uint64) ([]cellstore.Cell, error) {
+	snap, err := eng.Ledger().Snapshot(height)
+	if err != nil {
+		return nil, err
+	}
+	h, err := eng.Ledger().Header(height)
+	if err != nil {
+		return nil, err
+	}
+	return collectCells(snapReader{eng: eng, snap: snap, ver: h.Version}, pl)
 }

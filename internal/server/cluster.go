@@ -345,13 +345,17 @@ func (c *Cluster) rangePKTraced(tr *obs.Trace, table, column string, pkLo, pkHi 
 	})
 }
 
-// Columns returns the union of every shard's observed columns for a
-// table, sorted — a table's rows spread across shards, so no single
-// shard necessarily sees the whole schema.
-func (c *Cluster) Columns(table string) []string {
+// Columns returns the union of every shard's columns for a table, sorted
+// — a table's rows spread across shards, so no single shard necessarily
+// holds a key of every column.
+func (c *Cluster) Columns(table string) ([]string, error) {
 	seen := make(map[string]struct{})
 	for i := range c.shards {
-		for _, col := range c.shards[i].eng.Columns(table) {
+		cols, err := c.shards[i].eng.Columns(table)
+		if err != nil {
+			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+		}
+		for _, col := range cols {
 			seen[col] = struct{}{}
 		}
 	}
@@ -360,7 +364,7 @@ func (c *Cluster) Columns(table string) []string {
 		out = append(out, col)
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // LookupEqual returns cells of one column whose latest value equals
@@ -608,7 +612,7 @@ func (s clusterStore) Get(table, column string, pk []byte) ([]byte, error) {
 	return s.c.Get(table, column, pk)
 }
 
-func (s clusterStore) Columns(table string) []string { return s.c.Columns(table) }
+func (s clusterStore) Columns(table string) ([]string, error) { return s.c.Columns(table) }
 
 func (s clusterStore) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
 	return s.c.History(table, column, pk)

@@ -500,8 +500,9 @@ func (db *DB) GetDocument(table string, pk []byte) ([]byte, bool, error) {
 	return query.GetDocument(db.engine(), table, pk)
 }
 
-// Columns lists the columns ever written to a table.
-func (db *DB) Columns(table string) []string { return db.engine().Columns(table) }
+// Columns lists the columns ever written to a table: those its keys in
+// the authenticated tree name.
+func (db *DB) Columns(table string) ([]string, error) { return db.engine().Columns(table) }
 
 // WriteSnapshot serializes the database to w for restart durability:
 // block headers, the version index, and every live object. Restore the

@@ -241,8 +241,8 @@ func TestSQLThroughPublicAPI(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 || string(res.Rows[0].Columns["a"]) != "v" {
 		t.Fatalf("SQL round trip: %+v %v", res, err)
 	}
-	if got := db.Columns("t"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("Columns = %v", got)
+	if got, err := db.Columns("t"); err != nil || len(got) != 1 || got[0] != "a" {
+		t.Fatalf("Columns = %v, %v", got, err)
 	}
 	if _, err := db.Exec("DROP DATABASE"); err == nil {
 		t.Fatal("invalid SQL accepted")
