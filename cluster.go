@@ -1,30 +1,31 @@
 package spitz
 
 import (
+	"errors"
+	"fmt"
 	"net"
-	"time"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 
+	"spitz/internal/cellstore"
 	"spitz/internal/core"
+	"spitz/internal/durable"
 	"spitz/internal/ledger"
+	"spitz/internal/obs"
+	"spitz/internal/query"
 	"spitz/internal/repl"
-	"spitz/internal/server"
+	"spitz/internal/twopc"
 	"spitz/internal/txn"
+	"spitz/internal/txn/hlc"
+	"spitz/internal/wal"
 	"spitz/internal/wire"
 )
 
-// Cluster-level re-exports.
-type (
-	// ClusterDigest is the sharded deployment's commitment: one ledger
-	// digest per shard plus a combined root binding the vector.
-	ClusterDigest = ledger.ClusterDigest
-	// ClusterTxn is an interactive cross-shard transaction committed with
-	// two-phase commit.
-	ClusterTxn = server.Txn
-	// ClusterStats reports per-shard engine counters and 2PC outcomes.
-	ClusterStats = server.Stats
-	// ShardStats is one shard's slice of ClusterStats.
-	ShardStats = server.ShardStats
-)
+// ClusterDigest is the sharded deployment's commitment: one ledger
+// digest per shard plus a combined root binding the vector.
+type ClusterDigest = ledger.ClusterDigest
 
 // ClusterOptions configures OpenCluster.
 type ClusterOptions struct {
@@ -33,26 +34,11 @@ type ClusterOptions struct {
 	// non-zero value is rejected rather than silently rerouting keys.
 	Shards int
 
-	// Mode selects each shard's concurrency control scheme.
-	Mode txn.Mode
-	// MaintainInverted enables each shard's inverted index, so
-	// LookupEqual fans out across the cluster.
-	MaintainInverted bool
-	// MaxBatchTxns and MaxBatchDelay tune each shard's group-commit
-	// pipeline (see Options).
-	MaxBatchTxns  int
-	MaxBatchDelay time.Duration
-
-	// The fields below configure per-shard durability; ignored when
-	// OpenCluster is called with an empty dir.
-	Sync                  SyncPolicy
-	SyncEvery             time.Duration
-	CheckpointInterval    time.Duration
-	CheckpointEveryBlocks uint64
-	WALSegmentSize        int64
+	// Options configures every shard exactly as it configures one
+	// database (Open, or OpenDir when OpenCluster is given a directory).
 	// NodeCacheMB bounds each shard's node cache, so a cluster's total
 	// budget is Shards × NodeCacheMB.
-	NodeCacheMB int
+	Options
 }
 
 // ClusterDB is a sharded Spitz deployment (Section 5.2): the key space
@@ -61,7 +47,9 @@ type ClusterOptions struct {
 // directory, its own write-ahead log and checkpoints under
 // <dir>/shard-NNN/), and cross-shard writes commit with two-phase
 // commit. Timestamps come from a hybrid logical clock, so no central
-// oracle sits on the commit path.
+// oracle sits on the commit path. Every write routes through the owning
+// shard's 2PC participant, so distributed read validation and local
+// writes share one lock discipline.
 //
 // Reads that name a primary key (history included) route to the owning
 // shard; range scans and value lookups merge parallel per-shard scans. Verified
@@ -69,70 +57,219 @@ type ClusterOptions struct {
 // to be checked against that shard's entry in the ClusterDigest.
 // Safe for concurrent use.
 type ClusterDB struct {
-	c *server.Cluster
-	// srcs are the per-shard replication sources (nil for memory-only
-	// clusters, which have no write-ahead log to ship).
-	srcs []*repl.Source
+	coord  *twopc.Coordinator
+	shards []clusterShard
 }
+
+type clusterShard struct {
+	eng  *core.Engine
+	dur  *durable.Manager // nil for memory-only clusters
+	part *twopc.ShardParticipant
+	// src is the shard's replication source over dur's WAL; nil for
+	// memory-only clusters, which have no log to ship.
+	src *repl.Source
+}
+
+const clusterManifest = durable.ClusterMarkerName
+const clusterMagic = "spitz-cluster-v1"
 
 // IsClusterDir reports whether dir holds a sharded cluster's data
 // layout (as written by OpenCluster) rather than a single-engine one
 // (OpenDir). Opening a directory with the wrong call fails loudly; this
 // lets tools pick the right one up front.
-func IsClusterDir(dir string) bool { return server.IsClusterDir(dir) }
+func IsClusterDir(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, clusterManifest))
+	return err == nil
+}
 
 // OpenCluster opens (creating if needed) a sharded verifiable database.
 // With a non-empty dir every shard is durable — commits are written
 // ahead to the shard's log before acknowledgement, and a crash recovers
-// every shard to its exact pre-crash digest on the next OpenCluster. An
-// empty dir serves a memory-only cluster. Call Close when done.
+// every shard to its exact pre-crash digest on the next OpenCluster:
+// state addressed at its checkpointed root, WAL tail replayed with
+// per-block hash verification, and the shared clock advanced past every
+// replayed version. An empty dir serves a memory-only cluster. Call
+// Close when done.
 func OpenCluster(dir string, opts ClusterOptions) (*ClusterDB, error) {
-	c, err := server.Open(server.Options{
-		Shards:                opts.Shards,
-		Dir:                   dir,
-		Mode:                  opts.Mode,
-		MaintainInverted:      opts.MaintainInverted,
-		MaxBatchTxns:          opts.MaxBatchTxns,
-		MaxBatchDelay:         opts.MaxBatchDelay,
-		Sync:                  opts.Sync,
-		SyncInterval:          opts.SyncEvery,
-		SegmentSize:           opts.WALSegmentSize,
-		CheckpointInterval:    opts.CheckpointInterval,
-		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		NodeCacheMB:           opts.NodeCacheMB,
-	})
-	if err != nil {
-		return nil, err
-	}
-	db := &ClusterDB{c: c}
 	if dir != "" {
-		// Every durable shard can have replication followers.
-		db.srcs = make([]*repl.Source, c.Shards())
-		for i := 0; i < c.Shards(); i++ {
-			db.srcs[i] = repl.NewSource(c.Durable(i))
+		recorded, have, err := readClusterManifest(dir)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case have && opts.Shards == 0:
+			opts.Shards = recorded
+		case have && opts.Shards != recorded:
+			return nil, fmt.Errorf("spitz: cluster in %s has %d shards, not %d — rerouting keys would lose them",
+				dir, recorded, opts.Shards)
+		case !have:
+			// A directory with a single-engine layout at the top level
+			// must not be sharded in place: its data would be silently
+			// ignored.
+			for _, name := range []string{"MANIFEST", "wal"} {
+				if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+					return nil, fmt.Errorf("spitz: %s holds a single-engine database (found %s); it cannot be opened as a cluster",
+						dir, name)
+				}
+			}
+		}
+	}
+	if opts.Shards < 1 {
+		opts.Shards = 1
+	}
+	source := txn.ClockSource{Clock: hlc.New()}
+	engOpts, durOpts := opts.engines(source)
+	db := &ClusterDB{coord: twopc.NewCoordinator(source)}
+	for i := 0; i < opts.Shards; i++ {
+		var sh clusterShard
+		if dir == "" {
+			sh.eng = core.New(engOpts)
+		} else {
+			m, err := durable.Open(filepath.Join(dir, shardDirName(i)), durOpts)
+			if err != nil {
+				db.Close()
+				return nil, fmt.Errorf("spitz: shard %d: %w", i, err)
+			}
+			sh.dur, sh.eng, sh.src = m, m.Engine(), repl.NewSource(m)
+		}
+		sh.part = twopc.NewShardParticipant(sh.eng.TxnStore())
+		db.coord.Register(wire.ShardName(i), sh.part)
+		db.shards = append(db.shards, sh)
+	}
+	if dir != "" {
+		if err := writeClusterManifest(dir, opts.Shards); err != nil {
+			db.Close()
+			return nil, err
 		}
 	}
 	return db, nil
 }
 
+func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
+
+func readClusterManifest(dir string) (shards int, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, clusterManifest))
+	if os.IsNotExist(err) {
+		return 0, false, nil
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 1 || lines[0] != clusterMagic {
+		return 0, false, fmt.Errorf("spitz: bad cluster manifest magic in %s", dir)
+	}
+	for _, line := range lines[1:] {
+		var n int
+		if _, serr := fmt.Sscanf(line, "shards %d", &n); serr == nil && n > 0 {
+			return n, true, nil
+		}
+	}
+	return 0, false, fmt.Errorf("spitz: cluster manifest in %s names no shard count", dir)
+}
+
+func writeClusterManifest(dir string, shards int) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	body := fmt.Sprintf("%s\nshards %d\n", clusterMagic, shards)
+	tmp := filepath.Join(dir, clusterManifest+".tmp")
+	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, clusterManifest)); err != nil {
+		return err
+	}
+	return wal.SyncDir(dir)
+}
+
 // Close makes all acknowledged commits durable and releases every
-// shard's data directory.
-func (db *ClusterDB) Close() error { return db.c.Close() }
+// shard's data directory. Memory-only clusters release nothing.
+func (db *ClusterDB) Close() error {
+	var first error
+	for i := range db.shards {
+		if d := db.shards[i].dur; d != nil {
+			if err := d.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
 
 // Checkpoint forces a durable snapshot of every shard now.
-func (db *ClusterDB) Checkpoint() error { return db.c.Checkpoint() }
+func (db *ClusterDB) Checkpoint() error {
+	for i := range db.shards {
+		if d := db.shards[i].dur; d != nil {
+			if err := d.Checkpoint(); err != nil {
+				return fmt.Errorf("spitz: shard %d checkpoint: %w", i, err)
+			}
+		}
+	}
+	return nil
+}
 
 // Shards returns the number of shards.
-func (db *ClusterDB) Shards() int { return db.c.Shards() }
+func (db *ClusterDB) Shards() int { return len(db.shards) }
 
-// ShardFor reports which shard owns a primary key.
-func (db *ClusterDB) ShardFor(pk []byte) int { return db.c.ShardFor(pk) }
+// ShardFor reports which shard owns a primary key (wire.ShardIndex, the
+// shard map clients share).
+func (db *ClusterDB) ShardFor(pk []byte) int { return wire.ShardIndex(pk, len(db.shards)) }
 
-// Apply commits a batch of writes atomically, grouped by owning shard;
-// batches spanning shards commit with two-phase commit, so they are
-// never half-applied. It returns the cluster commit timestamp.
+// Engine exposes shard i's engine for shard-local operations (per-shard
+// verified range scans, snapshots, benchmarks).
+func (db *ClusterDB) Engine(i int) *core.Engine { return db.shards[i].eng }
+
+// ---------------------------------------------------------------------------
+// Writes
+
+// Apply commits a batch of writes atomically. Writes grouped on one
+// shard commit through that shard's 2PC participant (respecting prepared
+// transactions' locks); writes spanning shards commit with full
+// two-phase commit, so a batch is never half-applied. It returns the
+// coordinator's commit timestamp.
 func (db *ClusterDB) Apply(statement string, puts []Put) (uint64, error) {
-	return db.c.Apply(statement, puts)
+	return db.applyTraced(nil, statement, puts)
+}
+
+// applyTraced is Apply threading the serving request's trace into the
+// 2PC coordinator, so per-shard prepare/commit legs appear as child
+// spans of the write that caused them.
+func (db *ClusterDB) applyTraced(tr *obs.Trace, statement string, puts []Put) (uint64, error) {
+	if len(puts) == 0 {
+		return 0, errors.New("spitz: empty write batch")
+	}
+	byShard := make(map[int][]txn.Write)
+	for _, p := range puts {
+		si := db.ShardFor(p.PK)
+		byShard[si] = append(byShard[si], txn.Write{
+			Key:    cellstore.CellPrefix(p.Table, p.Column, p.PK),
+			Value:  p.Value,
+			Delete: p.Tombstone,
+		})
+	}
+	reqs := make([]twopc.Request, 0, len(byShard))
+	for _, si := range sortedShards(byShard) {
+		reqs = append(reqs, twopc.Request{
+			Shard:     wire.ShardName(si),
+			Statement: statement,
+			Writes:    byShard[si],
+		})
+	}
+	return db.coord.ExecuteTraced(tr, reqs)
+}
+
+// sortedShards returns the map's shard indices in ascending order: 2PC
+// requests must be built deterministically, not in map iteration order,
+// so prepare order (and therefore conflict behaviour) is reproducible
+// run to run.
+func sortedShards[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for si := range m {
+		out = append(out, si)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // PutRow writes all columns of one row atomically (one shard: rows never
@@ -145,68 +282,260 @@ func (db *ClusterDB) PutRow(table string, pk []byte, columns map[string][]byte) 
 	return db.Apply("PUT ROW "+table, puts)
 }
 
+// ---------------------------------------------------------------------------
+// Reads
+
 // Get returns the latest live value of a cell from its owning shard, or
 // ErrNotFound.
 func (db *ClusterDB) Get(table, column string, pk []byte) ([]byte, error) {
-	return db.c.Get(table, column, pk)
+	return db.shards[db.ShardFor(pk)].eng.Get(table, column, pk)
 }
 
-// GetRow reads the given columns of one row from a single ledger
-// snapshot of the owning shard.
+// GetRow reads the given columns of one row (all columns of a row live
+// on the pk's shard) from a single ledger snapshot.
 func (db *ClusterDB) GetRow(table string, pk []byte, columns []string) (map[string][]byte, error) {
-	return db.c.GetRow(table, pk, columns)
+	return db.shards[db.ShardFor(pk)].eng.GetRow(table, pk, columns)
 }
 
 // GetVerified returns the latest version of a cell with its integrity
 // proof and the owning shard's index: the proof verifies against that
 // shard's digest (ClusterDigest().Shards[shard]).
 func (db *ClusterDB) GetVerified(table, column string, pk []byte) (VerifiedResult, int, error) {
-	shard, res, err := db.c.GetVerified(table, column, pk)
-	return res, shard, err
+	si := db.ShardFor(pk)
+	res, err := db.shards[si].eng.GetVerified(table, column, pk)
+	return res, si, err
+}
+
+// History returns every version of a cell from its owning shard, newest
+// first.
+func (db *ClusterDB) History(table, column string, pk []byte) ([]Cell, error) {
+	return db.shards[db.ShardFor(pk)].eng.History(table, column, pk)
 }
 
 // RangePK scans the latest live cells with primary keys in [pkLo, pkHi)
 // across every shard in parallel, merged into one pk-ordered result.
 func (db *ClusterDB) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return db.c.RangePK(table, column, pkLo, pkHi)
+	return db.rangePKTraced(nil, table, column, pkLo, pkHi)
+}
+
+func (db *ClusterDB) rangePKTraced(tr *obs.Trace, table, column string, pkLo, pkHi []byte) ([]Cell, error) {
+	return wire.ScatterCells(tr, "scatter.range", len(db.shards), func(i int) ([]Cell, error) {
+		return db.shards[i].eng.RangePK(table, column, pkLo, pkHi)
+	})
+}
+
+// Columns returns the union of every shard's columns for a table, sorted
+// — a table's rows spread across shards, so no single shard necessarily
+// holds a key of every column.
+func (db *ClusterDB) Columns(table string) ([]string, error) {
+	seen := make(map[string]struct{})
+	for i := range db.shards {
+		cols, err := db.shards[i].eng.Columns(table)
+		if err != nil {
+			return nil, fmt.Errorf("spitz: shard %d: %w", i, err)
+		}
+		for _, col := range cols {
+			seen[col] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for col := range seen {
+		out = append(out, col)
+	}
+	sort.Strings(out)
+	return out, nil
 }
 
 // LookupEqual returns cells of one column whose latest value equals
 // value, gathered from every shard's inverted index in parallel
-// (requires ClusterOptions.MaintainInverted).
+// (requires Options.MaintainInverted).
 func (db *ClusterDB) LookupEqual(table, column string, value []byte) ([]Cell, error) {
-	return db.c.LookupEqual(table, column, value)
+	return db.lookupEqualTraced(nil, table, column, value)
 }
 
-// History returns every version of a cell, newest first.
-func (db *ClusterDB) History(table, column string, pk []byte) ([]Cell, error) {
-	return db.c.History(table, column, pk)
+func (db *ClusterDB) lookupEqualTraced(tr *obs.Trace, table, column string, value []byte) ([]Cell, error) {
+	return wire.ScatterCells(tr, "scatter.lookup-eq", len(db.shards), func(i int) ([]Cell, error) {
+		return db.shards[i].eng.LookupEqual(table, column, value)
+	})
 }
 
-// Exec parses and executes one statement against the cluster: reads
-// scatter-gather across every shard, mutations group by key ownership
-// and commit with two-phase commit. The embedded, unverified form of
-// the query surface — see Client.Query for verified execution.
-func (db *ClusterDB) Exec(statement string) (QueryResult, error) {
-	return db.c.Exec(statement)
+// ---------------------------------------------------------------------------
+// Digests and stats
+
+// ClusterDigest returns every shard's ledger digest plus the combined
+// root — what a verifying client saves. Shards advance independently,
+// so the vector is a per-shard snapshot, not an atomic cut — each entry
+// is individually verifiable against that shard's proofs.
+func (db *ClusterDB) ClusterDigest() ClusterDigest {
+	shards := make([]Digest, len(db.shards))
+	for i := range db.shards {
+		shards[i] = db.shards[i].eng.Digest()
+	}
+	return ledger.NewClusterDigest(shards)
 }
 
-// Begin starts an interactive cross-shard transaction: reads collect
-// versions to validate, writes stage locally, and Commit runs two-phase
-// commit over every touched shard.
-func (db *ClusterDB) Begin() *ClusterTxn { return db.c.Begin() }
+// ShardStats describes one shard's engine.
+type ShardStats struct {
+	Height uint64     // committed ledger blocks
+	Batch  BatchStats // group-commit pipeline behaviour
+}
 
-// ClusterDigest returns the per-shard digest vector with its combined
-// root — what a verifying client saves.
-func (db *ClusterDB) ClusterDigest() ClusterDigest { return db.c.Digest() }
+// ClusterStats is a point-in-time snapshot of cluster counters.
+type ClusterStats struct {
+	Shards  []ShardStats
+	Commits int64 // 2PC transactions committed
+	Aborts  int64 // 2PC transactions aborted
+}
 
 // ClusterStats returns per-shard ledger heights and batching behaviour
 // plus the 2PC coordinator's commit/abort counters.
-func (db *ClusterDB) ClusterStats() ClusterStats { return db.c.Stats() }
+func (db *ClusterDB) ClusterStats() ClusterStats {
+	s := ClusterStats{Shards: make([]ShardStats, len(db.shards))}
+	for i := range db.shards {
+		s.Shards[i] = ShardStats{
+			Height: db.shards[i].eng.Ledger().Height(),
+			Batch:  db.shards[i].eng.BatchStats(),
+		}
+	}
+	s.Commits, s.Aborts = db.coord.Stats()
+	return s
+}
 
-// Engine exposes shard i's engine for shard-local operations (per-shard
-// verified range scans, snapshots, benchmarks).
-func (db *ClusterDB) Engine(i int) *core.Engine { return db.c.Engine(i) }
+// ---------------------------------------------------------------------------
+// Cross-shard transactions
+
+// ClusterTxn is an interactive cross-shard transaction: reads collect
+// the versions to validate, writes stage, and Commit runs two-phase
+// commit across every touched shard. Unlike a single-engine transaction
+// it has no snapshot timestamp — reads observe each shard's latest state
+// and 2PC validates them at prepare (OCC backward validation with
+// read/write locks held to the commit point).
+type ClusterTxn struct {
+	db       *ClusterDB
+	reads    map[int]map[string]uint64 // shard -> ref -> version observed
+	writes   map[int][]txn.Write       // shard -> staged writes, in stage order
+	writeIdx map[string]writeLoc       // ref -> location of its staged write
+	done     bool
+}
+
+type writeLoc struct {
+	shard int
+	index int
+}
+
+// Begin starts an interactive cross-shard transaction.
+func (db *ClusterDB) Begin() *ClusterTxn {
+	return &ClusterTxn{
+		db:       db,
+		reads:    make(map[int]map[string]uint64),
+		writes:   make(map[int][]txn.Write),
+		writeIdx: make(map[string]writeLoc),
+	}
+}
+
+// Get reads a cell: own staged writes first, then the owning shard's
+// latest state, recording the observed version for commit validation.
+func (t *ClusterTxn) Get(table, column string, pk []byte) ([]byte, bool, error) {
+	if t.done {
+		return nil, false, txn.ErrDone
+	}
+	ref := cellstore.CellPrefix(table, column, pk)
+	if loc, ok := t.writeIdx[string(ref)]; ok {
+		w := t.writes[loc.shard][loc.index]
+		if w.Delete {
+			return nil, false, nil
+		}
+		return w.Value, true, nil
+	}
+	si := t.db.ShardFor(pk)
+	val, ver, found, err := t.db.shards[si].part.ReadLatest(ref, ^uint64(0))
+	if err != nil {
+		return nil, false, err
+	}
+	m := t.reads[si]
+	if m == nil {
+		m = make(map[string]uint64)
+		t.reads[si] = m
+	}
+	m[string(ref)] = ver // 0 when absent: "observed absent"
+	if !found {
+		return nil, false, nil
+	}
+	return val, true, nil
+}
+
+// Put stages a cell write.
+func (t *ClusterTxn) Put(table, column string, pk, value []byte) error {
+	return t.stage(table, column, pk, txn.Write{Value: value})
+}
+
+// Delete stages a cell deletion (tombstone).
+func (t *ClusterTxn) Delete(table, column string, pk []byte) error {
+	return t.stage(table, column, pk, txn.Write{Delete: true})
+}
+
+func (t *ClusterTxn) stage(table, column string, pk []byte, w txn.Write) error {
+	if t.done {
+		return txn.ErrDone
+	}
+	ref := cellstore.CellPrefix(table, column, pk)
+	w.Key = ref
+	if loc, ok := t.writeIdx[string(ref)]; ok {
+		t.writes[loc.shard][loc.index] = w
+		return nil
+	}
+	si := t.db.ShardFor(pk)
+	t.writeIdx[string(ref)] = writeLoc{shard: si, index: len(t.writes[si])}
+	t.writes[si] = append(t.writes[si], w)
+	return nil
+}
+
+// requests assembles the per-shard 2PC requests, sorted by shard index
+// so the prepare order is deterministic.
+func (t *ClusterTxn) requests(statement string) []twopc.Request {
+	touched := make(map[int]struct{}, len(t.reads)+len(t.writes))
+	for si := range t.reads {
+		touched[si] = struct{}{}
+	}
+	for si := range t.writes {
+		touched[si] = struct{}{}
+	}
+	reqs := make([]twopc.Request, 0, len(touched))
+	for _, si := range sortedShards(touched) {
+		reqs = append(reqs, twopc.Request{
+			Shard:     wire.ShardName(si),
+			Statement: statement,
+			Reads:     t.reads[si],
+			Writes:    t.writes[si],
+		})
+	}
+	return reqs
+}
+
+// Commit validates and applies the transaction across its shards via
+// two-phase commit, returning the coordinator's commit timestamp. On
+// txn.ErrConflict (wrapped in twopc.ErrAborted) the transaction rolled
+// back everywhere and may be retried.
+func (t *ClusterTxn) Commit() (uint64, error) {
+	if t.done {
+		return 0, txn.ErrDone
+	}
+	t.done = true
+	reqs := t.requests("TXN")
+	if len(reqs) == 0 {
+		return 0, nil // read-free, write-free transaction
+	}
+	return t.db.coord.Execute(reqs)
+}
+
+// Abort discards the transaction. Nothing was prepared, so there is
+// nothing to roll back.
+func (t *ClusterTxn) Abort() {
+	t.done = true
+}
+
+// ---------------------------------------------------------------------------
+// Serving and SQL
 
 // Serve exposes the whole cluster over one listener using the Spitz wire
 // protocol; it blocks until the listener closes. Connect with Dial: the
@@ -218,12 +547,12 @@ func (db *ClusterDB) Serve(ln net.Listener) error { return serve(ln, db.router()
 // router is the cluster as one listener serves it: N fixed shard engines
 // written through the 2PC coordinator.
 func (db *ClusterDB) router() *wire.Router {
-	d := &wire.Router{Shards: make([]wire.Shard, db.c.Shards()), Write: db.c.Write}
+	d := &wire.Router{Shards: make([]wire.Shard, len(db.shards)), Write: db.write}
 	for i := range d.Shards {
-		eng := db.c.Engine(i)
-		d.Shards[i].Engine = func() *core.Engine { return eng }
-		if db.srcs != nil {
-			d.Shards[i].Source = db.srcs[i]
+		sh := db.shards[i]
+		d.Shards[i].Engine = func() *core.Engine { return sh.eng }
+		if sh.src != nil {
+			d.Shards[i].Source = sh.src
 		}
 	}
 	return d
@@ -234,3 +563,68 @@ func (db *ClusterDB) router() *wire.Router {
 // Use it to publish instance gauges on an admin endpoint
 // (wire.PublishStats).
 func (db *ClusterDB) ServerStats() ServerStats { return db.router().Stats() }
+
+// write is the served cluster's writer (wire.Router.Write): OpPut and
+// INSERT/UPDATE/DELETE group their writes by key ownership and commit
+// through the 2PC coordinator whatever the request's Shard says — a
+// client-chosen shard must not bypass routing — with the request's trace
+// threaded into the per-shard prepare and commit legs.
+func (db *ClusterDB) write(req wire.Request) wire.Response {
+	switch req.Op {
+	case wire.OpPut:
+		puts := make([]Put, len(req.Puts))
+		for i, p := range req.Puts {
+			puts[i] = Put{Table: p.Table, Column: p.Column, PK: p.PK,
+				Value: p.Value, Tombstone: p.Tombstone}
+		}
+		version, err := db.applyTraced(req.Trace(), req.Statement, puts)
+		if err != nil {
+			return wire.Response{Err: err.Error()}
+		}
+		return wire.Response{Found: true, Header: ledger.BlockHeader{Version: version}}
+	case wire.OpQuery:
+		out, err := query.ExecStore(clusterStore{db: db, tr: req.Trace()}, req.Statement)
+		if err != nil {
+			return wire.Response{Err: err.Error()}
+		}
+		return wire.Response{RowsAffected: out.RowsAffected, Height: out.Block}
+	}
+	return wire.Response{Err: "wire: a cluster's state is owned by its shards; restore is not supported"}
+}
+
+// Exec parses and executes one statement against the cluster: reads
+// scatter-gather across every shard, mutations group by key ownership
+// and commit with two-phase commit. The embedded, unverified form of
+// the query surface — see Client.Query for verified execution.
+func (db *ClusterDB) Exec(statement string) (QueryResult, error) {
+	return query.ExecStore(clusterStore{db: db}, statement)
+}
+
+// clusterStore adapts the cluster to query.Store, threading a served
+// request's trace into the 2PC legs and scatters.
+type clusterStore struct {
+	db *ClusterDB
+	tr *obs.Trace
+}
+
+func (s clusterStore) Apply(statement string, puts []Put) (uint64, error) {
+	return s.db.applyTraced(s.tr, statement, puts)
+}
+
+func (s clusterStore) Get(table, column string, pk []byte) ([]byte, error) {
+	return s.db.Get(table, column, pk)
+}
+
+func (s clusterStore) Columns(table string) ([]string, error) { return s.db.Columns(table) }
+
+func (s clusterStore) History(table, column string, pk []byte) ([]Cell, error) {
+	return s.db.History(table, column, pk)
+}
+
+func (s clusterStore) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
+	return s.db.rangePKTraced(s.tr, table, column, pkLo, pkHi)
+}
+
+func (s clusterStore) LookupEqual(table, column string, value []byte) ([]Cell, error) {
+	return s.db.lookupEqualTraced(s.tr, table, column, value)
+}

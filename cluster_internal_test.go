@@ -1,4 +1,4 @@
-package server
+package spitz
 
 import (
 	"encoding/binary"
@@ -10,30 +10,29 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"spitz/internal/core"
 	"spitz/internal/durable"
 	"spitz/internal/twopc"
 	"spitz/internal/txn"
-	"spitz/internal/wal"
 )
 
-func memCluster(t *testing.T, shards int) *Cluster {
+func memCluster(t *testing.T, shards int) *ClusterDB {
 	t.Helper()
-	c, err := Open(Options{Shards: shards})
+	db, err := OpenCluster("", ClusterOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	t.Cleanup(func() { db.Close() })
+	return db
 }
 
 // twoShardPKs returns two primary keys owned by different shards.
-func twoShardPKs(c *Cluster) (pkA, pkB []byte) {
+func twoShardPKs(db *ClusterDB) (pkA, pkB []byte) {
 	pkA = []byte("acct000")
 	for i := 1; ; i++ {
 		pk := []byte(fmt.Sprintf("acct%03d", i))
-		if c.ShardFor(pk) != c.ShardFor(pkA) {
+		if db.ShardFor(pk) != db.ShardFor(pkA) {
 			return pkA, pk
 		}
 	}
@@ -46,28 +45,28 @@ func enc64(v uint64) []byte {
 }
 
 func TestClusterRouting(t *testing.T) {
-	c := memCluster(t, 4)
-	if c.Shards() != 4 {
-		t.Fatalf("shards = %d", c.Shards())
+	db := memCluster(t, 4)
+	if db.Shards() != 4 {
+		t.Fatalf("shards = %d", db.Shards())
 	}
 	for i := 0; i < 40; i++ {
 		pk := []byte(fmt.Sprintf("user%02d", i))
-		if _, err := c.Apply("seed", []core.Put{{Table: "t", Column: "c", PK: pk,
+		if _, err := db.Apply("seed", []Put{{Table: "t", Column: "c", PK: pk,
 			Value: []byte(fmt.Sprintf("val%02d", i))}}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 40; i++ {
 		pk := []byte(fmt.Sprintf("user%02d", i))
-		v, err := c.Get("t", "c", pk)
+		v, err := db.Get("t", "c", pk)
 		if err != nil || string(v) != fmt.Sprintf("val%02d", i) {
 			t.Fatalf("read %d: %q %v", i, v, err)
 		}
 	}
-	// Keys spread across shards, and only owning shards advanced.
+	// Keys spread across shards.
 	seen := map[int]bool{}
 	for i := 0; i < 40; i++ {
-		seen[c.ShardFor([]byte(fmt.Sprintf("user%02d", i)))] = true
+		seen[db.ShardFor([]byte(fmt.Sprintf("user%02d", i)))] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("all keys routed to one shard")
@@ -75,17 +74,17 @@ func TestClusterRouting(t *testing.T) {
 }
 
 func TestClusterCrossShardTransaction(t *testing.T) {
-	c := memCluster(t, 3)
-	pkA, pkB := twoShardPKs(c)
+	db := memCluster(t, 3)
+	pkA, pkB := twoShardPKs(db)
 	// Seed both accounts atomically across shards.
-	if _, err := c.Apply("seed", []core.Put{
+	if _, err := db.Apply("seed", []Put{
 		{Table: "bank", Column: "bal", PK: pkA, Value: enc64(100)},
 		{Table: "bank", Column: "bal", PK: pkB, Value: enc64(100)},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Transfer with read validation through the transaction API.
-	tx := c.Begin()
+	tx := db.Begin()
 	av, ok, err := tx.Get("bank", "bal", pkA)
 	if err != nil || !ok {
 		t.Fatalf("read a: %v %v", ok, err)
@@ -99,31 +98,30 @@ func TestClusterCrossShardTransaction(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	va, _ := c.Get("bank", "bal", pkA)
-	vb, _ := c.Get("bank", "bal", pkB)
+	va, _ := db.Get("bank", "bal", pkA)
+	vb, _ := db.Get("bank", "bal", pkB)
 	if binary.BigEndian.Uint64(va) != 70 || binary.BigEndian.Uint64(vb) != 130 {
 		t.Fatalf("balances = %d / %d", binary.BigEndian.Uint64(va), binary.BigEndian.Uint64(vb))
 	}
-	st := c.Stats()
-	if st.Commits != 2 {
+	if st := db.ClusterStats(); st.Commits != 2 {
 		t.Fatalf("commits = %d", st.Commits)
 	}
 }
 
 func TestClusterStaleReadAborts(t *testing.T) {
-	c := memCluster(t, 2)
+	db := memCluster(t, 2)
 	pk := []byte("hot-key")
-	if _, err := c.Apply("seed", []core.Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v0")}}); err != nil {
+	if _, err := db.Apply("seed", []Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v0")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Read inside a transaction, write behind its back, then commit: the
 	// stale read must abort the transaction on its shard.
-	tx := c.Begin()
+	tx := db.Begin()
 	if _, _, err := tx.Get("t", "c", pk); err != nil {
 		t.Fatal(err)
 	}
 	tx.Put("t", "c2", pk, []byte("out"))
-	if _, err := c.Apply("intruder", []core.Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v1")}}); err != nil {
+	if _, err := db.Apply("intruder", []Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v1")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx.Commit(); !errors.Is(err, twopc.ErrAborted) {
@@ -132,20 +130,20 @@ func TestClusterStaleReadAborts(t *testing.T) {
 }
 
 func TestClusterShardsHaveIndependentLedgers(t *testing.T) {
-	c := memCluster(t, 2)
-	if _, err := c.Apply("w", []core.Put{{Table: "t", Column: "c", PK: []byte("k1"), Value: []byte("v")}}); err != nil {
+	db := memCluster(t, 2)
+	if _, err := db.Apply("w", []Put{{Table: "t", Column: "c", PK: []byte("k1"), Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	si := c.ShardFor([]byte("k1"))
+	si := db.ShardFor([]byte("k1"))
 	other := (si + 1) % 2
-	if c.Engine(si).Digest().Height == 0 {
+	if db.Engine(si).Digest().Height == 0 {
 		t.Fatal("owning shard ledger empty")
 	}
-	if c.Engine(other).Digest().Height != 0 {
+	if db.Engine(other).Digest().Height != 0 {
 		t.Fatal("non-owning shard ledger advanced")
 	}
 	// The cluster digest reflects both, bound under the combined root.
-	d := c.Digest()
+	d := db.ClusterDigest()
 	if len(d.Shards) != 2 || d.Shards[si].Height == 0 {
 		t.Fatalf("cluster digest %+v", d)
 	}
@@ -158,9 +156,9 @@ func TestClusterShardsHaveIndependentLedgers(t *testing.T) {
 // transaction touching many shards must emit its per-shard requests
 // sorted by shard index, never in map iteration order.
 func TestClusterRequestsDeterministic(t *testing.T) {
-	c := memCluster(t, 8)
+	db := memCluster(t, 8)
 	for trial := 0; trial < 20; trial++ {
-		tx := c.Begin()
+		tx := db.Begin()
 		for i := 0; i < 64; i++ {
 			tx.Put("t", "c", []byte(fmt.Sprintf("key-%d-%d", trial, i)), []byte("v"))
 		}
@@ -181,24 +179,24 @@ func TestClusterRequestsDeterministic(t *testing.T) {
 }
 
 func TestClusterScatterGather(t *testing.T) {
-	c, err := Open(Options{Shards: 4, MaintainInverted: true})
+	db, err := OpenCluster("", ClusterOptions{Shards: 4, Options: Options{MaintainInverted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	var puts []core.Put
+	defer db.Close()
+	var puts []Put
 	for i := 0; i < 60; i++ {
 		val := []byte("even")
 		if i%2 == 1 {
 			val = []byte("odd")
 		}
-		puts = append(puts, core.Put{Table: "t", Column: "par", PK: []byte(fmt.Sprintf("pk%03d", i)), Value: val})
+		puts = append(puts, Put{Table: "t", Column: "par", PK: []byte(fmt.Sprintf("pk%03d", i)), Value: val})
 	}
-	if _, err := c.Apply("seed", puts); err != nil {
+	if _, err := db.Apply("seed", puts); err != nil {
 		t.Fatal(err)
 	}
 
-	cells, err := c.RangePK("t", "par", []byte("pk010"), []byte("pk020"))
+	cells, err := db.RangePK("t", "par", []byte("pk010"), []byte("pk020"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,7 @@ func TestClusterScatterGather(t *testing.T) {
 		}
 	}
 
-	odds, err := c.LookupEqual("t", "par", []byte("odd"))
+	odds, err := db.LookupEqual("t", "par", []byte("odd"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +219,10 @@ func TestClusterScatterGather(t *testing.T) {
 
 	// History merges across shards (only the owning shard contributes).
 	pk := []byte("pk007")
-	if _, err := c.Apply("update", []core.Put{{Table: "t", Column: "par", PK: pk, Value: []byte("flip")}}); err != nil {
+	if _, err := db.Apply("update", []Put{{Table: "t", Column: "par", PK: pk, Value: []byte("flip")}}); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := c.History("t", "par", pk)
+	hist, err := db.History("t", "par", pk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +232,17 @@ func TestClusterScatterGather(t *testing.T) {
 }
 
 func TestClusterVerifiedReadAndConsistency(t *testing.T) {
-	c := memCluster(t, 3)
-	if _, err := c.Apply("w1", []core.Put{{Table: "t", Column: "c", PK: []byte("alpha"), Value: []byte("1")}}); err != nil {
+	db := memCluster(t, 3)
+	if _, err := db.Apply("w1", []Put{{Table: "t", Column: "c", PK: []byte("alpha"), Value: []byte("1")}}); err != nil {
 		t.Fatal(err)
 	}
-	old := c.Digest()
-	si, res, err := c.GetVerified("t", "c", []byte("alpha"))
+	old := db.ClusterDigest()
+	res, si, err := db.GetVerified("t", "c", []byte("alpha"))
 	if err != nil || !res.Found {
 		t.Fatalf("verified read: %v %v", res.Found, err)
 	}
-	if si != c.ShardFor([]byte("alpha")) {
-		t.Fatalf("verified read attributed to shard %d, owner is %d", si, c.ShardFor([]byte("alpha")))
+	if si != db.ShardFor([]byte("alpha")) {
+		t.Fatalf("verified read attributed to shard %d, owner is %d", si, db.ShardFor([]byte("alpha")))
 	}
 	// The proof verifies against the owning shard's digest entry — and
 	// against no other shard's.
@@ -260,15 +258,15 @@ func TestClusterVerifiedReadAndConsistency(t *testing.T) {
 	}
 
 	// Grow the ledger; consistency proofs connect old entries to new.
-	if _, err := c.Apply("w2", []core.Put{{Table: "t", Column: "c", PK: []byte("beta"), Value: []byte("2")}}); err != nil {
+	if _, err := db.Apply("w2", []Put{{Table: "t", Column: "c", PK: []byte("beta"), Value: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
-	next := c.Digest()
+	next := db.ClusterDigest()
 	for i := range old.Shards {
 		if old.Shards[i].Height == 0 {
 			continue // trust-on-first-use entries carry empty proofs
 		}
-		p, err := c.Engine(i).ConsistencyProof(old.Shards[i].Height, next.Shards[i].Height)
+		p, err := db.Engine(i).ConsistencyProof(old.Shards[i].Height, next.Shards[i].Height)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,38 +281,38 @@ func TestClusterVerifiedReadAndConsistency(t *testing.T) {
 // pre-crash digest.
 func TestClusterDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 3, Dir: dir, Sync: wal.SyncAlways, CheckpointInterval: -1}
-	c, err := Open(opts)
+	durOpts := Options{Sync: SyncAlways, CheckpointInterval: -1}
+	db, err := OpenCluster(dir, ClusterOptions{Shards: 3, Options: durOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := c.Apply(fmt.Sprintf("w%d", i), []core.Put{
+		if _, err := db.Apply(fmt.Sprintf("w%d", i), []Put{
 			{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("pk%03d", i)), Value: []byte(fmt.Sprintf("v%03d", i))},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One cross-shard transaction for good measure.
-	pkA, pkB := twoShardPKs(c)
-	tx := c.Begin()
+	pkA, pkB := twoShardPKs(db)
+	tx := db.Begin()
 	tx.Put("x", "c", pkA, []byte("a"))
 	tx.Put("x", "c", pkB, []byte("b"))
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	want := c.Digest()
+	want := db.ClusterDigest()
 	// Crash: abandon the handles without Close.
 
-	c2, err := Open(Options{Dir: dir, Sync: wal.SyncAlways, CheckpointInterval: -1})
+	db2, err := OpenCluster(dir, ClusterOptions{Options: durOpts})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	defer c2.Close()
-	if c2.Shards() != 3 {
-		t.Fatalf("recovered %d shards, want 3 (manifest lost?)", c2.Shards())
+	defer db2.Close()
+	if db2.Shards() != 3 {
+		t.Fatalf("recovered %d shards, want 3 (manifest lost?)", db2.Shards())
 	}
-	got := c2.Digest()
+	got := db2.ClusterDigest()
 	for i := range want.Shards {
 		if got.Shards[i] != want.Shards[i] {
 			t.Fatalf("shard %d digest %+v, want pre-crash %+v", i, got.Shards[i], want.Shards[i])
@@ -324,25 +322,25 @@ func TestClusterDurableRecovery(t *testing.T) {
 		t.Fatalf("combined root changed across recovery")
 	}
 	for i := 0; i < 30; i++ {
-		v, err := c2.Get("t", "c", []byte(fmt.Sprintf("pk%03d", i)))
+		v, err := db2.Get("t", "c", []byte(fmt.Sprintf("pk%03d", i)))
 		if err != nil || string(v) != fmt.Sprintf("v%03d", i) {
 			t.Fatalf("key %d lost: %q %v", i, v, err)
 		}
 	}
 	// Writes continue above the recovered versions.
-	if _, err := c2.Apply("post", []core.Put{{Table: "t", Column: "c", PK: []byte("new"), Value: []byte("nv")}}); err != nil {
+	if _, err := db2.Apply("post", []Put{{Table: "t", Column: "c", PK: []byte("new"), Value: []byte("nv")}}); err != nil {
 		t.Fatalf("post-recovery write: %v", err)
 	}
 }
 
 func TestClusterShardCountMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Options{Shards: 2, Dir: dir})
+	db, err := OpenCluster(dir, ClusterOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	if _, err := Open(Options{Shards: 4, Dir: dir}); err == nil {
+	db.Close()
+	if _, err := OpenCluster(dir, ClusterOptions{Shards: 4}); err == nil {
 		t.Fatal("reopening a 2-shard cluster as 4 shards must fail")
 	}
 }
@@ -371,9 +369,9 @@ func TestClusterRefusesMemoryStoreShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := Open(Options{Dir: dir, CheckpointInterval: -1})
+	db, err := OpenCluster(dir, ClusterOptions{Options: Options{CheckpointInterval: -1}})
 	if err == nil {
-		c.Close()
+		db.Close()
 		t.Fatal("a cluster of memory-store shards opened; want a refusal")
 	}
 	if !errors.Is(err, durable.ErrStoreVersion) || !strings.Contains(err.Error(), "memory-store database") {
@@ -402,14 +400,14 @@ func TestClusterRefusesMemoryStoreShards(t *testing.T) {
 // transfers under the race detector: money is conserved and every
 // shard's ledger stays consistent.
 func TestClusterConcurrentCrossShardStress(t *testing.T) {
-	c := memCluster(t, 4)
+	db := memCluster(t, 4)
 	const accounts = 8
-	var seed []core.Put
+	var seed []Put
 	for i := 0; i < accounts; i++ {
-		seed = append(seed, core.Put{Table: "bank", Column: "bal",
+		seed = append(seed, Put{Table: "bank", Column: "bal",
 			PK: []byte(fmt.Sprintf("acct%d", i)), Value: enc64(1000)})
 	}
-	if _, err := c.Apply("seed", seed); err != nil {
+	if _, err := db.Apply("seed", seed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -424,7 +422,7 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 				if string(src) == string(dst) {
 					continue
 				}
-				tx := c.Begin()
+				tx := db.Begin()
 				sv, ok, err := tx.Get("bank", "bal", src)
 				if err != nil || !ok {
 					t.Errorf("read src: %v %v", ok, err)
@@ -453,7 +451,7 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 
 	var total uint64
 	for i := 0; i < accounts; i++ {
-		v, err := c.Get("bank", "bal", []byte(fmt.Sprintf("acct%d", i)))
+		v, err := db.Get("bank", "bal", []byte(fmt.Sprintf("acct%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,9 +460,102 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 	if total != accounts*1000 {
 		t.Fatalf("total = %d, want %d (money not conserved)", total, accounts*1000)
 	}
-	st := c.Stats()
+	st := db.ClusterStats()
 	t.Logf("stress: %d commits, %d aborts", st.Commits, st.Aborts)
 	if st.Commits == 0 {
 		t.Fatal("no transfer committed")
+	}
+}
+
+// TestOptionsReachEveryShard: one Options value configures a durable
+// database and every shard of a durable and an in-memory cluster alike.
+// Each non-default setting is checked where it acts, on every engine.
+func TestOptionsReachEveryShard(t *testing.T) {
+	opts := Options{
+		Mode:             ModeTO,
+		MaintainInverted: true,
+		MaxBatchTxns:     1,
+		// A leader that waits would fold concurrent commits into one
+		// block, were the cap not one.
+		MaxBatchDelay:      time.Millisecond,
+		Sync:               SyncNever,
+		CheckpointInterval: -1,
+		WALSegmentSize:     4 << 10,
+		NodeCacheMB:        1,
+	}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) []clusterShard
+	}{
+		{"OpenDir", func(t *testing.T) []clusterShard {
+			db, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return []clusterShard{{eng: db.eng, dur: db.dur}}
+		}},
+		{"durable 2-shard cluster", func(t *testing.T) []clusterShard {
+			db, err := OpenCluster(t.TempDir(), ClusterOptions{Shards: 2, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return db.shards
+		}},
+		{"memory 2-shard cluster", func(t *testing.T) []clusterShard {
+			db, err := OpenCluster("", ClusterOptions{Shards: 2, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db.shards
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, sh := range tc.open(t) {
+				const writers, each = 8, 16
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for j := 0; j < each; j++ {
+							pk := []byte(fmt.Sprintf("w%d-%02d", w, j))
+							if _, err := sh.eng.Apply("load", []Put{{Table: "t", Column: "c", PK: pk,
+								Value: []byte(strings.Repeat("v", 100))}}); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				if st := sh.eng.BatchStats(); st.MaxTxns != 1 || st.Txns != writers*each {
+					t.Errorf("shard %d: %d txns, at most %d in one block; want %d, one per block (MaxBatchTxns)",
+						i, st.Txns, st.MaxTxns, writers*each)
+				}
+				if cells, err := sh.eng.LookupEqual("t", "c", []byte(strings.Repeat("v", 100))); err != nil || len(cells) != writers*each {
+					t.Errorf("shard %d: LookupEqual found %d cells, %v; want %d (MaintainInverted)", i, len(cells), err, writers*each)
+				}
+				older, newer := sh.eng.Begin(), sh.eng.Begin()
+				if _, _, err := newer.Get("t", "c", []byte("w0-00")); err != nil {
+					t.Fatal(err)
+				}
+				older.Put("t", "c", []byte("w0-00"), []byte("late"))
+				if _, err := older.Commit(); !errors.Is(err, ErrConflict) {
+					t.Errorf("shard %d: a writer older than a read of its key committed: %v (Mode: ModeTO)", i, err)
+				}
+				if sh.dur == nil {
+					continue
+				}
+				if ws := sh.dur.WALStats(); ws.Segments < 2 || ws.RetainedBytes > int64(ws.Segments)*2*opts.WALSegmentSize {
+					t.Errorf("shard %d: %d WAL segments over %d bytes; want segments of about %d bytes (WALSegmentSize)",
+						i, ws.Segments, ws.RetainedBytes, opts.WALSegmentSize)
+				}
+				if got := sh.dur.NodeStore().CacheStats().CacheBudget; got != int64(opts.NodeCacheMB)<<20 {
+					t.Errorf("shard %d: node cache budget %d bytes (NodeCacheMB)", i, got)
+				}
+			}
+		})
 	}
 }

@@ -38,7 +38,7 @@ func connect(t testing.TB, primary dialFunc, replicas ...dialFunc) *spitz.Client
 }
 
 func TestOpenClusterBasics(t *testing.T) {
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, Options: spitz.Options{MaintainInverted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestOpenClusterBasics(t *testing.T) {
 }
 
 func TestClusterVerifiedReads(t *testing.T) {
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 3, MaintainInverted: true})
+	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 3, Options: spitz.Options{MaintainInverted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestClusterVerifiedReads(t *testing.T) {
 // verified read must check its proof against the correct shard digest.
 func TestOpenClusterCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	opts := spitz.ClusterOptions{Shards: 4, Sync: spitz.SyncAlways, CheckpointInterval: -1}
+	opts := spitz.ClusterOptions{Shards: 4, Options: spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1}}
 	db, err := spitz.OpenCluster(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestOpenClusterCrashRecovery(t *testing.T) {
 	sc.Close()
 	ln.Close()
 
-	db2, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Sync: spitz.SyncAlways, CheckpointInterval: -1})
+	db2, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Options: spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1}})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

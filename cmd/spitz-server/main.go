@@ -216,18 +216,7 @@ func openSingle(dataDir string, opts spitz.Options, mode string) node {
 // openCluster opens N engines behind one listener, each durable under
 // dataDir/shard-NNN when dataDir is set.
 func openCluster(shards int, dataDir string, opts spitz.Options) node {
-	db, err := spitz.OpenCluster(dataDir, spitz.ClusterOptions{
-		Shards:                shards,
-		Mode:                  opts.Mode,
-		MaintainInverted:      opts.MaintainInverted,
-		MaxBatchTxns:          opts.MaxBatchTxns,
-		MaxBatchDelay:         opts.MaxBatchDelay,
-		Sync:                  opts.Sync,
-		SyncEvery:             opts.SyncEvery,
-		CheckpointInterval:    opts.CheckpointInterval,
-		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		NodeCacheMB:           opts.NodeCacheMB,
-	})
+	db, err := spitz.OpenCluster(dataDir, spitz.ClusterOptions{Shards: shards, Options: opts})
 	if err != nil {
 		log.Fatalf("spitz-server: open cluster: %v", err)
 	}

@@ -432,8 +432,8 @@ func TestOpenDirDiskStore(t *testing.T) {
 // requires each shard's digest to survive checkpoint + reopen.
 func TestOpenClusterDiskStore(t *testing.T) {
 	dir := t.TempDir()
-	opts := spitz.ClusterOptions{Shards: 3, Sync: spitz.SyncAlways,
-		CheckpointInterval: -1, NodeCacheMB: 2}
+	opts := spitz.ClusterOptions{Shards: 3, Options: spitz.Options{Sync: spitz.SyncAlways,
+		CheckpointInterval: -1, NodeCacheMB: 2}}
 	db, err := spitz.OpenCluster(dir, opts)
 	if err != nil {
 		t.Fatal(err)

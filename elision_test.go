@@ -128,8 +128,8 @@ func serveReplicaOf(t *testing.T, primary dialFunc, heights ...uint64) (*spitz.R
 // mirroring every shard of it, each behind a listener: the N × 1 topology.
 func openReplicatedCluster(t *testing.T, shards int) (cdb *spitz.ClusterDB, rep *spitz.Replica, ln, rln net.Listener) {
 	t.Helper()
-	cdb, err := spitz.OpenCluster(t.TempDir(), spitz.ClusterOptions{Shards: shards, MaintainInverted: true,
-		Sync: spitz.SyncNever, CheckpointInterval: -1})
+	cdb, err := spitz.OpenCluster(t.TempDir(), spitz.ClusterOptions{Shards: shards, Options: spitz.Options{MaintainInverted: true,
+		Sync: spitz.SyncNever, CheckpointInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func openSameResultsTopologies(t *testing.T) *sameResultsTopologies {
 	ln, _ := wire.Listen()
 	go db.Serve(ln)
 	t.Cleanup(func() { ln.Close() })
-	cdb4, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+	cdb4, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, Options: spitz.Options{MaintainInverted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

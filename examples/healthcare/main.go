@@ -39,7 +39,7 @@ var recode = map[string]string{"ICD9:250.00": "ICD10:E11.9", "ICD9:401.9": "ICD1
 func main() {
 	// The hospital group hosts a sharded cluster: patient keys hash
 	// across 4 shards, each a full engine with its own ledger.
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, Options: spitz.Options{MaintainInverted: true}})
 	if err != nil {
 		log.Fatal(err)
 	}

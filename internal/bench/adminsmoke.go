@@ -40,11 +40,10 @@ func AdminSmoke(dir string) error {
 	defer obs.DefaultTracer.SetSampleEvery(128)
 
 	const shards = 4
-	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{
-		Shards:             shards,
+	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Shards: shards, Options: spitz.Options{
 		Sync:               spitz.SyncAlways,
 		CheckpointInterval: -1, // retain the whole log so the replica bootstraps from it
-	})
+	}})
 	if err != nil {
 		return err
 	}

@@ -27,12 +27,11 @@ func DiskSmoke(dir string) error {
 
 func diskSmokeCluster(dir string) error {
 	const keys = 300
-	copts := spitz.ClusterOptions{
-		Shards:             2,
+	copts := spitz.ClusterOptions{Shards: 2, Options: spitz.Options{
 		Sync:               spitz.SyncAlways,
 		CheckpointInterval: -1,
 		NodeCacheMB:        1,
-	}
+	}}
 	db, err := spitz.OpenCluster(dir, copts)
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ import (
 // deviation, in either direction: an honest run that fails, or a
 // tampered run that passes.
 func QuerySmoke() error {
-	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+	db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, Options: spitz.Options{MaintainInverted: true}})
 	if err != nil {
 		return err
 	}

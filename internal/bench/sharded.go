@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"spitz/internal/core"
-	"spitz/internal/server"
-	"spitz/internal/wal"
+	"spitz"
 )
 
 // Sharded measures aggregate commit throughput of the sharded cluster
@@ -32,7 +30,7 @@ func Sharded(baseDir string, shardCounts []int, workers, ops int) (Result, error
 	mem := Series{Name: "memory"}
 	dur := Series{Name: "durable SyncAlways"}
 	for _, n := range shardCounts {
-		tput, err := shardedRun(server.Options{Shards: n}, workers*n, ops*n)
+		tput, err := shardedRun("", spitz.ClusterOptions{Shards: n}, workers*n, ops*n)
 		if err != nil {
 			return Result{}, err
 		}
@@ -40,11 +38,9 @@ func Sharded(baseDir string, shardCounts []int, workers, ops int) (Result, error
 		if baseDir == "" {
 			continue
 		}
-		tput, err = shardedRun(server.Options{
-			Shards:             n,
-			Dir:                filepath.Join(baseDir, fmt.Sprintf("cluster-%d", n)),
-			Sync:               wal.SyncAlways,
-			CheckpointInterval: -1,
+		tput, err = shardedRun(filepath.Join(baseDir, fmt.Sprintf("cluster-%d", n)), spitz.ClusterOptions{
+			Shards:  n,
+			Options: spitz.Options{Sync: spitz.SyncAlways, CheckpointInterval: -1},
 		}, workers*n, ops*n)
 		if err != nil {
 			return Result{}, err
@@ -58,8 +54,8 @@ func Sharded(baseDir string, shardCounts []int, workers, ops int) (Result, error
 	return res, nil
 }
 
-func shardedRun(opts server.Options, workers, ops int) (float64, error) {
-	c, err := server.Open(opts)
+func shardedRun(dir string, opts spitz.ClusterOptions, workers, ops int) (float64, error) {
+	c, err := spitz.OpenCluster(dir, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -73,7 +69,7 @@ func shardedRun(opts server.Options, workers, ops int) (float64, error) {
 	}
 	commit := func(worker, i int) error {
 		pk := []byte(fmt.Sprintf("pk%03d-%06d", worker, i))
-		_, err := c.Apply("bench", []core.Put{{Table: "t", Column: "c", PK: pk,
+		_, err := c.Apply("bench", []spitz.Put{{Table: "t", Column: "c", PK: pk,
 			Value: []byte("value-00000000")}})
 		return err
 	}

@@ -88,7 +88,7 @@ type Options struct {
 	Store StoreKind
 }
 
-// ClusterMarkerName is the file a sharded cluster (internal/server)
+// ClusterMarkerName is the file a sharded cluster (spitz.OpenCluster)
 // writes at the top of its data directory. durable refuses to open such
 // a directory as a single-engine database; the name lives here so the
 // cluster layer and every layout guard agree on one spelling.
@@ -146,7 +146,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		// including block-count-triggered ones.
 		opts.CheckpointEveryBlocks = 0
 	}
-	// A sharded cluster directory (internal/server) nests one durable
+	// A sharded cluster directory (spitz.OpenCluster) nests one durable
 	// layout per shard; opening its top level as a single-engine database
 	// would silently ignore every shard's data.
 	if _, err := os.Stat(filepath.Join(dir, ClusterMarkerName)); err == nil {

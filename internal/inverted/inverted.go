@@ -191,20 +191,6 @@ func (ix *Index) Add(c cellstore.Cell) {
 	col.index(Posting{PK: append([]byte(nil), c.PK...), Version: c.Version}, c.Value)
 }
 
-// Remove unindexes a specific cell occurrence.
-func (ix *Index) Remove(c cellstore.Cell) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	col, ok := ix.cols[colKey(c.Table, c.Column)]
-	if !ok {
-		return
-	}
-	col.unindex(Posting{PK: c.PK, Version: c.Version}, c.Value)
-	if prev, had := col.head[string(c.PK)]; had && prev.version == c.Version {
-		delete(col.head, string(c.PK))
-	}
-}
-
 // LookupEqual returns the postings of cells whose value equals value.
 func (ix *Index) LookupEqual(table, colName string, value []byte) []Posting {
 	ix.mu.RLock()
@@ -236,23 +222,6 @@ func (ix *Index) LookupNumericRange(table, colName string, lo, hi uint64) []Post
 	}
 	var out []Posting
 	col.numeric.AscendRange(lo, hi, func(_ uint64, pl *postingList) bool {
-		out = append(out, clonePostings(pl.items)...)
-		return true
-	})
-	return out
-}
-
-// LookupPrefix returns postings of cells whose string value starts with
-// prefix.
-func (ix *Index) LookupPrefix(table, colName string, prefix []byte) []Posting {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	col, ok := ix.cols[colKey(table, colName)]
-	if !ok {
-		return nil
-	}
-	var out []Posting
-	col.strings.WalkPrefix(prefix, func(_ []byte, pl *postingList) bool {
 		out = append(out, clonePostings(pl.items)...)
 		return true
 	})

@@ -60,9 +60,8 @@ func TestStringValues(t *testing.T) {
 	if len(got) != 1 || string(got[0].PK) != "a" {
 		t.Fatalf("string equal = %v", got)
 	}
-	got = ix.LookupPrefix("t", "c", []byte("ali"))
-	if len(got) != 2 {
-		t.Fatalf("prefix lookup returned %d", len(got))
+	if got := ix.LookupEqual("t", "c", []byte("ali")); len(got) != 0 {
+		t.Fatalf("a prefix of two values matched: %v", got)
 	}
 }
 
@@ -75,25 +74,6 @@ func TestEightByteStringsAreNumeric(t *testing.T) {
 	if got := ix.LookupEqual("t", "c", v); len(got) != 1 {
 		t.Fatal("8-byte value lookup disagreed with insertion path")
 	}
-}
-
-func TestRemove(t *testing.T) {
-	ix := New()
-	ix.Add(cell("a", 1, EncodeNumeric(5)))
-	ix.Add(cell("a", 2, EncodeNumeric(5)))
-	ix.Remove(cell("a", 1, EncodeNumeric(5)))
-	got := ix.LookupEqual("t", "c", EncodeNumeric(5))
-	if len(got) != 1 || got[0].Version != 2 {
-		t.Fatalf("after remove: %v", got)
-	}
-	ix.Remove(cell("a", 2, EncodeNumeric(5)))
-	if got := ix.LookupEqual("t", "c", EncodeNumeric(5)); len(got) != 0 {
-		t.Fatal("posting list not emptied")
-	}
-	// Removing absent entries is harmless.
-	ix.Remove(cell("zz", 9, EncodeNumeric(5)))
-	ix.Remove(cell("zz", 9, []byte("never-there")))
-	ix.Remove(cellstore.Cell{Table: "no", Column: "col", PK: []byte("x"), Version: 1, Value: []byte("v")})
 }
 
 func TestTombstonesNotIndexed(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/durable"
 	"spitz/internal/query"
-	"spitz/internal/server"
 	"spitz/internal/wal"
 	"spitz/internal/wire"
 )
@@ -111,7 +110,7 @@ func TestColumnsReadTheTree(t *testing.T) {
 			return rep.Engine(0).Columns("t")
 		}},
 		{"4-shard cluster: the union over shards", []string{"a", "b", "c", "d"}, func(t *testing.T) ([]string, error) {
-			c, err := server.Open(server.Options{Shards: 4})
+			c, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

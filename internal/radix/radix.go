@@ -3,8 +3,7 @@
 //
 // Spitz's inverted index uses a radix tree "to reduce space consumption"
 // for string cell values (Section 5, "Inverted Index"): shared prefixes —
-// common in enum-like and identifier columns — are stored once, and prefix
-// scans enumerate the posting lists of all values with a given prefix.
+// common in enum-like and identifier columns — are stored once.
 package radix
 
 import (
@@ -16,7 +15,6 @@ import (
 // use. Not safe for concurrent mutation.
 type Tree[V any] struct {
 	root node[V]
-	size int
 }
 
 type node[V any] struct {
@@ -25,9 +23,6 @@ type node[V any] struct {
 	hasValue bool
 	children []*node[V] // sorted by first byte of child prefix; labels nonempty
 }
-
-// Len returns the number of keys.
-func (t *Tree[V]) Len() int { return t.size }
 
 // findChild returns the index of the child whose prefix starts with b, or
 // -1 when absent.
@@ -73,9 +68,6 @@ func (t *Tree[V]) Put(key []byte, value V) bool {
 		if len(key) == 0 {
 			added := !n.hasValue
 			n.value, n.hasValue = value, true
-			if added {
-				t.size++
-			}
 			return added
 		}
 		ci := n.findChild(key[0])
@@ -86,7 +78,6 @@ func (t *Tree[V]) Put(key []byte, value V) bool {
 			n.children = append(n.children, nil)
 			copy(n.children[i+1:], n.children[i:])
 			n.children[i] = leaf
-			t.size++
 			return true
 		}
 		c := n.children[ci]
@@ -109,11 +100,7 @@ func (t *Tree[V]) Put(key []byte, value V) bool {
 // Delete removes key, reporting whether it was present. Single-child
 // chains left by removals are re-compressed to keep lookups fast.
 func (t *Tree[V]) Delete(key []byte) bool {
-	if t.deleteFrom(&t.root, key) {
-		t.size--
-		return true
-	}
-	return false
+	return t.deleteFrom(&t.root, key)
 }
 
 func (t *Tree[V]) deleteFrom(n *node[V], key []byte) bool {
@@ -144,54 +131,6 @@ func (t *Tree[V]) deleteFrom(n *node[V], key []byte) bool {
 		only := c.children[0]
 		only.prefix = append(append([]byte(nil), c.prefix...), only.prefix...)
 		n.children[ci] = only
-	}
-	return true
-}
-
-// WalkPrefix calls fn for every key starting with prefix, in key order.
-// fn returning false stops the walk.
-func (t *Tree[V]) WalkPrefix(prefix []byte, fn func(key []byte, value V) bool) {
-	n := &t.root
-	var acc []byte
-	rest := prefix
-	for len(rest) > 0 {
-		ci := n.findChild(rest[0])
-		if ci < 0 {
-			return
-		}
-		c := n.children[ci]
-		cp := commonPrefix(rest, c.prefix)
-		if cp == len(rest) {
-			// prefix exhausted inside this edge: everything below matches.
-			acc = append(acc, c.prefix...)
-			walk(c, acc, fn)
-			return
-		}
-		if cp < len(c.prefix) {
-			return // diverged: nothing matches
-		}
-		acc = append(acc, c.prefix...)
-		rest = rest[cp:]
-		n = c
-	}
-	walk(n, acc, fn)
-}
-
-// Walk visits all keys in order.
-func (t *Tree[V]) Walk(fn func(key []byte, value V) bool) {
-	walk(&t.root, nil, fn)
-}
-
-func walk[V any](n *node[V], acc []byte, fn func(k []byte, v V) bool) bool {
-	if n.hasValue {
-		if !fn(append([]byte(nil), acc...), n.value) {
-			return false
-		}
-	}
-	for _, c := range n.children {
-		if !walk(c, append(acc, c.prefix...), fn) {
-			return false
-		}
 	}
 	return true
 }

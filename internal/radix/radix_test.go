@@ -1,10 +1,8 @@
 package radix
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,13 +10,14 @@ import (
 
 func TestEmpty(t *testing.T) {
 	var tr Tree[int]
-	if tr.Len() != 0 {
-		t.Fatal("nonzero len")
+	for _, k := range []string{"a", ""} {
+		if _, ok := tr.Get([]byte(k)); ok {
+			t.Fatalf("found %q in empty tree", k)
+		}
 	}
-	if _, ok := tr.Get([]byte("a")); ok {
-		t.Fatal("found in empty tree")
+	if tr.Delete([]byte("a")) {
+		t.Fatal("deleted from empty tree")
 	}
-	tr.Walk(func([]byte, int) bool { t.Fatal("walk yielded"); return false })
 }
 
 func TestPutGetBasic(t *testing.T) {
@@ -28,9 +27,6 @@ func TestPutGetBasic(t *testing.T) {
 		if !tr.Put([]byte(k), i) {
 			t.Fatalf("Put(%q) reported existing", k)
 		}
-	}
-	if tr.Len() != len(keys) {
-		t.Fatalf("Len = %d", tr.Len())
 	}
 	for i, k := range keys {
 		v, ok := tr.Get([]byte(k))
@@ -52,7 +48,7 @@ func TestUpsert(t *testing.T) {
 		t.Fatal("overwrite reported as insert")
 	}
 	v, _ := tr.Get([]byte("k"))
-	if v != "b" || tr.Len() != 1 {
+	if v != "b" {
 		t.Fatal("upsert failed")
 	}
 }
@@ -81,92 +77,30 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("neighbor %q lost", k)
 		}
 	}
-	if tr.Len() != 5 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
-func TestWalkOrder(t *testing.T) {
-	var tr Tree[int]
-	keys := []string{"m", "b", "zz", "a", "ab", "z", "ba"}
-	for i, k := range keys {
-		tr.Put([]byte(k), i)
-	}
-	var got []string
-	tr.Walk(func(k []byte, v int) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want := append([]string(nil), keys...)
-	sort.Strings(want)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("walk order = %v, want %v", got, want)
-	}
-}
-
-func TestWalkPrefix(t *testing.T) {
-	var tr Tree[int]
-	keys := []string{"user:1", "user:10", "user:2", "acct:1", "user", "usurp"}
-	for i, k := range keys {
-		tr.Put([]byte(k), i)
-	}
-	var got []string
-	tr.WalkPrefix([]byte("user:"), func(k []byte, v int) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want := []string{"user:1", "user:10", "user:2"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("WalkPrefix = %v, want %v", got, want)
-	}
-
-	got = nil
-	tr.WalkPrefix([]byte("us"), func(k []byte, v int) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want = []string{"user", "user:1", "user:10", "user:2", "usurp"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("WalkPrefix(us) = %v, want %v", got, want)
-	}
-
-	got = nil
-	tr.WalkPrefix([]byte("nothing"), func(k []byte, v int) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if len(got) != 0 {
-		t.Fatalf("WalkPrefix(nothing) = %v", got)
-	}
-}
-
-func TestWalkEarlyStop(t *testing.T) {
-	var tr Tree[int]
-	for i := 0; i < 100; i++ {
-		tr.Put([]byte(fmt.Sprintf("k%03d", i)), i)
-	}
-	var n int
-	tr.Walk(func([]byte, int) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("early stop at %d", n)
-	}
 }
 
 func TestSharedPrefixCompression(t *testing.T) {
-	// All keys share a long prefix; the tree must not blow up in depth.
+	// All keys share a long prefix: it is stored once, on one edge below
+	// the root, and every key still resolves.
 	var tr Tree[int]
 	prefix := strings.Repeat("shared-prefix/", 4)
 	for i := 0; i < 100; i++ {
 		tr.Put([]byte(fmt.Sprintf("%s%03d", prefix, i)), i)
 	}
-	var got int
-	tr.WalkPrefix([]byte(prefix), func([]byte, int) bool { got++; return true })
-	if got != 100 {
-		t.Fatalf("prefix walk saw %d", got)
+	if len(tr.root.children) != 1 || !strings.HasPrefix(string(tr.root.children[0].prefix), prefix) {
+		t.Fatalf("shared prefix not compressed onto one edge: %d root children", len(tr.root.children))
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := tr.Get([]byte(fmt.Sprintf("%s%03d", prefix, i))); !ok || v != i {
+			t.Fatalf("key %d: %d, %v", i, v, ok)
+		}
+	}
+	if _, ok := tr.Get([]byte(prefix)); ok {
+		t.Fatal("the shared prefix itself resolved")
 	}
 }
 
-// Property: radix tree behaves like a map with sorted iteration.
+// Property: radix tree behaves like a map.
 func TestQuickOracle(t *testing.T) {
 	type op struct {
 		K   uint16
@@ -192,25 +126,16 @@ func TestQuickOracle(t *testing.T) {
 				oracle[string(k)] = o.V
 			}
 		}
-		if tr.Len() != len(oracle) {
-			return false
-		}
-		keys := make([]string, 0, len(oracle))
-		for k := range oracle {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		i := 0
-		good := true
-		tr.Walk(func(k []byte, v int) bool {
-			if i >= len(keys) || string(k) != keys[i] || v != oracle[keys[i]] {
-				good = false
+		// Every key an op touched reads as the map says: present with its
+		// value, or absent.
+		for _, o := range ops {
+			k := fmt.Sprintf("%b", o.K)
+			want, present := oracle[k]
+			if got, ok := tr.Get([]byte(k)); ok != present || got != want {
 				return false
 			}
-			i++
-			return true
-		})
-		return good && i == len(keys)
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -221,19 +146,18 @@ func TestRandomizedLargeSet(t *testing.T) {
 	var tr Tree[int]
 	rng := rand.New(rand.NewSource(11))
 	oracle := map[string]int{}
+	deleted := map[string]bool{}
 	for i := 0; i < 20000; i++ {
 		k := make([]byte, 1+rng.Intn(12))
 		rng.Read(k)
 		if rng.Intn(4) == 0 {
 			tr.Delete(k)
 			delete(oracle, string(k))
+			deleted[string(k)] = true
 		} else {
 			tr.Put(append([]byte(nil), k...), i)
 			oracle[string(k)] = i
 		}
-	}
-	if tr.Len() != len(oracle) {
-		t.Fatalf("Len = %d oracle = %d", tr.Len(), len(oracle))
 	}
 	for k, v := range oracle {
 		got, ok := tr.Get([]byte(k))
@@ -241,12 +165,11 @@ func TestRandomizedLargeSet(t *testing.T) {
 			t.Fatalf("Get(%q) = %d,%v want %d", k, got, ok, v)
 		}
 	}
-	var prev []byte
-	tr.Walk(func(k []byte, _ int) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatal("walk out of order")
+	for k := range deleted {
+		if _, live := oracle[k]; !live {
+			if _, ok := tr.Get([]byte(k)); ok {
+				t.Fatalf("deleted key %q still present", k)
+			}
 		}
-		prev = k
-		return true
-	})
+	}
 }

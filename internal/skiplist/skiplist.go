@@ -15,7 +15,6 @@ const maxLevel = 24
 type List[V any] struct {
 	head *elem[V]
 	rng  *rand.Rand
-	size int
 }
 
 type elem[V any] struct {
@@ -33,9 +32,6 @@ func New[V any](seed int64) *List[V] {
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
-
-// Len returns the number of keys.
-func (l *List[V]) Len() int { return l.size }
 
 // randomLevel draws a geometric level in [1, maxLevel].
 func (l *List[V]) randomLevel() int {
@@ -85,7 +81,6 @@ func (l *List[V]) Put(key uint64, value V) bool {
 		ne.next[i] = update[i].next[i]
 		update[i].next[i] = ne
 	}
-	l.size++
 	return true
 }
 
@@ -101,13 +96,12 @@ func (l *List[V]) Delete(key uint64) bool {
 			update[i].next[i] = e.next[i]
 		}
 	}
-	l.size--
 	return true
 }
 
 // AscendRange calls fn for each key in [start, end) in order; fn returning
-// false stops. end==^uint64(0) with inclusive semantics is unreachable;
-// use AscendFrom for unbounded scans.
+// false stops. The end bound is exclusive, so key ^uint64(0) is never
+// visited.
 func (l *List[V]) AscendRange(start, end uint64, fn func(key uint64, value V) bool) {
 	var update [maxLevel]*elem[V]
 	e := l.findPredecessors(start, &update)
@@ -116,24 +110,4 @@ func (l *List[V]) AscendRange(start, end uint64, fn func(key uint64, value V) bo
 			return
 		}
 	}
-}
-
-// AscendFrom calls fn for each key >= start until fn returns false or the
-// list ends.
-func (l *List[V]) AscendFrom(start uint64, fn func(key uint64, value V) bool) {
-	var update [maxLevel]*elem[V]
-	e := l.findPredecessors(start, &update)
-	for ; e != nil; e = e.next[0] {
-		if !fn(e.key, e.value) {
-			return
-		}
-	}
-}
-
-// Min returns the smallest key; ok is false when the list is empty.
-func (l *List[V]) Min() (uint64, bool) {
-	if l.head.next[0] == nil {
-		return 0, false
-	}
-	return l.head.next[0].key, true
 }

@@ -9,14 +9,11 @@ import (
 
 func TestEmpty(t *testing.T) {
 	l := New[string](1)
-	if l.Len() != 0 {
-		t.Fatal("nonzero len")
-	}
 	if _, ok := l.Get(42); ok {
 		t.Fatal("found in empty list")
 	}
-	if _, ok := l.Min(); ok {
-		t.Fatal("Min on empty list")
+	if l.Delete(42) {
+		t.Fatal("deleted from empty list")
 	}
 	l.AscendRange(0, 100, func(uint64, string) bool {
 		t.Fatal("scan yielded on empty list")
@@ -32,9 +29,6 @@ func TestPutGet(t *testing.T) {
 		if !l.Put(uint64(i), i) {
 			t.Fatalf("Put(%d) reported existing", i)
 		}
-	}
-	if l.Len() != n {
-		t.Fatalf("Len = %d", l.Len())
 	}
 	for i := 0; i < n; i++ {
 		v, ok := l.Get(uint64(i))
@@ -54,7 +48,7 @@ func TestUpsert(t *testing.T) {
 		t.Fatal("overwrite reported as insert")
 	}
 	v, _ := l.Get(7)
-	if v != "b" || l.Len() != 1 {
+	if v != "b" {
 		t.Fatal("upsert failed")
 	}
 }
@@ -101,34 +95,22 @@ func TestAscendRange(t *testing.T) {
 	}
 }
 
+// TestAscendFromAndEarlyStop: an open-ended scan from a start key reaches
+// the end of the list, and fn returning false stops the scan.
 func TestAscendFromAndEarlyStop(t *testing.T) {
 	l := New[int](6)
 	for i := 0; i < 50; i++ {
 		l.Put(uint64(i), i)
 	}
 	var n int
-	l.AscendFrom(40, func(uint64, int) bool { n++; return true })
+	l.AscendRange(40, ^uint64(0), func(uint64, int) bool { n++; return true })
 	if n != 10 {
-		t.Fatalf("AscendFrom saw %d", n)
+		t.Fatalf("scan from 40 saw %d", n)
 	}
 	n = 0
-	l.AscendFrom(0, func(uint64, int) bool { n++; return n < 7 })
+	l.AscendRange(0, ^uint64(0), func(uint64, int) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Fatalf("early stop at %d", n)
-	}
-}
-
-func TestMin(t *testing.T) {
-	l := New[int](7)
-	l.Put(30, 1)
-	l.Put(10, 2)
-	l.Put(20, 3)
-	if m, ok := l.Min(); !ok || m != 10 {
-		t.Fatalf("Min = %d,%v", m, ok)
-	}
-	l.Delete(10)
-	if m, _ := l.Min(); m != 20 {
-		t.Fatalf("Min after delete = %d", m)
 	}
 }
 
@@ -158,9 +140,6 @@ func TestQuickOracle(t *testing.T) {
 				oracle[k] = o.V
 			}
 		}
-		if l.Len() != len(oracle) {
-			return false
-		}
 		keys := make([]uint64, 0, len(oracle))
 		for k := range oracle {
 			keys = append(keys, k)
@@ -168,7 +147,7 @@ func TestQuickOracle(t *testing.T) {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		i := 0
 		good := true
-		l.AscendFrom(0, func(k uint64, v int) bool {
+		l.AscendRange(0, ^uint64(0), func(k uint64, v int) bool {
 			if i >= len(keys) || k != keys[i] || v != oracle[k] {
 				good = false
 				return false

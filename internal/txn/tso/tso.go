@@ -27,19 +27,6 @@ func (o *Oracle) Next() uint64 {
 	return o.last.Add(1)
 }
 
-// Last returns the most recently issued timestamp.
-func (o *Oracle) Last() uint64 {
-	return o.last.Load()
-}
-
-// Batch reserves n consecutive timestamps and returns the first. Real
-// deployments amortize oracle round trips this way; the benchmark uses it
-// to show the tradeoff.
-func (o *Oracle) Batch(n uint64) (first uint64) {
-	end := o.last.Add(n)
-	return end - n + 1
-}
-
 // Advance raises the oracle to at least v, so the next timestamp issued
 // is above v. Recovery uses it to move the oracle past timestamps that
 // were already committed before a restart.

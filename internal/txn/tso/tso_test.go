@@ -7,25 +7,8 @@ import (
 
 func TestNextIncreases(t *testing.T) {
 	o := New(100)
-	if o.Last() != 100 {
-		t.Fatalf("Last = %d", o.Last())
-	}
 	if a, b := o.Next(), o.Next(); a != 101 || b != 102 {
 		t.Fatalf("Next sequence = %d, %d", a, b)
-	}
-}
-
-func TestBatch(t *testing.T) {
-	o := New(0)
-	first := o.Batch(10)
-	if first != 1 {
-		t.Fatalf("batch first = %d", first)
-	}
-	if o.Last() != 10 {
-		t.Fatalf("Last after batch = %d", o.Last())
-	}
-	if next := o.Next(); next != 11 {
-		t.Fatalf("Next after batch = %d", next)
 	}
 }
 

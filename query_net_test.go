@@ -83,7 +83,7 @@ func TestQueryEndToEnd(t *testing.T) {
 			return connect(t, dialer(ln)), none
 		}},
 		{"4x0", func(t *testing.T) (*spitz.Client, func()) {
-			db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, MaintainInverted: true})
+			db, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 4, Options: spitz.Options{MaintainInverted: true}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,7 @@ type ReplicaOptions struct {
 // as the primary, reads only: name its listener in Topology.Replicas (the
 // client then anchors trust at the primary), or connect to it alone.
 type Replica struct {
-	set *repl.Set
+	shards []*repl.Replica // one follower per shard of the primary
 }
 
 // DialReplica starts a replica of the Spitz server at addr.
@@ -59,37 +59,57 @@ func NewReplica(dial func() (*wire.Client, error), opts ReplicaOptions) (*Replic
 	if resp.ShardCount < 1 {
 		return nil, fmt.Errorf("spitz: primary reported %d shards", resp.ShardCount)
 	}
-	set := repl.NewSet(dial, resp.ShardCount, repl.Options{
-		MaintainInverted: opts.MaintainInverted,
-		ReconnectDelay:   opts.ReconnectDelay,
-		Logf:             opts.Logf,
-	})
-	return &Replica{set: set}, nil
+	r := &Replica{shards: make([]*repl.Replica, resp.ShardCount)}
+	for i := range r.shards {
+		// Shard i of a cluster streams as wire shard i+1; a one-shard
+		// primary streams as 0, which a single engine also accepts.
+		shard := i + 1
+		if len(r.shards) == 1 {
+			shard = 0
+		}
+		r.shards[i] = repl.New(dial, repl.Options{
+			Shard:            shard,
+			MaintainInverted: opts.MaintainInverted,
+			ReconnectDelay:   opts.ReconnectDelay,
+			Logf:             opts.Logf,
+		})
+	}
+	return r, nil
 }
 
 // Close stops following the primary. The replica keeps its verified
 // state (and any running Serve keeps answering reads from it).
-func (r *Replica) Close() { r.set.Close() }
+func (r *Replica) Close() {
+	for _, sh := range r.shards {
+		sh.Close()
+	}
+}
 
 // Shards returns the number of mirrored shards.
-func (r *Replica) Shards() int { return r.set.Shards() }
+func (r *Replica) Shards() int { return len(r.shards) }
 
 // Status reports each shard's replication state, in shard order.
-func (r *Replica) Status() []ReplicaStatus { return r.set.Status() }
+func (r *Replica) Status() []ReplicaStatus {
+	out := make([]ReplicaStatus, len(r.shards))
+	for i, sh := range r.shards {
+		out[i] = sh.Status()
+	}
+	return out
+}
 
 // Height returns shard i's ledger height.
-func (r *Replica) Height(i int) uint64 { return r.set.Replica(i).Height() }
+func (r *Replica) Height(i int) uint64 { return r.shards[i].Height() }
 
 // Digest returns shard i's ledger digest — what a client proves to be a
 // prefix of the primary's before trusting this replica's proofs.
-func (r *Replica) Digest(i int) Digest { return r.set.Replica(i).Digest() }
+func (r *Replica) Digest(i int) Digest { return r.shards[i].Digest() }
 
 // ClusterDigest returns the replica's per-shard digest vector under one
 // combined root (one entry for single-engine primaries).
-func (r *Replica) ClusterDigest() ClusterDigest { return r.set.Router().ClusterDigest() }
+func (r *Replica) ClusterDigest() ClusterDigest { return r.router().ClusterDigest() }
 
 // Engine exposes shard i's engine for local (in-process) reads.
-func (r *Replica) Engine(i int) *core.Engine { return r.set.Replica(i).Engine() }
+func (r *Replica) Engine(i int) *core.Engine { return r.shards[i].Engine() }
 
 // WaitForHeight blocks until shard i's ledger reaches height, or the
 // timeout elapses. Convenience for tests, benchmarks and scripted
@@ -100,7 +120,7 @@ func (r *Replica) WaitForHeight(i int, height uint64, timeout time.Duration) err
 		if r.Height(i) >= height {
 			return nil
 		}
-		if st := r.set.Replica(i).Status(); st.Poisoned {
+		if st := r.shards[i].Status(); st.Poisoned {
 			return fmt.Errorf("spitz: replica shard %d poisoned: %s", i, st.LastError)
 		}
 		if time.Now().After(deadline) {
@@ -113,9 +133,19 @@ func (r *Replica) WaitForHeight(i int, height uint64, timeout time.Duration) err
 // Serve exposes the replica over a listener using the Spitz wire
 // protocol; it blocks until the listener closes. All mutations are
 // refused; reads follow the primary's routing rules.
-func (r *Replica) Serve(ln net.Listener) error { return serve(ln, r.set.Router(), "replica") }
+func (r *Replica) Serve(ln net.Listener) error { return serve(ln, r.router(), "replica") }
+
+// router is the replica as one listener serves it: every mirrored shard
+// at its current engine, and no writer, so every mutation is refused.
+func (r *Replica) router() *wire.Router {
+	d := &wire.Router{Shards: make([]wire.Shard, len(r.shards))}
+	for i, sh := range r.shards {
+		d.Shards[i] = sh.Shard()
+	}
+	return d
+}
 
 // ServerStats returns the observability payload this replica serves to
 // OpStats clients: per-shard replica heights and apply progress. Use it
 // to publish instance gauges on an admin endpoint (wire.PublishStats).
-func (r *Replica) ServerStats() ServerStats { return r.set.Router().Stats() }
+func (r *Replica) ServerStats() ServerStats { return r.router().Stats() }

@@ -384,8 +384,8 @@ func TestBootstrappingReplica(t *testing.T) {
 // cluster digests match exactly.
 func TestClusterReplication(t *testing.T) {
 	dir := t.TempDir()
-	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Shards: 3, Sync: spitz.SyncAlways,
-		CheckpointInterval: -1})
+	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Shards: 3, Options: spitz.Options{Sync: spitz.SyncAlways,
+		CheckpointInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func matrixSeed(t *testing.T, apply func(string, []spitz.Put) error) {
 // matrixCluster opens, seeds and serves a cluster; dir "" keeps it in memory.
 func matrixCluster(t *testing.T, dir string, shards int) (*spitz.ClusterDB, dialFunc) {
 	t.Helper()
-	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Shards: shards, MaintainInverted: true, CheckpointInterval: -1})
+	db, err := spitz.OpenCluster(dir, spitz.ClusterOptions{Shards: shards, Options: spitz.Options{MaintainInverted: true, CheckpointInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

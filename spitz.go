@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"spitz/internal/cas"
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/durable"
@@ -146,7 +145,7 @@ var (
 	ErrTampered = proof.ErrTampered
 )
 
-// Options configures Open and OpenDir.
+// Options configures Open and OpenDir, and every shard of OpenCluster.
 type Options struct {
 	// Mode selects the concurrency control scheme (default ModeOCC).
 	Mode txn.Mode
@@ -163,8 +162,8 @@ type Options struct {
 	// previous block is being built, which self-tunes with load.
 	MaxBatchDelay time.Duration
 
-	// The fields below configure durability and apply to OpenDir only;
-	// Open ignores them.
+	// The fields below configure durability and apply to OpenDir and a
+	// durable OpenCluster only; Open ignores them.
 
 	// Sync selects when commits become durable (default SyncAlways).
 	Sync SyncPolicy
@@ -214,18 +213,36 @@ func (db *DB) engine() *core.Engine {
 // Open creates an in-memory verifiable database. State is lost when the
 // process exits; use OpenDir for a durable database.
 func Open(opts Options) *DB {
-	return &DB{eng: core.New(opts.memoryEngine()), opts: opts}
+	eng, _ := opts.engines(nil)
+	return &DB{eng: core.New(eng), opts: opts}
 }
 
-// memoryEngine is the in-memory engine configuration opts describe —
-// the one mapping Open, Restore and ResetFromSnapshot share.
-func (opts Options) memoryEngine() core.Options {
-	return core.Options{
-		Store:            cas.NewMemory(),
+// engines maps opts onto an in-memory engine's settings and a data
+// directory's — the one mapping Open, Restore, ResetFromSnapshot, OpenDir
+// and every OpenCluster shard share. ts, when non-nil, is the clock a
+// cluster's shards draw commit versions from; nil gives each engine its
+// own oracle. The engine settings name no store, so each engine built
+// from them gets a fresh in-memory one.
+func (opts Options) engines(ts durable.TimestampSource) (core.Options, durable.Options) {
+	eng := core.Options{
 		Mode:             opts.Mode,
+		Timestamps:       ts,
 		MaintainInverted: opts.MaintainInverted,
 		MaxBatchTxns:     opts.MaxBatchTxns,
 		MaxBatchDelay:    opts.MaxBatchDelay,
+	}
+	return eng, durable.Options{
+		Mode:                  opts.Mode,
+		Timestamps:            ts,
+		MaintainInverted:      opts.MaintainInverted,
+		MaxBatchTxns:          opts.MaxBatchTxns,
+		MaxBatchDelay:         opts.MaxBatchDelay,
+		Sync:                  opts.Sync,
+		SyncInterval:          opts.SyncEvery,
+		SegmentSize:           opts.WALSegmentSize,
+		CheckpointInterval:    opts.CheckpointInterval,
+		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
+		NodeCacheMB:           opts.NodeCacheMB,
 	}
 }
 
@@ -238,18 +255,8 @@ func (opts Options) memoryEngine() core.Options {
 // per-block hash verification, so clients' saved digests keep verifying
 // across the restart. Call Close when done.
 func OpenDir(dir string, opts Options) (*DB, error) {
-	m, err := durable.Open(dir, durable.Options{
-		Mode:                  opts.Mode,
-		MaintainInverted:      opts.MaintainInverted,
-		MaxBatchTxns:          opts.MaxBatchTxns,
-		MaxBatchDelay:         opts.MaxBatchDelay,
-		Sync:                  opts.Sync,
-		SyncInterval:          opts.SyncEvery,
-		SegmentSize:           opts.WALSegmentSize,
-		CheckpointInterval:    opts.CheckpointInterval,
-		CheckpointEveryBlocks: opts.CheckpointEveryBlocks,
-		NodeCacheMB:           opts.NodeCacheMB,
-	})
+	_, dur := opts.engines(nil)
+	m, err := durable.Open(dir, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +464,8 @@ func (db *DB) resetFromSnapshot(r io.Reader) (*core.Engine, error) {
 	if db.dur != nil {
 		return nil, errors.New("spitz: cannot restore a snapshot into a durable database; recover from its data directory instead")
 	}
-	eng, err := core.Restore(db.opts.memoryEngine(), r)
+	opts, _ := db.opts.engines(nil)
+	eng, err := core.Restore(opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +522,8 @@ func (db *DB) WriteSnapshot(w io.Writer) error { return db.engine().WriteSnapsho
 // and the block chain revalidated, so tampered snapshots are rejected;
 // clients' saved digests keep verifying against the restored database.
 func Restore(opts Options, r io.Reader) (*DB, error) {
-	eng, err := core.Restore(opts.memoryEngine(), r)
+	engOpts, _ := opts.engines(nil)
+	eng, err := core.Restore(engOpts, r)
 	if err != nil {
 		return nil, err
 	}
