@@ -202,3 +202,32 @@ func Count(n uint64, rest []byte, min int) (int, error) {
 	}
 	return int(n), nil
 }
+
+// Decoder reads a run of fields from Src in turn. The first error sticks:
+// every read after it returns the zero value and leaves Src as it was.
+type Decoder struct {
+	Src []byte
+	Err error
+}
+
+// Read decodes the next field of d with read, one of the Read functions of
+// this package or of a codec built on it.
+func Read[T any](d *Decoder, read func([]byte) (T, []byte, error)) T {
+	var v T
+	if d.Err == nil {
+		var rest []byte
+		if v, rest, d.Err = read(d.Src); d.Err == nil {
+			d.Src = rest
+		}
+	}
+	return v
+}
+
+// Flag returns bit when on is true and 0 otherwise: a presence bitmap is
+// the OR of one Flag per field.
+func Flag(on bool, bit uint64) uint64 {
+	if on {
+		return bit
+	}
+	return 0
+}

@@ -64,6 +64,28 @@ func (p BatchProof) Answers(queries []BatchQuery) bool {
 	return ri == len(p.Ranges) && (p.Points == nil || pi == len(p.Points.Keys))
 }
 
+// Ask gives a proof that travelled without its question (Trimmed: no
+// point keys, ranges without bounds) the one these queries ask, so that it
+// is checked (Answers) and verified for the client's own question. What
+// the proof does carry it keeps.
+func (p *BatchProof) Ask(queries []BatchQuery) {
+	var keys [][]byte
+	ri := 0
+	for _, q := range queries {
+		if !q.Range {
+			keys = append(keys, cellstore.CellPrefix(q.Table, q.Column, q.PK))
+			continue
+		}
+		if ri < len(p.Ranges) && p.Ranges[ri].Start == nil {
+			p.Ranges[ri].Start, p.Ranges[ri].End = cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi)
+		}
+		ri++
+	}
+	if p.Points != nil && p.Points.Keys == nil {
+		p.Points.Ask(keys)
+	}
+}
+
 // Live reads the answers off a proof of exactly these queries (Answers)
 // that has verified: for each query, in order, the live cells it proves —
 // a point query's cell or none, a range query's rows in key order —
@@ -163,6 +185,23 @@ func (p BatchProof) Elide(have postree.HeldSet) BatchProof {
 		p.Ranges = ranges
 	}
 	countCut(n, have)
+	return p
+}
+
+// Trimmed is Proof.Trimmed for a batch proof: its point keys and range
+// bounds.
+func (p BatchProof) Trimmed() BatchProof {
+	if p.Points != nil {
+		pt := *p.Points
+		pt.Keys = nil
+		p.Points = &pt
+	}
+	if p.Ranges != nil {
+		p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
+		for i := range p.Ranges {
+			p.Ranges[i].Start, p.Ranges[i].End = nil, nil
+		}
+	}
 	return p
 }
 

@@ -86,35 +86,30 @@ func ReadProof(src []byte) (*Proof, []byte, error) { return ReadProofAs(src, fal
 // block binding.
 func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	p := &Proof{Unbound: unbound}
-	var err error
+	d := binenc.Decoder{Src: src}
 	if !unbound {
-		if p.Header, src, err = ReadHeader(src); err != nil {
-			return nil, nil, err
-		}
-		if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
-			return nil, nil, err
-		}
+		p.Header, p.Inclusion = binenc.Read(&d, ReadHeader), binenc.Read(&d, mtree.ReadInclusionProof)
 	}
-	if len(src) < 1 || src[0] > 3 {
-		return nil, nil, binenc.ErrCorrupt
+	if d.Err == nil && (len(d.Src) < 1 || d.Src[0] > 3) {
+		d.Err = binenc.ErrCorrupt
 	}
-	present := src[0]
-	src = src[1:]
+	if d.Err != nil {
+		return nil, nil, d.Err
+	}
+	present := d.Src[0]
+	d.Src = d.Src[1:]
 	if present&1 != 0 {
-		var pt postree.PointProof
-		if pt, src, err = postree.ReadPointProof(src); err != nil {
-			return nil, nil, err
-		}
+		pt := binenc.Read(&d, postree.ReadPointProof)
 		p.Point = &pt
 	}
 	if present&2 != 0 {
-		var rp postree.RangeProof
-		if rp, src, err = postree.ReadRangeProof(src); err != nil {
-			return nil, nil, err
-		}
+		rp := binenc.Read(&d, postree.ReadRangeProof)
 		p.Range = &rp
 	}
-	return p, src, nil
+	if d.Err != nil {
+		return nil, nil, d.Err
+	}
+	return p, d.Src, nil
 }
 
 // AppendBatchProof appends p's binary encoding.
@@ -141,44 +136,28 @@ func AppendBatchProof(dst []byte, p *BatchProof) []byte {
 // ReadBatchProofAs is ReadProofAs for a batch proof.
 func ReadBatchProofAs(src []byte, unbound bool) (*BatchProof, []byte, error) {
 	p := &BatchProof{Unbound: unbound}
-	var err error
+	d := binenc.Decoder{Src: src}
 	if !unbound {
-		if p.Header, src, err = ReadHeader(src); err != nil {
-			return nil, nil, err
-		}
-		if p.Inclusion, src, err = mtree.ReadInclusionProof(src); err != nil {
-			return nil, nil, err
-		}
+		p.Header, p.Inclusion = binenc.Read(&d, ReadHeader), binenc.Read(&d, mtree.ReadInclusionProof)
 	}
-	var hasPoints bool
-	if hasPoints, src, err = binenc.ReadBool(src); err != nil {
-		return nil, nil, err
-	}
-	if hasPoints {
-		var bp postree.BatchProof
-		if bp, src, err = postree.ReadBatchProof(src); err != nil {
-			return nil, nil, err
-		}
+	if binenc.Read(&d, binenc.ReadBool) {
+		bp := binenc.Read(&d, postree.ReadBatchProof)
 		p.Points = &bp
 	}
-	n, rest, err := binenc.ReadUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return p, rest, nil
-	}
-	cnt, err := binenc.Count(n-1, rest, 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.Ranges = make([]postree.RangeProof, cnt)
-	for i := range p.Ranges {
-		if p.Ranges[i], rest, err = postree.ReadRangeProof(rest); err != nil {
-			return nil, nil, err
+	var cnt int
+	if n := binenc.Read(&d, binenc.ReadUvarint); d.Err == nil && n > 0 {
+		cnt, d.Err = binenc.Count(n-1, d.Src, 3)
+		if d.Err == nil {
+			p.Ranges = make([]postree.RangeProof, cnt)
 		}
 	}
-	return p, rest, nil
+	for i := range p.Ranges {
+		p.Ranges[i] = binenc.Read(&d, postree.ReadRangeProof)
+	}
+	if d.Err != nil {
+		return nil, nil, d.Err
+	}
+	return p, d.Src, nil
 }
 
 // AppendBatchQuery appends q's binary encoding.
@@ -192,22 +171,10 @@ func AppendBatchQuery(dst []byte, q BatchQuery) []byte {
 
 // ReadBatchQuery decodes a batch query.
 func ReadBatchQuery(src []byte) (BatchQuery, []byte, error) {
-	var q BatchQuery
-	var err error
-	if q.Table, src, err = binenc.ReadString(src); err != nil {
-		return q, nil, err
-	}
-	if q.Column, src, err = binenc.ReadString(src); err != nil {
-		return q, nil, err
-	}
-	if q.PK, src, err = binenc.ReadBytes(src); err != nil {
-		return q, nil, err
-	}
-	if q.PKHi, src, err = binenc.ReadBytes(src); err != nil {
-		return q, nil, err
-	}
-	q.Range, src, err = binenc.ReadBool(src)
-	return q, src, err
+	d := binenc.Decoder{Src: src}
+	q := BatchQuery{Table: binenc.Read(&d, binenc.ReadString), Column: binenc.Read(&d, binenc.ReadString),
+		PK: binenc.Read(&d, binenc.ReadBytes), PKHi: binenc.Read(&d, binenc.ReadBytes), Range: binenc.Read(&d, binenc.ReadBool)}
+	return q, d.Src, d.Err
 }
 
 // AppendBatchQueries appends a nil-preserving batch query list.

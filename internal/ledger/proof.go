@@ -137,6 +137,36 @@ func (p Proof) Elide(have postree.HeldSet) Proof {
 	return p
 }
 
+// Trimmed returns the proof as it travels to a client that supplies the
+// question it asked (Ask): without a point proof's key or a range proof's
+// bounds. The receiver and what it points to are not modified.
+func (p Proof) Trimmed() Proof {
+	if p.Point != nil {
+		pt := *p.Point
+		pt.Key = nil
+		p.Point = &pt
+	}
+	if p.Range != nil {
+		rp := *p.Range
+		rp.Start, rp.End = nil, nil
+		p.Range = &rp
+	}
+	return p
+}
+
+// Ask gives a proof that travelled without its question (Trimmed) the one
+// its read asked — a point read's key, or a scan's bounds, of pk (up to
+// pkHi) in table.column; a proof that carries its question keeps it, for
+// BatchProof.Answers to compare.
+func (p *Proof) Ask(table, column string, pk, pkHi []byte) {
+	switch {
+	case p.Point != nil && p.Point.Key == nil:
+		p.Point.Ask(cellstore.CellPrefix(table, column, pk))
+	case p.Range != nil && p.Range.Start == nil:
+		p.Range.Start, p.Range.End = cellstore.RefRange(table, column, pk, pkHi)
+	}
+}
+
 // Unbind returns the proof as it travels to a client holding the verified
 // header of its block: without that header and its inclusion path.
 func (p Proof) Unbind() Proof {

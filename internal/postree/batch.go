@@ -3,6 +3,7 @@ package postree
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"spitz/internal/hashutil"
 	"spitz/internal/posleaf"
@@ -32,7 +33,8 @@ type BatchProof struct {
 
 // ProveGetBatch proves a batch of point reads in one pass, deduplicating
 // shared nodes. Keys may repeat and need not be sorted; results are in
-// request order.
+// request order. Each key's leaf is searched where it is stored, as in
+// ProveGet, and not decoded.
 func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 	p := BatchProof{
 		Keys:   keys,
@@ -46,37 +48,35 @@ func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
 	// positions a visited leaf must keep (unused for index nodes).
 	at := make(map[hashutil.Digest]int, 8)
 	var keep [][2]int
-	for ki, key := range keys {
-		d := t.root
-		for {
-			body, n, err := t.loadProofNode(d)
-			if err != nil {
-				return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
-			}
-			slot, seen := at[d]
-			if !seen {
-				slot = len(p.Nodes)
-				at[d] = slot
-				p.Nodes = append(p.Nodes, body)
-				p.digests = append(p.digests, d)
-				keep = append(keep, [2]int{len(n.entries), -1})
-			}
-			i := searchEntries(n.entries, key)
-			if n.level == 0 {
-				if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
-					p.Found[ki] = true
-					p.Values[ki] = n.entries[i].Value
-				}
-				lo, hi := pointSpan(len(n.entries), i, p.Found[ki])
-				keep[slot] = [2]int{min(keep[slot][0], lo), max(keep[slot][1], hi)}
-				break
-			}
-			if i == len(n.entries) {
-				break // key beyond max: the path proves absence
-			}
-			d = childDigest(n.entries[i])
+	visit := func(d hashutil.Digest, body []byte) int {
+		slot, seen := at[d]
+		if !seen {
+			slot = len(p.Nodes)
+			at[d] = slot
+			p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
+			keep = append(keep, [2]int{math.MaxInt, -1})
 		}
+		return slot
 	}
+	for ki, key := range keys {
+		d, body, err := t.leafFor(key, func(d hashutil.Digest, body []byte) { visit(d, body) })
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
+		}
+		if body == nil {
+			continue // key beyond max: the path proves absence
+		}
+		slot := visit(d, body)
+		lo, hi, e, found, err := t.find(d, p.Nodes[slot], key)
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove batch: %w", err)
+		}
+		if p.Found[ki] = found; found {
+			p.Values[ki] = e.Value
+		}
+		keep[slot] = [2]int{min(keep[slot][0], lo), max(keep[slot][1], hi)}
+	}
+	// A leaf's kept run is checked before any of it is shipped.
 	for slot, body := range p.Nodes {
 		if body[0] != 0 {
 			continue
@@ -100,6 +100,23 @@ func (p BatchProof) Elide(have HeldSet) (BatchProof, int) {
 		p.Nodes, p.digests = nodes, nil
 	}
 	return p, n
+}
+
+// Ask is PointProof.Ask for a batch proof: keys, one per proven read, and
+// each found key's value. It reports false, and leaves p as it was, when
+// the number of keys is not the number of reads the proof proves.
+func (p *BatchProof) Ask(keys [][]byte) bool {
+	if len(keys) != len(p.Found) {
+		return false
+	}
+	leaves := shippedLeaves(p.Nodes, nil)
+	p.Keys, p.Values = keys, make([][]byte, len(keys))
+	for i, key := range keys {
+		if p.Found[i] {
+			p.Values[i] = shippedValue(leaves, key)
+		}
+	}
+	return true
 }
 
 // Verify checks the batch proof against a trusted root digest. On success

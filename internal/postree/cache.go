@@ -60,9 +60,10 @@ const (
 type nodeCache struct {
 	mu      sync.RWMutex
 	m       map[hashutil.Digest]cachedNode
-	live    int64             // bytes held by nodes not retired
-	retired int64             // bytes held by retired nodes
-	queue   []hashutil.Digest // the retired nodes, oldest first
+	byFP    map[uint64]hashutil.Digest // m's digests by fingerprint: where a hint's nodes are found
+	live    int64                      // bytes held by nodes not retired
+	retired int64                      // bytes held by retired nodes
+	queue   []hashutil.Digest          // the retired nodes, oldest first
 }
 
 // cachedNode pairs a decoded node with the body its entries point into,
@@ -83,7 +84,7 @@ func nodeSize(n *node, body []byte) int {
 func (e cachedNode) size() int64 { return int64(nodeSize(e.n, e.body)) }
 
 func newNodeCache() *nodeCache {
-	c := &nodeCache{m: make(map[hashutil.Digest]cachedNode)}
+	c := &nodeCache{m: make(map[hashutil.Digest]cachedNode), byFP: make(map[uint64]hashutil.Digest)}
 	runtime.SetFinalizer(c, func(c *nodeCache) {
 		mNodeCacheBytes.Add(-c.live - c.retired)
 		mNodeCacheRetired.Add(-c.retired)
@@ -120,7 +121,7 @@ func (c *nodeCache) put(d hashutil.Digest, n *node, body []byte) {
 	if _, ok := c.m[d]; ok {
 		return
 	}
-	c.m[d] = e
+	c.m[d], c.byFP[fingerprint(d)] = e, d
 	c.live += e.size()
 	mNodeCacheBytes.Add(e.size())
 	for c.live > liveCacheBytes {
@@ -161,6 +162,9 @@ func (c *nodeCache) retire(d hashutil.Digest) {
 // drop evicts one entry. Callers hold mu.
 func (c *nodeCache) drop(d hashutil.Digest, e cachedNode) {
 	delete(c.m, d)
+	if c.byFP[fingerprint(d)] == d {
+		delete(c.byFP, fingerprint(d))
+	}
 	if e.retired {
 		c.retired -= e.size()
 		mNodeCacheRetired.Add(-e.size())

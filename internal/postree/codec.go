@@ -29,24 +29,13 @@ func AppendPointProof(dst []byte, p PointProof) []byte {
 
 // ReadPointProof decodes a point proof. Value is the value of Key's entry
 // in the shipped leaf when the proof claims one, nil when it claims none or
-// no shipped entry has the key.
+// no shipped entry has the key (Ask). A proof that travelled without its key
+// decodes with none.
 func ReadPointProof(src []byte) (PointProof, []byte, error) {
-	var p PointProof
-	var err error
-	if p.Key, src, err = binenc.ReadBytes(src); err != nil {
-		return p, nil, err
-	}
-	if p.Found, src, err = binenc.ReadBool(src); err != nil {
-		return p, nil, err
-	}
-	if p.Nodes, src, err = binenc.ReadByteSlices(src); err != nil {
-		return p, nil, err
-	}
-	if p.Found {
-		var room [2]posleaf.Leaf
-		p.Value = shippedValue(shippedLeaves(p.Nodes, room[:0]), p.Key)
-	}
-	return p, src, nil
+	d := binenc.Decoder{Src: src}
+	p := PointProof{Key: binenc.Read(&d, binenc.ReadBytes), Found: binenc.Read(&d, binenc.ReadBool), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+	p.Ask(p.Key)
+	return p, d.Src, d.Err
 }
 
 // shippedLeaves appends to leaves every slot of nodes that parses as a
@@ -86,16 +75,9 @@ func AppendRangeProof(dst []byte, p RangeProof) []byte {
 
 // ReadRangeProof decodes a range proof; Entries is Verify's to fill.
 func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
-	var p RangeProof
-	var err error
-	if p.Start, src, err = binenc.ReadBytes(src); err != nil {
-		return p, nil, err
-	}
-	if p.End, src, err = binenc.ReadBytes(src); err != nil {
-		return p, nil, err
-	}
-	p.Nodes, src, err = binenc.ReadByteSlices(src)
-	return p, src, err
+	d := binenc.Decoder{Src: src}
+	p := RangeProof{Start: binenc.Read(&d, binenc.ReadBytes), End: binenc.Read(&d, binenc.ReadBytes), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+	return p, d.Src, d.Err
 }
 
 // AppendBatchProof appends p's binary encoding.
@@ -106,25 +88,10 @@ func AppendBatchProof(dst []byte, p BatchProof) []byte {
 }
 
 // ReadBatchProof decodes a batch proof. Values[i] is filled as a point
-// proof's Value is.
+// proof's Value is, when there are as many keys as reads.
 func ReadBatchProof(src []byte) (BatchProof, []byte, error) {
-	var p BatchProof
-	var err error
-	if p.Keys, src, err = binenc.ReadByteSlices(src); err != nil {
-		return p, nil, err
-	}
-	if p.Found, src, err = binenc.ReadBools(src); err != nil {
-		return p, nil, err
-	}
-	if p.Nodes, src, err = binenc.ReadByteSlices(src); err != nil {
-		return p, nil, err
-	}
-	leaves := shippedLeaves(p.Nodes, nil)
-	p.Values = make([][]byte, len(p.Keys))
-	for i, key := range p.Keys {
-		if i < len(p.Found) && p.Found[i] {
-			p.Values[i] = shippedValue(leaves, key)
-		}
-	}
-	return p, src, nil
+	d := binenc.Decoder{Src: src}
+	p := BatchProof{Keys: binenc.Read(&d, binenc.ReadByteSlices), Found: binenc.Read(&d, binenc.ReadBools), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+	p.Ask(p.Keys)
+	return p, d.Src, d.Err
 }

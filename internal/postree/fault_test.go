@@ -205,6 +205,16 @@ func TestGroupCheckedWhereUsed(t *testing.T) {
 	bp, err := tr.ProveGetBatch([][]byte{c.keys[2], c.keys[3]})
 	fine("ProveGetBatch", err)
 	fine("BatchProof.Verify", bp.Verify(tr.Root()))
+	// The batch path reads each leaf where it lies, as ProveGet does: a
+	// miss the damaged group bounds fails, keys on either side of it
+	// whose kept run spans it fail, and keys of one clean group do not.
+	_, err = tr.ProveGetBatch([][]byte{c.after(7)})
+	corrupt("ProveGetBatch of a miss", err)
+	_, err = tr.ProveGetBatch([][]byte{c.keys[20], c.keys[3]})
+	corrupt("ProveGetBatch across the group", err)
+	bp, err = tr.ProveGetBatch([][]byte{c.keys[20], c.after(17), c.keys[17]})
+	fine("ProveGetBatch", err)
+	fine("BatchProof.Verify", bp.Verify(tr.Root()))
 	corrupt("Scan", tr.Scan(c.keys[12], c.keys[14], func(Entry) bool { return true }))
 	fine("Scan", tr.Scan(c.keys[1], c.keys[6], func(Entry) bool { return true }))
 	corrupt("WalkNodes", tr.WalkNodes(func(int, []byte) bool { return true }))

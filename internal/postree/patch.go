@@ -171,15 +171,16 @@ func (n *node) last() []byte { return n.entries[len(n.entries)-1].Key }
 // past the cap a node simply ships whole.
 const maxBases = 256
 
-// bases is where a HeldSet finds the node to patch against: the digests of
-// its hint that the tree's node cache holds, live or retired. It looks
-// nowhere else — a base the cache has let go is not fetched from the store
-// — and nothing is looked up until a proof has an index node the hint does
-// not name.
+// bases is where a HeldSet finds the node to patch against: the nodes of
+// its hint that the tree's node cache holds, live or retired, found by
+// fingerprint. It looks nowhere else — a base the cache has let go is not
+// fetched from the store — and nothing is looked up until a proof has an
+// index node the hint does not name. A base travels named by its full
+// digest, which the verifier looks up among the nodes it pinned.
 type bases struct {
 	cache          *nodeCache
 	hint           []hashutil.Digest
-	held           []base // the hint's digests the cache holds; nil until looked up
+	held           []base // the hint's nodes the cache holds; nil until looked up
 	patched, saved int
 }
 
@@ -214,8 +215,8 @@ func (b *bases) patch(d hashutil.Digest, body []byte) []byte {
 		hint := b.hint[:min(len(b.hint), maxBases)]
 		b.held = make([]base, 0, len(hint))
 		for _, hd := range hint {
-			if e, ok := c.m[hd]; ok {
-				b.held = append(b.held, base{digest: hd, n: e.n})
+			if full, ok := c.byFP[fingerprint(hd)]; ok {
+				b.held = append(b.held, base{digest: full, n: c.m[full].n})
 			}
 		}
 	}

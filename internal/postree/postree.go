@@ -625,10 +625,9 @@ func (t *Tree) Seek(key []byte) (Entry, bool, error) {
 
 // leafFor descends the index levels of a non-empty tree and returns the
 // digest and stored body of the leaf key routes to, a nil body when key is
-// beyond the largest key. The index nodes it passes are appended to p,
-// when there is one, and so is the leaf's digest (its slot is the caller's
-// to cut and append).
-func (t *Tree) leafFor(key []byte, p *PointProof) (hashutil.Digest, []byte, error) {
+// beyond the largest key. Each index node it passes is handed to visit,
+// when there is one.
+func (t *Tree) leafFor(key []byte, visit func(d hashutil.Digest, body []byte)) (hashutil.Digest, []byte, error) {
 	d := t.root
 	for level := t.level; level > 0; level-- {
 		body, n, err := t.loadProofNode(d)
@@ -638,17 +637,14 @@ func (t *Tree) leafFor(key []byte, p *PointProof) (hashutil.Digest, []byte, erro
 		if n.level != level {
 			return d, nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
 		}
-		if p != nil {
-			p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
+		if visit != nil {
+			visit(d, body)
 		}
 		i := searchEntries(n.entries, key)
 		if i == len(n.entries) {
 			return d, nil, nil
 		}
 		d = childDigest(n.entries[i])
-	}
-	if p != nil {
-		p.digests = append(p.digests, d)
 	}
 	body, err := t.store.Get(d)
 	if err != nil {

@@ -2,6 +2,7 @@ package postree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -64,7 +65,9 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 		return p, nil // proof against the zero root: trivially empty tree
 	}
 	p.Nodes, p.digests = make([][]byte, 0, t.level+1), make([]hashutil.Digest, 0, t.level+1)
-	d, body, err := t.leafFor(key, &p)
+	d, body, err := t.leafFor(key, func(d hashutil.Digest, body []byte) {
+		p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
+	})
 	if err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
@@ -81,7 +84,7 @@ func (t *Tree) ProveGet(key []byte) (PointProof, error) {
 	if body, err = posleaf.Prune(body, lo, hi); err != nil {
 		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
 	}
-	p.Nodes = append(p.Nodes, body)
+	p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
 	return p, nil
 }
 
@@ -104,10 +107,9 @@ func pointSpan(count, i int, found bool) (lo, hi int) {
 const scanLimit = 8
 
 // digestSet is a list of distinct node digests that can be asked where a
-// digest sits in it. It is the one lookup structure of proof elision: the
-// hint a server elides against, the nodes a verifier pinned and the
-// bodies a proof shipped are each one of these (the latter two beside a
-// parallel slice of what the digest names).
+// digest sits in it: the nodes a verifier pinned and the bodies a proof
+// shipped are each one of these, beside a parallel slice of what the
+// digest names.
 type digestSet struct {
 	list  []hashutil.Digest
 	index map[hashutil.Digest]int // position in list, kept once past scanLimit
@@ -143,30 +145,56 @@ func (s digestSet) add(d hashutil.Digest) digestSet {
 	return s
 }
 
-// HeldSet is the set of node digests a verifier says it already holds —
-// the hint a proof is cut against: a held index node is left out, and one
-// that is not held travels as a patch against a held node at its position
-// when the set can find one (see Tree.Held). The zero HeldSet is empty.
+// FingerprintSize is how much of a node's digest names it in a hint: its
+// first 8 bytes. A hint is matched by fingerprint alone, so it may carry no
+// more (the trimmed wire form sends no more). A fingerprint that matches a
+// node the verifier does not hold only leaves out a body its walk then
+// cannot find: the proof fails, it never verifies wrong data.
+const FingerprintSize = 8
+
+func fingerprint(d hashutil.Digest) uint64 { return binary.BigEndian.Uint64(d[:FingerprintSize]) }
+
+// HeldSet is what a verifier says it already holds — the hint a proof is
+// cut against: a held index node, named by fingerprint, is left out, and
+// one that is not held travels as a patch against a held node at its
+// position when the set can find one (see Tree.Held). The zero HeldSet is
+// empty.
 type HeldSet struct {
-	set   digestSet
-	bases *bases // nil: the digests alone, nothing to patch against
+	hint  []hashutil.Digest   // as it arrived; only each one's fingerprint counts
+	index map[uint64]struct{} // the hint's fingerprints, kept once past scanLimit
+	bases *bases              // nil: the hint alone, nothing to patch against
 }
 
 // NewHeldSet builds the set from a hint as it arrived; ds is not copied
 // (a digest repeated in it is harmless).
 func NewHeldSet(ds []hashutil.Digest) HeldSet {
-	h := HeldSet{set: digestSet{list: ds}}
+	h := HeldSet{hint: ds}
 	if len(ds) > scanLimit {
-		h.set.index = make(map[hashutil.Digest]int, len(ds))
-		for i, d := range ds {
-			h.set.index[d] = i
+		h.index = make(map[uint64]struct{}, len(ds))
+		for _, d := range ds {
+			h.index[fingerprint(d)] = struct{}{}
 		}
 	}
 	return h
 }
 
+// holds reports whether the hint names d's fingerprint.
+func (h HeldSet) holds(d hashutil.Digest) bool {
+	fp := fingerprint(d)
+	if h.index != nil {
+		_, ok := h.index[fp]
+		return ok
+	}
+	for i := range h.hint {
+		if fingerprint(h.hint[i]) == fp {
+			return true
+		}
+	}
+	return false
+}
+
 // Len returns the number of digests in the hint.
-func (h HeldSet) Len() int { return len(h.set.list) }
+func (h HeldSet) Len() int { return len(h.hint) }
 
 // Patched reports what the proofs cut against the set so far carry as
 // patches: how many index nodes, and how many bytes fewer than their
@@ -188,13 +216,13 @@ func (h HeldSet) Patched() (nodes, saved int) {
 // as it travels — nil when that is nodes, unchanged — and the number of
 // bodies left out.
 func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) (out [][]byte, elided int) {
-	if len(have.set.list) == 0 || len(digests) != len(nodes) {
+	if len(have.hint) == 0 || len(digests) != len(nodes) {
 		return nil, 0
 	}
 	for i, body := range nodes {
 		keep, cut := body, false
 		if len(body) > 0 && body[0] != 0 {
-			if have.set.find(digests[i]) >= 0 {
+			if have.holds(digests[i]) {
 				keep, cut = nil, true
 				elided++
 			} else if patch := have.bases.patch(digests[i], body); patch != nil {
@@ -220,6 +248,18 @@ func (p PointProof) Elide(have HeldSet) (PointProof, int) {
 		p.Nodes, p.digests = nodes, nil
 	}
 	return p, n
+}
+
+// Ask sets the key the proof answers — the verifier's own, for a proof
+// that travelled without it — and Value to that key's entry among the
+// shipped leaves when the proof claims one: verification then checks the
+// proof answers exactly that key.
+func (p *PointProof) Ask(key []byte) {
+	var room [2]posleaf.Leaf
+	p.Key, p.Value = key, nil
+	if p.Found {
+		p.Value = shippedValue(shippedLeaves(p.Nodes, room[:0]), key)
+	}
 }
 
 // Node is a decoded index node that a verifier has hashed to its digest

@@ -257,12 +257,11 @@ func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, 
 	}
 	if p.Points != nil {
 		shipped += len(p.Points.Nodes)
-		bytes += bodyBytes(p.Points.Keys) + bodyBytes(p.Points.Values) + bodyBytes(p.Points.Nodes)
+		bytes += bodyBytes(p.Points.Nodes)
 	}
 	for i := range p.Ranges {
-		r := &p.Ranges[i]
-		shipped += len(r.Nodes)
-		bytes += len(r.Start) + len(r.End) + bodyBytes(r.Nodes)
+		shipped += len(p.Ranges[i].Nodes)
+		bytes += bodyBytes(p.Ranges[i].Nodes)
 	}
 	v.accept(&p, d, path, reads, shipped, bytes)
 	return nil
@@ -315,7 +314,7 @@ type ProofStats struct {
 	NodesShipped int64 // proof nodes that arrived, as bodies or as patches, and were hashed
 	NodesPatched int64 // of those, index nodes that arrived as a patch against a cached version
 	NodesElided  int64 // nodes the server left out and the node cache answered instead
-	ProofBytes   int64 // proof material received: node bodies and patches, keys, values, bounds, and the header and inclusion path where they travelled
+	ProofBytes   int64 // proof material received: node bodies and patches, and the header and inclusion path where they travelled (not the question, which the client supplies)
 	CacheEntries int   // verified index nodes currently cached
 	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
 }

@@ -7,6 +7,10 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"spitz/internal/cellstore"
+	"spitz/internal/ledger"
+	"spitz/internal/query"
 )
 
 // ClientOptions configures a Client's protocol negotiation.
@@ -35,6 +39,7 @@ type Client struct {
 	// reads its response on its own goroutine — no context-switch per
 	// op — while pipelined callers still multiplex.
 	fw      *frameWriter
+	trim    bool // both hellos carried flagTrim
 	br      *bufio.Reader
 	nextTag uint32
 	pending map[uint32]*pendWaiter
@@ -101,7 +106,7 @@ func (c *Client) handshakeLocked() error {
 		return c.hserr
 	}
 	c.started = true
-	var flags byte
+	flags := byte(flagTrim)
 	if c.opts.Compress {
 		flags |= flagCompress
 	}
@@ -128,6 +133,7 @@ func (c *Client) handshakeLocked() error {
 	}
 	c.br = br
 	c.fw = &frameWriter{w: c.conn, compressOK: flags&rflags&flagCompress != 0}
+	c.trim = flags&rflags&flagTrim != 0
 	c.pending = make(map[uint32]*pendWaiter)
 	c.nextTag = 1
 	c.baton = make(chan struct{}, 1)
@@ -277,11 +283,13 @@ func (c *Client) Close() error { return c.conn.Close() }
 var ErrTransport = errors.New("wire: transport failed")
 
 // Do performs one request/response round trip. Many Dos may be in
-// flight on the connection at once.
+// flight on the connection at once. A proof that travelled without the
+// question it answers is given the one the request asked (question).
 func (c *Client) Do(req Request) (Response, error) {
 	if err := c.Handshake(); err != nil {
 		return Response{}, err
 	}
+	req.trimmed = c.trim
 	tag, w, err := c.register(false, 1)
 	if err != nil {
 		return Response{}, err
@@ -305,7 +313,31 @@ func (c *Client) Do(req Request) (Response, error) {
 	if resp.Err != "" {
 		return resp, errors.New(resp.Err)
 	}
+	if resp.Proof != nil {
+		resp.Proof.Ask(req.Table, req.Column, req.PK, req.PKHi)
+	}
+	if resp.BatchProof != nil {
+		resp.BatchProof.Ask(question(&req, resp.Cells))
+	}
 	return resp, nil
+}
+
+// question returns the obligations a batch proof answering req discharges:
+// an audit flush's receipts, or the plan of a SELECT given the cells it
+// returned (query.Plan.Queries) — as the client derives them again to
+// check the proof.
+func question(req *Request, cells []cellstore.Cell) []ledger.BatchQuery {
+	if req.Op == OpProveBatch {
+		return req.Audits
+	}
+	if st, err := query.Parse(req.Statement); err == nil {
+		if s, ok := st.(query.Select); ok {
+			if pl, err := query.PlanOf(s); err == nil {
+				return pl.Queries(cells)
+			}
+		}
+	}
+	return nil
 }
 
 // transportErr returns the recorded connection failure.

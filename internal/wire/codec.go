@@ -13,7 +13,9 @@ package wire
 // stays a few dozen bytes.
 
 import (
+	"encoding/binary"
 	"math"
+	"reflect"
 
 	"spitz/internal/binenc"
 	"spitz/internal/cellstore"
@@ -70,6 +72,10 @@ const (
 	// the server ships the full proof.
 	reqHave
 	reqHeadHeld // the bit is the value (Request.HeadHeld)
+	// reqFingerprints is reqHave in the trimmed form: the count, then each
+	// digest's first postree.FingerprintSize bytes. It marks the request
+	// trimmed, and excludes reqHave.
+	reqFingerprints
 )
 
 // AppendRequest appends req's binary encoding.
@@ -79,58 +85,15 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	if code == 0 {
 		dst = binenc.AppendString(dst, string(req.Op))
 	}
-	var bits uint64
-	if req.Table != "" {
-		bits |= reqTable
-	}
-	if req.Column != "" {
-		bits |= reqColumn
-	}
-	if req.PK != nil {
-		bits |= reqPK
-	}
-	if req.PKHi != nil {
-		bits |= reqPKHi
-	}
-	if req.Value != nil {
-		bits |= reqValue
-	}
-	if req.Puts != nil {
-		bits |= reqPuts
-	}
-	if req.Statement != "" {
-		bits |= reqStatement
-	}
-	if req.OldDigest != (ledger.Digest{}) {
-		bits |= reqOldDigest
-	}
-	if req.OldDigest2 != nil {
-		bits |= reqOldDigest2
-	}
-	if req.Audits != nil {
-		bits |= reqAudits
-	}
-	if req.Snapshot != nil {
-		bits |= reqSnapshot
-	}
-	if req.Shard != 0 {
-		bits |= reqShard
-	}
-	if req.Height != 0 {
-		bits |= reqHeight
-	}
-	if req.traceID != 0 {
-		bits |= reqTrace
-	}
-	if req.Deferred {
-		bits |= reqDeferred
-	}
-	if len(req.Have) != 0 {
-		bits |= reqHave
-	}
-	if req.HeadHeld {
-		bits |= reqHeadHeld
-	}
+	bits := binenc.Flag(req.Table != "", reqTable) | binenc.Flag(req.Column != "", reqColumn) |
+		binenc.Flag(req.PK != nil, reqPK) | binenc.Flag(req.PKHi != nil, reqPKHi) |
+		binenc.Flag(req.Value != nil, reqValue) | binenc.Flag(req.Puts != nil, reqPuts) |
+		binenc.Flag(req.Statement != "", reqStatement) | binenc.Flag(req.OldDigest != (ledger.Digest{}), reqOldDigest) |
+		binenc.Flag(req.OldDigest2 != nil, reqOldDigest2) | binenc.Flag(req.Audits != nil, reqAudits) |
+		binenc.Flag(req.Snapshot != nil, reqSnapshot) | binenc.Flag(req.Shard != 0, reqShard) |
+		binenc.Flag(req.Height != 0, reqHeight) | binenc.Flag(req.traceID != 0, reqTrace) |
+		binenc.Flag(req.Deferred, reqDeferred) | binenc.Flag(req.HeadHeld, reqHeadHeld) |
+		binenc.Flag(len(req.Have) != 0 && !req.trimmed, reqHave) | binenc.Flag(len(req.Have) != 0 && req.trimmed, reqFingerprints)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&reqTable != 0 {
 		dst = binenc.AppendString(dst, req.Table)
@@ -178,13 +141,22 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		dst = binenc.AppendUint64(dst, req.traceID)
 		dst = binenc.AppendUint64(dst, req.parentSpan)
 	}
-	if bits&reqHave != 0 {
+	if bits&(reqHave|reqFingerprints) != 0 {
+		size := haveSize(bits)
 		dst = binenc.AppendUvarint(dst, uint64(len(req.Have)))
 		for i := range req.Have {
-			dst = append(dst, req.Have[i][:]...)
+			dst = append(dst, req.Have[i][:size]...)
 		}
 	}
 	return dst
+}
+
+// haveSize is how many bytes of each digest a hint of this form carries.
+func haveSize(bits uint64) int {
+	if bits&reqFingerprints != 0 {
+		return postree.FingerprintSize
+	}
+	return hashutil.DigestSize
 }
 
 // DecodeRequest decodes a full request payload; trailing bytes are a
@@ -209,120 +181,82 @@ func DecodeRequest(src []byte) (Request, error) {
 		}
 		req.Op = opFromCode[code]
 	}
-	bits, src, err := binenc.ReadUvarint(src)
-	if err != nil {
-		return req, err
-	}
-	req.Deferred, req.HeadHeld = bits&reqDeferred != 0, bits&reqHeadHeld != 0
+	d := binenc.Decoder{Src: src}
+	bits := binenc.Read(&d, binenc.ReadUvarint)
+	req.Deferred, req.HeadHeld, req.trimmed = bits&reqDeferred != 0, bits&reqHeadHeld != 0, bits&reqFingerprints != 0
 	if bits&reqTable != 0 {
-		if req.Table, src, err = binenc.ReadString(src); err != nil {
-			return req, err
-		}
+		req.Table = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&reqColumn != 0 {
-		if req.Column, src, err = binenc.ReadString(src); err != nil {
-			return req, err
-		}
+		req.Column = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&reqPK != 0 {
-		if req.PK, src, err = binenc.ReadBytes(src); err != nil {
-			return req, err
-		}
+		req.PK = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&reqPKHi != 0 {
-		if req.PKHi, src, err = binenc.ReadBytes(src); err != nil {
-			return req, err
-		}
+		req.PKHi = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&reqValue != 0 {
-		if req.Value, src, err = binenc.ReadBytes(src); err != nil {
-			return req, err
-		}
+		req.Value = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&reqPuts != 0 {
-		var n uint64
-		if n, src, err = binenc.ReadUvarint(src); err != nil {
-			return req, err
+		var cnt int
+		if n := binenc.Read(&d, binenc.ReadUvarint); d.Err == nil {
+			cnt, d.Err = binenc.Count(n, d.Src, 6)
 		}
-		cnt, err := binenc.Count(n, src, 6)
-		if err != nil {
-			return req, err
+		if d.Err == nil {
+			req.Puts = make([]Put, cnt)
 		}
-		req.Puts = make([]Put, cnt)
 		for i := range req.Puts {
-			if src, err = readPut(src, &req.Puts[i]); err != nil {
-				return req, err
-			}
+			req.Puts[i] = binenc.Read(&d, readPut)
 		}
 	}
 	if bits&reqStatement != 0 {
-		if req.Statement, src, err = binenc.ReadString(src); err != nil {
-			return req, err
-		}
+		req.Statement = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&reqOldDigest != 0 {
-		if req.OldDigest, src, err = ledger.ReadDigest(src); err != nil {
-			return req, err
-		}
+		req.OldDigest = binenc.Read(&d, ledger.ReadDigest)
 	}
 	if bits&reqOldDigest2 != 0 {
-		var d ledger.Digest
-		if d, src, err = ledger.ReadDigest(src); err != nil {
-			return req, err
-		}
-		req.OldDigest2 = &d
+		d2 := binenc.Read(&d, ledger.ReadDigest)
+		req.OldDigest2 = &d2
 	}
 	if bits&reqAudits != 0 {
-		if req.Audits, src, err = ledger.ReadBatchQueries(src); err != nil {
-			return req, err
-		}
+		req.Audits = binenc.Read(&d, ledger.ReadBatchQueries)
 	}
 	if bits&reqSnapshot != 0 {
-		if req.Snapshot, src, err = binenc.ReadBytes(src); err != nil {
-			return req, err
-		}
+		req.Snapshot = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&reqShard != 0 {
-		var v uint64
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return req, err
-		}
-		req.Shard = int(v)
+		req.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&reqHeight != 0 {
-		if req.Height, src, err = binenc.ReadUvarint(src); err != nil {
-			return req, err
-		}
+		req.Height = binenc.Read(&d, binenc.ReadUvarint)
 	}
 	if bits&reqTrace != 0 {
-		if req.traceID, src, err = binenc.ReadUint64(src); err != nil {
-			return req, err
-		}
-		if req.parentSpan, src, err = binenc.ReadUint64(src); err != nil {
-			return req, err
+		req.traceID, req.parentSpan = binenc.Read(&d, binenc.ReadUint64), binenc.Read(&d, binenc.ReadUint64)
+	}
+	if bits&(reqHave|reqFingerprints) != 0 {
+		size := haveSize(bits)
+		n := binenc.Read(&d, binenc.ReadUvarint)
+		// Bounded before allocation: by postree.MaxHave and by the bytes
+		// actually present. Zero is never encoded (the bit would be absent),
+		// nor are both forms, so they are rejected to keep encodings
+		// canonical. A fingerprint fills its digest's first bytes.
+		if d.Err == nil && (n == 0 || n > postree.MaxHave || n > uint64(len(d.Src)/size) || bits&reqHave != 0 && req.trimmed) {
+			d.Err = binenc.ErrCorrupt
+		} else if d.Err == nil {
+			req.Have = make([]hashutil.Digest, n)
+			for i := range req.Have {
+				copy(req.Have[i][:size], d.Src)
+				d.Src = d.Src[size:]
+			}
 		}
 	}
-	if bits&reqHave != 0 {
-		var n uint64
-		if n, src, err = binenc.ReadUvarint(src); err != nil {
-			return req, err
-		}
-		// Bounded before allocation: by postree.MaxHave and by the bytes actually
-		// present. Zero is never encoded (the bit would be absent), so it
-		// is rejected to keep encodings canonical.
-		if n == 0 || n > postree.MaxHave || n > uint64(len(src))/hashutil.DigestSize {
-			return req, binenc.ErrCorrupt
-		}
-		req.Have = make([]hashutil.Digest, n)
-		for i := range req.Have {
-			copy(req.Have[i][:], src)
-			src = src[hashutil.DigestSize:]
-		}
+	if d.Err == nil && len(d.Src) != 0 {
+		d.Err = binenc.ErrCorrupt
 	}
-	if len(src) != 0 {
-		return req, binenc.ErrCorrupt
-	}
-	return req, nil
+	return req, d.Err
 }
 
 func appendPut(dst []byte, p *Put) []byte {
@@ -333,22 +267,11 @@ func appendPut(dst []byte, p *Put) []byte {
 	return binenc.AppendBool(dst, p.Tombstone)
 }
 
-func readPut(src []byte, p *Put) ([]byte, error) {
-	var err error
-	if p.Table, src, err = binenc.ReadString(src); err != nil {
-		return nil, err
-	}
-	if p.Column, src, err = binenc.ReadString(src); err != nil {
-		return nil, err
-	}
-	if p.PK, src, err = binenc.ReadBytes(src); err != nil {
-		return nil, err
-	}
-	if p.Value, src, err = binenc.ReadBytes(src); err != nil {
-		return nil, err
-	}
-	p.Tombstone, src, err = binenc.ReadBool(src)
-	return src, err
+func readPut(src []byte) (Put, []byte, error) {
+	d := binenc.Decoder{Src: src}
+	p := Put{Table: binenc.Read(&d, binenc.ReadString), Column: binenc.Read(&d, binenc.ReadString),
+		PK: binenc.Read(&d, binenc.ReadBytes), Value: binenc.Read(&d, binenc.ReadBytes), Tombstone: binenc.Read(&d, binenc.ReadBool)}
+	return p, d.Src, d.Err
 }
 
 // Response presence bits, in field declaration order. respFound's bit is
@@ -377,61 +300,16 @@ const (
 
 // AppendResponse appends resp's binary encoding.
 func AppendResponse(dst []byte, resp *Response) []byte {
-	var bits uint64
-	if resp.Err != "" {
-		bits |= respErr
-	}
-	if resp.Found {
-		bits |= respFound
-	}
-	if resp.Value != nil {
-		bits |= respValue
-	}
-	if resp.Cells != nil {
-		bits |= respCells
-	}
-	if resp.Proof != nil {
-		bits |= respProof
-	}
-	if resp.BatchProof != nil {
-		bits |= respBatchProof
-	}
-	if resp.Digest != (ledger.Digest{}) {
-		bits |= respDigest
-	}
-	if resp.Consistency != nil {
-		bits |= respConsistency
-	}
-	if resp.Consistency2 != nil {
-		bits |= respConsistency2
-	}
-	if resp.Header != (ledger.BlockHeader{}) {
-		bits |= respHeader
-	}
-	if resp.ShardCount != 0 {
-		bits |= respShardCount
-	}
-	if resp.Shard != 0 {
-		bits |= respShard
-	}
-	if resp.Cluster != nil {
-		bits |= respCluster
-	}
-	if resp.Height != 0 {
-		bits |= respHeight
-	}
-	if resp.Stats != nil {
-		bits |= respStats
-	}
-	if resp.RowsAffected != 0 {
-		bits |= respRowsAffected
-	}
-	if resp.Proof != nil && resp.Proof.Unbound {
-		bits |= respUnbound
-	}
-	if resp.BatchProof != nil && resp.BatchProof.Unbound {
-		bits |= respBatchUnbound
-	}
+	bits := binenc.Flag(resp.Err != "", respErr) | binenc.Flag(resp.Found, respFound) |
+		binenc.Flag(resp.Value != nil, respValue) | binenc.Flag(resp.Cells != nil, respCells) |
+		binenc.Flag(resp.Proof != nil, respProof) | binenc.Flag(resp.BatchProof != nil, respBatchProof) |
+		binenc.Flag(resp.Digest != (ledger.Digest{}), respDigest) | binenc.Flag(resp.Consistency != nil, respConsistency) |
+		binenc.Flag(resp.Consistency2 != nil, respConsistency2) | binenc.Flag(resp.Header != (ledger.BlockHeader{}), respHeader) |
+		binenc.Flag(resp.ShardCount != 0, respShardCount) | binenc.Flag(resp.Shard != 0, respShard) |
+		binenc.Flag(resp.Cluster != nil, respCluster) | binenc.Flag(resp.Height != 0, respHeight) |
+		binenc.Flag(resp.Stats != nil, respStats) | binenc.Flag(resp.RowsAffected != 0, respRowsAffected) |
+		binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
+		binenc.Flag(resp.BatchProof != nil && resp.BatchProof.Unbound, respBatchUnbound)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&respErr != 0 {
 		dst = binenc.AppendString(dst, resp.Err)
@@ -485,308 +363,166 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 // protocol error.
 func DecodeResponse(src []byte) (Response, error) {
 	var resp Response
-	bits, src, err := binenc.ReadUvarint(src)
-	if err != nil {
-		return resp, err
-	}
+	d := binenc.Decoder{Src: src}
+	bits := binenc.Read(&d, binenc.ReadUvarint)
 	resp.Found = bits&respFound != 0
 	if bits&respErr != 0 {
-		if resp.Err, src, err = binenc.ReadString(src); err != nil {
-			return resp, err
-		}
+		resp.Err = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&respValue != 0 {
-		if resp.Value, src, err = binenc.ReadBytes(src); err != nil {
-			return resp, err
-		}
+		resp.Value = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&respCells != 0 {
-		if resp.Cells, src, err = cellstore.ReadCells(src); err != nil {
-			return resp, err
-		}
+		resp.Cells = binenc.Read(&d, cellstore.ReadCells)
 	}
 	if bits&respProof != 0 {
-		if resp.Proof, src, err = ledger.ReadProofAs(src, bits&respUnbound != 0); err != nil {
-			return resp, err
-		}
+		resp.Proof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
+			return ledger.ReadProofAs(b, bits&respUnbound != 0)
+		})
 	}
 	if bits&respBatchProof != 0 {
-		if resp.BatchProof, src, err = ledger.ReadBatchProofAs(src, bits&respBatchUnbound != 0); err != nil {
-			return resp, err
-		}
+		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.BatchProof, []byte, error) {
+			return ledger.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
+		})
 	}
 	if bits&respDigest != 0 {
-		if resp.Digest, src, err = ledger.ReadDigest(src); err != nil {
-			return resp, err
-		}
+		resp.Digest = binenc.Read(&d, ledger.ReadDigest)
 	}
 	if bits&respConsistency != 0 {
-		var p mtree.ConsistencyProof
-		if p, src, err = mtree.ReadConsistencyProof(src); err != nil {
-			return resp, err
-		}
-		resp.Consistency = &p
+		c := binenc.Read(&d, mtree.ReadConsistencyProof)
+		resp.Consistency = &c
 	}
 	if bits&respConsistency2 != 0 {
-		var p mtree.ConsistencyProof
-		if p, src, err = mtree.ReadConsistencyProof(src); err != nil {
-			return resp, err
-		}
-		resp.Consistency2 = &p
+		c := binenc.Read(&d, mtree.ReadConsistencyProof)
+		resp.Consistency2 = &c
 	}
 	if bits&respHeader != 0 {
-		if resp.Header, src, err = ledger.ReadHeader(src); err != nil {
-			return resp, err
-		}
+		resp.Header = binenc.Read(&d, ledger.ReadHeader)
 	}
 	if bits&respShardCount != 0 {
-		var v uint64
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return resp, err
-		}
-		resp.ShardCount = int(v)
+		resp.ShardCount = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&respShard != 0 {
-		var v uint64
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return resp, err
-		}
-		resp.Shard = int(v)
+		resp.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&respCluster != 0 {
-		if resp.Cluster, src, err = ledger.ReadClusterDigest(src); err != nil {
-			return resp, err
-		}
+		resp.Cluster = binenc.Read(&d, ledger.ReadClusterDigest)
 	}
 	if bits&respHeight != 0 {
-		if resp.Height, src, err = binenc.ReadUvarint(src); err != nil {
-			return resp, err
-		}
+		resp.Height = binenc.Read(&d, binenc.ReadUvarint)
 	}
 	if bits&respStats != 0 {
-		if resp.Stats, src, err = readStats(src); err != nil {
-			return resp, err
-		}
+		resp.Stats = binenc.Read(&d, readStats)
 	}
 	if bits&respRowsAffected != 0 {
-		var v uint64
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return resp, err
-		}
-		resp.RowsAffected = int(v)
+		resp.RowsAffected = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
-	if len(src) != 0 {
-		return resp, binenc.ErrCorrupt
+	if d.Err == nil && len(d.Src) != 0 {
+		d.Err = binenc.ErrCorrupt
 	}
-	return resp, nil
+	return resp, d.Err
 }
 
 // ---------------------------------------------------------------------------
 // Stats payload
 
+// appendStats appends the OpStats payload. Its layout follows the
+// declaration order of the Stats types' fields: integers as uvarints, a
+// float64 as its IEEE-754 bits big-endian, strings and bools as binenc
+// writes them, a pointer as a presence byte and what it points to, a
+// slice as a uvarint count and its elements.
 func appendStats(dst []byte, st *Stats) []byte {
-	dst = binenc.AppendString(dst, st.Protocol)
-	dst = binenc.AppendUvarint(dst, uint64(len(st.Shards)))
-	for i := range st.Shards {
-		dst = appendShardStats(dst, &st.Shards[i])
-	}
-	dst = binenc.AppendUvarint(dst, uint64(len(st.Metrics)))
-	for i := range st.Metrics {
-		dst = binenc.AppendString(dst, st.Metrics[i].Name)
-		var fb [8]byte
-		bits := math.Float64bits(st.Metrics[i].Value)
-		for j := 0; j < 8; j++ {
-			fb[j] = byte(bits >> (56 - 8*j))
+	return appendValue(dst, reflect.ValueOf(st).Elem())
+}
+
+func appendValue(dst []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Uint64:
+		return binenc.AppendUvarint(dst, v.Uint())
+	case reflect.Int, reflect.Int64:
+		return binenc.AppendUvarint(dst, uint64(v.Int()))
+	case reflect.Float64:
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
+	case reflect.String:
+		return binenc.AppendString(dst, v.String())
+	case reflect.Bool:
+		return binenc.AppendBool(dst, v.Bool())
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(dst, 0)
 		}
-		dst = append(dst, fb[:]...)
+		return appendValue(append(dst, 1), v.Elem())
+	case reflect.Slice:
+		dst = binenc.AppendUvarint(dst, uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			dst = appendValue(dst, v.Index(i))
+		}
+		return dst
+	}
+	for i := 0; i < v.NumField(); i++ {
+		dst = appendValue(dst, v.Field(i))
 	}
 	return dst
 }
 
+// readStats decodes what appendStats appends. A count is bounded by the
+// bytes left before anything is allocated: every element takes one at
+// least.
 func readStats(src []byte) (*Stats, []byte, error) {
 	st := new(Stats)
-	var err error
-	if st.Protocol, src, err = binenc.ReadString(src); err != nil {
-		return nil, nil, err
-	}
-	n, src, err := binenc.ReadUvarint(src)
+	src, err := readValue(src, reflect.ValueOf(st).Elem())
 	if err != nil {
 		return nil, nil, err
-	}
-	cnt, err := binenc.Count(n, src, 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cnt > 0 {
-		st.Shards = make([]ShardStats, cnt)
-		for i := range st.Shards {
-			if src, err = readShardStats(src, &st.Shards[i]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if n, src, err = binenc.ReadUvarint(src); err != nil {
-		return nil, nil, err
-	}
-	if cnt, err = binenc.Count(n, src, 9); err != nil {
-		return nil, nil, err
-	}
-	if cnt > 0 {
-		st.Metrics = make([]Metric, cnt)
-		for i := range st.Metrics {
-			if st.Metrics[i].Name, src, err = binenc.ReadString(src); err != nil {
-				return nil, nil, err
-			}
-			if len(src) < 8 {
-				return nil, nil, binenc.ErrCorrupt
-			}
-			var bits uint64
-			for j := 0; j < 8; j++ {
-				bits = bits<<8 | uint64(src[j])
-			}
-			st.Metrics[i].Value = math.Float64frombits(bits)
-			src = src[8:]
-		}
 	}
 	return st, src, nil
 }
 
-func appendShardStats(dst []byte, sh *ShardStats) []byte {
-	dst = binenc.AppendUvarint(dst, sh.Height)
-	dst = binenc.AppendUvarint(dst, sh.Blocks)
-	dst = binenc.AppendUvarint(dst, sh.Txns)
-	if sh.WAL != nil {
-		dst = append(dst, 1)
-		dst = binenc.AppendUvarint(dst, sh.WAL.DurableHeight)
-		dst = binenc.AppendUvarint(dst, sh.WAL.LoggedHeight)
-		dst = binenc.AppendUvarint(dst, sh.WAL.OldestRetainedHeight)
-		dst = binenc.AppendUvarint(dst, uint64(sh.WAL.Segments))
-		dst = binenc.AppendUvarint(dst, uint64(sh.WAL.RetainedBytes))
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binenc.AppendUvarint(dst, uint64(len(sh.Followers)))
-	for i := range sh.Followers {
-		f := &sh.Followers[i]
-		dst = binenc.AppendString(dst, f.Remote)
-		dst = binenc.AppendUvarint(dst, f.StartHeight)
-		dst = binenc.AppendUvarint(dst, f.SentHeight)
-		dst = binenc.AppendUvarint(dst, f.AckedHeight)
-		dst = binenc.AppendUvarint(dst, f.SentBytes)
-		dst = binenc.AppendUvarint(dst, f.LagBlocks)
-		dst = binenc.AppendUvarint(dst, f.LagBytes)
-	}
-	if sh.Replica != nil {
-		dst = append(dst, 1)
-		r := sh.Replica
-		dst = binenc.AppendUvarint(dst, r.Height)
-		dst = binenc.AppendBool(dst, r.Connected)
-		dst = binenc.AppendString(dst, r.LastError)
-		dst = binenc.AppendUvarint(dst, r.AppliedBlocks)
-		dst = binenc.AppendUvarint(dst, r.AppliedBytes)
-		dst = binenc.AppendUvarint(dst, r.SnapshotLoads)
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
-func readShardStats(src []byte, sh *ShardStats) ([]byte, error) {
+func readValue(src []byte, v reflect.Value) ([]byte, error) {
 	var err error
-	if sh.Height, src, err = binenc.ReadUvarint(src); err != nil {
-		return nil, err
-	}
-	if sh.Blocks, src, err = binenc.ReadUvarint(src); err != nil {
-		return nil, err
-	}
-	if sh.Txns, src, err = binenc.ReadUvarint(src); err != nil {
-		return nil, err
-	}
-	var has bool
-	if has, src, err = binenc.ReadBool(src); err != nil {
-		return nil, err
-	}
-	if has {
-		w := new(WALStats)
-		if w.DurableHeight, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
+	switch v.Kind() {
+	case reflect.Uint64, reflect.Int, reflect.Int64:
+		var u uint64
+		if u, src, err = binenc.ReadUvarint(src); err == nil && v.Kind() == reflect.Uint64 {
+			v.SetUint(u)
+		} else if err == nil {
+			v.SetInt(int64(u))
 		}
-		if w.LoggedHeight, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
+	case reflect.Float64:
+		if len(src) < 8 {
+			return nil, binenc.ErrCorrupt
 		}
-		if w.OldestRetainedHeight, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
+		v.SetFloat(math.Float64frombits(binary.BigEndian.Uint64(src)))
+		src = src[8:]
+	case reflect.String:
+		var s string
+		s, src, err = binenc.ReadString(src)
+		v.SetString(s)
+	case reflect.Bool:
+		var b bool
+		b, src, err = binenc.ReadBool(src)
+		v.SetBool(b)
+	case reflect.Pointer:
+		var has bool
+		if has, src, err = binenc.ReadBool(src); err == nil && has {
+			v.Set(reflect.New(v.Type().Elem()))
+			src, err = readValue(src, v.Elem())
 		}
-		var v uint64
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
+	case reflect.Slice:
+		var n uint64
+		var cnt int
+		if n, src, err = binenc.ReadUvarint(src); err == nil {
+			cnt, err = binenc.Count(n, src, 1)
 		}
-		w.Segments = int(v)
-		if v, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
-		}
-		w.RetainedBytes = int64(v)
-		sh.WAL = w
-	}
-	n, src, err := binenc.ReadUvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	cnt, err := binenc.Count(n, src, 7)
-	if err != nil {
-		return nil, err
-	}
-	if cnt > 0 {
-		sh.Followers = make([]FollowerStats, cnt)
-		for i := range sh.Followers {
-			f := &sh.Followers[i]
-			if f.Remote, src, err = binenc.ReadString(src); err != nil {
-				return nil, err
-			}
-			if f.StartHeight, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
-			}
-			if f.SentHeight, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
-			}
-			if f.AckedHeight, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
-			}
-			if f.SentBytes, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
-			}
-			if f.LagBlocks, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
-			}
-			if f.LagBytes, src, err = binenc.ReadUvarint(src); err != nil {
-				return nil, err
+		if err == nil && cnt > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), cnt, cnt))
+			for i := 0; i < cnt && err == nil; i++ {
+				src, err = readValue(src, v.Index(i))
 			}
 		}
+	default:
+		for i := 0; i < v.NumField() && err == nil; i++ {
+			src, err = readValue(src, v.Field(i))
+		}
 	}
-	if has, src, err = binenc.ReadBool(src); err != nil {
-		return nil, err
-	}
-	if has {
-		r := new(ReplicaStats)
-		if r.Height, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
-		}
-		if r.Connected, src, err = binenc.ReadBool(src); err != nil {
-			return nil, err
-		}
-		if r.LastError, src, err = binenc.ReadString(src); err != nil {
-			return nil, err
-		}
-		if r.AppliedBlocks, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
-		}
-		if r.AppliedBytes, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
-		}
-		if r.SnapshotLoads, src, err = binenc.ReadUvarint(src); err != nil {
-			return nil, err
-		}
-		sh.Replica = r
-	}
-	return src, nil
+	return src, err
 }

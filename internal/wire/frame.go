@@ -5,10 +5,10 @@ package wire
 // Connect-time handshake: the client opens with a 6-byte hello — magic
 // 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The server
 // answers with the same magic, the version it speaks, and the
-// intersection of the offered flags. Either side drops a peer whose
-// version byte is not its own (the server after replying, so the peer
-// learns what it met); a server drops a connection that opens with
-// anything but the hello without replying.
+// intersection of the offered flags with the ones it supports. Either
+// side drops a peer whose version byte is not its own (the server after
+// replying, so the peer learns what it met); a server drops a connection
+// that opens with anything but the hello without replying.
 //
 // Frame layout, both directions, after the handshake:
 //
@@ -56,6 +56,13 @@ const (
 	// flagCompress in the hello offers flate compression of large
 	// payloads; in a frame header it marks the payload compressed.
 	flagCompress = 1
+	// flagTrim in the hello offers the trimmed form of the verified-read
+	// messages, which this build always offers: a request names the index
+	// nodes its client holds by fingerprint (reqFingerprints), and a proof
+	// travels without the question it answers (withoutQuestion) and,
+	// unbound, without the digest (fit) — the client supplies both. A
+	// request's own bit says which form its hint is in.
+	flagTrim = 2
 
 	frameHeaderLen = 13
 	frameOverhead  = 9 // tag + flags + crc, counted by the length field

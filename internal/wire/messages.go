@@ -100,11 +100,19 @@ type Request struct {
 	// OpProveBatch, OpQuery), is the set of digests of the verified index
 	// nodes the client already holds where the read will walk (at most
 	// postree.MaxHave). The server leaves a node's body out of the proof iff it
-	// is an index node whose digest is in the set; absent, the proof is
-	// complete. It is a hint only: the client verifies by walking from
-	// its trusted root and takes a node that was left out solely from its
-	// own verified nodes.
+	// is an index node whose fingerprint — its digest's first
+	// postree.FingerprintSize bytes, all of it that travels in the trimmed
+	// form — is in the set; absent, the proof is complete. It is a hint
+	// only: the client verifies by walking from its trusted root and takes
+	// a node that was left out solely from its own verified nodes.
 	Have []hashutil.Digest
+
+	// trimmed marks a request of the trimmed form (flagTrim): its client
+	// sends Have as fingerprints and supplies the question and trusted
+	// digest the response then leaves out. The client's connection sets
+	// it, the server's connection and the codec (reqFingerprints) set it
+	// on the other side.
+	trimmed bool
 
 	// trace is the live span for this request (nil for the unsampled
 	// majority). It rides the Request value through Handler

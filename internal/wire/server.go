@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/query"
 )
@@ -200,7 +201,7 @@ func (s *Server) handle(conn net.Conn) {
 		mNegotiateFailed.Inc()
 		return
 	}
-	flags &= flagCompress // intersect with the flags this build supports
+	flags &= flagCompress | flagTrim // intersect with the flags this build supports
 	reply := helloBytes(protoVersion, flags)
 	if _, err := cc.Write(reply[:]); err != nil {
 		return
@@ -213,6 +214,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	mNegotiatedBinary.Inc()
 	fw := &frameWriter{w: cc, compressOK: flags&flagCompress != 0}
+	trim := flags&flagTrim != 0
 
 	var (
 		wg        sync.WaitGroup
@@ -239,6 +241,7 @@ func (s *Server) handle(conn net.Conn) {
 			fw.writeFrame(tag, AppendResponse(nil, &Response{Err: "wire: corrupt request payload"}))
 			return
 		}
+		req.trimmed = req.trimmed || trim
 		switch req.Op {
 		case OpReplAck:
 			// One-way progress report for the stream with this tag.
@@ -319,9 +322,31 @@ func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
 	return resp, tr, start
 }
 
+// withoutQuestion is a trimmed response as it travels: a proof that
+// answers exactly the question the request asked (ledger.BatchProof.Answers,
+// the check its client makes) goes without it — the client supplies it
+// (Client.Do) — and one that answers anything else keeps its own, for the
+// client to refuse. The proof structs are the response's own (see fit);
+// what they point to is replaced, not edited.
+func withoutQuestion(req *Request, resp Response) Response {
+	if p := resp.Proof; p != nil {
+		q := [1]ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: p.Range != nil}}
+		if view, err := p.Batch(); err == nil && view.Answers(q[:]) {
+			*p = p.Trimmed()
+		}
+	}
+	if bp := resp.BatchProof; bp != nil && bp.Answers(question(req, resp.Cells)) {
+		*bp = bp.Trimmed()
+	}
+	return resp
+}
+
 // answer executes one request and writes its tagged response.
 func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
 	resp, tr, start := s.execute(req)
+	if req.trimmed {
+		resp = withoutQuestion(&req, resp)
+	}
 	var encStart time.Time
 	if tr.Sampled() {
 		encStart = time.Now()
@@ -388,9 +413,12 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // reads off the verified leaves. An eager read naming the trusted height
 // (req.Height) gets what changed since: the consistency proof from it if
 // the head moved, else no block binding if the client holds that head's
-// header (req.HeadHeld). dispatch's proof structs are this call's own;
-// node lists and sub-proofs inside may be shared, and Elide replaces
-// rather than edits those.
+// header (req.HeadHeld) — and, trimmed, no digest: a proof without its
+// binding verifies only at the trusted digest its client named. (The
+// question a proof answers is left out last, as it is encoded: see
+// withoutQuestion.) dispatch's proof structs are this call's own; node
+// lists and sub-proofs inside may be shared, and Elide replaces rather
+// than edits those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
 	p, bp := resp.Proof, resp.BatchProof
 	if p != nil {
@@ -414,6 +442,9 @@ func fit(eng *core.Engine, req Request, resp Response) Response {
 		}
 		if bp != nil && bp.Header.Height+1 == d.Height {
 			*bp = bp.Unbind()
+		}
+		if req.trimmed && (p != nil && p.Unbound || bp != nil && bp.Unbound) {
+			resp.Digest = ledger.Digest{}
 		}
 	}
 	return resp

@@ -186,6 +186,35 @@ func TestHelloVersionChecked(t *testing.T) {
 			}
 		})
 	}
+	// The flags byte: the server grants the offered flags it supports, and
+	// a client uses the trimmed form exactly when the reply grants it.
+	for _, offered := range []byte{0, flagTrim, flagCompress, flagCompress | flagTrim, 0xff} {
+		t.Run(fmt.Sprintf("server-meets-flags-%#x", offered), func(t *testing.T) {
+			conn, _ := rawPeer(t)
+			hello := helloBytes(protoVersion, offered)
+			if _, err := conn.Write(hello[:]); err != nil {
+				t.Fatal(err)
+			}
+			var reply [6]byte
+			want := helloBytes(protoVersion, offered&(flagCompress|flagTrim))
+			if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
+				t.Fatalf("server reply % x (%v), want % x", reply, err, want)
+			}
+		})
+		t.Run(fmt.Sprintf("client-meets-granted-%#x", offered), func(t *testing.T) {
+			pl := NewPipeListener()
+			reply := helloBytes(protoVersion, offered)
+			helloStub(t, pl, reply[:])
+			cl, err := Connect(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if cl.trim != (offered&flagTrim != 0) {
+				t.Fatalf("trimmed form in use: %v, granted flags %#x", cl.trim, offered)
+			}
+		})
+	}
 }
 
 // legacyRequest opens the stream a pre-v2 client sent (recorded from

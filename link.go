@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"spitz/internal/cellstore"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/proof"
@@ -182,6 +183,11 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A proof without its binding verifies only at the trusted digest it
+	// named, so a trimmed response leaves that digest out.
+	if resp.Digest == (Digest{}) && (resp.Proof != nil && resp.Proof.Unbound || resp.BatchProof != nil && resp.BatchProof.Unbound) {
+		resp.Digest = pin.Trusted
+	}
 	if empty, err := l.received(resp); empty || err != nil {
 		return nil, err
 	}
@@ -246,9 +252,25 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 	}
 	queries := r.queries(cells)
 	l.v.NoteDeferred(len(queries))
+	// A point obligation reads the last cell with its key: indexed once,
+	// not looked for by a scan of every cell per obligation.
+	var last map[string]int
+	if len(queries) > 1 {
+		last = make(map[string]int, len(cells))
+		for i, c := range cells {
+			last[string(cellstore.CellPrefix(c.Table, c.Column, c.PK))] = i
+		}
+	}
 	committed := 0
 	for _, q := range queries {
-		rc, n := queryReceipt(l.index, resp.Digest, q, cells)
+		of := cells
+		if last != nil && !q.Range {
+			of = nil
+			if i, ok := last[string(cellstore.CellPrefix(q.Table, q.Column, q.PK))]; ok {
+				of = cells[i : i+1]
+			}
+		}
+		rc, n := queryReceipt(l.index, resp.Digest, q, of)
 		if !r.aud.add(rc) {
 			return nil, errAuditClosed
 		}

@@ -145,6 +145,22 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 				unbind(resp)
 				resp.Digest.Root[0] ^= 1
 			}},
+		// The trimmed form: a proof may leave out the question it answers
+		// and, unbound, its digest (TestFingerprintCollisionIsAnError has
+		// the hint's half).
+		{name: "prove another key or range without saying which", eagerOnly: true,
+			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
+				*resp = trimmed(wire.Dispatch(fs.eng, sh.other(req)))
+			}},
+		{name: "prove a narrower range without saying which", eagerOnly: true,
+			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
+				*resp = trimmed(wire.Dispatch(fs.eng, narrower(sh, req)))
+			}},
+		{name: "leave the binding and digest out after the head moved", commit: true, warm: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				unbind(resp)
+				resp.Digest, resp.Consistency = spitz.Digest{}, nil
+			}},
 	}
 	for _, sh := range readShapes {
 		for _, audit := range []bool{false, true} {
@@ -236,7 +252,8 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 }
 
 // FuzzVerifiedRead delivers, in place of the honest response to each
-// eager read shape, whatever the fuzzer makes of its encoding — decoded,
+// eager read shape — seeded as it is and trimmed, its proofs without the
+// question they answer — whatever the fuzzer makes of its encoding — decoded,
 // it reaches a client in one of the three states an honest response is
 // shaped by: trust pinned to the head (a bound proof), pinned one block
 // behind it (a bound proof and the consistency proof from there), or at
@@ -270,10 +287,12 @@ func FuzzVerifiedRead(f *testing.F) {
 	honest := make([]string, len(readShapes))
 	for form := 0; form < forms; form++ {
 		for i, sh := range readShapes {
-			var seed []byte
+			var seed, trimmedSeed []byte
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == sh.eager {
 					seed = wire.AppendResponse(nil, resp)
+					tr := trimmed(*resp)
+					trimmedSeed = wire.AppendResponse(nil, &tr)
 				}
 			})
 			cl := client(f, sh, form)
@@ -284,6 +303,7 @@ func FuzzVerifiedRead(f *testing.F) {
 				f.Fatalf("%s, form %d: honest read %q, %v", sh.name, form, honest[i], err)
 			}
 			f.Add(uint8(form*len(readShapes)+i), seed)
+			f.Add(uint8(form*len(readShapes)+i), trimmedSeed)
 		}
 	}
 	fs.setMutate(nil)

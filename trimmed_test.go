@@ -1,0 +1,233 @@
+package spitz_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"testing"
+	"time"
+
+	"spitz"
+	"spitz/internal/core"
+	"spitz/internal/hashutil"
+	"spitz/internal/postree"
+	"spitz/internal/wire"
+)
+
+// The trimmed form of the verified-read messages: a hint names each held
+// index node by its digest's first postree.FingerprintSize bytes, and no
+// proof repeats the question its client asked or, unbound, the digest it
+// trusts. Both sides use it once both hellos carry its flag; a peer whose
+// hello lacks the flag is answered as before.
+
+// trimmed returns resp as a trimmed response carries it: its proofs
+// without the question they answer.
+func trimmed(resp wire.Response) wire.Response {
+	if resp.Proof != nil {
+		p := resp.Proof.Trimmed()
+		resp.Proof = &p
+	}
+	if resp.BatchProof != nil {
+		bp := resp.BatchProof.Trimmed()
+		resp.BatchProof = &bp
+	}
+	return resp
+}
+
+// collidingHint returns, for every index node a complete response's proofs
+// ship, a digest that is not the node's but shares its fingerprint: a hint
+// naming those makes a server that elides by fingerprint leave out nodes
+// the client does not hold.
+func collidingHint(resp wire.Response) []hashutil.Digest {
+	var bodies [][]byte
+	switch {
+	case resp.Proof != nil && resp.Proof.Point != nil:
+		bodies = resp.Proof.Point.Nodes
+	case resp.Proof != nil && resp.Proof.Range != nil:
+		bodies = resp.Proof.Range.Nodes
+	case resp.BatchProof != nil:
+		if resp.BatchProof.Points != nil {
+			bodies = resp.BatchProof.Points.Nodes
+		}
+		for _, r := range resp.BatchProof.Ranges {
+			bodies = append(bodies, r.Nodes...)
+		}
+	}
+	var out []hashutil.Digest
+	for _, body := range bodies {
+		if body[0] != 0 { // an index node; leaves are never left out
+			d := hashutil.Sum(hashutil.DomainPOSIndex, body)
+			d[hashutil.DigestSize-1] ^= 1
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// narrower asks less than req does: a range that stops a row short, or for
+// a point read another key.
+func narrower(sh readShape, req wire.Request) wire.Request {
+	switch sh.eager {
+	case wire.OpRangeVer:
+		req.PKHi = []byte("pk014")
+	case wire.OpQuery:
+		req.Statement = "SELECT c FROM t WHERE pk BETWEEN 'pk010' AND 'pk013'"
+	default:
+		return sh.other(req)
+	}
+	return req
+}
+
+// untrimmedClient is fs.client for a build without the trimmed form.
+func (fs *faultServer) untrimmedClient(t testing.TB) *spitz.Client {
+	t.Helper()
+	var conn net.Conn
+	var err error
+	if pl, ok := fs.inner.(*wire.PipeListener); ok {
+		conn, err = pl.DialPipe()
+	} else {
+		conn, err = net.Dial(fs.inner.Addr().Network(), fs.inner.Addr().String())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := wire.NewClient(wire.Untrimmed(conn))
+	if err := wc.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	return spitz.NewClient(wc)
+}
+
+// TestTrimmedInterop runs every read shape, cold and warm, and an audit
+// flush, between this build and a peer without the trimmed form on either
+// side: a client that does not offer it, and a server that does not grant
+// it. Every answer is the one a trimmed pair gets, and the hint travels as
+// whole digests; between two trimmed peers it travels as fingerprints.
+// (wire's TestUntrimmedPeerGetsTheUntrimmedBytes pins the responses.)
+func TestTrimmedInterop(t *testing.T) {
+	pairings := []struct {
+		name    string
+		trimmed bool
+		setup   func(fs *faultServer, t *testing.T) *spitz.Client
+	}{
+		{"both trimmed", true, func(fs *faultServer, t *testing.T) *spitz.Client { return fs.client(t) }},
+		{"untrimmed client", false, func(fs *faultServer, t *testing.T) *spitz.Client { return fs.untrimmedClient(t) }},
+		{"untrimmed server", false, func(fs *faultServer, t *testing.T) *spitz.Client {
+			fs.ln.SetFaults(wire.Faults{Untrimmed: true})
+			return fs.client(t)
+		}},
+	}
+	honest := make([]string, len(readShapes))
+	ref := startFaultServer(t)
+	for i, sh := range readShapes {
+		cl := ref.client(t)
+		var err error
+		if honest[i], err = sh.read(cl); err != nil || honest[i] == "" {
+			t.Fatalf("%s: reference read %q, %v", sh.name, honest[i], err)
+		}
+		cl.Close()
+	}
+	for _, pr := range pairings {
+		t.Run(pr.name, func(t *testing.T) {
+			fs := startFaultServer(t)
+			// Rows past the shapes' keys, so the tree has index nodes to hint.
+			var more []core.Put
+			for i := 1000; i < 3000; i++ {
+				more = append(more, core.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("pk%d", i)), Value: []byte("x")})
+			}
+			if _, err := fs.eng.Apply("more", more); err != nil {
+				t.Fatal(err)
+			}
+			var hints, wholeDigests int
+			fs.setMutate(func(req wire.Request, resp *wire.Response) {
+				for _, d := range req.Have {
+					hints++
+					if !bytes.Equal(d[postree.FingerprintSize:], make([]byte, hashutil.DigestSize-postree.FingerprintSize)) {
+						wholeDigests++
+					}
+				}
+			})
+			cl := pr.setup(fs, t)
+			defer cl.Close()
+			if err := cl.SyncDigest(); err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range readShapes {
+				for _, pass := range []string{"cold", "warm"} {
+					if got, err := sh.read(cl); err != nil || got != honest[i] {
+						t.Fatalf("%s, %s: %q, %v; want %q", sh.name, pass, got, err, honest[i])
+					}
+				}
+			}
+			aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range readShapes {
+				if got, err := sh.read(cl); err != nil || got != honest[i] {
+					t.Fatalf("%s, audited: %q, %v; want %q", sh.name, got, err, honest[i])
+				}
+			}
+			if err := aud.Flush(); err != nil {
+				t.Fatalf("audit flush: %v", err)
+			}
+			if st := aud.Stats(); st.Audited != st.Receipts || st.Receipts == 0 {
+				t.Fatalf("audited %d of %d receipts", st.Audited, st.Receipts)
+			}
+			if hints == 0 {
+				t.Fatal("no read named the nodes it holds")
+			}
+			if want := map[bool]int{true: 0, false: hints}[pr.trimmed]; wholeDigests != want {
+				t.Fatalf("%d of %d hinted nodes named by whole digest, want %d", wholeDigests, hints, want)
+			}
+		})
+	}
+}
+
+// TestFingerprintCollisionIsAnError: a hint names a node by fingerprint
+// alone, so a node the server holds can share a fingerprint with one the
+// client named and be left out though the client lacks it. That costs the
+// read an error, never wrong data: ErrTampered, and the verifier as it
+// was — for a cold client, whose every index node is left out, and for a
+// warm one after a commit, whose rewritten path is left out instead of
+// patched.
+func TestFingerprintCollisionIsAnError(t *testing.T) {
+	es := startElisionServer(t)
+	pk := elisionPK(12345)
+	for _, kind := range []string{"cold", "warm after a commit"} {
+		t.Run(kind, func(t *testing.T) {
+			var cl *spitz.Client
+			if kind == "cold" {
+				cl = es.client(t)
+				t.Cleanup(func() { cl.Close() })
+				if err := cl.SyncDigest(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				cl = warmClient(t, es, pk)
+				if _, err := es.eng.Apply("later", []core.Put{{Table: "t", Column: "c", PK: elisionPK(12346), Value: []byte("later")}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := stateOf(cl.Verifier())
+			es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
+				cold := req
+				cold.Have = nil
+				req.Have = append(req.Have, collidingHint(wire.Dispatch(es.eng, cold))...)
+				*resp = wire.Dispatch(es.eng, req)
+			}))
+			_, _, err := cl.GetVerified("t", "c", pk)
+			es.setMutate(nil)
+			if !errors.Is(err, spitz.ErrTampered) {
+				t.Fatalf("err = %v, want ErrTampered", err)
+			}
+			if after := stateOf(cl.Verifier()); after != before {
+				t.Fatalf("the rejected response moved the verifier: %+v -> %+v", before, after)
+			}
+			if v, found, err := cl.GetVerified("t", "c", pk); err != nil || !found || !bytes.Equal(v, elisionValue(12345, 0)) {
+				t.Fatalf("honest read after the collision: %q %v %v", v, found, err)
+			}
+		})
+	}
+}
