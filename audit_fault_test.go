@@ -154,14 +154,14 @@ func batchProofByteSlices(resp *wire.Response) [][]byte {
 	if bp == nil {
 		return nil
 	}
-	if bp.Points != nil {
-		out = append(out, bp.Points.Nodes...)
-		for _, v := range bp.Points.Values {
+	if bp.Point != nil {
+		out = append(out, bp.Point.Nodes...)
+		for _, v := range bp.Point.Values {
 			if len(v) > 0 {
 				out = append(out, v)
 			}
 		}
-		out = append(out, bp.Points.Keys...)
+		out = append(out, bp.Point.Keys...)
 	}
 	for i := range bp.Ranges {
 		out = append(out, bp.Ranges[i].Nodes...)
@@ -258,21 +258,21 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 		mut  func(resp *wire.Response)
 	}{
 		{"toggle first found flag", func(r *wire.Response) {
-			r.BatchProof.Points.Found[0] = false
-			r.BatchProof.Points.Values[0] = nil
+			r.BatchProof.Point.Found[0] = false
+			r.BatchProof.Point.Values[0] = nil
 		}},
 		{"forge presence of the miss", func(r *wire.Response) {
-			for i, f := range r.BatchProof.Points.Found {
+			for i, f := range r.BatchProof.Point.Found {
 				if !f {
-					r.BatchProof.Points.Found[i] = true
-					r.BatchProof.Points.Values[i] = []byte("\x00\x01forged")
+					r.BatchProof.Point.Found[i] = true
+					r.BatchProof.Point.Values[i] = []byte("\x00\x01forged")
 				}
 			}
 		}},
 		// Values do not travel, so answers cannot be swapped under their
 		// keys; what a server can swap is which query each answer is for.
 		{"swap two point answers", func(r *wire.Response) {
-			p := r.BatchProof.Points
+			p := r.BatchProof.Point
 			p.Keys[0], p.Keys[1] = p.Keys[1], p.Keys[0]
 		}},
 		{"drop the range proof", func(r *wire.Response) { r.BatchProof.Ranges = nil }},
@@ -334,8 +334,8 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 			slices: func(resp *wire.Response) [][]byte {
 				var out [][]byte
 				out = append(out, resp.Proof.Point.Nodes...)
-				if len(resp.Proof.Point.Value) > 0 {
-					out = append(out, resp.Proof.Point.Value)
+				if len(resp.Proof.Point.Values[0]) > 0 {
+					out = append(out, resp.Proof.Point.Values[0])
 				}
 				for i := range resp.Proof.Inclusion.Path {
 					out = append(out, resp.Proof.Inclusion.Path[i][:])
@@ -353,8 +353,8 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 			},
 			slices: func(resp *wire.Response) [][]byte {
 				var out [][]byte
-				out = append(out, resp.Proof.Range.Nodes...)
-				out = append(out, resp.Proof.Range.Start, resp.Proof.Range.End)
+				out = append(out, resp.Proof.Ranges[0].Nodes...)
+				out = append(out, resp.Proof.Ranges[0].Start, resp.Proof.Ranges[0].End)
 				for i := range resp.Proof.Inclusion.Path {
 					out = append(out, resp.Proof.Inclusion.Path[i][:])
 				}

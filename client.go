@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"spitz/internal/obs"
 	"spitz/internal/proof"
@@ -60,10 +61,10 @@ type Client struct {
 
 // shard is one shard's slice of the topology.
 type shard struct {
-	id      int          // wire shard id: index+1, or 0 on a connection adopted without a shard map (NewClient)
-	primary *wire.Client // writes, the digest authority, and the read fallback
-	v       *Verifier
-	syncMu  sync.Mutex // serializes digest refreshes (see shardLink.syncAndVerifyWith)
+	id      int                      // wire shard id: index+1, or 0 on a connection adopted without a shard map (NewClient)
+	primary *wire.Client             // writes, the digest authority, and the read fallback
+	v       atomic.Pointer[Verifier] // swapped whole by Client.Restore while reads load it
+	syncMu  sync.Mutex               // serializes digest refreshes (see shardLink.syncAndVerifyWith)
 
 	mu       sync.Mutex // guards the replicas' down flags and rr
 	replicas []*replicaConn
@@ -100,7 +101,7 @@ func Connect(t Topology) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{maxLag: t.MaxLag, shards: []*shard{{id: 1, primary: first, v: NewVerifier()}}}
+	cl := &Client{maxLag: t.MaxLag, shards: []*shard{newShard(1, first)}}
 	resp, err := first.Do(wire.Request{Op: wire.OpShardMap})
 	if err == nil && resp.ShardCount < 1 {
 		err = fmt.Errorf("server reported %d shards", resp.ShardCount)
@@ -115,7 +116,7 @@ func Connect(t Topology) (*Client, error) {
 			cl.Close()
 			return nil, err
 		}
-		cl.shards = append(cl.shards, &shard{id: i + 1, primary: c, v: NewVerifier()})
+		cl.shards = append(cl.shards, newShard(i+1, c))
 	}
 	if len(t.Replicas) == 0 {
 		return cl, nil
@@ -123,7 +124,7 @@ func Connect(t Topology) (*Client, error) {
 	for _, s := range cl.shards {
 		resp, err := s.primary.Do(wire.Request{Op: wire.OpDigest, Shard: s.id})
 		if err == nil && resp.Digest.Height > 0 {
-			err = s.v.Advance(resp.Digest, ConsistencyProof{})
+			err = s.v.Load().Advance(resp.Digest, ConsistencyProof{})
 		}
 		if err != nil {
 			cl.Close()
@@ -146,7 +147,14 @@ func Connect(t Topology) (*Client, error) {
 // its scans; tests and benchmarks use it to own the connection and every
 // frame on it.
 func NewClient(c *wire.Client) *Client {
-	return &Client{shards: []*shard{{primary: c, v: NewVerifier()}}}
+	return &Client{shards: []*shard{newShard(0, c)}}
+}
+
+// newShard is shard id served by primary, with a fresh verifier.
+func newShard(id int, primary *wire.Client) *shard {
+	s := &shard{id: id, primary: primary}
+	s.v.Store(NewVerifier())
+	return s
 }
 
 // Deprecated: a sharded deployment is an ordinary Topology and its client
@@ -234,10 +242,10 @@ func (cl *Client) ShardFor(pk []byte) int {
 
 // ShardVerifier exposes shard i's proof verifier (for inspecting the
 // trusted digest or proof statistics).
-func (cl *Client) ShardVerifier(i int) *Verifier { return cl.shards[i].v }
+func (cl *Client) ShardVerifier(i int) *Verifier { return cl.shards[i].v.Load() }
 
 // Verifier is ShardVerifier(0): the verifier of a one-shard deployment.
-func (cl *Client) Verifier() *Verifier { return cl.shards[0].v }
+func (cl *Client) Verifier() *Verifier { return cl.shards[0].v.Load() }
 
 // Replicas returns how many replicas every shard can still read from.
 func (cl *Client) Replicas() int {
@@ -267,7 +275,7 @@ func (cl *Client) Replicas() int {
 // shard's primary and the staleness bound applies.
 func (cl *Client) link(i int, c *wire.Client, tr *obs.Trace) shardLink {
 	s := cl.shards[i]
-	l := shardLink{c: c, v: s.v, mu: &s.syncMu, shard: s.id, index: i, tr: tr}
+	l := shardLink{c: c, v: s.v.Load(), mu: &s.syncMu, shard: s.id, index: i, tr: tr}
 	if c != s.primary {
 		l.syncC, l.maxLag = s.primary, cl.maxLag
 	}
@@ -493,7 +501,7 @@ func (cl *Client) Restore(snapshot []byte) (Digest, error) {
 	if err != nil {
 		return Digest{}, err
 	}
-	cl.shards[0].v = NewVerifier()
+	cl.shards[0].v.Store(NewVerifier()) // reads in flight finish on the old one
 	return resp.Digest, nil
 }
 
@@ -580,9 +588,10 @@ func (cl *Client) SyncDigest() error {
 	_, err := scatter(cl, "client.sync-digest", func(i int, _ *obs.Trace) (struct{}, error) {
 		s := cl.shards[i]
 		s.syncMu.Lock()
-		d, cons, err := cl.prefixOf(i, s.v.Digest())
+		v := s.v.Load()
+		d, cons, err := cl.prefixOf(i, v.Digest())
 		if err == nil {
-			err = s.v.AdvanceWith(d, cons, nil)
+			err = v.AdvanceWith(d, cons, nil)
 		}
 		s.syncMu.Unlock()
 		if err != nil && len(cl.shards) > 1 {

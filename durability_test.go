@@ -468,3 +468,53 @@ func TestOpenClusterDiskStore(t *testing.T) {
 		}
 	}
 }
+
+// TestClientRestoreDuringReads: Client is safe for concurrent use, Restore
+// included — it resets the verifier that reads in flight are using, which
+// the race detector checks, and a read after it verifies against the
+// restored history.
+func TestClientRestoreDuringReads(t *testing.T) {
+	db := seedDB(t, 20)
+	var snap bytes.Buffer
+	if err := db.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback networking: %v", err)
+	}
+	go db.Serve(ln)
+	defer ln.Close()
+	cl, err := spitz.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A read racing a restore may fail; what must not happen is
+			// a data race on the verifier it runs on.
+			cl.GetVerified("t", "c", []byte("pk0004"))
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := cl.Restore(snap.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	v, found, err := cl.GetVerified("t", "c", []byte("pk0004"))
+	if err != nil || !found || string(v) != "v0004" {
+		t.Fatalf("verified read after the restores: %q %v %v", v, found, err)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
+	"spitz/internal/ledger"
 	"spitz/internal/posleaf"
 	"spitz/internal/postree"
 	"spitz/internal/proof"
@@ -556,7 +557,7 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 func elidedProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
 	out = append(out, resp.Proof.Point.Nodes...)
-	out = append(out, resp.Proof.Point.Value, resp.Proof.Point.Key)
+	out = append(out, resp.Proof.Point.Values[0], resp.Proof.Point.Keys[0])
 	out = bindingSlices(out, &resp.Proof.Header, resp.Proof.Inclusion.Path, resp.Proof.Unbound)
 	return append(out, resp.Digest.Root[:])
 }
@@ -687,13 +688,13 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 			detachResponse(t, resp)
 			n := resp.Proof.Point.Nodes
 			resp.Proof.Point.Nodes = n[:len(n)-1]
-			resp.Proof.Point.Value = bytes.Replace(resp.Proof.Point.Value, []byte("value-"), []byte("VALUE-"), 1)
+			resp.Proof.Point.Values = [][]byte{bytes.Replace(resp.Proof.Point.Values[0], []byte("value-"), []byte("VALUE-"), 1)}
 		},
 		"empties the leaf and claims a value": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
 			n := resp.Proof.Point.Nodes
 			n[len(n)-1] = nil
-			resp.Proof.Point.Value = bytes.Replace(resp.Proof.Point.Value, []byte("value-"), []byte("VALUE-"), 1)
+			resp.Proof.Point.Values = [][]byte{bytes.Replace(resp.Proof.Point.Values[0], []byte("value-"), []byte("VALUE-"), 1)}
 		},
 		coldOnly: func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
@@ -702,8 +703,8 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		},
 		"answers with another key's leaf under the asked key": func(req wire.Request, resp *wire.Response) {
 			other := full(otherPK)
-			other.Proof.Point.Key = resp.Proof.Point.Key
-			other.Proof.Point.Found, other.Proof.Point.Value = false, nil
+			other.Proof.Point.Keys = [][]byte{resp.Proof.Point.Keys[0]}
+			other.Proof.Point.Found, other.Proof.Point.Values = []bool{false}, [][]byte{nil}
 			n := other.Proof.Point.Nodes
 			other.Proof.Point.Nodes = n[len(n)-1:]
 			other.Found = false
@@ -912,20 +913,18 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 // audit response's proof a tamperer could flip.
 func multiRowProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
-	if p := resp.Proof; p != nil {
-		out = append(out, p.Range.Nodes...)
-		out = append(out, p.Range.Start, p.Range.End)
-		out = bindingSlices(out, &p.Header, p.Inclusion.Path, p.Unbound)
-	}
-	if p := resp.BatchProof; p != nil {
-		if p.Points != nil {
-			out = append(out, p.Points.Nodes...)
-			for _, v := range p.Points.Values {
+	for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+		if p == nil {
+			continue
+		}
+		if p.Point != nil {
+			out = append(out, p.Point.Nodes...)
+			for _, v := range p.Point.Values {
 				if len(v) > 0 {
 					out = append(out, v)
 				}
 			}
-			out = append(out, p.Points.Keys...)
+			out = append(out, p.Point.Keys...)
 		}
 		for i := range p.Ranges {
 			out = append(out, p.Ranges[i].Nodes...)
@@ -959,10 +958,10 @@ func flipByte(t testing.TB, resp *wire.Response, off int) {
 func warmShape(t testing.TB, req wire.Request, resp *wire.Response) (total int) {
 	var nodes [][]byte
 	if resp.Proof != nil {
-		nodes = resp.Proof.Range.Nodes
+		nodes = resp.Proof.Ranges[0].Nodes
 	} else {
-		if resp.BatchProof.Points != nil {
-			nodes = append(nodes, resp.BatchProof.Points.Nodes...)
+		if resp.BatchProof.Point != nil {
+			nodes = append(nodes, resp.BatchProof.Point.Nodes...)
 		}
 		for i := range resp.BatchProof.Ranges {
 			nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)
@@ -1233,8 +1232,8 @@ func TestForgedRangeRowsAreNeverReturned(t *testing.T) {
 // rangeProofOf returns the (first) range proof a response carries.
 func rangeProofOf(resp *wire.Response) *postree.RangeProof {
 	switch {
-	case resp.Proof != nil && resp.Proof.Range != nil:
-		return resp.Proof.Range
+	case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
+		return &resp.Proof.Ranges[0]
 	case resp.BatchProof != nil && len(resp.BatchProof.Ranges) > 0:
 		return &resp.BatchProof.Ranges[0]
 	}
@@ -1267,11 +1266,11 @@ func TestClientHintsAcrossCommits(t *testing.T) {
 			switch {
 			case resp.Proof != nil && resp.Proof.Point != nil:
 				nodes = resp.Proof.Point.Nodes
-			case resp.Proof != nil && resp.Proof.Range != nil:
-				nodes = resp.Proof.Range.Nodes
+			case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
+				nodes = resp.Proof.Ranges[0].Nodes
 			case resp.BatchProof != nil:
-				if resp.BatchProof.Points != nil {
-					nodes = append(nodes, resp.BatchProof.Points.Nodes...)
+				if resp.BatchProof.Point != nil {
+					nodes = append(nodes, resp.BatchProof.Point.Nodes...)
 				}
 				for i := range resp.BatchProof.Ranges {
 					nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)

@@ -44,9 +44,14 @@ func main() {
 	if err := verifier.VerifyNow(res.Proof); err != nil {
 		log.Fatal(err)
 	}
-	cells, _ := res.Proof.Cells()
+	// The proven cell is read off the proof of the read it answers.
+	read := []spitz.BatchQuery{{Table: "accounts", Column: "balance", PK: []byte("alice")}}
+	if !res.Proof.Answers(read) {
+		log.Fatal("the proof answers another read")
+	}
+	live, _ := res.Proof.Live(read)
 	fmt.Printf("verified read: %s = %s (block digest height %d)\n",
-		cells[0].PK, cells[0].Value, res.Digest.Height)
+		live[0][0].PK, live[0][0].Value, res.Digest.Height)
 
 	// Tampering: a forged proof (here, a modified block header) fails.
 	forged := res.Proof

@@ -364,23 +364,7 @@ func AdminSmoke(dir string) error {
 	// audit must trip, and the critical tampering rule must pin /healthz
 	// at critical and raise spitz_alerts_firing.
 	tamperLn, _ := wire.Listen()
-	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(db.Engine(0)),
-		func(req wire.Request, resp *wire.Response) {
-			if req.Op != wire.OpProveBatch || resp.BatchProof == nil ||
-				resp.BatchProof.Points == nil || len(resp.BatchProof.Points.Nodes) == 0 {
-				return
-			}
-			// Copy-on-write: served node bodies alias the engine's store.
-			n := append([]byte(nil), resp.BatchProof.Points.Nodes[0]...)
-			n[len(n)/2] ^= 0x01
-			nodes := append([][]byte(nil), resp.BatchProof.Points.Nodes...)
-			nodes[0] = n
-			bp := *resp.BatchProof
-			points := *bp.Points
-			points.Nodes = nodes
-			bp.Points = &points
-			resp.BatchProof = &bp
-		}))
+	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(db.Engine(0)), flipFirstNode(wire.OpProveBatch)))
 	go tampered.Serve(tamperLn)
 	defer tampered.Close()
 	twc, err := wire.Connect(tamperLn)

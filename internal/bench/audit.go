@@ -8,6 +8,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/postree"
 	"spitz/internal/wire"
 )
 
@@ -109,23 +110,7 @@ func VerifyAuditSmoke() error {
 	// Phase 2: tamper probe. The same engine served through a handler
 	// that flips one byte of every batch proof — the audit must trip.
 	tamperLn, _ := wire.Listen()
-	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(eng),
-		func(req wire.Request, resp *wire.Response) {
-			if req.Op != wire.OpProveBatch || resp.BatchProof == nil ||
-				resp.BatchProof.Points == nil || len(resp.BatchProof.Points.Nodes) == 0 {
-				return
-			}
-			// Copy-on-write: served node bodies alias the engine's store.
-			n := append([]byte(nil), resp.BatchProof.Points.Nodes[0]...)
-			n[len(n)/2] ^= 0x01
-			nodes := append([][]byte(nil), resp.BatchProof.Points.Nodes...)
-			nodes[0] = n
-			bp := *resp.BatchProof
-			points := *bp.Points
-			points.Nodes = nodes
-			bp.Points = &points
-			resp.BatchProof = &bp
-		}))
+	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(eng), flipFirstNode(wire.OpProveBatch)))
 	go tampered.Serve(tamperLn)
 	defer tampered.Close()
 
@@ -155,4 +140,33 @@ func VerifyAuditSmoke() error {
 		return fmt.Errorf("tamper probe: poisoned client kept reading: %v", err)
 	}
 	return nil
+}
+
+// flipFirstNode is a MutateHandler hook that flips one byte of the first
+// node of every op response's batch-layout proof — its point part's, or
+// else its first range's. It copies what it changes: served node bodies
+// alias the engine's store.
+func flipFirstNode(op wire.Op) func(wire.Request, *wire.Response) {
+	return func(req wire.Request, resp *wire.Response) {
+		if req.Op != op || resp.BatchProof == nil {
+			return
+		}
+		p := *resp.BatchProof
+		var nodes *[][]byte
+		switch {
+		case p.Point != nil && len(p.Point.Nodes) > 0:
+			pt := *p.Point
+			p.Point, nodes = &pt, &pt.Nodes
+		case len(p.Ranges) > 0 && len(p.Ranges[0].Nodes) > 0:
+			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
+			nodes = &p.Ranges[0].Nodes
+		default:
+			return
+		}
+		*nodes = append([][]byte(nil), *nodes...)
+		n := append([]byte(nil), (*nodes)[0]...)
+		n[len(n)/2] ^= 0x01
+		(*nodes)[0] = n
+		resp.BatchProof = &p
+	}
 }

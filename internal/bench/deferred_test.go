@@ -32,7 +32,7 @@ func deferredLedger(t *testing.T, n int) *ledger.Ledger {
 
 func deferredProof(t *testing.T, l *ledger.Ledger, height uint64, pk string) ledger.Proof {
 	t.Helper()
-	_, _, p, err := l.ProveGetLatest(height, "t", "c", []byte(pk))
+	p, err := l.Prove(height, []ledger.BatchQuery{{Table: "t", Column: "c", PK: []byte(pk)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,8 +260,12 @@ func (s *System) ReadVerified(pk []byte) ([]byte, bool, error) {
 		return nil, false, ErrMismatch
 	}
 	if resp.Found {
-		cells, err := lresp.Proof.Cells()
-		if err != nil || len(cells) != 1 || !bytes.Equal(cells[0].Value, resp.Value) {
+		q := []ledger.BatchQuery{{Table: s.table, Column: s.column, PK: pk}}
+		if lresp.Proof == nil || !lresp.Proof.Answers(q) {
+			return nil, false, ErrMismatch
+		}
+		live, err := lresp.Proof.Live(q)
+		if err != nil || len(live[0]) != 1 || !bytes.Equal(live[0][0].Value, resp.Value) {
 			return nil, false, ErrMismatch
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
-	"spitz/internal/postree"
 	"spitz/internal/wire"
 )
 
@@ -203,34 +202,7 @@ func QuerySmoke() error {
 		}
 	}
 	tamperLn, _ := wire.Listen()
-	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(eng),
-		func(req wire.Request, resp *wire.Response) {
-			if req.Op != wire.OpQuery || resp.BatchProof == nil {
-				return
-			}
-			// Copy-on-write: served node bodies alias the engine's store.
-			bp := *resp.BatchProof
-			switch {
-			case bp.Points != nil && len(bp.Points.Nodes) > 0:
-				points := *bp.Points
-				points.Nodes = append([][]byte(nil), points.Nodes...)
-				n := append([]byte(nil), points.Nodes[0]...)
-				n[len(n)/2] ^= 0x01
-				points.Nodes[0] = n
-				bp.Points = &points
-			case len(bp.Ranges) > 0 && len(bp.Ranges[0].Nodes) > 0:
-				ranges := append([]postree.RangeProof(nil), bp.Ranges...)
-				nodes := append([][]byte(nil), ranges[0].Nodes...)
-				n := append([]byte(nil), nodes[0]...)
-				n[len(n)/2] ^= 0x01
-				nodes[0] = n
-				ranges[0].Nodes = nodes
-				bp.Ranges = ranges
-			default:
-				return
-			}
-			resp.BatchProof = &bp
-		}))
+	tampered := wire.NewHandlerServer(wire.MutateHandler(wire.EngineHandler(eng), flipFirstNode(wire.OpQuery)))
 	go tampered.Serve(tamperLn)
 	defer tampered.Close()
 

@@ -166,11 +166,15 @@ func (s *spitzSystem) ReadVerified(key []byte) error {
 	if err := s.verifier.VerifyNow(res.Proof); err != nil {
 		return err
 	}
-	cells, err := res.Proof.Cells()
+	q := []ledger.BatchQuery{{Table: benchTable, Column: benchColumn, PK: key}}
+	if !res.Proof.Answers(q) {
+		return errors.New("bench: unexpected verified result")
+	}
+	live, err := res.Proof.Live(q)
 	if err != nil {
 		return err
 	}
-	if len(cells) != 1 {
+	if len(live[0]) != 1 {
 		return errors.New("bench: unexpected verified result")
 	}
 	return nil
@@ -189,11 +193,15 @@ func (s *spitzSystem) RangeVerified(lo, hi []byte) (int, error) {
 	if err := s.verifier.VerifyNow(res.Proof); err != nil {
 		return 0, err
 	}
-	cells, err := res.Proof.Cells()
+	q := []ledger.BatchQuery{{Table: benchTable, Column: benchColumn, PK: lo, PKHi: hi, Range: true}}
+	if !res.Proof.Answers(q) {
+		return 0, errors.New("bench: unexpected verified result")
+	}
+	live, err := res.Proof.Live(q)
 	if err != nil {
 		return 0, err
 	}
-	return len(cells), nil
+	return len(live[0]), nil
 }
 
 func (s *spitzSystem) Seal() error { return s.syncDigest() }

@@ -405,23 +405,33 @@ func RefRange(table, column string, pkLo, pkHi []byte) (start, end []byte) {
 	return start, end
 }
 
-// ProveGetHead returns the head version of a cell together with a point
-// proof under this snapshot's root. Absence is also proven.
-func (s Store) ProveGetHead(table, column string, pk []byte) (Cell, bool, postree.PointProof, error) {
+// ProveGetHead returns the head version of a cell together with its
+// one-key proof under this snapshot's root. Absence is also proven.
+func (s Store) ProveGetHead(table, column string, pk []byte) (Cell, bool, postree.BatchProof, error) {
 	p, err := s.Tree.ProveGet(CellPrefix(table, column, pk))
 	if err != nil {
-		return Cell{}, false, postree.PointProof{}, err
+		return Cell{}, false, postree.BatchProof{}, err
 	}
-	if !p.Found {
-		return Cell{}, false, p, nil
-	}
-	ver, value, tomb, err := DecodeVersion(p.Value)
+	c, ok, err := HeadCell(table, column, pk, p)
 	if err != nil {
-		return Cell{}, false, postree.PointProof{}, err
+		return Cell{}, false, postree.BatchProof{}, err
 	}
-	c := Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
-		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}
-	return c, true, p, nil
+	return c, ok, p, nil
+}
+
+// HeadCell is the cell a one-key proof of table.column.pk proves: its head
+// version, a tombstone included, copied out of the proof's leaf; ok is
+// false when the proof shows the key absent.
+func HeadCell(table, column string, pk []byte, p postree.BatchProof) (Cell, bool, error) {
+	if len(p.Found) != 1 || !p.Found[0] {
+		return Cell{}, false, nil
+	}
+	ver, value, tomb, err := DecodeVersion(p.Values[0])
+	if err != nil {
+		return Cell{}, false, err
+	}
+	return Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
+		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}, true, nil
 }
 
 // ProveRangePK returns the result of RangePK (at this snapshot's own

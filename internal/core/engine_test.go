@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"testing"
 
+	"spitz/internal/cellstore"
 	"spitz/internal/inverted"
+	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/proof"
 	"spitz/internal/txn"
@@ -96,8 +98,8 @@ func TestGetVerifiedEndToEnd(t *testing.T) {
 	if err := ver.VerifyNow(res.Proof); err != nil {
 		t.Fatalf("client verification: %v", err)
 	}
-	cells, err := res.Proof.Cells()
-	if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-00101" {
+	live, err := res.Proof.Live([]ledger.BatchQuery{{Table: "acct", Column: "bal", PK: []byte("pk00101")}})
+	if err != nil || len(live[0]) != 1 || string(live[0][0].Value) != "value-00101" {
 		t.Fatal("verified payload wrong")
 	}
 }
@@ -166,7 +168,7 @@ func TestRangePKVerified(t *testing.T) {
 		t.Fatalf("range proof: %v", err)
 	}
 	// Tampering with the result set must be detectable via the proof.
-	decoded, err := res.Proof.Cells()
+	decoded, err := cellstore.DecodeEntries(res.Proof.Ranges[0].Entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,36 +54,40 @@ func ReadHeader(src []byte) (BlockHeader, []byte, error) {
 	return h, src[HeaderWireLen:], nil
 }
 
-// AppendProof appends p's binary encoding: its block binding (unless it
-// travels without one — its carrier flags that, not these bytes), then a
-// presence byte recording which of the optional cell proofs is attached
-// (bit0 Point, bit1 Range).
+// AppendProof appends p's one-query layout, the layout of a point or
+// range read's proof: its block binding (unless it travels without one —
+// its carrier flags that, not these bytes), then a presence byte recording
+// which cell sub-proof is attached (bit0 Point, bit1 Range), then the
+// point part as Bytes(key) Bool(found) ByteSlices(nodes) — the key nil
+// when the proof travels without it — and the range part: at most one
+// of each, a read's proof having one and the empty ledger's none.
 func AppendProof(dst []byte, p *Proof) []byte {
 	if !p.Unbound {
 		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
 	}
-	var present byte
-	if p.Point != nil {
-		present |= 1
+	dst = append(dst, byte(binenc.Flag(p.Point != nil, 1)|binenc.Flag(len(p.Ranges) > 0, 2)))
+	if pt := p.Point; pt != nil {
+		var key []byte
+		if len(pt.Keys) == 1 {
+			key = pt.Keys[0]
+		}
+		dst = binenc.AppendBytes(dst, key)
+		dst = binenc.AppendBool(dst, len(pt.Found) == 1 && pt.Found[0])
+		dst = binenc.AppendByteSlices(dst, pt.Nodes)
 	}
-	if p.Range != nil {
-		present |= 2
-	}
-	dst = append(dst, present)
-	if p.Point != nil {
-		dst = postree.AppendPointProof(dst, *p.Point)
-	}
-	if p.Range != nil {
-		dst = postree.AppendRangeProof(dst, *p.Range)
+	if len(p.Ranges) > 0 {
+		dst = postree.AppendRangeProof(dst, p.Ranges[0])
 	}
 	return dst
 }
 
-// ReadProof decodes a proof that travelled with its block binding.
+// ReadProof decodes a proof in the one-query layout that travelled with
+// its block binding.
 func ReadProof(src []byte) (*Proof, []byte, error) { return ReadProofAs(src, false) }
 
-// ReadProofAs decodes a proof; unbound says it travelled without its
-// block binding.
+// ReadProofAs decodes a proof in the one-query layout; unbound says it
+// travelled without its block binding. The point part's key, value and
+// found flag live in the proof itself.
 func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	p := &Proof{Unbound: unbound}
 	d := binenc.Decoder{Src: src}
@@ -99,12 +103,17 @@ func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	present := d.Src[0]
 	d.Src = d.Src[1:]
 	if present&1 != 0 {
-		pt := binenc.Read(&d, postree.ReadPointProof)
-		p.Point = &pt
+		one := &p.one
+		one.key[0], one.found[0] = binenc.Read(&d, binenc.ReadBytes), binenc.Read(&d, binenc.ReadBool)
+		one.point = postree.BatchProof{Values: one.value[:], Found: one.found[:], Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+		if one.key[0] != nil {
+			one.point.Ask(one.key[:])
+		}
+		p.Point = &one.point
 	}
 	if present&2 != 0 {
-		rp := binenc.Read(&d, postree.ReadRangeProof)
-		p.Range = &rp
+		p.one.ranges[0] = binenc.Read(&d, postree.ReadRangeProof)
+		p.Ranges = p.one.ranges[:]
 	}
 	if d.Err != nil {
 		return nil, nil, d.Err
@@ -112,14 +121,16 @@ func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	return p, d.Src, nil
 }
 
-// AppendBatchProof appends p's binary encoding.
-func AppendBatchProof(dst []byte, p *BatchProof) []byte {
+// AppendBatchProof appends p's batch layout, the layout of an audit
+// flush's or a SELECT's proof: its block binding as AppendProof, then
+// the point part if any, then the range parts.
+func AppendBatchProof(dst []byte, p *Proof) []byte {
 	if !p.Unbound {
 		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
 	}
-	if p.Points != nil {
+	if p.Point != nil {
 		dst = append(dst, 1)
-		dst = postree.AppendBatchProof(dst, *p.Points)
+		dst = postree.AppendBatchProof(dst, *p.Point)
 	} else {
 		dst = append(dst, 0)
 	}
@@ -133,16 +144,16 @@ func AppendBatchProof(dst []byte, p *BatchProof) []byte {
 	return dst
 }
 
-// ReadBatchProofAs is ReadProofAs for a batch proof.
-func ReadBatchProofAs(src []byte, unbound bool) (*BatchProof, []byte, error) {
-	p := &BatchProof{Unbound: unbound}
+// ReadBatchProofAs is ReadProofAs for the batch layout.
+func ReadBatchProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
+	p := &Proof{Unbound: unbound}
 	d := binenc.Decoder{Src: src}
 	if !unbound {
 		p.Header, p.Inclusion = binenc.Read(&d, ReadHeader), binenc.Read(&d, mtree.ReadInclusionProof)
 	}
 	if binenc.Read(&d, binenc.ReadBool) {
-		bp := binenc.Read(&d, postree.ReadBatchProof)
-		p.Points = &bp
+		p.one.point = binenc.Read(&d, postree.ReadBatchProof)
+		p.Point = &p.one.point
 	}
 	var cnt int
 	if n := binenc.Read(&d, binenc.ReadUvarint); d.Err == nil && n > 0 {

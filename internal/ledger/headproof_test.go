@@ -137,7 +137,7 @@ func TestProveBatchLedger(t *testing.T) {
 	if res.Proof.Header.Height != at.Height-1 {
 		t.Fatalf("proven block %d, want %d", res.Proof.Header.Height, at.Height-1)
 	}
-	pts := res.Proof.Points
+	pts := res.Proof.Point
 	if pts == nil || len(pts.Keys) != 2 {
 		t.Fatalf("expected 2 point proofs")
 	}

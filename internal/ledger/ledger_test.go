@@ -151,14 +151,25 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestProveGetLatestVerifies(t *testing.T) {
+// proveGet proves one point read at height — the one-key Prove — and
+// reads its cell off the proof, a tombstone included.
+func proveGet(l *Ledger, height uint64, table, column string, pk []byte) (cellstore.Cell, bool, Proof, error) {
+	p, err := l.Prove(height, []BatchQuery{{Table: table, Column: column, PK: pk}})
+	if err != nil {
+		return cellstore.Cell{}, false, Proof{}, err
+	}
+	c, ok, err := cellstore.HeadCell(table, column, pk, *p.Point)
+	return c, ok, p, err
+}
+
+func TestProveAtHeightVerifies(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 4)
 	d := l.Digest()
 
-	cell, ok, proof, err := l.ProveGetLatest(3, "t", "c", []byte("b2-0003"))
+	cell, ok, proof, err := proveGet(l, 3, "t", "c", []byte("b2-0003"))
 	if err != nil || !ok {
-		t.Fatalf("ProveGetLatest: ok=%v err=%v", ok, err)
+		t.Fatalf("Prove: ok=%v err=%v", ok, err)
 	}
 	if string(cell.Value) != "v3-3" {
 		t.Fatalf("cell value = %q", cell.Value)
@@ -166,16 +177,20 @@ func TestProveGetLatestVerifies(t *testing.T) {
 	if err := proof.Verify(d); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	cells, err := proof.Cells()
+	q := []BatchQuery{{Table: "t", Column: "c", PK: []byte("b2-0003")}}
+	if !proof.Answers(q) {
+		t.Fatal("proof answers another read")
+	}
+	live, err := proof.Live(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || string(cells[0].Value) != "v3-3" {
-		t.Fatalf("proof cells = %+v", cells)
+	if len(live[0]) != 1 || string(live[0][0].Value) != "v3-3" {
+		t.Fatalf("proof cells = %+v", live)
 	}
 
 	// Proof against an older block height also verifies.
-	_, ok, proof, err = l.ProveGetLatest(1, "t", "c", []byte("b0-0001"))
+	_, ok, proof, err = proveGet(l, 1, "t", "c", []byte("b0-0001"))
 	if err != nil || !ok {
 		t.Fatal("historical read failed")
 	}
@@ -187,7 +202,7 @@ func TestProveGetLatestVerifies(t *testing.T) {
 func TestProveAbsence(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 2)
-	_, ok, proof, err := l.ProveGetLatest(1, "t", "c", []byte("never-written"))
+	_, ok, proof, err := proveGet(l, 1, "t", "c", []byte("never-written"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +212,7 @@ func TestProveAbsence(t *testing.T) {
 	if err := proof.Verify(l.Digest()); err != nil {
 		t.Fatalf("absence proof: %v", err)
 	}
-	if cells, _ := proof.Cells(); len(cells) != 0 {
+	if live, _ := proof.Live([]BatchQuery{{Table: "t", Column: "c", PK: []byte("never-written")}}); len(live[0]) != 0 {
 		t.Fatal("absence proof carries cells")
 	}
 }
@@ -205,22 +220,26 @@ func TestProveAbsence(t *testing.T) {
 func TestProveRangePK(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
-	cells, proof, err := l.ProveRangePK(2, "t", "c", []byte("b1-0002"), []byte("b1-0007"))
+	q := []BatchQuery{{Table: "t", Column: "c", PK: []byte("b1-0002"), PKHi: []byte("b1-0007"), Range: true}}
+	proof, err := l.Prove(2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 5 {
-		t.Fatalf("range returned %d cells", len(cells))
+	if len(proof.Ranges) != 1 || len(proof.Ranges[0].Entries) != 5 {
+		t.Fatalf("range proved %+v", proof.Ranges)
 	}
 	if err := proof.Verify(l.Digest()); err != nil {
 		t.Fatalf("range proof: %v", err)
 	}
-	decoded, err := proof.Cells()
+	if !proof.Answers(q) {
+		t.Fatal("proof answers another read")
+	}
+	decoded, err := proof.Live(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != 5 {
-		t.Fatalf("decoded %d cells", len(decoded))
+	if len(decoded[0]) != 5 {
+		t.Fatalf("decoded %d cells", len(decoded[0]))
 	}
 }
 
@@ -228,7 +247,7 @@ func TestProofRejectsTamperedHeader(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
 	d := l.Digest()
-	_, _, proof, err := l.ProveGetLatest(2, "t", "c", []byte("b1-0001"))
+	_, _, proof, err := proveGet(l, 2, "t", "c", []byte("b1-0001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +260,7 @@ func TestProofRejectsTamperedHeader(t *testing.T) {
 func TestProofRejectsWrongDigest(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
-	_, _, proof, err := l.ProveGetLatest(2, "t", "c", []byte("b1-0001"))
+	_, _, proof, err := proveGet(l, 2, "t", "c", []byte("b1-0001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +283,7 @@ func TestProofRejectsCrossBlockReplay(t *testing.T) {
 	l.Commit(1, nil, []cellstore.Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("one")}})
 	l.Commit(2, nil, []cellstore.Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 2, Value: []byte("two")}})
 	d := l.Digest()
-	_, _, oldProof, err := l.ProveGetLatest(0, "t", "c", []byte("k"))
+	_, _, oldProof, err := proveGet(l, 0, "t", "c", []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +298,17 @@ func TestProofRejectsCrossBlockReplay(t *testing.T) {
 func TestProofRejectsTamperedPayload(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 1)
-	_, _, proof, err := l.ProveGetLatest(0, "t", "c", []byte("b0-0000"))
+	_, _, proof, err := proveGet(l, 0, "t", "c", []byte("b0-0000"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupting the proven value must fail verification: the leaf hash
 	// commits to the head payload.
-	if proof.Point == nil || !proof.Point.Found {
+	if proof.Point == nil || !proof.Point.Found[0] {
 		t.Fatal("expected a found point proof")
 	}
-	proof.Point.Value = append([]byte(nil), proof.Point.Value...)
-	proof.Point.Value[1] ^= 0xFF
+	proof.Point.Values[0] = append([]byte(nil), proof.Point.Values[0]...)
+	proof.Point.Values[0][1] ^= 0xFF
 	if err := proof.Verify(l.Digest()); err == nil {
 		t.Fatal("tampered payload verified")
 	}
@@ -382,7 +401,7 @@ func TestInclusionMatchesMtreeSemantics(t *testing.T) {
 	commitN(t, l, 3)
 	h, _ := l.Header(1)
 	d := l.Digest()
-	_, _, proof, err := l.ProveGetLatest(1, "t", "c", []byte("b0-0000"))
+	_, _, proof, err := proveGet(l, 1, "t", "c", []byte("b0-0000"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestRetiredHistoryStaysProvable(t *testing.T) {
 	if err := res.Proof.Verify(res.Digest); err != nil {
 		t.Fatalf("batch proof at height %d, %d blocks behind the head: %v", at.Height-1, res.Digest.Height-at.Height, err)
 	}
-	if _, val, _, _ := cellstore.DecodeVersion(res.Proof.Points.Values[0]); !bytes.Equal(val, []byte("early")) {
+	if _, val, _, _ := cellstore.DecodeVersion(res.Proof.Point.Values[0]); !bytes.Equal(val, []byte("early")) {
 		t.Fatalf("proven value %q, want the one at the receipts' digest", val)
 	}
 	snap, err := l.Snapshot(at.Height - 1)

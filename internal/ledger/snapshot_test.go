@@ -52,7 +52,7 @@ func TestSnapshotRoundTripPreservesState(t *testing.T) {
 	// Proofs still verify against digests clients saved before the
 	// snapshot.
 	oldDigest := l.Digest()
-	_, found, p, err := restored.ProveGetLatest(restored.Height()-1, "t", "c", []byte("b0-0003"))
+	_, found, p, err := proveGet(restored, restored.Height()-1, "t", "c", []byte("b0-0003"))
 	if err != nil || !found {
 		t.Fatal("restored proof failed")
 	}
@@ -111,7 +111,7 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 		if restored.Digest() == l.Digest() {
 			// Loaded and digest matches: then the data must match too —
 			// verify a proof end to end to be sure.
-			_, _, p, perr := restored.ProveGetLatest(restored.Height()-1, "t", "c", []byte("b0-0001"))
+			_, _, p, perr := proveGet(restored, restored.Height()-1, "t", "c", []byte("b0-0001"))
 			if perr != nil {
 				continue
 			}
@@ -190,7 +190,7 @@ func TestSnapshotEveryByteFlipIsCaught(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				pk := []byte(fmt.Sprintf("b%d-%04d", b, i))
 				want, _, _ := snap.GetHead("t", "c", pk)
-				got, found, p, err := restored.ProveGetLatest(restored.Height()-1, "t", "c", pk)
+				got, found, p, err := proveGet(restored, restored.Height()-1, "t", "c", pk)
 				if err != nil || !found || !bytes.Equal(got.Value, want.Value) {
 					t.Fatalf("byte %d flipped: restored ledger has the same digest but row %s reads %q %v %v, want %q",
 						off, pk, got.Value, found, err, want.Value)

@@ -163,17 +163,23 @@ type Trace struct {
 	stages   []StageSpan
 }
 
-// Sampled reports whether tr is live. The common-path idiom is
+// Sampled reports whether tr is live.
+func (tr *Trace) Sampled() bool { return tr != nil }
+
+// Now is the start of a stage: the clock on a live trace, the zero time
+// on a nil one. The common-path idiom is
 //
-//	var t0 time.Time
-//	if tr.Sampled() {
-//		t0 = time.Now()
-//	}
+//	t0 := tr.Now()
 //	... stage work ...
 //	tr.Stage("ledger.proof", t0)
 //
 // so unsampled requests never read the clock for stage timing.
-func (tr *Trace) Sampled() bool { return tr != nil }
+func (tr *Trace) Now() time.Time {
+	if tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
 
 // Context returns the identifiers a request must carry for a remote
 // process to continue this trace. ok is false on a nil (unsampled)

@@ -79,10 +79,10 @@ func TestBatchProofPropertyRoundTrip(t *testing.T) {
 			if err := pp.Verify(root); err != nil {
 				t.Fatalf("round %d: point verify: %v", round, err)
 			}
-			if pp.Found != bp.Found[i] {
+			if pp.Found[0] != bp.Found[i] {
 				t.Fatalf("round %d key %d: batch found %v, point found %v", round, i, bp.Found[i], pp.Found)
 			}
-			if pp.Found && !bytes.Equal(pp.Value, bp.Values[i]) {
+			if pp.Found[0] && !bytes.Equal(pp.Values[0], bp.Values[i]) {
 				t.Fatalf("round %d key %d: batch value diverges from point value", round, i)
 			}
 		}

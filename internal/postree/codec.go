@@ -7,7 +7,7 @@ package postree
 // preserved exactly.
 //
 // What a proof proves travels once, inside the leaves that prove it: a
-// range proof's rows and a point or batch proof's values are not encoded.
+// range proof's rows and a point proof's values are not encoded.
 // Verification sets the rows from the leaves it verified; the decoder
 // points the values at the entries of the shipped leaves, and verification
 // compares them with what the verified walk arrives at, so a decoded proof
@@ -19,24 +19,6 @@ import (
 	"spitz/internal/binenc"
 	"spitz/internal/posleaf"
 )
-
-// AppendPointProof appends p's binary encoding.
-func AppendPointProof(dst []byte, p PointProof) []byte {
-	dst = binenc.AppendBytes(dst, p.Key)
-	dst = binenc.AppendBool(dst, p.Found)
-	return binenc.AppendByteSlices(dst, p.Nodes)
-}
-
-// ReadPointProof decodes a point proof. Value is the value of Key's entry
-// in the shipped leaf when the proof claims one, nil when it claims none or
-// no shipped entry has the key (Ask). A proof that travelled without its key
-// decodes with none.
-func ReadPointProof(src []byte) (PointProof, []byte, error) {
-	d := binenc.Decoder{Src: src}
-	p := PointProof{Key: binenc.Read(&d, binenc.ReadBytes), Found: binenc.Read(&d, binenc.ReadBool), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
-	p.Ask(p.Key)
-	return p, d.Src, d.Err
-}
 
 // shippedLeaves appends to leaves every slot of nodes that parses as a
 // pruned leaf, as it reads: nothing is hashed.
@@ -87,8 +69,10 @@ func AppendBatchProof(dst []byte, p BatchProof) []byte {
 	return binenc.AppendByteSlices(dst, p.Nodes)
 }
 
-// ReadBatchProof decodes a batch proof. Values[i] is filled as a point
-// proof's Value is, when there are as many keys as reads.
+// ReadBatchProof decodes a point proof. When there are as many keys as
+// reads, Values[i] is the value of Keys[i]'s entry in the shipped leaves
+// where the proof claims one (Ask); a proof that travelled without its
+// keys decodes with none.
 func ReadBatchProof(src []byte) (BatchProof, []byte, error) {
 	d := binenc.Decoder{Src: src}
 	p := BatchProof{Keys: binenc.Read(&d, binenc.ReadByteSlices), Found: binenc.Read(&d, binenc.ReadBools), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}

@@ -360,13 +360,13 @@ func (b *blind) scan(want hashutil.Digest, start, end []byte, out *[]Entry) erro
 }
 
 // blindVerify is blind for a point proof.
-func blindVerify(t *testing.T, p PointProof, root hashutil.Digest, pinned []*Node, skip trust) error {
+func blindVerify(t *testing.T, p BatchProof, root hashutil.Digest, pinned []*Node, skip trust) error {
 	b := newBlind(t, p.Nodes, pinned, skip)
-	value, found, claim, err := b.get(root, p.Key)
+	value, found, claim, err := b.get(root, p.Keys[0])
 	if err != nil {
 		return err
 	}
-	if !claim && (found != p.Found || !bytes.Equal(value, p.Value)) {
+	if !claim && (found != p.Found[0] || !bytes.Equal(value, p.Values[0])) {
 		return ErrProofInvalid
 	}
 	return b.finish()
@@ -608,7 +608,7 @@ func TestElidedAbsenceProof(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("absence proof for %q: nothing elided", k)
 		}
-		if elided.Found {
+		if elided.Found[0] {
 			t.Fatalf("%q reported found", k)
 		}
 		if err := elided.VerifyPath(tr.Root(), path); err != nil {
@@ -651,10 +651,10 @@ func forgePath(t *testing.T, tr *Tree, nodes [][]byte, digests []hashutil.Digest
 }
 
 // forgeLeaf is forgePath for a point proof.
-func forgeLeaf(t *testing.T, tr *Tree, p PointProof, value []byte) PointProof {
+func forgeLeaf(t *testing.T, tr *Tree, p BatchProof, value []byte) BatchProof {
 	t.Helper()
-	p.Nodes = forgePath(t, tr, p.Nodes, p.digests, p.Key, value)
-	p.Value = value
+	p.Nodes = forgePath(t, tr, p.Nodes, p.digests, p.Keys[0], value)
+	p.Values = [][]byte{value}
 	return p
 }
 
@@ -710,7 +710,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	drop := func(p PointProof, positions ...int) PointProof {
+	drop := func(p BatchProof, positions ...int) BatchProof {
 		p.Nodes = without(p.Nodes, positions...)
 		return p
 	}
@@ -725,7 +725,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		name   string
 		root   hashutil.Digest
 		pinned func() []*Node
-		proof  func() PointProof
+		proof  func() BatchProof
 	}{
 		{
 			// The client is cold and hinted nothing; the server leaves the
@@ -734,7 +734,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			name:   "elides a node the client did not hint",
 			root:   tr.Root(),
 			pinned: cold,
-			proof: func() PointProof {
+			proof: func() BatchProof {
 				return drop(forgeLeaf(t, tr, full, forged), index[:height-2]...)
 			},
 		},
@@ -744,9 +744,9 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			name:   "elides the leaf",
 			root:   tr.Root(),
 			pinned: warm,
-			proof: func() PointProof {
+			proof: func() BatchProof {
 				p := drop(full, append(index, height-1)...)
-				p.Value = forged
+				p.Values = [][]byte{forged}
 				return p
 			},
 		},
@@ -759,7 +759,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			name:   "elides a hinted node and routes through a different pinned node",
 			root:   next.Root(),
 			pinned: warm,
-			proof: func() PointProof {
+			proof: func() BatchProof {
 				p := drop(full, index[1:]...)
 				p.Nodes[0] = fresh.Nodes[0]
 				return p
@@ -771,9 +771,9 @@ func TestElisionStructuredForgeries(t *testing.T) {
 			name:   "answers hints for key A with a path for key B",
 			root:   tr.Root(),
 			pinned: warm,
-			proof: func() PointProof {
+			proof: func() BatchProof {
 				p := drop(otherProof, index...)
-				p.Key, p.Value, p.Found = key, nil, false
+				p.Keys, p.Values, p.Found = [][]byte{key}, [][]byte{nil}, []bool{false}
 				// That leaf pruned as for an honest search for key: the
 				// gap key would sit in, both sides in hand.
 				body, n, err := tr.loadProofNode(otherProof.digests[height-1])
@@ -817,12 +817,10 @@ func TestVerifyBindsLevelToHashDomain(t *testing.T) {
 	// What a leaf of this one entry hashes to, step by step.
 	entryHash := hashutil.Sum(hashutil.DomainPOSEntry, posleaf.AppendEntry(nil, []byte("k"), []byte("v")))
 	bound := append([]byte{0, 1}, entryHash[:]...) // level | count | root
-	build := func(pointer hashutil.Digest) (hashutil.Digest, PointProof) {
+	build := func(pointer hashutil.Digest) (hashutil.Digest, BatchProof) {
 		parent := &node{level: 1, entries: []Entry{makeIndexEntry([]byte("k"), pointer, 1)}}
 		parentBody := parent.encode()
-		return hashutil.Sum(hashutil.DomainPOSIndex, parentBody), PointProof{
-			Key: []byte("k"), Value: []byte("v"), Found: true,
-			Nodes: [][]byte{parentBody, pruned}}
+		return hashutil.Sum(hashutil.DomainPOSIndex, parentBody), oneKey([]byte("k"), []byte("v"), true, parentBody, pruned)
 	}
 	root, p := build(hashutil.Sum(hashutil.DomainPOSLeaf, bound))
 	if err := p.Verify(root); err != nil {
@@ -871,16 +869,17 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 	leaf := len(elided.Nodes) - 1
 	fields := []struct {
 		name string
-		get  func(p *PointProof) *[]byte
+		get  func(p *BatchProof) *[]byte
 	}{
-		{"leaf", func(p *PointProof) *[]byte { return &p.Nodes[leaf] }},
-		{"value", func(p *PointProof) *[]byte { return &p.Value }},
-		{"key", func(p *PointProof) *[]byte { return &p.Key }},
+		{"leaf", func(p *BatchProof) *[]byte { return &p.Nodes[leaf] }},
+		{"value", func(p *BatchProof) *[]byte { return &p.Values[0] }},
+		{"key", func(p *BatchProof) *[]byte { return &p.Keys[0] }},
 	}
 	for _, f := range fields {
 		for off := 0; off < len(*f.get(&elided)); off++ {
 			q := elided
 			q.Nodes = append([][]byte(nil), elided.Nodes...)
+			q.Keys, q.Values = append([][]byte(nil), elided.Keys...), append([][]byte(nil), elided.Values...)
 			field := f.get(&q)
 			*field = append([]byte(nil), *field...)
 			(*field)[off] ^= 0x01
@@ -890,7 +889,7 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 		}
 	}
 	q := elided
-	q.Found = false
+	q.Found = []bool{false}
 	if err := q.VerifyPath(tr.Root(), pin(warm...)); err == nil {
 		t.Fatal("forged absence verified on an elided proof")
 	}
@@ -922,8 +921,8 @@ func TestHintsAcrossCommits(t *testing.T) {
 		if err := elided.VerifyPath(next.Root(), got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !elided.Found || !bytes.Equal(elided.Value, wantValue) {
-			t.Fatalf("%s: proved %q", name, elided.Value)
+		if !elided.Found[0] || !bytes.Equal(elided.Values[0], wantValue) {
+			t.Fatalf("%s: proved %q", name, elided.Values[0])
 		}
 		if len(got.Shipped)+n+1 != len(full.Nodes) || got.Elided() != n {
 			t.Fatalf("%s: %d shipped + %d elided (%d resolved from pins) + leaf != %d nodes",
@@ -1038,7 +1037,7 @@ func TestPointProofShipsTheDecidingEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Found != found {
+		if p.Found[0] != found {
 			t.Fatalf("%q: found=%v", key, p.Found)
 		}
 		if err := p.Verify(tr.Root()); err != nil {
@@ -1085,7 +1084,7 @@ func TestPointProofShipsTheDecidingEntries(t *testing.T) {
 		t.Skip("the small tree is not a single leaf")
 	}
 	p, err := small.ProveGet([]byte("zzzz"))
-	if err != nil || p.Found {
+	if err != nil || p.Found[0] {
 		t.Fatal(err, p.Found)
 	}
 	if err := p.Verify(small.Root()); err != nil {
@@ -1132,22 +1131,22 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent := func(p PointProof, k []byte, leafBody []byte) PointProof {
+	absent := func(p BatchProof, k []byte, leafBody []byte) BatchProof {
 		p.Nodes = append(append([][]byte(nil), p.Nodes[:len(p.Nodes)-1]...), leafBody)
-		p.Key, p.Value, p.Found = k, nil, false
+		p.Keys, p.Values, p.Found = [][]byte{k}, [][]byte{nil}, []bool{false}
 		return p
 	}
-	present := func(leafBody []byte) PointProof {
+	present := func(leafBody []byte) BatchProof {
 		p := hit
 		p.Nodes = append(append([][]byte(nil), p.Nodes[:len(p.Nodes)-1]...), leafBody)
-		p.Value = forgedValue
+		p.Values = [][]byte{forgedValue}
 		return p
 	}
 
 	cases := []struct {
 		name  string
 		skips trust
-		proof PointProof
+		proof BatchProof
 	}{
 		// The entry before key's, shipped honestly, as if the search had
 		// ended there.
@@ -1200,7 +1199,7 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 				p.entries, p.siblings = forgedEntry, append(p.siblings[:len(p.siblings):len(p.siblings)], p.siblings[:hashutil.DigestSize]...)
 			}))},
 	}
-	for _, honest := range []PointProof{hit, miss} {
+	for _, honest := range []BatchProof{hit, miss} {
 		if err := blindVerify(t, honest, tr.Root(), nil, 0); err != nil {
 			t.Fatalf("the reference verifier rejects an honest proof: %v", err)
 		}
@@ -1216,7 +1215,7 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 			if err := tc.proof.Verify(tr.Root()); err == nil {
 				t.Fatal("forged pruned leaf verified")
 			}
-			path := warmPath(t, tr, tc.proof.Key)
+			path := warmPath(t, tr, tc.proof.Keys[0])
 			elided, n := tc.proof.Elide(held(path))
 			if n != len(hit.Nodes)-1 {
 				t.Fatalf("elided %d index nodes of %d", n, len(hit.Nodes)-1)

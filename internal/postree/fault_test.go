@@ -194,7 +194,7 @@ func TestGroupCheckedWhereUsed(t *testing.T) {
 	corrupt("ProveGet", err)
 	p, err := tr.ProveGet(c.keys[2])
 	fine("ProveGet", err)
-	fine("PointProof.Verify", p.Verify(tr.Root()))
+	fine("BatchProof.Verify", p.Verify(tr.Root()))
 	_, err = tr.ProveScan(c.keys[5], c.keys[11])
 	corrupt("ProveScan", err)
 	rp, err := tr.ProveScan(c.keys[1], c.keys[6])

@@ -222,7 +222,7 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 				t.Fatal(err)
 			}
 			cut, _ := full.Elide(have())
-			if cut.Found != full.Found || !bytes.Equal(cut.Value, full.Value) {
+			if cut.Found[0] != full.Found[0] || !bytes.Equal(cut.Values[0], full.Values[0]) {
 				t.Fatalf("round %d: Elide changed the claim", round)
 			}
 			check("point", full.Nodes, full.digests, cut.Nodes, func(pa *Path) error { return cut.VerifyPath(next.Root(), pa) })
@@ -335,13 +335,13 @@ func TestPatchStructuredForgeries(t *testing.T) {
 	if err := blindVerify(t, honest, next.Root(), warm, 0); err != nil {
 		t.Fatalf("the reference verifier rejects the honest patched proof: %v", err)
 	}
-	with := func(p PointProof, i int, slot []byte) PointProof {
+	with := func(p BatchProof, i int, slot []byte) BatchProof {
 		p.Nodes = append([][]byte(nil), p.Nodes...)
 		p.Nodes[i] = slot
 		return p
 	}
-	stale := func(p PointProof) PointProof { // the old value, claimed current
-		p.Value = old.Value
+	stale := func(p BatchProof) BatchProof { // the old value, claimed current
+		p.Values = [][]byte{old.Values[0]}
 		return p
 	}
 	oldLeaf := old.Nodes[index]
@@ -360,7 +360,7 @@ func TestPatchStructuredForgeries(t *testing.T) {
 		skip   trust
 		pinned []*Node
 		known  []*Node
-		proof  PointProof
+		proof  BatchProof
 	}{
 		// The verifier holds the old root but did not pin it for this
 		// request (it might have been evicted since): the patch is honest
@@ -373,10 +373,10 @@ func TestPatchStructuredForgeries(t *testing.T) {
 		// The old leaf travels along as the base of a patch that rewrites
 		// key's value in it, in place of the new leaf.
 		{"patches against a leaf", trustPatch,
-			warm, nil, func() PointProof {
+			warm, nil, func() BatchProof {
 				p := with(honest, index, forgedLeaf())
 				p.Nodes = append(p.Nodes, oldLeaf)
-				p.Value = []byte("forged value")
+				p.Values = [][]byte{[]byte("forged value")}
 				return p
 			}()},
 		// An honest patch with one more edit, at an entry the base does not
@@ -388,12 +388,11 @@ func TestPatchStructuredForgeries(t *testing.T) {
 		// old path — all pinned — and the old leaf: yesterday's value under
 		// today's root.
 		{"rebuilds a node other than the one the trusted root names", trustPatch,
-			warm, nil, stale(PointProof{Key: key, Found: true,
-				Nodes: [][]byte{append([]byte{patchMarker}, warm[0].digest[:]...), oldLeaf}})},
+			warm, nil, stale(oneKey(key, nil, true, append([]byte{patchMarker}, warm[0].digest[:]...), oldLeaf))},
 		// The honest proof, and beside it a well-formed patch of a node no
 		// walk wants.
 		{"smuggles a patch in beside the nodes asked for", trustExtra,
-			warm, nil, func() PointProof {
+			warm, nil, func() BatchProof {
 				p := honest
 				p.Nodes = append(append([][]byte(nil), honest.Nodes...),
 					binary.AppendUvarint(append([]byte{patchMarker}, warm[0].digest[:]...), 0<<2|patchDelete))
@@ -424,12 +423,12 @@ func TestPatchStructuredForgeries(t *testing.T) {
 }
 
 // blindProves is blindVerify over a blind the caller prepared.
-func blindProves(b *blind, p PointProof, root hashutil.Digest) error {
-	value, found, claim, err := b.get(root, p.Key)
+func blindProves(b *blind, p BatchProof, root hashutil.Digest) error {
+	value, found, claim, err := b.get(root, p.Keys[0])
 	if err != nil {
 		return err
 	}
-	if !claim && (found != p.Found || !bytes.Equal(value, p.Value)) {
+	if !claim && (found != p.Found[0] || !bytes.Equal(value, p.Values[0])) {
 		return ErrProofInvalid
 	}
 	return b.finish()
@@ -549,7 +548,7 @@ func TestHostilePatchCostsBoundedMemory(t *testing.T) {
 		"cut short inside the base digest": head[:20],
 	}
 	for name, slot := range slots {
-		p := PointProof{Key: key, Nodes: [][]byte{slot}}
+		p := oneKey(key, nil, false, slot)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := p.VerifyPath(tr.Root(), pin(warm...))
@@ -610,7 +609,7 @@ func BenchmarkVerifyAfterCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	cut, _ := full.Elide(next.Held(pin(warm.Shipped...).Have()))
-	for name, p := range map[string]PointProof{"whole": full, "patched": cut} {
+	for name, p := range map[string]BatchProof{"whole": full, "patched": cut} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

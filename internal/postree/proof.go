@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"spitz/internal/hashutil"
@@ -18,73 +19,113 @@ var (
 	ErrProofInvalid = errors.New("postree: proof verification failed")
 )
 
-// PointProof proves the presence (Value != nil treated together with Found)
-// or absence of Key under a tree root. It consists of the serialized bodies
-// of the index nodes on the root-to-leaf search path and the leaf, pruned
-// to the entries that decide the answer (see ProveGet); the verifier
-// re-hashes each body, follows child digests from the root and reruns the
-// search.
+// BatchProof proves the presence or absence of one or more keys under a
+// tree root — a point read is the batch of one key — with a single shared
+// node set: the bodies of every node on any key's search path, each once,
+// root first. N point reads at the same root share the root node and every
+// common path prefix, so the proof (and its verification) costs far less
+// than N independent paths; this is the multi-key aggregation Spitz's
+// deferred verification batches receipts into (one multi-proof per
+// digest). A leaf is cut to what decides the keys that land in it: the
+// contiguous run of entries from the first one any of them needs to the
+// last, beside the hash path that binds them to the leaf's digest
+// (posleaf.Prune). For one key that run is the entry itself on a hit, and
+// the entries on either side of the gap on a miss. The verifier re-hashes
+// each body, follows child digests from the root and reruns each search.
 //
 // This is Spitz's "unified index" property in code: the proof is assembled
 // from exactly the nodes the query already visited, so proving costs no
 // extra traversal (contrast with internal/bench/baseline, which performs
 // an independent journal lookup per record).
 //
-// Nodes is a set: the verifier finds each node it wants by the digest the
-// body hashes to, so the bodies of index nodes the verifier said it holds
-// are simply left out (see Path and Elide). The leaf is never left out.
-type PointProof struct {
-	Key   []byte
-	Value []byte // the proven value; nil when Found is false
-	Found bool
-	Nodes [][]byte // node bodies; ProveGet lists them root first
+// Keys[i], Values[i] and Found[i] describe the i-th proven read; Values[i]
+// is nil when Found[i] is false. Nodes is a set: the verifier finds each
+// node it wants by the digest the body hashes to, so the bodies of index
+// nodes the verifier said it holds are simply left out (see Path and
+// Elide). Leaves are never left out.
+type BatchProof struct {
+	Keys   [][]byte
+	Values [][]byte
+	Found  []bool
+	Nodes  [][]byte // bodies of every visited node, each once
 
-	// digests[i] is the content address ProveGet loaded Nodes[i] from. It
-	// never crosses the wire; Elide compares it with what a client says
+	// digests[i] is the content address the prover loaded Nodes[i] from.
+	// It never crosses the wire; Elide compares it with what a client says
 	// it holds, so the server neither re-hashes nor decodes to elide.
 	digests []hashutil.Digest
 }
 
-// ProveGet returns the value under key together with its proof. Absence is
-// also proven (Found=false with the search-path nodes demonstrating no such
-// key exists).
-//
-// The leaf slot is the stored leaf cut down to what decides a search that
-// ended at position i of its entries: entry i for a hit; for a miss the
-// entries on either side of the gap, i-1 and i — only the one that exists
-// when the key sorts before the leaf's first entry or after its last —
-// beside the hash path that binds them to the leaf's digest (posleaf.Prune).
-//
-// The index levels come decoded from the node cache; the leaf, as in Get,
-// is searched — and then cut — in its stored body rather than decoded whole
-// for the sake of one entry, and only the groups the cut ships entries from
-// or hashes siblings in are checked.
-func (t *Tree) ProveGet(key []byte) (PointProof, error) {
-	p := PointProof{Key: key}
+// ProveGet proves one point read: the one-key ProveGetBatch.
+func (t *Tree) ProveGet(key []byte) (BatchProof, error) {
+	return t.ProveGetBatch([][]byte{key})
+}
+
+// ProveGetBatch proves a batch of point reads in one pass, deduplicating
+// shared nodes. Keys may repeat and need not be sorted; results are in
+// request order. The index levels come decoded from the node cache; each
+// key's leaf, as in Get, is searched — and then cut — in its stored body
+// rather than decoded whole, and only the groups the cut ships entries
+// from or hashes siblings in are checked, before any of it is answered or
+// shipped. A key beyond the tree's max has no leaf: the path proves its
+// absence.
+func (t *Tree) ProveGetBatch(keys [][]byte) (BatchProof, error) {
+	p := BatchProof{
+		Keys:   keys,
+		Values: make([][]byte, len(keys)),
+		Found:  make([]bool, len(keys)),
+	}
 	if t.root.IsZero() {
 		return p, nil // proof against the zero root: trivially empty tree
 	}
-	p.Nodes, p.digests = make([][]byte, 0, t.level+1), make([]hashutil.Digest, 0, t.level+1)
-	d, body, err := t.leafFor(key, func(d hashutil.Digest, body []byte) {
-		p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
-	})
-	if err != nil {
-		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+	// seen.list is p.digests: where each visited node sits in p.Nodes.
+	// keep[slot] is the run of entries a visited leaf must keep (unused for
+	// index nodes); a short batch's fit on the stack.
+	size := t.level + len(keys)
+	seen := digestSet{list: make([]hashutil.Digest, 0, size)}
+	p.Nodes = make([][]byte, 0, size)
+	var room [scanLimit][2]int
+	keep := room[:0]
+	visit := func(d hashutil.Digest, body []byte) int {
+		if slot := seen.find(d); slot >= 0 {
+			return slot
+		}
+		seen = seen.add(d)
+		p.Nodes, keep = append(p.Nodes, body), append(keep, [2]int{math.MaxInt, -1})
+		return len(p.Nodes) - 1
 	}
-	if body == nil {
-		return p, nil // key beyond max: the path proves absence
+	for ki, key := range keys {
+		d, body, err := t.leafFor(key, func(d hashutil.Digest, body []byte) { visit(d, body) })
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove get: %w", err)
+		}
+		if body == nil {
+			continue // key beyond max: the path proves absence
+		}
+		slot := visit(d, body)
+		lo, hi, e, found, err := t.find(d, p.Nodes[slot], key)
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove get: %w", err)
+		}
+		if p.Found[ki] = found; found {
+			p.Values[ki] = e.Value
+		}
+		keep[slot] = [2]int{min(keep[slot][0], lo), max(keep[slot][1], hi)}
 	}
-	lo, hi, e, found, err := t.find(d, body, key)
-	if err != nil {
-		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
+	p.digests = seen.list
+	for slot, body := range p.Nodes {
+		if body[0] != 0 {
+			continue
+		}
+		// Several keys' run may span groups none of their searches checked.
+		if err := t.store.CheckGroups(p.digests[slot], body, keep[slot][0], keep[slot][1]); err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove get: %w", err)
+		}
+		pruned, err := posleaf.Prune(body, keep[slot][0], keep[slot][1])
+		if err != nil {
+			return BatchProof{}, fmt.Errorf("postree: prove get: %w", err)
+		}
+		p.Nodes[slot] = pruned
 	}
-	if p.Found = found; found {
-		p.Value = e.Value
-	}
-	if body, err = posleaf.Prune(body, lo, hi); err != nil {
-		return PointProof{}, fmt.Errorf("postree: prove get: %w", err)
-	}
-	p.Nodes, p.digests = append(p.Nodes, body), append(p.digests, d)
 	return p, nil
 }
 
@@ -242,7 +283,7 @@ func elide(nodes [][]byte, digests []hashutil.Digest, have HeldSet) (out [][]byt
 // Elide returns a copy of p without the bodies of the index nodes the
 // client already holds. p itself is not modified; the second result is the
 // number of nodes elided.
-func (p PointProof) Elide(have HeldSet) (PointProof, int) {
+func (p BatchProof) Elide(have HeldSet) (BatchProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
 	if nodes != nil {
 		p.Nodes, p.digests = nodes, nil
@@ -250,16 +291,30 @@ func (p PointProof) Elide(have HeldSet) (PointProof, int) {
 	return p, n
 }
 
-// Ask sets the key the proof answers — the verifier's own, for a proof
-// that travelled without it — and Value to that key's entry among the
-// shipped leaves when the proof claims one: verification then checks the
-// proof answers exactly that key.
-func (p *PointProof) Ask(key []byte) {
-	var room [2]posleaf.Leaf
-	p.Key, p.Value = key, nil
-	if p.Found {
-		p.Value = shippedValue(shippedLeaves(p.Nodes, room[:0]), key)
+// Ask sets the keys the proof answers — the verifier's own, for a proof
+// that travelled without them, one per proven read — and each found key's
+// value to that key's entry among the shipped leaves: verification then
+// checks the proof answers exactly those keys. Values is rewritten in
+// place when it already has a slot per key. Ask reports false, and leaves
+// p as it was, when the number of keys is not the number of reads the
+// proof proves.
+func (p *BatchProof) Ask(keys [][]byte) bool {
+	if len(keys) != len(p.Found) {
+		return false
 	}
+	var room [2]posleaf.Leaf
+	leaves := shippedLeaves(p.Nodes, room[:0])
+	if len(p.Values) != len(keys) {
+		p.Values = make([][]byte, len(keys))
+	}
+	p.Keys = keys
+	for i, key := range keys {
+		p.Values[i] = nil
+		if p.Found[i] {
+			p.Values[i] = shippedValue(leaves, key)
+		}
+	}
+	return true
 }
 
 // Node is a decoded index node that a verifier has hashed to its digest
@@ -618,25 +673,36 @@ func childSpan(entries []Entry, start, end []byte) (from, to int) {
 }
 
 // Verify checks the proof against a trusted root digest. On success the
-// caller may trust p.Value/p.Found for p.Key as of the state committed by
-// root. Every node must be shipped: it is VerifyPath with nothing pinned.
-func (p PointProof) Verify(root hashutil.Digest) error {
+// caller may trust every (Keys[i], Values[i], Found[i]) triple as of the
+// state committed by root. Verification is all-or-nothing: a corrupt
+// shared node fails every read whose path crosses it — and because the
+// proof is rejected as a whole, every covered read is rejected. Every node
+// must be shipped: it is VerifyPath with nothing pinned.
+func (p BatchProof) Verify(root hashutil.Digest) error {
 	return p.VerifyPath(root, nil)
 }
 
 // VerifyPath is Verify for a verifier that may already hold some of the
-// path's index nodes (path may be nil). The walk starts at the trusted
-// root and follows child digests exactly as for a full proof; the
-// resolver hands it each node from a shipped body, which must hash to the
-// wanted digest, or from the verifier's own pinned nodes — never on the
-// server's say-so. The leaf is never pinned, so it is always hashed fresh:
-// the entries shipped and their siblings up to the digest its parent
-// routes to.
-func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
+// index nodes on the keys' search paths (path may be nil). Each key's
+// search starts at the trusted root and follows child digests exactly as
+// for a full proof; the resolver hands it each node from a shipped body,
+// which must hash to the wanted digest, or from the verifier's own pinned
+// nodes — never on the server's say-so. Leaves are never pinned, so they
+// are always hashed fresh: the entries shipped and their siblings up to
+// the digest the parent routes to.
+func (p BatchProof) VerifyPath(root hashutil.Digest, path *Path) error {
+	if len(p.Values) != len(p.Keys) || len(p.Found) != len(p.Keys) {
+		return ErrProofInvalid
+	}
 	if root.IsZero() {
 		// Empty tree: every key is absent and the proof must be empty.
-		if p.Found || len(p.Nodes) != 0 {
+		if len(p.Nodes) != 0 {
 			return ErrProofInvalid
+		}
+		for i := range p.Keys {
+			if p.Found[i] || p.Values[i] != nil {
+				return ErrProofInvalid
+			}
 		}
 		return nil
 	}
@@ -645,12 +711,14 @@ func (p PointProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if err != nil {
 		return err
 	}
-	value, found, err := r.get(root, p.Key)
-	if err != nil {
-		return err
-	}
-	if found != p.Found || !bytes.Equal(value, p.Value) {
-		return ErrProofInvalid
+	for i, key := range p.Keys {
+		value, found, err := r.get(root, key)
+		if err != nil {
+			return err
+		}
+		if found != p.Found[i] || !bytes.Equal(value, p.Values[i]) {
+			return ErrProofInvalid
+		}
 	}
 	return r.finish()
 }
@@ -672,7 +740,7 @@ type RangeProof struct {
 	Entries    []Entry
 	Nodes      [][]byte // bodies of the visited nodes; ProveScan lists them in preorder
 
-	digests []hashutil.Digest // digests[i] addresses Nodes[i]; see PointProof
+	digests []hashutil.Digest // digests[i] addresses Nodes[i]; see BatchProof
 }
 
 // ProveScan scans [start, end) and returns the result set with its proof.
@@ -717,7 +785,7 @@ func (t *Tree) proveScanNode(d hashutil.Digest, p *RangeProof) error {
 	return nil
 }
 
-// Elide is PointProof.Elide for a range proof.
+// Elide is BatchProof.Elide for a range proof.
 func (p RangeProof) Elide(have HeldSet) (RangeProof, int) {
 	nodes, n := elide(p.Nodes, p.digests, have)
 	if nodes != nil {
@@ -742,7 +810,7 @@ func (p *RangeProof) Verify(root hashutil.Digest) error {
 }
 
 // VerifyPath is Verify for a verifier that may hold some of the scan's
-// index nodes (see PointProof.VerifyPath). On an error p.Entries is left
+// index nodes (see BatchProof.VerifyPath). On an error p.Entries is left
 // empty.
 func (p *RangeProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	p.Entries = nil

@@ -9,6 +9,11 @@ import (
 	"spitz/internal/hashutil"
 )
 
+// oneKey is the proof of one read of key, as a prover or forger states it.
+func oneKey(key, value []byte, found bool, nodes ...[]byte) BatchProof {
+	return BatchProof{Keys: [][]byte{key}, Values: [][]byte{value}, Found: []bool{found}, Nodes: nodes}
+}
+
 func TestPointProofPresent(t *testing.T) {
 	entries := testEntries(4000, 20)
 	tr := mustBulk(t, entries)
@@ -18,7 +23,7 @@ func TestPointProofPresent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ProveGet: %v", err)
 		}
-		if !p.Found || !bytes.Equal(p.Value, entries[i].Value) {
+		if !p.Found[0] || !bytes.Equal(p.Values[0], entries[i].Value) {
 			t.Fatalf("proof for %s carries wrong value", entries[i].Key)
 		}
 		if err := p.Verify(root); err != nil {
@@ -34,7 +39,7 @@ func TestPointProofAbsent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Found {
+		if p.Found[0] {
 			t.Fatalf("absent key %q reported found", k)
 		}
 		if err := p.Verify(tr.Root()); err != nil {
@@ -53,8 +58,8 @@ func TestPointProofEmptyTree(t *testing.T) {
 		t.Fatalf("empty-tree proof: %v", err)
 	}
 	// But a nonempty claim against the zero root must fail.
-	p.Found = true
-	p.Value = []byte("v")
+	p.Found = []bool{true}
+	p.Values = [][]byte{[]byte("v")}
 	if err := p.Verify(tr.Root()); err == nil {
 		t.Fatal("forged presence verified against empty root")
 	}
@@ -67,8 +72,8 @@ func TestPointProofDetectsValueTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Value = append([]byte(nil), p.Value...)
-	p.Value[0] ^= 0xFF
+	p.Values[0] = append([]byte(nil), p.Values[0]...)
+	p.Values[0][0] ^= 0xFF
 	if err := p.Verify(tr.Root()); err == nil {
 		t.Fatal("tampered value verified")
 	}
@@ -97,8 +102,8 @@ func TestPointProofDetectsForgedAbsence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Found = false
-	p.Value = nil
+	p.Found = []bool{false}
+	p.Values = [][]byte{nil}
 	if err := p.Verify(tr.Root()); err == nil {
 		t.Fatal("forged absence of a present key verified")
 	}
@@ -315,16 +320,16 @@ func TestValuesTravelOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := AppendPointProof(nil, p)
-		if p.Found && bytes.Count(wire, p.Value) != 1 {
-			t.Fatalf("%q: the value is in the encoding %d times", key, bytes.Count(wire, p.Value))
+		wire := AppendBatchProof(nil, p)
+		if p.Found[0] && bytes.Count(wire, p.Values[0]) != 1 {
+			t.Fatalf("%q: the value is in the encoding %d times", key, bytes.Count(wire, p.Values[0]))
 		}
-		got, rest, err := ReadPointProof(wire)
+		got, rest, err := ReadBatchProof(wire)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%q: %v, %d bytes left", key, err, len(rest))
 		}
-		if got.Found != p.Found || !bytes.Equal(got.Value, p.Value) || (got.Value == nil) != (p.Value == nil) {
-			t.Fatalf("%q: decoded found=%v value=%q, built found=%v value=%q", key, got.Found, got.Value, p.Found, p.Value)
+		if got.Found[0] != p.Found[0] || !bytes.Equal(got.Values[0], p.Values[0]) || (got.Values[0] == nil) != (p.Values[0] == nil) {
+			t.Fatalf("%q: decoded found=%v value=%q, built found=%v value=%q", key, got.Found, got.Values[0], p.Found, p.Values[0])
 		}
 		if err := got.Verify(tr.Root()); err != nil {
 			t.Fatalf("%q: decoded proof: %v", key, err)
@@ -353,10 +358,10 @@ func TestValuesTravelOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss.Found = true
-	forged, _, err := ReadPointProof(AppendPointProof(nil, miss))
-	if err != nil || !forged.Found || forged.Value != nil {
-		t.Fatalf("decoded found=%v value=%q: %v", forged.Found, forged.Value, err)
+	miss.Found = []bool{true}
+	forged, _, err := ReadBatchProof(AppendBatchProof(nil, miss))
+	if err != nil || !forged.Found[0] || forged.Values[0] != nil {
+		t.Fatalf("decoded found=%v value=%q: %v", forged.Found, forged.Values[0], err)
 	}
 	if err := forged.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("a proof that claims a key found in a run without it: %v", err)

@@ -549,7 +549,7 @@ func TestNodeCacheRetireRace(t *testing.T) {
 						t.Errorf("point proof on a snapshot behind the head: %v", err)
 						return
 					}
-					if v, ok, err := snap.Get(k); err != nil || ok != p.Found || !bytes.Equal(v, p.Value) {
+					if v, ok, err := snap.Get(k); err != nil || ok != p.Found[0] || !bytes.Equal(v, p.Values[0]) {
 						t.Errorf("read on a snapshot behind the head disagrees with its proof (%v)", err)
 						return
 					}

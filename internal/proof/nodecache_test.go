@@ -77,18 +77,14 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 		}
 	}
-	b, err := p.Batch()
-	if err != nil {
+	if err := r.v.VerifyBatch(p, d, 1, &Pin{Path: path}); err != nil {
 		return nil, err
 	}
-	if err := r.v.VerifyBatch(b, d, 1, &Pin{Path: path}); err != nil {
-		return nil, err
+	live, err := p.Live([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}})
+	if err != nil || len(live[0]) != 1 {
+		return nil, fmt.Errorf("cells: %v %v", live, err)
 	}
-	cells, err := p.Cells()
-	if err != nil || len(cells) != 1 {
-		return nil, fmt.Errorf("cells: %v %v", cells, err)
-	}
-	return cells[0].Value, nil
+	return live[0][0].Value, nil
 }
 
 // cacheState is everything about a node cache a rejected proof must not
@@ -149,11 +145,7 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Batch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.v.VerifyBatch(b, d, 1, &Pin{}); err != nil {
+	if err := r.v.VerifyBatch(p, d, 1, &Pin{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
@@ -182,7 +174,7 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 			leaf[len(leaf)/2] ^= 1
 			p.Point.Nodes = append(append([][]byte(nil), n[:len(n)-1]...), leaf)
 		},
-		"value":  func(p *ledger.Proof) { p.Point.Value = []byte("forged") },
+		"value":  func(p *ledger.Proof) { p.Point.Values = [][]byte{[]byte("forged")} },
 		"header": func(p *ledger.Proof) { p.Header.CellCount++ },
 		"no leaf": func(p *ledger.Proof) {
 			p.Point.Nodes = p.Point.Nodes[:len(p.Point.Nodes)-1]
@@ -437,12 +429,12 @@ func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
 // what is held where the queries will walk, prove the batch at the head,
 // cut the proof down as the wire boundary does, and verify against the
 // pinned set.
-func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *ledger.BatchProof)) (ledger.BatchProof, error) {
+func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *ledger.Proof)) (ledger.Proof, error) {
 	path := r.v.PinFor(queries)
 	d := r.l.Digest()
 	res, err := r.l.ProveBatch(r.v.Digest(), d, queries)
 	if err != nil {
-		return ledger.BatchProof{}, err
+		return ledger.Proof{}, err
 	}
 	p := res.Proof.Elide(r.l.Held(path.Have()))
 	if tamper != nil {
@@ -451,7 +443,7 @@ func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *led
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.v.Advance(res.Digest, res.ConsTrusted); err != nil {
-		return ledger.BatchProof{}, err
+		return ledger.Proof{}, err
 	}
 	return p, r.v.VerifyBatch(p, res.Digest, len(queries), path)
 }
@@ -502,7 +494,7 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count(full.Proof.Points.Nodes)
+	count(full.Proof.Point.Nodes)
 	for i := range full.Proof.Ranges {
 		count(full.Proof.Ranges[i].Nodes)
 	}
@@ -512,7 +504,7 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := r.v.ProofStats()
-	for _, nodes := range [][][]byte{warmProof.Points.Nodes, warmProof.Ranges[0].Nodes, warmProof.Ranges[1].Nodes} {
+	for _, nodes := range [][][]byte{warmProof.Point.Nodes, warmProof.Ranges[0].Nodes, warmProof.Ranges[1].Nodes} {
 		for _, body := range nodes {
 			if body[0] != 0 {
 				t.Fatal("an index node was shipped to a verifier that holds it")
@@ -584,32 +576,32 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 		out[len(out)-1] = leaf
 		return out
 	}
-	tampers := map[string]func(p *ledger.BatchProof){
-		"point leaf byte": func(p *ledger.BatchProof) {
-			pts := *p.Points
+	tampers := map[string]func(p *ledger.Proof){
+		"point leaf byte": func(p *ledger.Proof) {
+			pts := *p.Point
 			pts.Nodes = lastLeaf(pts.Nodes)
-			p.Points = &pts
+			p.Point = &pts
 		},
-		"last range's leaf byte": func(p *ledger.BatchProof) {
+		"last range's leaf byte": func(p *ledger.Proof) {
 			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
 			p.Ranges[len(p.Ranges)-1].Nodes = lastLeaf(p.Ranges[len(p.Ranges)-1].Nodes)
 		},
-		"a value": func(p *ledger.BatchProof) {
-			pts := *p.Points
+		"a value": func(p *ledger.Proof) {
+			pts := *p.Point
 			pts.Values = append([][]byte(nil), pts.Values...)
 			pts.Values[0] = []byte("forged")
-			p.Points = &pts
+			p.Point = &pts
 		},
-		"narrower range": func(p *ledger.BatchProof) {
+		"narrower range": func(p *ledger.Proof) {
 			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
 			p.Ranges[0].End = cellstore.CellPrefix("t", "c", cachePK(20050))
 		},
-		"an extra node": func(p *ledger.BatchProof) {
-			pts := *p.Points
+		"an extra node": func(p *ledger.Proof) {
+			pts := *p.Point
 			pts.Nodes = append(append([][]byte(nil), pts.Nodes...), p.Ranges[0].Nodes[len(p.Ranges[0].Nodes)-1])
-			p.Points = &pts
+			p.Point = &pts
 		},
-		"header": func(p *ledger.BatchProof) { p.Header.CellCount++ },
+		"header": func(p *ledger.Proof) { p.Header.CellCount++ },
 	}
 	for name, tamper := range tampers {
 		r.v.PinFor(qs) // the recency touch an honest flush makes too

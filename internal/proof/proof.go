@@ -1,8 +1,8 @@
 // Package proof implements the client side of Spitz verification
 // (Section 5.3): clients keep the latest ledger digest locally,
 // recalculate digests from received proofs, and compare. Every proof —
-// one read's or a batch's — is checked as a ledger.BatchProof
-// (VerifyBatch); when it is checked, per read or in batch (Section 3.2's
+// one read's or a batch's, both a ledger.Proof — is checked by
+// VerifyBatch; when it is checked, per read or in batch (Section 3.2's
 // online vs deferred verification), is the caller's choice.
 package proof
 
@@ -112,21 +112,11 @@ func CheckPrefix(old, next ledger.Digest, cons *mtree.ConsistencyProof) error {
 	return nil
 }
 
-// VerifyNow checks a point or range proof against the trusted digest: the
-// proof viewed as a one-query batch (ledger.Proof.Batch) through
-// VerifyBatch. Its range rows are then p.Range's, for Proof.Cells.
+// VerifyNow checks a proof against the trusted digest through
+// VerifyBatch, as one read with nothing pinned. Its range rows are then
+// filled, for Proof.Live.
 func (v *Verifier) VerifyNow(p ledger.Proof) error {
-	b, err := p.Batch()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if err := v.VerifyBatch(b, v.Digest(), 1, &Pin{}); err != nil {
-		return err
-	}
-	if p.Range != nil {
-		p.Range.Entries = b.Ranges[0].Entries
-	}
-	return nil
+	return v.VerifyBatch(p, v.Digest(), 1, &Pin{})
 }
 
 // accept records a proof p that verified against d: reads counted, its
@@ -135,7 +125,7 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 // (headers and digests at their wire size, no framing) — added to the
 // counters, the index nodes it shipped admitted to the cache and the
 // pinned ones it superseded dropped, a header it bound to d's head kept.
-func (v *Verifier) accept(p *ledger.BatchProof, d ledger.Digest, path *postree.Path, reads, shipped, bytes int) {
+func (v *Verifier) accept(p *ledger.Proof, d ledger.Digest, path *postree.Path, reads, shipped, bytes int) {
 	elided, patched := 0, 0
 	if path != nil {
 		elided, patched = path.Elided(), path.Patched
@@ -223,17 +213,17 @@ func (v *Verifier) coveredBy(d ledger.Digest) error {
 }
 
 // VerifyBatch is the one place a proof is checked — a deferred-audit
-// flush's, a verified query's, or one point or range read's viewed as a
-// batch (ledger.Proof.Batch): against d, the trusted digest or an older
-// one the caller has shown to be a prefix of it (a response is proven at
-// the digest the server served it at, which under write churn can trail
-// the client's already-advanced trust), resolving what the server left
-// out from pin (from PinFor; &Pin{} pins nothing): index nodes, and the
-// block binding, for exactly the digest whose header the pin holds. Only
-// once the whole proof has verified are the reads counted, its traffic
-// counted, the index nodes it shipped cached and the pinned ones it
-// superseded dropped: a rejected proof leaves the verifier as it was.
-func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, pin *Pin) error {
+// flush's, a verified query's, or one point or range read's: against d,
+// the trusted digest or an older one the caller has shown to be a prefix
+// of it (a response is proven at the digest the server served it at,
+// which under write churn can trail the client's already-advanced trust),
+// resolving what the server left out from pin (from PinFor; &Pin{} pins
+// nothing): index nodes, and the block binding, for exactly the digest
+// whose header the pin holds. Only once the whole proof has verified are
+// the reads counted, its traffic counted, the index nodes it shipped
+// cached and the pinned ones it superseded dropped: a rejected proof
+// leaves the verifier as it was.
+func (v *Verifier) VerifyBatch(p ledger.Proof, d ledger.Digest, reads int, pin *Pin) error {
 	if err := v.coveredBy(d); err != nil {
 		return err
 	}
@@ -255,9 +245,9 @@ func (v *Verifier) VerifyBatch(p ledger.BatchProof, d ledger.Digest, reads int, 
 	if !p.Unbound { // the binding counts only where it travelled
 		bytes = ledger.HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
 	}
-	if p.Points != nil {
-		shipped += len(p.Points.Nodes)
-		bytes += bodyBytes(p.Points.Nodes)
+	if p.Point != nil {
+		shipped += len(p.Point.Nodes)
+		bytes += bodyBytes(p.Point.Nodes)
 	}
 	for i := range p.Ranges {
 		shipped += len(p.Ranges[i].Nodes)
@@ -279,11 +269,8 @@ func (v *Verifier) VerifyBlock(header ledger.BlockHeader, inc mtree.InclusionPro
 	if !trusted {
 		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
 	}
-	if header.Height >= d.Height || inc.TreeSize != int(d.Height) || inc.Index != int(header.Height) {
+	if err := ledger.VerifyBlock(header, inc, d); err != nil {
 		return fmt.Errorf("%w: block %d not covered by digest %d", ErrTampered, header.Height, d.Height)
-	}
-	if err := inc.Verify(d.Root, mtree.LeafHash(header.Encode())); err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	v.mu.Lock()
 	v.verified++

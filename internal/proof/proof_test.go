@@ -132,12 +132,22 @@ func TestAdvanceFromTheEmptyLedger(t *testing.T) {
 	}
 }
 
+// proveGet proves one point read of t.c at height: the one-key Prove.
+func proveGet(t *testing.T, l *ledger.Ledger, height uint64, pk string) ledger.Proof {
+	t.Helper()
+	p, err := l.Prove(height, []ledger.BatchQuery{{Table: "t", Column: "c", PK: []byte(pk)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestVerifyNow(t *testing.T) {
 	l := testLedger(t, 4)
 	v := NewVerifier()
 	v.Advance(l.Digest(), mtree.ConsistencyProof{})
-	_, ok, p, err := l.ProveGetLatest(3, "t", "c", []byte("k002"))
-	if err != nil || !ok {
+	p := proveGet(t, l, 3, "k002")
+	if !p.Point.Found[0] {
 		t.Fatal("read failed")
 	}
 	if err := v.VerifyNow(p); err != nil {
@@ -151,7 +161,7 @@ func TestVerifyNow(t *testing.T) {
 
 func TestVerifyNowWithoutDigest(t *testing.T) {
 	l := testLedger(t, 2)
-	_, _, p, _ := l.ProveGetLatest(1, "t", "c", []byte("k000"))
+	p := proveGet(t, l, 1, "k000")
 	v := NewVerifier()
 	if err := v.VerifyNow(p); !errors.Is(err, ErrTampered) {
 		t.Fatal("verification without pinned digest succeeded")
@@ -162,7 +172,7 @@ func TestVerifyNowDetectsTampering(t *testing.T) {
 	l := testLedger(t, 4)
 	v := NewVerifier()
 	v.Advance(l.Digest(), mtree.ConsistencyProof{})
-	_, _, p, _ := l.ProveGetLatest(3, "t", "c", []byte("k001"))
+	p := proveGet(t, l, 3, "k001")
 	p.Header.Version ^= 1
 	if err := v.VerifyNow(p); !errors.Is(err, ErrTampered) {
 		t.Fatal("tampered proof accepted")

@@ -350,10 +350,10 @@ func (pl Plan) finish(rows map[string]*Row) (Result, error) {
 // ResultFromProof rebuilds the query result exclusively from a verified
 // batch proof — the response's unproven cells only seeded the obligation
 // derivation. The proof must discharge exactly the plan's obligations
-// (BatchProof.Answers: a valid proof of a narrower range would silently
+// (Proof.Answers: a valid proof of a narrower range would silently
 // omit rows, one for another key smuggle in that key's value); any
 // mismatch is an error the caller reports as tampering.
-func (pl Plan) ResultFromProof(cells []cellstore.Cell, bp *ledger.BatchProof) (Result, error) {
+func (pl Plan) ResultFromProof(cells []cellstore.Cell, bp *ledger.Proof) (Result, error) {
 	queries := pl.Queries(cells)
 	if !bp.Answers(queries) {
 		return Result{}, fmt.Errorf("proof does not answer the plan's %d obligations", len(queries))

@@ -17,7 +17,7 @@ type VerifiedSelect struct {
 	Cells  []cellstore.Cell
 	Found  bool
 	Digest ledger.Digest
-	Proof  *ledger.BatchProof
+	Proof  *ledger.Proof
 }
 
 // snapReader reads from an immutable ledger snapshot, so a verified

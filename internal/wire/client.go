@@ -313,21 +313,25 @@ func (c *Client) Do(req Request) (Response, error) {
 	if resp.Err != "" {
 		return resp, errors.New(resp.Err)
 	}
-	if resp.Proof != nil {
-		resp.Proof.Ask(req.Table, req.Column, req.PK, req.PKHi)
-	}
-	if resp.BatchProof != nil {
-		resp.BatchProof.Ask(question(&req, resp.Cells))
+	var one [1]ledger.BatchQuery
+	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
+		if p != nil {
+			p.Ask(question(&req, resp.Cells, &one))
+		}
 	}
 	return resp, nil
 }
 
-// question returns the obligations a batch proof answering req discharges:
-// an audit flush's receipts, or the plan of a SELECT given the cells it
-// returned (query.Plan.Queries) — as the client derives them again to
-// check the proof.
-func question(req *Request, cells []cellstore.Cell) []ledger.BatchQuery {
-	if req.Op == OpProveBatch {
+// question returns the queries a proof answering req proves: a point or
+// range read's one (in one), an audit flush's receipts, or the plan of a
+// SELECT given the cells it returned (query.Plan.Queries) — as the client
+// derives them again to check the proof.
+func question(req *Request, cells []cellstore.Cell, one *[1]ledger.BatchQuery) []ledger.BatchQuery {
+	switch req.Op {
+	case OpGetVerified, OpRangeVer:
+		one[0] = ledger.BatchQuery{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}
+		return one[:]
+	case OpProveBatch:
 		return req.Audits
 	}
 	if st, err := query.Parse(req.Statement); err == nil {

@@ -381,7 +381,7 @@ func DecodeResponse(src []byte) (Response, error) {
 		})
 	}
 	if bits&respBatchProof != 0 {
-		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.BatchProof, []byte, error) {
+		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
 			return ledger.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
 		})
 	}

@@ -56,6 +56,26 @@ func heldNodes(t testing.TB, resp Response) []*postree.Node {
 	return got.Shipped
 }
 
+// proofCells reads the live cells resp's proof proves for req, a verified
+// proof: the question checked (Answers), then each query's cells in order.
+func proofCells(resp Response, req Request) ([]cellstore.Cell, error) {
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
+	}
+	var one [1]ledger.BatchQuery
+	q := question(&req, resp.Cells, &one)
+	if p == nil || !p.Answers(q) {
+		return nil, errors.New("the proof answers another question")
+	}
+	live, err := p.Live(q)
+	var cells []cellstore.Cell
+	for _, cs := range live {
+		cells = append(cells, cs...)
+	}
+	return cells, err
+}
+
 // pin returns a fresh path holding nodes; a path serves one verification.
 func pin(nodes []*postree.Node) *postree.Path {
 	pa := postree.NewPath(len(nodes))
@@ -90,7 +110,7 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 	if got := AppendResponse(nil, &resp); !bytes.Equal(got, want) {
 		t.Fatalf("hint-less response is not the full proof: %d bytes, want %d", len(got), len(want))
 	}
-	cells, err := resp.Proof.Cells()
+	cells, err := proofCells(resp, req)
 	if err != nil || len(cells) != 1 || !bytes.Equal(cells[0].Value, res.Cells[0].Value) {
 		t.Fatalf("row not recoverable from the proof: %v %v", cells, err)
 	}
@@ -180,7 +200,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 		if resp.Cells != nil {
 			t.Fatalf("%d cells travel beside the proof", len(resp.Cells))
 		}
-		cells, err := resp.Proof.Cells()
+		cells, err := cellstore.DecodeEntries(resp.Proof.Ranges[0].Entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +220,10 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 	batchRows := func(t testing.TB, resp Response) []string {
 		bp := resp.BatchProof
 		var out []string
-		if bp.Points != nil {
-			for i := range bp.Points.Keys {
-				if bp.Points.Found[i] {
-					_, v, _, err := cellstore.DecodeVersion(bp.Points.Values[i])
+		if bp.Point != nil {
+			for i := range bp.Point.Keys {
+				if bp.Point.Found[i] {
+					_, v, _, err := cellstore.DecodeVersion(bp.Point.Values[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -240,15 +260,16 @@ func verifyMultiRow(resp Response, path *postree.Path) error {
 }
 
 func proofNodes(resp Response) (nodes [][]byte, entries int) {
-	if resp.Proof != nil {
-		return resp.Proof.Range.Nodes, len(resp.Proof.Range.Entries)
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
 	}
-	if bp := resp.BatchProof; bp.Points != nil {
-		nodes = append(nodes, bp.Points.Nodes...)
+	if p.Point != nil {
+		nodes = append(nodes, p.Point.Nodes...)
 	}
-	for i := range resp.BatchProof.Ranges {
-		nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)
-		entries += len(resp.BatchProof.Ranges[i].Entries)
+	for i := range p.Ranges {
+		nodes = append(nodes, p.Ranges[i].Nodes...)
+		entries += len(p.Ranges[i].Entries)
 	}
 	return nodes, entries
 }
@@ -332,8 +353,8 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 		})
 	}
 	res, err := eng.RangePKVerified("t", "c", []byte("pk03190"), []byte("pk03260"))
-	if err != nil || len(res.Proof.Range.Entries) != 70 || len(res.Cells) != 70 {
-		t.Fatalf("the engine's range result lost its rows: %d entries, %d cells, %v", len(res.Proof.Range.Entries), len(res.Cells), err)
+	if err != nil || len(res.Proof.Ranges[0].Entries) != 70 || len(res.Cells) != 70 {
+		t.Fatalf("the engine's range result lost its rows: %d entries, %d cells, %v", len(res.Proof.Ranges[0].Entries), len(res.Cells), err)
 	}
 }
 
@@ -367,7 +388,7 @@ func TestElisionOverTheWire(t *testing.T) {
 	if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
 		t.Fatalf("elided proof: %v", err)
 	}
-	cells, err := warm.Proof.Cells()
+	cells, err := proofCells(warm, req)
 	if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-03210" {
 		t.Fatalf("%v %v", cells, err)
 	}
@@ -446,7 +467,7 @@ func prunedShape(t testing.TB, resp Response) string {
 	switch {
 	case resp.Found:
 		return "hit"
-	case leaf.First == 0 && bytes.Compare(resp.Proof.Point.Key, first) < 0:
+	case leaf.First == 0 && bytes.Compare(resp.Proof.Point.Keys[0], first) < 0:
 		return "miss below the leaf's first key"
 	case leaf.N == 2:
 		return "miss between two entries"
@@ -545,21 +566,14 @@ func FuzzElidedRead(f *testing.F) {
 		// Whatever decoded — nodes missing anywhere, leaves included, rows
 		// claimed beside them — verification decides, with and without
 		// pinned nodes.
-		if p := resp.Proof; p != nil {
+		for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+			if p == nil {
+				continue
+			}
 			_ = p.Verify(resp.Digest)
 			_ = p.VerifyPath(resp.Digest, pin(held))
 			if p.Point != nil {
 				_ = p.Point.VerifyPath(root, pin(held))
-			}
-			if p.Range != nil {
-				_ = p.Range.VerifyPath(root, pin(held))
-			}
-		}
-		if p := resp.BatchProof; p != nil {
-			_ = p.Verify(resp.Digest)
-			_ = p.VerifyPath(resp.Digest, pin(held))
-			if p.Points != nil {
-				_ = p.Points.VerifyPath(root, pin(held))
 			}
 			for i := range p.Ranges {
 				_ = p.Ranges[i].VerifyPath(root, pin(held))
@@ -609,7 +623,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 			}
 			cold := Dispatch(eng, m.req)
 			coldBytes := AppendResponse(nil, &cold)
-			coldNodes, _ := proofNodes(pointAsRange(cold))
+			coldNodes, _ := proofNodes(cold)
 			for _, slot := range coldNodes {
 				if slot[0] == patchMarker {
 					t.Fatal("a hint-less request was answered with a patch")
@@ -632,7 +646,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 				named[d] = true
 			}
 			patched := 0
-			warmNodes, _ := proofNodes(pointAsRange(warm))
+			warmNodes, _ := proofNodes(warm)
 			for _, slot := range warmNodes {
 				if slot[0] != patchMarker {
 					continue
@@ -680,16 +694,6 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 	}
 }
 
-// pointAsRange lets proofNodes read a point proof's node list.
-func pointAsRange(resp Response) Response {
-	if resp.Proof != nil && resp.Proof.Point != nil {
-		p := *resp.Proof
-		p.Range = &postree.RangeProof{Nodes: p.Point.Nodes}
-		resp.Proof = &p
-	}
-	return resp
-}
-
 // FuzzPatchedRead is FuzzElidedRead for responses that carry patches: the
 // seeds are the patched answers, of every proof shape, to a client one
 // commit behind. Whatever decodes is verified against the nodes that
@@ -720,7 +724,7 @@ func FuzzPatchedRead(f *testing.F) {
 		}
 		f.Add(AppendRequest(nil, &m.req))
 		f.Add(AppendResponse(nil, &resp))
-		nodes, _ := proofNodes(pointAsRange(resp))
+		nodes, _ := proofNodes(resp)
 		for _, slot := range nodes {
 			if slot[0] == patchMarker {
 				f.Add(slot[1+hashutil.DigestSize:]) // the edits alone
@@ -743,20 +747,14 @@ func FuzzPatchedRead(f *testing.F) {
 			}
 		}
 		if resp, err := DecodeResponse(data); err == nil {
-			if p := resp.Proof; p != nil {
+			for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+				if p == nil {
+					continue
+				}
 				_ = p.VerifyPath(resp.Digest, pin(held))
 				if p.Point != nil {
 					_ = p.Point.VerifyPath(root, pin(held))
 					_ = p.Point.Verify(root)
-				}
-				if p.Range != nil {
-					_ = p.Range.VerifyPath(root, pin(held))
-				}
-			}
-			if p := resp.BatchProof; p != nil {
-				_ = p.VerifyPath(resp.Digest, pin(held))
-				if p.Points != nil {
-					_ = p.Points.VerifyPath(root, pin(held))
 				}
 				for i := range p.Ranges {
 					_ = p.Ranges[i].VerifyPath(root, pin(held))
@@ -766,7 +764,7 @@ func FuzzPatchedRead(f *testing.F) {
 		for _, base := range held {
 			d := base.Digest()
 			slot := append(append([]byte{patchMarker}, d[:]...), data...)
-			p := postree.PointProof{Key: pk, Nodes: [][]byte{slot}}
+			p := postree.BatchProof{Keys: [][]byte{pk}, Values: [][]byte{nil}, Found: []bool{false}, Nodes: [][]byte{slot}}
 			if err := p.VerifyPath(root, pin(held)); err == nil && len(data) > 0 {
 				// A lone patched slot verifies only as the root itself,
 				// proving pk beyond its largest key — which pk is not.

@@ -156,8 +156,8 @@ type Response struct {
 	Found        bool
 	Value        []byte
 	Cells        []cellstore.Cell
-	Proof        *ledger.Proof
-	BatchProof   *ledger.BatchProof // OpProveBatch: the aggregated proof
+	Proof        *ledger.Proof // OpGetVerified, OpRangeVer: the one-query layout (ledger.AppendProof)
+	BatchProof   *ledger.Proof // OpProveBatch, a SELECT's OpQuery: the batch layout (ledger.AppendBatchProof)
 	Digest       ledger.Digest
 	Consistency  *mtree.ConsistencyProof // also on an eager read: Request.Height → Digest
 	Consistency2 *mtree.ConsistencyProof // OpConsistency/OpProveBatch with OldDigest2

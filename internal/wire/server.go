@@ -323,20 +323,17 @@ func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
 }
 
 // withoutQuestion is a trimmed response as it travels: a proof that
-// answers exactly the question the request asked (ledger.BatchProof.Answers,
+// answers exactly the question the request asked (ledger.Proof.Answers,
 // the check its client makes) goes without it — the client supplies it
 // (Client.Do) — and one that answers anything else keeps its own, for the
 // client to refuse. The proof structs are the response's own (see fit);
 // what they point to is replaced, not edited.
 func withoutQuestion(req *Request, resp Response) Response {
-	if p := resp.Proof; p != nil {
-		q := [1]ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: p.Range != nil}}
-		if view, err := p.Batch(); err == nil && view.Answers(q[:]) {
+	var one [1]ledger.BatchQuery
+	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
+		if p != nil && p.Answers(question(req, resp.Cells, &one)) {
 			*p = p.Trimmed()
 		}
-	}
-	if bp := resp.BatchProof; bp != nil && bp.Answers(question(req, resp.Cells)) {
-		*bp = bp.Trimmed()
 	}
 	return resp
 }
@@ -347,10 +344,7 @@ func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
 	if req.trimmed {
 		resp = withoutQuestion(&req, resp)
 	}
-	var encStart time.Time
-	if tr.Sampled() {
-		encStart = time.Now()
-	}
+	encStart := tr.Now()
 	out := getBuf()
 	out.b = AppendResponse(out.b[:0], &resp)
 	respBytes := len(out.b)
@@ -420,15 +414,14 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // lists and sub-proofs inside may be shared, and Elide replaces rather
 // than edits those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
-	p, bp := resp.Proof, resp.BatchProof
-	if p != nil {
-		*p = p.Elide(eng.Ledger().Held(req.Have))
-	}
-	if bp != nil {
-		*bp = bp.Elide(eng.Ledger().Held(req.Have))
+	proofs := [...]*ledger.Proof{resp.Proof, resp.BatchProof}
+	for _, p := range proofs {
+		if p != nil {
+			*p = p.Elide(eng.Ledger().Held(req.Have))
+		}
 	}
 	switch d := resp.Digest; {
-	case req.Height == 0 || req.Op == OpProveBatch || p == nil && bp == nil:
+	case req.Height == 0 || req.Op == OpProveBatch || resp.Proof == nil && resp.BatchProof == nil:
 	case d.Height > req.Height:
 		cons, err := eng.ConsistencyProof(req.Height, d.Height)
 		if err != nil {
@@ -437,14 +430,13 @@ func fit(eng *core.Engine, req Request, resp Response) Response {
 		resp.Consistency = &cons
 	case d.Height == req.Height && req.HeadHeld:
 		// A SELECT's proof can be bound to a later digest than its block.
-		if p != nil && p.Header.Height+1 == d.Height {
-			*p = p.Unbind()
-		}
-		if bp != nil && bp.Header.Height+1 == d.Height {
-			*bp = bp.Unbind()
-		}
-		if req.trimmed && (p != nil && p.Unbound || bp != nil && bp.Unbound) {
-			resp.Digest = ledger.Digest{}
+		for _, p := range proofs {
+			if p != nil && p.Header.Height+1 == d.Height {
+				*p = p.Unbind()
+				if req.trimmed {
+					resp.Digest = ledger.Digest{}
+				}
+			}
 		}
 	}
 	return resp

@@ -99,9 +99,10 @@ func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
 
 // binding returns the block binding of resp's proof and whether it
 // travels without it.
-func binding(resp Response) (ledger.BatchProof, bool) {
-	if resp.Proof != nil {
-		return ledger.BatchProof{Header: resp.Proof.Header, Inclusion: resp.Proof.Inclusion}, resp.Proof.Unbound
+func binding(resp Response) (ledger.Proof, bool) {
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
 	}
-	return ledger.BatchProof{Header: resp.BatchProof.Header, Inclusion: resp.BatchProof.Inclusion}, resp.BatchProof.Unbound
+	return ledger.Proof{Header: p.Header, Inclusion: p.Inclusion}, p.Unbound
 }

@@ -58,7 +58,8 @@ func TestVerifiedGetOverWire(t *testing.T) {
 	if _, err := cl.Do(Request{Op: OpPut, Statement: "seed", Puts: putBatch(200)}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Do(Request{Op: OpGetVerified, Table: "t", Column: "c", PK: []byte("pk0123")})
+	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: []byte("pk0123")}
+	resp, err := cl.Do(req)
 	if err != nil || !resp.Found {
 		t.Fatalf("verified get: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestVerifiedGetOverWire(t *testing.T) {
 	if err := resp.Proof.Verify(resp.Digest); err != nil {
 		t.Fatalf("proof survived the wire but fails: %v", err)
 	}
-	cells, err := resp.Proof.Cells()
+	cells, err := proofCells(resp, req)
 	if err != nil || len(cells) != 1 || string(cells[0].Value) != "v0123" {
 		t.Fatal("proof payload wrong after serialization")
 	}
@@ -84,8 +85,8 @@ func TestRangeOverWire(t *testing.T) {
 	if err != nil || len(resp.Cells) != 20 {
 		t.Fatalf("range = %d cells, %v", len(resp.Cells), err)
 	}
-	resp, err = cl.Do(Request{Op: OpRangeVer, Table: "t", Column: "c",
-		PK: []byte("pk0100"), PKHi: []byte("pk0120")})
+	req := Request{Op: OpRangeVer, Table: "t", Column: "c", PK: []byte("pk0100"), PKHi: []byte("pk0120")}
+	resp, err = cl.Do(req)
 	if err != nil || !resp.Found || resp.Proof == nil {
 		t.Fatal("verified range failed")
 	}
@@ -93,7 +94,7 @@ func TestRangeOverWire(t *testing.T) {
 		t.Fatalf("range proof over wire: %v", err)
 	}
 	// The rows are read off the verified leaves; none travel beside them.
-	if cells, err := resp.Proof.Cells(); err != nil || len(cells) != 20 || len(resp.Cells) != 0 {
+	if cells, err := proofCells(resp, req); err != nil || len(cells) != 20 || len(resp.Cells) != 0 {
 		t.Fatalf("verified range = %d proven cells, %d loose cells, %v", len(cells), len(resp.Cells), err)
 	}
 }

@@ -164,11 +164,11 @@ func (l shardLink) received(resp wire.Response) (empty bool, err error) {
 // — index nodes on the read's way and, on a direct link, the trusted
 // height and whether it holds its head block's header — so the response
 // carries only the rest; the pin keeps what it named for the check. A
-// point or range read's proof is viewed as the batch of its one query
-// (ledger.Proof.Batch), so every answer is bound, verified and read by
-// check. A response may go without a proof only when the plan derives no
-// obligation from it — a lookup with no candidate rows, a `SELECT *` that
-// surfaced no column — or it is the empty ledger's (received).
+// point or range read's proof is the proof of its one query, so every
+// answer is bound, verified and read by check. A response may go without
+// a proof only when the plan derives no obligation from it — a lookup with
+// no candidate rows, a `SELECT *` that surfaced no column — or it is the
+// empty ledger's (received).
 func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	tr := l.span(r.spans[0])
 	defer tr.Finish()
@@ -183,29 +183,25 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
+	}
 	// A proof without its binding verifies only at the trusted digest it
 	// named, so a trimmed response leaves that digest out.
-	if resp.Digest == (Digest{}) && (resp.Proof != nil && resp.Proof.Unbound || resp.BatchProof != nil && resp.BatchProof.Unbound) {
+	if resp.Digest == (Digest{}) && p != nil && p.Unbound {
 		resp.Digest = pin.Trusted
 	}
 	if empty, err := l.received(resp); empty || err != nil {
 		return nil, err
 	}
 	queries := r.queries(resp.Cells)
-	bp := resp.BatchProof
-	if resp.Proof != nil {
-		view, err := resp.Proof.Batch()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-		}
-		bp = &view
-	}
-	if bp == nil && len(queries) == 0 {
+	if p == nil && len(queries) == 0 {
 		return nil, nil
 	}
 	var live [][]Cell
 	if err := l.syncAndVerifyWith(tr, pin.Trusted, resp, func() (err error) {
-		live, err = l.check(bp, resp.Digest, queries, len(queries), pin)
+		live, err = l.check(p, resp.Digest, queries, len(queries), pin)
 		return err
 	}); err != nil {
 		return nil, err
@@ -292,17 +288,17 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 // It is verified against d, which the caller has made the trusted digest
 // or a proven prefix of it, and the answers are read off it: each
 // query's proven live cells.
-func (l shardLink) check(bp *ledger.BatchProof, d Digest, queries []ledger.BatchQuery, reads int, pin *proof.Pin) ([][]Cell, error) {
-	if bp == nil {
+func (l shardLink) check(p *ledger.Proof, d Digest, queries []ledger.BatchQuery, reads int, pin *proof.Pin) ([][]Cell, error) {
+	if p == nil {
 		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
 	}
-	if !bp.Answers(queries) {
+	if !p.Answers(queries) {
 		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
 	}
-	if err := l.v.VerifyBatch(*bp, d, reads, pin); err != nil {
+	if err := l.v.VerifyBatch(*p, d, reads, pin); err != nil {
 		return nil, err
 	}
-	live, err := bp.Live(queries)
+	live, err := p.Live(queries)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}

@@ -262,14 +262,14 @@ func queryProofByteSlices(resp *wire.Response) [][]byte {
 		return nil
 	}
 	var out [][]byte
-	if bp.Points != nil {
-		out = append(out, bp.Points.Nodes...)
-		for _, v := range bp.Points.Values {
+	if bp.Point != nil {
+		out = append(out, bp.Point.Nodes...)
+		for _, v := range bp.Point.Values {
 			if len(v) > 0 {
 				out = append(out, v)
 			}
 		}
-		out = append(out, bp.Points.Keys...)
+		out = append(out, bp.Point.Keys...)
 	}
 	for i := range bp.Ranges {
 		out = append(out, bp.Ranges[i].Nodes...)

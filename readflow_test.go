@@ -10,7 +10,9 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 	"spitz/internal/obs"
+	"spitz/internal/postree"
 	"spitz/internal/wire"
 )
 
@@ -125,6 +127,46 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 		{name: "answer another key or range",
 			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
 				*resp = wire.Dispatch(fs.eng, sh.other(req))
+			}},
+		// The proof of a read is the proof of its queries, nothing more:
+		// a valid sub-proof of the same block beside the answer — a range
+		// part on a point read, a point part on a range read — verifies on
+		// its own, and only the check that the proof answers exactly the
+		// read's queries turns it away. The asked part goes without its
+		// question, as the trimmed form sends it, the extra one with its
+		// own.
+		{name: "carry a sub-proof the read did not ask for", auditOn: wire.OpProveBatch,
+			mut: func(fs *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				extra := func(p *ledger.Proof) *ledger.Proof {
+					q := p.Trimmed()
+					if q.Point == nil {
+						q.Point = wire.Dispatch(fs.eng, wire.Request{Op: wire.OpGetVerified, Table: "t", Column: "c",
+							PK: []byte("pk020")}).Proof.Point
+					} else {
+						rg := wire.Dispatch(fs.eng, wire.Request{Op: wire.OpRangeVer, Table: "t", Column: "c",
+							PK: []byte("pk020"), PKHi: []byte("pk022")}).Proof
+						q.Ranges = append(append([]postree.RangeProof(nil), q.Ranges...), rg.Ranges...)
+					}
+					return &q
+				}
+				if resp.Proof != nil {
+					resp.Proof = extra(resp.Proof)
+				}
+				if resp.BatchProof != nil {
+					resp.BatchProof = extra(resp.BatchProof)
+				}
+			}},
+		{name: "carry no sub-proof, only the block binding", auditOn: wire.OpProveBatch,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				bare := func(p *ledger.Proof) *ledger.Proof {
+					return &ledger.Proof{Header: p.Header, Inclusion: p.Inclusion, Unbound: p.Unbound}
+				}
+				if resp.Proof != nil {
+					resp.Proof = bare(resp.Proof)
+				}
+				if resp.BatchProof != nil {
+					resp.BatchProof = bare(resp.BatchProof)
+				}
 			}},
 		{name: "omit the consistency proof the head moved by", commit: true, eagerOnly: true, legToo: true,
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency = nil }},

@@ -59,14 +59,13 @@ type (
 	Put = core.Put
 	// Digest is the compact ledger commitment a client saves locally.
 	Digest = ledger.Digest
-	// Proof is the integrity proof attached to a verified query result.
+	// Proof is the integrity proof attached to a verified query result:
+	// of one read, or of a deferred-audit flush's receipts.
 	Proof = ledger.Proof
+	// BatchQuery is one read a Proof proves (Proof.Answers, Proof.Live).
+	BatchQuery = ledger.BatchQuery
 	// ConsistencyProof shows one digest's ledger is a prefix of another's.
 	ConsistencyProof = mtree.ConsistencyProof
-	// BatchProof is the aggregated multi-read proof a deferred-audit
-	// flush verifies (AuditMode): one block binding plus shared sibling
-	// nodes for every covered receipt.
-	BatchProof = ledger.BatchProof
 	// BlockHeader describes one committed ledger block.
 	BlockHeader = ledger.BlockHeader
 	// VerifiedResult carries a result with its proof and digest.

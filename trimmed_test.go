@@ -44,11 +44,11 @@ func collidingHint(resp wire.Response) []hashutil.Digest {
 	switch {
 	case resp.Proof != nil && resp.Proof.Point != nil:
 		bodies = resp.Proof.Point.Nodes
-	case resp.Proof != nil && resp.Proof.Range != nil:
-		bodies = resp.Proof.Range.Nodes
+	case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
+		bodies = resp.Proof.Ranges[0].Nodes
 	case resp.BatchProof != nil:
-		if resp.BatchProof.Points != nil {
-			bodies = resp.BatchProof.Points.Nodes
+		if resp.BatchProof.Point != nil {
+			bodies = resp.BatchProof.Point.Nodes
 		}
 		for _, r := range resp.BatchProof.Ranges {
 			bodies = append(bodies, r.Nodes...)
