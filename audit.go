@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"spitz/internal/proof"
 	"sync"
 	"time"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/hashutil"
-	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/wire"
 )
@@ -71,7 +70,7 @@ func (m AuditMode) withDefaults() AuditMode {
 type auditReceipt struct {
 	shard  int // client-side shard index
 	digest Digest
-	query  ledger.BatchQuery
+	query  proof.BatchQuery
 	found  bool
 	hash   hashutil.Digest
 }
@@ -336,7 +335,7 @@ func auditValueHash(value []byte) hashutil.Digest {
 func auditCellsHash(cells []Cell) hashutil.Digest {
 	h := hashutil.NewStream(hashutil.DomainValue)
 	for _, c := range cells {
-		h.Part(cellstore.EncodeKey(cellstore.UniversalKey(c)))
+		h.Part(proof.EncodeKey(proof.UniversalKey(c)))
 	}
 	return h.Sum()
 }
@@ -348,7 +347,7 @@ func auditCellsHash(cells []Cell) hashutil.Digest {
 // of its cells, as a query result reads them. The optimistic flow shapes
 // what the server said this way, the flush what the proof says, and the
 // two are compared.
-func queryReceipt(shard int, d Digest, q ledger.BatchQuery, cells []Cell) (auditReceipt, int) {
+func queryReceipt(shard int, d Digest, q proof.BatchQuery, cells []Cell) (auditReceipt, int) {
 	rc := auditReceipt{shard: shard, digest: d, query: q}
 	if q.Range {
 		var colCells []Cell
@@ -388,7 +387,7 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	// entry: dedup before the round trip (hot keys repeat inside a
 	// horizon), keeping a receipt -> query mapping for the comparison.
 	uniq := make(map[string]int, len(rs))
-	var queries []ledger.BatchQuery
+	var queries []proof.BatchQuery
 	qidx := make([]int, len(rs))
 	for i, r := range rs {
 		k := auditQueryKey(r.query)
@@ -422,7 +421,7 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	}
 	var live [][]Cell // a digest invented at read time fails adopt first
 	if err := l.adopt(resp, at, func() (err error) {
-		live, err = l.check(resp.BatchProof, resp.Digest, queries, len(rs), pin)
+		live, err = l.v.Check(resp.BatchProof, resp.Digest, queries, len(rs), pin)
 		return err
 	}); err != nil {
 		return err
@@ -447,8 +446,8 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 
 // auditQueryKey canonicalizes a query for deduplication. Segment
 // encoding via CellPrefix keeps it injective.
-func auditQueryKey(q ledger.BatchQuery) string {
-	k := string(cellstore.CellPrefix(q.Table, q.Column, q.PK))
+func auditQueryKey(q proof.BatchQuery) string {
+	k := string(proof.CellPrefix(q.Table, q.Column, q.PK))
 	if !q.Range {
 		return "p" + k
 	}

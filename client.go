@@ -143,9 +143,11 @@ func Connect(t Topology) (*Client, error) {
 
 // NewClient adopts one established connection to a single-engine server
 // as a 1 × 0 topology. Unlike Connect it asks the server nothing — no
-// shard map, so requests carry no shard id and a sharded server refuses
-// its scans; tests and benchmarks use it to own the connection and every
-// frame on it.
+// shard map, so its requests carry no shard id: a sharded server routes
+// point reads by key and scatters unverified range and lookup scans over
+// every shard, and refuses what only one shard can answer, such as a
+// verified range scan, a digest or an audit flush. Tests and benchmarks
+// use it to own the connection and every frame on it.
 func NewClient(c *wire.Client) *Client {
 	return &Client{shards: []*shard{newShard(0, c)}}
 }
@@ -384,7 +386,9 @@ func (cl *Client) scatterCells(op string, fn func(l shardLink) ([]Cell, error)) 
 // Apply commits a batch of writes atomically on the primary and returns
 // the new block header. A sharded server groups the writes by owning
 // shard and commits cross-shard batches with two-phase commit; its header
-// carries the cluster commit timestamp in Version and nothing else.
+// carries the coordinator's commit timestamp in Version and nothing else,
+// and that timestamp is in no block: each shard commits its part at a
+// version its own engine draws (see ClusterDB.Apply).
 func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 	// A sampled root here stitches the server's commit — and a
 	// coordinator's per-shard 2PC prepare/commit legs — under the client's

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"spitz/internal/proof"
 	"strings"
 
 	"spitz/internal/cellstore"
@@ -25,7 +26,7 @@ import (
 
 // ClusterDigest is the sharded deployment's commitment: one ledger
 // digest per shard plus a combined root binding the vector.
-type ClusterDigest = ledger.ClusterDigest
+type ClusterDigest = proof.ClusterDigest
 
 // ClusterOptions configures OpenCluster.
 type ClusterOptions struct {
@@ -227,7 +228,9 @@ func (db *ClusterDB) Engine(i int) *core.Engine { return db.shards[i].eng }
 // shard commit through that shard's 2PC participant (respecting prepared
 // transactions' locks); writes spanning shards commit with full
 // two-phase commit, so a batch is never half-applied. It returns the
-// coordinator's commit timestamp.
+// coordinator's commit timestamp, which no block records: each shard
+// enqueues its part at a version its own engine draws, so the blocks of
+// one cross-shard write carry different versions, none of them this one.
 func (db *ClusterDB) Apply(statement string, puts []Put) (uint64, error) {
 	return db.applyTraced(nil, statement, puts)
 }
@@ -315,11 +318,7 @@ func (db *ClusterDB) History(table, column string, pk []byte) ([]Cell, error) {
 // RangePK scans the latest live cells with primary keys in [pkLo, pkHi)
 // across every shard in parallel, merged into one pk-ordered result.
 func (db *ClusterDB) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return db.rangePKTraced(nil, table, column, pkLo, pkHi)
-}
-
-func (db *ClusterDB) rangePKTraced(tr *obs.Trace, table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return wire.ScatterCells(tr, "scatter.range", len(db.shards), func(i int) ([]Cell, error) {
+	return wire.ScatterCells(nil, "scatter.range", len(db.shards), func(i int) ([]Cell, error) {
 		return db.shards[i].eng.RangePK(table, column, pkLo, pkHi)
 	})
 }
@@ -350,11 +349,7 @@ func (db *ClusterDB) Columns(table string) ([]string, error) {
 // value, gathered from every shard's inverted index in parallel
 // (requires Options.MaintainInverted).
 func (db *ClusterDB) LookupEqual(table, column string, value []byte) ([]Cell, error) {
-	return db.lookupEqualTraced(nil, table, column, value)
-}
-
-func (db *ClusterDB) lookupEqualTraced(tr *obs.Trace, table, column string, value []byte) ([]Cell, error) {
-	return wire.ScatterCells(tr, "scatter.lookup-eq", len(db.shards), func(i int) ([]Cell, error) {
+	return wire.ScatterCells(nil, "scatter.lookup-eq", len(db.shards), func(i int) ([]Cell, error) {
 		return db.shards[i].eng.LookupEqual(table, column, value)
 	})
 }
@@ -371,7 +366,7 @@ func (db *ClusterDB) ClusterDigest() ClusterDigest {
 	for i := range db.shards {
 		shards[i] = db.shards[i].eng.Digest()
 	}
-	return ledger.NewClusterDigest(shards)
+	return proof.NewClusterDigest(shards)
 }
 
 // ShardStats describes one shard's engine.
@@ -592,16 +587,17 @@ func (db *ClusterDB) write(req wire.Request) wire.Response {
 	return wire.Response{Err: "wire: a cluster's state is owned by its shards; restore is not supported"}
 }
 
-// Exec parses and executes one statement against the cluster: reads
-// scatter-gather across every shard, mutations group by key ownership
-// and commit with two-phase commit. The embedded, unverified form of
-// the query surface — see Client.Query for verified execution.
+// Exec parses and executes one statement against the cluster: a SELECT
+// reads one ledger snapshot of every shard and merges their results;
+// mutations group by key ownership and commit with two-phase commit. The
+// embedded, unverified form of the query surface — see Client.Query for
+// verified execution.
 func (db *ClusterDB) Exec(statement string) (QueryResult, error) {
 	return query.ExecStore(clusterStore{db: db}, statement)
 }
 
 // clusterStore adapts the cluster to query.Store, threading a served
-// request's trace into the 2PC legs and scatters.
+// request's trace into the 2PC legs.
 type clusterStore struct {
 	db *ClusterDB
 	tr *obs.Trace
@@ -617,14 +613,12 @@ func (s clusterStore) Get(table, column string, pk []byte) ([]byte, error) {
 
 func (s clusterStore) Columns(table string) ([]string, error) { return s.db.Columns(table) }
 
-func (s clusterStore) History(table, column string, pk []byte) ([]Cell, error) {
-	return s.db.History(table, column, pk)
+func (s clusterStore) Engines() []*core.Engine {
+	out := make([]*core.Engine, len(s.db.shards))
+	for i := range s.db.shards {
+		out[i] = s.db.shards[i].eng
+	}
+	return out
 }
 
-func (s clusterStore) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return s.db.rangePKTraced(s.tr, table, column, pkLo, pkHi)
-}
-
-func (s clusterStore) LookupEqual(table, column string, value []byte) ([]Cell, error) {
-	return s.db.lookupEqualTraced(s.tr, table, column, value)
-}
+func (s clusterStore) ShardFor(pk []byte) int { return s.db.ShardFor(pk) }

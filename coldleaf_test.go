@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"spitz/internal/proof"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +98,7 @@ func coldLeafDB(t *testing.T) (m *durable.Manager, pks [][]byte) {
 		for i := 0; i < l.Count; i++ {
 			var key []byte
 			key, _, rest, _ = posleaf.ReadEntry(rest)
-			_, _, pk, err := cellstore.DecodeRef(key)
+			_, _, pk, err := proof.DecodeRef(key)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"spitz"
-	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
@@ -847,7 +846,7 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 	for name, forge := range forgeries {
 		t.Run(name, func(t *testing.T) {
 			cl := staleClient()
-			if len(cl.Verifier().PathTo(cellstore.CellPrefix("t", "c", pk)).Have()) < 2 {
+			if len(cl.Verifier().PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}}).Path.Have()) < 2 {
 				t.Fatal("the client offers no stale node below the root")
 			}
 			before := stateOf(cl.Verifier())
@@ -1150,7 +1149,7 @@ func TestForgedRangeRowsAreNeverReturned(t *testing.T) {
 		// A well-formed entry: the first true row's key under another
 		// value's encoding.
 		rp := rangeProofOf(resp)
-		return postree.Entry{Key: rp.Start, Value: cellstore.EncodeVersion(1, []byte("FORGED"), false)}
+		return postree.Entry{Key: rp.Start, Value: proof.EncodeVersion(1, []byte("FORGED"), false)}
 	}
 	forgeries := map[string]func(resp *wire.Response){
 		"rows added beside the proof": func(resp *wire.Response) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"spitz/internal/proof"
 	"testing"
 	"testing/quick"
 
@@ -26,9 +27,9 @@ func mustApply(t *testing.T, s Store, cells []Cell) (Store, []Demoted) {
 }
 
 func TestKeyEncodeDecodeRoundTrip(t *testing.T) {
-	k := Key{Table: "accounts", Column: "balance", PK: []byte("user-42"), Version: 7,
-		ValueHash: ValueHash(7, []byte("100"), false)}
-	got, err := DecodeKey(EncodeKey(k))
+	k := proof.Key{Table: "accounts", Column: "balance", PK: []byte("user-42"), Version: 7,
+		ValueHash: proof.ValueHash(7, []byte("100"), false)}
+	got, err := DecodeKey(proof.EncodeKey(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,8 @@ func TestKeyEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestKeyEncodingHandlesZeroBytes(t *testing.T) {
-	k := Key{Table: "t\x00a", Column: "c\x00\x00", PK: []byte{0x00, 0xFF, 0x00}, Version: 1}
-	got, err := DecodeKey(EncodeKey(k))
+	k := proof.Key{Table: "t\x00a", Column: "c\x00\x00", PK: []byte{0x00, 0xFF, 0x00}, Version: 1}
+	got, err := DecodeKey(proof.EncodeKey(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +70,17 @@ func TestRefOrderingMatchesTupleOrder(t *testing.T) {
 
 func TestDecodeRefRoundTrip(t *testing.T) {
 	ref := CellPrefix("tbl", "col", []byte("pk\x00x"))
-	table, column, pk, err := DecodeRef(ref)
+	table, column, pk, err := proof.DecodeRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if table != "tbl" || column != "col" || !bytes.Equal(pk, []byte("pk\x00x")) {
 		t.Fatal("ref round trip mismatch")
 	}
-	if _, _, _, err := DecodeRef(ref[:len(ref)-1]); err == nil {
+	if _, _, _, err := proof.DecodeRef(ref[:len(ref)-1]); err == nil {
 		t.Error("truncated ref accepted")
 	}
-	if _, _, _, err := DecodeRef(append(ref, 0x07)); err == nil {
+	if _, _, _, err := proof.DecodeRef(append(ref, 0x07)); err == nil {
 		t.Error("ref with trailing bytes accepted")
 	}
 }
@@ -91,37 +92,37 @@ func TestDecodeKeyErrors(t *testing.T) {
 	if _, err := DecodeKey(nil); err == nil {
 		t.Error("empty key accepted")
 	}
-	k := EncodeKey(Key{Table: "t", Column: "c", PK: []byte("p"), Version: 1})
+	k := proof.EncodeKey(proof.Key{Table: "t", Column: "c", PK: []byte("p"), Version: 1})
 	if _, err := DecodeKey(k[:len(k)-3]); err == nil {
 		t.Error("truncated key accepted")
 	}
 }
 
 func TestVersionCodecRoundTrip(t *testing.T) {
-	ver, v, tomb, err := DecodeVersion(EncodeVersion(99, []byte("hello"), false))
+	ver, v, tomb, err := proof.DecodeVersion(proof.EncodeVersion(99, []byte("hello"), false))
 	if err != nil || tomb || ver != 99 || string(v) != "hello" {
 		t.Fatal("live version round trip failed")
 	}
-	ver, v, tomb, err = DecodeVersion(EncodeVersion(7, nil, true))
+	ver, v, tomb, err = proof.DecodeVersion(proof.EncodeVersion(7, nil, true))
 	if err != nil || !tomb || ver != 7 || len(v) != 0 {
 		t.Fatal("tombstone round trip failed")
 	}
-	if _, _, _, err := DecodeVersion(nil); err == nil {
+	if _, _, _, err := proof.DecodeVersion(nil); err == nil {
 		t.Error("empty version accepted")
 	}
-	if _, _, _, err := DecodeVersion([]byte{0x80, 1}); err == nil {
+	if _, _, _, err := proof.DecodeVersion([]byte{0x80, 1}); err == nil {
 		t.Error("bad flags accepted")
 	}
 }
 
 func TestPrefixEnd(t *testing.T) {
-	if got := PrefixEnd([]byte{0x01, 0x02}); !bytes.Equal(got, []byte{0x01, 0x03}) {
+	if got := proof.PrefixEnd([]byte{0x01, 0x02}); !bytes.Equal(got, []byte{0x01, 0x03}) {
 		t.Fatalf("PrefixEnd = %x", got)
 	}
-	if got := PrefixEnd([]byte{0x01, 0xFF}); !bytes.Equal(got, []byte{0x02}) {
+	if got := proof.PrefixEnd([]byte{0x01, 0xFF}); !bytes.Equal(got, []byte{0x02}) {
 		t.Fatalf("PrefixEnd carry = %x", got)
 	}
-	if got := PrefixEnd([]byte{0xFF, 0xFF}); got != nil {
+	if got := proof.PrefixEnd([]byte{0xFF, 0xFF}); got != nil {
 		t.Fatalf("PrefixEnd all-FF = %x, want nil", got)
 	}
 }
@@ -292,17 +293,17 @@ func TestProveRangePK(t *testing.T) {
 			Value: []byte(fmt.Sprintf("val-%04d", i))})
 	}
 	s, _ = mustApply(t, s, cells)
-	got, proof, err := s.ProveRangePK("t", "c", []byte("pk0050"), []byte("pk0060"))
+	got, rp, err := s.ProveRangePK("t", "c", []byte("pk0050"), []byte("pk0060"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 10 {
 		t.Fatalf("range = %d rows", len(got))
 	}
-	if err := proof.Verify(s.Tree.Root()); err != nil {
+	if err := rp.Verify(s.Tree.Root()); err != nil {
 		t.Fatalf("range proof: %v", err)
 	}
-	decoded, err := DecodeEntries(proof.Entries)
+	decoded, err := proof.DecodeEntries(rp.Entries)
 	if err != nil || len(decoded) != 10 {
 		t.Fatal("entry decoding failed")
 	}
@@ -348,8 +349,8 @@ func TestQuickRefOrderPreserving(t *testing.T) {
 // Property: decode(encode(k)) == k for arbitrary universal keys.
 func TestQuickKeyRoundTrip(t *testing.T) {
 	f := func(table, column string, pk []byte, version uint64, vh [32]byte) bool {
-		k := Key{Table: table, Column: column, PK: pk, Version: version, ValueHash: vh}
-		got, err := DecodeKey(EncodeKey(k))
+		k := proof.Key{Table: table, Column: column, PK: pk, Version: version, ValueHash: vh}
+		got, err := DecodeKey(proof.EncodeKey(k))
 		if err != nil {
 			return false
 		}
@@ -364,7 +365,7 @@ func TestQuickKeyRoundTrip(t *testing.T) {
 // Property: version codec round trips for arbitrary payloads.
 func TestQuickVersionRoundTrip(t *testing.T) {
 	f := func(version uint64, value []byte, tomb bool) bool {
-		v, val, tb, err := DecodeVersion(EncodeVersion(version, value, tomb))
+		v, val, tb, err := proof.DecodeVersion(proof.EncodeVersion(version, value, tomb))
 		return err == nil && v == version && bytes.Equal(val, value) && tb == tomb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -389,7 +390,7 @@ func TestApplySameVersionDuplicateLastWins(t *testing.T) {
 
 func mustLoad(t *testing.T, s Store, d Demoted) Cell {
 	t.Helper()
-	table, column, pk, err := DecodeRef(d.Ref)
+	table, column, pk, err := proof.DecodeRef(d.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestColumnsSeekPastEachColumn(t *testing.T) {
 	s, _ := mustApply(t, Store{Tree: postree.Empty(counting)}, cells)
 	want := map[string][]string{}
 	if err := s.Tree.Scan(nil, nil, func(e postree.Entry) bool {
-		table, col, _, err := DecodeRef(e.Key)
+		table, col, _, err := proof.DecodeRef(e.Key)
 		if err != nil {
 			t.Fatal(err)
 		}

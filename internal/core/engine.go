@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"spitz/internal/proof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,7 +273,7 @@ func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, e
 	}
 	var bad error
 	err := cells.Tree.Scan(nil, nil, func(entry postree.Entry) bool {
-		c, err := cellstore.DecodeEntries([]postree.Entry{entry})
+		c, err := proof.DecodeEntries([]postree.Entry{entry})
 		if bad = err; err == nil {
 			e.inv.Add(c[0]) // copies what it keeps
 		}
@@ -770,7 +771,7 @@ func (e *Engine) Get(table, column string, pk []byte) ([]byte, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	_, value, tomb, err := cellstore.DecodeVersion(raw)
+	_, value, tomb, err := proof.DecodeVersion(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -1019,7 +1020,7 @@ func (s engineStore) ReadLatest(key []byte, asOf uint64) ([]byte, uint64, bool, 
 		}
 		return p.value, p.version, true, nil
 	}
-	table, column, pk, err := cellstore.DecodeRef(key)
+	table, column, pk, err := proof.DecodeRef(key)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -1041,7 +1042,7 @@ func (s engineStore) ReadLatest(key []byte, asOf uint64) ([]byte, uint64, bool, 
 func decodeWrites(writes []txn.Write) ([]cellstore.Cell, error) {
 	cells := make([]cellstore.Cell, len(writes))
 	for i, w := range writes {
-		table, column, pk, err := cellstore.DecodeRef(w.Key)
+		table, column, pk, err := proof.DecodeRef(w.Key)
 		if err != nil {
 			return nil, err
 		}

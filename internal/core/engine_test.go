@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/inverted"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
@@ -168,7 +167,7 @@ func TestRangePKVerified(t *testing.T) {
 		t.Fatalf("range proof: %v", err)
 	}
 	// Tampering with the result set must be detectable via the proof.
-	decoded, err := cellstore.DecodeEntries(res.Proof.Ranges[0].Entries)
+	decoded, err := proof.DecodeEntries(res.Proof.Ranges[0].Entries)
 	if err != nil {
 		t.Fatal(err)
 	}

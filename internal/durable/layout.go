@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"spitz/internal/proof"
 	"strconv"
 	"strings"
 
@@ -208,7 +209,7 @@ func walkHeaders(store cas.Store, head hashutil.Digest, height uint64) ([]ledger
 		if err != nil {
 			return nil, fmt.Errorf("durable: block %d header: %w", i-1, err)
 		}
-		h, err := ledger.DecodeHeader(body)
+		h, err := proof.DecodeHeader(body)
 		if err != nil {
 			return nil, fmt.Errorf("durable: block %d header: %w", i-1, err)
 		}

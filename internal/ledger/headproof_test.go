@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"spitz/internal/proof"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,7 +145,7 @@ func TestProveBatchLedger(t *testing.T) {
 	if !pts.Found[0] || pts.Found[1] {
 		t.Fatalf("found flags wrong: %v", pts.Found)
 	}
-	_, v, _, err := cellstore.DecodeVersion(pts.Values[0])
+	_, v, _, err := proof.DecodeVersion(pts.Values[0])
 	if err != nil || string(v) != "va" {
 		t.Fatalf("proven value %q (the value AT the receipt digest, not the head)", v)
 	}

@@ -24,6 +24,7 @@ import (
 	"spitz/internal/hashutil"
 	"spitz/internal/mtree"
 	"spitz/internal/postree"
+	"spitz/internal/proof"
 )
 
 // TxnSummary records one transaction inside a block, binding the statement
@@ -34,58 +35,8 @@ type TxnSummary struct {
 	WriteHash hashutil.Digest
 }
 
-// BlockHeader is the hashed block metadata.
-type BlockHeader struct {
-	Height    uint64
-	Parent    hashutil.Digest // hash of the previous block (zero for genesis)
-	Version   uint64          // commit version: cells in this block carry it
-	CellRoot  hashutil.Digest // POS-tree root of the entire cell store
-	CellCount uint64
-	TxnCount  uint64
-	BodyHash  hashutil.Digest // digest of the serialized transaction summaries
-}
-
-// Encode serializes the header canonically.
-func (h BlockHeader) Encode() []byte {
-	buf := make([]byte, 0, 8*4+hashutil.DigestSize*3)
-	buf = binary.BigEndian.AppendUint64(buf, h.Height)
-	buf = append(buf, h.Parent[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, h.Version)
-	buf = append(buf, h.CellRoot[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, h.CellCount)
-	buf = binary.BigEndian.AppendUint64(buf, h.TxnCount)
-	buf = append(buf, h.BodyHash[:]...)
-	return buf
-}
-
-// DecodeHeader parses an encoded header.
-func DecodeHeader(data []byte) (BlockHeader, error) {
-	const want = 8*4 + hashutil.DigestSize*3
-	var h BlockHeader
-	if len(data) != want {
-		return h, fmt.Errorf("ledger: header length %d, want %d", len(data), want)
-	}
-	off := 0
-	h.Height = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	copy(h.Parent[:], data[off:])
-	off += hashutil.DigestSize
-	h.Version = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	copy(h.CellRoot[:], data[off:])
-	off += hashutil.DigestSize
-	h.CellCount = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	h.TxnCount = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	copy(h.BodyHash[:], data[off:])
-	return h, nil
-}
-
-// Hash returns the block hash.
-func (h BlockHeader) Hash() hashutil.Digest {
-	return hashutil.Sum(hashutil.DomainBlock, h.Encode())
-}
+// BlockHeader is the hashed block metadata: proof.BlockHeader.
+type BlockHeader = proof.BlockHeader
 
 func encodeBody(txns []TxnSummary) []byte {
 	var buf []byte
@@ -107,21 +58,14 @@ func WriteSetHash(cells []cellstore.Cell) hashutil.Digest {
 	buf := make([]byte, 0, 128)
 	for _, c := range cells {
 		buf = buf[:0]
-		buf = append(buf, cellstore.EncodeKey(cellstore.UniversalKey(c))...)
+		buf = append(buf, proof.EncodeKey(proof.UniversalKey(c))...)
 		h.Part(buf)
 	}
 	return h.Sum()
 }
 
-// Digest is what a verifying client stores locally: the ledger height and
-// the root of the Merkle commitment over all block hashes up to it.
-// Section 5.3: "clients can use the digest of the ledger to perform
-// verification locally ... recalculate the digest with the received proof
-// and compare it with the previous digest saved locally."
-type Digest struct {
-	Height uint64
-	Root   hashutil.Digest
-}
+// Digest is what a verifying client stores locally: proof.Digest.
+type Digest = proof.Digest
 
 // Ledger is the block sequence plus the commitment tree and the live cell
 // store snapshot. Safe for concurrent use; commits are serialized.

@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"fmt"
+	"spitz/internal/proof"
 	"testing"
 	"time"
 
@@ -100,14 +101,14 @@ func TestHeaderEncodeDecode(t *testing.T) {
 	h.Parent = hashutil.Sum(hashutil.DomainBlock, []byte("p"))
 	h.CellRoot = hashutil.Sum(hashutil.DomainPOSLeaf, []byte("r"))
 	h.BodyHash = hashutil.Sum(hashutil.DomainStmt, []byte("b"))
-	got, err := DecodeHeader(h.Encode())
+	got, err := proof.DecodeHeader(h.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != h {
 		t.Fatalf("header round trip mismatch: %+v vs %+v", got, h)
 	}
-	if _, err := DecodeHeader(h.Encode()[:10]); err == nil {
+	if _, err := proof.DecodeHeader(h.Encode()[:10]); err == nil {
 		t.Fatal("short header accepted")
 	}
 }

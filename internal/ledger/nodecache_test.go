@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"fmt"
+	"spitz/internal/proof"
 	"sync"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestRetiredHistoryStaysProvable(t *testing.T) {
 	if err := res.Proof.Verify(res.Digest); err != nil {
 		t.Fatalf("batch proof at height %d, %d blocks behind the head: %v", at.Height-1, res.Digest.Height-at.Height, err)
 	}
-	if _, val, _, _ := cellstore.DecodeVersion(res.Proof.Point.Values[0]); !bytes.Equal(val, []byte("early")) {
+	if _, val, _, _ := proof.DecodeVersion(res.Proof.Point.Values[0]); !bytes.Equal(val, []byte("early")) {
 		t.Fatalf("proven value %q, want the one at the receipts' digest", val)
 	}
 	snap, err := l.Snapshot(at.Height - 1)

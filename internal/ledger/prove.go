@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"spitz/internal/proof"
 	"time"
 
 	"spitz/internal/cellstore"
@@ -37,30 +38,22 @@ func (l *Ledger) proveLocked(height uint64, queries []BatchQuery, tr *obs.Trace)
 	tr.Stage("ledger.snapshot", start)
 	cellsStart := tr.Now()
 	p := Proof{Header: h}
-	keys := p.one.key[:0]
-	for _, q := range queries {
-		if !q.Range {
-			keys = append(keys, cellstore.CellPrefix(q.Table, q.Column, q.PK))
-		}
-	}
-	if len(keys) > 0 {
-		if p.one.point, err = snap.Tree.ProveGetBatch(keys); err != nil {
+	if keys := p.Keys(queries); len(keys) > 0 {
+		bp, err := snap.Tree.ProveGetBatch(keys)
+		if err != nil {
 			return Proof{}, err
 		}
-		p.Point = &p.one.point
+		p.SetPoint(bp)
 	}
 	for _, q := range queries {
 		if !q.Range {
 			continue
 		}
-		rp, err := snap.Tree.ProveScan(cellstore.RefRange(q.Table, q.Column, q.PK, q.PKHi))
+		rp, err := snap.Tree.ProveScan(proof.RefRange(q.Table, q.Column, q.PK, q.PKHi))
 		if err != nil {
 			return Proof{}, err
 		}
-		if p.Ranges == nil {
-			p.Ranges = p.one.ranges[:0]
-		}
-		p.Ranges = append(p.Ranges, rp)
+		p.AddRange(rp)
 	}
 	tr.Stage("proof.cells", cellsStart)
 	incStart := tr.Now()

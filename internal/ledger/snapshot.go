@@ -14,6 +14,7 @@ import (
 	"spitz/internal/mtree"
 	"spitz/internal/posleaf"
 	"spitz/internal/postree"
+	"spitz/internal/proof"
 )
 
 // Snapshot persistence: a ledger (headers, version index, and every live
@@ -170,7 +171,7 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, err := DecodeHeader(raw)
+		h, err := proof.DecodeHeader(raw)
 		if err != nil {
 			return nil, err
 		}

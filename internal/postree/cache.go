@@ -6,6 +6,7 @@ import (
 
 	"spitz/internal/hashutil"
 	"spitz/internal/obs"
+	"spitz/internal/proof"
 )
 
 // Node-cache effectiveness counters, aggregated across every POS-tree in
@@ -23,7 +24,7 @@ var (
 	mNodeCacheRetired = obs.Default.Gauge("spitz_nodecache_retired_bytes")
 )
 
-// The cache is bounded by the memory it keeps alive (see nodeSize), in
+// The cache is bounded by the memory it keeps alive (see proof.Node.Size), in
 // two budgets that do not borrow from each other. Index nodes are ~1/32
 // of a tree — about 200 nodes and 0.8 MB for 200k rows — so the live
 // budget holds the whole interior of a database of millions of rows and
@@ -75,13 +76,7 @@ type cachedNode struct {
 	retired bool
 }
 
-// nodeSize is the memory a cache holding the node keeps alive: the
-// serialized body its entries point into, plus the decoded entry headers.
-func nodeSize(n *node, body []byte) int {
-	return len(body) + cap(n.entries)*entryHeaderBytes
-}
-
-func (e cachedNode) size() int64 { return int64(nodeSize(e.n, e.body)) }
+func (e cachedNode) size() int64 { return int64(e.n.Size(e.body)) }
 
 func newNodeCache() *nodeCache {
 	c := &nodeCache{m: make(map[hashutil.Digest]cachedNode), byFP: make(map[uint64]hashutil.Digest)}
@@ -112,7 +107,7 @@ func (c *nodeCache) get(d hashutil.Digest) (cachedNode, bool) {
 // already present keeps the entry it has — retired or not: a retired node
 // that became current again is simply fetched once more after it ages out.
 func (c *nodeCache) put(d hashutil.Digest, n *node, body []byte) {
-	if c == nil || n.level == 0 {
+	if c == nil || n.Level == 0 {
 		return // leaves are not cached
 	}
 	e := cachedNode{n: n, body: body}
@@ -192,7 +187,7 @@ func (t *Tree) loadProofNode(d hashutil.Digest) ([]byte, *node, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := decodeNode(body)
+	n, err := proof.DecodeNode(body)
 	if err != nil {
 		return nil, nil, err
 	}

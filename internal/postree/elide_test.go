@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cas"
@@ -128,7 +129,7 @@ func (b *blind) open(i int) *node {
 	if body[0] == 0 {
 		return blindLeaf(b.t, body, b.skip)
 	}
-	if body[0] == patchMarker {
+	if body[0] == proof.PatchMarker {
 		return b.patched(i, false)
 	}
 	n, err := decodeNode(body)
@@ -155,27 +156,27 @@ func (b *blind) node(want hashutil.Digest) (n *node, claim bool) {
 				continue
 			}
 		}
-		if body[0] == patchMarker {
+		if body[0] == proof.PatchMarker {
 			n := b.patched(i, false)
 			if n == nil {
 				continue
 			}
-			bound = hashutil.Sum(hashutil.DomainPOSIndex, n.encode())
+			bound = hashutil.Sum(hashutil.DomainPOSIndex, encodeNode(n))
 		}
 		if bound == want {
 			return b.open(i), false
 		}
 	}
 	for _, p := range b.pinned {
-		if p.digest == want {
-			return p.n, false
+		if p.Digest() == want {
+			return p.Node(), false
 		}
 	}
 	for i, body := range b.bodies {
 		if b.used[i] || len(body) == 0 {
 			continue
 		}
-		if body[0] == patchMarker {
+		if body[0] == proof.PatchMarker {
 			if b.skip&trustPatch == 0 {
 				return nil, false
 			}
@@ -204,18 +205,18 @@ func (b *blind) patched(i int, lenient bool) *node {
 	copy(d[:], slot[1:])
 	var base *node
 	for _, p := range b.pinned {
-		if p.digest == d && p.n.level > 0 {
-			base = p.n
+		if p.Digest() == d && p.Node().Level > 0 {
+			base = p.Node()
 		}
 	}
 	if base == nil && lenient {
 		for _, p := range b.known {
-			if p.digest == d {
-				base = p.n
+			if p.Digest() == d {
+				base = p.Node()
 			}
 		}
 		for j, body := range b.bodies {
-			if base != nil || len(body) == 0 || body[0] == patchMarker {
+			if base != nil || len(body) == 0 || body[0] == proof.PatchMarker {
 				continue
 			}
 			if n, got, err := openNode(body); err == nil && got == d {
@@ -226,11 +227,11 @@ func (b *blind) patched(i int, lenient bool) *node {
 	if base == nil {
 		return nil
 	}
-	entries, ok := blindEdits(slot[1+hashutil.DigestSize:], base.entries, lenient)
+	entries, ok := blindEdits(slot[1+hashutil.DigestSize:], base.Entries, lenient)
 	if !ok {
 		return nil
 	}
-	return &node{level: base.level, entries: entries, first: base.first, count: base.count}
+	return &node{Level: base.Level, Entries: entries, First: base.First, Count: base.Count}
 }
 
 // blindEdits is the reference reading of a patch's edits, position by
@@ -250,16 +251,16 @@ func blindEdits(edits []byte, base []Entry, lenient bool) ([]Entry, bool) {
 		edits = edits[k:]
 		kind := int(tag & 3)
 		var e Entry
-		if kind != patchDelete {
+		if kind != proof.PatchDelete {
 			var err error
 			if e.Key, e.Value, edits, err = posleaf.ReadEntry(edits); err != nil {
 				return nil, false
 			}
 		}
 		_, again := replaced[int(tag>>2)]
-		fits := tag>>2 <= uint64(len(base)) && kind <= patchDelete &&
-			(kind == patchInsert || (tag>>2 < uint64(len(base)) && !again)) &&
-			(kind != patchSet || len(e.Key) == 0)
+		fits := tag>>2 <= uint64(len(base)) && kind <= proof.PatchDelete &&
+			(kind == proof.PatchInsert || (tag>>2 < uint64(len(base)) && !again)) &&
+			(kind != proof.PatchSet || len(e.Key) == 0)
 		inOrder := fits && (int(tag>>2) > lastAt || (int(tag>>2) == lastAt && lastWasInsert))
 		if !fits || (!inOrder && !lenient) {
 			if lenient {
@@ -269,14 +270,14 @@ func blindEdits(edits []byte, base []Entry, lenient bool) ([]Entry, bool) {
 		}
 		at := int(tag >> 2)
 		switch kind {
-		case patchInsert:
+		case proof.PatchInsert:
 			inserts[at] = append(inserts[at], e)
-		case patchSet:
+		case proof.PatchSet:
 			replaced[at] = &Entry{Key: base[at].Key, Value: e.Value}
-		case patchDelete:
+		case proof.PatchDelete:
 			replaced[at] = nil
 		}
-		lastAt, lastWasInsert = at, kind == patchInsert
+		lastAt, lastWasInsert = at, kind == proof.PatchInsert
 	}
 	var out []Entry
 	for at := 0; at <= len(base); at++ {
@@ -317,20 +318,20 @@ func (b *blind) get(root hashutil.Digest, key []byte) (value []byte, found, clai
 		if n == nil {
 			return nil, false, false, ErrProofInvalid
 		}
-		i := searchEntries(n.entries, key)
-		if n.level == 0 {
-			if i < len(n.entries) && bytes.Equal(n.entries[i].Key, key) {
-				return n.entries[i].Value, true, false, nil
+		i := proof.Search(n.Entries, key)
+		if n.Level == 0 {
+			if i < len(n.Entries) && bytes.Equal(n.Entries[i].Key, key) {
+				return n.Entries[i].Value, true, false, nil
 			}
-			if b.skip&trustGap == 0 && !n.brackets(i, i) {
+			if b.skip&trustGap == 0 && !n.Brackets(i, i) {
 				return nil, false, false, ErrProofInvalid
 			}
 			return nil, false, false, nil
 		}
-		if i == len(n.entries) {
+		if i == len(n.Entries) {
 			return nil, false, false, nil
 		}
-		want = childDigest(n.entries[i])
+		want = proof.ChildDigest(n.Entries[i])
 	}
 }
 
@@ -342,17 +343,17 @@ func (b *blind) scan(want hashutil.Digest, start, end []byte, out *[]Entry) erro
 	if n == nil {
 		return ErrProofInvalid
 	}
-	if n.level == 0 {
-		lo, hi := leafSpan(n.entries, start, end)
-		if b.skip&trustGap == 0 && !n.brackets(lo, hi) {
+	if n.Level == 0 {
+		lo, hi := proof.LeafSpan(n.Entries, start, end)
+		if b.skip&trustGap == 0 && !n.Brackets(lo, hi) {
 			return ErrProofInvalid
 		}
-		*out = append(*out, n.entries[lo:hi]...)
+		*out = append(*out, n.Entries[lo:hi]...)
 		return nil
 	}
-	from, to := childSpan(n.entries, start, end)
-	for _, e := range n.entries[from:to] {
-		if err := b.scan(childDigest(e), start, end, out); err != nil {
+	from, to := proof.ChildSpan(n.Entries, start, end)
+	for _, e := range n.Entries[from:to] {
+		if err := b.scan(proof.ChildDigest(e), start, end, out); err != nil {
 			return err
 		}
 	}
@@ -379,8 +380,8 @@ func blindVerify(t *testing.T, p BatchProof, root hashutil.Digest, pinned []*Nod
 func groupLen(t *testing.T) int {
 	t.Helper()
 	for n := 1; n < 100; n++ {
-		leaf := &node{entries: testEntries(n, 3)}
-		if len(leaf.encode())-1-posleaf.UvarintLen(n)-entryBytes(leaf.entries) > hashutil.DigestSize {
+		leaf := &node{Entries: testEntries(n, 3)}
+		if len(encodeNode(leaf))-1-posleaf.UvarintLen(n)-entryBytes(leaf.Entries) > hashutil.DigestSize {
 			return n - 1
 		}
 	}
@@ -492,11 +493,11 @@ func blindLeaf(t *testing.T, body []byte, tr trust) *node {
 	if _, ok := p.digest(); !ok && tr&trustLeaf == 0 {
 		return nil
 	}
-	n := &node{first: int(p.first), count: int(p.count)}
+	n := &node{First: int(p.first), Count: int(p.count)}
 	for rest := p.entries; len(rest) > 0; {
 		var e Entry
 		e.Key, e.Value, rest, _ = posleaf.ReadEntry(rest)
-		n.entries = append(n.entries, e)
+		n.Entries = append(n.Entries, e)
 	}
 	return n
 }
@@ -513,7 +514,7 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	}
 
 	// No hint: nothing elided, the very same node list.
-	same, n := full.Elide(HeldSet{})
+	same, n := HeldSet{}.Point(full)
 	if n != 0 || &same.Nodes[0] != &full.Nodes[0] {
 		t.Fatalf("hint-less Elide changed the proof (%d elided)", n)
 	}
@@ -521,11 +522,11 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	// A hint that also names the leaf's digest, in any order: the leaf
 	// must be shipped regardless, and nothing but the leaf.
 	path := pin(warm...)
-	have := append([]hashutil.Digest{full.digests[len(full.digests)-1]}, path.Have()...)
+	have := append([]hashutil.Digest{full.Digests[len(full.Digests)-1]}, path.Have()...)
 	for i, j := 1, len(have)-1; i < j; i, j = i+1, j-1 {
 		have[i], have[j] = have[j], have[i]
 	}
-	elided, n := full.Elide(NewHeldSet(have))
+	elided, n := NewHeldSet(have).Point(full)
 	if n != len(full.Nodes)-1 {
 		t.Fatalf("elided %d nodes, want every index node (%d)", n, len(full.Nodes)-1)
 	}
@@ -556,7 +557,7 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	}
 
 	// A partial hint (root only) elides only the root.
-	partial, n := full.Elide(NewHeldSet(path.Have()[:1]))
+	partial, n := NewHeldSet(path.Have()[:1]).Point(full)
 	if n != 1 || len(partial.Nodes) != len(full.Nodes)-1 || !bytes.Equal(partial.Nodes[0], full.Nodes[1]) {
 		t.Fatalf("root-only hint elided %d nodes", n)
 	}
@@ -568,7 +569,7 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 		t.Fatalf("partially elided proof shipped %d index nodes, want %d", len(got.Shipped), len(full.Nodes)-2)
 	}
 	for _, n := range got.Shipped {
-		if n.n.level == 0 {
+		if n.Node().Level == 0 {
 			t.Fatal("a leaf was reported as a cacheable index node")
 		}
 	}
@@ -578,7 +579,7 @@ func TestElideShipsOnlyWhatIsNotHeld(t *testing.T) {
 	for i := range wrong {
 		wrong[i] = hashutil.Sum(hashutil.DomainValue, []byte{byte(i)})
 	}
-	if _, n := full.Elide(NewHeldSet(wrong)); n != 0 {
+	if _, n := NewHeldSet(wrong).Point(full); n != 0 {
 		t.Fatalf("elided %d nodes against digests the proof does not contain", n)
 	}
 
@@ -604,7 +605,7 @@ func TestElidedAbsenceProof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elided, n := full.Elide(held(path))
+		elided, n := held(path).Point(full)
 		if n == 0 {
 			t.Fatalf("absence proof for %q: nothing elided", k)
 		}
@@ -632,19 +633,19 @@ func forgePath(t *testing.T, tr *Tree, nodes [][]byte, digests []hashutil.Digest
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedLeaf := &node{level: 0, entries: append([]Entry(nil), leaf.entries...)}
-	at := searchEntries(leaf.entries, key)
-	forgedLeaf.entries[at].Value = value
-	leafBody := forgedLeaf.encode()
-	forgedParent := &node{level: parent.level, entries: append([]Entry(nil), parent.entries...)}
-	i := searchEntries(parent.entries, key)
-	forgedParent.entries[i] = makeIndexEntry(parent.entries[i].Key,
-		cas.Address(hashutil.DomainPOSLeaf, leafBody), childCount(parent.entries[i]))
+	forgedLeaf := &node{Level: 0, Entries: append([]Entry(nil), leaf.Entries...)}
+	at := proof.Search(leaf.Entries, key)
+	forgedLeaf.Entries[at].Value = value
+	leafBody := encodeNode(forgedLeaf)
+	forgedParent := &node{Level: parent.Level, Entries: append([]Entry(nil), parent.Entries...)}
+	i := proof.Search(parent.Entries, key)
+	forgedParent.Entries[i] = makeIndexEntry(parent.Entries[i].Key,
+		cas.Address(hashutil.DomainPOSLeaf, leafBody), childCount(parent.Entries[i]))
 	nodes = append([][]byte(nil), nodes...)
-	nodes[last-1] = forgedParent.encode()
+	nodes[last-1] = encodeNode(forgedParent)
 	// The forged entry and its neighbours: what a point read of key, or a
 	// scan of the two entries from it, is decided by.
-	if nodes[last], err = posleaf.Prune(leafBody, max(at-1, 0), min(at+2, len(leaf.entries)-1)); err != nil {
+	if nodes[last], err = posleaf.Prune(leafBody, max(at-1, 0), min(at+2, len(leaf.Entries)-1)); err != nil {
 		t.Fatal(err)
 	}
 	return nodes
@@ -653,7 +654,7 @@ func forgePath(t *testing.T, tr *Tree, nodes [][]byte, digests []hashutil.Digest
 // forgeLeaf is forgePath for a point proof.
 func forgeLeaf(t *testing.T, tr *Tree, p BatchProof, value []byte) BatchProof {
 	t.Helper()
-	p.Nodes = forgePath(t, tr, p.Nodes, p.digests, p.Keys[0], value)
+	p.Nodes = forgePath(t, tr, p.Nodes, p.Digests, p.Keys[0], value)
 	p.Values = [][]byte{value}
 	return p
 }
@@ -700,7 +701,7 @@ func TestElisionStructuredForgeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.digests[len(p.digests)-1] != full.digests[height-1] {
+		if p.Digests[len(p.Digests)-1] != full.Digests[height-1] {
 			other = e.Key
 			break
 		}
@@ -776,12 +777,12 @@ func TestElisionStructuredForgeries(t *testing.T) {
 				p.Keys, p.Values, p.Found = [][]byte{key}, [][]byte{nil}, []bool{false}
 				// That leaf pruned as for an honest search for key: the
 				// gap key would sit in, both sides in hand.
-				body, n, err := tr.loadProofNode(otherProof.digests[height-1])
+				body, n, err := tr.loadProofNode(otherProof.Digests[height-1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				i := searchEntries(n.entries, key)
-				if p.Nodes[0], err = posleaf.Prune(body, max(i-1, 0), min(i, len(n.entries)-1)); err != nil {
+				i := proof.Search(n.Entries, key)
+				if p.Nodes[0], err = posleaf.Prune(body, max(i-1, 0), min(i, len(n.Entries)-1)); err != nil {
 					t.Fatal(err)
 				}
 				return p
@@ -808,8 +809,8 @@ func TestElisionStructuredForgeries(t *testing.T) {
 // own level byte selects, so a pointer computed under the other domain —
 // "the hash is right, the domain is wrong" — never links.
 func TestVerifyBindsLevelToHashDomain(t *testing.T) {
-	leaf := &node{level: 0, entries: []Entry{{Key: []byte("k"), Value: []byte("v")}}}
-	leafBody := leaf.encode()
+	leaf := &node{Level: 0, Entries: []Entry{{Key: []byte("k"), Value: []byte("v")}}}
+	leafBody := encodeNode(leaf)
 	pruned, err := posleaf.Prune(leafBody, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -818,8 +819,8 @@ func TestVerifyBindsLevelToHashDomain(t *testing.T) {
 	entryHash := hashutil.Sum(hashutil.DomainPOSEntry, posleaf.AppendEntry(nil, []byte("k"), []byte("v")))
 	bound := append([]byte{0, 1}, entryHash[:]...) // level | count | root
 	build := func(pointer hashutil.Digest) (hashutil.Digest, BatchProof) {
-		parent := &node{level: 1, entries: []Entry{makeIndexEntry([]byte("k"), pointer, 1)}}
-		parentBody := parent.encode()
+		parent := &node{Level: 1, Entries: []Entry{makeIndexEntry([]byte("k"), pointer, 1)}}
+		parentBody := encodeNode(parent)
 		return hashutil.Sum(hashutil.DomainPOSIndex, parentBody), oneKey([]byte("k"), []byte("v"), true, parentBody, pruned)
 	}
 	root, p := build(hashutil.Sum(hashutil.DomainPOSLeaf, bound))
@@ -865,7 +866,7 @@ func TestElidedProofEveryByteTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := warmNodes(t, tr, key)
-	elided, _ := full.Elide(held(pin(warm...)))
+	elided, _ := held(pin(warm...)).Point(full)
 	leaf := len(elided.Nodes) - 1
 	fields := []struct {
 		name string
@@ -913,7 +914,7 @@ func TestHintsAcrossCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elided, n := full.Elide(have)
+		elided, n := have.Point(full)
 		if !wantElided(n) {
 			t.Fatalf("%s: %d of %d nodes elided", name, n, len(full.Nodes))
 		}
@@ -946,8 +947,8 @@ func TestHintsAcrossCommits(t *testing.T) {
 	// on key's path.
 	far := entries[len(entries)-1].Key
 	sameChild := func(k []byte) bool {
-		a, _, _ := warm[0].Child(key)
-		b, _, _ := warm[0].Child(k)
+		a := childOf(warm[0], key)
+		b := childOf(warm[0], k)
 		return a == b
 	}
 	if sameChild(far) {
@@ -1004,7 +1005,7 @@ func groupedLeaf(t *testing.T) (tr *Tree, body []byte, leaf *node, nextBody []by
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := p.digests[len(p.digests)-1]
+		d := p.Digests[len(p.Digests)-1]
 		if d == prev {
 			continue
 		}
@@ -1013,11 +1014,11 @@ func groupedLeaf(t *testing.T) (tr *Tree, body []byte, leaf *node, nextBody []by
 		if err != nil {
 			t.Fatal(err)
 		}
-		if leaf != nil && len(n.entries) >= g {
+		if leaf != nil && len(n.Entries) >= g {
 			return tr, body, leaf, b, n
 		}
 		body, leaf = nil, nil
-		if len(n.entries) > 3*g {
+		if len(n.Entries) > 3*g {
 			body, leaf = b, n
 		}
 	}
@@ -1048,38 +1049,38 @@ func TestPointProofShipsTheDecidingEntries(t *testing.T) {
 			t.Fatalf("%q: leaf slot is %d bytes, the stored leaf %d", key, len(last), len(body))
 		}
 		n, d, err := openNode(last)
-		if err != nil || d != p.digests[len(p.digests)-1] {
+		if err != nil || d != p.Digests[len(p.Digests)-1] {
 			t.Fatalf("%q: pruned leaf does not open to the leaf's digest: %v", key, err)
 		}
 		if ref, ok := mustSplit(t, last).digest(); !ok || ref != d {
 			t.Fatalf("%q: the reference reading of the slot disagrees", key)
 		}
-		if n.count != len(leaf.entries) {
-			t.Fatalf("%q: pruned leaf counts %d entries, the leaf has %d", key, n.count, len(leaf.entries))
+		if n.Count != len(leaf.Entries) {
+			t.Fatalf("%q: pruned leaf counts %d entries, the leaf has %d", key, n.Count, len(leaf.Entries))
 		}
 		return n
 	}
 	// A hit ships exactly its entry, wherever in a group it sits.
-	for _, i := range []int{0, g - 1, g, g + 3, 2*g - 1, len(leaf.entries) - 1} {
-		if n := shipped(leaf.entries[i].Key, true); n.first != i || len(n.entries) != 1 {
-			t.Fatalf("hit at %d shipped entries [%d,%d)", i, n.first, n.first+len(n.entries))
+	for _, i := range []int{0, g - 1, g, g + 3, 2*g - 1, len(leaf.Entries) - 1} {
+		if n := shipped(leaf.Entries[i].Key, true); n.First != i || len(n.Entries) != 1 {
+			t.Fatalf("hit at %d shipped entries [%d,%d)", i, n.First, n.First+len(n.Entries))
 		}
 	}
 	// A miss ships both sides of the gap, inside a group or across an edge.
 	for _, i := range []int{g + 2, 2*g - 1} {
-		if n := shipped(between(leaf.entries[i]), false); n.first != i || len(n.entries) != 2 {
-			t.Fatalf("miss after entry %d shipped entries [%d,%d)", i, n.first, n.first+len(n.entries))
+		if n := shipped(between(leaf.Entries[i]), false); n.First != i || len(n.Entries) != 2 {
+			t.Fatalf("miss after entry %d shipped entries [%d,%d)", i, n.First, n.First+len(n.Entries))
 		}
 	}
 	// Before the leaf's first entry (the key routes here because it is past
 	// the previous leaf's last): the first entry alone.
-	below := append([]byte(nil), leaf.entries[0].Key...)
+	below := append([]byte(nil), leaf.Entries[0].Key...)
 	below[len(below)-1]--
-	if n := shipped(below, false); n.first != 0 || len(n.entries) != 1 {
-		t.Fatalf("miss below the leaf's first key shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	if n := shipped(below, false); n.First != 0 || len(n.Entries) != 1 {
+		t.Fatalf("miss below the leaf's first key shipped entries [%d,%d)", n.First, n.First+len(n.Entries))
 	}
 	// A single-leaf tree: past its last entry, the last entry alone.
-	small := mustBulk(t, leaf.entries[:g+2])
+	small := mustBulk(t, leaf.Entries[:g+2])
 	if small.level != 0 {
 		t.Skip("the small tree is not a single leaf")
 	}
@@ -1090,8 +1091,8 @@ func TestPointProofShipsTheDecidingEntries(t *testing.T) {
 	if err := p.Verify(small.Root()); err != nil {
 		t.Fatal(err)
 	}
-	if n, _, _ := openNode(p.Nodes[0]); n.first != g+1 || len(n.entries) != 1 {
-		t.Fatalf("miss above a root leaf shipped entries [%d,%d)", n.first, n.first+len(n.entries))
+	if n, _, _ := openNode(p.Nodes[0]); n.First != g+1 || len(n.Entries) != 1 {
+		t.Fatalf("miss above a root leaf shipped entries [%d,%d)", n.First, n.First+len(n.Entries))
 	}
 }
 
@@ -1103,8 +1104,8 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 	tr, body, leaf, nextBody, _ := groupedLeaf(t)
 	g := groupLen(t)
 	at := g + 1
-	key := leaf.entries[at].Key        // present
-	edge := between(leaf.entries[g-1]) // absent, between entries g-1 and g
+	key := leaf.Entries[at].Key        // present
+	edge := between(leaf.Entries[g-1]) // absent, between entries g-1 and g
 	forgedValue := []byte("forged value")
 
 	prune := func(b []byte, lo, hi int) []byte {
@@ -1216,7 +1217,7 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 				t.Fatal("forged pruned leaf verified")
 			}
 			path := warmPath(t, tr, tc.proof.Keys[0])
-			elided, n := tc.proof.Elide(held(path))
+			elided, n := held(path).Point(tc.proof)
 			if n != len(hit.Nodes)-1 {
 				t.Fatalf("elided %d index nodes of %d", n, len(hit.Nodes)-1)
 			}
@@ -1232,7 +1233,7 @@ func TestPrunedLeafStructuredForgeries(t *testing.T) {
 func TestPrunedLeafEveryFieldTrips(t *testing.T) {
 	tr, _, leaf, _, _ := groupedLeaf(t)
 	g := groupLen(t)
-	for _, key := range [][]byte{leaf.entries[g+1].Key, between(leaf.entries[g+1]), between(leaf.entries[g-1])} {
+	for _, key := range [][]byte{leaf.Entries[g+1].Key, between(leaf.Entries[g+1]), between(leaf.Entries[g-1])} {
 		p, err := tr.ProveGet(key)
 		if err != nil {
 			t.Fatal(err)

@@ -59,7 +59,7 @@ func TestScanFailsOnLostLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leafDigest := p.digests[len(p.digests)-1]
+	leafDigest := p.Digests[len(p.Digests)-1]
 	fault.Lose(leafDigest)
 	err = tr.Scan(nil, nil, func(Entry) bool { return true })
 	if err == nil {
@@ -130,7 +130,7 @@ func newColdLeaf(t *testing.T) *coldLeaf {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := p.digests[len(p.digests)-1]
+		d := p.Digests[len(p.Digests)-1]
 		body, err := fault.Get(d)
 		if err != nil {
 			t.Fatal(err)
@@ -139,15 +139,15 @@ func newColdLeaf(t *testing.T) *coldLeaf {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(n.entries) < 24 {
+		if len(n.Entries) < 24 {
 			continue // three groups at least: the damaged one is neither first nor last
 		}
 		c := &coldLeaf{tr: tr, clean: clean, fault: fault, leaf: d}
-		for _, le := range n.entries {
+		for _, le := range n.Entries {
 			c.keys = append(c.keys, append([]byte(nil), le.Key...))
 		}
 		// The last byte of entry 9 is the last byte of its value.
-		end := bytes.Index(body, n.entries[9].Value) + len(n.entries[9].Value)
+		end := bytes.Index(body, n.Entries[9].Value) + len(n.Entries[9].Value)
 		fault.Corrupt(d, end-1)
 		return c
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cas"
@@ -21,7 +22,7 @@ import (
 // what a hostile hint or a hostile patch can cost.
 
 // isPatch reports whether a node slot is a patched one.
-func isPatch(slot []byte) bool { return len(slot) > 0 && slot[0] == patchMarker }
+func isPatch(slot []byte) bool { return len(slot) > 0 && slot[0] == proof.PatchMarker }
 
 // TestPatchRoundTrip: for random pairs of sorted entry lists — one made of
 // the other by overwrites, inserts and deletes, a few or many — applying
@@ -67,10 +68,10 @@ func TestPatchRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: no patch", round)
 		}
 		slot = slot[len("prefix"):]
-		if slot[0] != patchMarker || !bytes.Equal(slot[1:1+len(d)], d[:]) {
+		if slot[0] != proof.PatchMarker || !bytes.Equal(slot[1:1+len(d)], d[:]) {
 			t.Fatalf("round %d: slot does not open with the marker and the base digest", round)
 		}
-		got, err := applyEdits(nil, slot[1+len(d):], base)
+		got, err := proof.ApplyEdits(nil, slot[1+len(d):], base)
 		if err != nil || !sameEntries(got, cur) {
 			t.Fatalf("round %d: apply(base, diff(base, cur)) != cur: %v", round, err)
 		}
@@ -158,7 +159,7 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 			wantShipped := map[hashutil.Digest]bool{}
 			k := 0
 			for i, body := range nodes {
-				if body[0] != 0 && path.set.find(digests[i]) >= 0 {
+				if body[0] != 0 && pinned(path, digests[i]) {
 					continue // elided
 				}
 				slot := cut[k]
@@ -175,7 +176,7 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 					}
 					continue
 				}
-				_, rebuilt, err := rebuild(slot, path)
+				_, rebuilt, err := rebuild(slot, held)
 				if err != nil || !bytes.Equal(rebuilt, body) {
 					t.Fatalf("round %d %s: patched slot %d does not rebuild its body: %v", round, shape, i, err)
 				}
@@ -186,10 +187,10 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 				for rest := slot[1+hashutil.DigestSize:]; len(rest) > 0; {
 					tag, n := binary.Uvarint(rest)
 					rest = rest[n:]
-					if tag&3 != patchDelete {
+					if tag&3 != proof.PatchDelete {
 						_, _, rest, _ = posleaf.ReadEntry(rest)
 					}
-					if tag&3 != patchSet {
+					if tag&3 != proof.PatchSet {
 						structural++
 					}
 				}
@@ -204,11 +205,11 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 				t.Fatalf("round %d %s: %d index nodes to cache, want %d", round, shape, len(path.Shipped), len(wantShipped))
 			}
 			for _, n := range path.Shipped {
-				if !wantShipped[n.digest] {
-					t.Fatalf("round %d %s: node %s cached, never shipped", round, shape, n.digest.Short())
+				if !wantShipped[n.Digest()] {
+					t.Fatalf("round %d %s: node %s cached, never shipped", round, shape, n.Digest().Short())
 				}
-				if body, err := next.store.Get(n.digest); err != nil || n.size != nodeSize(n.n, body) {
-					t.Fatalf("round %d %s: a patched node is accounted %d bytes: %v", round, shape, n.size, err)
+				if body, err := next.store.Get(n.Digest()); err != nil || n.Size() != nodeSize(n.Node(), body) {
+					t.Fatalf("round %d %s: a patched node is accounted %d bytes: %v", round, shape, n.Size(), err)
 				}
 			}
 		}
@@ -221,24 +222,24 @@ func TestPatchedProofsMatchWholeProofs(t *testing.T) {
 			if err := full.Verify(next.Root()); err != nil {
 				t.Fatal(err)
 			}
-			cut, _ := full.Elide(have())
+			cut, _ := have().Point(full)
 			if cut.Found[0] != full.Found[0] || !bytes.Equal(cut.Values[0], full.Values[0]) {
 				t.Fatalf("round %d: Elide changed the claim", round)
 			}
-			check("point", full.Nodes, full.digests, cut.Nodes, func(pa *Path) error { return cut.VerifyPath(next.Root(), pa) })
+			check("point", full.Nodes, full.Digests, cut.Nodes, func(pa *Path) error { return cut.VerifyPath(next.Root(), pa) })
 		}
 		fullB, err := next.ProveGetBatch(keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cutB, _ := fullB.Elide(have())
-		check("batch", fullB.Nodes, fullB.digests, cutB.Nodes, func(pa *Path) error { return cutB.VerifyPath(next.Root(), pa) })
+		cutB, _ := have().Point(fullB)
+		check("batch", fullB.Nodes, fullB.Digests, cutB.Nodes, func(pa *Path) error { return cutB.VerifyPath(next.Root(), pa) })
 		fullR, err := next.ProveScan(start, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cutR, _ := fullR.WithoutEntries().Elide(have())
-		check("range", fullR.Nodes, fullR.digests, cutR.Nodes, func(pa *Path) error { return cutR.VerifyPath(next.Root(), pa) })
+		cutR, _ := have().Range(fullR)
+		check("range", fullR.Nodes, fullR.Digests, cutR.Nodes, func(pa *Path) error { return cutR.VerifyPath(next.Root(), pa) })
 		if !sameEntries(cutR.Entries, fullR.Entries) {
 			t.Fatalf("round %d: the patched range proof verified to %d rows, the whole one to %d", round, len(cutR.Entries), len(fullR.Entries))
 		}
@@ -268,7 +269,7 @@ func TestPatchOnlyAgainstTheHint(t *testing.T) {
 		"the digests alone":     NewHeldSet(pin(warm...).Have()),
 		"a hint of other nodes": next.Held([]hashutil.Digest{hashutil.Sum(hashutil.DomainValue, []byte("x"))}),
 	} {
-		cut, n := full.Elide(have)
+		cut, n := have.Point(full)
 		if n != 0 || &cut.Nodes[0] != &full.Nodes[0] {
 			t.Fatalf("%s: the proof was cut", name)
 		}
@@ -278,8 +279,8 @@ func TestPatchOnlyAgainstTheHint(t *testing.T) {
 	}
 	// Only the root is named: only the root is patched, against it.
 	have := next.Held(pin(warm[0]).Have())
-	cut, _ := full.Elide(have)
-	if !isPatch(cut.Nodes[0]) || !bytes.Equal(cut.Nodes[0][1:1+hashutil.DigestSize], warm[0].digest[:]) {
+	cut, _ := have.Point(full)
+	if !isPatch(cut.Nodes[0]) || !bytes.Equal(cut.Nodes[0][1:1+hashutil.DigestSize], digestBytes(warm[0])) {
 		t.Fatal("the root was not patched against the hinted root")
 	}
 	for i, slot := range cut.Nodes[1:] {
@@ -322,7 +323,7 @@ func TestPatchStructuredForgeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest, _ := full.Elide(next.Held(pin(warm...).Have()))
+	honest, _ := next.Held(pin(warm...).Have()).Point(full)
 	index := len(full.Nodes) - 1
 	for i := 0; i < index; i++ {
 		if !isPatch(honest.Nodes[i]) {
@@ -350,8 +351,8 @@ func TestPatchStructuredForgeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slot := append([]byte{patchMarker}, d[:]...)
-		slot = binary.AppendUvarint(slot, uint64(searchEntries(n.entries, key))<<2|patchSet)
+		slot := append([]byte{proof.PatchMarker}, d[:]...)
+		slot = binary.AppendUvarint(slot, uint64(proof.Search(n.Entries, key))<<2|proof.PatchSet)
 		return posleaf.AppendEntry(slot, nil, []byte("forged value"))
 	}
 
@@ -383,19 +384,19 @@ func TestPatchStructuredForgeries(t *testing.T) {
 		// have: a reader that passes it over rebuilds the right node.
 		{"carries an edit past the base's last entry", trustPatch,
 			warm, nil, with(honest, 0, binary.AppendUvarint(append([]byte(nil), honest.Nodes[0]...),
-				uint64(len(warm[0].n.entries)+5)<<2|patchDelete))},
+				uint64(len(warm[0].Node().Entries)+5)<<2|proof.PatchDelete))},
 		// The empty patch rebuilds the old root itself, which routes to the
 		// old path — all pinned — and the old leaf: yesterday's value under
 		// today's root.
 		{"rebuilds a node other than the one the trusted root names", trustPatch,
-			warm, nil, stale(oneKey(key, nil, true, append([]byte{patchMarker}, warm[0].digest[:]...), oldLeaf))},
+			warm, nil, stale(oneKey(key, nil, true, append([]byte{proof.PatchMarker}, digestBytes(warm[0])...), oldLeaf))},
 		// The honest proof, and beside it a well-formed patch of a node no
 		// walk wants.
 		{"smuggles a patch in beside the nodes asked for", trustExtra,
 			warm, nil, func() BatchProof {
 				p := honest
 				p.Nodes = append(append([][]byte(nil), honest.Nodes...),
-					binary.AppendUvarint(append([]byte{patchMarker}, warm[0].digest[:]...), 0<<2|patchDelete))
+					binary.AppendUvarint(append([]byte{proof.PatchMarker}, digestBytes(warm[0])...), 0<<2|proof.PatchDelete))
 				return p
 			}()},
 	}
@@ -447,7 +448,7 @@ func TestPatchedProofEveryByteTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest, _ := full.Elide(next.Held(pin(warm...).Have()))
+	honest, _ := next.Held(pin(warm...).Have()).Point(full)
 	for i, slot := range honest.Nodes {
 		if !isPatch(slot) {
 			continue
@@ -497,28 +498,28 @@ func TestHostileHintCostsBoundedWork(t *testing.T) {
 	}
 	// A full-size hint of digests the cache has never seen — leaves, which
 	// the store does hold, among them — ahead of the one real base.
-	junk := make([]hashutil.Digest, 0, MaxHave)
+	junk := make([]hashutil.Digest, 0, proof.MaxHave)
 	for _, e := range entries[:200] {
 		p, err := tr.ProveGet(e.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		junk = append(junk, p.digests[len(p.digests)-1])
+		junk = append(junk, p.Digests[len(p.Digests)-1])
 	}
-	for i := len(junk); i < MaxHave-1; i++ {
+	for i := len(junk); i < proof.MaxHave-1; i++ {
 		junk = append(junk, hashutil.Sum(hashutil.DomainValue, []byte(fmt.Sprint(i))))
 	}
 	before := store.gets
-	have := next.Held(append(junk, warm[0].digest))
-	if cut, _ := full.Elide(have); &cut.Nodes[0] != &full.Nodes[0] {
+	have := next.Held(append(junk, warm[0].Digest()))
+	if cut, _ := have.Point(full); &cut.Nodes[0] != &full.Nodes[0] {
 		t.Fatal("a base past the lookup cap was used")
 	}
 	if len(have.bases.held) != 0 || store.gets != before {
 		t.Fatalf("cutting against a hostile hint resolved %d bases with %d store reads", len(have.bases.held), store.gets-before)
 	}
 	// The same base inside the cap is found, still without the store.
-	have = next.Held(append([]hashutil.Digest{warm[0].digest}, junk...))
-	if cut, _ := full.Elide(have); !isPatch(cut.Nodes[0]) {
+	have = next.Held(append([]hashutil.Digest{warm[0].Digest()}, junk...))
+	if cut, _ := have.Point(full); !isPatch(cut.Nodes[0]) {
 		t.Fatal("the root was not patched against a base named first")
 	}
 	if len(have.bases.held) != 1 || store.gets != before {
@@ -526,7 +527,7 @@ func TestHostileHintCostsBoundedWork(t *testing.T) {
 	}
 	// And nothing at all is looked up for a proof with no index node to ship.
 	have = next.Held(pin(nodesUnder(t, next, [][]byte{key}, key, key)...).Have())
-	if _, n := full.Elide(have); n != len(full.Nodes)-1 || have.bases.held != nil {
+	if _, n := have.Point(full); n != len(full.Nodes)-1 || have.bases.held != nil {
 		t.Fatalf("%d nodes elided; bases resolved: %v", n, have.bases.held != nil)
 	}
 }
@@ -537,14 +538,14 @@ func TestHostileHintCostsBoundedWork(t *testing.T) {
 func TestHostilePatchCostsBoundedMemory(t *testing.T) {
 	tr, _, key := elideTree(t)
 	warm := warmNodes(t, tr, key)
-	head := append([]byte{patchMarker}, warm[0].digest[:]...)
+	head := append([]byte{proof.PatchMarker}, digestBytes(warm[0])...)
 	huge := func(n uint64) []byte { return binary.AppendUvarint(nil, n) }
 	slots := map[string][]byte{
-		"a key length of 2^40":             append(append(append([]byte(nil), head...), patchInsert), huge(1<<40)...),
-		"a value length of 2^40":           append(append(append([]byte(nil), head...), patchInsert, 1, 'k'), huge(1<<40)...),
-		"a position of 2^60":               append(append([]byte(nil), head...), huge(1<<62|patchDelete)...),
+		"a key length of 2^40":             append(append(append([]byte(nil), head...), proof.PatchInsert), huge(1<<40)...),
+		"a value length of 2^40":           append(append(append([]byte(nil), head...), proof.PatchInsert, 1, 'k'), huge(1<<40)...),
+		"a position of 2^60":               append(append([]byte(nil), head...), huge(1<<62|proof.PatchDelete)...),
 		"a megabyte of zero bytes":         append(append([]byte(nil), head...), make([]byte, 1<<20)...),
-		"a megabyte of inserts":            append(append([]byte(nil), head...), bytes.Repeat(posleaf.AppendEntry([]byte{patchInsert}, nil, make([]byte, hashutil.DigestSize+8)), 1<<20/43)...),
+		"a megabyte of inserts":            append(append([]byte(nil), head...), bytes.Repeat(posleaf.AppendEntry([]byte{proof.PatchInsert}, nil, make([]byte, hashutil.DigestSize+8)), 1<<20/43)...),
 		"cut short inside the base digest": head[:20],
 	}
 	for name, slot := range slots {
@@ -556,8 +557,8 @@ func TestHostilePatchCostsBoundedMemory(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: verified", name)
 		}
-		// The rebuilt list stops at maxFanout entries, grown by doubling.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxFanout*entryHeaderBytes+uint64(len(slot)) {
+		// The rebuilt list stops at proof.MaxFanout entries, grown by doubling.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*proof.MaxFanout*entryHeaderBytes+uint64(len(slot)) {
 			t.Fatalf("%s: a %d-byte slot made the verifier allocate %d bytes", name, len(slot), grew)
 		}
 	}
@@ -608,7 +609,7 @@ func BenchmarkVerifyAfterCommit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cut, _ := full.Elide(next.Held(pin(warm.Shipped...).Have()))
+	cut, _ := next.Held(pin(warm.Shipped...).Have()).Point(full)
 	for name, p := range map[string]BatchProof{"whole": full, "patched": cut} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -623,7 +624,7 @@ func BenchmarkVerifyAfterCommit(b *testing.B) {
 		have := pin(warm.Shipped...).Have()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			full.Elide(next.Held(have))
+			next.Held(have).Point(full)
 		}
 	})
 }

@@ -33,33 +33,14 @@ import (
 	"spitz/internal/hashutil"
 	"spitz/internal/obs"
 	"spitz/internal/posleaf"
+	"spitz/internal/proof"
 )
 
-const (
-	// patternBits sets the expected node fanout to 2^patternBits = 32.
-	patternBits = 5
-	// maxFanout is a safety valve against adversarial inputs; with random
-	// content it is effectively never reached ((31/32)^1024 ≈ e^-32).
-	maxFanout = 1024
-	// maxStrata bounds tree height (fanout 32 ⇒ 32^16 entries, far beyond
-	// anything addressable).
-	maxStrata = 16
-	// MaxHeight is maxStrata for code outside the package: no search path
-	// is longer.
-	MaxHeight = maxStrata
-	// MaxHave bounds the hint of one read — the digests of the nodes its
-	// verifier pinned, Path.Have — for the client that builds it and the
-	// decoder that receives it alike: a thousand digests name more index
-	// nodes than a batch of a few hundred keys walks through, and cost a
-	// request 32 KiB.
-	MaxHave = 1024
-)
+// patternBits sets the expected node fanout to 2^patternBits = 32.
+const patternBits = 5
 
 // Entry is a key/value pair stored in the tree. Keys are unique.
-type Entry struct {
-	Key   []byte
-	Value []byte
-}
+type Entry = proof.Entry
 
 // Edit describes one mutation in a batch: an upsert, or a delete when
 // Delete is true.
@@ -95,14 +76,14 @@ func Load(store cas.Store, root hashutil.Digest) (*Tree, error) {
 		return nil, err
 	}
 	count := 0
-	if n.level == 0 {
-		count = len(n.entries)
+	if n.Level == 0 {
+		count = len(n.Entries)
 	} else {
-		for _, e := range n.entries {
+		for _, e := range n.Entries {
 			count += int(childCount(e))
 		}
 	}
-	return &Tree{store: store, cache: newNodeCache(), root: root, level: n.level, count: count}, nil
+	return &Tree{store: store, cache: newNodeCache(), root: root, level: n.Level, count: count}, nil
 }
 
 // At reopens the (usually historical) snapshot rooted at root, sharing
@@ -118,14 +99,14 @@ func (t *Tree) At(root hashutil.Digest) (*Tree, error) {
 		return nil, err
 	}
 	count := 0
-	if n.level == 0 {
-		count = len(n.entries)
+	if n.Level == 0 {
+		count = len(n.Entries)
 	} else {
-		for _, e := range n.entries {
+		for _, e := range n.Entries {
 			count += int(childCount(e))
 		}
 	}
-	return &Tree{store: t.store, cache: t.cache, root: root, level: n.level, count: count}, nil
+	return &Tree{store: t.store, cache: t.cache, root: root, level: n.Level, count: count}, nil
 }
 
 // Root returns the root digest; it is zero for an empty tree.
@@ -140,27 +121,9 @@ func (t *Tree) Store() cas.Store { return t.store }
 // ---------------------------------------------------------------------------
 // Node representation
 
-// node is the in-memory form of a stored tree node. Leaf nodes (level 0)
-// hold data entries; index nodes at level L hold routing entries whose Key
-// is the largest key in the child subtree and whose Value is the 32-byte
-// child digest followed by the 8-byte big-endian subtree entry count.
-//
-// A leaf decoded from the pruned form a proof carries holds only the
-// run of entries that was shipped: first is the position in the leaf of
-// entries[0] and count the leaf's true entry count (0 and len(entries) for
-// a leaf decoded whole; neither is set on other nodes).
-type node struct {
-	level   int
-	entries []Entry
-	first   int
-	count   int
-}
-
-func childDigest(e Entry) hashutil.Digest {
-	var d hashutil.Digest
-	copy(d[:], e.Value[:hashutil.DigestSize])
-	return d
-}
+// node is the in-memory form of a stored tree node: its level, entries
+// and, for a leaf decoded from a proof, the run of them present.
+type node = proof.Node
 
 func childCount(e Entry) uint64 {
 	return binary.BigEndian.Uint64(e.Value[hashutil.DigestSize:])
@@ -181,8 +144,9 @@ func makeIndexEntry(sep []byte, d hashutil.Digest, count uint64) Entry {
 var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
 
 // encode serializes a run as one node of the given level: an index node
-// as level | count | entries, hashed whole; a leaf in the layout of
-// internal/posleaf, which keeps a root per group of entries.
+// as proof.IndexNode lays it out, hashed whole, and returned decoded as
+// well; a leaf in the layout of internal/posleaf, which keeps a root per
+// group of entries.
 // Where r.kept says a stretch of a leaf's entries is a stored leaf's,
 // unchanged, the writer takes the groups both leaves cut alike out of
 // that leaf's body, already hashed — checked or not: a damaged group keeps
@@ -190,32 +154,35 @@ var mHashedBytes = obs.Default.Counter("spitz_postree_hashed_bytes_total")
 // stretches copied are returned, for the store to know (cas.CopyTracker).
 // An entry of a stored leaf that is framed and hashed anew is checked
 // first. The body is allocated once, at its exact size: the store keeps it.
-func (t *Tree) encode(level int, r run) ([]byte, []copied, error) {
-	size := entryBytes(r.entries)
-	if level == 0 {
-		w := posleaf.NewWriter(len(r.entries), size)
-		at := cursor{spans: r.kept}
-		var copies []copied
-		for i := 0; i < len(r.entries); {
-			if sp, ok := at.span(i); ok {
-				if took := w.Copy(sp.src.groups, sp.pos+i-sp.at, sp.at+sp.n-i); took > 0 {
-					copies = append(copies, copied{at: i, pos: sp.pos + i - sp.at, n: took, src: sp.src})
-					i += took
-					continue
-				}
-				if err := t.checkKept(sp, i); err != nil {
-					return nil, nil, err
-				}
-			}
-			w.Entry(r.entries[i].Key, r.entries[i].Value)
-			i++
-		}
-		mHashedBytes.Add(uint64(w.Hashed()))
-		return w.Body(), copies, nil
+func (t *Tree) encode(level int, r run) (*node, []byte, []copied, error) {
+	if level > 0 {
+		n, body := proof.IndexNode(level, r.entries)
+		mHashedBytes.Add(uint64(len(body)))
+		return n, body, nil, nil
 	}
-	buf := encodeIndex(level, r.entries, size)
-	mHashedBytes.Add(uint64(len(buf)))
-	return buf, nil, nil
+	size := 0
+	for _, e := range r.entries {
+		size += posleaf.EntrySize(e.Key, e.Value)
+	}
+	w := posleaf.NewWriter(len(r.entries), size)
+	at := cursor{spans: r.kept}
+	var copies []copied
+	for i := 0; i < len(r.entries); {
+		if sp, ok := at.span(i); ok {
+			if took := w.Copy(sp.src.groups, sp.pos+i-sp.at, sp.at+sp.n-i); took > 0 {
+				copies = append(copies, copied{at: i, pos: sp.pos + i - sp.at, n: took, src: sp.src})
+				i += took
+				continue
+			}
+			if err := t.checkKept(sp, i); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		w.Entry(r.entries[i].Key, r.entries[i].Value)
+		i++
+	}
+	mHashedBytes.Add(uint64(w.Hashed()))
+	return nil, w.Body(), copies, nil
 }
 
 // copied is a stretch of a leaf that encode took over by its groups from
@@ -223,133 +190,6 @@ func (t *Tree) encode(level int, r run) ([]byte, []copied, error) {
 type copied struct {
 	at, pos, n int
 	src        *stored
-}
-
-// entryBytes is what the entries take encoded.
-func entryBytes(entries []Entry) int {
-	size := 0
-	for _, e := range entries {
-		size += posleaf.EntrySize(e.Key, e.Value)
-	}
-	return size
-}
-
-// encodeIndex returns the body of an index node, level | count | entries,
-// allocated at its exact size; size is entryBytes(entries).
-func encodeIndex(level int, entries []Entry, size int) []byte {
-	buf := make([]byte, 0, 1+posleaf.UvarintLen(len(entries))+size)
-	buf = append(buf, byte(level))
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = posleaf.AppendEntry(buf, e.Key, e.Value)
-	}
-	return buf
-}
-
-// rehomed returns the index node of the given entries, just encoded as
-// body, the way the cache keeps it: with entries that point into body and
-// nowhere else. The entries it was encoded from alias whatever they were
-// merged from — the bodies of the nodes this one replaces,
-// makeIndexEntry's values, keys of leaves — and a cached node holding on to
-// those would pin a chain of superseded bodies the cache does not account
-// for. The lengths are known, so nothing is parsed.
-func rehomed(level int, entries []Entry, body []byte) *node {
-	out := &node{level: level, entries: make([]Entry, len(entries))}
-	off := 1 + posleaf.UvarintLen(len(entries))
-	for i, e := range entries {
-		off += posleaf.UvarintLen(len(e.Key))
-		out.entries[i].Key = body[off : off+len(e.Key)]
-		off += len(e.Key) + posleaf.UvarintLen(len(e.Value))
-		out.entries[i].Value = body[off : off+len(e.Value)]
-		off += len(e.Value)
-	}
-	return out
-}
-
-// decodeNode decodes a node body from the tree's own store. Nothing is
-// hashed: bodies that arrive in proofs go through openNode.
-func decodeNode(data []byte) (*node, error) {
-	if len(data) < 2 {
-		return nil, errors.New("postree: node too short")
-	}
-	if data[0] == 0 {
-		l, err := posleaf.Parse(data)
-		if err != nil {
-			return nil, err
-		}
-		return decodeLeaf(l)
-	}
-	n := &node{level: int(data[0])}
-	cnt, k := binary.Uvarint(data[1:])
-	if k <= 0 {
-		return nil, errors.New("postree: bad entry count")
-	}
-	rest := data[1+k:]
-	// Bodies arrive in proofs from an untrusted server: an entry costs at
-	// least its two length bytes, so bound the count before allocating.
-	if cnt > uint64(len(rest))/2 {
-		return nil, errors.New("postree: entry count beyond node size")
-	}
-	n.entries = make([]Entry, cnt)
-	for i := range n.entries {
-		var err error
-		e := &n.entries[i]
-		if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
-			return nil, errors.New("postree: bad entry length")
-		}
-		if len(e.Value) != hashutil.DigestSize+8 {
-			return nil, errors.New("postree: bad index entry value size")
-		}
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("postree: trailing bytes in node")
-	}
-	return n, nil
-}
-
-// decodeLeaf decodes the entries present of a parsed leaf, whose number
-// posleaf bounded by the bytes they take.
-func decodeLeaf(l posleaf.Leaf) (*node, error) {
-	n := &node{entries: make([]Entry, l.N), first: l.First, count: l.Count}
-	rest := l.Entries
-	for i := range n.entries {
-		var err error
-		e := &n.entries[i]
-		if e.Key, e.Value, rest, err = posleaf.ReadEntry(rest); err != nil {
-			return nil, err
-		}
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("postree: trailing bytes in node")
-	}
-	return n, nil
-}
-
-// openNode decodes a node body that arrived in a proof and returns the
-// digest its bytes are bound to, which the caller compares with the digest
-// it expected: an index node hashes whole under the index domain; a leaf's
-// digest is recomputed from the entries present and the siblings beside
-// them (posleaf.Leaf.Verify — the same function a stored leaf passes when
-// it is read back from disk). Proofs of every shape carry leaves in the
-// pruned form, where only a run of the entries need be present.
-func openNode(body []byte) (*node, hashutil.Digest, error) {
-	if len(body) == 0 || body[0] != 0 {
-		n, err := decodeNode(body)
-		if err != nil {
-			return nil, hashutil.Digest{}, err
-		}
-		return n, hashutil.Sum(hashutil.DomainPOSIndex, body), nil
-	}
-	l, err := posleaf.ParsePruned(body)
-	if err != nil {
-		return nil, hashutil.Digest{}, err
-	}
-	d, err := l.Verify()
-	if err != nil {
-		return nil, hashutil.Digest{}, err
-	}
-	n, err := decodeLeaf(l)
-	return n, d, err
 }
 
 func nodeDomain(level int) byte {
@@ -364,7 +204,7 @@ func nodeDomain(level int) byte {
 // an index node to the cache, so that the apply of the next block, and
 // the proofs until then, find decoded what this one wrote.
 func (t *Tree) storeNode(level int, r run) (hashutil.Digest, uint64, error) {
-	body, copies, err := t.encode(level, r)
+	n, body, copies, err := t.encode(level, r)
 	if err != nil {
 		return hashutil.Digest{}, 0, err
 	}
@@ -377,7 +217,7 @@ func (t *Tree) storeNode(level int, r run) (hashutil.Digest, uint64, error) {
 		}
 		return d, uint64(len(r.entries)), nil
 	}
-	t.cache.put(d, rehomed(level, r.entries, body), body)
+	t.cache.put(d, n, body)
 	var cnt uint64
 	for _, e := range r.entries {
 		cnt += childCount(e)
@@ -390,7 +230,7 @@ func loadNode(store cas.Store, d hashutil.Digest) (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("postree: load node: %w", err)
 	}
-	return decodeNode(body)
+	return proof.DecodeNode(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +289,7 @@ type stored struct {
 
 // inner reports whether the run's entry i, which the span covers, is an
 // entry other than the last of its source node.
-func (s span) inner(i int) bool { return s.pos+i-s.at < len(s.src.n.entries)-1 }
+func (s span) inner(i int) bool { return s.pos+i-s.at < len(s.src.n.Entries)-1 }
 
 // checkKept checks the group of the stored leaf that holds the run's entry
 // i, which sp covers: an entry the apply reads rather than copies.
@@ -489,7 +329,7 @@ func (r *run) keep(src *stored, lo, hi int) {
 		return
 	}
 	at := len(r.entries)
-	r.entries = append(r.entries, src.n.entries[lo:hi]...)
+	r.entries = append(r.entries, src.n.Entries[lo:hi]...)
 	if k := len(r.kept) - 1; k >= 0 && r.kept[k].src == src && r.kept[k].pos+r.kept[k].n == lo && r.kept[k].at+r.kept[k].n == at {
 		r.kept[k].n += hi - lo
 		return
@@ -511,18 +351,18 @@ func (r run) window(lo, hi int) run {
 }
 
 // chunkEntries cuts a sorted entry run into complete nodes (each ending at
-// a boundary entry or at maxFanout) and an open tail of entries after the
+// a boundary entry or at proof.MaxFanout) and an open tail of entries after the
 // last boundary. The stored nodes' routing entries are returned. A stored
 // node's last entry ends a node where the tree's shape says it did
 // (stored.last), and nothing of it is read; any other stored leaf's entry
-// that can end a node — tested as a boundary, or cut at by maxFanout — is
+// that can end a node — tested as a boundary, or cut at by proof.MaxFanout — is
 // checked first: the tree's shape and a routing key are read off it.
 func (t *Tree) chunkEntries(r run, level int) (complete []Entry, tail run, err error) {
 	start := 0
 	at := cursor{spans: r.kept}
 	for i, e := range r.entries {
 		sp, kept := at.span(i)
-		test, full := !(kept && sp.inner(i)), i-start+1 >= maxFanout
+		test, full := !(kept && sp.inner(i)), i-start+1 >= proof.MaxFanout
 		shaped := kept && test && sp.src.last != nil
 		if kept && !shaped && (test || full) {
 			if err := t.checkKept(sp, i); err != nil {
@@ -569,7 +409,7 @@ func BulkLoad(store cas.Store, entries []Entry) (*Tree, error) {
 // node remains, which becomes the root.
 func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 	for {
-		if level >= maxStrata {
+		if level >= proof.MaxHeight {
 			return nil, errors.New("postree: tree too tall")
 		}
 		complete, tail, err := t.chunkEntries(run{entries: entries}, level)
@@ -584,7 +424,7 @@ func (t *Tree) buildUp(entries []Entry, level, count int) (*Tree, error) {
 			complete = append(complete, makeIndexEntry(tail.entries[last].Key, d, cnt))
 		}
 		if len(complete) == 1 {
-			return &Tree{store: t.store, cache: t.cache, root: childDigest(complete[0]), level: level, count: count}, nil
+			return &Tree{store: t.store, cache: t.cache, root: proof.ChildDigest(complete[0]), level: level, count: count}, nil
 		}
 		entries = complete
 		level++
@@ -634,17 +474,17 @@ func (t *Tree) leafFor(key []byte, visit func(d hashutil.Digest, body []byte)) (
 		if err != nil {
 			return d, nil, err
 		}
-		if n.level != level {
-			return d, nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
+		if n.Level != level {
+			return d, nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.Level, level)
 		}
 		if visit != nil {
 			visit(d, body)
 		}
-		i := searchEntries(n.entries, key)
-		if i == len(n.entries) {
+		i := proof.Search(n.Entries, key)
+		if i == len(n.Entries) {
 			return d, nil, nil
 		}
-		d = childDigest(n.entries[i])
+		d = proof.ChildDigest(n.Entries[i])
 	}
 	body, err := t.store.Get(d)
 	if err != nil {
@@ -679,7 +519,7 @@ func (t *Tree) find(d hashutil.Digest, body, key []byte) (lo, hi int, e Entry, f
 // either side of it, as far as the leaf has them: what the run is and
 // where it begins and ends.
 func (t *Tree) checkRun(d hashutil.Digest, body []byte, n *node, a, b int) error {
-	return t.store.CheckGroups(d, body, max(a-1, 0), min(b, len(n.entries)-1))
+	return t.store.CheckGroups(d, body, max(a-1, 0), min(b, len(n.Entries)-1))
 }
 
 // Scan calls fn for every entry with start <= key < end, in key order. A
@@ -700,27 +540,27 @@ func (t *Tree) scanNode(d hashutil.Digest, start, end []byte, fn func(Entry) boo
 	if err != nil {
 		return false, err
 	}
-	if n.level == 0 {
-		a, b := leafSpan(n.entries, start, end)
+	if n.Level == 0 {
+		a, b := proof.LeafSpan(n.Entries, start, end)
 		if err := t.checkRun(d, body, n, a, b); err != nil {
 			return false, err
 		}
-		for _, e := range n.entries[a:b] {
+		for _, e := range n.Entries[a:b] {
 			if !fn(e) {
 				return false, nil
 			}
 		}
-		return b == len(n.entries), nil // an entry at or past end stops the scan
+		return b == len(n.Entries), nil // an entry at or past end stops the scan
 	}
-	i := sort.Search(len(n.entries), func(i int) bool {
-		return bytes.Compare(n.entries[i].Key, start) >= 0
+	i := sort.Search(len(n.Entries), func(i int) bool {
+		return bytes.Compare(n.Entries[i].Key, start) >= 0
 	})
-	for ; i < len(n.entries); i++ {
-		e := n.entries[i]
-		if i > 0 && end != nil && bytes.Compare(n.entries[i-1].Key, end) >= 0 {
+	for ; i < len(n.Entries); i++ {
+		e := n.Entries[i]
+		if i > 0 && end != nil && bytes.Compare(n.Entries[i-1].Key, end) >= 0 {
 			return false, nil
 		}
-		cont, err := t.scanNode(childDigest(e), start, end, fn)
+		cont, err := t.scanNode(proof.ChildDigest(e), start, end, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -783,7 +623,7 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 		return t.buildUp(entries, 0, len(entries))
 	}
 
-	carry := make([]run, maxStrata)
+	carry := make([]run, proof.MaxHeight)
 	complete, err := t.processNode(t.root, nil, t.level, carry, dedup, onReplace)
 	if err != nil {
 		return nil, err
@@ -814,7 +654,7 @@ func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*T
 	case 0:
 		return &Tree{store: t.store, cache: t.cache}, nil
 	case 1:
-		return t.canonicalize(childDigest(complete[0]), newCount)
+		return t.canonicalize(proof.ChildDigest(complete[0]), newCount)
 	default:
 		return t.buildUp(complete, t.level+1, newCount)
 	}
@@ -829,11 +669,11 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.level == 0 || len(n.entries) > 1 {
-			return &Tree{store: t.store, cache: t.cache, root: root, level: n.level, count: count}, nil
+		if n.Level == 0 || len(n.Entries) > 1 {
+			return &Tree{store: t.store, cache: t.cache, root: root, level: n.Level, count: count}, nil
 		}
 		t.cache.retire(root) // unwrapped: no part of the tree returned
-		root = childDigest(n.entries[0])
+		root = proof.ChildDigest(n.Entries[0])
 	}
 }
 
@@ -849,13 +689,13 @@ func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run
 	if err != nil {
 		return nil, err
 	}
-	if n.level != level {
-		return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.level, level)
+	if n.Level != level {
+		return nil, fmt.Errorf("postree: node %s has level %d, expected %d", d.Short(), n.Level, level)
 	}
 	src := &stored{n: n}
 	// A stored node ends where the chunker cut it: at a boundary entry,
-	// unless maxFanout cut it or it is the rightmost of its level.
-	if key != nil && len(n.entries) < maxFanout {
+	// unless proof.MaxFanout cut it or it is the rightmost of its level.
+	if key != nil && len(n.Entries) < proof.MaxFanout {
 		src.last = key
 	}
 	if level == 0 {
@@ -876,13 +716,13 @@ func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run
 	// The carry's tail was sliced out of the run it came from: copy, so
 	// appending cannot write into that run's backing array.
 	content := run{
-		entries: append(make([]Entry, 0, len(carry[level].entries)+len(n.entries)), carry[level].entries...),
+		entries: append(make([]Entry, 0, len(carry[level].entries)+len(n.Entries)), carry[level].entries...),
 		kept:    carry[level].kept,
 	}
 	carry[level] = run{}
 	remaining := edits
-	for i, ce := range n.entries {
-		last := i == len(n.entries)-1
+	for i, ce := range n.Entries {
+		last := i == len(n.Entries)-1
 		var childEdits []Edit
 		childEdits, remaining = splitEdits(remaining, ce.Key, last)
 		if len(childEdits) == 0 && lowerEmpty(carry, level) {
@@ -893,7 +733,7 @@ func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run
 		if key == nil && last {
 			childKey = nil
 		}
-		sub, err := t.processNode(childDigest(ce), childKey, level-1, carry, childEdits, onReplace)
+		sub, err := t.processNode(proof.ChildDigest(ce), childKey, level-1, carry, childEdits, onReplace)
 		if err != nil {
 			return nil, err
 		}
@@ -940,7 +780,7 @@ func splitEdits(edits []Edit, sep []byte, last bool) (child, rest []Edit) {
 // the two either side of where it goes — are checked before they are
 // trusted.
 func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue []byte)) (run, error) {
-	base := leaf.n.entries
+	base := leaf.n.Entries
 	out := run{
 		entries: append(make([]Entry, 0, len(prefix.entries)+len(base)+len(edits)), prefix.entries...),
 		kept:    prefix.kept,
@@ -948,7 +788,7 @@ func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func
 	bi := 0
 	for _, e := range edits {
 		// The leaf's entries below the edit's key are kept as they are.
-		next := bi + searchEntries(base[bi:], e.Key)
+		next := bi + proof.Search(base[bi:], e.Key)
 		same := next < len(base) && bytes.Equal(base[next].Key, e.Key)
 		lo, hi := pointSpan(len(base), next, same)
 		if err := t.store.CheckGroups(leaf.d, leaf.body, lo, hi); err != nil {
@@ -1002,21 +842,21 @@ func (t *Tree) WalkNodes(fn func(level int, body []byte) bool) error {
 		if err != nil {
 			return false, err
 		}
-		n, err := decodeNode(body)
+		n, err := proof.DecodeNode(body)
 		if err != nil {
 			return false, err
 		}
-		if n.level == 0 {
-			if err := t.store.CheckGroups(d, body, 0, len(n.entries)-1); err != nil {
+		if n.Level == 0 {
+			if err := t.store.CheckGroups(d, body, 0, len(n.Entries)-1); err != nil {
 				return false, err
 			}
 		}
-		if !fn(n.level, body) {
+		if !fn(n.Level, body) {
 			return false, nil
 		}
-		if n.level > 0 {
-			for _, e := range n.entries {
-				cont, err := walk(childDigest(e))
+		if n.Level > 0 {
+			for _, e := range n.Entries {
+				cont, err := walk(proof.ChildDigest(e))
 				if err != nil || !cont {
 					return cont, err
 				}

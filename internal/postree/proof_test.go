@@ -3,6 +3,7 @@ package postree
 import (
 	"bytes"
 	"errors"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cas"
@@ -209,7 +210,7 @@ func TestRangeProofEntriesComeFromTheLeaves(t *testing.T) {
 		"omitted":  append(append([]Entry(nil), honest.Entries[:10]...), honest.Entries[11:]...),
 		"injected": append([]Entry{forged}, honest.Entries...),
 		"replaced": {forged},
-		"stripped": honest.WithoutEntries().Entries,
+		"stripped": withoutEntries(honest).Entries,
 	} {
 		p := honest
 		p.Entries = es
@@ -324,7 +325,7 @@ func TestValuesTravelOnce(t *testing.T) {
 		if p.Found[0] && bytes.Count(wire, p.Values[0]) != 1 {
 			t.Fatalf("%q: the value is in the encoding %d times", key, bytes.Count(wire, p.Values[0]))
 		}
-		got, rest, err := ReadBatchProof(wire)
+		got, rest, err := proof.ReadBatchProof(wire)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%q: %v, %d bytes left", key, err, len(rest))
 		}
@@ -339,7 +340,7 @@ func TestValuesTravelOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rest, err := ReadBatchProof(AppendBatchProof(nil, bp))
+	got, rest, err := proof.ReadBatchProof(AppendBatchProof(nil, bp))
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err, len(rest))
 	}
@@ -359,7 +360,7 @@ func TestValuesTravelOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	miss.Found = []bool{true}
-	forged, _, err := ReadBatchProof(AppendBatchProof(nil, miss))
+	forged, _, err := proof.ReadBatchProof(AppendBatchProof(nil, miss))
 	if err != nil || !forged.Found[0] || forged.Values[0] != nil {
 		t.Fatalf("decoded found=%v value=%q: %v", forged.Found, forged.Values[0], err)
 	}
@@ -368,7 +369,7 @@ func TestValuesTravelOnce(t *testing.T) {
 	}
 	bp.Found = append([]bool(nil), bp.Found...)
 	bp.Found[2] = true
-	forgedBatch, _, err := ReadBatchProof(AppendBatchProof(nil, bp))
+	forgedBatch, _, err := proof.ReadBatchProof(AppendBatchProof(nil, bp))
 	if err != nil || forgedBatch.Values[2] != nil {
 		t.Fatal(err, forgedBatch.Values[2])
 	}
@@ -378,7 +379,7 @@ func TestValuesTravelOnce(t *testing.T) {
 	// Fewer flags than keys: nothing is indexed out of range, and the proof
 	// is rejected for it.
 	bp.Found = bp.Found[:3]
-	if short, _, err := ReadBatchProof(AppendBatchProof(nil, bp)); err != nil || short.Verify(tr.Root()) == nil {
+	if short, _, err := proof.ReadBatchProof(AppendBatchProof(nil, bp)); err != nil || short.Verify(tr.Root()) == nil {
 		t.Fatalf("a batch proof with %d flags for %d keys: %v", len(short.Found), len(short.Keys), err)
 	}
 }

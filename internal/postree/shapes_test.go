@@ -58,13 +58,13 @@ func leavesOf(t *testing.T, tr *Tree, entries []Entry) []leafInfo {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := p.digests[len(p.digests)-1]
+		d := p.Digests[len(p.Digests)-1]
 		body, n, err := tr.loadProofNode(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, leafInfo{digest: d, body: body, n: n, first: i})
-		i += len(n.entries)
+		i += len(n.Entries)
 	}
 	return out
 }
@@ -77,7 +77,7 @@ func threeLeaves(t *testing.T, tr *Tree, entries []Entry) [3]leafInfo {
 	g := groupLen(t)
 	ls := leavesOf(t, tr, entries)
 	for i := 1; i+2 < len(ls); i++ {
-		if len(ls[i].n.entries) > 3*g && len(ls[i+2].n.entries) > 3*g && len(ls[i+1].n.entries) > g {
+		if len(ls[i].n.Entries) > 3*g && len(ls[i+2].n.Entries) > 3*g && len(ls[i+1].n.Entries) > g {
 			return [3]leafInfo{ls[i], ls[i+1], ls[i+2]}
 		}
 	}
@@ -133,11 +133,11 @@ func TestBatchProofShipsOneRunPerLeaf(t *testing.T) {
 	ls := threeLeaves(t, tr, entries)
 	a, c := ls[0], ls[2]
 	keys := [][]byte{
-		a.n.entries[g+1].Key,            // hit, entry g+1 of a
-		between(a.n.entries[3*g-1]),     // miss between entries 3g-1 and 3g of a
-		a.n.entries[g+1].Key,            // the same hit again
-		c.n.entries[0].Key,              // hit, entry 0 of c
-		between(c.n.entries[g+2]),       // miss between entries g+2 and g+3 of c
+		a.n.Entries[g+1].Key,            // hit, entry g+1 of a
+		between(a.n.Entries[3*g-1]),     // miss between entries 3g-1 and 3g of a
+		a.n.Entries[g+1].Key,            // the same hit again
+		c.n.Entries[0].Key,              // hit, entry 0 of c
+		between(c.n.Entries[g+2]),       // miss between entries g+2 and g+3 of c
 		entries[len(entries)-1].Key,     // some far leaf
 		append([]byte("zzzz"), 0xff, 0), // beyond the largest key: no leaf at all
 	}
@@ -156,11 +156,11 @@ func TestBatchProofShipsOneRunPerLeaf(t *testing.T) {
 		}
 		seen[d] = true
 	}
-	if _, n := leafOf(t, p.Nodes, a.digest); n.first != g+1 || len(n.entries) != 2*g {
-		t.Fatalf("leaf a ships entries [%d,%d), want [%d,%d]", n.first, n.first+len(n.entries), g+1, 3*g)
+	if _, n := leafOf(t, p.Nodes, a.digest); n.First != g+1 || len(n.Entries) != 2*g {
+		t.Fatalf("leaf a ships entries [%d,%d), want [%d,%d]", n.First, n.First+len(n.Entries), g+1, 3*g)
 	}
-	if _, n := leafOf(t, p.Nodes, c.digest); n.first != 0 || len(n.entries) != g+4 {
-		t.Fatalf("leaf c ships entries [%d,%d), want [0,%d]", n.first, n.first+len(n.entries), g+3)
+	if _, n := leafOf(t, p.Nodes, c.digest); n.First != 0 || len(n.Entries) != g+4 {
+		t.Fatalf("leaf c ships entries [%d,%d), want [0,%d]", n.First, n.First+len(n.Entries), g+3)
 	}
 	for i, want := range []bool{true, false, true, true, false, true, false} {
 		if p.Found[i] != want {
@@ -192,7 +192,7 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 	g := groupLen(t)
 	ls := threeLeaves(t, tr, entries)
 	a, c := ls[0], ls[2]
-	last := func(l leafInfo) int { return len(l.n.entries) - 1 }
+	last := func(l leafInfo) int { return len(l.n.Entries) - 1 }
 
 	type span struct{ first, n int } // entries present of a leaf; n < 0: to its end
 	whole := span{0, -1}
@@ -201,23 +201,23 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 		start, end []byte
 		a, b, c    *span
 	}{
-		{"inside groups", a.n.entries[g+2].Key, c.n.entries[g+2].Key,
+		{"inside groups", a.n.Entries[g+2].Key, c.n.Entries[g+2].Key,
 			&span{g + 1, -1}, &whole, &span{0, g + 3}},
-		{"from a group's first entry to a group's last", a.n.entries[2*g].Key, c.n.entries[2*g].Key,
+		{"from a group's first entry to a group's last", a.n.Entries[2*g].Key, c.n.Entries[2*g].Key,
 			// The neighbour before entry 2g is the last of group 1; the entry
 			// at the cut, 2g of c, is itself the right neighbour.
 			&span{2*g - 1, -1}, &whole, &span{0, 2*g + 1}},
-		{"from just past a group's last entry", between(a.n.entries[2*g-1]), between(c.n.entries[2*g-1]),
+		{"from just past a group's last entry", between(a.n.Entries[2*g-1]), between(c.n.Entries[2*g-1]),
 			&span{2*g - 1, -1}, &whole, &span{0, 2*g + 1}},
 		// The leaf's own first entry opens the run and its own last entry
 		// closes it: no neighbouring leaf is needed.
-		{"leaf edge to leaf edge", a.n.entries[0].Key, c.n.entries[last(c)].Key,
+		{"leaf edge to leaf edge", a.n.Entries[0].Key, c.n.Entries[last(c)].Key,
 			&whole, &whole, &whole},
-		{"one leaf's interior", a.n.entries[g+1].Key, a.n.entries[g+3].Key,
+		{"one leaf's interior", a.n.Entries[g+1].Key, a.n.Entries[g+3].Key,
 			&span{g, 4}, nil, nil},
-		{"empty, inside a group", between(a.n.entries[g+1]), between(a.n.entries[g+1]),
+		{"empty, inside a group", between(a.n.Entries[g+1]), between(a.n.Entries[g+1]),
 			&span{g + 1, 2}, nil, nil},
-		{"a gap at a group edge", between(a.n.entries[g-1]), a.n.entries[g].Key,
+		{"a gap at a group edge", between(a.n.Entries[g-1]), a.n.Entries[g].Key,
 			&span{g - 1, 2}, nil, nil},
 	}
 	for _, tc := range cases {
@@ -233,7 +233,7 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 			if !sameEntries(p.Entries, want) {
 				t.Fatalf("ProveScan returned %d rows, Scan %d", len(p.Entries), len(want))
 			}
-			sent := p.WithoutEntries()
+			sent := withoutEntries(p)
 			if err := sent.Verify(tr.Root()); err != nil {
 				t.Fatal(err)
 			}
@@ -259,11 +259,11 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 				_, n := leafOf(t, p.Nodes, l.digest)
 				first, cnt := sp.first, sp.n
 				if cnt < 0 {
-					cnt = len(l.n.entries)
+					cnt = len(l.n.Entries)
 				}
-				cnt = min(cnt, len(l.n.entries)-first)
-				if n.first != first || len(n.entries) != cnt {
-					t.Fatalf("leaf %d ships entries [%d,%d), want [%d,%d)", i, n.first, n.first+len(n.entries), first, first+cnt)
+				cnt = min(cnt, len(l.n.Entries)-first)
+				if n.First != first || len(n.Entries) != cnt {
+					t.Fatalf("leaf %d ships entries [%d,%d), want [%d,%d)", i, n.First, n.First+len(n.Entries), first, first+cnt)
 				}
 			}
 			if leaves != wantLeaves {
@@ -288,7 +288,7 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 		if err := tr.Scan(r[0], r[1], func(e Entry) bool { want = append(want, e); return true }); err != nil {
 			t.Fatal(err)
 		}
-		sent := p.WithoutEntries()
+		sent := withoutEntries(p)
 		if err := sent.Verify(tr.Root()); err != nil || !sameEntries(sent.Entries, want) || !sameEntries(p.Entries, want) {
 			t.Fatalf("%s: %d rows proven, %d verified, %d scanned: %v", name, len(p.Entries), len(sent.Entries), len(want), err)
 		}
@@ -302,8 +302,8 @@ func TestRangeProofPrunesEdgeLeaves(t *testing.T) {
 func TestWarmBatchAndRangeShipOnlyLeaves(t *testing.T) {
 	tr, entries, _ := elideTree(t)
 	ls := threeLeaves(t, tr, entries)
-	keys := [][]byte{ls[0].n.entries[3].Key, ls[2].n.entries[5].Key, entries[100].Key, entries[39000].Key}
-	start, end := ls[0].n.entries[5].Key, ls[2].n.entries[5].Key
+	keys := [][]byte{ls[0].n.Entries[3].Key, ls[2].n.Entries[5].Key, entries[100].Key, entries[39000].Key}
+	start, end := ls[0].n.Entries[5].Key, ls[2].n.Entries[5].Key
 
 	prove := func(tr *Tree) (BatchProof, RangeProof) {
 		bp, err := tr.ProveGetBatch(keys)
@@ -326,12 +326,12 @@ func TestWarmBatchAndRangeShipOnlyLeaves(t *testing.T) {
 	})
 	distinct := map[hashutil.Digest]bool{}
 	for _, n := range warm {
-		distinct[n.digest] = true
+		distinct[n.Digest()] = true
 	}
 	have := held(pin(warm...))
 
-	eb, nb := bp.Elide(have)
-	er, nr := rp.WithoutEntries().Elide(have)
+	eb, nb := have.Point(bp)
+	er, nr := have.Range(rp)
 	for _, body := range append(append([][]byte(nil), eb.Nodes...), er.Nodes...) {
 		if body[0] != 0 {
 			t.Fatal("an index node was shipped to a verifier that holds it")
@@ -367,8 +367,8 @@ func TestWarmBatchAndRangeShipOnlyLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp2, rp2 := prove(next)
-	eb2, _ := bp2.Elide(have)
-	er2, _ := rp2.WithoutEntries().Elide(have)
+	eb2, _ := have.Point(bp2)
+	er2, _ := have.Range(rp2)
 	path = pin(warm...)
 	if err := eb2.VerifyPath(next.Root(), path); err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestWarmBatchAndRangeShipOnlyLeaves(t *testing.T) {
 	height := len(point.Nodes)
 	shipped := map[hashutil.Digest]bool{}
 	for _, n := range path.Shipped {
-		shipped[n.digest] = true
+		shipped[n.Digest()] = true
 	}
 	if len(shipped) != height-1 || len(path.Superseded()) != height-1 {
 		t.Fatalf("after one write: %d new index nodes shipped, %d superseded, want the %d of one path",
@@ -408,11 +408,11 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 	a, b, c := ls[0], ls[1], ls[2]
 	forged := []byte("forged value")
 
-	keyA := a.n.entries[g+1].Key         // group 1 of a
-	keyB := a.n.entries[2*g+1].Key       // group 2 of a
-	keyC := a.n.entries[1].Key           // group 0 of a
-	edge := between(a.n.entries[g-1])    // absent, between groups 0 and 1 of a
-	absentA := between(a.n.entries[g+1]) // absent, inside group 1 of a
+	keyA := a.n.Entries[g+1].Key         // group 1 of a
+	keyB := a.n.Entries[2*g+1].Key       // group 2 of a
+	keyC := a.n.Entries[1].Key           // group 0 of a
+	edge := between(a.n.Entries[g-1])    // absent, between groups 0 and 1 of a
+	absentA := between(a.n.Entries[g+1]) // absent, inside group 1 of a
 	otherLeaf := entries[len(entries)-1] // a key far from a
 	rootOnly := func(n [][]byte) [][]byte { return n[:1] }
 
@@ -430,7 +430,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.WithoutEntries()
+		return withoutEntries(p)
 	}
 	// withLeaf replaces the shipped body of leaf l.
 	withLeaf := func(nodes [][]byte, l leafInfo, body []byte) [][]byte {
@@ -458,7 +458,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 	// Path-shaped proofs (one key, one small range inside leaf a) that the
 	// whole-subtree forgeries rewrite.
 	oneKey := batch(tr, keyA)
-	inLeaf := scan(tr, a.n.entries[g+1].Key, a.n.entries[g+3].Key)
+	inLeaf := scan(tr, a.n.Entries[g+1].Key, a.n.Entries[g+3].Key)
 	height := len(oneKey.Nodes)
 	top := make([]int, height-2) // the positions above the forged parent
 	for i := range top {
@@ -497,13 +497,13 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 			// first: "keyA sorts before the leaf's first entry".
 			p := claimAbsent(batch(tr, keyA), 0)
 			forged := bFirst
-			forged.count = uint64(len(a.n.entries))
+			forged.count = uint64(len(a.n.Entries))
 			p.Nodes = withLeaf(p.Nodes, a, forged.join())
 			return p
 		}},
 		{"elides a node that was not hinted", trustElided, tr.Root(), cold, func() BatchProof {
 			p := oneKey
-			p.Nodes = without(forgePath(t, tr, p.Nodes, p.digests, keyA, forged), top...)
+			p.Nodes = without(forgePath(t, tr, p.Nodes, p.Digests, keyA, forged), top...)
 			p.Values = [][]byte{forged}
 			return p
 		}},
@@ -545,13 +545,13 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 	// The range under attack: from inside group 1 of a, over all of b, to
 	// inside group 1 of c. Honestly: a from entry g+1 on, b whole, c's
 	// entries 0 through g+1.
-	start, end := a.n.entries[g+2].Key, c.n.entries[g+1].Key
+	start, end := a.n.Entries[g+2].Key, c.n.Entries[g+1].Key
 	honest := scan(tr, start, end)
 	want, err := blindRange(t, honest, tr.Root(), nil, 0)
-	if err != nil || len(want) != len(a.n.entries)-(g+2)+len(b.n.entries)+g+1 {
+	if err != nil || len(want) != len(a.n.Entries)-(g+2)+len(b.n.Entries)+g+1 {
 		t.Fatalf("honest range: %d rows, %v", len(want), err)
 	}
-	lastA := len(a.n.entries) - 1
+	lastA := len(a.n.Entries) - 1
 
 	type rangeCase struct {
 		name   string
@@ -581,7 +581,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		{"ships exactly the in-range entries and not the neighbour that closes the run", trustGap, tr.Root(), cold, func() RangeProof {
 			// Nothing is omitted — but nothing shows that: the next entry
 			// might have been a row below end.
-			p := scan(tr, start, c.n.entries[g].Key)
+			p := scan(tr, start, c.n.Entries[g].Key)
 			p.Nodes = withLeaf(p.Nodes, c, mustPrune(t, c.body, 0, g-1))
 			return p
 		}},
@@ -597,7 +597,7 @@ func TestBatchAndRangeStructuredForgeries(t *testing.T) {
 		}},
 		{"elides a node that was not hinted", trustElided, tr.Root(), cold, func() RangeProof {
 			p := inLeaf
-			p.Nodes = without(forgePath(t, tr, p.Nodes, p.digests, keyA, forged), top...)
+			p.Nodes = without(forgePath(t, tr, p.Nodes, p.Digests, keyA, forged), top...)
 			return p
 		}},
 		{"elides a hinted node and routes through a different pinned node", trustElided, next.Root(), warmA, func() RangeProof {
@@ -660,12 +660,12 @@ func TestBatchAndRangeEveryByteTrips(t *testing.T) {
 	tr, entries, _ := elideTree(t)
 	g := groupLen(t)
 	ls := threeLeaves(t, tr, entries)
-	keys := [][]byte{ls[0].n.entries[g+1].Key, between(ls[0].n.entries[2*g-1]), ls[2].n.entries[0].Key}
+	keys := [][]byte{ls[0].n.Entries[g+1].Key, between(ls[0].n.Entries[2*g-1]), ls[2].n.Entries[0].Key}
 	bp, err := tr.ProveGetBatch(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := tr.ProveScan(ls[0].n.entries[g+2].Key, ls[1].n.entries[1].Key)
+	rp, err := tr.ProveScan(ls[0].n.Entries[g+2].Key, ls[1].n.Entries[1].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,8 +676,8 @@ func TestBatchAndRangeEveryByteTrips(t *testing.T) {
 		return rp.VerifyPath(tr.Root(), pa)
 	})
 	have := held(pin(warm...))
-	eb, _ := bp.Elide(have)
-	er, _ := rp.WithoutEntries().Elide(have)
+	eb, _ := have.Point(bp)
+	er, _ := have.Range(rp)
 	step := 1
 	if testing.Short() {
 		step = 7

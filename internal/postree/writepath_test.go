@@ -17,8 +17,8 @@ import (
 
 // encode is the node written from scratch, as the forgery tables build
 // their bodies: no entry is kept from a stored node, so nothing is checked.
-func (n *node) encode() []byte {
-	body, _, _ := new(Tree).encode(n.level, run{entries: n.entries})
+func encodeNode(n *node) []byte {
+	_, body, _, _ := new(Tree).encode(n.Level, run{entries: n.Entries})
 	return body
 }
 
@@ -333,19 +333,19 @@ func TestNodeCacheEntriesPointIntoOwnBody(t *testing.T) {
 	}
 	var bytesHeld int64
 	for d, e := range c.m {
-		if e.n.level == 0 {
+		if e.n.Level == 0 {
 			t.Fatalf("leaf %s is cached", d.Short())
 		}
 		if hashutil.Sum(hashutil.DomainPOSIndex, e.body) != d {
 			t.Fatalf("node %s is cached with another node's body", d.Short())
 		}
-		for i, en := range e.n.entries {
+		for i, en := range e.n.Entries {
 			if !inside(en.Key, e.body) || !inside(en.Value, e.body) {
 				t.Fatalf("entry %d of cached node %s points outside the node's own body", i, d.Short())
 			}
 		}
-		if cap(e.n.entries) != len(e.n.entries) {
-			t.Fatalf("cached node %s holds %d entry slots for %d entries", d.Short(), cap(e.n.entries), len(e.n.entries))
+		if cap(e.n.Entries) != len(e.n.Entries) {
+			t.Fatalf("cached node %s holds %d entry slots for %d entries", d.Short(), cap(e.n.Entries), len(e.n.Entries))
 		}
 		bytesHeld += e.size()
 	}

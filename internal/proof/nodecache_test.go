@@ -1,9 +1,10 @@
-package proof
+package proof_test
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"spitz/internal/proof"
 	"sync"
 	"testing"
 
@@ -38,18 +39,18 @@ func cachePK(i int) []byte { return []byte(fmt.Sprintf("pk%06d", i)) }
 // the ledger called directly in place of the wire.
 type hintedReader struct {
 	l      *ledger.Ledger
-	v      *Verifier
+	v      *proof.Verifier
 	mu     sync.Mutex // serializes digest refreshes, as shardLink's does
 	tamper func(p *ledger.Proof)
 }
 
 func (r *hintedReader) read(pk []byte) ([]byte, error) {
-	path := r.v.PathTo(cellstore.CellPrefix("t", "c", pk))
+	path := r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}}).Path
 	_, _, p, d, err := r.l.ProveGetHead("t", "c", pk)
 	if err != nil {
 		return nil, err
 	}
-	p = p.Elide(r.l.Held(path.Have()))
+	p = ledger.Elide(p, r.l.Held(path.Have()))
 	if r.tamper != nil {
 		r.tamper(&p)
 	}
@@ -74,10 +75,10 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 			return nil, err
 		}
 		if err := prefix.Verify(d.Root, head.Root); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+			return nil, fmt.Errorf("%w: %v", proof.ErrTampered, err)
 		}
 	}
-	if err := r.v.VerifyBatch(p, d, 1, &Pin{Path: path}); err != nil {
+	if err := r.v.VerifyBatch(p, d, 1, &proof.Pin{Path: path}); err != nil {
 		return nil, err
 	}
 	live, err := p.Live([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}})
@@ -87,21 +88,10 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 	return live[0][0].Value, nil
 }
 
-// cacheState is everything about a node cache a rejected proof must not
-// change.
-func cacheState(c *nodeCache) (root hashutil.Digest, order []hashutil.Digest, bytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		order = append(order, el.Value.(*postree.Node).Digest())
-	}
-	return c.root, order, c.bytes
-}
-
 func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: new(Verifier)} // the zero Verifier is usable
-	if have := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(7))).Have(); have != nil {
+	r := &hintedReader{l: l, v: new(proof.Verifier)} // the zero Verifier is usable
+	if have := r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(7)}}).Path.Have(); have != nil {
 		t.Fatalf("a cold verifier hints %d nodes", len(have))
 	}
 	if v, err := r.read(cachePK(7)); err != nil || string(v) != "value-000007@1" {
@@ -145,7 +135,7 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.v.VerifyBatch(p, d, 1, &Pin{}); err != nil {
+	if err := r.v.VerifyBatch(p, d, 1, &proof.Pin{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
@@ -160,12 +150,12 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 // traffic counters.
 func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	if _, err := r.read(cachePK(7)); err != nil {
 		t.Fatal(err)
 	}
 	before := r.v.ProofStats()
-	root, order, bytes := cacheState(&r.v.nodes)
+	root, order, bytes := proof.CacheState(r.v)
 
 	tampers := map[string]func(p *ledger.Proof){
 		"leaf byte": func(p *ledger.Proof) {
@@ -190,14 +180,14 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	for name, tamper := range tampers {
 		r.tamper = tamper
 		for _, pk := range [][]byte{cachePK(7), cachePK(39999)} {
-			// PathTo refreshes recency of the held nodes; take the
+			// PinFor refreshes recency of the held nodes; take the
 			// reference state after the same touch an honest read makes.
-			r.v.PathTo(cellstore.CellPrefix("t", "c", pk))
-			_, order, _ = cacheState(&r.v.nodes)
-			if _, err := r.read(pk); !errors.Is(err, ErrTampered) {
+			r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}})
+			_, order, _ = proof.CacheState(r.v)
+			if _, err := r.read(pk); !errors.Is(err, proof.ErrTampered) {
 				t.Fatalf("%s on %s: err = %v", name, pk, err)
 			}
-			gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+			gotRoot, gotOrder, gotBytes := proof.CacheState(r.v)
 			if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
 				t.Fatalf("%s on %s: rejected proof changed the cache (%d -> %d entries)",
 					name, pk, len(order), len(gotOrder))
@@ -218,15 +208,15 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	// dropped for a proof that did not verify.
 	commitRow(t, l, 7, 2)
 	before = r.v.ProofStats()
-	root, _, bytes = cacheState(&r.v.nodes)
+	root, _, bytes = proof.CacheState(r.v)
 	for name, tamper := range tampers {
 		r.tamper = tamper
-		r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(7)))
-		_, order, _ = cacheState(&r.v.nodes)
-		if _, err := r.read(cachePK(7)); !errors.Is(err, ErrTampered) {
+		r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(7)}})
+		_, order, _ = proof.CacheState(r.v)
+		if _, err := r.read(cachePK(7)); !errors.Is(err, proof.ErrTampered) {
 			t.Fatalf("%s after a commit: err = %v", name, err)
 		}
-		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		gotRoot, gotOrder, gotBytes := proof.CacheState(r.v)
 		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
 			t.Fatalf("%s after a commit: rejected proof changed the cache (%d -> %d entries)",
 				name, len(order), len(gotOrder))
@@ -258,7 +248,7 @@ func commitRow(t *testing.T, l *ledger.Ledger, pk int, ver uint64) {
 // client re-reading a key under write churn stays one path large.
 func TestSupersededNodesAreDropped(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	if _, err := r.read(cachePK(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +263,7 @@ func TestSupersededNodesAreDropped(t *testing.T) {
 		}
 		return len(p.Point.Nodes) - 1
 	}
-	_, held, _ := cacheState(&r.v.nodes)
+	_, held, _ := proof.CacheState(r.v)
 	for ver := uint64(2); ver < 12; ver++ {
 		// A write to the key itself replaces its whole path...
 		commitRow(t, l, 7, ver)
@@ -284,7 +274,7 @@ func TestSupersededNodesAreDropped(t *testing.T) {
 		if st.CacheEntries != path() {
 			t.Fatalf("version %d: cache holds %d nodes, want the one path (%d)", ver, st.CacheEntries, path())
 		}
-		_, now, _ := cacheState(&r.v.nodes)
+		_, now, _ := proof.CacheState(r.v)
 		for _, d := range now {
 			for _, old := range held {
 				if d == old {
@@ -320,21 +310,21 @@ func TestSupersededNodesAreDropped(t *testing.T) {
 
 func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	if _, err := r.read(cachePK(0)); err != nil {
 		t.Fatal(err)
 	}
 	one := r.v.ProofStats()
 	// Room for the first path and little more.
-	r.v.nodes.small = one.CacheBytes * 2
+	proof.SetCacheLimit(r.v, one.CacheBytes*2)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
 		pk := rng.Intn(40000)
 		if v, err := r.read(cachePK(pk)); err != nil || string(v) != fmt.Sprintf("value-%06d@1", pk) {
 			t.Fatalf("read %d under eviction: %q %v", pk, v, err)
 		}
-		if st := r.v.ProofStats(); st.CacheBytes > r.v.nodes.limit() || st.CacheEntries == 0 {
-			t.Fatalf("cache holds %d bytes in %d entries, cap %d", st.CacheBytes, st.CacheEntries, r.v.nodes.limit())
+		if st := r.v.ProofStats(); st.CacheBytes > proof.CacheLimit(r.v) || st.CacheEntries == 0 {
+			t.Fatalf("cache holds %d bytes in %d entries, cap %d", st.CacheBytes, st.CacheEntries, proof.CacheLimit(r.v))
 		}
 	}
 	st := r.v.ProofStats()
@@ -343,12 +333,12 @@ func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	// The root is touched by every read, so it is never the eviction
 	// victim while anything below it is cached.
-	if r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(1))).Len() == 0 {
+	if r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(1)}}).Path.Len() == 0 {
 		t.Fatal("the root was evicted ahead of its descendants")
 	}
 	// A node larger than the whole cache is not admitted (and evicts
 	// nothing to make room it could never fill).
-	r.v.nodes.small = 1
+	proof.SetCacheLimit(r.v, 1)
 	if _, err := r.read(cachePK(12345)); err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +354,11 @@ func TestNodeCacheEvictsLeastRecentlyUsed(t *testing.T) {
 func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
 	const rows = 20000
 	l := cacheLedger(t, rows)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	if _, err := r.read(cachePK(0)); err != nil {
 		t.Fatal(err)
 	}
-	r.v.nodes.small = r.v.ProofStats().CacheBytes * 3 / 2
+	proof.SetCacheLimit(r.v, r.v.ProofStats().CacheBytes*3/2)
 
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
@@ -420,8 +410,8 @@ func TestConcurrentHintedReadsUnderChurn(t *testing.T) {
 	close(stop)
 	writer.Wait()
 	st := r.v.ProofStats()
-	if st.NodesElided == 0 || st.CacheBytes > r.v.nodes.limit() {
-		t.Fatalf("after churn: %+v (cap %d)", st, r.v.nodes.limit())
+	if st.NodesElided == 0 || st.CacheBytes > proof.CacheLimit(r.v) {
+		t.Fatalf("after churn: %+v (cap %d)", st, proof.CacheLimit(r.v))
 	}
 }
 
@@ -436,7 +426,7 @@ func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *led
 	if err != nil {
 		return ledger.Proof{}, err
 	}
-	p := res.Proof.Elide(r.l.Held(path.Have()))
+	p := ledger.Elide(res.Proof, r.l.Held(path.Have()))
 	if tamper != nil {
 		tamper(&p)
 	}
@@ -463,7 +453,7 @@ func batchQueries() []ledger.BatchQuery {
 // admitted — and a second flush of the same reads is sent leaves only.
 func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	qs := batchQueries()
 	if r.v.PinFor(qs).Len() != 0 {
 		t.Fatal("a cold verifier pins nodes")
@@ -544,7 +534,7 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 	}
 	found := false
 	for _, e := range p.Ranges[0].Entries {
-		_, v, _, _ := cellstore.DecodeVersion(e.Value)
+		_, v, _, _ := proof.DecodeVersion(e.Value)
 		found = found || string(v) == "value-020060@2"
 	}
 	if !found {
@@ -557,7 +547,7 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 // pinned ones have been passed by — moves nothing.
 func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	qs := batchQueries()
 	if _, err := r.readBatch(qs[:2], nil); err != nil {
 		t.Fatal(err)
@@ -605,11 +595,11 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 	}
 	for name, tamper := range tampers {
 		r.v.PinFor(qs) // the recency touch an honest flush makes too
-		root, order, bytes := cacheState(&r.v.nodes)
-		if _, err := r.readBatch(qs, tamper); !errors.Is(err, ErrTampered) {
+		root, order, bytes := proof.CacheState(r.v)
+		if _, err := r.readBatch(qs, tamper); !errors.Is(err, proof.ErrTampered) {
 			t.Fatalf("%s: err = %v", name, err)
 		}
-		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		gotRoot, gotOrder, gotBytes := proof.CacheState(r.v)
 		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
 			t.Fatalf("%s: rejected batch changed the cache (%d -> %d entries)", name, len(order), len(gotOrder))
 		}
@@ -646,11 +636,10 @@ func staleBelowRoot(t *testing.T, l *ledger.Ledger, r *hintedReader) {
 // a patch against it; the verified patch takes its place in the cache.
 func TestStaleNodeIsOfferedByPosition(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	staleBelowRoot(t, l, r)
-	key := cellstore.CellPrefix("t", "c", cachePK(7))
-	_, before, _ := cacheState(&r.v.nodes)
-	path := r.v.PathTo(key)
+	_, before, _ := proof.CacheState(r.v)
+	path := r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(7)}}).Path
 	if path.Len() < 2 {
 		t.Fatalf("the hint walk pinned %d nodes: it stopped at the child the root names and the cache lacks", path.Len())
 	}
@@ -670,7 +659,7 @@ func TestStaleNodeIsOfferedByPosition(t *testing.T) {
 	if bytes := got.ProofBytes - st.ProofBytes; bytes > 1200 {
 		t.Fatalf("a read that patched %d nodes took %d proof bytes", path.Len()-1, bytes)
 	}
-	_, after, _ := cacheState(&r.v.nodes)
+	_, after, _ := proof.CacheState(r.v)
 	if len(after) != len(before) {
 		t.Fatalf("cache went from %d to %d nodes: a patched node replaces its base", len(before), len(after))
 	}
@@ -696,12 +685,11 @@ func TestStaleNodeIsOfferedByPosition(t *testing.T) {
 // the cache, not its order, not the hint root, not the counters.
 func TestRejectedPatchedProofLeavesVerifierUnchanged(t *testing.T) {
 	l := cacheLedger(t, 40000)
-	r := &hintedReader{l: l, v: NewVerifier()}
+	r := &hintedReader{l: l, v: proof.NewVerifier()}
 	staleBelowRoot(t, l, r)
-	key := cellstore.CellPrefix("t", "c", cachePK(7))
 	// A node the cache holds that pk 7's path does not pin.
 	var unpinned hashutil.Digest
-	far := r.v.PathTo(cellstore.CellPrefix("t", "c", cachePK(39999))).Have()
+	far := r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(39999)}}).Path.Have()
 	unpinned = far[len(far)-1]
 	patchAt := func(p *ledger.Proof) int {
 		for i, slot := range p.Point.Nodes {
@@ -738,16 +726,16 @@ func TestRejectedPatchedProofLeavesVerifierUnchanged(t *testing.T) {
 			p.Point.Nodes = append(append([][]byte(nil), p.Point.Nodes...), p.Point.Nodes[i][:1+hashutil.DigestSize])
 		},
 	}
-	r.v.PathTo(key) // the touch an honest read makes
+	r.v.PinFor([]ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(7)}}) // the touch an honest read makes
 	before := r.v.ProofStats()
 	digest := r.v.Digest()
-	root, order, bytes := cacheState(&r.v.nodes)
+	root, order, bytes := proof.CacheState(r.v)
 	for name, tamper := range tampers {
 		r.tamper = tamper
-		if _, err := r.read(cachePK(7)); !errors.Is(err, ErrTampered) {
+		if _, err := r.read(cachePK(7)); !errors.Is(err, proof.ErrTampered) {
 			t.Fatalf("%s: err = %v", name, err)
 		}
-		gotRoot, gotOrder, gotBytes := cacheState(&r.v.nodes)
+		gotRoot, gotOrder, gotBytes := proof.CacheState(r.v)
 		if gotRoot != root || gotBytes != bytes || fmt.Sprint(gotOrder) != fmt.Sprint(order) {
 			t.Fatalf("%s: rejected proof changed the cache (%d -> %d entries)", name, len(order), len(gotOrder))
 		}

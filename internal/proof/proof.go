@@ -1,9 +1,16 @@
-// Package proof implements the client side of Spitz verification
-// (Section 5.3): clients keep the latest ledger digest locally,
-// recalculate digests from received proofs, and compare. Every proof —
-// one read's or a batch's, both a ledger.Proof — is checked by
-// VerifyBatch; when it is checked, per read or in batch (Section 3.2's
-// online vs deferred verification), is the caller's choice.
+// Package proof is Spitz's verifier (Section 5.3), the whole of what a
+// client trusts: clients keep the latest ledger digest locally,
+// recalculate digests from received proofs, and compare. It holds every
+// type a client decodes — digests, block headers, the ledger Proof with
+// its POS-tree point and range proofs, cells — with their decoders and
+// every check run on them, and imports nothing of the module but the pure
+// leaf packages binenc, hashutil, posleaf and mtree. The ledger, the
+// POS-tree and the cell store build what it checks with its types.
+//
+// Every proof — one read's or a batch's, both a Proof — is checked by
+// Verifier.VerifyBatch; when it is checked, per read or in batch (Section
+// 3.2's online vs deferred verification), is the caller's choice.
+// DESIGN.md's "The verifier's contract" says what each check guarantees.
 package proof
 
 import (
@@ -12,9 +19,7 @@ import (
 	"sync"
 
 	"spitz/internal/hashutil"
-	"spitz/internal/ledger"
 	"spitz/internal/mtree"
-	"spitz/internal/postree"
 )
 
 // Errors reported by the verifier.
@@ -28,13 +33,13 @@ var (
 // against it. Safe for concurrent use.
 type Verifier struct {
 	mu      sync.Mutex
-	digest  ledger.Digest
-	trusted bool           // false until the first digest is pinned
-	next    *ledger.Digest // while AdvanceWith's check runs: where trust goes if it passes
+	digest  Digest
+	trusted bool    // false until the first digest is pinned
+	next    *Digest // while AdvanceWith's check runs: where trust goes if it passes
 	// head is the verified header of headAt's head block: while headAt is
 	// trusted, a read's proof may leave that block's binding out (Pin).
-	head   ledger.BlockHeader
-	headAt ledger.Digest
+	head   BlockHeader
+	headAt Digest
 
 	verified int64
 	deferred int64
@@ -50,7 +55,7 @@ func NewVerifier() *Verifier { return &Verifier{} }
 
 // Digest returns the currently trusted digest (zero before the first
 // Advance).
-func (v *Verifier) Digest() ledger.Digest {
+func (v *Verifier) Digest() Digest {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.digest
@@ -59,7 +64,7 @@ func (v *Verifier) Digest() ledger.Digest {
 // Advance moves the trusted digest forward. The consistency proof must
 // show the old digest's ledger is a prefix of the new one; otherwise the
 // server rewrote history and ErrTampered is returned.
-func (v *Verifier) Advance(next ledger.Digest, cons mtree.ConsistencyProof) error {
+func (v *Verifier) Advance(next Digest, cons mtree.ConsistencyProof) error {
 	return v.AdvanceWith(next, &cons, nil)
 }
 
@@ -69,7 +74,7 @@ func (v *Verifier) Advance(next ledger.Digest, cons mtree.ConsistencyProof) erro
 // through VerifyBatch, which admits digests up to next meanwhile, and
 // only then, if trust has not moved since, does it move to next. Callers
 // serialize advances that check (a client does, per shard).
-func (v *Verifier) AdvanceWith(next ledger.Digest, cons *mtree.ConsistencyProof, check func() error) error {
+func (v *Verifier) AdvanceWith(next Digest, cons *mtree.ConsistencyProof, check func() error) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	base := v.digest
@@ -98,7 +103,7 @@ func (v *Verifier) AdvanceWith(next ledger.Digest, cons *mtree.ConsistencyProof,
 // CheckPrefix is the one consistency check: cons must be a proof between
 // exactly old's and next's heights that old's ledger is a prefix of next's.
 // A proof the server left out (nil) fails like a wrong one.
-func CheckPrefix(old, next ledger.Digest, cons *mtree.ConsistencyProof) error {
+func CheckPrefix(old, next Digest, cons *mtree.ConsistencyProof) error {
 	if cons == nil {
 		return fmt.Errorf("%w: server omitted consistency proof", ErrTampered)
 	}
@@ -115,7 +120,7 @@ func CheckPrefix(old, next ledger.Digest, cons *mtree.ConsistencyProof) error {
 // VerifyNow checks a proof against the trusted digest through
 // VerifyBatch, as one read with nothing pinned. Its range rows are then
 // filled, for Proof.Live.
-func (v *Verifier) VerifyNow(p ledger.Proof) error {
+func (v *Verifier) VerifyNow(p Proof) error {
 	return v.VerifyBatch(p, v.Digest(), 1, &Pin{})
 }
 
@@ -125,28 +130,27 @@ func (v *Verifier) VerifyNow(p ledger.Proof) error {
 // (headers and digests at their wire size, no framing) — added to the
 // counters, the index nodes it shipped admitted to the cache and the
 // pinned ones it superseded dropped, a header it bound to d's head kept.
-func (v *Verifier) accept(p *ledger.Proof, d ledger.Digest, path *postree.Path, reads, shipped, bytes int) {
+func (v *Verifier) accept(p *Proof, d Digest, path *Path, reads, shipped, bytes int) {
 	elided, patched := 0, 0
 	if path != nil {
 		elided, patched = path.Elided(), path.Patched
 		v.nodes.admit(p.Header.CellRoot, path.Shipped, path.Superseded())
 	}
-	mNodesShipped.Add(uint64(shipped))
-	mNodesPatched.Add(uint64(patched))
-	mNodesElided.Add(uint64(elided))
-	mProofBytes.Add(uint64(bytes))
+	st := ProofStats{NodesShipped: int64(shipped), NodesPatched: int64(patched), NodesElided: int64(elided), ProofBytes: int64(bytes)}
 	if p.Unbound {
-		mBindingsElided.Inc()
+		st.BindingsElided = 1
 	}
+	Count(st)
 	v.mu.Lock()
 	if !p.Unbound && p.Header.Height+1 == d.Height {
 		v.head, v.headAt = p.Header, d
 	}
 	v.verified += int64(reads)
-	v.traffic.NodesShipped += int64(shipped)
-	v.traffic.NodesPatched += int64(patched)
-	v.traffic.NodesElided += int64(elided)
-	v.traffic.ProofBytes += int64(bytes)
+	v.traffic.NodesShipped += st.NodesShipped
+	v.traffic.NodesPatched += st.NodesPatched
+	v.traffic.NodesElided += st.NodesElided
+	v.traffic.ProofBytes += st.ProofBytes
+	v.traffic.BindingsElided += st.BindingsElided
 	v.mu.Unlock()
 }
 
@@ -158,23 +162,15 @@ func bodyBytes(nodes [][]byte) int {
 	return n
 }
 
-// PathTo pins the verified index nodes this verifier already holds on
-// the search path towards key (a POS-tree key, e.g. cellstore.CellPrefix)
-// under the last cell root it verified a proof against — where it lacks
-// the node the path runs through, the older version of that node it holds,
-// for the server to patch against. The caller sends path.Have() with the
-// read; the result is never nil, and holds nothing on a cold verifier.
-func (v *Verifier) PathTo(key []byte) *postree.Path { return v.nodes.pathTo(key) }
-
 // Pin is what one read's request says the verifier holds, kept as it was
 // until the response is verified: the verified index nodes on the read's
 // way (Path), and the trusted digest with, when Held, the verified header
 // of its head block, so that a proof at that block may travel without
 // its binding.
 type Pin struct {
-	*postree.Path
-	Trusted ledger.Digest
-	Head    ledger.BlockHeader
+	*Path
+	Trusted Digest
+	Head    BlockHeader
 	Held    bool
 }
 
@@ -183,7 +179,7 @@ type Pin struct {
 // flush's receipts — for the caller to hand back to VerifyBatch: the held
 // nodes on every point query's search path and in every range query's
 // scan, the trusted digest and its head block's header.
-func (v *Verifier) PinFor(queries []ledger.BatchQuery) *Pin {
+func (v *Verifier) PinFor(queries []BatchQuery) *Pin {
 	pin := &Pin{Path: v.nodes.pathFor(queries)}
 	v.mu.Lock()
 	if pin.Trusted = v.digest; v.digest.Height > 0 && v.headAt == v.digest {
@@ -196,7 +192,7 @@ func (v *Verifier) PinFor(queries []ledger.BatchQuery) *Pin {
 // coveredBy refuses digests that could not possibly be prefixes of the
 // trusted ledger, or the one an advance is checking: any digest before
 // trust is pinned, and taller ones after.
-func (v *Verifier) coveredBy(d ledger.Digest) error {
+func (v *Verifier) coveredBy(d Digest) error {
 	v.mu.Lock()
 	cur, trusted := v.digest, v.trusted
 	if v.next != nil {
@@ -223,7 +219,7 @@ func (v *Verifier) coveredBy(d ledger.Digest) error {
 // the reads counted, its traffic counted, the index nodes it shipped
 // cached and the pinned ones it superseded dropped: a rejected proof
 // leaves the verifier as it was.
-func (v *Verifier) VerifyBatch(p ledger.Proof, d ledger.Digest, reads int, pin *Pin) error {
+func (v *Verifier) VerifyBatch(p Proof, d Digest, reads int, pin *Pin) error {
 	if err := v.coveredBy(d); err != nil {
 		return err
 	}
@@ -243,7 +239,7 @@ func (v *Verifier) VerifyBatch(p ledger.Proof, d ledger.Digest, reads int, pin *
 	}
 	shipped, bytes := 0, 0
 	if !p.Unbound { // the binding counts only where it travelled
-		bytes = ledger.HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
+		bytes = HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
 	}
 	if p.Point != nil {
 		shipped += len(p.Point.Nodes)
@@ -257,11 +253,36 @@ func (v *Verifier) VerifyBatch(p ledger.Proof, d ledger.Digest, reads int, pin *
 	return nil
 }
 
+// Check is what a client runs on a proof it was sent — every proof a
+// read rests on, eager or audited — and the one place it is read. The
+// proof must answer exactly the queries (Proof.Answers), which is checked
+// before it is verified, so an answer to another question — another key's
+// value, a narrower range that silently omits rows — never reaches the
+// counters or the node cache. It is then verified against d through
+// VerifyBatch and each query's proven live cells are read off it
+// (Proof.Live). Every failure is ErrTampered.
+func (v *Verifier) Check(p *Proof, d Digest, queries []BatchQuery, reads int, pin *Pin) ([][]Cell, error) {
+	if p == nil {
+		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
+	}
+	if !p.Answers(queries) {
+		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
+	}
+	if err := v.VerifyBatch(*p, d, reads, pin); err != nil {
+		return nil, err
+	}
+	live, err := p.Live(queries)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+	}
+	return live, nil
+}
+
 // VerifyBlock checks that a block header is part of the ledger the
 // trusted digest commits to. Clients use it to verify *writes*: the block
 // exists, and its recorded write-set hash can then be compared against the
 // locally computed one (batch-level write verification, Section 5.3).
-func (v *Verifier) VerifyBlock(header ledger.BlockHeader, inc mtree.InclusionProof) error {
+func (v *Verifier) VerifyBlock(header BlockHeader, inc mtree.InclusionProof) error {
 	v.mu.Lock()
 	d := v.digest
 	trusted := v.trusted
@@ -269,7 +290,7 @@ func (v *Verifier) VerifyBlock(header ledger.BlockHeader, inc mtree.InclusionPro
 	if !trusted {
 		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
 	}
-	if err := ledger.VerifyBlock(header, inc, d); err != nil {
+	if err := VerifyBlock(header, inc, d); err != nil {
 		return fmt.Errorf("%w: block %d not covered by digest %d", ErrTampered, header.Height, d.Height)
 	}
 	v.mu.Lock()
@@ -294,16 +315,16 @@ func (v *Verifier) Stats() (verified, deferred int64) {
 }
 
 // ProofStats is what the point, range and batch proofs a Verifier checked
-// cost, and what its node cache holds. The same traffic counters are summed
-// over all verifiers in the process's metrics registry
-// (spitz_client_proof_*, spitz_client_nodecache_*).
+// cost, and what its node cache holds (see Count for the sums over all
+// verifiers in the process).
 type ProofStats struct {
-	NodesShipped int64 // proof nodes that arrived, as bodies or as patches, and were hashed
-	NodesPatched int64 // of those, index nodes that arrived as a patch against a cached version
-	NodesElided  int64 // nodes the server left out and the node cache answered instead
-	ProofBytes   int64 // proof material received: node bodies and patches, and the header and inclusion path where they travelled (not the question, which the client supplies)
-	CacheEntries int   // verified index nodes currently cached
-	CacheBytes   int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
+	NodesShipped   int64 // proof nodes that arrived, as bodies or as patches, and were hashed
+	NodesPatched   int64 // of those, index nodes that arrived as a patch against a cached version
+	NodesElided    int64 // nodes the server left out and the node cache answered instead
+	ProofBytes     int64 // proof material received: node bodies and patches, and the header and inclusion path where they travelled (not the question, which the client supplies)
+	BindingsElided int64 // proofs that travelled without their block binding
+	CacheEntries   int   // verified index nodes currently cached
+	CacheBytes     int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
 }
 
 // ProofStats reports the verifier's proof traffic and cache occupancy.
@@ -311,6 +332,8 @@ func (v *Verifier) ProofStats() ProofStats {
 	v.mu.Lock()
 	st := v.traffic
 	v.mu.Unlock()
-	st.CacheEntries, st.CacheBytes = v.nodes.size()
+	v.nodes.mu.Lock()
+	st.CacheEntries, st.CacheBytes = len(v.nodes.m), v.nodes.bytes
+	v.nodes.mu.Unlock()
 	return st
 }

@@ -1,8 +1,9 @@
-package proof
+package proof_test
 
 import (
 	"errors"
 	"fmt"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cas"
@@ -28,7 +29,7 @@ func testLedger(t *testing.T, n int) *ledger.Ledger {
 
 func TestAdvanceTrustOnFirstUse(t *testing.T) {
 	l := testLedger(t, 3)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	if err := v.Advance(l.Digest(), mtree.ConsistencyProof{}); err != nil {
 		t.Fatalf("first Advance: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestAdvanceTrustOnFirstUse(t *testing.T) {
 
 func TestAdvanceWithConsistency(t *testing.T) {
 	l := testLedger(t, 3)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	old := l.Digest()
 	if err := v.Advance(old, mtree.ConsistencyProof{}); err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func TestAdvanceWithConsistency(t *testing.T) {
 
 func TestAdvanceRejectsForkedHistory(t *testing.T) {
 	l := testLedger(t, 3)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	if err := v.Advance(l.Digest(), mtree.ConsistencyProof{}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,19 +73,19 @@ func TestAdvanceRejectsForkedHistory(t *testing.T) {
 		}
 	}
 	cons, _ := l2.ConsistencyProof(3, l2.Height())
-	if err := v.Advance(l2.Digest(), cons); !errors.Is(err, ErrTampered) {
+	if err := v.Advance(l2.Digest(), cons); !errors.Is(err, proof.ErrTampered) {
 		t.Fatalf("fork accepted: %v", err)
 	}
 }
 
 func TestAdvanceRejectsRollback(t *testing.T) {
 	l := testLedger(t, 5)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	if err := v.Advance(l.Digest(), mtree.ConsistencyProof{}); err != nil {
 		t.Fatal(err)
 	}
 	short := testLedger(t, 2)
-	if err := v.Advance(short.Digest(), mtree.ConsistencyProof{}); !errors.Is(err, ErrTampered) {
+	if err := v.Advance(short.Digest(), mtree.ConsistencyProof{}); !errors.Is(err, proof.ErrTampered) {
 		t.Fatal("rollback accepted")
 	}
 }
@@ -95,7 +96,7 @@ func TestAdvanceRejectsRollback(t *testing.T) {
 // commit: trust stays where Advance put it, and never moves back.
 func TestAdvanceWithRefusesMovedTrust(t *testing.T) {
 	l := testLedger(t, 3)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	base := l.Digest()
 	if err := v.Advance(base, mtree.ConsistencyProof{}); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestAdvanceWithRefusesMovedTrust(t *testing.T) {
 	toMid, _ := l.ConsistencyProof(base.Height, mid.Height)
 	toHead, _ := l.ConsistencyProof(base.Height, head.Height)
 	err := v.AdvanceWith(mid, &toMid, func() error { return v.Advance(head, toHead) })
-	if err == nil || errors.Is(err, ErrTampered) {
+	if err == nil || errors.Is(err, proof.ErrTampered) {
 		t.Fatalf("AdvanceWith over moved trust: %v, want a refusal that is not tampering", err)
 	}
 	if v.Digest() != head {
@@ -122,7 +123,7 @@ func TestAdvanceWithRefusesMovedTrust(t *testing.T) {
 // TestAdvanceFromTheEmptyLedger: trust pinned to the empty ledger is
 // extended by every ledger, with or without a proof.
 func TestAdvanceFromTheEmptyLedger(t *testing.T) {
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	if err := v.Advance(testLedger(t, 0).Digest(), mtree.ConsistencyProof{}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func proveGet(t *testing.T, l *ledger.Ledger, height uint64, pk string) ledger.P
 
 func TestVerifyNow(t *testing.T) {
 	l := testLedger(t, 4)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	v.Advance(l.Digest(), mtree.ConsistencyProof{})
 	p := proveGet(t, l, 3, "k002")
 	if !p.Point.Found[0] {
@@ -162,19 +163,19 @@ func TestVerifyNow(t *testing.T) {
 func TestVerifyNowWithoutDigest(t *testing.T) {
 	l := testLedger(t, 2)
 	p := proveGet(t, l, 1, "k000")
-	v := NewVerifier()
-	if err := v.VerifyNow(p); !errors.Is(err, ErrTampered) {
+	v := proof.NewVerifier()
+	if err := v.VerifyNow(p); !errors.Is(err, proof.ErrTampered) {
 		t.Fatal("verification without pinned digest succeeded")
 	}
 }
 
 func TestVerifyNowDetectsTampering(t *testing.T) {
 	l := testLedger(t, 4)
-	v := NewVerifier()
+	v := proof.NewVerifier()
 	v.Advance(l.Digest(), mtree.ConsistencyProof{})
 	p := proveGet(t, l, 3, "k001")
 	p.Header.Version ^= 1
-	if err := v.VerifyNow(p); !errors.Is(err, ErrTampered) {
+	if err := v.VerifyNow(p); !errors.Is(err, proof.ErrTampered) {
 		t.Fatal("tampered proof accepted")
 	}
 }

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
@@ -30,16 +32,18 @@ type Result struct {
 	HasAgg   bool
 }
 
-// Store is the surface statements execute against: a single engine, a
-// sharded cluster, or any backend that can apply a mutation batch and
-// read cells back.
+// Store is the surface statements execute against: a single engine or a
+// sharded cluster. Mutations read the rows they touch through Get and
+// Columns and commit through Apply; SELECT and HISTORY read the engines
+// themselves, a SELECT each at one ledger snapshot.
 type Store interface {
 	Apply(statement string, puts []core.Put) (uint64, error)
 	Get(table, column string, pk []byte) ([]byte, error)
 	Columns(table string) ([]string, error)
-	History(table, column string, pk []byte) ([]cellstore.Cell, error)
-	RangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error)
-	LookupEqual(table, column string, value []byte) ([]cellstore.Cell, error)
+	// Engines returns every shard's engine; ShardFor the index of the one
+	// that owns pk.
+	Engines() []*core.Engine
+	ShardFor(pk []byte) int
 }
 
 // EngineStore adapts a single core.Engine to the Store interface.
@@ -60,17 +64,9 @@ func (s EngineStore) Get(table, column string, pk []byte) ([]byte, error) {
 
 func (s EngineStore) Columns(table string) ([]string, error) { return s.Eng.Columns(table) }
 
-func (s EngineStore) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
-	return s.Eng.History(table, column, pk)
-}
+func (s EngineStore) Engines() []*core.Engine { return []*core.Engine{s.Eng} }
 
-func (s EngineStore) RangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error) {
-	return s.Eng.RangePK(table, column, pkLo, pkHi)
-}
-
-func (s EngineStore) LookupEqual(table, column string, value []byte) ([]cellstore.Cell, error) {
-	return s.Eng.LookupEqual(table, column, value)
-}
+func (s EngineStore) ShardFor([]byte) int { return 0 }
 
 // Exec parses and executes one statement against the engine. Mutations
 // record the statement text in their ledger block for auditing.
@@ -138,40 +134,56 @@ func execInsert(st Store, raw string, s Insert) (Result, error) {
 	return Result{RowsAffected: 1, Block: height}, nil
 }
 
-// storeReader adapts a Store to the cellReader collection interface.
-type storeReader struct{ st Store }
-
-func (r storeReader) columns(table string) ([]string, error) { return r.st.Columns(table) }
-
-func (r storeReader) getHead(table, column string, pk []byte) (cellstore.Cell, bool, error) {
-	v, err := r.st.Get(table, column, pk)
-	if errors.Is(err, core.ErrNotFound) {
-		return cellstore.Cell{}, false, nil
-	}
-	if err != nil {
-		return cellstore.Cell{}, false, err
-	}
-	return cellstore.Cell{Table: table, Column: column, PK: pk, Value: v}, true, nil
-}
-
-func (r storeReader) rangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error) {
-	return r.st.RangePK(table, column, pkLo, pkHi)
-}
-
-func (r storeReader) lookupEqual(table, column string, value []byte) ([]cellstore.Cell, error) {
-	return r.st.LookupEqual(table, column, value)
-}
-
+// execSelect runs a SELECT on one ledger snapshot of every shard and
+// merges the shards' results as a client merges proven ones. The table is
+// unknown only when no shard's snapshot has a key of it.
 func execSelect(st Store, s Select) (Result, error) {
 	pl, err := PlanOf(s)
 	if err != nil {
 		return Result{}, err
 	}
-	cells, err := collectCells(storeReader{st: st}, pl)
-	if err != nil {
-		return Result{}, err
+	var parts []Result
+	for _, eng := range st.Engines() {
+		snap, h, _ := eng.Ledger().Latest()
+		cells, err := collectCells(snapReader{eng: eng, snap: snap, ver: h.Version}, pl)
+		if errors.Is(err, errUnknownTable) {
+			continue // the table's rows may all sit on other shards
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		r, err := pl.ResultFromCells(cells)
+		if err != nil {
+			return Result{}, err
+		}
+		parts = append(parts, r)
 	}
-	return pl.ResultFromCells(cells)
+	if len(parts) == 0 {
+		return Result{}, fmt.Errorf("%w %q", errUnknownTable, s.Table)
+	}
+	return MergeResults(pl, parts), nil
+}
+
+// MergeResults folds the per-shard results of one plan into one: the
+// shards partition the key space, so aggregate partials add up and rows
+// interleave in pk order.
+func MergeResults(pl Plan, parts []Result) Result {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	if pl.Sel.Agg != "" {
+		var n uint64
+		for _, p := range parts {
+			n += p.AggValue
+		}
+		return Result{AggValue: n, HasAgg: true}
+	}
+	var rows []Row
+	for _, p := range parts {
+		rows = append(rows, p.Rows...)
+	}
+	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].PK, rows[j].PK) < 0 })
+	return Result{Rows: rows}
 }
 
 func execUpdate(st Store, raw string, s Update) (Result, error) {
@@ -236,7 +248,8 @@ func execDelete(st Store, raw string, s Delete) (Result, error) {
 }
 
 func execHistory(st Store, s History) (Result, error) {
-	cells, err := st.History(s.Table, s.Column, []byte(s.PK))
+	pk := []byte(s.PK)
+	cells, err := st.Engines()[st.ShardFor(pk)].History(s.Table, s.Column, pk)
 	if err != nil {
 		return Result{}, err
 	}

@@ -138,20 +138,10 @@ func (pl Plan) Queries(cells []cellstore.Cell) []ledger.BatchQuery {
 	return qs
 }
 
-// cellReader abstracts where cells are read from during collection: a
-// Store (local execution, cluster fan-out) or an immutable ledger
-// snapshot (verified server-side execution).
-type cellReader interface {
-	columns(table string) ([]string, error)
-	getHead(table, column string, pk []byte) (cellstore.Cell, bool, error)
-	rangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error)
-	lookupEqual(table, column string, value []byte) ([]cellstore.Cell, error)
-}
-
 // scanColumns is the column set the executor reads: proofColumns for
 // explicit selections, the table's columns plus predicate columns for `*`
 // — the one statement shape that reads the schema.
-func (pl Plan) scanColumns(r cellReader) ([]string, error) {
+func (pl Plan) scanColumns(r snapReader) ([]string, error) {
 	if pl.Sel.Agg != "" || len(pl.Sel.Columns) > 0 {
 		return pl.proofColumns(nil), nil
 	}
@@ -174,18 +164,22 @@ func (pl Plan) scanColumns(r cellReader) ([]string, error) {
 	return out, nil
 }
 
+// errUnknownTable is a SELECT of a table without a key in the snapshot
+// read: no cell of it exists there.
+var errUnknownTable = errors.New("query: unknown table")
+
 // collectCells executes the plan's read phase and returns the raw scan
 // cells: per covered column in order, the live head cells the reader
 // holds. Rows, predicates, projections and aggregates are applied by
 // ResultFromCells — identically on every path.
-func collectCells(r cellReader, pl Plan) ([]cellstore.Cell, error) {
+func collectCells(r snapReader, pl Plan) ([]cellstore.Cell, error) {
 	s := pl.Sel
 	cols, err := pl.scanColumns(r)
 	if err != nil {
 		return nil, err
 	}
 	if len(cols) == 0 {
-		return nil, fmt.Errorf("query: unknown table %q", s.Table)
+		return nil, fmt.Errorf("%w %q", errUnknownTable, s.Table)
 	}
 	switch pl.Kind {
 	case PlanRange:
@@ -215,7 +209,7 @@ func collectCells(r cellReader, pl Plan) ([]cellstore.Cell, error) {
 }
 
 // pointCells reads the live head cell of every (pk, column) pair.
-func pointCells(r cellReader, pl Plan, cols []string, pks [][]byte) ([]cellstore.Cell, error) {
+func pointCells(r snapReader, pl Plan, cols []string, pks [][]byte) ([]cellstore.Cell, error) {
 	var cells []cellstore.Cell
 	for _, pk := range pks {
 		for _, col := range cols {
@@ -232,11 +226,11 @@ func pointCells(r cellReader, pl Plan, cols []string, pks [][]byte) ([]cellstore
 }
 
 // lookupPKs locates candidate rows for a predicate-only SELECT through
-// the inverted index, falling back to a full column scan when the reader
-// has no index. Candidates are only located here — every predicate is
+// the inverted index, falling back to a full column scan when the engine
+// keeps none. Candidates are only located here — every predicate is
 // re-checked against the cells actually read, so stale index entries
 // drop out naturally.
-func lookupPKs(r cellReader, s Select) ([][]byte, error) {
+func lookupPKs(r snapReader, s Select) ([][]byte, error) {
 	first := s.Preds[0]
 	cand, err := r.lookupEqual(s.Table, first.Column, []byte(first.Value))
 	if err != nil {

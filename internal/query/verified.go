@@ -20,11 +20,11 @@ type VerifiedSelect struct {
 	Proof  *ledger.Proof
 }
 
-// snapReader reads from an immutable ledger snapshot, so a verified
-// SELECT observes one consistent state even while commits land: a
-// `SELECT *` takes its columns from the keys of the snapshot it proves.
-// The inverted index (head state) only locates candidates; every cell that
-// matters is re-read at the snapshot.
+// snapReader is where every SELECT reads, verified or embedded: one
+// immutable ledger snapshot, so the statement observes one consistent
+// state even while commits land, and a `SELECT *` takes its columns from
+// the keys of the snapshot it reads. The inverted index (head state) only
+// locates candidates; every cell that matters is re-read at the snapshot.
 type snapReader struct {
 	eng  *core.Engine
 	snap cellstore.Store

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"spitz/internal/proof"
 
 	"spitz/internal/binenc"
 	"spitz/internal/cellstore"
@@ -67,7 +68,7 @@ const (
 	// zero payload bytes (like respFound).
 	reqDeferred
 	// reqHave carries the digests of the index nodes the client of a
-	// proof-carrying read already holds: a uvarint count (at most postree.MaxHave)
+	// proof-carrying read already holds: a uvarint count (at most proof.MaxHave)
 	// and that many 32-byte digests. Absent — a cold or older client —
 	// the server ships the full proof.
 	reqHave
@@ -215,14 +216,14 @@ func DecodeRequest(src []byte) (Request, error) {
 		req.Statement = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&reqOldDigest != 0 {
-		req.OldDigest = binenc.Read(&d, ledger.ReadDigest)
+		req.OldDigest = binenc.Read(&d, proof.ReadDigest)
 	}
 	if bits&reqOldDigest2 != 0 {
-		d2 := binenc.Read(&d, ledger.ReadDigest)
+		d2 := binenc.Read(&d, proof.ReadDigest)
 		req.OldDigest2 = &d2
 	}
 	if bits&reqAudits != 0 {
-		req.Audits = binenc.Read(&d, ledger.ReadBatchQueries)
+		req.Audits = binenc.Read(&d, proof.ReadBatchQueries)
 	}
 	if bits&reqSnapshot != 0 {
 		req.Snapshot = binenc.Read(&d, binenc.ReadBytes)
@@ -239,11 +240,11 @@ func DecodeRequest(src []byte) (Request, error) {
 	if bits&(reqHave|reqFingerprints) != 0 {
 		size := haveSize(bits)
 		n := binenc.Read(&d, binenc.ReadUvarint)
-		// Bounded before allocation: by postree.MaxHave and by the bytes
+		// Bounded before allocation: by proof.MaxHave and by the bytes
 		// actually present. Zero is never encoded (the bit would be absent),
 		// nor are both forms, so they are rejected to keep encodings
 		// canonical. A fingerprint fills its digest's first bytes.
-		if d.Err == nil && (n == 0 || n > postree.MaxHave || n > uint64(len(d.Src)/size) || bits&reqHave != 0 && req.trimmed) {
+		if d.Err == nil && (n == 0 || n > proof.MaxHave || n > uint64(len(d.Src)/size) || bits&reqHave != 0 && req.trimmed) {
 			d.Err = binenc.ErrCorrupt
 		} else if d.Err == nil {
 			req.Have = make([]hashutil.Digest, n)
@@ -377,16 +378,16 @@ func DecodeResponse(src []byte) (Response, error) {
 	}
 	if bits&respProof != 0 {
 		resp.Proof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
-			return ledger.ReadProofAs(b, bits&respUnbound != 0)
+			return proof.ReadProofAs(b, bits&respUnbound != 0)
 		})
 	}
 	if bits&respBatchProof != 0 {
 		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
-			return ledger.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
+			return proof.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
 		})
 	}
 	if bits&respDigest != 0 {
-		resp.Digest = binenc.Read(&d, ledger.ReadDigest)
+		resp.Digest = binenc.Read(&d, proof.ReadDigest)
 	}
 	if bits&respConsistency != 0 {
 		c := binenc.Read(&d, mtree.ReadConsistencyProof)
@@ -397,7 +398,7 @@ func DecodeResponse(src []byte) (Response, error) {
 		resp.Consistency2 = &c
 	}
 	if bits&respHeader != 0 {
-		resp.Header = binenc.Read(&d, ledger.ReadHeader)
+		resp.Header = binenc.Read(&d, proof.ReadHeader)
 	}
 	if bits&respShardCount != 0 {
 		resp.ShardCount = int(binenc.Read(&d, binenc.ReadUvarint))
@@ -406,7 +407,7 @@ func DecodeResponse(src []byte) (Response, error) {
 		resp.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&respCluster != 0 {
-		resp.Cluster = binenc.Read(&d, ledger.ReadClusterDigest)
+		resp.Cluster = binenc.Read(&d, proof.ReadClusterDigest)
 	}
 	if bits&respHeight != 0 {
 		resp.Height = binenc.Read(&d, binenc.ReadUvarint)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cellstore"
@@ -264,10 +265,10 @@ func rndResponse(r *rand.Rand) Response {
 		resp.BatchProof = rndBatchProof(r)
 	}
 	if resp.Proof != nil && r.Intn(3) == 0 { // the binding left out, of each proof on its own
-		*resp.Proof = resp.Proof.Unbind()
+		*resp.Proof = ledger.Unbind(*resp.Proof)
 	}
 	if resp.BatchProof != nil && r.Intn(3) == 0 {
-		*resp.BatchProof = resp.BatchProof.Unbind()
+		*resp.BatchProof = ledger.Unbind(*resp.BatchProof)
 	}
 	if r.Intn(2) == 0 {
 		resp.Digest = rndLedgerDigest(r)
@@ -285,7 +286,7 @@ func rndResponse(r *rand.Rand) Response {
 		resp.ShardCount = 1 + r.Intn(8)
 	}
 	if r.Intn(4) == 0 {
-		cd := &ledger.ClusterDigest{Root: rndDigest(r)}
+		cd := &proof.ClusterDigest{Root: rndDigest(r)}
 		for i := 0; i < 1+r.Intn(4); i++ {
 			cd.Shards = append(cd.Shards, rndLedgerDigest(r))
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/binenc"
@@ -38,9 +39,9 @@ func elideEngine(t testing.TB) (*core.Engine, []byte) {
 
 // heldNodes verifies resp's full proof (point, range or batch) and
 // returns every index node it shipped.
-func heldNodes(t testing.TB, resp Response) []*postree.Node {
+func heldNodes(t testing.TB, resp Response) []*proof.Verified {
 	t.Helper()
-	got := new(postree.Path)
+	got := new(proof.Path)
 	var err error
 	if resp.Proof != nil {
 		err = resp.Proof.VerifyPath(resp.Digest, got)
@@ -77,8 +78,8 @@ func proofCells(resp Response, req Request) ([]cellstore.Cell, error) {
 }
 
 // pin returns a fresh path holding nodes; a path serves one verification.
-func pin(nodes []*postree.Node) *postree.Path {
-	pa := postree.NewPath(len(nodes))
+func pin(nodes []*proof.Verified) *proof.Path {
+	pa := proof.NewPath(len(nodes))
 	for _, n := range nodes {
 		pa.Pin(n)
 	}
@@ -86,7 +87,7 @@ func pin(nodes []*postree.Node) *postree.Path {
 }
 
 // heldPath pins what heldNodes returns.
-func heldPath(t testing.TB, resp Response) *postree.Path { return pin(heldNodes(t, resp)) }
+func heldPath(t testing.TB, resp Response) *proof.Path { return pin(heldNodes(t, resp)) }
 
 // TestGetVerifiedResponseShape pins what Dispatch answers OpGetVerified
 // with: the proof and Found, no Cells (the row travels in the proof
@@ -150,7 +151,7 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 	if err := warm.Proof.VerifyPath(warm.Digest, pin(held)); err != nil {
 		t.Fatalf("elided proof: %v", err)
 	}
-	if err := warm.Proof.Verify(warm.Digest); !errors.Is(err, ledger.ErrProofInvalid) {
+	if err := warm.Proof.Verify(warm.Digest); !errors.Is(err, proof.ErrProofInvalid) {
 		t.Fatalf("elided proof verified with nothing held: %v", err)
 	}
 	warmBytes := AppendResponse(nil, &warm)
@@ -200,7 +201,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 		if resp.Cells != nil {
 			t.Fatalf("%d cells travel beside the proof", len(resp.Cells))
 		}
-		cells, err := cellstore.DecodeEntries(resp.Proof.Ranges[0].Entries)
+		cells, err := proof.DecodeEntries(resp.Proof.Ranges[0].Entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 		if bp.Point != nil {
 			for i := range bp.Point.Keys {
 				if bp.Point.Found[i] {
-					_, v, _, err := cellstore.DecodeVersion(bp.Point.Values[i])
+					_, v, _, err := proof.DecodeVersion(bp.Point.Values[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,7 +233,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 			}
 		}
 		for i := range bp.Ranges {
-			cells, err := cellstore.DecodeEntries(bp.Ranges[i].Entries)
+			cells, err := proof.DecodeEntries(bp.Ranges[i].Entries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +253,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 	}
 }
 
-func verifyMultiRow(resp Response, path *postree.Path) error {
+func verifyMultiRow(resp Response, path *proof.Path) error {
 	if resp.Proof != nil {
 		return resp.Proof.VerifyPath(resp.Digest, path)
 	}
@@ -335,7 +336,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 			if got := obs.Default.Counter("spitz_proof_nodes_elided_total").Value() - elidedBefore; got != uint64(len(nodes)-len(warmNodes)) {
 				t.Fatalf("spitz_proof_nodes_elided_total moved by %d, want %d", got, len(nodes)-len(warmNodes))
 			}
-			if err := verifyMultiRow(warm, nil); !errors.Is(err, ledger.ErrProofInvalid) {
+			if err := verifyMultiRow(warm, nil); !errors.Is(err, proof.ErrProofInvalid) {
 				t.Fatalf("elided proof verified with nothing held: %v", err)
 			}
 			if err := verifyMultiRow(warm, pin(held)); err != nil {
@@ -420,10 +421,10 @@ func TestElisionOverTheWire(t *testing.T) {
 }
 
 // TestDecodeRequestHaveBounds: the hint's length is checked against
-// postree.MaxHave and the bytes present before anything is allocated.
+// proof.MaxHave and the bytes present before anything is allocated.
 func TestDecodeRequestHaveBounds(t *testing.T) {
-	ok := Request{Op: OpProveBatch, PK: []byte("k"), Have: make([]hashutil.Digest, postree.MaxHave)}
-	if dec, err := DecodeRequest(AppendRequest(nil, &ok)); err != nil || len(dec.Have) != postree.MaxHave {
+	ok := Request{Op: OpProveBatch, PK: []byte("k"), Have: make([]hashutil.Digest, proof.MaxHave)}
+	if dec, err := DecodeRequest(AppendRequest(nil, &ok)); err != nil || len(dec.Have) != proof.MaxHave {
 		t.Fatalf("maximal hint: %v", err)
 	}
 	// A one-digest hint: the count is the byte before the digest, which
@@ -434,7 +435,7 @@ func TestDecodeRequestHaveBounds(t *testing.T) {
 	if enc[at] != 1 {
 		t.Fatalf("count byte not where expected: %d", enc[at])
 	}
-	for _, count := range []uint64{0, 2, postree.MaxHave + 1, 1 << 40} {
+	for _, count := range []uint64{0, 2, proof.MaxHave + 1, 1 << 40} {
 		bad := append([]byte(nil), enc[:at]...)
 		bad = binenc.AppendUvarint(bad, count)
 		bad = append(bad, enc[at+1:]...)
@@ -443,7 +444,7 @@ func TestDecodeRequestHaveBounds(t *testing.T) {
 		}
 	}
 	// Over the bound with the bytes to back it.
-	over := Request{Op: OpProveBatch, Have: make([]hashutil.Digest, postree.MaxHave+1)}
+	over := Request{Op: OpProveBatch, Have: make([]hashutil.Digest, proof.MaxHave+1)}
 	if _, err := DecodeRequest(AppendRequest(nil, &over)); !errors.Is(err, binenc.ErrCorrupt) {
 		t.Fatalf("hint of MaxHave+1 digests: err = %v", err)
 	}
@@ -535,7 +536,7 @@ func FuzzElidedRead(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		rr := rndRequest(r)
-		rr.Have = rndDigests(r, 2*postree.MaxHeight)
+		rr.Have = rndDigests(r, 2*proof.MaxHeight)
 		f.Add(AppendRequest(nil, &rr))
 		resp := Response{Found: true, Proof: rndProof(r), BatchProof: rndBatchProof(r), Digest: rndLedgerDigest(r)}
 		f.Add(AppendResponse(nil, &resp))
@@ -543,7 +544,7 @@ func FuzzElidedRead(f *testing.F) {
 	root := cold.Proof.Header.CellRoot
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeRequest(data); err == nil {
-			if len(req.Have) > postree.MaxHave {
+			if len(req.Have) > proof.MaxHave {
 				t.Fatalf("decoded a %d-digest hint", len(req.Have))
 			}
 			if again, err := DecodeRequest(AppendRequest(nil, &req)); err != nil || len(again.Have) != len(req.Have) {
@@ -667,7 +668,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 			if saved == 0 || int(saved) > len(coldBytes)-len(warmBytes) {
 				t.Fatalf("spitz_proof_patch_bytes_saved_total moved by %d; the response shrank by %d", saved, len(coldBytes)-len(warmBytes))
 			}
-			if err := verifyMultiRow(warm, nil); !errors.Is(err, ledger.ErrProofInvalid) {
+			if err := verifyMultiRow(warm, nil); !errors.Is(err, proof.ErrProofInvalid) {
 				t.Fatalf("patched proof verified with nothing held: %v", err)
 			}
 			path := pin(held)
@@ -706,7 +707,7 @@ func FuzzPatchedRead(f *testing.F) {
 	eng, pk := elideEngine(f)
 	point := multiRow{name: "point", req: Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}}
 	reads := append([]multiRow{point}, multiRowReads(f, eng)...)
-	var held []*postree.Node
+	var held []*proof.Verified
 	for _, m := range reads {
 		held = append(held, heldNodes(f, Dispatch(eng, m.req))...)
 	}

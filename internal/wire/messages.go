@@ -13,6 +13,7 @@ import (
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
+	"spitz/internal/proof"
 )
 
 // Op identifies a request type.
@@ -99,7 +100,7 @@ type Request struct {
 	// Have, on the proof-carrying reads (OpGetVerified, OpRangeVer,
 	// OpProveBatch, OpQuery), is the set of digests of the verified index
 	// nodes the client already holds where the read will walk (at most
-	// postree.MaxHave). The server leaves a node's body out of the proof iff it
+	// proof.MaxHave). The server leaves a node's body out of the proof iff it
 	// is an index node whose fingerprint — its digest's first
 	// postree.FingerprintSize bytes, all of it that travels in the trimmed
 	// form — is in the set; absent, the proof is complete. It is a hint
@@ -164,9 +165,9 @@ type Response struct {
 	Header       ledger.BlockHeader
 
 	// Sharded deployments.
-	ShardCount int                   // OpShardMap: number of shards behind this listener
-	Shard      int                   // unset by this build; decoded so binary/v3 peers interoperate
-	Cluster    *ledger.ClusterDigest // OpClusterDigest
+	ShardCount int                  // OpShardMap: number of shards behind this listener
+	Shard      int                  // unset by this build; decoded so binary/v3 peers interoperate
+	Cluster    *proof.ClusterDigest // OpClusterDigest
 
 	// Replication stream messages (OpReplStream). Found distinguishes a
 	// snapshot hand-off (Value = snapshot stream, Height = its block

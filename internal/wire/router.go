@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"spitz/internal/proof"
 	"sync"
 
 	"spitz/internal/cellstore"
@@ -212,12 +213,12 @@ func (r *Router) Repl(shard int) (ReplStreamer, error) {
 // ClusterDigest returns every shard's ledger digest under one combined
 // root. Shards advance independently, so it is a per-shard snapshot, not
 // an atomic cut.
-func (r *Router) ClusterDigest() ledger.ClusterDigest {
+func (r *Router) ClusterDigest() proof.ClusterDigest {
 	shards := make([]ledger.Digest, len(r.Shards))
 	for i, sh := range r.Shards {
 		shards[i] = sh.Engine().Digest()
 	}
-	return ledger.NewClusterDigest(shards)
+	return proof.NewClusterDigest(shards)
 }
 
 // Stats summarizes every shard for OpStats: engine counters, plus the WAL

@@ -332,7 +332,7 @@ func withoutQuestion(req *Request, resp Response) Response {
 	var one [1]ledger.BatchQuery
 	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
 		if p != nil && p.Answers(question(req, resp.Cells, &one)) {
-			*p = p.Trimmed()
+			*p = ledger.Trimmed(*p)
 		}
 	}
 	return resp
@@ -411,13 +411,13 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // binding verifies only at the trusted digest its client named. (The
 // question a proof answers is left out last, as it is encoded: see
 // withoutQuestion.) dispatch's proof structs are this call's own; node
-// lists and sub-proofs inside may be shared, and Elide replaces rather
+// lists and sub-proofs inside may be shared, and ledger.Elide replaces rather
 // than edits those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
 	proofs := [...]*ledger.Proof{resp.Proof, resp.BatchProof}
 	for _, p := range proofs {
 		if p != nil {
-			*p = p.Elide(eng.Ledger().Held(req.Have))
+			*p = ledger.Elide(*p, eng.Ledger().Held(req.Have))
 		}
 	}
 	switch d := resp.Digest; {
@@ -432,7 +432,7 @@ func fit(eng *core.Engine, req Request, resp Response) Response {
 		// A SELECT's proof can be bound to a later digest than its block.
 		for _, p := range proofs {
 			if p != nil && p.Header.Height+1 == d.Height {
-				*p = p.Unbind()
+				*p = ledger.Unbind(*p)
 				if req.trimmed {
 					resp.Digest = ledger.Digest{}
 				}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"spitz/internal/proof"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // TestDecodeRequestFingerprintBounds: the trimmed hint is as bounded as
-// the whole-digest one — a zero count, a count above postree.MaxHave and
+// the whole-digest one — a zero count, a count above proof.MaxHave and
 // a count above the bytes present are refused before anything is
 // allocated, and so is a request that carries both forms — and it
 // round-trips as fingerprints: each digest's first bytes, the rest zero.
@@ -41,13 +42,13 @@ func TestDecodeRequestFingerprintBounds(t *testing.T) {
 	if enc[at] != 1 {
 		t.Fatalf("count byte not where expected: %d", enc[at])
 	}
-	for _, count := range []uint64{0, 2, postree.MaxHave + 1, 1 << 40} {
+	for _, count := range []uint64{0, 2, proof.MaxHave + 1, 1 << 40} {
 		bad := binenc.AppendUvarint(append([]byte(nil), enc[:at]...), count)
 		if _, err := DecodeRequest(append(bad, enc[at+1:]...)); !errors.Is(err, binenc.ErrCorrupt) {
 			t.Fatalf("fingerprint count %d: err = %v", count, err)
 		}
 	}
-	over := Request{Op: OpProveBatch, Have: make([]hashutil.Digest, postree.MaxHave+1), trimmed: true}
+	over := Request{Op: OpProveBatch, Have: make([]hashutil.Digest, proof.MaxHave+1), trimmed: true}
 	if _, err := DecodeRequest(AppendRequest(nil, &over)); !errors.Is(err, binenc.ErrCorrupt) {
 		t.Fatalf("hint of MaxHave+1 fingerprints: err = %v", err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/core"
@@ -42,10 +43,10 @@ func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
 			// As elision alone leaves the response: what it always was.
 			old := dispatch(eng, req)
 			if old.Proof != nil {
-				*old.Proof = old.Proof.Elide(eng.Ledger().Held(nil))
+				*old.Proof = ledger.Elide(*old.Proof, eng.Ledger().Held(nil))
 			}
 			if old.BatchProof != nil {
-				*old.BatchProof = old.BatchProof.Elide(eng.Ledger().Held(nil))
+				*old.BatchProof = ledger.Elide(*old.BatchProof, eng.Ledger().Held(nil))
 			}
 			want := AppendResponse(nil, &old)
 			if _, got := ask(0, false); !bytes.Equal(got, want) {
@@ -65,7 +66,7 @@ func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
 				t.Fatalf("at the trusted height with its header held: unbound %v, header %+v, consistency %v",
 					unbound, bound.Header, resp.Consistency)
 			}
-			if len(got) > len(want)-ledger.HeaderWireLen {
+			if len(got) > len(want)-proof.HeaderWireLen {
 				t.Fatalf("a response without its binding is %d bytes, the bound one %d", len(got), len(want))
 			}
 			if dec, err := DecodeResponse(got); err != nil || !bytes.Equal(AppendResponse(nil, &dec), got) {

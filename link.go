@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"spitz/internal/cellstore"
-	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/proof"
 	"spitz/internal/query"
@@ -87,22 +85,22 @@ type verifiedRead struct {
 	attested wire.Op      // the op the optimistic flow sends instead: the same question, no proof
 	spans    [2]string    // the eager and the optimistic flow's span
 
-	one  [1]ledger.BatchQuery // a point or range read's one obligation
-	plan *query.Plan          // a SELECT's plan: its obligations follow from the cells served
+	one  [1]proof.BatchQuery // a point or range read's one obligation
+	plan *query.Plan         // a SELECT's plan: its obligations follow from the cells served
 }
 
 func pointRead(aud *Auditor, table, column string, pk []byte) verifiedRead {
 	return verifiedRead{aud: aud, attested: wire.OpGet,
 		req:   wire.Request{Op: wire.OpGetVerified, Table: table, Column: column, PK: pk},
 		spans: [2]string{"client.get-verified", "client.get-optimistic"},
-		one:   [1]ledger.BatchQuery{{Table: table, Column: column, PK: pk}}}
+		one:   [1]proof.BatchQuery{{Table: table, Column: column, PK: pk}}}
 }
 
 func rangeRead(aud *Auditor, table, column string, pkLo, pkHi []byte) verifiedRead {
 	return verifiedRead{aud: aud, attested: wire.OpRange,
 		req:   wire.Request{Op: wire.OpRangeVer, Table: table, Column: column, PK: pkLo, PKHi: pkHi},
 		spans: [2]string{"client.range-verified", "client.range-optimistic"},
-		one:   [1]ledger.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}}}
+		one:   [1]proof.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}}}
 }
 
 // selectRead is a SELECT: the statement executes server-side against one
@@ -119,7 +117,7 @@ func selectRead(aud *Auditor, statement string, pl *query.Plan) verifiedRead {
 
 // queries returns the read's proof obligations, given the cells the
 // server returned (nil before the response: what can be hinted).
-func (r *verifiedRead) queries(cells []Cell) []ledger.BatchQuery {
+func (r *verifiedRead) queries(cells []Cell) []proof.BatchQuery {
 	if r.plan != nil {
 		return r.plan.Queries(cells)
 	}
@@ -201,7 +199,7 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	}
 	var live [][]Cell
 	if err := l.syncAndVerifyWith(tr, pin.Trusted, resp, func() (err error) {
-		live, err = l.check(p, resp.Digest, queries, len(queries), pin)
+		live, err = l.v.Check(p, resp.Digest, queries, len(queries), pin)
 		return err
 	}); err != nil {
 		return nil, err
@@ -254,7 +252,7 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 	if len(queries) > 1 {
 		last = make(map[string]int, len(cells))
 		for i, c := range cells {
-			last[string(cellstore.CellPrefix(c.Table, c.Column, c.PK))] = i
+			last[string(proof.CellPrefix(c.Table, c.Column, c.PK))] = i
 		}
 	}
 	committed := 0
@@ -262,7 +260,7 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 		of := cells
 		if last != nil && !q.Range {
 			of = nil
-			if i, ok := last[string(cellstore.CellPrefix(q.Table, q.Column, q.PK))]; ok {
+			if i, ok := last[string(proof.CellPrefix(q.Table, q.Column, q.PK))]; ok {
 				of = cells[i : i+1]
 			}
 		}
@@ -280,31 +278,6 @@ func (l shardLink) optimistic(r *verifiedRead) ([]Cell, error) {
 	return cells, nil
 }
 
-// check binds, verifies and reads one proof — every proof a read rests
-// on, eager or audited, passes through here. The proof must answer
-// exactly the queries: checked before verification, so an answer to
-// another question — another key's value, a narrower range that silently
-// omits rows — never reaches the verifier's counters or its node cache.
-// It is verified against d, which the caller has made the trusted digest
-// or a proven prefix of it, and the answers are read off it: each
-// query's proven live cells.
-func (l shardLink) check(p *ledger.Proof, d Digest, queries []ledger.BatchQuery, reads int, pin *proof.Pin) ([][]Cell, error) {
-	if p == nil {
-		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
-	}
-	if !p.Answers(queries) {
-		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
-	}
-	if err := l.v.VerifyBatch(*p, d, reads, pin); err != nil {
-		return nil, err
-	}
-	live, err := p.Live(queries)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	return live, nil
-}
-
 // ---------------------------------------------------------------------------
 // Advancing trust
 
@@ -314,6 +287,27 @@ var (
 	mTrustViaResponse = obs.Default.Counter(`spitz_client_trust_advances_total{via="response"}`)
 	mTrustViaLeg      = obs.Default.Counter(`spitz_client_trust_advances_total{via="leg"}`)
 )
+
+// The verifiers' proof traffic and node caches, summed over every verifier
+// in the process (proof.Count).
+func init() {
+	shipped := obs.Default.Counter("spitz_client_proof_nodes_shipped_total")
+	patched := obs.Default.Counter("spitz_client_proof_nodes_patched_total")
+	elided := obs.Default.Counter("spitz_client_proof_nodes_elided_total")
+	bytes := obs.Default.Counter("spitz_client_proof_bytes_total")
+	unbound := obs.Default.Counter("spitz_client_bindings_elided_total") // proofs without their block binding
+	entries := obs.Default.Gauge("spitz_client_nodecache_entries")
+	cacheBytes := obs.Default.Gauge("spitz_client_nodecache_bytes")
+	proof.Count = func(d proof.ProofStats) {
+		shipped.Add(uint64(d.NodesShipped))
+		patched.Add(uint64(d.NodesPatched))
+		elided.Add(uint64(d.NodesElided))
+		bytes.Add(uint64(d.ProofBytes))
+		unbound.Add(uint64(d.BindingsElided))
+		entries.Add(int64(d.CacheEntries))
+		cacheBytes.Add(int64(d.CacheBytes))
+	}
+}
 
 // syncAndVerifyWith is the digest advance every eager read shares, around
 // its verify: on success the answer has verified against d, the digest

@@ -1,9 +1,6 @@
 package spitz
 
 import (
-	"bytes"
-	"sort"
-
 	"spitz/internal/obs"
 	"spitz/internal/query"
 	"spitz/internal/wire"
@@ -58,7 +55,10 @@ func (cl *Client) Query(statement string) (QueryResult, error) {
 			return sel(cl.ShardFor([]byte(s.PK)), nil)
 		}
 		parts, err := scatter(cl, "client.query-verified", sel)
-		return mergeQueryResults(pl, parts, err)
+		if err != nil {
+			return QueryResult{}, err
+		}
+		return query.MergeResults(pl, parts), nil
 	case query.History:
 		return read(cl, cl.ShardFor([]byte(s.PK)), nil, func(l shardLink) (QueryResult, error) {
 			resp, err := l.queryExec("client.query-history", statement)
@@ -68,30 +68,6 @@ func (cl *Client) Query(statement string) (QueryResult, error) {
 		resp, err := cl.primaryLink(0, nil).queryExec("client.query-exec", statement)
 		return QueryResult{RowsAffected: resp.RowsAffected, Block: resp.Height}, err
 	}
-}
-
-// mergeQueryResults folds per-shard results into one: aggregate partials
-// add (the shards partition the key space), rows merge into pk order.
-func mergeQueryResults(pl query.Plan, parts []QueryResult, err error) (QueryResult, error) {
-	if err != nil {
-		return QueryResult{}, err
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	if pl.Sel.Agg != "" {
-		var n uint64
-		for _, p := range parts {
-			n += p.AggValue
-		}
-		return QueryResult{AggValue: n, HasAgg: true}, nil
-	}
-	var rows []QueryRow
-	for _, p := range parts {
-		rows = append(rows, p.Rows...)
-	}
-	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].PK, rows[j].PK) < 0 })
-	return QueryResult{Rows: rows}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -95,11 +95,11 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 	}
 	unbind := func(resp *wire.Response) {
 		if resp.Proof != nil {
-			p := resp.Proof.Unbind()
+			p := ledger.Unbind(*resp.Proof)
 			resp.Proof = &p
 		}
 		if resp.BatchProof != nil {
-			bp := resp.BatchProof.Unbind()
+			bp := ledger.Unbind(*resp.BatchProof)
 			resp.BatchProof = &bp
 		}
 	}
@@ -138,7 +138,7 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 		{name: "carry a sub-proof the read did not ask for", auditOn: wire.OpProveBatch,
 			mut: func(fs *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
 				extra := func(p *ledger.Proof) *ledger.Proof {
-					q := p.Trimmed()
+					q := ledger.Trimmed(*p)
 					if q.Point == nil {
 						q.Point = wire.Dispatch(fs.eng, wire.Request{Op: wire.OpGetVerified, Table: "t", Column: "c",
 							PK: []byte("pk020")}).Proof.Point

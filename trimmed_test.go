@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"spitz/internal/ledger"
 	"testing"
 	"time"
 
@@ -25,11 +26,11 @@ import (
 // without the question they answer.
 func trimmed(resp wire.Response) wire.Response {
 	if resp.Proof != nil {
-		p := resp.Proof.Trimmed()
+		p := ledger.Trimmed(*resp.Proof)
 		resp.Proof = &p
 	}
 	if resp.BatchProof != nil {
-		bp := resp.BatchProof.Trimmed()
+		bp := ledger.Trimmed(*resp.BatchProof)
 		resp.BatchProof = &bp
 	}
 	return resp
