@@ -11,6 +11,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 	"spitz/internal/posleaf"
 	"spitz/internal/wire"
 )
@@ -147,25 +148,20 @@ func detachResponse(t testing.TB, resp *wire.Response) {
 
 // batchProofByteSlices enumerates every mutable byte slice of an
 // OpProveBatch response, in a stable order, so the tamper sweep can
-// address "byte k of the batch proof" uniformly.
-func batchProofByteSlices(resp *wire.Response) [][]byte {
-	var out [][]byte
+// address "byte k of the batch proof" uniformly: first what travels to
+// every peer, then, from byte asked on, the question the proof answers
+// (its point keys and range bounds), which travels only to a peer without
+// the trimmed form.
+func batchProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
 	bp := resp.BatchProof
 	if bp == nil {
-		return nil
+		return nil, 0
 	}
 	if bp.Point != nil {
 		out = append(out, bp.Point.Nodes...)
-		for _, v := range bp.Point.Values {
-			if len(v) > 0 {
-				out = append(out, v)
-			}
-		}
-		out = append(out, bp.Point.Keys...)
 	}
 	for i := range bp.Ranges {
 		out = append(out, bp.Ranges[i].Nodes...)
-		out = append(out, bp.Ranges[i].Start, bp.Ranges[i].End)
 	}
 	for i := range bp.Inclusion.Path {
 		out = append(out, bp.Inclusion.Path[i][:])
@@ -176,22 +172,62 @@ func batchProofByteSlices(resp *wire.Response) [][]byte {
 			out = append(out, resp.Consistency2.Path[i][:])
 		}
 	}
+	for _, s := range out {
+		asked += len(s)
+	}
+	return append(out, questionSlices(bp)...), asked
+}
+
+// questionSlices is the question a proof answers as it travels to a peer
+// without the trimmed form: its point keys and range bounds.
+func questionSlices(p *ledger.Proof) [][]byte {
+	var out [][]byte
+	if p.Point != nil {
+		out = append(out, p.Point.Keys...)
+	}
+	for i := range p.Ranges {
+		out = append(out, p.Ranges[i].Start, p.Ranges[i].End)
+	}
 	return out
 }
 
+// flipAt flips byte k of slices, counted across them in order.
+func flipAt(slices [][]byte, k int) {
+	for _, s := range slices {
+		if k < len(s) {
+			s[k] ^= 0x01
+			return
+		}
+		k -= len(s)
+	}
+}
+
+// sweepClient is the client a byte sweep reads through for the byte at
+// off: from asked on the byte is the question, which only a peer without
+// the trimmed form is sent.
+func (fs *faultServer) sweepClient(t testing.TB, off, asked int) *spitz.Client {
+	if off >= asked {
+		return fs.untrimmedClient(t)
+	}
+	return fs.client(t)
+}
+
 // TestFaultEveryBatchProofByteTrips is the core zero-silent-acceptance
-// sweep: every byte of the batch proof (node bodies, values, keys, range
-// bounds, inclusion and prefix-proof hashes, the digest root) is flipped
-// in turn, and every single flip must surface as ErrTampered at the
-// flush — never a pass.
+// sweep: every byte of the batch proof (node bodies, which hold the
+// values, inclusion and prefix-proof hashes, the digest root, and the
+// keys and range bounds a peer without the trimmed form is sent) is
+// flipped in turn, and every single flip must surface as ErrTampered at
+// the flush — never a pass.
 func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 	fs := startFaultServer(t)
 
 	// First pass: count the proof bytes with an honest flush.
-	var total int
+	var total, asked int
 	fs.setMutate(func(req wire.Request, resp *wire.Response) {
 		if req.Op == wire.OpProveBatch {
-			for _, s := range batchProofByteSlices(resp) {
+			var slices [][]byte
+			slices, asked = batchProofByteSlices(resp)
+			for _, s := range slices {
 				total += len(s)
 			}
 		}
@@ -218,16 +254,10 @@ func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 				return
 			}
 			detachResponse(t, resp)
-			k := off
-			for _, s := range batchProofByteSlices(resp) {
-				if k < len(s) {
-					s[k] ^= 0x01
-					return
-				}
-				k -= len(s)
-			}
+			slices, _ := batchProofByteSlices(resp)
+			flipAt(slices, off)
 		})
-		cl := fs.client(t)
+		cl := fs.sweepClient(t, off, asked)
 		aud := auditReads(t, cl)
 		err := aud.Flush()
 		if err == nil {
@@ -250,9 +280,13 @@ func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 // lying server could attempt on a batch: substituted values, toggled
 // found flags, swapped answers, dropped proofs, a proof for a different
 // (honest, older) digest, and omitted consistency proofs — all
-// ErrTampered, table-driven.
+// ErrTampered, table-driven. A forgery of the question the proof answers
+// is run against a peer without the trimmed form, the one it travels to:
+// a trimmed peer is never sent it.
 func TestFaultStructuredBatchForgeries(t *testing.T) {
 	fs := startFaultServer(t)
+	// asked: the forgeries of the question itself.
+	asked := map[string]bool{"swap two point answers": true, "narrow the proven range": true}
 	cases := []struct {
 		name string
 		mut  func(resp *wire.Response)
@@ -282,6 +316,9 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 			rp.Entries = nil
 			rp.Nodes = rp.Nodes[:1]
 		}},
+		{"carry a second range part", func(r *wire.Response) {
+			r.BatchProof.Ranges = append(r.BatchProof.Ranges, r.BatchProof.Ranges[0])
+		}},
 		{"cut the rows out of the range's leaf", func(r *wire.Response) {
 			rp := &r.BatchProof.Ranges[0]
 			rp.Nodes = cutLeafRows(t, rp.Nodes)
@@ -299,15 +336,23 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 				}
 			})
 			defer fs.setMutate(nil)
-			cl := fs.client(t)
+			dial := fs.client
+			if asked[tc.name] {
+				dial = fs.untrimmedClient
+			}
+			cl := dial(t)
 			defer cl.Close()
 			aud := auditReads(t, cl)
+			before := stateOf(cl.Verifier())
 			err := aud.Flush()
 			if err == nil {
 				t.Fatalf("%s: passed silently", tc.name)
 			}
 			if !errors.Is(err, spitz.ErrTampered) {
 				t.Fatalf("%s: misreported as %v", tc.name, err)
+			}
+			if after := stateOf(cl.Verifier()); after != before {
+				t.Fatalf("%s: the rejected flush moved the verifier: %+v -> %+v", tc.name, before, after)
 			}
 		})
 	}
@@ -334,9 +379,6 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 			slices: func(resp *wire.Response) [][]byte {
 				var out [][]byte
 				out = append(out, resp.Proof.Point.Nodes...)
-				if len(resp.Proof.Point.Values[0]) > 0 {
-					out = append(out, resp.Proof.Point.Values[0])
-				}
 				for i := range resp.Proof.Inclusion.Path {
 					out = append(out, resp.Proof.Inclusion.Path[i][:])
 				}
@@ -354,7 +396,6 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 			slices: func(resp *wire.Response) [][]byte {
 				var out [][]byte
 				out = append(out, resp.Proof.Ranges[0].Nodes...)
-				out = append(out, resp.Proof.Ranges[0].Start, resp.Proof.Ranges[0].End)
 				for i := range resp.Proof.Inclusion.Path {
 					out = append(out, resp.Proof.Inclusion.Path[i][:])
 				}
@@ -364,11 +405,20 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
-			var total int
+			// The question the proof answers follows what travels to
+			// every peer: from byte asked on, the sweep reads through a
+			// peer without the trimmed form, the one it is sent to.
+			slices := func(resp *wire.Response) [][]byte {
+				return append(kind.slices(resp), questionSlices(resp.Proof)...)
+			}
+			var total, asked int
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == kind.op && resp.Proof != nil {
-					total = 0
+					total, asked = 0, 0
 					for _, s := range kind.slices(resp) {
+						asked += len(s)
+					}
+					for _, s := range slices(resp) {
 						total += len(s)
 					}
 				}
@@ -392,16 +442,9 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 						return
 					}
 					detachResponse(t, resp)
-					k := off
-					for _, s := range kind.slices(resp) {
-						if k < len(s) {
-							s[k] ^= 0x01
-							return
-						}
-						k -= len(s)
-					}
+					flipAt(slices(resp), off)
 				})
-				cl := fs.client(t)
+				cl := fs.sweepClient(t, off, asked)
 				err := kind.read(cl)
 				if err == nil {
 					t.Fatalf("%s byte %d: tampered proof passed silently", kind.name, off)

@@ -552,11 +552,11 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 
 // elidedProofSlices enumerates every byte slice of an elided read's
 // response a tamperer could flip: the block binding's only where it
-// travels.
+// travels. The value travels inside the leaf; the key only to a peer
+// without the trimmed form, whose sweep is TestFaultEagerProofBytesTrip's.
 func elidedProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
 	out = append(out, resp.Proof.Point.Nodes...)
-	out = append(out, resp.Proof.Point.Values[0], resp.Proof.Point.Keys[0])
 	out = bindingSlices(out, &resp.Proof.Header, resp.Proof.Inclusion.Path, resp.Proof.Unbound)
 	return append(out, resp.Digest.Root[:])
 }
@@ -680,20 +680,23 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		return resp
 	}
 	// coldOnly marks the forgery that, against a warm client, is simply
-	// the honest elided response.
+	// the honest elided response; asked the forgery of the question
+	// itself, which travels only to a peer without the trimmed form and is
+	// run against one.
 	const coldOnly = "leaves every index node out of a cold client's proof"
+	const asked = "ships a peer without the trimmed form a key other than the one asked"
 	forgeries := map[string]func(req wire.Request, resp *wire.Response){
 		"leaves out the leaf and claims a value": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
 			n := resp.Proof.Point.Nodes
 			resp.Proof.Point.Nodes = n[:len(n)-1]
-			resp.Proof.Point.Values = [][]byte{bytes.Replace(resp.Proof.Point.Values[0], []byte("value-"), []byte("VALUE-"), 1)}
+			resp.Proof.Point.Values = [][]byte{[]byte("VALUE-forged")}
 		},
 		"empties the leaf and claims a value": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
 			n := resp.Proof.Point.Nodes
 			n[len(n)-1] = nil
-			resp.Proof.Point.Values = [][]byte{bytes.Replace(resp.Proof.Point.Values[0], []byte("value-"), []byte("VALUE-"), 1)}
+			resp.Proof.Point.Values = [][]byte{[]byte("VALUE-forged")}
 		},
 		coldOnly: func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
@@ -719,6 +722,17 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		"answers another key outright": func(req wire.Request, resp *wire.Response) {
 			*resp = full(otherPK)
 		},
+		"answers with the neighbouring key's proof": func(req wire.Request, resp *wire.Response) {
+			*resp = full(elisionPK(12346))
+		},
+		"flips the found flag": func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			resp.Proof.Point.Found = []bool{!resp.Proof.Point.Found[0]}
+		},
+		asked: func(req wire.Request, resp *wire.Response) {
+			detachResponse(t, resp)
+			resp.Proof.Point.Keys = full(otherPK).Proof.Point.Keys
+		},
 		"ships the root where the leaf should be": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
 			resp.Proof.Point.Nodes = full(pk).Proof.Point.Nodes[:1]
@@ -740,16 +754,18 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 				if kind == "warm" && name == coldOnly {
 					continue
 				}
-				var cl *spitz.Client
+				dial := es.client
+				if name == asked {
+					dial = es.untrimmedClient
+				}
+				cl := dial(t)
+				defer cl.Close()
 				if kind == "warm" {
-					cl = warmClient(t, es, pk)
-				} else {
-					cl = es.client(t)
-					defer cl.Close()
-					// Pin the digest honestly so only the forgery is at stake.
-					if err := cl.SyncDigest(); err != nil {
-						t.Fatal(err)
+					if _, found, err := cl.GetVerified("t", "c", pk); err != nil || !found {
+						t.Fatalf("warm-up read: %v %v", found, err)
 					}
+				} else if err := cl.SyncDigest(); err != nil { // pin the digest honestly so only the forgery is at stake
+					t.Fatal(err)
 				}
 				before := cl.Verifier().ProofStats()
 				es.setMutate(onVerifiedGet(forge))
@@ -909,7 +925,10 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 }
 
 // multiRowProofSlices enumerates every byte slice of a range, query or
-// audit response's proof a tamperer could flip.
+// audit response's proof a tamperer could flip. Values and rows travel
+// inside the leaves; keys and bounds only to a peer without the trimmed
+// form, whose sweeps are TestFaultEagerProofBytesTrip's and
+// TestFaultEveryBatchProofByteTrips'.
 func multiRowProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
 	for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
@@ -918,16 +937,9 @@ func multiRowProofSlices(resp *wire.Response) [][]byte {
 		}
 		if p.Point != nil {
 			out = append(out, p.Point.Nodes...)
-			for _, v := range p.Point.Values {
-				if len(v) > 0 {
-					out = append(out, v)
-				}
-			}
-			out = append(out, p.Point.Keys...)
 		}
 		for i := range p.Ranges {
 			out = append(out, p.Ranges[i].Nodes...)
-			out = append(out, p.Ranges[i].Start, p.Ranges[i].End)
 		}
 		out = bindingSlices(out, &p.Header, p.Inclusion.Path, p.Unbound)
 	}

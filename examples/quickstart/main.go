@@ -36,27 +36,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Pin the digest (trust-on-first-use), then verify the proof against
-	// the client's own trusted state — never the server's say-so.
+	// Pin the digest (trust-on-first-use), then check the proof against
+	// the client's own trusted state — never the server's say-so. Check
+	// walks the read the client asked and returns the cells that walk
+	// proves.
 	if err := verifier.Advance(res.Digest, spitz.ConsistencyProof{}); err != nil {
 		log.Fatal(err)
 	}
-	if err := verifier.VerifyNow(res.Proof); err != nil {
+	read := []spitz.BatchQuery{{Table: "accounts", Column: "balance", PK: []byte("alice")}}
+	live, err := verifier.Check(&res.Proof, res.Digest, read, 1, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
-	// The proven cell is read off the proof of the read it answers.
-	read := []spitz.BatchQuery{{Table: "accounts", Column: "balance", PK: []byte("alice")}}
-	if !res.Proof.Answers(read) {
-		log.Fatal("the proof answers another read")
-	}
-	live, _ := res.Proof.Live(read)
 	fmt.Printf("verified read: %s = %s (block digest height %d)\n",
 		live[0][0].PK, live[0][0].Value, res.Digest.Height)
 
 	// Tampering: a forged proof (here, a modified block header) fails.
 	forged := res.Proof
 	forged.Header.CellCount += 1
-	if err := verifier.VerifyNow(forged); errors.Is(err, spitz.ErrTampered) {
+	if _, err := verifier.Check(&forged, res.Digest, read, 1, nil); errors.Is(err, spitz.ErrTampered) {
 		fmt.Println("forged proof rejected: tampering detected")
 	} else {
 		log.Fatal("forged proof was accepted!")

@@ -251,23 +251,18 @@ func (s *System) ReadVerified(pk []byte) ([]byte, bool, error) {
 	if err := s.syncDigest(lresp.Digest); err != nil {
 		return nil, false, err
 	}
+	var live [][]proof.Cell
 	if lresp.Proof != nil {
-		if err := s.verifier.VerifyNow(*lresp.Proof); err != nil {
+		q := []ledger.BatchQuery{{Table: s.table, Column: s.column, PK: pk}}
+		if live, err = s.verifier.Check(lresp.Proof, lresp.Digest, q, 1, nil); err != nil {
 			return nil, false, err
 		}
 	}
 	if resp.Found != lresp.Found {
 		return nil, false, ErrMismatch
 	}
-	if resp.Found {
-		q := []ledger.BatchQuery{{Table: s.table, Column: s.column, PK: pk}}
-		if lresp.Proof == nil || !lresp.Proof.Answers(q) {
-			return nil, false, ErrMismatch
-		}
-		live, err := lresp.Proof.Live(q)
-		if err != nil || len(live[0]) != 1 || !bytes.Equal(live[0][0].Value, resp.Value) {
-			return nil, false, ErrMismatch
-		}
+	if resp.Found && (live == nil || len(live[0]) != 1 || !bytes.Equal(live[0][0].Value, resp.Value)) {
+		return nil, false, ErrMismatch
 	}
 	return resp.Value, resp.Found, nil
 }

@@ -250,15 +250,9 @@ func (s Store) ProveRangePK(table, column string, pkLo, pkHi []byte) ([]Cell, pr
 	if err != nil {
 		return nil, proof.RangeProof{}, err
 	}
-	cells, err := proof.DecodeEntries(rp.Entries)
+	live, err := proof.LiveCells(rp.Entries)
 	if err != nil {
 		return nil, proof.RangeProof{}, err
-	}
-	live := cells[:0]
-	for _, c := range cells {
-		if !c.Tombstone {
-			live = append(live, c)
-		}
 	}
 	return live, rp, nil
 }

@@ -101,6 +101,12 @@ type Engine struct {
 	ts     txn.TimestampSource
 	mgr    *txn.Manager
 	inv    *inverted.Index
+	// indexed is the digest of the last block the inverted index holds,
+	// set where its cells are indexed: the ledger publishes a block before
+	// the index has it, so a lookup reads at this digest. invMu guards the
+	// two together, not mu, which a replica holds across a block's apply.
+	invMu   sync.RWMutex
+	indexed ledger.Digest
 
 	maxBatchTxns  int
 	maxBatchDelay time.Duration
@@ -271,6 +277,7 @@ func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, e
 	if !ok {
 		return e, nil
 	}
+	e.indexed = l.Digest()
 	var bad error
 	err := cells.Tree.Scan(nil, nil, func(entry postree.Entry) bool {
 		c, err := proof.DecodeEntries([]postree.Entry{entry})
@@ -535,6 +542,9 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	}
 	h, err := e.ledger.Commit(batch[len(batch)-1].version, summaries, cells)
 	mCommitLedger.ObserveSince(cut)
+	if publishHook != nil && err == nil {
+		publishHook()
+	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -723,18 +733,27 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 	return h, nil
 }
 
-// indexCellsLocked adds a commit's cells to the inverted index, when it is
-// on. Caller holds e.mu, so cells arrive in commit order. The index ignores
-// a version at or below the one it holds for the cell and removes
-// superseded postings itself on Add; resolvePostings re-checks versions at
-// query time as a safety net.
+// publishHook, when set (tests), runs between the ledger publishing a
+// committed block and the engine indexing its cells.
+var publishHook func()
+
+// indexCellsLocked adds the cells of the block the ledger has just
+// published to the inverted index, when it is on, and moves the digest the
+// index is current to onto that block's: blocks reach the ledger one at a
+// time, each indexed before the next is committed. Caller holds e.mu, so
+// cells arrive in commit order. The index ignores a version at or below
+// the one it holds for the cell and removes superseded postings itself on
+// Add; lookup re-checks versions as a safety net.
 func (e *Engine) indexCellsLocked(cells []cellstore.Cell) {
 	if e.inv == nil {
 		return
 	}
+	e.invMu.Lock()
+	defer e.invMu.Unlock()
 	for i := range cells {
 		e.inv.Add(cells[i])
 	}
+	e.indexed = e.ledger.Digest()
 }
 
 // Columns returns the sorted set of columns ever written to a table: the
@@ -894,11 +913,7 @@ func (e *Engine) History(table, column string, pk []byte) ([]cellstore.Cell, err
 // GetAt reads a cell as of a historical block height (time travel over the
 // immutable snapshots).
 func (e *Engine) GetAt(height uint64, table, column string, pk []byte) (cellstore.Cell, bool, error) {
-	snap, err := e.ledger.Snapshot(height)
-	if err != nil {
-		return cellstore.Cell{}, false, err
-	}
-	h, err := e.ledger.Header(height)
+	snap, h, err := e.ledger.Snapshot(height)
 	if err != nil {
 		return cellstore.Cell{}, false, err
 	}
@@ -913,39 +928,57 @@ func (e *Engine) GetAt(height uint64, table, column string, pk []byte) (cellstor
 var ErrNoInvertedIndex = errors.New("core: inverted index not enabled")
 
 // LookupEqual returns the cells of one column whose latest value equals
-// value, located through the inverted index.
+// value, located through the inverted index (LookupEqualAt).
 func (e *Engine) LookupEqual(table, column string, value []byte) ([]cellstore.Cell, error) {
-	if e.inv == nil {
-		return nil, ErrNoInvertedIndex
-	}
-	return e.resolvePostings(table, column, e.inv.LookupEqual(table, column, value))
+	cells, _, err := e.LookupEqualAt(table, column, value)
+	return cells, err
+}
+
+// LookupEqualAt is LookupEqual with the digest the index is current to:
+// the cells are the live ones of that digest's head block, which is where
+// a caller reads and proves the rest of its answer — the ledger publishes
+// a block before the index has its cells, so the head may be a block
+// ahead of the index.
+func (e *Engine) LookupEqualAt(table, column string, value []byte) ([]cellstore.Cell, ledger.Digest, error) {
+	return e.lookup(table, column, func(ix *inverted.Index) []inverted.Posting { return ix.LookupEqual(table, column, value) })
 }
 
 // LookupNumericRange returns cells whose numeric value is in [lo, hi).
 func (e *Engine) LookupNumericRange(table, column string, lo, hi uint64) ([]cellstore.Cell, error) {
-	if e.inv == nil {
-		return nil, ErrNoInvertedIndex
-	}
-	return e.resolvePostings(table, column, e.inv.LookupNumericRange(table, column, lo, hi))
+	cells, _, err := e.lookup(table, column, func(ix *inverted.Index) []inverted.Posting {
+		return ix.LookupNumericRange(table, column, lo, hi)
+	})
+	return cells, err
 }
 
-func (e *Engine) resolvePostings(table, column string, ps []inverted.Posting) ([]cellstore.Cell, error) {
-	cells, head, ok := e.ledger.Latest()
-	if !ok {
-		return nil, nil
+// lookup takes postings from the inverted index (find) and reads their
+// cells at the head block of the digest the index is current to, keeping
+// those a posting still names the latest version of.
+func (e *Engine) lookup(table, column string, find func(*inverted.Index) []inverted.Posting) ([]cellstore.Cell, ledger.Digest, error) {
+	if e.inv == nil {
+		return nil, ledger.Digest{}, ErrNoInvertedIndex
+	}
+	e.invMu.RLock()
+	ps, d := find(e.inv), e.indexed
+	e.invMu.RUnlock()
+	if d.Height == 0 {
+		return nil, d, nil
+	}
+	cells, head, err := e.ledger.Snapshot(d.Height - 1)
+	if err != nil {
+		return nil, d, err
 	}
 	out := make([]cellstore.Cell, 0, len(ps))
 	for _, p := range ps {
 		c, found, err := cells.GetLatest(table, column, p.PK, head.Version)
 		if err != nil {
-			return nil, err
+			return nil, d, err
 		}
-		// Only surface postings that still are the latest version.
 		if found && !c.Tombstone && c.Version == p.Version {
 			out = append(out, c)
 		}
 	}
-	return out, nil
+	return out, d, nil
 }
 
 // ---------------------------------------------------------------------------

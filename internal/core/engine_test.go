@@ -94,11 +94,11 @@ func TestGetVerifiedEndToEnd(t *testing.T) {
 	if err != nil || !res.Found {
 		t.Fatalf("GetVerified: %v", err)
 	}
-	if err := ver.VerifyNow(res.Proof); err != nil {
+	live, err := ver.Check(&res.Proof, res.Digest, []ledger.BatchQuery{{Table: "acct", Column: "bal", PK: []byte("pk00101")}}, 1, nil)
+	if err != nil {
 		t.Fatalf("client verification: %v", err)
 	}
-	live, err := res.Proof.Live([]ledger.BatchQuery{{Table: "acct", Column: "bal", PK: []byte("pk00101")}})
-	if err != nil || len(live[0]) != 1 || string(live[0][0].Value) != "value-00101" {
+	if len(live[0]) != 1 || string(live[0][0].Value) != "value-00101" {
 		t.Fatal("verified payload wrong")
 	}
 }

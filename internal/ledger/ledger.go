@@ -139,16 +139,17 @@ func (l *Ledger) Header(height uint64) (BlockHeader, error) {
 	return l.headers[height], nil
 }
 
-// Snapshot returns a read view of the cell store as of the given block.
+// Snapshot returns a read view of the cell store as of the given block,
+// and the block's header (whose Version its reads take).
 // This is the "historical index instance" stored in each block. It is the
 // live store for the head and a tree sharing the live tree's node cache
 // otherwise (snapshotLocked), never a private cold one: verified SELECTs
 // and as-of reads take a snapshot per call.
-func (l *Ledger) Snapshot(height uint64) (cellstore.Store, error) {
+func (l *Ledger) Snapshot(height uint64) (cellstore.Store, BlockHeader, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, snap, err := l.snapshotLocked(height)
-	return snap, err
+	h, snap, err := l.snapshotLocked(height)
+	return snap, h, err
 }
 
 // Latest returns the current cell store snapshot and its block header.

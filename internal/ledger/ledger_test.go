@@ -137,7 +137,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	l.Commit(1, nil, []cellstore.Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("old")}})
 	l.Commit(2, nil, []cellstore.Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 2, Value: []byte("new")}})
 
-	snap0, err := l.Snapshot(0)
+	snap0, _, err := l.Snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if !ok || string(c.Value) != "old" {
 		t.Fatal("historical snapshot does not serve old value")
 	}
-	snap1, _ := l.Snapshot(1)
+	snap1, _, _ := l.Snapshot(1)
 	c, _, _ = snap1.GetLatest("t", "c", []byte("k"), 2)
 	if string(c.Value) != "new" {
 		t.Fatal("latest snapshot wrong")
@@ -179,10 +179,7 @@ func TestProveAtHeightVerifies(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	q := []BatchQuery{{Table: "t", Column: "c", PK: []byte("b2-0003")}}
-	if !proof.Answers(q) {
-		t.Fatal("proof answers another read")
-	}
-	live, err := proof.Live(q)
+	live, err := proof.Cells(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestProveAbsence(t *testing.T) {
 	if err := proof.Verify(l.Digest()); err != nil {
 		t.Fatalf("absence proof: %v", err)
 	}
-	if live, _ := proof.Live([]BatchQuery{{Table: "t", Column: "c", PK: []byte("never-written")}}); len(live[0]) != 0 {
+	if live, err := proof.Cells([]BatchQuery{{Table: "t", Column: "c", PK: []byte("never-written")}}, nil); err != nil || len(live[0]) != 0 {
 		t.Fatal("absence proof carries cells")
 	}
 }
@@ -232,10 +229,7 @@ func TestProveRangePK(t *testing.T) {
 	if err := proof.Verify(l.Digest()); err != nil {
 		t.Fatalf("range proof: %v", err)
 	}
-	if !proof.Answers(q) {
-		t.Fatal("proof answers another read")
-	}
-	decoded, err := proof.Live(q)
+	decoded, err := proof.Cells(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestSnapshotSharesNodeCache(t *testing.T) {
 		h, _ := l.Header(height)
 		before := store.of(h.CellRoot)
 		for i := 0; i < 2; i++ {
-			snap, err := l.Snapshot(height)
+			snap, _, err := l.Snapshot(height)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestSnapshotSharesNodeCache(t *testing.T) {
 			t.Fatalf("two reads through Snapshot(%d) fetched the root %d times, want once", height, n)
 		}
 	}
-	if _, err := l.Snapshot(3); err == nil {
+	if _, _, err := l.Snapshot(3); err == nil {
 		t.Fatal("Snapshot beyond the head succeeded")
 	}
 }
@@ -121,8 +121,8 @@ func TestRetiredHistoryStaysProvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Proof.Answers(queries) {
-		t.Fatal("batch proof does not answer the queries")
+	if _, err := res.Proof.Cells(queries, nil); err != nil {
+		t.Fatalf("batch proof does not answer the queries: %v", err)
 	}
 	if err := res.ConsAt.Verify(at.Root, res.Digest.Root); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRetiredHistoryStaysProvable(t *testing.T) {
 	if _, val, _, _ := proof.DecodeVersion(res.Proof.Point.Values[0]); !bytes.Equal(val, []byte("early")) {
 		t.Fatalf("proven value %q, want the one at the receipts' digest", val)
 	}
-	snap, err := l.Snapshot(at.Height - 1)
+	snap, _, err := l.Snapshot(at.Height - 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,9 @@ func Elide(p Proof, have postree.HeldSet) Proof {
 	return p
 }
 
-// Trimmed returns the proof as it travels to a client that supplies the
-// question it asked (Proof.Ask): without its point keys or its ranges'
-// bounds. p and what it points to are not modified.
+// Trimmed returns the proof as it travels to a client that walks the
+// question it asked itself (proof.Verifier.Check): without its point keys
+// or its ranges' bounds. p and what it points to are not modified.
 func Trimmed(p Proof) Proof {
 	if p.Point != nil {
 		pt := *p.Point

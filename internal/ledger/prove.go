@@ -38,7 +38,13 @@ func (l *Ledger) proveLocked(height uint64, queries []BatchQuery, tr *obs.Trace)
 	tr.Stage("ledger.snapshot", start)
 	cellsStart := tr.Now()
 	p := Proof{Header: h}
-	if keys := p.Keys(queries); len(keys) > 0 {
+	var keys [][]byte
+	for _, q := range queries {
+		if !q.Range {
+			keys = append(keys, proof.CellPrefix(q.Table, q.Column, q.PK))
+		}
+	}
+	if len(keys) > 0 {
 		bp, err := snap.Tree.ProveGetBatch(keys)
 		if err != nil {
 			return Proof{}, err
@@ -113,11 +119,11 @@ func (l *Ledger) ProveRangePKHead(table, column string, pkLo, pkHi []byte) ([]ce
 	if err != nil {
 		return nil, Proof{}, d, err
 	}
-	live, err := p.Live(q[:])
+	live, err := proof.LiveCells(p.Ranges[0].Entries)
 	if err != nil {
 		return nil, Proof{}, d, err
 	}
-	return live[0], p, d, nil
+	return live, p, d, nil
 }
 
 // BatchRes is everything a ProveBatch round trip returns, captured under

@@ -306,11 +306,10 @@ func TestProofAgainstDigestType(t *testing.T) {
 	}
 }
 
-// TestValuesTravelOnce: a point or batch proof's values are not encoded;
-// the decoder reads them off the shipped leaves, so a decoded proof equals
-// the one that was built and verifies, absences come back nil, and a proof
-// that claims a key found in a run that lacks it decodes to no value and is
-// rejected.
+// TestValuesTravelOnce: a point or batch proof's values are not encoded
+// and not decoded; the walk that verifies a decoded proof reaches exactly
+// the values that were built, absences included, and a proof that claims a
+// key found in a run that lacks it is rejected.
 func TestValuesTravelOnce(t *testing.T) {
 	entries := testEntries(3000, 41)
 	tr := mustBulk(t, entries)
@@ -329,11 +328,14 @@ func TestValuesTravelOnce(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%q: %v, %d bytes left", key, err, len(rest))
 		}
-		if got.Found[0] != p.Found[0] || !bytes.Equal(got.Values[0], p.Values[0]) || (got.Values[0] == nil) != (p.Values[0] == nil) {
-			t.Fatalf("%q: decoded found=%v value=%q, built found=%v value=%q", key, got.Found, got.Values[0], p.Found, p.Values[0])
+		if got.Found[0] != p.Found[0] || got.Values != nil {
+			t.Fatalf("%q: decoded found=%v values=%q, built found=%v", key, got.Found, got.Values, p.Found)
 		}
 		if err := got.Verify(tr.Root()); err != nil {
 			t.Fatalf("%q: decoded proof: %v", key, err)
+		}
+		if got.Values = p.Values; got.Verify(tr.Root()) != nil {
+			t.Fatalf("%q: the walk of the decoded proof does not reach the built value %q", key, p.Values[0])
 		}
 	}
 	bp, err := tr.ProveGetBatch(keys)
@@ -345,12 +347,19 @@ func TestValuesTravelOnce(t *testing.T) {
 		t.Fatal(err, len(rest))
 	}
 	for i := range keys {
-		if got.Found[i] != bp.Found[i] || !bytes.Equal(got.Values[i], bp.Values[i]) || (got.Values[i] == nil) != (bp.Values[i] == nil) {
-			t.Fatalf("batch key %d: decoded found=%v value=%q, built found=%v value=%q", i, got.Found[i], got.Values[i], bp.Found[i], bp.Values[i])
+		if got.Found[i] != bp.Found[i] || got.Values != nil {
+			t.Fatalf("batch key %d: decoded found=%v values=%q, built found=%v", i, got.Found[i], got.Values, bp.Found[i])
 		}
 	}
 	if err := got.Verify(tr.Root()); err != nil {
 		t.Fatalf("decoded batch proof: %v", err)
+	}
+	if got.Values = bp.Values; got.Verify(tr.Root()) != nil {
+		t.Fatal("the walk of the decoded batch proof does not reach the built values")
+	}
+	got.Values = append([][]byte{bp.Values[1]}, bp.Values[1:]...)
+	if err := got.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("a batch proof claiming another key's value: %v", err)
 	}
 
 	// Found claimed for a key the shipped run does not hold: an honest
@@ -361,8 +370,8 @@ func TestValuesTravelOnce(t *testing.T) {
 	}
 	miss.Found = []bool{true}
 	forged, _, err := proof.ReadBatchProof(AppendBatchProof(nil, miss))
-	if err != nil || !forged.Found[0] || forged.Values[0] != nil {
-		t.Fatalf("decoded found=%v value=%q: %v", forged.Found, forged.Values[0], err)
+	if err != nil || !forged.Found[0] {
+		t.Fatalf("decoded found=%v: %v", forged.Found, err)
 	}
 	if err := forged.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("a proof that claims a key found in a run without it: %v", err)
@@ -370,8 +379,8 @@ func TestValuesTravelOnce(t *testing.T) {
 	bp.Found = append([]bool(nil), bp.Found...)
 	bp.Found[2] = true
 	forgedBatch, _, err := proof.ReadBatchProof(AppendBatchProof(nil, bp))
-	if err != nil || forgedBatch.Values[2] != nil {
-		t.Fatal(err, forgedBatch.Values[2])
+	if err != nil || !forgedBatch.Found[2] {
+		t.Fatal(err, forgedBatch.Found)
 	}
 	if err := forgedBatch.Verify(tr.Root()); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("a batch proof that claims a key found in a run without it: %v", err)

@@ -221,3 +221,19 @@ func DecodeEntries(entries []Entry) ([]Cell, error) {
 	}
 	return out, nil
 }
+
+// LiveCells decodes entries as DecodeEntries does and leaves the
+// tombstones out: the rows a range scan answers with.
+func LiveCells(entries []Entry) ([]Cell, error) {
+	cells, err := DecodeEntries(entries)
+	if err != nil {
+		return nil, err
+	}
+	live := cells[:0]
+	for _, c := range cells {
+		if !c.Tombstone {
+			live = append(live, c)
+		}
+	}
+	return live, nil
+}

@@ -7,7 +7,6 @@ package proof
 // of all of them. The ledger encodes them with the same layouts.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -173,27 +172,15 @@ type Proof struct {
 	Unbound bool
 
 	// one is room for a single read's parts inside the proof itself, so
-	// proving, decoding and asking a point or range read allocate nothing
-	// for its key, value, found flag or sub-proof. A copy of the proof
-	// shares them. It never travels.
+	// proving and decoding a point or range read allocate nothing for its
+	// key, found flag or sub-proof. A copy of the proof shares them. It
+	// never travels.
 	one struct {
-		point      BatchProof
-		key, value [1][]byte
-		found      [1]bool
-		ranges     [1]RangeProof
+		point  BatchProof
+		key    [1][]byte
+		found  [1]bool
+		ranges [1]RangeProof
 	}
-}
-
-// Keys returns the tree keys of the point queries among queries, in
-// order: in the proof's own room when there is one.
-func (p *Proof) Keys(queries []BatchQuery) [][]byte {
-	keys := p.one.key[:0]
-	for _, q := range queries {
-		if !q.Range {
-			keys = append(keys, CellPrefix(q.Table, q.Column, q.PK))
-		}
-	}
-	return keys
 }
 
 // SetPoint attaches the point part, in the proof's own room.
@@ -210,93 +197,64 @@ func (p *Proof) AddRange(rp RangeProof) {
 	p.Ranges = append(p.Ranges, rp)
 }
 
-// Answers reports whether the proof is, sub-proof by sub-proof, a proof
-// of exactly these queries: one point entry per point query carrying that
-// query's tree key, one range proof per range query carrying that query's
-// bounds, each kind in request order, nothing missing and nothing extra.
-// Clients check it before they verify, so a valid proof of some other
-// question — another key's value, a narrower range that silently omits
-// rows, a point read's proof with a range beside it — is turned away
-// without touching the verifier.
-func (p *Proof) Answers(queries []BatchQuery) bool {
-	pi, ri := 0, 0
-	for _, q := range queries {
-		if q.Range {
-			start, end := RefRange(q.Table, q.Column, q.PK, q.PKHi)
-			if ri >= len(p.Ranges) || !bytes.Equal(p.Ranges[ri].Start, start) || !bytes.Equal(p.Ranges[ri].End, end) {
-				return false
-			}
-			ri++
-			continue
+// Cells reads the answers to queries off the proof's cell parts: each
+// query is walked from the cell root of p.Header — which the caller binds
+// to a digest it trusts (Verifier.Check) — through the bodies the proof
+// shipped and the nodes path pinned (nil: none), a point query's search
+// through the one point part and the i-th range query's scan through the
+// i-th range part, and each query's live cells are decoded from what its
+// walk reaches, in order: a point query's cell or none, a range query's
+// rows in key order, tombstones left out. The proof must have exactly the
+// queries' shape — one found flag per point query, each equal to what the
+// walk found, one range part per range query — and a key or bound it
+// carries (an untrimmed peer ships them) must be the query's own.
+func (p *Proof) Cells(queries []BatchQuery, path *Path) ([][]Cell, error) {
+	var keyRoom [1][]byte // a point read's one key and its place
+	var atRoom [1]int
+	keys, at := keyRoom[:0], atRoom[:0] // queries[at[i]] asks keys[i]
+	for i, q := range queries {
+		if !q.Range {
+			keys, at = append(keys, CellPrefix(q.Table, q.Column, q.PK)), append(at, i)
 		}
-		if p.Point == nil || pi >= len(p.Point.Keys) ||
-			!bytes.Equal(p.Point.Keys[pi], CellPrefix(q.Table, q.Column, q.PK)) {
-			return false
-		}
-		pi++
 	}
-	return ri == len(p.Ranges) && (p.Point == nil || pi == len(p.Point.Keys))
-}
-
-// Ask gives a proof that travelled without its question (no point keys,
-// ranges without bounds) the one these queries ask, so that it is checked
-// (Answers) and verified for the client's own question. What the proof
-// does carry it keeps.
-func (p *Proof) Ask(queries []BatchQuery) {
-	if p.Point != nil && p.Point.Keys == nil {
-		p.Point.Ask(p.Keys(queries))
+	if len(p.Ranges) != len(queries)-len(keys) || (p.Point == nil) != (len(keys) == 0) {
+		return nil, ErrProofInvalid
+	}
+	out := make([][]Cell, len(queries))
+	if p.Point != nil {
+		points := make([]Cell, 0, len(keys)) // every point query's cell, in one array
+		err := p.Point.walk(p.Header.CellRoot, path, keys, func(i int, value []byte, found bool) error {
+			if !found {
+				return nil
+			}
+			ver, value, tomb, err := DecodeVersion(value)
+			if err != nil || tomb {
+				return err
+			}
+			q := &queries[at[i]]
+			points = append(points, Cell{Table: q.Table, Column: q.Column, PK: q.PK, Version: ver, Value: value})
+			n := len(points)
+			out[at[i]] = points[n-1 : n : n]
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	ri := 0
-	for _, q := range queries {
+	for i, q := range queries {
 		if !q.Range {
 			continue
 		}
-		if ri < len(p.Ranges) && p.Ranges[ri].Start == nil {
-			p.Ranges[ri].Start, p.Ranges[ri].End = RefRange(q.Table, q.Column, q.PK, q.PKHi)
-		}
+		start, end := RefRange(q.Table, q.Column, q.PK, q.PKHi)
+		entries, err := p.Ranges[ri].walk(p.Header.CellRoot, path, start, end)
 		ri++
-	}
-}
-
-// Live reads the answers off a proof of exactly these queries (Answers)
-// that has verified: for each query, in order, the live cells it proves —
-// a point query's cell or none, a range query's rows in key order —
-// with tombstones left out. It is the one place proven cells are decoded.
-func (p *Proof) Live(queries []BatchQuery) ([][]Cell, error) {
-	out := make([][]Cell, len(queries))
-	var points []Cell // every point query's cell, in one array
-	if p.Point != nil {
-		points = make([]Cell, 0, len(p.Point.Keys))
-	}
-	pi, ri := 0, 0
-	for i, q := range queries {
-		if q.Range {
-			cells, err := DecodeEntries(p.Ranges[ri].Entries)
-			if err != nil {
-				return nil, err
-			}
-			ri++
-			live := cells[:0]
-			for _, c := range cells {
-				if !c.Tombstone {
-					live = append(live, c)
-				}
-			}
-			out[i] = live
-			continue
+		if err != nil {
+			return nil, err
 		}
-		if p.Point.Found[pi] {
-			ver, value, tomb, err := DecodeVersion(p.Point.Values[pi])
-			if err != nil {
-				return nil, err
-			}
-			if !tomb {
-				points = append(points, Cell{Table: q.Table, Column: q.Column, PK: q.PK, Version: ver, Value: value})
-				n := len(points)
-				out[i] = points[n-1 : n : n]
-			}
+		if out[i], err = LiveCells(entries); err != nil {
+			return nil, err
 		}
-		pi++
 	}
 	return out, nil
 }
@@ -381,7 +339,8 @@ func readBinding(d *binenc.Decoder, unbound bool) *Proof {
 // travelled without one, a presence byte (bit0 Point, bit1 Range), the
 // point part as Bytes(key) Bool(found) ByteSlices(nodes) — the key nil
 // when the proof travelled without it — and the range part. The point
-// part's key, value and found flag live in the proof itself.
+// part's key and found flag live in the proof itself; values and rows do
+// not travel, and are read off the walk that verifies them (Cells).
 func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	d := binenc.Decoder{Src: src}
 	p := readBinding(&d, unbound)
@@ -396,9 +355,9 @@ func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	if present&1 != 0 {
 		one := &p.one
 		one.key[0], one.found[0] = binenc.Read(&d, binenc.ReadBytes), binenc.Read(&d, binenc.ReadBool)
-		one.point = BatchProof{Values: one.value[:], Found: one.found[:], Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+		one.point = BatchProof{Found: one.found[:], Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
 		if one.key[0] != nil {
-			one.point.Ask(one.key[:])
+			one.point.Keys = one.key[:]
 		}
 		p.Point = &one.point
 	}

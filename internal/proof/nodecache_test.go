@@ -18,7 +18,7 @@ import (
 
 // cacheLedger is a one-block ledger with enough rows for two index
 // levels, so point proofs have something to elide.
-func cacheLedger(t *testing.T, rows int) *ledger.Ledger {
+func cacheLedger(t testing.TB, rows int) *ledger.Ledger {
 	t.Helper()
 	l := ledger.New(cas.NewMemory())
 	cells := make([]cellstore.Cell, rows)
@@ -42,6 +42,7 @@ type hintedReader struct {
 	v      *proof.Verifier
 	mu     sync.Mutex // serializes digest refreshes, as shardLink's does
 	tamper func(p *ledger.Proof)
+	live   [][]proof.Cell // what the last readBatch's Check read off its proof
 }
 
 func (r *hintedReader) read(pk []byte) ([]byte, error) {
@@ -78,11 +79,11 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %v", proof.ErrTampered, err)
 		}
 	}
-	if err := r.v.VerifyBatch(p, d, 1, &proof.Pin{Path: path}); err != nil {
+	live, err := r.v.Check(&p, d, []ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}}, 1, &proof.Pin{Path: path})
+	if err != nil {
 		return nil, err
 	}
-	live, err := p.Live([]ledger.BatchQuery{{Table: "t", Column: "c", PK: pk}})
-	if err != nil || len(live[0]) != 1 {
+	if len(live[0]) != 1 {
 		return nil, fmt.Errorf("cells: %v %v", live, err)
 	}
 	return live[0][0].Value, nil
@@ -135,7 +136,7 @@ func TestWarmVerifierElidesIndexPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.v.VerifyBatch(p, d, 1, &proof.Pin{}); err != nil {
+	if _, err := r.v.Check(&p, d, []ledger.BatchQuery{{Table: "t", Column: "c", PK: cachePK(20000)}}, 1, &proof.Pin{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.v.ProofStats(); st.CacheEntries != far.CacheEntries {
@@ -164,8 +165,8 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 			leaf[len(leaf)/2] ^= 1
 			p.Point.Nodes = append(append([][]byte(nil), n[:len(n)-1]...), leaf)
 		},
-		"value":  func(p *ledger.Proof) { p.Point.Values = [][]byte{[]byte("forged")} },
-		"header": func(p *ledger.Proof) { p.Header.CellCount++ },
+		"found flag": func(p *ledger.Proof) { p.Point.Found = []bool{!p.Point.Found[0]} },
+		"header":     func(p *ledger.Proof) { p.Header.CellCount++ },
 		"no leaf": func(p *ledger.Proof) {
 			p.Point.Nodes = p.Point.Nodes[:len(p.Point.Nodes)-1]
 		},
@@ -201,6 +202,13 @@ func TestRejectedProofLeavesCacheUnchanged(t *testing.T) {
 	if v, err := r.read(cachePK(39999)); err != nil || string(v) != "value-039999@1" {
 		t.Fatalf("honest read after the rejected ones: %q %v", v, err)
 	}
+	// A value the proof claims is never read: the answer is the one the
+	// walk reaches.
+	r.tamper = func(p *ledger.Proof) { p.Point.Values = [][]byte{[]byte("forged")} }
+	if v, err := r.read(cachePK(39999)); err != nil || string(v) != "value-039999@1" {
+		t.Fatalf("a claimed value was read: %q %v", v, err)
+	}
+	r.tamper = nil
 
 	// The same after a commit that rewrote pk 7's whole path: the honest
 	// response now supersedes every pinned node on it, and the walk has
@@ -435,7 +443,8 @@ func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *led
 	if err := r.v.Advance(res.Digest, res.ConsTrusted); err != nil {
 		return ledger.Proof{}, err
 	}
-	return p, r.v.VerifyBatch(p, res.Digest, len(queries), path)
+	r.live, err = r.v.Check(&p, res.Digest, queries, len(queries), path)
+	return p, err
 }
 
 func batchQueries() []ledger.BatchQuery {
@@ -462,8 +471,8 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Ranges) != 2 || len(p.Ranges[0].Entries) != 120 || len(p.Ranges[1].Entries) != 3 {
-		t.Fatalf("rows read off the verified leaves: %d ranges", len(p.Ranges))
+	if len(p.Ranges) != 2 || len(r.live[1]) != 120 || len(r.live[4]) != 3 {
+		t.Fatalf("rows read off the verified leaves: %d ranges, %d and %d rows", len(p.Ranges), len(r.live[1]), len(r.live[4]))
 	}
 	cold := r.v.ProofStats()
 	if cold.NodesShipped == 0 || cold.NodesElided != 0 || cold.ProofBytes == 0 || cold.CacheEntries == 0 {
@@ -533,9 +542,8 @@ func TestWarmVerifierElidesBatchAndRangeProofs(t *testing.T) {
 		t.Fatalf("cache went from %d to %d nodes over one commit", before.CacheEntries, after.CacheEntries)
 	}
 	found := false
-	for _, e := range p.Ranges[0].Entries {
-		_, v, _, _ := proof.DecodeVersion(e.Value)
-		found = found || string(v) == "value-020060@2"
+	for _, c := range r.live[1] {
+		found = found || string(c.Value) == "value-020060@2"
 	}
 	if !found {
 		t.Fatal("the range read off the leaves is stale")
@@ -576,10 +584,10 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 			p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
 			p.Ranges[len(p.Ranges)-1].Nodes = lastLeaf(p.Ranges[len(p.Ranges)-1].Nodes)
 		},
-		"a value": func(p *ledger.Proof) {
+		"a found flag": func(p *ledger.Proof) {
 			pts := *p.Point
-			pts.Values = append([][]byte(nil), pts.Values...)
-			pts.Values[0] = []byte("forged")
+			pts.Found = append([]bool(nil), pts.Found...)
+			pts.Found[0] = !pts.Found[0]
 			p.Point = &pts
 		},
 		"narrower range": func(p *ledger.Proof) {
@@ -612,6 +620,15 @@ func TestRejectedBatchLeavesVerifierUnchanged(t *testing.T) {
 	}
 	if _, err := r.readBatch(qs, nil); err != nil {
 		t.Fatalf("honest flush after the rejected ones: %v", err)
+	}
+	// A value the proof claims is never read: the answer is the one the
+	// walk reaches.
+	if _, err := r.readBatch(qs, func(p *ledger.Proof) {
+		pts := *p.Point
+		pts.Values = [][]byte{[]byte("forged"), nil, nil}
+		p.Point = &pts
+	}); err != nil || string(r.live[0][0].Value) != "value-000007@1" {
+		t.Fatalf("a claimed value was read: %v %v", r.live, err)
 	}
 }
 

@@ -7,9 +7,10 @@
 // leaf packages binenc, hashutil, posleaf and mtree. The ledger, the
 // POS-tree and the cell store build what it checks with its types.
 //
-// Every proof — one read's or a batch's, both a Proof — is checked by
-// Verifier.VerifyBatch; when it is checked, per read or in batch (Section
-// 3.2's online vs deferred verification), is the caller's choice.
+// Every proof a client is sent — one read's or a batch's, both a Proof —
+// is checked by Verifier.Check, which reads each answer off its own walk
+// of the client's queries; when it is checked, per read or in batch
+// (Section 3.2's online vs deferred verification), is the caller's choice.
 // DESIGN.md's "The verifier's contract" says what each check guarantees.
 package proof
 
@@ -71,7 +72,7 @@ func (v *Verifier) Advance(next Digest, cons mtree.ConsistencyProof) error {
 // AdvanceWith is Advance for an answer proven at next or a prefix of it:
 // cons is checked (any digest extends no trust, or the empty ledger's),
 // then check (nil: none, and the lock is held throughout) verifies it
-// through VerifyBatch, which admits digests up to next meanwhile, and
+// through Check, which admits digests up to next meanwhile, and
 // only then, if trust has not moved since, does it move to next. Callers
 // serialize advances that check (a client does, per shard).
 func (v *Verifier) AdvanceWith(next Digest, cons *mtree.ConsistencyProof, check func() error) error {
@@ -117,11 +118,21 @@ func CheckPrefix(old, next Digest, cons *mtree.ConsistencyProof) error {
 	return nil
 }
 
-// VerifyNow checks a proof against the trusted digest through
-// VerifyBatch, as one read with nothing pinned. Its range rows are then
-// filled, for Proof.Live.
+// VerifyNow checks a prover-built proof against the trusted digest, as
+// one read with nothing pinned: its block bound (bind), then each
+// sub-proof's own keys and bounds walked and what it carries compared with
+// what the walk reaches (Proof.VerifyCells; its range rows are then
+// filled). It checks a proof, not the answer to a question: that is Check.
 func (v *Verifier) VerifyNow(p Proof) error {
-	return v.VerifyBatch(p, v.Digest(), 1, &Pin{})
+	d := v.Digest()
+	if err := v.bind(&p, d, &Pin{}); err != nil {
+		return err
+	}
+	if err := p.VerifyCells(nil); err != nil {
+		return fmt.Errorf("%w: %v", ErrTampered, err)
+	}
+	v.accept(&p, d, nil, 1)
+	return nil
 }
 
 // accept records a proof p that verified against d: reads counted, its
@@ -130,7 +141,19 @@ func (v *Verifier) VerifyNow(p Proof) error {
 // (headers and digests at their wire size, no framing) — added to the
 // counters, the index nodes it shipped admitted to the cache and the
 // pinned ones it superseded dropped, a header it bound to d's head kept.
-func (v *Verifier) accept(p *Proof, d Digest, path *Path, reads, shipped, bytes int) {
+func (v *Verifier) accept(p *Proof, d Digest, path *Path, reads int) {
+	shipped, bytes := 0, 0
+	if !p.Unbound { // the binding counts only where it travelled
+		bytes = HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
+	}
+	if p.Point != nil {
+		shipped += len(p.Point.Nodes)
+		bytes += bodyBytes(p.Point.Nodes)
+	}
+	for i := range p.Ranges {
+		shipped += len(p.Ranges[i].Nodes)
+		bytes += bodyBytes(p.Ranges[i].Nodes)
+	}
 	elided, patched := 0, 0
 	if path != nil {
 		elided, patched = path.Elided(), path.Patched
@@ -176,7 +199,7 @@ type Pin struct {
 
 // PinFor pins what the verifier holds for the queries of one read — a
 // point read's key, a range scan, a query plan's obligations, an audit
-// flush's receipts — for the caller to hand back to VerifyBatch: the held
+// flush's receipts — for the caller to hand back to Check: the held
 // nodes on every point query's search path and in every range query's
 // scan, the trusted digest and its head block's header.
 func (v *Verifier) PinFor(queries []BatchQuery) *Pin {
@@ -189,92 +212,68 @@ func (v *Verifier) PinFor(queries []BatchQuery) *Pin {
 	return pin
 }
 
-// coveredBy refuses digests that could not possibly be prefixes of the
-// trusted ledger, or the one an advance is checking: any digest before
-// trust is pinned, and taller ones after.
-func (v *Verifier) coveredBy(d Digest) error {
+// bind binds p's block to d — the trusted digest or an older one the
+// caller has shown to be a prefix of it (a response is proven at the
+// digest the server served it at, which under write churn can trail the
+// client's already-advanced trust): through p's own header and inclusion
+// path, or, for a proof that travelled without them, the header pin holds
+// for exactly that digest, which p then takes. Digests that could not
+// possibly be prefixes of the trusted ledger, or of the one an advance is
+// checking, are refused: any before trust is pinned, taller ones after.
+func (v *Verifier) bind(p *Proof, d Digest, pin *Pin) error {
 	v.mu.Lock()
 	cur, trusted := v.digest, v.trusted
 	if v.next != nil {
 		cur, trusted = *v.next, true
 	}
 	v.mu.Unlock()
-	if !trusted {
+	switch {
+	case !trusted:
 		return fmt.Errorf("%w: no trusted digest pinned", ErrTampered)
-	}
-	if d.Height > cur.Height {
+	case d.Height > cur.Height:
 		return fmt.Errorf("%w: digest height %d beyond trusted %d", ErrTampered, d.Height, cur.Height)
 	}
-	return nil
-}
-
-// VerifyBatch is the one place a proof is checked — a deferred-audit
-// flush's, a verified query's, or one point or range read's: against d,
-// the trusted digest or an older one the caller has shown to be a prefix
-// of it (a response is proven at the digest the server served it at,
-// which under write churn can trail the client's already-advanced trust),
-// resolving what the server left out from pin (from PinFor; &Pin{} pins
-// nothing): index nodes, and the block binding, for exactly the digest
-// whose header the pin holds. Only once the whole proof has verified are
-// the reads counted, its traffic counted, the index nodes it shipped
-// cached and the pinned ones it superseded dropped: a rejected proof
-// leaves the verifier as it was.
-func (v *Verifier) VerifyBatch(p Proof, d Digest, reads int, pin *Pin) error {
-	if err := v.coveredBy(d); err != nil {
-		return err
-	}
-	path := pin.Path
-	var err error
 	switch {
 	case !p.Unbound:
-		err = p.VerifyPath(d, path)
+		if err := VerifyBlock(p.Header, p.Inclusion, d); err != nil {
+			return fmt.Errorf("%w: %v", ErrTampered, err)
+		}
 	case !pin.Held || d != pin.Trusted:
 		return fmt.Errorf("%w: a proof at digest %d left its block binding out, and the verifier holds no header for that digest", ErrTampered, d.Height)
 	default:
 		p.Header = pin.Head
-		err = p.VerifyCells(path)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	shipped, bytes := 0, 0
-	if !p.Unbound { // the binding counts only where it travelled
-		bytes = HeaderWireLen + len(p.Inclusion.Path)*hashutil.DigestSize
-	}
-	if p.Point != nil {
-		shipped += len(p.Point.Nodes)
-		bytes += bodyBytes(p.Point.Nodes)
-	}
-	for i := range p.Ranges {
-		shipped += len(p.Ranges[i].Nodes)
-		bytes += bodyBytes(p.Ranges[i].Nodes)
-	}
-	v.accept(&p, d, path, reads, shipped, bytes)
 	return nil
 }
 
 // Check is what a client runs on a proof it was sent — every proof a
-// read rests on, eager or audited — and the one place it is read. The
-// proof must answer exactly the queries (Proof.Answers), which is checked
-// before it is verified, so an answer to another question — another key's
-// value, a narrower range that silently omits rows — never reaches the
-// counters or the node cache. It is then verified against d through
-// VerifyBatch and each query's proven live cells are read off it
-// (Proof.Live). Every failure is ErrTampered.
+// read rests on, eager or audited, point, range, SELECT or audit flush —
+// and the one place a proof meets the question it answers. The block is
+// bound to d (bind), then each of the client's own queries is walked from
+// the bound cell root (Proof.Cells), and the answers are the live cells
+// that walk reaches: nothing is read from a value, key or bound the proof
+// claims, and a proof of another question — another key's, a narrower
+// range that silently omits rows — does not reach what the query asks.
+// Only once the whole proof has verified are the reads counted, its
+// traffic counted, the index nodes it shipped cached and the pinned ones
+// it superseded dropped (accept): every failure is ErrTampered and leaves
+// the verifier as it was. A nil pin pins nothing.
 func (v *Verifier) Check(p *Proof, d Digest, queries []BatchQuery, reads int, pin *Pin) ([][]Cell, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
 	}
-	if !p.Answers(queries) {
-		return nil, fmt.Errorf("%w: proof answers different queries than the read's", ErrTampered)
+	if pin == nil {
+		pin = &Pin{}
 	}
-	if err := v.VerifyBatch(*p, d, reads, pin); err != nil {
+	bound := *p // an unbound proof takes the pinned header; the caller's stays as it came
+	if err := v.bind(&bound, d, pin); err != nil {
 		return nil, err
 	}
-	live, err := p.Live(queries)
+	live, err := bound.Cells(queries, pin.Path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
+	v.accept(&bound, d, pin.Path, reads)
 	return live, nil
 }
 

@@ -336,60 +336,6 @@ type BatchProof struct {
 	Digests []hashutil.Digest
 }
 
-// Ask sets the keys the proof answers — the verifier's own, for a proof
-// that travelled without them, one per proven read — and each found key's
-// value to that key's entry among the shipped leaves: verification then
-// checks the proof answers exactly those keys. Values is rewritten in
-// place when it already has a slot per key. Ask reports false, and leaves
-// p as it was, when the number of keys is not the number of reads the
-// proof proves.
-func (p *BatchProof) Ask(keys [][]byte) bool {
-	if len(keys) != len(p.Found) {
-		return false
-	}
-	var room [2]posleaf.Leaf
-	leaves := shippedLeaves(p.Nodes, room[:0])
-	if len(p.Values) != len(keys) {
-		p.Values = make([][]byte, len(keys))
-	}
-	p.Keys = keys
-	for i, key := range keys {
-		p.Values[i] = nil
-		if p.Found[i] {
-			p.Values[i] = shippedValue(leaves, key)
-		}
-	}
-	return true
-}
-
-// shippedLeaves appends to leaves every slot of nodes that parses as a
-// pruned leaf, as it reads: nothing is hashed.
-func shippedLeaves(nodes [][]byte, leaves []posleaf.Leaf) []posleaf.Leaf {
-	for _, body := range nodes {
-		if len(body) > 0 && body[0] == 0 {
-			if l, err := posleaf.ParsePruned(body); err == nil {
-				leaves = append(leaves, l)
-			}
-		}
-	}
-	return leaves
-}
-
-// shippedValue returns the value of key's entry in the first leaf whose
-// run has one, nil when none does.
-func shippedValue(leaves []posleaf.Leaf, key []byte) []byte {
-	for _, l := range leaves {
-		for rest, c := l.Entries, -1; c < 0 && len(rest) > 0; {
-			var k, v []byte
-			k, v, rest, _ = posleaf.ReadEntry(rest) // ParsePruned walked them
-			if c = bytes.Compare(k, key); c == 0 {
-				return v
-			}
-		}
-	}
-	return nil
-}
-
 // Verify checks the proof against a trusted root digest. On success the
 // caller may trust every (Keys[i], Values[i], Found[i]) triple as of the
 // state committed by root. Verification is all-or-nothing: a corrupt
@@ -401,41 +347,63 @@ func (p BatchProof) Verify(root hashutil.Digest) error {
 }
 
 // VerifyPath is Verify for a verifier that may already hold some of the
-// index nodes on the keys' search paths (path may be nil). Each key's
-// search starts at the trusted root and follows child digests exactly as
-// for a full proof; the resolver hands it each node from a shipped body,
-// which must hash to the wanted digest, or from the verifier's own pinned
-// nodes — never on the server's say-so. Leaves are never pinned, so they
-// are always hashed fresh: the entries shipped and their siblings up to
-// the digest the parent routes to.
+// index nodes on the keys' search paths (path may be nil): the walk of the
+// proof's own keys, with each value it carries compared with the one the
+// walk reaches. A proof that carries no values (a decoded one: they do
+// not travel) claims only its found flags.
 func (p BatchProof) VerifyPath(root hashutil.Digest, path *Path) error {
-	if len(p.Values) != len(p.Keys) || len(p.Found) != len(p.Keys) {
+	if p.Values != nil && len(p.Values) != len(p.Keys) {
 		return ErrProofInvalid
 	}
-	if root.IsZero() {
-		// Empty tree: every key is absent and the proof must be empty.
-		if len(p.Nodes) != 0 {
+	return p.walk(root, path, p.Keys, func(i int, value []byte, _ bool) error {
+		if p.Values != nil && !bytes.Equal(value, p.Values[i]) {
 			return ErrProofInvalid
-		}
-		for i := range p.Keys {
-			if p.Found[i] || p.Values[i] != nil {
-				return ErrProofInvalid
-			}
 		}
 		return nil
+	})
+}
+
+// walk reruns the search for each of keys from root, in order, through
+// one resolver over the shipped bodies and path's pinned nodes, and hands
+// visit each key's answer: its entry's value and true, or nil and false.
+// Each search starts at the trusted root and follows child digests; the
+// resolver hands it each node from a shipped body, which must hash to the
+// wanted digest, or from the verifier's own pinned nodes — never on the
+// server's say-so. Leaves are never pinned, so they are always hashed
+// fresh: the entries shipped and their siblings up to the digest the
+// parent routes to. The proof must have one found flag per key, each equal
+// to what the search found, and keys it carries must be these.
+func (p *BatchProof) walk(root hashutil.Digest, path *Path, keys [][]byte, visit func(i int, value []byte, found bool) error) error {
+	if len(p.Found) != len(keys) || (p.Keys != nil && len(p.Keys) != len(keys)) {
+		return ErrProofInvalid
 	}
 	var small smallProof
-	r, err := open(p.Nodes, path, &small)
-	if err != nil {
-		return err
-	}
-	for i, key := range p.Keys {
-		value, found, err := r.get(root, key)
-		if err != nil {
+	var r resolver
+	if !root.IsZero() {
+		var err error
+		if r, err = open(p.Nodes, path, &small); err != nil {
 			return err
 		}
-		if found != p.Found[i] || !bytes.Equal(value, p.Values[i]) {
+	} else if len(p.Nodes) != 0 {
+		return ErrProofInvalid // an empty tree is proven by no node at all
+	}
+	for i, key := range keys {
+		if p.Keys != nil && !bytes.Equal(p.Keys[i], key) {
 			return ErrProofInvalid
+		}
+		var value []byte
+		found := false
+		if !root.IsZero() {
+			var err error
+			if value, found, err = r.get(root, key); err != nil {
+				return err
+			}
+		}
+		if found != p.Found[i] {
+			return ErrProofInvalid
+		}
+		if err := visit(i, value, found); err != nil {
+			return err
 		}
 	}
 	return r.finish()
@@ -469,30 +437,44 @@ func (p *RangeProof) Verify(root hashutil.Digest) error {
 }
 
 // VerifyPath is Verify for a verifier that may hold some of the scan's
-// index nodes (see BatchProof.VerifyPath). On an error p.Entries is left
-// empty.
+// index nodes (see BatchProof.VerifyPath): the walk of the proof's own
+// bounds. On an error p.Entries is left empty.
 func (p *RangeProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	p.Entries = nil
+	entries, err := p.walk(root, path, p.Start, p.End)
+	if err == nil {
+		p.Entries = entries
+	}
+	return err
+}
+
+// walk reruns the scan of [start, end) from root through one resolver
+// over the shipped bodies and path's pinned nodes, and returns the entries
+// in range, read off the verified leaves. Bounds the proof carries must be
+// these.
+func (p *RangeProof) walk(root hashutil.Digest, path *Path, start, end []byte) ([]Entry, error) {
+	if (p.Start != nil || p.End != nil) && (!bytes.Equal(p.Start, start) || !bytes.Equal(p.End, end)) {
+		return nil, ErrProofInvalid
+	}
 	if root.IsZero() {
 		if len(p.Nodes) != 0 {
-			return ErrProofInvalid
+			return nil, ErrProofInvalid
 		}
-		return nil
+		return nil, nil
 	}
 	var small smallProof
 	r, err := open(p.Nodes, path, &small)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var entries []Entry
-	if err := r.scan(root, -1, p.Start, p.End, &entries); err != nil {
-		return err
+	if err := r.scan(root, -1, start, end, &entries); err != nil {
+		return nil, err
 	}
 	if err := r.finish(); err != nil {
-		return err
+		return nil, err
 	}
-	p.Entries = entries
-	return nil
+	return entries, nil
 }
 
 // ReadRangeProof decodes a range proof; Entries is Verify's to fill.
@@ -502,17 +484,13 @@ func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
 	return p, d.Src, d.Err
 }
 
-// ReadBatchProof decodes a point proof. When there are as many keys as
-// reads, Values[i] is the value of Keys[i]'s entry in the shipped leaves
-// where the proof claims one (Ask); a proof that travelled without its
-// keys decodes with none. What a proof proves travels once, inside the
-// leaves that prove it: verification compares the values with what the
-// verified walk arrives at, so a decoded proof is the struct the prover
-// held or it does not verify.
+// ReadBatchProof decodes a point proof: its keys (none when it travelled
+// without them), found flags and node bodies. Values do not travel: what a
+// proof proves travels once, inside the leaves that prove it, and is read
+// off the walk that verifies it.
 func ReadBatchProof(src []byte) (BatchProof, []byte, error) {
 	d := binenc.Decoder{Src: src}
 	p := BatchProof{Keys: binenc.Read(&d, binenc.ReadByteSlices), Found: binenc.Read(&d, binenc.ReadBools), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
-	p.Ask(p.Keys)
 	return p, d.Src, d.Err
 }
 

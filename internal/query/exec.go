@@ -144,8 +144,7 @@ func execSelect(st Store, s Select) (Result, error) {
 	}
 	var parts []Result
 	for _, eng := range st.Engines() {
-		snap, h, _ := eng.Ledger().Latest()
-		cells, err := collectCells(snapReader{eng: eng, snap: snap, ver: h.Version}, pl)
+		cells, _, err := collectAt(eng, pl, eng.Digest())
 		if errors.Is(err, errUnknownTable) {
 			continue // the table's rows may all sit on other shards
 		}

@@ -3,6 +3,7 @@ package query
 import (
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
+	"spitz/internal/ledger"
 )
 
 // SelectAt runs a verified SELECT's read phase against the snapshot of the
@@ -12,5 +13,6 @@ func SelectAt(eng *core.Engine, s Select, height uint64) ([]cellstore.Cell, erro
 	if err != nil {
 		return nil, err
 	}
-	return collectAt(eng, pl, height)
+	cells, _, err := collectAt(eng, pl, ledger.Digest{Height: height + 1})
+	return cells, err
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"spitz/internal/cellstore"
-	"spitz/internal/core"
 	"spitz/internal/ledger"
 )
 
@@ -225,23 +224,18 @@ func pointCells(r snapReader, pl Plan, cols []string, pks [][]byte) ([]cellstore
 	return cells, nil
 }
 
-// lookupPKs locates candidate rows for a predicate-only SELECT through
-// the inverted index, falling back to a full column scan when the engine
+// lookupPKs locates candidate rows for a predicate-only SELECT: the
+// inverted index's (snapReader), or a full column scan when the engine
 // keeps none. Candidates are only located here — every predicate is
-// re-checked against the cells actually read, so stale index entries
-// drop out naturally.
+// re-checked against the cells actually read.
 func lookupPKs(r snapReader, s Select) ([][]byte, error) {
 	first := s.Preds[0]
-	cand, err := r.lookupEqual(s.Table, first.Column, []byte(first.Value))
-	if err != nil {
-		if !errors.Is(err, core.ErrNoInvertedIndex) {
+	cand := r.cand
+	if !r.indexed {
+		all, err := r.rangePK(s.Table, first.Column, nil, nil)
+		if err != nil {
 			return nil, err
 		}
-		all, err2 := r.rangePK(s.Table, first.Column, nil, nil)
-		if err2 != nil {
-			return nil, err2
-		}
-		cand = cand[:0]
 		for _, c := range all {
 			if !c.Tombstone && string(c.Value) == first.Value {
 				cand = append(cand, c)
@@ -341,18 +335,16 @@ func (pl Plan) finish(rows map[string]*Row) (Result, error) {
 	return Result{Rows: out}, nil
 }
 
-// ResultFromProof rebuilds the query result exclusively from a verified
-// batch proof — the response's unproven cells only seeded the obligation
-// derivation. The proof must discharge exactly the plan's obligations
-// (Proof.Answers: a valid proof of a narrower range would silently
-// omit rows, one for another key smuggle in that key's value); any
-// mismatch is an error the caller reports as tampering.
+// ResultFromProof rebuilds the query result exclusively from a batch
+// proof — the response's unproven cells only seeded the obligation
+// derivation. Each of the plan's obligations is walked from the cell root
+// of the proof's header (ledger.Proof.Cells), so the rows are what the
+// proof shows for exactly those obligations: a proof of a narrower range
+// does not reach the rows it would omit, one for another key does not
+// reach this one. Binding that header to a trusted digest is the
+// caller's (Verifier.Check does both).
 func (pl Plan) ResultFromProof(cells []cellstore.Cell, bp *ledger.Proof) (Result, error) {
-	queries := pl.Queries(cells)
-	if !bp.Answers(queries) {
-		return Result{}, fmt.Errorf("proof does not answer the plan's %d obligations", len(queries))
-	}
-	live, err := bp.Live(queries)
+	live, err := bp.Cells(pl.Queries(cells), nil)
 	if err != nil {
 		return Result{}, err
 	}

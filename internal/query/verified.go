@@ -1,6 +1,9 @@
 package query
 
 import (
+	"errors"
+	"fmt"
+
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/ledger"
@@ -23,12 +26,15 @@ type VerifiedSelect struct {
 // snapReader is where every SELECT reads, verified or embedded: one
 // immutable ledger snapshot, so the statement observes one consistent
 // state even while commits land, and a `SELECT *` takes its columns from
-// the keys of the snapshot it reads. The inverted index (head state) only
-// locates candidates; every cell that matters is re-read at the snapshot.
+// the keys of the snapshot it reads. A lookup's candidates come from the
+// inverted index current to that same snapshot (indexed; without an index
+// the lookup scans the snapshot), and every cell that matters is re-read
+// at the snapshot.
 type snapReader struct {
-	eng  *core.Engine
-	snap cellstore.Store
-	ver  uint64
+	snap    cellstore.Store
+	ver     uint64
+	cand    []cellstore.Cell
+	indexed bool
 }
 
 func (r snapReader) columns(table string) ([]string, error) { return r.snap.Columns(table) }
@@ -39,10 +45,6 @@ func (r snapReader) getHead(table, column string, pk []byte) (cellstore.Cell, bo
 
 func (r snapReader) rangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, error) {
 	return r.snap.RangePK(table, column, pkLo, pkHi, r.ver)
-}
-
-func (r snapReader) lookupEqual(table, column string, value []byte) ([]cellstore.Cell, error) {
-	return r.eng.LookupEqual(table, column, value)
 }
 
 // ExecVerifiedSelect executes a SELECT against the engine's latest
@@ -70,7 +72,7 @@ func ExecVerifiedSelect(eng *core.Engine, s Select, deferred bool) (VerifiedSele
 	if d.Height == 0 {
 		return VerifiedSelect{Digest: d}, nil
 	}
-	cells, err := collectAt(eng, pl, d.Height-1)
+	cells, d, err := collectAt(eng, pl, d)
 	if err != nil {
 		return VerifiedSelect{}, err
 	}
@@ -93,15 +95,32 @@ func ExecVerifiedSelect(eng *core.Engine, s Select, deferred bool) (VerifiedSele
 }
 
 // collectAt runs the plan's read phase against the immutable snapshot of
-// the block at height.
-func collectAt(eng *core.Engine, pl Plan, height uint64) ([]cellstore.Cell, error) {
-	snap, err := eng.Ledger().Snapshot(height)
-	if err != nil {
-		return nil, err
+// d's head block — or, for a lookup plan over the inverted index, of the
+// head block of the digest the index is current to, which it returns in
+// d's place: the ledger publishes a block before the index has its cells,
+// and candidates taken from the index before it read at the block after
+// would omit the rows that block made match. The empty ledger has no
+// table.
+func collectAt(eng *core.Engine, pl Plan, d ledger.Digest) ([]cellstore.Cell, ledger.Digest, error) {
+	var r snapReader
+	if pl.Kind == PlanLookup {
+		first := pl.Sel.Preds[0]
+		cand, at, err := eng.LookupEqualAt(pl.Sel.Table, first.Column, []byte(first.Value))
+		switch {
+		case err == nil:
+			r.cand, r.indexed, d = cand, true, at
+		case !errors.Is(err, core.ErrNoInvertedIndex):
+			return nil, d, err
+		}
 	}
-	h, err := eng.Ledger().Header(height)
-	if err != nil {
-		return nil, err
+	if d.Height == 0 {
+		return nil, d, fmt.Errorf("%w %q", errUnknownTable, pl.Sel.Table)
 	}
-	return collectCells(snapReader{eng: eng, snap: snap, ver: h.Version}, pl)
+	snap, h, err := eng.Ledger().Snapshot(d.Height - 1)
+	if err != nil {
+		return nil, d, err
+	}
+	r.snap, r.ver = snap, h.Version
+	cells, err := collectCells(r, pl)
+	return cells, d, err
 }

@@ -8,9 +8,8 @@ import (
 	"net"
 	"sync"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/ledger"
-	"spitz/internal/query"
+	"spitz/internal/proof"
 )
 
 // ClientOptions configures a Client's protocol negotiation.
@@ -283,8 +282,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 var ErrTransport = errors.New("wire: transport failed")
 
 // Do performs one request/response round trip. Many Dos may be in
-// flight on the connection at once. A proof that travelled without the
-// question it answers is given the one the request asked (question).
+// flight on the connection at once.
 func (c *Client) Do(req Request) (Response, error) {
 	if err := c.Handshake(); err != nil {
 		return Response{}, err
@@ -313,35 +311,25 @@ func (c *Client) Do(req Request) (Response, error) {
 	if resp.Err != "" {
 		return resp, errors.New(resp.Err)
 	}
-	var one [1]ledger.BatchQuery
-	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p != nil {
-			p.Ask(question(&req, resp.Cells, &one))
-		}
+	if req.trimmed {
+		asked(&req, resp.Proof)
 	}
 	return resp, nil
 }
 
-// question returns the queries a proof answering req proves: a point or
-// range read's one (in one), an audit flush's receipts, or the plan of a
-// SELECT given the cells it returned (query.Plan.Queries) — as the client
-// derives them again to check the proof.
-func question(req *Request, cells []cellstore.Cell, one *[1]ledger.BatchQuery) []ledger.BatchQuery {
-	switch req.Op {
-	case OpGetVerified, OpRangeVer:
-		one[0] = ledger.BatchQuery{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}
-		return one[:]
-	case OpProveBatch:
-		return req.Audits
+// asked gives a trimmed point or range read's proof back with the key or
+// bounds its request asked, as an untrimmed peer ships them, so a caller
+// holding only the response can check it on its own (Verifier.VerifyNow
+// walks a proof's own keys). Nothing is read from the proof here: Check
+// walks its caller's queries, to which these must then be equal.
+func asked(req *Request, p *ledger.Proof) {
+	switch {
+	case p == nil:
+	case req.Op == OpGetVerified && p.Point != nil && p.Point.Keys == nil:
+		p.Point.Keys = [][]byte{proof.CellPrefix(req.Table, req.Column, req.PK)}
+	case req.Op == OpRangeVer && len(p.Ranges) == 1 && p.Ranges[0].Start == nil:
+		p.Ranges[0].Start, p.Ranges[0].End = proof.RefRange(req.Table, req.Column, req.PK, req.PKHi)
 	}
-	if st, err := query.Parse(req.Statement); err == nil {
-		if s, ok := st.(query.Select); ok {
-			if pl, err := query.PlanOf(s); err == nil {
-				return pl.Queries(cells)
-			}
-		}
-	}
-	return nil
 }
 
 // transportErr returns the recorded connection failure.

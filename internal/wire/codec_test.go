@@ -90,28 +90,23 @@ func rndNodes(r *rand.Rand) [][]byte {
 	return ns
 }
 
-// rndFound returns a value some key is found with and a one-entry leaf
-// slot holding it under that key: a proven value travels only inside the
-// leaf that proves it, so that is where the decoder must find it again.
-func rndFound(r *rand.Rand, key []byte) (value, leaf []byte) {
-	value = append([]byte{}, rndBytes(r, 32)...)
-	return value, posleaf.AppendEntry([]byte{0, 1, 0, 1}, key, value) // level | count | first | n
+// rndFound returns a one-entry leaf slot holding a value under key: a
+// proven value travels only inside the leaf that proves it, and is read
+// off the walk that verifies it, never decoded beside it.
+func rndFound(r *rand.Rand, key []byte) (leaf []byte) {
+	return posleaf.AppendEntry([]byte{0, 1, 0, 1}, key, append([]byte{}, rndBytes(r, 32)...)) // level | count | first | n
 }
 
 // rndKeyProof is the point part of a one-query proof: one key — none
-// when it travels without it, and then no value either until it is asked.
+// when it travels without it.
 func rndKeyProof(r *rand.Rand) postree.BatchProof {
 	key := rndBytes(r, 16)
-	p := postree.BatchProof{Values: [][]byte{nil}, Found: []bool{r.Intn(2) == 0}, Nodes: rndNodes(r)}
+	p := postree.BatchProof{Found: []bool{r.Intn(2) == 0}, Nodes: rndNodes(r)}
 	if key != nil {
 		p.Keys = [][]byte{key}
 	}
 	if p.Found[0] {
-		value, leaf := rndFound(r, key)
-		p.Nodes = append(p.Nodes, leaf)
-		if key != nil {
-			p.Values[0] = value
-		}
+		p.Nodes = append(p.Nodes, rndFound(r, key))
 	}
 	return p
 }
@@ -128,17 +123,14 @@ func rndRangeProof(r *rand.Rand) postree.RangeProof {
 func rndBatchPoints(r *rand.Rand) postree.BatchProof {
 	n := 1 + r.Intn(4)
 	p := postree.BatchProof{
-		Keys:   make([][]byte, n),
-		Values: make([][]byte, n),
-		Found:  make([]bool, n),
-		Nodes:  rndNodes(r),
+		Keys:  make([][]byte, n),
+		Found: make([]bool, n),
+		Nodes: rndNodes(r),
 	}
 	for i := 0; i < n; i++ {
 		p.Keys[i] = append(rndBytes(r, 16), byte(i)) // distinct
 		if p.Found[i] = r.Intn(2) == 0; p.Found[i] {
-			var leaf []byte
-			p.Values[i], leaf = rndFound(r, p.Keys[i])
-			p.Nodes = append(p.Nodes, leaf)
+			p.Nodes = append(p.Nodes, rndFound(r, p.Keys[i]))
 		}
 	}
 	return p
@@ -464,7 +456,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 	// One-query proofs whose presence byte claims no cell part (0) and
 	// both (3), bound and unbound.
-	point := &postree.BatchProof{Keys: [][]byte{[]byte("k")}, Values: [][]byte{nil}, Found: []bool{false}}
+	point := &postree.BatchProof{Keys: [][]byte{[]byte("k")}, Found: []bool{false}}
 	for _, p := range []ledger.Proof{{}, {Point: point, Ranges: []postree.RangeProof{{Start: []byte("a")}}}} {
 		for _, unbound := range []bool{false, true} {
 			p.Unbound = unbound

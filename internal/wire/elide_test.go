@@ -13,6 +13,7 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
+	"spitz/internal/mtree"
 	"spitz/internal/obs"
 	"spitz/internal/posleaf"
 	"spitz/internal/postree"
@@ -57,19 +58,35 @@ func heldNodes(t testing.TB, resp Response) []*proof.Verified {
 	return got.Shipped
 }
 
-// proofCells reads the live cells resp's proof proves for req, a verified
-// proof: the question checked (Answers), then each query's cells in order.
-func proofCells(resp Response, req Request) ([]cellstore.Cell, error) {
+// proofCells checks resp's proof for the question req asked — a point or
+// range read's one query, an audit flush's receipts, a SELECT's plan over
+// the cells it returned — with a verifier that trusts resp's digest and
+// holds path (nil: nothing), and returns the live cells its walk proves.
+func proofCells(resp Response, req Request, path *proof.Path) ([]cellstore.Cell, error) {
 	p := resp.Proof
 	if p == nil {
 		p = resp.BatchProof
 	}
-	var one [1]ledger.BatchQuery
-	q := question(&req, resp.Cells, &one)
-	if p == nil || !p.Answers(q) {
-		return nil, errors.New("the proof answers another question")
+	q := []ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}}
+	switch req.Op {
+	case OpProveBatch:
+		q = req.Audits
+	case OpQuery:
+		st, err := query.Parse(req.Statement)
+		if err != nil {
+			return nil, err
+		}
+		pl, err := query.PlanOf(st.(query.Select))
+		if err != nil {
+			return nil, err
+		}
+		q = pl.Queries(resp.Cells)
 	}
-	live, err := p.Live(q)
+	v := proof.NewVerifier()
+	if err := v.Advance(resp.Digest, mtree.ConsistencyProof{}); err != nil {
+		return nil, err
+	}
+	live, err := v.Check(p, resp.Digest, q, len(q), &proof.Pin{Path: path})
 	var cells []cellstore.Cell
 	for _, cs := range live {
 		cells = append(cells, cs...)
@@ -111,7 +128,7 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 	if got := AppendResponse(nil, &resp); !bytes.Equal(got, want) {
 		t.Fatalf("hint-less response is not the full proof: %d bytes, want %d", len(got), len(want))
 	}
-	cells, err := proofCells(resp, req)
+	cells, err := proofCells(resp, req, nil)
 	if err != nil || len(cells) != 1 || !bytes.Equal(cells[0].Value, res.Cells[0].Value) {
 		t.Fatalf("row not recoverable from the proof: %v %v", cells, err)
 	}
@@ -389,16 +406,29 @@ func TestElisionOverTheWire(t *testing.T) {
 	if err := warm.Proof.VerifyPath(warm.Digest, path); err != nil {
 		t.Fatalf("elided proof: %v", err)
 	}
-	cells, err := proofCells(warm, req)
+	cells, err := proofCells(warm, req, heldPath(t, cold))
 	if err != nil || len(cells) != 1 || string(cells[0].Value) != "value-03210" {
 		t.Fatalf("%v %v", cells, err)
+	}
+	// The multi-row proofs travel without their question: each is checked
+	// for the one its request asked, and reads the rows the engine's own
+	// full proof shows for it.
+	values := func(cells []cellstore.Cell) (out []string) {
+		for _, c := range cells {
+			out = append(out, string(c.Value))
+		}
+		return out
 	}
 	for _, m := range multiRowReads(t, eng) {
 		cold, err := cl.Do(m.req)
 		if err != nil {
 			t.Fatal(m.name, err)
 		}
-		held := heldNodes(t, cold)
+		coldPath := new(proof.Path)
+		if _, err := proofCells(cold, m.req, coldPath); err != nil {
+			t.Fatalf("%s: full proof: %v", m.name, err)
+		}
+		held := coldPath.Shipped
 		hinted := m.req
 		hinted.Have = pin(held).Have()
 		warm, err := cl.Do(hinted)
@@ -411,11 +441,13 @@ func TestElisionOverTheWire(t *testing.T) {
 				t.Fatalf("%s: an index node travelled to a client that holds it", m.name)
 			}
 		}
-		if err := verifyMultiRow(warm, pin(held)); err != nil {
+		got, err := proofCells(warm, m.req, pin(held))
+		if err != nil {
 			t.Fatalf("%s: elided proof: %v", m.name, err)
 		}
-		if got := m.rows(t, warm); fmt.Sprint(got) != fmt.Sprint(m.want) {
-			t.Fatalf("%s: rows %v", m.name, got)
+		want, err := proofCells(Dispatch(eng, m.req), m.req, nil)
+		if err != nil || len(want) != len(m.want) || fmt.Sprint(values(got)) != fmt.Sprint(values(want)) {
+			t.Fatalf("%s: rows %v, want %v (%v)", m.name, values(got), values(want), err)
 		}
 	}
 }

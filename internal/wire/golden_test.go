@@ -121,7 +121,7 @@ func TestV3ResponseBytes(t *testing.T) {
 			t.Fatalf("%+v: %s", req, resp.Err)
 		}
 		if req.trimmed {
-			resp = withoutQuestion(&req, resp)
+			resp = withoutQuestion(resp)
 		}
 		return hex.EncodeToString(AppendResponse(nil, &resp))
 	}

@@ -322,16 +322,14 @@ func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
 	return resp, tr, start
 }
 
-// withoutQuestion is a trimmed response as it travels: a proof that
-// answers exactly the question the request asked (ledger.Proof.Answers,
-// the check its client makes) goes without it — the client supplies it
-// (Client.Do) — and one that answers anything else keeps its own, for the
-// client to refuse. The proof structs are the response's own (see fit);
-// what they point to is replaced, not edited.
-func withoutQuestion(req *Request, resp Response) Response {
-	var one [1]ledger.BatchQuery
+// withoutQuestion is a trimmed response as it travels: its proofs go
+// without the keys and bounds of the question the request asked, which
+// the client walks itself (Verifier.Check), so a proof built for another
+// question fails there. The proof structs are the response's own (see
+// fit); what they point to is replaced, not edited.
+func withoutQuestion(resp Response) Response {
 	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p != nil && p.Answers(question(req, resp.Cells, &one)) {
+		if p != nil {
 			*p = ledger.Trimmed(*p)
 		}
 	}
@@ -342,7 +340,7 @@ func withoutQuestion(req *Request, resp Response) Response {
 func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
 	resp, tr, start := s.execute(req)
 	if req.trimmed {
-		resp = withoutQuestion(&req, resp)
+		resp = withoutQuestion(resp)
 	}
 	encStart := tr.Now()
 	out := getBuf()

@@ -69,7 +69,7 @@ func TestVerifiedGetOverWire(t *testing.T) {
 	if err := resp.Proof.Verify(resp.Digest); err != nil {
 		t.Fatalf("proof survived the wire but fails: %v", err)
 	}
-	cells, err := proofCells(resp, req)
+	cells, err := proofCells(resp, req, nil)
 	if err != nil || len(cells) != 1 || string(cells[0].Value) != "v0123" {
 		t.Fatal("proof payload wrong after serialization")
 	}
@@ -94,7 +94,7 @@ func TestRangeOverWire(t *testing.T) {
 		t.Fatalf("range proof over wire: %v", err)
 	}
 	// The rows are read off the verified leaves; none travel beside them.
-	if cells, err := proofCells(resp, req); err != nil || len(cells) != 20 || len(resp.Cells) != 0 {
+	if cells, err := proofCells(resp, req, nil); err != nil || len(cells) != 20 || len(resp.Cells) != 0 {
 		t.Fatalf("verified range = %d proven cells, %d loose cells, %v", len(cells), len(resp.Cells), err)
 	}
 }

@@ -253,41 +253,35 @@ func (fs *queryFaultServer) client(t *testing.T) *spitz.Client {
 }
 
 // queryProofByteSlices enumerates every mutable byte slice of an
-// OpQuery SELECT response — proof nodes, proven values and entries,
-// keys, range bounds, inclusion hashes, the digest root — in a stable
-// order for the tamper sweep.
-func queryProofByteSlices(resp *wire.Response) [][]byte {
+// OpQuery SELECT response in a stable order for the tamper sweep: first
+// what travels to every peer — proof nodes, which hold the proven values
+// and rows, inclusion hashes, the digest root — then, from byte asked on,
+// the keys and range bounds a peer without the trimmed form is sent.
+func queryProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
 	bp := resp.BatchProof
 	if bp == nil {
-		return nil
+		return nil, 0
 	}
-	var out [][]byte
 	if bp.Point != nil {
 		out = append(out, bp.Point.Nodes...)
-		for _, v := range bp.Point.Values {
-			if len(v) > 0 {
-				out = append(out, v)
-			}
-		}
-		out = append(out, bp.Point.Keys...)
 	}
 	for i := range bp.Ranges {
 		out = append(out, bp.Ranges[i].Nodes...)
-		for _, e := range bp.Ranges[i].Entries {
-			if len(e.Key) > 0 {
-				out = append(out, e.Key)
-			}
-			if len(e.Value) > 0 {
-				out = append(out, e.Value)
-			}
-		}
-		out = append(out, bp.Ranges[i].Start, bp.Ranges[i].End)
 	}
 	for i := range bp.Inclusion.Path {
 		out = append(out, bp.Inclusion.Path[i][:])
 	}
 	out = append(out, resp.Digest.Root[:])
-	return out
+	for _, s := range out {
+		asked += len(s)
+	}
+	return append(out, questionSlices(bp)...), asked
+}
+
+// untrimmedClient is client for a build without the trimmed form.
+func (fs *queryFaultServer) untrimmedClient(t *testing.T) *spitz.Client {
+	t.Helper()
+	return dialUntrimmed(t, fs.inner)
 }
 
 // TestQueryProofEveryByteTrips sweeps a byte flip across the entire
@@ -305,11 +299,13 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 	}
 	for _, tc := range stmts {
 		t.Run(tc.name, func(t *testing.T) {
-			var total int
+			var total, asked int
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == wire.OpQuery && resp.BatchProof != nil {
+					var slices [][]byte
+					slices, asked = queryProofByteSlices(resp)
 					total = 0
-					for _, s := range queryProofByteSlices(resp) {
+					for _, s := range slices {
 						total += len(s)
 					}
 				}
@@ -333,16 +329,14 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 						return
 					}
 					detachResponse(t, resp)
-					k := off
-					for _, s := range queryProofByteSlices(resp) {
-						if k < len(s) {
-							s[k] ^= 0x01
-							return
-						}
-						k -= len(s)
-					}
+					slices, _ := queryProofByteSlices(resp)
+					flipAt(slices, off)
 				})
-				cl := fs.client(t)
+				dial := fs.client
+				if off >= asked { // the question travels only to a peer without the trimmed form
+					dial = fs.untrimmedClient
+				}
+				cl := dial(t)
 				_, err := cl.Query(tc.stmt)
 				if err == nil {
 					t.Fatalf("byte %d: tampered query proof passed silently", off)
@@ -360,10 +354,14 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 // TestQueryStructuredForgeries covers the forgeries a lying server
 // could attempt on the query path beyond single byte flips: dropping
 // the proof while claiming rows, narrowing a proven range, claiming an
-// empty ledger after trust is pinned, and smuggling rows the proof does
-// not cover.
+// empty ledger after trust is pinned, smuggling rows the proof does
+// not cover, and a range part too few or too many. A forgery of the
+// question the proof answers is run against a peer without the trimmed
+// form, the one it travels to: a trimmed peer is never sent it.
 func TestQueryStructuredForgeries(t *testing.T) {
 	const rangeStmt = "SELECT stock FROM inv WHERE pk BETWEEN 'it00' AND 'it07'"
+	const twoColumns = "SELECT stock, status FROM inv WHERE pk BETWEEN 'it00' AND 'it07'"
+	asked := map[string]bool{"narrow the proven range": true, "swap the aggregate column proof": true}
 	cases := []struct {
 		name string
 		stmt string
@@ -392,11 +390,21 @@ func TestQueryStructuredForgeries(t *testing.T) {
 			rp := &r.BatchProof.Ranges[0]
 			rp.Start = append([]byte(nil), rp.End...)
 		}},
+		{"drop one of two range parts", twoColumns, func(r *wire.Response) {
+			r.BatchProof.Ranges = r.BatchProof.Ranges[:1]
+		}},
+		{"carry one range part more", twoColumns, func(r *wire.Response) {
+			r.BatchProof.Ranges = append(r.BatchProof.Ranges, r.BatchProof.Ranges[0])
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := startQueryFaultServer(t)
-			cl := fs.client(t)
+			dial := fs.client
+			if asked[tc.name] {
+				dial = fs.untrimmedClient
+			}
+			cl := dial(t)
 			defer cl.Close()
 			// Pin trust with one honest query first, so claimed-empty and
 			// proof-less responses cannot hide behind bootstrap.
@@ -409,12 +417,16 @@ func TestQueryStructuredForgeries(t *testing.T) {
 					tc.mut(resp)
 				}
 			})
+			before := stateOf(cl.Verifier())
 			_, err := cl.Query(tc.stmt)
 			if err == nil {
 				t.Fatalf("%s: passed silently", tc.name)
 			}
 			if !errors.Is(err, spitz.ErrTampered) {
 				t.Fatalf("%s: misreported as %v", tc.name, err)
+			}
+			if after := stateOf(cl.Verifier()); after != before {
+				t.Fatalf("%s: the rejected response moved the verifier: %+v -> %+v", tc.name, before, after)
 			}
 		})
 	}

@@ -20,9 +20,12 @@
 //	verifier := spitz.NewVerifier()
 //	res, _ := db.GetVerified("accounts", "balance", []byte("alice"))
 //	_ = verifier.Advance(res.Digest, spitz.ConsistencyProof{}) // pin trust
-//	if err := verifier.VerifyNow(res.Proof); err != nil {
+//	read := []spitz.BatchQuery{{Table: "accounts", Column: "balance", PK: []byte("alice")}}
+//	live, err := verifier.Check(&res.Proof, res.Digest, read, 1, nil)
+//	if err != nil {
 //		// tampering detected
 //	}
+//	// live[0]: alice's live cell as the proof shows it, or none
 //
 // See the examples directory for transactional, analytical, and networked
 // usage, and DESIGN.md for the architecture.
@@ -62,7 +65,7 @@ type (
 	// Proof is the integrity proof attached to a verified query result:
 	// of one read, or of a deferred-audit flush's receipts.
 	Proof = ledger.Proof
-	// BatchQuery is one read a Proof proves (Proof.Answers, Proof.Live).
+	// BatchQuery is one read a Proof proves (Verifier.Check).
 	BatchQuery = ledger.BatchQuery
 	// ConsistencyProof shows one digest's ledger is a prefix of another's.
 	ConsistencyProof = mtree.ConsistencyProof

@@ -83,12 +83,19 @@ func narrower(sh readShape, req wire.Request) wire.Request {
 // untrimmedClient is fs.client for a build without the trimmed form.
 func (fs *faultServer) untrimmedClient(t testing.TB) *spitz.Client {
 	t.Helper()
+	return dialUntrimmed(t, fs.inner)
+}
+
+// dialUntrimmed connects a client that negotiates as a build without the
+// trimmed form to a server listening on ln.
+func dialUntrimmed(t testing.TB, ln net.Listener) *spitz.Client {
+	t.Helper()
 	var conn net.Conn
 	var err error
-	if pl, ok := fs.inner.(*wire.PipeListener); ok {
+	if pl, ok := ln.(*wire.PipeListener); ok {
 		conn, err = pl.DialPipe()
 	} else {
-		conn, err = net.Dial(fs.inner.Addr().Network(), fs.inner.Addr().String())
+		conn, err = net.Dial(ln.Addr().Network(), ln.Addr().String())
 	}
 	if err != nil {
 		t.Fatal(err)
