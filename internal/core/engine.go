@@ -101,12 +101,6 @@ type Engine struct {
 	ts     txn.TimestampSource
 	mgr    *txn.Manager
 	inv    *inverted.Index
-	// indexed is the digest of the last block the inverted index holds,
-	// set where its cells are indexed: the ledger publishes a block before
-	// the index has it, so a lookup reads at this digest. invMu guards the
-	// two together, not mu, which a replica holds across a block's apply.
-	invMu   sync.RWMutex
-	indexed ledger.Digest
 
 	maxBatchTxns  int
 	maxBatchDelay time.Duration
@@ -273,16 +267,15 @@ func NewWithLedger(opts Options, l *ledger.Ledger, nextTxnID uint64) (*Engine, e
 	if e.inv == nil {
 		return e, nil
 	}
-	cells, _, ok := l.Latest()
+	cells, head, ok := l.Latest()
 	if !ok {
 		return e, nil
 	}
-	e.indexed = l.Digest()
 	var bad error
 	err := cells.Tree.Scan(nil, nil, func(entry postree.Entry) bool {
 		c, err := proof.DecodeEntries([]postree.Entry{entry})
 		if bad = err; err == nil {
-			e.inv.Add(c[0]) // copies what it keeps
+			e.inv.AddBlock(c, head.Height+1) // copies what it keeps
 		}
 		return err == nil
 	})
@@ -560,7 +553,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 		e.clearPendingLocked(batch)
 		return
 	}
-	e.indexCellsLocked(cells)
+	e.indexCellsLocked(cells, h)
 	e.clearPendingLocked(batch)
 
 	mCommitBlocks.Inc()
@@ -721,7 +714,7 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 		return ledger.BlockHeader{}, fmt.Errorf("core: replay block %d: hash %s does not match logged %s",
 			rec.Height, got.Short(), rec.BlockHash.Short())
 	}
-	e.indexCellsLocked(cells)
+	e.indexCellsLocked(cells, h)
 	for i := range rec.Txns {
 		if rec.Txns[i].ID >= e.nextTxnID {
 			e.nextTxnID = rec.Txns[i].ID + 1
@@ -737,23 +730,16 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 // committed block and the engine indexing its cells.
 var publishHook func()
 
-// indexCellsLocked adds the cells of the block the ledger has just
-// published to the inverted index, when it is on, and moves the digest the
-// index is current to onto that block's: blocks reach the ledger one at a
-// time, each indexed before the next is committed. Caller holds e.mu, so
-// cells arrive in commit order. The index ignores a version at or below
-// the one it holds for the cell and removes superseded postings itself on
-// Add; lookup re-checks versions as a safety net.
-func (e *Engine) indexCellsLocked(cells []cellstore.Cell) {
-	if e.inv == nil {
-		return
+// indexCellsLocked adds the cells of block h, which the ledger has just
+// published, to the inverted index, when it is on, and moves the height
+// the index reports with its lookups onto that block's. Caller holds e.mu,
+// so cells arrive in commit order. The index ignores a version at or below
+// the one it holds for the cell and removes superseded postings itself;
+// resolvePostings re-checks versions as a safety net.
+func (e *Engine) indexCellsLocked(cells []cellstore.Cell, h ledger.BlockHeader) {
+	if e.inv != nil {
+		e.inv.AddBlock(cells, h.Height+1)
 	}
-	e.invMu.Lock()
-	defer e.invMu.Unlock()
-	for i := range cells {
-		e.inv.Add(cells[i])
-	}
-	e.indexed = e.ledger.Digest()
 }
 
 // Columns returns the sorted set of columns ever written to a table: the
@@ -934,51 +920,56 @@ func (e *Engine) LookupEqual(table, column string, value []byte) ([]cellstore.Ce
 	return cells, err
 }
 
-// LookupEqualAt is LookupEqual with the digest the index is current to:
-// the cells are the live ones of that digest's head block, which is where
-// a caller reads and proves the rest of its answer — the ledger publishes
-// a block before the index has its cells, so the head may be a block
-// ahead of the index.
+// LookupEqualAt is LookupEqual with the digest of the ledger the index is
+// current to: the cells are the live ones of that digest's head block,
+// which is where a caller reads and proves the rest of its answer — the
+// ledger publishes a block before the index has its cells, so the ledger's
+// head may be a block ahead of the index.
 func (e *Engine) LookupEqualAt(table, column string, value []byte) ([]cellstore.Cell, ledger.Digest, error) {
-	return e.lookup(table, column, func(ix *inverted.Index) []inverted.Posting { return ix.LookupEqual(table, column, value) })
+	if e.inv == nil {
+		return nil, ledger.Digest{}, ErrNoInvertedIndex
+	}
+	ps, height := e.inv.LookupEqual(table, column, value)
+	cells, err := e.resolvePostings(table, column, ps, height)
+	if err != nil {
+		return nil, ledger.Digest{}, err
+	}
+	d, err := e.ledger.DigestAt(height)
+	return cells, d, err
 }
 
 // LookupNumericRange returns cells whose numeric value is in [lo, hi).
 func (e *Engine) LookupNumericRange(table, column string, lo, hi uint64) ([]cellstore.Cell, error) {
-	cells, _, err := e.lookup(table, column, func(ix *inverted.Index) []inverted.Posting {
-		return ix.LookupNumericRange(table, column, lo, hi)
-	})
-	return cells, err
+	if e.inv == nil {
+		return nil, ErrNoInvertedIndex
+	}
+	ps, height := e.inv.LookupNumericRange(table, column, lo, hi)
+	return e.resolvePostings(table, column, ps, height)
 }
 
-// lookup takes postings from the inverted index (find) and reads their
-// cells at the head block of the digest the index is current to, keeping
+// resolvePostings reads the postings' cells at the head block of the
+// ledger of the given height, the one the index reported them at, keeping
 // those a posting still names the latest version of.
-func (e *Engine) lookup(table, column string, find func(*inverted.Index) []inverted.Posting) ([]cellstore.Cell, ledger.Digest, error) {
-	if e.inv == nil {
-		return nil, ledger.Digest{}, ErrNoInvertedIndex
+func (e *Engine) resolvePostings(table, column string, ps []inverted.Posting, height uint64) ([]cellstore.Cell, error) {
+	if height == 0 {
+		return nil, nil
 	}
-	e.invMu.RLock()
-	ps, d := find(e.inv), e.indexed
-	e.invMu.RUnlock()
-	if d.Height == 0 {
-		return nil, d, nil
-	}
-	cells, head, err := e.ledger.Snapshot(d.Height - 1)
+	cells, head, err := e.ledger.Snapshot(height - 1)
 	if err != nil {
-		return nil, d, err
+		return nil, err
 	}
 	out := make([]cellstore.Cell, 0, len(ps))
 	for _, p := range ps {
 		c, found, err := cells.GetLatest(table, column, p.PK, head.Version)
 		if err != nil {
-			return nil, d, err
+			return nil, err
 		}
+		// Only surface postings that still are the latest version.
 		if found && !c.Tombstone && c.Version == p.Version {
 			out = append(out, c)
 		}
 	}
-	return out, d, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -123,6 +123,9 @@ func (col *column) unindex(p Posting, value []byte) {
 type Index struct {
 	mu   sync.RWMutex
 	cols map[string]*column
+	// height is the number of ledger blocks the index holds (AddBlock):
+	// every lookup reports it with its postings, read under the same lock.
+	height uint64
 }
 
 // New returns an empty index.
@@ -162,74 +165,68 @@ func EncodeNumeric(v uint64) []byte {
 	return out
 }
 
-// Add indexes a cell, superseding whatever the index previously held for
-// the same (column, pk): an updated value moves the posting, and a
-// tombstone removes the prior posting (a deleted row must not be surfaced
-// by value lookups). Versions below or equal to the one already indexed
-// for the pk are ignored as stale replays, so commit-path maintenance and
-// log replay can overlap safely.
-func (ix *Index) Add(c cellstore.Cell) {
+// AddBlock indexes the cells of a ledger block and records that the index
+// now holds the ledger's first height blocks, under one lock: a lookup
+// sees the block whole or not at all, and reports which. A cell supersedes
+// whatever the index held for its (column, pk): an updated value moves the
+// posting, and a tombstone removes the prior posting (a deleted row must
+// not be surfaced by value lookups). Versions below or equal to the one
+// already indexed for the pk are ignored as stale replays, so commit-path
+// maintenance and log replay can overlap safely.
+func (ix *Index) AddBlock(cells []cellstore.Cell, height uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	col := ix.column(c.Table, c.Column)
-	pk := string(c.PK)
-	prev, had := col.head[pk]
-	if had && c.Version <= prev.version {
-		return // stale replay of an already indexed or superseded version
+	ix.height = height
+	for _, c := range cells {
+		col := ix.column(c.Table, c.Column)
+		pk := string(c.PK)
+		prev, had := col.head[pk]
+		if had && c.Version <= prev.version {
+			continue // stale replay of an already indexed or superseded version
+		}
+		if had && !prev.tombstone {
+			col.unindex(Posting{PK: []byte(pk), Version: prev.version}, prev.value)
+		}
+		col.head[pk] = headEntry{
+			value:     append([]byte(nil), c.Value...),
+			version:   c.Version,
+			tombstone: c.Tombstone,
+		}
+		if !c.Tombstone { // a tombstone indexes nothing: the prior posting is gone
+			col.index(Posting{PK: append([]byte(nil), c.PK...), Version: c.Version}, c.Value)
+		}
 	}
-	if had && !prev.tombstone {
-		col.unindex(Posting{PK: []byte(pk), Version: prev.version}, prev.value)
-	}
-	col.head[pk] = headEntry{
-		value:     append([]byte(nil), c.Value...),
-		version:   c.Version,
-		tombstone: c.Tombstone,
-	}
-	if c.Tombstone {
-		return // nothing to index; the prior posting is gone now
-	}
-	col.index(Posting{PK: append([]byte(nil), c.PK...), Version: c.Version}, c.Value)
 }
 
-// LookupEqual returns the postings of cells whose value equals value.
-func (ix *Index) LookupEqual(table, colName string, value []byte) []Posting {
+// LookupEqual returns the postings of cells whose value equals value, and
+// the height of the ledger the index is current to (AddBlock).
+func (ix *Index) LookupEqual(table, colName string, value []byte) ([]Posting, uint64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	col, ok := ix.cols[colKey(table, colName)]
-	if !ok {
-		return nil
+	var pl *postingList
+	if n, num := DecodeNumeric(value); ok && num {
+		pl, _ = col.numeric.Get(n)
+	} else if ok {
+		pl, _ = col.strings.Get(value)
 	}
-	if n, okNum := DecodeNumeric(value); okNum {
-		if pl, found := col.numeric.Get(n); found {
-			return clonePostings(pl.items)
-		}
-		return nil
+	if pl == nil {
+		return nil, ix.height
 	}
-	if pl, found := col.strings.Get(value); found {
-		return clonePostings(pl.items)
-	}
-	return nil
+	return append([]Posting(nil), pl.items...), ix.height
 }
 
 // LookupNumericRange returns postings of cells with numeric value in
-// [lo, hi).
-func (ix *Index) LookupNumericRange(table, colName string, lo, hi uint64) []Posting {
+// [lo, hi), and the height of the ledger the index is current to.
+func (ix *Index) LookupNumericRange(table, colName string, lo, hi uint64) ([]Posting, uint64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	col, ok := ix.cols[colKey(table, colName)]
-	if !ok {
-		return nil
-	}
 	var out []Posting
-	col.numeric.AscendRange(lo, hi, func(_ uint64, pl *postingList) bool {
-		out = append(out, clonePostings(pl.items)...)
-		return true
-	})
-	return out
-}
-
-func clonePostings(in []Posting) []Posting {
-	out := make([]Posting, len(in))
-	copy(out, in)
-	return out
+	if col, ok := ix.cols[colKey(table, colName)]; ok {
+		col.numeric.AscendRange(lo, hi, func(_ uint64, pl *postingList) bool {
+			out = append(out, pl.items...)
+			return true
+		})
+	}
+	return out, ix.height
 }

@@ -13,23 +13,26 @@ func cell(pk string, ver uint64, value []byte) cellstore.Cell {
 	return cellstore.Cell{Table: "t", Column: "c", PK: []byte(pk), Version: ver, Value: value}
 }
 
+// add indexes one cell, as a block of its own.
+func add(ix *Index, c cellstore.Cell) { ix.AddBlock([]cellstore.Cell{c}, 0) }
+
 func TestNumericEqual(t *testing.T) {
 	ix := New()
-	ix.Add(cell("a", 1, EncodeNumeric(100)))
-	ix.Add(cell("b", 1, EncodeNumeric(100)))
-	ix.Add(cell("c", 1, EncodeNumeric(200)))
+	add(ix, cell("a", 1, EncodeNumeric(100)))
+	add(ix, cell("b", 1, EncodeNumeric(100)))
+	add(ix, cell("c", 1, EncodeNumeric(200)))
 
-	got := ix.LookupEqual("t", "c", EncodeNumeric(100))
+	got, _ := ix.LookupEqual("t", "c", EncodeNumeric(100))
 	if len(got) != 2 {
 		t.Fatalf("equal lookup returned %d postings", len(got))
 	}
 	if string(got[0].PK) != "a" || string(got[1].PK) != "b" {
 		t.Fatalf("postings out of order: %v", got)
 	}
-	if got := ix.LookupEqual("t", "c", EncodeNumeric(999)); len(got) != 0 {
+	if got, _ := ix.LookupEqual("t", "c", EncodeNumeric(999)); len(got) != 0 {
 		t.Fatal("absent value matched")
 	}
-	if got := ix.LookupEqual("t", "missing", EncodeNumeric(100)); len(got) != 0 {
+	if got, _ := ix.LookupEqual("t", "missing", EncodeNumeric(100)); len(got) != 0 {
 		t.Fatal("absent column matched")
 	}
 }
@@ -37,14 +40,14 @@ func TestNumericEqual(t *testing.T) {
 func TestNumericRange(t *testing.T) {
 	ix := New()
 	for i := 0; i < 100; i++ {
-		ix.Add(cell(fmt.Sprintf("pk%03d", i), 1, EncodeNumeric(uint64(i*10))))
+		add(ix, cell(fmt.Sprintf("pk%03d", i), 1, EncodeNumeric(uint64(i*10))))
 	}
-	got := ix.LookupNumericRange("t", "c", 100, 200)
+	got, _ := ix.LookupNumericRange("t", "c", 100, 200)
 	if len(got) != 10 {
 		t.Fatalf("range lookup returned %d postings, want 10", len(got))
 	}
 	// The paper's example query: "all items with stock-level lower than 50".
-	got = ix.LookupNumericRange("t", "c", 0, 50)
+	got, _ = ix.LookupNumericRange("t", "c", 0, 50)
 	if len(got) != 5 {
 		t.Fatalf("stock-level query returned %d", len(got))
 	}
@@ -52,15 +55,15 @@ func TestNumericRange(t *testing.T) {
 
 func TestStringValues(t *testing.T) {
 	ix := New()
-	ix.Add(cell("a", 1, []byte("alice")))
-	ix.Add(cell("b", 1, []byte("bob")))
-	ix.Add(cell("c", 1, []byte("alicia")))
+	add(ix, cell("a", 1, []byte("alice")))
+	add(ix, cell("b", 1, []byte("bob")))
+	add(ix, cell("c", 1, []byte("alicia")))
 
-	got := ix.LookupEqual("t", "c", []byte("alice"))
+	got, _ := ix.LookupEqual("t", "c", []byte("alice"))
 	if len(got) != 1 || string(got[0].PK) != "a" {
 		t.Fatalf("string equal = %v", got)
 	}
-	if got := ix.LookupEqual("t", "c", []byte("ali")); len(got) != 0 {
+	if got, _ := ix.LookupEqual("t", "c", []byte("ali")); len(got) != 0 {
 		t.Fatalf("a prefix of two values matched: %v", got)
 	}
 }
@@ -70,16 +73,16 @@ func TestEightByteStringsAreNumeric(t *testing.T) {
 	// and Lookup paths must agree on the classification.
 	ix := New()
 	v := []byte("exactly8")
-	ix.Add(cell("a", 1, v))
-	if got := ix.LookupEqual("t", "c", v); len(got) != 1 {
+	add(ix, cell("a", 1, v))
+	if got, _ := ix.LookupEqual("t", "c", v); len(got) != 1 {
 		t.Fatal("8-byte value lookup disagreed with insertion path")
 	}
 }
 
 func TestTombstonesNotIndexed(t *testing.T) {
 	ix := New()
-	ix.Add(cellstore.Cell{Table: "t", Column: "c", PK: []byte("a"), Version: 2, Tombstone: true})
-	if got := ix.LookupEqual("t", "c", nil); len(got) != 0 {
+	add(ix, cellstore.Cell{Table: "t", Column: "c", PK: []byte("a"), Version: 2, Tombstone: true})
+	if got, _ := ix.LookupEqual("t", "c", nil); len(got) != 0 {
 		t.Fatal("tombstone was indexed")
 	}
 }
@@ -89,22 +92,22 @@ func TestTombstoneRemovesPriorPosting(t *testing.T) {
 	// but it used to return without touching the index, so deleted rows kept
 	// surfacing in value lookups forever.
 	ix := New()
-	ix.Add(cell("a", 1, []byte("alice")))
-	ix.Add(cell("b", 1, []byte("alice")))
-	ix.Add(cellstore.Cell{Table: "t", Column: "c", PK: []byte("a"), Version: 2, Tombstone: true})
-	got := ix.LookupEqual("t", "c", []byte("alice"))
+	add(ix, cell("a", 1, []byte("alice")))
+	add(ix, cell("b", 1, []byte("alice")))
+	add(ix, cellstore.Cell{Table: "t", Column: "c", PK: []byte("a"), Version: 2, Tombstone: true})
+	got, _ := ix.LookupEqual("t", "c", []byte("alice"))
 	if len(got) != 1 || string(got[0].PK) != "b" {
 		t.Fatalf("deleted row still surfaced: %v", got)
 	}
 	// Numeric side of the same bug.
-	ix.Add(cell("n", 1, EncodeNumeric(7)))
-	ix.Add(cellstore.Cell{Table: "t", Column: "c", PK: []byte("n"), Version: 2, Tombstone: true})
-	if got := ix.LookupNumericRange("t", "c", 0, 100); len(got) != 0 {
+	add(ix, cell("n", 1, EncodeNumeric(7)))
+	add(ix, cellstore.Cell{Table: "t", Column: "c", PK: []byte("n"), Version: 2, Tombstone: true})
+	if got, _ := ix.LookupNumericRange("t", "c", 0, 100); len(got) != 0 {
 		t.Fatalf("deleted numeric row still surfaced: %v", got)
 	}
 	// Re-insert after delete comes back with the new version only.
-	ix.Add(cell("a", 3, []byte("alice")))
-	got = ix.LookupEqual("t", "c", []byte("alice"))
+	add(ix, cell("a", 3, []byte("alice")))
+	got, _ = ix.LookupEqual("t", "c", []byte("alice"))
 	if len(got) != 2 || string(got[0].PK) != "a" || got[0].Version != 3 {
 		t.Fatalf("re-insert after delete: %v", got)
 	}
@@ -112,18 +115,18 @@ func TestTombstoneRemovesPriorPosting(t *testing.T) {
 
 func TestUpdateMovesPosting(t *testing.T) {
 	ix := New()
-	ix.Add(cell("a", 1, []byte("draft")))
-	ix.Add(cell("a", 2, []byte("final")))
-	if got := ix.LookupEqual("t", "c", []byte("draft")); len(got) != 0 {
+	add(ix, cell("a", 1, []byte("draft")))
+	add(ix, cell("a", 2, []byte("final")))
+	if got, _ := ix.LookupEqual("t", "c", []byte("draft")); len(got) != 0 {
 		t.Fatalf("superseded value still indexed: %v", got)
 	}
-	got := ix.LookupEqual("t", "c", []byte("final"))
+	got, _ := ix.LookupEqual("t", "c", []byte("final"))
 	if len(got) != 1 || got[0].Version != 2 {
 		t.Fatalf("updated value postings: %v", got)
 	}
 	// A stale replay of the old version must not resurrect it.
-	ix.Add(cell("a", 1, []byte("draft")))
-	if got := ix.LookupEqual("t", "c", []byte("draft")); len(got) != 0 {
+	add(ix, cell("a", 1, []byte("draft")))
+	if got, _ := ix.LookupEqual("t", "c", []byte("draft")); len(got) != 0 {
 		t.Fatalf("stale replay resurrected old value: %v", got)
 	}
 }
@@ -131,19 +134,37 @@ func TestUpdateMovesPosting(t *testing.T) {
 func TestDuplicateAddIdempotent(t *testing.T) {
 	ix := New()
 	c := cell("a", 1, EncodeNumeric(7))
-	ix.Add(c)
-	ix.Add(c)
-	if got := ix.LookupEqual("t", "c", EncodeNumeric(7)); len(got) != 1 {
+	add(ix, c)
+	add(ix, c)
+	if got, _ := ix.LookupEqual("t", "c", EncodeNumeric(7)); len(got) != 1 {
 		t.Fatalf("duplicate add created %d postings", len(got))
 	}
 }
 
 func TestColumnsIsolated(t *testing.T) {
 	ix := New()
-	ix.Add(cellstore.Cell{Table: "t", Column: "c1", PK: []byte("a"), Version: 1, Value: EncodeNumeric(1)})
-	ix.Add(cellstore.Cell{Table: "t", Column: "c2", PK: []byte("b"), Version: 1, Value: EncodeNumeric(1)})
-	if got := ix.LookupEqual("t", "c1", EncodeNumeric(1)); len(got) != 1 || string(got[0].PK) != "a" {
+	add(ix, cellstore.Cell{Table: "t", Column: "c1", PK: []byte("a"), Version: 1, Value: EncodeNumeric(1)})
+	add(ix, cellstore.Cell{Table: "t", Column: "c2", PK: []byte("b"), Version: 1, Value: EncodeNumeric(1)})
+	if got, _ := ix.LookupEqual("t", "c1", EncodeNumeric(1)); len(got) != 1 || string(got[0].PK) != "a" {
 		t.Fatal("column isolation broken")
+	}
+}
+
+// TestAddBlockHeight: a lookup reports, with its postings, the height
+// recorded by the last block added.
+func TestAddBlockHeight(t *testing.T) {
+	ix := New()
+	if _, h := ix.LookupEqual("t", "c", []byte("x")); h != 0 {
+		t.Fatalf("empty index at height %d", h)
+	}
+	ix.AddBlock([]cellstore.Cell{cell("a", 1, []byte("x"))}, 1)
+	ix.AddBlock([]cellstore.Cell{cell("a", 2, []byte("y")), cell("b", 2, []byte("x"))}, 2)
+	got, h := ix.LookupEqual("t", "c", []byte("x"))
+	if h != 2 || len(got) != 1 || string(got[0].PK) != "b" {
+		t.Fatalf("lookup at height %d: %v", h, got)
+	}
+	if _, h := ix.LookupNumericRange("t", "missing", 0, 10); h != 2 {
+		t.Fatalf("range lookup at height %d", h)
 	}
 }
 
@@ -155,7 +176,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ix.Add(cell(fmt.Sprintf("pk-%d-%d", g, i), uint64(i), EncodeNumeric(uint64(i%50))))
+				add(ix, cell(fmt.Sprintf("pk-%d-%d", g, i), uint64(i), EncodeNumeric(uint64(i%50))))
 				ix.LookupNumericRange("t", "c", 0, 25)
 			}
 		}(g)
@@ -163,7 +184,8 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for v := uint64(0); v < 50; v++ {
-		total += len(ix.LookupEqual("t", "c", EncodeNumeric(v)))
+		ps, _ := ix.LookupEqual("t", "c", EncodeNumeric(v))
+		total += len(ps)
 	}
 	if total != 8*200 {
 		t.Fatalf("total postings = %d, want 1600", total)

@@ -119,6 +119,17 @@ func (l *Ledger) digestLocked() Digest {
 	return Digest{Height: uint64(len(l.headers)), Root: l.commit.Root()}
 }
 
+// DigestAt returns the digest the ledger had at the given height, the
+// number of blocks it then held: height <= Height().
+func (l *Ledger) DigestAt(height uint64) (Digest, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if height > uint64(len(l.headers)) {
+		return Digest{}, fmt.Errorf("ledger: digest at height %d outside ledger of height %d", height, len(l.headers))
+	}
+	return Digest{Height: height, Root: l.commit.RootAt(int(height))}, nil
+}
+
 // Head returns the latest block header; ok is false when empty.
 func (l *Ledger) Head() (BlockHeader, bool) {
 	l.mu.RLock()

@@ -38,13 +38,7 @@ func (l *Ledger) proveLocked(height uint64, queries []BatchQuery, tr *obs.Trace)
 	tr.Stage("ledger.snapshot", start)
 	cellsStart := tr.Now()
 	p := Proof{Header: h}
-	var keys [][]byte
-	for _, q := range queries {
-		if !q.Range {
-			keys = append(keys, proof.CellPrefix(q.Table, q.Column, q.PK))
-		}
-	}
-	if len(keys) > 0 {
+	if keys := p.PointKeys(queries); len(keys) > 0 {
 		bp, err := snap.Tree.ProveGetBatch(keys)
 		if err != nil {
 			return Proof{}, err

@@ -78,12 +78,14 @@ func (t *Tree) Append(leaf hashutil.Digest) int {
 
 // Root returns the tree head digest. The empty tree's root is the hash of
 // the empty string under the leaf domain, as in RFC 6962.
-func (t *Tree) Root() hashutil.Digest {
-	n := t.Size()
+func (t *Tree) Root() hashutil.Digest { return t.RootAt(t.Size()) }
+
+// RootAt returns the root the tree had at n leaves, n <= Size.
+func (t *Tree) RootAt(n int) hashutil.Digest {
 	if n == 0 {
 		return hashutil.Sum(hashutil.DomainLeaf, nil)
 	}
-	return t.levels[len(t.levels)-1][0]
+	return t.mth(0, n)
 }
 
 // Leaf returns the leaf hash at index i.

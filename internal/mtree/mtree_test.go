@@ -61,6 +61,18 @@ func TestRootMatchesReferenceForAllSmallSizes(t *testing.T) {
 	}
 }
 
+// TestRootAtEveryPrefix: the root a tree had at each earlier size is the
+// reference root of that prefix of its leaves.
+func TestRootAtEveryPrefix(t *testing.T) {
+	leaves := leavesN(130)
+	tr := buildTree(leaves)
+	for n := 1; n <= len(leaves); n++ {
+		if got, want := tr.RootAt(n), refRoot(leaves[:n]); got != want {
+			t.Fatalf("n=%d: root at %s != reference %s", n, got.Short(), want.Short())
+		}
+	}
+}
+
 func TestAppendData(t *testing.T) {
 	tr := &Tree{}
 	i := tr.AppendData([]byte("payload"))

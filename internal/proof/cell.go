@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"spitz/internal/hashutil"
 )
@@ -226,14 +227,5 @@ func DecodeEntries(entries []Entry) ([]Cell, error) {
 // tombstones out: the rows a range scan answers with.
 func LiveCells(entries []Entry) ([]Cell, error) {
 	cells, err := DecodeEntries(entries)
-	if err != nil {
-		return nil, err
-	}
-	live := cells[:0]
-	for _, c := range cells {
-		if !c.Tombstone {
-			live = append(live, c)
-		}
-	}
-	return live, nil
+	return slices.DeleteFunc(cells, func(c Cell) bool { return c.Tombstone }), err
 }

@@ -183,6 +183,19 @@ type Proof struct {
 	}
 }
 
+// PointKeys returns the tree keys of the point queries among queries, in
+// order, in the proof's own room when there is one: what a prover asks
+// its tree for (a verifier derives its own: Cells).
+func (p *Proof) PointKeys(queries []BatchQuery) [][]byte {
+	keys := p.one.key[:0]
+	for _, q := range queries {
+		if !q.Range {
+			keys = append(keys, CellPrefix(q.Table, q.Column, q.PK))
+		}
+	}
+	return keys
+}
+
 // SetPoint attaches the point part, in the proof's own room.
 func (p *Proof) SetPoint(bp BatchProof) {
 	p.one.point = bp

@@ -95,12 +95,9 @@ func ExecVerifiedSelect(eng *core.Engine, s Select, deferred bool) (VerifiedSele
 }
 
 // collectAt runs the plan's read phase against the immutable snapshot of
-// d's head block — or, for a lookup plan over the inverted index, of the
-// head block of the digest the index is current to, which it returns in
-// d's place: the ledger publishes a block before the index has its cells,
-// and candidates taken from the index before it read at the block after
-// would omit the rows that block made match. The empty ledger has no
-// table.
+// d's head block — or, for a lookup over the inverted index, of the head
+// block of the digest the index is current to, returned in d's place: the
+// index may be a block behind the ledger. The empty ledger has no table.
 func collectAt(eng *core.Engine, pl Plan, d ledger.Digest) ([]cellstore.Cell, ledger.Digest, error) {
 	var r snapReader
 	if pl.Kind == PlanLookup {

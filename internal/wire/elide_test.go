@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"spitz/internal/proof"
 	"testing"
 
@@ -411,13 +412,20 @@ func TestElisionOverTheWire(t *testing.T) {
 		t.Fatalf("%v %v", cells, err)
 	}
 	// The multi-row proofs travel without their question: each is checked
-	// for the one its request asked, and reads the rows the engine's own
-	// full proof shows for it.
+	// for the one its request asked and reads exactly the expected rows
+	// (m.want lists a batch's point rows first, Check returns rows in
+	// query order, so both are compared sorted), in the order the engine's
+	// own full proof shows them.
 	values := func(cells []cellstore.Cell) (out []string) {
 		for _, c := range cells {
 			out = append(out, string(c.Value))
 		}
 		return out
+	}
+	sorted := func(vs []string) []string {
+		vs = slices.Clone(vs)
+		slices.Sort(vs)
+		return vs
 	}
 	for _, m := range multiRowReads(t, eng) {
 		cold, err := cl.Do(m.req)
@@ -445,8 +453,11 @@ func TestElisionOverTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: elided proof: %v", m.name, err)
 		}
+		if fmt.Sprint(sorted(values(got))) != fmt.Sprint(sorted(m.want)) {
+			t.Fatalf("%s: rows %v, want %v", m.name, values(got), m.want)
+		}
 		want, err := proofCells(Dispatch(eng, m.req), m.req, nil)
-		if err != nil || len(want) != len(m.want) || fmt.Sprint(values(got)) != fmt.Sprint(values(want)) {
+		if err != nil || fmt.Sprint(values(got)) != fmt.Sprint(values(want)) {
 			t.Fatalf("%s: rows %v, want %v (%v)", m.name, values(got), values(want), err)
 		}
 	}
