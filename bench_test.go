@@ -528,8 +528,9 @@ func BenchmarkAblationTimestamps(b *testing.B) {
 
 func BenchmarkAblationCC(b *testing.B) {
 	run := func(b *testing.B, mode txn.Mode) {
-		store := txn.NewMemStore()
-		mgr := txn.NewManager(store, tso.New(0), mode)
+		ts := tso.New(0)
+		store := txn.NewMemStore(ts)
+		mgr := txn.NewManager(store, ts, mode)
 		seed := mgr.Begin()
 		for i := 0; i < 1000; i++ {
 			seed.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("0"))

@@ -395,11 +395,7 @@ func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 	// trace ID.
 	tr := obs.DefaultTracer.Root("client.apply", "client")
 	defer tr.Finish()
-	wp := make([]wire.Put, len(puts))
-	for i, p := range puts {
-		wp[i] = wire.Put{Table: p.Table, Column: p.Column, PK: p.PK, Value: p.Value, Tombstone: p.Tombstone}
-	}
-	req := wire.Request{Op: wire.OpPut, Statement: statement, Puts: wp}
+	req := wire.Request{Op: wire.OpPut, Statement: statement, Puts: puts}
 	req.SetTrace(tr)
 	resp, err := cl.shards[0].primary.Do(req)
 	if err != nil {

@@ -1,7 +1,6 @@
 package spitz
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -239,9 +238,6 @@ func (db *ClusterDB) Apply(statement string, puts []Put) (uint64, error) {
 // 2PC coordinator, so per-shard prepare/commit legs appear as child
 // spans of the write that caused them.
 func (db *ClusterDB) applyTraced(tr *obs.Trace, statement string, puts []Put) (uint64, error) {
-	if len(puts) == 0 {
-		return 0, errors.New("spitz: empty write batch")
-	}
 	byShard := make(map[int][]txn.Write)
 	for _, p := range puts {
 		si := db.ShardFor(p.PK)
@@ -251,28 +247,34 @@ func (db *ClusterDB) applyTraced(tr *obs.Trace, statement string, puts []Put) (u
 			Delete: p.Tombstone,
 		})
 	}
-	reqs := make([]twopc.Request, 0, len(byShard))
-	for _, si := range sortedShards(byShard) {
-		reqs = append(reqs, twopc.Request{
-			Shard:     wire.ShardName(si),
-			Statement: statement,
-			Writes:    byShard[si],
-		})
-	}
-	return db.coord.ExecuteTraced(tr, reqs)
+	return db.coord.ExecuteTraced(tr, requests(statement, nil, byShard))
 }
 
-// sortedShards returns the map's shard indices in ascending order: 2PC
-// requests must be built deterministically, not in map iteration order,
-// so prepare order (and therefore conflict behaviour) is reproducible
-// run to run.
-func sortedShards[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for si := range m {
-		out = append(out, si)
+// requests builds a transaction's 2PC requests, one per shard it reads or
+// writes, in ascending shard order rather than map iteration order, so
+// prepare order (and therefore conflict behaviour) is reproducible run to
+// run.
+func requests(statement string, reads map[int]map[string]uint64, writes map[int][]txn.Write) []twopc.Request {
+	touched := make([]int, 0, len(reads)+len(writes))
+	for si := range reads {
+		touched = append(touched, si)
 	}
-	sort.Ints(out)
-	return out
+	for si := range writes {
+		if _, ok := reads[si]; !ok {
+			touched = append(touched, si)
+		}
+	}
+	sort.Ints(touched)
+	reqs := make([]twopc.Request, len(touched))
+	for i, si := range touched {
+		reqs[i] = twopc.Request{
+			Shard:     wire.ShardName(si),
+			Statement: statement,
+			Reads:     reads[si],
+			Writes:    writes[si],
+		}
+	}
+	return reqs
 }
 
 // PutRow writes all columns of one row atomically (one shard: rows never
@@ -485,28 +487,6 @@ func (t *ClusterTxn) stage(table, column string, pk []byte, w txn.Write) error {
 	return nil
 }
 
-// requests assembles the per-shard 2PC requests, sorted by shard index
-// so the prepare order is deterministic.
-func (t *ClusterTxn) requests(statement string) []twopc.Request {
-	touched := make(map[int]struct{}, len(t.reads)+len(t.writes))
-	for si := range t.reads {
-		touched[si] = struct{}{}
-	}
-	for si := range t.writes {
-		touched[si] = struct{}{}
-	}
-	reqs := make([]twopc.Request, 0, len(touched))
-	for _, si := range sortedShards(touched) {
-		reqs = append(reqs, twopc.Request{
-			Shard:     wire.ShardName(si),
-			Statement: statement,
-			Reads:     t.reads[si],
-			Writes:    t.writes[si],
-		})
-	}
-	return reqs
-}
-
 // Commit validates and applies the transaction across its shards via
 // two-phase commit, returning the coordinator's commit timestamp. On
 // txn.ErrConflict (wrapped in twopc.ErrAborted) the transaction rolled
@@ -516,7 +496,7 @@ func (t *ClusterTxn) Commit() (uint64, error) {
 		return 0, txn.ErrDone
 	}
 	t.done = true
-	reqs := t.requests("TXN")
+	reqs := requests("TXN", t.reads, t.writes)
 	if len(reqs) == 0 {
 		return 0, nil // read-free, write-free transaction
 	}
@@ -567,12 +547,7 @@ func (db *ClusterDB) ServerStats() ServerStats { return db.router().Stats() }
 func (db *ClusterDB) write(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpPut:
-		puts := make([]Put, len(req.Puts))
-		for i, p := range req.Puts {
-			puts[i] = Put{Table: p.Table, Column: p.Column, PK: p.PK,
-				Value: p.Value, Tombstone: p.Tombstone}
-		}
-		version, err := db.applyTraced(req.Trace(), req.Statement, puts)
+		version, err := db.applyTraced(req.Trace(), req.Statement, req.Puts)
 		if err != nil {
 			return wire.Response{Err: err.Error()}
 		}

@@ -162,7 +162,7 @@ func TestClusterRequestsDeterministic(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			tx.Put("t", "c", []byte(fmt.Sprintf("key-%d-%d", trial, i)), []byte("v"))
 		}
-		reqs := tx.requests("order-check")
+		reqs := requests("order-check", tx.reads, tx.writes)
 		if len(reqs) < 2 {
 			t.Fatalf("trial %d: want multi-shard txn, got %d requests", trial, len(reqs))
 		}

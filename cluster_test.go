@@ -397,3 +397,42 @@ func TestClusterConcurrentVerifiedReads(t *testing.T) {
 	close(stop)
 	<-writerDone
 }
+
+// TestEmptyWriteBatchRefused: a write batch with no puts is refused by
+// every deployment — a database, a 2-shard cluster, and a client of
+// either served — and cuts no block.
+func TestEmptyWriteBatchRefused(t *testing.T) {
+	db := spitz.Open(spitz.Options{})
+	dbLn, _ := wire.Listen()
+	go db.Serve(dbLn)
+	t.Cleanup(func() { dbLn.Close() })
+	cluster, err := spitz.OpenCluster("", spitz.ClusterOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterLn, clusterDial := serveCluster(t, cluster)
+	t.Cleanup(func() { clusterLn.Close() })
+	dbClient, clusterClient := connect(t, dialer(dbLn)), connect(t, clusterDial)
+
+	height := func() uint64 {
+		return db.Height() + cluster.Engine(0).Ledger().Height() + cluster.Engine(1).Ledger().Height()
+	}
+	for _, c := range []struct {
+		name  string
+		apply func([]spitz.Put) error
+	}{
+		{"DB", func(p []spitz.Put) error { _, err := db.Apply("empty", p); return err }},
+		{"ClusterDB", func(p []spitz.Put) error { _, err := cluster.Apply("empty", p); return err }},
+		{"Client of a DB", func(p []spitz.Put) error { _, err := dbClient.Apply("empty", p); return err }},
+		{"Client of a ClusterDB", func(p []spitz.Put) error { _, err := clusterClient.Apply("empty", p); return err }},
+	} {
+		for _, puts := range [][]spitz.Put{nil, {}} {
+			if err := c.apply(puts); err == nil {
+				t.Errorf("%s: empty batch %#v accepted", c.name, puts)
+			}
+			if h := height(); h != 0 {
+				t.Fatalf("%s: empty batch %#v cut a block (heights sum to %d)", c.name, puts, h)
+			}
+		}
+	}
+}

@@ -384,8 +384,9 @@ func AblationCC(txnsPerLevel int, skews []float64) (Result, error) {
 	// validates the whole group with reordering.
 	const group = 64
 	run := func(mode txn.Mode, batched bool, skew float64) (float64, error) {
-		store := txn.NewMemStore()
-		mgr := txn.NewManager(store, tso.New(0), mode)
+		ts := tso.New(0)
+		store := txn.NewMemStore(ts)
+		mgr := txn.NewManager(store, ts, mode)
 		seedTx := mgr.Begin()
 		for i := 0; i < keys; i++ {
 			seedTx.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("0"))

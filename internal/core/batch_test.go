@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,14 +20,14 @@ func TestPipelineMergesQueuedCommits(t *testing.T) {
 	e := New(Options{})
 	sink := &failingSink{allow: 100}
 	e.SetCommitSink(sink)
-	as := e.TxnStore().(txn.AsyncStore)
+	as := e.TxnStore()
 
 	const n = 5
 	waits := make([]func() error, n)
 	versions := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		key := mustRef(t, "t", "c", fmt.Sprintf("pk%d", i))
-		v, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
+		v, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,10 +86,10 @@ func TestPipelineMergesQueuedCommits(t *testing.T) {
 // engineStore.ReadLatest — OCC validation depends on it.
 func TestPendingWritesVisibleToValidationReads(t *testing.T) {
 	e := New(Options{})
-	as := e.TxnStore().(txn.AsyncStore)
+	as := e.TxnStore()
 	key := mustRef(t, "t", "c", "k")
 
-	v, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("queued")}})
+	v, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("queued")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,30 +171,47 @@ func TestConcurrentTxnConflictStillDetected(t *testing.T) {
 	}
 }
 
-// TestFixedVersionCommitBelowPipelineRejected: the 2PC path supplies its
-// own versions; one at or below the pipeline's high-water mark must be
-// refused without poisoning the engine.
-func TestFixedVersionCommitBelowPipelineRejected(t *testing.T) {
-	e := New(Options{})
-	if _, err := e.Apply("seed", []Put{{Table: "t", Column: "c", PK: []byte("k"), Value: []byte("v")}}); err != nil {
+// stuckClock is a timestamp source that repeats its version until the
+// test moves it on.
+type stuckClock struct{ v atomic.Uint64 }
+
+func (c *stuckClock) Next() uint64 { return c.v.Load() }
+
+// TestStuckClockCommitRejected: a timestamp source that repeats a version
+// must not commit twice at it. The enqueue refuses the repeat, through
+// Apply and through the transaction store alike, without cutting a block
+// or poisoning the engine.
+func TestStuckClockCommitRejected(t *testing.T) {
+	clock := &stuckClock{}
+	clock.v.Store(5)
+	e := New(Options{Timestamps: clock})
+	put := func(pk string) error {
+		_, err := e.Apply("put", []Put{{Table: "t", Column: "c", PK: []byte(pk), Value: []byte(pk)}})
+		return err
+	}
+	if err := put("k1"); err != nil {
 		t.Fatal(err)
 	}
-	head, _ := e.Ledger().Head()
-	store := e.TxnStore()
-	key := mustRef(t, "t", "c", "k2")
-	if err := store.ApplyBatch(head.Version, []txn.Write{{Key: key, Value: []byte("x")}}); err == nil {
-		t.Fatal("stale fixed-version commit accepted")
+	if err := put("k2"); err == nil {
+		t.Fatal("Apply at a repeated version accepted")
 	}
-	// The engine is still writable: the bad request never entered a batch.
-	if _, err := e.Apply("after", []Put{{Table: "t", Column: "c", PK: []byte("k3"), Value: []byte("v3")}}); err != nil {
-		t.Fatalf("engine poisoned by rejected fixed-version commit: %v", err)
+	if _, _, err := e.TxnStore().Commit("", []txn.Write{{Key: mustRef(t, "t", "c", "k2"), Value: []byte("k2")}}); err == nil {
+		t.Fatal("store commit at a repeated version accepted")
 	}
-	// And a correct fixed-version commit rides the pipeline.
-	if err := store.ApplyBatch(head.Version+1000, []txn.Write{{Key: key, Value: []byte("x")}}); err != nil {
-		t.Fatalf("fixed-version commit: %v", err)
+	if h := e.Ledger().Height(); h != 1 {
+		t.Fatalf("height = %d after refused commits, want 1", h)
 	}
-	if v, err := e.Get("t", "c", []byte("k2")); err != nil || string(v) != "x" {
-		t.Fatalf("fixed-version write lost: %q, %v", v, err)
+	// The engine is still writable: the refused requests never entered a
+	// batch.
+	clock.v.Store(6)
+	if err := put("k3"); err != nil {
+		t.Fatalf("engine poisoned by a refused commit: %v", err)
+	}
+	if v, err := e.Get("t", "c", []byte("k3")); err != nil || string(v) != "k3" {
+		t.Fatalf("k3 = %q, %v", v, err)
+	}
+	if _, err := e.Get("t", "c", []byte("k2")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused write of k2 visible: %v", err)
 	}
 }
 
@@ -201,11 +219,11 @@ func TestFixedVersionCommitBelowPipelineRejected(t *testing.T) {
 // and returns their waits, in enqueue order.
 func enqueueAsync(t *testing.T, e *Engine, n int) []func() error {
 	t.Helper()
-	as := e.TxnStore().(txn.AsyncStore)
+	as := e.TxnStore()
 	waits := make([]func() error, n)
 	for i := range waits {
 		key := mustRef(t, "t", "c", fmt.Sprintf("pk%d", i))
-		_, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("v")}})
+		_, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("v")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,13 +278,13 @@ func mustRef(t *testing.T, table, column, pk string) []byte {
 // once kept only the newest entry per ref).
 func TestPendingKeepsAllQueuedVersions(t *testing.T) {
 	e := New(Options{})
-	as := e.TxnStore().(txn.AsyncStore)
+	as := e.TxnStore()
 	key := mustRef(t, "t", "c", "k")
-	v1, wait1, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("first")}})
+	v1, wait1, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("first")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, wait2, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte("second")}})
+	v2, wait2, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("second")}})
 	if err != nil {
 		t.Fatal(err)
 	}

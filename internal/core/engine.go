@@ -120,9 +120,9 @@ type Engine struct {
 	leading bool
 	pending map[string][]pendingCell
 	// lastVersion is the highest commit version ever enqueued. Because
-	// versions are assigned (or checked, for externally allocated ones)
-	// under mu at enqueue time, queue order equals version order and every
-	// batch's cells land inside its block's version window.
+	// versions are drawn and checked under mu at enqueue time, queue order
+	// equals version order and every batch's cells land inside its block's
+	// version window.
 	lastVersion uint64
 	bstats      BatchStats
 
@@ -351,21 +351,26 @@ func errReadOnly(err error) error {
 	return fmt.Errorf("core: engine read-only after durability failure: %w", err)
 }
 
+// errEmptyBatch refuses a commit with no writes: it would cut a block
+// that records nothing.
+var errEmptyBatch = errors.New("core: empty write batch")
+
 // enqueueCommit stamps one transaction's write set with a commit version
-// and queues it for the leader. When haveVersion is true the caller
-// allocated version itself (2PC participants do); it must exceed every
-// version already enqueued, which mirrors the ledger's own window check
-// but fails the one offending transaction instead of a whole batch.
-// The returned request must be passed to waitCommit.
-func (e *Engine) enqueueCommit(statement string, cells []cellstore.Cell, version uint64, haveVersion bool) (*commitReq, error) {
+// drawn from the engine's timestamp source and queues it for the leader.
+// A version at or below one already enqueued (a clock that repeats)
+// mirrors the ledger's own window check but fails the one offending
+// transaction instead of a whole batch. The returned request must be
+// passed to waitCommit.
+func (e *Engine) enqueueCommit(statement string, cells []cellstore.Cell) (*commitReq, error) {
+	if len(cells) == 0 {
+		return nil, errEmptyBatch
+	}
 	e.mu.Lock()
 	if err := e.sinkErr; err != nil {
 		e.mu.Unlock()
 		return nil, errReadOnly(err)
 	}
-	if !haveVersion {
-		version = e.ts.Next()
-	}
+	version := e.ts.Next()
 	if version <= e.lastVersion {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("core: commit version %d not above pipeline version %d", version, e.lastVersion)
@@ -521,18 +526,13 @@ func (e *Engine) lead(own *commitReq) {
 // new commits can enqueue while the block is being built; that overlap
 // is where batching comes from under load.
 func (e *Engine) commitBatch(batch []*commitReq) {
-	summaries := make([]ledger.TxnSummary, len(batch))
-	total := 0
-	for _, r := range batch {
-		total += len(r.cells)
-	}
-	cells := make([]cellstore.Cell, 0, total)
+	txns := make([]TxnCommit, len(batch))
 	cut := time.Now()
 	for i, r := range batch {
-		summaries[i] = ledger.TxnSummary{ID: r.id, Statement: r.statement, WriteHash: ledger.WriteSetHash(r.cells)}
-		cells = append(cells, r.cells...)
+		txns[i] = TxnCommit{ID: r.id, Version: r.version, Statement: r.statement, Cells: r.cells}
 		mCommitQueueWait.Observe(uint64(cut.Sub(r.enqueuedAt)))
 	}
+	summaries, cells := fold(txns)
 	h, err := e.ledger.Commit(batch[len(batch)-1].version, summaries, cells)
 	mCommitLedger.ObserveSince(cut)
 	if publishHook != nil && err == nil {
@@ -558,12 +558,12 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 
 	mCommitBlocks.Inc()
 	mCommitTxns.Add(uint64(len(batch)))
-	mCommitCells.Add(uint64(total))
+	mCommitCells.Add(uint64(len(cells)))
 	mCommitBatchTxns.Observe(uint64(len(batch)))
 
 	e.bstats.Blocks++
 	e.bstats.Txns += uint64(len(batch))
-	e.bstats.Cells += uint64(total)
+	e.bstats.Cells += uint64(len(cells))
 	if n := uint64(len(batch)); n > e.bstats.MaxTxns {
 		e.bstats.MaxTxns = n
 	}
@@ -574,10 +574,6 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	e.bstats.SizeHist[bucket]++
 
 	if e.sink != nil {
-		txns := make([]TxnCommit, len(batch))
-		for i, r := range batch {
-			txns[i] = TxnCommit{ID: r.id, Version: r.version, Statement: r.statement, Cells: r.cells}
-		}
 		wait, err := e.sink.Append(CommitRecord{
 			Height:    h.Height,
 			Version:   h.Version,
@@ -675,7 +671,7 @@ func (e *Engine) Apply(statement string, puts []Put) (ledger.BlockHeader, error)
 		cells[i] = cellstore.Cell{Table: p.Table, Column: p.Column, PK: p.PK,
 			Value: p.Value, Tombstone: p.Tombstone}
 	}
-	req, err := e.enqueueCommit(statement, cells, 0, false)
+	req, err := e.enqueueCommit(statement, cells)
 	if err != nil {
 		return ledger.BlockHeader{}, err
 	}
@@ -692,20 +688,12 @@ func (e *Engine) Apply(statement string, puts []Put) (ledger.BlockHeader, error)
 func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	summaries := make([]ledger.TxnSummary, len(rec.Txns))
-	total := 0
-	for i := range rec.Txns {
-		total += len(rec.Txns[i].Cells)
-	}
-	cells := make([]cellstore.Cell, 0, total)
-	for i := range rec.Txns {
-		t := &rec.Txns[i]
+	for _, t := range rec.Txns {
 		for j := range t.Cells {
 			t.Cells[j].Version = t.Version
 		}
-		summaries[i] = ledger.TxnSummary{ID: t.ID, Statement: t.Statement, WriteHash: ledger.WriteSetHash(t.Cells)}
-		cells = append(cells, t.Cells...)
 	}
+	summaries, cells := fold(rec.Txns)
 	h, err := e.ledger.Commit(rec.Version, summaries, cells)
 	if err != nil {
 		return ledger.BlockHeader{}, fmt.Errorf("core: replay block %d: %w", rec.Height, err)
@@ -724,6 +712,23 @@ func (e *Engine) ReplayBlock(rec CommitRecord) (ledger.BlockHeader, error) {
 		e.lastVersion = rec.Version
 	}
 	return h, nil
+}
+
+// fold builds one block's body from its transactions: each one's summary,
+// and every cell in transaction order. commitBatch and ReplayBlock both
+// build their blocks here, so a replayed block reproduces the logged one.
+func fold(txns []TxnCommit) ([]ledger.TxnSummary, []cellstore.Cell) {
+	summaries := make([]ledger.TxnSummary, len(txns))
+	total := 0
+	for _, t := range txns {
+		total += len(t.Cells)
+	}
+	cells := make([]cellstore.Cell, 0, total)
+	for i, t := range txns {
+		summaries[i] = ledger.TxnSummary{ID: t.ID, Statement: t.Statement, WriteHash: ledger.WriteSetHash(t.Cells)}
+		cells = append(cells, t.Cells...)
+	}
+	return summaries, cells
 }
 
 // publishHook, when set (tests), runs between the ledger publishing a
@@ -1076,44 +1081,22 @@ func decodeWrites(writes []txn.Write) ([]cellstore.Cell, error) {
 	return cells, nil
 }
 
-// ApplyBatch implements txn.Store: the transaction rides the group-commit
-// pipeline at a caller-allocated commit version (the 2PC participant path
-// — the coordinator allocates versions from the shared timestamp source).
-// It blocks until the commit is durable.
-func (s engineStore) ApplyBatch(version uint64, writes []txn.Write) error {
-	cells, err := decodeWrites(writes)
-	if err != nil {
-		return err
+// Commit implements txn.Store: enqueue the transaction on the group-commit
+// pipeline and return at once with its commit version and a wait that
+// drives it to completion. The transaction manager and the 2PC
+// participant call this under their own locks — the enqueue makes the
+// writes visible to later validations — and wait after releasing them,
+// so concurrent transactions share one ledger block and one fsync. An
+// empty statement is recorded as "TXN".
+func (s engineStore) Commit(statement string, writes []txn.Write) (uint64, func() error, error) {
+	if statement == "" {
+		statement = "TXN"
 	}
-	req, err := s.e.enqueueCommit("TXN", cells, version, true)
-	if err != nil {
-		return err
-	}
-	_, err = s.e.waitCommit(req)
-	return err
-}
-
-// ApplyBatchAsync implements txn.AsyncStore: enqueue the transaction on
-// the group-commit pipeline and return immediately with its commit
-// version and a wait function. The transaction manager calls this under
-// its own lock — the enqueue makes the writes visible to later
-// validations — and invokes the wait after releasing it, so concurrent
-// transaction commits share one ledger block and one fsync instead of
-// serializing the whole commit critical section.
-func (s engineStore) ApplyBatchAsync(writes []txn.Write) (uint64, func() error, error) {
-	return s.ApplyStatementAsync("TXN", writes)
-}
-
-// ApplyStatementAsync implements txn.StatementStore: like ApplyBatchAsync
-// but recording the audited statement in the transaction's block summary.
-// The 2PC participant uses it so distributed transactions keep their
-// statements in each shard's ledger.
-func (s engineStore) ApplyStatementAsync(statement string, writes []txn.Write) (uint64, func() error, error) {
 	cells, err := decodeWrites(writes)
 	if err != nil {
 		return 0, nil, err
 	}
-	req, err := s.e.enqueueCommit(statement, cells, 0, false)
+	req, err := s.e.enqueueCommit(statement, cells)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1122,13 +1105,6 @@ func (s engineStore) ApplyStatementAsync(statement string, writes []txn.Write) (
 		return err
 	}, nil
 }
-
-// Compile-time interface checks.
-var (
-	_ txn.Store          = engineStore{}
-	_ txn.AsyncStore     = engineStore{}
-	_ txn.StatementStore = engineStore{}
-)
 
 // WriteSnapshot serializes the database state (see ledger.WriteSnapshot)
 // for restart durability.

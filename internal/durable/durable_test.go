@@ -663,17 +663,14 @@ func TestMultiTxnBlockRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, ok := m.Engine().TxnStore().(txn.AsyncStore)
-	if !ok {
-		t.Fatal("engine store is not async")
-	}
+	store := m.Engine().TxnStore()
 	// Enqueue several commits before any leader runs: they all land in
 	// one ledger block and one WAL record.
 	const n = 4
 	waits := make([]func() error, n)
 	for i := 0; i < n; i++ {
 		key := cellstore.CellPrefix("t", "c", []byte(fmt.Sprintf("k%d", i)))
-		_, wait, err := as.ApplyBatchAsync([]txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
+		_, wait, err := store.Commit("", []txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,19 +129,6 @@ func (h *Hasher) Sum(domain byte, data []byte) Digest {
 	return sha256.Sum256(append(append(buf, domain), data...))
 }
 
-// Compare orders digests lexicographically; it returns -1, 0 or 1.
-func Compare(a, b Digest) int {
-	for i := 0; i < DigestSize; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
-
 // Stream incrementally computes a SumParts-compatible digest without
 // holding all parts in memory at once.
 type Stream struct {

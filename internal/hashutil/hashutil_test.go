@@ -76,14 +76,6 @@ func TestShort(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	var a, b Digest
-	b[DigestSize-1] = 1
-	if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
-		t.Error("Compare ordering is wrong")
-	}
-}
-
 func TestSumPairOrderMatters(t *testing.T) {
 	l := Sum(DomainValue, []byte("l"))
 	r := Sum(DomainValue, []byte("r"))
@@ -112,21 +104,6 @@ func TestQuickSumDistinct(t *testing.T) {
 			return true
 		}
 		return Sum(DomainValue, a) != Sum(DomainValue, b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Compare is antisymmetric and consistent with equality.
-func TestQuickCompare(t *testing.T) {
-	f := func(x, y [DigestSize]byte) bool {
-		a, b := Digest(x), Digest(y)
-		c1, c2 := Compare(a, b), Compare(b, a)
-		if a == b {
-			return c1 == 0 && c2 == 0
-		}
-		return c1 == -c2 && c1 != 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

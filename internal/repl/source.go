@@ -144,17 +144,8 @@ func (s *Source) Attach(remote string, from uint64) (wire.ReplFeed, error) {
 	return f, nil
 }
 
-// WALStats returns the primary's WAL span in wire form, for OpStats.
-func (s *Source) WALStats() wire.WALStats {
-	ws := s.m.WALStats()
-	return wire.WALStats{
-		DurableHeight:        ws.DurableHeight,
-		LoggedHeight:         ws.LoggedHeight,
-		OldestRetainedHeight: ws.OldestRetainedHeight,
-		Segments:             ws.Segments,
-		RetainedBytes:        ws.RetainedBytes,
-	}
-}
+// WALStats returns the primary's WAL span, for OpStats.
+func (s *Source) WALStats() wire.WALStats { return s.m.WALStats() }
 
 // Followers reports every attached follower's progress and lag.
 func (s *Source) Followers() []wire.FollowerStats {

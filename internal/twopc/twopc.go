@@ -43,11 +43,11 @@ type Participant interface {
 	// write keys of the transaction's portion. An error is a vote to
 	// abort.
 	Prepare(txnID uint64, req Request) error
-	// Commit applies a prepared transaction and releases its locks.
-	// version is the coordinator's global commit timestamp; stores that
-	// allocate their own versions (txn.AsyncStore) may commit at a local
-	// version instead. Commit must succeed for prepared transactions.
-	Commit(txnID uint64, version uint64) error
+	// Commit applies a prepared transaction and releases its locks. The
+	// shard's store allocates the commit version, so it is the shard's own,
+	// not the coordinator's timestamp. Commit must succeed for prepared
+	// transactions.
+	Commit(txnID uint64) error
 	// Abort releases a prepared (or never-prepared) transaction's locks.
 	Abort(txnID uint64) error
 }
@@ -93,7 +93,8 @@ type Request struct {
 
 // Execute runs the two phases. On success every shard has committed and
 // the coordinator's commit timestamp is returned. On abort, ErrAborted
-// wraps the first failing shard's vote.
+// wraps the first failing shard's vote. A transaction must touch a shard:
+// with no request there is nothing to commit, and it is refused.
 func (c *Coordinator) Execute(reqs []Request) (uint64, error) {
 	return c.ExecuteTraced(nil, reqs)
 }
@@ -102,6 +103,9 @@ func (c *Coordinator) Execute(reqs []Request) (uint64, error) {
 // prepare and commit leg records a child span, so a stitched timeline
 // shows which participant a cross-shard write was waiting on.
 func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, error) {
+	if len(reqs) == 0 {
+		return 0, errors.New("twopc: transaction touches no shard")
+	}
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
@@ -157,7 +161,7 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 		go func(i int) {
 			defer wg.Done()
 			leg := tr.ChildAt("twopc.commit", reqs[i].Shard)
-			errs[i] = parts[i].Commit(id, version)
+			errs[i] = parts[i].Commit(id)
 			leg.Finish()
 		}(i)
 	}
@@ -291,42 +295,22 @@ func (s *ShardParticipant) releaseLocked(txnID uint64, p *preparedTxn) {
 	}
 }
 
-// Commit implements Participant. With a plain Store the writes apply at
-// the coordinator's version; with a txn.AsyncStore (the Spitz engine) the
-// store allocates its own commit version at enqueue time — per-shard
-// version ordering then cannot be violated by two coordinators (or a
-// coordinator racing local commits) reaching one shard out of timestamp
-// order, and the enqueue makes the writes visible to later validations
-// before the locks release.
-func (s *ShardParticipant) Commit(txnID uint64, version uint64) error {
+// Commit implements Participant. The store allocates the shard's commit
+// version, so two coordinators (or a coordinator racing local commits)
+// reaching one shard out of timestamp order cannot break its version
+// order, and the writes are visible to later validations before the
+// locks release. A part with no writes only releases its locks.
+func (s *ShardParticipant) Commit(txnID uint64) error {
 	s.mu.Lock()
 	p, ok := s.prepared[txnID]
 	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("twopc: commit of unprepared txn %d", txnID)
 	}
-	if as, isAsync := s.store.(txn.AsyncStore); isAsync && len(p.writes) > 0 {
-		var wait func() error
-		var err error
-		if ss, ok := s.store.(txn.StatementStore); ok && p.statement != "" {
-			_, wait, err = ss.ApplyStatementAsync(p.statement, p.writes)
-		} else {
-			_, wait, err = as.ApplyBatchAsync(p.writes)
-		}
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.releaseLocked(txnID, p)
-		delete(s.prepared, txnID)
-		s.mu.Unlock()
-		// The writes are enqueued and visible; only durability is pending.
-		// Waiting outside the lock lets concurrent commits share the
-		// store's group-commit machinery.
-		return wait()
-	}
+	wait := func() error { return nil }
 	if len(p.writes) > 0 {
-		if err := s.store.ApplyBatch(version, p.writes); err != nil {
+		var err error
+		if _, wait, err = s.store.Commit(p.statement, p.writes); err != nil {
 			s.mu.Unlock()
 			return err
 		}
@@ -334,7 +318,9 @@ func (s *ShardParticipant) Commit(txnID uint64, version uint64) error {
 	s.releaseLocked(txnID, p)
 	delete(s.prepared, txnID)
 	s.mu.Unlock()
-	return nil
+	// Only durability is pending. Waiting outside the lock lets
+	// concurrent commits share the store's group-commit machinery.
+	return wait()
 }
 
 // Abort implements Participant. It is idempotent and safe to call for

@@ -13,7 +13,7 @@ import (
 
 func setup() (*Coordinator, *ShardParticipant, *ShardParticipant, *txn.MemStore, *txn.MemStore) {
 	ts := tso.New(0)
-	sa, sb := txn.NewMemStore(), txn.NewMemStore()
+	sa, sb := txn.NewMemStore(ts), txn.NewMemStore(ts)
 	pa, pb := NewShardParticipant(sa), NewShardParticipant(sb)
 	c := NewCoordinator(ts)
 	c.Register("a", pa)
@@ -30,13 +30,19 @@ func TestCommitAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	got, ver, ok, _ := sa.ReadLatest([]byte("x"), v)
-	if !ok || string(got) != "1" || ver != v {
-		t.Fatal("shard a write missing")
-	}
-	got, ver, ok, _ = sb.ReadLatest([]byte("y"), v)
-	if !ok || string(got) != "2" || ver != v {
-		t.Fatal("shard b write missing")
+	// Each shard's store allocated its own commit version, above the
+	// coordinator's timestamp, which no shard records.
+	for _, sh := range []struct {
+		store      *txn.MemStore
+		key, value string
+	}{{sa, "x", "1"}, {sb, "y", "2"}} {
+		_, ver, _, _ := sh.store.ReadLatest([]byte(sh.key), ^uint64(0))
+		if ver <= v {
+			t.Fatalf("shard write of %q at v%d, want above the coordinator's v%d", sh.key, ver, v)
+		}
+		if got, at, ok, _ := sh.store.ReadLatest([]byte(sh.key), ver); !ok || string(got) != sh.value || at != ver {
+			t.Fatalf("shard write of %q not readable at its own v%d", sh.key, ver)
+		}
 	}
 	commits, aborts := c.Stats()
 	if commits != 1 || aborts != 0 {
@@ -279,7 +285,7 @@ func dec(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 
 func TestCommitUnpreparedFails(t *testing.T) {
 	_, pa, _, _, _ := setup()
-	if err := pa.Commit(42, 7); err == nil {
+	if err := pa.Commit(42); err == nil {
 		t.Fatal("commit of unprepared txn succeeded")
 	}
 	if err := pa.Abort(42); err != nil {

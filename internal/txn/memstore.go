@@ -10,6 +10,7 @@ import (
 // scheduler's behaviour.
 type MemStore struct {
 	mu       sync.RWMutex
+	ts       TimestampSource
 	versions map[string][]memVersion
 }
 
@@ -19,9 +20,10 @@ type memVersion struct {
 	deleted bool
 }
 
-// NewMemStore returns an empty store.
-func NewMemStore() *MemStore {
-	return &MemStore{versions: make(map[string][]memVersion)}
+// NewMemStore returns an empty store drawing commit versions from ts,
+// which should be the source its Manager draws snapshots from.
+func NewMemStore(ts TimestampSource) *MemStore {
+	return &MemStore{ts: ts, versions: make(map[string][]memVersion)}
 }
 
 // ReadLatest implements Store.
@@ -40,15 +42,17 @@ func (s *MemStore) ReadLatest(key []byte, asOf uint64) ([]byte, uint64, bool, er
 	return v.value, v.version, true, nil
 }
 
-// ApplyBatch implements Store.
-func (s *MemStore) ApplyBatch(version uint64, writes []Write) error {
+// Commit implements Store. The statement is not kept, and the writes are
+// durable once applied.
+func (s *MemStore) Commit(_ string, writes []Write) (uint64, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	version := s.ts.Next()
 	for _, w := range writes {
 		s.versions[string(w.Key)] = append(s.versions[string(w.Key)],
 			memVersion{version: version, value: w.Value, deleted: w.Delete})
 	}
-	return nil
+	return version, func() error { return nil }, nil
 }
 
 // VersionCount reports the number of stored versions of a key.

@@ -7,8 +7,9 @@
 // abort rates.
 //
 // The manager is storage agnostic: it validates and orders transactions,
-// then applies their write sets through a Store. In Spitz the Store is the
-// ledger-backed cell store; the unit tests use an in-memory versioned map.
+// then commits their write sets through a Store, which allocates each
+// commit's version. In Spitz the Store is the engine's group-commit
+// pipeline; the unit tests use an in-memory versioned map.
 package txn
 
 import (
@@ -31,30 +32,16 @@ type Store interface {
 	// the commit version that wrote it. found is false when no version
 	// exists at or before asOf.
 	ReadLatest(key []byte, asOf uint64) (value []byte, version uint64, found bool, err error)
-	// ApplyBatch durably applies writes at the given commit version.
-	// Versions given to successive calls are strictly increasing.
-	ApplyBatch(version uint64, writes []Write) error
-}
-
-// AsyncStore is an optional Store extension for stores with a
-// group-commit pipeline. ApplyBatchAsync allocates the commit version
-// itself, enqueues the writes — which must be visible to ReadLatest
-// immediately, so later validations cannot miss them — and returns
-// without waiting for the commit to complete. The manager calls it under
-// its commit lock and invokes wait after releasing it, letting concurrent
-// transactions share one storage commit instead of serializing on it.
-// wait must be called exactly once; its error means the commit did not
-// become durable.
-type AsyncStore interface {
-	ApplyBatchAsync(writes []Write) (version uint64, wait func() error, err error)
-}
-
-// StatementStore is an optional AsyncStore refinement that records the
-// audited statement text alongside the write set (Spitz blocks carry
-// "the query statements" — Section 5). The 2PC participant prefers it so
-// distributed transactions stay auditable.
-type StatementStore interface {
-	ApplyStatementAsync(statement string, writes []Write) (version uint64, wait func() error, err error)
+	// Commit applies a non-empty write set at a commit version the store
+	// allocates, above every version it allocated before, and records
+	// statement, the audited statement text (Spitz blocks carry "the query
+	// statements" — Section 5), beside it. The writes are visible to
+	// ReadLatest when Commit returns, so later validations cannot miss
+	// them; wait blocks until they are durable. Callers commit under their
+	// own lock and call wait, exactly once, after releasing it, so
+	// concurrent transactions can share one storage commit. A wait error
+	// means the commit did not become durable.
+	Commit(statement string, writes []Write) (version uint64, wait func() error, err error)
 }
 
 // TimestampSource allocates strictly increasing timestamps. tso.Oracle
@@ -208,10 +195,10 @@ func (t *Txn) Abort() {
 
 // Commit validates and applies the transaction, returning its commit
 // version. On ErrConflict the transaction is aborted and may be retried.
-// Validation and the apply (or, for an AsyncStore, the enqueue that
-// orders the transaction) happen under the manager lock; waiting for the
-// store to finish the commit happens outside it, so concurrent commits
-// can share the store's group-commit machinery.
+// Validation and the store's Commit, which orders the transaction, happen
+// under the manager lock; waiting for the commit to be durable happens
+// outside it, so concurrent commits can share the store's group-commit
+// machinery.
 func (t *Txn) Commit() (uint64, error) {
 	if t.done {
 		return 0, ErrDone
@@ -271,31 +258,24 @@ func (m *Manager) validateLocked(t *Txn) error {
 	return nil
 }
 
-// applyLocked hands the write set to the store and returns the commit
-// version. With an AsyncStore the store allocates the version and the
-// returned wait (to be invoked outside the manager lock) blocks until
-// the commit is durable; a wait failure means the commit was not
-// acknowledged even though it is counted here — by then the store has
-// fail-stopped and no later commit can succeed either.
+// applyLocked commits the write set and returns the store's commit
+// version, or, for a read-only transaction, a fresh timestamp. The
+// returned wait (to be invoked outside the manager lock) blocks until the
+// commit is durable; a wait failure means the commit was not acknowledged
+// even though it is counted here — by then the store has fail-stopped and
+// no later commit can succeed either.
 func (m *Manager) applyLocked(t *Txn) (uint64, func() error, error) {
-	if as, ok := m.store.(AsyncStore); ok && len(t.writes) > 0 {
-		commit, wait, err := as.ApplyBatchAsync(t.writes)
-		if err != nil {
-			m.stats.Aborts++
-			return 0, nil, err
-		}
+	if len(t.writes) == 0 {
 		m.stats.Commits++
-		return commit, wait, nil
+		return m.ts.Next(), nil, nil
 	}
-	commit := m.ts.Next()
-	if len(t.writes) > 0 {
-		if err := m.store.ApplyBatch(commit, t.writes); err != nil {
-			m.stats.Aborts++
-			return 0, nil, err
-		}
+	commit, wait, err := m.store.Commit("", t.writes)
+	if err != nil {
+		m.stats.Aborts++
+		return 0, nil, err
 	}
 	m.stats.Commits++
-	return commit, nil, nil
+	return commit, wait, nil
 }
 
 // CommitBatch validates a group of transactions together, reordering them
@@ -415,8 +395,8 @@ func (m *Manager) CommitBatch(txns []*Txn) []BatchResult {
 	// earlier member must not invalidate a later member's reads — the
 	// ordering guarantees reads happen "before" conflicting writes in the
 	// equivalent serial schedule, so no further validation is needed.
-	// Async stores only enqueue here (preserving the dependency order);
-	// the durability waits run after the manager lock is released so the
+	// The store only orders each commit here (in dependency order); the
+	// durability waits run after the manager lock is released so the
 	// whole batch can share one storage commit.
 	waits := make([]func() error, len(txns))
 	for _, i := range order {

@@ -11,8 +11,9 @@ import (
 )
 
 func newMgr(mode Mode) (*Manager, *MemStore) {
-	store := NewMemStore()
-	return NewManager(store, tso.New(0), mode), store
+	ts := tso.New(0)
+	store := NewMemStore(ts)
+	return NewManager(store, ts, mode), store
 }
 
 func TestReadYourWrites(t *testing.T) {
@@ -285,7 +286,8 @@ func TestCommitBatchValidatesAgainstCommittedState(t *testing.T) {
 }
 
 func TestHLCSource(t *testing.T) {
-	m := NewManager(NewMemStore(), ClockSource{Clock: hlc.New()}, ModeOCC)
+	ts := ClockSource{Clock: hlc.New()}
+	m := NewManager(NewMemStore(ts), ts, ModeOCC)
 	t1 := m.Begin()
 	t1.Put([]byte("k"), []byte("v"))
 	v1, err := t1.Commit()

@@ -9,6 +9,7 @@ package wire
 
 import (
 	"spitz/internal/cellstore"
+	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
@@ -45,14 +46,8 @@ const (
 	OpReplAck    Op = "repl-ack"    // follower -> primary progress report (stream only)
 )
 
-// Put is one write in a request.
-type Put struct {
-	Table     string
-	Column    string
-	PK        []byte
-	Value     []byte
-	Tombstone bool
-}
+// Put is one write in a request: the engine's own write type.
+type Put = core.Put
 
 // Request is the client -> server message.
 type Request struct {

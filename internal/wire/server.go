@@ -443,12 +443,7 @@ func fit(eng *core.Engine, req Request, resp Response) Response {
 func dispatch(eng *core.Engine, req Request) Response {
 	switch req.Op {
 	case OpPut:
-		puts := make([]core.Put, len(req.Puts))
-		for i, p := range req.Puts {
-			puts[i] = core.Put{Table: p.Table, Column: p.Column, PK: p.PK,
-				Value: p.Value, Tombstone: p.Tombstone}
-		}
-		h, err := eng.Apply(req.Statement, puts)
+		h, err := eng.Apply(req.Statement, req.Puts)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}

@@ -5,6 +5,7 @@ package wire
 import (
 	"fmt"
 
+	"spitz/internal/durable"
 	"spitz/internal/obs"
 )
 
@@ -100,14 +101,8 @@ type ShardStats struct {
 	Replica *ReplicaStats
 }
 
-// WALStats mirrors durable.WALStats over the wire.
-type WALStats struct {
-	DurableHeight        uint64
-	LoggedHeight         uint64
-	OldestRetainedHeight uint64
-	Segments             int
-	RetainedBytes        int64
-}
+// WALStats is a shard's write-ahead log span, as the log reports it.
+type WALStats = durable.WALStats
 
 // FollowerStats describes one attached replication follower.
 type FollowerStats struct {
