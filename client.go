@@ -333,11 +333,11 @@ func read[T any](cl *Client, i int, tr *obs.Trace, fn func(l shardLink) (T, erro
 	return fn(cl.primaryLink(i, tr))
 }
 
-// scatter runs fn for every shard concurrently and returns the per-shard
-// results in shard order. Across several shards one root span named op
-// owns the scatter and each shard's read becomes a child leg, so the
-// whole fan-out stitches under a single trace ID; a single shard's read
-// mints its own root.
+// scatter runs fn for every shard concurrently, the last on the caller's
+// goroutine, and returns the per-shard results in shard order. Across
+// several shards one root span named op owns the scatter and each shard's
+// read becomes a child leg, so the whole fan-out stitches under a single
+// trace ID; a single shard's read mints its own root.
 func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, error)) ([]T, error) {
 	parts := make([]T, len(cl.shards))
 	if len(parts) == 1 {
@@ -348,14 +348,16 @@ func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, err
 	tr := obs.DefaultTracer.Root(op, "client")
 	defer tr.Finish()
 	errs := make([]error, len(parts))
+	last := len(parts) - 1
 	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
+	wg.Add(last)
+	for i := range last {
+		go func() {
 			defer wg.Done()
 			parts[i], errs[i] = fn(i, tr)
-		}(i)
+		}()
 	}
+	parts[last], errs[last] = fn(last, tr)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -419,12 +421,14 @@ func (cl *Client) Get(table, column string, pk []byte) ([]byte, error) {
 }
 
 // GetVerified performs a verified point read against the owning shard:
-// the proof is fetched, checked against the shard's trusted digest
-// (advancing it with a consistency proof from the primary when the
-// ledger has grown), and the value is returned only if everything
-// verifies. Under AuditMode (StartAudit) the read is instead accepted
-// optimistically and verified in batch before the receipt horizon;
-// tampering then surfaces on the audit channel.
+// the proof is fetched, checked against the shard's trusted digest, and
+// the value is returned only if everything verifies. Trust advances (with
+// a consistency proof from the primary) only when the key's entry changed
+// since the trusted digest; an unchanged one is proven at that digest, so
+// the value is current as of the head all the same. SyncDigest moves trust
+// to the head on demand. Under AuditMode (StartAudit) the read is instead
+// accepted optimistically and verified in batch before the receipt
+// horizon; tampering then surfaces on the audit channel.
 func (cl *Client) GetVerified(table, column string, pk []byte) ([]byte, bool, error) {
 	r := pointRead(cl.auditor(), table, column, pk)
 	cells, err := read(cl, cl.ShardFor(pk), nil, r.run)
@@ -437,7 +441,8 @@ func (cl *Client) GetVerified(table, column string, pk []byte) ([]byte, bool, er
 // RangePKVerified scans a primary-key range across every shard
 // concurrently, verifying each shard's proof against that shard's trusted
 // digest before merging (optimistically under AuditMode, with one receipt
-// per shard; see GetVerified).
+// per shard). As for GetVerified, a shard's trust advances only when a row
+// of the range changed since its trusted digest.
 func (cl *Client) RangePKVerified(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
 	r := rangeRead(cl.auditor(), table, column, pkLo, pkHi)
 	return cl.scatterCells("client.range-verified", r.run)

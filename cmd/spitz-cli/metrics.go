@@ -4,12 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"spitz/internal/obs"
 )
 
 // metricsCmd implements `spitz-cli metrics`: scrape the server's admin
@@ -27,7 +28,7 @@ func metricsCmd(args []string) {
 	prev := map[string]float64{}
 	var prevAt time.Time
 	for {
-		vals, err := scrapeMetrics(url)
+		vals, err := obs.ScrapeText(url)
 		check(err)
 		now := time.Now()
 		if *watch > 0 {
@@ -41,40 +42,6 @@ func metricsCmd(args []string) {
 		prev, prevAt = vals, now
 		time.Sleep(*watch)
 	}
-}
-
-// scrapeMetrics fetches a Prometheus text exposition and returns its
-// series as a name (with labels) -> value map.
-func scrapeMetrics(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: %s returned %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out, nil
 }
 
 func renderMetrics(w io.Writer, vals, prev map[string]float64, dt time.Duration, filter string) {

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
+
+	"spitz/internal/obs"
 )
 
 // The admin endpoint's JSON payloads (/tracez, /alertz, /slowz), decoded
@@ -73,18 +73,6 @@ type slowzJSON struct {
 	Total uint64     `json:"total"`
 }
 
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s returned %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 // traceCmd implements `spitz-cli trace`: fetch /tracez from the admin
 // endpoint and render each stitched trace as a cross-node timeline —
 // one line per span, indented by parent depth, with the recording node
@@ -103,7 +91,7 @@ func traceCmd(args []string) {
 	seen := map[uint64]bool{}
 	for {
 		var dump tracezJSON
-		check(getJSON(url, &dump))
+		check(obs.GetJSON(url, &dump))
 		// The endpoint returns newest-first; print oldest-first so a
 		// follow reads chronologically.
 		ts := dump.Stitched
@@ -163,7 +151,7 @@ func alertsCmd(args []string) {
 	fs.Parse(args)
 
 	var dump alertzJSON
-	check(getJSON("http://"+*admin+"/alertz", &dump))
+	check(obs.GetJSON("http://"+*admin+"/alertz", &dump))
 	fmt.Printf("health: %s\n", dump.Health)
 	if len(dump.Rules) == 0 {
 		fmt.Println("(no health rules configured)")
@@ -206,7 +194,7 @@ func slowCmd(args []string) {
 	fs.Parse(args)
 
 	var dump slowzJSON
-	check(getJSON("http://"+*admin+"/slowz", &dump))
+	check(obs.GetJSON("http://"+*admin+"/slowz", &dump))
 	fmt.Printf("%d slow op(s) total, %d retained\n", dump.Total, len(dump.Slow))
 	for _, s := range dump.Slow {
 		line := fmt.Sprintf("%s  %-12s %s", s.Start.Format("15:04:05.000"), s.Op, fmtDur(s.Latency))

@@ -813,7 +813,10 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 		}))
 		cl := warmClient(t, es, pk)
 		gen++
-		if _, err := es.eng.Apply("update", []core.Put{{Table: "t", Column: "c", PK: elisionPK(12346), Value: elisionValue(12346, gen)}}); err != nil {
+		// pk's neighbour rewrites pk's path; farPK, which the far read
+		// reads, moves that read — and the client's trust — to the head.
+		if _, err := es.eng.Apply("update", []core.Put{{Table: "t", Column: "c", PK: elisionPK(12346), Value: elisionValue(12346, gen)},
+			{Table: "t", Column: "c", PK: farPK, Value: elisionValue(elisionRows-1, gen)}}); err != nil {
 			t.Fatal(err)
 		}
 		es.setMutate(onVerifiedGet(func(req wire.Request, resp *wire.Response) {
@@ -1364,11 +1367,16 @@ func TestClientHintsAcrossCommits(t *testing.T) {
 	// different child of the root than pk (which end depends on where the
 	// root happens to split): the root changes, the rest of the reads'
 	// paths does not — and the new root travels once, to the first read of
-	// any shape that needs it.
+	// any shape that needs it. A point or range read whose rows the write
+	// left alone is answered at the digest its client trusts, so trust is
+	// moved to the head first.
 	for _, first := range []string{"point", "range", "query"} {
 		var shipped []int
 		for _, far := range []int{elisionRows - 1, 0} {
 			apply(far)
+			if err := cl.SyncDigest(); err != nil {
+				t.Fatal(err)
+			}
 			index, _ := traffic(reads[first])
 			shipped = append(shipped, index)
 			if index == 1 {
@@ -1391,13 +1399,16 @@ func TestClientHintsAcrossCommits(t *testing.T) {
 		warmAll("after the " + first + " read fetched the new path")
 	}
 
-	// A bulk insert that grows the tree by a level.
+	// A bulk insert that grows the tree by a level, and writes pk: the
+	// point read meets the grown tree.
 	grew := false
 	for base := 0; base < 1200000 && !grew; base += 100000 {
 		puts := make([]spitz.Put, 100000)
 		for i := range puts {
 			puts[i] = spitz.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("grow%07d", base+i)), Value: []byte("x")}
 		}
+		gen[12345]++
+		puts = append(puts, spitz.Put{Table: "t", Column: "c", PK: pk, Value: value(12345)})
 		if _, err := cl.Apply("grow", puts); err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,7 @@ type siriIndex interface {
 	get(k []byte) error
 	prove(k []byte) error
 	root() [32]byte
+	liveBytes() (int64, error)
 }
 
 type posAdapter struct{ t *postree.Tree }
@@ -45,7 +46,8 @@ func (a *posAdapter) prove(k []byte) error {
 	}
 	return p.Verify(a.t.Root())
 }
-func (a *posAdapter) root() [32]byte { return a.t.Root() }
+func (a *posAdapter) root() [32]byte            { return a.t.Root() }
+func (a *posAdapter) liveBytes() (int64, error) { return a.t.LiveBytes() }
 
 type mptAdapter struct{ t *mpt.Trie }
 
@@ -62,7 +64,8 @@ func (a *mptAdapter) prove(k []byte) error {
 	}
 	return p.Verify(a.t.Root())
 }
-func (a *mptAdapter) root() [32]byte { return a.t.Root() }
+func (a *mptAdapter) root() [32]byte            { return a.t.Root() }
+func (a *mptAdapter) liveBytes() (int64, error) { return a.t.LiveBytes() }
 
 type mbtAdapter struct{ t *mbt.Tree }
 
@@ -79,7 +82,8 @@ func (a *mbtAdapter) prove(k []byte) error {
 	}
 	return p.Verify(a.t.Root())
 }
-func (a *mbtAdapter) root() [32]byte { return a.t.Root() }
+func (a *mbtAdapter) root() [32]byte            { return a.t.Root() }
+func (a *mbtAdapter) liveBytes() (int64, error) { return a.t.LiveBytes() }
 
 // AblationSIRI compares the three SIRI instances as candidate ledger
 // indexes (Section 3.1 cites [59]'s finding that "POS-tree has better
@@ -104,18 +108,7 @@ func AblationSIRI(n int) (Result, error) {
 
 	// POS-tree: batched loads, canonical rebuild for live size.
 	posSeries, err := siriMetrics("POS-tree", records, reads,
-		func() (siriIndex, func() float64) {
-			s := cas.NewMemory()
-			a := &posAdapter{t: postree.Empty(s)}
-			live := func() float64 {
-				n, err := a.t.LiveBytes()
-				if err != nil {
-					return 0
-				}
-				return float64(n) / (1 << 20)
-			}
-			return a, live
-		},
+		func() siriIndex { return &posAdapter{t: postree.Empty(cas.NewMemory())} },
 		func(idx siriIndex) error { // batched load
 			a := idx.(*posAdapter)
 			for _, batch := range workload.Batches(records, 1000) {
@@ -138,36 +131,14 @@ func AblationSIRI(n int) (Result, error) {
 
 	// MPT and MBT: per-key loads, canonical rebuild for live size.
 	mptSeries, err := siriMetrics("MPT", records, reads,
-		func() (siriIndex, func() float64) {
-			s := cas.NewMemory()
-			a := &mptAdapter{t: mpt.Empty(s)}
-			live := func() float64 {
-				n, err := a.t.LiveBytes()
-				if err != nil {
-					return 0
-				}
-				return float64(n) / (1 << 20)
-			}
-			return a, live
-		}, nil)
+		func() siriIndex { return &mptAdapter{t: mpt.Empty(cas.NewMemory())} }, nil)
 	if err != nil {
 		return res, err
 	}
 	res.Series = append(res.Series, mptSeries)
 
 	mbtSeries, err := siriMetrics("MBT", records, reads,
-		func() (siriIndex, func() float64) {
-			s := cas.NewMemory()
-			a := &mbtAdapter{t: mbt.New(s, 4096)}
-			live := func() float64 {
-				n, err := a.t.LiveBytes()
-				if err != nil {
-					return 0
-				}
-				return float64(n) / (1 << 20)
-			}
-			return a, live
-		}, nil)
+		func() siriIndex { return &mbtAdapter{t: mbt.New(cas.NewMemory(), 4096)} }, nil)
 	if err != nil {
 		return res, err
 	}
@@ -178,8 +149,8 @@ func AblationSIRI(n int) (Result, error) {
 // siriMetrics runs the four SIRI metrics for one candidate. loadFn, when
 // non-nil, replaces the default per-key load.
 func siriMetrics(name string, records []workload.KeyValue, reads [][]byte,
-	mk func() (siriIndex, func() float64), loadFn func(siriIndex) error) (Series, error) {
-	idx, live := mk()
+	mk func() siriIndex, loadFn func(siriIndex) error) (Series, error) {
+	idx := mk()
 	series := Series{Name: name}
 
 	start := time.Now()
@@ -208,7 +179,11 @@ func siriMetrics(name string, records []workload.KeyValue, reads [][]byte,
 		return series, err
 	}
 	series.Points = append(series.Points, Point{X: 3, Y: proveOps})
-	series.Points = append(series.Points, Point{X: 4, Y: live()})
+	mb := 0.0 // a failed walk charges nothing
+	if n, err := idx.liveBytes(); err == nil {
+		mb = float64(n) / (1 << 20)
+	}
+	series.Points = append(series.Points, Point{X: 4, Y: mb})
 	return series, nil
 }
 

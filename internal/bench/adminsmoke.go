@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -222,7 +218,7 @@ func AdminSmoke(dir string) error {
 		Slow  []obs.SlowOp `json:"slow"`
 		Total uint64       `json:"total"`
 	}
-	if err := getJSON(base+"/slowz", &slowz); err != nil {
+	if err := obs.GetJSON(base+"/slowz", &slowz); err != nil {
 		return err
 	}
 	if slowz.Total == 0 || len(slowz.Slow) == 0 {
@@ -239,7 +235,7 @@ func AdminSmoke(dir string) error {
 	}
 
 	// Scrape the live endpoint and hold it to the acceptance bar.
-	vals, err := scrapeText(base + "/metrics")
+	vals, err := obs.ScrapeText(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -397,7 +393,7 @@ func AdminSmoke(dir string) error {
 	if err := checkAlert(base, "audit-tampering", true); err != nil {
 		return err
 	}
-	vals, err = scrapeText(base + "/metrics")
+	vals, err = obs.ScrapeText(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -421,7 +417,7 @@ func waitHealth(base, want string, timeout time.Duration) error {
 		var health struct {
 			Status string `json:"status"`
 		}
-		if err := getJSON(base+"/healthz", &health); err != nil {
+		if err := obs.GetJSON(base+"/healthz", &health); err != nil {
 			return err
 		}
 		last = health.Status
@@ -439,7 +435,7 @@ func checkAlert(base, rule string, firing bool) error {
 		Health string          `json:"health"`
 		Rules  []obs.RuleState `json:"rules"`
 	}
-	if err := getJSON(base+"/alertz", &alerts); err != nil {
+	if err := obs.GetJSON(base+"/alertz", &alerts); err != nil {
 		return err
 	}
 	for _, r := range alerts.Rules {
@@ -454,40 +450,6 @@ func checkAlert(base, rule string, firing bool) error {
 	return fmt.Errorf("admin smoke: /alertz lacks rule %s", rule)
 }
 
-// scrapeText fetches a Prometheus text exposition into a series -> value
-// map.
-func scrapeText(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("admin smoke: %s returned %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out, nil
-}
-
 func hasSeries(vals map[string]float64, prefix string) bool {
 	for name := range vals {
 		if strings.HasPrefix(name, prefix) {
@@ -495,18 +457,6 @@ func hasSeries(vals map[string]float64, prefix string) bool {
 		}
 	}
 	return false
-}
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("admin smoke: %s returned %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // checkTracez asserts a sampled get-verified request resolved into wire
@@ -517,7 +467,7 @@ func checkTracez(url string) error {
 	var tz struct {
 		Traces []obs.TraceSnapshot `json:"traces"`
 	}
-	if err := getJSON(url, &tz); err != nil {
+	if err := obs.GetJSON(url, &tz); err != nil {
 		return err
 	}
 	type cover struct{ served, hasWire, hasProof bool }
@@ -557,7 +507,7 @@ func checkStitched(url string, shards int) error {
 	var tz struct {
 		Stitched []obs.StitchedTrace `json:"stitched"`
 	}
-	if err := getJSON(url, &tz); err != nil {
+	if err := obs.GetJSON(url, &tz); err != nil {
 		return err
 	}
 	var readOK, writeOK bool

@@ -12,6 +12,38 @@ import (
 	"spitz/internal/wire"
 )
 
+// churn calls write(0), write(1), … once per tick of every on a goroutine
+// of its own until stop is called, which returns how many writes
+// succeeded and the error that ended the churn early, if one did. stop
+// may be called again.
+func churn(every time.Duration, write func(i int) error) (stop func() (int, error)) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var n int
+	var err error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for ; ; n++ {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			if err = write(n); err != nil {
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() (int, error) {
+		once.Do(func() { close(done); wg.Wait() })
+		return n, err
+	}
+}
+
 // VerifyAuditSmoke is the deferred-verification workload CI runs: an
 // AuditMode client against a live served engine under concurrent write
 // churn — every optimistic read must batch-verify — followed by a
@@ -49,52 +81,29 @@ func VerifyAuditSmoke() error {
 		return err
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var writeErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			if _, err := eng.Apply("churn", []core.Put{{Table: "t", Column: "c",
-				PK: benchKey(i % keys), Value: []byte(fmt.Sprintf("churn-%08d", i))}}); err != nil {
-				writeErr = err
-				return
-			}
-		}
-	}()
+	stop := churn(time.Millisecond, func(i int) error {
+		_, err := eng.Apply("churn", []core.Put{{Table: "t", Column: "c",
+			PK: benchKey(i % keys), Value: []byte(fmt.Sprintf("churn-%08d", i))}})
+		return err
+	})
+	defer stop()
 
 	rng := uint64(1)
 	for i := 0; i < 500; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		if _, found, err := cl.GetVerified("t", "c", benchKey(int(rng%keys))); err != nil {
-			close(stop)
-			wg.Wait()
 			return fmt.Errorf("audited read %d: %w", i, err)
 		} else if !found {
-			close(stop)
-			wg.Wait()
 			return fmt.Errorf("audited read %d: key missing", i)
 		}
 		if i%50 == 0 {
 			if _, err := cl.RangePKVerified("t", "c", benchKey(10), benchKey(20)); err != nil {
-				close(stop)
-				wg.Wait()
 				return fmt.Errorf("audited range %d: %w", i, err)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if writeErr != nil {
-		return fmt.Errorf("write churn: %w", writeErr)
+	if _, err := stop(); err != nil {
+		return fmt.Errorf("write churn: %w", err)
 	}
 	if err := aud.Flush(); err != nil {
 		return fmt.Errorf("final audit flush: %w", err)

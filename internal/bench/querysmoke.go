@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"spitz"
@@ -108,35 +107,11 @@ func QuerySmoke() error {
 	// (to a column no query below covers), so the cluster digests
 	// advance between queries and verification exercises the
 	// consistency-proof path, not just same-digest re-checks.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var churnErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			stmt := fmt.Sprintf("UPDATE orders SET note = 'tick-%d' WHERE pk = 'ord-%03d'", i, i%(n-2))
-			if _, err := db.Exec(stmt); err != nil {
-				churnErr = err
-				return
-			}
-		}
-	}()
-	defer func() {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-		wg.Wait()
-	}()
+	stop := churn(time.Millisecond, func(i int) error {
+		_, err := db.Exec(fmt.Sprintf("UPDATE orders SET note = 'tick-%d' WHERE pk = 'ord-%03d'", i, i%(n-2)))
+		return err
+	})
+	defer stop()
 
 	for round := 0; round < 3; round++ {
 		// Range scan with a boolean predicate: complete across shards,
@@ -179,10 +154,8 @@ func QuerySmoke() error {
 			return fmt.Errorf("lookup: %d rows, want %d", len(res.Rows), east)
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if churnErr != nil {
-		return fmt.Errorf("write churn: %w", churnErr)
+	if _, err := stop(); err != nil {
+		return fmt.Errorf("write churn: %w", err)
 	}
 
 	// Phase 2: tamper probe. An engine served through a handler that

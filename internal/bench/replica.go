@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"spitz"
@@ -164,35 +163,19 @@ func replicaRun(farm *replicaFarm, replicas, readers, ops, keys int) (float64, e
 		defer rc.Close()
 		clients[i] = rc
 	}
-	errs := make([]error, readers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := uint64(w)*2654435761 + 1
-			for i := 0; i < per; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				key := benchKey(int(rng % uint64(keys)))
-				if _, found, err := clients[w].GetVerified("t", "c", key); err != nil {
-					errs[w] = err
-					return
-				} else if !found {
-					errs[w] = fmt.Errorf("key %s missing", key)
-					return
-				}
-			}
-		}(w)
+	rngs := make([]uint64, readers)
+	for w := range rngs {
+		rngs[w] = uint64(w)*2654435761 + 1
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	return parallelRate(readers, per, func(w, _ int) error {
+		rngs[w] = rngs[w]*6364136223846793005 + 1442695040888963407
+		key := benchKey(int(rngs[w] % uint64(keys)))
+		_, found, err := clients[w].GetVerified("t", "c", key)
+		if err == nil && !found {
+			err = fmt.Errorf("key %s missing", key)
 		}
-	}
-	return float64(readers*per) / elapsed.Seconds(), nil
+		return err
+	})
 }
 
 // ReplicaSmoke is the replication availability workload CI runs: a
@@ -209,33 +192,16 @@ func ReplicaSmoke(baseDir string) error {
 	}
 	defer farm.stop()
 
-	stop := make(chan struct{})
-	var writeErr error
-	var wrote int
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Throttled: the point is concurrent write churn, not saturating
-		// the box — an unthrottled writer starves the followers (and the
-		// reads being smoked) on small CI machines.
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			if _, err := farm.db.Apply("smoke", []spitz.Put{{
-				Table: "t", Column: "c", PK: benchKey(i % 100),
-				Value: []byte(fmt.Sprintf("value-%08d", i))}}); err != nil {
-				writeErr = err
-				return
-			}
-			wrote++
-		}
-	}()
+	// Throttled: the point is concurrent write churn, not saturating the
+	// box — an unthrottled writer starves the followers (and the reads
+	// being smoked) on small CI machines.
+	stop := churn(2*time.Millisecond, func(i int) error {
+		_, err := farm.db.Apply("smoke", []spitz.Put{{
+			Table: "t", Column: "c", PK: benchKey(i % 100),
+			Value: []byte(fmt.Sprintf("value-%08d", i))}})
+		return err
+	})
+	defer stop()
 
 	readPhase := func(rc *spitz.Client, phase string, n int) error {
 		for i := 0; i < n; i++ {
@@ -292,10 +258,9 @@ func ReplicaSmoke(baseDir string) error {
 		return err
 	}
 
-	close(stop)
-	wg.Wait()
-	if writeErr != nil {
-		return fmt.Errorf("write load: %w", writeErr)
+	wrote, err := stop()
+	if err != nil {
+		return fmt.Errorf("write load: %w", err)
 	}
 	if wrote == 0 {
 		return fmt.Errorf("write load never committed")

@@ -79,20 +79,24 @@ func shardedRun(dir string, opts spitz.ClusterOptions, workers, ops int) (float6
 			return 0, err
 		}
 	}
+	return parallelRate(workers, per, commit)
+}
+
+// parallelRate runs op(w, 0) … op(w, per-1) on each of workers goroutines
+// w and returns the ops per second of the whole run, or the first error of
+// the lowest-numbered worker that failed.
+func parallelRate(workers, per int, op func(w, i int) error) (float64, error) {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := commit(w, i); err != nil {
-					errs[w] = err
-					return
-				}
+			for i := 0; i < per && errs[w] == nil; i++ {
+				errs[w] = op(w, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

@@ -180,11 +180,11 @@ func (s *spitzSystem) Range(lo, hi []byte) (int, error) {
 }
 
 func (s *spitzSystem) RangeVerified(lo, hi []byte) (int, error) {
-	res, err := s.eng.RangePKVerified(benchTable, benchColumn, lo, hi)
+	q := []ledger.BatchQuery{{Table: benchTable, Column: benchColumn, PK: lo, PKHi: hi, Range: true}}
+	res, err := s.eng.Verified(q[0], 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	q := []ledger.BatchQuery{{Table: benchTable, Column: benchColumn, PK: lo, PKHi: hi, Range: true}}
 	live, err := s.verifier.Check(&res.Proof, s.verifier.Digest(), q, 1, &proof.Pin{})
 	if err != nil {
 		return 0, err

@@ -822,31 +822,38 @@ type VerifiedResult struct {
 	Digest ledger.Digest
 }
 
-// GetVerified returns the latest version of a cell with its unified-index
-// proof (the auditor's step 3 of the read path in Section 5.1). The proof
-// and the digest it verifies against are captured atomically, so the
-// result stays self-consistent under concurrent commits.
-func (e *Engine) GetVerified(table, column string, pk []byte) (VerifiedResult, error) {
-	return e.GetVerifiedTraced(table, column, pk, nil)
+// Verified serves one eager verified read — a point read, or with
+// q.Range a primary-key range scan (Section 6.2.2: "the proofs of the
+// resultant records are returned simultaneously when the resultant records
+// are scanned") — with one proof of the current answer and the digest it
+// verifies against, captured atomically (ledger.ProveCurrent: at the
+// trusted height, when the reader trusts one and the answer has not
+// changed since). The answer is read off the proof: a point read's cell is
+// its head version, a tombstone included but not Found; a scan's the live
+// cells of the range.
+func (e *Engine) Verified(q ledger.BatchQuery, trusted uint64, tr *obs.Trace) (VerifiedResult, error) {
+	p, d, err := e.ledger.ProveCurrent(q, trusted, tr)
+	if err != nil || d.Height == 0 {
+		return VerifiedResult{Digest: d}, err
+	}
+	res := VerifiedResult{Proof: p, Digest: d}
+	if q.Range {
+		res.Cells, err = proof.LiveCells(p.Ranges[0].Entries)
+		res.Found = len(res.Cells) > 0
+		return res, err
+	}
+	cell, ok, err := cellstore.HeadCell(q.Table, q.Column, q.PK, *p.Point)
+	if ok {
+		res.Cells, res.Found = []cellstore.Cell{cell}, !cell.Tombstone
+	}
+	return res, err
 }
 
-// GetVerifiedTraced is GetVerified with an optional sampled request
-// trace (nil for the unsampled majority): the ledger records lock,
-// snapshot and proof-construction stages into it, so a wire-served
-// verified read decomposes into wire/ledger/proof timings on /tracez.
-func (e *Engine) GetVerifiedTraced(table, column string, pk []byte, tr *obs.Trace) (VerifiedResult, error) {
-	cell, ok, p, d, err := e.ledger.ProveGetHeadTraced(table, column, pk, tr)
-	if err != nil {
-		return VerifiedResult{}, err
-	}
-	if d.Height == 0 {
-		return VerifiedResult{Digest: d}, nil
-	}
-	res := VerifiedResult{Found: ok && !cell.Tombstone, Proof: p, Digest: d}
-	if ok {
-		res.Cells = []cellstore.Cell{cell}
-	}
-	return res, nil
+// GetVerified returns the latest version of a cell with its unified-index
+// proof (the auditor's step 3 of the read path in Section 5.1): Verified
+// for a reader that trusts nothing yet.
+func (e *Engine) GetVerified(table, column string, pk []byte) (VerifiedResult, error) {
+	return e.Verified(ledger.BatchQuery{Table: table, Column: column, PK: pk}, 0, nil)
 }
 
 // GetAttested serves the optimistic half of a deferred-audit point read:
@@ -879,20 +886,6 @@ func (e *Engine) RangePK(table, column string, pkLo, pkHi []byte) ([]cellstore.C
 		return nil, nil
 	}
 	return cells.RangePK(table, column, pkLo, pkHi, head.Version)
-}
-
-// RangePKVerified scans a primary-key range and returns one proof covering
-// the entire result (Section 6.2.2: "the proofs of the resultant records
-// are returned simultaneously when the resultant records are scanned").
-func (e *Engine) RangePKVerified(table, column string, pkLo, pkHi []byte) (VerifiedResult, error) {
-	cells, p, d, err := e.ledger.ProveRangePKHead(table, column, pkLo, pkHi)
-	if err != nil {
-		return VerifiedResult{}, err
-	}
-	if d.Height == 0 {
-		return VerifiedResult{Digest: d}, nil
-	}
-	return VerifiedResult{Cells: cells, Found: len(cells) > 0, Proof: p, Digest: d}, nil
 }
 
 // History returns every version of a cell, newest first (the trusted data

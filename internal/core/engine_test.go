@@ -156,7 +156,7 @@ func TestRangePK(t *testing.T) {
 func TestRangePKVerified(t *testing.T) {
 	e := newEngine()
 	seed(t, e, 1000)
-	res, err := e.RangePKVerified("acct", "bal", []byte("pk00100"), []byte("pk00200"))
+	res, err := e.Verified(ledger.BatchQuery{Table: "acct", Column: "bal", PK: []byte("pk00100"), PKHi: []byte("pk00200"), Range: true}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

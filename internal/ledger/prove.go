@@ -65,59 +65,72 @@ func (l *Ledger) proveLocked(height uint64, queries []BatchQuery, tr *obs.Trace)
 	return p, nil
 }
 
-// ProveGetHead serves a verified point read at the head block and returns
-// the digest the proof verifies against. Digest and proof are captured
+// ProveCurrent proves the current answer to one eager verified read's
+// query and returns the digest the proof verifies against, both captured
 // under one lock acquisition, so a commit racing the read can never
-// produce a proof that fails against the returned digest. ok is false
-// (with a zero proof) when the ledger is empty.
-func (l *Ledger) ProveGetHead(table, column string, pk []byte) (cellstore.Cell, bool, Proof, Digest, error) {
-	return l.ProveGetHeadTraced(table, column, pk, nil)
-}
-
-// ProveGetHeadTraced is ProveGetHead with an optional sampled request
-// trace: lock wait, snapshot resolution, proof construction and block
-// inclusion each record a stage.
-func (l *Ledger) ProveGetHeadTraced(table, column string, pk []byte, tr *obs.Trace) (cellstore.Cell, bool, Proof, Digest, error) {
+// produce a proof that fails against that digest. The proof is at the
+// head block, unless trusted — the height of the digest the reader already
+// trusts, 0 for none — is behind the head and every entry the query covers
+// (the key's, or each in its range) is byte-identical at the trusted block
+// and at the head (postree.Tree.Unchanged): then the answer has not
+// changed since, and it is proven at the trusted block with the trusted
+// digest, which its reader checks without a consistency proof or a block
+// binding. The optional sampled trace records lock wait, the comparison,
+// and the prover's stages. The digest's height is 0 (with a zero proof)
+// when the ledger is empty.
+func (l *Ledger) ProveCurrent(q BatchQuery, trusted uint64, tr *obs.Trace) (Proof, Digest, error) {
 	lockStart := tr.Now()
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	tr.Stage("ledger.lock", lockStart)
 	d := l.digestLocked()
 	if d.Height == 0 {
-		return cellstore.Cell{}, false, Proof{}, d, nil
+		return Proof{}, d, nil
 	}
-	q := [1]BatchQuery{{Table: table, Column: column, PK: pk}}
-	p, err := l.proveLocked(d.Height-1, q[:], tr)
-	if err != nil {
+	if trusted > 0 && trusted < d.Height {
+		sameStart := tr.Now()
+		_, old, err := l.snapshotLocked(trusted - 1)
+		if err != nil {
+			return Proof{}, d, err
+		}
+		start, end := proof.RefRange(q.Table, q.Column, q.PK, q.PKHi) // start: the key's own
+		if !q.Range {
+			end = cellstore.KeySuccessor(start)
+		}
+		same, err := old.Tree.Unchanged(l.cells.Tree, start, end)
+		if err != nil {
+			return Proof{}, d, err
+		}
+		if same {
+			d = Digest{Height: trusted, Root: l.commit.RootAt(int(trusted))}
+		}
+		tr.Stage("ledger.unchanged", sameStart)
+	}
+	qs := [1]BatchQuery{q}
+	p, err := l.proveLocked(d.Height-1, qs[:], tr)
+	return p, d, err
+}
+
+// ProveGetHead is ProveCurrent of a point read for a reader that trusts
+// nothing, with the cell its proof shows (a tombstone too; ok: present).
+func (l *Ledger) ProveGetHead(table, column string, pk []byte) (cellstore.Cell, bool, Proof, Digest, error) {
+	p, d, err := l.ProveCurrent(BatchQuery{Table: table, Column: column, PK: pk}, 0, nil)
+	if err != nil || d.Height == 0 {
 		return cellstore.Cell{}, false, Proof{}, d, err
 	}
 	cell, ok, err := cellstore.HeadCell(table, column, pk, *p.Point)
-	if err != nil {
-		return cellstore.Cell{}, false, Proof{}, d, err
-	}
-	return cell, ok, p, d, nil
+	return cell, ok, p, d, err
 }
 
-// ProveRangePKHead serves a verified primary-key range scan at the head
-// block with one proof covering the whole result and the digest it
-// verifies against, captured atomically (see ProveGetHead).
+// ProveRangePKHead is ProveCurrent of a primary-key range scan for a
+// reader that trusts nothing, with the live cells its proof shows.
 func (l *Ledger) ProveRangePKHead(table, column string, pkLo, pkHi []byte) ([]cellstore.Cell, Proof, Digest, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	d := l.digestLocked()
-	if d.Height == 0 {
-		return nil, Proof{}, d, nil
-	}
-	q := [1]BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}}
-	p, err := l.proveLocked(d.Height-1, q[:], nil)
-	if err != nil {
+	p, d, err := l.ProveCurrent(BatchQuery{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}, 0, nil)
+	if err != nil || d.Height == 0 {
 		return nil, Proof{}, d, err
 	}
 	live, err := proof.LiveCells(p.Ranges[0].Entries)
-	if err != nil {
-		return nil, Proof{}, d, err
-	}
-	return live, p, d, nil
+	return live, p, d, err
 }
 
 // BatchRes is everything a ProveBatch round trip returns, captured under

@@ -75,15 +75,7 @@ func Load(store cas.Store, root hashutil.Digest) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := 0
-	if n.Level == 0 {
-		count = len(n.Entries)
-	} else {
-		for _, e := range n.Entries {
-			count += int(childCount(e))
-		}
-	}
-	return &Tree{store: store, cache: newNodeCache(), root: root, level: n.Level, count: count}, nil
+	return rooted(store, newNodeCache(), root, n), nil
 }
 
 // At reopens the (usually historical) snapshot rooted at root, sharing
@@ -98,15 +90,19 @@ func (t *Tree) At(root hashutil.Digest) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := 0
-	if n.Level == 0 {
-		count = len(n.Entries)
-	} else {
+	return rooted(t.store, t.cache, root, n), nil
+}
+
+// rooted is the tree whose root node n has digest root.
+func rooted(store cas.Store, cache *nodeCache, root hashutil.Digest, n *node) *Tree {
+	count := len(n.Entries)
+	if n.Level > 0 {
+		count = 0
 		for _, e := range n.Entries {
 			count += int(childCount(e))
 		}
 	}
-	return &Tree{store: t.store, cache: t.cache, root: root, level: n.Level, count: count}, nil
+	return &Tree{store: store, cache: cache, root: root, level: n.Level, count: count}
 }
 
 // Root returns the root digest; it is zero for an empty tree.
@@ -566,6 +562,90 @@ func (t *Tree) scanNode(d hashutil.Digest, start, end []byte, fn func(Entry) boo
 		}
 	}
 	return true, nil
+}
+
+// Unchanged reports whether t and u hold byte-identical entries with keys
+// in [start, end) (a nil end is unbounded), a key absent from both counting
+// as the same. It walks the two trees in lockstep, in key order, opening a
+// node only where their digests differ (a subtree both hold has the same
+// entries in both), and checks a leaf's groups as Scan does.
+func (t *Tree) Unchanged(u *Tree, start, end []byte) (bool, error) {
+	a, b := &walk{t: t, start: start, end: end}, &walk{t: u, start: start, end: end}
+	for _, w := range []*walk{a, b} {
+		if !w.t.root.IsZero() {
+			w.stack = append(w.stack, pending{level: w.t.level, d: w.t.root})
+		}
+	}
+	for {
+		x, y := a.top(), b.top()
+		switch {
+		case x.level == walked && y.level == walked:
+			return true, nil
+		case x.level == y.level && x.level >= 0 && x.d == y.d:
+		case x.level == entry && y.level == entry:
+			if !bytes.Equal(x.e.Key, y.e.Key) || !bytes.Equal(x.e.Value, y.e.Value) {
+				return false, nil
+			}
+		case max(x.level, y.level) == entry: // an entry the other tree lacks
+			return false, nil
+		default: // open the higher node
+			w := a
+			if y.level > x.level {
+				w = b
+			}
+			if err := w.open(); err != nil {
+				return false, err
+			}
+			continue
+		}
+		a.stack, b.stack = a.stack[:len(a.stack)-1], b.stack[:len(b.stack)-1]
+	}
+}
+
+// walk is what is left of one side of Unchanged: a stack of nodes to open
+// (level ≥ 0) and entries (level entry), the next in key order on top.
+type walk struct {
+	t          *Tree
+	start, end []byte
+	stack      []pending
+}
+
+type pending struct {
+	level int
+	d     hashutil.Digest
+	e     Entry
+}
+
+const entry, walked = -1, -2 // pending levels below a leaf's
+
+func (w *walk) top() pending {
+	if len(w.stack) == 0 {
+		return pending{level: walked}
+	}
+	return w.stack[len(w.stack)-1]
+}
+
+// open replaces the node on top by its children that may hold keys in the
+// range or, for a leaf, by its entries in the range.
+func (w *walk) open() error {
+	d := w.stack[len(w.stack)-1].d
+	w.stack = w.stack[:len(w.stack)-1]
+	body, n, err := w.t.loadProofNode(d)
+	if err != nil {
+		return err
+	}
+	if n.Level == 0 {
+		a, b := proof.LeafSpan(n.Entries, w.start, w.end)
+		for i := b - 1; i >= a; i-- {
+			w.stack = append(w.stack, pending{level: entry, e: n.Entries[i]})
+		}
+		return w.t.checkRun(d, body, n, a, b)
+	}
+	from, to := proof.ChildSpan(n.Entries, w.start, w.end)
+	for i := to - 1; i >= from; i-- {
+		w.stack = append(w.stack, pending{level: n.Level - 1, d: proof.ChildDigest(n.Entries[i])})
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -458,3 +458,90 @@ func TestApplyHashesOnlyWhatChanged(t *testing.T) {
 		t.Fatalf("incremental root %s != bulk-load root %s", tr.Root().Short(), fresh.Root().Short())
 	}
 }
+
+// TestUnchangedMatchesTheScans: Unchanged of two snapshots agrees with
+// comparing what Scan yields of each over the same range, for point,
+// bounded, open and empty ranges, after updates, inserts, deletes, writes
+// of a value a key already holds, and batches that change the trees'
+// height — the empty tree included.
+func TestUnchangedMatchesTheScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scan := func(tr *Tree, start, end []byte) (out []Entry) {
+		if err := tr.Scan(start, end, func(e Entry) bool {
+			out = append(out, Entry{Key: append([]byte(nil), e.Key...), Value: append([]byte(nil), e.Value...)})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	key := func() []byte { return []byte(fmt.Sprintf("key-%08d", rng.Intn(40000))) }
+	cur := mustBulk(t, testEntries(3000, 3))
+	for round := 0; round < 300; round++ {
+		var edits []Edit
+		switch n := rng.Intn(25); {
+		case n == 0: // most keys go, or come back: the height changes
+			for i := 0; i < 2500; i++ {
+				edits = append(edits, Edit{Key: key(), Delete: round%2 == 0, Value: []byte("bulk")})
+			}
+		default:
+			for i := 0; i <= n%3; i++ {
+				k := key()
+				switch rng.Intn(4) {
+				case 0:
+					edits = append(edits, Edit{Key: k, Delete: true})
+				case 1: // the value the key holds, if any: nothing changes
+					if v, ok, err := cur.Get(k); err == nil && ok {
+						edits = append(edits, Edit{Key: k, Value: append([]byte(nil), v...)})
+					}
+				default:
+					edits = append(edits, Edit{Key: k, Value: []byte(fmt.Sprint("v", round))})
+				}
+			}
+		}
+		sort.Slice(edits, func(i, j int) bool { return bytes.Compare(edits[i].Key, edits[j].Key) < 0 })
+		next, err := cur.Apply(dedupEdits(edits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			start, end := key(), []byte(nil)
+			switch rng.Intn(4) {
+			case 0:
+				end = append(append([]byte(nil), start...), 0) // one key
+			case 1:
+				end = []byte(fmt.Sprintf("key-%08d", rng.Intn(40000))) // possibly empty
+			case 2:
+				end = append([]byte(nil), start...)
+				end[len(end)-3]++
+			}
+			was, is := scan(cur, start, end), scan(next, start, end)
+			want := len(was) == len(is)
+			for j := 0; want && j < len(is); j++ {
+				want = bytes.Equal(was[j].Key, is[j].Key) && bytes.Equal(was[j].Value, is[j].Value)
+			}
+			for _, pair := range [][2]*Tree{{cur, next}, {next, cur}, {Empty(cur.Store()), next}} {
+				if pair[0].Root().IsZero() {
+					want = len(is) == 0
+				}
+				got, err := pair[0].Unchanged(pair[1], start, end)
+				if err != nil || got != want {
+					t.Fatalf("round %d [%q, %q): Unchanged = %v, %v; the scans say %v", round, start, end, got, err, want)
+				}
+			}
+		}
+		cur = next
+	}
+}
+
+// dedupEdits keeps the last edit of each key of a sorted batch.
+func dedupEdits(edits []Edit) []Edit {
+	out := edits[:0]
+	for i, e := range edits {
+		if i+1 < len(edits) && bytes.Equal(edits[i+1].Key, e.Key) {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}

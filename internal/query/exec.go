@@ -127,11 +127,7 @@ func execInsert(st Store, raw string, s Insert) (Result, error) {
 		// A row with only a primary key still marks existence.
 		puts = append(puts, core.Put{Table: s.Table, Column: s.Columns[0], PK: pk, Value: pk})
 	}
-	height, err := st.Apply(raw, puts)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{RowsAffected: 1, Block: height}, nil
+	return applyRow(st, raw, puts)
 }
 
 // execSelect runs a SELECT on one ledger snapshot of every shard and
@@ -211,11 +207,7 @@ func execUpdate(st Store, raw string, s Update) (Result, error) {
 	for i, col := range s.Columns {
 		puts[i] = core.Put{Table: s.Table, Column: col, PK: pk, Value: []byte(s.Values[i])}
 	}
-	height, err := st.Apply(raw, puts)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{RowsAffected: 1, Block: height}, nil
+	return applyRow(st, raw, puts)
 }
 
 func execDelete(st Store, raw string, s Delete) (Result, error) {
@@ -239,6 +231,11 @@ func execDelete(st Store, raw string, s Delete) (Result, error) {
 	if len(puts) == 0 {
 		return Result{RowsAffected: 0}, nil
 	}
+	return applyRow(st, raw, puts)
+}
+
+// applyRow commits the puts of a mutation that affected one row.
+func applyRow(st Store, raw string, puts []core.Put) (Result, error) {
 	height, err := st.Apply(raw, puts)
 	if err != nil {
 		return Result{}, err

@@ -81,6 +81,12 @@ func (pl Plan) proofColumns(cells []cellstore.Cell) []string {
 			set[c.Column] = struct{}{}
 		}
 	}
+	return pl.withPreds(set)
+}
+
+// withPreds adds the columns the plan's predicates read to set and
+// returns them all, sorted.
+func (pl Plan) withPreds(set map[string]struct{}) []string {
 	for _, p := range pl.Sel.Preds {
 		set[p.Column] = struct{}{}
 	}
@@ -152,15 +158,7 @@ func (pl Plan) scanColumns(r snapReader) ([]string, error) {
 	for _, c := range schema {
 		set[c] = struct{}{}
 	}
-	for _, p := range pl.Sel.Preds {
-		set[p.Column] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out, nil
+	return pl.withPreds(set), nil
 }
 
 // errUnknownTable is a SELECT of a table without a key in the snapshot

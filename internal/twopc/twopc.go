@@ -123,17 +123,11 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	// Phase 1: prepare all shards in parallel.
 	mPrepares.Add(uint64(len(reqs)))
 	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			leg := tr.ChildAt("twopc.prepare", reqs[i].Shard)
-			errs[i] = parts[i].Prepare(id, reqs[i])
-			leg.Finish()
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(reqs), func(i int) {
+		leg := tr.ChildAt("twopc.prepare", reqs[i].Shard)
+		errs[i] = parts[i].Prepare(id, reqs[i])
+		leg.Finish()
+	})
 	for i, err := range errs {
 		if err != nil {
 			// Roll back every shard (including non-prepared ones; Abort is
@@ -156,16 +150,11 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	// Phase 2: commit everywhere, in parallel — each shard's commit may
 	// wait on its own durability (WAL fsync), and those waits overlap.
 	version := c.ts.Next()
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			leg := tr.ChildAt("twopc.commit", reqs[i].Shard)
-			errs[i] = parts[i].Commit(id)
-			leg.Finish()
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(reqs), func(i int) {
+		leg := tr.ChildAt("twopc.commit", reqs[i].Shard)
+		errs[i] = parts[i].Commit(id)
+		leg.Finish()
+	})
 	for i, err := range errs {
 		if err != nil {
 			// A prepared participant failing to commit is a broken
@@ -178,6 +167,22 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	c.mu.Unlock()
 	mCommits.Inc()
 	return version, nil
+}
+
+// fanOut runs leg(i) for every i < n concurrently and returns when all
+// have: the last on the caller's goroutine, whose stack the commit path
+// has already grown — all of a one-shard transaction's legs.
+func fanOut(n int, leg func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := range n - 1 {
+		go func() {
+			defer wg.Done()
+			leg(i)
+		}()
+	}
+	leg(n - 1)
+	wg.Wait()
 }
 
 // preparedTxn is one transaction's footprint on a participant between

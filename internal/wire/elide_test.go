@@ -371,7 +371,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 			}
 		})
 	}
-	res, err := eng.RangePKVerified("t", "c", []byte("pk03190"), []byte("pk03260"))
+	res, err := eng.Verified(ledger.BatchQuery{Table: "t", Column: "c", PK: []byte("pk03190"), PKHi: []byte("pk03260"), Range: true}, 0, nil)
 	if err != nil || len(res.Proof.Ranges[0].Entries) != 70 || len(res.Cells) != 70 {
 		t.Fatalf("the engine's range result lost its rows: %d entries, %d cells, %v", len(res.Proof.Ranges[0].Entries), len(res.Cells), err)
 	}

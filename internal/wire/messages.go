@@ -87,7 +87,10 @@ type Request struct {
 	// (OpGetVerified, OpRangeVer, a SELECT's OpQuery) the client's trusted
 	// height — the response then carries the consistency proof from it if
 	// the head moved, or no block binding if it did not and HeadHeld says
-	// the client holds its head block's header (ledger.Proof.Unbound); on
+	// the client holds its head block's header (ledger.Proof.Unbound). With
+	// HeadHeld, an OpGetVerified or OpRangeVer whose entries are
+	// byte-identical at that height and the head is proven at that height,
+	// as if the head had not moved (ledger.Ledger.ProveCurrent). On
 	// OpReplStream the height to stream from, on OpReplAck the follower's.
 	Height   uint64
 	HeadHeld bool

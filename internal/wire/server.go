@@ -406,7 +406,9 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // (req.Height) gets what changed since: the consistency proof from it if
 // the head moved, else no block binding if the client holds that head's
 // header (req.HeadHeld) — and, trimmed, no digest: a proof without its
-// binding verifies only at the trusted digest its client named. (The
+// binding verifies only at the trusted digest its client named. A point or
+// range read whose answer did not change since comes from dispatch proven
+// at that digest (Engine.Verified), so it is cut as one at the head. (The
 // question a proof answers is left out last, as it is encoded: see
 // withoutQuestion.) dispatch's proof structs are this call's own; node
 // lists and sub-proofs inside may be shared, and ledger.Elide replaces rather
@@ -460,29 +462,27 @@ func dispatch(eng *core.Engine, req Request) Response {
 			return Response{Digest: d}
 		}
 		return Response{Found: true, Value: cell.Value, Digest: d}
-	case OpGetVerified:
-		res, err := eng.GetVerifiedTraced(req.Table, req.Column, req.PK, req.trace)
+	case OpGetVerified, OpRangeVer:
+		q := ledger.BatchQuery{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}
+		var trusted uint64 // the height to answer at when the answer has not changed since
+		if req.HeadHeld {
+			trusted = req.Height
+		}
+		res, err := eng.Verified(q, trusted, req.trace)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		// The row travels once, inside the proof's leaf; clients decode it
-		// from there only, so Cells is not sent (and only the proof, not
-		// the whole result, outlives the call).
-		proof := res.Proof
-		return Response{Found: res.Found, Proof: &proof, Digest: res.Digest}
+		// The rows travel once, inside the proof's leaves; clients decode
+		// them from there only, so Cells is not sent (and only the proof,
+		// not the whole result, outlives the call).
+		p := res.Proof
+		return Response{Found: res.Found, Proof: &p, Digest: res.Digest}
 	case OpRange:
 		cells, d, err := eng.RangePKAttested(req.Table, req.Column, req.PK, req.PKHi)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
 		return Response{Found: len(cells) > 0, Cells: cells, Digest: d}
-	case OpRangeVer:
-		res, err := eng.RangePKVerified(req.Table, req.Column, req.PK, req.PKHi)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		// As for OpGetVerified: the rows travel once, inside the leaves.
-		return Response{Found: res.Found, Proof: &res.Proof, Digest: res.Digest}
 	case OpLookupEq:
 		cells, err := eng.LookupEqual(req.Table, req.Column, req.Value)
 		if err != nil {

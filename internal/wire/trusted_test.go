@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"spitz/internal/proof"
 	"testing"
 
@@ -21,7 +22,9 @@ import (
 func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
 	eng, pk := elideEngine(t)
 	before := eng.Digest()
-	if _, err := eng.Apply("later", []core.Put{{Table: "t", Column: "c", PK: []byte("pk09999"), Value: []byte("later")}}); err != nil {
+	// The commit writes the key read, a row of every range read: each
+	// answer changed, so each is proven at the head.
+	if _, err := eng.Apply("later", []core.Put{{Table: "t", Column: "c", PK: pk, Value: []byte("later")}}); err != nil {
 		t.Fatal(err)
 	}
 	head := eng.Digest()
@@ -106,4 +109,91 @@ func binding(resp Response) (ledger.Proof, bool) {
 		p = resp.BatchProof
 	}
 	return ledger.Proof{Header: p.Header, Inclusion: p.Inclusion}, p.Unbound
+}
+
+// TestUnchangedAnswerIsProvenAtTheTrustedHeight: an eager point or range
+// read that names its trusted height with HeadHeld is answered at that
+// height — the proof of the trusted block, unbound, with the trusted
+// digest and no consistency proof — while every entry its answer covers is
+// byte-identical there and at the head, however many commits elsewhere
+// moved the head. Any change to those entries since, an update, an insert
+// or a tombstone over a row already deleted (no live cell changes), gets
+// the head's proof with the consistency proof from the trusted height; so
+// does a request without HeadHeld.
+func TestUnchangedAnswerIsProvenAtTheTrustedHeight(t *testing.T) {
+	eng, pk := elideEngine(t)
+	put := func(p core.Put) {
+		t.Helper()
+		p.Table, p.Column = "t", "c"
+		if _, err := eng.Apply("churn", []core.Put{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(core.Put{PK: []byte("pk03215"), Tombstone: true})
+	trusted := eng.Digest()
+	ask := func(req Request, held bool) Response {
+		t.Helper()
+		req.Table, req.Column, req.Height, req.HeadHeld = "t", "c", trusted.Height, held
+		resp := Dispatch(eng, req)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		return resp
+	}
+	atTrusted := func(what string, req Request) {
+		t.Helper()
+		resp := ask(req, true)
+		if _, unbound := binding(resp); !unbound || resp.Consistency != nil || resp.Digest != trusted {
+			t.Fatalf("%s: unbound %v, consistency %v, digest height %d; want the trusted height %d",
+				what, unbound, resp.Consistency != nil, resp.Digest.Height, trusted.Height)
+		}
+		q := ledger.BatchQuery{Table: "t", Column: "c", PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}
+		p, err := eng.Ledger().Prove(trusted.Height-1, []ledger.BatchQuery{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = ledger.Unbind(ledger.Elide(p, eng.Ledger().Held(nil)))
+		want := Response{Found: resp.Found, Proof: &p, Digest: trusted}
+		if !bytes.Equal(AppendResponse(nil, &resp), AppendResponse(nil, &want)) {
+			t.Fatalf("%s: the response is not the trusted block's proof", what)
+		}
+	}
+	atHead := func(what string, req Request, held bool) {
+		t.Helper()
+		resp := ask(req, held)
+		if _, unbound := binding(resp); unbound || resp.Consistency == nil || resp.Digest != eng.Digest() {
+			t.Fatalf("%s: unbound %v, consistency %v, digest height %d; want the head %d",
+				what, unbound, resp.Consistency != nil, resp.Digest.Height, eng.Digest().Height)
+		}
+	}
+	point := Request{Op: OpGetVerified, PK: pk}
+	absent := Request{Op: OpGetVerified, PK: []byte("pk03210~")}
+	rows := Request{Op: OpRangeVer, PK: []byte("pk03200"), PKHi: []byte("pk03220")}
+
+	for i := 0; i < 5; i++ { // commits on either side of the range, none in it
+		put(core.Put{PK: []byte("pk03199"), Value: []byte(fmt.Sprint("left ", i))})
+		put(core.Put{PK: []byte("pk03220"), Value: []byte(fmt.Sprint("right ", i))})
+	}
+	atTrusted("an unchanged key", point)
+	atTrusted("an absent key", absent)
+	atTrusted("an unchanged range", rows)
+	atHead("an unchanged key without HeadHeld", point, false)
+	atHead("an unchanged range without HeadHeld", rows, false)
+
+	for _, c := range []struct {
+		what string
+		p    core.Put
+	}{
+		{"a row updated", core.Put{PK: []byte("pk03205"), Value: []byte("updated")}},
+		{"a row inserted", core.Put{PK: []byte("pk03205~"), Value: []byte("inserted")}},
+		{"a deleted row deleted again", core.Put{PK: []byte("pk03215"), Tombstone: true}},
+	} {
+		trusted = eng.Digest()
+		put(c.p)
+		atHead(c.what+" in the range", rows, true)
+		atTrusted(c.what+" beside the key", point)
+	}
+	trusted = eng.Digest()
+	put(core.Put{PK: pk, Value: []byte("changed")})
+	atHead("the key changed", point, true)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,9 +260,9 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 					}
 					var forged atomic.Int32
 					got, before, after, err := read(t, fs, fg.warm, fg.replica, func() {
-						if fg.commit {
-							if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c",
-								PK: []byte("pk039"), Value: []byte("later")}}); err != nil {
+						if fg.commit { // the point read's key and a row of each range
+							if _, err := fs.eng.Apply("later", []core.Put{{Table: "t", Column: "c", PK: []byte("pk001"), Value: []byte("later")},
+								{Table: "t", Column: "c", PK: []byte("pk012"), Value: []byte("later")}}); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -606,4 +607,137 @@ func TestAuditedAnswerIsWhatItsReceiptsCommit(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestReadYourWritesAtTheTrustedHeight: a read whose answer has not
+// changed since the client's trusted digest is answered at that digest, so
+// the rule that decides "not changed" is all that stands between a client
+// and a stale answer to its own write. Two clients write and read the same
+// hot keys, point and range, while a third writer commits those keys and
+// cold ones beside them; every read must verify, and no answer may be
+// older than the reading client's own acknowledged write to that key.
+func TestReadYourWritesAtTheTrustedHeight(t *testing.T) {
+	db := spitz.Open(spitz.Options{})
+	defer db.Close()
+	hot := func(i int) []byte { return []byte(fmt.Sprintf("hot%02d", i)) }
+	const hotKeys, cold = 8, 64
+	var seed []spitz.Put
+	for i := 0; i < hotKeys; i++ {
+		seed = append(seed, spitz.Put{Table: "t", Column: "c", PK: hot(i), Value: []byte("seed")})
+	}
+	for i := 0; i < cold; i++ {
+		seed = append(seed, spitz.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("cold%02d", i)), Value: []byte("seed")})
+	}
+	h, err := db.Apply("seed", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, _ := wire.Listen()
+	go db.Serve(ln)
+	defer ln.Close()
+
+	// committed maps each value written to the height of the block that
+	// acknowledged it, once its writer has the acknowledgement.
+	var committed sync.Map
+	committed.Store("seed", h.Height)
+	write := func(cl *spitz.Client, pk []byte, value string) (uint64, error) {
+		h, err := cl.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: pk, Value: []byte(value)}})
+		if err == nil {
+			committed.Store(value, h.Height)
+		}
+		return h.Height, err
+	}
+	// heightOf waits out the writer of a value a read returned between
+	// its commit and its acknowledgement.
+	heightOf := func(value []byte) (uint64, bool) {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if h, ok := committed.Load(string(value)); ok {
+				return h.(uint64), true
+			}
+		}
+		return 0, false
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	writer := connect(t, dialer(ln))
+	go func() { // the third writer: hot keys and cold ones
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pk := []byte(fmt.Sprintf("cold%02d", i%cold))
+			if i%3 == 0 {
+				pk = hot(i % hotKeys)
+			}
+			if _, err := write(writer, pk, fmt.Sprint("churn-", i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	errs := make(chan error, 2)
+	for c := 0; c < 2; c++ {
+		cl := connect(t, dialer(ln))
+		go func() {
+			errs <- func() error {
+				var mine [hotKeys]uint64 // the height of this client's last acknowledged write to each key
+				check := func(i int, value []byte) error {
+					at, ok := heightOf(value)
+					if !ok {
+						return fmt.Errorf("hot%02d: %q was never acknowledged", i, value)
+					}
+					if at < mine[i] {
+						return fmt.Errorf("hot%02d: %q is from block %d, older than this client's write in block %d", i, value, at, mine[i])
+					}
+					return nil
+				}
+				for n := 0; n < 150; n++ {
+					i := (n*5 + c) % hotKeys
+					if n%3 == c {
+						at, err := write(cl, hot(i), fmt.Sprintf("client%d-%d", c, n))
+						if err != nil {
+							return err
+						}
+						mine[i] = at
+					}
+					v, found, err := cl.GetVerified("t", "c", hot(i))
+					if err != nil || !found {
+						return fmt.Errorf("hot%02d: %v %v", i, found, err)
+					}
+					if err := check(i, v); err != nil {
+						return err
+					}
+					if _, _, err := cl.GetVerified("t", "c", []byte(fmt.Sprintf("cold%02d", n%cold))); err != nil {
+						return err
+					}
+					if n%4 != 0 {
+						continue
+					}
+					cells, err := cl.RangePKVerified("t", "c", hot(0), hot(hotKeys))
+					if err != nil || len(cells) != hotKeys {
+						return fmt.Errorf("hot range: %d rows, %v", len(cells), err)
+					}
+					for j, cell := range cells {
+						if err := check(j, cell.Value); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < 2; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	churn.Wait()
 }

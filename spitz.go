@@ -331,7 +331,7 @@ func (db *DB) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
 // RangePKVerified scans a primary-key range with one proof covering the
 // complete result set.
 func (db *DB) RangePKVerified(table, column string, pkLo, pkHi []byte) (VerifiedResult, error) {
-	return db.engine().RangePKVerified(table, column, pkLo, pkHi)
+	return db.engine().Verified(ledger.BatchQuery{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}, 0, nil)
 }
 
 // History returns every version of a cell, newest first, including
