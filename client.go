@@ -9,6 +9,7 @@ import (
 
 	"spitz/internal/obs"
 	"spitz/internal/proof"
+	"spitz/internal/twopc"
 	"spitz/internal/wire"
 )
 
@@ -333,11 +334,11 @@ func read[T any](cl *Client, i int, tr *obs.Trace, fn func(l shardLink) (T, erro
 	return fn(cl.primaryLink(i, tr))
 }
 
-// scatter runs fn for every shard concurrently, the last on the caller's
-// goroutine, and returns the per-shard results in shard order. Across
-// several shards one root span named op owns the scatter and each shard's
-// read becomes a child leg, so the whole fan-out stitches under a single
-// trace ID; a single shard's read mints its own root.
+// scatter runs fn for every shard concurrently (twopc.FanOut) and returns
+// the per-shard results in shard order. Across several shards one root
+// span named op owns the scatter and each shard's read becomes a child
+// leg, so the whole fan-out stitches under a single trace ID; a single
+// shard's read mints its own root.
 func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, error)) ([]T, error) {
 	parts := make([]T, len(cl.shards))
 	if len(parts) == 1 {
@@ -348,17 +349,7 @@ func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, err
 	tr := obs.DefaultTracer.Root(op, "client")
 	defer tr.Finish()
 	errs := make([]error, len(parts))
-	last := len(parts) - 1
-	var wg sync.WaitGroup
-	wg.Add(last)
-	for i := range last {
-		go func() {
-			defer wg.Done()
-			parts[i], errs[i] = fn(i, tr)
-		}()
-	}
-	parts[last], errs[last] = fn(last, tr)
-	wg.Wait()
+	twopc.FanOut(len(parts), func(i int) { parts[i], errs[i] = fn(i, tr) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"spitz/internal/obs"
+	"spitz/internal/scrape"
 )
 
 // metricsCmd implements `spitz-cli metrics`: scrape the server's admin
@@ -28,7 +28,7 @@ func metricsCmd(args []string) {
 	prev := map[string]float64{}
 	var prevAt time.Time
 	for {
-		vals, err := obs.ScrapeText(url)
+		vals, err := scrape.Metrics(url)
 		check(err)
 		now := time.Now()
 		if *watch > 0 {

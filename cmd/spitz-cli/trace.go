@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"spitz/internal/obs"
+	"spitz/internal/scrape"
 )
 
 // The admin endpoint's JSON payloads (/tracez, /alertz, /slowz), decoded
@@ -91,7 +91,7 @@ func traceCmd(args []string) {
 	seen := map[uint64]bool{}
 	for {
 		var dump tracezJSON
-		check(obs.GetJSON(url, &dump))
+		check(scrape.JSON(url, &dump))
 		// The endpoint returns newest-first; print oldest-first so a
 		// follow reads chronologically.
 		ts := dump.Stitched
@@ -151,7 +151,7 @@ func alertsCmd(args []string) {
 	fs.Parse(args)
 
 	var dump alertzJSON
-	check(obs.GetJSON("http://"+*admin+"/alertz", &dump))
+	check(scrape.JSON("http://"+*admin+"/alertz", &dump))
 	fmt.Printf("health: %s\n", dump.Health)
 	if len(dump.Rules) == 0 {
 		fmt.Println("(no health rules configured)")
@@ -194,7 +194,7 @@ func slowCmd(args []string) {
 	fs.Parse(args)
 
 	var dump slowzJSON
-	check(obs.GetJSON("http://"+*admin+"/slowz", &dump))
+	check(scrape.JSON("http://"+*admin+"/slowz", &dump))
 	fmt.Printf("%d slow op(s) total, %d retained\n", dump.Total, len(dump.Slow))
 	for _, s := range dump.Slow {
 		line := fmt.Sprintf("%s  %-12s %s", s.Start.Format("15:04:05.000"), s.Op, fmtDur(s.Latency))

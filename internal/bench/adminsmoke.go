@@ -9,6 +9,7 @@ import (
 
 	"spitz"
 	"spitz/internal/obs"
+	"spitz/internal/scrape"
 	"spitz/internal/wire"
 )
 
@@ -218,7 +219,7 @@ func AdminSmoke(dir string) error {
 		Slow  []obs.SlowOp `json:"slow"`
 		Total uint64       `json:"total"`
 	}
-	if err := obs.GetJSON(base+"/slowz", &slowz); err != nil {
+	if err := scrape.JSON(base+"/slowz", &slowz); err != nil {
 		return err
 	}
 	if slowz.Total == 0 || len(slowz.Slow) == 0 {
@@ -235,7 +236,7 @@ func AdminSmoke(dir string) error {
 	}
 
 	// Scrape the live endpoint and hold it to the acceptance bar.
-	vals, err := obs.ScrapeText(base + "/metrics")
+	vals, err := scrape.Metrics(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -393,7 +394,7 @@ func AdminSmoke(dir string) error {
 	if err := checkAlert(base, "audit-tampering", true); err != nil {
 		return err
 	}
-	vals, err = obs.ScrapeText(base + "/metrics")
+	vals, err = scrape.Metrics(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -417,7 +418,7 @@ func waitHealth(base, want string, timeout time.Duration) error {
 		var health struct {
 			Status string `json:"status"`
 		}
-		if err := obs.GetJSON(base+"/healthz", &health); err != nil {
+		if err := scrape.JSON(base+"/healthz", &health); err != nil {
 			return err
 		}
 		last = health.Status
@@ -435,7 +436,7 @@ func checkAlert(base, rule string, firing bool) error {
 		Health string          `json:"health"`
 		Rules  []obs.RuleState `json:"rules"`
 	}
-	if err := obs.GetJSON(base+"/alertz", &alerts); err != nil {
+	if err := scrape.JSON(base+"/alertz", &alerts); err != nil {
 		return err
 	}
 	for _, r := range alerts.Rules {
@@ -467,7 +468,7 @@ func checkTracez(url string) error {
 	var tz struct {
 		Traces []obs.TraceSnapshot `json:"traces"`
 	}
-	if err := obs.GetJSON(url, &tz); err != nil {
+	if err := scrape.JSON(url, &tz); err != nil {
 		return err
 	}
 	type cover struct{ served, hasWire, hasProof bool }
@@ -507,7 +508,7 @@ func checkStitched(url string, shards int) error {
 	var tz struct {
 		Stitched []obs.StitchedTrace `json:"stitched"`
 	}
-	if err := obs.GetJSON(url, &tz); err != nil {
+	if err := scrape.JSON(url, &tz); err != nil {
 		return err
 	}
 	var readOK, writeOK bool

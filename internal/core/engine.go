@@ -822,15 +822,12 @@ type VerifiedResult struct {
 	Digest ledger.Digest
 }
 
-// Verified serves one eager verified read — a point read, or with
-// q.Range a primary-key range scan (Section 6.2.2: "the proofs of the
-// resultant records are returned simultaneously when the resultant records
-// are scanned") — with one proof of the current answer and the digest it
-// verifies against, captured atomically (ledger.ProveCurrent: at the
-// trusted height, when the reader trusts one and the answer has not
-// changed since). The answer is read off the proof: a point read's cell is
-// its head version, a tombstone included but not Found; a scan's the live
-// cells of the range.
+// Verified serves one eager verified read, a point read or with q.Range a
+// primary-key range scan (Section 6.2.2: "the proofs of the resultant
+// records are returned simultaneously when the resultant records are
+// scanned"), with the proof and digest ledger.ProveCurrent captures for a
+// reader trusting height trusted. The answer is read off the proof: a
+// point read's head version (a tombstone is not Found), or the live cells.
 func (e *Engine) Verified(q ledger.BatchQuery, trusted uint64, tr *obs.Trace) (VerifiedResult, error) {
 	p, d, err := e.ledger.ProveCurrent(q, trusted, tr)
 	if err != nil || d.Height == 0 {

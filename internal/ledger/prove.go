@@ -75,9 +75,10 @@ func (l *Ledger) proveLocked(height uint64, queries []BatchQuery, tr *obs.Trace)
 // and at the head (postree.Tree.Unchanged): then the answer has not
 // changed since, and it is proven at the trusted block with the trusted
 // digest, which its reader checks without a consistency proof or a block
-// binding. The optional sampled trace records lock wait, the comparison,
-// and the prover's stages. The digest's height is 0 (with a zero proof)
-// when the ledger is empty.
+// binding. Only a failure to prove at the head is an error. The optional
+// sampled trace records lock wait, the comparison, and the prover's
+// stages. The digest's height is 0 (with a zero proof) when the ledger is
+// empty.
 func (l *Ledger) ProveCurrent(q BatchQuery, trusted uint64, tr *obs.Trace) (Proof, Digest, error) {
 	lockStart := tr.Now()
 	l.mu.RLock()
@@ -87,28 +88,32 @@ func (l *Ledger) ProveCurrent(q BatchQuery, trusted uint64, tr *obs.Trace) (Proo
 	if d.Height == 0 {
 		return Proof{}, d, nil
 	}
-	if trusted > 0 && trusted < d.Height {
-		sameStart := tr.Now()
-		_, old, err := l.snapshotLocked(trusted - 1)
-		if err != nil {
-			return Proof{}, d, err
-		}
-		start, end := proof.RefRange(q.Table, q.Column, q.PK, q.PKHi) // start: the key's own
-		if !q.Range {
-			end = cellstore.KeySuccessor(start)
-		}
-		same, err := old.Tree.Unchanged(l.cells.Tree, start, end)
-		if err != nil {
-			return Proof{}, d, err
-		}
-		if same {
-			d = Digest{Height: trusted, Root: l.commit.RootAt(int(trusted))}
-		}
-		tr.Stage("ledger.unchanged", sameStart)
-	}
 	qs := [1]BatchQuery{q}
+	if trusted > 0 && trusted < d.Height && l.unchangedLocked(q, trusted, tr) {
+		if p, err := l.proveLocked(trusted-1, qs[:], tr); err == nil {
+			return p, Digest{Height: trusted, Root: l.commit.RootAt(int(trusted))}, nil
+		}
+	}
 	p, err := l.proveLocked(d.Height-1, qs[:], tr)
 	return p, d, err
+}
+
+// unchangedLocked reports whether every entry q covers is byte-identical at
+// block trusted-1 and at the head. A trusted block this ledger cannot read
+// — one rebuilt from a snapshot holds only its head's tree — counts as
+// changed, so its reader is answered at the head, as before it trusted it.
+func (l *Ledger) unchangedLocked(q BatchQuery, trusted uint64, tr *obs.Trace) bool {
+	defer tr.Stage("ledger.unchanged", tr.Now())
+	_, old, err := l.snapshotLocked(trusted - 1)
+	if err != nil {
+		return false
+	}
+	start, end := proof.RefRange(q.Table, q.Column, q.PK, q.PKHi) // start: the key's own
+	if !q.Range {
+		end = cellstore.KeySuccessor(start)
+	}
+	same, err := old.Tree.Unchanged(l.cells.Tree, start, end)
+	return err == nil && same
 }
 
 // ProveGetHead is ProveCurrent of a point read for a reader that trusts

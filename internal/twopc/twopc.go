@@ -123,7 +123,7 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	// Phase 1: prepare all shards in parallel.
 	mPrepares.Add(uint64(len(reqs)))
 	errs := make([]error, len(reqs))
-	fanOut(len(reqs), func(i int) {
+	FanOut(len(reqs), func(i int) {
 		leg := tr.ChildAt("twopc.prepare", reqs[i].Shard)
 		errs[i] = parts[i].Prepare(id, reqs[i])
 		leg.Finish()
@@ -150,7 +150,7 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	// Phase 2: commit everywhere, in parallel — each shard's commit may
 	// wait on its own durability (WAL fsync), and those waits overlap.
 	version := c.ts.Next()
-	fanOut(len(reqs), func(i int) {
+	FanOut(len(reqs), func(i int) {
 		leg := tr.ChildAt("twopc.commit", reqs[i].Shard)
 		errs[i] = parts[i].Commit(id)
 		leg.Finish()
@@ -169,10 +169,12 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 	return version, nil
 }
 
-// fanOut runs leg(i) for every i < n concurrently and returns when all
-// have: the last on the caller's goroutine, whose stack the commit path
-// has already grown — all of a one-shard transaction's legs.
-func fanOut(n int, leg func(i int)) {
+// FanOut runs leg(i) for every i < n concurrently and returns when all
+// have. The last leg runs on the caller's goroutine, whose stack the
+// commit or verify path has already grown: a fresh goroutine's regrows
+// (runtime.newstack/copystack) on every call. A one-leg fan-out — a
+// one-shard transaction's phases, a one-shard scatter — spawns nothing.
+func FanOut(n int, leg func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n - 1)
 	for i := range n - 1 {

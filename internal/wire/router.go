@@ -9,14 +9,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"spitz/internal/proof"
-	"sync"
 
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
+	"spitz/internal/proof"
 	"spitz/internal/query"
+	"spitz/internal/twopc"
 )
 
 // Shard is one shard of a served deployment.
@@ -256,23 +256,17 @@ func ShardIndex(pk []byte, shards int) int {
 // ShardName labels shard i in traces and 2PC participant names.
 func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
-// ScatterCells runs fn for each of n shards concurrently and merges the
-// per-shard results into pk order. A traced request records one child
-// span named op per shard.
+// ScatterCells runs fn for each of n shards concurrently (twopc.FanOut)
+// and merges the per-shard results into pk order. A traced request records
+// one child span named op per shard.
 func ScatterCells(tr *obs.Trace, op string, n int, fn func(i int) ([]cellstore.Cell, error)) ([]cellstore.Cell, error) {
 	parts := make([][]cellstore.Cell, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			leg := tr.ChildAt(op, ShardName(i))
-			parts[i], errs[i] = fn(i)
-			leg.Finish()
-		}(i)
-	}
-	wg.Wait()
+	twopc.FanOut(n, func(i int) {
+		leg := tr.ChildAt(op, ShardName(i))
+		parts[i], errs[i] = fn(i)
+		leg.Finish()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

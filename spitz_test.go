@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spitz"
+	"spitz/internal/wire"
 )
 
 func seedDB(t *testing.T, n int) *spitz.DB {
@@ -311,5 +312,62 @@ func TestSnapshotRestoreThroughPublicAPI(t *testing.T) {
 	}
 	if err := cons.Verify(oldDigest.Root, restored.Digest().Root); err != nil {
 		t.Fatalf("post-restore consistency: %v", err)
+	}
+}
+
+// TestWarmClientReadsAfterRestore: a database restored from a snapshot
+// holds the trees of no block before the snapshot's head, so a client that
+// trusts an older digest is answered at the head with a consistency proof
+// — point and range, for keys unchanged since it trusted that digest —
+// and, once it trusts a block written after the restore, at that block
+// again while what it reads stays unchanged.
+func TestWarmClientReadsAfterRestore(t *testing.T) {
+	db := seedDB(t, 20)
+	defer db.Close()
+	ln, _ := wire.Listen()
+	go db.Serve(ln)
+	defer ln.Close()
+	point, scan := connect(t, dialer(ln)), connect(t, dialer(ln))
+	read := func() {
+		t.Helper()
+		if v, found, err := point.GetVerified("t", "c", []byte("pk0001")); err != nil || !found || string(v) != "v0001" {
+			t.Fatalf("point read = %q %v %v", v, found, err)
+		}
+		if cells, err := scan.RangePKVerified("t", "c", []byte("pk0000"), []byte("pk0010")); err != nil || len(cells) != 10 {
+			t.Fatalf("range read = %d rows, %v", len(cells), err)
+		}
+	}
+	write := func(pk string) {
+		t.Helper()
+		if _, err := db.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: []byte(pk), Value: []byte("w")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	trusted := point.Verifier().Digest()
+	for _, pk := range []string{"pk0019", "pk0018", "pk0017"} {
+		write(pk)
+	}
+	var buf bytes.Buffer
+	if err := db.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ResetFromSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	write("pk0016")
+	read()
+	for _, cl := range []*spitz.Client{point, scan} {
+		if d := cl.Verifier().Digest(); d != db.Digest() {
+			t.Fatalf("trust %d after the restore, head %d, trusted before %d", d.Height, db.Digest().Height, trusted.Height)
+		}
+	}
+	head := db.Digest()
+	write("pk0015")
+	read()
+	for _, cl := range []*spitz.Client{point, scan} {
+		if d := cl.Verifier().Digest(); d != head {
+			t.Fatalf("unchanged read moved trust from %d to %d", head.Height, d.Height)
+		}
 	}
 }
