@@ -45,10 +45,6 @@ type AuditMode struct {
 	// MaxDelay is the receipt horizon by age: receipts are audited at
 	// most this long after the read (default 100ms).
 	MaxDelay time.Duration
-	// Buffer is the Errors channel capacity (default 16). The auditor
-	// never blocks on a full channel; Err always retains the first
-	// failure.
-	Buffer int
 }
 
 func (m AuditMode) withDefaults() AuditMode {
@@ -57,9 +53,6 @@ func (m AuditMode) withDefaults() AuditMode {
 	}
 	if m.MaxDelay <= 0 {
 		m.MaxDelay = 100 * time.Millisecond
-	}
-	if m.Buffer <= 0 {
-		m.Buffer = 16
 	}
 	return m
 }
@@ -114,11 +107,11 @@ func newAuditor(mode AuditMode, cl *Client) *Auditor {
 	a := &Auditor{
 		mode: mode.withDefaults(),
 		cl:   cl,
+		errs: make(chan error, 16), // Errors: full, it drops; Err keeps the first failure
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	a.errs = make(chan error, a.mode.Buffer)
 	go a.run()
 	return a
 }

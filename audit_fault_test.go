@@ -13,6 +13,8 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/ledger"
 	"spitz/internal/posleaf"
+	"spitz/internal/proof"
+	"spitz/internal/query"
 	"spitz/internal/wire"
 )
 
@@ -146,16 +148,57 @@ func detachResponse(t testing.TB, resp *wire.Response) {
 	*resp = out
 }
 
+// withQuestion puts the question req asked back into resp's proofs: the
+// point keys and range bounds a server leaves out, because its client
+// walks the queries it asked itself. A lying server may ship them anyway;
+// the forgeries of the question start from here. The proofs are the
+// server's own copies (fit), so nothing it holds is edited.
+func withQuestion(req wire.Request, resp *wire.Response) {
+	qs := []ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == wire.OpRangeVer}}
+	switch req.Op {
+	case wire.OpProveBatch:
+		qs = req.Audits
+	case wire.OpQuery:
+		st, err := query.Parse(req.Statement)
+		sel, ok := st.(query.Select)
+		if err != nil || !ok {
+			return
+		}
+		pl, err := query.PlanOf(sel)
+		if err != nil {
+			return
+		}
+		qs = pl.Queries(resp.Cells)
+	}
+	for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+		if p == nil {
+			continue
+		}
+		var keys [][]byte
+		ranges := p.Ranges
+		for _, q := range qs {
+			if !q.Range {
+				keys = append(keys, proof.CellPrefix(q.Table, q.Column, q.PK))
+			} else if len(ranges) > 0 {
+				ranges[0].Start, ranges[0].End = proof.RefRange(q.Table, q.Column, q.PK, q.PKHi)
+				ranges = ranges[1:]
+			}
+		}
+		if p.Point != nil {
+			p.Point.Keys = keys
+		}
+	}
+}
+
 // batchProofByteSlices enumerates every mutable byte slice of an
 // OpProveBatch response, in a stable order, so the tamper sweep can
-// address "byte k of the batch proof" uniformly: first what travels to
-// every peer, then, from byte asked on, the question the proof answers
-// (its point keys and range bounds), which travels only to a peer without
-// the trimmed form.
-func batchProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
+// address "byte k of the batch proof" uniformly: first what always
+// travels, then the question the proof answers (its point keys and range
+// bounds), which a server may ship beside them (withQuestion).
+func batchProofByteSlices(resp *wire.Response) (out [][]byte) {
 	bp := resp.BatchProof
 	if bp == nil {
-		return nil, 0
+		return nil
 	}
 	if bp.Point != nil {
 		out = append(out, bp.Point.Nodes...)
@@ -172,14 +215,11 @@ func batchProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
 			out = append(out, resp.Consistency2.Path[i][:])
 		}
 	}
-	for _, s := range out {
-		asked += len(s)
-	}
-	return append(out, questionSlices(bp)...), asked
+	return append(out, questionSlices(bp)...)
 }
 
-// questionSlices is the question a proof answers as it travels to a peer
-// without the trimmed form: its point keys and range bounds.
+// questionSlices is the question a proof answers as withQuestion ships
+// it: its point keys and range bounds.
 func questionSlices(p *ledger.Proof) [][]byte {
 	var out [][]byte
 	if p.Point != nil {
@@ -202,32 +242,22 @@ func flipAt(slices [][]byte, k int) {
 	}
 }
 
-// sweepClient is the client a byte sweep reads through for the byte at
-// off: from asked on the byte is the question, which only a peer without
-// the trimmed form is sent.
-func (fs *faultServer) sweepClient(t testing.TB, off, asked int) *spitz.Client {
-	if off >= asked {
-		return fs.untrimmedClient(t)
-	}
-	return fs.client(t)
-}
-
 // TestFaultEveryBatchProofByteTrips is the core zero-silent-acceptance
 // sweep: every byte of the batch proof (node bodies, which hold the
 // values, inclusion and prefix-proof hashes, the digest root, and the
-// keys and range bounds a peer without the trimmed form is sent) is
-// flipped in turn, and every single flip must surface as ErrTampered at
-// the flush — never a pass.
+// keys and range bounds a server may ship beside them) is flipped in
+// turn, and every single flip must surface as ErrTampered at the flush —
+// never a pass.
 func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 	fs := startFaultServer(t)
 
-	// First pass: count the proof bytes with an honest flush.
-	var total, asked int
+	// First pass: count the proof bytes with an honest flush, which ships
+	// the question too.
+	var total int
 	fs.setMutate(func(req wire.Request, resp *wire.Response) {
 		if req.Op == wire.OpProveBatch {
-			var slices [][]byte
-			slices, asked = batchProofByteSlices(resp)
-			for _, s := range slices {
+			withQuestion(req, resp)
+			for _, s := range batchProofByteSlices(resp) {
 				total += len(s)
 			}
 		}
@@ -253,11 +283,11 @@ func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 			if req.Op != wire.OpProveBatch {
 				return
 			}
+			withQuestion(req, resp)
 			detachResponse(t, resp)
-			slices, _ := batchProofByteSlices(resp)
-			flipAt(slices, off)
+			flipAt(batchProofByteSlices(resp), off)
 		})
-		cl := fs.sweepClient(t, off, asked)
+		cl := fs.client(t)
 		aud := auditReads(t, cl)
 		err := aud.Flush()
 		if err == nil {
@@ -281,8 +311,7 @@ func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 // found flags, swapped answers, dropped proofs, a proof for a different
 // (honest, older) digest, and omitted consistency proofs — all
 // ErrTampered, table-driven. A forgery of the question the proof answers
-// is run against a peer without the trimmed form, the one it travels to:
-// a trimmed peer is never sent it.
+// ships that question (withQuestion), forged.
 func TestFaultStructuredBatchForgeries(t *testing.T) {
 	fs := startFaultServer(t)
 	// asked: the forgeries of the question itself.
@@ -331,16 +360,16 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
-				if req.Op == wire.OpProveBatch {
-					tc.mut(resp)
+				if req.Op != wire.OpProveBatch {
+					return
 				}
+				if asked[tc.name] {
+					withQuestion(req, resp)
+				}
+				tc.mut(resp)
 			})
 			defer fs.setMutate(nil)
-			dial := fs.client
-			if asked[tc.name] {
-				dial = fs.untrimmedClient
-			}
-			cl := dial(t)
+			cl := fs.client(t)
 			defer cl.Close()
 			aud := auditReads(t, cl)
 			before := stateOf(cl.Verifier())
@@ -405,19 +434,16 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
-			// The question the proof answers follows what travels to
-			// every peer: from byte asked on, the sweep reads through a
-			// peer without the trimmed form, the one it is sent to.
+			// The question the proof answers, which a server may ship
+			// (withQuestion), follows what always travels.
 			slices := func(resp *wire.Response) [][]byte {
 				return append(kind.slices(resp), questionSlices(resp.Proof)...)
 			}
-			var total, asked int
+			var total int
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == kind.op && resp.Proof != nil {
-					total, asked = 0, 0
-					for _, s := range kind.slices(resp) {
-						asked += len(s)
-					}
+					withQuestion(req, resp)
+					total = 0
 					for _, s := range slices(resp) {
 						total += len(s)
 					}
@@ -441,10 +467,11 @@ func TestFaultEagerProofBytesTrip(t *testing.T) {
 					if req.Op != kind.op || resp.Proof == nil {
 						return
 					}
+					withQuestion(req, resp)
 					detachResponse(t, resp)
 					flipAt(slices(resp), off)
 				})
-				cl := fs.sweepClient(t, off, asked)
+				cl := fs.client(t)
 				err := kind.read(cl)
 				if err == nil {
 					t.Fatalf("%s byte %d: tampered proof passed silently", kind.name, off)

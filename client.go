@@ -516,11 +516,6 @@ func (cl *Client) Stats() (ServerStats, error) {
 	return *resp.Stats, nil
 }
 
-// Proto reports the wire framing this client negotiated with the
-// primary (wire.ProtoBinary) — empty if the connection failed before
-// negotiation finished.
-func (cl *Client) Proto() string { return cl.shards[0].primary.Proto() }
-
 // ShardDigest fetches shard i's current ledger digest from its primary
 // (unverified; use SyncDigest to advance trust safely).
 func (cl *Client) ShardDigest(i int) (Digest, error) {

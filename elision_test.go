@@ -552,8 +552,8 @@ func TestGetVerifiedSameResultsEverywhere(t *testing.T) {
 
 // elidedProofSlices enumerates every byte slice of an elided read's
 // response a tamperer could flip: the block binding's only where it
-// travels. The value travels inside the leaf; the key only to a peer
-// without the trimmed form, whose sweep is TestFaultEagerProofBytesTrip's.
+// travels. The value travels inside the leaf; the key only from a server
+// that ships it anyway, whose sweep is TestFaultEagerProofBytesTrip's.
 func elidedProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
 	out = append(out, resp.Proof.Point.Nodes...)
@@ -680,11 +680,8 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		return resp
 	}
 	// coldOnly marks the forgery that, against a warm client, is simply
-	// the honest elided response; asked the forgery of the question
-	// itself, which travels only to a peer without the trimmed form and is
-	// run against one.
+	// the honest elided response.
 	const coldOnly = "leaves every index node out of a cold client's proof"
-	const asked = "ships a peer without the trimmed form a key other than the one asked"
 	forgeries := map[string]func(req wire.Request, resp *wire.Response){
 		"leaves out the leaf and claims a value": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
@@ -705,7 +702,7 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		},
 		"answers with another key's leaf under the asked key": func(req wire.Request, resp *wire.Response) {
 			other := full(otherPK)
-			other.Proof.Point.Keys = [][]byte{resp.Proof.Point.Keys[0]}
+			other.Proof.Point.Keys = [][]byte{proof.CellPrefix("t", "c", pk)}
 			other.Proof.Point.Found, other.Proof.Point.Values = []bool{false}, [][]byte{nil}
 			n := other.Proof.Point.Nodes
 			other.Proof.Point.Nodes = n[len(n)-1:]
@@ -729,9 +726,9 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 			detachResponse(t, resp)
 			resp.Proof.Point.Found = []bool{!resp.Proof.Point.Found[0]}
 		},
-		asked: func(req wire.Request, resp *wire.Response) {
+		"ships a key other than the one asked": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
-			resp.Proof.Point.Keys = full(otherPK).Proof.Point.Keys
+			resp.Proof.Point.Keys = [][]byte{proof.CellPrefix("t", "c", otherPK)}
 		},
 		"ships the root where the leaf should be": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
@@ -754,11 +751,7 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 				if kind == "warm" && name == coldOnly {
 					continue
 				}
-				dial := es.client
-				if name == asked {
-					dial = es.untrimmedClient
-				}
-				cl := dial(t)
+				cl := es.client(t)
 				defer cl.Close()
 				if kind == "warm" {
 					if _, found, err := cl.GetVerified("t", "c", pk); err != nil || !found {
@@ -929,8 +922,8 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 
 // multiRowProofSlices enumerates every byte slice of a range, query or
 // audit response's proof a tamperer could flip. Values and rows travel
-// inside the leaves; keys and bounds only to a peer without the trimmed
-// form, whose sweeps are TestFaultEagerProofBytesTrip's and
+// inside the leaves; keys and bounds only from a server that ships them
+// anyway, whose sweeps are TestFaultEagerProofBytesTrip's and
 // TestFaultEveryBatchProofByteTrips'.
 func multiRowProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte

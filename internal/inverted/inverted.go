@@ -4,7 +4,8 @@
 // cell as index key and the universal key of the corresponding cell as
 // value. ... for numeric type, the system uses a skip list to better
 // support range query, whereas for string type, it uses a radix tree to
-// reduce space consumption."
+// reduce space consumption." Strings here are only ever looked up whole,
+// never by prefix or in order, so a Go map stands in for the radix tree.
 //
 // The index is a volatile acceleration structure maintained next to the
 // authenticated cell store; integrity still comes from the ledger, which
@@ -19,7 +20,6 @@ import (
 	"sync"
 
 	"spitz/internal/cellstore"
-	"spitz/internal/radix"
 	"spitz/internal/skiplist"
 )
 
@@ -77,7 +77,7 @@ type headEntry struct {
 // column holds the two per-type structures for one (table, column).
 type column struct {
 	numeric *skiplist.List[*postingList]
-	strings *radix.Tree[*postingList]
+	strings map[string]*postingList
 	head    map[string]headEntry
 }
 
@@ -92,10 +92,10 @@ func (col *column) index(p Posting, value []byte) {
 		pl.add(p)
 		return
 	}
-	pl, found := col.strings.Get(value)
-	if !found {
+	pl := col.strings[string(value)]
+	if pl == nil {
 		pl = &postingList{}
-		col.strings.Put(append([]byte(nil), value...), pl)
+		col.strings[string(value)] = pl
 	}
 	pl.add(p)
 }
@@ -111,10 +111,10 @@ func (col *column) unindex(p Posting, value []byte) {
 		}
 		return
 	}
-	if pl, found := col.strings.Get(value); found {
+	if pl := col.strings[string(value)]; pl != nil {
 		pl.remove(p)
 		if len(pl.items) == 0 {
-			col.strings.Delete(value)
+			delete(col.strings, string(value))
 		}
 	}
 }
@@ -141,7 +141,7 @@ func (ix *Index) column(table, col string) *column {
 	if !ok {
 		c = &column{
 			numeric: skiplist.New[*postingList](int64(len(ix.cols)) + 1),
-			strings: &radix.Tree[*postingList]{},
+			strings: make(map[string]*postingList),
 			head:    make(map[string]headEntry),
 		}
 		ix.cols[key] = c
@@ -208,7 +208,7 @@ func (ix *Index) LookupEqual(table, colName string, value []byte) ([]Posting, ui
 	if n, num := DecodeNumeric(value); ok && num {
 		pl, _ = col.numeric.Get(n)
 	} else if ok {
-		pl, _ = col.strings.Get(value)
+		pl = col.strings[string(value)]
 	}
 	if pl == nil {
 		return nil, ix.height

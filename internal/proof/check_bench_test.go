@@ -11,8 +11,8 @@ import (
 
 // BenchmarkCheckAuditFlush is the cost of the one place a proof meets its
 // question, on an audit flush of 1, 16 and 128 point receipts spread over
-// a 40,000-row tree: the flush's proof decoded as a trimmed peer receives
-// it, then Check against the receipts. ns/key is linear when the 128-key
+// a 40,000-row tree: the flush's proof decoded as a client receives it,
+// then Check against the receipts. ns/key is linear when the 128-key
 // figure is no higher than the 1-key one.
 func BenchmarkCheckAuditFlush(b *testing.B) {
 	const rows = 40000

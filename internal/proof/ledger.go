@@ -220,7 +220,7 @@ func (p *Proof) AddRange(rp RangeProof) {
 // rows in key order, tombstones left out. The proof must have exactly the
 // queries' shape — one found flag per point query, each equal to what the
 // walk found, one range part per range query — and a key or bound it
-// carries (an untrimmed peer ships them) must be the query's own.
+// carries (a server may ship them) must be the query's own.
 func (p *Proof) Cells(queries []BatchQuery, path *Path) ([][]Cell, error) {
 	var keyRoom [1][]byte // a point read's one key and its place
 	var atRoom [1]int

@@ -12,20 +12,10 @@ import (
 	"spitz/internal/proof"
 )
 
-// ClientOptions configures a Client's protocol negotiation.
-type ClientOptions struct {
-	// Compress offers transparent flate compression of large payloads
-	// during negotiation. Off by default: on a fast local link the CPU
-	// cost of compressing a multi-KB proof exceeds the wire savings, so
-	// compression is for deployments where bytes are the bottleneck.
-	Compress bool
-}
-
 // Client is a protocol client over one connection. Safe for concurrent
 // use: concurrent requests are multiplexed as in-flight tagged frames.
 type Client struct {
 	conn net.Conn
-	opts ClientOptions
 
 	mu      sync.Mutex
 	started bool
@@ -38,7 +28,6 @@ type Client struct {
 	// reads its response on its own goroutine — no context-switch per
 	// op — while pipelined callers still multiplex.
 	fw      *frameWriter
-	trim    bool // both hellos carried flagTrim
 	br      *bufio.Reader
 	nextTag uint32
 	pending map[uint32]*pendWaiter
@@ -58,22 +47,17 @@ type pendWaiter struct {
 // handshake; a server that does not answer it is an error, not a reason
 // to redial.
 func Dial(network, addr string) (*Client, error) {
-	return DialOptions(network, addr, ClientOptions{})
-}
-
-// DialOptions is Dial with explicit protocol options.
-func DialOptions(network, addr string, opts ClientOptions) (*Client, error) {
 	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	return handshaken(conn, opts)
+	return handshaken(conn)
 }
 
 // handshaken wraps a fresh connection and runs the handshake, closing
 // the connection when the peer does not complete it.
-func handshaken(conn net.Conn, opts ClientOptions) (*Client, error) {
-	c := NewClientOptions(conn, opts)
+func handshaken(conn net.Conn) (*Client, error) {
+	c := NewClient(conn)
 	if err := c.Handshake(); err != nil {
 		conn.Close()
 		return nil, err
@@ -84,12 +68,7 @@ func handshaken(conn net.Conn, opts ClientOptions) (*Client, error) {
 // NewClient wraps an established connection. The protocol handshake
 // runs lazily on first use (call Handshake to force it).
 func NewClient(conn net.Conn) *Client {
-	return NewClientOptions(conn, ClientOptions{})
-}
-
-// NewClientOptions is NewClient with explicit protocol options.
-func NewClientOptions(conn net.Conn, opts ClientOptions) *Client {
-	return &Client{conn: conn, opts: opts}
+	return &Client{conn: conn}
 }
 
 // Handshake performs protocol negotiation if it has not run yet. It is
@@ -105,11 +84,7 @@ func (c *Client) handshakeLocked() error {
 		return c.hserr
 	}
 	c.started = true
-	flags := byte(flagTrim)
-	if c.opts.Compress {
-		flags |= flagCompress
-	}
-	hello := helloBytes(protoVersion, flags)
+	hello := helloBytes(protoVersion, flagTrim)
 	if _, err := c.conn.Write(hello[:]); err != nil {
 		c.hserr = fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 		return c.hserr
@@ -122,8 +97,12 @@ func (c *Client) handshakeLocked() error {
 		return c.hserr
 	}
 	version, rflags, err := parseHello(reply[:])
-	if err == nil && version != protoVersion {
+	switch {
+	case err != nil:
+	case version != protoVersion:
 		err = fmt.Errorf("server speaks framing v%d, this build speaks v%d", version, protoVersion)
+	case rflags&flagTrim == 0:
+		err = errors.New("server does not speak the trimmed message form (hello flag 0x2), the only one this build speaks")
 	}
 	if err != nil {
 		mNegotiateFailed.Inc()
@@ -131,8 +110,7 @@ func (c *Client) handshakeLocked() error {
 		return c.hserr
 	}
 	c.br = br
-	c.fw = &frameWriter{w: c.conn, compressOK: flags&rflags&flagCompress != 0}
-	c.trim = flags&rflags&flagTrim != 0
+	c.fw = &frameWriter{w: c.conn}
 	c.pending = make(map[uint32]*pendWaiter)
 	c.nextTag = 1
 	c.baton = make(chan struct{}, 1)
@@ -287,7 +265,6 @@ func (c *Client) Do(req Request) (Response, error) {
 	if err := c.Handshake(); err != nil {
 		return Response{}, err
 	}
-	req.trimmed = c.trim
 	tag, w, err := c.register(false, 1)
 	if err != nil {
 		return Response{}, err
@@ -311,14 +288,12 @@ func (c *Client) Do(req Request) (Response, error) {
 	if resp.Err != "" {
 		return resp, errors.New(resp.Err)
 	}
-	if req.trimmed {
-		asked(&req, resp.Proof)
-	}
+	asked(&req, resp.Proof)
 	return resp, nil
 }
 
-// asked gives a trimmed point or range read's proof back with the key or
-// bounds its request asked, as an untrimmed peer ships them, so a caller
+// asked gives a point or range read's proof back with the key or bounds
+// its request asked, which the trimmed form leaves out, so a caller
 // holding only the response can check it on its own (Verifier.VerifyNow
 // walks a proof's own keys). Nothing is read from the proof here: Check
 // walks its caller's queries, to which these must then be equal.

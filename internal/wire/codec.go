@@ -1,16 +1,16 @@
 package wire
 
 // Hand-rolled binary codec for Request and Response, the payload layer
-// of the v2 framing (see frame.go). Layout conventions come from
+// of the v3 framing (see frame.go). Layout conventions come from
 // internal/binenc; the proof types encode through their own packages'
 // codecs so each layer owns its own wire layout.
 //
 // A Request is an opcode byte (0 = uncommon op, spelled out as a string
 // for forward compatibility) followed by a uvarint presence bitmap and
-// the present fields in declaration order. A Response is the same minus
-// the opcode. Absent fields cost zero bytes, so the hot read path
-// (OpGet: op + table/column/pk → Found + Value + a handful of cells)
-// stays a few dozen bytes.
+// the present fields in declaration order; a bit no field defines is
+// corrupt. A Response is the same minus the opcode. Absent fields cost
+// zero bytes, so the hot read path (OpGet: op + table/column/pk → Found +
+// Value + a handful of cells) stays a few dozen bytes.
 
 import (
 	"encoding/binary"
@@ -67,16 +67,16 @@ const (
 	// reqDeferred's bit is the value itself — a deferred OpQuery costs
 	// zero payload bytes (like respFound).
 	reqDeferred
-	// reqHave carries the digests of the index nodes the client of a
-	// proof-carrying read already holds: a uvarint count (at most proof.MaxHave)
-	// and that many 32-byte digests. Absent — a cold or older client —
-	// the server ships the full proof.
-	reqHave
+	reqRetired  // no field: the bits after it keep their v3 positions
 	reqHeadHeld // the bit is the value (Request.HeadHeld)
-	// reqFingerprints is reqHave in the trimmed form: the count, then each
-	// digest's first postree.FingerprintSize bytes. It marks the request
-	// trimmed, and excludes reqHave.
+	// reqFingerprints carries the index nodes the client of a
+	// proof-carrying read already holds: a uvarint count (at most
+	// proof.MaxHave), then each digest's first postree.FingerprintSize
+	// bytes. Absent — a cold client — the server ships the full proof.
 	reqFingerprints
+
+	// reqKnown is every bit a field defines.
+	reqKnown = (reqFingerprints<<1 - 1) &^ reqRetired
 )
 
 // AppendRequest appends req's binary encoding.
@@ -94,7 +94,7 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		binenc.Flag(req.Snapshot != nil, reqSnapshot) | binenc.Flag(req.Shard != 0, reqShard) |
 		binenc.Flag(req.Height != 0, reqHeight) | binenc.Flag(req.traceID != 0, reqTrace) |
 		binenc.Flag(req.Deferred, reqDeferred) | binenc.Flag(req.HeadHeld, reqHeadHeld) |
-		binenc.Flag(len(req.Have) != 0 && !req.trimmed, reqHave) | binenc.Flag(len(req.Have) != 0 && req.trimmed, reqFingerprints)
+		binenc.Flag(len(req.Have) != 0, reqFingerprints)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&reqTable != 0 {
 		dst = binenc.AppendString(dst, req.Table)
@@ -142,22 +142,13 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		dst = binenc.AppendUint64(dst, req.traceID)
 		dst = binenc.AppendUint64(dst, req.parentSpan)
 	}
-	if bits&(reqHave|reqFingerprints) != 0 {
-		size := haveSize(bits)
+	if bits&reqFingerprints != 0 {
 		dst = binenc.AppendUvarint(dst, uint64(len(req.Have)))
 		for i := range req.Have {
-			dst = append(dst, req.Have[i][:size]...)
+			dst = append(dst, req.Have[i][:postree.FingerprintSize]...)
 		}
 	}
 	return dst
-}
-
-// haveSize is how many bytes of each digest a hint of this form carries.
-func haveSize(bits uint64) int {
-	if bits&reqFingerprints != 0 {
-		return postree.FingerprintSize
-	}
-	return hashutil.DigestSize
 }
 
 // DecodeRequest decodes a full request payload; trailing bytes are a
@@ -184,7 +175,10 @@ func DecodeRequest(src []byte) (Request, error) {
 	}
 	d := binenc.Decoder{Src: src}
 	bits := binenc.Read(&d, binenc.ReadUvarint)
-	req.Deferred, req.HeadHeld, req.trimmed = bits&reqDeferred != 0, bits&reqHeadHeld != 0, bits&reqFingerprints != 0
+	if bits&^reqKnown != 0 {
+		return req, binenc.ErrCorrupt
+	}
+	req.Deferred, req.HeadHeld = bits&reqDeferred != 0, bits&reqHeadHeld != 0
 	if bits&reqTable != 0 {
 		req.Table = binenc.Read(&d, binenc.ReadString)
 	}
@@ -237,14 +231,14 @@ func DecodeRequest(src []byte) (Request, error) {
 	if bits&reqTrace != 0 {
 		req.traceID, req.parentSpan = binenc.Read(&d, binenc.ReadUint64), binenc.Read(&d, binenc.ReadUint64)
 	}
-	if bits&(reqHave|reqFingerprints) != 0 {
-		size := haveSize(bits)
+	if bits&reqFingerprints != 0 {
+		const size = postree.FingerprintSize
 		n := binenc.Read(&d, binenc.ReadUvarint)
 		// Bounded before allocation: by proof.MaxHave and by the bytes
-		// actually present. Zero is never encoded (the bit would be absent),
-		// nor are both forms, so they are rejected to keep encodings
-		// canonical. A fingerprint fills its digest's first bytes.
-		if d.Err == nil && (n == 0 || n > proof.MaxHave || n > uint64(len(d.Src)/size) || bits&reqHave != 0 && req.trimmed) {
+		// actually present. Zero is never encoded (the bit would be
+		// absent), so it is rejected to keep encodings canonical. A
+		// fingerprint fills its digest's first bytes.
+		if d.Err == nil && (n == 0 || n > proof.MaxHave || n > uint64(len(d.Src)/size)) {
 			d.Err = binenc.ErrCorrupt
 		} else if d.Err == nil {
 			req.Have = make([]hashutil.Digest, n)
@@ -289,7 +283,7 @@ const (
 	respConsistency2
 	respHeader
 	respShardCount
-	respShard
+	respRetired // no field: the bits after it keep their v3 positions
 	respCluster
 	respHeight
 	respStats
@@ -297,6 +291,9 @@ const (
 	// The bit is the value: Proof, BatchProof travels without its binding.
 	respUnbound
 	respBatchUnbound
+
+	// respKnown is every bit a field defines.
+	respKnown = (respBatchUnbound<<1 - 1) &^ respRetired
 )
 
 // AppendResponse appends resp's binary encoding.
@@ -306,10 +303,9 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 		binenc.Flag(resp.Proof != nil, respProof) | binenc.Flag(resp.BatchProof != nil, respBatchProof) |
 		binenc.Flag(resp.Digest != (ledger.Digest{}), respDigest) | binenc.Flag(resp.Consistency != nil, respConsistency) |
 		binenc.Flag(resp.Consistency2 != nil, respConsistency2) | binenc.Flag(resp.Header != (ledger.BlockHeader{}), respHeader) |
-		binenc.Flag(resp.ShardCount != 0, respShardCount) | binenc.Flag(resp.Shard != 0, respShard) |
-		binenc.Flag(resp.Cluster != nil, respCluster) | binenc.Flag(resp.Height != 0, respHeight) |
-		binenc.Flag(resp.Stats != nil, respStats) | binenc.Flag(resp.RowsAffected != 0, respRowsAffected) |
-		binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
+		binenc.Flag(resp.ShardCount != 0, respShardCount) | binenc.Flag(resp.Cluster != nil, respCluster) |
+		binenc.Flag(resp.Height != 0, respHeight) | binenc.Flag(resp.Stats != nil, respStats) |
+		binenc.Flag(resp.RowsAffected != 0, respRowsAffected) | binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
 		binenc.Flag(resp.BatchProof != nil && resp.BatchProof.Unbound, respBatchUnbound)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&respErr != 0 {
@@ -342,9 +338,6 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	if bits&respShardCount != 0 {
 		dst = binenc.AppendUvarint(dst, uint64(resp.ShardCount))
 	}
-	if bits&respShard != 0 {
-		dst = binenc.AppendUvarint(dst, uint64(resp.Shard))
-	}
 	if bits&respCluster != 0 {
 		dst = ledger.AppendClusterDigest(dst, resp.Cluster)
 	}
@@ -366,6 +359,9 @@ func DecodeResponse(src []byte) (Response, error) {
 	var resp Response
 	d := binenc.Decoder{Src: src}
 	bits := binenc.Read(&d, binenc.ReadUvarint)
+	if bits&^respKnown != 0 {
+		return resp, binenc.ErrCorrupt
+	}
 	resp.Found = bits&respFound != 0
 	if bits&respErr != 0 {
 		resp.Err = binenc.Read(&d, binenc.ReadString)
@@ -402,9 +398,6 @@ func DecodeResponse(src []byte) (Response, error) {
 	}
 	if bits&respShardCount != 0 {
 		resp.ShardCount = int(binenc.Read(&d, binenc.ReadUvarint))
-	}
-	if bits&respShard != 0 {
-		resp.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&respCluster != 0 {
 		resp.Cluster = binenc.Read(&d, proof.ReadClusterDigest)

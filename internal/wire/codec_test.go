@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"spitz/internal/proof"
 	"testing"
 
+	"spitz/internal/binenc"
 	"spitz/internal/cellstore"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
@@ -228,6 +230,9 @@ func rndRequest(r *rand.Rand) Request {
 	}
 	if r.Intn(3) == 0 {
 		req.Have = rndDigests(r, 5)
+		for i := range req.Have {
+			clear(req.Have[i][postree.FingerprintSize:]) // only the fingerprint travels
+		}
 	}
 	return req
 }
@@ -237,7 +242,6 @@ func rndResponse(r *rand.Rand) Response {
 		Err:    rndString(r, 20),
 		Found:  r.Intn(2) == 0,
 		Value:  rndBytes(r, 32),
-		Shard:  r.Intn(4),
 		Height: uint64(r.Intn(1 << 30)),
 	}
 	if r.Intn(2) == 0 {
@@ -415,6 +419,28 @@ func TestDecodeRejectsTrailing(t *testing.T) {
 	enc = AppendResponse(nil, &resp)
 	if _, err := DecodeResponse(append(enc, 0)); err == nil {
 		t.Fatal("trailing byte accepted on response")
+	}
+}
+
+// TestUndefinedPresenceBitsAreCorrupt: a presence bit that no field
+// defines is corrupt, whatever follows it — among them the bits that once
+// carried the hint as whole digests and Response.Shard.
+func TestUndefinedPresenceBitsAreCorrupt(t *testing.T) {
+	digest := opCodes[OpDigest]
+	for _, bit := range []uint64{1 << 15, 1 << 18, 1 << 25, 1 << 63} {
+		if _, err := DecodeRequest(binenc.AppendUvarint([]byte{digest}, bit)); !errors.Is(err, binenc.ErrCorrupt) {
+			t.Errorf("request bit %#x: err = %v, want ErrCorrupt", bit, err)
+		}
+	}
+	for _, enc := range [][]byte{
+		binenc.AppendUvarint(nil, 1<<11),
+		append(binenc.AppendUvarint(nil, 1<<11), 3), // the old Shard bit with a shard number
+		binenc.AppendUvarint(nil, 1<<18),
+		binenc.AppendUvarint(nil, 1<<40),
+	} {
+		if _, err := DecodeResponse(enc); !errors.Is(err, binenc.ErrCorrupt) {
+			t.Errorf("response % x: err = %v, want ErrCorrupt", enc, err)
+		}
 	}
 }
 

@@ -59,19 +59,13 @@ func heldNodes(t testing.TB, resp Response) []*proof.Verified {
 	return got.Shipped
 }
 
-// proofCells checks resp's proof for the question req asked — a point or
-// range read's one query, an audit flush's receipts, a SELECT's plan over
-// the cells it returned — with a verifier that trusts resp's digest and
-// holds path (nil: nothing), and returns the live cells its walk proves.
-func proofCells(resp Response, req Request, path *proof.Path) ([]cellstore.Cell, error) {
-	p := resp.Proof
-	if p == nil {
-		p = resp.BatchProof
-	}
-	q := []ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}}
+// question is what req asked, as a verifier walks it: a point or range
+// read's one query, an audit flush's receipts, a SELECT's plan over the
+// cells resp returned.
+func question(req Request, resp Response) ([]ledger.BatchQuery, error) {
 	switch req.Op {
 	case OpProveBatch:
-		q = req.Audits
+		return req.Audits, nil
 	case OpQuery:
 		st, err := query.Parse(req.Statement)
 		if err != nil {
@@ -81,7 +75,56 @@ func proofCells(resp Response, req Request, path *proof.Path) ([]cellstore.Cell,
 		if err != nil {
 			return nil, err
 		}
-		q = pl.Queries(resp.Cells)
+		return pl.Queries(resp.Cells), nil
+	}
+	return []ledger.BatchQuery{{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}}, nil
+}
+
+// answered is Dispatch's answer to req with the question put back into
+// its proof — the point keys and range bounds fit leaves out — so that
+// the proof verifies on its own (VerifyPath walks a proof's own keys), as
+// a point or range read's does after Client.Do (asked).
+func answered(t testing.TB, eng *core.Engine, req Request) Response {
+	t.Helper()
+	resp := Dispatch(eng, req)
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
+	}
+	if p == nil {
+		return resp
+	}
+	qs, err := question(req, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [][]byte
+	ranges := p.Ranges // fit's own copy, as is p.Point
+	for _, q := range qs {
+		if !q.Range {
+			keys = append(keys, proof.CellPrefix(q.Table, q.Column, q.PK))
+		} else if len(ranges) > 0 {
+			ranges[0].Start, ranges[0].End = proof.RefRange(q.Table, q.Column, q.PK, q.PKHi)
+			ranges = ranges[1:]
+		}
+	}
+	if p.Point != nil {
+		p.Point.Keys = keys
+	}
+	return resp
+}
+
+// proofCells checks resp's proof for the question req asked with a
+// verifier that trusts resp's digest and holds path (nil: nothing), and
+// returns the live cells its walk proves.
+func proofCells(resp Response, req Request, path *proof.Path) ([]cellstore.Cell, error) {
+	p := resp.Proof
+	if p == nil {
+		p = resp.BatchProof
+	}
+	q, err := question(req, resp)
+	if err != nil {
+		return nil, err
 	}
 	v := proof.NewVerifier()
 	if err := v.Advance(resp.Digest, mtree.ConsistencyProof{}); err != nil {
@@ -120,12 +163,14 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 	if resp.Cells != nil {
 		t.Fatalf("OpGetVerified still ships %d cells beside the proof", len(resp.Cells))
 	}
-	// Byte for byte what the engine's own result encodes to, minus Cells.
+	// Byte for byte what the engine's own result encodes to, minus Cells
+	// and the question.
 	res, err := eng.GetVerified("t", "c", pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AppendResponse(nil, &Response{Found: res.Found, Proof: &res.Proof, Digest: res.Digest})
+	sent := ledger.Trimmed(res.Proof)
+	want := AppendResponse(nil, &Response{Found: res.Found, Proof: &sent, Digest: res.Digest})
 	if got := AppendResponse(nil, &resp); !bytes.Equal(got, want) {
 		t.Fatalf("hint-less response is not the full proof: %d bytes, want %d", len(got), len(want))
 	}
@@ -147,14 +192,14 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 func TestDispatchElidesHeldNodes(t *testing.T) {
 	eng, pk := elideEngine(t)
 	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
-	cold := Dispatch(eng, req)
+	cold := answered(t, eng, req)
 	coldBytes := AppendResponse(nil, &cold)
 	held := heldNodes(t, cold)
 
 	elidedBefore := obs.Default.Counter("spitz_proof_nodes_elided_total").Value()
 	hinted := req
 	hinted.Have = pin(held).Have()
-	warm := Dispatch(eng, hinted)
+	warm := answered(t, eng, hinted)
 	if warm.Err != "" || warm.Digest != cold.Digest {
 		t.Fatalf("hinted read: %+v", warm)
 	}
@@ -178,7 +223,7 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 	}
 
 	// The cold client, same key, same digest.
-	again := Dispatch(eng, req)
+	again := answered(t, eng, req)
 	if again.Digest != cold.Digest {
 		t.Fatal("digest moved")
 	}
@@ -196,7 +241,7 @@ func TestDispatchElidesHeldNodes(t *testing.T) {
 	for i, j := 2, len(hinted.Have)-1; i < j; i, j = i+1, j-1 {
 		hinted.Have[i], hinted.Have[j] = hinted.Have[j], hinted.Have[i]
 	}
-	if r := Dispatch(eng, hinted); !bytes.Equal(AppendResponse(nil, &r), warmBytes) {
+	if r := answered(t, eng, hinted); !bytes.Equal(AppendResponse(nil, &r), warmBytes) {
 		t.Fatal("a reordered hint naming the leaf as well changed the response")
 	}
 }
@@ -302,7 +347,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 	eng, _ := elideEngine(t)
 	for _, m := range multiRowReads(t, eng) {
 		t.Run(m.name, func(t *testing.T) {
-			cold := Dispatch(eng, m.req)
+			cold := answered(t, eng, m.req)
 			if cold.Err != "" {
 				t.Fatal(cold.Err)
 			}
@@ -331,7 +376,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 			elidedBefore := obs.Default.Counter("spitz_proof_nodes_elided_total").Value()
 			hinted := m.req
 			hinted.Have = pin(held).Have()
-			warm := Dispatch(eng, hinted)
+			warm := answered(t, eng, hinted)
 			if warm.Err != "" || warm.Digest != cold.Digest {
 				t.Fatalf("hinted read: %+v", warm)
 			}
@@ -365,7 +410,7 @@ func TestDispatchMultiRowProofs(t *testing.T) {
 			}
 			// The engine's own answer is still fully populated, and the
 			// next cold client's response byte-identical.
-			again := Dispatch(eng, m.req)
+			again := answered(t, eng, m.req)
 			if !bytes.Equal(AppendResponse(nil, &again), coldBytes) {
 				t.Fatal("a cold client's proof changed after a warm client's elided read")
 			}
@@ -464,17 +509,18 @@ func TestElisionOverTheWire(t *testing.T) {
 }
 
 // TestDecodeRequestHaveBounds: the hint's length is checked against
-// proof.MaxHave and the bytes present before anything is allocated.
+// proof.MaxHave and the bytes present before anything is allocated; zero
+// is never encoded, so it is refused too.
 func TestDecodeRequestHaveBounds(t *testing.T) {
 	ok := Request{Op: OpProveBatch, PK: []byte("k"), Have: make([]hashutil.Digest, proof.MaxHave)}
 	if dec, err := DecodeRequest(AppendRequest(nil, &ok)); err != nil || len(dec.Have) != proof.MaxHave {
 		t.Fatalf("maximal hint: %v", err)
 	}
-	// A one-digest hint: the count is the byte before the digest, which
-	// ends the payload.
+	// A one-node hint: the count is the byte before the fingerprint,
+	// which ends the payload.
 	one := Request{Op: OpGetVerified, PK: []byte("k"), Have: make([]hashutil.Digest, 1)}
 	enc := AppendRequest(nil, &one)
-	at := len(enc) - hashutil.DigestSize - 1
+	at := len(enc) - postree.FingerprintSize - 1
 	if enc[at] != 1 {
 		t.Fatalf("count byte not where expected: %d", enc[at])
 	}
@@ -493,6 +539,23 @@ func TestDecodeRequestHaveBounds(t *testing.T) {
 	}
 	if _, err := DecodeRequest(enc[:len(enc)-1]); !errors.Is(err, binenc.ErrCorrupt) {
 		t.Fatalf("truncated hint: err = %v", err)
+	}
+}
+
+// TestDecodeRequestFingerprintBounds: a hint travels as fingerprints —
+// each digest's first postree.FingerprintSize bytes — and decodes to
+// digests holding those, the rest zero, which encode back to its bytes.
+func TestDecodeRequestFingerprintBounds(t *testing.T) {
+	d := hashutil.Sum(hashutil.DomainValue, []byte("held"))
+	enc := AppendRequest(nil, &Request{Op: OpGetVerified, PK: []byte("k"), Have: []hashutil.Digest{d}})
+	dec, err := DecodeRequest(enc)
+	var fp hashutil.Digest
+	copy(fp[:postree.FingerprintSize], d[:])
+	if err != nil || len(dec.Have) != 1 || dec.Have[0] != fp {
+		t.Fatalf("hint decoded as %x, %v", dec.Have, err)
+	}
+	if again := AppendRequest(nil, &dec); !bytes.Equal(again, enc) {
+		t.Fatal("a decoded hint does not encode back to its bytes")
 	}
 }
 
@@ -527,10 +590,10 @@ func prunedShape(t testing.TB, resp Response) string {
 func FuzzElidedRead(f *testing.F) {
 	eng, pk := elideEngine(f)
 	req := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
-	cold := Dispatch(eng, req)
+	cold := answered(f, eng, req)
 	held := heldNodes(f, cold)
 	req.Have = pin(held).Have()
-	warm := Dispatch(eng, req)
+	warm := answered(f, eng, req)
 	f.Add(AppendRequest(nil, &req))
 	f.Add(AppendResponse(nil, &cold))
 	f.Add(AppendResponse(nil, &warm))
@@ -546,7 +609,7 @@ func FuzzElidedRead(f *testing.F) {
 	}
 	for _, pk := range shapes {
 		r := Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}
-		resp := Dispatch(eng, r)
+		resp := answered(f, eng, r)
 		shape := prunedShape(f, resp)
 		if seen[shape] {
 			continue
@@ -554,7 +617,7 @@ func FuzzElidedRead(f *testing.F) {
 		seen[shape] = true
 		f.Add(AppendResponse(nil, &resp))
 		r.Have = heldPath(f, resp).Have()
-		resp = Dispatch(eng, r)
+		resp = answered(f, eng, r)
 		f.Add(AppendResponse(nil, &resp))
 	}
 	for _, shape := range []string{"hit", "miss between two entries", "miss below the leaf's first key"} {
@@ -565,14 +628,14 @@ func FuzzElidedRead(f *testing.F) {
 	// The multi-row reads, cold and warm: pruned edge leaves, whole
 	// interior ones, stripped rows, a batch with points and a range.
 	for _, m := range multiRowReads(f, eng) {
-		resp := Dispatch(eng, m.req)
+		resp := answered(f, eng, m.req)
 		f.Add(AppendRequest(nil, &m.req))
 		f.Add(AppendResponse(nil, &resp))
 		nodes := heldNodes(f, resp)
 		held = append(held, nodes...)
 		hinted := m.req
 		hinted.Have = pin(nodes).Have()
-		resp = Dispatch(eng, hinted)
+		resp = answered(f, eng, hinted)
 		f.Add(AppendRequest(nil, &hinted))
 		f.Add(AppendResponse(nil, &resp))
 	}
@@ -655,7 +718,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 	point := multiRow{name: "point", req: Request{Op: OpGetVerified, Table: "t", Column: "c", PK: pk}}
 	for _, m := range append([]multiRow{point}, multiRowReads(t, eng)...) {
 		t.Run(m.name, func(t *testing.T) {
-			before := Dispatch(eng, m.req)
+			before := answered(t, eng, m.req)
 			if before.Err != "" {
 				t.Fatal(before.Err)
 			}
@@ -665,7 +728,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 				at := eng.Digest() // prove at the new head
 				m.req.OldDigest, m.req.OldDigest2 = at, &at
 			}
-			cold := Dispatch(eng, m.req)
+			cold := answered(t, eng, m.req)
 			coldBytes := AppendResponse(nil, &cold)
 			coldNodes, _ := proofNodes(cold)
 			for _, slot := range coldNodes {
@@ -681,7 +744,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 			savedBefore := obs.Default.Counter("spitz_proof_patch_bytes_saved_total").Value()
 			hinted := m.req
 			hinted.Have = pin(held).Have()
-			warm := Dispatch(eng, hinted)
+			warm := answered(t, eng, hinted)
 			if warm.Err != "" || warm.Digest != cold.Digest {
 				t.Fatalf("hinted read: %+v", warm)
 			}
@@ -730,7 +793,7 @@ func TestDispatchPatchesStaleNodes(t *testing.T) {
 				}
 			}
 			// The next hint-less client is still answered in full.
-			again := Dispatch(eng, m.req)
+			again := answered(t, eng, m.req)
 			if !bytes.Equal(AppendResponse(nil, &again), coldBytes) {
 				t.Fatal("a cold client's proof changed after a warm client's patched read")
 			}
@@ -752,7 +815,7 @@ func FuzzPatchedRead(f *testing.F) {
 	reads := append([]multiRow{point}, multiRowReads(f, eng)...)
 	var held []*proof.Verified
 	for _, m := range reads {
-		held = append(held, heldNodes(f, Dispatch(eng, m.req))...)
+		held = append(held, heldNodes(f, answered(f, eng, m.req))...)
 	}
 	churnEngine(f, eng, 1)
 	var root hashutil.Digest
@@ -762,7 +825,7 @@ func FuzzPatchedRead(f *testing.F) {
 			m.req.OldDigest, m.req.OldDigest2 = at, &at
 		}
 		m.req.Have = pin(held).Have()
-		resp := Dispatch(eng, m.req)
+		resp := answered(f, eng, m.req)
 		if err := verifyMultiRow(resp, pin(held)); err != nil {
 			f.Fatalf("%s: patched seed: %v", m.name, err)
 		}

@@ -37,10 +37,6 @@ type Faults struct {
 	// frame.
 	FrameMode  FrameMode
 	FrameIndex int
-
-	// Untrimmed makes the server negotiate as a build without the trimmed
-	// verified-read form (see Untrimmed).
-	Untrimmed bool
 }
 
 // FrameMode selects a frame-granularity fault.
@@ -90,45 +86,7 @@ func (l *FaultListener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	f := l.faults
 	l.mu.Unlock()
-	if f.Untrimmed {
-		conn = Untrimmed(conn)
-	}
 	return &faultConn{Conn: conn, faults: f}, nil
-}
-
-// Untrimmed wraps one end of a connection so that it negotiates as a build
-// without the trimmed verified-read form would: flagTrim is cleared from
-// the hello this end writes and from the one it reads. Interop tests wrap
-// a client's connection with it, or set Faults.Untrimmed for a server's.
-func Untrimmed(conn net.Conn) net.Conn { return &untrimmedConn{Conn: conn} }
-
-type untrimmedConn struct {
-	net.Conn
-	read, written int // stream offsets
-}
-
-func (c *untrimmedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read = clearTrim(p[:n], c.read)
-	return n, err
-}
-
-func (c *untrimmedConn) Write(p []byte) (int, error) {
-	if c.written < 6 { // the hello is not all out yet
-		p = append([]byte(nil), p...) // the caller's bytes stay as they were
-		c.written = clearTrim(p, c.written)
-	}
-	return c.Conn.Write(p)
-}
-
-// clearTrim clears flagTrim in b, the bytes of a stream from offset off,
-// if they hold the hello's flags byte (its sixth), and returns the offset
-// after b.
-func clearTrim(b []byte, off int) int {
-	if off <= 5 && off+len(b) > 5 {
-		b[5-off] &^= flagTrim
-	}
-	return off + len(b)
 }
 
 // faultConn applies Faults to the write side of a connection.

@@ -4,17 +4,17 @@ package wire
 //
 // Connect-time handshake: the client opens with a 6-byte hello — magic
 // 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The server
-// answers with the same magic, the version it speaks, and the
-// intersection of the offered flags with the ones it supports. Either
-// side drops a peer whose version byte is not its own (the server after
-// replying, so the peer learns what it met); a server drops a connection
-// that opens with anything but the hello without replying.
+// answers with the same magic, the version it speaks, and the flags it
+// speaks (flagTrim). Either side drops a peer whose version byte is not
+// its own or whose flags lack flagTrim (the server after replying, so the
+// peer learns what it met); a server drops a connection that opens with
+// anything but the hello without replying.
 //
 // Frame layout, both directions, after the handshake:
 //
 //	length  uint32 BE   bytes after this field (tag+flags+crc+payload)
 //	tag     uint32 BE   request/stream identifier for multiplexing
-//	flags   byte        bit0: payload is flate-compressed
+//	flags   byte        zero; a frame with any bit set is refused
 //	crc     uint32 BE   CRC-32C over the 9 preceding header bytes
 //	payload length-9 bytes
 //
@@ -27,8 +27,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,15 +51,12 @@ const (
 	// and point and batch proofs no longer carry their values beside them.
 	protoVersion = 3
 
-	// flagCompress in the hello offers flate compression of large
-	// payloads; in a frame header it marks the payload compressed.
-	flagCompress = 1
-	// flagTrim in the hello offers the trimmed form of the verified-read
-	// messages, which this build always offers: a request names the index
-	// nodes its client holds by fingerprint (reqFingerprints), and a proof
-	// travels without the question it answers (withoutQuestion) and,
-	// unbound, without the digest (fit) — the client supplies both. A
-	// request's own bit says which form its hint is in.
+	// flagTrim in the hello names the trimmed form of the verified-read
+	// messages, the only form this build speaks, and both hellos must
+	// carry it: a request names the index nodes its client holds by
+	// fingerprint (reqFingerprints), and a proof travels without the
+	// question it answers and, unbound, without the digest (fit) — the
+	// client supplies both. A hello's other bits are ignored.
 	flagTrim = 2
 
 	frameHeaderLen = 13
@@ -72,10 +67,6 @@ const (
 	// still preventing a pathological allocation.
 	maxFrameLen = 1 << 30
 
-	// compressMin is the smallest payload worth compressing; below it
-	// the flate header overhead and CPU cost beat any wire savings.
-	compressMin = 1 << 10
-
 	// largeFrame is the payload size above which header and payload are
 	// written separately instead of copied into one buffer.
 	largeFrame = 64 << 10
@@ -84,7 +75,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errBadFrame reports a frame header that failed its CRC or bounds
-// checks; the connection cannot be resynchronized and must die.
+// checks, or set a flag; the connection cannot be resynchronized and must
+// die.
 var errBadFrame = errors.New("wire: corrupt frame header")
 
 var (
@@ -99,9 +91,6 @@ var (
 	// requests awaiting a response across all multiplexed conns.
 	mFramesInflight = obs.Default.Gauge("spitz_wire_frames_inflight")
 	mPipelineDepth  = obs.Default.Gauge("spitz_wire_pipeline_depth")
-
-	mCompressRaw  = obs.Default.Counter("spitz_wire_compress_raw_bytes_total")
-	mCompressSent = obs.Default.Counter("spitz_wire_compress_sent_bytes_total")
 )
 
 // bufPool recycles frame encode/decode buffers across requests — the
@@ -133,29 +122,13 @@ func parseHello(h []byte) (byte, byte, error) {
 type frameWriter struct {
 	mu sync.Mutex
 	w  io.Writer
-	// compressOK is set when both sides negotiated the compression flag.
-	compressOK bool
 }
 
-// writeFrame sends one frame carrying payload under tag. When
-// compression was negotiated and the payload clears compressMin, the
-// payload ships flate-compressed (unless compression grows it).
+// writeFrame sends one frame carrying payload under tag.
 func (fw *frameWriter) writeFrame(tag uint32, payload []byte) error {
-	flags := byte(0)
-	var comp *frameBuf
-	if fw.compressOK && len(payload) >= compressMin {
-		comp = getBuf()
-		if c, ok := compressPayload(comp, payload); ok {
-			mCompressRaw.Add(uint64(len(payload)))
-			mCompressSent.Add(uint64(len(c)))
-			payload = c
-			flags |= flagCompress
-		}
-	}
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(frameOverhead+len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:], tag)
-	hdr[8] = flags
 	binary.BigEndian.PutUint32(hdr[9:], crc32.Checksum(hdr[:9], castagnoli))
 
 	var err error
@@ -178,9 +151,6 @@ func (fw *frameWriter) writeFrame(tag uint32, payload []byte) error {
 		buf.b = b
 		putBuf(buf)
 	}
-	if comp != nil {
-		putBuf(comp)
-	}
 	if err == nil {
 		mFramesWritten.Inc()
 	}
@@ -188,9 +158,8 @@ func (fw *frameWriter) writeFrame(tag uint32, payload []byte) error {
 }
 
 // readFrame reads one frame into buf (which it may grow), returning the
-// tag and the payload (decompressed if the frame was). The payload
-// aliases buf.b unless decompression replaced it; either way it is only
-// valid until buf is recycled.
+// tag and the payload. The payload aliases buf.b, so it is only valid
+// until buf is recycled.
 func readFrame(br *bufio.Reader, buf *frameBuf) (tag uint32, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -200,7 +169,7 @@ func readFrame(br *bufio.Reader, buf *frameBuf) (tag uint32, payload []byte, err
 		return 0, nil, errBadFrame
 	}
 	length := binary.BigEndian.Uint32(hdr[0:])
-	if length < frameOverhead || length > maxFrameLen {
+	if length < frameOverhead || length > maxFrameLen || hdr[8] != 0 {
 		return 0, nil, errBadFrame
 	}
 	tag = binary.BigEndian.Uint32(hdr[4:])
@@ -213,56 +182,5 @@ func readFrame(br *bufio.Reader, buf *frameBuf) (tag uint32, payload []byte, err
 		return 0, nil, err
 	}
 	mFramesRead.Inc()
-	if hdr[8]&flagCompress != 0 {
-		// Honor the frame's own flag regardless of what was negotiated:
-		// the sender committed to it, and decoding is always safe.
-		out, err := decompressPayload(payload)
-		if err != nil {
-			return 0, nil, errBadFrame
-		}
-		payload = out
-	}
 	return tag, payload, nil
-}
-
-// ---------------------------------------------------------------------------
-// Compression
-
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-// compressPayload flate-compresses src into buf, reporting ok=false
-// when compression does not shrink the payload.
-func compressPayload(buf *frameBuf, src []byte) ([]byte, bool) {
-	w := flateWriterPool.Get().(*flate.Writer)
-	bw := bytes.NewBuffer(buf.b[:0])
-	w.Reset(bw)
-	if _, err := w.Write(src); err != nil || w.Close() != nil {
-		flateWriterPool.Put(w)
-		return nil, false
-	}
-	flateWriterPool.Put(w)
-	buf.b = bw.Bytes()
-	if len(buf.b) >= len(src) {
-		return nil, false
-	}
-	return buf.b, true
-}
-
-// decompressPayload inflates a compressed frame payload.
-func decompressPayload(src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	// Frames are bounded by maxFrameLen on the wire; bound the inflated
-	// size too so a decompression bomb cannot run away.
-	out, err := io.ReadAll(io.LimitReader(r, maxFrameLen+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > maxFrameLen {
-		return nil, errBadFrame
-	}
-	return out, nil
 }

@@ -82,18 +82,13 @@ func (pipeAddr) String() string  { return "pipe" }
 // transport. The handshake runs eagerly; a server that does not answer
 // it is an error.
 func Connect(ln net.Listener) (*Client, error) {
-	return ConnectOptions(ln, ClientOptions{})
-}
-
-// ConnectOptions is Connect with explicit protocol options.
-func ConnectOptions(ln net.Listener, opts ClientOptions) (*Client, error) {
 	pl, ok := ln.(*PipeListener)
 	if !ok {
-		return DialOptions(ln.Addr().Network(), ln.Addr().String(), opts)
+		return Dial(ln.Addr().Network(), ln.Addr().String())
 	}
 	conn, err := pl.DialPipe()
 	if err != nil {
 		return nil, err
 	}
-	return handshaken(conn, opts)
+	return handshaken(conn)
 }

@@ -2,9 +2,10 @@
 //
 // There is one framing (binary/v3, agreed at connect time — see
 // frame.go): a length-prefixed compact binary encoding with tagged
-// frames, so many requests can be in flight on one connection and large
-// payloads can ship compressed. A peer that does not open with the
-// hello, or announces another framing version, is dropped.
+// frames, so many requests can be in flight on one connection, and one
+// message form, the trimmed one. A peer that does not open with the
+// hello, announces another framing version or lacks the trimmed form, is
+// dropped.
 package wire
 
 import (
@@ -100,18 +101,11 @@ type Request struct {
 	// nodes the client already holds where the read will walk (at most
 	// proof.MaxHave). The server leaves a node's body out of the proof iff it
 	// is an index node whose fingerprint — its digest's first
-	// postree.FingerprintSize bytes, all of it that travels in the trimmed
-	// form — is in the set; absent, the proof is complete. It is a hint
+	// postree.FingerprintSize bytes, all of it that travels — is in the
+	// set; absent, the proof is complete. It is a hint
 	// only: the client verifies by walking from its trusted root and takes
 	// a node that was left out solely from its own verified nodes.
 	Have []hashutil.Digest
-
-	// trimmed marks a request of the trimmed form (flagTrim): its client
-	// sends Have as fingerprints and supplies the question and trusted
-	// digest the response then leaves out. The client's connection sets
-	// it, the server's connection and the codec (reqFingerprints) set it
-	// on the other side.
-	trimmed bool
 
 	// trace is the live span for this request (nil for the unsampled
 	// majority). It rides the Request value through Handler
@@ -164,7 +158,6 @@ type Response struct {
 
 	// Sharded deployments.
 	ShardCount int                  // OpShardMap: number of shards behind this listener
-	Shard      int                  // unset by this build; decoded so binary/v3 peers interoperate
 	Cluster    *proof.ClusterDigest // OpClusterDigest
 
 	// Replication stream messages (OpReplStream). Found distinguishes a

@@ -201,20 +201,18 @@ func (s *Server) handle(conn net.Conn) {
 		mNegotiateFailed.Inc()
 		return
 	}
-	flags &= flagCompress | flagTrim // intersect with the flags this build supports
-	reply := helloBytes(protoVersion, flags)
+	reply := helloBytes(protoVersion, flagTrim)
 	if _, err := cc.Write(reply[:]); err != nil {
 		return
 	}
-	if version != protoVersion {
-		// The reply tells the peer which framing this build speaks; its
-		// frames cannot be parsed, so the connection ends here.
+	if version != protoVersion || flags&flagTrim == 0 {
+		// The reply tells the peer which framing and message form this
+		// build speaks; it speaks neither, so the connection ends here.
 		mNegotiateFailed.Inc()
 		return
 	}
 	mNegotiatedBinary.Inc()
-	fw := &frameWriter{w: cc, compressOK: flags&flagCompress != 0}
-	trim := flags&flagTrim != 0
+	fw := &frameWriter{w: cc}
 
 	var (
 		wg        sync.WaitGroup
@@ -241,7 +239,6 @@ func (s *Server) handle(conn net.Conn) {
 			fw.writeFrame(tag, AppendResponse(nil, &Response{Err: "wire: corrupt request payload"}))
 			return
 		}
-		req.trimmed = req.trimmed || trim
 		switch req.Op {
 		case OpReplAck:
 			// One-way progress report for the stream with this tag.
@@ -322,26 +319,9 @@ func (s *Server) execute(req Request) (Response, *obs.Trace, time.Time) {
 	return resp, tr, start
 }
 
-// withoutQuestion is a trimmed response as it travels: its proofs go
-// without the keys and bounds of the question the request asked, which
-// the client walks itself (Verifier.Check), so a proof built for another
-// question fails there. The proof structs are the response's own (see
-// fit); what they point to is replaced, not edited.
-func withoutQuestion(resp Response) Response {
-	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p != nil {
-			*p = ledger.Trimmed(*p)
-		}
-	}
-	return resp
-}
-
 // answer executes one request and writes its tagged response.
 func (s *Server) answer(fw *frameWriter, tag uint32, req Request) error {
 	resp, tr, start := s.execute(req)
-	if req.trimmed {
-		resp = withoutQuestion(resp)
-	}
 	encStart := tr.Now()
 	out := getBuf()
 	out.b = AppendResponse(out.b[:0], &resp)
@@ -400,24 +380,25 @@ func Dispatch(eng *core.Engine, req Request) Response {
 }
 
 // fit is the one place a response is cut down to what its client lacks:
-// a proof loses the index nodes req.Have names, or takes a patch against
-// the version it names, and range proofs their rows, which the client
-// reads off the verified leaves. An eager read naming the trusted height
-// (req.Height) gets what changed since: the consistency proof from it if
-// the head moved, else no block binding if the client holds that head's
-// header (req.HeadHeld) — and, trimmed, no digest: a proof without its
-// binding verifies only at the trusted digest its client named. A point or
-// range read whose answer did not change since comes from dispatch proven
-// at that digest (Engine.Verified), so it is cut as one at the head. (The
-// question a proof answers is left out last, as it is encoded: see
-// withoutQuestion.) dispatch's proof structs are this call's own; node
-// lists and sub-proofs inside may be shared, and ledger.Elide replaces rather
-// than edits those.
+// a proof loses the question it answers (its point keys and range bounds),
+// which the client walks itself (Verifier.Check), so a proof built for
+// another question fails there; it loses the index nodes req.Have names,
+// or takes a patch against the version it names, and range proofs their
+// rows, which the client reads off the verified leaves. An eager read
+// naming the trusted height (req.Height) gets what changed since: the
+// consistency proof from it if the head moved, else no block binding and
+// no digest if the client holds that head's header (req.HeadHeld): a
+// proof without its binding verifies only at the trusted digest its
+// client named. A point or range read whose answer did not change since
+// comes from dispatch proven at that digest (Engine.Verified), so it is
+// cut as one at the head. dispatch's proof structs are this call's own;
+// node lists and sub-proofs inside may be shared, and ledger.Elide and
+// ledger.Trimmed replace rather than edit those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
 	proofs := [...]*ledger.Proof{resp.Proof, resp.BatchProof}
 	for _, p := range proofs {
 		if p != nil {
-			*p = ledger.Elide(*p, eng.Ledger().Held(req.Have))
+			*p = ledger.Trimmed(ledger.Elide(*p, eng.Ledger().Held(req.Have)))
 		}
 	}
 	switch d := resp.Digest; {
@@ -433,9 +414,7 @@ func fit(eng *core.Engine, req Request, resp Response) Response {
 		for _, p := range proofs {
 			if p != nil && p.Header.Height+1 == d.Height {
 				*p = ledger.Unbind(*p)
-				if req.trimmed {
-					resp.Digest = ledger.Digest{}
-				}
+				resp.Digest = ledger.Digest{}
 			}
 		}
 	}

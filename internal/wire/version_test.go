@@ -1,15 +1,18 @@
 package wire
 
 // Handshake and transport-level tests for the v3 binary framing: the
-// hello's version check on both sides, peers that never say hello,
-// payload compression, and request multiplexing over a shared
-// connection.
+// hello's version and message-form check on both sides, peers that never
+// say hello, frames that set a flag, and request multiplexing over a
+// shared connection.
 
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -131,46 +134,51 @@ func helloStub(t *testing.T, ln net.Listener, reply []byte) (accepted *atomic.In
 	return accepted
 }
 
+// serverMeets sends the server hello and checks its reply: the framing and
+// message form it speaks, whatever the hello offered. A peer it accepts
+// is served; one it refuses is hung up on without a frame read.
+func serverMeets(t *testing.T, hello [6]byte, accepted bool) {
+	t.Helper()
+	conn, served := rawPeer(t)
+	failed, frames := mNegotiateFailed.Value(), mFramesRead.Value()
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	var reply [6]byte
+	want := helloBytes(protoVersion, flagTrim)
+	if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
+		t.Fatalf("server reply % x (%v), want % x", reply, err, want)
+	}
+	if accepted {
+		if err := (&frameWriter{w: conn}).writeFrame(1, AppendRequest(nil, &Request{Op: OpGet})); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readFrame(bufio.NewReader(conn), new(frameBuf)); err != nil || *served != 1 {
+			t.Fatalf("hello % x was not served: %v (%d requests)", hello, err, *served)
+		}
+		return
+	}
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("connection after hello % x stayed open (read %d, %v)", hello, n, err)
+	}
+	waitCounter(t, mNegotiateFailed, failed, 1, "failed negotiations")
+	if *served != 0 || mFramesRead.Value() != frames {
+		t.Fatalf("server decoded a frame after hello % x", hello)
+	}
+}
+
 // TestHelloVersionChecked: both sides read the hello's version byte and
-// refuse a peer that announces any framing version but their own.
+// flags, and refuse a peer that announces any framing version but their
+// own, or whose flags lack the trimmed message form.
 func TestHelloVersionChecked(t *testing.T) {
 	for _, version := range []byte{0, 1, 2, protoVersion, 4, 0xff} {
 		ok := version == protoVersion
 		t.Run(fmt.Sprintf("server-meets-v%d-client", version), func(t *testing.T) {
-			conn, served := rawPeer(t)
-			failed, frames := mNegotiateFailed.Value(), mFramesRead.Value()
-			hello := helloBytes(version, 0)
-			if _, err := conn.Write(hello[:]); err != nil {
-				t.Fatal(err)
-			}
-			// Either way the server says which framing it speaks.
-			var reply [6]byte
-			want := helloBytes(protoVersion, 0)
-			if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
-				t.Fatalf("server reply % x (%v), want % x", reply, err, want)
-			}
-			fw := &frameWriter{w: conn}
-			if ok {
-				if err := fw.writeFrame(1, AppendRequest(nil, &Request{Op: OpGet})); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := readFrame(bufio.NewReader(conn), new(frameBuf)); err != nil || *served != 1 {
-					t.Fatalf("a v%d peer was not served: %v (%d requests)", version, err, *served)
-				}
-				return
-			}
-			// ...then hangs up without reading a frame.
-			if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-				t.Fatalf("connection to a v%d peer stayed open (read %d, %v)", version, n, err)
-			}
-			waitCounter(t, mNegotiateFailed, failed, 1, "failed negotiations")
-			if *served != 0 || mFramesRead.Value() != frames {
-				t.Fatalf("server decoded a frame from a v%d peer", version)
-			}
+			serverMeets(t, helloBytes(version, flagTrim), ok)
 		})
 		t.Run(fmt.Sprintf("client-meets-v%d-server", version), func(t *testing.T) {
 			pl := NewPipeListener()
-			reply := helloBytes(version, 0)
+			reply := helloBytes(version, flagTrim)
 			helloStub(t, pl, reply[:])
 			cl, err := Connect(pl)
 			if ok {
@@ -186,32 +194,27 @@ func TestHelloVersionChecked(t *testing.T) {
 			}
 		})
 	}
-	// The flags byte: the server grants the offered flags it supports, and
-	// a client uses the trimmed form exactly when the reply grants it.
-	for _, offered := range []byte{0, flagTrim, flagCompress, flagCompress | flagTrim, 0xff} {
-		t.Run(fmt.Sprintf("server-meets-flags-%#x", offered), func(t *testing.T) {
-			conn, _ := rawPeer(t)
-			hello := helloBytes(protoVersion, offered)
-			if _, err := conn.Write(hello[:]); err != nil {
-				t.Fatal(err)
-			}
-			var reply [6]byte
-			want := helloBytes(protoVersion, offered&(flagCompress|flagTrim))
-			if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
-				t.Fatalf("server reply % x (%v), want % x", reply, err, want)
-			}
+	// The flags byte: each side needs flagTrim in the other's hello and
+	// ignores the bits it does not know (bit 0 offered compression once).
+	for _, flags := range []byte{0, flagTrim, 1, 1 | flagTrim, 0xff} {
+		ok := flags&flagTrim != 0
+		t.Run(fmt.Sprintf("server-meets-flags-%#x", flags), func(t *testing.T) {
+			serverMeets(t, helloBytes(protoVersion, flags), ok)
 		})
-		t.Run(fmt.Sprintf("client-meets-granted-%#x", offered), func(t *testing.T) {
+		t.Run(fmt.Sprintf("client-meets-granted-%#x", flags), func(t *testing.T) {
 			pl := NewPipeListener()
-			reply := helloBytes(protoVersion, offered)
+			reply := helloBytes(protoVersion, flags)
 			helloStub(t, pl, reply[:])
 			cl, err := Connect(pl)
-			if err != nil {
-				t.Fatal(err)
+			if ok {
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl.Close()
+				return
 			}
-			defer cl.Close()
-			if cl.trim != (offered&flagTrim != 0) {
-				t.Fatalf("trimmed form in use: %v, granted flags %#x", cl.trim, offered)
+			if want := "does not speak the trimmed message form"; !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("handshake with flags %#x: %v, want ErrTransport wrapping %q", flags, err, want)
 			}
 		})
 	}
@@ -297,66 +300,43 @@ func TestHandshakeFailureIsFinal(t *testing.T) {
 	})
 }
 
-// TestCompressionRoundTrip: with compression negotiated, a large
-// compressible payload must arrive intact and the compression counters
-// must move.
-func TestCompressionRoundTrip(t *testing.T) {
-	big := bytes.Repeat([]byte("spitz-compressible-payload "), 4096) // ~110 KB
-	srv := NewHandlerServer(HandlerFunc(func(req Request) Response {
-		return Response{Found: true, Value: big}
-	}))
-	ln, _ := Listen()
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	cl, err := ConnectOptions(ln, ClientOptions{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if p := cl.Proto(); p != ProtoBinary {
-		t.Fatalf("negotiated %q", p)
-	}
-	raw0, sent0 := mCompressRaw.Value(), mCompressSent.Value()
-	resp, err := cl.Do(Request{Op: OpGet, PK: []byte("k")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp.Value, big) {
-		t.Fatalf("compressed payload corrupted: %d bytes, want %d", len(resp.Value), len(big))
-	}
-	raw, sent := mCompressRaw.Value()-raw0, mCompressSent.Value()-sent0
-	if raw < uint64(len(big)) {
-		t.Fatalf("compression raw counter moved by %d, want >= %d", raw, len(big))
-	}
-	if sent == 0 || sent >= raw {
-		t.Fatalf("compression sent counter %d not smaller than raw %d", sent, raw)
-	}
-}
-
-// TestCompressionOffByDefault: without the client opting in, large
-// payloads ship raw even though the server supports compression.
-func TestCompressionOffByDefault(t *testing.T) {
-	big := bytes.Repeat([]byte("x"), 64<<10)
-	srv := NewHandlerServer(HandlerFunc(func(req Request) Response {
-		return Response{Found: true, Value: big}
-	}))
-	ln, _ := Listen()
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	cl, err := Connect(ln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	raw0 := mCompressRaw.Value()
-	resp, err := cl.Do(Request{Op: OpGet, PK: []byte("k")})
-	if err != nil || !bytes.Equal(resp.Value, big) {
-		t.Fatalf("uncompressed round trip: %v", err)
-	}
-	if moved := mCompressRaw.Value() - raw0; moved != 0 {
-		t.Fatalf("compression engaged without negotiation (raw +%d)", moved)
+// TestFlaggedFrameRefused: a frame whose flags byte is not zero is
+// errBadFrame, read no further: the server hangs up on it without
+// decoding a request, even a flate-compressed one (bit 0 once marked
+// compression) that inflates to a valid request.
+func TestFlaggedFrameRefused(t *testing.T) {
+	var deflated bytes.Buffer
+	w, _ := flate.NewWriter(&deflated, flate.BestSpeed)
+	w.Write(AppendRequest(nil, &Request{Op: OpGet, PK: []byte("k")}))
+	w.Close()
+	for _, flags := range []byte{1, flagTrim, 0x80} {
+		t.Run(fmt.Sprintf("flags-%#x", flags), func(t *testing.T) {
+			frame := binary.BigEndian.AppendUint32(nil, uint32(frameOverhead+deflated.Len()))
+			frame = append(binary.BigEndian.AppendUint32(frame, 1), flags)
+			frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
+			frame = append(frame, deflated.Bytes()...)
+			if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), new(frameBuf)); err != errBadFrame {
+				t.Fatalf("readFrame: %v, want errBadFrame", err)
+			}
+			conn, served := rawPeer(t)
+			hello := helloBytes(protoVersion, flagTrim)
+			var reply [6]byte
+			if _, err := conn.Write(hello[:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, reply[:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("server answered a flagged frame (read %d, %v)", n, err)
+			}
+			if *served != 0 {
+				t.Fatal("server decoded a flagged frame")
+			}
+		})
 	}
 }
 

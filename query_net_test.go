@@ -254,13 +254,13 @@ func (fs *queryFaultServer) client(t *testing.T) *spitz.Client {
 
 // queryProofByteSlices enumerates every mutable byte slice of an
 // OpQuery SELECT response in a stable order for the tamper sweep: first
-// what travels to every peer — proof nodes, which hold the proven values
-// and rows, inclusion hashes, the digest root — then, from byte asked on,
-// the keys and range bounds a peer without the trimmed form is sent.
-func queryProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
+// what always travels — proof nodes, which hold the proven values and
+// rows, inclusion hashes, the digest root — then the keys and range bounds
+// a server may ship beside them (withQuestion).
+func queryProofByteSlices(resp *wire.Response) (out [][]byte) {
 	bp := resp.BatchProof
 	if bp == nil {
-		return nil, 0
+		return nil
 	}
 	if bp.Point != nil {
 		out = append(out, bp.Point.Nodes...)
@@ -272,16 +272,7 @@ func queryProofByteSlices(resp *wire.Response) (out [][]byte, asked int) {
 		out = append(out, bp.Inclusion.Path[i][:])
 	}
 	out = append(out, resp.Digest.Root[:])
-	for _, s := range out {
-		asked += len(s)
-	}
-	return append(out, questionSlices(bp)...), asked
-}
-
-// untrimmedClient is client for a build without the trimmed form.
-func (fs *queryFaultServer) untrimmedClient(t *testing.T) *spitz.Client {
-	t.Helper()
-	return dialUntrimmed(t, fs.inner)
+	return append(out, questionSlices(bp)...)
 }
 
 // TestQueryProofEveryByteTrips sweeps a byte flip across the entire
@@ -299,13 +290,12 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 	}
 	for _, tc := range stmts {
 		t.Run(tc.name, func(t *testing.T) {
-			var total, asked int
+			var total int
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == wire.OpQuery && resp.BatchProof != nil {
-					var slices [][]byte
-					slices, asked = queryProofByteSlices(resp)
+					withQuestion(req, resp)
 					total = 0
-					for _, s := range slices {
+					for _, s := range queryProofByteSlices(resp) {
 						total += len(s)
 					}
 				}
@@ -328,15 +318,11 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 					if req.Op != wire.OpQuery || resp.BatchProof == nil {
 						return
 					}
+					withQuestion(req, resp)
 					detachResponse(t, resp)
-					slices, _ := queryProofByteSlices(resp)
-					flipAt(slices, off)
+					flipAt(queryProofByteSlices(resp), off)
 				})
-				dial := fs.client
-				if off >= asked { // the question travels only to a peer without the trimmed form
-					dial = fs.untrimmedClient
-				}
-				cl := dial(t)
+				cl := fs.client(t)
 				_, err := cl.Query(tc.stmt)
 				if err == nil {
 					t.Fatalf("byte %d: tampered query proof passed silently", off)
@@ -356,8 +342,7 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 // the proof while claiming rows, narrowing a proven range, claiming an
 // empty ledger after trust is pinned, smuggling rows the proof does
 // not cover, and a range part too few or too many. A forgery of the
-// question the proof answers is run against a peer without the trimmed
-// form, the one it travels to: a trimmed peer is never sent it.
+// question the proof answers ships that question (withQuestion), forged.
 func TestQueryStructuredForgeries(t *testing.T) {
 	const rangeStmt = "SELECT stock FROM inv WHERE pk BETWEEN 'it00' AND 'it07'"
 	const twoColumns = "SELECT stock, status FROM inv WHERE pk BETWEEN 'it00' AND 'it07'"
@@ -400,11 +385,7 @@ func TestQueryStructuredForgeries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := startQueryFaultServer(t)
-			dial := fs.client
-			if asked[tc.name] {
-				dial = fs.untrimmedClient
-			}
-			cl := dial(t)
+			cl := fs.client(t)
 			defer cl.Close()
 			// Pin trust with one honest query first, so claimed-empty and
 			// proof-less responses cannot hide behind bootstrap.
@@ -413,6 +394,9 @@ func TestQueryStructuredForgeries(t *testing.T) {
 			}
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == wire.OpQuery && resp.Err == "" {
+					if asked[tc.name] {
+						withQuestion(req, resp)
+					}
 					detachResponse(t, resp)
 					tc.mut(resp)
 				}

@@ -128,6 +128,7 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 		{name: "answer another key or range",
 			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
 				*resp = wire.Dispatch(fs.eng, sh.other(req))
+				withQuestion(sh.other(req), resp)
 			}},
 		// The proof of a read is the proof of its queries, nothing more:
 		// a valid sub-proof of the same block beside the answer — a range
@@ -138,14 +139,17 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 		// own.
 		{name: "carry a sub-proof the read did not ask for", auditOn: wire.OpProveBatch,
 			mut: func(fs *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				asked := func(req wire.Request) *ledger.Proof {
+					resp := wire.Dispatch(fs.eng, req)
+					withQuestion(req, &resp)
+					return resp.Proof
+				}
 				extra := func(p *ledger.Proof) *ledger.Proof {
-					q := ledger.Trimmed(*p)
+					q := *p
 					if q.Point == nil {
-						q.Point = wire.Dispatch(fs.eng, wire.Request{Op: wire.OpGetVerified, Table: "t", Column: "c",
-							PK: []byte("pk020")}).Proof.Point
+						q.Point = asked(wire.Request{Op: wire.OpGetVerified, Table: "t", Column: "c", PK: []byte("pk020")}).Point
 					} else {
-						rg := wire.Dispatch(fs.eng, wire.Request{Op: wire.OpRangeVer, Table: "t", Column: "c",
-							PK: []byte("pk020"), PKHi: []byte("pk022")}).Proof
+						rg := asked(wire.Request{Op: wire.OpRangeVer, Table: "t", Column: "c", PK: []byte("pk020"), PKHi: []byte("pk022")})
 						q.Ranges = append(append([]postree.RangeProof(nil), q.Ranges...), rg.Ranges...)
 					}
 					return &q
@@ -188,16 +192,16 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 				unbind(resp)
 				resp.Digest.Root[0] ^= 1
 			}},
-		// The trimmed form: a proof may leave out the question it answers
+		// The trimmed form: a proof leaves out the question it answers
 		// and, unbound, its digest (TestFingerprintCollisionIsAnError has
 		// the hint's half).
 		{name: "prove another key or range without saying which", eagerOnly: true,
 			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
-				*resp = trimmed(wire.Dispatch(fs.eng, sh.other(req)))
+				*resp = wire.Dispatch(fs.eng, sh.other(req))
 			}},
 		{name: "prove a narrower range without saying which", eagerOnly: true,
 			mut: func(fs *faultServer, sh readShape, req wire.Request, resp *wire.Response) {
-				*resp = trimmed(wire.Dispatch(fs.eng, narrower(sh, req)))
+				*resp = wire.Dispatch(fs.eng, narrower(sh, req))
 			}},
 		{name: "leave the binding and digest out after the head moved", commit: true, warm: true, eagerOnly: true,
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
@@ -295,8 +299,9 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 }
 
 // FuzzVerifiedRead delivers, in place of the honest response to each
-// eager read shape — seeded as it is and trimmed, its proofs without the
-// question they answer — whatever the fuzzer makes of its encoding — decoded,
+// eager read shape — seeded as it travels and with the question its
+// proofs answer, as a server may ship it (withQuestion) — whatever the
+// fuzzer makes of its encoding — decoded,
 // it reaches a client in one of the three states an honest response is
 // shaped by: trust pinned to the head (a bound proof), pinned one block
 // behind it (a bound proof and the consistency proof from there), or at
@@ -330,12 +335,14 @@ func FuzzVerifiedRead(f *testing.F) {
 	honest := make([]string, len(readShapes))
 	for form := 0; form < forms; form++ {
 		for i, sh := range readShapes {
-			var seed, trimmedSeed []byte
+			var seed, askedSeed []byte
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
 				if req.Op == sh.eager {
 					seed = wire.AppendResponse(nil, resp)
-					tr := trimmed(*resp)
-					trimmedSeed = wire.AppendResponse(nil, &tr)
+					asked := *resp
+					detachResponse(f, &asked)
+					withQuestion(req, &asked)
+					askedSeed = wire.AppendResponse(nil, &asked)
 				}
 			})
 			cl := client(f, sh, form)
@@ -346,7 +353,7 @@ func FuzzVerifiedRead(f *testing.F) {
 				f.Fatalf("%s, form %d: honest read %q, %v", sh.name, form, honest[i], err)
 			}
 			f.Add(uint8(form*len(readShapes)+i), seed)
-			f.Add(uint8(form*len(readShapes)+i), trimmedSeed)
+			f.Add(uint8(form*len(readShapes)+i), askedSeed)
 		}
 	}
 	fs.setMutate(nil)

@@ -11,7 +11,7 @@ import (
 // TestOneShardResponsesUnchanged: a database served as a one-shard
 // deployment answers byte for byte what Dispatch on its engine answers,
 // whichever of the two Shard values that address it a request names —
-// the router adds nothing (no Response.Shard) to a 1×0 response.
+// the router adds nothing to a 1×0 response.
 func TestOneShardResponsesUnchanged(t *testing.T) {
 	served, direct := Open(Options{}), Open(Options{})
 	puts := make([]wire.Put, 32)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"spitz/internal/ledger"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,25 +18,11 @@ import (
 	"spitz/internal/wire"
 )
 
-// The trimmed form of the verified-read messages: a hint names each held
-// index node by its digest's first postree.FingerprintSize bytes, and no
-// proof repeats the question its client asked or, unbound, the digest it
-// trusts. Both sides use it once both hellos carry its flag; a peer whose
-// hello lacks the flag is answered as before.
-
-// trimmed returns resp as a trimmed response carries it: its proofs
-// without the question they answer.
-func trimmed(resp wire.Response) wire.Response {
-	if resp.Proof != nil {
-		p := ledger.Trimmed(*resp.Proof)
-		resp.Proof = &p
-	}
-	if resp.BatchProof != nil {
-		bp := ledger.Trimmed(*resp.BatchProof)
-		resp.BatchProof = &bp
-	}
-	return resp
-}
+// The trimmed form of the verified-read messages, the only form on the
+// wire: a hint names each held index node by its digest's first
+// postree.FingerprintSize bytes, and no proof carries the question its
+// client asked or, unbound, the digest it trusts. Both hellos must carry
+// its flag.
 
 // collidingHint returns, for every index node a complete response's proofs
 // ship, a digest that is not the node's but shares its fingerprint: a hint
@@ -80,117 +68,118 @@ func narrower(sh readShape, req wire.Request) wire.Request {
 	return req
 }
 
-// untrimmedClient is fs.client for a build without the trimmed form.
-func (fs *faultServer) untrimmedClient(t testing.TB) *spitz.Client {
-	t.Helper()
-	return dialUntrimmed(t, fs.inner)
-}
+// untrimmedHello is the hello of a peer without the trimmed form: framing
+// v3, no flags.
+var untrimmedHello = []byte{0x00, 'S', 'P', 'Z', 3, 0}
 
-// dialUntrimmed connects a client that negotiates as a build without the
-// trimmed form to a server listening on ln.
-func dialUntrimmed(t testing.TB, ln net.Listener) *spitz.Client {
-	t.Helper()
-	var conn net.Conn
-	var err error
-	if pl, ok := ln.(*wire.PipeListener); ok {
-		conn, err = pl.DialPipe()
-	} else {
-		conn, err = net.Dial(ln.Addr().Network(), ln.Addr().String())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := wire.NewClient(wire.Untrimmed(conn))
-	if err := wc.Handshake(); err != nil {
-		t.Fatal(err)
-	}
-	return spitz.NewClient(wc)
-}
-
-// TestTrimmedInterop runs every read shape, cold and warm, and an audit
-// flush, between this build and a peer without the trimmed form on either
-// side: a client that does not offer it, and a server that does not grant
-// it. Every answer is the one a trimmed pair gets, and the hint travels as
-// whole digests; between two trimmed peers it travels as fingerprints.
-// (wire's TestUntrimmedPeerGetsTheUntrimmedBytes pins the responses.)
+// TestTrimmedInterop: a peer without the trimmed form is refused at the
+// hello, on either side, by name: a client whose hello lacks the flag is
+// told what the server speaks and hung up on, and a client meeting a
+// server whose reply lacks it fails with an error naming the form.
+// Between two trimmed peers every read shape, cold, warm and audited, gets
+// the honest answer, and the hint names each held node by fingerprint.
+// (wire's TestHelloVersionChecked has every flags byte.)
 func TestTrimmedInterop(t *testing.T) {
-	pairings := []struct {
-		name    string
-		trimmed bool
-		setup   func(fs *faultServer, t *testing.T) *spitz.Client
-	}{
-		{"both trimmed", true, func(fs *faultServer, t *testing.T) *spitz.Client { return fs.client(t) }},
-		{"untrimmed client", false, func(fs *faultServer, t *testing.T) *spitz.Client { return fs.untrimmedClient(t) }},
-		{"untrimmed server", false, func(fs *faultServer, t *testing.T) *spitz.Client {
-			fs.ln.SetFaults(wire.Faults{Untrimmed: true})
-			return fs.client(t)
-		}},
-	}
-	honest := make([]string, len(readShapes))
-	ref := startFaultServer(t)
-	for i, sh := range readShapes {
-		cl := ref.client(t)
-		var err error
-		if honest[i], err = sh.read(cl); err != nil || honest[i] == "" {
-			t.Fatalf("%s: reference read %q, %v", sh.name, honest[i], err)
+	t.Run("both trimmed", func(t *testing.T) {
+		honest := make([]string, len(readShapes))
+		ref := startFaultServer(t)
+		for i, sh := range readShapes {
+			cl := ref.client(t)
+			var err error
+			if honest[i], err = sh.read(cl); err != nil || honest[i] == "" {
+				t.Fatalf("%s: reference read %q, %v", sh.name, honest[i], err)
+			}
+			cl.Close()
 		}
-		cl.Close()
-	}
-	for _, pr := range pairings {
-		t.Run(pr.name, func(t *testing.T) {
-			fs := startFaultServer(t)
-			// Rows past the shapes' keys, so the tree has index nodes to hint.
-			var more []core.Put
-			for i := 1000; i < 3000; i++ {
-				more = append(more, core.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("pk%d", i)), Value: []byte("x")})
-			}
-			if _, err := fs.eng.Apply("more", more); err != nil {
-				t.Fatal(err)
-			}
-			var hints, wholeDigests int
-			fs.setMutate(func(req wire.Request, resp *wire.Response) {
-				for _, d := range req.Have {
-					hints++
-					if !bytes.Equal(d[postree.FingerprintSize:], make([]byte, hashutil.DigestSize-postree.FingerprintSize)) {
-						wholeDigests++
-					}
+		fs := startFaultServer(t)
+		// Rows past the shapes' keys, so the tree has index nodes to hint.
+		var more []core.Put
+		for i := 1000; i < 3000; i++ {
+			more = append(more, core.Put{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("pk%d", i)), Value: []byte("x")})
+		}
+		if _, err := fs.eng.Apply("more", more); err != nil {
+			t.Fatal(err)
+		}
+		var hints, wholeDigests int
+		fs.setMutate(func(req wire.Request, resp *wire.Response) {
+			for _, d := range req.Have {
+				hints++
+				if !bytes.Equal(d[postree.FingerprintSize:], make([]byte, hashutil.DigestSize-postree.FingerprintSize)) {
+					wholeDigests++
 				}
-			})
-			cl := pr.setup(fs, t)
-			defer cl.Close()
-			if err := cl.SyncDigest(); err != nil {
-				t.Fatal(err)
-			}
-			for i, sh := range readShapes {
-				for _, pass := range []string{"cold", "warm"} {
-					if got, err := sh.read(cl); err != nil || got != honest[i] {
-						t.Fatalf("%s, %s: %q, %v; want %q", sh.name, pass, got, err, honest[i])
-					}
-				}
-			}
-			aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, sh := range readShapes {
-				if got, err := sh.read(cl); err != nil || got != honest[i] {
-					t.Fatalf("%s, audited: %q, %v; want %q", sh.name, got, err, honest[i])
-				}
-			}
-			if err := aud.Flush(); err != nil {
-				t.Fatalf("audit flush: %v", err)
-			}
-			if st := aud.Stats(); st.Audited != st.Receipts || st.Receipts == 0 {
-				t.Fatalf("audited %d of %d receipts", st.Audited, st.Receipts)
-			}
-			if hints == 0 {
-				t.Fatal("no read named the nodes it holds")
-			}
-			if want := map[bool]int{true: 0, false: hints}[pr.trimmed]; wholeDigests != want {
-				t.Fatalf("%d of %d hinted nodes named by whole digest, want %d", wholeDigests, hints, want)
 			}
 		})
-	}
+		cl := fs.client(t)
+		defer cl.Close()
+		if err := cl.SyncDigest(); err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range readShapes {
+			for _, pass := range []string{"cold", "warm"} {
+				if got, err := sh.read(cl); err != nil || got != honest[i] {
+					t.Fatalf("%s, %s: %q, %v; want %q", sh.name, pass, got, err, honest[i])
+				}
+			}
+		}
+		aud, err := cl.StartAudit(spitz.AuditMode{MaxPending: 1 << 20, MaxDelay: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sh := range readShapes {
+			if got, err := sh.read(cl); err != nil || got != honest[i] {
+				t.Fatalf("%s, audited: %q, %v; want %q", sh.name, got, err, honest[i])
+			}
+		}
+		if err := aud.Flush(); err != nil {
+			t.Fatalf("audit flush: %v", err)
+		}
+		if st := aud.Stats(); st.Audited != st.Receipts || st.Receipts == 0 {
+			t.Fatalf("audited %d of %d receipts", st.Audited, st.Receipts)
+		}
+		if hints == 0 || wholeDigests != 0 {
+			t.Fatalf("%d of %d hinted nodes named by whole digest, want none of some", wholeDigests, hints)
+		}
+	})
+	t.Run("untrimmed client", func(t *testing.T) {
+		fs := startFaultServer(t)
+		var served atomic.Int64
+		fs.setMutate(func(wire.Request, *wire.Response) { served.Add(1) })
+		var conn net.Conn
+		var err error
+		if pl, ok := fs.inner.(*wire.PipeListener); ok {
+			conn, err = pl.DialPipe()
+		} else {
+			conn, err = net.Dial(fs.inner.Addr().Network(), fs.inner.Addr().String())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(untrimmedHello); err != nil {
+			t.Fatal(err)
+		}
+		reply := make([]byte, len(untrimmedHello))
+		if _, err := io.ReadFull(conn, reply); err != nil || reply[5]&2 == 0 {
+			t.Fatalf("server reply % x (%v) does not name the trimmed form", reply, err)
+		}
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF || served.Load() != 0 {
+			t.Fatalf("connection stayed open (read %d, %v; %d requests served)", n, err, served.Load())
+		}
+	})
+	t.Run("untrimmed server", func(t *testing.T) {
+		conn, srv := net.Pipe()
+		go func() {
+			io.ReadFull(srv, make([]byte, len(untrimmedHello)))
+			srv.Write(untrimmedHello)
+			srv.Close()
+		}()
+		cl := spitz.NewClient(wire.NewClient(conn))
+		defer cl.Close()
+		if err := cl.SyncDigest(); !errors.Is(err, wire.ErrTransport) || !strings.Contains(err.Error(), "trimmed") {
+			t.Fatalf("a server without the trimmed form: %v, want ErrTransport naming the form", err)
+		}
+	})
 }
 
 // TestFingerprintCollisionIsAnError: a hint names a node by fingerprint
