@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +43,9 @@ type Topology struct {
 // Writes, and every decision to advance trust, go to the primary. Reads
 // go to the owning shard's replicas in round-robin order and fall back
 // to its primary; range, lookup and aggregate reads scatter across the
-// shards and merge. Verification stays client-side and per shard: a
+// shards and merge. Every read it offers is proven against a digest it
+// trusts, or deferred to an audit receipt under AuditMode; History alone
+// is not yet. Verification stays client-side and per shard: a
 // proof produced for shard i is only ever checked against shard i's
 // trusted digest, and that digest only ever advances against shard i's
 // primary — a proof a replica serves at digest d is accepted only after
@@ -144,11 +148,9 @@ func Connect(t Topology) (*Client, error) {
 
 // NewClient adopts one established connection to a single-engine server
 // as a 1 × 0 topology. Unlike Connect it asks the server nothing — no
-// shard map, so its requests carry no shard id: a sharded server routes
-// point reads by key and scatters unverified range and lookup scans over
-// every shard, and refuses what only one shard can answer, such as a
-// verified range scan, a digest or an audit flush. Tests and benchmarks
-// use it to own the connection and every frame on it.
+// shard map, so its requests carry no shard id, and a server of several
+// shards refuses every read it sends (see wire.Router). Tests and
+// benchmarks use it to own the connection and every frame on it.
 func NewClient(c *wire.Client) *Client {
 	return &Client{shards: []*shard{newShard(0, c)}}
 }
@@ -334,22 +336,27 @@ func read[T any](cl *Client, i int, tr *obs.Trace, fn func(l shardLink) (T, erro
 	return fn(cl.primaryLink(i, tr))
 }
 
-// scatter runs fn for every shard concurrently (twopc.FanOut) and returns
-// the per-shard results in shard order. Across several shards one root
-// span named op owns the scatter and each shard's read becomes a child
-// leg, so the whole fan-out stitches under a single trace ID; a single
-// shard's read mints its own root.
+// scatter runs fn for every shard concurrently (fanOut) and returns the
+// per-shard results in shard order. Across several shards one root span
+// named op owns the scatter and each shard's read becomes a child leg, so
+// the whole fan-out stitches under a single trace ID; a single shard's
+// read mints its own root.
 func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, error)) ([]T, error) {
-	parts := make([]T, len(cl.shards))
-	if len(parts) == 1 {
-		var err error
-		parts[0], err = fn(0, nil)
-		return parts, err
+	if len(cl.shards) == 1 {
+		out, err := fn(0, nil)
+		return []T{out}, err
 	}
 	tr := obs.DefaultTracer.Root(op, "client")
 	defer tr.Finish()
-	errs := make([]error, len(parts))
-	twopc.FanOut(len(parts), func(i int) { parts[i], errs[i] = fn(i, tr) })
+	return fanOut(len(cl.shards), func(i int) (T, error) { return fn(i, tr) })
+}
+
+// fanOut runs fn for each of n shards concurrently (twopc.FanOut) and
+// returns the results in shard order, or the first shard's error.
+func fanOut[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	parts := make([]T, n)
+	errs := make([]error, n)
+	twopc.FanOut(n, func(i int) { parts[i], errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -358,19 +365,28 @@ func scatter[T any](cl *Client, op string, fn func(i int, tr *obs.Trace) (T, err
 	return parts, nil
 }
 
-// scatterCells is scatter for reads that return cells: each shard's read
-// goes through the read router, and the per-shard lists merge into pk
-// order (the same merge the server uses, so client-side and server-side
-// scans agree on result order).
-func (cl *Client) scatterCells(op string, fn func(l shardLink) ([]Cell, error)) ([]Cell, error) {
-	parts, err := scatter(cl, op, func(i int, tr *obs.Trace) ([]Cell, error) { return read(cl, i, tr, fn) })
+// mergeByPK merges a fan-out's per-shard cell lists into one list ordered
+// by (table, column, pk) — each shard's list is already ordered, and
+// shards hold disjoint keys — and passes the fan-out's error through.
+func mergeByPK(parts [][]Cell, err error) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
 	if len(parts) == 1 {
 		return parts[0], nil
 	}
-	return wire.MergeCellsByPK(parts), nil
+	out := slices.Concat(parts...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Table != b.Table {
+			return a.Table < b.Table
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return string(a.PK) < string(b.PK)
+	})
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -395,20 +411,6 @@ func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 		return BlockHeader{}, err
 	}
 	return resp.Header, nil
-}
-
-// Get performs an unverified point read against the owning shard.
-func (cl *Client) Get(table, column string, pk []byte) ([]byte, error) {
-	return read(cl, cl.ShardFor(pk), nil, func(l shardLink) ([]byte, error) {
-		resp, err := l.c.Do(wire.Request{Op: wire.OpGet, Table: table, Column: column, PK: pk, Shard: l.shard})
-		if err != nil {
-			return nil, err
-		}
-		if !resp.Found {
-			return nil, ErrNotFound
-		}
-		return resp.Value, nil
-	})
 }
 
 // GetVerified performs a verified point read against the owning shard:
@@ -436,39 +438,18 @@ func (cl *Client) GetVerified(table, column string, pk []byte) ([]byte, bool, er
 // of the range changed since its trusted digest.
 func (cl *Client) RangePKVerified(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
 	r := rangeRead(cl.auditor(), table, column, pkLo, pkHi)
-	return cl.scatterCells("client.range-verified", r.run)
-}
-
-// cellsOp is an unverified read that returns cells.
-func cellsOp(req wire.Request) func(l shardLink) ([]Cell, error) {
-	return func(l shardLink) ([]Cell, error) {
-		req := req // shards run this concurrently
-		req.Shard = l.shard
-		resp, err := l.c.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		return resp.Cells, nil
-	}
-}
-
-// RangePK scans a primary-key range across every shard concurrently
-// (unverified), merging the results into one pk-ordered scan.
-func (cl *Client) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return cl.scatterCells("client.range", cellsOp(wire.Request{Op: wire.OpRange, Table: table, Column: column, PK: pkLo, PKHi: pkHi}))
-}
-
-// LookupEqual returns cells of one column whose latest value equals
-// value, from every shard (unverified; the server must maintain the
-// inverted index).
-func (cl *Client) LookupEqual(table, column string, value []byte) ([]Cell, error) {
-	return cl.scatterCells("client.lookup", cellsOp(wire.Request{Op: wire.OpLookupEq, Table: table, Column: column, Value: value}))
+	return mergeByPK(scatter(cl, "client.range-verified", func(i int, tr *obs.Trace) ([]Cell, error) {
+		return read(cl, i, tr, r.run)
+	}))
 }
 
 // History returns all versions of a cell from its owning shard, newest
 // first (unverified).
 func (cl *Client) History(table, column string, pk []byte) ([]Cell, error) {
-	return read(cl, cl.ShardFor(pk), nil, cellsOp(wire.Request{Op: wire.OpHistory, Table: table, Column: column, PK: pk}))
+	return read(cl, cl.ShardFor(pk), nil, func(l shardLink) ([]Cell, error) {
+		resp, err := l.c.Do(wire.Request{Op: wire.OpHistory, Table: table, Column: column, PK: pk, Shard: l.shard})
+		return resp.Cells, err
+	})
 }
 
 // Snapshot streams a full snapshot of a single-engine server's database

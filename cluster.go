@@ -18,7 +18,7 @@ import (
 	"spitz/internal/repl"
 	"spitz/internal/twopc"
 	"spitz/internal/txn"
-	"spitz/internal/txn/hlc"
+	"spitz/internal/txn/tso"
 	"spitz/internal/wal"
 	"spitz/internal/wire"
 )
@@ -46,10 +46,11 @@ type ClusterOptions struct {
 // full engine with its own tamper-evident ledger (and, with a data
 // directory, its own write-ahead log and checkpoints under
 // <dir>/shard-NNN/), and cross-shard writes commit with two-phase
-// commit. Timestamps come from a hybrid logical clock, so no central
-// oracle sits on the commit path. Every write routes through the owning
-// shard's 2PC participant, so distributed read validation and local
-// writes share one lock discipline.
+// commit. Versions come from one counter (tso.Oracle) that the shards
+// and the 2PC coordinator share, as a single engine draws from its own:
+// they order commits, they do not tell the time. Every write routes
+// through the owning shard's 2PC participant, so distributed read
+// validation and local writes share one lock discipline.
 //
 // Reads that name a primary key (history included) route to the owning
 // shard; range scans and value lookups merge parallel per-shard scans. Verified
@@ -87,8 +88,8 @@ func IsClusterDir(dir string) bool {
 // ahead to the shard's log before acknowledgement, and a crash recovers
 // every shard to its exact pre-crash digest on the next OpenCluster:
 // state addressed at its checkpointed root, WAL tail replayed with
-// per-block hash verification, and the shared clock advanced past every
-// replayed version. An empty dir serves a memory-only cluster. Call
+// per-block hash verification, and the shared counter advanced past every
+// recovered version. An empty dir serves a memory-only cluster. Call
 // Close when done.
 func OpenCluster(dir string, opts ClusterOptions) (*ClusterDB, error) {
 	if dir != "" {
@@ -117,7 +118,7 @@ func OpenCluster(dir string, opts ClusterOptions) (*ClusterDB, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	source := txn.ClockSource{Clock: hlc.New()}
+	source := tso.New(0)
 	engOpts, durOpts := opts.engines(source)
 	db := &ClusterDB{coord: twopc.NewCoordinator(source)}
 	for i := 0; i < opts.Shards; i++ {
@@ -320,9 +321,9 @@ func (db *ClusterDB) History(table, column string, pk []byte) ([]Cell, error) {
 // RangePK scans the latest live cells with primary keys in [pkLo, pkHi)
 // across every shard in parallel, merged into one pk-ordered result.
 func (db *ClusterDB) RangePK(table, column string, pkLo, pkHi []byte) ([]Cell, error) {
-	return wire.ScatterCells(nil, "scatter.range", len(db.shards), func(i int) ([]Cell, error) {
+	return mergeByPK(fanOut(len(db.shards), func(i int) ([]Cell, error) {
 		return db.shards[i].eng.RangePK(table, column, pkLo, pkHi)
-	})
+	}))
 }
 
 // Columns returns the union of every shard's columns for a table, sorted
@@ -351,9 +352,9 @@ func (db *ClusterDB) Columns(table string) ([]string, error) {
 // value, gathered from every shard's inverted index in parallel
 // (requires Options.MaintainInverted).
 func (db *ClusterDB) LookupEqual(table, column string, value []byte) ([]Cell, error) {
-	return wire.ScatterCells(nil, "scatter.lookup-eq", len(db.shards), func(i int) ([]Cell, error) {
+	return mergeByPK(fanOut(len(db.shards), func(i int) ([]Cell, error) {
 		return db.shards[i].eng.LookupEqual(table, column, value)
-	})
+	}))
 }
 
 // ---------------------------------------------------------------------------

@@ -333,6 +333,60 @@ func TestClusterDurableRecovery(t *testing.T) {
 	}
 }
 
+// TestClusterVersionsClimbAcrossReopen: a cluster's shards draw versions
+// from one counter, and a reopened cluster's counter starts above every
+// version any shard recovered, from a checkpoint or from its log tail —
+// so a new commit on the shard that committed least still sorts after
+// the busiest shard's last recovered block.
+func TestClusterVersionsClimbAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Sync: SyncAlways, CheckpointInterval: -1}
+	db, err := OpenCluster(dir, ClusterOptions{Shards: 2, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, quiet := twoShardPKs(db)
+	write := func(db *ClusterDB, pk []byte) {
+		t.Helper()
+		if _, err := db.Apply("w", []Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(db, quiet)
+	for i := 0; i < 20; i++ {
+		write(db, busy)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		write(db, busy) // the log tail past the checkpoint
+	}
+	// Crash: abandon the handles without Close.
+
+	db2, err := OpenCluster(dir, ClusterOptions{Options: opts})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	var recovered uint64
+	for i := 0; i < db2.Shards(); i++ {
+		h, ok := db2.Engine(i).Ledger().Head()
+		if !ok {
+			t.Fatalf("shard %d recovered no block", i)
+		}
+		recovered = max(recovered, h.Version)
+	}
+	for _, pk := range [][]byte{quiet, busy} {
+		write(db2, pk)
+		h, _ := db2.Engine(db2.ShardFor(pk)).Ledger().Head()
+		if h.Version <= recovered {
+			t.Fatalf("shard %d committed version %d after reopen, not above the recovered %d",
+				db2.ShardFor(pk), h.Version, recovered)
+		}
+	}
+}
+
 func TestClusterShardCountMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenCluster(dir, ClusterOptions{Shards: 2})

@@ -3,6 +3,7 @@ package spitz_test
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -159,15 +160,12 @@ func TestClusterVerifiedReads(t *testing.T) {
 			t.Fatal("verified range not merged in pk order")
 		}
 	}
-	golds, err := sc.LookupEqual("t", "tag", []byte("gold"))
-	if err != nil || len(golds) != 8 {
-		t.Fatalf("lookup: %d cells, %v", len(golds), err)
+	golds, err := sc.Query("SELECT tag FROM t WHERE tag = 'gold'")
+	if err != nil || len(golds.Rows) != 8 {
+		t.Fatalf("lookup: %d rows, %v", len(golds.Rows), err)
 	}
 
-	// Unverified reads, history, digest sync.
-	if _, err := sc.Get("t", "tag", []byte("pk001")); err != nil {
-		t.Fatal(err)
-	}
+	// History, digest sync.
 	if _, err := sc.Apply("update", []spitz.Put{{Table: "t", Column: "tag",
 		PK: []byte("pk001"), Value: []byte("rose")}}); err != nil {
 		t.Fatal(err)
@@ -180,16 +178,20 @@ func TestClusterVerifiedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A plain unsharded client interoperates for unverified operations:
-	// the cluster routes by primary key server-side.
+	// A plain connection names the shard it asks: the cluster routes
+	// nothing by key.
 	conn, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp, err := conn.Do(wire.Request{Op: wire.OpGet, Table: "t", Column: "tag", PK: []byte("pk002")})
-	if err != nil || !resp.Found {
-		t.Fatalf("plain client get: %+v %v", resp, err)
+	get := wire.Request{Op: wire.OpGet, Table: "t", Column: "tag", PK: []byte("pk002")}
+	if _, err := conn.Do(get); err == nil || !strings.Contains(err.Error(), "set Shard") {
+		t.Fatalf("plain client get naming no shard: %v, want a refusal", err)
+	}
+	get.Shard = db.ShardFor(get.PK) + 1
+	if resp, err := conn.Do(get); err != nil || !resp.Found {
+		t.Fatalf("plain client get at the owning shard: %+v %v", resp, err)
 	}
 }
 

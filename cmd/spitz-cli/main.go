@@ -3,10 +3,9 @@
 // Usage:
 //
 //	spitz-cli -addr HOST:PORT put   TABLE COLUMN PK VALUE
-//	spitz-cli -addr HOST:PORT get   TABLE COLUMN PK
-//	spitz-cli -addr HOST:PORT getv  TABLE COLUMN PK     (verified read)
+//	spitz-cli -addr HOST:PORT get   TABLE COLUMN PK     (verified read)
 //	spitz-cli -addr HOST:PORT range TABLE COLUMN LO HI  (verified scan)
-//	spitz-cli -addr HOST:PORT hist  TABLE COLUMN PK
+//	spitz-cli -addr HOST:PORT hist  TABLE COLUMN PK     (unverified)
 //	spitz-cli -addr HOST:PORT query STATEMENT...  (rich queries; SELECTs are
 //	                                               verified against per-shard
 //	                                               digests before printing)
@@ -86,11 +85,6 @@ func main() {
 		check(err)
 		fmt.Printf("committed block %d (version %d)\n", h.Height, h.Version)
 	case "get":
-		need(args, 4)
-		v, err := cl.Get(args[1], args[2], []byte(args[3]))
-		check(err)
-		fmt.Printf("%s\n", v)
-	case "getv":
 		need(args, 4)
 		v, found, err := cl.GetVerified(args[1], args[2], []byte(args[3]))
 		check(err)
@@ -396,10 +390,9 @@ func check(err error) {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   spitz-cli [-addr HOST:PORT] put   TABLE COLUMN PK VALUE
-  spitz-cli [-addr HOST:PORT] get   TABLE COLUMN PK
-  spitz-cli [-addr HOST:PORT] getv  TABLE COLUMN PK
-  spitz-cli [-addr HOST:PORT] range TABLE COLUMN LO HI
-  spitz-cli [-addr HOST:PORT] hist  TABLE COLUMN PK
+  spitz-cli [-addr HOST:PORT] get   TABLE COLUMN PK      (verified read)
+  spitz-cli [-addr HOST:PORT] range TABLE COLUMN LO HI   (verified scan)
+  spitz-cli [-addr HOST:PORT] hist  TABLE COLUMN PK      (unverified)
   spitz-cli [-addr HOST:PORT] query STATEMENT...      (verified SELECTs)
   spitz-cli [-addr HOST:PORT] digest [save FILE | check FILE]
   spitz-cli [-addr HOST:PORT] stats

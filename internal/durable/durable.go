@@ -40,9 +40,8 @@ import (
 )
 
 // TimestampSource allocates commit versions and can be advanced past
-// versions recovered from disk. tso.Oracle satisfies it (the default);
-// txn.ClockSource satisfies it for clustered deployments where every
-// shard must draw from one hybrid logical clock.
+// versions recovered from disk. tso.Oracle satisfies it: a fresh one by
+// default, or one shared by every shard of a cluster.
 type TimestampSource interface {
 	txn.TimestampSource
 	Advance(v uint64)

@@ -16,7 +16,7 @@ type (
 )
 
 // Held is the hint of a request this ledger answers, ready to cut proofs
-// against (Elide): the digests of the index nodes the client says it
+// against (Cut): the digests of the index nodes the client says it
 // holds, with the cell tree's node cache behind them for the nodes it
 // holds an older version of.
 func (l *Ledger) Held(have []hashutil.Digest) postree.HeldSet {
@@ -28,46 +28,33 @@ func (l *Ledger) Held(have []hashutil.Digest) postree.HeldSet {
 	return l.cells.Tree.Held(have)
 }
 
-// Elide returns the proof as it travels to a client that says it holds
-// the index nodes in have (none: a cold or hint-less client): every
-// sub-proof without the bodies of exactly those nodes, with a patch in
-// place of the body of a node the client holds another version of, and
-// every range proof without its rows, which the client reads off the
-// leaves it verifies. p and the sub-proofs it points to are not modified.
-func Elide(p Proof, have postree.HeldSet) Proof {
+// Cut returns the proof as it travels to a client that walks the question
+// it asked itself (proof.Verifier.Check) and says it holds the index nodes
+// in have (none: a cold or hint-less client): without its point keys or
+// its ranges' bounds, every sub-proof without the bodies of exactly those
+// nodes, with a patch in place of the body of a node the client holds
+// another version of, and every range proof without its rows, which the
+// client reads off the leaves it verifies. p and the sub-proofs it points
+// to are not modified.
+func Cut(p Proof, have postree.HeldSet) Proof {
 	n := 0
-	if p.Point != nil && have.Len() > 0 {
+	if p.Point != nil {
 		bp, k := have.Point(*p.Point)
+		bp.Keys = nil
 		p.Point, n = &bp, k
 	}
+	var ranges []postree.RangeProof // an empty list travels as none
 	if len(p.Ranges) > 0 {
-		ranges := make([]postree.RangeProof, len(p.Ranges))
-		for i := range p.Ranges {
-			var k int
-			ranges[i], k = have.Range(p.Ranges[i])
-			n += k
-		}
-		p.Ranges = ranges
+		ranges = make([]postree.RangeProof, len(p.Ranges))
 	}
+	for i := range p.Ranges {
+		var k int
+		ranges[i], k = have.Range(p.Ranges[i])
+		ranges[i].Start, ranges[i].End = nil, nil
+		n += k
+	}
+	p.Ranges = ranges
 	countCut(n, have)
-	return p
-}
-
-// Trimmed returns the proof as it travels to a client that walks the
-// question it asked itself (proof.Verifier.Check): without its point keys
-// or its ranges' bounds. p and what it points to are not modified.
-func Trimmed(p Proof) Proof {
-	if p.Point != nil {
-		pt := *p.Point
-		pt.Keys = nil
-		p.Point = &pt
-	}
-	if p.Ranges != nil {
-		p.Ranges = append([]postree.RangeProof(nil), p.Ranges...)
-		for i := range p.Ranges {
-			p.Ranges[i].Start, p.Ranges[i].End = nil, nil
-		}
-	}
 	return p
 }
 

@@ -152,9 +152,6 @@ func (h HeldSet) holds(d hashutil.Digest) bool {
 	return false
 }
 
-// Len returns the number of digests in the hint.
-func (h HeldSet) Len() int { return len(h.hint) }
-
 // Patched reports what the proofs cut against the set so far carry as
 // patches: how many index nodes, and how many bytes fewer than their
 // bodies.

@@ -28,7 +28,7 @@ func BenchmarkCheckAuditFlush(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			trimmed := ledger.Trimmed(res.Proof)
+			trimmed := ledger.Cut(res.Proof, l.Held(nil))
 			wire := ledger.AppendBatchProof(nil, &trimmed)
 			v := proof.NewVerifier()
 			if err := v.Advance(res.Digest, mtree.ConsistencyProof{}); err != nil {

@@ -51,7 +51,7 @@ func (r *hintedReader) read(pk []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p = ledger.Elide(p, r.l.Held(path.Have()))
+	p = ledger.Cut(p, r.l.Held(path.Have()))
 	if r.tamper != nil {
 		r.tamper(&p)
 	}
@@ -434,7 +434,7 @@ func (r *hintedReader) readBatch(queries []ledger.BatchQuery, tamper func(p *led
 	if err != nil {
 		return ledger.Proof{}, err
 	}
-	p := ledger.Elide(res.Proof, r.l.Held(path.Have()))
+	p := ledger.Cut(res.Proof, r.l.Held(path.Have()))
 	if tamper != nil {
 		tamper(&p)
 	}

@@ -32,7 +32,8 @@ type Options struct {
 	// primary, i for shard i-1 of a sharded one.
 	Shard int
 	// MaintainInverted keeps the replica's inverted index, so it can
-	// serve LookupEqual (the primary must maintain its own independently).
+	// serve equality lookups (the primary must maintain its own
+	// independently).
 	MaintainInverted bool
 	// ReconnectDelay is the pause between connection attempts
 	// (default 250ms).

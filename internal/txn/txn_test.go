@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"spitz/internal/txn/hlc"
 	"spitz/internal/txn/tso"
 )
 
@@ -282,26 +281,6 @@ func TestCommitBatchValidatesAgainstCommittedState(t *testing.T) {
 	}
 	if results[1].Err != nil {
 		t.Fatalf("fresh member aborted: %v", results[1].Err)
-	}
-}
-
-func TestHLCSource(t *testing.T) {
-	ts := ClockSource{Clock: hlc.New()}
-	m := NewManager(NewMemStore(ts), ts, ModeOCC)
-	t1 := m.Begin()
-	t1.Put([]byte("k"), []byte("v"))
-	v1, err := t1.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2 := m.Begin()
-	t2.Put([]byte("k"), []byte("w"))
-	v2, err := t2.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 <= v1 {
-		t.Fatal("HLC versions not increasing")
 	}
 }
 

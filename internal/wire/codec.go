@@ -28,10 +28,11 @@ import (
 
 // opCodes maps each known op to its 1-based wire opcode. Opcode 0 means
 // a string-encoded op follows, so new ops interoperate before they get
-// a compact code.
+// a compact code. Opcode 6, the unproven value lookup, is retired: it
+// decodes as the empty op, which every handler refuses as unknown.
 var opCodes = map[Op]byte{
 	OpPut: 1, OpGet: 2, OpGetVerified: 3, OpRange: 4, OpRangeVer: 5,
-	OpLookupEq: 6, OpHistory: 7, OpDigest: 8, OpConsistency: 9,
+	OpHistory: 7, OpDigest: 8, OpConsistency: 9,
 	OpProveBatch: 10, OpSnapshot: 11, OpRestore: 12, OpShardMap: 13,
 	OpClusterDigest: 14, OpStats: 15, OpReplStream: 16, OpReplAck: 17,
 	OpQuery: 18,
@@ -51,7 +52,7 @@ const (
 	reqColumn
 	reqPK
 	reqPKHi
-	reqValue
+	reqRetiredValue // no field since the value lookup went; later bits keep their v3 positions
 	reqPuts
 	reqStatement
 	reqOldDigest
@@ -76,7 +77,7 @@ const (
 	reqFingerprints
 
 	// reqKnown is every bit a field defines.
-	reqKnown = (reqFingerprints<<1 - 1) &^ reqRetired
+	reqKnown = (reqFingerprints<<1 - 1) &^ reqRetired &^ reqRetiredValue
 )
 
 // AppendRequest appends req's binary encoding.
@@ -87,8 +88,7 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		dst = binenc.AppendString(dst, string(req.Op))
 	}
 	bits := binenc.Flag(req.Table != "", reqTable) | binenc.Flag(req.Column != "", reqColumn) |
-		binenc.Flag(req.PK != nil, reqPK) | binenc.Flag(req.PKHi != nil, reqPKHi) |
-		binenc.Flag(req.Value != nil, reqValue) | binenc.Flag(req.Puts != nil, reqPuts) |
+		binenc.Flag(req.PK != nil, reqPK) | binenc.Flag(req.PKHi != nil, reqPKHi) | binenc.Flag(req.Puts != nil, reqPuts) |
 		binenc.Flag(req.Statement != "", reqStatement) | binenc.Flag(req.OldDigest != (ledger.Digest{}), reqOldDigest) |
 		binenc.Flag(req.OldDigest2 != nil, reqOldDigest2) | binenc.Flag(req.Audits != nil, reqAudits) |
 		binenc.Flag(req.Snapshot != nil, reqSnapshot) | binenc.Flag(req.Shard != 0, reqShard) |
@@ -107,9 +107,6 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	}
 	if bits&reqPKHi != 0 {
 		dst = binenc.AppendBytes(dst, req.PKHi)
-	}
-	if bits&reqValue != 0 {
-		dst = binenc.AppendBytes(dst, req.Value)
 	}
 	if bits&reqPuts != 0 {
 		dst = binenc.AppendUvarint(dst, uint64(len(req.Puts)))
@@ -190,9 +187,6 @@ func DecodeRequest(src []byte) (Request, error) {
 	}
 	if bits&reqPKHi != 0 {
 		req.PKHi = binenc.Read(&d, binenc.ReadBytes)
-	}
-	if bits&reqValue != 0 {
-		req.Value = binenc.Read(&d, binenc.ReadBytes)
 	}
 	if bits&reqPuts != 0 {
 		var cnt int

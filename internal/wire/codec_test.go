@@ -190,7 +190,6 @@ func rndRequest(r *rand.Rand) Request {
 		Column:   rndString(r, 12),
 		PK:       rndBytes(r, 16),
 		PKHi:     rndBytes(r, 16),
-		Value:    rndBytes(r, 32),
 		Shard:    r.Intn(4),
 		Height:   uint64(r.Intn(1 << 30)),
 		HeadHeld: r.Intn(2) == 0,
@@ -424,12 +423,20 @@ func TestDecodeRejectsTrailing(t *testing.T) {
 
 // TestUndefinedPresenceBitsAreCorrupt: a presence bit that no field
 // defines is corrupt, whatever follows it — among them the bits that once
-// carried the hint as whole digests and Response.Shard.
+// carried the looked-up value, the hint as whole digests and
+// Response.Shard.
 func TestUndefinedPresenceBitsAreCorrupt(t *testing.T) {
 	digest := opCodes[OpDigest]
-	for _, bit := range []uint64{1 << 15, 1 << 18, 1 << 25, 1 << 63} {
-		if _, err := DecodeRequest(binenc.AppendUvarint([]byte{digest}, bit)); !errors.Is(err, binenc.ErrCorrupt) {
-			t.Errorf("request bit %#x: err = %v, want ErrCorrupt", bit, err)
+	for _, enc := range [][]byte{
+		binenc.AppendUvarint([]byte{digest}, 1<<4),
+		binenc.AppendBytes(binenc.AppendUvarint([]byte{digest}, 1<<4), []byte("v03")), // the old value bit with a value
+		binenc.AppendUvarint([]byte{digest}, 1<<15),
+		binenc.AppendUvarint([]byte{digest}, 1<<18),
+		binenc.AppendUvarint([]byte{digest}, 1<<25),
+		binenc.AppendUvarint([]byte{digest}, 1<<63),
+	} {
+		if _, err := DecodeRequest(enc); !errors.Is(err, binenc.ErrCorrupt) {
+			t.Errorf("request % x: err = %v, want ErrCorrupt", enc, err)
 		}
 	}
 	for _, enc := range [][]byte{

@@ -169,7 +169,7 @@ func TestGetVerifiedResponseShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := ledger.Trimmed(res.Proof)
+	sent := ledger.Cut(res.Proof, eng.Ledger().Held(nil))
 	want := AppendResponse(nil, &Response{Found: res.Found, Proof: &sent, Digest: res.Digest})
 	if got := AppendResponse(nil, &resp); !bytes.Equal(got, want) {
 		t.Fatalf("hint-less response is not the full proof: %d bytes, want %d", len(got), len(want))

@@ -13,6 +13,7 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
+	"spitz/internal/postree"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v3-responses.golden from the current encoder")
@@ -204,7 +205,7 @@ func sent(t *testing.T, enc string) string {
 	}
 	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
 		if p != nil {
-			if *p = ledger.Trimmed(*p); p.Unbound {
+			if *p = ledger.Cut(*p, postree.HeldSet{}); p.Unbound {
 				resp.Digest = ledger.Digest{}
 			}
 		}

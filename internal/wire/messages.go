@@ -24,11 +24,10 @@ type Op string
 // Supported operations.
 const (
 	OpPut         Op = "put"          // batched cell writes
-	OpGet         Op = "get"          // unverified point read
+	OpGet         Op = "get"          // point read + the digest it was read at (AuditMode proves it later)
 	OpGetVerified Op = "get-verified" // point read + proof
-	OpRange       Op = "range"        // unverified pk range scan
+	OpRange       Op = "range"        // pk range scan + the digest it was read at (AuditMode proves it later)
 	OpRangeVer    Op = "range-verified"
-	OpLookupEq    Op = "lookup-eq" // inverted-index equality lookup
 	OpHistory     Op = "history"
 	OpDigest      Op = "digest"
 	OpConsistency Op = "consistency"
@@ -57,7 +56,6 @@ type Request struct {
 	Column    string
 	PK        []byte
 	PKHi      []byte
-	Value     []byte // OpLookupEq: the value to look up
 	Puts      []Put
 	Statement string
 	OldDigest ledger.Digest
@@ -80,8 +78,9 @@ type Request struct {
 	Deferred bool
 
 	// Shard targets one shard of a deployment: i > 0 addresses shard
-	// i-1, 0 addresses a one-shard deployment's shard or lets a wider one
-	// route by primary key (see Router).
+	// i-1, and 0 addresses a one-shard deployment's shard; a wider one
+	// answers 0 only for what describes it whole and for writes (see
+	// Router).
 	Shard int
 
 	// Height carries a ledger height: on the eager proof-carrying reads

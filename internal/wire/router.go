@@ -8,15 +8,11 @@ package wire
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/ledger"
-	"spitz/internal/obs"
 	"spitz/internal/proof"
 	"spitz/internal/query"
-	"spitz/internal/twopc"
 )
 
 // Shard is one shard of a served deployment.
@@ -45,14 +41,12 @@ type ReplSource interface {
 //
 // The addressing rule, applied to Request.Shard: i > 0 addresses shard
 // i-1, and a shard the deployment does not have is refused ("beyond").
-// With one shard, 0 addresses it too. With more and Shard = 0, point
-// operations (and point SELECT / HISTORY) route by primary key,
-// unverified range and lookup scans scatter and merge, and whatever is
-// proven against one shard's digest — verified ranges, digests, audit
-// proofs, snapshots, non-point SELECTs — is refused. OpShardMap,
-// OpClusterDigest and OpStats describe the whole deployment, and
-// mutations (OpPut, OpRestore, INSERT/UPDATE/DELETE) go to Write
-// whatever the request names.
+// With one shard, 0 addresses it too. With more, 0 addresses the
+// deployment as a whole: OpShardMap, OpClusterDigest and OpStats describe
+// it, mutations (OpPut, OpRestore, INSERT/UPDATE/DELETE) go to Write
+// whatever the request names, and every other op is refused with one
+// error telling the client to set Shard. Nothing routes by key: a client
+// holds the shard map (ShardIndex) and names the shard it asks.
 type Router struct {
 	Shards []Shard
 	// Write executes mutations: a cluster's 2PC coordinator, or a single
@@ -71,8 +65,7 @@ func EngineHandler(eng *core.Engine) Handler {
 }
 
 // shardOf applies the addressing rule to a Shard field: the shard index
-// it names, or -1 when a multi-shard deployment was addressed as a whole
-// and the op decides.
+// it names, or -1 when a deployment of several was addressed as a whole.
 func (r *Router) shardOf(shard int) (int, error) {
 	n := len(r.Shards)
 	switch {
@@ -82,6 +75,12 @@ func (r *Router) shardOf(shard int) (int, error) {
 		return 0, nil
 	}
 	return shard - 1, nil
+}
+
+// unaddressed is the refusal of a per-shard request that names no shard
+// of a deployment of several.
+func (r *Router) unaddressed() error {
+	return fmt.Errorf("wire: a deployment of %d shards answers this per shard; set Shard", len(r.Shards))
 }
 
 // Handle implements Handler.
@@ -105,29 +104,7 @@ func (r *Router) Handle(req Request) Response {
 	case OpQuery:
 		return r.query(si, req)
 	}
-	if si >= 0 {
-		return r.on(si, req, Dispatch)
-	}
-	switch req.Op {
-	case OpGet, OpGetVerified, OpHistory:
-		return r.on(ShardIndex(req.PK, len(r.Shards)), req, Dispatch)
-	case OpRange:
-		return r.scatter(req, "scatter.range", func(eng *core.Engine) ([]cellstore.Cell, error) {
-			return eng.RangePK(req.Table, req.Column, req.PK, req.PKHi)
-		})
-	case OpLookupEq:
-		return r.scatter(req, "scatter.lookup-eq", func(eng *core.Engine) ([]cellstore.Cell, error) {
-			return eng.LookupEqual(req.Table, req.Column, req.Value)
-		})
-	case OpRangeVer:
-		return Response{Err: "wire: verified range scans across a cluster must target one shard at a time (set Shard)"}
-	case OpDigest, OpConsistency, OpProveBatch:
-		return Response{Err: "wire: digests and audit proofs are per-shard in a cluster; set Shard, use " +
-			string(OpClusterDigest) + ", or connect with spitz.Dial, which addresses each shard, for ongoing verified reads"}
-	case OpSnapshot:
-		return Response{Err: "wire: snapshots are per-shard in a cluster; set Shard"}
-	}
-	return Response{Err: fmt.Sprintf("wire: unknown op %q", req.Op)}
+	return r.on(si, req, Dispatch)
 }
 
 func (r *Router) write(req Request) Response {
@@ -137,42 +114,33 @@ func (r *Router) write(req Request) Response {
 	return r.Write(req)
 }
 
-// query routes an OpQuery statement: mutations to the writer, point
-// SELECTs and HISTORY to the owning shard, and the rest to the addressed
-// shard — there is no cross-shard authenticated structure to prove a
-// wider SELECT against, so sharded clients fan those out per shard.
+// query routes an OpQuery statement: mutations to the writer, and the
+// rest to the addressed shard — there is no cross-shard authenticated
+// structure to prove a SELECT against, so sharded clients fan those out
+// per shard.
 func (r *Router) query(si int, req Request) Response {
 	stmt, err := query.Parse(req.Statement)
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
-	switch s := stmt.(type) {
+	switch stmt.(type) {
 	case query.Insert, query.Update, query.Delete:
 		return r.write(req)
-	case query.History:
-		if si < 0 {
-			si = ShardIndex([]byte(s.PK), len(r.Shards))
-		}
-	case query.Select:
-		if si < 0 {
-			if !s.HasPK {
-				return Response{Err: "wire: range, lookup and aggregate queries are proven per shard; " +
-					"set Shard, or connect with a sharded client which fans out and merges verified results"}
-			}
-			si = ShardIndex([]byte(s.PK), len(r.Shards))
-		}
 	}
 	return r.on(si, req, func(eng *core.Engine, req Request) Response {
 		return fit(eng, req, dispatchQuery(eng, req, stmt))
 	})
 }
 
-// on serves a request from shard si. Across several shards a traced
-// request gets a child span labelled with the shard, so the engine's
-// proof and ledger stages land on a per-shard span of the stitched
-// timeline.
+// on serves a request from shard si, and refuses it when it named none
+// (si < 0). Across several shards a traced request gets a child span
+// labelled with the shard, so the engine's proof and ledger stages land
+// on a per-shard span of the stitched timeline.
 func (r *Router) on(si int, req Request, serve func(*core.Engine, Request) Response) Response {
-	if len(r.Shards) == 1 {
+	switch {
+	case si < 0:
+		return Response{Err: r.unaddressed().Error()}
+	case len(r.Shards) == 1:
 		return serve(r.Shards[0].Engine(), req)
 	}
 	leg := req.Trace().ChildAt("shard.dispatch", ShardName(si))
@@ -180,18 +148,6 @@ func (r *Router) on(si int, req Request, serve func(*core.Engine, Request) Respo
 	resp := serve(r.Shards[si].Engine(), req)
 	leg.Finish()
 	return resp
-}
-
-// scatter answers an unverified scan from every shard, merged into pk
-// order.
-func (r *Router) scatter(req Request, op string, fn func(*core.Engine) ([]cellstore.Cell, error)) Response {
-	cells, err := ScatterCells(req.Trace(), op, len(r.Shards), func(i int) ([]cellstore.Cell, error) {
-		return fn(r.Shards[i].Engine())
-	})
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	return Response{Found: len(cells) > 0, Cells: cells}
 }
 
 // Repl resolves a replication-stream request's shard to its source
@@ -202,7 +158,7 @@ func (r *Router) Repl(shard int) (ReplStreamer, error) {
 		return nil, err
 	}
 	if si < 0 {
-		return nil, fmt.Errorf("wire: replication streams are per-shard in a %d-shard deployment; set the shard", len(r.Shards))
+		return nil, r.unaddressed()
 	}
 	if src := r.Shards[si].Source; src != nil {
 		return src, nil
@@ -255,48 +211,3 @@ func ShardIndex(pk []byte, shards int) int {
 
 // ShardName labels shard i in traces and 2PC participant names.
 func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
-
-// ScatterCells runs fn for each of n shards concurrently (twopc.FanOut)
-// and merges the per-shard results into pk order. A traced request records
-// one child span named op per shard.
-func ScatterCells(tr *obs.Trace, op string, n int, fn func(i int) ([]cellstore.Cell, error)) ([]cellstore.Cell, error) {
-	parts := make([][]cellstore.Cell, n)
-	errs := make([]error, n)
-	twopc.FanOut(n, func(i int) {
-		leg := tr.ChildAt(op, ShardName(i))
-		parts[i], errs[i] = fn(i)
-		leg.Finish()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergeCellsByPK(parts), nil
-}
-
-// MergeCellsByPK merges per-shard result lists into one list ordered by
-// (table, column, pk) — each shard's list is already ordered, and shards
-// hold disjoint keys. Clients merge their own fan-outs with it, so
-// client-side and server-side scans agree on result order.
-func MergeCellsByPK(parts [][]cellstore.Cell) []cellstore.Cell {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]cellstore.Cell, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return string(a.PK) < string(b.PK)
-	})
-	return out
-}

@@ -17,8 +17,8 @@ import (
 
 // knownOps lists every request type for per-op metric preallocation.
 var knownOps = []Op{OpPut, OpGet, OpGetVerified, OpRange, OpRangeVer,
-	OpLookupEq, OpHistory, OpDigest, OpConsistency, OpProveBatch,
-	OpSnapshot, OpRestore, OpShardMap, OpClusterDigest, OpStats, OpQuery}
+	OpHistory, OpDigest, OpConsistency, OpProveBatch, OpSnapshot,
+	OpRestore, OpShardMap, OpClusterDigest, OpStats, OpQuery}
 
 // opSeries are the serve metrics of one op.
 type opSeries struct {
@@ -392,13 +392,13 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // client named. A point or range read whose answer did not change since
 // comes from dispatch proven at that digest (Engine.Verified), so it is
 // cut as one at the head. dispatch's proof structs are this call's own;
-// node lists and sub-proofs inside may be shared, and ledger.Elide and
-// ledger.Trimmed replace rather than edit those.
+// node lists and sub-proofs inside may be shared, and ledger.Cut replaces
+// rather than edits those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
 	proofs := [...]*ledger.Proof{resp.Proof, resp.BatchProof}
 	for _, p := range proofs {
 		if p != nil {
-			*p = ledger.Trimmed(ledger.Elide(*p, eng.Ledger().Held(req.Have)))
+			*p = ledger.Cut(*p, eng.Ledger().Held(req.Have))
 		}
 	}
 	switch d := resp.Digest; {
@@ -462,12 +462,6 @@ func dispatch(eng *core.Engine, req Request) Response {
 			return Response{Err: err.Error()}
 		}
 		return Response{Found: len(cells) > 0, Cells: cells, Digest: d}
-	case OpLookupEq:
-		cells, err := eng.LookupEqual(req.Table, req.Column, req.Value)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		return Response{Found: len(cells) > 0, Cells: cells}
 	case OpHistory:
 		cells, err := eng.History(req.Table, req.Column, req.PK)
 		if err != nil {

@@ -51,10 +51,10 @@ func TestDispatchAnswersOnlyWhatChanged(t *testing.T) {
 			// always was.
 			old := dispatch(eng, req)
 			if old.Proof != nil {
-				*old.Proof = ledger.Trimmed(ledger.Elide(*old.Proof, eng.Ledger().Held(nil)))
+				*old.Proof = ledger.Cut(*old.Proof, eng.Ledger().Held(nil))
 			}
 			if old.BatchProof != nil {
-				*old.BatchProof = ledger.Trimmed(ledger.Elide(*old.BatchProof, eng.Ledger().Held(nil)))
+				*old.BatchProof = ledger.Cut(*old.BatchProof, eng.Ledger().Held(nil))
 			}
 			want := AppendResponse(nil, &old)
 			if _, got := ask(0, false); !bytes.Equal(got, want) {
@@ -158,7 +158,7 @@ func TestUnchangedAnswerIsProvenAtTheTrustedHeight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p = ledger.Trimmed(ledger.Unbind(ledger.Elide(p, eng.Ledger().Held(nil))))
+		p = ledger.Unbind(ledger.Cut(p, eng.Ledger().Held(nil)))
 		want := Response{Found: resp.Found, Proof: &p}
 		if !bytes.Equal(AppendResponse(nil, &resp), AppendResponse(nil, &want)) {
 			t.Fatalf("%s: the response is not the trusted block's proof", what)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -229,7 +230,8 @@ func TestPipeListenerDialCloseRace(t *testing.T) {
 	}
 }
 
-// TestLookupEqualOverWire covers the inverted-index lookup op.
+// TestLookupEqualOverWire: an equality lookup is a SELECT, answered from
+// the inverted index with its proof.
 func TestLookupEqualOverWire(t *testing.T) {
 	eng := core.New(core.Options{MaintainInverted: true})
 	srv := NewHandlerServer(EngineHandler(eng))
@@ -249,9 +251,27 @@ func TestLookupEqualOverWire(t *testing.T) {
 	if _, err := cl.Do(Request{Op: OpPut, Statement: "s", Puts: puts}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Do(Request{Op: OpLookupEq, Table: "t", Column: "tag", Value: []byte("red")})
-	if err != nil || len(resp.Cells) != 2 {
-		t.Fatalf("lookup: %d cells, %v", len(resp.Cells), err)
+	resp, err := cl.Do(Request{Op: OpQuery, Statement: "SELECT tag FROM t WHERE tag = 'red'"})
+	if err != nil || resp.BatchProof == nil || len(resp.Cells) != 2 {
+		t.Fatalf("lookup: %d cells, proof %v, %v", len(resp.Cells), resp.BatchProof != nil, err)
+	}
+}
+
+// TestRetiredOpIsUnknown: opcode 6, once the unproven value lookup,
+// decodes as no op, and it and the lookup's spelled-out name are refused
+// as unknown ops.
+func TestRetiredOpIsUnknown(t *testing.T) {
+	h := EngineHandler(core.New(core.Options{MaintainInverted: true}))
+	enc := AppendRequest(nil, &Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("k")})
+	enc[0] = 6
+	req, err := DecodeRequest(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{req, {Op: "lookup-eq", Table: "t", Column: "c"}} {
+		if resp := h.Handle(req); !strings.Contains(resp.Err, "unknown op") {
+			t.Errorf("op %q: answered %+v, want an unknown-op refusal", req.Op, resp)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // ReplicaOptions configures DialReplica / NewReplica.
 type ReplicaOptions struct {
 	// MaintainInverted keeps the replica's inverted index so it can serve
-	// LookupEqual.
+	// equality lookups (SELECT ... WHERE c = 'v').
 	MaintainInverted bool
 	// ReconnectDelay is the pause between reconnection attempts to the
 	// primary (default 250ms).

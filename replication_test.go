@@ -440,7 +440,7 @@ func TestClusterReplication(t *testing.T) {
 	}
 	// Scans merge across mirrored shards (TestRoutingMatrix covers the
 	// refused writes).
-	cells, err := sc.RangePK("t", "c", nil, nil)
+	cells, err := sc.RangePKVerified("t", "c", nil, nil)
 	if err != nil || len(cells) != 24 {
 		t.Fatalf("replica-set range: %d cells, err=%v", len(cells), err)
 	}

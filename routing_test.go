@@ -23,11 +23,11 @@ type matrixDeployment struct {
 
 // What a request does under the addressing rule (wire.Router).
 const (
-	point    = iota // routes by pk; found iff the serving shard owns it
-	scan            // a whole deployment scatters and merges
-	perShard        // proven against one shard's digest
+	point    = iota // answered by the shard it names; found iff that shard owns the key
+	perShard        // answered by the shard it names
 	whole           // describes the deployment
 	write           // goes to the writer whatever Shard says
+	unknown         // an op no server answers
 )
 
 type matrixOp struct {
@@ -46,8 +46,10 @@ func (d matrixDeployment) expect(op matrixOp, shard int) string {
 		return "read-only"
 	case op.class == write && d.cluster && op.req.Op == wire.OpRestore:
 		return "restore is not supported"
-	case op.class == perShard && shard == 0 && d.shards > 1:
+	case (op.class == point || op.class == perShard || op.class == unknown) && shard == 0 && d.shards > 1:
 		return "set Shard"
+	case op.class == unknown:
+		return "unknown op"
 	}
 	return ""
 }
@@ -155,8 +157,7 @@ func TestRoutingMatrix(t *testing.T) {
 		{"history", point, wire.Request{Op: wire.OpHistory, Table: "t", Column: "c", PK: matrixPK}},
 		{"select-point", point, wire.Request{Op: wire.OpQuery, Statement: "SELECT c FROM t WHERE pk = 'k03'"}},
 		{"sql-history", point, wire.Request{Op: wire.OpQuery, Statement: "HISTORY t.c WHERE pk = 'k03'"}},
-		{"range", scan, wire.Request{Op: wire.OpRange, Table: "t", Column: "c", PK: []byte("k00"), PKHi: []byte("k99")}},
-		{"lookup-eq", scan, wire.Request{Op: wire.OpLookupEq, Table: "t", Column: "c", Value: []byte("v03")}},
+		{"range", perShard, wire.Request{Op: wire.OpRange, Table: "t", Column: "c", PK: []byte("k00"), PKHi: []byte("k99")}},
 		{"range-verified", perShard, wire.Request{Op: wire.OpRangeVer, Table: "t", Column: "c", PK: []byte("k00"), PKHi: []byte("k99")}},
 		{"digest", perShard, wire.Request{Op: wire.OpDigest}},
 		{"consistency", perShard, wire.Request{Op: wire.OpConsistency}},
@@ -167,6 +168,7 @@ func TestRoutingMatrix(t *testing.T) {
 		{"shard-map", whole, wire.Request{Op: wire.OpShardMap}},
 		{"cluster-digest", whole, wire.Request{Op: wire.OpClusterDigest}},
 		{"stats", whole, wire.Request{Op: wire.OpStats}},
+		{"lookup-eq", unknown, wire.Request{Op: "lookup-eq", Table: "t", Column: "c"}}, // retired
 	}
 
 	for _, d := range deployments {
@@ -195,15 +197,13 @@ func TestRoutingMatrix(t *testing.T) {
 					t.Errorf("%s: refused (%v), want served", name, err)
 					continue
 				}
-				serving := owner // Shard = 0: routed by pk
-				if shard > 0 && d.shards > 1 {
+				serving := 0 // Shard = 0 is served only by a one-shard deployment
+				if shard > 0 {
 					serving = shard - 1
 				}
 				switch {
 				case op.class == point && resp.Found != (serving == owner):
 					t.Errorf("%s: found = %v, but shard %d serves and shard %d owns the key", name, resp.Found, serving, owner)
-				case op.class == scan && shard == 0 && !resp.Found:
-					t.Errorf("%s: the merged scan found nothing", name)
 				case op.req.Op == wire.OpShardMap && resp.ShardCount != d.shards,
 					op.req.Op == wire.OpClusterDigest && (resp.Cluster == nil || len(resp.Cluster.Shards) != d.shards),
 					op.req.Op == wire.OpStats && (resp.Stats == nil || len(resp.Stats.Shards) != d.shards):

@@ -185,10 +185,6 @@ func TestNetworkClient(t *testing.T) {
 		t.Fatalf("a single-engine server reported %d shards", cl.Shards())
 	}
 
-	v, err := cl.Get("t", "c", []byte("pk0007"))
-	if err != nil || string(v) != "v0007" {
-		t.Fatalf("client get = %q, %v", v, err)
-	}
 	v, found, err := cl.GetVerified("t", "c", []byte("pk0008"))
 	if err != nil || !found || string(v) != "v0008" {
 		t.Fatalf("client verified get = %q %v %v", v, found, err)

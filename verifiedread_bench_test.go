@@ -14,7 +14,8 @@ import (
 // end — the lever this PR pulls. Three modes over the same served
 // database and the same key distribution:
 //
-//   - Unverified:    Client.Get — the floor (transport + lookup only).
+//   - Unverified:    a bare OpGet round trip (wire.Client.Do) — the
+//     floor (transport + lookup only), what AuditMode's reads send.
 //   - EagerVerify:   Client.GetVerified — full proof constructed,
 //     shipped and checked per read (the PR 4 behaviour).
 //   - DeferredAudit: Client.GetVerified under AuditMode — proof-free
@@ -59,13 +60,18 @@ func BenchmarkVerifiedRead(b *testing.B) {
 		return benchReadKey(int(uint64(i)*2654435761) % hotSet)
 	}
 
+	// The floor: the bare OpGet round trip AuditMode's optimistic reads
+	// send.
 	b.Run("Unverified", func(b *testing.B) {
-		cl := client(b)
-		defer cl.Close()
+		wc, err := wire.Connect(ln)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer wc.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cl.Get("t", "c", key(i)); err != nil {
+			if _, err := wc.Do(wire.Request{Op: wire.OpGet, Table: "t", Column: "c", PK: key(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,16 +143,7 @@ func BenchmarkVerifiedRead(b *testing.B) {
 			i := 0
 			for pb.Next() {
 				i++
-				var err error
-				var found bool
-				switch mode {
-				case "eager", "audit":
-					_, found, err = cl.GetVerified("t", "c", key(i))
-				default:
-					_, err = cl.Get("t", "c", key(i))
-					found = true
-				}
-				if err != nil || !found {
+				if _, found, err := cl.GetVerified("t", "c", key(i)); err != nil || !found {
 					b.Fatalf("read: %v %v", found, err)
 				}
 			}
