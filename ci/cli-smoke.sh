@@ -47,6 +47,7 @@ reads() {
 	done
 	expect "$1" '(verified: absent)' get t c nobody
 	expect "$1" 'value-5$' hist t c pk5
+	expect "$1" '^1 versions, verified$' hist t c pk5
 	expect "$1" '^8	(verified)$' query "SELECT COUNT(c) FROM t WHERE pk BETWEEN 'pk0' AND 'pk7'"
 	expect "$1" 'height=[1-9]' stats
 	expect "$1" 'root[=:]' digest

@@ -1,6 +1,7 @@
 package spitz
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spitz/internal/cas"
+	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/proof"
 	"spitz/internal/twopc"
@@ -44,8 +47,8 @@ type Topology struct {
 // go to the owning shard's replicas in round-robin order and fall back
 // to its primary; range, lookup and aggregate reads scatter across the
 // shards and merge. Every read it offers is proven against a digest it
-// trusts, or deferred to an audit receipt under AuditMode; History alone
-// is not yet. Verification stays client-side and per shard: a
+// trusts, or deferred to an audit receipt under AuditMode (History is
+// always proven at once). Verification stays client-side and per shard: a
 // proof produced for shard i is only ever checked against shard i's
 // trusted digest, and that digest only ever advances against shard i's
 // primary — a proof a replica serves at digest d is accepted only after
@@ -443,23 +446,42 @@ func (cl *Client) RangePKVerified(table, column string, pkLo, pkHi []byte) ([]Ce
 	}))
 }
 
-// History returns all versions of a cell from its owning shard, newest
-// first (unverified).
+// History returns every version of a cell from its owning shard, newest
+// first, tombstones included, verified before it is returned: the head is
+// proven as GetVerified proves it, and each older version hashes to the
+// link of the one after it, down to the cell's first, so none can be
+// dropped, reordered, rewritten or added. It is always verified eagerly,
+// AuditMode or not.
 func (cl *Client) History(table, column string, pk []byte) ([]Cell, error) {
-	return read(cl, cl.ShardFor(pk), nil, func(l shardLink) ([]Cell, error) {
-		resp, err := l.c.Do(wire.Request{Op: wire.OpHistory, Table: table, Column: column, PK: pk, Shard: l.shard})
-		return resp.Cells, err
-	})
+	r := historyRead(table, column, pk)
+	return read(cl, cl.ShardFor(pk), nil, r.run)
 }
 
 // Snapshot streams a full snapshot of a single-engine server's database
 // to w — the operator-facing way to take a checkpoint by hand (spitz-cli
 // snapshot). The stream is WriteSnapshot's format and can be loaded with
-// Restore, ResetFromSnapshot, or Client.Restore.
+// Restore, ResetFromSnapshot, or Client.Restore. It is checked before a
+// byte is written: loaded into a scratch ledger (every object hashed, the
+// block chain, the head's tree and every cell's version chain walked), it
+// must reach the digest the server sent it with and, when this client
+// trusts a digest, pass through exactly that digest; otherwise the error
+// is ErrTampered.
 func (cl *Client) Snapshot(w io.Writer) error {
 	resp, err := cl.shards[0].primary.Do(wire.Request{Op: wire.OpSnapshot})
 	if err != nil {
 		return err
+	}
+	l, err := ledger.LoadSnapshot(cas.NewMemory(), bytes.NewReader(resp.Value))
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrTampered, err)
+	}
+	if d := l.Digest(); d != resp.Digest {
+		return fmt.Errorf("%w: snapshot restores to digest %d, sent as %d", ErrTampered, d.Height, resp.Digest.Height)
+	}
+	if trusted := cl.Verifier().Digest(); trusted.Height > 0 {
+		if d, err := l.DigestAt(trusted.Height); err != nil || d != trusted {
+			return fmt.Errorf("%w: snapshot does not extend the trusted digest at height %d", ErrTampered, trusted.Height)
+		}
 	}
 	_, err = w.Write(resp.Value)
 	return err

@@ -5,7 +5,7 @@
 //	spitz-cli -addr HOST:PORT put   TABLE COLUMN PK VALUE
 //	spitz-cli -addr HOST:PORT get   TABLE COLUMN PK     (verified read)
 //	spitz-cli -addr HOST:PORT range TABLE COLUMN LO HI  (verified scan)
-//	spitz-cli -addr HOST:PORT hist  TABLE COLUMN PK     (unverified)
+//	spitz-cli -addr HOST:PORT hist  TABLE COLUMN PK     (verified history)
 //	spitz-cli -addr HOST:PORT query STATEMENT...  (rich queries; SELECTs are
 //	                                               verified against per-shard
 //	                                               digests before printing)
@@ -36,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -113,6 +114,7 @@ func main() {
 				fmt.Printf("v%d\t%s\n", c.Version, c.Value)
 			}
 		}
+		fmt.Printf("%d versions, verified\n", len(cells))
 	case "query":
 		need(args, 2)
 		queryCmd(cl, strings.Join(args[1:], " "))
@@ -124,9 +126,12 @@ func main() {
 		printStats(st)
 	case "snapshot":
 		need(args, 2)
+		var snap bytes.Buffer
+		check(cl.Snapshot(&snap)) // checked before the file is created
 		f, err := os.Create(args[1])
 		check(err)
-		check(cl.Snapshot(f))
+		_, err = f.Write(snap.Bytes())
+		check(err)
 		check(f.Sync())
 		check(f.Close())
 		st, err := os.Stat(args[1])
@@ -148,7 +153,7 @@ func main() {
 // printing: the client re-derives the proof obligations from the
 // statement and checks each shard's batch proof against that shard's
 // trusted digest. Mutations report rows affected and the commit
-// position; HISTORY prints version rows (unverified).
+// position; HISTORY prints version rows, verified as hist verifies them.
 func queryCmd(sc *spitz.Client, statement string) {
 	res, err := sc.Query(statement)
 	check(err)
@@ -392,7 +397,7 @@ func usage() {
   spitz-cli [-addr HOST:PORT] put   TABLE COLUMN PK VALUE
   spitz-cli [-addr HOST:PORT] get   TABLE COLUMN PK      (verified read)
   spitz-cli [-addr HOST:PORT] range TABLE COLUMN LO HI   (verified scan)
-  spitz-cli [-addr HOST:PORT] hist  TABLE COLUMN PK      (unverified)
+  spitz-cli [-addr HOST:PORT] hist  TABLE COLUMN PK      (verified history)
   spitz-cli [-addr HOST:PORT] query STATEMENT...      (verified SELECTs)
   spitz-cli [-addr HOST:PORT] digest [save FILE | check FILE]
   spitz-cli [-addr HOST:PORT] stats

@@ -142,7 +142,7 @@ func TestOpenDirCheckpointAndReopen(t *testing.T) {
 			t.Fatalf("cell %d after reopen: %v, %v", i, v, err)
 		}
 	}
-	// History crosses the checkpoint boundary (the version index is part
+	// History crosses the checkpoint boundary (each head's chain is part
 	// of the snapshot).
 	hist, err := db2.History("t", "c", []byte{0})
 	if err != nil || len(hist) != 2 {

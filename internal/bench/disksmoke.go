@@ -11,7 +11,7 @@ import (
 
 // DiskSmoke is the durable workload CI runs: a sharded cluster and a
 // replicated primary, both with the minimum 1 MiB node-cache budget so
-// nearly every proof path faults in from node-store segment files. It exercises write churn with demotions, verified
+// nearly every proof path faults in from node-store segment files. It exercises write churn that links versions into chains, verified
 // reads, an incremental checkpoint, a clean close, a kill without close,
 // and requires digest continuity — the exact pre-shutdown cluster root —
 // across both reopen paths, with every read proof-verified throughout.
@@ -40,8 +40,8 @@ func diskSmokeCluster(dir string) error {
 		db.Close()
 		return err
 	}
-	// Overwrites demote versions — the state the VLOG must carry across
-	// a root-addressed reopen.
+	// Overwrites link versions into chains, which a root-addressed
+	// reopen must find in the node store.
 	if err := diskSmokeLoad(db, "gen1", 0, keys/3); err != nil {
 		db.Close()
 		return err

@@ -5,23 +5,28 @@
 // its value". Following ForkBase's multi-version layout, the store keeps
 // one authenticated tree entry per cell — keyed by (table, column, primary
 // key) — whose value is the cell's *head* (newest) version; superseded
-// versions are demoted into out-of-band, content-addressed chain objects.
-// The universal key is thereby realized physically: a version object's
-// address is the hash of its content, which includes its timestamp and
-// value, and the logical universal key (proof.EncodeKey) names it uniquely.
+// versions live on as out-of-band, content-addressed chain objects. The
+// universal key is thereby realized physically: a version's content
+// includes its timestamp and value, and the logical universal key
+// (proof.EncodeKey) names it uniquely.
 //
 // This layout is what keeps Spitz's write path comparable to the plain
 // immutable KVS (Figure 6(b)): an update rewrites one compact head entry
 // and appends one small chain object, rather than growing the
-// authenticated tree by one entry per version. Every historical version
-// remains committed by the ledger: the block that contained it has it as
-// the head under that block's tree root.
+// authenticated tree by one entry per version. Every version is committed
+// by the head that superseded it, not by a block: each version names the
+// content address of the one it replaced (proof.FlagLinked), so a cell's
+// history is a hash chain hanging off its head entry, which the tree root
+// commits. That covers a version folded into one batch with a later one,
+// which no block's root has as a head.
 package cellstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"spitz/internal/cas"
 	"spitz/internal/hashutil"
@@ -51,84 +56,196 @@ func DecodeKey(data []byte) (proof.Key, error) {
 	return k, nil
 }
 
-// Demoted describes a version that was superseded during Apply and now
-// lives as a chain object in the store. The ledger indexes these to serve
-// historical point lookups.
-type Demoted struct {
-	Ref     []byte // CellPrefix of the cell
-	Version uint64
-	Object  hashutil.Digest // content address of the encoded version
-}
-
 // ---------------------------------------------------------------------------
 // Store: query layer over an authenticated POS-tree snapshot
 
 // Store is a read/write view of the cell store at one tree snapshot. A
-// Store sees each cell's head version as of its snapshot; older versions
-// are resolved through earlier snapshots (one per ledger block) or the
-// ledger's version index.
+// Store sees each cell's head version as of its snapshot, and the older
+// versions down the chain its head entry links (History).
 type Store struct {
 	Tree *postree.Tree
 }
 
 // Apply persists a batch of cells and returns the Store of the new
-// snapshot plus the versions it demoted into chain objects. Multiple
-// versions of one cell in a batch are applied in version order.
-func (s Store) Apply(cells []Cell) (Store, []Demoted, error) {
-	var demoted []Demoted
-	cas := s.Tree.Store()
-	// Encode each cell's reference once; group by ref, demoting all but
-	// the newest version per ref immediately.
+// snapshot and how many versions it stored as chain objects. A cell's versions in one batch are applied in version order —
+// at a tie the later batch position wins, and the earlier write is no
+// version at all — and each new version names the one it replaced
+// (linked): a replaced head's stored bytes become its chain object
+// unchanged, and so does a version the batch itself replaces. The links
+// are made inside the one tree pass (postree.Tree.ApplyFunc).
+func (s Store) Apply(cells []Cell) (Store, int, error) {
+	store, stored := s.Tree.Store(), 0
 	refs := make([][]byte, len(cells))
 	for i := range cells {
 		refs[i] = CellPrefix(cells[i].Table, cells[i].Column, cells[i].PK)
 	}
 	latest := make(map[string]int, len(cells))
+	var folded map[string][]Cell // a cell the batch writes more than once: its writes
 	for i := range cells {
-		j, ok := latest[string(refs[i])]
+		ref := string(refs[i])
+		j, ok := latest[ref]
 		if !ok {
-			latest[string(refs[i])] = i
+			latest[ref] = i
 			continue
 		}
-		// Later batch positions win version ties: a transaction that
-		// writes one cell twice at its commit version keeps the last
-		// write, matching batch (and SQL) semantics.
-		older := j
+		if folded == nil {
+			folded = make(map[string][]Cell)
+		}
+		if folded[ref] == nil {
+			folded[ref] = []Cell{cells[j]}
+		}
+		folded[ref] = append(folded[ref], cells[i])
 		if cells[i].Version >= cells[j].Version {
-			latest[string(refs[i])] = i
-		} else {
-			older = i
+			latest[ref] = i
 		}
-		enc := proof.EncodeVersion(cells[older].Version, cells[older].Value, cells[older].Tombstone)
-		demoted = append(demoted, Demoted{
-			Ref:     refs[older],
-			Version: cells[older].Version,
-			Object:  cas.Put(hashutil.DomainCell, enc),
-		})
 	}
+	hash := func(enc []byte) hashutil.Digest { return hashutil.Sum(hashutil.DomainCell, enc) }
+	put := func(enc []byte) hashutil.Digest { stored++; return store.PutOwned(hashutil.DomainCell, enc) }
 	edits := make([]postree.Edit, 0, len(latest))
-	for _, i := range latest {
-		c := cells[i]
-		edits = append(edits, postree.Edit{
-			Key:   refs[i],
-			Value: proof.EncodeVersion(c.Version, c.Value, c.Tombstone),
-		})
-	}
-	nt, err := s.Tree.ApplyFunc(edits, func(key, oldValue []byte) {
-		ver, _, _, err := proof.DecodeVersion(oldValue)
-		if err != nil {
-			return
+	for ref, i := range latest {
+		value := proof.EncodeVersion(cells[i].Version, cells[i].Value, cells[i].Tombstone)
+		if vs, ok := folded[ref]; ok {
+			folded[ref] = versions(vs)
+			value = chain(folded[ref], nil, hash)
 		}
-		demoted = append(demoted, Demoted{
-			Ref:     append([]byte(nil), key...),
-			Version: ver,
-			Object:  cas.Put(hashutil.DomainCell, oldValue),
-		})
+		edits = append(edits, postree.Edit{Key: refs[i], Value: value})
+	}
+	nt, err := s.Tree.ApplyFunc(edits, func(key, old, value []byte) []byte {
+		pred := store.Put(hashutil.DomainCell, old)
+		stored++
+		vs, ok := folded[string(key)]
+		if !ok {
+			return linked(value, pred)
+		}
+		delete(folded, string(key)) // linked here; the others are stored below
+		return chain(vs, &pred, put)
 	})
 	if err != nil {
-		return Store{}, nil, err
+		return Store{}, 0, err
 	}
-	return Store{Tree: nt}, demoted, nil
+	for _, vs := range folded { // a cell the batch creates: the versions it replaced itself
+		chain(vs, nil, put)
+	}
+	return Store{Tree: nt}, stored, nil
+}
+
+// versions sorts one cell's writes in a batch by version and keeps, of the
+// writes at one version, the last.
+func versions(vs []Cell) []Cell {
+	slices.SortStableFunc(vs, func(a, b Cell) int { return cmp.Compare(a.Version, b.Version) })
+	out := vs[:0]
+	for i, c := range vs {
+		if i+1 == len(vs) || vs[i+1].Version != c.Version {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// chain encodes one cell's versions, ascending, each naming the one before
+// it and the first naming pred (nil: none), and returns the newest's
+// encoding; keep turns each older one's encoding into the address the next
+// names, storing it as a chain object or only hashing it.
+func chain(vs []Cell, pred *hashutil.Digest, keep func([]byte) hashutil.Digest) []byte {
+	var enc []byte
+	for i, c := range vs {
+		if i > 0 {
+			d := keep(enc)
+			pred = &d
+		}
+		enc = proof.EncodeVersion(c.Version, c.Value, c.Tombstone)
+		if pred != nil {
+			enc = linked(enc, *pred)
+		}
+	}
+	return enc
+}
+
+// linked returns the unlinked encoding enc naming pred, the content address
+// of the version it replaced (proof.FlagLinked): the head entry payload in
+// the tree, and equally the chain object the version becomes when it is
+// replaced in turn.
+func linked(enc []byte, pred hashutil.Digest) []byte {
+	out := make([]byte, 0, len(enc)+hashutil.DigestSize)
+	out = append(out, enc[0]|proof.FlagLinked)
+	out = append(out, pred[:]...)
+	return append(out, enc[1:]...)
+}
+
+// Chain returns the versions a head entry replaced, newest first, as
+// stored: each the chain object the one before it links, read by its
+// content address. The walk stops after the first version at or before
+// asOf (0: it walks the whole history, every version being above it).
+func Chain(store cas.Store, head []byte, asOf uint64) ([][]byte, error) {
+	var out [][]byte
+	for enc := head; ; {
+		ver, _, _, err := proof.DecodeVersion(enc)
+		if err != nil {
+			return nil, err
+		}
+		pred, linked := proof.Link(enc)
+		if ver <= asOf || !linked {
+			return out, nil
+		}
+		if enc, err = store.Get(pred); err != nil {
+			return nil, err
+		}
+		out = append(out, enc)
+	}
+}
+
+// History returns a cell's versions newest first, tombstones included: its
+// head in this snapshot, then down its chain (Chain). It is empty for an
+// absent cell.
+func (s Store) History(table, column string, pk []byte) ([]Cell, error) {
+	head, found, err := s.Tree.Get(CellPrefix(table, column, pk))
+	if err != nil || !found {
+		return nil, err
+	}
+	older, err := Chain(s.Tree.Store(), head, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Cell, 0, 1+len(older))
+	for _, enc := range append([][]byte{head}, older...) {
+		c, err := decodeCell(table, column, pk, enc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// AsOf returns the newest version of a cell at or before asOf: its head in
+// this snapshot when that qualifies, else the first down its chain that
+// does. ok is false when the cell did not exist at asOf; a tombstone is
+// returned with ok true.
+func (s Store) AsOf(table, column string, pk []byte, asOf uint64) (Cell, bool, error) {
+	enc, found, err := s.Tree.Get(CellPrefix(table, column, pk))
+	if err != nil || !found {
+		return Cell{}, false, err
+	}
+	older, err := Chain(s.Tree.Store(), enc, asOf)
+	if err != nil {
+		return Cell{}, false, err
+	}
+	if len(older) > 0 {
+		enc = older[len(older)-1]
+	}
+	c, err := decodeCell(table, column, pk, enc)
+	return c, err == nil && c.Version <= asOf, err
+}
+
+// decodeCell is the cell table.column.pk at the encoded version enc, its
+// key and value copied out.
+func decodeCell(table, column string, pk []byte, enc []byte) (Cell, error) {
+	ver, value, tomb, err := proof.DecodeVersion(enc)
+	if err != nil {
+		return Cell{}, err
+	}
+	return Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
+		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}, nil
 }
 
 // GetHead returns the head version of a cell in this snapshot.
@@ -137,18 +254,13 @@ func (s Store) GetHead(table, column string, pk []byte) (Cell, bool, error) {
 	if err != nil || !found {
 		return Cell{}, false, err
 	}
-	ver, value, tomb, err := proof.DecodeVersion(raw)
-	if err != nil {
-		return Cell{}, false, err
-	}
-	return Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
-		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}, true, nil
+	c, err := decodeCell(table, column, pk, raw)
+	return c, err == nil, err
 }
 
 // GetLatest returns the head version if it is at or before asOf. A head
-// newer than asOf reports not-found: within one snapshot the store only
-// materializes heads — resolve older versions via an earlier ledger
-// snapshot or the ledger's version index.
+// newer than asOf reports not-found: an older version is read down the
+// head's chain (History) or from an earlier ledger snapshot.
 func (s Store) GetLatest(table, column string, pk []byte, asOf uint64) (Cell, bool, error) {
 	c, found, err := s.GetHead(table, column, pk)
 	if err != nil || !found {
@@ -232,12 +344,8 @@ func HeadCell(table, column string, pk []byte, p proof.BatchProof) (Cell, bool, 
 	if len(p.Found) != 1 || !p.Found[0] {
 		return Cell{}, false, nil
 	}
-	ver, value, tomb, err := proof.DecodeVersion(p.Values[0])
-	if err != nil {
-		return Cell{}, false, err
-	}
-	return Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
-		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}, true, nil
+	c, err := decodeCell(table, column, pk, p.Values[0])
+	return c, err == nil, err
 }
 
 // ProveRangePK returns the result of RangePK (at this snapshot's own
@@ -255,20 +363,6 @@ func (s Store) ProveRangePK(table, column string, pkLo, pkHi []byte) ([]Cell, pr
 		return nil, proof.RangeProof{}, err
 	}
 	return live, rp, nil
-}
-
-// LoadVersion loads a demoted version object from the store.
-func LoadVersion(store cas.Store, table, column string, pk []byte, object hashutil.Digest) (Cell, error) {
-	data, err := store.Get(object)
-	if err != nil {
-		return Cell{}, err
-	}
-	ver, value, tomb, err := proof.DecodeVersion(data)
-	if err != nil {
-		return Cell{}, err
-	}
-	return Cell{Table: table, Column: column, PK: append([]byte(nil), pk...),
-		Version: ver, Value: append([]byte(nil), value...), Tombstone: tomb}, nil
 }
 
 // KeySuccessor returns the smallest key strictly greater than key.

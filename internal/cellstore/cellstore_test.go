@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"spitz/internal/cas"
+	"spitz/internal/hashutil"
 	"spitz/internal/postree"
 )
 
@@ -17,13 +18,52 @@ func emptyStore() Store {
 	return Store{Tree: postree.Empty(cas.NewMemory())}
 }
 
-func mustApply(t *testing.T, s Store, cells []Cell) (Store, []Demoted) {
+func mustApply(t *testing.T, s Store, cells []Cell) Store {
 	t.Helper()
-	next, demoted, err := s.Apply(cells)
+	next, _, err := s.Apply(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return next, demoted
+	return next
+}
+
+// stored is how many chain objects applying cells to s stores.
+func stored(t *testing.T, s Store, cells []Cell) int {
+	t.Helper()
+	_, n, err := s.Apply(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// headEntry is the stored head entry of t.c.pk, its link and the versions
+// down its chain, newest first.
+func headEntry(t *testing.T, s Store, pk string) (head []byte, link hashutil.Digest, linked bool, chain [][]byte) {
+	t.Helper()
+	head, ok, err := s.Tree.Get(CellPrefix("t", "c", []byte(pk)))
+	if err != nil || !ok {
+		t.Fatalf("head of %s: %v %v", pk, ok, err)
+	}
+	link, linked = proof.Link(head)
+	if chain, err = Chain(s.Tree.Store(), head, 0); err != nil {
+		t.Fatal(err)
+	}
+	return head, link, linked, chain
+}
+
+// versionsOf is the (version, value) list of t.c.pk's history, newest first.
+func versionsOf(t *testing.T, s Store, pk string) string {
+	t.Helper()
+	hist, err := s.History("t", "c", []byte(pk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ""
+	for _, c := range hist {
+		out += fmt.Sprintf("%d:%s ", c.Version, c.Value)
+	}
+	return out
 }
 
 func TestKeyEncodeDecodeRoundTrip(t *testing.T) {
@@ -129,12 +169,14 @@ func TestPrefixEnd(t *testing.T) {
 
 func TestApplyAndGetHead(t *testing.T) {
 	s := emptyStore()
-	s, demoted := mustApply(t, s, []Cell{
+	s = mustApply(t, s, []Cell{
 		{Table: "t", Column: "c", PK: []byte("k1"), Version: 1, Value: []byte("v1")},
 		{Table: "t", Column: "c", PK: []byte("k2"), Version: 1, Value: []byte("w1")},
 	})
-	if len(demoted) != 0 {
-		t.Fatalf("fresh inserts demoted %d versions", len(demoted))
+	// A first version names no predecessor: its bytes are the unlinked ones.
+	if head, _, linked, chain := headEntry(t, s, "k1"); linked || len(chain) != 0 ||
+		!bytes.Equal(head, proof.EncodeVersion(1, []byte("v1"), false)) {
+		t.Fatalf("fresh insert linked=%v chain=%d", linked, len(chain))
 	}
 	c, ok, err := s.GetHead("t", "c", []byte("k1"))
 	if err != nil || !ok || string(c.Value) != "v1" || c.Version != 1 {
@@ -147,18 +189,24 @@ func TestApplyAndGetHead(t *testing.T) {
 
 func TestApplyDemotesReplacedHead(t *testing.T) {
 	s := emptyStore()
-	s, _ = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("old")}})
-	s2, demoted := mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("new")}})
-	if len(demoted) != 1 || demoted[0].Version != 1 {
-		t.Fatalf("demoted = %+v", demoted)
+	s = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("old")}})
+	next := []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("new")}}
+	if n := stored(t, s, next); n != 1 {
+		t.Fatalf("replacing a head stored %d chain objects, want 1", n)
 	}
-	// The demoted object is loadable and carries the old version.
-	c, err := LoadVersion(s.Tree.Store(), "t", "c", []byte("k"), demoted[0].Object)
-	if err != nil || c.Version != 1 || string(c.Value) != "old" {
-		t.Fatalf("LoadVersion = %+v %v", c, err)
+	s2 := mustApply(t, s, next)
+	// The new head links the replaced head's stored bytes, unchanged, which
+	// are its chain object.
+	old, _, _, _ := headEntry(t, s, "k")
+	_, link, linked, chain := headEntry(t, s2, "k")
+	if !linked || link != hashutil.Sum(hashutil.DomainCell, old) || len(chain) != 1 || !bytes.Equal(chain[0], old) {
+		t.Fatalf("linked=%v chain=%x, want the link to %x", linked, chain, old)
+	}
+	if got := versionsOf(t, s2, "k"); got != "5:new 1:old " {
+		t.Fatalf("history = %s", got)
 	}
 	// New head visible in the new snapshot; old snapshot unchanged.
-	c, _, _ = s2.GetHead("t", "c", []byte("k"))
+	c, _, _ := s2.GetHead("t", "c", []byte("k"))
 	if string(c.Value) != "new" {
 		t.Fatal("new head wrong")
 	}
@@ -170,30 +218,49 @@ func TestApplyDemotesReplacedHead(t *testing.T) {
 
 func TestApplyMultipleVersionsSameBatch(t *testing.T) {
 	s := emptyStore()
-	s, demoted := mustApply(t, s, []Cell{
+	batch := []Cell{
 		{Table: "t", Column: "c", PK: []byte("k"), Version: 3, Value: []byte("v3")},
 		{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("v1")},
 		{Table: "t", Column: "c", PK: []byte("k"), Version: 2, Value: []byte("v2")},
-	})
+	}
+	if n := stored(t, s, batch); n != 2 {
+		t.Fatalf("a folded batch stored %d chain objects, want v1 and v2", n)
+	}
+	s = mustApply(t, s, batch)
 	c, ok, _ := s.GetHead("t", "c", []byte("k"))
 	if !ok || c.Version != 3 || string(c.Value) != "v3" {
 		t.Fatalf("head = %+v", c)
 	}
-	if len(demoted) != 2 {
-		t.Fatalf("demoted %d, want 2", len(demoted))
+	// Folded in version order: v3 links v2, v2 links v1, v1 names none.
+	head, link, linked, chain := headEntry(t, s, "k")
+	if !linked || len(chain) != 2 || link != hashutil.Sum(hashutil.DomainCell, chain[0]) {
+		t.Fatalf("head %x: linked=%v, chain of %d", head, linked, len(chain))
 	}
-	versions := map[uint64]bool{}
-	for _, d := range demoted {
-		versions[d.Version] = true
+	if l, ok := proof.Link(chain[0]); !ok || l != hashutil.Sum(hashutil.DomainCell, chain[1]) {
+		t.Fatal("v2 does not link v1")
 	}
-	if !versions[1] || !versions[2] {
-		t.Fatalf("demoted versions wrong: %+v", demoted)
+	if !bytes.Equal(chain[1], proof.EncodeVersion(1, []byte("v1"), false)) {
+		t.Fatal("v1 is not the unlinked first version")
+	}
+	if got := versionsOf(t, s, "k"); got != "3:v3 2:v2 1:v1 " {
+		t.Fatalf("history = %s", got)
+	}
+	// Over an existing head, the batch's oldest version links it.
+	for i := range batch {
+		batch[i].Version += 10
+	}
+	if n := stored(t, s, batch); n != 3 {
+		t.Fatalf("a folded batch over a head stored %d chain objects, want 3", n)
+	}
+	s = mustApply(t, s, batch)
+	if got := versionsOf(t, s, "k"); got != "13:v3 12:v2 11:v1 3:v3 2:v2 1:v1 " {
+		t.Fatalf("history over a head = %s", got)
 	}
 }
 
 func TestGetLatestRespectsAsOf(t *testing.T) {
 	s := emptyStore()
-	s, _ = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("v")}})
+	s = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("v")}})
 	if _, ok, _ := s.GetLatest("t", "c", []byte("k"), 4); ok {
 		t.Fatal("head newer than asOf returned")
 	}
@@ -205,10 +272,10 @@ func TestGetLatestRespectsAsOf(t *testing.T) {
 
 func TestTombstone(t *testing.T) {
 	s := emptyStore()
-	s, _ = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("v")}})
-	s, demoted := mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 2, Tombstone: true}})
-	if len(demoted) != 1 {
-		t.Fatal("delete did not demote the old head")
+	s = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("v")}})
+	s = mustApply(t, s, []Cell{{Table: "t", Column: "c", PK: []byte("k"), Version: 2, Tombstone: true}})
+	if got := versionsOf(t, s, "k"); got != "2: 1:v " {
+		t.Fatalf("delete did not link the old head: history = %s", got)
 	}
 	c, ok, err := s.GetHead("t", "c", []byte("k"))
 	if err != nil || !ok || !c.Tombstone {
@@ -224,8 +291,8 @@ func TestRangePK(t *testing.T) {
 			PK: []byte(fmt.Sprintf("pk%03d", i)), Version: 3,
 			Value: []byte(fmt.Sprintf("val%d", i))})
 	}
-	s, _ = mustApply(t, s, cells)
-	s, _ = mustApply(t, s, []Cell{
+	s = mustApply(t, s, cells)
+	s = mustApply(t, s, []Cell{
 		{Table: "t", Column: "c", PK: []byte("pk010"), Version: 4, Tombstone: true},
 		{Table: "t", Column: "c", PK: []byte("pk200"), Version: 9, Value: []byte("future")},
 	})
@@ -260,7 +327,7 @@ func TestProveGetHead(t *testing.T) {
 		cells = append(cells, Cell{Table: "t", Column: "c",
 			PK: []byte(fmt.Sprintf("pk%04d", i)), Version: 2, Value: []byte(fmt.Sprintf("v%d", i))})
 	}
-	s, _ = mustApply(t, s, cells)
+	s = mustApply(t, s, cells)
 	root := s.Tree.Root()
 
 	cell, ok, p, err := s.ProveGetHead("t", "c", []byte("pk0123"))
@@ -292,7 +359,7 @@ func TestProveRangePK(t *testing.T) {
 			PK: []byte(fmt.Sprintf("pk%04d", i)), Version: 1,
 			Value: []byte(fmt.Sprintf("val-%04d", i))})
 	}
-	s, _ = mustApply(t, s, cells)
+	s = mustApply(t, s, cells)
 	got, rp, err := s.ProveRangePK("t", "c", []byte("pk0050"), []byte("pk0060"))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +378,7 @@ func TestProveRangePK(t *testing.T) {
 
 func TestMultiTableIsolation(t *testing.T) {
 	s := emptyStore()
-	s, _ = mustApply(t, s, []Cell{
+	s = mustApply(t, s, []Cell{
 		{Table: "a", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("in-a")},
 		{Table: "b", Column: "c", PK: []byte("k"), Version: 1, Value: []byte("in-b")},
 		{Table: "a", Column: "d", PK: []byte("k"), Version: 1, Value: []byte("in-a-d")},
@@ -375,7 +442,7 @@ func TestQuickVersionRoundTrip(t *testing.T) {
 
 func TestApplySameVersionDuplicateLastWins(t *testing.T) {
 	s := emptyStore()
-	s, demoted := mustApply(t, s, []Cell{
+	s = mustApply(t, s, []Cell{
 		{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("first")},
 		{Table: "t", Column: "c", PK: []byte("k"), Version: 5, Value: []byte("second")},
 	})
@@ -383,22 +450,10 @@ func TestApplySameVersionDuplicateLastWins(t *testing.T) {
 	if !ok || string(c.Value) != "second" {
 		t.Fatalf("head = %q, want the batch's last write", c.Value)
 	}
-	if len(demoted) != 1 || string(mustLoad(t, s, demoted[0]).Value) != "first" {
-		t.Fatal("first write not demoted")
+	// The overwritten write is no version: a history's versions fall strictly.
+	if got := versionsOf(t, s, "k"); got != "5:second " {
+		t.Fatalf("history = %s", got)
 	}
-}
-
-func mustLoad(t *testing.T, s Store, d Demoted) Cell {
-	t.Helper()
-	table, column, pk, err := proof.DecodeRef(d.Ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadVersion(s.Tree.Store(), table, column, pk, d.Object)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // TestColumnsSeekPastEachColumn: Columns lists, for each table, exactly the
@@ -421,7 +476,7 @@ func TestColumnsSeekPastEachColumn(t *testing.T) {
 			}
 		}
 	}
-	s, _ := mustApply(t, Store{Tree: postree.Empty(counting)}, cells)
+	s := mustApply(t, Store{Tree: postree.Empty(counting)}, cells)
 	want := map[string][]string{}
 	if err := s.Tree.Scan(nil, nil, func(e postree.Entry) bool {
 		table, col, _, err := proof.DecodeRef(e.Key)

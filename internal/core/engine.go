@@ -1017,7 +1017,7 @@ type engineStore struct{ e *Engine }
 
 // ReadLatest implements txn.Store. The key is a cell reference
 // (cellstore.CellPrefix); versions are ledger commit versions. Snapshot
-// reads older than the head resolve through the ledger's version index.
+// reads older than the head walk the cell's chain (ledger.GetAsOf).
 // Writes the group-commit pipeline has accepted but not yet folded into a
 // block are served from the pending index, so transaction validation
 // never misses a commit that is already ordered before it.
@@ -1099,7 +1099,8 @@ func (s engineStore) Commit(statement string, writes []txn.Write) (uint64, func(
 // WriteSnapshot serializes the database state (see ledger.WriteSnapshot)
 // for restart durability.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
-	return e.ledger.WriteSnapshot(w)
+	_, err := e.ledger.WriteSnapshot(w)
+	return err
 }
 
 // Restore reconstructs an engine from a snapshot stream (NewWithLedger over

@@ -15,8 +15,10 @@ import (
 	"testing"
 
 	"spitz/internal/cas"
+	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
+	"spitz/internal/proof"
 	"spitz/internal/wal"
 )
 
@@ -148,8 +150,8 @@ func TestDiskHistorySurvivesCheckpointReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Demoted versions for gen0..gen2 came back through the VLOG (gen3's
-	// demotion rides the WAL tail); both sources overlap and dedup.
+	// gen0..gen3 hang off the checkpointed head as chain objects in the
+	// node store; gen4's block, replayed from the WAL tail, links gen3.
 	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestDiskHistorySurvivesCheckpointReopen(t *testing.T) {
 }
 
 func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
-	for _, stage := range []string{"vlog", "flush"} {
+	for _, stage := range []string{"flush"} {
 		t.Run("crash-after-"+stage, func(t *testing.T) {
 			dir := t.TempDir()
 			m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
@@ -186,8 +188,8 @@ func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
 				t.Fatalf("checkpoint = %v, want simulated crash", err)
 			}
 			// Crash: the manifest still points at height 5. Flushed-but-
-			// unnamed nodes and duplicate VLOG entries are orphans the
-			// replay deduplicates.
+			// unnamed nodes and chain objects are orphans the replay
+			// writes again, to the same addresses.
 
 			m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 			if err != nil {
@@ -219,7 +221,7 @@ func TestDiskPartialCheckpointRecoversPreviousRoot(t *testing.T) {
 // root or the new one, never between, and the WAL replay on top of it
 // reproduces the exact digest with every acknowledged commit.
 func TestDiskCheckpointFlushRacesCommits(t *testing.T) {
-	for _, stage := range []string{"vlog", "flush", "none"} {
+	for _, stage := range []string{"flush", "none"} {
 		t.Run("crash-after-"+stage, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := noAutoCkpt(Options{Sync: wal.SyncAlways, NodeCacheMB: 1})
@@ -336,7 +338,8 @@ func TestDiskStoreMarkerIsAuthoritative(t *testing.T) {
 // with a format-version error that names what it found — not opened to a
 // different digest or to an empty database, and not reported as
 // corruption — and the refusal leaves the directory as it was. A node
-// store with the v1 or v2 marker holds leaves that hash to other digests;
+// store with the v1 or v2 marker holds leaves that hash to other digests,
+// one with the v3 marker cells without links;
 // a memory-store directory (a MANIFEST, checkpoints/ or a non-empty wal/
 // without a marker) holds its state in a snapshot this build no longer
 // checkpoints to or recovers from.
@@ -355,7 +358,7 @@ func TestOldFormatsRefusedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 		marker := filepath.Join(dir, storeMarkerName)
-		for _, version := range []string{"spitz-store-v1", "spitz-store-v2"} {
+		for _, version := range []string{"spitz-store-v1", "spitz-store-v2", "spitz-store-v3"} {
 			if err := os.WriteFile(marker, []byte(version+"\ndisk\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +367,7 @@ func TestOldFormatsRefusedByName(t *testing.T) {
 			if !errors.Is(err, ErrStoreVersion) || errors.Is(err, cas.ErrCorrupt) {
 				t.Fatalf("open of a %s disk store: err = %v, want ErrStoreVersion", version, err)
 			}
-			if !strings.Contains(err.Error(), "holds a "+version) || !strings.Contains(err.Error(), "reads spitz-store-v3") {
+			if !strings.Contains(err.Error(), "holds a "+version) || !strings.Contains(err.Error(), "reads spitz-store-v4") {
 				t.Fatalf("error does not name both versions: %v", err)
 			}
 			if !maps.Equal(dirContents(t, dir), before) {
@@ -582,87 +585,108 @@ func TestDiskTinyCacheServesFullKeyspace(t *testing.T) {
 	}
 }
 
-// TestVLogDamage: a crash mid-append can tear only the VLOG's final
-// frame, so only the final frame is truncated. Damage before it — a
-// flipped byte in the first of two frames, or a frame whose CRC holds but
-// whose entry count no frame could carry — fails the open and leaves the
-// file as it was, instead of silently dropping demoted versions.
-func TestVLogDamage(t *testing.T) {
-	build := func(t *testing.T) (vlogPath string, data []byte, frame1End int) {
+// TestChainObjectDamage: a cell's older versions are chain objects in the
+// node store, each read by the content address the version after it
+// links, so there is no index beside them to damage. A chain object whose
+// bytes were edited, or two whose bodies were swapped — each record's CRC
+// rewritten to match — fails History and the as-of reads that walk past
+// it with cas.ErrCorrupt, never a wrong version; the head and the digest
+// are untouched.
+func TestChainObjectDamage(t *testing.T) {
+	build := func(t *testing.T) (dir string, chain [][]byte) {
 		t.Helper()
-		dir := t.TempDir()
+		dir = t.TempDir()
 		m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two checkpoints with demotions: gen0-1 in frame 1, gen2-4 in frame 2.
 		for gen := 0; gen < 6; gen++ {
 			if _, err := m.Engine().Apply("upd", []core.Put{
 				{Table: "t", Column: "c", PK: []byte("k"), Value: []byte(fmt.Sprintf("gen%d", gen))},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if gen == 2 || gen == 5 {
+			if gen == 2 {
 				if err := m.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		cells, _, _ := m.Engine().Ledger().Latest()
+		head, _, err := cells.Tree.Get(proof.CellPrefix("t", "c", []byte("k")))
+		if err == nil {
+			chain, err = cellstore.Chain(m.NodeStore(), head, 0)
+		}
+		if err != nil || len(chain) != 5 {
+			t.Fatalf("chain of %d versions, %v", len(chain), err)
+		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		vlogPath = filepath.Join(dir, vlogName)
-		if data, err = os.ReadFile(vlogPath); err != nil {
-			t.Fatal(err)
-		}
-		frame1End = 8 + int(binary.LittleEndian.Uint32(data))
-		if frame1End >= len(data) {
-			t.Fatalf("VLOG holds one frame of %d bytes; want two", len(data))
-		}
-		return vlogPath, data, frame1End
+		return dir, chain
 	}
-	refused := func(t *testing.T, vlogPath string, damaged []byte) {
+	refused := func(t *testing.T, dir string) {
 		t.Helper()
-		if err := os.WriteFile(vlogPath, damaged, 0o644); err != nil {
+		m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
+		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Open(filepath.Dir(vlogPath), noAutoCkpt(Options{Sync: wal.SyncAlways}))
-		if err == nil {
-			hist, _ := m.Engine().History("t", "c", []byte("k"))
-			m.Close()
-			t.Fatalf("a damaged VLOG opened with %d versions of k; want an error", len(hist))
+		defer m.Close()
+		if hist, err := m.Engine().History("t", "c", []byte("k")); !errors.Is(err, cas.ErrCorrupt) {
+			t.Fatalf("history over a damaged chain: %d versions, %v; want ErrCorrupt", len(hist), err)
 		}
-		if got, _ := os.ReadFile(vlogPath); !bytes.Equal(got, damaged) {
-			t.Fatalf("the refused open rewrote the VLOG (%d bytes, was %d)", len(got), len(damaged))
+		if c, ok, err := m.Engine().Ledger().GetAsOf("t", "c", []byte("k"), 1); !errors.Is(err, cas.ErrCorrupt) {
+			t.Fatalf("as-of read past the damage = %q %v %v; want ErrCorrupt", c.Value, ok, err)
+		}
+		if v, err := m.Engine().Get("t", "c", []byte("k")); err != nil || string(v) != "gen5" {
+			t.Fatalf("head read = %q %v", v, err)
 		}
 	}
+	t.Run("edited", func(t *testing.T) {
+		dir, chain := build(t)
+		rewriteRecord(t, dir, chain[3], func(p []byte) { p[len(p)-1] ^= 0x01 }) // gen1's value
+		refused(t, dir)
+	})
+	t.Run("swapped", func(t *testing.T) {
+		dir, chain := build(t)
+		if len(chain[2]) != len(chain[3]) {
+			t.Fatal("gen2 and gen1 encode to different lengths")
+		}
+		rewriteRecord(t, dir, chain[2], func(p []byte) { copy(p, chain[3]) })
+		rewriteRecord(t, dir, chain[3], func(p []byte) { copy(p, chain[2]) })
+		refused(t, dir)
+	})
+}
 
-	t.Run("flip in frame 1 of 2", func(t *testing.T) {
-		vlogPath, data, frame1End := build(t)
-		data[frame1End-1] ^= 0x01
-		refused(t, vlogPath, data)
-	})
-	t.Run("entry count no frame holds", func(t *testing.T) {
-		vlogPath, data, _ := build(t)
-		payload := binary.AppendUvarint(nil, 1<<50)
-		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, vlogCRCTable))
-		refused(t, vlogPath, append(data, append(frame, payload...)...))
-	})
-	t.Run("torn final frame", func(t *testing.T) {
-		vlogPath, data, frame1End := build(t)
-		if err := os.WriteFile(vlogPath, data[:len(data)-3], 0o644); err != nil {
+// rewriteRecord edits, in place, the payload of the node-store record of
+// the chain object body, and rewrites the record's CRC to match.
+func rewriteRecord(t *testing.T, dir string, body []byte, edit func(payload []byte)) {
+	t.Helper()
+	d := hashutil.Sum(hashutil.DomainCell, body)
+	segs, err := filepath.Glob(filepath.Join(dir, nodesDirName, "seg-*.spz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 4 + 1 + hashutil.DigestSize + 4
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Open(filepath.Dir(vlogPath), noAutoCkpt(Options{Sync: wal.SyncAlways}))
-		if err != nil {
-			t.Fatalf("open over a torn final VLOG frame: %v", err)
+		at := bytes.Index(data, append([]byte{hashutil.DomainCell}, d[:]...)) - 4
+		if at < 0 {
+			continue
 		}
-		m.Close()
-		if got, _ := os.ReadFile(vlogPath); !bytes.Equal(got, data[:frame1End]) {
-			t.Fatalf("torn VLOG is %d bytes after open, want frame 1's %d", len(got), frame1End)
+		rec := data[at : at+hdr+int(binary.BigEndian.Uint32(data[at:]))]
+		edit(rec[hdr:])
+		castagnoli := crc32.MakeTable(crc32.Castagnoli)
+		binary.BigEndian.PutUint32(rec[hdr-4:], crc32.Update(crc32.Checksum(rec[:hdr-4], castagnoli), castagnoli, rec[hdr:]))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	})
+		return
+	}
+	t.Fatalf("no record of chain object %s", d.Short())
 }
 
 // TestManifestFieldsMustParse: a MANIFEST field that is missing or does

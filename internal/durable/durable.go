@@ -7,7 +7,6 @@
 //
 //	<dir>/STORE     node-store format marker, written once at creation
 //	<dir>/MANIFEST  root pointer: the newest checkpointed head header
-//	<dir>/VLOG      demoted-version index
 //	<dir>/wal/      segmented write-ahead log of committed blocks
 //	<dir>/nodes/    append-only node-store segment files
 //
@@ -103,10 +102,8 @@ type Manager struct {
 	opts Options
 	eng  *core.Engine
 	log  *wal.Log
-	// nodes is the node store whose Flush is the checkpoint primitive;
-	// vlog persists the demoted-version index beside it.
+	// nodes is the node store whose Flush is the checkpoint primitive.
 	nodes     *cas.Disk
-	vlog      *vlog
 	ckptCrash func(stage string) bool // test hook: true aborts Checkpoint after stage
 
 	// seqOff maps ledger heights to WAL sequence numbers: every record is
@@ -129,7 +126,7 @@ type Manager struct {
 
 // Open opens (creating if needed) the database in dir and recovers it:
 // open the node store, walk the header chain back from the MANIFEST's
-// head, load the VLOG version index, address the cell tree at its root,
+// head, address the cell tree at its root,
 // and replay the WAL tail with per-block hash verification. No state is
 // scanned — the first verified read faults in only its O(log n) proof
 // path. A torn final WAL record — the signature of a crash mid-append —
@@ -208,15 +205,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return failLog(fmt.Errorf("durable: %w", err))
 	}
 
-	vl, demos, err := openVLog(filepath.Join(dir, vlogName))
-	if err != nil {
-		return failLog(err)
-	}
-	failAll := func(err error) (*Manager, error) {
-		vl.Close()
-		return failLog(err)
-	}
-
 	var orc TimestampSource = opts.Timestamps
 	if orc == nil {
 		orc = tso.New(0)
@@ -233,19 +221,18 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if man.height > 0 {
 		headers, err := walkHeaders(nodes, man.head, man.height)
 		if err != nil {
-			return failAll(err)
+			return failLog(err)
 		}
-		l, err := ledger.Reopen(nodes, headers, demos)
+		l, err := ledger.Reopen(nodes, headers)
 		if err != nil {
-			return failAll(err)
+			return failLog(err)
 		}
 		eng, err = core.NewWithLedger(copts, l, man.maxTxn)
 		if err != nil {
-			return failAll(err)
+			return failLog(err)
 		}
 	} else {
 		eng = core.New(copts)
-		eng.Ledger().EnableDemotionLog()
 	}
 	if h, ok := eng.Ledger().Head(); ok {
 		orc.Advance(h.Version)
@@ -253,7 +240,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 	height, replayed, err := replayTail(eng, orc, recs)
 	if err != nil {
-		return failAll(err)
+		return failLog(err)
 	}
 
 	m := &Manager{
@@ -262,7 +249,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		eng:        eng,
 		log:        log,
 		nodes:      nodes,
-		vlog:       vl,
 		seqOff:     log.NextSeq() - height,
 		ckptHeight: man.height,
 		closing:    make(chan struct{}),
@@ -406,8 +392,8 @@ func (m *Manager) checkpointLoop() {
 
 // Checkpoint makes everything committed so far recoverable without the
 // WAL tail, then prunes WAL segments that became redundant. It is
-// incremental: append new demotions to the VLOG, flush dirty nodes (only
-// bytes written since the last flush), and atomically repoint the
+// incremental: flush dirty nodes (only bytes written since the last
+// flush, chain objects among them), and atomically repoint the
 // MANIFEST at the new head. The sequencing makes a crash at any point
 // recover to either the old root or the new one, never between. Safe to
 // call at any time, concurrently with commits.
@@ -431,15 +417,6 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 	maxTxn := m.eng.NextTxnID()
-	// Demotions sampled after height may belong to later blocks; replay
-	// after a crash re-demotes them and the version index deduplicates.
-	demos := m.eng.Ledger().PendingDemotions()
-	if err := m.vlog.append(demos); err != nil {
-		return err
-	}
-	if m.ckptCrash != nil && m.ckptCrash("vlog") {
-		return errCkptCrashed
-	}
 	if err := m.nodes.Flush(); err != nil {
 		return fmt.Errorf("durable: flush node store: %w", err)
 	}
@@ -449,7 +426,6 @@ func (m *Manager) Checkpoint() error {
 	if err := writeManifest(m.dir, manifest{height: height, head: head.Hash(), maxTxn: maxTxn}); err != nil {
 		return err
 	}
-	m.eng.Ledger().ClearDemotions(len(demos))
 	m.ckptHeight = height
 	m.sinceCkpt.Store(0)
 	return m.log.PruneTo(keepSeq)
@@ -464,7 +440,7 @@ func (m *Manager) Close() error {
 		<-m.loopDone
 		// Closing the node store flushes the write-back set; data not yet
 		// named by the MANIFEST is still recovered from the WAL on reopen.
-		for _, closeFn := range []func() error{m.log.Close, m.vlog.Close, m.nodes.Close} {
+		for _, closeFn := range []func() error{m.log.Close, m.nodes.Close} {
 			if err := closeFn(); err != nil && m.closeErr == nil {
 				m.closeErr = err
 			}

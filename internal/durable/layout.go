@@ -30,15 +30,15 @@ var ErrStoreVersion = errors.New("durable: unsupported node-store format version
 
 const (
 	storeMarkerName = "STORE"
-	// v3: a POS-tree leaf is addressed by its count and the root of a
-	// binary hash tree over its entries (internal/posleaf). A v1 store's
-	// leaves hash whole and a v2 store's by a flat table of group digests,
-	// so either is refused by name instead of being read to other digests.
-	storeMarkerBody = "spitz-store-v3\ndisk\n"
+	// v4: a cell version names the version it replaced (proof.FlagLinked), so
+	// a cell's history hangs off its head and there is no VLOG. A v3
+	// store's cells carry no links; a v1 store's leaves hash whole and a
+	// v2 store's by a flat table of group digests. Each is refused by name
+	// instead of being read to other digests.
+	storeMarkerBody = "spitz-store-v4\ndisk\n"
 	manifestName    = "MANIFEST"
 	manifestMagic   = "spitz-manifest-v1"
 	nodesDirName    = "nodes"
-	vlogName        = "VLOG"
 	walDirName      = "wal"
 )
 
@@ -46,6 +46,7 @@ const (
 var olderStoreMarkers = map[string]string{
 	"spitz-store-v1\ndisk\n": "spitz-store-v1",
 	"spitz-store-v2\ndisk\n": "spitz-store-v2",
+	"spitz-store-v3\ndisk\n": "spitz-store-v3",
 }
 
 // checkLayout decides, before anything in dir is written, whether this
@@ -63,7 +64,7 @@ func checkLayout(dir string) error {
 			return nil
 		}
 		if old, ok := olderStoreMarkers[string(data)]; ok {
-			return fmt.Errorf("%w: %s holds a %s node store, this build reads spitz-store-v3 (its tree leaves hash differently; reload the data)",
+			return fmt.Errorf("%w: %s holds a %s node store, this build reads spitz-store-v4 (its cells hash differently; reload the data)",
 				ErrStoreVersion, dir, old)
 		}
 		return fmt.Errorf("durable: unrecognized STORE marker in %s", dir)

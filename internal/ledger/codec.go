@@ -28,7 +28,7 @@ func AppendHeader(dst []byte, h BlockHeader) []byte {
 // range read's proof: its block binding (unless it travels without one —
 // its carrier flags that, not these bytes), then a presence byte recording
 // which cell sub-proof is attached (bit0 Point, bit1 Range), then the
-// point part as Bytes(key) Bool(found) ByteSlices(nodes) — the key nil
+// point part as Bytes(key) Bool(found) Nodes (postree.AppendNodes) — the key nil
 // when the proof travels without it — and the range part: at most one
 // of each, a read's proof having one and the empty ledger's none.
 func AppendProof(dst []byte, p *Proof) []byte {
@@ -43,7 +43,7 @@ func AppendProof(dst []byte, p *Proof) []byte {
 		}
 		dst = binenc.AppendBytes(dst, key)
 		dst = binenc.AppendBool(dst, len(pt.Found) == 1 && pt.Found[0])
-		dst = binenc.AppendByteSlices(dst, pt.Nodes)
+		dst = postree.AppendNodes(dst, pt.Nodes)
 	}
 	if len(p.Ranges) > 0 {
 		dst = postree.AppendRangeProof(dst, p.Ranges[0])

@@ -76,29 +76,11 @@ type Ledger struct {
 	headers  []BlockHeader
 	commit   mtree.Tree
 	cells    cellstore.Store
-
-	// versions indexes demoted (superseded) cell versions by reference:
-	// the auditor "keeps track of data changes" (Section 5). Ascending by
-	// version; used for historical point lookups between block snapshots.
-	versions map[string][]versionRef
-
-	// demoLog/demoTail retain demoted-version entries for the durable
-	// layer's VLOG (see EnableDemotionLog); disabled by default so purely
-	// in-memory ledgers don't accumulate an unbounded tail.
-	demoLog  bool
-	demoTail []VersionEntry
-}
-
-type versionRef struct {
-	version uint64
-	object  hashutil.Digest
 }
 
 // New returns an empty ledger over the given object store.
 func New(store cas.Store) *Ledger {
-	return &Ledger{store: store,
-		cells:    cellstore.Store{Tree: postree.Empty(store)},
-		versions: make(map[string][]versionRef)}
+	return &Ledger{store: store, cells: cellstore.Store{Tree: postree.Empty(store)}}
 }
 
 // Height returns the number of committed blocks.
@@ -205,7 +187,7 @@ func (l *Ledger) Commit(version uint64, txns []TxnSummary, cells []cellstore.Cel
 				i, cells[i].Version, prevVersion, version)
 		}
 	}
-	next, demoted, err := cur.Apply(cells)
+	next, _, err := cur.Apply(cells)
 	if err != nil {
 		return BlockHeader{}, err
 	}
@@ -224,9 +206,6 @@ func (l *Ledger) Commit(version uint64, txns []TxnSummary, cells []cellstore.Cel
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, d := range demoted {
-		l.insertVersionLocked(d.Ref, versionRef{version: d.Version, object: d.Object})
-	}
 	l.headers = append(l.headers, h)
 	l.commit.Append(leaf)
 	l.cells = next
@@ -294,61 +273,29 @@ func (l *Ledger) blockInclusion(height uint64) (mtree.InclusionProof, error) {
 }
 
 // GetAsOf returns the newest version of a cell at or before asOf: the head
-// when it qualifies, otherwise the newest demoted version from the
-// auditor's version index. ok is false when the cell did not exist at
+// when it qualifies, otherwise the first down its chain that does
+// (cellstore.Store.AsOf). ok is false when the cell did not exist at
 // asOf. Tombstones are returned with ok=true so callers can distinguish
 // deletion from absence.
 func (l *Ledger) GetAsOf(table, column string, pk []byte, asOf uint64) (cellstore.Cell, bool, error) {
 	l.mu.RLock()
 	cells := l.cells
-	refs := l.versions[string(cellstore.CellPrefix(table, column, pk))]
 	l.mu.RUnlock()
-	head, found, err := cells.GetHead(table, column, pk)
-	if err != nil {
-		return cellstore.Cell{}, false, err
-	}
-	if found && head.Version <= asOf {
-		return head, true, nil
-	}
-	// Binary search the demoted versions (ascending) for newest <= asOf.
-	lo, hi := 0, len(refs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if refs[mid].version <= asOf {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return cellstore.Cell{}, false, nil
-	}
-	c, err := cellstore.LoadVersion(l.store, table, column, pk, refs[lo-1].object)
-	if err != nil {
-		return cellstore.Cell{}, false, err
-	}
-	return c, true, nil
+	return cells.AsOf(table, column, pk, asOf)
 }
 
-// History returns every version of a cell, newest first: the head followed
-// by all demoted versions.
+// History returns every version of a cell, newest first: the head
+// followed by its chain.
 func (l *Ledger) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
 	l.mu.RLock()
 	cells := l.cells
-	refs := append([]versionRef(nil), l.versions[string(cellstore.CellPrefix(table, column, pk))]...)
 	l.mu.RUnlock()
-	var out []cellstore.Cell
-	if head, found, err := cells.GetHead(table, column, pk); err != nil {
-		return nil, err
-	} else if found {
-		out = append(out, head)
-	}
-	for i := len(refs) - 1; i >= 0; i-- {
-		c, err := cellstore.LoadVersion(l.store, table, column, pk, refs[i].object)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
+	return cells.History(table, column, pk)
+}
+
+// Chain returns the versions the head entry head replaced, newest first,
+// as stored (cellstore.Chain): what a history proof carries beside the
+// head's point proof.
+func (l *Ledger) Chain(head []byte) ([][]byte, error) {
+	return cellstore.Chain(l.store, head, 0)
 }

@@ -59,7 +59,7 @@ func TestSnapshotSharesNodeCache(t *testing.T) {
 		}
 	}
 	store := &getCounter{Store: src.store, gets: make(map[hashutil.Digest]int)}
-	l, err := Reopen(store, headersOf(t, src), nil)
+	l, err := Reopen(store, headersOf(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}

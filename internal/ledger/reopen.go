@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"fmt"
-	"sort"
 
 	"spitz/internal/cas"
 	"spitz/internal/cellstore"
@@ -11,29 +10,18 @@ import (
 	"spitz/internal/postree"
 )
 
-// VersionEntry is one demoted-version index entry in portable form: the
-// cell it belongs to (by CellPrefix), the superseded version, and the
-// content address of the encoded version object. The durable layer
-// persists these in its VLOG so a root-addressed reopen recovers the
-// auditor's version index without replaying history.
-type VersionEntry struct {
-	Ref     []byte
-	Version uint64
-	Object  hashutil.Digest
-}
-
-// Reopen reconstructs a ledger from its header chain and persisted
-// version-index entries, addressing the live cell store by the head
-// block's CellRoot. Only the POS-tree root node is read here; everything
-// else faults in from the store on first touch, so reopen cost is
-// O(height) header work, not O(state).
+// Reopen reconstructs a ledger from its header chain, addressing the live
+// cell store by the head block's CellRoot; each cell's older versions hang
+// off its head entry (cellstore.Chain), so nothing else is loaded. Only
+// the POS-tree root node is read here; everything else faults in from the
+// store on first touch, so reopen cost is O(height) header work, not
+// O(state).
 //
 // The header chain is validated structurally (heights and parent links);
 // callers that read headers from untrusted storage get content-address
 // verification for free when each header was fetched by its own hash.
-// Reopen takes ownership of headers and enables the demotion log (see
-// PendingDemotions).
-func Reopen(store cas.Store, headers []BlockHeader, demoted []VersionEntry) (*Ledger, error) {
+// Reopen takes ownership of headers.
+func Reopen(store cas.Store, headers []BlockHeader) (*Ledger, error) {
 	l := New(store)
 	var parent hashutil.Digest
 	for i, h := range headers {
@@ -55,71 +43,5 @@ func Reopen(store cas.Store, headers []BlockHeader, demoted []VersionEntry) (*Le
 		l.cells = cellstore.Store{Tree: tree}
 		l.headers = headers
 	}
-	for _, e := range demoted {
-		l.insertVersionLocked(e.Ref, versionRef{version: e.Version, object: e.Object})
-	}
-	l.demoLog = true
 	return l, nil
-}
-
-// EnableDemotionLog makes the ledger retain demoted-version entries from
-// future commits until ClearDemotions. The durable layer enables it on
-// ledgers whose version index must survive restarts; without it the tail
-// is discarded as it is produced.
-func (l *Ledger) EnableDemotionLog() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.demoLog = true
-}
-
-// PendingDemotions returns a copy of the demoted-version entries recorded
-// since the last ClearDemotions. The checkpoint protocol persists them,
-// then acknowledges with ClearDemotions(len(entries)) — so a failed
-// persist loses nothing.
-func (l *Ledger) PendingDemotions() []VersionEntry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]VersionEntry(nil), l.demoTail...)
-}
-
-// ClearDemotions drops the first n pending demotion entries, which the
-// caller has durably persisted.
-func (l *Ledger) ClearDemotions(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n >= len(l.demoTail) {
-		l.demoTail = nil
-		return
-	}
-	l.demoTail = append([]VersionEntry(nil), l.demoTail[n:]...)
-}
-
-// insertVersionLocked records one demoted version in the auditor's index,
-// keeping each cell's list ascending by version and dropping duplicates.
-// Ordering matters because GetAsOf binary-searches the list, and a group
-// commit folding several writes to one cell can surface its demotions out
-// of order; duplicates arise when a WAL tail is replayed over entries
-// already loaded from the VLOG.
-func (l *Ledger) insertVersionLocked(ref []byte, vr versionRef) {
-	key := string(ref)
-	refs := l.versions[key]
-	if n := len(refs); n == 0 || vr.version > refs[n-1].version {
-		l.versions[key] = append(refs, vr)
-	} else {
-		i := sort.Search(len(refs), func(i int) bool { return refs[i].version >= vr.version })
-		if refs[i].version == vr.version {
-			return // already recorded: a replayed demotion
-		}
-		refs = append(refs, versionRef{})
-		copy(refs[i+1:], refs[i:])
-		refs[i] = vr
-		l.versions[key] = refs
-	}
-	if l.demoLog {
-		l.demoTail = append(l.demoTail, VersionEntry{
-			Ref:     append([]byte(nil), ref...),
-			Version: vr.version,
-			Object:  vr.object,
-		})
-	}
 }

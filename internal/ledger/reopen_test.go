@@ -9,8 +9,8 @@ import (
 	"spitz/internal/cellstore"
 )
 
-// churnCommit writes the same keys at each version so every block demotes
-// the previous head versions.
+// churnCommit writes the same keys at each version so every block links
+// the previous head versions into chains.
 func churnCommit(t *testing.T, l *Ledger, blocks int) {
 	t.Helper()
 	for b := 0; b < blocks; b++ {
@@ -24,7 +24,6 @@ func churnCommit(t *testing.T, l *Ledger, blocks int) {
 func TestReopenRecoversDigestAndHistory(t *testing.T) {
 	store := cas.NewMemory()
 	l := New(store)
-	l.EnableDemotionLog()
 	churnCommit(t, l, 6)
 
 	headers := make([]BlockHeader, 0, 6)
@@ -35,12 +34,7 @@ func TestReopenRecoversDigestAndHistory(t *testing.T) {
 		}
 		headers = append(headers, h)
 	}
-	demos := l.PendingDemotions()
-	if len(demos) == 0 {
-		t.Fatal("churn produced no demotions")
-	}
-
-	r, err := Reopen(store, headers, demos)
+	r, err := Reopen(store, headers)
 	if err != nil {
 		t.Fatalf("Reopen: %v", err)
 	}
@@ -48,7 +42,7 @@ func TestReopenRecoversDigestAndHistory(t *testing.T) {
 		t.Fatalf("reopened digest %+v != original %+v", r.Digest(), l.Digest())
 	}
 
-	// Head reads and the auditor's version index must match the original.
+	// Head reads and the chains hanging off the heads match the original.
 	pk := []byte("k-0003")
 	for asOf := uint64(1); asOf <= 6; asOf++ {
 		want, wok, err := l.GetAsOf("t", "c", pk, asOf)
@@ -72,8 +66,8 @@ func TestReopenRecoversDigestAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotHist) != len(wantHist) {
-		t.Fatalf("history length %d, want %d", len(gotHist), len(wantHist))
+	if len(gotHist) != 6 || fmt.Sprint(gotHist) != fmt.Sprint(wantHist) {
+		t.Fatalf("history %v, want %v (6 versions)", gotHist, wantHist)
 	}
 
 	// The reopened ledger keeps committing on top of the recovered head.
@@ -83,23 +77,29 @@ func TestReopenRecoversDigestAndHistory(t *testing.T) {
 }
 
 func TestReopenIdempotentUnderReplayedDemotions(t *testing.T) {
+	// A crash after a checkpoint's flush, before its manifest, reopens at
+	// the older head and replays blocks whose chain objects the store
+	// already holds: content addressing makes them the same objects, and
+	// each history comes out as it was, not doubled.
 	store := cas.NewMemory()
 	l := New(store)
-	l.EnableDemotionLog()
 	churnCommit(t, l, 4)
 	headers := make([]BlockHeader, 0, 4)
 	for i := uint64(0); i < l.Height(); i++ {
 		h, _ := l.Header(i)
 		headers = append(headers, h)
 	}
-	demos := l.PendingDemotions()
-
-	// A crash between VLOG persist and manifest write replays blocks whose
-	// demotions are already in the VLOG: duplicates must collapse.
-	doubled := append(append([]VersionEntry(nil), demos...), demos...)
-	r, err := Reopen(store, headers, doubled)
+	r, err := Reopen(store, headers[:2])
 	if err != nil {
 		t.Fatal(err)
+	}
+	for v := uint64(3); v <= 4; v++ {
+		if _, err := r.Commit(v, []TxnSummary{{ID: v, Statement: "churn"}}, cellsFor(v, 8, "k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Digest() != l.Digest() {
+		t.Fatal("replayed blocks reached another digest")
 	}
 	pk := []byte("k-0001")
 	hist, err := r.History("t", "c", pk)
@@ -110,13 +110,8 @@ func TestReopenIdempotentUnderReplayedDemotions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != len(want) {
-		t.Fatalf("replayed history has %d versions, want %d", len(hist), len(want))
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i-1].Version <= hist[i].Version {
-			t.Fatalf("history not strictly descending at %d: %d then %d", i, hist[i-1].Version, hist[i].Version)
-		}
+	if len(hist) != 4 || fmt.Sprint(hist) != fmt.Sprint(want) {
+		t.Fatalf("replayed history %v, want %v", hist, want)
 	}
 }
 
@@ -131,42 +126,19 @@ func TestReopenRejectsBrokenChain(t *testing.T) {
 	}
 	bad := append([]BlockHeader(nil), headers...)
 	bad[2].Parent = bad[1].Parent
-	if _, err := Reopen(store, bad, nil); err == nil {
+	if _, err := Reopen(store, bad); err == nil {
 		t.Fatal("Reopen accepted a broken parent chain")
 	}
 	bad = append([]BlockHeader(nil), headers...)
 	bad[1].Height = 5
-	if _, err := Reopen(store, bad, nil); err == nil {
+	if _, err := Reopen(store, bad); err == nil {
 		t.Fatal("Reopen accepted a wrong height")
 	}
 }
 
-func TestClearDemotionsPartial(t *testing.T) {
-	l := New(cas.NewMemory())
-	l.EnableDemotionLog()
-	churnCommit(t, l, 3)
-	demos := l.PendingDemotions()
-	if len(demos) < 2 {
-		t.Fatalf("need at least 2 demotions, got %d", len(demos))
-	}
-	l.ClearDemotions(1)
-	rest := l.PendingDemotions()
-	if len(rest) != len(demos)-1 {
-		t.Fatalf("after ClearDemotions(1): %d entries, want %d", len(rest), len(demos)-1)
-	}
-	if !bytes.Equal(rest[0].Ref, demos[1].Ref) || rest[0].Version != demos[1].Version {
-		t.Fatal("ClearDemotions dropped the wrong entry")
-	}
-	l.ClearDemotions(len(rest) + 10)
-	if got := l.PendingDemotions(); len(got) != 0 {
-		t.Fatalf("over-clear left %d entries", len(got))
-	}
-}
-
-// TestGroupCommitDemotionOrder pins the ordering fix: a single block that
-// writes one cell at two versions demotes both the batch-internal older
-// version and the previous head, and they can arrive out of order. The
-// version index must stay ascending or GetAsOf's binary search misses.
+// TestGroupCommitDemotionOrder: a single block that writes one cell at two
+// versions, out of order, folds them in version order onto the previous
+// head's chain, so every as-of read down the chain finds its version.
 func TestGroupCommitDemotionOrder(t *testing.T) {
 	mk := func(v uint64, val string) cellstore.Cell {
 		return cellstore.Cell{Table: "t", Column: "c", PK: []byte("pk"), Version: v, Value: []byte(val)}

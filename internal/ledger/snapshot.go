@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"spitz/internal/cas"
 	"spitz/internal/cellstore"
@@ -17,7 +16,7 @@ import (
 	"spitz/internal/proof"
 )
 
-// Snapshot persistence: a ledger (headers, version index, and every live
+// Snapshot persistence: a ledger (headers and every live
 // content-addressed object) serializes to a stream and reloads into a
 // fresh store. Objects are written with their hash domains and re-inserted
 // through the content-addressed Put on load, so a corrupted snapshot
@@ -26,67 +25,48 @@ import (
 // leaf is addressed by what its table of group roots hashes up to; its
 // entries are checked against the table before the Put.)
 
-// The last character is the stream version. 3: a POS-tree leaf hashes by
-// its count and the root of a binary hash tree over its entries
-// (internal/posleaf); a version 1 or 2 stream holds leaves that hash
-// differently, so it is refused by name rather than restored to other
-// digests.
-const snapshotMagic = "SPITZSNAP3"
+// The last character is the stream version. 4: a cell version names the
+// version it replaced (proof.FlagLinked), so the chain objects are found by
+// walking each head's chain and there is no version-index section. A
+// version 3 stream's cells carry no links, and a version 1 or 2 stream's
+// tree leaves hash differently, so each is refused by name rather than
+// restored to other digests.
+const snapshotMagic = "SPITZSNAP4"
 
 // olderSnapshotMagics are the formats this build refuses.
-var olderSnapshotMagics = map[string]bool{"SPITZSNAP1": true, "SPITZSNAP2": true}
+var olderSnapshotMagics = map[string]bool{"SPITZSNAP1": true, "SPITZSNAP2": true, "SPITZSNAP3": true}
 
 // ErrSnapshotVersion is returned by LoadSnapshot for a stream written in
 // an older snapshot format.
 var ErrSnapshotVersion = errors.New("ledger: unsupported snapshot format version")
 
-// WriteSnapshot serializes the ledger: block headers, the demoted-version
-// index, transaction bodies, every node of the latest cell-store instance,
-// and every chain object. Historical block index instances are *not*
+// WriteSnapshot serializes the ledger: block headers, transaction bodies,
+// every node of the latest cell-store instance, and every chain object
+// down each of its heads' chains. Historical block index instances are *not*
 // exported — after a restore, reads and proofs work at the restored head,
 // and history continues from there (the documented durability trade-off:
-// per-block time travel restarts at the snapshot point).
-func (l *Ledger) WriteSnapshot(w io.Writer) error {
+// per-block time travel restarts at the snapshot point). It returns the
+// digest of the ledger it wrote, which LoadSnapshot restores.
+func (l *Ledger) WriteSnapshot(w io.Writer) (Digest, error) {
 	// Capture a consistent view under the lock, then stream without it:
-	// the headers and version entries are copied, the cell-store instance
+	// the headers are copied, the cell-store instance
 	// is immutable, and the content-addressed store never mutates an
 	// object in place — so commits proceed while a (potentially huge)
 	// snapshot drains to disk.
 	l.mu.RLock()
 	headers := append([]BlockHeader(nil), l.headers...)
-	versions := make(map[string][]versionRef, len(l.versions))
-	for ref, entries := range l.versions {
-		versions[ref] = append([]versionRef(nil), entries...)
-	}
-	cells := l.cells
+	cells, d := l.cells, l.digestLocked()
 	l.mu.RUnlock()
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
+		return d, err
 	}
 
 	// Headers.
 	writeUvarint(bw, uint64(len(headers)))
 	for _, h := range headers {
 		writeBytes(bw, h.Encode())
-	}
-
-	// Version index, sorted for determinism.
-	refs := make([]string, 0, len(versions))
-	for ref := range versions {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-	writeUvarint(bw, uint64(len(refs)))
-	for _, ref := range refs {
-		writeBytes(bw, []byte(ref))
-		entries := versions[ref]
-		writeUvarint(bw, uint64(len(entries)))
-		for _, e := range entries {
-			writeUvarint(bw, e.version)
-			bw.Write(e.object[:])
-		}
 	}
 
 	// Objects: (domain, body) pairs. Collect transaction bodies, the
@@ -107,10 +87,10 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 	for _, h := range headers {
 		body, err := l.store.Get(h.BodyHash)
 		if err != nil {
-			return fmt.Errorf("ledger: snapshot body %d: %w", h.Height, err)
+			return d, fmt.Errorf("ledger: snapshot body %d: %w", h.Height, err)
 		}
 		if !emit(hashutil.DomainStmt, body) {
-			return objErr
+			return d, objErr
 		}
 	}
 	if err := cells.Tree.WalkNodes(func(level int, body []byte) bool {
@@ -120,26 +100,33 @@ func (l *Ledger) WriteSnapshot(w io.Writer) error {
 		}
 		return emit(domain, body)
 	}); err != nil {
-		return err
+		return d, err
 	}
 	if objErr != nil {
-		return objErr
+		return d, objErr
 	}
-	for _, ref := range refs {
-		for _, e := range versions[ref] {
-			body, err := l.store.Get(e.object)
-			if err != nil {
-				return fmt.Errorf("ledger: snapshot chain object: %w", err)
-			}
+	if err := cells.Tree.Scan(nil, nil, func(e proof.Entry) bool {
+		chain, err := cellstore.Chain(l.store, e.Value, 0)
+		if err != nil {
+			objErr = fmt.Errorf("ledger: snapshot chain object: %w", err)
+			return false
+		}
+		for _, body := range chain {
 			if !emit(hashutil.DomainCell, body) {
-				return objErr
+				return false
 			}
 		}
+		return true
+	}); err != nil {
+		return d, err
+	}
+	if objErr != nil {
+		return d, objErr
 	}
 	if err := bw.WriteByte(0); err != nil { // object stream terminator
-		return err
+		return d, err
 	}
-	return bw.Flush()
+	return d, bw.Flush()
 }
 
 // LoadSnapshot reconstructs a ledger from a snapshot stream into store.
@@ -154,7 +141,7 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	switch {
 	case string(magic) == snapshotMagic:
 	case olderSnapshotMagics[string(magic)]:
-		return nil, fmt.Errorf("%w: stream is %s, this build reads %s (its tree leaves hash differently; re-export from the source database)",
+		return nil, fmt.Errorf("%w: stream is %s, this build reads %s (its cells hash differently; re-export from the source database)",
 			ErrSnapshotVersion, magic, snapshotMagic)
 	default:
 		return nil, errors.New("ledger: not a spitz snapshot")
@@ -180,40 +167,6 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 		}
 		parent = h.Hash()
 		headers = append(headers, h)
-	}
-
-	refCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	versions := make(map[string][]versionRef, refCount)
-	for i := uint64(0); i < refCount; i++ {
-		ref, err := readBytes(br)
-		if err != nil {
-			return nil, err
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		entries := make([]versionRef, 0, n)
-		var prev uint64
-		for j := uint64(0); j < n; j++ {
-			ver, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if ver <= prev && j > 0 {
-				return nil, errors.New("ledger: snapshot version index out of order")
-			}
-			prev = ver
-			var d hashutil.Digest
-			if _, err := io.ReadFull(br, d[:]); err != nil {
-				return nil, err
-			}
-			entries = append(entries, versionRef{version: ver, object: d})
-		}
-		versions[string(ref)] = entries
 	}
 
 	// Objects: re-Put under their domains; content addressing recomputes
@@ -248,20 +201,13 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 		store.Put(domain, body)
 	}
 
-	// Revalidate reachability: version-index objects and the latest tree
-	// must resolve in the restored store.
-	l := &Ledger{store: store, headers: headers, versions: versions}
+	// Revalidate reachability: the block bodies, the latest tree and every
+	// chain must resolve in the restored store.
+	l := &Ledger{store: store, headers: headers}
 	for _, h := range headers {
 		l.commit.Append(mtree.LeafHash(h.Encode()))
 		if !store.Has(h.BodyHash) {
 			return nil, errors.New("ledger: snapshot missing block body")
-		}
-	}
-	for _, entries := range versions {
-		for _, e := range entries {
-			if !store.Has(e.object) {
-				return nil, errors.New("ledger: snapshot missing chain object")
-			}
 		}
 	}
 	if len(headers) == 0 {
@@ -275,6 +221,21 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	// A full count walk also proves every tree node is present.
 	if _, err := tree.LiveBytes(); err != nil {
 		return nil, fmt.Errorf("ledger: snapshot cell tree incomplete: %w", err)
+	}
+	// Every chain must reach its end through objects that hash to their
+	// links, its versions falling (the verifier's own check, proof.Chain).
+	var chainErr error
+	if err := tree.Scan(nil, nil, func(e proof.Entry) bool {
+		var chain [][]byte
+		if chain, chainErr = cellstore.Chain(store, e.Value, 0); chainErr == nil {
+			_, chainErr = proof.Chain("", "", nil, e.Value, true, chain)
+		}
+		return chainErr == nil
+	}); err != nil {
+		return nil, fmt.Errorf("ledger: snapshot cell tree incomplete: %w", err)
+	}
+	if chainErr != nil {
+		return nil, fmt.Errorf("ledger: snapshot version chain broken: %w", chainErr)
 	}
 	l.cells = cellstore.Store{Tree: tree}
 	return l, nil

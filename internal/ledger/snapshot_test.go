@@ -8,12 +8,15 @@ import (
 	"testing"
 
 	"spitz/internal/cas"
+	"spitz/internal/cellstore"
+	"spitz/internal/hashutil"
+	"spitz/internal/proof"
 )
 
 func snapshotRoundTrip(t *testing.T, l *Ledger) *Ledger {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := l.WriteSnapshot(&buf); err != nil {
+	if _, err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	restored, err := LoadSnapshot(cas.NewMemory(), &buf)
@@ -26,7 +29,7 @@ func snapshotRoundTrip(t *testing.T, l *Ledger) *Ledger {
 func TestSnapshotRoundTripPreservesState(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 4)
-	// Overwrite some cells so the version index is nonempty.
+	// Overwrite some cells so they have chains.
 	if _, err := l.Commit(100, nil, cellsFor(100, 10, "b0")); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func TestSnapshotRoundTripPreservesState(t *testing.T) {
 	if err != nil || !found || string(c.Value) != "v100-3" {
 		t.Fatalf("restored read = %+v %v %v", c, found, err)
 	}
-	// History (the version index) survives.
+	// History (each head's chain) survives.
 	hist, err := restored.History("t", "c", []byte("b0-0003"))
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("restored history = %d versions, %v", len(hist), err)
@@ -93,7 +96,7 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
 	var buf bytes.Buffer
-	if err := l.WriteSnapshot(&buf); err != nil {
+	if _, err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -137,7 +140,7 @@ func TestSnapshotTruncatedStreamDetected(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 2)
 	var buf bytes.Buffer
-	if err := l.WriteSnapshot(&buf); err != nil {
+	if _, err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -150,10 +153,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
 	var a, b bytes.Buffer
-	if err := l.WriteSnapshot(&a); err != nil {
+	if _, err := l.WriteSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(&b); err != nil {
+	if _, err := l.WriteSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -172,7 +175,7 @@ func TestSnapshotEveryByteFlipIsCaught(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 3)
 	var buf bytes.Buffer
-	if err := l.WriteSnapshot(&buf); err != nil {
+	if _, err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -205,16 +208,17 @@ func TestSnapshotEveryByteFlipIsCaught(t *testing.T) {
 }
 
 // TestSnapshotOldFormatRefusedByName: a version-1 or version-2 stream holds
-// tree leaves that hash differently; it is refused as an old format, not
-// mistaken for garbage or restored to other digests.
+// tree leaves that hash differently, a version-3 one cells without links;
+// each is refused as an old format, not mistaken for garbage or restored
+// to other digests.
 func TestSnapshotOldFormatRefusedByName(t *testing.T) {
 	l := New(cas.NewMemory())
 	commitN(t, l, 2)
 	var buf bytes.Buffer
-	if err := l.WriteSnapshot(&buf); err != nil {
+	if _, err := l.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"SPITZSNAP1", "SPITZSNAP2"} {
+	for _, magic := range []string{"SPITZSNAP1", "SPITZSNAP2", "SPITZSNAP3"} {
 		old := append([]byte(magic), buf.Bytes()[len(snapshotMagic):]...)
 		_, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(old))
 		if !errors.Is(err, ErrSnapshotVersion) {
@@ -227,4 +231,58 @@ func TestSnapshotOldFormatRefusedByName(t *testing.T) {
 	if _, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader([]byte("SPITZSNAP9 and so on"))); err == nil || errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("unknown magic: err = %v", err)
 	}
+}
+
+// TestSnapshotForgedVersionRefused: a cell's old versions are found by
+// walking its head's chain, never through an index the stream names. A
+// chain object edited in the stream no longer hashes to the link before it,
+// so the restore fails by name; an object the stream adds beside the chains
+// is reachable from no head, so History and GetAsOf never return it.
+func TestSnapshotForgedVersionRefused(t *testing.T) {
+	l := New(cas.NewMemory())
+	for v := uint64(1); v <= 3; v++ {
+		if _, err := l.Commit(v, nil, cellsFor(v, 4, "k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := l.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	old := []byte("v1-2") // the first version of k-0002, a chain object's value
+	if bytes.Count(raw, old) != 1 {
+		t.Fatalf("stream holds %q %d times, want once", old, bytes.Count(raw, old))
+	}
+	edited := bytes.Replace(raw, old, []byte("v1-X"), 1)
+	if _, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(edited)); err == nil || !strings.Contains(err.Error(), "version chain broken") {
+		t.Fatalf("edited chain object: err = %v, want a broken version chain", err)
+	}
+
+	// A forged first version of k-0002, added as one more object.
+	forged := append([]byte(nil), raw[:len(raw)-1]...)
+	body := proof.EncodeVersion(1, []byte("FORGED"), false)
+	forged = append(forged, 1, hashutil.DomainCell, byte(len(body)))
+	forged = append(append(forged, body...), 0)
+	r, err := LoadSnapshot(cas.NewMemory(), bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := r.History("t", "c", []byte("k-0002"))
+	if err != nil || fmt.Sprint(hist) != fmt.Sprint(mustHistory(t, l, "k-0002")) {
+		t.Fatalf("history after a forged object = %v, %v", hist, err)
+	}
+	if c, ok, err := r.GetAsOf("t", "c", []byte("k-0002"), 1); err != nil || !ok || string(c.Value) != "v1-2" {
+		t.Fatalf("GetAsOf(1) = %q %v %v, want v1-2", c.Value, ok, err)
+	}
+}
+
+func mustHistory(t *testing.T, l *Ledger, pk string) []cellstore.Cell {
+	t.Helper()
+	hist, err := l.History("t", "c", []byte(pk))
+	if err != nil || len(hist) == 0 {
+		t.Fatalf("history of %s: %d versions, %v", pk, len(hist), err)
+	}
+	return hist
 }

@@ -670,10 +670,11 @@ func (t *Tree) Apply(edits []Edit) (*Tree, error) {
 
 // ApplyFunc is Apply with a replacement hook: onReplace is called with the
 // key and prior value of every entry an edit overwrites or deletes, while
-// the old value is still valid. Spitz's cell store uses it to demote
-// replaced version heads into the out-of-band version chain without a
-// second tree traversal.
-func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue []byte)) (*Tree, error) {
+// the old value is still valid, and with the edit's value; what it returns
+// is stored instead (a delete ignores it). Spitz's cell store uses it to
+// link a new head to the version it replaces without a second tree
+// traversal.
+func (t *Tree) ApplyFunc(edits []Edit, onReplace func(key, oldValue, value []byte) []byte) (*Tree, error) {
 	if len(edits) == 0 {
 		return t, nil
 	}
@@ -764,7 +765,7 @@ func (t *Tree) canonicalize(root hashutil.Digest, count int) (*Tree, error) {
 // call consumes carry[level] (prepending it to its own content) and may
 // leave new open tails behind for the caller. The returned entries route
 // to the complete replacement nodes at this node's level.
-func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run, edits []Edit, onReplace func(key, oldValue []byte)) ([]Entry, error) {
+func (t *Tree) processNode(d hashutil.Digest, key []byte, level int, carry []run, edits []Edit, onReplace func(key, oldValue, value []byte) []byte) ([]Entry, error) {
 	body, n, err := t.loadProofNode(d)
 	if err != nil {
 		return nil, err
@@ -855,11 +856,11 @@ func splitEdits(edits []Edit, sep []byte, last bool) (child, rest []Edit) {
 
 // mergeEdits merges a sorted prefix, the entries of a stored leaf and
 // sorted edits into a single sorted run, applying upserts and deletes.
-// onReplace (optional) observes overwritten and deleted entries. The
+// onReplace (optional) sees overwritten and deleted entries (ApplyFunc). The
 // groups of the entries that place each edit — the entry it replaces, or
 // the two either side of where it goes — are checked before they are
 // trusted.
-func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue []byte)) (run, error) {
+func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func(key, oldValue, value []byte) []byte) (run, error) {
 	base := leaf.n.Entries
 	out := run{
 		entries: append(make([]Entry, 0, len(prefix.entries)+len(base)+len(edits)), prefix.entries...),
@@ -876,14 +877,15 @@ func (t *Tree) mergeEdits(prefix run, leaf *stored, edits []Edit, onReplace func
 		}
 		out.keep(leaf, bi, next)
 		bi = next
+		value := e.Value
 		if same { // same key: edit wins
 			if onReplace != nil {
-				onReplace(base[bi].Key, base[bi].Value)
+				value = onReplace(base[bi].Key, base[bi].Value, value)
 			}
 			bi++
 		}
 		if !e.Delete {
-			out.add(Entry{Key: e.Key, Value: e.Value})
+			out.add(Entry{Key: e.Key, Value: value})
 		}
 	}
 	out.keep(leaf, bi, len(base))

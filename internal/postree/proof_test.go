@@ -2,12 +2,15 @@ package postree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"spitz/internal/proof"
 	"testing"
 
 	"spitz/internal/cas"
 	"spitz/internal/hashutil"
+	"spitz/internal/posleaf"
 )
 
 // oneKey is the proof of one read of key, as a prover or forger states it.
@@ -324,7 +327,7 @@ func TestValuesTravelOnce(t *testing.T) {
 		if p.Found[0] && bytes.Count(wire, p.Values[0]) != 1 {
 			t.Fatalf("%q: the value is in the encoding %d times", key, bytes.Count(wire, p.Values[0]))
 		}
-		got, rest, err := proof.ReadBatchProof(wire)
+		got, rest, err := readBatchProof(wire)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%q: %v, %d bytes left", key, err, len(rest))
 		}
@@ -342,7 +345,7 @@ func TestValuesTravelOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rest, err := proof.ReadBatchProof(AppendBatchProof(nil, bp))
+	got, rest, err := readBatchProof(AppendBatchProof(nil, bp))
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err, len(rest))
 	}
@@ -369,7 +372,7 @@ func TestValuesTravelOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	miss.Found = []bool{true}
-	forged, _, err := proof.ReadBatchProof(AppendBatchProof(nil, miss))
+	forged, _, err := readBatchProof(AppendBatchProof(nil, miss))
 	if err != nil || !forged.Found[0] {
 		t.Fatalf("decoded found=%v: %v", forged.Found, err)
 	}
@@ -378,7 +381,7 @@ func TestValuesTravelOnce(t *testing.T) {
 	}
 	bp.Found = append([]bool(nil), bp.Found...)
 	bp.Found[2] = true
-	forgedBatch, _, err := proof.ReadBatchProof(AppendBatchProof(nil, bp))
+	forgedBatch, _, err := readBatchProof(AppendBatchProof(nil, bp))
 	if err != nil || !forgedBatch.Found[2] {
 		t.Fatal(err, forgedBatch.Found)
 	}
@@ -388,7 +391,68 @@ func TestValuesTravelOnce(t *testing.T) {
 	// Fewer flags than keys: nothing is indexed out of range, and the proof
 	// is rejected for it.
 	bp.Found = bp.Found[:3]
-	if short, _, err := proof.ReadBatchProof(AppendBatchProof(nil, bp)); err != nil || short.Verify(tr.Root()) == nil {
+	if short, _, err := readBatchProof(AppendBatchProof(nil, bp)); err != nil || short.Verify(tr.Root()) == nil {
 		t.Fatalf("a batch proof with %d flags for %d keys: %v", len(short.Found), len(short.Keys), err)
 	}
+}
+
+// readBatchProof decodes a point proof as a client receives it: decoded,
+// then its leaves unpacked, as the wire's DecodeResponse does.
+func readBatchProof(src []byte) (proof.BatchProof, []byte, error) {
+	p, rest, err := proof.ReadBatchProof(src)
+	Unpack(p.Nodes)
+	return p, rest, err
+}
+
+// TestPackedLeavesUnpack: a proof's leaves travel packed and unpack to the
+// bodies the prover built, a run of one entry travels as it is, and a
+// packed leaf whose shared length reaches past the key before it, or past
+// what its entry brings, is left as it came for verification to refuse.
+func TestPackedLeavesUnpack(t *testing.T) {
+	tr := mustBulk(t, testEntries(3000, 43))
+	rp, err := tr.ProveScan([]byte("key-00001000"), []byte("key-00009000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := AppendRangeProof(nil, rp)
+	got, _, err := proof.ReadRangeProof(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, packed := 0, 0
+	for i, body := range got.Nodes {
+		packed += len(body)
+		plain += len(rp.Nodes[i])
+		if !bytes.Equal(unpack(body), rp.Nodes[i]) {
+			t.Fatalf("node %d does not unpack to the body the prover built", i)
+		}
+	}
+	if packed >= plain {
+		t.Fatalf("packed nodes take %d bytes, unpacked %d", packed, plain)
+	}
+	point, err := tr.ProveGet([]byte("key-00001234"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pb, _, err := proof.ReadBatchProof(AppendBatchProof(nil, point)); err != nil || !reflect.DeepEqual(pb.Nodes, point.Nodes) {
+		t.Fatalf("a point read's nodes changed on the wire: %v", err)
+	}
+	for i, body := range got.Nodes {
+		if len(body) == 0 || body[0] != 0 || bytes.Equal(body, rp.Nodes[i]) {
+			continue // not a packed leaf
+		}
+		head := 1 // level, count, first, n
+		for j := 0; j < 3; j++ {
+			_, k := binary.Uvarint(body[head:])
+			head += k
+		}
+		_, _, next, _ := posleaf.ReadEntry(body[head:])
+		forged := append([]byte(nil), body...)
+		forged[len(body)-len(next)] = 0x7f // the second entry shares 127 bytes of a 12-byte key
+		if !bytes.Equal(unpack(forged), forged) {
+			t.Fatal("a shared length past the key before it unpacked")
+		}
+		return
+	}
+	t.Fatal("the range shipped no packed leaf")
 }

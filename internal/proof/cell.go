@@ -161,10 +161,15 @@ func RefRange(table, column string, pkLo, pkHi []byte) (start, end []byte) {
 // ---------------------------------------------------------------------------
 // Version (head and chain object) encoding
 
-const flagTombstone byte = 1 << 0
+const (
+	flagTombstone byte = 1 << 0
+	// FlagLinked: the content address of the version this one replaced
+	// follows the flags byte. A cell's first version has no link.
+	FlagLinked byte = 1 << 1
+)
 
-// EncodeVersion serializes a cell version: the head entry payload in the
-// tree, and equally the content of a demoted chain object in the store.
+// EncodeVersion serializes a cell version that replaced none: a cell's
+// first head entry, and the content its universal key hashes (ValueHash).
 func EncodeVersion(version uint64, value []byte, tombstone bool) []byte {
 	var flag byte
 	if tombstone {
@@ -176,24 +181,79 @@ func EncodeVersion(version uint64, value []byte, tombstone bool) []byte {
 	return append(out, value...)
 }
 
-// DecodeVersion parses an encoded cell version.
+// Link returns the content address of the version enc replaced; ok is
+// false for a version that names none (or an encoding too short to).
+func Link(enc []byte) (pred hashutil.Digest, ok bool) {
+	if len(enc) < 1+hashutil.DigestSize || enc[0]&FlagLinked == 0 {
+		return pred, false
+	}
+	copy(pred[:], enc[1:])
+	return pred, true
+}
+
+// DecodeVersion parses an encoded cell version; a link is skipped (Link
+// reads it).
 func DecodeVersion(data []byte) (version uint64, value []byte, tombstone bool, err error) {
 	if len(data) == 0 {
 		return 0, nil, false, errors.New("cellstore: empty cell version")
 	}
-	flag := data[0]
-	if flag&^flagTombstone != 0 {
+	flag, rest := data[0], data[1:]
+	if flag&^(flagTombstone|FlagLinked) != 0 {
 		return 0, nil, false, errors.New("cellstore: bad cell flags")
 	}
-	v, k := binary.Uvarint(data[1:])
+	if flag&FlagLinked != 0 {
+		if len(rest) < hashutil.DigestSize {
+			return 0, nil, false, errors.New("cellstore: truncated version link")
+		}
+		rest = rest[hashutil.DigestSize:]
+	}
+	v, k := binary.Uvarint(rest)
 	if k <= 0 {
 		return 0, nil, false, errors.New("cellstore: bad cell version")
 	}
-	return v, data[1+k:], flag&flagTombstone != 0, nil
+	return v, rest[k:], flag&flagTombstone != 0, nil
 }
 
-// ValueHash returns the digest of a version's content — the address of its
-// chain object and the value-hash component of its universal key.
+// Chain is the check of a cell's history: head is the cell's head entry as
+// a proof's walk reached it (found false: the cell is absent), and bodies
+// the versions it replaced, newest first. Each body must hash to the link
+// of the version before it, versions must fall strictly, and the chain
+// must end exactly at a body that names no predecessor: so no version can
+// be dropped, reordered, rewritten, hidden or added. It returns every
+// version, newest first, tombstones included.
+func Chain(table, column string, pk []byte, head []byte, found bool, bodies [][]byte) ([]Cell, error) {
+	if !found {
+		if len(bodies) != 0 {
+			return nil, errors.New("proof: history of an absent cell carries versions")
+		}
+		return nil, nil
+	}
+	out := make([]Cell, 0, 1+len(bodies))
+	for i, enc := 0, head; ; i++ {
+		ver, value, tomb, err := DecodeVersion(enc)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && ver >= out[i-1].Version {
+			return nil, errors.New("proof: history versions do not fall")
+		}
+		out = append(out, Cell{Table: table, Column: column, PK: pk, Version: ver, Value: value, Tombstone: tomb})
+		pred, linked := Link(enc)
+		if !linked || i == len(bodies) {
+			if linked || i < len(bodies) {
+				return nil, errors.New("proof: history does not end at the first version of its chain")
+			}
+			return out, nil
+		}
+		if enc = bodies[i]; hashutil.Sum(hashutil.DomainCell, enc) != pred {
+			return nil, errors.New("proof: history version does not hash to its link")
+		}
+	}
+}
+
+// ValueHash returns the digest of a version's content without its link:
+// the value-hash component of its universal key, so a write set hashes the
+// same whatever the cell held before.
 func ValueHash(version uint64, value []byte, tombstone bool) hashutil.Digest {
 	return hashutil.Sum(hashutil.DomainCell, EncodeVersion(version, value, tombstone))
 }

@@ -6,6 +6,7 @@ import (
 
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
+	"spitz/internal/postree"
 	"spitz/internal/proof"
 )
 
@@ -41,6 +42,7 @@ func BenchmarkCheckAuditFlush(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				postree.Unpack(p.Point.Nodes)
 				if _, err := v.Check(p, res.Digest, queries, n, &proof.Pin{}); err != nil {
 					b.Fatal(err)
 				}

@@ -277,6 +277,32 @@ func (v *Verifier) Check(p *Proof, d Digest, queries []BatchQuery, reads int, pi
 	return live, nil
 }
 
+// CheckHistory is Check for a cell's history: p is the point proof of q,
+// the cell's head, and bodies the versions the head replaced, newest first,
+// each checked against the link before it (Chain). It returns every
+// version, newest first, tombstones included; a failure is ErrTampered and
+// leaves the verifier as it was.
+func (v *Verifier) CheckHistory(p *Proof, d Digest, q BatchQuery, bodies [][]byte, pin *Pin) ([]Cell, error) {
+	if p == nil || p.Point == nil || len(p.Ranges) != 0 {
+		return nil, fmt.Errorf("%w: history without its head's point proof", ErrTampered)
+	}
+	bound := *p
+	if err := v.bind(&bound, d, pin); err != nil {
+		return nil, err
+	}
+	var cells []Cell
+	err := bound.Point.walk(bound.Header.CellRoot, pin.Path, [][]byte{CellPrefix(q.Table, q.Column, q.PK)},
+		func(_ int, head []byte, found bool) (err error) {
+			cells, err = Chain(q.Table, q.Column, q.PK, head, found, bodies)
+			return err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+	}
+	v.accept(&bound, d, pin.Path, 1)
+	return cells, nil
+}
+
 // VerifyBlock checks that a block header is part of the ledger the
 // trusted digest commits to. Clients use it to verify *writes*: the block
 // exists, and its recorded write-set hash can then be compared against the

@@ -300,7 +300,7 @@ func (c *Client) Do(req Request) (Response, error) {
 func asked(req *Request, p *ledger.Proof) {
 	switch {
 	case p == nil:
-	case req.Op == OpGetVerified && p.Point != nil && p.Point.Keys == nil:
+	case (req.Op == OpGetVerified || req.Op == OpHistory) && p.Point != nil && p.Point.Keys == nil:
 		p.Point.Keys = [][]byte{proof.CellPrefix(req.Table, req.Column, req.PK)}
 	case req.Op == OpRangeVer && len(p.Ranges) == 1 && p.Ranges[0].Start == nil:
 		p.Ranges[0].Start, p.Ranges[0].End = proof.RefRange(req.Table, req.Column, req.PK, req.PKHi)

@@ -285,9 +285,10 @@ const (
 	// The bit is the value: Proof, BatchProof travels without its binding.
 	respUnbound
 	respBatchUnbound
+	respChain
 
 	// respKnown is every bit a field defines.
-	respKnown = (respBatchUnbound<<1 - 1) &^ respRetired
+	respKnown = (respChain<<1 - 1) &^ respRetired
 )
 
 // AppendResponse appends resp's binary encoding.
@@ -300,7 +301,8 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 		binenc.Flag(resp.ShardCount != 0, respShardCount) | binenc.Flag(resp.Cluster != nil, respCluster) |
 		binenc.Flag(resp.Height != 0, respHeight) | binenc.Flag(resp.Stats != nil, respStats) |
 		binenc.Flag(resp.RowsAffected != 0, respRowsAffected) | binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
-		binenc.Flag(resp.BatchProof != nil && resp.BatchProof.Unbound, respBatchUnbound)
+		binenc.Flag(resp.BatchProof != nil && resp.BatchProof.Unbound, respBatchUnbound) |
+		binenc.Flag(resp.Chain != nil, respChain)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&respErr != 0 {
 		dst = binenc.AppendString(dst, resp.Err)
@@ -344,11 +346,15 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	if bits&respRowsAffected != 0 {
 		dst = binenc.AppendUvarint(dst, uint64(resp.RowsAffected))
 	}
+	if bits&respChain != 0 {
+		dst = binenc.AppendByteSlices(dst, resp.Chain)
+	}
 	return dst
 }
 
 // DecodeResponse decodes a full response payload; trailing bytes are a
-// protocol error.
+// protocol error. A proof's leaves arrive packed and leave unpacked
+// (postree.AppendNodes, postree.Unpack).
 func DecodeResponse(src []byte) (Response, error) {
 	var resp Response
 	d := binenc.Decoder{Src: src}
@@ -375,6 +381,14 @@ func DecodeResponse(src []byte) (Response, error) {
 		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
 			return proof.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
 		})
+	}
+	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
+		if p != nil && p.Point != nil {
+			postree.Unpack(p.Point.Nodes)
+		}
+		for i := 0; p != nil && i < len(p.Ranges); i++ {
+			postree.Unpack(p.Ranges[i].Nodes)
+		}
 	}
 	if bits&respDigest != 0 {
 		resp.Digest = binenc.Read(&d, proof.ReadDigest)
@@ -404,6 +418,9 @@ func DecodeResponse(src []byte) (Response, error) {
 	}
 	if bits&respRowsAffected != 0 {
 		resp.RowsAffected = int(binenc.Read(&d, binenc.ReadUvarint))
+	}
+	if bits&respChain != 0 {
+		resp.Chain = binenc.Read(&d, binenc.ReadByteSlices)
 	}
 	if d.Err == nil && len(d.Src) != 0 {
 		d.Err = binenc.ErrCorrupt

@@ -38,7 +38,7 @@ import (
 )
 
 // ProtoBinary names the framing in Stats and Client.Proto.
-const ProtoBinary = "binary/v3"
+const ProtoBinary = "binary/v4"
 
 const (
 	helloMagic0 = 0x00
@@ -46,10 +46,13 @@ const (
 	helloMagic2 = 'P'
 	helloMagic3 = 'Z'
 
-	// protoVersion is the framing version this build speaks. 3: leaves in
-	// proofs travel as a run of entries and a hash path (internal/posleaf),
-	// and point and batch proofs no longer carry their values beside them.
-	protoVersion = 3
+	// protoVersion is the framing version this build speaks. 4: a cell
+	// version names the one it replaced (proof.FlagLinked), so a head entry in
+	// a proof may carry a link, and OpHistory answers with the head's point
+	// proof and its chain (Response.Chain). 3: leaves in proofs travel as a
+	// run of entries and a hash path (internal/posleaf), and point and
+	// batch proofs no longer carry their values beside them.
+	protoVersion = 4
 
 	// flagTrim in the hello names the trimmed form of the verified-read
 	// messages, the only form this build speaks, and both hellos must

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -13,12 +15,16 @@ import (
 	"spitz/internal/core"
 	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
-	"spitz/internal/postree"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v3-responses.golden from the current encoder")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v4-responses.golden from the current encoder")
 
-const goldenPath = "testdata/v3-responses.golden"
+// goldenPath pins this build's bytes; v3Path holds what a binary/v3 server
+// sent for the same rows, the fixture of its refusal.
+const (
+	goldenPath = "testdata/v4-responses.golden"
+	v3Path     = "testdata/v3-responses.golden"
+)
 
 // goldenEngine is a fixed-seed engine: 4000 keys over four blocks, values
 // drawn from a seeded source, so every proof it serves is the same bytes
@@ -59,16 +65,12 @@ func indexDigests(t *testing.T, resp Response) []hashutil.Digest {
 	return have
 }
 
-// TestV3ResponseBytes pins the binary/v3 encoding of every proof-carrying
-// response shape — a verified point read (hit, miss, key beyond the
-// tree's max), a verified range, an audit flush and a point SELECT — cold,
-// unbound, warm-elided and patched, against bytes captured from the
-// encoder and checked in. A change to any proof type that alters what
-// travels fails here; run with -update-golden only for a deliberate
-// format change, which also bumps ProtoBinary. The rows not named
-// "trimmed" or "patched" were captured when a peer could still ask for
-// the untrimmed form: this build must send them as sent() cuts them.
-func TestV3ResponseBytes(t *testing.T) {
+// goldenResponses encodes every proof-carrying response shape — a
+// verified point read (hit, miss, key beyond the tree's max), a verified
+// range, an audit flush, a point SELECT and a cell's history — cold,
+// unbound, warm-elided and patched, in order.
+func goldenResponses(t *testing.T) (order []string, got map[string]string) {
+	t.Helper()
 	eng := goldenEngine(t)
 	get := func(pk string) Request { return Request{Op: OpGetVerified, Table: "t", Column: "c", PK: []byte(pk)} }
 	rng := Request{Op: OpRangeVer, Table: "t", Column: "c", PK: []byte("pk01190"), PKHi: []byte("pk01260")}
@@ -124,8 +126,7 @@ func TestV3ResponseBytes(t *testing.T) {
 		}
 		return hex.EncodeToString(AppendResponse(nil, &resp))
 	}
-	got := map[string]string{}
-	var order []string
+	got = map[string]string{}
 	for _, r := range rows {
 		got[r.name], order = encode(r.req), append(order, r.name)
 	}
@@ -146,26 +147,26 @@ func TestV3ResponseBytes(t *testing.T) {
 	}
 	patched := func(r *Request) { r.Have, r.Height = have, d.Height }
 	batch2 := Request{Op: OpProveBatch, OldDigest: d2, OldDigest2: &d2, Audits: audits}
+	history := func(pk string) Request { return Request{Op: OpHistory, Table: "t", Column: "c", PK: []byte(pk)} }
 	for _, r := range []row{
 		{"get-patched", with(get("pk01210"), patched)},
 		{"range-patched", with(rng, patched)},
 		{"prove-batch-patched", with(batch2, warm)},
 		{"query-patched", with(query, patched)},
+		{"history-linked", history("pk01210")}, // a head linking the version it replaced
+		{"history-first", history("pk01211a")},
+		{"history-miss", history("pk01210x")},
+		{"history-warm-unbound", with(history("pk01210"), func(r *Request) { warm(r); r.Height, r.HeadHeld = d2.Height, true })},
 	} {
 		got[r.name], order = encode(r.req), append(order, r.name)
 	}
+	return order, got
+}
 
-	if *updateGolden {
-		var b strings.Builder
-		for _, name := range order {
-			fmt.Fprintf(&b, "%s %s\n", name, got[name])
-		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(goldenPath)
+// readGolden reads a golden file: one "name hex" line per response.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,35 +181,56 @@ func TestV3ResponseBytes(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestV4ResponseBytes pins the binary/v4 encoding of every proof-carrying
+// response shape (goldenResponses) against bytes captured from the
+// encoder and checked in. A change to any proof type that alters what
+// travels fails here; run with -update-golden only for a deliberate
+// format change, which also bumps ProtoBinary.
+func TestV4ResponseBytes(t *testing.T) {
+	order, got := goldenResponses(t)
+	if *updateGolden {
+		var b strings.Builder
+		for _, name := range order {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := readGolden(t, goldenPath)
 	if len(want) != len(order) {
 		t.Errorf("golden file has %d responses, the test encodes %d", len(want), len(order))
 	}
 	for _, name := range order {
-		if w := sent(t, want[name]); got[name] != w {
-			t.Errorf("%s: encoding changed\n got %s\nwant %s", name, got[name], w)
+		if got[name] != want[name] {
+			t.Errorf("%s: encoding changed\n got %s\nwant %s", name, got[name], want[name])
 		}
 	}
 }
 
-// sent is a hex-encoded response as this build sends it: every proof
-// without the question it answers and, unbound, without the digest (fit).
-// A response already in that form is returned as it is.
-func sent(t *testing.T, enc string) string {
-	t.Helper()
-	b, err := hex.DecodeString(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeResponse(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p != nil {
-			if *p = ledger.Cut(*p, postree.HeldSet{}); p.Unbound {
-				resp.Digest = ledger.Digest{}
-			}
+// TestV3ResponseBytes: the binary/v3 responses are the refusal fixture. A
+// v3 server that answers with them is refused at its hello, by name,
+// before a frame is read: v4 leaves carry linked cell versions and travel
+// packed (postree.AppendNodes), so no v3 proof is read as one.
+func TestV3ResponseBytes(t *testing.T) {
+	v3 := readGolden(t, v3Path)
+	var frames bytes.Buffer
+	hello := helloBytes(3, flagTrim)
+	frames.Write(hello[:])
+	for tag, name := range []string{"get-hit", "range", "prove-batch"} {
+		b, err := hex.DecodeString(v3[name])
+		if err != nil {
+			t.Fatal(err)
 		}
+		(&frameWriter{w: &frames}).writeFrame(uint32(tag+1), b)
 	}
-	return hex.EncodeToString(AppendResponse(nil, &resp))
+	pl := NewPipeListener()
+	helloStub(t, pl, frames.Bytes())
+	if _, err := Connect(pl); !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "server speaks framing v3, this build speaks v4") {
+		t.Fatalf("a v3 server's responses: %v, want the hello refused by name", err)
+	}
 }

@@ -28,7 +28,7 @@ const (
 	OpGetVerified Op = "get-verified" // point read + proof
 	OpRange       Op = "range"        // pk range scan + the digest it was read at (AuditMode proves it later)
 	OpRangeVer    Op = "range-verified"
-	OpHistory     Op = "history"
+	OpHistory     Op = "history" // a cell's head proven as OpGetVerified proves it, and the chain of versions it replaced
 	OpDigest      Op = "digest"
 	OpConsistency Op = "consistency"
 	OpProveBatch  Op = "prove-batch" // aggregated proof for a batch of audit receipts
@@ -170,6 +170,11 @@ type Response struct {
 
 	// RowsAffected reports how many rows an OpQuery mutation touched.
 	RowsAffected int
+
+	// Chain, on OpHistory, is the versions the proven head replaced,
+	// newest first, as stored: each hashes to the link of the one before
+	// it (proof.Chain).
+	Chain [][]byte
 }
 
 // Handler executes one protocol request. Every served deployment is a

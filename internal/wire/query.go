@@ -15,9 +15,9 @@ import (
 // the keys and ranges the query claims — the server cannot substitute a
 // proof of something else.
 //
-// HISTORY responds with the version cells (the OpHistory shape);
-// mutations respond with RowsAffected, the committed block height and
-// the new digest.
+// HISTORY is refused: a cell's history is a proven read of its own
+// (OpHistory). Mutations respond with RowsAffected, the committed block
+// height and the new digest.
 func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response {
 	switch s := stmt.(type) {
 	case query.Select:
@@ -28,11 +28,7 @@ func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response
 		return Response{Found: res.Found, Cells: res.Cells,
 			BatchProof: res.Proof, Digest: res.Digest}
 	case query.History:
-		cells, err := eng.History(s.Table, s.Column, []byte(s.PK))
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		return Response{Found: len(cells) > 0, Cells: cells}
+		return Response{Err: "wire: HISTORY is proven by OpHistory, not run as a query"}
 	}
 	out, err := query.ExecParsed(query.EngineStore{Eng: eng}, req.Statement, stmt)
 	if err != nil {

@@ -441,7 +441,7 @@ func dispatch(eng *core.Engine, req Request) Response {
 			return Response{Digest: d}
 		}
 		return Response{Found: true, Value: cell.Value, Digest: d}
-	case OpGetVerified, OpRangeVer:
+	case OpGetVerified, OpRangeVer, OpHistory:
 		q := ledger.BatchQuery{Table: req.Table, Column: req.Column, PK: req.PK, PKHi: req.PKHi, Range: req.Op == OpRangeVer}
 		var trusted uint64 // the height to answer at when the answer has not changed since
 		if req.HeadHeld {
@@ -455,19 +455,20 @@ func dispatch(eng *core.Engine, req Request) Response {
 		// them from there only, so Cells is not sent (and only the proof,
 		// not the whole result, outlives the call).
 		p := res.Proof
-		return Response{Found: res.Found, Proof: &p, Digest: res.Digest}
+		resp := Response{Found: res.Found, Proof: &p, Digest: res.Digest}
+		if req.Op == OpHistory && len(res.Cells) == 1 {
+			// The versions the proven head replaced, newest first.
+			if resp.Chain, err = eng.Ledger().Chain(p.Point.Values[0]); err != nil {
+				return Response{Err: err.Error()}
+			}
+		}
+		return resp
 	case OpRange:
 		cells, d, err := eng.RangePKAttested(req.Table, req.Column, req.PK, req.PKHi)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
 		return Response{Found: len(cells) > 0, Cells: cells, Digest: d}
-	case OpHistory:
-		cells, err := eng.History(req.Table, req.Column, req.PK)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		return Response{Found: len(cells) > 0, Cells: cells}
 	case OpDigest:
 		return Response{Digest: eng.Digest()}
 	case OpConsistency:
@@ -497,10 +498,11 @@ func dispatch(eng *core.Engine, req Request) Response {
 			Consistency2: &res.ConsAt, BatchProof: &res.Proof}
 	case OpSnapshot:
 		var buf bytes.Buffer
-		if err := eng.WriteSnapshot(&buf); err != nil {
+		d, err := eng.Ledger().WriteSnapshot(&buf) // the digest the stream restores to
+		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Found: true, Value: buf.Bytes(), Digest: eng.Digest()}
+		return Response{Found: true, Value: buf.Bytes(), Digest: d}
 	case OpRestore:
 		return Response{Err: "wire: restore requires a server, not a bare engine"}
 	case OpQuery:

@@ -171,7 +171,7 @@ func serverMeets(t *testing.T, hello [6]byte, accepted bool) {
 // flags, and refuse a peer that announces any framing version but their
 // own, or whose flags lack the trimmed message form.
 func TestHelloVersionChecked(t *testing.T) {
-	for _, version := range []byte{0, 1, 2, protoVersion, 4, 0xff} {
+	for _, version := range []byte{0, 1, 2, 3, protoVersion, 5, 0xff} {
 		ok := version == protoVersion
 		t.Run(fmt.Sprintf("server-meets-v%d-client", version), func(t *testing.T) {
 			serverMeets(t, helloBytes(version, flagTrim), ok)

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"spitz/internal/core"
+	"spitz/internal/ledger"
+	"spitz/internal/mtree"
+	"spitz/internal/proof"
 )
 
 // startServer returns a connected client and a cleanup function.
@@ -109,8 +112,17 @@ func TestHistoryAndDigestOps(t *testing.T) {
 	}
 	cl.Do(Request{Op: OpPut, Statement: "s2", Puts: putBatch(10)})
 	resp, err := cl.Do(Request{Op: OpHistory, Table: "t", Column: "c", PK: []byte("pk0001")})
-	if err != nil || len(resp.Cells) != 2 {
-		t.Fatalf("history = %d cells", len(resp.Cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The head's point proof and the one version it replaced.
+	v := proof.NewVerifier()
+	if err := v.Advance(resp.Digest, mtree.ConsistencyProof{}); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := v.CheckHistory(resp.Proof, resp.Digest, ledger.BatchQuery{Table: "t", Column: "c", PK: []byte("pk0001")}, resp.Chain, &proof.Pin{})
+	if err != nil || len(hist) != 2 || len(resp.Chain) != 1 || len(resp.Cells) != 0 {
+		t.Fatalf("history = %d versions, %d bodies, %d loose cells, %v", len(hist), len(resp.Chain), len(resp.Cells), err)
 	}
 	cons, err := cl.Do(Request{Op: OpConsistency, OldDigest: old.Digest})
 	if err != nil || cons.Consistency == nil {

@@ -85,8 +85,9 @@ type verifiedRead struct {
 	attested wire.Op      // the op the optimistic flow sends instead: the same question, no proof
 	spans    [2]string    // the eager and the optimistic flow's span
 
-	one  [1]proof.BatchQuery // a point or range read's one obligation
-	plan *query.Plan         // a SELECT's plan: its obligations follow from the cells served
+	one     [1]proof.BatchQuery // a point or range read's one obligation
+	plan    *query.Plan         // a SELECT's plan: its obligations follow from the cells served
+	history bool                // a cell's history: the point read of its head, and its chain
 }
 
 func pointRead(aud *Auditor, table, column string, pk []byte) verifiedRead {
@@ -101,6 +102,16 @@ func rangeRead(aud *Auditor, table, column string, pkLo, pkHi []byte) verifiedRe
 		req:   wire.Request{Op: wire.OpRangeVer, Table: table, Column: column, PK: pkLo, PKHi: pkHi},
 		spans: [2]string{"client.range-verified", "client.range-optimistic"},
 		one:   [1]proof.BatchQuery{{Table: table, Column: column, PK: pkLo, PKHi: pkHi, Range: true}}}
+}
+
+// historyRead is a cell's history: its head proven as a point read's is,
+// and the versions the head replaced (Verifier.CheckHistory). It has no
+// optimistic flow: AuditMode does not defer it.
+func historyRead(table, column string, pk []byte) verifiedRead {
+	return verifiedRead{history: true,
+		req:   wire.Request{Op: wire.OpHistory, Table: table, Column: column, PK: pk},
+		spans: [2]string{"client.history-verified"},
+		one:   [1]proof.BatchQuery{{Table: table, Column: column, PK: pk}}}
 }
 
 // selectRead is a SELECT: the statement executes server-side against one
@@ -148,7 +159,7 @@ func (l shardLink) received(resp wire.Response) (empty bool, err error) {
 	if l.syncC != nil {
 		return true, fmt.Errorf("%w: replica has no history yet (still bootstrapping)", errStale)
 	}
-	if resp.Found || len(resp.Cells) > 0 {
+	if resp.Found || len(resp.Cells) > 0 || len(resp.Chain) > 0 {
 		return true, fmt.Errorf("%w: rows claimed against an empty ledger", ErrTampered)
 	}
 	if cur := l.v.Digest(); cur.Height > 0 {
@@ -199,6 +210,11 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	}
 	var live [][]Cell
 	if err := l.syncAndVerifyWith(tr, pin.Trusted, resp, func() (err error) {
+		if r.history {
+			live = make([][]Cell, 1)
+			live[0], err = l.v.CheckHistory(p, resp.Digest, r.one[0], resp.Chain, pin)
+			return err
+		}
 		live, err = l.v.Check(p, resp.Digest, queries, len(queries), pin)
 		return err
 	}); err != nil {

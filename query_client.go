@@ -31,7 +31,7 @@ import (
 // INSERT, UPDATE and DELETE execute on the primary (a sharded server
 // routes them by what they do and commits cross-shard batches with
 // two-phase commit) and report RowsAffected plus the commit position;
-// HISTORY returns version rows (unverified, like Client.History).
+// HISTORY returns version rows, verified as Client.History verifies them.
 func (cl *Client) Query(statement string) (QueryResult, error) {
 	stmt, err := query.Parse(statement)
 	if err != nil {
@@ -60,28 +60,18 @@ func (cl *Client) Query(statement string) (QueryResult, error) {
 		}
 		return query.MergeResults(pl, parts), nil
 	case query.History:
-		return read(cl, cl.ShardFor([]byte(s.PK)), nil, func(l shardLink) (QueryResult, error) {
-			resp, err := l.queryExec("client.query-history", statement)
-			return QueryResult{Rows: query.HistoryRows(s.Column, resp.Cells)}, err
-		})
+		cells, err := cl.History(s.Table, s.Column, []byte(s.PK))
+		return QueryResult{Rows: query.HistoryRows(s.Column, cells)}, err
 	default:
-		resp, err := cl.primaryLink(0, nil).queryExec("client.query-exec", statement)
+		// A mutation, unverified here: it lands in the ledger, where any
+		// later verified read (or audit) proves it. A response with an
+		// error carries no counts.
+		l := cl.primaryLink(0, nil)
+		tr := l.span("client.query-exec")
+		defer tr.Finish()
+		req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard}
+		req.SetTrace(tr)
+		resp, err := l.c.Do(req)
 		return QueryResult{RowsAffected: resp.RowsAffected, Block: resp.Height}, err
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Per-link query flows
-
-// queryExec runs a statement whose answer is not proven over the wire,
-// under a span named op: a mutation — unverified at this point, it lands
-// in the ledger, where any later verified read (or audit) proves it — or
-// HISTORY (unverified, matching Client.History). A response with an
-// error carries neither rows nor counts.
-func (l shardLink) queryExec(op, statement string) (wire.Response, error) {
-	tr := l.span(op)
-	defer tr.Finish()
-	req := wire.Request{Op: wire.OpQuery, Statement: statement, Shard: l.shard}
-	req.SetTrace(tr)
-	return l.c.Do(req)
 }

@@ -27,7 +27,7 @@ const (
 	perShard        // answered by the shard it names
 	whole           // describes the deployment
 	write           // goes to the writer whatever Shard says
-	unknown         // an op no server answers
+	unknown         // an op or statement no server answers
 )
 
 type matrixOp struct {
@@ -48,6 +48,8 @@ func (d matrixDeployment) expect(op matrixOp, shard int) string {
 		return "restore is not supported"
 	case (op.class == point || op.class == perShard || op.class == unknown) && shard == 0 && d.shards > 1:
 		return "set Shard"
+	case op.class == unknown && op.req.Op == wire.OpQuery:
+		return "proven by OpHistory" // HISTORY is a proven read of its own
 	case op.class == unknown:
 		return "unknown op"
 	}
@@ -156,7 +158,7 @@ func TestRoutingMatrix(t *testing.T) {
 		{"get-verified", point, wire.Request{Op: wire.OpGetVerified, Table: "t", Column: "c", PK: matrixPK}},
 		{"history", point, wire.Request{Op: wire.OpHistory, Table: "t", Column: "c", PK: matrixPK}},
 		{"select-point", point, wire.Request{Op: wire.OpQuery, Statement: "SELECT c FROM t WHERE pk = 'k03'"}},
-		{"sql-history", point, wire.Request{Op: wire.OpQuery, Statement: "HISTORY t.c WHERE pk = 'k03'"}},
+		{"sql-history", unknown, wire.Request{Op: wire.OpQuery, Statement: "HISTORY t.c WHERE pk = 'k03'"}},
 		{"range", perShard, wire.Request{Op: wire.OpRange, Table: "t", Column: "c", PK: []byte("k00"), PKHi: []byte("k99")}},
 		{"range-verified", perShard, wire.Request{Op: wire.OpRangeVer, Table: "t", Column: "c", PK: []byte("k00"), PKHi: []byte("k99")}},
 		{"digest", perShard, wire.Request{Op: wire.OpDigest}},

@@ -515,7 +515,7 @@ func (db *DB) GetDocument(table string, pk []byte) ([]byte, bool, error) {
 func (db *DB) Columns(table string) ([]string, error) { return db.engine().Columns(table) }
 
 // WriteSnapshot serializes the database to w for restart durability:
-// block headers, the version index, and every live object. Restore the
+// block headers and every live object, each cell's chain included. Restore the
 // stream with Restore.
 func (db *DB) WriteSnapshot(w io.Writer) error { return db.engine().WriteSnapshot(w) }
 

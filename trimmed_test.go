@@ -68,9 +68,9 @@ func narrower(sh readShape, req wire.Request) wire.Request {
 	return req
 }
 
-// untrimmedHello is the hello of a peer without the trimmed form: framing
-// v3, no flags.
-var untrimmedHello = []byte{0x00, 'S', 'P', 'Z', 3, 0}
+// untrimmedHello is the hello of a peer of this framing version without
+// the trimmed form: framing v4, no flags.
+var untrimmedHello = []byte{0x00, 'S', 'P', 'Z', 4, 0}
 
 // TestTrimmedInterop: a peer without the trimmed form is refused at the
 // hello, on either side, by name: a client whose hello lacks the flag is
