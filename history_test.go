@@ -23,14 +23,15 @@ func histCell(pk, col string, v uint64, val string) spitz.Cell {
 }
 
 // historyBlocks: a.c and a.o rewritten, d.c written, deleted and written
-// again, f.c folded — versions 4 and 5 committed in one block.
+// again, g.c written and deleted, f.c folded — versions 4 and 5 committed
+// in one block.
 var historyBlocks = []struct {
 	version uint64
 	cells   []spitz.Cell
 }{
-	{1, []spitz.Cell{histCell("a", "c", 1, "a1"), histCell("a", "o", 1, "o1"), histCell("d", "c", 1, "d1"), histCell("f", "c", 1, "f1")}},
+	{1, []spitz.Cell{histCell("a", "c", 1, "a1"), histCell("a", "o", 1, "o1"), histCell("d", "c", 1, "d1"), histCell("f", "c", 1, "f1"), histCell("g", "c", 1, "g1")}},
 	{2, []spitz.Cell{histCell("a", "c", 2, "a2"), histCell("a", "o", 2, "o2"), histCell("d", "c", 2, "")}},
-	{3, []spitz.Cell{histCell("a", "c", 3, "a3"), histCell("a", "o", 3, "o3"), histCell("d", "c", 3, "d3")}},
+	{3, []spitz.Cell{histCell("a", "c", 3, "a3"), histCell("a", "o", 3, "o3"), histCell("d", "c", 3, "d3"), histCell("g", "c", 3, "")}},
 	{5, []spitz.Cell{histCell("f", "c", 5, "f5"), histCell("f", "c", 4, "f4"), histCell("a", "c", 5, "a5"), histCell("a", "o", 5, "o5")}},
 }
 
@@ -39,6 +40,7 @@ var historyWant = map[string]string{
 	"a": "5:a5 3:a3 2:a2 1:a1",
 	"d": "3:d3 2:<deleted> 1:d1",
 	"f": "5:f5 4:f4 1:f1",
+	"g": "3:<deleted> 1:g1",
 }
 
 func historyString(cells []spitz.Cell) string {
@@ -152,6 +154,7 @@ func TestHistoryForgeriesOverTheWire(t *testing.T) {
 			return append([][]byte{chainOf(eng, "o", "a")[0]}, c[1:]...)
 		}},
 		{"a tombstone hidden", "d", func(_ *core.Engine, c [][]byte) [][]byte { return c[1:] }},
+		{"a deleted cell's versions dropped", "g", func(*core.Engine, [][]byte) [][]byte { return nil }},
 		{"a folded version dropped", "f", func(_ *core.Engine, c [][]byte) [][]byte { return c[1:] }},
 		{"a history claimed for an absent cell", "x", func(*core.Engine, [][]byte) [][]byte {
 			return [][]byte{proof.EncodeVersion(1, []byte("x1"), false)}

@@ -346,7 +346,7 @@ type ProofStats struct {
 	NodesShipped   int64 // proof nodes that arrived, as bodies or as patches, and were hashed
 	NodesPatched   int64 // of those, index nodes that arrived as a patch against a cached version
 	NodesElided    int64 // nodes the server left out and the node cache answered instead
-	ProofBytes     int64 // proof material received: node bodies and patches, and the header and inclusion path where they travelled (not the question, which the client supplies)
+	ProofBytes     int64 // proof material received: node bodies (leaf runs unpacked) and patches, and the header and inclusion path where they travelled (not the question, which the client supplies)
 	BindingsElided int64 // proofs that travelled without their block binding
 	CacheEntries   int   // verified index nodes currently cached
 	CacheBytes     int   // the memory they hold: bodies plus decoded entries (at most 2 MiB)
