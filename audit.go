@@ -408,13 +408,13 @@ func (l shardLink) auditBatch(at Digest, rs []auditReceipt) error {
 	// the receipts against that *later* block — self-consistent
 	// inclusion, honest prefix proof, matching values — and the lie
 	// would survive the audit.
-	if bp := resp.BatchProof; bp != nil && bp.Header.Height != at.Height-1 {
+	if bp := resp.Proof; bp != nil && bp.Header.Height != at.Height-1 {
 		return fmt.Errorf("%w: audit proof is for block %d, receipts were read at block %d",
 			ErrTampered, bp.Header.Height, at.Height-1)
 	}
 	var live [][]Cell // a digest invented at read time fails adopt first
 	if err := l.adopt(resp, at, func() (err error) {
-		live, err = l.v.Check(resp.BatchProof, resp.Digest, queries, len(rs), pin)
+		live, err = l.v.Check(resp.Proof, resp.Digest, queries, len(rs), pin)
 		return err
 	}); err != nil {
 		return err

@@ -170,10 +170,7 @@ func withQuestion(req wire.Request, resp *wire.Response) {
 		}
 		qs = pl.Queries(resp.Cells)
 	}
-	for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p == nil {
-			continue
-		}
+	if p := resp.Proof; p != nil {
 		var keys [][]byte
 		ranges := p.Ranges
 		for _, q := range qs {
@@ -196,7 +193,7 @@ func withQuestion(req wire.Request, resp *wire.Response) {
 // travels, then the question the proof answers (its point keys and range
 // bounds), which a server may ship beside them (withQuestion).
 func batchProofByteSlices(resp *wire.Response) (out [][]byte) {
-	bp := resp.BatchProof
+	bp := resp.Proof
 	if bp == nil {
 		return nil
 	}
@@ -307,11 +304,12 @@ func TestFaultEveryBatchProofByteTrips(t *testing.T) {
 }
 
 // TestFaultStructuredBatchForgeries covers the non-byte-flip forgeries a
-// lying server could attempt on a batch: substituted values, toggled
-// found flags, swapped answers, dropped proofs, a proof for a different
-// (honest, older) digest, and omitted consistency proofs — all
-// ErrTampered, table-driven. A forgery of the question the proof answers
-// ships that question (withQuestion), forged.
+// lying server could attempt on a batch: a toggled found flag, a dropped
+// leaf, swapped answers, dropped proofs, a proof for a
+// different (honest, older) digest, and omitted consistency proofs — all
+// ErrTampered, table-driven. Found flags and values do not travel, so a
+// forged answer is a walk that reaches something else. A forgery of the
+// question the proof answers ships that question (withQuestion), forged.
 func TestFaultStructuredBatchForgeries(t *testing.T) {
 	fs := startFaultServer(t)
 	// asked: the forgeries of the question itself.
@@ -320,42 +318,39 @@ func TestFaultStructuredBatchForgeries(t *testing.T) {
 		name string
 		mut  func(resp *wire.Response)
 	}{
+		// Found flags do not travel: the walk decides them, so a hit is
+		// toggled to a miss only by a leaf whose run does not hold it.
 		{"toggle first found flag", func(r *wire.Response) {
-			r.BatchProof.Point.Found[0] = false
-			r.BatchProof.Point.Values[0] = nil
+			r.Proof.Point.Nodes = cutLeafRows(t, r.Proof.Point.Nodes)
 		}},
-		{"forge presence of the miss", func(r *wire.Response) {
-			for i, f := range r.BatchProof.Point.Found {
-				if !f {
-					r.BatchProof.Point.Found[i] = true
-					r.BatchProof.Point.Values[i] = []byte("\x00\x01forged")
-				}
-			}
+		{"drop a point leaf", func(r *wire.Response) {
+			nodes := r.Proof.Point.Nodes
+			r.Proof.Point.Nodes = nodes[:len(nodes)-1]
 		}},
 		// Values do not travel, so answers cannot be swapped under their
 		// keys; what a server can swap is which query each answer is for.
 		{"swap two point answers", func(r *wire.Response) {
-			p := r.BatchProof.Point
+			p := r.Proof.Point
 			p.Keys[0], p.Keys[1] = p.Keys[1], p.Keys[0]
 		}},
-		{"drop the range proof", func(r *wire.Response) { r.BatchProof.Ranges = nil }},
+		{"drop the range proof", func(r *wire.Response) { r.Proof.Ranges = nil }},
 		{"narrow the proven range", func(r *wire.Response) {
-			rp := &r.BatchProof.Ranges[0]
+			rp := &r.Proof.Ranges[0]
 			rp.End = append([]byte(nil), rp.Start...)
 			rp.Entries = nil
 			rp.Nodes = rp.Nodes[:1]
 		}},
 		{"carry a second range part", func(r *wire.Response) {
-			r.BatchProof.Ranges = append(r.BatchProof.Ranges, r.BatchProof.Ranges[0])
+			r.Proof.Ranges = append(r.Proof.Ranges, r.Proof.Ranges[0])
 		}},
 		{"cut the rows out of the range's leaf", func(r *wire.Response) {
-			rp := &r.BatchProof.Ranges[0]
+			rp := &r.Proof.Ranges[0]
 			rp.Nodes = cutLeafRows(t, rp.Nodes)
 		}},
 		{"omit the prefix proof", func(r *wire.Response) { r.Consistency2 = nil }},
-		{"omit the batch proof", func(r *wire.Response) { r.BatchProof = nil }},
-		{"stale block binding", func(r *wire.Response) { r.BatchProof.Header.Height++ }},
-		{"inflate inclusion tree", func(r *wire.Response) { r.BatchProof.Inclusion.TreeSize++ }},
+		{"omit the batch proof", func(r *wire.Response) { r.Proof = nil }},
+		{"stale block binding", func(r *wire.Response) { r.Proof.Header.Height++ }},
+		{"inflate inclusion tree", func(r *wire.Response) { r.Proof.Inclusion.TreeSize++ }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -610,7 +605,7 @@ func TestFaultLieNowCommitLater(t *testing.T) {
 			return
 		}
 		*resp = wire.Response{Digest: res.Digest, Consistency: &res.ConsTrusted,
-			Consistency2: &cons2, BatchProof: &res.Proof}
+			Consistency2: &cons2, Proof: &res.Proof}
 	})
 	err = aud.Flush()
 	if err == nil {

@@ -37,9 +37,11 @@ refuse() { # refuse ADDR PATTERN CMD...: the command fails and prints PATTERN
 	if out=$(cli "$at" "$@" 2>&1); then fail "spitz-cli $* succeeded, want a refusal:" "$out"; fi
 	grep -q -- "$want" <<<"$out" || fail "spitz-cli $*: want /$want/, got:" "$out"
 }
-writes() {
-	for i in 0 1 2 3 4 5 6 7; do cli "$1" put t c "pk$i" "value-$i" >/dev/null; done
+writes() { # writes ADDR ACK: eight puts, the i-th acked as ACK with @ read as i
+	for i in 0 1 2 3 4 5 6 7; do expect "$1" "${2//@/$i}" put t c "pk$i" "value-$i"; done
 }
+block='^committed block @ (version [0-9]*)$' # a single engine's ack names its block
+version='^committed at version [0-9]*$'      # a cluster's names only the commit's version
 reads() {
 	expect "$1" '^8 rows, verified$' range t c pk0 pk9
 	for i in 0 1 2 3 4 5 6 7; do
@@ -54,11 +56,11 @@ reads() {
 }
 
 start single -inverted
-writes "$addr"
+writes "$addr" "$block"
 reads "$addr"
 
 start durable -inverted -data-dir "$tmp/durable"
-writes "$addr"
+writes "$addr" "$block"
 expect "$addr" '^saved ' digest save "$tmp/durable.digest"
 { kill -9 "${pids[-1]}" && wait "${pids[-1]}"; } 2>/dev/null || true
 start durable-restarted -inverted -data-dir "$tmp/durable"
@@ -68,14 +70,14 @@ expect "$addr" 'OK — saved height 8 is a verified prefix' digest check "$tmp/d
 reads "$addr"
 
 start sharded -shards 2 -inverted
-writes "$addr"
+writes "$addr" "$version"
 reads "$addr"
 expect "$addr" '^shard 1: height=' stats
 expect "$addr" '^combined root: ' digest
 
 start primary -shards 2 -inverted -data-dir "$tmp/primary"
 primary=$addr
-writes "$primary"
+writes "$primary" "$version"
 start replica -replicate-from "$primary" -inverted
 for _ in $(seq 100); do
 	[ "$(cli "$addr" range t c pk0 pk9 2>/dev/null | tail -1)" = "8 rows, verified" ] && break
@@ -84,4 +86,4 @@ done
 reads "$addr"
 expect "$addr" '^shard 1: replica: connected' stats
 refuse "$addr" 'read-only' put t c pk8 value-8
-echo "cli smoke: put/get/range/hist/query/stats/digest served by a single engine, a durable single engine after kill -9 and restart (saved digest a verified prefix), a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"
+echo "cli smoke: put (acked by block, or by version on a cluster)/get/range/hist/query/stats/digest served by a single engine, a durable single engine after kill -9 and restart (saved digest a verified prefix), a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"

@@ -396,11 +396,12 @@ func mergeByPK(parts [][]Cell, err error) ([]Cell, error) {
 // Operations
 
 // Apply commits a batch of writes atomically on the primary and returns
-// the new block header. A sharded server groups the writes by owning
-// shard and commits cross-shard batches with two-phase commit; its header
-// carries the coordinator's commit timestamp in Version and nothing else,
-// and that timestamp is in no block: each shard commits its part at a
-// version its own engine draws (see ClusterDB.Apply).
+// the height and version of the block it committed in, the rest of the
+// header zero. A sharded server groups the writes by owning shard and
+// commits cross-shard batches with two-phase commit; its ack names no
+// block, only the coordinator's commit timestamp, in Version, which is in
+// no block: each shard commits its part at a version its own engine draws
+// (see ClusterDB.Apply).
 func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 	// A sampled root here stitches the server's commit — and a
 	// coordinator's per-shard 2PC prepare/commit legs — under the client's
@@ -413,7 +414,7 @@ func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 	if err != nil {
 		return BlockHeader{}, err
 	}
-	return resp.Header, nil
+	return BlockHeader{Height: resp.Height, Version: resp.Version}, nil
 }
 
 // GetVerified performs a verified point read against the owning shard:

@@ -12,7 +12,6 @@ import (
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/durable"
-	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/query"
 	"spitz/internal/repl"
@@ -552,7 +551,7 @@ func (db *ClusterDB) write(req wire.Request) wire.Response {
 		if err != nil {
 			return wire.Response{Err: err.Error()}
 		}
-		return wire.Response{Found: true, Header: ledger.BlockHeader{Version: version}}
+		return wire.Response{Version: version}
 	case wire.OpQuery:
 		out, err := query.ExecStore(clusterStore{db: db, tr: req.Trace()}, req.Statement)
 		if err != nil {

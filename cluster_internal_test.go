@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"spitz/internal/durable"
 	"spitz/internal/twopc"
@@ -526,12 +525,9 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 // Each non-default setting is checked where it acts, on every engine.
 func TestOptionsReachEveryShard(t *testing.T) {
 	opts := Options{
-		Mode:             ModeTO,
-		MaintainInverted: true,
-		MaxBatchTxns:     1,
-		// A leader that waits would fold concurrent commits into one
-		// block, were the cap not one.
-		MaxBatchDelay:      time.Millisecond,
+		Mode:               ModeTO,
+		MaintainInverted:   true,
+		MaxBatchTxns:       1,
 		Sync:               SyncNever,
 		CheckpointInterval: -1,
 		WALSegmentSize:     4 << 10,

@@ -84,7 +84,11 @@ func main() {
 		h, err := cl.Apply("cli put", []spitz.Put{{
 			Table: args[1], Column: args[2], PK: []byte(args[3]), Value: []byte(args[4])}})
 		check(err)
-		fmt.Printf("committed block %d (version %d)\n", h.Height, h.Version)
+		if cl.Shards() > 1 { // a cluster's ack names no block
+			fmt.Printf("committed at version %d\n", h.Version)
+		} else {
+			fmt.Printf("committed block %d (version %d)\n", h.Height, h.Version)
+		}
 	case "get":
 		need(args, 4)
 		v, found, err := cl.GetVerified(args[1], args[2], []byte(args[3]))

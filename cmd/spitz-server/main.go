@@ -5,7 +5,7 @@
 //
 //	spitz-server [-addr 127.0.0.1:7687] [-admin-addr 127.0.0.1:7688]
 //	             [-inverted] [-mode occ|to]
-//	             [-shards N] [-max-batch-txns 128] [-max-batch-delay 0s]
+//	             [-shards N] [-max-batch-txns 128]
 //	             [-data-dir DIR] [-sync always|interval|never]
 //	             [-sync-every 50ms] [-checkpoint-interval 1m]
 //	             [-checkpoint-every-blocks 4096] [-node-cache-mb 64]
@@ -46,9 +46,8 @@
 //
 // -mode selects the concurrency control scheme for transactions: "occ"
 // (optimistic, validate reads at commit — the default) or "to"
-// (timestamp ordering). -max-batch-txns and -max-batch-delay tune the
-// group-commit pipeline that folds concurrent commits into shared ledger
-// blocks.
+// (timestamp ordering). -max-batch-txns caps how many concurrent commits
+// the group-commit pipeline folds into one ledger block.
 //
 // -replicate-from HOST:PORT runs this server as a read replica of the
 // given primary instead of owning data itself: it streams the primary's
@@ -93,7 +92,6 @@ func main() {
 	mode := flag.String("mode", "occ", "concurrency control scheme: occ or to")
 	shards := flag.Int("shards", 1, "serve a sharded cluster of this many engines (1 = single engine)")
 	maxBatchTxns := flag.Int("max-batch-txns", 0, "max transactions folded into one ledger block (0 = default 128)")
-	maxBatchDelay := flag.Duration("max-batch-delay", 0, "how long the commit leader waits to accumulate a batch (0 = no added latency)")
 	dataDir := flag.String("data-dir", "", "data directory; empty serves an in-memory database")
 	replicateFrom := flag.String("replicate-from", "", "run as a read replica of the primary at this address")
 	syncMode := flag.String("sync", "always", "WAL sync policy: always, interval or never")
@@ -106,7 +104,6 @@ func main() {
 	opts := spitz.Options{
 		MaintainInverted: *inverted,
 		MaxBatchTxns:     *maxBatchTxns,
-		MaxBatchDelay:    *maxBatchDelay,
 	}
 	switch *mode {
 	case "occ":

@@ -722,9 +722,11 @@ func TestElisionForgeriesOverTheWire(t *testing.T) {
 		"answers with the neighbouring key's proof": func(req wire.Request, resp *wire.Response) {
 			*resp = full(elisionPK(12346))
 		},
+		// Found flags do not travel: the walk decides them, so a hit is
+		// turned into a miss only by a leaf whose run does not hold it.
 		"flips the found flag": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
-			resp.Proof.Point.Found = []bool{!resp.Proof.Point.Found[0]}
+			resp.Proof.Point.Nodes = cutLeafRows(t, resp.Proof.Point.Nodes)
 		},
 		"ships a key other than the one asked": func(req wire.Request, resp *wire.Response) {
 			detachResponse(t, resp)
@@ -927,7 +929,7 @@ func TestPatchForgeriesOverTheWire(t *testing.T) {
 // TestFaultEveryBatchProofByteTrips'.
 func multiRowProofSlices(resp *wire.Response) [][]byte {
 	var out [][]byte
-	for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+	for _, p := range []*ledger.Proof{resp.Proof} {
 		if p == nil {
 			continue
 		}
@@ -964,17 +966,14 @@ func flipByte(t testing.TB, resp *wire.Response, off int) {
 // proof bytes it has, and that it ships leaves only.
 func warmShape(t testing.TB, req wire.Request, resp *wire.Response) (total int) {
 	var nodes [][]byte
-	if resp.Proof != nil {
-		nodes = resp.Proof.Ranges[0].Nodes
-	} else {
-		if resp.BatchProof.Point != nil {
-			nodes = append(nodes, resp.BatchProof.Point.Nodes...)
-		}
-		for i := range resp.BatchProof.Ranges {
-			nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)
-			if resp.BatchProof.Ranges[i].Entries != nil {
-				t.Errorf("%s: rows travel beside the leaves", req.Op)
-			}
+	p := resp.Proof
+	if p.Point != nil {
+		nodes = append(nodes, p.Point.Nodes...)
+	}
+	for i := range p.Ranges {
+		nodes = append(nodes, p.Ranges[i].Nodes...)
+		if p.Ranges[i].Entries != nil {
+			t.Errorf("%s: rows travel beside the leaves", req.Op)
 		}
 	}
 	for _, body := range nodes {
@@ -1028,7 +1027,7 @@ func TestMultiRowResponsesEveryByteTrips(t *testing.T) {
 			}
 			var total int
 			es.setMutate(func(req wire.Request, resp *wire.Response) {
-				if req.Op == k.op && (resp.Proof != nil || resp.BatchProof != nil) {
+				if req.Op == k.op && resp.Proof != nil {
 					total = warmShape(t, req, resp)
 				}
 			})
@@ -1046,7 +1045,7 @@ func TestMultiRowResponsesEveryByteTrips(t *testing.T) {
 			for off := 0; off < total; off += step {
 				off := off
 				es.setMutate(func(req wire.Request, resp *wire.Response) {
-					if req.Op == k.op && (resp.Proof != nil || resp.BatchProof != nil) {
+					if req.Op == k.op && resp.Proof != nil {
 						flipByte(t, resp, off)
 					}
 				})
@@ -1099,7 +1098,7 @@ func TestAuditResponseEveryByteTrips(t *testing.T) {
 	}
 	onProveBatch := func(m func(req wire.Request, resp *wire.Response)) {
 		es.setMutate(func(req wire.Request, resp *wire.Response) {
-			if req.Op == wire.OpProveBatch && resp.BatchProof != nil && len(req.Have) > 0 {
+			if req.Op == wire.OpProveBatch && resp.Proof != nil && len(req.Have) > 0 {
 				m(req, resp)
 			}
 		})
@@ -1219,9 +1218,9 @@ func TestForgedRangeRowsAreNeverReturned(t *testing.T) {
 			case req.Op == wire.OpRange && lieAtRead:
 				detachResponse(t, resp)
 				resp.Cells[0].Value = []byte("FORGED")
-			case req.Op == wire.OpProveBatch && resp.BatchProof != nil:
+			case req.Op == wire.OpProveBatch && resp.Proof != nil:
 				detachResponse(t, resp)
-				resp.BatchProof.Ranges[0].Entries = []postree.Entry{forgedEntry(resp)}
+				resp.Proof.Ranges[0].Entries = []postree.Entry{forgedEntry(resp)}
 			}
 		})
 		if _, err := cl.RangePKVerified("t", "c", elisionPK(lo), elisionPK(hi)); err != nil {
@@ -1238,11 +1237,8 @@ func TestForgedRangeRowsAreNeverReturned(t *testing.T) {
 
 // rangeProofOf returns the (first) range proof a response carries.
 func rangeProofOf(resp *wire.Response) *postree.RangeProof {
-	switch {
-	case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
+	if resp.Proof != nil && len(resp.Proof.Ranges) > 0 {
 		return &resp.Proof.Ranges[0]
-	case resp.BatchProof != nil && len(resp.BatchProof.Ranges) > 0:
-		return &resp.BatchProof.Ranges[0]
 	}
 	return nil
 }
@@ -1269,21 +1265,16 @@ func TestClientHintsAcrossCommits(t *testing.T) {
 	traffic := func(read func()) (index, walked int) {
 		t.Helper()
 		es.setMutate(func(req wire.Request, resp *wire.Response) {
-			var nodes [][]byte
-			switch {
-			case resp.Proof != nil && resp.Proof.Point != nil:
-				nodes = resp.Proof.Point.Nodes
-			case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
-				nodes = resp.Proof.Ranges[0].Nodes
-			case resp.BatchProof != nil:
-				if resp.BatchProof.Point != nil {
-					nodes = append(nodes, resp.BatchProof.Point.Nodes...)
-				}
-				for i := range resp.BatchProof.Ranges {
-					nodes = append(nodes, resp.BatchProof.Ranges[i].Nodes...)
-				}
-			default:
+			p := resp.Proof
+			if p == nil {
 				return
+			}
+			var nodes [][]byte
+			if p.Point != nil {
+				nodes = append(nodes, p.Point.Nodes...)
+			}
+			for i := range p.Ranges {
+				nodes = append(nodes, p.Ranges[i].Nodes...)
 			}
 			for _, body := range nodes {
 				if body[0] != 0 {

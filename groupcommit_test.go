@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"spitz"
 	"spitz/internal/obs"
@@ -163,7 +162,6 @@ func TestConcurrentCommitStressDurable(t *testing.T) {
 	db, err := spitz.OpenDir(dir, spitz.Options{
 		Sync:               spitz.SyncAlways,
 		CheckpointInterval: -1,
-		MaxBatchDelay:      200 * time.Microsecond, // encourage multi-txn blocks
 	})
 	if err != nil {
 		t.Fatal(err)

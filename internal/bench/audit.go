@@ -152,15 +152,15 @@ func VerifyAuditSmoke() error {
 }
 
 // flipFirstNode is a MutateHandler hook that flips one byte of the first
-// node of every op response's batch-layout proof — its point part's, or
-// else its first range's. It copies what it changes: served node bodies
-// alias the engine's store.
+// node of every op response's proof — its point part's, or else its first
+// range's. It copies what it changes: served node bodies alias the
+// engine's store.
 func flipFirstNode(op wire.Op) func(wire.Request, *wire.Response) {
 	return func(req wire.Request, resp *wire.Response) {
-		if req.Op != op || resp.BatchProof == nil {
+		if req.Op != op || resp.Proof == nil {
 			return
 		}
-		p := *resp.BatchProof
+		p := *resp.Proof
 		var nodes *[][]byte
 		switch {
 		case p.Point != nil && len(p.Point.Nodes) > 0:
@@ -176,6 +176,6 @@ func flipFirstNode(op wire.Op) func(wire.Request, *wire.Response) {
 		n := append([]byte(nil), (*nodes)[0]...)
 		n[len(n)/2] ^= 0x01
 		(*nodes)[0] = n
-		resp.BatchProof = &p
+		resp.Proof = &p
 	}
 }

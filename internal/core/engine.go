@@ -83,13 +83,10 @@ type Options struct {
 
 	// MaxBatchTxns caps how many transactions the group-commit leader
 	// folds into one ledger block (default 128).
+	// The leader commits whatever is queued at once: batching comes only
+	// from commits that arrive while the previous block is being built,
+	// which adds no latency and self-tunes with load.
 	MaxBatchTxns int
-	// MaxBatchDelay is how long the leader waits for more transactions to
-	// accumulate before cutting a block. Zero (the default) commits
-	// whatever is queued immediately: batching then comes only from
-	// commits that arrive while the previous block is being built, which
-	// adds no latency and self-tunes with load.
-	MaxBatchDelay time.Duration
 }
 
 const defaultMaxBatchTxns = 128
@@ -102,8 +99,7 @@ type Engine struct {
 	mgr    *txn.Manager
 	inv    *inverted.Index
 
-	maxBatchTxns  int
-	maxBatchDelay time.Duration
+	maxBatchTxns int
 
 	mu        sync.RWMutex
 	nextTxnID uint64
@@ -237,13 +233,12 @@ func build(opts Options, l *ledger.Ledger) *Engine {
 		opts.MaxBatchTxns = defaultMaxBatchTxns
 	}
 	e := &Engine{
-		store:         opts.Store,
-		ledger:        l,
-		ts:            opts.Timestamps,
-		maxBatchTxns:  opts.MaxBatchTxns,
-		maxBatchDelay: opts.MaxBatchDelay,
-		pending:       make(map[string][]pendingCell),
-		lastVersion:   headVersion,
+		store:        opts.Store,
+		ledger:       l,
+		ts:           opts.Timestamps,
+		maxBatchTxns: opts.MaxBatchTxns,
+		pending:      make(map[string][]pendingCell),
+		lastVersion:  headVersion,
 	}
 	if opts.MaintainInverted {
 		e.inv = inverted.New()
@@ -452,16 +447,6 @@ func (e *Engine) lead(own *commitReq) {
 	for {
 		if older := e.olderWait.Load(); older != nil {
 			_ = (*older)() // a failure has poisoned the engine: the cut below sees it
-		}
-		if d := e.maxBatchDelay; d > 0 {
-			// Give followers a moment to accumulate, unless a full batch
-			// is already waiting.
-			e.mu.RLock()
-			full := len(e.queue) >= e.maxBatchTxns
-			e.mu.RUnlock()
-			if !full {
-				time.Sleep(d)
-			}
 		}
 		e.mu.Lock()
 		n := len(e.queue)

@@ -56,10 +56,9 @@ type Options struct {
 	Timestamps TimestampSource
 	// MaintainInverted enables the engine's inverted index.
 	MaintainInverted bool
-	// MaxBatchTxns and MaxBatchDelay configure the engine's group-commit
-	// pipeline (see core.Options).
-	MaxBatchTxns  int
-	MaxBatchDelay time.Duration
+	// MaxBatchTxns configures the engine's group-commit pipeline (see
+	// core.Options).
+	MaxBatchTxns int
 
 	// Sync selects when commits become durable (default wal.SyncAlways).
 	Sync wal.SyncPolicy
@@ -215,7 +214,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		MaintainInverted: opts.MaintainInverted,
 		Timestamps:       orc,
 		MaxBatchTxns:     opts.MaxBatchTxns,
-		MaxBatchDelay:    opts.MaxBatchDelay,
 	}
 	var eng *core.Engine
 	if man.height > 0 {

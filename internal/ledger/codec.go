@@ -24,55 +24,30 @@ func AppendHeader(dst []byte, h BlockHeader) []byte {
 	return append(dst, h.Encode()...)
 }
 
-// AppendProof appends p's one-query layout, the layout of a point or
-// range read's proof: its block binding (unless it travels without one —
-// its carrier flags that, not these bytes), then a presence byte recording
-// which cell sub-proof is attached (bit0 Point, bit1 Range), then the
-// point part as Bytes(key) Bool(found) Nodes (postree.AppendNodes) — the key nil
-// when the proof travels without it — and the range part: at most one
-// of each, a read's proof having one and the empty ledger's none.
+// AppendProof appends p's encoding, the one layout of every proof a read,
+// a SELECT or an audit flush is answered with: its block binding (unless
+// it travels without one — its carrier flags that, not these bytes), a
+// uvarint shape — hasPoint | nRanges<<1 — then the point part, if any, as
+// postree.AppendBatchProof (its keys nil when the proof travels without
+// them) and the range parts (postree.AppendRangeProof).
 func AppendProof(dst []byte, p *Proof) []byte {
 	if !p.Unbound {
 		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
 	}
-	dst = append(dst, byte(binenc.Flag(p.Point != nil, 1)|binenc.Flag(len(p.Ranges) > 0, 2)))
-	if pt := p.Point; pt != nil {
-		var key []byte
-		if len(pt.Keys) == 1 {
-			key = pt.Keys[0]
-		}
-		dst = binenc.AppendBytes(dst, key)
-		dst = binenc.AppendBool(dst, len(pt.Found) == 1 && pt.Found[0])
-		dst = postree.AppendNodes(dst, pt.Nodes)
-	}
-	if len(p.Ranges) > 0 {
-		dst = postree.AppendRangeProof(dst, p.Ranges[0])
-	}
-	return dst
-}
-
-// AppendBatchProof appends p's batch layout, the layout of an audit
-// flush's or a SELECT's proof: its block binding as AppendProof, then
-// the point part if any, then the range parts.
-func AppendBatchProof(dst []byte, p *Proof) []byte {
-	if !p.Unbound {
-		dst = mtree.AppendInclusionProof(AppendHeader(dst, p.Header), p.Inclusion)
-	}
+	dst = binenc.AppendUvarint(dst, binenc.Flag(p.Point != nil, 1)|uint64(len(p.Ranges))<<1)
 	if p.Point != nil {
-		dst = append(dst, 1)
 		dst = postree.AppendBatchProof(dst, *p.Point)
-	} else {
-		dst = append(dst, 0)
 	}
-	if p.Ranges == nil {
-		return append(dst, 0)
-	}
-	dst = binenc.AppendUvarint(dst, uint64(len(p.Ranges))+1)
 	for i := range p.Ranges {
 		dst = postree.AppendRangeProof(dst, p.Ranges[i])
 	}
 	return dst
 }
+
+// AppendBatchProof is AppendProof.
+//
+// Deprecated: there is one proof layout; the name stays for the benchmark.
+func AppendBatchProof(dst []byte, p *Proof) []byte { return AppendProof(dst, p) }
 
 // AppendBatchQuery appends q's binary encoding.
 func AppendBatchQuery(dst []byte, q BatchQuery) []byte {
@@ -104,6 +79,6 @@ func AppendClusterDigest(dst []byte, d *proof.ClusterDigest) []byte {
 	return append(dst, d.Root[:]...)
 }
 
-// ReadProof is proof.ReadProofAs for a proof in the one-query layout that
-// travelled with its block binding. Only benchmark/ calls it.
+// ReadProof is proof.ReadProofAs for a proof that travelled with its block
+// binding. Only benchmark/ calls it.
 func ReadProof(src []byte) (*Proof, []byte, error) { return proof.ReadProofAs(src, false) }

@@ -164,16 +164,20 @@ var (
 
 // Verify checks the proof against a known root and the claimed leaf hash.
 func (p InclusionProof) Verify(root, leaf hashutil.Digest) error {
-	if p.Index < 0 || p.Index >= p.TreeSize {
-		return ErrBadProof
+	got, err := p.Root(leaf)
+	if err == nil && got != root {
+		err = ErrProofMismatch
 	}
-	if len(p.Path) != pathLen(p.Index, p.TreeSize) {
-		return ErrBadProof
+	return err
+}
+
+// Root returns the root the path replays leaf to: the one root of a tree
+// of p.TreeSize leaves that Verify accepts for it.
+func (p InclusionProof) Root(leaf hashutil.Digest) (hashutil.Digest, error) {
+	if p.Index < 0 || p.Index >= p.TreeSize || len(p.Path) != pathLen(p.Index, p.TreeSize) {
+		return hashutil.Digest{}, ErrBadProof
 	}
-	if replay(leaf, p.Index, p.TreeSize, p.Path) != root {
-		return ErrProofMismatch
-	}
-	return nil
+	return replay(leaf, p.Index, p.TreeSize, p.Path), nil
 }
 
 // pathLen returns the audit path length for leaf m in a tree of n leaves.

@@ -8,12 +8,10 @@ package postree
 // preserved exactly.
 //
 // What a proof proves travels once, inside the leaves that prove it: a
-// range proof's rows and a point proof's values are not encoded.
-// Verification sets the rows from the leaves it verified; the decoder
-// points the values at the entries of the shipped leaves, and verification
-// compares them with what the verified walk arrives at, so a decoded proof
-// is the struct the prover held or it does not verify. The decoders are
-// the verifier's: proof.ReadRangeProof and proof.ReadBatchProof.
+// range proof's rows and a point proof's values and found flags are not
+// encoded, and the verifier reads them off the walk that verifies those
+// leaves. The decoders are the verifier's: proof.ReadRangeProof and
+// proof.ReadBatchProof.
 
 import (
 	"encoding/binary"
@@ -29,11 +27,9 @@ func AppendRangeProof(dst []byte, p RangeProof) []byte {
 	return AppendNodes(dst, p.Nodes)
 }
 
-// AppendBatchProof appends p's binary encoding.
+// AppendBatchProof appends p's binary encoding: its keys and node bodies.
 func AppendBatchProof(dst []byte, p BatchProof) []byte {
-	dst = binenc.AppendByteSlices(dst, p.Keys)
-	dst = binenc.AppendBools(dst, p.Found)
-	return AppendNodes(dst, p.Nodes)
+	return AppendNodes(binenc.AppendByteSlices(dst, p.Keys), p.Nodes)
 }
 
 // AppendNodes appends a proof's node bodies as binenc.AppendByteSlices

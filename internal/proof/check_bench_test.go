@@ -30,7 +30,7 @@ func BenchmarkCheckAuditFlush(b *testing.B) {
 				b.Fatal(err)
 			}
 			trimmed := ledger.Cut(res.Proof, l.Held(nil))
-			wire := ledger.AppendBatchProof(nil, &trimmed)
+			wire := ledger.AppendProof(nil, &trimmed)
 			v := proof.NewVerifier()
 			if err := v.Advance(res.Digest, mtree.ConsistencyProof{}); err != nil {
 				b.Fatal(err)
@@ -38,7 +38,7 @@ func BenchmarkCheckAuditFlush(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, _, err := proof.ReadBatchProofAs(wire, false)
+				p, _, err := proof.ReadProofAs(wire, false)
 				if err != nil {
 					b.Fatal(err)
 				}

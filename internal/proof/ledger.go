@@ -173,12 +173,10 @@ type Proof struct {
 
 	// one is room for a single read's parts inside the proof itself, so
 	// proving and decoding a point or range read allocate nothing for its
-	// key, found flag or sub-proof. A copy of the proof shares them. It
-	// never travels.
+	// key or sub-proof. A copy of the proof shares them. It never travels.
 	one struct {
 		point  BatchProof
 		key    [1][]byte
-		found  [1]bool
 		ranges [1]RangeProof
 	}
 }
@@ -218,9 +216,9 @@ func (p *Proof) AddRange(rp RangeProof) {
 // i-th range part, and each query's live cells are decoded from what its
 // walk reaches, in order: a point query's cell or none, a range query's
 // rows in key order, tombstones left out. The proof must have exactly the
-// queries' shape — one found flag per point query, each equal to what the
-// walk found, one range part per range query — and a key or bound it
-// carries (a server may ship them) must be the query's own.
+// queries' shape — a point part if any query is a point query, one range
+// part per range query — and a key or bound it carries (a server may ship
+// them) must be the query's own.
 func (p *Proof) Cells(queries []BatchQuery, path *Path) ([][]Cell, error) {
 	var keyRoom [1][]byte // a point read's one key and its place
 	var atRoom [1]int
@@ -310,6 +308,20 @@ func (p Proof) VerifyCells(path *Path) error {
 	return nil
 }
 
+// Bound returns the digest p's binding commits its block to: the height
+// its inclusion path names and the root the path replays the header to.
+// A proof answering a request that named its trusted height travels
+// without that digest, which the client works out here; the digest is
+// then trusted only as far as the client proves it extends its trust
+// (Verifier.AdvanceWith), as a digest the server sent would be.
+func (p *Proof) Bound() (Digest, error) {
+	root, err := p.Inclusion.Root(mtree.LeafHash(p.Header.Encode()))
+	if err != nil || p.Unbound {
+		return Digest{}, ErrProofInvalid
+	}
+	return Digest{Height: uint64(p.Inclusion.TreeSize), Root: root}, nil
+}
+
 // ---------------------------------------------------------------------------
 // Decoders of the ledger's binary encodings (internal/ledger appends them)
 
@@ -337,71 +349,28 @@ func ReadHeader(src []byte) (BlockHeader, []byte, error) {
 	return h, src[HeaderWireLen:], nil
 }
 
-// readBinding starts a proof's decoding: its block binding, unless unbound
-// says it travelled without one.
-func readBinding(d *binenc.Decoder, unbound bool) *Proof {
-	p := &Proof{Unbound: unbound}
-	if !unbound {
-		p.Header, p.Inclusion = binenc.Read(d, ReadHeader), binenc.Read(d, mtree.ReadInclusionProof)
-	}
-	return p
-}
-
-// ReadProofAs decodes a proof in the one-query layout, a point or range
-// read's (ledger.AppendProof): its block binding unless unbound says it
-// travelled without one, a presence byte (bit0 Point, bit1 Range), the
-// point part as Bytes(key) Bool(found) ByteSlices(nodes) — the key nil
-// when the proof travelled without it — and the range part. The point
-// part's key and found flag live in the proof itself; values and rows do
-// not travel, and are read off the walk that verifies them (Cells).
+// ReadProofAs decodes a proof (ledger.AppendProof): its block binding
+// unless unbound says it travelled without one, a uvarint shape —
+// hasPoint | nRanges<<1 — then the point part if any (ReadBatchProof) and
+// the range parts. A single read's part lives in the proof itself; values,
+// found flags and rows do not travel, and are read off the walk that
+// verifies them (Cells).
 func ReadProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
 	d := binenc.Decoder{Src: src}
-	p := readBinding(&d, unbound)
-	if d.Err == nil && (len(d.Src) < 1 || d.Src[0] > 3) {
-		d.Err = binenc.ErrCorrupt
+	p := &Proof{Unbound: unbound}
+	if !unbound {
+		p.Header, p.Inclusion = binenc.Read(&d, ReadHeader), binenc.Read(&d, mtree.ReadInclusionProof)
 	}
-	if d.Err != nil {
-		return nil, nil, d.Err
-	}
-	present := d.Src[0]
-	d.Src = d.Src[1:]
-	if present&1 != 0 {
-		one := &p.one
-		one.key[0], one.found[0] = binenc.Read(&d, binenc.ReadBytes), binenc.Read(&d, binenc.ReadBool)
-		one.point = BatchProof{Found: one.found[:], Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
-		if one.key[0] != nil {
-			one.point.Keys = one.key[:]
-		}
-		p.Point = &one.point
-	}
-	if present&2 != 0 {
-		p.one.ranges[0] = binenc.Read(&d, ReadRangeProof)
-		p.Ranges = p.one.ranges[:]
-	}
-	if d.Err != nil {
-		return nil, nil, d.Err
-	}
-	return p, d.Src, nil
-}
-
-// ReadBatchProofAs is ReadProofAs for the batch layout, an audit flush's
-// or a SELECT's (ledger.AppendBatchProof): the block binding, a flag and
-// the point part if any, then a nil-preserving list of range parts.
-func ReadBatchProofAs(src []byte, unbound bool) (*Proof, []byte, error) {
-	d := binenc.Decoder{Src: src}
-	p := readBinding(&d, unbound)
-	if binenc.Read(&d, binenc.ReadBool) {
+	shape := binenc.Read(&d, binenc.ReadUvarint)
+	if shape&1 != 0 {
 		p.SetPoint(binenc.Read(&d, ReadBatchProof))
 	}
-	var cnt int
-	if n := binenc.Read(&d, binenc.ReadUvarint); d.Err == nil && n > 0 {
-		cnt, d.Err = binenc.Count(n-1, d.Src, 3)
-		if d.Err == nil {
-			p.Ranges = make([]RangeProof, cnt)
-		}
+	var n int
+	if d.Err == nil {
+		n, d.Err = binenc.Count(shape>>1, d.Src, 3)
 	}
-	for i := range p.Ranges {
-		p.Ranges[i] = binenc.Read(&d, ReadRangeProof)
+	for i := 0; i < n && d.Err == nil; i++ {
+		p.AddRange(binenc.Read(&d, ReadRangeProof))
 	}
 	if d.Err != nil {
 		return nil, nil, d.Err

@@ -259,6 +259,13 @@ func (v *Verifier) bind(p *Proof, d Digest, pin *Pin) error {
 // it superseded dropped (accept): every failure is ErrTampered and leaves
 // the verifier as it was. A nil pin pins nothing.
 func (v *Verifier) Check(p *Proof, d Digest, queries []BatchQuery, reads int, pin *Pin) ([][]Cell, error) {
+	return v.CheckClaims(p, d, queries, reads, pin, nil)
+}
+
+// CheckClaims is Check for an answer the server also states, as a SELECT's
+// cells, which seed its obligations: each claimed cell must be one the
+// walk reaches live, or the response lies though its proof is sound.
+func (v *Verifier) CheckClaims(p *Proof, d Digest, queries []BatchQuery, reads int, pin *Pin, claimed []Cell) ([][]Cell, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: server omitted proof", ErrTampered)
 	}
@@ -270,6 +277,19 @@ func (v *Verifier) Check(p *Proof, d Digest, queries []BatchQuery, reads int, pi
 		return nil, err
 	}
 	live, err := bound.Cells(queries, pin.Path)
+	if err == nil && len(claimed) > 0 {
+		proven := make(map[string]string)
+		for _, cs := range live {
+			for _, c := range cs {
+				proven[string(CellPrefix(c.Table, c.Column, c.PK))] = string(c.Value)
+			}
+		}
+		for _, c := range claimed {
+			if value, ok := proven[string(CellPrefix(c.Table, c.Column, c.PK))]; !ok || value != string(c.Value) {
+				err = fmt.Errorf("the response claims a cell of %s.%s its proof does not hold", c.Table, c.Column)
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}

@@ -320,10 +320,11 @@ func (s DigestSet) Add(d hashutil.Digest) DigestSet {
 // an independent journal lookup per record).
 //
 // Keys[i], Values[i] and Found[i] describe the i-th proven read; Values[i]
-// is nil when Found[i] is false. Nodes is a set: the verifier finds each
-// node it wants by the digest the body hashes to, so the bodies of index
-// nodes the verifier said it holds are simply left out (see Path).
-// Leaves are never left out.
+// is nil when Found[i] is false. The prover fills all three; only the keys
+// may travel, so a decoded proof's Values and Found are nil, and the walk
+// decides them. Nodes is a set: the verifier finds each node it wants by
+// the digest the body hashes to, so the bodies of index nodes the verifier
+// said it holds are simply left out (see Path). Leaves are never left out.
 type BatchProof struct {
 	Keys   [][]byte
 	Values [][]byte
@@ -350,7 +351,7 @@ func (p BatchProof) Verify(root hashutil.Digest) error {
 // index nodes on the keys' search paths (path may be nil): the walk of the
 // proof's own keys, with each value it carries compared with the one the
 // walk reaches. A proof that carries no values (a decoded one: they do
-// not travel) claims only its found flags.
+// not travel) claims nothing but what its nodes hash to.
 func (p BatchProof) VerifyPath(root hashutil.Digest, path *Path) error {
 	if p.Values != nil && len(p.Values) != len(p.Keys) {
 		return ErrProofInvalid
@@ -371,10 +372,10 @@ func (p BatchProof) VerifyPath(root hashutil.Digest, path *Path) error {
 // wanted digest, or from the verifier's own pinned nodes — never on the
 // server's say-so. Leaves are never pinned, so they are always hashed
 // fresh: the entries shipped and their siblings up to the digest the
-// parent routes to. The proof must have one found flag per key, each equal
-// to what the search found, and keys it carries must be these.
+// parent routes to. Keys and found flags the proof carries (a prover's
+// does) must be these keys and what each search found.
 func (p *BatchProof) walk(root hashutil.Digest, path *Path, keys [][]byte, visit func(i int, value []byte, found bool) error) error {
-	if len(p.Found) != len(keys) || (p.Keys != nil && len(p.Keys) != len(keys)) {
+	if (p.Found != nil && len(p.Found) != len(keys)) || (p.Keys != nil && len(p.Keys) != len(keys)) {
 		return ErrProofInvalid
 	}
 	var small smallProof
@@ -399,7 +400,7 @@ func (p *BatchProof) walk(root hashutil.Digest, path *Path, keys [][]byte, visit
 				return err
 			}
 		}
-		if found != p.Found[i] {
+		if p.Found != nil && found != p.Found[i] {
 			return ErrProofInvalid
 		}
 		if err := visit(i, value, found); err != nil {
@@ -485,12 +486,12 @@ func ReadRangeProof(src []byte) (RangeProof, []byte, error) {
 }
 
 // ReadBatchProof decodes a point proof: its keys (none when it travelled
-// without them), found flags and node bodies. Values do not travel: what a
-// proof proves travels once, inside the leaves that prove it, and is read
-// off the walk that verifies it.
+// without them) and node bodies. Values and found flags do not travel:
+// what a proof proves travels once, inside the leaves that prove it, and
+// is read off the walk that verifies it.
 func ReadBatchProof(src []byte) (BatchProof, []byte, error) {
 	d := binenc.Decoder{Src: src}
-	p := BatchProof{Keys: binenc.Read(&d, binenc.ReadByteSlices), Found: binenc.Read(&d, binenc.ReadBools), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
+	p := BatchProof{Keys: binenc.Read(&d, binenc.ReadByteSlices), Nodes: binenc.Read(&d, binenc.ReadByteSlices)}
 	return p, d.Src, d.Err
 }
 

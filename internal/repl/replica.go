@@ -54,7 +54,9 @@ var errResync = errors.New("repl: replica diverged from primary; resynchronizing
 
 // Status is a point-in-time summary of a replica's replication state.
 type Status struct {
-	// Height is the replica's own ledger height.
+	// Height is the replica's own ledger height, counting only blocks it
+	// has finished applying: a block the ledger has published but the
+	// engine not yet indexed is not in it.
 	Height uint64
 	// Connected reports whether a stream to the primary is live.
 	Connected bool
@@ -123,16 +125,14 @@ func (r *Replica) Engine() *core.Engine {
 // prefix of the primary's before trusting replica-served proofs.
 func (r *Replica) Digest() ledger.Digest { return r.Engine().Digest() }
 
-// Height returns the replica's own ledger height.
-func (r *Replica) Height() uint64 { return r.Engine().Ledger().Height() }
+// Height returns the replica's own ledger height (Status.Height).
+func (r *Replica) Height() uint64 { return r.Status().Height }
 
 // Status returns the replica's replication state.
 func (r *Replica) Status() Status {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	st := r.st
-	st.Height = r.eng.Ledger().Height()
-	return st
+	return r.st
 }
 
 // Close stops following the primary, severing any live stream. The
@@ -241,6 +241,7 @@ func (r *Replica) onSnapshot(snapshot []byte, height uint64) (uint64, error) {
 	mRepSnapshotLoads.Inc()
 	r.mu.Lock()
 	r.eng = eng
+	r.st.Height = got
 	r.st.SnapshotLoads++
 	r.needSnap = false
 	r.mu.Unlock()
@@ -296,6 +297,7 @@ func (r *Replica) onBlock(height uint64, frame []byte) (uint64, error) {
 	mRepBlocksApplied.Inc()
 	mRepBytesApplied.Add(uint64(len(frame)))
 	r.mu.Lock()
+	r.st.Height = rec.Height + 1
 	r.st.AppliedBlocks++
 	r.st.AppliedBytes += uint64(len(frame))
 	r.st.LastError = ""

@@ -84,7 +84,7 @@ func (c *Client) handshakeLocked() error {
 		return c.hserr
 	}
 	c.started = true
-	hello := helloBytes(protoVersion, flagTrim)
+	hello := helloBytes(protoVersion)
 	if _, err := c.conn.Write(hello[:]); err != nil {
 		c.hserr = fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 		return c.hserr
@@ -96,13 +96,9 @@ func (c *Client) handshakeLocked() error {
 		c.hserr = fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 		return c.hserr
 	}
-	version, rflags, err := parseHello(reply[:])
-	switch {
-	case err != nil:
-	case version != protoVersion:
+	version, err := parseHello(reply[:])
+	if err == nil && version != protoVersion {
 		err = fmt.Errorf("server speaks framing v%d, this build speaks v%d", version, protoVersion)
-	case rflags&flagTrim == 0:
-		err = errors.New("server does not speak the trimmed message form (hello flag 0x2), the only one this build speaks")
 	}
 	if err != nil {
 		mNegotiateFailed.Inc()

@@ -1,16 +1,15 @@
 package wire
 
 // Hand-rolled binary codec for Request and Response, the payload layer
-// of the v3 framing (see frame.go). Layout conventions come from
+// of the v5 framing (see frame.go). Layout conventions come from
 // internal/binenc; the proof types encode through their own packages'
 // codecs so each layer owns its own wire layout.
 //
-// A Request is an opcode byte (0 = uncommon op, spelled out as a string
-// for forward compatibility) followed by a uvarint presence bitmap and
-// the present fields in declaration order; a bit no field defines is
-// corrupt. A Response is the same minus the opcode. Absent fields cost
-// zero bytes, so the hot read path (OpGet: op + table/column/pk → Found +
-// Value + a handful of cells) stays a few dozen bytes.
+// A Request is an opcode byte followed by a uvarint presence bitmap and
+// the present fields in bit order; a bit no field defines is corrupt. A
+// Response is the same minus the opcode. Absent fields cost zero bytes,
+// and the fields of a read and its answer take the low seven bits, so a
+// verified read's bitmaps are one byte each.
 
 import (
 	"encoding/binary"
@@ -26,75 +25,64 @@ import (
 	"spitz/internal/postree"
 )
 
-// opCodes maps each known op to its 1-based wire opcode. Opcode 0 means
-// a string-encoded op follows, so new ops interoperate before they get
-// a compact code. Opcode 6, the unproven value lookup, is retired: it
-// decodes as the empty op, which every handler refuses as unknown.
-var opCodes = map[Op]byte{
-	OpPut: 1, OpGet: 2, OpGetVerified: 3, OpRange: 4, OpRangeVer: 5,
-	OpHistory: 7, OpDigest: 8, OpConsistency: 9,
-	OpProveBatch: 10, OpSnapshot: 11, OpRestore: 12, OpShardMap: 13,
-	OpClusterDigest: 14, OpStats: 15, OpReplStream: 16, OpReplAck: 17,
-	OpQuery: 18,
-}
+// ops lists every op at its wire opcode. Opcode 0 is the empty op, which
+// every handler refuses as unknown: an op this build does not know
+// travels as it.
+var ops = [...]Op{"", OpPut, OpGet, OpGetVerified, OpRange, OpRangeVer,
+	OpHistory, OpDigest, OpConsistency, OpProveBatch, OpSnapshot, OpRestore,
+	OpShardMap, OpClusterDigest, OpStats, OpReplStream, OpReplAck, OpQuery}
 
-var opFromCode = func() [19]Op {
-	var t [19]Op
-	for op, c := range opCodes {
-		t[c] = op
+var opCodes = func() map[Op]byte {
+	m := make(map[Op]byte, len(ops))
+	for c, op := range ops {
+		m[op] = byte(c)
 	}
-	return t
+	return m
 }()
 
-// Request presence bits, in field declaration order.
+// Request presence bits, in encoding order.
 const (
 	reqTable = 1 << iota
 	reqColumn
 	reqPK
-	reqPKHi
-	reqRetiredValue // no field since the value lookup went; later bits keep their v3 positions
-	reqPuts
-	reqStatement
-	reqOldDigest
-	reqOldDigest2
-	reqAudits
-	reqSnapshot
-	reqShard
 	reqHeight
-	// reqTrace carries distributed trace context (trace ID + parent span
-	// ID, two fixed u64s). Absent on the unsampled majority, so the hot
-	// path's encoding is byte-identical to a build without tracing.
-	reqTrace
-	// reqDeferred's bit is the value itself — a deferred OpQuery costs
-	// zero payload bytes (like respFound).
-	reqDeferred
-	reqRetired  // no field: the bits after it keep their v3 positions
 	reqHeadHeld // the bit is the value (Request.HeadHeld)
 	// reqFingerprints carries the index nodes the client of a
 	// proof-carrying read already holds: a uvarint count (at most
 	// proof.MaxHave), then each digest's first postree.FingerprintSize
 	// bytes. Absent — a cold client — the server ships the full proof.
 	reqFingerprints
+	reqShard
+	reqPKHi
+	reqPuts
+	reqStatement
+	// reqDeferred's bit is the value itself — a deferred OpQuery costs
+	// zero payload bytes (like respFound).
+	reqDeferred
+	reqOldDigest
+	reqOldDigest2
+	reqAudits
+	reqSnapshot
+	// reqTrace carries distributed trace context (trace ID + parent span
+	// ID, two fixed u64s). Absent on the unsampled majority, so the hot
+	// path's encoding is byte-identical to a build without tracing.
+	reqTrace
 
 	// reqKnown is every bit a field defines.
-	reqKnown = (reqFingerprints<<1 - 1) &^ reqRetired &^ reqRetiredValue
+	reqKnown = reqTrace<<1 - 1
 )
 
 // AppendRequest appends req's binary encoding.
 func AppendRequest(dst []byte, req *Request) []byte {
-	code := opCodes[req.Op]
-	dst = append(dst, code)
-	if code == 0 {
-		dst = binenc.AppendString(dst, string(req.Op))
-	}
+	dst = append(dst, opCodes[req.Op])
 	bits := binenc.Flag(req.Table != "", reqTable) | binenc.Flag(req.Column != "", reqColumn) |
-		binenc.Flag(req.PK != nil, reqPK) | binenc.Flag(req.PKHi != nil, reqPKHi) | binenc.Flag(req.Puts != nil, reqPuts) |
-		binenc.Flag(req.Statement != "", reqStatement) | binenc.Flag(req.OldDigest != (ledger.Digest{}), reqOldDigest) |
+		binenc.Flag(req.PK != nil, reqPK) | binenc.Flag(req.Height != 0, reqHeight) |
+		binenc.Flag(req.HeadHeld, reqHeadHeld) | binenc.Flag(len(req.Have) != 0, reqFingerprints) |
+		binenc.Flag(req.Shard != 0, reqShard) | binenc.Flag(req.PKHi != nil, reqPKHi) |
+		binenc.Flag(req.Puts != nil, reqPuts) | binenc.Flag(req.Statement != "", reqStatement) |
+		binenc.Flag(req.Deferred, reqDeferred) | binenc.Flag(req.OldDigest != (ledger.Digest{}), reqOldDigest) |
 		binenc.Flag(req.OldDigest2 != nil, reqOldDigest2) | binenc.Flag(req.Audits != nil, reqAudits) |
-		binenc.Flag(req.Snapshot != nil, reqSnapshot) | binenc.Flag(req.Shard != 0, reqShard) |
-		binenc.Flag(req.Height != 0, reqHeight) | binenc.Flag(req.traceID != 0, reqTrace) |
-		binenc.Flag(req.Deferred, reqDeferred) | binenc.Flag(req.HeadHeld, reqHeadHeld) |
-		binenc.Flag(len(req.Have) != 0, reqFingerprints)
+		binenc.Flag(req.Snapshot != nil, reqSnapshot) | binenc.Flag(req.traceID != 0, reqTrace)
 	dst = binenc.AppendUvarint(dst, bits)
 	if bits&reqTable != 0 {
 		dst = binenc.AppendString(dst, req.Table)
@@ -104,6 +92,18 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	}
 	if bits&reqPK != 0 {
 		dst = binenc.AppendBytes(dst, req.PK)
+	}
+	if bits&reqHeight != 0 {
+		dst = binenc.AppendUvarint(dst, req.Height)
+	}
+	if bits&reqFingerprints != 0 {
+		dst = binenc.AppendUvarint(dst, uint64(len(req.Have)))
+		for i := range req.Have {
+			dst = append(dst, req.Have[i][:postree.FingerprintSize]...)
+		}
+	}
+	if bits&reqShard != 0 {
+		dst = binenc.AppendUvarint(dst, uint64(req.Shard))
 	}
 	if bits&reqPKHi != 0 {
 		dst = binenc.AppendBytes(dst, req.PKHi)
@@ -129,21 +129,9 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	if bits&reqSnapshot != 0 {
 		dst = binenc.AppendBytes(dst, req.Snapshot)
 	}
-	if bits&reqShard != 0 {
-		dst = binenc.AppendUvarint(dst, uint64(req.Shard))
-	}
-	if bits&reqHeight != 0 {
-		dst = binenc.AppendUvarint(dst, req.Height)
-	}
 	if bits&reqTrace != 0 {
 		dst = binenc.AppendUint64(dst, req.traceID)
 		dst = binenc.AppendUint64(dst, req.parentSpan)
-	}
-	if bits&reqFingerprints != 0 {
-		dst = binenc.AppendUvarint(dst, uint64(len(req.Have)))
-		for i := range req.Have {
-			dst = append(dst, req.Have[i][:postree.FingerprintSize]...)
-		}
 	}
 	return dst
 }
@@ -152,25 +140,11 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // protocol error.
 func DecodeRequest(src []byte) (Request, error) {
 	var req Request
-	if len(src) < 1 {
+	if len(src) < 1 || int(src[0]) >= len(ops) {
 		return req, binenc.ErrCorrupt
 	}
-	code := src[0]
-	src = src[1:]
-	var err error
-	if code == 0 {
-		var s string
-		if s, src, err = binenc.ReadString(src); err != nil {
-			return req, err
-		}
-		req.Op = Op(s)
-	} else {
-		if int(code) >= len(opFromCode) {
-			return req, binenc.ErrCorrupt
-		}
-		req.Op = opFromCode[code]
-	}
-	d := binenc.Decoder{Src: src}
+	req.Op = ops[src[0]]
+	d := binenc.Decoder{Src: src[1:]}
 	bits := binenc.Read(&d, binenc.ReadUvarint)
 	if bits&^reqKnown != 0 {
 		return req, binenc.ErrCorrupt
@@ -184,6 +158,29 @@ func DecodeRequest(src []byte) (Request, error) {
 	}
 	if bits&reqPK != 0 {
 		req.PK = binenc.Read(&d, binenc.ReadBytes)
+	}
+	if bits&reqHeight != 0 {
+		req.Height = binenc.Read(&d, binenc.ReadUvarint)
+	}
+	if bits&reqFingerprints != 0 {
+		const size = postree.FingerprintSize
+		n := binenc.Read(&d, binenc.ReadUvarint)
+		// Bounded before allocation: by proof.MaxHave and by the bytes
+		// actually present. Zero is never encoded (the bit would be
+		// absent), so it is rejected to keep encodings canonical. A
+		// fingerprint fills its digest's first bytes.
+		if d.Err == nil && (n == 0 || n > proof.MaxHave || n > uint64(len(d.Src)/size)) {
+			d.Err = binenc.ErrCorrupt
+		} else if d.Err == nil {
+			req.Have = make([]hashutil.Digest, n)
+			for i := range req.Have {
+				copy(req.Have[i][:size], d.Src)
+				d.Src = d.Src[size:]
+			}
+		}
+	}
+	if bits&reqShard != 0 {
+		req.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&reqPKHi != 0 {
 		req.PKHi = binenc.Read(&d, binenc.ReadBytes)
@@ -216,31 +213,8 @@ func DecodeRequest(src []byte) (Request, error) {
 	if bits&reqSnapshot != 0 {
 		req.Snapshot = binenc.Read(&d, binenc.ReadBytes)
 	}
-	if bits&reqShard != 0 {
-		req.Shard = int(binenc.Read(&d, binenc.ReadUvarint))
-	}
-	if bits&reqHeight != 0 {
-		req.Height = binenc.Read(&d, binenc.ReadUvarint)
-	}
 	if bits&reqTrace != 0 {
 		req.traceID, req.parentSpan = binenc.Read(&d, binenc.ReadUint64), binenc.Read(&d, binenc.ReadUint64)
-	}
-	if bits&reqFingerprints != 0 {
-		const size = postree.FingerprintSize
-		n := binenc.Read(&d, binenc.ReadUvarint)
-		// Bounded before allocation: by proof.MaxHave and by the bytes
-		// actually present. Zero is never encoded (the bit would be
-		// absent), so it is rejected to keep encodings canonical. A
-		// fingerprint fills its digest's first bytes.
-		if d.Err == nil && (n == 0 || n > proof.MaxHave || n > uint64(len(d.Src)/size)) {
-			d.Err = binenc.ErrCorrupt
-		} else if d.Err == nil {
-			req.Have = make([]hashutil.Digest, n)
-			for i := range req.Have {
-				copy(req.Have[i][:size], d.Src)
-				d.Src = d.Src[size:]
-			}
-		}
 	}
 	if d.Err == nil && len(d.Src) != 0 {
 		d.Err = binenc.ErrCorrupt
@@ -263,50 +237,43 @@ func readPut(src []byte) (Put, []byte, error) {
 	return p, d.Src, d.Err
 }
 
-// Response presence bits, in field declaration order. respFound's bit is
-// the value itself — a true Found costs zero payload bytes.
+// Response presence bits, in encoding order. respFound's bit is the value
+// itself — a true Found costs zero payload bytes — and so is respUnbound's:
+// Proof travels without its binding.
 const (
-	respErr = 1 << iota
-	respFound
+	respFound = 1 << iota
 	respValue
 	respCells
 	respProof
-	respBatchProof
+	respUnbound
 	respDigest
 	respConsistency
 	respConsistency2
-	respHeader
-	respShardCount
-	respRetired // no field: the bits after it keep their v3 positions
-	respCluster
 	respHeight
+	respVersion
+	respErr
+	respShardCount
+	respCluster
 	respStats
 	respRowsAffected
-	// The bit is the value: Proof, BatchProof travels without its binding.
-	respUnbound
-	respBatchUnbound
 	respChain
 
 	// respKnown is every bit a field defines.
-	respKnown = (respChain<<1 - 1) &^ respRetired
+	respKnown = respChain<<1 - 1
 )
 
 // AppendResponse appends resp's binary encoding.
 func AppendResponse(dst []byte, resp *Response) []byte {
-	bits := binenc.Flag(resp.Err != "", respErr) | binenc.Flag(resp.Found, respFound) |
-		binenc.Flag(resp.Value != nil, respValue) | binenc.Flag(resp.Cells != nil, respCells) |
-		binenc.Flag(resp.Proof != nil, respProof) | binenc.Flag(resp.BatchProof != nil, respBatchProof) |
+	bits := binenc.Flag(resp.Found, respFound) | binenc.Flag(resp.Value != nil, respValue) |
+		binenc.Flag(resp.Cells != nil, respCells) | binenc.Flag(resp.Proof != nil, respProof) |
+		binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
 		binenc.Flag(resp.Digest != (ledger.Digest{}), respDigest) | binenc.Flag(resp.Consistency != nil, respConsistency) |
-		binenc.Flag(resp.Consistency2 != nil, respConsistency2) | binenc.Flag(resp.Header != (ledger.BlockHeader{}), respHeader) |
+		binenc.Flag(resp.Consistency2 != nil, respConsistency2) | binenc.Flag(resp.Height != 0, respHeight) |
+		binenc.Flag(resp.Version != 0, respVersion) | binenc.Flag(resp.Err != "", respErr) |
 		binenc.Flag(resp.ShardCount != 0, respShardCount) | binenc.Flag(resp.Cluster != nil, respCluster) |
-		binenc.Flag(resp.Height != 0, respHeight) | binenc.Flag(resp.Stats != nil, respStats) |
-		binenc.Flag(resp.RowsAffected != 0, respRowsAffected) | binenc.Flag(resp.Proof != nil && resp.Proof.Unbound, respUnbound) |
-		binenc.Flag(resp.BatchProof != nil && resp.BatchProof.Unbound, respBatchUnbound) |
+		binenc.Flag(resp.Stats != nil, respStats) | binenc.Flag(resp.RowsAffected != 0, respRowsAffected) |
 		binenc.Flag(resp.Chain != nil, respChain)
 	dst = binenc.AppendUvarint(dst, bits)
-	if bits&respErr != 0 {
-		dst = binenc.AppendString(dst, resp.Err)
-	}
 	if bits&respValue != 0 {
 		dst = binenc.AppendBytes(dst, resp.Value)
 	}
@@ -315,9 +282,6 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	}
 	if bits&respProof != 0 {
 		dst = ledger.AppendProof(dst, resp.Proof)
-	}
-	if bits&respBatchProof != 0 {
-		dst = ledger.AppendBatchProof(dst, resp.BatchProof)
 	}
 	if bits&respDigest != 0 {
 		dst = ledger.AppendDigest(dst, resp.Digest)
@@ -328,17 +292,20 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	if bits&respConsistency2 != 0 {
 		dst = mtree.AppendConsistencyProof(dst, *resp.Consistency2)
 	}
-	if bits&respHeader != 0 {
-		dst = ledger.AppendHeader(dst, resp.Header)
+	if bits&respHeight != 0 {
+		dst = binenc.AppendUvarint(dst, resp.Height)
+	}
+	if bits&respVersion != 0 {
+		dst = binenc.AppendUvarint(dst, resp.Version)
+	}
+	if bits&respErr != 0 {
+		dst = binenc.AppendString(dst, resp.Err)
 	}
 	if bits&respShardCount != 0 {
 		dst = binenc.AppendUvarint(dst, uint64(resp.ShardCount))
 	}
 	if bits&respCluster != 0 {
 		dst = ledger.AppendClusterDigest(dst, resp.Cluster)
-	}
-	if bits&respHeight != 0 {
-		dst = binenc.AppendUvarint(dst, resp.Height)
 	}
 	if bits&respStats != 0 {
 		dst = appendStats(dst, resp.Stats)
@@ -359,13 +326,10 @@ func DecodeResponse(src []byte) (Response, error) {
 	var resp Response
 	d := binenc.Decoder{Src: src}
 	bits := binenc.Read(&d, binenc.ReadUvarint)
-	if bits&^respKnown != 0 {
+	if bits&^respKnown != 0 || bits&(respProof|respUnbound) == respUnbound {
 		return resp, binenc.ErrCorrupt
 	}
 	resp.Found = bits&respFound != 0
-	if bits&respErr != 0 {
-		resp.Err = binenc.Read(&d, binenc.ReadString)
-	}
 	if bits&respValue != 0 {
 		resp.Value = binenc.Read(&d, binenc.ReadBytes)
 	}
@@ -377,16 +341,11 @@ func DecodeResponse(src []byte) (Response, error) {
 			return proof.ReadProofAs(b, bits&respUnbound != 0)
 		})
 	}
-	if bits&respBatchProof != 0 {
-		resp.BatchProof = binenc.Read(&d, func(b []byte) (*ledger.Proof, []byte, error) {
-			return proof.ReadBatchProofAs(b, bits&respBatchUnbound != 0)
-		})
-	}
-	for _, p := range [...]*ledger.Proof{resp.Proof, resp.BatchProof} {
-		if p != nil && p.Point != nil {
+	if p := resp.Proof; p != nil {
+		if p.Point != nil {
 			postree.Unpack(p.Point.Nodes)
 		}
-		for i := 0; p != nil && i < len(p.Ranges); i++ {
+		for i := range p.Ranges {
 			postree.Unpack(p.Ranges[i].Nodes)
 		}
 	}
@@ -401,17 +360,20 @@ func DecodeResponse(src []byte) (Response, error) {
 		c := binenc.Read(&d, mtree.ReadConsistencyProof)
 		resp.Consistency2 = &c
 	}
-	if bits&respHeader != 0 {
-		resp.Header = binenc.Read(&d, proof.ReadHeader)
+	if bits&respHeight != 0 {
+		resp.Height = binenc.Read(&d, binenc.ReadUvarint)
+	}
+	if bits&respVersion != 0 {
+		resp.Version = binenc.Read(&d, binenc.ReadUvarint)
+	}
+	if bits&respErr != 0 {
+		resp.Err = binenc.Read(&d, binenc.ReadString)
 	}
 	if bits&respShardCount != 0 {
 		resp.ShardCount = int(binenc.Read(&d, binenc.ReadUvarint))
 	}
 	if bits&respCluster != 0 {
 		resp.Cluster = binenc.Read(&d, proof.ReadClusterDigest)
-	}
-	if bits&respHeight != 0 {
-		resp.Height = binenc.Read(&d, binenc.ReadUvarint)
 	}
 	if bits&respStats != 0 {
 		resp.Stats = binenc.Read(&d, readStats)

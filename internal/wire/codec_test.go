@@ -99,15 +99,15 @@ func rndFound(r *rand.Rand, key []byte) (leaf []byte) {
 	return posleaf.AppendEntry([]byte{0, 1, 0, 1}, key, append([]byte{}, rndBytes(r, 32)...)) // level | count | first | n
 }
 
-// rndKeyProof is the point part of a one-query proof: one key — none
-// when it travels without it.
+// rndKeyProof is the point part of a single read's proof: one key — none
+// when it travels without it — and its leaf when found.
 func rndKeyProof(r *rand.Rand) postree.BatchProof {
 	key := rndBytes(r, 16)
-	p := postree.BatchProof{Found: []bool{r.Intn(2) == 0}, Nodes: rndNodes(r)}
+	p := postree.BatchProof{Nodes: rndNodes(r)}
 	if key != nil {
 		p.Keys = [][]byte{key}
 	}
-	if p.Found[0] {
+	if r.Intn(2) == 0 {
 		p.Nodes = append(p.Nodes, rndFound(r, key))
 	}
 	return p
@@ -122,22 +122,22 @@ func rndRangeProof(r *rand.Rand) postree.RangeProof {
 	}
 }
 
+// rndBatchPoints is the point part of a batch: its keys and, for each
+// key found, a leaf holding it.
 func rndBatchPoints(r *rand.Rand) postree.BatchProof {
 	n := 1 + r.Intn(4)
-	p := postree.BatchProof{
-		Keys:  make([][]byte, n),
-		Found: make([]bool, n),
-		Nodes: rndNodes(r),
-	}
+	p := postree.BatchProof{Keys: make([][]byte, n), Nodes: rndNodes(r)}
 	for i := 0; i < n; i++ {
 		p.Keys[i] = append(rndBytes(r, 16), byte(i)) // distinct
-		if p.Found[i] = r.Intn(2) == 0; p.Found[i] {
+		if r.Intn(2) == 0 {
 			p.Nodes = append(p.Nodes, rndFound(r, p.Keys[i]))
 		}
 	}
 	return p
 }
 
+// rndProof is a proof of any shape: a point part of one key (none when it
+// travels without it) or of a batch's, and up to two range parts.
 func rndProof(r *rand.Rand) *ledger.Proof {
 	p := &ledger.Proof{
 		Header: rndHeader(r),
@@ -145,32 +145,16 @@ func rndProof(r *rand.Rand) *ledger.Proof {
 			Index: r.Intn(100), TreeSize: 100 + r.Intn(100), Path: rndDigests(r, 6),
 		},
 	}
-	if r.Intn(2) == 0 {
+	switch r.Intn(3) {
+	case 0:
 		pt := rndKeyProof(r)
 		p.Point = &pt
-	}
-	if r.Intn(2) == 0 {
-		p.Ranges = []postree.RangeProof{rndRangeProof(r)}
-	}
-	return p
-}
-
-func rndBatchProof(r *rand.Rand) *ledger.Proof {
-	p := &ledger.Proof{
-		Header: rndHeader(r),
-		Inclusion: mtree.InclusionProof{
-			Index: r.Intn(100), TreeSize: 100 + r.Intn(100), Path: rndDigests(r, 6),
-		},
-	}
-	if r.Intn(2) == 0 {
+	case 1:
 		bp := rndBatchPoints(r)
 		p.Point = &bp
 	}
-	if r.Intn(2) == 0 {
-		p.Ranges = make([]postree.RangeProof, r.Intn(3))
-		for i := range p.Ranges {
-			p.Ranges[i] = rndRangeProof(r)
-		}
+	for i := r.Intn(3); i > 0; i-- {
+		p.Ranges = append(p.Ranges, rndRangeProof(r))
 	}
 	return p
 }
@@ -181,7 +165,7 @@ func rndConsistency(r *rand.Rand) *mtree.ConsistencyProof {
 	}
 }
 
-var allOps = append(append([]Op{}, knownOps...), OpReplStream, OpReplAck, Op("future-op"))
+var allOps = append(append([]Op{}, knownOps...), OpReplStream, OpReplAck)
 
 func rndRequest(r *rand.Rand) Request {
 	req := Request{
@@ -238,10 +222,11 @@ func rndRequest(r *rand.Rand) Request {
 
 func rndResponse(r *rand.Rand) Response {
 	resp := Response{
-		Err:    rndString(r, 20),
-		Found:  r.Intn(2) == 0,
-		Value:  rndBytes(r, 32),
-		Height: uint64(r.Intn(1 << 30)),
+		Err:     rndString(r, 20),
+		Found:   r.Intn(2) == 0,
+		Value:   rndBytes(r, 32),
+		Height:  uint64(r.Intn(1 << 30)),
+		Version: uint64(r.Intn(1 << 30)),
 	}
 	if r.Intn(2) == 0 {
 		resp.Cells = make([]cellstore.Cell, r.Intn(4))
@@ -256,14 +241,8 @@ func rndResponse(r *rand.Rand) Response {
 	if r.Intn(3) == 0 {
 		resp.Proof = rndProof(r)
 	}
-	if r.Intn(3) == 0 {
-		resp.BatchProof = rndBatchProof(r)
-	}
-	if resp.Proof != nil && r.Intn(3) == 0 { // the binding left out, of each proof on its own
+	if resp.Proof != nil && r.Intn(3) == 0 { // the binding left out
 		*resp.Proof = ledger.Unbind(*resp.Proof)
-	}
-	if resp.BatchProof != nil && r.Intn(3) == 0 {
-		*resp.BatchProof = ledger.Unbind(*resp.BatchProof)
 	}
 	if r.Intn(2) == 0 {
 		resp.Digest = rndLedgerDigest(r)
@@ -273,9 +252,6 @@ func rndResponse(r *rand.Rand) Response {
 	}
 	if r.Intn(3) == 0 {
 		resp.Consistency2 = rndConsistency(r)
-	}
-	if r.Intn(3) == 0 {
-		resp.Header = rndHeader(r)
 	}
 	if r.Intn(3) == 0 {
 		resp.ShardCount = 1 + r.Intn(8)
@@ -348,9 +324,9 @@ func TestRequestRoundTrip(t *testing.T) {
 // compared by what they carry: a ledger.Proof keeps a single read's parts
 // inline, so a decoded proof holds them elsewhere than a built one.
 func sameResponse(a, b Response) bool {
-	ap, abp, bp, bbp := a.Proof, a.BatchProof, b.Proof, b.BatchProof
-	a.Proof, a.BatchProof, b.Proof, b.BatchProof = nil, nil, nil, nil
-	return reflect.DeepEqual(a, b) && sameProof(ap, bp) && sameProof(abp, bbp)
+	ap, bp := a.Proof, b.Proof
+	a.Proof, b.Proof = nil, nil
+	return reflect.DeepEqual(a, b) && sameProof(ap, bp)
 }
 
 func sameProof(a, b *ledger.Proof) bool {
@@ -422,26 +398,27 @@ func TestDecodeRejectsTrailing(t *testing.T) {
 }
 
 // TestUndefinedPresenceBitsAreCorrupt: a presence bit that no field
-// defines is corrupt, whatever follows it — among them the bits that once
-// carried the looked-up value, the hint as whole digests and
-// Response.Shard.
+// defines is corrupt, whatever follows it — the bits have no gaps, so
+// these are the bits past the last field's — and so is a bit that is a
+// value with a payload behind it, and an unbound proof that is not there.
 func TestUndefinedPresenceBitsAreCorrupt(t *testing.T) {
 	digest := opCodes[OpDigest]
 	for _, enc := range [][]byte{
-		binenc.AppendUvarint([]byte{digest}, 1<<4),
-		binenc.AppendBytes(binenc.AppendUvarint([]byte{digest}, 1<<4), []byte("v03")), // the old value bit with a value
-		binenc.AppendUvarint([]byte{digest}, 1<<15),
+		binenc.AppendBytes(binenc.AppendUvarint([]byte{digest}, reqHeadHeld), []byte("v03")),
+		binenc.AppendUvarint([]byte{digest}, reqKnown+1),
 		binenc.AppendUvarint([]byte{digest}, 1<<18),
 		binenc.AppendUvarint([]byte{digest}, 1<<25),
 		binenc.AppendUvarint([]byte{digest}, 1<<63),
+		{byte(len(ops))}, // an opcode past the last op's
 	} {
 		if _, err := DecodeRequest(enc); !errors.Is(err, binenc.ErrCorrupt) {
 			t.Errorf("request % x: err = %v, want ErrCorrupt", enc, err)
 		}
 	}
 	for _, enc := range [][]byte{
-		binenc.AppendUvarint(nil, 1<<11),
-		append(binenc.AppendUvarint(nil, 1<<11), 3), // the old Shard bit with a shard number
+		binenc.AppendUvarint(nil, respKnown+1),
+		append(binenc.AppendUvarint(nil, respFound), 3),
+		binenc.AppendUvarint(nil, respUnbound),
 		binenc.AppendUvarint(nil, 1<<18),
 		binenc.AppendUvarint(nil, 1<<40),
 	} {
@@ -463,6 +440,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xFF, 0xFF})
+	for _, op := range ops { // every opcode, bare and with a read's fields
+		f.Add(AppendRequest(nil, &Request{Op: op}))
+		f.Add(AppendRequest(nil, &Request{Op: op, Table: "t", Column: "c", PK: []byte("k"), Height: 3, HeadHeld: true,
+			Have: []hashutil.Digest{{1}}, Shard: 2}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {
@@ -487,15 +469,25 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
-	// One-query proofs whose presence byte claims no cell part (0) and
-	// both (3), bound and unbound.
-	point := &postree.BatchProof{Keys: [][]byte{[]byte("k")}, Found: []bool{false}}
-	for _, p := range []ledger.Proof{{}, {Point: point, Ranges: []postree.RangeProof{{Start: []byte("a")}}}} {
+	// Proofs of every shape uvarint from 0 (no cell part) to 5 (a point
+	// part and two range parts), bound and unbound, and one whose range
+	// count outruns its bytes; and a write ack.
+	point := &postree.BatchProof{Keys: [][]byte{[]byte("k")}}
+	for shape := 0; shape < 6; shape++ {
+		var p ledger.Proof
+		if shape&1 != 0 {
+			p.Point = point
+		}
+		for i := 0; i < shape>>1; i++ {
+			p.Ranges = append(p.Ranges, postree.RangeProof{Start: []byte("a")})
+		}
 		for _, unbound := range []bool{false, true} {
 			p.Unbound = unbound
 			f.Add(AppendResponse(nil, &Response{Proof: &p, Digest: ledger.Digest{Height: 1}}))
 		}
 	}
+	f.Add(binenc.AppendUvarint(binenc.AppendUvarint(nil, respProof|respUnbound), 1<<40))
+	f.Add(AppendResponse(nil, &Response{Height: 7, Version: 9}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err != nil {

@@ -44,13 +44,7 @@ func elideEngine(t testing.TB) (*core.Engine, []byte) {
 func heldNodes(t testing.TB, resp Response) []*proof.Verified {
 	t.Helper()
 	got := new(proof.Path)
-	var err error
-	if resp.Proof != nil {
-		err = resp.Proof.VerifyPath(resp.Digest, got)
-	} else {
-		err = resp.BatchProof.VerifyPath(resp.Digest, got)
-	}
-	if err != nil {
+	if err := resp.Proof.VerifyPath(resp.Digest, got); err != nil {
 		t.Fatalf("full proof: %v", err)
 	}
 	if len(got.Shipped) == 0 {
@@ -89,9 +83,6 @@ func answered(t testing.TB, eng *core.Engine, req Request) Response {
 	resp := Dispatch(eng, req)
 	p := resp.Proof
 	if p == nil {
-		p = resp.BatchProof
-	}
-	if p == nil {
 		return resp
 	}
 	qs, err := question(req, resp)
@@ -119,9 +110,6 @@ func answered(t testing.TB, eng *core.Engine, req Request) Response {
 // returns the live cells its walk proves.
 func proofCells(resp Response, req Request, path *proof.Path) ([]cellstore.Cell, error) {
 	p := resp.Proof
-	if p == nil {
-		p = resp.BatchProof
-	}
 	q, err := question(req, resp)
 	if err != nil {
 		return nil, err
@@ -282,7 +270,7 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 		{Table: "t", Column: "c", PK: []byte("pk03210!")},
 	}
 	batchRows := func(t testing.TB, resp Response) []string {
-		bp := resp.BatchProof
+		bp := resp.Proof
 		var out []string
 		if bp.Point != nil {
 			for i := range bp.Point.Keys {
@@ -317,17 +305,11 @@ func multiRowReads(t testing.TB, eng *core.Engine) []multiRow {
 }
 
 func verifyMultiRow(resp Response, path *proof.Path) error {
-	if resp.Proof != nil {
-		return resp.Proof.VerifyPath(resp.Digest, path)
-	}
-	return resp.BatchProof.VerifyPath(resp.Digest, path)
+	return resp.Proof.VerifyPath(resp.Digest, path)
 }
 
 func proofNodes(resp Response) (nodes [][]byte, entries int) {
 	p := resp.Proof
-	if p == nil {
-		p = resp.BatchProof
-	}
 	if p.Point != nil {
 		nodes = append(nodes, p.Point.Nodes...)
 	}
@@ -644,7 +626,7 @@ func FuzzElidedRead(f *testing.F) {
 		rr := rndRequest(r)
 		rr.Have = rndDigests(r, 2*proof.MaxHeight)
 		f.Add(AppendRequest(nil, &rr))
-		resp := Response{Found: true, Proof: rndProof(r), BatchProof: rndBatchProof(r), Digest: rndLedgerDigest(r)}
+		resp := Response{Found: true, Proof: rndProof(r), Digest: rndLedgerDigest(r)}
 		f.Add(AppendResponse(nil, &resp))
 	}
 	root := cold.Proof.Header.CellRoot
@@ -673,7 +655,7 @@ func FuzzElidedRead(f *testing.F) {
 		// Whatever decoded — nodes missing anywhere, leaves included, rows
 		// claimed beside them — verification decides, with and without
 		// pinned nodes.
-		for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+		for _, p := range []*ledger.Proof{resp.Proof} {
 			if p == nil {
 				continue
 			}
@@ -854,7 +836,7 @@ func FuzzPatchedRead(f *testing.F) {
 			}
 		}
 		if resp, err := DecodeResponse(data); err == nil {
-			for _, p := range []*ledger.Proof{resp.Proof, resp.BatchProof} {
+			for _, p := range []*ledger.Proof{resp.Proof} {
 				if p == nil {
 					continue
 				}

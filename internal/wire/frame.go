@@ -1,14 +1,13 @@
 package wire
 
-// Binary framing for protocol v3.
+// Binary framing for protocol v5.
 //
 // Connect-time handshake: the client opens with a 6-byte hello — magic
-// 0x00 'S' 'P' 'Z', a version byte, and a flags byte. The server
-// answers with the same magic, the version it speaks, and the flags it
-// speaks (flagTrim). Either side drops a peer whose version byte is not
-// its own or whose flags lack flagTrim (the server after replying, so the
-// peer learns what it met); a server drops a connection that opens with
-// anything but the hello without replying.
+// 0x00 'S' 'P' 'Z', a version byte, and a flags byte (zero; ignored). The
+// server answers with the same magic and the version it speaks. Either
+// side drops a peer whose version byte is not its own (the server after
+// replying, so the peer learns what it met); a server drops a connection
+// that opens with anything but the hello without replying.
 //
 // Frame layout, both directions, after the handshake:
 //
@@ -38,7 +37,7 @@ import (
 )
 
 // ProtoBinary names the framing in Stats and Client.Proto.
-const ProtoBinary = "binary/v4"
+const ProtoBinary = "binary/v5"
 
 const (
 	helloMagic0 = 0x00
@@ -46,21 +45,14 @@ const (
 	helloMagic2 = 'P'
 	helloMagic3 = 'Z'
 
-	// protoVersion is the framing version this build speaks. 4: a cell
-	// version names the one it replaced (proof.FlagLinked), so a head entry in
-	// a proof may carry a link, and OpHistory answers with the head's point
-	// proof and its chain (Response.Chain). 3: leaves in proofs travel as a
-	// run of entries and a hash path (internal/posleaf), and point and
-	// batch proofs no longer carry their values beside them.
-	protoVersion = 4
-
-	// flagTrim in the hello names the trimmed form of the verified-read
-	// messages, the only form this build speaks, and both hellos must
-	// carry it: a request names the index nodes its client holds by
-	// fingerprint (reqFingerprints), and a proof travels without the
-	// question it answers and, unbound, without the digest (fit) — the
-	// client supplies both. A hello's other bits are ignored.
-	flagTrim = 2
+	// protoVersion is the framing version this build speaks. 5: every
+	// proof travels in one layout (ledger.AppendProof) without its found
+	// flags, a write ack carries its block's height and version, a bound
+	// proof answering a request that named its trusted height carries no
+	// digest, and the presence bits have no gaps. 4: a cell version names
+	// the one it replaced (proof.FlagLinked), and OpHistory answers with
+	// the head's point proof and its chain (Response.Chain).
+	protoVersion = 5
 
 	frameHeaderLen = 13
 	frameOverhead  = 9 // tag + flags + crc, counted by the length field
@@ -105,18 +97,18 @@ type frameBuf struct{ b []byte }
 func getBuf() *frameBuf  { return bufPool.Get().(*frameBuf) }
 func putBuf(f *frameBuf) { f.b = f.b[:0]; bufPool.Put(f) }
 
-// helloBytes builds a 6-byte hello/reply.
-func helloBytes(version, flags byte) [6]byte {
-	return [6]byte{helloMagic0, helloMagic1, helloMagic2, helloMagic3, version, flags}
+// helloBytes builds a 6-byte hello/reply, its flags byte zero.
+func helloBytes(version byte) [6]byte {
+	return [6]byte{helloMagic0, helloMagic1, helloMagic2, helloMagic3, version, 0}
 }
 
-// parseHello validates a 6-byte hello and returns (version, flags).
-func parseHello(h []byte) (byte, byte, error) {
+// parseHello validates a 6-byte hello and returns its version.
+func parseHello(h []byte) (byte, error) {
 	if len(h) != 6 || h[0] != helloMagic0 || h[1] != helloMagic1 ||
 		h[2] != helloMagic2 || h[3] != helloMagic3 {
-		return 0, 0, fmt.Errorf("wire: bad protocol hello % x", h)
+		return 0, fmt.Errorf("wire: bad protocol hello % x", h)
 	}
-	return h[4], h[5], nil
+	return h[4], nil
 }
 
 // frameWriter serializes frames onto a conn. A single Write per frame

@@ -17,13 +17,15 @@ import (
 	"spitz/internal/ledger"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v4-responses.golden from the current encoder")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v5-responses.golden from the current encoder")
 
-// goldenPath pins this build's bytes; v3Path holds what a binary/v3 server
-// sent for the same rows, the fixture of its refusal.
+// goldenPath pins this build's bytes; v3Path and v4Path hold what a
+// binary/v3 and a binary/v4 server sent for the same rows, the fixtures of
+// their refusal.
 const (
-	goldenPath = "testdata/v4-responses.golden"
+	goldenPath = "testdata/v5-responses.golden"
 	v3Path     = "testdata/v3-responses.golden"
+	v4Path     = "testdata/v4-responses.golden"
 )
 
 // goldenEngine is a fixed-seed engine: 4000 keys over four blocks, values
@@ -68,7 +70,8 @@ func indexDigests(t *testing.T, resp Response) []hashutil.Digest {
 // goldenResponses encodes every proof-carrying response shape — a
 // verified point read (hit, miss, key beyond the tree's max), a verified
 // range, an audit flush, a point SELECT and a cell's history — cold,
-// unbound, warm-elided and patched, in order.
+// unbound, warm-elided and patched, in order, then a single engine's and
+// a cluster's write ack.
 func goldenResponses(t *testing.T) (order []string, got map[string]string) {
 	t.Helper()
 	eng := goldenEngine(t)
@@ -160,6 +163,10 @@ func goldenResponses(t *testing.T) (order []string, got map[string]string) {
 	} {
 		got[r.name], order = encode(r.req), append(order, r.name)
 	}
+	// A write ack: a single engine's names its block, a cluster's only the
+	// commit's version (ClusterDB.write answers with it).
+	got["put"], order = encode(Request{Op: OpPut, Statement: "put", Puts: []Put{{Table: "t", Column: "c", PK: []byte("pk01212"), Value: []byte("v")}}}), append(order, "put")
+	got["put-cluster"], order = hex.EncodeToString(AppendResponse(nil, &Response{Version: 4321})), append(order, "put-cluster")
 	return order, got
 }
 
@@ -184,12 +191,12 @@ func readGolden(t *testing.T, path string) map[string]string {
 	return want
 }
 
-// TestV4ResponseBytes pins the binary/v4 encoding of every proof-carrying
-// response shape (goldenResponses) against bytes captured from the
-// encoder and checked in. A change to any proof type that alters what
-// travels fails here; run with -update-golden only for a deliberate
-// format change, which also bumps ProtoBinary.
-func TestV4ResponseBytes(t *testing.T) {
+// TestV5ResponseBytes pins the binary/v5 encoding of every proof-carrying
+// response shape and both write acks (goldenResponses) against bytes
+// captured from the encoder and checked in. A change to any proof type
+// that alters what travels fails here; run with -update-golden only for a
+// deliberate format change, which also bumps ProtoBinary.
+func TestV5ResponseBytes(t *testing.T) {
 	order, got := goldenResponses(t)
 	if *updateGolden {
 		var b strings.Builder
@@ -212,17 +219,64 @@ func TestV4ResponseBytes(t *testing.T) {
 	}
 }
 
-// TestV3ResponseBytes: the binary/v3 responses are the refusal fixture. A
-// v3 server that answers with them is refused at its hello, by name,
-// before a frame is read: v4 leaves carry linked cell versions and travel
-// packed (postree.AppendNodes), so no v3 proof is read as one.
-func TestV3ResponseBytes(t *testing.T) {
-	v3 := readGolden(t, v3Path)
+// TestV5NoLongerThanV4: v5 only deletes, so no response v4 also encoded
+// is longer in v5; each row's change is logged. A write ack carries no
+// header and no digest: its block's height and version, nothing else.
+func TestV5NoLongerThanV4(t *testing.T) {
+	v4, v5 := readGolden(t, v4Path), readGolden(t, goldenPath)
+	order, _ := goldenResponses(t)
+	for _, name := range order {
+		if _, ok := v4[name]; !ok {
+			continue // a write ack: no v4 row
+		}
+		was, is := len(v4[name])/2, len(v5[name])/2
+		if _, ok := v5[name]; !ok || is > was {
+			t.Errorf("%s: %d bytes in v4, %d in v5", name, was, is)
+		}
+		t.Logf("%-28s %6d -> %6d B (%+d)", name, was, is, is-was)
+	}
+	b, err := hex.DecodeString(v5["put"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := DecodeResponse(b)
+	if err != nil || ack.Digest != (ledger.Digest{}) || ack.Proof != nil || ack.Height != 5 || ack.Version == 0 ||
+		len(b) != len(AppendResponse(nil, &Response{Height: ack.Height, Version: ack.Version})) {
+		t.Fatalf("write ack % x: %+v, %v; want its block's height and version alone", b, ack, err)
+	}
+}
+
+// TestWarmReadBitmapsOneByte: a warm eager point read — its trusted
+// height, the head's header held, index nodes hinted, a shard named — and
+// its answer, unbound or bound with the consistency proof the head moved
+// by, each spend one byte on their presence bits.
+func TestWarmReadBitmapsOneByte(t *testing.T) {
+	req := AppendRequest(nil, &Request{Op: OpGetVerified, Table: "t", Column: "c", PK: []byte("k"),
+		Height: 9, HeadHeld: true, Have: []hashutil.Digest{{1}}, Shard: 2})
+	if req[1] >= 0x80 {
+		t.Errorf("warm read request bitmap starts % x: more than one byte", req[1:3])
+	}
+	v5 := readGolden(t, goldenPath)
+	for _, name := range []string{"get-warm-unbound-trimmed", "get-patched"} {
+		b, err := hex.DecodeString(v5[name])
+		if err != nil || len(b) == 0 || b[0] >= 0x80 {
+			t.Errorf("%s: response bitmap starts % x (%v): more than one byte", name, b[:min(len(b), 2)], err)
+		}
+	}
+}
+
+// refusedFixture serves the responses an older framing's server sent for
+// three of the golden rows, behind its hello, and requires this build to
+// refuse that server at its hello, by name, before a frame is read.
+func refusedFixture(t *testing.T, version byte, path string) {
+	t.Helper()
+	old := readGolden(t, path)
 	var frames bytes.Buffer
-	hello := helloBytes(3, flagTrim)
+	hello := helloBytes(version)
+	hello[5] = 2 // the flag v3 and v4 peers sent for the trimmed form
 	frames.Write(hello[:])
 	for tag, name := range []string{"get-hit", "range", "prove-batch"} {
-		b, err := hex.DecodeString(v3[name])
+		b, err := hex.DecodeString(old[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +284,17 @@ func TestV3ResponseBytes(t *testing.T) {
 	}
 	pl := NewPipeListener()
 	helloStub(t, pl, frames.Bytes())
-	if _, err := Connect(pl); !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "server speaks framing v3, this build speaks v4") {
-		t.Fatalf("a v3 server's responses: %v, want the hello refused by name", err)
+	want := fmt.Sprintf("server speaks framing v%d, this build speaks v%d", version, protoVersion)
+	if _, err := Connect(pl); !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a v%d server's responses: %v, want the hello refused by name", version, err)
 	}
 }
+
+// TestV4ResponseBytes: the binary/v4 responses are a refusal fixture. A
+// v4 proof carries found flags and a batch layout v5 does not read, so a
+// v4 server is refused at its hello, never decoded.
+func TestV4ResponseBytes(t *testing.T) { refusedFixture(t, 4, v4Path) }
+
+// TestV3ResponseBytes: so are the binary/v3 responses, whose leaves carry
+// no version links and do not travel packed (postree.AppendNodes).
+func TestV3ResponseBytes(t *testing.T) { refusedFixture(t, 3, v3Path) }

@@ -1,11 +1,10 @@
 // Package wire implements the client/server protocol for Spitz services.
 //
-// There is one framing (binary/v3, agreed at connect time — see
+// There is one framing (binary/v5, agreed at connect time — see
 // frame.go): a length-prefixed compact binary encoding with tagged
-// frames, so many requests can be in flight on one connection, and one
-// message form, the trimmed one. A peer that does not open with the
-// hello, announces another framing version or lacks the trimmed form, is
-// dropped.
+// frames, so many requests can be in flight on one connection. A peer
+// that does not open with the hello or announces another framing version
+// is dropped.
 package wire
 
 import (
@@ -148,12 +147,10 @@ type Response struct {
 	Found        bool
 	Value        []byte
 	Cells        []cellstore.Cell
-	Proof        *ledger.Proof // OpGetVerified, OpRangeVer: the one-query layout (ledger.AppendProof)
-	BatchProof   *ledger.Proof // OpProveBatch, a SELECT's OpQuery: the batch layout (ledger.AppendBatchProof)
-	Digest       ledger.Digest
+	Proof        *ledger.Proof           // the proof-carrying reads, OpProveBatch and a SELECT's OpQuery (ledger.AppendProof)
+	Digest       ledger.Digest           // absent beside a bound proof answering a request that named its trusted height (proof.Proof.Bound)
 	Consistency  *mtree.ConsistencyProof // also on an eager read: Request.Height → Digest
 	Consistency2 *mtree.ConsistencyProof // OpConsistency/OpProveBatch with OldDigest2
-	Header       ledger.BlockHeader
 
 	// Sharded deployments.
 	ShardCount int                  // OpShardMap: number of shards behind this listener
@@ -162,8 +159,11 @@ type Response struct {
 	// Replication stream messages (OpReplStream). Found distinguishes a
 	// snapshot hand-off (Value = snapshot stream, Height = its block
 	// count) from a block frame (Value = WAL frame, Height = the block's
-	// index).
-	Height uint64
+	// index). On an OpPut ack, Height and Version are the block the write
+	// committed in; a cluster's ack names no block, only the commit's
+	// Version.
+	Height  uint64
+	Version uint64
 
 	// Stats is the OpStats payload.
 	Stats *Stats

@@ -25,8 +25,7 @@ func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Found: res.Found, Cells: res.Cells,
-			BatchProof: res.Proof, Digest: res.Digest}
+		return Response{Found: res.Found, Cells: res.Cells, Proof: res.Proof, Digest: res.Digest}
 	case query.History:
 		return Response{Err: "wire: HISTORY is proven by OpHistory, not run as a query"}
 	}

@@ -195,19 +195,19 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	version, flags, err := parseHello(hello[:])
+	version, err := parseHello(hello[:])
 	if err != nil {
 		// Not a hello: nothing this peer sent is decoded as a frame.
 		mNegotiateFailed.Inc()
 		return
 	}
-	reply := helloBytes(protoVersion, flagTrim)
+	reply := helloBytes(protoVersion)
 	if _, err := cc.Write(reply[:]); err != nil {
 		return
 	}
-	if version != protoVersion || flags&flagTrim == 0 {
-		// The reply tells the peer which framing and message form this
-		// build speaks; it speaks neither, so the connection ends here.
+	if version != protoVersion {
+		// The reply tells the peer which framing this build speaks; it
+		// does not speak it, so the connection ends here.
 		mNegotiateFailed.Inc()
 		return
 	}
@@ -386,37 +386,37 @@ func Dispatch(eng *core.Engine, req Request) Response {
 // or takes a patch against the version it names, and range proofs their
 // rows, which the client reads off the verified leaves. An eager read
 // naming the trusted height (req.Height) gets what changed since: the
-// consistency proof from it if the head moved, else no block binding and
-// no digest if the client holds that head's header (req.HeadHeld): a
-// proof without its binding verifies only at the trusted digest its
-// client named. A point or range read whose answer did not change since
-// comes from dispatch proven at that digest (Engine.Verified), so it is
-// cut as one at the head. dispatch's proof structs are this call's own;
-// node lists and sub-proofs inside may be shared, and ledger.Cut replaces
-// rather than edits those.
+// consistency proof from it if the head moved, else no block binding if
+// the client holds that head's header (req.HeadHeld) — a proof without
+// its binding verifies only at the trusted digest its client named — and
+// no digest beside its proof, which the client reads off the proof's
+// inclusion path (proof.Proof.Bound). A point or range read whose answer
+// did not change since comes from dispatch proven at that digest
+// (Engine.Verified), so it is cut as one at the head. dispatch's proof
+// struct is this call's own; node lists and sub-proofs inside may be
+// shared, and ledger.Cut replaces rather than edits those.
 func fit(eng *core.Engine, req Request, resp Response) Response {
-	proofs := [...]*ledger.Proof{resp.Proof, resp.BatchProof}
-	for _, p := range proofs {
-		if p != nil {
-			*p = ledger.Cut(*p, eng.Ledger().Held(req.Have))
-		}
+	p := resp.Proof
+	if p == nil {
+		return resp
+	}
+	*p = ledger.Cut(*p, eng.Ledger().Held(req.Have))
+	if req.Height == 0 || req.Op == OpProveBatch {
+		return resp
 	}
 	switch d := resp.Digest; {
-	case req.Height == 0 || req.Op == OpProveBatch || resp.Proof == nil && resp.BatchProof == nil:
 	case d.Height > req.Height:
 		cons, err := eng.ConsistencyProof(req.Height, d.Height)
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
 		resp.Consistency = &cons
-	case d.Height == req.Height && req.HeadHeld:
+	case d.Height == req.Height && req.HeadHeld && p.Header.Height+1 == d.Height:
 		// A SELECT's proof can be bound to a later digest than its block.
-		for _, p := range proofs {
-			if p != nil && p.Header.Height+1 == d.Height {
-				*p = ledger.Unbind(*p)
-				resp.Digest = ledger.Digest{}
-			}
-		}
+		*p = ledger.Unbind(*p)
+	}
+	if p.Unbound || p.Inclusion.TreeSize == int(resp.Digest.Height) {
+		resp.Digest = ledger.Digest{}
 	}
 	return resp
 }
@@ -428,7 +428,7 @@ func dispatch(eng *core.Engine, req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
-		return Response{Header: h, Digest: eng.Digest()}
+		return Response{Height: h.Height, Version: h.Version}
 	case OpGet:
 		// Value and digest are captured atomically so an AuditMode client
 		// can enqueue a receipt whose digest truly covers the value it
@@ -495,7 +495,7 @@ func dispatch(eng *core.Engine, req Request) Response {
 			return Response{Err: err.Error()}
 		}
 		return Response{Digest: res.Digest, Consistency: &res.ConsTrusted,
-			Consistency2: &res.ConsAt, BatchProof: &res.Proof}
+			Consistency2: &res.ConsAt, Proof: &res.Proof}
 	case OpSnapshot:
 		var buf bytes.Buffer
 		d, err := eng.Ledger().WriteSnapshot(&buf) // the digest the stream restores to

@@ -134,8 +134,8 @@ func helloStub(t *testing.T, ln net.Listener, reply []byte) (accepted *atomic.In
 	return accepted
 }
 
-// serverMeets sends the server hello and checks its reply: the framing and
-// message form it speaks, whatever the hello offered. A peer it accepts
+// serverMeets sends the server hello and checks its reply: the framing it
+// speaks, whatever the hello offered. A peer it accepts
 // is served; one it refuses is hung up on without a frame read.
 func serverMeets(t *testing.T, hello [6]byte, accepted bool) {
 	t.Helper()
@@ -145,7 +145,7 @@ func serverMeets(t *testing.T, hello [6]byte, accepted bool) {
 		t.Fatal(err)
 	}
 	var reply [6]byte
-	want := helloBytes(protoVersion, flagTrim)
+	want := helloBytes(protoVersion)
 	if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != want {
 		t.Fatalf("server reply % x (%v), want % x", reply, err, want)
 	}
@@ -167,18 +167,21 @@ func serverMeets(t *testing.T, hello [6]byte, accepted bool) {
 	}
 }
 
-// TestHelloVersionChecked: both sides read the hello's version byte and
-// flags, and refuse a peer that announces any framing version but their
-// own, or whose flags lack the trimmed message form.
+// TestHelloVersionChecked: both sides read the hello's version byte, and
+// refuse a peer that announces any framing version but their own — a v4
+// peer by name, as every other — and ignore its flags byte.
 func TestHelloVersionChecked(t *testing.T) {
-	for _, version := range []byte{0, 1, 2, 3, protoVersion, 5, 0xff} {
+	for _, version := range []byte{0, 1, 2, 3, 4, protoVersion, 6, 0xff} {
 		ok := version == protoVersion
 		t.Run(fmt.Sprintf("server-meets-v%d-client", version), func(t *testing.T) {
-			serverMeets(t, helloBytes(version, flagTrim), ok)
+			hello := helloBytes(version)
+			hello[5] = 2 // the flag v3 and v4 peers sent
+			serverMeets(t, hello, ok)
 		})
 		t.Run(fmt.Sprintf("client-meets-v%d-server", version), func(t *testing.T) {
 			pl := NewPipeListener()
-			reply := helloBytes(version, flagTrim)
+			reply := helloBytes(version)
+			reply[5] = 2
 			helloStub(t, pl, reply[:])
 			cl, err := Connect(pl)
 			if ok {
@@ -194,28 +197,22 @@ func TestHelloVersionChecked(t *testing.T) {
 			}
 		})
 	}
-	// The flags byte: each side needs flagTrim in the other's hello and
-	// ignores the bits it does not know (bit 0 offered compression once).
-	for _, flags := range []byte{0, flagTrim, 1, 1 | flagTrim, 0xff} {
-		ok := flags&flagTrim != 0
+	// The flags byte is ignored on both sides (bit 0 offered compression
+	// once, bit 1 the trimmed form, the only one v4 and v5 speak).
+	for _, flags := range []byte{0, 2, 1, 3, 0xff} {
+		hello := helloBytes(protoVersion)
+		hello[5] = flags
 		t.Run(fmt.Sprintf("server-meets-flags-%#x", flags), func(t *testing.T) {
-			serverMeets(t, helloBytes(protoVersion, flags), ok)
+			serverMeets(t, hello, true)
 		})
 		t.Run(fmt.Sprintf("client-meets-granted-%#x", flags), func(t *testing.T) {
 			pl := NewPipeListener()
-			reply := helloBytes(protoVersion, flags)
-			helloStub(t, pl, reply[:])
+			helloStub(t, pl, hello[:])
 			cl, err := Connect(pl)
-			if ok {
-				if err != nil {
-					t.Fatal(err)
-				}
-				cl.Close()
-				return
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want := "does not speak the trimmed message form"; !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("handshake with flags %#x: %v, want ErrTransport wrapping %q", flags, err, want)
-			}
+			cl.Close()
 		})
 	}
 }
@@ -309,7 +306,7 @@ func TestFlaggedFrameRefused(t *testing.T) {
 	w, _ := flate.NewWriter(&deflated, flate.BestSpeed)
 	w.Write(AppendRequest(nil, &Request{Op: OpGet, PK: []byte("k")}))
 	w.Close()
-	for _, flags := range []byte{1, flagTrim, 0x80} {
+	for _, flags := range []byte{1, 2, 0x80} {
 		t.Run(fmt.Sprintf("flags-%#x", flags), func(t *testing.T) {
 			frame := binary.BigEndian.AppendUint32(nil, uint32(frameOverhead+deflated.Len()))
 			frame = append(binary.BigEndian.AppendUint32(frame, 1), flags)
@@ -319,7 +316,7 @@ func TestFlaggedFrameRefused(t *testing.T) {
 				t.Fatalf("readFrame: %v, want errBadFrame", err)
 			}
 			conn, served := rawPeer(t)
-			hello := helloBytes(protoVersion, flagTrim)
+			hello := helloBytes(protoVersion)
 			var reply [6]byte
 			if _, err := conn.Write(hello[:]); err != nil {
 				t.Fatal(err)

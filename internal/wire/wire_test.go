@@ -44,8 +44,8 @@ func TestPutGetOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if resp.Digest.Height != 1 {
-		t.Fatalf("digest height = %d", resp.Digest.Height)
+	if resp.Height != 0 || resp.Version == 0 || resp.Digest != (ledger.Digest{}) {
+		t.Fatalf("ack %+v: want block 0's height and version alone", resp)
 	}
 	resp, err = cl.Do(Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("pk0042")})
 	if err != nil || !resp.Found || string(resp.Value) != "v0042" {
@@ -264,21 +264,20 @@ func TestLookupEqualOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := cl.Do(Request{Op: OpQuery, Statement: "SELECT tag FROM t WHERE tag = 'red'"})
-	if err != nil || resp.BatchProof == nil || len(resp.Cells) != 2 {
-		t.Fatalf("lookup: %d cells, proof %v, %v", len(resp.Cells), resp.BatchProof != nil, err)
+	if err != nil || resp.Proof == nil || len(resp.Cells) != 2 {
+		t.Fatalf("lookup: %d cells, proof %v, %v", len(resp.Cells), resp.Proof != nil, err)
 	}
 }
 
-// TestRetiredOpIsUnknown: opcode 6, once the unproven value lookup,
-// decodes as no op, and it and the lookup's spelled-out name are refused
-// as unknown ops.
+// TestRetiredOpIsUnknown: an op this build does not know — the retired
+// unproven value lookup — travels as opcode 0, the empty op, and both are
+// refused as unknown ops.
 func TestRetiredOpIsUnknown(t *testing.T) {
 	h := EngineHandler(core.New(core.Options{MaintainInverted: true}))
-	enc := AppendRequest(nil, &Request{Op: OpGet, Table: "t", Column: "c", PK: []byte("k")})
-	enc[0] = 6
+	enc := AppendRequest(nil, &Request{Op: "lookup-eq", Table: "t", Column: "c", PK: []byte("k")})
 	req, err := DecodeRequest(enc)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || enc[0] != 0 || req.Op != "" {
+		t.Fatalf("retired op encoded % x, decoded %q, %v; want opcode 0, the empty op", enc[:1], req.Op, err)
 	}
 	for _, req := range []Request{req, {Op: "lookup-eq", Table: "t", Column: "c"}} {
 		if resp := h.Handle(req); !strings.Contains(resp.Err, "unknown op") {

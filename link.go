@@ -192,14 +192,18 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A response to a request that named its trusted height leaves out
+	// the digest its proof is at: the trusted one, for a proof without its
+	// binding, or the one the binding's inclusion path commits to.
 	p := resp.Proof
-	if p == nil {
-		p = resp.BatchProof
-	}
-	// A proof without its binding verifies only at the trusted digest it
-	// named, so a trimmed response leaves that digest out.
-	if resp.Digest == (Digest{}) && p != nil && p.Unbound {
+	switch {
+	case resp.Digest != (Digest{}) || p == nil || req.Height == 0:
+	case p.Unbound:
 		resp.Digest = pin.Trusted
+	default:
+		if resp.Digest, err = p.Bound(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+		}
 	}
 	if empty, err := l.received(resp); empty || err != nil {
 		return nil, err
@@ -215,7 +219,7 @@ func (l shardLink) verified(r *verifiedRead) ([]Cell, error) {
 			live[0], err = l.v.CheckHistory(p, resp.Digest, r.one[0], resp.Chain, pin)
 			return err
 		}
-		live, err = l.v.Check(p, resp.Digest, queries, len(queries), pin)
+		live, err = l.v.CheckClaims(p, resp.Digest, queries, len(queries), pin, resp.Cells)
 		return err
 	}); err != nil {
 		return nil, err

@@ -258,7 +258,7 @@ func (fs *queryFaultServer) client(t *testing.T) *spitz.Client {
 // rows, inclusion hashes, the digest root — then the keys and range bounds
 // a server may ship beside them (withQuestion).
 func queryProofByteSlices(resp *wire.Response) (out [][]byte) {
-	bp := resp.BatchProof
+	bp := resp.Proof
 	if bp == nil {
 		return nil
 	}
@@ -292,7 +292,7 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var total int
 			fs.setMutate(func(req wire.Request, resp *wire.Response) {
-				if req.Op == wire.OpQuery && resp.BatchProof != nil {
+				if req.Op == wire.OpQuery && resp.Proof != nil {
 					withQuestion(req, resp)
 					total = 0
 					for _, s := range queryProofByteSlices(resp) {
@@ -315,7 +315,7 @@ func TestQueryProofEveryByteTrips(t *testing.T) {
 			for off := 0; off < total; off += step {
 				off := off
 				fs.setMutate(func(req wire.Request, resp *wire.Response) {
-					if req.Op != wire.OpQuery || resp.BatchProof == nil {
+					if req.Op != wire.OpQuery || resp.Proof == nil {
 						return
 					}
 					withQuestion(req, resp)
@@ -352,16 +352,16 @@ func TestQueryStructuredForgeries(t *testing.T) {
 		stmt string
 		mut  func(resp *wire.Response)
 	}{
-		{"omit the proof", rangeStmt, func(r *wire.Response) { r.BatchProof = nil }},
+		{"omit the proof", rangeStmt, func(r *wire.Response) { r.Proof = nil }},
 		{"claim an empty ledger", rangeStmt, func(r *wire.Response) { *r = wire.Response{} }},
 		{"narrow the proven range", rangeStmt, func(r *wire.Response) {
-			rp := &r.BatchProof.Ranges[0]
+			rp := &r.Proof.Ranges[0]
 			rp.End = append([]byte(nil), rp.Start...)
 			rp.Entries = nil
 			rp.Nodes = rp.Nodes[:1]
 		}},
 		{"cut the rows out of the range's leaf", rangeStmt, func(r *wire.Response) {
-			rp := &r.BatchProof.Ranges[0]
+			rp := &r.Proof.Ranges[0]
 			rp.Nodes = cutLeafRows(t, rp.Nodes)
 		}},
 		{"smuggle an unproven row", "SELECT stock FROM inv WHERE status = 'hold'", func(r *wire.Response) {
@@ -372,14 +372,14 @@ func TestQueryStructuredForgeries(t *testing.T) {
 		}},
 		{"swap the aggregate column proof", "SELECT SUM(stock) FROM inv WHERE pk BETWEEN 'it00' AND 'it07'", func(r *wire.Response) {
 			// Proof for a different column must not satisfy the plan.
-			rp := &r.BatchProof.Ranges[0]
+			rp := &r.Proof.Ranges[0]
 			rp.Start = append([]byte(nil), rp.End...)
 		}},
 		{"drop one of two range parts", twoColumns, func(r *wire.Response) {
-			r.BatchProof.Ranges = r.BatchProof.Ranges[:1]
+			r.Proof.Ranges = r.Proof.Ranges[:1]
 		}},
 		{"carry one range part more", twoColumns, func(r *wire.Response) {
-			r.BatchProof.Ranges = append(r.BatchProof.Ranges, r.BatchProof.Ranges[0])
+			r.Proof.Ranges = append(r.Proof.Ranges, r.Proof.Ranges[0])
 		}},
 	}
 	for _, tc := range cases {

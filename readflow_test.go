@@ -11,6 +11,7 @@ import (
 
 	"spitz"
 	"spitz/internal/core"
+	"spitz/internal/hashutil"
 	"spitz/internal/ledger"
 	"spitz/internal/obs"
 	"spitz/internal/postree"
@@ -99,10 +100,13 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 			p := ledger.Unbind(*resp.Proof)
 			resp.Proof = &p
 		}
-		if resp.BatchProof != nil {
-			bp := ledger.Unbind(*resp.BatchProof)
-			resp.BatchProof = &bp
-		}
+	}
+	// rebind edits a copy of the response's block binding.
+	rebind := func(resp *wire.Response, edit func(p *ledger.Proof)) {
+		p := *resp.Proof
+		p.Inclusion.Path = append([]hashutil.Digest(nil), p.Inclusion.Path...)
+		edit(&p)
+		resp.Proof = &p
 	}
 	forgeries := []struct {
 		name string
@@ -121,7 +125,7 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { *resp = wire.Response{} }},
 		{name: "omit the proof", auditOn: wire.OpProveBatch,
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
-				resp.Proof, resp.BatchProof, resp.Found, resp.Cells = nil, nil, false, nil
+				resp.Proof, resp.Found, resp.Cells = nil, false, nil
 			}},
 		{name: "omit the prefix proof", eagerOn: wire.OpConsistency, auditOn: wire.OpProveBatch, commit: true, replica: true,
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) { resp.Consistency2 = nil }},
@@ -157,9 +161,6 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 				if resp.Proof != nil {
 					resp.Proof = extra(resp.Proof)
 				}
-				if resp.BatchProof != nil {
-					resp.BatchProof = extra(resp.BatchProof)
-				}
 			}},
 		{name: "carry no sub-proof, only the block binding", auditOn: wire.OpProveBatch,
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
@@ -168,9 +169,6 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 				}
 				if resp.Proof != nil {
 					resp.Proof = bare(resp.Proof)
-				}
-				if resp.BatchProof != nil {
-					resp.BatchProof = bare(resp.BatchProof)
 				}
 			}},
 		{name: "omit the consistency proof the head moved by", commit: true, eagerOnly: true, legToo: true,
@@ -207,6 +205,23 @@ func TestEveryReadShapeRejectsTheSameForgeries(t *testing.T) {
 			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
 				unbind(resp)
 				resp.Digest, resp.Consistency = spitz.Digest{}, nil
+			}},
+		// A bound proof answering a named trusted height travels without
+		// its digest, which the client reads off the inclusion path: a
+		// forged path or header is a digest the client's trust does not
+		// extend to, whether the head moved (the consistency proof sent)
+		// or not (the prefix-proof leg).
+		{name: "change one digest of the inclusion path after the head moved", commit: true, warm: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				rebind(resp, func(p *ledger.Proof) { p.Inclusion.Path[0][0] ^= 1 })
+			}},
+		{name: "change the bound header's height after the head moved", commit: true, warm: true, eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				rebind(resp, func(p *ledger.Proof) { p.Header.Height-- })
+			}},
+		{name: "change one digest of the inclusion path at the trusted height", eagerOnly: true,
+			mut: func(_ *faultServer, _ readShape, _ wire.Request, resp *wire.Response) {
+				rebind(resp, func(p *ledger.Proof) { p.Inclusion.Path[0][0] ^= 1 })
 			}},
 	}
 	for _, sh := range readShapes {

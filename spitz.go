@@ -157,12 +157,9 @@ type Options struct {
 
 	// MaxBatchTxns caps how many concurrent transactions the group-commit
 	// pipeline folds into one ledger block (default 128).
+	// Batching adds no latency: a block holds the commits that arrived
+	// while the previous one was being built, which self-tunes with load.
 	MaxBatchTxns int
-	// MaxBatchDelay makes the commit leader wait this long for more
-	// transactions before cutting a block. The zero default adds no
-	// latency: batching then comes only from commits arriving while the
-	// previous block is being built, which self-tunes with load.
-	MaxBatchDelay time.Duration
 
 	// The fields below configure durability and apply to OpenDir and a
 	// durable OpenCluster only; Open ignores them.
@@ -231,14 +228,12 @@ func (opts Options) engines(ts durable.TimestampSource) (core.Options, durable.O
 		Timestamps:       ts,
 		MaintainInverted: opts.MaintainInverted,
 		MaxBatchTxns:     opts.MaxBatchTxns,
-		MaxBatchDelay:    opts.MaxBatchDelay,
 	}
 	return eng, durable.Options{
 		Mode:                  opts.Mode,
 		Timestamps:            ts,
 		MaintainInverted:      opts.MaintainInverted,
 		MaxBatchTxns:          opts.MaxBatchTxns,
-		MaxBatchDelay:         opts.MaxBatchDelay,
 		Sync:                  opts.Sync,
 		SyncInterval:          opts.SyncEvery,
 		SegmentSize:           opts.WALSegmentSize,

@@ -30,16 +30,11 @@ import (
 // the client does not hold.
 func collidingHint(resp wire.Response) []hashutil.Digest {
 	var bodies [][]byte
-	switch {
-	case resp.Proof != nil && resp.Proof.Point != nil:
-		bodies = resp.Proof.Point.Nodes
-	case resp.Proof != nil && len(resp.Proof.Ranges) > 0:
-		bodies = resp.Proof.Ranges[0].Nodes
-	case resp.BatchProof != nil:
-		if resp.BatchProof.Point != nil {
-			bodies = resp.BatchProof.Point.Nodes
+	if p := resp.Proof; p != nil {
+		if p.Point != nil {
+			bodies = p.Point.Nodes
 		}
-		for _, r := range resp.BatchProof.Ranges {
+		for _, r := range p.Ranges {
 			bodies = append(bodies, r.Nodes...)
 		}
 	}
@@ -68,17 +63,17 @@ func narrower(sh readShape, req wire.Request) wire.Request {
 	return req
 }
 
-// untrimmedHello is the hello of a peer of this framing version without
-// the trimmed form: framing v4, no flags.
+// untrimmedHello is the hello of a v4 peer without the trimmed form,
+// which v4 peers had to name in the flags byte: framing v4, no flags.
 var untrimmedHello = []byte{0x00, 'S', 'P', 'Z', 4, 0}
 
-// TestTrimmedInterop: a peer without the trimmed form is refused at the
-// hello, on either side, by name: a client whose hello lacks the flag is
-// told what the server speaks and hung up on, and a client meeting a
-// server whose reply lacks it fails with an error naming the form.
-// Between two trimmed peers every read shape, cold, warm and audited, gets
-// the honest answer, and the hint names each held node by fingerprint.
-// (wire's TestHelloVersionChecked has every flags byte.)
+// TestTrimmedInterop: the trimmed form is the only one, and v5 names it
+// nowhere: a v4 peer, trimmed or not, is refused at the hello by its
+// version, on either side — a client is told what the server speaks and
+// hung up on, and a client meeting such a server fails with an error
+// naming both versions. Between two v5 peers every read shape, cold, warm
+// and audited, gets the honest answer, and the hint names each held node
+// by fingerprint. (wire's TestHelloVersionChecked has every flags byte.)
 func TestTrimmedInterop(t *testing.T) {
 	t.Run("both trimmed", func(t *testing.T) {
 		honest := make([]string, len(readShapes))
@@ -160,8 +155,8 @@ func TestTrimmedInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		reply := make([]byte, len(untrimmedHello))
-		if _, err := io.ReadFull(conn, reply); err != nil || reply[5]&2 == 0 {
-			t.Fatalf("server reply % x (%v) does not name the trimmed form", reply, err)
+		if _, err := io.ReadFull(conn, reply); err != nil || reply[4] != 5 {
+			t.Fatalf("server reply % x (%v) does not name framing v5", reply, err)
 		}
 		if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF || served.Load() != 0 {
 			t.Fatalf("connection stayed open (read %d, %v; %d requests served)", n, err, served.Load())
@@ -176,8 +171,8 @@ func TestTrimmedInterop(t *testing.T) {
 		}()
 		cl := spitz.NewClient(wire.NewClient(conn))
 		defer cl.Close()
-		if err := cl.SyncDigest(); !errors.Is(err, wire.ErrTransport) || !strings.Contains(err.Error(), "trimmed") {
-			t.Fatalf("a server without the trimmed form: %v, want ErrTransport naming the form", err)
+		if err := cl.SyncDigest(); !errors.Is(err, wire.ErrTransport) || !strings.Contains(err.Error(), "server speaks framing v4, this build speaks v5") {
+			t.Fatalf("a v4 server: %v, want ErrTransport naming both versions", err)
 		}
 	})
 }
