@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # spitz-cli against every serving configuration of spitz-server: a single
 # in-memory engine (1×0), a durable single engine killed with -9 and
-# restarted on its `-data-dir`, `-shards 2`, and a `-replicate-from`
-# replica of a durable `-shards 2 -data-dir` primary. Every subcommand
+# restarted on its `-data-dir`, a one-shard cluster (`-shards 0`),
+# `-shards 2`, and a `-replicate-from` replica of a durable
+# `-shards 2 -data-dir` primary. Every subcommand
 # dials the one client, which learns the shard map, and every server is
 # the one shard router — so the same read expectations hold on all of
 # them, and the replica refuses writes.
@@ -40,8 +41,8 @@ refuse() { # refuse ADDR PATTERN CMD...: the command fails and prints PATTERN
 writes() { # writes ADDR ACK: eight puts, the i-th acked as ACK with @ read as i
 	for i in 0 1 2 3 4 5 6 7; do expect "$1" "${2//@/$i}" put t c "pk$i" "value-$i"; done
 }
-block='^committed block @ (version [0-9]*)$' # a single engine's ack names its block
-version='^committed at version [0-9]*$'      # a cluster's names only the commit's version
+block='^committed block @ (version [0-9]*)$'     # one engine's ack names its block
+anyblock='^committed block [0-9]* (version [0-9]*)$' # so does a shard's, at its own height
 reads() {
 	expect "$1" '^8 rows, verified$' range t c pk0 pk9
 	for i in 0 1 2 3 4 5 6 7; do
@@ -69,15 +70,19 @@ grep -q 'recovered 8 blocks' "$tmp/durable-restarted.log" ||
 expect "$addr" 'OK — saved height 8 is a verified prefix' digest check "$tmp/durable.digest"
 reads "$addr"
 
+start one-shard -shards 0 -inverted
+writes "$addr" "$block"
+reads "$addr"
+
 start sharded -shards 2 -inverted
-writes "$addr" "$version"
+writes "$addr" "$anyblock"
 reads "$addr"
 expect "$addr" '^shard 1: height=' stats
 expect "$addr" '^combined root: ' digest
 
 start primary -shards 2 -inverted -data-dir "$tmp/primary"
 primary=$addr
-writes "$primary" "$version"
+writes "$primary" "$anyblock"
 start replica -replicate-from "$primary" -inverted
 for _ in $(seq 100); do
 	[ "$(cli "$addr" range t c pk0 pk9 2>/dev/null | tail -1)" = "8 rows, verified" ] && break
@@ -86,4 +91,4 @@ done
 reads "$addr"
 expect "$addr" '^shard 1: replica: connected' stats
 refuse "$addr" 'read-only' put t c pk8 value-8
-echo "cli smoke: put (acked by block, or by version on a cluster)/get/range/hist/query/stats/digest served by a single engine, a durable single engine after kill -9 and restart (saved digest a verified prefix), a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"
+echo "cli smoke: put (acked by its block)/get/range/hist/query/stats/digest served by a single engine, a durable single engine after kill -9 and restart (saved digest a verified prefix), a one-shard cluster, a 2-shard server and a replica of a durable 2-shard server; the replica refuses put"

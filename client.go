@@ -397,11 +397,12 @@ func mergeByPK(parts [][]Cell, err error) ([]Cell, error) {
 
 // Apply commits a batch of writes atomically on the primary and returns
 // the height and version of the block it committed in, the rest of the
-// header zero. A sharded server groups the writes by owning shard and
-// commits cross-shard batches with two-phase commit; its ack names no
-// block, only the coordinator's commit timestamp, in Version, which is in
-// no block: each shard commits its part at a version its own engine draws
-// (see ClusterDB.Apply).
+// header zero, on every topology: a sharded server commits a batch whose
+// keys one shard owns in a block of that shard. Only a batch spanning
+// shards, which commits with two-phase commit, is in no one block: its ack
+// carries the coordinator's commit timestamp in Version and Height 0 —
+// each shard commits its part at a version its own engine draws (see
+// ClusterDB.Apply).
 func (cl *Client) Apply(statement string, puts []Put) (BlockHeader, error) {
 	// A sampled root here stitches the server's commit — and a
 	// coordinator's per-shard 2PC prepare/commit legs — under the client's

@@ -6,17 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"spitz/internal/proof"
 	"strings"
 
-	"spitz/internal/cellstore"
 	"spitz/internal/core"
 	"spitz/internal/durable"
 	"spitz/internal/obs"
+	"spitz/internal/proof"
 	"spitz/internal/query"
 	"spitz/internal/repl"
 	"spitz/internal/twopc"
-	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 	"spitz/internal/wal"
 	"spitz/internal/wire"
@@ -47,9 +45,11 @@ type ClusterOptions struct {
 // <dir>/shard-NNN/), and cross-shard writes commit with two-phase
 // commit. Versions come from one counter (tso.Oracle) that the shards
 // and the 2PC coordinator share, as a single engine draws from its own:
-// they order commits, they do not tell the time. Every write routes
-// through the owning shard's 2PC participant, so distributed read
-// validation and local writes share one lock discipline.
+// they order commits, they do not tell the time. Every write is admitted
+// by the owning shard engine's commit gate, which is also that shard's
+// 2PC participant, so distributed read validation and local writes share
+// one lock discipline; a write or transaction that touches one shard runs
+// no 2PC.
 //
 // Reads that name a primary key (history included) route to the owning
 // shard; range scans and value lookups merge parallel per-shard scans. Verified
@@ -57,14 +57,14 @@ type ClusterOptions struct {
 // to be checked against that shard's entry in the ClusterDigest.
 // Safe for concurrent use.
 type ClusterDB struct {
-	coord  *twopc.Coordinator
-	shards []clusterShard
+	coord   *twopc.Coordinator
+	shards  []clusterShard
+	engines []*core.Engine // shards[i].eng, as commit takes them
 }
 
 type clusterShard struct {
-	eng  *core.Engine
-	dur  *durable.Manager // nil for memory-only clusters
-	part *twopc.ShardParticipant
+	eng *core.Engine
+	dur *durable.Manager // nil for memory-only clusters
 	// src is the shard's replication source over dur's WAL; nil for
 	// memory-only clusters, which have no log to ship.
 	src *repl.Source
@@ -132,9 +132,9 @@ func OpenCluster(dir string, opts ClusterOptions) (*ClusterDB, error) {
 			}
 			sh.dur, sh.eng, sh.src = m, m.Engine(), repl.NewSource(m)
 		}
-		sh.part = twopc.NewShardParticipant(sh.eng.TxnStore())
-		db.coord.Register(wire.ShardName(i), sh.part)
+		db.coord.Register(wire.ShardName(i), sh.eng)
 		db.shards = append(db.shards, sh)
+		db.engines = append(db.engines, sh.eng)
 	}
 	if dir != "" {
 		if err := writeClusterManifest(dir, opts.Shards); err != nil {
@@ -223,58 +223,28 @@ func (db *ClusterDB) Engine(i int) *core.Engine { return db.shards[i].eng }
 // ---------------------------------------------------------------------------
 // Writes
 
-// Apply commits a batch of writes atomically. Writes grouped on one
-// shard commit through that shard's 2PC participant (respecting prepared
-// transactions' locks); writes spanning shards commit with full
-// two-phase commit, so a batch is never half-applied. It returns the
-// coordinator's commit timestamp, which no block records: each shard
-// enqueues its part at a version its own engine draws, so the blocks of
-// one cross-shard write carry different versions, none of them this one.
+// Apply commits a batch of writes atomically. A batch on one shard is one
+// commit through that shard's gate (respecting prepared transactions'
+// keys); a batch spanning shards commits with two-phase commit, so it is
+// never half-applied. It returns the commit version: the version of the
+// block that carried a one-shard batch, or the coordinator's commit
+// timestamp for a cross-shard one, which no block records — each shard
+// commits its part at a version its own engine draws.
 func (db *ClusterDB) Apply(statement string, puts []Put) (uint64, error) {
-	return db.applyTraced(nil, statement, puts)
+	h, err := db.apply(nil, statement, puts)
+	return h.Version, err
 }
 
-// applyTraced is Apply threading the serving request's trace into the
-// 2PC coordinator, so per-shard prepare/commit legs appear as child
-// spans of the write that caused them.
-func (db *ClusterDB) applyTraced(tr *obs.Trace, statement string, puts []Put) (uint64, error) {
-	byShard := make(map[int][]txn.Write)
+// apply is Apply threading the serving request's trace into the 2PC
+// coordinator, so per-shard prepare/commit legs appear as child spans of
+// the write that caused them, and returning the one-shard block's header.
+func (db *ClusterDB) apply(tr *obs.Trace, statement string, puts []Put) (BlockHeader, error) {
+	byShard := make(map[int][]Put)
 	for _, p := range puts {
 		si := db.ShardFor(p.PK)
-		byShard[si] = append(byShard[si], txn.Write{
-			Key:    cellstore.CellPrefix(p.Table, p.Column, p.PK),
-			Value:  p.Value,
-			Delete: p.Tombstone,
-		})
+		byShard[si] = append(byShard[si], p)
 	}
-	return db.coord.ExecuteTraced(tr, requests(statement, nil, byShard))
-}
-
-// requests builds a transaction's 2PC requests, one per shard it reads or
-// writes, in ascending shard order rather than map iteration order, so
-// prepare order (and therefore conflict behaviour) is reproducible run to
-// run.
-func requests(statement string, reads map[int]map[string]uint64, writes map[int][]txn.Write) []twopc.Request {
-	touched := make([]int, 0, len(reads)+len(writes))
-	for si := range reads {
-		touched = append(touched, si)
-	}
-	for si := range writes {
-		if _, ok := reads[si]; !ok {
-			touched = append(touched, si)
-		}
-	}
-	sort.Ints(touched)
-	reqs := make([]twopc.Request, len(touched))
-	for i, si := range touched {
-		reqs[i] = twopc.Request{
-			Shard:     wire.ShardName(si),
-			Statement: statement,
-			Reads:     reads[si],
-			Writes:    writes[si],
-		}
-	}
-	return reqs
+	return commit(db.engines, db.coord, tr, statement, nil, byShard)
 }
 
 // PutRow writes all columns of one row atomically (one shard: rows never
@@ -398,116 +368,10 @@ func (db *ClusterDB) ClusterStats() ClusterStats {
 	return s
 }
 
-// ---------------------------------------------------------------------------
-// Cross-shard transactions
-
-// ClusterTxn is an interactive cross-shard transaction: reads collect
-// the versions to validate, writes stage, and Commit runs two-phase
-// commit across every touched shard. Unlike a single-engine transaction
-// it has no snapshot timestamp — reads observe each shard's latest state
-// and 2PC validates them at prepare (OCC backward validation with
-// read/write locks held to the commit point).
-type ClusterTxn struct {
-	db       *ClusterDB
-	reads    map[int]map[string]uint64 // shard -> ref -> version observed
-	writes   map[int][]txn.Write       // shard -> staged writes, in stage order
-	writeIdx map[string]writeLoc       // ref -> location of its staged write
-	done     bool
-}
-
-type writeLoc struct {
-	shard int
-	index int
-}
-
-// Begin starts an interactive cross-shard transaction.
-func (db *ClusterDB) Begin() *ClusterTxn {
-	return &ClusterTxn{
-		db:       db,
-		reads:    make(map[int]map[string]uint64),
-		writes:   make(map[int][]txn.Write),
-		writeIdx: make(map[string]writeLoc),
-	}
-}
-
-// Get reads a cell: own staged writes first, then the owning shard's
-// latest state, recording the observed version for commit validation.
-func (t *ClusterTxn) Get(table, column string, pk []byte) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, txn.ErrDone
-	}
-	ref := cellstore.CellPrefix(table, column, pk)
-	if loc, ok := t.writeIdx[string(ref)]; ok {
-		w := t.writes[loc.shard][loc.index]
-		if w.Delete {
-			return nil, false, nil
-		}
-		return w.Value, true, nil
-	}
-	si := t.db.ShardFor(pk)
-	val, ver, found, err := t.db.shards[si].part.ReadLatest(ref, ^uint64(0))
-	if err != nil {
-		return nil, false, err
-	}
-	m := t.reads[si]
-	if m == nil {
-		m = make(map[string]uint64)
-		t.reads[si] = m
-	}
-	m[string(ref)] = ver // 0 when absent: "observed absent"
-	if !found {
-		return nil, false, nil
-	}
-	return val, true, nil
-}
-
-// Put stages a cell write.
-func (t *ClusterTxn) Put(table, column string, pk, value []byte) error {
-	return t.stage(table, column, pk, txn.Write{Value: value})
-}
-
-// Delete stages a cell deletion (tombstone).
-func (t *ClusterTxn) Delete(table, column string, pk []byte) error {
-	return t.stage(table, column, pk, txn.Write{Delete: true})
-}
-
-func (t *ClusterTxn) stage(table, column string, pk []byte, w txn.Write) error {
-	if t.done {
-		return txn.ErrDone
-	}
-	ref := cellstore.CellPrefix(table, column, pk)
-	w.Key = ref
-	if loc, ok := t.writeIdx[string(ref)]; ok {
-		t.writes[loc.shard][loc.index] = w
-		return nil
-	}
-	si := t.db.ShardFor(pk)
-	t.writeIdx[string(ref)] = writeLoc{shard: si, index: len(t.writes[si])}
-	t.writes[si] = append(t.writes[si], w)
-	return nil
-}
-
-// Commit validates and applies the transaction across its shards via
-// two-phase commit, returning the coordinator's commit timestamp. On
-// txn.ErrConflict (wrapped in twopc.ErrAborted) the transaction rolled
-// back everywhere and may be retried.
-func (t *ClusterTxn) Commit() (uint64, error) {
-	if t.done {
-		return 0, txn.ErrDone
-	}
-	t.done = true
-	reqs := requests("TXN", t.reads, t.writes)
-	if len(reqs) == 0 {
-		return 0, nil // read-free, write-free transaction
-	}
-	return t.db.coord.Execute(reqs)
-}
-
-// Abort discards the transaction. Nothing was prepared, so there is
-// nothing to roll back.
-func (t *ClusterTxn) Abort() {
-	t.done = true
-}
+// Begin starts an interactive serializable transaction across the
+// cluster's shards (Txn): one that touches one shard commits through its
+// gate alone, one that touches several with two-phase commit.
+func (db *ClusterDB) Begin() *Txn { return newTxn(db.engines, db.coord, nil) }
 
 // ---------------------------------------------------------------------------
 // Serving and SQL
@@ -540,20 +404,22 @@ func (db *ClusterDB) router() *wire.Router {
 func (db *ClusterDB) ServerStats() ServerStats { return db.router().Stats() }
 
 // write is the served cluster's writer (wire.Router.Write): OpPut and
-// INSERT/UPDATE/DELETE group their writes by key ownership and commit
-// through the 2PC coordinator whatever the request's Shard says — a
-// client-chosen shard must not bypass routing — with the request's trace
-// threaded into the per-shard prepare and commit legs.
+// INSERT/UPDATE/DELETE go to the shards that own their keys whatever the
+// request's Shard says — a client-chosen shard must not bypass routing.
+// A one-shard write is acked with its block's height and version; a
+// cross-shard OpPut commits with 2PC, the request's trace threaded into
+// the per-shard prepare and commit legs, and is acked with the
+// coordinator's version alone.
 func (db *ClusterDB) write(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpPut:
-		version, err := db.applyTraced(req.Trace(), req.Statement, req.Puts)
+		h, err := db.apply(req.Trace(), req.Statement, req.Puts)
 		if err != nil {
 			return wire.Response{Err: err.Error()}
 		}
-		return wire.Response{Version: version}
+		return wire.Response{Height: h.Height, Version: h.Version}
 	case wire.OpQuery:
-		out, err := query.ExecStore(clusterStore{db: db, tr: req.Trace()}, req.Statement)
+		out, err := query.ExecStore(clusterStore{db}, req.Statement)
 		if err != nil {
 			return wire.Response{Err: err.Error()}
 		}
@@ -563,37 +429,19 @@ func (db *ClusterDB) write(req wire.Request) wire.Response {
 }
 
 // Exec parses and executes one statement against the cluster: a SELECT
-// reads one ledger snapshot of every shard and merges their results;
-// mutations group by key ownership and commit with two-phase commit. The
-// embedded, unverified form of the query surface — see Client.Query for
-// verified execution.
+// reads one ledger snapshot of every shard and merges their results; a
+// mutation touches one row, which it reads and commits on the shard that
+// owns it. The embedded, unverified form of the query surface — see
+// Client.Query for verified execution.
 func (db *ClusterDB) Exec(statement string) (QueryResult, error) {
-	return query.ExecStore(clusterStore{db: db}, statement)
+	return query.ExecStore(clusterStore{db}, statement)
 }
 
-// clusterStore adapts the cluster to query.Store, threading a served
-// request's trace into the 2PC legs.
-type clusterStore struct {
-	db *ClusterDB
-	tr *obs.Trace
-}
-
-func (s clusterStore) Apply(statement string, puts []Put) (uint64, error) {
-	return s.db.applyTraced(s.tr, statement, puts)
-}
-
-func (s clusterStore) Get(table, column string, pk []byte) ([]byte, error) {
-	return s.db.Get(table, column, pk)
-}
+// clusterStore adapts the cluster to query.Store.
+type clusterStore struct{ db *ClusterDB }
 
 func (s clusterStore) Columns(table string) ([]string, error) { return s.db.Columns(table) }
 
-func (s clusterStore) Engines() []*core.Engine {
-	out := make([]*core.Engine, len(s.db.shards))
-	for i := range s.db.shards {
-		out[i] = s.db.shards[i].eng
-	}
-	return out
-}
+func (s clusterStore) Engines() []*core.Engine { return s.db.engines }
 
 func (s clusterStore) ShardFor(pk []byte) int { return s.db.ShardFor(pk) }

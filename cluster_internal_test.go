@@ -13,7 +13,6 @@ import (
 
 	"spitz/internal/durable"
 	"spitz/internal/twopc"
-	"spitz/internal/txn"
 )
 
 func memCluster(t *testing.T, shards int) *ClusterDB {
@@ -114,7 +113,7 @@ func TestClusterStaleReadAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read inside a transaction, write behind its back, then commit: the
-	// stale read must abort the transaction on its shard.
+	// stale read must abort the transaction on its shard's gate.
 	tx := db.Begin()
 	if _, _, err := tx.Get("t", "c", pk); err != nil {
 		t.Fatal(err)
@@ -123,7 +122,7 @@ func TestClusterStaleReadAborts(t *testing.T) {
 	if _, err := db.Apply("intruder", []Put{{Table: "t", Column: "c", PK: pk, Value: []byte("v1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); !errors.Is(err, twopc.ErrAborted) {
+	if _, err := tx.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale distributed read committed: %v", err)
 	}
 }
@@ -161,7 +160,7 @@ func TestClusterRequestsDeterministic(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			tx.Put("t", "c", []byte(fmt.Sprintf("key-%d-%d", trial, i)), []byte("v"))
 		}
-		reqs := requests("order-check", tx.reads, tx.writes)
+		reqs := requests("order-check", touched(tx.reads, tx.writes), tx.reads, tx.writes)
 		if len(reqs) < 2 {
 			t.Fatalf("trial %d: want multi-shard txn, got %d requests", trial, len(reqs))
 		}
@@ -493,7 +492,7 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 				}
 				tx.Put("bank", "bal", src, enc64(s-1))
 				tx.Put("bank", "bal", dst, enc64(d+1))
-				if _, err := tx.Commit(); err != nil && !errors.Is(err, twopc.ErrAborted) && !errors.Is(err, txn.ErrConflict) {
+				if _, err := tx.Commit(); err != nil && !errors.Is(err, twopc.ErrAborted) && !errors.Is(err, ErrConflict) {
 					t.Errorf("commit: %v", err)
 					return
 				}
@@ -525,7 +524,6 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 // Each non-default setting is checked where it acts, on every engine.
 func TestOptionsReachEveryShard(t *testing.T) {
 	opts := Options{
-		Mode:               ModeTO,
 		MaintainInverted:   true,
 		MaxBatchTxns:       1,
 		Sync:               SyncNever,
@@ -586,14 +584,6 @@ func TestOptionsReachEveryShard(t *testing.T) {
 				}
 				if cells, err := sh.eng.LookupEqual("t", "c", []byte(strings.Repeat("v", 100))); err != nil || len(cells) != writers*each {
 					t.Errorf("shard %d: LookupEqual found %d cells, %v; want %d (MaintainInverted)", i, len(cells), err, writers*each)
-				}
-				older, newer := sh.eng.Begin(), sh.eng.Begin()
-				if _, _, err := newer.Get("t", "c", []byte("w0-00")); err != nil {
-					t.Fatal(err)
-				}
-				older.Put("t", "c", []byte("w0-00"), []byte("late"))
-				if _, err := older.Commit(); !errors.Is(err, ErrConflict) {
-					t.Errorf("shard %d: a writer older than a read of its key committed: %v (Mode: ModeTO)", i, err)
 				}
 				if sh.dur == nil {
 					continue

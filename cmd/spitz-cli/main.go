@@ -84,11 +84,8 @@ func main() {
 		h, err := cl.Apply("cli put", []spitz.Put{{
 			Table: args[1], Column: args[2], PK: []byte(args[3]), Value: []byte(args[4])}})
 		check(err)
-		if cl.Shards() > 1 { // a cluster's ack names no block
-			fmt.Printf("committed at version %d\n", h.Version)
-		} else {
-			fmt.Printf("committed block %d (version %d)\n", h.Height, h.Version)
-		}
+		// One cell is on one shard, whose ack names the block it is in.
+		fmt.Printf("committed block %d (version %d)\n", h.Height, h.Version)
 	case "get":
 		need(args, 4)
 		v, found, err := cl.GetVerified(args[1], args[2], []byte(args[3]))
@@ -156,18 +153,16 @@ func main() {
 // queryCmd executes one statement. SELECT results are verified before
 // printing: the client re-derives the proof obligations from the
 // statement and checks each shard's batch proof against that shard's
-// trusted digest. Mutations report rows affected and the commit
-// position; HISTORY prints version rows, verified as hist verifies them.
+// trusted digest. Mutations report rows affected and the block they
+// committed in; HISTORY prints version rows, verified as hist verifies them.
 func queryCmd(sc *spitz.Client, statement string) {
 	res, err := sc.Query(statement)
 	check(err)
 	switch {
 	case query.Mutates(statement):
 		fmt.Printf("%d row(s) affected", res.RowsAffected)
-		if res.Block > 0 {
-			// Block height on a single-engine server, cluster commit
-			// timestamp on a sharded one.
-			fmt.Printf(", committed at %d", res.Block)
+		if res.RowsAffected > 0 { // a row is on one shard, the block on that shard
+			fmt.Printf(", committed in block %d", res.Block)
 		}
 		fmt.Println()
 	case res.HasAgg:

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	spitz-server [-addr 127.0.0.1:7687] [-admin-addr 127.0.0.1:7688]
-//	             [-inverted] [-mode occ|to]
+//	             [-inverted]
 //	             [-shards N] [-max-batch-txns 128]
 //	             [-data-dir DIR] [-sync always|interval|never]
 //	             [-sync-every 50ms] [-checkpoint-interval 1m]
@@ -44,10 +44,8 @@
 // pass a conflicting -shards and the server refuses rather than
 // misrouting keys.
 //
-// -mode selects the concurrency control scheme for transactions: "occ"
-// (optimistic, validate reads at commit — the default) or "to"
-// (timestamp ordering). -max-batch-txns caps how many concurrent commits
-// the group-commit pipeline folds into one ledger block.
+// -max-batch-txns caps how many concurrent commits the group-commit
+// pipeline folds into one ledger block.
 //
 // -replicate-from HOST:PORT runs this server as a read replica of the
 // given primary instead of owning data itself: it streams the primary's
@@ -89,7 +87,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7687", "listen address")
 	adminAddr := flag.String("admin-addr", "", "ops HTTP endpoint (/metrics, /healthz, /tracez, /debug/pprof); empty disables")
 	inverted := flag.Bool("inverted", false, "maintain the inverted index for value lookups")
-	mode := flag.String("mode", "occ", "concurrency control scheme: occ or to")
 	shards := flag.Int("shards", 1, "serve a sharded cluster of this many engines (1 = single engine)")
 	maxBatchTxns := flag.Int("max-batch-txns", 0, "max transactions folded into one ledger block (0 = default 128)")
 	dataDir := flag.String("data-dir", "", "data directory; empty serves an in-memory database")
@@ -104,14 +101,6 @@ func main() {
 	opts := spitz.Options{
 		MaintainInverted: *inverted,
 		MaxBatchTxns:     *maxBatchTxns,
-	}
-	switch *mode {
-	case "occ":
-		opts.Mode = spitz.ModeOCC
-	case "to":
-		opts.Mode = spitz.ModeTO
-	default:
-		log.Fatalf("spitz-server: unknown -mode %q (want occ or to)", *mode)
 	}
 
 	// The open step: replica, cluster or single engine, as the flags say.
@@ -147,7 +136,7 @@ func main() {
 		if *shards != 1 {
 			n = openCluster(*shards, *dataDir, opts)
 		} else {
-			n = openSingle(*dataDir, opts, *mode)
+			n = openSingle(*dataDir, opts)
 		}
 	}
 
@@ -189,18 +178,18 @@ type node struct {
 }
 
 // openSingle opens one engine, in memory or durable under dataDir.
-func openSingle(dataDir string, opts spitz.Options, mode string) node {
+func openSingle(dataDir string, opts spitz.Options) node {
 	var db *spitz.DB
 	if dataDir == "" {
 		db = spitz.Open(opts)
-		log.Printf("spitz-server: serving in-memory database, %s mode (no -data-dir; state is lost on exit)", mode)
+		log.Printf("spitz-server: serving in-memory database (no -data-dir; state is lost on exit)")
 	} else {
 		var err error
 		if db, err = spitz.OpenDir(dataDir, opts); err != nil {
 			log.Fatalf("spitz-server: open %s: %v", dataDir, err)
 		}
-		log.Printf("spitz-server: durable database in %s (sync=%s, %s mode), recovered %d blocks",
-			dataDir, opts.Sync, mode, db.Height())
+		log.Printf("spitz-server: durable database in %s (sync=%s), recovered %d blocks",
+			dataDir, opts.Sync, db.Height())
 	}
 	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
 		digest: func() string {

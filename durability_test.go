@@ -155,15 +155,15 @@ func TestOpenDirCheckpointAndReopen(t *testing.T) {
 
 // TestSnapshotRestorePreservesEverything is the satellite coverage for
 // WriteSnapshot -> Restore: digest, history and inverted lookups must
-// survive under both concurrency modes, and so must the options a later
-// ResetFromSnapshot rebuilds the engine with.
+// survive, and so must the options a later ResetFromSnapshot rebuilds the
+// engine with. The one row is named for the one concurrency scheme, OCC
+// validation at the commit gate.
 func TestSnapshotRestorePreservesEverything(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		mode spitz.Options
 	}{
-		{"occ", spitz.Options{Mode: spitz.ModeOCC, MaintainInverted: true}},
-		{"to", spitz.Options{Mode: spitz.ModeTO, MaintainInverted: true}},
+		{"occ", spitz.Options{MaintainInverted: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			db := spitz.Open(mode.mode)

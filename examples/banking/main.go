@@ -35,7 +35,7 @@ func acct(i int) []byte { return []byte(fmt.Sprintf("acct-%02d", i)) }
 
 func main() {
 	// The bank hosts the database and serves it over the wire.
-	db := spitz.Open(spitz.Options{Mode: spitz.ModeOCC})
+	db := spitz.Open(spitz.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatalf("banking: no loopback networking: %v", err)

@@ -174,17 +174,16 @@ func linked(enc []byte, pred hashutil.Digest) []byte {
 
 // Chain returns the versions a head entry replaced, newest first, as
 // stored: each the chain object the one before it links, read by its
-// content address. The walk stops after the first version at or before
-// asOf (0: it walks the whole history, every version being above it).
-func Chain(store cas.Store, head []byte, asOf uint64) ([][]byte, error) {
+// content address.
+func Chain(store cas.Store, head []byte) ([][]byte, error) {
 	var out [][]byte
 	for enc := head; ; {
-		ver, _, _, err := proof.DecodeVersion(enc)
+		_, _, _, err := proof.DecodeVersion(enc)
 		if err != nil {
 			return nil, err
 		}
 		pred, linked := proof.Link(enc)
-		if ver <= asOf || !linked {
+		if !linked {
 			return out, nil
 		}
 		if enc, err = store.Get(pred); err != nil {
@@ -202,7 +201,7 @@ func (s Store) History(table, column string, pk []byte) ([]Cell, error) {
 	if err != nil || !found {
 		return nil, err
 	}
-	older, err := Chain(s.Tree.Store(), head, 0)
+	older, err := Chain(s.Tree.Store(), head)
 	if err != nil {
 		return nil, err
 	}
@@ -215,26 +214,6 @@ func (s Store) History(table, column string, pk []byte) ([]Cell, error) {
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-// AsOf returns the newest version of a cell at or before asOf: its head in
-// this snapshot when that qualifies, else the first down its chain that
-// does. ok is false when the cell did not exist at asOf; a tombstone is
-// returned with ok true.
-func (s Store) AsOf(table, column string, pk []byte, asOf uint64) (Cell, bool, error) {
-	enc, found, err := s.Tree.Get(CellPrefix(table, column, pk))
-	if err != nil || !found {
-		return Cell{}, false, err
-	}
-	older, err := Chain(s.Tree.Store(), enc, asOf)
-	if err != nil {
-		return Cell{}, false, err
-	}
-	if len(older) > 0 {
-		enc = older[len(older)-1]
-	}
-	c, err := decodeCell(table, column, pk, enc)
-	return c, err == nil && c.Version <= asOf, err
 }
 
 // decodeCell is the cell table.column.pk at the encoded version enc, its

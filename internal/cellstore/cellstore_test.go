@@ -46,7 +46,7 @@ func headEntry(t *testing.T, s Store, pk string) (head []byte, link hashutil.Dig
 		t.Fatalf("head of %s: %v %v", pk, ok, err)
 	}
 	link, linked = proof.Link(head)
-	if chain, err = Chain(s.Tree.Store(), head, 0); err != nil {
+	if chain, err = Chain(s.Tree.Store(), head); err != nil {
 		t.Fatal(err)
 	}
 	return head, link, linked, chain

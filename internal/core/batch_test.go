@@ -6,33 +6,40 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"spitz/internal/cellstore"
-	"spitz/internal/txn"
 )
+
+// queue enqueues one single-cell commit of t/c/pk without leading it, as
+// the gate does under e.mu, and returns its version and the wait that
+// drives it to completion.
+func queue(t *testing.T, e *Engine, pk, value string) (uint64, func() error) {
+	t.Helper()
+	e.mu.Lock()
+	req, err := e.enqueueLocked("", []cellstore.Cell{{Table: "t", Column: "c", PK: []byte(pk), Value: []byte(value)}})
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req.version, func() error {
+		_, err := e.waitCommit(req)
+		return err
+	}
+}
 
 // TestPipelineMergesQueuedCommits: requests enqueued before any leader
 // runs must be folded into one ledger block with one transaction summary
-// each. The async store hook enqueues without leading, so this is fully
-// deterministic.
+// each. queue enqueues without leading, so this is fully deterministic.
 func TestPipelineMergesQueuedCommits(t *testing.T) {
 	e := New(Options{})
 	sink := &failingSink{allow: 100}
 	e.SetCommitSink(sink)
-	as := e.TxnStore()
 
 	const n = 5
 	waits := make([]func() error, n)
 	versions := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		key := mustRef(t, "t", "c", fmt.Sprintf("pk%d", i))
-		v, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions[i] = v
-		waits[i] = wait
+		versions[i], waits[i] = queue(t, e, fmt.Sprintf("pk%d", i), fmt.Sprintf("v%d", i))
 	}
 	for i, wait := range waits {
 		if err := wait(); err != nil {
@@ -82,37 +89,36 @@ func TestPipelineMergesQueuedCommits(t *testing.T) {
 }
 
 // TestPendingWritesVisibleToValidationReads: a commit the pipeline has
-// accepted but not yet folded into a block must be observed by
-// engineStore.ReadLatest — OCC validation depends on it.
+// accepted but not yet folded into a block must be observed by Read and
+// by the gate — validation depends on it.
 func TestPendingWritesVisibleToValidationReads(t *testing.T) {
 	e := New(Options{})
-	as := e.TxnStore()
-	key := mustRef(t, "t", "c", "k")
+	ref := string(mustRef(t, "t", "c", "k"))
 
-	v, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("queued")}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, wait := queue(t, e, "k", "queued")
 	// The write is queued, not committed: the ledger is still empty, but
-	// a validation read must see it.
+	// a read must see it, and a commit that read the cell absent must not
+	// pass the gate.
 	if h := e.Ledger().Height(); h != 0 {
 		t.Fatalf("block committed early (height %d)", h)
 	}
-	val, ver, found, err := e.TxnStore().ReadLatest(key, ^uint64(0))
+	val, ver, found, err := e.Read("t", "c", []byte("k"))
 	if err != nil || !found || string(val) != "queued" || ver != v {
 		t.Fatalf("pending read = %q v%d found=%v err=%v, want queued v%d", val, ver, found, err, v)
 	}
-	// A snapshot read older than the pending version must NOT see it.
-	if _, _, found, _ := e.TxnStore().ReadLatest(key, v-1); found {
-		t.Fatal("pending write visible below its version")
+	if _, err := e.Commit("", map[string]uint64{ref: 0}, nil); !errors.Is(err, ErrConflict) {
+		t.Fatalf("a read of the cell as absent passed the gate over its queued write: %v", err)
 	}
 	if err := wait(); err != nil {
 		t.Fatal(err)
 	}
 	// After the batch commits, the same read resolves through the ledger.
-	val, ver, found, err = e.TxnStore().ReadLatest(key, ^uint64(0))
+	val, ver, found, err = e.Read("t", "c", []byte("k"))
 	if err != nil || !found || string(val) != "queued" || ver != v {
 		t.Fatalf("post-commit read = %q v%d found=%v err=%v", val, ver, found, err)
+	}
+	if _, err := e.Commit("", map[string]uint64{ref: v}, nil); err != nil {
+		t.Fatalf("a current read failed the gate: %v", err)
 	}
 }
 
@@ -137,22 +143,19 @@ func TestConcurrentTxnConflictStillDetected(t *testing.T) {
 			w := w
 			go func() {
 				defer done.Done()
-				tx := e.Begin()
-				_, _, err := tx.Get("t", "n", []byte("k"))
-				if err == nil {
-					err = tx.Put("t", "n", []byte("k"), []byte(fmt.Sprintf("r%dw%d", r, w)))
-				}
+				_, ver, _, err := e.Read("t", "n", []byte("k"))
 				staged.Done()
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				staged.Wait() // barrier: all reads precede all commits
-				_, err = tx.Commit()
+				_, err = e.Commit("", map[string]uint64{string(mustRef(t, "t", "n", "k")): ver},
+					[]Put{{Table: "t", Column: "n", PK: []byte("k"), Value: []byte(fmt.Sprintf("r%dw%d", r, w))}})
 				switch {
 				case err == nil:
 					committed[w] = true
-				case errors.Is(err, txn.ErrConflict):
+				case errors.Is(err, ErrConflict):
 				default:
 					t.Errorf("unexpected commit error: %v", err)
 				}
@@ -179,7 +182,7 @@ func (c *stuckClock) Next() uint64 { return c.v.Load() }
 
 // TestStuckClockCommitRejected: a timestamp source that repeats a version
 // must not commit twice at it. The enqueue refuses the repeat, through
-// Apply and through the transaction store alike, without cutting a block
+// Apply and through a transaction's commit alike, without cutting a block
 // or poisoning the engine.
 func TestStuckClockCommitRejected(t *testing.T) {
 	clock := &stuckClock{}
@@ -195,8 +198,9 @@ func TestStuckClockCommitRejected(t *testing.T) {
 	if err := put("k2"); err == nil {
 		t.Fatal("Apply at a repeated version accepted")
 	}
-	if _, _, err := e.TxnStore().Commit("", []txn.Write{{Key: mustRef(t, "t", "c", "k2"), Value: []byte("k2")}}); err == nil {
-		t.Fatal("store commit at a repeated version accepted")
+	reads := map[string]uint64{string(mustRef(t, "t", "c", "k1")): 5}
+	if _, err := e.Commit("", reads, []Put{{Table: "t", Column: "c", PK: []byte("k2"), Value: []byte("k2")}}); err == nil {
+		t.Fatal("transaction commit at a repeated version accepted")
 	}
 	if h := e.Ledger().Height(); h != 1 {
 		t.Fatalf("height = %d after refused commits, want 1", h)
@@ -219,15 +223,9 @@ func TestStuckClockCommitRejected(t *testing.T) {
 // and returns their waits, in enqueue order.
 func enqueueAsync(t *testing.T, e *Engine, n int) []func() error {
 	t.Helper()
-	as := e.TxnStore()
 	waits := make([]func() error, n)
 	for i := range waits {
-		key := mustRef(t, "t", "c", fmt.Sprintf("pk%d", i))
-		_, wait, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("v")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits[i] = wait
+		_, waits[i] = queue(t, e, fmt.Sprintf("pk%d", i), "v")
 	}
 	return waits
 }
@@ -272,34 +270,26 @@ func mustRef(t *testing.T, table, column, pk string) []byte {
 	return cellstore.CellPrefix(table, column, []byte(pk))
 }
 
-// TestPendingKeepsAllQueuedVersions: a snapshot read with asOf between
-// two queued versions of one cell must resolve to the older queued
-// version, not fall through to the ledger (regression: the pending index
-// once kept only the newest entry per ref).
+// TestPendingKeepsAllQueuedVersions: a cell queued twice keeps its newer
+// version visible while the older one's block commits — the index holds
+// the newest queued version, and only that version's own batch clears it
+// (a clear by the older batch would let the gate and Read fall through to
+// a head that does not have the newer write yet).
 func TestPendingKeepsAllQueuedVersions(t *testing.T) {
-	e := New(Options{})
-	as := e.TxnStore()
-	key := mustRef(t, "t", "c", "k")
-	v1, wait1, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("first")}})
-	if err != nil {
+	e := New(Options{MaxBatchTxns: 1})
+	v1, wait1 := queue(t, e, "k", "first")
+	v2, wait2 := queue(t, e, "k", "second")
+	if val, ver, _, err := e.Read("t", "c", []byte("k")); err != nil || string(val) != "second" || ver != v2 {
+		t.Fatalf("read with both queued = %q v%d, %v; want second v%d", val, ver, err, v2)
+	}
+	if err := wait1(); err != nil { // commits v1's block alone, hands over to v2
 		t.Fatal(err)
 	}
-	v2, wait2, err := as.Commit("", []txn.Write{{Key: key, Value: []byte("second")}})
-	if err != nil {
-		t.Fatal(err)
+	if h := e.Ledger().Height(); h != 1 {
+		t.Fatalf("height = %d after the first block, want 1", h)
 	}
-	// Both versions are queued; a read at v1 must see "first", at v2
-	// "second".
-	val, ver, found, err := e.TxnStore().ReadLatest(key, v1)
-	if err != nil || !found || string(val) != "first" || ver != v1 {
-		t.Fatalf("read at v%d = %q v%d found=%v err=%v, want first v%d", v1, val, ver, found, err, v1)
-	}
-	val, ver, found, err = e.TxnStore().ReadLatest(key, v2)
-	if err != nil || !found || string(val) != "second" || ver != v2 {
-		t.Fatalf("read at v%d = %q v%d found=%v err=%v, want second v%d", v2, val, ver, found, err, v2)
-	}
-	if err := wait1(); err != nil {
-		t.Fatal(err)
+	if val, ver, _, err := e.Read("t", "c", []byte("k")); err != nil || string(val) != "second" || ver != v2 {
+		t.Fatalf("read after v%d's block = %q v%d, %v; want second v%d", v1, val, ver, err, v2)
 	}
 	if err := wait2(); err != nil {
 		t.Fatal(err)
@@ -308,48 +298,6 @@ func TestPendingKeepsAllQueuedVersions(t *testing.T) {
 	hist, err := e.History("t", "c", []byte("k"))
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("history = %d versions, %v", len(hist), err)
-	}
-}
-
-// TestCommitBatchReorderingOverPipeline: CommitBatch's dependency
-// reordering can commit a later-index transaction first; its waits must
-// follow the same order or the first-enqueued transaction's group-commit
-// leadership never runs (regression: index-order waits deadlocked).
-func TestCommitBatchReorderingOverPipeline(t *testing.T) {
-	e := New(Options{})
-	if _, err := e.Apply("seed", []Put{{Table: "t", Column: "c", PK: []byte("k"), Value: []byte("0")}}); err != nil {
-		t.Fatal(err)
-	}
-	m := txn.NewManager(e.TxnStore(), e.ts, txn.ModeOCC)
-	writer := m.Begin()
-	reader := m.Begin()
-	key := mustRef(t, "t", "c", "k")
-	if _, _, err := reader.Get(key); err != nil {
-		t.Fatal(err)
-	}
-	if err := reader.Put(mustRef(t, "t", "c", "other"), []byte("r")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.Put(key, []byte("w")); err != nil {
-		t.Fatal(err)
-	}
-	// reader read k, writer writes k: reader must commit first, i.e. the
-	// batch is applied in reverse index order.
-	done := make(chan []txn.BatchResult, 1)
-	go func() { done <- m.CommitBatch([]*txn.Txn{writer, reader}) }()
-	select {
-	case results := <-done:
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("txn %d: %v", i, r.Err)
-			}
-		}
-		if results[0].Version <= results[1].Version {
-			t.Fatalf("writer not reordered after reader: versions %d, %d",
-				results[0].Version, results[1].Version)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("CommitBatch deadlocked on reordered async commits")
 	}
 }
 

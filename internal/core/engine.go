@@ -2,8 +2,9 @@
 // contribution (Section 5). An Engine is one processor node's view of the
 // system: a request handler surface (the exported methods), an auditor
 // (the ledger interaction: every write updates the ledger, every verified
-// read obtains its proof from it), and a transaction manager (MVCC over
-// the multi-versioned cell store).
+// read obtains its proof from it), and a commit gate (MVCC validation over
+// the multi-versioned cell store, and the shard's side of two-phase
+// commit — gate.go).
 //
 // The write path follows Section 5.1: (1) collect the transaction,
 // (2) the auditor updates the ledger, which records the changes and
@@ -22,6 +23,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +41,6 @@ import (
 	"spitz/internal/mtree"
 	"spitz/internal/obs"
 	"spitz/internal/postree"
-	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 )
 
@@ -73,10 +74,8 @@ type Options struct {
 	// Store is the content-addressed object store; nil creates a fresh
 	// in-memory store.
 	Store cas.Store
-	// Mode selects the concurrency control scheme for transactions.
-	Mode txn.Mode
 	// Timestamps allocates commit versions; nil uses a local oracle.
-	Timestamps txn.TimestampSource
+	Timestamps TimestampSource
 	// MaintainInverted keeps the inverted index updated on every commit,
 	// enabling value lookups (LookupEqual etc.) at some write cost.
 	MaintainInverted bool
@@ -91,12 +90,17 @@ type Options struct {
 
 const defaultMaxBatchTxns = 128
 
+// TimestampSource allocates strictly increasing commit versions.
+// tso.Oracle satisfies it.
+type TimestampSource interface {
+	Next() uint64
+}
+
 // Engine is an embedded Spitz database instance. Safe for concurrent use.
 type Engine struct {
 	store  cas.Store
 	ledger *ledger.Ledger
-	ts     txn.TimestampSource
-	mgr    *txn.Manager
+	ts     TimestampSource
 	inv    *inverted.Index
 
 	maxBatchTxns int
@@ -107,14 +111,20 @@ type Engine struct {
 	// Group-commit pipeline state, guarded by mu. queue holds commits
 	// waiting for the leader; leading is true while some goroutine is
 	// draining it. pending indexes the newest enqueued-but-uncommitted
-	// write per cell reference so that transaction validation (which reads
-	// through engineStore.ReadLatest) observes commits the pipeline has
-	// accepted but not yet folded into a block — without it, two
-	// transactions validated back to back could both miss each other's
-	// queued writes and break serializability.
+	// write per cell reference so that the commit gate observes commits
+	// the pipeline has accepted but not yet folded into a block — without
+	// it, two transactions validated back to back could both miss each
+	// other's queued writes and break serializability.
 	queue   []*commitReq
 	leading bool
-	pending map[string][]pendingCell
+	pending map[string]pendingCell
+
+	// The prepared state of cross-shard transactions (gate.go), guarded by
+	// mu: the write keys each holds exclusively, the read keys each holds
+	// shared, and each one's write set until CommitPrepared or Abort.
+	locks    map[string]uint64
+	readers  map[string]map[uint64]struct{}
+	prepared map[uint64]*preparedTxn
 	// lastVersion is the highest commit version ever enqueued. Because
 	// versions are drawn and checked under mu at enqueue time, queue order
 	// equals version order and every batch's cells land inside its block's
@@ -139,12 +149,10 @@ type Engine struct {
 	olderWait atomic.Pointer[func() error]
 }
 
-// pendingCell is one enqueued-but-uncommitted write, visible to
-// transaction validation reads. Each cell reference keeps every queued
-// version (ascending — versions are allocated in enqueue order under
-// e.mu), not just the newest: a snapshot read with asOf between two
-// queued versions must resolve to the older one, and a single-entry
-// index would fall through to the ledger and miss it.
+// pendingCell is the newest enqueued-but-uncommitted write of one cell,
+// visible to the commit gate and to Read. An older queued version of the
+// cell is superseded here but still reaches its block: the gate only ever
+// compares against the newest.
 type pendingCell struct {
 	version   uint64
 	value     []byte
@@ -237,13 +245,15 @@ func build(opts Options, l *ledger.Ledger) *Engine {
 		ledger:       l,
 		ts:           opts.Timestamps,
 		maxBatchTxns: opts.MaxBatchTxns,
-		pending:      make(map[string][]pendingCell),
+		pending:      make(map[string]pendingCell),
+		locks:        make(map[string]uint64),
+		readers:      make(map[string]map[uint64]struct{}),
+		prepared:     make(map[uint64]*preparedTxn),
 		lastVersion:  headVersion,
 	}
 	if opts.MaintainInverted {
 		e.inv = inverted.New()
 	}
-	e.mgr = txn.NewManager(engineStore{e}, opts.Timestamps, opts.Mode)
 	return e
 }
 
@@ -346,28 +356,23 @@ func errReadOnly(err error) error {
 	return fmt.Errorf("core: engine read-only after durability failure: %w", err)
 }
 
-// errEmptyBatch refuses a commit with no writes: it would cut a block
-// that records nothing.
+// errEmptyBatch refuses a commit with neither reads nor writes: there is
+// nothing to check, and a block would record nothing.
 var errEmptyBatch = errors.New("core: empty write batch")
 
-// enqueueCommit stamps one transaction's write set with a commit version
-// drawn from the engine's timestamp source and queues it for the leader.
-// A version at or below one already enqueued (a clock that repeats)
-// mirrors the ledger's own window check but fails the one offending
-// transaction instead of a whole batch. The returned request must be
-// passed to waitCommit.
-func (e *Engine) enqueueCommit(statement string, cells []cellstore.Cell) (*commitReq, error) {
-	if len(cells) == 0 {
-		return nil, errEmptyBatch
-	}
-	e.mu.Lock()
+// enqueueLocked stamps one transaction's write set with a commit version
+// drawn from the engine's timestamp source and queues it for the leader;
+// its writes are visible to the gate from here on. A version at or below
+// one already enqueued (a clock that repeats) mirrors the ledger's own
+// window check but fails the one offending transaction instead of a whole
+// batch. Caller holds e.mu, and passes the returned request to waitCommit
+// once it has released it.
+func (e *Engine) enqueueLocked(statement string, cells []cellstore.Cell) (*commitReq, error) {
 	if err := e.sinkErr; err != nil {
-		e.mu.Unlock()
 		return nil, errReadOnly(err)
 	}
 	version := e.ts.Next()
 	if version <= e.lastVersion {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("core: commit version %d not above pipeline version %d", version, e.lastVersion)
 	}
 	e.lastVersion = version
@@ -387,14 +392,12 @@ func (e *Engine) enqueueCommit(statement string, cells []cellstore.Cell) (*commi
 	e.queue = append(e.queue, req)
 	for i := range cells {
 		c := &cells[i]
-		ref := string(cellstore.CellPrefix(c.Table, c.Column, c.PK))
-		e.pending[ref] = append(e.pending[ref], pendingCell{version: version, value: c.Value, tombstone: c.Tombstone})
+		e.pending[cellRef(c)] = pendingCell{version: version, value: c.Value, tombstone: c.Tombstone}
 	}
 	if !e.leading {
 		e.leading = true
 		req.lead = true
 	}
-	e.mu.Unlock()
 	return req, nil
 }
 
@@ -623,24 +626,14 @@ func (e *Engine) settleDurable(height uint64, err error) error {
 }
 
 // clearPendingLocked removes a finished batch's entries from the pending
-// index; entries for versions still queued behind it stay until their
-// own batch finishes.
+// index; an entry a newer queued version replaced stays until that
+// version's own batch finishes.
 func (e *Engine) clearPendingLocked(batch []*commitReq) {
 	for _, r := range batch {
 		for i := range r.cells {
 			c := &r.cells[i]
-			ref := string(cellstore.CellPrefix(c.Table, c.Column, c.PK))
-			list := e.pending[ref]
-			for j := range list {
-				if list[j].version == c.Version {
-					list = append(list[:j], list[j+1:]...)
-					break
-				}
-			}
-			if len(list) == 0 {
+			if ref := cellRef(c); e.pending[ref].version == c.Version {
 				delete(e.pending, ref)
-			} else {
-				e.pending[ref] = list
 			}
 		}
 	}
@@ -648,19 +641,10 @@ func (e *Engine) clearPendingLocked(batch []*commitReq) {
 
 // Apply commits a batch of writes as one transaction and returns the
 // header of the ledger block that carried it (which may include other
-// concurrently committed transactions). This is the high-throughput
-// ingest path; use Begin for interactive transactions.
+// concurrently committed transactions): Commit with no reads, the
+// high-throughput ingest path.
 func (e *Engine) Apply(statement string, puts []Put) (ledger.BlockHeader, error) {
-	cells := make([]cellstore.Cell, len(puts))
-	for i, p := range puts {
-		cells[i] = cellstore.Cell{Table: p.Table, Column: p.Column, PK: p.PK,
-			Value: p.Value, Tombstone: p.Tombstone}
-	}
-	req, err := e.enqueueCommit(statement, cells)
-	if err != nil {
-		return ledger.BlockHeader{}, err
-	}
-	return e.waitCommit(req)
+	return e.Commit(statement, nil, puts)
 }
 
 // ReplayBlock re-commits a block recovered from a durability log. The
@@ -755,25 +739,31 @@ var ErrNotFound = errors.New("core: not found")
 // exact universal key serves the head version. No proof is generated (see
 // GetVerified).
 func (e *Engine) Get(table, column string, pk []byte) ([]byte, error) {
-	cells, _, live := e.ledger.Latest()
-	if !live {
-		return nil, ErrNotFound
+	value, _, live, err := e.head(cellstore.CellPrefix(table, column, pk))
+	if err == nil && !live {
+		err = ErrNotFound
 	}
-	raw, found, err := cells.Tree.Get(cellstore.CellPrefix(table, column, pk))
-	if err != nil {
-		return nil, err
+	return value, err
+}
+
+// head reads the head version of the cell at ref: its value, copied out of
+// node storage so that no caller can edit the store through it, the
+// version that wrote it (0 for a cell never written) and whether it is
+// live.
+func (e *Engine) head(ref []byte) ([]byte, uint64, bool, error) {
+	cells, _, ok := e.ledger.Latest()
+	if !ok {
+		return nil, 0, false, nil
 	}
-	if !found {
-		return nil, ErrNotFound
+	raw, found, err := cells.Tree.Get(ref)
+	if err != nil || !found {
+		return nil, 0, false, err
 	}
-	_, value, tomb, err := proof.DecodeVersion(raw)
-	if err != nil {
-		return nil, err
+	version, value, tomb, err := proof.DecodeVersion(raw)
+	if err != nil || tomb {
+		return nil, version, false, err
 	}
-	if tomb {
-		return nil, ErrNotFound
-	}
-	return value, nil
+	return bytes.Clone(value), version, true, nil
 }
 
 // GetRow reads several columns of one row from a single cell-store
@@ -950,135 +940,6 @@ func (e *Engine) resolvePostings(table, column string, ps []inverted.Posting, he
 		}
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Transactions
-
-// Begin starts an interactive MVCC transaction (Section 5.2). Reads and
-// writes address cells via (table, column, pk); Commit routes through the
-// group-commit pipeline, sharing a ledger block with concurrent commits.
-func (e *Engine) Begin() *Txn {
-	return &Txn{inner: e.mgr.Begin()}
-}
-
-// TxnStore exposes the engine as a txn.Store keyed by cell references
-// (cellstore.CellPrefix). The 2PC layer uses it to make this engine a
-// shard participant in distributed transactions.
-func (e *Engine) TxnStore() txn.Store { return engineStore{e} }
-
-// TxnStats reports commit/abort counters from the transaction manager.
-func (e *Engine) TxnStats() txn.Stats { return e.mgr.Stats() }
-
-// Txn wraps the storage-level transaction with cell addressing.
-type Txn struct {
-	inner *txn.Txn
-}
-
-// Get reads a cell within the transaction's snapshot.
-func (t *Txn) Get(table, column string, pk []byte) ([]byte, bool, error) {
-	return t.inner.Get(cellstore.CellPrefix(table, column, pk))
-}
-
-// Put stages a cell write.
-func (t *Txn) Put(table, column string, pk, value []byte) error {
-	return t.inner.Put(cellstore.CellPrefix(table, column, pk), value)
-}
-
-// Delete stages a cell deletion (tombstone).
-func (t *Txn) Delete(table, column string, pk []byte) error {
-	return t.inner.Delete(cellstore.CellPrefix(table, column, pk))
-}
-
-// Commit validates and commits, returning the commit version.
-func (t *Txn) Commit() (uint64, error) { return t.inner.Commit() }
-
-// Abort discards the transaction.
-func (t *Txn) Abort() { t.inner.Abort() }
-
-// engineStore adapts the engine to txn.Store: transactional reads and
-// writes flow through the ledger-backed cell store.
-type engineStore struct{ e *Engine }
-
-// ReadLatest implements txn.Store. The key is a cell reference
-// (cellstore.CellPrefix); versions are ledger commit versions. Snapshot
-// reads older than the head walk the cell's chain (ledger.GetAsOf).
-// Writes the group-commit pipeline has accepted but not yet folded into a
-// block are served from the pending index, so transaction validation
-// never misses a commit that is already ordered before it.
-func (s engineStore) ReadLatest(key []byte, asOf uint64) ([]byte, uint64, bool, error) {
-	var p pendingCell
-	var pok bool
-	s.e.mu.RLock()
-	list := s.e.pending[string(key)]
-	for i := len(list) - 1; i >= 0; i-- { // ascending by version; newest ≤ asOf wins
-		if list[i].version <= asOf {
-			p, pok = list[i], true
-			break
-		}
-	}
-	s.e.mu.RUnlock()
-	if pok {
-		if p.tombstone {
-			return nil, p.version, false, nil
-		}
-		return p.value, p.version, true, nil
-	}
-	table, column, pk, err := proof.DecodeRef(key)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	c, found, err := s.e.ledger.GetAsOf(table, column, pk, asOf)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if !found {
-		return nil, 0, false, nil
-	}
-	if c.Tombstone {
-		return nil, c.Version, false, nil
-	}
-	return c.Value, c.Version, true, nil
-}
-
-// decodeWrites converts txn writes (keyed by cell reference) into cells;
-// versions are stamped by the pipeline at enqueue.
-func decodeWrites(writes []txn.Write) ([]cellstore.Cell, error) {
-	cells := make([]cellstore.Cell, len(writes))
-	for i, w := range writes {
-		table, column, pk, err := proof.DecodeRef(w.Key)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = cellstore.Cell{Table: table, Column: column, PK: pk,
-			Value: w.Value, Tombstone: w.Delete}
-	}
-	return cells, nil
-}
-
-// Commit implements txn.Store: enqueue the transaction on the group-commit
-// pipeline and return at once with its commit version and a wait that
-// drives it to completion. The transaction manager and the 2PC
-// participant call this under their own locks — the enqueue makes the
-// writes visible to later validations — and wait after releasing them,
-// so concurrent transactions share one ledger block and one fsync. An
-// empty statement is recorded as "TXN".
-func (s engineStore) Commit(statement string, writes []txn.Write) (uint64, func() error, error) {
-	if statement == "" {
-		statement = "TXN"
-	}
-	cells, err := decodeWrites(writes)
-	if err != nil {
-		return 0, nil, err
-	}
-	req, err := s.e.enqueueCommit(statement, cells)
-	if err != nil {
-		return 0, nil, err
-	}
-	return req.version, func() error {
-		_, err := s.e.waitCommit(req)
-		return err
-	}, nil
 }
 
 // WriteSnapshot serializes the database state (see ledger.WriteSnapshot)

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"testing"
 
+	"spitz/internal/cellstore"
 	"spitz/internal/inverted"
 	"spitz/internal/ledger"
 	"spitz/internal/mtree"
 	"spitz/internal/proof"
-	"spitz/internal/txn"
 )
 
 func newEngine() *Engine { return New(Options{}) }
@@ -63,6 +63,51 @@ func TestOverwriteVisible(t *testing.T) {
 	}
 	if string(hist[0].Value) != "updated" || string(hist[1].Value) != "value-00003" {
 		t.Fatal("history order wrong")
+	}
+}
+
+// TestReadValuesAreCopies: a value Get or Read returns is the caller's —
+// editing it in place or appending to it changes nothing stored, whether
+// it came from the head or from a write still queued for its block.
+func TestReadValuesAreCopies(t *testing.T) {
+	e := newEngine()
+	seed(t, e, 3)
+	scribble := func(v []byte) {
+		for i := range v {
+			v[i] = '!'
+		}
+		_ = append(v[:len(v):cap(v)], "appended"...)
+	}
+	v, err := e.Get("acct", "bal", []byte("pk00001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(v)
+	v, _, _, err = e.Read("acct", "bal", []byte("pk00001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(v)
+	e.mu.Lock()
+	req, err := e.enqueueLocked("", []cellstore.Cell{{Table: "acct", Column: "bal", PK: []byte("pk00002"), Value: []byte("queued")}})
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _, err = e.Read("acct", "bal", []byte("pk00002")); err != nil || string(v) != "queued" {
+		t.Fatalf("queued read = %q, %v", v, err)
+	}
+	scribble(v)
+	if _, err := e.waitCommit(req); err != nil {
+		t.Fatal(err)
+	}
+	for pk, want := range map[string]string{"pk00001": "value-00001", "pk00002": "queued"} {
+		if got, err := e.Get("acct", "bal", []byte(pk)); err != nil || string(got) != want {
+			t.Fatalf("%s after its readers edited their copies = %q, %v; want %q", pk, got, err, want)
+		}
+	}
+	if _, err := e.Apply("more", []Put{{Table: "acct", Column: "bal", PK: []byte("pk00001"), Value: []byte("again")}}); err != nil {
+		t.Fatalf("a commit after readers edited their copies: %v", err)
 	}
 }
 
@@ -196,16 +241,16 @@ func TestGetAt(t *testing.T) {
 func TestTransactionsCommitAndConflict(t *testing.T) {
 	e := newEngine()
 	seed(t, e, 10)
+	ref := func(pk string) string { return string(cellstore.CellPrefix("acct", "bal", []byte(pk))) }
+	put := func(pk, v string) []Put {
+		return []Put{{Table: "acct", Column: "bal", PK: []byte(pk), Value: []byte(v)}}
+	}
 
-	tx := e.Begin()
-	v, ok, err := tx.Get("acct", "bal", []byte("pk00001"))
+	v, ver, ok, err := e.Read("acct", "bal", []byte("pk00001"))
 	if err != nil || !ok || !bytes.Equal(v, []byte("value-00001")) {
 		t.Fatalf("txn read = %q %v %v", v, ok, err)
 	}
-	if err := tx.Put("acct", "bal", []byte("pk00001"), []byte("txn-write")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
+	if _, err := e.Commit("TXN", map[string]uint64{ref("pk00001"): ver}, put("pk00001", "txn-write")); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	got, err := e.Get("acct", "bal", []byte("pk00001"))
@@ -213,37 +258,33 @@ func TestTransactionsCommitAndConflict(t *testing.T) {
 		t.Fatal("txn write not visible")
 	}
 
-	// Conflicting OCC transactions: the second reader-writer aborts.
-	t1 := e.Begin()
-	t2 := e.Begin()
-	t1.Get("acct", "bal", []byte("pk00002"))
-	t2.Get("acct", "bal", []byte("pk00002"))
-	t1.Put("acct", "bal", []byte("pk00002"), []byte("t1"))
-	t2.Put("acct", "bal", []byte("pk00002"), []byte("t2"))
-	if _, err := t1.Commit(); err != nil {
+	// Conflicting transactions: the second reader-writer aborts.
+	_, v1, _, _ := e.Read("acct", "bal", []byte("pk00002"))
+	_, v2, _, _ := e.Read("acct", "bal", []byte("pk00002"))
+	if _, err := e.Commit("TXN", map[string]uint64{ref("pk00002"): v1}, put("pk00002", "t1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t2.Commit(); !errors.Is(err, txn.ErrConflict) {
+	if _, err := e.Commit("TXN", map[string]uint64{ref("pk00002"): v2}, put("pk00002", "t2")); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflicting txn committed: %v", err)
-	}
-	st := e.TxnStats()
-	if st.Aborts == 0 {
-		t.Fatal("no abort recorded")
 	}
 }
 
 func TestTxnDelete(t *testing.T) {
 	e := newEngine()
 	seed(t, e, 5)
-	tx := e.Begin()
-	if err := tx.Delete("acct", "bal", []byte("pk00000")); err != nil {
+	_, ver, _, err := e.Read("acct", "bal", []byte("pk00000"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
+	reads := map[string]uint64{string(cellstore.CellPrefix("acct", "bal", []byte("pk00000"))): ver}
+	if _, err := e.Commit("TXN", reads, []Put{{Table: "acct", Column: "bal", PK: []byte("pk00000"), Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Get("acct", "bal", []byte("pk00000")); !errors.Is(err, ErrNotFound) {
 		t.Fatal("txn delete not effective")
+	}
+	if _, ver, found, err := e.Read("acct", "bal", []byte("pk00000")); err != nil || found || ver == 0 {
+		t.Fatalf("read of the deleted cell: v%d found=%v err=%v; want its tombstone's version, not found", ver, found, err)
 	}
 }
 

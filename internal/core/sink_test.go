@@ -191,11 +191,12 @@ func TestSinkFailurePoisonsEngine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("engine accepted a commit after durability failure: %v", err)
 	}
-	tx := e.Begin()
-	if err := tx.Put("t", "c", []byte{3}, []byte{1}); err != nil {
+	_, ver, _, err := e.Read("t", "c", []byte{0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err == nil {
+	reads := map[string]uint64{string(cellstore.CellPrefix("t", "c", []byte{0})): ver}
+	if _, err := e.Commit("TXN", reads, []Put{{Table: "t", Column: "c", PK: []byte{3}, Value: []byte{1}}}); err == nil {
 		t.Fatal("transaction committed after durability failure")
 	}
 	// Reads still work.

@@ -33,7 +33,6 @@ import (
 	"spitz/internal/cas"
 	"spitz/internal/core"
 	"spitz/internal/ledger"
-	"spitz/internal/txn"
 	"spitz/internal/txn/tso"
 	"spitz/internal/wal"
 )
@@ -42,14 +41,12 @@ import (
 // versions recovered from disk. tso.Oracle satisfies it: a fresh one by
 // default, or one shared by every shard of a cluster.
 type TimestampSource interface {
-	txn.TimestampSource
+	core.TimestampSource
 	Advance(v uint64)
 }
 
 // Options configures a Manager.
 type Options struct {
-	// Mode selects the engine's concurrency control scheme.
-	Mode txn.Mode
 	// Timestamps, when non-nil, allocates the engine's commit versions;
 	// recovery advances it past every replayed version. nil uses a fresh
 	// local oracle.
@@ -210,7 +207,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	}
 	copts := core.Options{
 		Store:            nodes,
-		Mode:             opts.Mode,
 		MaintainInverted: opts.MaintainInverted,
 		Timestamps:       orc,
 		MaxBatchTxns:     opts.MaxBatchTxns,

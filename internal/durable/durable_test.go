@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"spitz/internal/cas"
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
-	"spitz/internal/txn"
+	"spitz/internal/ledger"
 	"spitz/internal/wal"
 )
 
@@ -416,20 +417,18 @@ func TestTamperedRecordRejectedByHashCheck(t *testing.T) {
 
 func TestTransactionalCommitsAreLogged(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Mode: txn.ModeOCC}))
+	m, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Engine().Begin()
-	if err := tx.Put("t", "c", []byte("txk"), []byte("txv")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
+	// A transaction that read the cell absent and writes it.
+	reads := map[string]uint64{string(cellstore.CellPrefix("t", "c", []byte("txk"))): 0}
+	if _, err := m.Engine().Commit("TXN", reads, []core.Put{{Table: "t", Column: "c", PK: []byte("txk"), Value: []byte("txv")}}); err != nil {
 		t.Fatal(err)
 	}
 	digest := m.Engine().Digest()
 
-	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways, Mode: txn.ModeOCC}))
+	m2, err := Open(dir, noAutoCkpt(Options{Sync: wal.SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,26 +662,35 @@ func TestMultiTxnBlockRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := m.Engine().TxnStore()
-	// Enqueue several commits before any leader runs: they all land in
-	// one ledger block and one WAL record.
+	// One block of n transactions, folded as the group-commit leader folds
+	// a batch, logged as the engine logs it: its cells in the engine, its
+	// record in the WAL.
 	const n = 4
-	waits := make([]func() error, n)
+	rec := core.CommitRecord{Version: n}
+	var summaries []ledger.TxnSummary
+	var cells []cellstore.Cell
 	for i := 0; i < n; i++ {
-		key := cellstore.CellPrefix("t", "c", []byte(fmt.Sprintf("k%d", i)))
-		_, wait, err := store.Commit("", []txn.Write{{Key: key, Value: []byte(fmt.Sprintf("v%d", i))}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits[i] = wait
+		c := cellstore.Cell{Table: "t", Column: "c", PK: []byte(fmt.Sprintf("k%d", i)),
+			Value: []byte(fmt.Sprintf("v%d", i)), Version: uint64(i + 1)}
+		tx := core.TxnCommit{ID: uint64(i), Version: c.Version, Statement: "TXN", Cells: []cellstore.Cell{c}}
+		rec.Txns = append(rec.Txns, tx)
+		summaries = append(summaries, ledger.TxnSummary{ID: tx.ID, Statement: tx.Statement, WriteHash: ledger.WriteSetHash(tx.Cells)})
+		cells = append(cells, c)
 	}
-	for _, wait := range waits {
-		if err := wait(); err != nil {
-			t.Fatal(err)
-		}
+	h, err := ledger.New(cas.NewMemory()).Commit(rec.Version, summaries, cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := m.Engine().Ledger().Height(); h != 1 {
-		t.Fatalf("height = %d, want 1 multi-txn block", h)
+	rec.BlockHash = h.Hash()
+	if _, err := m.Engine().ReplayBlock(rec); err != nil {
+		t.Fatal(err)
+	}
+	wait, err := m.Append(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
 	}
 	digest := m.Engine().Digest()
 	// Crash without Close; SyncAlways already made the record durable.

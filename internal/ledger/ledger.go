@@ -272,18 +272,6 @@ func (l *Ledger) blockInclusion(height uint64) (mtree.InclusionProof, error) {
 	return l.commit.InclusionProof(int(height))
 }
 
-// GetAsOf returns the newest version of a cell at or before asOf: the head
-// when it qualifies, otherwise the first down its chain that does
-// (cellstore.Store.AsOf). ok is false when the cell did not exist at
-// asOf. Tombstones are returned with ok=true so callers can distinguish
-// deletion from absence.
-func (l *Ledger) GetAsOf(table, column string, pk []byte, asOf uint64) (cellstore.Cell, bool, error) {
-	l.mu.RLock()
-	cells := l.cells
-	l.mu.RUnlock()
-	return cells.AsOf(table, column, pk, asOf)
-}
-
 // History returns every version of a cell, newest first: the head
 // followed by its chain.
 func (l *Ledger) History(table, column string, pk []byte) ([]cellstore.Cell, error) {
@@ -297,5 +285,5 @@ func (l *Ledger) History(table, column string, pk []byte) ([]cellstore.Cell, err
 // as stored (cellstore.Chain): what a history proof carries beside the
 // head's point proof.
 func (l *Ledger) Chain(head []byte) ([][]byte, error) {
-	return cellstore.Chain(l.store, head, 0)
+	return cellstore.Chain(l.store, head)
 }

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -42,22 +41,8 @@ func TestReopenRecoversDigestAndHistory(t *testing.T) {
 		t.Fatalf("reopened digest %+v != original %+v", r.Digest(), l.Digest())
 	}
 
-	// Head reads and the chains hanging off the heads match the original.
+	// The chains hanging off the heads match the original.
 	pk := []byte("k-0003")
-	for asOf := uint64(1); asOf <= 6; asOf++ {
-		want, wok, err := l.GetAsOf("t", "c", pk, asOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gok, err := r.GetAsOf("t", "c", pk, asOf)
-		if err != nil {
-			t.Fatalf("reopened GetAsOf(%d): %v", asOf, err)
-		}
-		if wok != gok || !bytes.Equal(want.Value, got.Value) || want.Version != got.Version {
-			t.Fatalf("GetAsOf(%d): got (%q,%d,%v), want (%q,%d,%v)",
-				asOf, got.Value, got.Version, gok, want.Value, want.Version, wok)
-		}
-	}
 	wantHist, err := l.History("t", "c", pk)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +123,7 @@ func TestReopenRejectsBrokenChain(t *testing.T) {
 
 // TestGroupCommitDemotionOrder: a single block that writes one cell at two
 // versions, out of order, folds them in version order onto the previous
-// head's chain, so every as-of read down the chain finds its version.
+// head's chain, so the history walks them newest first.
 func TestGroupCommitDemotionOrder(t *testing.T) {
 	mk := func(v uint64, val string) cellstore.Cell {
 		return cellstore.Cell{Table: "t", Column: "c", PK: []byte("pk"), Version: v, Value: []byte(val)}
@@ -151,16 +136,13 @@ func TestGroupCommitDemotionOrder(t *testing.T) {
 	if _, err := l.Commit(3, nil, []cellstore.Cell{mk(3, "v3"), mk(2, "v2")}); err != nil {
 		t.Fatal(err)
 	}
-	for asOf := uint64(1); asOf <= 3; asOf++ {
-		c, ok, err := l.GetAsOf("t", "c", []byte("pk"), asOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("GetAsOf(%d): not found", asOf)
-		}
-		if want := fmt.Sprintf("v%d", asOf); string(c.Value) != want {
-			t.Fatalf("GetAsOf(%d) = %q, want %q", asOf, c.Value, want)
+	hist, err := l.History("t", "c", []byte("pk"))
+	if err != nil || len(hist) != 3 {
+		t.Fatalf("history = %d versions, %v; want 3", len(hist), err)
+	}
+	for i, c := range hist {
+		if want := fmt.Sprintf("v%d", 3-i); string(c.Value) != want || c.Version != uint64(3-i) {
+			t.Fatalf("history[%d] = %q at v%d, want %q at v%d", i, c.Value, c.Version, want, 3-i)
 		}
 	}
 }

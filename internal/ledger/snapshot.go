@@ -106,7 +106,7 @@ func (l *Ledger) WriteSnapshot(w io.Writer) (Digest, error) {
 		return d, objErr
 	}
 	if err := cells.Tree.Scan(nil, nil, func(e proof.Entry) bool {
-		chain, err := cellstore.Chain(l.store, e.Value, 0)
+		chain, err := cellstore.Chain(l.store, e.Value)
 		if err != nil {
 			objErr = fmt.Errorf("ledger: snapshot chain object: %w", err)
 			return false
@@ -227,7 +227,7 @@ func LoadSnapshot(store cas.Store, r io.Reader) (*Ledger, error) {
 	var chainErr error
 	if err := tree.Scan(nil, nil, func(e proof.Entry) bool {
 		var chain [][]byte
-		if chain, chainErr = cellstore.Chain(store, e.Value, 0); chainErr == nil {
+		if chain, chainErr = cellstore.Chain(store, e.Value); chainErr == nil {
 			_, chainErr = proof.Chain("", "", nil, e.Value, true, chain)
 		}
 		return chainErr == nil

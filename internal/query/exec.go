@@ -22,9 +22,8 @@ type Result struct {
 	Rows []Row
 	// RowsAffected is set for INSERT, UPDATE and DELETE.
 	RowsAffected int
-	// Block is the commit position of a mutation: the height of the
-	// block it committed into on a single engine, or the cluster commit
-	// timestamp when the store is a sharded coordinator.
+	// Block is the height of the block a mutation committed into, on the
+	// shard that owns its row.
 	Block uint64
 	// AggValue is the folded COUNT/SUM of an aggregate SELECT; HasAgg
 	// distinguishes a zero aggregate from a row-returning query.
@@ -33,12 +32,12 @@ type Result struct {
 }
 
 // Store is the surface statements execute against: a single engine or a
-// sharded cluster. Mutations read the rows they touch through Get and
-// Columns and commit through Apply; SELECT and HISTORY read the engines
-// themselves, a SELECT each at one ledger snapshot.
+// sharded cluster. A mutation touches one row, which lives on the shard
+// that owns its key: it reads the row there and commits through that
+// engine's gate against the versions it read, so it is one transaction
+// on every topology. SELECT and HISTORY read the engines themselves, a
+// SELECT each at one ledger snapshot.
 type Store interface {
-	Apply(statement string, puts []core.Put) (uint64, error)
-	Get(table, column string, pk []byte) ([]byte, error)
 	Columns(table string) ([]string, error)
 	// Engines returns every shard's engine; ShardFor the index of the one
 	// that owns pk.
@@ -48,19 +47,6 @@ type Store interface {
 
 // EngineStore adapts a single core.Engine to the Store interface.
 type EngineStore struct{ Eng *core.Engine }
-
-// Apply commits the puts and returns the block height.
-func (s EngineStore) Apply(statement string, puts []core.Put) (uint64, error) {
-	h, err := s.Eng.Apply(statement, puts)
-	if err != nil {
-		return 0, err
-	}
-	return h.Height, nil
-}
-
-func (s EngineStore) Get(table, column string, pk []byte) ([]byte, error) {
-	return s.Eng.Get(table, column, pk)
-}
 
 func (s EngineStore) Columns(table string) ([]string, error) { return s.Eng.Columns(table) }
 
@@ -127,7 +113,7 @@ func execInsert(st Store, raw string, s Insert) (Result, error) {
 		// A row with only a primary key still marks existence.
 		puts = append(puts, core.Put{Table: s.Table, Column: s.Columns[0], PK: pk, Value: pk})
 	}
-	return applyRow(st, raw, puts)
+	return commitRow(st.Engines()[st.ShardFor(pk)], raw, nil, puts)
 }
 
 // execSelect runs a SELECT on one ledger snapshot of every shard and
@@ -190,24 +176,27 @@ func execUpdate(st Store, raw string, s Update) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	eng := st.Engines()[st.ShardFor(pk)]
+	reads := make(map[string]uint64, len(cols))
 	exists := false
 	for _, col := range cols {
-		if _, err := st.Get(s.Table, col, pk); errors.Is(err, core.ErrNotFound) {
-			continue
-		} else if err != nil {
+		_, ver, live, err := eng.Read(s.Table, col, pk)
+		if err != nil {
 			return Result{}, err
 		}
-		exists = true
-		break
+		reads[string(cellstore.CellPrefix(s.Table, col, pk))] = ver
+		if exists = live; exists {
+			break
+		}
 	}
-	if !exists {
-		return Result{RowsAffected: 0}, nil
+	var puts []core.Put
+	if exists {
+		puts = make([]core.Put, len(s.Columns))
+		for i, col := range s.Columns {
+			puts[i] = core.Put{Table: s.Table, Column: col, PK: pk, Value: []byte(s.Values[i])}
+		}
 	}
-	puts := make([]core.Put, len(s.Columns))
-	for i, col := range s.Columns {
-		puts[i] = core.Put{Table: s.Table, Column: col, PK: pk, Value: []byte(s.Values[i])}
-	}
-	return applyRow(st, raw, puts)
+	return commitRow(eng, raw, reads, puts)
 }
 
 func execDelete(st Store, raw string, s Delete) (Result, error) {
@@ -219,28 +208,37 @@ func execDelete(st Store, raw string, s Delete) (Result, error) {
 		return Result{}, fmt.Errorf("query: unknown table %q", s.Table)
 	}
 	pk := []byte(s.PK)
+	eng := st.Engines()[st.ShardFor(pk)]
+	reads := make(map[string]uint64, len(cols))
 	var puts []core.Put
 	for _, col := range cols {
-		if _, err := st.Get(s.Table, col, pk); errors.Is(err, core.ErrNotFound) {
-			continue
-		} else if err != nil {
+		_, ver, live, err := eng.Read(s.Table, col, pk)
+		if err != nil {
 			return Result{}, err
 		}
-		puts = append(puts, core.Put{Table: s.Table, Column: col, PK: pk, Tombstone: true})
+		reads[string(cellstore.CellPrefix(s.Table, col, pk))] = ver
+		if live {
+			puts = append(puts, core.Put{Table: s.Table, Column: col, PK: pk, Tombstone: true})
+		}
 	}
-	if len(puts) == 0 {
-		return Result{RowsAffected: 0}, nil
-	}
-	return applyRow(st, raw, puts)
+	return commitRow(eng, raw, reads, puts)
 }
 
-// applyRow commits the puts of a mutation that affected one row.
-func applyRow(st Store, raw string, puts []core.Put) (Result, error) {
-	height, err := st.Apply(raw, puts)
-	if err != nil {
+// commitRow commits the puts of a mutation of one row on eng, the engine
+// that owns it, admitted only if every read (cell reference → version
+// read) is still current: a concurrent mutation of the row it read
+// aborts one of the two with core.ErrConflict, so no row is left half
+// updated and half deleted. With no puts the reads are validated alone
+// and the mutation affected nothing.
+func commitRow(eng *core.Engine, raw string, reads map[string]uint64, puts []core.Put) (Result, error) {
+	if len(reads) == 0 && len(puts) == 0 {
+		return Result{}, nil
+	}
+	h, err := eng.Commit(raw, reads, puts)
+	if err != nil || len(puts) == 0 {
 		return Result{}, err
 	}
-	return Result{RowsAffected: 1, Block: height}, nil
+	return Result{RowsAffected: 1, Block: h.Height}, nil
 }
 
 func execHistory(st Store, s History) (Result, error) {

@@ -1,4 +1,4 @@
-package twopc
+package twopc_test
 
 import (
 	"encoding/binary"
@@ -7,41 +7,63 @@ import (
 	"sync"
 	"testing"
 
-	"spitz/internal/txn"
+	"spitz/internal/cellstore"
+	"spitz/internal/core"
+	"spitz/internal/twopc"
 	"spitz/internal/txn/tso"
 )
 
-func setup() (*Coordinator, *ShardParticipant, *ShardParticipant, *txn.MemStore, *txn.MemStore) {
+// setup registers two engines, shards "a" and "b", drawing versions from
+// the coordinator's counter as a cluster's shards do.
+func setup() (*twopc.Coordinator, *core.Engine, *core.Engine) {
 	ts := tso.New(0)
-	sa, sb := txn.NewMemStore(ts), txn.NewMemStore(ts)
-	pa, pb := NewShardParticipant(sa), NewShardParticipant(sb)
-	c := NewCoordinator(ts)
-	c.Register("a", pa)
-	c.Register("b", pb)
-	return c, pa, pb, sa, sb
+	ea, eb := core.New(core.Options{Timestamps: ts}), core.New(core.Options{Timestamps: ts})
+	c := twopc.NewCoordinator(ts)
+	c.Register("a", ea)
+	c.Register("b", eb)
+	return c, ea, eb
+}
+
+// put is the write of value to key, every test's cell being t/c/key.
+func put(key string, value []byte) []core.Put {
+	return []core.Put{{Table: "t", Column: "c", PK: []byte(key), Value: value}}
+}
+
+// read is key's newest value and version on e, as the gate sees them.
+func read(e *core.Engine, key string) ([]byte, uint64, bool) {
+	v, ver, ok, err := e.Read("t", "c", []byte(key))
+	if err != nil {
+		panic(err)
+	}
+	return v, ver, ok
+}
+
+// reads is a read set of one key at version ver.
+func reads(key string, ver uint64) map[string]uint64 {
+	return map[string]uint64{string(cellstore.CellPrefix("t", "c", []byte(key))): ver}
 }
 
 func TestCommitAcrossShards(t *testing.T) {
-	c, _, _, sa, sb := setup()
-	v, err := c.Execute([]Request{
-		{Shard: "a", Writes: []txn.Write{{Key: []byte("x"), Value: []byte("1")}}},
-		{Shard: "b", Writes: []txn.Write{{Key: []byte("y"), Value: []byte("2")}}},
+	c, ea, eb := setup()
+	v, err := c.Execute([]twopc.Request{
+		{Shard: "a", Puts: put("x", []byte("1"))},
+		{Shard: "b", Puts: put("y", []byte("2"))},
 	})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	// Each shard's store allocated its own commit version, above the
-	// coordinator's timestamp, which no shard records.
+	// Each shard allocated its own commit version, above the coordinator's
+	// timestamp, which no shard records.
 	for _, sh := range []struct {
-		store      *txn.MemStore
+		eng        *core.Engine
 		key, value string
-	}{{sa, "x", "1"}, {sb, "y", "2"}} {
-		_, ver, _, _ := sh.store.ReadLatest([]byte(sh.key), ^uint64(0))
+	}{{ea, "x", "1"}, {eb, "y", "2"}} {
+		got, ver, ok := read(sh.eng, sh.key)
 		if ver <= v {
 			t.Fatalf("shard write of %q at v%d, want above the coordinator's v%d", sh.key, ver, v)
 		}
-		if got, at, ok, _ := sh.store.ReadLatest([]byte(sh.key), ver); !ok || string(got) != sh.value || at != ver {
-			t.Fatalf("shard write of %q not readable at its own v%d", sh.key, ver)
+		if !ok || string(got) != sh.value {
+			t.Fatalf("shard write of %q = %q, %v", sh.key, got, ok)
 		}
 	}
 	commits, aborts := c.Stats()
@@ -51,87 +73,81 @@ func TestCommitAcrossShards(t *testing.T) {
 }
 
 func TestUnknownShard(t *testing.T) {
-	c, _, _, _, _ := setup()
-	if _, err := c.Execute([]Request{{Shard: "nope"}}); err == nil {
+	c, _, _ := setup()
+	if _, err := c.Execute([]twopc.Request{{Shard: "nope"}}); err == nil {
 		t.Fatal("unknown shard accepted")
 	}
 }
 
 func TestAbortRollsBackAllShards(t *testing.T) {
-	c, pa, _, sa, sb := setup()
+	c, ea, eb := setup()
 	// Hold a lock on shard a's key x via a prepared-but-unfinished txn.
-	if err := pa.Prepare(999, Request{Writes: []txn.Write{{Key: []byte("x"), Value: []byte("held")}}}); err != nil {
+	if err := ea.Prepare(999, "", nil, put("x", []byte("held"))); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Execute([]Request{
-		{Shard: "a", Writes: []txn.Write{{Key: []byte("x"), Value: []byte("1")}}},
-		{Shard: "b", Writes: []txn.Write{{Key: []byte("y"), Value: []byte("2")}}},
+	_, err := c.Execute([]twopc.Request{
+		{Shard: "a", Puts: put("x", []byte("1"))},
+		{Shard: "b", Puts: put("y", []byte("2"))},
 	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("expected abort, got %v", err)
+	if !errors.Is(err, twopc.ErrAborted) || !errors.Is(err, core.ErrConflict) {
+		t.Fatalf("expected an abort for a conflict, got %v", err)
 	}
 	// Neither shard applied anything.
-	if _, _, ok, _ := sa.ReadLatest([]byte("x"), ^uint64(0)); ok {
+	if _, _, ok := read(ea, "x"); ok {
 		t.Fatal("aborted write visible on shard a")
 	}
-	if _, _, ok, _ := sb.ReadLatest([]byte("y"), ^uint64(0)); ok {
+	if _, _, ok := read(eb, "y"); ok {
 		t.Fatal("aborted write visible on shard b")
 	}
 	// Shard b's lock must have been released: a retry succeeds after the
 	// blocker aborts.
-	pa.Abort(999)
-	if _, err := c.Execute([]Request{
-		{Shard: "a", Writes: []txn.Write{{Key: []byte("x"), Value: []byte("1")}}},
-		{Shard: "b", Writes: []txn.Write{{Key: []byte("y"), Value: []byte("2")}}},
+	ea.Abort(999)
+	if _, err := c.Execute([]twopc.Request{
+		{Shard: "a", Puts: put("x", []byte("1"))},
+		{Shard: "b", Puts: put("y", []byte("2"))},
 	}); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 }
 
 func TestReadValidationAbort(t *testing.T) {
-	c, pa, _, _, _ := setup()
-	// Commit an initial value so lastWrite is nonzero.
-	if _, err := c.Execute([]Request{{Shard: "a",
-		Writes: []txn.Write{{Key: []byte("x"), Value: []byte("v1")}}}}); err != nil {
+	c, ea, _ := setup()
+	// Commit an initial value so x has a version.
+	if _, err := c.Execute([]twopc.Request{{Shard: "a", Puts: put("x", []byte("v1"))}}); err != nil {
 		t.Fatal(err)
 	}
 	// A transaction that read x at version 0 (stale) must abort.
-	_, err := c.Execute([]Request{{Shard: "a",
-		Reads:  map[string]uint64{"x": 0},
-		Writes: []txn.Write{{Key: []byte("z"), Value: []byte("out")}}}})
-	if !errors.Is(err, ErrAborted) {
+	_, err := c.Execute([]twopc.Request{{Shard: "a", Reads: reads("x", 0), Puts: put("z", []byte("out"))}})
+	if !errors.Is(err, twopc.ErrAborted) || !errors.Is(err, core.ErrConflict) {
 		t.Fatalf("stale read committed: %v", err)
 	}
 	// Reading the current version succeeds.
-	_, ver, _, _ := pa.ReadLatest([]byte("x"), ^uint64(0))
-	if _, err := c.Execute([]Request{{Shard: "a",
-		Reads:  map[string]uint64{"x": ver},
-		Writes: []txn.Write{{Key: []byte("z"), Value: []byte("out")}}}}); err != nil {
+	_, ver, _ := read(ea, "x")
+	if _, err := c.Execute([]twopc.Request{{Shard: "a", Reads: reads("x", ver), Puts: put("z", []byte("out"))}}); err != nil {
 		t.Fatalf("fresh read aborted: %v", err)
 	}
 }
 
 func TestLocksReleasedAfterCommit(t *testing.T) {
-	c, _, _, _, _ := setup()
+	c, _, _ := setup()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Execute([]Request{{Shard: "a",
-			Writes: []txn.Write{{Key: []byte("same-key"), Value: []byte{byte(i)}}}}}); err != nil {
+		if _, err := c.Execute([]twopc.Request{{Shard: "a", Puts: put("same-key", []byte{byte(i)})}}); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 }
 
 func TestPrepareConflictOnReadLock(t *testing.T) {
-	_, pa, _, _, _ := setup()
-	if err := pa.Prepare(1, Request{Writes: []txn.Write{{Key: []byte("k"), Value: []byte("v")}}}); err != nil {
+	_, ea, _ := setup()
+	if err := ea.Prepare(1, "", nil, put("k", []byte("v"))); err != nil {
 		t.Fatal(err)
 	}
 	// Another txn reading the locked key must vote abort.
-	err := pa.Prepare(2, Request{Reads: map[string]uint64{"k": 0}})
-	if !errors.Is(err, txn.ErrConflict) {
+	err := ea.Prepare(2, "", reads("k", 0), nil)
+	if !errors.Is(err, core.ErrConflict) {
 		t.Fatalf("read of locked key prepared: %v", err)
 	}
-	pa.Abort(1)
+	ea.Abort(1)
 }
 
 // TestWriteConflictsWithReadLock: a transaction that read key k holds a
@@ -139,55 +155,85 @@ func TestPrepareConflictOnReadLock(t *testing.T) {
 // of k must vote abort, or the first transaction's validated read could
 // be overwritten before its commit point.
 func TestWriteConflictsWithReadLock(t *testing.T) {
-	c, pa, _, _, _ := setup()
-	if _, err := c.Execute([]Request{{Shard: "a",
-		Writes: []txn.Write{{Key: []byte("k"), Value: []byte("v0")}}}}); err != nil {
+	c, ea, _ := setup()
+	if _, err := c.Execute([]twopc.Request{{Shard: "a", Puts: put("k", []byte("v0"))}}); err != nil {
 		t.Fatal(err)
 	}
-	_, ver, _, _ := pa.ReadLatest([]byte("k"), ^uint64(0))
-	if err := pa.Prepare(10, Request{Reads: map[string]uint64{"k": ver}}); err != nil {
+	_, ver, _ := read(ea, "k")
+	if err := ea.Prepare(10, "", reads("k", ver), nil); err != nil {
 		t.Fatalf("reader prepare: %v", err)
 	}
-	err := pa.Prepare(11, Request{Writes: []txn.Write{{Key: []byte("k"), Value: []byte("v1")}}})
-	if !errors.Is(err, txn.ErrConflict) {
+	err := ea.Prepare(11, "", nil, put("k", []byte("v1")))
+	if !errors.Is(err, core.ErrConflict) {
 		t.Fatalf("write under shared read lock prepared: %v", err)
 	}
 	// Once the reader resolves, the writer goes through.
-	pa.Abort(10)
-	if err := pa.Prepare(11, Request{Writes: []txn.Write{{Key: []byte("k"), Value: []byte("v1")}}}); err != nil {
+	ea.Abort(10)
+	if err := ea.Prepare(11, "", nil, put("k", []byte("v1"))); err != nil {
 		t.Fatalf("retry after reader resolved: %v", err)
 	}
-	pa.Abort(11)
+	ea.Abort(11)
+}
+
+// TestPreparedKeysHoldOffPlainWrites: a prepared transaction's keys are
+// held against every commit the engine admits, not only other prepares —
+// a plain Apply of a key a prepared transaction read, or of one it will
+// write, is refused with ErrConflict until it resolves, and so is a
+// one-shard transaction that read a key the prepared one will write.
+func TestPreparedKeysHoldOffPlainWrites(t *testing.T) {
+	c, ea, _ := setup()
+	if _, err := c.Execute([]twopc.Request{{Shard: "a", Puts: put("r", []byte("r0"))}}); err != nil {
+		t.Fatal(err)
+	}
+	_, ver, _ := read(ea, "r")
+	if err := ea.Prepare(7, "", reads("r", ver), put("w", []byte("w1"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"r", "w"} {
+		if _, err := ea.Apply("blind", put(key, []byte("x"))); !errors.Is(err, core.ErrConflict) {
+			t.Fatalf("Apply of %q under a prepared transaction: %v", key, err)
+		}
+	}
+	if _, err := ea.Commit("TXN", reads("w", 0), put("z", []byte("z"))); !errors.Is(err, core.ErrConflict) {
+		t.Fatalf("a read of a prepared write passed the gate: %v", err)
+	}
+	if err := ea.CommitPrepared(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ea.Apply("blind", put("r", []byte("x"))); err != nil {
+		t.Fatalf("Apply after the prepared transaction committed: %v", err)
+	}
+	if v, _, ok := read(ea, "w"); !ok || string(v) != "w1" {
+		t.Fatalf("prepared write = %q, %v", v, ok)
+	}
 }
 
 // TestCoordinatorAbortAfterPartialPrepare: shard a prepares successfully,
 // shard b votes abort on stale-read validation; the coordinator must
 // roll shard a back, releasing its locks and applying nothing.
 func TestCoordinatorAbortAfterPartialPrepare(t *testing.T) {
-	c, _, pb, sa, _ := setup()
+	c, ea, eb := setup()
 	// Make shard b's read stale.
-	if _, err := c.Execute([]Request{{Shard: "b",
-		Writes: []txn.Write{{Key: []byte("y"), Value: []byte("fresh")}}}}); err != nil {
+	if _, err := c.Execute([]twopc.Request{{Shard: "b", Puts: put("y", []byte("fresh"))}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Execute([]Request{
-		{Shard: "a", Writes: []txn.Write{{Key: []byte("x"), Value: []byte("1")}}},
-		{Shard: "b", Reads: map[string]uint64{"y": 0}, // stale: y was written above
-			Writes: []txn.Write{{Key: []byte("z"), Value: []byte("2")}}},
+	_, err := c.Execute([]twopc.Request{
+		{Shard: "a", Puts: put("x", []byte("1"))},
+		{Shard: "b", Reads: reads("y", 0), // stale: y was written above
+			Puts: put("z", []byte("2"))},
 	})
-	if !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, twopc.ErrAborted) {
 		t.Fatalf("partial prepare committed: %v", err)
 	}
-	if _, _, ok, _ := sa.ReadLatest([]byte("x"), ^uint64(0)); ok {
+	if _, _, ok := read(ea, "x"); ok {
 		t.Fatal("aborted write applied on prepared shard a")
 	}
 	// Shard a's write lock and shard b's read state released: both retry
 	// paths succeed.
-	_, ver, _, _ := pb.ReadLatest([]byte("y"), ^uint64(0))
-	if _, err := c.Execute([]Request{
-		{Shard: "a", Writes: []txn.Write{{Key: []byte("x"), Value: []byte("1")}}},
-		{Shard: "b", Reads: map[string]uint64{"y": ver},
-			Writes: []txn.Write{{Key: []byte("z"), Value: []byte("2")}}},
+	_, ver, _ := read(eb, "y")
+	if _, err := c.Execute([]twopc.Request{
+		{Shard: "a", Puts: put("x", []byte("1"))},
+		{Shard: "b", Reads: reads("y", ver), Puts: put("z", []byte("2"))},
 	}); err != nil {
 		t.Fatalf("retry after rollback: %v", err)
 	}
@@ -203,17 +249,16 @@ func TestCoordinatorAbortAfterPartialPrepare(t *testing.T) {
 // shards. Every increment that commits must be present in the final
 // counts.
 func TestConcurrentContendedTransactions(t *testing.T) {
-	c, pa, pb, _, _ := setup()
+	c, ea, eb := setup()
 	keys := []struct {
 		shard string
-		p     *ShardParticipant
+		e     *core.Engine
 		key   string
 	}{
-		{"a", pa, "k0"}, {"a", pa, "k1"}, {"b", pb, "k0"}, {"b", pb, "k1"},
+		{"a", ea, "k0"}, {"a", ea, "k1"}, {"b", eb, "k0"}, {"b", eb, "k1"},
 	}
 	for _, k := range keys {
-		if _, err := c.Execute([]Request{{Shard: k.shard,
-			Writes: []txn.Write{{Key: []byte(k.key), Value: enc(0)}}}}); err != nil {
+		if _, err := c.Execute([]twopc.Request{{Shard: k.shard, Puts: put(k.key, enc(0))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,27 +273,21 @@ func TestConcurrentContendedTransactions(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				ka := keys[(g+i)%2]   // shard a key
 				kb := keys[2+(g+i)%2] // shard b key
-				av, aver, aok, err := ka.p.ReadLatest([]byte(ka.key), ^uint64(0))
-				if err != nil || !aok {
-					t.Errorf("read: %v", err)
+				av, aver, aok := read(ka.e, ka.key)
+				bv, bver, bok := read(kb.e, kb.key)
+				if !aok || !bok {
+					t.Errorf("read: %v %v", aok, bok)
 					return
 				}
-				bv, bver, bok, err := kb.p.ReadLatest([]byte(kb.key), ^uint64(0))
-				if err != nil || !bok {
-					t.Errorf("read: %v", err)
-					return
-				}
-				_, err = c.Execute([]Request{
-					{Shard: ka.shard, Reads: map[string]uint64{ka.key: aver},
-						Writes: []txn.Write{{Key: []byte(ka.key), Value: enc(dec(av) + 1)}}},
-					{Shard: kb.shard, Reads: map[string]uint64{kb.key: bver},
-						Writes: []txn.Write{{Key: []byte(kb.key), Value: enc(dec(bv) + 1)}}},
+				_, err := c.Execute([]twopc.Request{
+					{Shard: ka.shard, Reads: reads(ka.key, aver), Puts: put(ka.key, enc(dec(av)+1))},
+					{Shard: kb.shard, Reads: reads(kb.key, bver), Puts: put(kb.key, enc(dec(bv)+1))},
 				})
 				if err == nil {
 					mu.Lock()
 					committed += 2
 					mu.Unlock()
-				} else if !errors.Is(err, ErrAborted) {
+				} else if !errors.Is(err, twopc.ErrAborted) {
 					t.Errorf("unexpected error: %v", err)
 					return
 				}
@@ -259,7 +298,7 @@ func TestConcurrentContendedTransactions(t *testing.T) {
 
 	var total int64
 	for _, k := range keys {
-		v, _, ok, _ := k.p.ReadLatest([]byte(k.key), ^uint64(0))
+		v, _, ok := read(k.e, k.key)
 		if !ok {
 			t.Fatalf("key %s/%s missing", k.shard, k.key)
 		}
@@ -284,39 +323,39 @@ func enc(v uint64) []byte {
 func dec(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 
 func TestCommitUnpreparedFails(t *testing.T) {
-	_, pa, _, _, _ := setup()
-	if err := pa.Commit(42); err == nil {
+	_, ea, _ := setup()
+	if err := ea.CommitPrepared(42); err == nil {
 		t.Fatal("commit of unprepared txn succeeded")
 	}
-	if err := pa.Abort(42); err != nil {
-		t.Fatal("abort of unknown txn should be a no-op")
+	ea.Abort(42) // a no-op for a transaction that never prepared
+	if err := ea.Prepare(42, "", nil, put("k", []byte("v"))); err != nil {
+		t.Fatalf("prepare after a no-op abort: %v", err)
 	}
+	ea.Abort(42)
 }
 
 // The classic bank-transfer invariant: concurrent transfers between
 // accounts on different shards preserve the total balance.
 func TestMoneyConservation(t *testing.T) {
-	c, pa, pb, _, _ := setup()
-	put := func(shard string, key string, amount uint64) {
-		buf := make([]byte, 8)
-		binary.BigEndian.PutUint64(buf, amount)
-		if _, err := c.Execute([]Request{{Shard: shard,
-			Writes: []txn.Write{{Key: []byte(key), Value: buf}}}}); err != nil {
+	c, ea, eb := setup()
+	deposit := func(shard string, key string, amount uint64) {
+		if _, err := c.Execute([]twopc.Request{{Shard: shard, Puts: put(key, enc(amount))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const accounts = 4
 	for i := 0; i < accounts; i++ {
-		put("a", fmt.Sprintf("acct%d", i), 1000)
-		put("b", fmt.Sprintf("acct%d", i), 1000)
+		deposit("a", fmt.Sprintf("acct%d", i), 1000)
+		deposit("b", fmt.Sprintf("acct%d", i), 1000)
 	}
 
-	read := func(p *ShardParticipant, key string) (uint64, uint64) {
-		v, ver, ok, _ := p.ReadLatest([]byte(key), ^uint64(0))
+	balance := func(e *core.Engine, key string) (uint64, uint64) {
+		v, ver, ok := read(e, key)
 		if !ok {
-			t.Fatalf("account %s missing", key)
+			t.Errorf("account %s missing", key)
+			return 0, ver
 		}
-		return binary.BigEndian.Uint64(v), ver
+		return dec(v), ver
 	}
 
 	var wg sync.WaitGroup
@@ -328,22 +367,16 @@ func TestMoneyConservation(t *testing.T) {
 				src := fmt.Sprintf("acct%d", (g+i)%accounts)
 				dst := fmt.Sprintf("acct%d", (g+i+1)%accounts)
 				// Transfer 1 from shard a's src to shard b's dst.
-				sv, sver := read(pa, src)
-				dv, dver := read(pb, dst)
+				sv, sver := balance(ea, src)
+				dv, dver := balance(eb, dst)
 				if sv == 0 {
 					continue
 				}
-				sbuf := make([]byte, 8)
-				binary.BigEndian.PutUint64(sbuf, sv-1)
-				dbuf := make([]byte, 8)
-				binary.BigEndian.PutUint64(dbuf, dv+1)
-				_, err := c.Execute([]Request{
-					{Shard: "a", Reads: map[string]uint64{src: sver},
-						Writes: []txn.Write{{Key: []byte(src), Value: sbuf}}},
-					{Shard: "b", Reads: map[string]uint64{dst: dver},
-						Writes: []txn.Write{{Key: []byte(dst), Value: dbuf}}},
+				_, err := c.Execute([]twopc.Request{
+					{Shard: "a", Reads: reads(src, sver), Puts: put(src, enc(sv-1))},
+					{Shard: "b", Reads: reads(dst, dver), Puts: put(dst, enc(dv+1))},
 				})
-				if err != nil && !errors.Is(err, ErrAborted) {
+				if err != nil && !errors.Is(err, twopc.ErrAborted) {
 					t.Errorf("unexpected error: %v", err)
 					return
 				}
@@ -354,8 +387,8 @@ func TestMoneyConservation(t *testing.T) {
 
 	var total uint64
 	for i := 0; i < accounts; i++ {
-		va, _ := read(pa, fmt.Sprintf("acct%d", i))
-		vb, _ := read(pb, fmt.Sprintf("acct%d", i))
+		va, _ := balance(ea, fmt.Sprintf("acct%d", i))
+		vb, _ := balance(eb, fmt.Sprintf("acct%d", i))
 		total += va + vb
 	}
 	if total != 8000 {

@@ -1,15 +1,18 @@
-// Package txn implements Spitz's concurrency control (Section 5.2). Cells
-// are multi-versioned, so the manager offers the MVCC-based schemes the
-// paper recommends: MVCC with timestamp ordering (T/O) and MVCC with OCC
-// (backward validation), plus the batched validation of Section 5.2's
-// "verifying the transactions in batch to reduce the verification cost"
-// (Ding et al., reference [20]) with transaction reordering to reduce
-// abort rates.
+// Package txn is the concurrency-control ablation's scheduler
+// (internal/bench.AblationCC): the schemes Section 5.2 weighs for
+// multi-versioned cells — MVCC with timestamp ordering (T/O) and MVCC with
+// OCC (backward validation) — plus the batched validation of Section
+// 5.2's "verifying the transactions in batch to reduce the verification
+// cost" (Ding et al., reference [20]) with transaction reordering to
+// reduce abort rates.
 //
-// The manager is storage agnostic: it validates and orders transactions,
-// then commits their write sets through a Store, which allocates each
-// commit's version. In Spitz the Store is the engine's group-commit
-// pipeline; the unit tests use an in-memory versioned map.
+// No engine runs it: an engine admits every commit at its own gate
+// (internal/core), OCC validation under the lock that draws the commit's
+// version. The manager is storage agnostic — it validates and orders
+// transactions, then commits their write sets through a Store, which
+// allocates each commit's version — and the ablation and the unit tests
+// run it over MemStore, an in-memory versioned map, where ledger I/O
+// cannot mask the scheduler's behaviour.
 package txn
 
 import (

@@ -28,10 +28,10 @@ import (
 // interleave in pk order, COUNT and SUM partials add up (the shards
 // partition the key space, so per-shard aggregates are disjoint).
 //
-// INSERT, UPDATE and DELETE execute on the primary (a sharded server
-// routes them by what they do and commits cross-shard batches with
-// two-phase commit) and report RowsAffected plus the commit position;
-// HISTORY returns version rows, verified as Client.History verifies them.
+// INSERT, UPDATE and DELETE execute on the primary, each on the shard
+// that owns its row, and report RowsAffected plus the height of the block
+// that shard committed it in; HISTORY returns version rows, verified as
+// Client.History verifies them.
 func (cl *Client) Query(statement string) (QueryResult, error) {
 	stmt, err := query.Parse(statement)
 	if err != nil {

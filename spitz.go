@@ -48,7 +48,6 @@ import (
 	"spitz/internal/proof"
 	"spitz/internal/query"
 	"spitz/internal/repl"
-	"spitz/internal/txn"
 	"spitz/internal/wal"
 	"spitz/internal/wire"
 )
@@ -75,12 +74,8 @@ type (
 	VerifiedResult = core.VerifiedResult
 	// Verifier tracks a client's trusted digest and checks proofs.
 	Verifier = proof.Verifier
-	// Txn is an interactive serializable transaction.
-	Txn = core.Txn
 	// BatchStats describes the group-commit pipeline's behaviour.
 	BatchStats = core.BatchStats
-	// TxnStats counts transaction commit and abort outcomes.
-	TxnStats = txn.Stats
 	// WALStats summarizes the write-ahead log: durable height and the
 	// retained segment span (what a late replication follower can still
 	// resume from).
@@ -114,14 +109,6 @@ type Stats struct {
 	Followers []FollowerStats
 }
 
-// Concurrency control modes for Options.Mode.
-const (
-	// ModeOCC validates read sets at commit (optimistic; the default).
-	ModeOCC = txn.ModeOCC
-	// ModeTO orders transactions by start timestamp.
-	ModeTO = txn.ModeTO
-)
-
 // SyncPolicy controls when durable commits reach the disk (OpenDir).
 type SyncPolicy = wal.SyncPolicy
 
@@ -141,16 +128,16 @@ const (
 var (
 	// ErrNotFound is returned by Get for absent or deleted cells.
 	ErrNotFound = core.ErrNotFound
-	// ErrConflict is returned by Txn.Commit on serialization conflicts.
-	ErrConflict = txn.ErrConflict
+	// ErrConflict is returned by Txn.Commit on serialization conflicts,
+	// on a single engine and a cluster alike, and by a write that meets a
+	// key a cross-shard transaction holds prepared.
+	ErrConflict = core.ErrConflict
 	// ErrTampered is returned by Verifier methods when verification fails.
 	ErrTampered = proof.ErrTampered
 )
 
 // Options configures Open and OpenDir, and every shard of OpenCluster.
 type Options struct {
-	// Mode selects the concurrency control scheme (default ModeOCC).
-	Mode txn.Mode
 	// MaintainInverted enables the inverted index for value lookups
 	// (LookupEqual, LookupNumericRange) at some write cost.
 	MaintainInverted bool
@@ -200,6 +187,7 @@ type DB struct {
 	dur  *durable.Manager
 	src  *repl.Source // replication source over dur's WAL; nil in memory
 	opts Options
+	txns txnCounts
 }
 
 // engine returns the current engine (swappable via ResetFromSnapshot).
@@ -224,13 +212,11 @@ func Open(opts Options) *DB {
 // from them gets a fresh in-memory one.
 func (opts Options) engines(ts durable.TimestampSource) (core.Options, durable.Options) {
 	eng := core.Options{
-		Mode:             opts.Mode,
 		Timestamps:       ts,
 		MaintainInverted: opts.MaintainInverted,
 		MaxBatchTxns:     opts.MaxBatchTxns,
 	}
 	return eng, durable.Options{
-		Mode:                  opts.Mode,
 		Timestamps:            ts,
 		MaintainInverted:      opts.MaintainInverted,
 		MaxBatchTxns:          opts.MaxBatchTxns,
@@ -352,8 +338,8 @@ func (db *DB) LookupNumericRange(table, column string, lo, hi uint64) ([]Cell, e
 	return db.engine().LookupNumericRange(table, column, lo, hi)
 }
 
-// Begin starts an interactive serializable transaction.
-func (db *DB) Begin() *Txn { return db.engine().Begin() }
+// Begin starts an interactive serializable transaction (Txn).
+func (db *DB) Begin() *Txn { return newTxn([]*core.Engine{db.engine()}, nil, &db.txns) }
 
 // Digest returns the current ledger digest; clients save it and verify
 // later proofs (and history consistency) against it.
@@ -390,7 +376,7 @@ func (db *DB) Stats() Stats {
 	s := Stats{
 		Height: eng.Ledger().Height(),
 		Batch:  eng.BatchStats(),
-		Txns:   eng.TxnStats(),
+		Txns:   db.txns.stats(),
 	}
 	if db.dur != nil {
 		ws := db.dur.WALStats()

@@ -104,6 +104,9 @@ func TestTransactions(t *testing.T) {
 	if _, err := t2.Commit(); !errors.Is(err, spitz.ErrConflict) {
 		t.Fatalf("conflict not detected: %v", err)
 	}
+	if st := db.Stats().Txns; st.Commits != 2 || st.Aborts != 1 {
+		t.Fatalf("Stats().Txns = %+v, want 2 commits and 1 abort", st)
+	}
 }
 
 func TestHistoryAndTimeTravel(t *testing.T) {
