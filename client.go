@@ -19,7 +19,7 @@ import (
 )
 
 // Topology describes the deployment a Client connects to: one primary
-// listener serving N shards (DB.Serve, ClusterDB.Serve, spitz-server; N
+// listener serving N shards (ClusterDB.Serve, spitz-server; N
 // is read off the server's shard map) and 0..R read-replica listeners,
 // each mirroring every shard of that primary (Replica.Serve,
 // spitz-server -replicate-from). A single server is the 1 × 0 case.
@@ -84,7 +84,7 @@ type replicaConn struct {
 	down bool
 }
 
-// Dial connects to the Spitz server at addr (DB.Serve, ClusterDB.Serve,
+// Dial connects to the Spitz server at addr (ClusterDB.Serve,
 // cmd/spitz-server) and to any read replicas of it.
 func Dial(network, addr string, replicaAddrs ...string) (*Client, error) {
 	dialer := func(addr string) func() (*wire.Client, error) {
@@ -492,8 +492,8 @@ func (cl *Client) Snapshot(w io.Writer) error {
 // Restore replaces a single-engine server's entire state with the given
 // snapshot stream (a file written by Snapshot or WriteSnapshot). The
 // server validates the snapshot exactly like a local Restore — a tampered
-// file is rejected. Only in-memory servers accept restores; durable
-// servers and clusters own their state. The returned digest is the
+// file is rejected. Only in-memory servers of one shard accept restores;
+// durable servers and clusters of several shards own their state. The returned digest is the
 // restored ledger's; any previously saved digests refer to the replaced
 // history and must be discarded, so this client's verifier is reset to
 // trust-on-first-use.

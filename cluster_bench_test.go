@@ -56,7 +56,7 @@ func BenchmarkClusterApplyParallel(b *testing.B) {
 					}
 				})
 				b.StopTimer()
-				st := db.ClusterStats()
+				st := db.Stats()
 				var blocks, txns uint64
 				for _, s := range st.Shards {
 					blocks += s.Batch.Blocks

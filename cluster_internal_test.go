@@ -101,8 +101,8 @@ func TestClusterCrossShardTransaction(t *testing.T) {
 	if binary.BigEndian.Uint64(va) != 70 || binary.BigEndian.Uint64(vb) != 130 {
 		t.Fatalf("balances = %d / %d", binary.BigEndian.Uint64(va), binary.BigEndian.Uint64(vb))
 	}
-	if st := db.ClusterStats(); st.Commits != 2 {
-		t.Fatalf("commits = %d", st.Commits)
+	if st := db.Stats(); st.Txns.Commits != 1 || st.Txns.Aborts != 0 {
+		t.Fatalf("transactions = %+v, want the one commit", st.Txns)
 	}
 }
 
@@ -235,13 +235,11 @@ func TestClusterVerifiedReadAndConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := db.ClusterDigest()
-	res, si, err := db.GetVerified("t", "c", []byte("alpha"))
+	res, err := db.GetVerified("t", "c", []byte("alpha"))
 	if err != nil || !res.Found {
 		t.Fatalf("verified read: %v %v", res.Found, err)
 	}
-	if si != db.ShardFor([]byte("alpha")) {
-		t.Fatalf("verified read attributed to shard %d, owner is %d", si, db.ShardFor([]byte("alpha")))
-	}
+	si := db.ShardFor([]byte("alpha"))
 	// The proof verifies against the owning shard's digest entry — and
 	// against no other shard's.
 	if err := res.Proof.Verify(old.Shards[si]); err != nil {
@@ -512,7 +510,7 @@ func TestClusterConcurrentCrossShardStress(t *testing.T) {
 	if total != accounts*1000 {
 		t.Fatalf("total = %d, want %d (money not conserved)", total, accounts*1000)
 	}
-	st := db.ClusterStats()
+	st := db.Stats().Txns
 	t.Logf("stress: %d commits, %d aborts", st.Commits, st.Aborts)
 	if st.Commits == 0 {
 		t.Fatal("no transfer committed")
@@ -533,34 +531,36 @@ func TestOptionsReachEveryShard(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		open func(t *testing.T) []clusterShard
+		open func(t *testing.T) *ClusterDB
 	}{
-		{"OpenDir", func(t *testing.T) []clusterShard {
+		{"OpenDir", func(t *testing.T) *ClusterDB {
 			db, err := OpenDir(t.TempDir(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { db.Close() })
-			return []clusterShard{{eng: db.eng, dur: db.dur}}
+			return db.ClusterDB
 		}},
-		{"durable 2-shard cluster", func(t *testing.T) []clusterShard {
+		{"durable 2-shard cluster", func(t *testing.T) *ClusterDB {
 			db, err := OpenCluster(t.TempDir(), ClusterOptions{Shards: 2, Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { db.Close() })
-			return db.shards
+			return db
 		}},
-		{"memory 2-shard cluster", func(t *testing.T) []clusterShard {
+		{"memory 2-shard cluster", func(t *testing.T) *ClusterDB {
 			db, err := OpenCluster("", ClusterOptions{Shards: 2, Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return db.shards
+			return db
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for i, sh := range tc.open(t) {
+			db := tc.open(t)
+			for i, sh := range db.shards {
+				eng := db.Engine(i)
 				const writers, each = 8, 16
 				var wg sync.WaitGroup
 				for w := 0; w < writers; w++ {
@@ -569,7 +569,7 @@ func TestOptionsReachEveryShard(t *testing.T) {
 						defer wg.Done()
 						for j := 0; j < each; j++ {
 							pk := []byte(fmt.Sprintf("w%d-%02d", w, j))
-							if _, err := sh.eng.Apply("load", []Put{{Table: "t", Column: "c", PK: pk,
+							if _, err := eng.Apply("load", []Put{{Table: "t", Column: "c", PK: pk,
 								Value: []byte(strings.Repeat("v", 100))}}); err != nil {
 								t.Error(err)
 								return
@@ -578,11 +578,11 @@ func TestOptionsReachEveryShard(t *testing.T) {
 					}(w)
 				}
 				wg.Wait()
-				if st := sh.eng.BatchStats(); st.MaxTxns != 1 || st.Txns != writers*each {
+				if st := eng.BatchStats(); st.MaxTxns != 1 || st.Txns != writers*each {
 					t.Errorf("shard %d: %d txns, at most %d in one block; want %d, one per block (MaxBatchTxns)",
 						i, st.Txns, st.MaxTxns, writers*each)
 				}
-				if cells, err := sh.eng.LookupEqual("t", "c", []byte(strings.Repeat("v", 100))); err != nil || len(cells) != writers*each {
+				if cells, err := eng.LookupEqual("t", "c", []byte(strings.Repeat("v", 100))); err != nil || len(cells) != writers*each {
 					t.Errorf("shard %d: LookupEqual found %d cells, %v; want %d (MaintainInverted)", i, len(cells), err, writers*each)
 				}
 				if sh.dur == nil {

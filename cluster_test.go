@@ -83,8 +83,8 @@ func TestOpenClusterBasics(t *testing.T) {
 		t.Fatalf("txn write lost: %q", got)
 	}
 
-	st := db.ClusterStats()
-	if len(st.Shards) != 4 || st.Commits < 2 {
+	st := db.Stats()
+	if len(st.Shards) != 4 || st.Txns.Commits != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Every shard should have seen some of the 32 keys.
@@ -278,9 +278,9 @@ func TestOpenClusterCrashRecovery(t *testing.T) {
 	// must not verify against another shard's digest.
 	pkA := []byte("pk0000")
 	siA := sc2.ShardFor(pkA)
-	res, shard, err := db2.GetVerified("t", "c", pkA)
-	if err != nil || shard != siA {
-		t.Fatalf("embedded verified read: shard=%d err=%v", shard, err)
+	res, err := db2.GetVerified("t", "c", pkA)
+	if err != nil || db2.ShardFor(pkA) != siA {
+		t.Fatalf("embedded verified read: shard=%d err=%v", db2.ShardFor(pkA), err)
 	}
 	for i := range want.Shards {
 		err := res.Proof.Verify(want.Shards[i])

@@ -56,11 +56,11 @@
 // strictly read-only and reconnect automatically; the primary must run
 // with -data-dir (replication ships the log).
 //
-// Whichever of the three it opens — a single engine, a cluster, or a
-// replica of either — the server takes the same serve path: one listener
-// in front of one shard router (a single engine is a one-shard
-// deployment, a replica one with no writer), one ops endpoint, and a
-// clean shutdown on SIGINT/SIGTERM.
+// Whichever it opens — a deployment of one or N shards, or a replica of
+// one — the server takes the same serve path: one listener in front of
+// one shard router (a replica's has no writer), one ops endpoint, and a
+// clean shutdown on SIGINT/SIGTERM. An in-memory server of one shard
+// accepts spitz-cli restore; every other refuses it.
 //
 // Connect with cmd/spitz-cli or spitz.Dial(network, primary, replicas...):
 // reads go to the replicas, trust advances only against the primary.
@@ -103,7 +103,7 @@ func main() {
 		MaxBatchTxns:     *maxBatchTxns,
 	}
 
-	// The open step: replica, cluster or single engine, as the flags say.
+	// The open step: a replica, or a deployment of the flags' shards.
 	var n node
 	if *replicateFrom != "" {
 		if *dataDir != "" {
@@ -133,11 +133,7 @@ func main() {
 			// ignore every shard's data.
 			*shards = 0 // adopt the recorded shard count
 		}
-		if *shards != 1 {
-			n = openCluster(*shards, *dataDir, opts)
-		} else {
-			n = openSingle(*dataDir, opts)
-		}
+		n = openPrimary(*shards, *dataDir, opts)
 	}
 
 	// The one serve tail.
@@ -177,48 +173,47 @@ type node struct {
 	close  func() error
 }
 
-// openSingle opens one engine, in memory or durable under dataDir.
-func openSingle(dataDir string, opts spitz.Options) node {
-	var db *spitz.DB
-	if dataDir == "" {
-		db = spitz.Open(opts)
-		log.Printf("spitz-server: serving in-memory database (no -data-dir; state is lost on exit)")
-	} else {
-		var err error
-		if db, err = spitz.OpenDir(dataDir, opts); err != nil {
+// openPrimary opens the deployment the flags name: one engine (OpenDir
+// keeps it at the top of dataDir) or a cluster of shards engines (each
+// under dataDir/shard-NNN), durable when dataDir is set.
+func openPrimary(shards int, dataDir string, opts spitz.Options) node {
+	single := shards == 1
+	var db *spitz.ClusterDB
+	if single && dataDir != "" {
+		one, err := spitz.OpenDir(dataDir, opts)
+		if err != nil {
 			log.Fatalf("spitz-server: open %s: %v", dataDir, err)
 		}
-		log.Printf("spitz-server: durable database in %s (sync=%s), recovered %d blocks",
-			dataDir, opts.Sync, db.Height())
-	}
-	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
-		digest: func() string {
-			d := db.Digest()
-			return fmt.Sprintf("ledger digest height=%d root=%s", d.Height, d.Root.Short())
-		},
-		close: db.Close}
-}
-
-// openCluster opens N engines behind one listener, each durable under
-// dataDir/shard-NNN when dataDir is set.
-func openCluster(shards int, dataDir string, opts spitz.Options) node {
-	db, err := spitz.OpenCluster(dataDir, spitz.ClusterOptions{Shards: shards, Options: opts})
-	if err != nil {
-		log.Fatalf("spitz-server: open cluster: %v", err)
-	}
-	if dataDir == "" {
-		log.Printf("spitz-server: serving %d-shard in-memory cluster (no -data-dir; state is lost on exit)", db.Shards())
+		db = one.ClusterDB
 	} else {
-		st := db.ClusterStats()
-		heights := make([]uint64, len(st.Shards))
-		for i, s := range st.Shards {
-			heights[i] = s.Height
+		var err error
+		if db, err = spitz.OpenCluster(dataDir, spitz.ClusterOptions{Shards: shards, Options: opts}); err != nil {
+			log.Fatalf("spitz-server: open cluster: %v", err)
 		}
+	}
+	heights := make([]uint64, db.Shards())
+	for i, s := range db.Stats().Shards {
+		heights[i] = s.Height
+	}
+	switch {
+	case dataDir == "" && single:
+		log.Printf("spitz-server: serving in-memory database (no -data-dir; state is lost on exit)")
+	case dataDir == "":
+		log.Printf("spitz-server: serving %d-shard in-memory cluster (no -data-dir; state is lost on exit)", db.Shards())
+	case single:
+		log.Printf("spitz-server: durable database in %s (sync=%s), recovered %d blocks", dataDir, opts.Sync, heights[0])
+	default:
 		log.Printf("spitz-server: durable %d-shard cluster in %s, recovered shard heights %v", db.Shards(), dataDir, heights)
 	}
 	return node{serve: db.Serve, stats: db.ServerStats, health: func() any { return db.ServerStats() },
-		digest: func() string { return "combined root " + db.ClusterDigest().Root.Short() },
-		close:  db.Close}
+		digest: func() string {
+			cd := db.ClusterDigest()
+			if single {
+				return fmt.Sprintf("ledger digest height=%d root=%s", cd.Shards[0].Height, cd.Shards[0].Root.Short())
+			}
+			return "combined root " + cd.Root.Short()
+		},
+		close: db.Close}
 }
 
 // openReplica follows the primary at addr: stream its log (every shard),

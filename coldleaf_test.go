@@ -272,11 +272,11 @@ func TestDamagedColumnBoundaryFails(t *testing.T) {
 	if cols, err := eng.Columns("t"); !errors.Is(err, cas.ErrCorrupt) {
 		t.Fatalf("Columns over the damaged boundary = %v, %v; want ErrCorrupt", cols, err)
 	}
-	if res, err := query.Exec(eng, "DELETE FROM t WHERE pk = 'pk0001'"); !errors.Is(err, cas.ErrCorrupt) {
+	if res, err := query.ExecStore(query.EngineStore{Eng: eng}, "DELETE FROM t WHERE pk = 'pk0001'"); !errors.Is(err, cas.ErrCorrupt) {
 		t.Fatalf("DELETE = %d rows, %v; want ErrCorrupt", res.RowsAffected, err)
 	}
 	const star = "SELECT * FROM t WHERE pk = 'pk0001'"
-	if res, err := query.Exec(eng, star); !errors.Is(err, cas.ErrCorrupt) {
+	if res, err := query.ExecStore(query.EngineStore{Eng: eng}, star); !errors.Is(err, cas.ErrCorrupt) {
 		t.Fatalf("SELECT * = %v, %v; want ErrCorrupt", res.Rows, err)
 	}
 	stmt, err := query.Parse(star)

@@ -113,7 +113,7 @@ func BenchmarkApplyParallel(b *testing.B) {
 					}
 				})
 				reportBatchStats(b, db)
-				if st := db.Stats().Batch; name == "always" && st.Blocks > 0 {
+				if st := db.Stats().Shards[0].Batch; name == "always" && st.Blocks > 0 {
 					b.ReportMetric(float64(fsyncs.Value()-fsyncs0)/float64(st.Blocks), "fsyncs/commit")
 				}
 			})
@@ -123,7 +123,7 @@ func BenchmarkApplyParallel(b *testing.B) {
 
 func reportBatchStats(b *testing.B, db *spitz.DB) {
 	b.Helper()
-	st := db.Stats().Batch
+	st := db.Stats().Shards[0].Batch
 	if st.Blocks > 0 {
 		b.ReportMetric(st.MeanTxns(), "txns/block")
 	}

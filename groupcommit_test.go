@@ -142,7 +142,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 	db := spitz.Open(spitz.Options{})
 	acked := runCommitStress(t, db, 8, 25)
 	checkAcked(t, db, acked)
-	st := db.Stats()
+	st := db.Stats().Shards[0]
 	if st.Batch.Txns != uint64(len(acked)) {
 		t.Fatalf("pipeline committed %d txns, %d were acknowledged", st.Batch.Txns, len(acked))
 	}
@@ -170,7 +170,7 @@ func TestConcurrentCommitStressDurable(t *testing.T) {
 	fsyncs0 := fsyncs.Value()
 	acked := runCommitStress(t, db, 8, 15)
 	checkAcked(t, db, acked)
-	st := db.Stats()
+	st := db.Stats().Shards[0]
 	digest := db.Digest()
 	// The pipeline appends the next block while the last one's fsync is in
 	// flight; the WAL's sync leader covers whatever piled up behind it, so

@@ -119,11 +119,11 @@ func diskSmokeLoad(db *spitz.ClusterDB, tag string, lo, hi int) error {
 func diskSmokeVerify(db *spitz.ClusterDB, keys int) error {
 	d := db.ClusterDigest()
 	for i := 0; i < keys; i++ {
-		res, shard, err := db.GetVerified("t", "c", benchKey(i))
+		res, err := db.GetVerified("t", "c", benchKey(i))
 		if err != nil || !res.Found {
 			return fmt.Errorf("verified read %d: found=%v err=%v", i, res.Found, err)
 		}
-		if res.Digest != d.Shards[shard] {
+		if res.Digest != d.Shards[db.ShardFor(benchKey(i))] {
 			return fmt.Errorf("key %d proved against stale shard digest", i)
 		}
 	}

@@ -147,6 +147,9 @@ type Engine struct {
 	// the leader reads without the lock (see lead).
 	lastWait  *func() error
 	olderWait atomic.Pointer[func() error]
+	// retired, once set (Retire), refuses every commit: the deployment
+	// serves another engine in this one's place. Guarded by mu.
+	retired error
 }
 
 // pendingCell is the newest enqueued-but-uncommitted write of one cell,
@@ -356,6 +359,28 @@ func errReadOnly(err error) error {
 	return fmt.Errorf("core: engine read-only after durability failure: %w", err)
 }
 
+// refusalLocked is why the engine takes no commit now, or nil: it was
+// retired, or is read-only after a durability failure. Caller holds e.mu.
+func (e *Engine) refusalLocked() error {
+	if e.retired != nil {
+		return e.retired
+	}
+	if e.sinkErr != nil {
+		return errReadOnly(e.sinkErr)
+	}
+	return nil
+}
+
+// Retire makes the engine refuse every later commit with err, and fail
+// the commits queued or in a block being built: the deployment serves
+// another engine in its place (a restore), so a write that reached this
+// one would be acknowledged where no read looks.
+func (e *Engine) Retire(err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.retired = err
+}
+
 // errEmptyBatch refuses a commit with neither reads nor writes: there is
 // nothing to check, and a block would record nothing.
 var errEmptyBatch = errors.New("core: empty write batch")
@@ -368,8 +393,8 @@ var errEmptyBatch = errors.New("core: empty write batch")
 // batch. Caller holds e.mu, and passes the returned request to waitCommit
 // once it has released it.
 func (e *Engine) enqueueLocked(statement string, cells []cellstore.Cell) (*commitReq, error) {
-	if err := e.sinkErr; err != nil {
-		return nil, errReadOnly(err)
+	if err := e.refusalLocked(); err != nil {
+		return nil, err
 	}
 	version := e.ts.Next()
 	if version <= e.lastVersion {
@@ -468,14 +493,14 @@ func (e *Engine) lead(own *commitReq) {
 			e.queue[i] = nil
 		}
 		e.queue = e.queue[:rest]
-		poison := e.sinkErr
+		poison := e.refusalLocked()
 		e.mu.Unlock()
 		if poison != nil {
-			// A previous batch poisoned the pipeline while these requests
-			// were queued behind it.
+			// A previous batch poisoned the pipeline, or the engine was
+			// retired, while these requests were queued behind it.
 			e.mu.Lock()
 			for _, r := range batch {
-				r.err = errReadOnly(poison)
+				r.err = poison
 			}
 			e.clearPendingLocked(batch)
 			e.mu.Unlock()
@@ -529,6 +554,14 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.retired != nil {
+		// Retired while the block was built: no read looks here now.
+		for _, r := range batch {
+			r.err = e.retired
+		}
+		e.clearPendingLocked(batch)
+		return
+	}
 	if err != nil {
 		// Nothing reached the ledger, but transactions validated against
 		// these requests' pending writes may already be queued behind us —

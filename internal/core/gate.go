@@ -84,8 +84,8 @@ func (e *Engine) Prepare(txn uint64, statement string, reads map[string]uint64, 
 	cells := cellsOf(puts)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sinkErr; err != nil {
-		return errReadOnly(err)
+	if err := e.refusalLocked(); err != nil {
+		return err
 	}
 	if _, dup := e.prepared[txn]; dup {
 		return fmt.Errorf("core: transaction %d already prepared", txn)

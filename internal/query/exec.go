@@ -54,13 +54,8 @@ func (s EngineStore) Engines() []*core.Engine { return []*core.Engine{s.Eng} }
 
 func (s EngineStore) ShardFor([]byte) int { return 0 }
 
-// Exec parses and executes one statement against the engine. Mutations
-// record the statement text in their ledger block for auditing.
-func Exec(eng *core.Engine, statement string) (Result, error) {
-	return ExecStore(EngineStore{Eng: eng}, statement)
-}
-
 // ExecStore parses and executes one statement against any Store.
+// Mutations record the statement text in their ledger block for auditing.
 func ExecStore(st Store, statement string) (Result, error) {
 	stmt, err := Parse(statement)
 	if err != nil {

@@ -16,3 +16,8 @@ func SelectAt(eng *core.Engine, s Select, height uint64) ([]cellstore.Cell, erro
 	cells, _, err := collectAt(eng, pl, ledger.Digest{Height: height + 1})
 	return cells, err
 }
+
+// Exec parses and executes one statement against one engine.
+func Exec(eng *core.Engine, statement string) (Result, error) {
+	return ExecStore(EngineStore{Eng: eng}, statement)
+}

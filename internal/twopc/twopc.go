@@ -59,9 +59,6 @@ type Coordinator struct {
 	shards map[string]Participant
 	ts     core.TimestampSource
 	nextID uint64
-
-	commits int64
-	aborts  int64
 }
 
 // NewCoordinator returns a coordinator allocating commit timestamps from
@@ -75,13 +72,6 @@ func (c *Coordinator) Register(name string, p Participant) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shards[name] = p
-}
-
-// Stats returns commit and abort counts.
-func (c *Coordinator) Stats() (commits, aborts int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.commits, c.aborts
 }
 
 // Request carries one shard's portion of a distributed transaction.
@@ -136,9 +126,6 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 			for j := range reqs {
 				parts[j].Abort(id)
 			}
-			c.mu.Lock()
-			c.aborts++
-			c.mu.Unlock()
 			if errors.Is(err, core.ErrConflict) {
 				mAbortsConflict.Inc()
 			} else {
@@ -163,9 +150,6 @@ func (c *Coordinator) ExecuteTraced(tr *obs.Trace, reqs []Request) (uint64, erro
 			return 0, fmt.Errorf("twopc: shard %q failed prepared commit: %w", reqs[i].Shard, err)
 		}
 	}
-	c.mu.Lock()
-	c.commits++
-	c.mu.Unlock()
 	mCommits.Inc()
 	return version, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"spitz/internal/cellstore"
 	"spitz/internal/core"
+	"spitz/internal/obs"
 	"spitz/internal/twopc"
 	"spitz/internal/txn/tso"
 )
@@ -43,8 +44,24 @@ func reads(key string, ver uint64) map[string]uint64 {
 	return map[string]uint64{string(cellstore.CellPrefix("t", "c", []byte(key))): ver}
 }
 
+// counted returns a func reporting the 2PC commits and aborts the
+// coordinator's counters (spitz_twopc_*) recorded since counted was called.
+func counted() func() (commits, aborts uint64) {
+	outcomes := func() (uint64, uint64) {
+		r := obs.Default
+		return r.Counter("spitz_twopc_commits_total").Value(),
+			r.Counter(`spitz_twopc_aborts_total{cause="conflict"}`).Value() + r.Counter(`spitz_twopc_aborts_total{cause="error"}`).Value()
+	}
+	c0, a0 := outcomes()
+	return func() (uint64, uint64) {
+		c, a := outcomes()
+		return c - c0, a - a0
+	}
+}
+
 func TestCommitAcrossShards(t *testing.T) {
 	c, ea, eb := setup()
+	stats := counted()
 	v, err := c.Execute([]twopc.Request{
 		{Shard: "a", Puts: put("x", []byte("1"))},
 		{Shard: "b", Puts: put("y", []byte("2"))},
@@ -66,7 +83,7 @@ func TestCommitAcrossShards(t *testing.T) {
 			t.Fatalf("shard write of %q = %q, %v", sh.key, got, ok)
 		}
 	}
-	commits, aborts := c.Stats()
+	commits, aborts := stats()
 	if commits != 1 || aborts != 0 {
 		t.Fatalf("stats = %d/%d", commits, aborts)
 	}
@@ -213,6 +230,7 @@ func TestPreparedKeysHoldOffPlainWrites(t *testing.T) {
 // roll shard a back, releasing its locks and applying nothing.
 func TestCoordinatorAbortAfterPartialPrepare(t *testing.T) {
 	c, ea, eb := setup()
+	stats := counted()
 	// Make shard b's read stale.
 	if _, err := c.Execute([]twopc.Request{{Shard: "b", Puts: put("y", []byte("fresh"))}}); err != nil {
 		t.Fatal(err)
@@ -237,7 +255,7 @@ func TestCoordinatorAbortAfterPartialPrepare(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("retry after rollback: %v", err)
 	}
-	_, aborts := c.Stats()
+	_, aborts := stats()
 	if aborts != 1 {
 		t.Fatalf("aborts = %d", aborts)
 	}
@@ -250,6 +268,7 @@ func TestCoordinatorAbortAfterPartialPrepare(t *testing.T) {
 // counts.
 func TestConcurrentContendedTransactions(t *testing.T) {
 	c, ea, eb := setup()
+	stats := counted()
 	keys := []struct {
 		shard string
 		e     *core.Engine
@@ -307,7 +326,7 @@ func TestConcurrentContendedTransactions(t *testing.T) {
 	if total != committed {
 		t.Fatalf("increments applied = %d, committed = %d (lost or phantom updates)", total, committed)
 	}
-	commits, aborts := c.Stats()
+	commits, aborts := stats()
 	t.Logf("contended stress: %d commits, %d aborts", commits, aborts)
 	if commits == 0 {
 		t.Fatal("nothing committed under contention")
@@ -338,6 +357,7 @@ func TestCommitUnpreparedFails(t *testing.T) {
 // accounts on different shards preserve the total balance.
 func TestMoneyConservation(t *testing.T) {
 	c, ea, eb := setup()
+	stats := counted()
 	deposit := func(shard string, key string, amount uint64) {
 		if _, err := c.Execute([]twopc.Request{{Shard: shard, Puts: put(key, enc(amount))}}); err != nil {
 			t.Fatal(err)
@@ -394,7 +414,7 @@ func TestMoneyConservation(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("total balance = %d, want 8000 (money not conserved)", total)
 	}
-	commits, aborts := c.Stats()
+	commits, aborts := stats()
 	t.Logf("transfers: %d commits, %d aborts", commits, aborts)
 	if commits == 0 {
 		t.Fatal("no transfer committed")

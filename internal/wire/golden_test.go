@@ -142,7 +142,7 @@ func goldenResponses(t *testing.T) (order []string, got map[string]string) {
 	}
 	d2 := eng.Digest()
 	// An empty ledger answers a verified read with no history to prove it
-	// against: the zero proof and the zero digest.
+	// against: no proof and the zero digest.
 	empty := core.New(core.Options{})
 	for _, r := range []row{{"get-empty", get("pk01210")}, {"range-empty", rng}} {
 		resp := Dispatch(empty, r.req)

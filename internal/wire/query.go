@@ -16,8 +16,8 @@ import (
 // proof of something else.
 //
 // HISTORY is refused: a cell's history is a proven read of its own
-// (OpHistory). Mutations respond with RowsAffected, the committed block
-// height and the new digest.
+// (OpHistory). Mutations respond with RowsAffected and the committed
+// block height, as a served deployment's writer does.
 func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response {
 	switch s := stmt.(type) {
 	case query.Select:
@@ -33,5 +33,5 @@ func dispatchQuery(eng *core.Engine, req Request, stmt query.Statement) Response
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
-	return Response{RowsAffected: out.RowsAffected, Height: out.Block, Digest: eng.Digest()}
+	return Response{RowsAffected: out.RowsAffected, Height: out.Block}
 }

@@ -49,8 +49,9 @@ type ReplSource interface {
 // holds the shard map (ShardIndex) and names the shard it asks.
 type Router struct {
 	Shards []Shard
-	// Write executes mutations: a cluster's 2PC coordinator, or a single
-	// engine's own Dispatch. nil refuses them (a read replica).
+	// Write executes mutations: a served deployment's writer
+	// (spitz.ClusterDB), or an engine's own Dispatch (EngineHandler). nil
+	// refuses them (a read replica).
 	Write func(Request) Response
 }
 

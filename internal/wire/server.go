@@ -451,6 +451,12 @@ func dispatch(eng *core.Engine, req Request) Response {
 		if err != nil {
 			return Response{Err: err.Error()}
 		}
+		if res.Digest.Height == 0 {
+			// An empty ledger has no history to prove an answer against;
+			// its answer is the empty one, which a client decides from the
+			// digest alone.
+			return Response{}
+		}
 		// The rows travel once, inside the proof's leaves; clients decode
 		// them from there only, so Cells is not sent (and only the proof,
 		// not the whole result, outlives the call).

@@ -219,7 +219,7 @@ func TestReplicationCrashRecoveryAcceptance(t *testing.T) {
 	// The primary's stats see both resumed followers, caught up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		fs := db2.Stats().Followers
+		fs := db2.Stats().Shards[0].Followers
 		if len(fs) == 2 && fs[0].AckedHeight == db2.Height() && fs[1].AckedHeight == db2.Height() {
 			break
 		}
@@ -461,7 +461,7 @@ func TestStatsObservability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := db.Stats()
+	st := db.Stats().Shards[0]
 	if st.WAL == nil {
 		t.Fatal("durable DB reports no WAL stats")
 	}
@@ -473,7 +473,7 @@ func TestStatsObservability(t *testing.T) {
 	}
 
 	// In-memory databases have no WAL to report (and none to replicate).
-	if mem := spitz.Open(spitz.Options{}); mem.Stats().WAL != nil {
+	if mem := spitz.Open(spitz.Options{}); mem.Stats().Shards[0].WAL != nil {
 		t.Fatal("in-memory DB reports WAL stats")
 	}
 
@@ -490,7 +490,7 @@ func TestStatsObservability(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st = db.Stats()
+		st = db.Stats().Shards[0]
 		if len(st.Followers) == 1 && st.Followers[0].AckedHeight == 7 && st.Followers[0].LagBlocks == 0 {
 			break
 		}

@@ -17,7 +17,7 @@ type matrixDeployment struct {
 	name    string
 	shards  int
 	replica bool // no writer: every mutation is refused
-	cluster bool // writes through 2PC, which owns no restore
+	durable bool // its state is its data directory's, which no restore replaces
 	dial    dialFunc
 }
 
@@ -44,7 +44,7 @@ func (d matrixDeployment) expect(op matrixOp, shard int) string {
 		return "beyond"
 	case op.class == write && d.replica:
 		return "read-only"
-	case op.class == write && d.cluster && op.req.Op == wire.OpRestore:
+	case op.class == write && op.req.Op == wire.OpRestore && (d.durable || d.shards > 1):
 		return "restore is not supported"
 	case (op.class == point || op.class == perShard || op.class == unknown) && shard == 0 && d.shards > 1:
 		return "set Shard"
@@ -112,8 +112,8 @@ func matrixReplica(t *testing.T, primary dialFunc, heights []uint64) dialFunc {
 // TestRoutingMatrix runs every op against every Shard value a client can
 // name — 0, 1, N and N+1 — on every serving configuration, over the wire,
 // and checks each answer against the one addressing rule: a memory DB
-// (1×0), a 1-shard and a 4-shard cluster, and replicas of a durable DB
-// and of a durable 2-shard cluster.
+// (1×0), a 1-shard and a 4-shard cluster, a durable DB, and replicas of
+// that DB and of a durable 2-shard cluster.
 func TestRoutingMatrix(t *testing.T) {
 	mem := spitz.Open(spitz.Options{MaintainInverted: true})
 	matrixSeed(t, func(s string, p []spitz.Put) error { _, err := mem.Apply(s, p); return err })
@@ -141,8 +141,9 @@ func TestRoutingMatrix(t *testing.T) {
 
 	deployments := []matrixDeployment{
 		{name: "memory-db", shards: 1, dial: dialer(memLn)},
-		{name: "cluster-1", shards: 1, cluster: true, dial: one},
-		{name: "cluster-4", shards: 4, cluster: true, dial: four},
+		{name: "cluster-1", shards: 1, dial: one},
+		{name: "cluster-4", shards: 4, dial: four},
+		{name: "durable-db", shards: 1, durable: true, dial: dialer(durLn)},
 		{name: "replica-of-db", shards: 1, replica: true,
 			dial: matrixReplica(t, dialer(durLn), []uint64{durable.Height()})},
 		{name: "replica-of-cluster-2", shards: 2, replica: true,

@@ -27,7 +27,7 @@ func TestOneShardResponsesUnchanged(t *testing.T) {
 	} {
 		for _, shard := range []int{0, 1} {
 			req.Shard = shard
-			got, want := h.Handle(req), wire.Dispatch(direct.engine(), req)
+			got, want := h.Handle(req), wire.Dispatch(direct.Engine(0), req)
 			if got.Err != "" || !bytes.Equal(wire.AppendResponse(nil, &got), wire.AppendResponse(nil, &want)) {
 				t.Fatalf("%s %q at shard %d: served %+v, engine answers %+v", req.Op, req.Statement, shard, got, want)
 			}

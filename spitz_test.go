@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spitz"
@@ -369,4 +371,99 @@ func TestWarmClientReadsAfterRestore(t *testing.T) {
 			t.Fatalf("unchanged read moved trust from %d to %d", head.Height, d.Height)
 		}
 	}
+}
+
+// TestTxnSpanningRestoreFails: a transaction begun before a restore
+// commits into the state the restore replaced, where no read looks, so
+// its commit must fail with ErrConflict, and write nothing anywhere —
+// whether it only wrote or also read.
+func TestTxnSpanningRestoreFails(t *testing.T) {
+	db := seedDB(t, 4)
+	var snap bytes.Buffer
+	if err := db.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []bool{false, true} {
+		tx := db.Begin()
+		if read {
+			if _, _, err := tx.Get("t", "c", []byte("pk0001")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Put("t", "c", []byte("spans"), []byte("lost?")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ResetFromSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); !errors.Is(err, spitz.ErrConflict) {
+			t.Fatalf("read=%v: commit across a restore = %v, want ErrConflict", read, err)
+		}
+		if v, err := db.Get("t", "c", []byte("spans")); !errors.Is(err, spitz.ErrNotFound) {
+			t.Fatalf("read=%v: the refused write reads %q, %v", read, v, err)
+		}
+	}
+	if st := db.Stats().Txns; st.Commits != 0 || st.Aborts != 2 {
+		t.Fatalf("transactions = %+v, want 2 aborts", st)
+	}
+}
+
+// TestWritesSpanningRestoreRace: writers and transactions race restores.
+// A write on the engine a restore replaced — one that loaded it just
+// before the swap — fails with ErrConflict; every other write is acked,
+// and one that no restore overlapped reads back at once.
+func TestWritesSpanningRestoreRace(t *testing.T) {
+	db := seedDB(t, 4)
+	var snap bytes.Buffer
+	if err := db.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	stale := db.Engine(0)
+	if err := db.ResetFromSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Apply("late", []spitz.Put{{Table: "t", Column: "c", PK: []byte("late"), Value: []byte("x")}}); !errors.Is(err, spitz.ErrConflict) {
+		t.Fatalf("a write on the replaced engine = %v, want ErrConflict", err)
+	}
+
+	var gen atomic.Uint64 // odd while a restore runs
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				pk := []byte(fmt.Sprintf("w%d-%02d", w, i))
+				g := gen.Load()
+				var err error
+				if w%2 == 0 {
+					_, err = db.Apply("w", []spitz.Put{{Table: "t", Column: "c", PK: pk, Value: pk}})
+				} else {
+					tx := db.Begin()
+					if _, _, err = tx.Get("t", "c", []byte("pk0001")); err == nil {
+						tx.Put("t", "c", pk, pk)
+						_, err = tx.Commit()
+					}
+				}
+				if err != nil {
+					if !errors.Is(err, spitz.ErrConflict) {
+						t.Errorf("write %s: %v", pk, err)
+					}
+					continue
+				}
+				_, rerr := db.Get("t", "c", pk)
+				if g%2 == 0 && gen.Load() == g && rerr != nil {
+					t.Errorf("write %s acked, no restore overlapped it, and it reads %v", pk, rerr)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 20; i++ {
+		gen.Add(1)
+		if err := db.ResetFromSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		gen.Add(1)
+	}
+	wg.Wait()
 }

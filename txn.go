@@ -13,9 +13,9 @@ import (
 )
 
 // Txn is an interactive serializable transaction over a deployment's
-// shards — the one engine of a DB, or every shard of a ClusterDB (Section
-// 5.2). Reads see each shard's newest state, writes already ordered but
-// not yet in a block included, and record the version they saw; a second
+// shards — every shard of a ClusterDB, the one of a DB (Section 5.2).
+// Reads see each shard's newest state, writes already ordered but not
+// yet in a block included, and record the version they saw; a second
 // read of a cell returns its newest state again, but the commit checks
 // the first. Writes stage until Commit, which admits the transaction
 // where each shard admits every commit, under the lock that draws its
@@ -26,8 +26,8 @@ import (
 // retried from the start. Not safe for concurrent use.
 type Txn struct {
 	engines  []*core.Engine
-	coord    *twopc.Coordinator // nil on a single engine
-	counts   *txnCounts         // nil when nothing counts outcomes
+	coord    *twopc.Coordinator // nil on one shard
+	counts   *txnCounts         // the deployment's
 	reads    map[int]map[string]uint64
 	writes   map[int][]Put
 	writeIdx map[string]writeLoc
@@ -46,7 +46,7 @@ type TxnStats struct {
 	Aborts  int64
 }
 
-// txnCounts is where a DB's transactions count their outcomes.
+// txnCounts is where a deployment's transactions count their outcomes.
 type txnCounts struct{ commits, aborts atomic.Int64 }
 
 func (c *txnCounts) stats() TxnStats {
@@ -125,7 +125,9 @@ func (t *Txn) stage(p Put) error {
 // Commit validates and commits the transaction and returns its commit
 // version: the version of the block that carries it when it touched one
 // shard, the coordinator's commit timestamp when it touched several, 0
-// when it touched none. On ErrConflict nothing was written anywhere.
+// when it touched none. On ErrConflict nothing was written anywhere: a
+// read no longer current, or a shard's engine replaced by a restore since
+// Begin.
 func (t *Txn) Commit() (uint64, error) {
 	if t.done {
 		return 0, errTxnDone
@@ -136,12 +138,10 @@ func (t *Txn) Commit() (uint64, error) {
 	if len(t.reads) > 0 || len(t.writes) > 0 {
 		h, err = commit(t.engines, t.coord, nil, "TXN", t.reads, t.writes)
 	}
-	if t.counts != nil {
-		if err != nil {
-			t.counts.aborts.Add(1)
-		} else {
-			t.counts.commits.Add(1)
-		}
+	if err != nil {
+		t.counts.aborts.Add(1)
+	} else {
+		t.counts.commits.Add(1)
 	}
 	return h.Version, err
 }
@@ -153,9 +153,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.done = true
-	if t.counts != nil {
-		t.counts.aborts.Add(1)
-	}
+	t.counts.aborts.Add(1)
 }
 
 // commit admits one transaction's parts, keyed by shard index. A
